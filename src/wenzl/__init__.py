@@ -6,7 +6,7 @@ Subpackages by subject:
 - ``combinat``:   multipartitions, updown tableaux, contents, coset reps
 - ``params``:     parameter sets, Schur q-functions, admissible sequences,
                   the rational functions and series attached to tableaux
-- ``seminormal``: seminormal representations with exact coefficient tables
+- ``seminormal``: rational seminormal representations and exact checks
 - ``hecke``:      the degenerate cyclotomic Hecke quotient and Murphy basis
 - ``wcell``:      the faithful matrix realization and cellular elements
 - ``cli``:        batch command-line front end

@@ -133,13 +133,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic() if a else ONE
 
 
-def poly_prod(factors) -> Poly:
-    out = ONE
-    for f in factors:
-        out = out * f
-    return out
-
-
 class RationalFunction:
     """num/den, reduced, denominator monic; supports exact field arithmetic."""
 
@@ -424,11 +417,6 @@ class ParamSet:
         if N is None:
             N = 2 * r + 4 * max(n, 1)
         return cls.from_u(combinat.default_u(r, n), N, precision_bits, max(n, 1))
-
-    @classmethod
-    def from_omega(cls, omega, r: int, precision_bits: int = 256) -> "ParamSet":
-        omega = tuple(parse_fraction(w) for w in omega)
-        return cls(r, (), omega, len(omega) - 1, precision_bits, "user-supplied")
 
     @classmethod
     def with_omega(cls, u, omega, precision_bits: int = 256) -> "ParamSet":

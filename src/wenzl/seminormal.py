@@ -1,20 +1,21 @@
 """Seminormal matrix models on updown-tableau bases, with verification suites.
 
-The coefficient layer is exact: diagonal contraction coefficients, swap
-coefficients and squared off-diagonal entries are all Fractions.  Square
-roots enter only when the concrete symmetric matrices are assembled, so the
-matrices live at a chosen binary working precision (mpmath), while every
-polynomial identity between the coefficients themselves is checked with
-zero tolerance.
+Everything here is exact.  The orthonormal seminormal model has symmetric
+matrices whose off-diagonal entries are square roots of Fractions.  Each
+block is built instead as that model conjugated by diag(sqrt(gamma)), with
+gamma chosen on a spanning tree of the generator graph so that every entry
+is a Fraction; ``wcell`` derives the orthonormal view from it.  The relation suite, the scalar
+tower and self-adjointness for the form diag(gamma) are then checked on
+Fraction matrices with zero tolerance, as are the polynomial identities
+between the coefficients themselves.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
-
-import mpmath
 
 from . import _linalg, combinat, params
 from .params import ParamSet
@@ -63,82 +64,6 @@ def swap_b_squared(t, k: int, ps: ParamSet) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# matrix backends: exact Fractions vs mpmath at working precision
-# ---------------------------------------------------------------------------
-
-
-def _mpf(x) -> mpmath.mpf:
-    x = Fraction(x)
-    return mpmath.mpf(x.numerator) / x.denominator
-
-
-class _ExactOps:
-    @staticmethod
-    def mul(a, b):
-        return _linalg.mat_mul(a, b)
-
-    @staticmethod
-    def add(a, b):
-        return _linalg.mat_add(a, b)
-
-    @staticmethod
-    def sub(a, b):
-        return _linalg.mat_sub(a, b)
-
-    @staticmethod
-    def eye(d):
-        return _linalg.identity(d)
-
-    @staticmethod
-    def scale(c, a):
-        return _linalg.mat_scale(a, c)
-
-    @staticmethod
-    def dim(a):
-        return len(a)
-
-    @staticmethod
-    def maxabs(a):
-        return max((abs(x) for row in a for x in row), default=Fraction(0))
-
-
-class _FloatOps:
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def eye(d):
-        return mpmath.eye(d)
-
-    @staticmethod
-    def scale(c, a):
-        return _mpf(c) * a
-
-    @staticmethod
-    def dim(a):
-        return a.rows
-
-    @staticmethod
-    def maxabs(a):
-        out = mpmath.mpf(0)
-        for i in range(a.rows):
-            for j in range(a.cols):
-                v = abs(a[i, j])
-                if v > out:
-                    out = v
-        return out
-
-
-# ---------------------------------------------------------------------------
 # the seminormal representation
 # ---------------------------------------------------------------------------
 
@@ -148,8 +73,10 @@ class SeminormalRep:
     """Generator matrices over the updown basis of one shape.
 
     S[i-1], E[i-1] act at position i (1 <= i < n); X[j-1] is diagonal with
-    the step-j contents.  All matrices are mpmath matrices created at
-    ``ps.precision_bits`` bits.
+    the step-j contents.  All matrices are exact Fraction row lists: the
+    symmetric orthonormal model conjugated by diag(sqrt(gamma)), so every
+    generator M satisfies gamma[i] M[i][j] = M[j][i] gamma[j], with every
+    gamma[i] > 0.
     """
 
     ps: ParamSet
@@ -159,18 +86,109 @@ class SeminormalRep:
     S: list = field(repr=False)
     E: list = field(repr=False)
     X: list = field(repr=False)
+    gamma: tuple = field(repr=False)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
 
+def _rational_sqrt(x: Fraction) -> Fraction | None:
+    """The nonnegative square root of x when it is rational, else None."""
+    if x < 0:
+        return None
+    p, q = math.isqrt(x.numerator), math.isqrt(x.denominator)
+    if p * p == x.numerator and q * q == x.denominator:
+        return Fraction(p, q)
+    return None
+
+
+def _orthonormal_entries(ps: ParamSet, k: int, idx: dict, contents: dict):
+    """S_k and E_k of the orthonormal model, each as (diagonal, off), with
+    diagonal {i: value} exact and off {(i, j): (sign, square)} holding the
+    sign and the exact square of every nonzero off-diagonal entry."""
+    S_diag, S_off, E_diag, E_off = {}, {}, {}, {}
+    seen: set[int] = set()
+    for t, i in idx.items():
+        if returns_at(t, k):
+            if i in seen:
+                continue
+            cls = combinat.k_neighbors(t, k)
+            evals = {}
+            for m in cls:
+                seen.add(idx[m])
+                ev = e_diag(m, k, ps)
+                if ev <= 0:
+                    raise ValueError(
+                        f"contraction coefficient {ev} <= 0 at k={k}: "
+                        "parameters outside the positivity regime")
+                evals[m] = ev
+            for s in cls:
+                cs = contents[s][k - 1]
+                for tt in cls:
+                    denom = cs + contents[tt][k - 1]
+                    if denom == 0:
+                        raise ValueError("opposite contents in one class: "
+                                         "parameters not generic")
+                    if s == tt:
+                        E_diag[idx[s]] = evals[s]
+                        S_diag[idx[s]] = (evals[s] - 1) / denom
+                    else:
+                        sq = evals[s] * evals[tt]
+                        E_off[idx[tt], idx[s]] = (1, sq)
+                        S_off[idx[tt], idx[s]] = (1 if denom > 0 else -1,
+                                                  sq / denom ** 2)
+        else:
+            a = swap_a(t, k, ps)
+            S_diag[i] = a
+            partner = combinat.sk_action(t, k)
+            if partner is None:
+                if a * a != 1:
+                    raise ValueError(
+                        f"swap at k={k} undefined but coefficient "
+                        f"{a} is not a unit: outside the regime")
+            else:
+                b2 = 1 - a * a
+                if b2 < 0:
+                    raise ValueError(
+                        f"squared off-diagonal {b2} < 0 at k={k}: "
+                        "outside the positivity regime")
+                if b2:
+                    S_off[idx[partner], i] = (1, b2)
+    return (S_diag, S_off), (E_diag, E_off)
+
+
+def _gamma(d: int, offs) -> list[Fraction]:
+    """Positive weights on a spanning forest of the generator graph: along a
+    tree edge from i to j with orthonormal entry m, gamma[j] = gamma[i] m^2,
+    which makes the rational entry at (i, j) equal to +-m^2 and at (j, i)
+    equal to +-1."""
+    nbrs: list[list] = [[] for _ in range(d)]
+    for off in offs:
+        for (i, j), (_, sq) in off.items():
+            nbrs[i].append((j, sq))
+    gamma: list = [None] * d
+    for root in range(d):
+        if gamma[root] is not None:
+            continue
+        gamma[root] = Fraction(1)
+        queue = [root]
+        for i in queue:
+            for j, sq in nbrs[i]:
+                if gamma[j] is None:
+                    gamma[j] = gamma[i] * sq
+                    queue.append(j)
+    return gamma
+
+
 def build_rep(ps: ParamSet, n: int, shape) -> SeminormalRep:
-    """Assemble the symmetric generator matrices for one shape.
+    """Assemble the rational generator matrices for one shape.
 
     Raises ValueError outside the positivity regime: a nonpositive diagonal
     contraction coefficient, a squared off-diagonal below zero, or a
-    non-unit swap coefficient where the swapped tableau leaves the lattice.
+    non-unit swap coefficient where the swapped tableau leaves the lattice;
+    and when an off-diagonal entry has no rational form, i.e. the squares
+    of the orthonormal entries fail to match around a cycle.
     """
     if not ps.u:
         raise ValueError("a seminormal model needs the roots u")
@@ -180,68 +198,32 @@ def build_rep(ps: ParamSet, n: int, shape) -> SeminormalRep:
     d = len(basis)
     contents = {t: combinat.content_sequence(t, ps.u) for t in basis}
 
-    with mpmath.workprec(ps.precision_bits):
-        X = []
-        for j in range(1, n + 1):
-            M = mpmath.matrix(d, d)
-            for t, i in idx.items():
-                M[i, i] = _mpf(contents[t][j - 1])
-            X.append(M)
+    X = []
+    for j in range(1, n + 1):
+        M = _linalg.zeros(d, d)
+        for t, i in idx.items():
+            M[i][i] = Fraction(contents[t][j - 1])
+        X.append(M)
 
-        S, E = [], []
-        for k in range(1, n):
-            Sm = mpmath.matrix(d, d)
-            Em = mpmath.matrix(d, d)
-            seen: set[int] = set()
-            for t, i in idx.items():
-                if returns_at(t, k):
-                    if i in seen:
-                        continue
-                    cls = combinat.k_neighbors(t, k)
-                    evals = {}
-                    for m in cls:
-                        seen.add(idx[m])
-                        ev = e_diag(m, k, ps)
-                        if ev <= 0:
-                            raise ValueError(
-                                f"contraction coefficient {ev} <= 0 at k={k}: "
-                                "parameters outside the positivity regime")
-                        evals[m] = ev
-                    roots = {m: mpmath.sqrt(_mpf(ev)) for m, ev in evals.items()}
-                    for s in cls:
-                        cs = contents[s][k - 1]
-                        for tt in cls:
-                            ct = contents[tt][k - 1]
-                            est = roots[s] * roots[tt]
-                            Em[idx[tt], idx[s]] = est
-                            denom = cs + ct
-                            if denom == 0:
-                                raise ValueError(
-                                    "opposite contents in one class: "
-                                    "parameters not generic")
-                            delta = 1 if s == tt else 0
-                            Sm[idx[tt], idx[s]] = (est - delta) / _mpf(denom)
-                else:
-                    a = swap_a(t, k, ps)
-                    partner = combinat.sk_action(t, k)
-                    if partner is None:
-                        if a * a != 1:
-                            raise ValueError(
-                                f"swap at k={k} undefined but coefficient "
-                                f"{a} is not a unit: outside the regime")
-                        Sm[i, i] = _mpf(a)
-                    else:
-                        b2 = 1 - a * a
-                        if b2 < 0:
-                            raise ValueError(
-                                f"squared off-diagonal {b2} < 0 at k={k}: "
-                                "outside the positivity regime")
-                        Sm[i, i] = _mpf(a)
-                        Sm[idx[partner], i] = mpmath.sqrt(_mpf(b2))
-            S.append(Sm)
-            E.append(Em)
+    entries = [_orthonormal_entries(ps, k, idx, contents) for k in range(1, n)]
+    gamma = _gamma(d, [off for pair in entries for _, off in pair])
 
-    return SeminormalRep(ps, n, shape, basis, S, E, X)
+    def rational(name: str, k: int, diag: dict, off: dict):
+        M = _linalg.zeros(d, d)
+        for i, v in diag.items():
+            M[i][i] = v
+        for (i, j), (sign, sq) in off.items():
+            root = _rational_sqrt(sq * gamma[j] / gamma[i])
+            if root is None:
+                raise ValueError(
+                    f"{name}_{k} entry ({i}, {j}) has no rational form: "
+                    "the squared entries do not match around a cycle")
+            M[i][j] = sign * root
+        return M
+
+    S = [rational("S", k, *s) for k, (s, _) in enumerate(entries, start=1)]
+    E = [rational("E", k, *e) for k, (_, e) in enumerate(entries, start=1)]
+    return SeminormalRep(ps, n, shape, basis, S, E, X, tuple(gamma))
 
 
 def build_all(ps: ParamSet, n: int) -> list[SeminormalRep]:
@@ -250,7 +232,7 @@ def build_all(ps: ParamSet, n: int) -> list[SeminormalRep]:
 
 
 # ---------------------------------------------------------------------------
-# relation suite (shared between exact modules and seminormal matrices)
+# relation suite (shared between the fixtures and the seminormal models)
 # ---------------------------------------------------------------------------
 
 RELATION_FAMILIES = (
@@ -259,133 +241,125 @@ RELATION_FAMILIES = (
 )
 
 
-def _relation_residuals(S, E, X, ps: ParamSet, ops, unwrap_order: int) -> dict:
-    """Max-abs residual of every defining relation family for generator
-    matrices S_1..S_{n-1}, E_1..E_{n-1}, X_1..X_n over either backend."""
+def _relation_residuals(S, E, X, ps: ParamSet, unwrap_order: int | None,
+                        d: int) -> dict:
+    """Exact max-abs residual of every defining relation family for d x d
+    Fraction matrices S_1..S_{n-1}, E_1..E_{n-1}, X_1..X_n."""
+    if unwrap_order is None:
+        unwrap_order = min(ps.N, ps.r + 2)
     n = len(X)
-    assert len(S) == len(E) == n - 1
-    d = ops.dim(X[0])
-    I = ops.eye(d)
-    res: dict = {name: 0 for name in RELATION_FAMILIES}
+    assert len(S) == len(E) == max(n - 1, 0)
+    mul, add, sub = _linalg.mat_mul, _linalg.mat_add, _linalg.mat_sub
+    scale = _linalg.mat_scale
+    I = _linalg.identity(d)
+    res: dict = {name: Fraction(0) for name in RELATION_FAMILIES}
 
     def upd(name, M):
-        v = ops.maxabs(M)
-        if v > res[name]:
-            res[name] = v
+        res[name] = max(res[name], *(abs(x) for row in M for x in row))
 
     for i in range(1, n):
         Si, Ei = S[i - 1], E[i - 1]
-        upd("involution", ops.sub(ops.mul(Si, Si), I))
-        upd("contraction-scalar",
-            ops.sub(ops.mul(Ei, Ei), ops.scale(ps.omega[0], Ei)))
-        upd("tangle", ops.sub(ops.mul(Ei, Si), Ei))
-        upd("tangle", ops.sub(ops.mul(Si, Ei), Ei))
-        rhs = ops.sub(Ei, I)
-        upd("skein", ops.sub(ops.sub(ops.mul(Si, X[i - 1]),
-                                     ops.mul(X[i], Si)), rhs))
-        upd("skein", ops.sub(ops.sub(ops.mul(X[i - 1], Si),
-                                     ops.mul(Si, X[i])), rhs))
-        Xsum = ops.add(X[i - 1], X[i])
-        upd("antisymmetry", ops.mul(Ei, Xsum))
-        upd("antisymmetry", ops.mul(Xsum, Ei))
+        upd("involution", sub(mul(Si, Si), I))
+        upd("contraction-scalar", sub(mul(Ei, Ei), scale(Ei, ps.omega[0])))
+        upd("tangle", sub(mul(Ei, Si), Ei))
+        upd("tangle", sub(mul(Si, Ei), Ei))
+        rhs = sub(Ei, I)
+        upd("skein", sub(sub(mul(Si, X[i - 1]), mul(X[i], Si)), rhs))
+        upd("skein", sub(sub(mul(X[i - 1], Si), mul(Si, X[i])), rhs))
+        Xsum = add(X[i - 1], X[i])
+        upd("antisymmetry", mul(Ei, Xsum))
+        upd("antisymmetry", mul(Xsum, Ei))
         if i <= n - 2:
             Sj, Ej = S[i], E[i]
-            upd("braid", ops.sub(ops.mul(ops.mul(Si, Sj), Si),
-                                 ops.mul(ops.mul(Sj, Si), Sj)))
-            upd("untwisting", ops.sub(ops.mul(ops.mul(Ej, Ei), Ej), Ej))
-            upd("untwisting", ops.sub(ops.mul(ops.mul(Ei, Ej), Ei), Ei))
-            upd("tangle", ops.sub(ops.mul(ops.mul(Si, Ej), Ei),
-                                  ops.mul(Sj, Ei)))
-            upd("tangle", ops.sub(ops.mul(ops.mul(Ej, Ei), Sj),
-                                  ops.mul(Ej, Si)))
+            upd("braid", sub(mul(mul(Si, Sj), Si), mul(mul(Sj, Si), Sj)))
+            upd("untwisting", sub(mul(mul(Ej, Ei), Ej), Ej))
+            upd("untwisting", sub(mul(mul(Ei, Ej), Ei), Ei))
+            upd("tangle", sub(mul(mul(Si, Ej), Ei), mul(Sj, Ei)))
+            upd("tangle", sub(mul(mul(Ej, Ei), Sj), mul(Ej, Si)))
         for j in range(1, n):
             if abs(i - j) > 1:
                 Sj, Ej = S[j - 1], E[j - 1]
-                upd("commutation", ops.sub(ops.mul(Si, Sj), ops.mul(Sj, Si)))
-                upd("commutation", ops.sub(ops.mul(Si, Ej), ops.mul(Ej, Si)))
-                upd("commutation", ops.sub(ops.mul(Ei, Ej), ops.mul(Ej, Ei)))
+                upd("commutation", sub(mul(Si, Sj), mul(Sj, Si)))
+                upd("commutation", sub(mul(Si, Ej), mul(Ej, Si)))
+                upd("commutation", sub(mul(Ei, Ej), mul(Ej, Ei)))
         for j in range(1, n + 1):
             if j not in (i, i + 1):
                 Xj = X[j - 1]
-                upd("braid", ops.sub(ops.mul(Si, Xj), ops.mul(Xj, Si)))
-                upd("commutation", ops.sub(ops.mul(Ei, Xj), ops.mul(Xj, Ei)))
+                upd("braid", sub(mul(Si, Xj), mul(Xj, Si)))
+                upd("commutation", sub(mul(Ei, Xj), mul(Xj, Ei)))
     for a in range(n):
         for b in range(a):
-            upd("commutation", ops.sub(ops.mul(X[a], X[b]),
-                                       ops.mul(X[b], X[a])))
+            upd("commutation", sub(mul(X[a], X[b]), mul(X[b], X[a])))
     if n >= 2:
         E1, X1 = E[0], X[0]
         P = I
         for a in range(unwrap_order + 1):
-            upd("unwrapping", ops.sub(ops.mul(ops.mul(E1, P), E1),
-                                      ops.scale(ps.omega[a], E1)))
-            P = ops.mul(P, X1)
-    if ps.u:
+            upd("unwrapping", sub(mul(mul(E1, P), E1), scale(E1, ps.omega[a])))
+            P = mul(P, X1)
+    if ps.u and n >= 1:
         P = I
         for ui in ps.u:
-            P = ops.mul(P, ops.sub(X[0], ops.scale(ui, I)))
+            P = mul(P, sub(X[0], scale(I, ui)))
         upd("cyclotomic", P)
     return res
 
 
 def check_module(S, E, X, ps: ParamSet, unwrap_order: int | None = None) -> dict:
-    """Exact relation residuals for a module given by Fraction matrices.
-    Every value should be Fraction(0) for a genuine module."""
-    if unwrap_order is None:
-        unwrap_order = min(ps.N, ps.r + 2)
-    return _relation_residuals(S, E, X, ps, _ExactOps, unwrap_order)
+    """Exact relation residuals for a module given by Fraction matrices with
+    at least one X.  Every value should be Fraction(0) for a genuine module."""
+    return _relation_residuals(S, E, X, ps, unwrap_order, len(X[0]))
 
 
-def tower_scalar_residual(rep: SeminormalRep, order: int | None = None):
+def tower_scalar_residual(rep: SeminormalRep, order: int | None = None) -> Fraction:
     """Residual of E_k X_k^a E_k = omega_k^(a) E_k for every position k and
     0 <= a <= order, the scalars taken from the truncated-series recursion.
     The scalar depends only on the shape before step k, so it is applied
-    blockwise through a diagonal matrix."""
+    row by row."""
     ps = rep.ps
     if order is None:
         order = ps.r + 1
-    worst = mpmath.mpf(0)
-    with mpmath.workprec(ps.precision_bits):
-        for k in range(1, rep.n):
-            by_shape: dict = {}
-            rows = []
-            for t in rep.basis:
-                sh = _prev(t, k)
-                if sh not in by_shape:
-                    by_shape[sh] = [_mpf(v) for v in
-                                    params.omega_k_values(t, k, ps, order)]
-                rows.append(by_shape[sh])
-            Ek, Xk = rep.E[k - 1], rep.X[k - 1]
-            P = mpmath.eye(rep.dim)
-            for a in range(order + 1):
-                M = Ek * P * Ek
-                for i in range(rep.dim):
-                    wa = rows[i][a]
-                    for j in range(rep.dim):
-                        v = abs(M[i, j] - wa * Ek[i, j])
-                        if v > worst:
-                            worst = v
-                P = P * Xk
+    worst = Fraction(0)
+    for k in range(1, rep.n):
+        by_shape: dict = {}
+        rows = []
+        for t in rep.basis:
+            sh = _prev(t, k)
+            if sh not in by_shape:
+                by_shape[sh] = params.omega_k_values(t, k, ps, order)
+            rows.append(by_shape[sh])
+        Ek, Xk = rep.E[k - 1], rep.X[k - 1]
+        P = _linalg.identity(rep.dim)
+        for a in range(order + 1):
+            M = _linalg.mat_mul(_linalg.mat_mul(Ek, P), Ek)
+            for w, row, erow in zip(rows, M, Ek):
+                for x, e in zip(row, erow):
+                    worst = max(worst, abs(x - w[a] * e))
+            P = _linalg.mat_mul(P, Xk)
+    return worst
+
+
+def adjointness_residual(rep: SeminormalRep) -> Fraction:
+    """Max |gamma_i M_ij - M_ji gamma_j| over every generator M: 0 exactly
+    when each is self-adjoint for the form diag(gamma), which makes the
+    model conjugate to a symmetric one.  That needs the form positive
+    definite, so a gamma_i <= 0 counts as 1 - gamma_i."""
+    g = rep.gamma
+    worst = max((1 - x for x in g if x <= 0), default=Fraction(0))
+    for M in (*rep.S, *rep.E, *rep.X):
+        for i in range(rep.dim):
+            for j in range(i):
+                worst = max(worst, abs(g[i] * M[i][j] - M[j][i] * g[j]))
     return worst
 
 
 def verify_relations(rep: SeminormalRep, unwrap_order: int | None = None) -> dict:
-    """Max-abs residuals of the full defining-relation suite on a seminormal
-    model, plus symmetry of every generator matrix and the blockwise
-    scalar tower."""
-    ps = rep.ps
-    if unwrap_order is None:
-        unwrap_order = min(ps.N, ps.r + 2)
-    with mpmath.workprec(ps.precision_bits):
-        res = _relation_residuals(rep.S, rep.E, rep.X, ps, _FloatOps,
-                                  unwrap_order)
-        sym = mpmath.mpf(0)
-        for M in (*rep.S, *rep.E, *rep.X):
-            v = _FloatOps.maxabs(M - M.transpose())
-            if v > sym:
-                sym = v
-        res["star-symmetry"] = sym
-        res["tower-scalars"] = tower_scalar_residual(rep)
+    """Exact residuals of the full defining-relation suite on a seminormal
+    model, plus G-adjointness of every generator (``star-symmetry``) and the
+    blockwise scalar tower.  Every value is 0 for a genuine model."""
+    res = _relation_residuals(rep.S, rep.E, rep.X, rep.ps, unwrap_order,
+                              rep.dim)
+    res["star-symmetry"] = adjointness_residual(rep)
+    res["tower-scalars"] = tower_scalar_residual(rep)
     return res
 
 
@@ -541,15 +515,12 @@ def branching_blocks(rep: SeminormalRep) -> dict:
     for mu, ix in groups.items():
         for i in ix:
             block_of[i] = mu
-    off = mpmath.mpf(0)
-    with mpmath.workprec(rep.ps.precision_bits):
-        for M in (*rep.S[:n - 2], *rep.E[:n - 2], *rep.X[:n - 1]):
-            for i in range(rep.dim):
-                for j in range(rep.dim):
-                    if block_of[i] != block_of[j]:
-                        v = abs(M[i, j])
-                        if v > off:
-                            off = v
+    off = Fraction(0)
+    for M in (*rep.S[:n - 2], *rep.E[:n - 2], *rep.X[:n - 1]):
+        for i in range(rep.dim):
+            for j in range(rep.dim):
+                if block_of[i] != block_of[j]:
+                    off = max(off, abs(M[i][j]))
     return {
         "sizes": {mu: len(ix) for mu, ix in groups.items()},
         "sizes_ok": sizes_ok,

@@ -14,8 +14,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from mpmath import matrix, mpf, svd_r, workprec
+from mpmath import matrix, mpf, sqrt, svd_r, workprec
 
 from . import combinat, diagrams, hecke, seminormal
 from .combinat import Multipartition, Tableau
@@ -76,10 +77,6 @@ class RegularMonomial:
         return all(a < r for a in self.left_powers + self.right_powers)
 
 
-def degree(m: RegularMonomial) -> int:
-    return m.degree
-
-
 def enumerate_r_regular(r: int, n: int) -> list[RegularMonomial]:
     """All monomials with exponents < r, in a fixed deterministic order:
     diagrams first, then left exponents, then right exponents, both lex."""
@@ -134,18 +131,53 @@ def word_from_json(data) -> Word:
 # -- the realization -----------------------------------------------------
 
 
+class OrthonormalBlock(NamedTuple):
+    """One shape's generators as symmetric mpmath matrices."""
+
+    S: list
+    E: list
+    X: list
+    dim: int
+
+
+def orthonormal_block(rep: seminormal.SeminormalRep) -> OrthonormalBlock:
+    """The symmetric orthonormal model, derived from the rational one at
+    the current mpmath precision.  Conjugation by diag(sqrt(gamma)) leaves
+    the diagonal and every product M_ij M_ji unchanged, so the diagonal is
+    copied and M_ij = sign(M'_ij) sqrt(M'_ij M'_ji)."""
+    d = rep.dim
+
+    def view(M) -> matrix:
+        out = matrix(d, d)
+        for i in range(d):
+            out[i, i] = _num(M[i][i])
+            for j in range(i):
+                if M[i][j]:
+                    root = sqrt(_num(M[i][j] * M[j][i]))
+                    out[i, j] = root if M[i][j] > 0 else -root
+                    out[j, i] = root if M[j][i] > 0 else -root
+        return out
+
+    return OrthonormalBlock([view(M) for M in rep.S], [view(M) for M in rep.E],
+                            [view(M) for M in rep.X], d)
+
+
 class Realization:
     """Every generator as one block per reachable shape.
 
     The flattened entries of all blocks of an evaluated word form a vector
     of length r^n (2n-1)!!; rank of a word family is measured on those
-    vectors.  Blocks are the seminormal matrices, built once and shared.
+    vectors.  ``reps`` holds the rational seminormal models, built once;
+    words are evaluated on the orthonormal view derived from them at
+    ``ps.precision_bits``.
     """
 
     def __init__(self, ps: ParamSet, n: int):
         self.ps = ps
         self.n = n
         self.reps = seminormal.build_all(ps, n)
+        with workprec(ps.precision_bits):
+            self.blocks = [orthonormal_block(rep) for rep in self.reps]
         self.shapes = [rep.shape for rep in self.reps]
         self.dims = [rep.dim for rep in self.reps]
         self.vec_len = sum(d * d for d in self.dims)
@@ -153,26 +185,26 @@ class Realization:
     def block_index(self, shape: Multipartition) -> int:
         return self.shapes.index(shape)
 
-    def _letter_block(self, rep, letter: Letter):
+    def _letter_block(self, blk: OrthonormalBlock, letter: Letter):
         kind = letter[0]
         if kind == "S" and 1 <= letter[1] <= self.n - 1:
-            return rep.S[letter[1] - 1]
+            return blk.S[letter[1] - 1]
         if kind == "E" and 1 <= letter[1] <= self.n - 1:
-            return rep.E[letter[1] - 1]
+            return blk.E[letter[1] - 1]
         if kind == "X" and 1 <= letter[1] <= self.n and letter[2] >= 0:
-            out = _eye(rep.dim)
+            out = _eye(blk.dim)
             for _ in range(letter[2]):
-                out = out * rep.X[letter[1] - 1]
+                out = out * blk.X[letter[1] - 1]
             return out
         raise ValueError(f"letter {letter!r} out of range at n={self.n}")
 
     def evaluate(self, word: Word) -> list[matrix]:
         with workprec(self.ps.precision_bits):
             blocks = []
-            for rep in self.reps:
-                acc = _eye(rep.dim)
+            for blk in self.blocks:
+                acc = _eye(blk.dim)
                 for letter in word:
-                    acc = acc * self._letter_block(rep, letter)
+                    acc = acc * self._letter_block(blk, letter)
                 blocks.append(acc)
         return blocks
 
@@ -199,17 +231,9 @@ def _eye(d: int) -> matrix:
     return out
 
 
-def evaluate(word: Word, real: Realization) -> list[matrix]:
-    return real.evaluate(word)
-
-
 def rank_report(words, real: Realization) -> dict:
     vecs = [real.vec(real.evaluate(w)) for w in words]
     return _rank_from_vecs(vecs, real.ps.precision_bits)
-
-
-def rank_of(words, real: Realization) -> int:
-    return rank_report(words, real)["rank"]
 
 
 def _rank_from_vecs(vecs, precision_bits: int) -> dict:
@@ -410,10 +434,6 @@ def cellular_rank_report(ps: ParamSet, n: int) -> dict:
     report["ok"] = total == target and report["rank"] == target
     report["cells"] = cells
     return report
-
-
-def cellular_rank_check(ps: ParamSet, n: int) -> bool:
-    return cellular_rank_report(ps, n)["ok"]
 
 
 def contraction_murphy_commute_residual(ps: ParamSet, n: int, arcs: int,

@@ -53,7 +53,8 @@ def test_verify_passes(tmp_path):
     for rec in rel:
         assert set(rec["residuals"]) >= {"braid", "skein", "cyclotomic",
                                          "unwrapping", "tower-scalars"}
-        assert all(v < rec["tolerance"] for v in rec["residuals"].values())
+        assert rec["tolerance"] == 0
+        assert all(v == 0 for v in rec["residuals"].values())
     ident = [rec for rec in records if rec["kind"] == "identities"]
     assert len(ident) == 1 and ident[0]["pass"] and not ident[0]["failures"]
     assert summary_of(records)["pass"]
@@ -68,11 +69,33 @@ def test_verify_default_parameters(tmp_path):
 
 
 def test_verify_rejects_degenerate_u(tmp_path):
-    rc, records = run(["verify", "--u", "1,1", "--n", "2"], tmp_path)
-    assert rc == 1
-    errors = [rec for rec in records if rec["kind"] == "error"]
-    assert errors and not errors[0]["pass"]
-    assert "ValueError" in errors[0]["error"]
+    # equal roots fail the build; u = 1/2 at r = 1 fails the identities
+    for args in (["--u", "1,1", "--n", "2"],
+                 ["--r", "1", "--n", "2", "--u", "1/2"]):
+        rc, records = run(["verify", *args], tmp_path)
+        assert rc == 1
+        errors = [rec for rec in records if rec["kind"] == "error"]
+        assert errors and not errors[0]["pass"]
+        assert "ValueError" in errors[0]["error"]
+
+
+def test_verify_empty_shape(tmp_path):
+    rc, records = run(["verify", "--n", "0"], tmp_path)
+    assert rc == 0
+    rel = [rec for rec in records if rec["kind"] == "relations"]
+    assert len(rel) == 1 and rel[0]["shape"] == [[], []] and rel[0]["dim"] == 1
+    assert rel[0]["pass"] and all(v == 0 for v in rel[0]["residuals"].values())
+    assert summary_of(records)["pass"]
+
+
+def test_verify_exact_at_large_roots(tmp_path):
+    # residuals scale with the roots; an exact model has none to scale
+    for u in ("120,-72,24", "100000,-3"):
+        rc, records = run(["verify", "--u", u, "--n", "3"], tmp_path)
+        assert rc == 0
+        rel = [rec for rec in records if rec["kind"] == "relations"]
+        assert rel and all(rec["pass"] for rec in rel)
+        assert all(v == 0 for rec in rel for v in rec["residuals"].values())
 
 
 def test_verify_precision_independent_verdicts(tmp_path):
@@ -136,12 +159,13 @@ def test_config_file_overrides_flags(tmp_path):
 
 
 def test_byte_identical_reruns(tmp_path):
-    a = tmp_path / "a.jsonl"
-    b = tmp_path / "b.jsonl"
-    for path in (a, b):
-        assert main(["cellrank", "--r", "1", "--n", "2",
-                     "--out", str(path)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    for command in ("cellrank", "verify"):
+        a = tmp_path / f"{command}-a.jsonl"
+        b = tmp_path / f"{command}-b.jsonl"
+        for path in (a, b):
+            assert main([command, "--r", "1", "--n", "2",
+                         "--out", str(path)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
 
 def test_usage_errors():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from wenzl import combinat, seminormal
+from wenzl import combinat, wcell
 from wenzl.params import ParamSet
 from wenzl.seminormal import (
     RELATION_FAMILIES, branching_blocks, build_all, check_identities,
@@ -14,10 +14,6 @@ from wenzl.seminormal import (
 )
 
 F = Fraction
-
-
-def tolerance(ps, dim):
-    return mpmath.mpf(2) ** (-(ps.precision_bits - 40)) * dim
 
 
 def test_build_all_shapes_and_dims():
@@ -47,26 +43,30 @@ def test_single_strand():
         # X_1 acts by the content of the single box
         t = rep.basis[0]
         c = combinat.content_sequence(t, ps.u)[0]
-        with mpmath.workprec(ps.precision_bits):
-            assert abs(rep.X[0][0, 0] - seminormal._mpf(c)) == 0
+        assert rep.X[0] == [[c]]
 
 
 def test_contraction_block_is_omega0():
     ps = ParamSet.default(1, 2)
     for rep in build_all(ps, 2):
         if rep.shape == combinat.empty_mp(1):
-            with mpmath.workprec(ps.precision_bits):
-                diff = abs(rep.E[0][0, 0] - seminormal._mpf(ps.omega[0]))
-                assert diff < tolerance(ps, 1)
+            assert rep.E[0] == [[ps.omega[0]]]
 
 
 def test_generators_are_symmetric():
+    # exactly self-adjoint for the positive form diag(gamma), and the
+    # orthonormal view derived from them exactly symmetric
     ps = ParamSet.default(2, 3)
     for rep in build_all(ps, 3):
+        g = rep.gamma
+        assert len(g) == rep.dim and all(x > 0 for x in g)
+        for M in (*rep.S, *rep.E, *rep.X):
+            assert all(g[i] * M[i][j] == M[j][i] * g[j]
+                       for i in range(rep.dim) for j in range(rep.dim))
         with mpmath.workprec(ps.precision_bits):
-            for M in (*rep.S, *rep.E, *rep.X):
-                res = seminormal._FloatOps.maxabs(M - M.transpose())
-                assert res == 0
+            blk = wcell.orthonormal_block(rep)
+            for M in (*blk.S, *blk.E, *blk.X):
+                assert M == M.transpose()
 
 
 def test_relation_suite_2_3():
@@ -75,17 +75,15 @@ def test_relation_suite_2_3():
         res = verify_relations(rep)
         assert set(res) == set(RELATION_FAMILIES) | {"star-symmetry",
                                                      "tower-scalars"}
-        bound = tolerance(ps, rep.dim)
         for family, value in res.items():
-            assert value < bound, (rep.shape, family, value)
+            assert value == 0, (rep.shape, family, value)
 
 
 def test_relation_suite_low_precision_still_passes():
     ps = ParamSet.default(2, 2, precision_bits=64)
     for rep in build_all(ps, 2):
-        bound = tolerance(ps, rep.dim)
         for family, value in verify_relations(rep).items():
-            assert value < bound
+            assert value == 0
 
 
 def test_generic_u_rejected_outside_regime():
@@ -133,5 +131,5 @@ def test_branching_blocks():
     for rep in build_all(ps, 3):
         rpt = branching_blocks(rep)
         assert rpt["sizes_ok"]
-        assert rpt["max_offblock"] < mpmath.mpf(2) ** (-216)
+        assert rpt["max_offblock"] == 0
         assert sum(rpt["sizes"].values()) == rep.dim
