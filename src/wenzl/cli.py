@@ -5,10 +5,11 @@ record per checked instance plus a summary record, each embedding the fully
 resolved parameter set; identical inputs produce byte-identical output.
 Exit status: 0 all checks pass, 1 any failure, 2 usage errors.
 
-Every verdict is exact except the numeric rank of ``cellrank``: ``verify``
-passes a relation record only when every residual is exactly 0 on the
-rational seminormal model (its ``tolerance`` is 0), and ``gram`` compares
-Fractions.  ``--precision`` sets the working precision of the cellrank SVD.
+Every verdict is exact: ``verify`` passes a relation record only when every
+residual is exactly 0 on the rational seminormal model (its ``tolerance`` is
+0), ``gram`` compares Fractions, and ``cellrank`` takes the exact rank over Q
+of the cellular family on that model.  ``--precision`` is only recorded in
+the parameter set (``precision_bits``); no computation reads it.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--u", type=str, default=None,
                     help="comma-separated roots, fractions like 6,-2 or 3/2")
     sp.add_argument("--precision", type=int, default=None,
-                    help="working precision in bits (default 256, min 64)")
+                    help="precision_bits recorded in the report; no computation "
+                         "reads it (default 256, min 64)")
     sp.add_argument("--trunc", type=int, default=None,
                     help="truncation order N for the scalar sequence")
     sp.add_argument("--out", type=str, default=None,
@@ -68,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--shape", type=str, required=True,
                     help="multipartition: components split by |, parts by comma, e.g. 2,1|1")
-    sp = sub.add_parser("cellrank", help="cellular family count and numeric rank")
+    sp = sub.add_parser("cellrank", help="cellular family count and exact rank over Q")
     _add_common(sp)
     sp = sub.add_parser("omega", help="contraction scalars from the roots, with admissibility")
     _add_common(sp)
@@ -263,8 +265,6 @@ def cmd_cellrank(cfg: RunConfig) -> tuple[list[dict], bool]:
                     "count": report["count"], "rank": report["rank"],
                     "target": report["target"],
                     "sum_of_squares": report["sum_of_squares"],
-                    "threshold": report["threshold"],
-                    "spectrum_head": report["spectrum_head"],
                     "pass": ok, "ps": meta})
     return records, ok
 

@@ -4,10 +4,10 @@ Everything here is exact.  The orthonormal seminormal model has symmetric
 matrices whose off-diagonal entries are square roots of Fractions.  Each
 block is built instead as that model conjugated by diag(sqrt(gamma)), with
 gamma chosen on a spanning tree of the generator graph so that every entry
-is a Fraction; ``wcell`` derives the orthonormal view from it.  The relation suite, the scalar
-tower and self-adjointness for the form diag(gamma) are then checked on
-Fraction matrices with zero tolerance, as are the polynomial identities
-between the coefficients themselves.
+is a Fraction; ``wcell`` evaluates words on these blocks.  The relation
+suite, the scalar tower and self-adjointness for the form diag(gamma) are
+then checked on Fraction matrices with zero tolerance, as are the
+polynomial identities between the coefficients themselves.
 """
 
 from __future__ import annotations

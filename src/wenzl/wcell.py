@@ -2,9 +2,9 @@
 cellular words.
 
 In the generic regime the algebra acts faithfully on the direct sum of its
-seminormal modules, so linear-algebra rank over that realization certifies
-spanning/independence statements that would otherwise need a symbolic
-normal form.  Words in the generators are plain tuples of letters
+seminormal modules, so exact rank over Q on that rational realization
+certifies spanning/independence statements that would otherwise need a
+symbolic normal form.  Words in the generators are plain tuples of letters
 ("S", i), ("E", i), ("X", j, power); linear combinations of words are
 tuples of (coefficient, word) pairs.
 """
@@ -14,11 +14,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
-from mpmath import matrix, mpf, sqrt, svd_r, workprec
-
-from . import combinat, diagrams, hecke, seminormal
+from . import _linalg, combinat, diagrams, hecke, seminormal
 from .combinat import Multipartition, Tableau
 from .diagrams import BrauerDiagram, perm_inverse, word_for_permutation
 from .params import ParamSet
@@ -26,17 +23,6 @@ from .params import ParamSet
 Letter = tuple
 Word = tuple[Letter, ...]
 WordSum = tuple[tuple[Fraction, Word], ...]
-
-
-def _num(x) -> mpf:
-    if isinstance(x, Fraction):
-        return mpf(x.numerator) / x.denominator
-    return mpf(x)
-
-
-def _maxabs(m) -> mpf:
-    entries = [abs(m[i, j]) for i in range(m.rows) for j in range(m.cols)]
-    return max(entries) if entries else mpf(0)
 
 
 # -- regular monomials ---------------------------------------------------
@@ -131,53 +117,21 @@ def word_from_json(data) -> Word:
 # -- the realization -----------------------------------------------------
 
 
-class OrthonormalBlock(NamedTuple):
-    """One shape's generators as symmetric mpmath matrices."""
-
-    S: list
-    E: list
-    X: list
-    dim: int
-
-
-def orthonormal_block(rep: seminormal.SeminormalRep) -> OrthonormalBlock:
-    """The symmetric orthonormal model, derived from the rational one at
-    the current mpmath precision.  Conjugation by diag(sqrt(gamma)) leaves
-    the diagonal and every product M_ij M_ji unchanged, so the diagonal is
-    copied and M_ij = sign(M'_ij) sqrt(M'_ij M'_ji)."""
-    d = rep.dim
-
-    def view(M) -> matrix:
-        out = matrix(d, d)
-        for i in range(d):
-            out[i, i] = _num(M[i][i])
-            for j in range(i):
-                if M[i][j]:
-                    root = sqrt(_num(M[i][j] * M[j][i]))
-                    out[i, j] = root if M[i][j] > 0 else -root
-                    out[j, i] = root if M[j][i] > 0 else -root
-        return out
-
-    return OrthonormalBlock([view(M) for M in rep.S], [view(M) for M in rep.E],
-                            [view(M) for M in rep.X], d)
-
-
 class Realization:
-    """Every generator as one block per reachable shape.
+    """Every generator as one exact block per reachable shape.
 
-    The flattened entries of all blocks of an evaluated word form a vector
-    of length r^n (2n-1)!!; rank of a word family is measured on those
-    vectors.  ``reps`` holds the rational seminormal models, built once;
-    words are evaluated on the orthonormal view derived from them at
-    ``ps.precision_bits``.
+    ``reps`` holds the rational seminormal models, built once; words are
+    evaluated on them with Fraction matrices.  The flattened entries of all
+    blocks of an evaluated word form a vector of length r^n (2n-1)!!, and
+    rank of a word family is the exact rank of those vectors over Q.  Each
+    block is the orthonormal model conjugated by diag(sqrt(gamma)), which
+    scales each entry by a fixed nonzero factor, so that rank is also the
+    rank of the family in the orthonormal model.
     """
 
     def __init__(self, ps: ParamSet, n: int):
-        self.ps = ps
         self.n = n
         self.reps = seminormal.build_all(ps, n)
-        with workprec(ps.precision_bits):
-            self.blocks = [orthonormal_block(rep) for rep in self.reps]
         self.shapes = [rep.shape for rep in self.reps]
         self.dims = [rep.dim for rep in self.reps]
         self.vec_len = sum(d * d for d in self.dims)
@@ -185,81 +139,46 @@ class Realization:
     def block_index(self, shape: Multipartition) -> int:
         return self.shapes.index(shape)
 
-    def _letter_block(self, blk: OrthonormalBlock, letter: Letter):
+    def _letter_block(self, rep: seminormal.SeminormalRep, letter: Letter):
         kind = letter[0]
         if kind == "S" and 1 <= letter[1] <= self.n - 1:
-            return blk.S[letter[1] - 1]
+            return rep.S[letter[1] - 1]
         if kind == "E" and 1 <= letter[1] <= self.n - 1:
-            return blk.E[letter[1] - 1]
+            return rep.E[letter[1] - 1]
         if kind == "X" and 1 <= letter[1] <= self.n and letter[2] >= 0:
-            out = _eye(blk.dim)
+            out = _linalg.identity(rep.dim)
             for _ in range(letter[2]):
-                out = out * blk.X[letter[1] - 1]
+                out = _linalg.mat_mul(out, rep.X[letter[1] - 1])
             return out
         raise ValueError(f"letter {letter!r} out of range at n={self.n}")
 
-    def evaluate(self, word: Word) -> list[matrix]:
-        with workprec(self.ps.precision_bits):
-            blocks = []
-            for blk in self.blocks:
-                acc = _eye(blk.dim)
-                for letter in word:
-                    acc = acc * self._letter_block(blk, letter)
-                blocks.append(acc)
+    def evaluate(self, word: Word) -> list[list[list[Fraction]]]:
+        blocks = []
+        for rep in self.reps:
+            acc = _linalg.identity(rep.dim)
+            for letter in word:
+                acc = _linalg.mat_mul(acc, self._letter_block(rep, letter))
+            blocks.append(acc)
         return blocks
 
-    def evaluate_sum(self, terms: WordSum) -> list[matrix]:
-        with workprec(self.ps.precision_bits):
-            out = [matrix(d, d) for d in self.dims]
-            for coeff, word in terms:
-                c = _num(coeff)
-                for i, blk in enumerate(self.evaluate(word)):
-                    out[i] += blk * c
+    def evaluate_sum(self, terms: WordSum) -> list[list[list[Fraction]]]:
+        out = [_linalg.zeros(d, d) for d in self.dims]
+        for coeff, word in terms:
+            out = [_linalg.mat_add(acc, _linalg.mat_scale(blk, coeff))
+                   for acc, blk in zip(out, self.evaluate(word))]
         return out
 
-    def vec(self, blocks) -> list:
-        flat = []
-        for blk in blocks:
-            flat.extend(blk[i, j] for i in range(blk.rows) for j in range(blk.cols))
-        return flat
-
-
-def _eye(d: int) -> matrix:
-    out = matrix(d, d)
-    for i in range(d):
-        out[i, i] = mpf(1)
-    return out
+    def vec(self, blocks) -> list[Fraction]:
+        return [x for blk in blocks for row in blk for x in row]
 
 
 def rank_report(words, real: Realization) -> dict:
-    vecs = [real.vec(real.evaluate(w)) for w in words]
-    return _rank_from_vecs(vecs, real.ps.precision_bits)
+    return _rank_from_vecs([real.vec(real.evaluate(w)) for w in words])
 
 
-def _rank_from_vecs(vecs, precision_bits: int) -> dict:
-    """Numeric rank with the spectral cut at 2^(-precision/2) of the top
-    singular value; reports the head of the spectrum for auditability."""
-    count = len(vecs)
-    if count == 0:
-        return {"count": 0, "rank": 0, "threshold": 0.0, "spectrum_head": []}
-    with workprec(precision_bits):
-        a = matrix(count, len(vecs[0]))
-        for i, v in enumerate(vecs):
-            for j, x in enumerate(v):
-                a[i, j] = x
-        if a.rows < a.cols:
-            a = a.T
-        sv = svd_r(a, compute_uv=False)
-        values = sorted((sv[i] for i in range(sv.rows)), reverse=True)
-        threshold = values[0] * mpf(2) ** (-(precision_bits // 2))
-        rank = sum(1 for s in values if s > threshold)
-        head = [float(s) for s in values[:8]]
-        return {
-            "count": count,
-            "rank": rank,
-            "threshold": float(threshold),
-            "spectrum_head": head,
-        }
+def _rank_from_vecs(vecs) -> dict:
+    """Exact rank over Q of a family of rational vectors."""
+    return {"count": len(vecs), "rank": _linalg.rank(vecs)}
 
 
 # -- word sums -----------------------------------------------------------
@@ -411,7 +330,7 @@ def filtration_index(word) -> int:
 
 
 def cellular_rank_report(ps: ParamSet, n: int) -> dict:
-    """Counts and numeric rank of the full cellular family at (r, n)."""
+    """Counts and exact rank of the full cellular family at (r, n)."""
     r = ps.r
     target = r ** n * diagrams.double_factorial(2 * n - 1)
     real = Realization(ps, n)
@@ -428,7 +347,7 @@ def cellular_rank_report(ps: ParamSet, n: int) -> dict:
                 for b in triples:
                     cw = cellular_element(ps, n, arcs, shape, a, b)
                     vecs.append(real.vec(real.evaluate_sum(cw.terms)))
-    report = _rank_from_vecs(vecs, ps.precision_bits)
+    report = _rank_from_vecs(vecs)
     report["target"] = target
     report["sum_of_squares"] = total
     report["ok"] = total == target and report["rank"] == target
@@ -438,25 +357,25 @@ def cellular_rank_report(ps: ParamSet, n: int) -> dict:
 
 def contraction_murphy_commute_residual(ps: ParamSet, n: int, arcs: int,
                                         shape: Multipartition,
-                                        real: Realization | None = None) -> mpf:
+                                        real: Realization | None = None) -> Fraction:
     """Worst |chain·M - M·chain| over all Murphy words of the cell."""
     if real is None:
         real = Realization(ps, n)
     chain = contraction_chain(n, arcs)
     tabs = combinat.standard_tableaux(shape)
-    worst = mpf(0)
-    with workprec(ps.precision_bits):
-        e_blocks = real.evaluate(chain)
-        for s in tabs:
-            for t in tabs:
-                m_blocks = real.evaluate_sum(murphy_words(ps, shape, s, t))
-                for eb, mb in zip(e_blocks, m_blocks):
-                    worst = max(worst, _maxabs(eb * mb - mb * eb))
+    worst = Fraction(0)
+    e_blocks = real.evaluate(chain)
+    for s in tabs:
+        for t in tabs:
+            m_blocks = real.evaluate_sum(murphy_words(ps, shape, s, t))
+            for eb, mb in zip(e_blocks, m_blocks):
+                diff = _linalg.mat_sub(_linalg.mat_mul(eb, mb), _linalg.mat_mul(mb, eb))
+                worst = max(worst, *(abs(x) for row in diff for x in row))
     return worst
 
 
 def hecke_pairing_residual(ps: ParamSet, n: int, arcs: int, shape: Multipartition,
-                           real: Realization | None = None) -> mpf:
+                           real: Realization | None = None) -> Fraction:
     """Worst deviation, on the matching block, of evaluated cellular products
     from the contraction-scalar-power times the Hecke Gram pairing.
 
@@ -483,14 +402,14 @@ def hecke_pairing_residual(ps: ParamSet, n: int, arcs: int, shape: Multipartitio
         for b in tabs:
             cw = cellular_element(ps, n, arcs, shape, triv(a), triv(b))
             evaluated[a, b] = real.evaluate_sum(cw.terms)[blk]
-    worst = mpf(0)
-    with workprec(ps.precision_bits):
-        scale = _num(ps.omega[0]) ** arcs
-        for s in tabs:
-            for t in tabs:
-                for v in tabs:
-                    gram = hecke.gram_entry(H, mb, shape, t, v)
-                    lhs = evaluated[s, t] * evaluated[v, s]
-                    rhs = evaluated[s, s] * (scale * _num(gram))
-                    worst = max(worst, _maxabs(lhs - rhs))
+    worst = Fraction(0)
+    scale = ps.omega[0] ** arcs
+    for s in tabs:
+        for t in tabs:
+            for v in tabs:
+                gram = hecke.gram_entry(H, mb, shape, t, v)
+                lhs = _linalg.mat_mul(evaluated[s, t], evaluated[v, s])
+                rhs = _linalg.mat_scale(evaluated[s, s], scale * gram)
+                diff = _linalg.mat_sub(lhs, rhs)
+                worst = max(worst, *(abs(x) for row in diff for x in row))
     return worst

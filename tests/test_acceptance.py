@@ -199,8 +199,8 @@ def test_criterion_11_cellular_rank():
         ranks.append(rpt["rank"])
         ok &= rpt["ok"] and rpt["rank"] == rpt["target"]
     report(11, ok, f"cell index family squares to r^n (2n-1)!! (r<=3, n<=4) "
-                   f"and the realized words have full numeric rank "
-                   f"{ranks} at 256 bits")
+                   f"and the realized words have full exact rank over Q "
+                   f"{ranks}")
 
 
 def test_criterion_12_branching():

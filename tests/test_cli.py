@@ -1,9 +1,14 @@
 """Command line round trips: JSON-lines reports, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wenzl
 from wenzl.cli import main
 
 
@@ -126,13 +131,18 @@ def test_gram_degenerate_parameters(tmp_path):
 
 
 def test_cellrank_smallest(tmp_path):
-    rc, records = run(["cellrank", "--r", "1", "--n", "2"], tmp_path)
-    assert rc == 0
-    s = summary_of(records)
-    assert s["count"] == s["rank"] == s["target"] == 3
-    assert s["threshold"] > 0
-    cells = [rec for rec in records if rec["kind"] == "cell"]
-    assert sum(rec["members"] ** 2 for rec in cells) == 3
+    # the rank is exact, so roots of any size reach full rank
+    for args, target in ((["--r", "1", "--n", "2"], 3),
+                         (["--n", "2", "--u", "100000000000000000000,-3"], 12),
+                         (["--n", "2", "--u", "1" + "0" * 30 + ",-3"], 12)):
+        rc, records = run(["cellrank", *args], tmp_path)
+        assert rc == 0
+        s = summary_of(records)
+        assert s["count"] == s["rank"] == s["target"] == target
+        assert set(s) == {"kind", "command", "n", "count", "rank", "target",
+                          "sum_of_squares", "pass", "ps"}
+        cells = [rec for rec in records if rec["kind"] == "cell"]
+        assert sum(rec["members"] ** 2 for rec in cells) == target
 
 
 def test_omega_example(tmp_path):
@@ -166,6 +176,16 @@ def test_byte_identical_reruns(tmp_path):
             assert main([command, "--r", "1", "--n", "2",
                          "--out", str(path)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_cli_imports_no_mpmath():
+    src = str(Path(wenzl.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, wenzl.cli; print('mpmath' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_usage_errors():

@@ -2,11 +2,9 @@
 
 from fractions import Fraction
 
-import mpmath
 import pytest
-from mpmath import workprec
 
-from wenzl import combinat, diagrams, wcell
+from wenzl import _linalg, combinat, diagrams, wcell
 from wenzl.params import ParamSet
 from wenzl.wcell import (
     CellularWord, Realization, RegularMonomial, cell_indices, cell_triples,
@@ -18,6 +16,13 @@ from wenzl.wcell import (
 )
 
 F = Fraction
+
+
+def adjoint(block, gamma):
+    """G^-1 block^T G for the form G = diag(gamma)."""
+    d = len(gamma)
+    return [[block[j][i] * gamma[j] / gamma[i] for j in range(d)]
+            for i in range(d)]
 
 
 def test_census_counts():
@@ -61,9 +66,7 @@ def test_realization_layout():
     assert real.vec_len == 12
     assert sorted(real.shapes) == sorted(combinat.reachable_shapes(2, 2))
     blocks = real.evaluate(())
-    for blk, d in zip(blocks, real.dims):
-        with workprec(ps.precision_bits):
-            assert wcell._maxabs(blk - mpmath.eye(d)) == 0
+    assert blocks == [_linalg.identity(d) for d in real.dims]
 
 
 def test_letter_validation():
@@ -74,6 +77,8 @@ def test_letter_validation():
 
 
 def test_star_word_transposes():
+    # every generator is self-adjoint for diag(gamma), so star is the
+    # adjoint on every block, exactly
     ps = ParamSet.default(2, 3)
     real = Realization(ps, 3)
     words = [
@@ -81,37 +86,29 @@ def test_star_word_transposes():
         (("X", 1, 1), ("S", 2), ("X", 3, 2)),
         (("E", 1), ("X", 1, 1), ("E", 1), ("S", 2)),
     ]
-    bound = mpmath.mpf(2) ** (-(ps.precision_bits - 40))
     for word in words:
         fwd = real.evaluate(word)
         rev = real.evaluate(diagrams.star_word(word))
-        with workprec(ps.precision_bits):
-            for a, b in zip(fwd, rev):
-                # products associate differently on the two sides, so the
-                # match is to working precision, not bit-for-bit
-                assert wcell._maxabs(a - b.transpose()) < bound
+        for a, b, rep in zip(fwd, rev, real.reps):
+            assert b == adjoint(a, rep.gamma)
 
 
 def test_unwrapping_word_sum():
     ps = ParamSet.default(2, 2)
     real = Realization(ps, 2)
-    bound = mpmath.mpf(2) ** (-(ps.precision_bits - 40))
     for a in range(4):
         terms = ((F(1), (("E", 1), ("X", 1, a), ("E", 1))),
                  (-ps.omega[a], (("E", 1),)))
         for blk in real.evaluate_sum(terms):
-            with workprec(ps.precision_bits):
-                assert wcell._maxabs(blk) < bound
+            assert _linalg.is_zero(blk)
 
 
 def test_cyclotomic_word_sum_vanishes():
     for r, n in ((1, 2), (2, 2), (2, 3)):
         ps = ParamSet.default(r, n)
         real = Realization(ps, n)
-        bound = mpmath.mpf(2) ** (-(ps.precision_bits - 40))
         for blk in real.evaluate_sum(wcell.cyclotomic_word_sum(ps)):
-            with workprec(ps.precision_bits):
-                assert wcell._maxabs(blk) < bound
+            assert _linalg.is_zero(blk)
 
 
 def test_monomial_family_has_full_rank():
@@ -120,9 +117,7 @@ def test_monomial_family_has_full_rank():
         real = Realization(ps, n)
         words = [word_for_monomial(m) for m in enumerate_r_regular(r, n)]
         rpt = rank_report(words, real)
-        assert rpt["count"] == rpt["rank"] == real.vec_len
-        assert len(rpt["spectrum_head"]) <= 8
-        assert rpt["threshold"] > 0
+        assert rpt == {"count": real.vec_len, "rank": real.vec_len}
 
 
 def test_word_sum_algebra():
@@ -211,8 +206,8 @@ def test_star_swaps_cell_sides_on_own_block():
             ba = cellular_element(ps, 2, 1, empty, b, a)
             left = real.evaluate_sum(ab.star().terms)[blk]
             right = real.evaluate_sum(ba.terms)[blk]
-            with workprec(ps.precision_bits):
-                assert wcell._maxabs(left - right) == 0
+            fwd = real.evaluate_sum(ab.terms)[blk]
+            assert left == right == adjoint(fwd, real.reps[blk].gamma)
             assert ab.star().left == ab.right and ab.star().right == ab.left
 
 
@@ -226,27 +221,25 @@ def test_cellular_word_transpose_everywhere():
                 cw = cellular_element(ps, 2, arcs, shape, a, b)
                 fwd = real.evaluate_sum(cw.terms)
                 rev = real.evaluate_sum(star_word_sum(cw.terms))
-                with workprec(ps.precision_bits):
-                    for x, y in zip(fwd, rev):
-                        assert wcell._maxabs(x - y.transpose()) == 0
+                for x, y, rep in zip(fwd, rev, real.reps):
+                    assert y == adjoint(x, rep.gamma)
 
 
 def test_chain_commutes_with_murphy_product():
     for r, n, arcs, shape in ((2, 2, 1, ((), ())), (1, 3, 1, ((1,),))):
         ps = ParamSet.default(r, n)
         res = contraction_murphy_commute_residual(ps, n, arcs, shape)
-        assert res == 0
+        assert res == 0 and isinstance(res, Fraction)
 
 
 def test_hecke_pairing():
-    bound = mpmath.mpf(2) ** (-200)
     for r, n in ((1, 2), (2, 2), (1, 3), (2, 3)):
         ps = ParamSet.default(r, n)
         real = Realization(ps, n)
         for arcs in range(min(n // 2, 1) + 1):
             for shape in combinat.multipartitions(r, n - 2 * arcs):
                 res = hecke_pairing_residual(ps, n, arcs, shape, real)
-                assert res < bound, (r, n, arcs, shape, res)
+                assert res == 0 and isinstance(res, Fraction), (r, n, arcs, shape, res)
 
 
 def test_cellular_rank_report_smallest():
