@@ -1,15 +1,18 @@
-"""Batch front end: parameter loading, command dispatch, JSON-lines reports.
+"""Batch front end: argument parsing, command dispatch, JSON-lines reports.
 
-Five subcommands: counts, verify, gram, cellrank, omega.  Output is one JSON
-record per checked instance plus a summary record, each embedding the fully
-resolved parameter set; identical inputs produce byte-identical output.
-Exit status: 0 all checks pass, 1 any failure, 2 usage errors.
+Five subcommands: counts, verify, gram, cellrank, omega.  Each takes the
+strand count n and the roots u (r is their number); everything a job checks
+follows from (r, u, n), and ``--out`` only redirects the report.  Output is
+one JSON record per checked instance plus a summary record, each embedding
+the fully resolved parameter set; identical inputs produce byte-identical
+output.  Exit status: 0 all checks pass, 1 any failure, 2 usage errors.
+Parameters outside the supported regime end in one ``error`` record and
+exit 1.
 
 Every verdict is exact: ``verify`` passes a relation record only when every
 residual is exactly 0 on the rational seminormal model (its ``tolerance`` is
 0), ``gram`` compares Fractions, and ``cellrank`` takes the exact rank over Q
-of the cellular family on that model.  ``--precision`` is only recorded in
-the parameter set (``precision_bits``); no computation reads it.
+of the cellular family on that model.
 """
 
 from __future__ import annotations
@@ -29,9 +32,7 @@ class RunConfig:
     command: str
     r: int
     n: int
-    u: tuple[Fraction, ...] | None  # None = default generic roots
-    precision_bits: int
-    trunc: int | None
+    u: tuple[Fraction, ...]
     out: str | None
     shape: tuple[tuple[int, ...], ...] | None = None
     order: int | None = None
@@ -45,16 +46,10 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                     help="number of roots (default 2, or len(--u))")
     sp.add_argument("--n", type=int, default=None, help="strand count (default 3)")
     sp.add_argument("--u", type=str, default=None,
-                    help="comma-separated roots, fractions like 6,-2 or 3/2")
-    sp.add_argument("--precision", type=int, default=None,
-                    help="precision_bits recorded in the report; no computation "
-                         "reads it (default 256, min 64)")
-    sp.add_argument("--trunc", type=int, default=None,
-                    help="truncation order N for the scalar sequence")
+                    help="comma-separated roots, fractions like 6,-2 or 3/2 "
+                         "(default: generic roots for r and n)")
     sp.add_argument("--out", type=str, default=None,
                     help="write the JSON-lines report here instead of stdout")
-    sp.add_argument("--config", type=str, default=None,
-                    help="JSON file with keys r, u, N, precision_bits; overrides flags")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -79,9 +74,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _parse_u(parser, text) -> tuple[Fraction, ...]:
+def _parse_u(parser, text: str) -> tuple[Fraction, ...]:
     try:
-        return tuple(parse_fraction(x.strip()) for x in str(text).split(","))
+        return tuple(parse_fraction(x.strip()) for x in text.split(","))
     except (ValueError, ZeroDivisionError):
         parser.error(f"cannot parse roots {text!r}")
 
@@ -106,23 +101,8 @@ def _parse_shape(parser, text: str) -> tuple[tuple[int, ...], ...]:
 
 def _resolve(parser: argparse.ArgumentParser, args) -> RunConfig:
     r, n, u = args.r, args.n, args.u
-    precision, trunc = args.precision, args.trunc
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                conf = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
-            parser.error(f"cannot read config {args.config!r}: {e}")
-        r = conf.get("r", r)
-        n = conf.get("n", n)
-        if "u" in conf:
-            u = conf["u"]
-            if "r" not in conf:
-                r = None          # the config's roots win over a flag-level r
-        trunc = conf.get("N", trunc)
-        precision = conf.get("precision_bits", precision)
     if u is not None:
-        u = _parse_u(parser, u if isinstance(u, str) else ",".join(map(str, u)))
+        u = _parse_u(parser, u)
         if r is not None and r != len(u):
             parser.error(f"--r {r} does not match {len(u)} roots")
         r = len(u)
@@ -131,35 +111,24 @@ def _resolve(parser: argparse.ArgumentParser, args) -> RunConfig:
         shape = _parse_shape(parser, args.shape)
         if r is not None and r != len(shape):
             parser.error(f"shape has {len(shape)} components but r={r}")
-        r = len(shape)
-        n = combinat.mp_size(shape)
+        size = combinat.mp_size(shape)
+        if n is not None and n != size:
+            parser.error(f"shape has {size} boxes but n={n}")
+        r, n = len(shape), size
     if r is None:
         r = 2
     if n is None:
         n = 3
-    if precision is None:
-        precision = 256
     if r < 1:
         parser.error("r must be at least 1")
     if n < 0:
         parser.error("n must be nonnegative")
-    if precision < 64:
-        parser.error("precision must be at least 64 bits")
-    if trunc is not None and trunc < 0:
-        parser.error("truncation order must be nonnegative")
-    return RunConfig(args.command, r, n, u, precision, trunc, args.out,
-                     shape=shape, order=getattr(args, "order", None))
-
-
-def _paramset(cfg: RunConfig, min_trunc: int = 0) -> ParamSet:
-    u = cfg.u if cfg.u is not None else combinat.default_u(cfg.r, cfg.n)
-    trunc = cfg.trunc
-    if trunc is None:
-        trunc = max(2 * cfg.r + 4 * max(cfg.n, 1), min_trunc)
-    else:
-        trunc = max(trunc, min_trunc)
-    return ParamSet.from_u(u, N=trunc, precision_bits=cfg.precision_bits,
-                           n_hint=max(cfg.n, 1))
+    order = getattr(args, "order", None)
+    if order is not None and order < 0:
+        parser.error("order must be nonnegative")
+    if u is None:
+        u = combinat.default_u(r, n)
+    return RunConfig(args.command, r, n, u, args.out, shape=shape, order=order)
 
 
 def _shape_json(shape) -> list[list[int]]:
@@ -176,11 +145,13 @@ def _write_report(records, out_path) -> None:
 
 
 # -- commands ----------------------------------------------------------------
+#
+# Each command gets the run's parameter set and its JSON form ``meta``, and
+# returns (records, ok).  A ValueError or ZeroDivisionError marks parameters
+# outside the supported regime; ``main`` turns it into an error record.
 
 
-def cmd_counts(cfg: RunConfig) -> tuple[list[dict], bool]:
-    ps = _paramset(cfg)
-    meta = ps.as_json()
+def cmd_counts(cfg: RunConfig, ps: ParamSet, meta: dict) -> tuple[list[dict], bool]:
     records = []
     total = 0
     for shape in combinat.reachable_shapes(cfg.r, cfg.n):
@@ -197,15 +168,9 @@ def cmd_counts(cfg: RunConfig) -> tuple[list[dict], bool]:
     return records, ok
 
 
-def cmd_verify(cfg: RunConfig) -> tuple[list[dict], bool]:
-    ps = _paramset(cfg)
-    meta = ps.as_json()
-    try:
-        reps = seminormal.build_all(ps, cfg.n)
-        idr = seminormal.check_identities(ps, cfg.n)
-    except ValueError as e:
-        return [{"kind": "error", "command": "verify", "error": f"{type(e).__name__}: {e}",
-                 "pass": False, "ps": meta}], False
+def cmd_verify(cfg: RunConfig, ps: ParamSet, meta: dict) -> tuple[list[dict], bool]:
+    reps = seminormal.build_all(ps, cfg.n)
+    idr = seminormal.check_identities(ps, cfg.n)
     records = []
     ok = idr.ok
     for rep in reps:
@@ -223,20 +188,13 @@ def cmd_verify(cfg: RunConfig) -> tuple[list[dict], bool]:
     return records, ok
 
 
-def cmd_gram(cfg: RunConfig) -> tuple[list[dict], bool]:
-    shape = cfg.shape
-    ps = _paramset(cfg)
-    meta = ps.as_json()
-    n = combinat.mp_size(shape)
-    try:
-        H = hecke.HeckeAlgebra(ps, n)
-        mb = hecke.MurphyBasis(H)
-        det = hecke.gram_det(H, mb, shape)
-        gammas = hecke.gamma_coeffs(shape, ps)
-        path_ok = hecke.gamma_path_independent(shape, ps)
-    except (ValueError, ZeroDivisionError) as e:
-        return [{"kind": "error", "command": "gram", "error": f"{type(e).__name__}: {e}",
-                 "pass": False, "ps": meta}], False
+def cmd_gram(cfg: RunConfig, ps: ParamSet, meta: dict) -> tuple[list[dict], bool]:
+    shape, n = cfg.shape, cfg.n
+    H = hecke.HeckeAlgebra(ps, n)
+    mb = hecke.MurphyBasis(H)
+    det = hecke.gram_det(H, mb, shape)
+    gammas = hecke.gamma_coeffs(shape, ps)
+    path_ok = hecke.gamma_path_independent(shape, ps)
     prod = Fraction(1)
     for g in gammas.values():
         prod *= g
@@ -251,14 +209,8 @@ def cmd_gram(cfg: RunConfig) -> tuple[list[dict], bool]:
     return records, ok
 
 
-def cmd_cellrank(cfg: RunConfig) -> tuple[list[dict], bool]:
-    ps = _paramset(cfg)
-    meta = ps.as_json()
-    try:
-        report = wcell.cellular_rank_report(ps, cfg.n)
-    except ValueError as e:
-        return [{"kind": "error", "command": "cellrank", "error": f"{type(e).__name__}: {e}",
-                 "pass": False, "ps": meta}], False
+def cmd_cellrank(cfg: RunConfig, ps: ParamSet, meta: dict) -> tuple[list[dict], bool]:
+    report = wcell.cellular_rank_report(ps, cfg.n)
     records = [{"kind": "cell", **cell, "ps": meta} for cell in report["cells"]]
     ok = report["ok"]
     records.append({"kind": "summary", "command": "cellrank", "n": cfg.n,
@@ -269,10 +221,8 @@ def cmd_cellrank(cfg: RunConfig) -> tuple[list[dict], bool]:
     return records, ok
 
 
-def cmd_omega(cfg: RunConfig) -> tuple[list[dict], bool]:
-    order = cfg.order if cfg.order is not None else 8
-    ps = _paramset(cfg, min_trunc=order)
-    meta = ps.as_json()
+def cmd_omega(cfg: RunConfig, ps: ParamSet, meta: dict) -> tuple[list[dict], bool]:
+    order = cfg.order
     values = ps.omega[:order + 1]
     ok, bad = check_admissible(values)
     records = [{"kind": "omega", "a": a, "value": format_fraction(w), "ps": meta}
@@ -284,12 +234,22 @@ def cmd_omega(cfg: RunConfig) -> tuple[list[dict], bool]:
     return records, ok
 
 
+COMMANDS = {"counts": cmd_counts, "verify": cmd_verify, "gram": cmd_gram,
+            "cellrank": cmd_cellrank, "omega": cmd_omega}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     cfg = _resolve(parser, parser.parse_args(argv))
-    dispatch = {"counts": cmd_counts, "verify": cmd_verify, "gram": cmd_gram,
-                "cellrank": cmd_cellrank, "omega": cmd_omega}
-    records, ok = dispatch[cfg.command](cfg)
+    # omega reports scalars up to --order, so it stores at least that many
+    ps = ParamSet.from_u(cfg.u, n_hint=cfg.n, min_N=cfg.order or 0)
+    meta = ps.as_json()
+    try:
+        records, ok = COMMANDS[cfg.command](cfg, ps, meta)
+    except (ValueError, ZeroDivisionError) as e:
+        records = [{"kind": "error", "command": cfg.command,
+                    "error": f"{type(e).__name__}: {e}", "pass": False, "ps": meta}]
+        ok = False
     _write_report(records, cfg.out)
     return 0 if ok else 1
 

@@ -395,7 +395,8 @@ def gamma_path_independent(lam, ps: ParamSet) -> bool:
 def gram_entry(H: HeckeAlgebra, mb: MurphyBasis, lam, s, t) -> Fraction:
     """The cell form <m_s, m_t> read off the product of two basis elements."""
     tl = combinat.t_lambda(lam)
-    prod = H.multiply(murphy_element(H, tl, s), murphy_element(H, t, tl))
+    m = mb.elements
+    prod = H.multiply(m[mb.triple_index[lam, tl, s]], m[mb.triple_index[lam, t, tl]])
     x = mb.coords(prod)
     value = Fraction(0)
     for idx, c in enumerate(x):

@@ -390,42 +390,38 @@ def check_admissible(omega) -> tuple[bool, int | None]:
 class ParamSet:
     """Parameters (r, u) with the derived admissible sequence Omega.
 
-    ``omega[a]`` is exact for 0 <= a <= N.  ``mode`` records whether Omega
-    was derived from u or supplied directly.
+    ``omega[a]`` is exact for 0 <= a <= N.  ``from_u`` sizes N from r and
+    the strand count n, enough for every check on n strands.  ``mode``
+    records whether Omega was derived from u or supplied directly.
     """
 
     r: int
     u: tuple[Fraction, ...]
     omega: tuple[Fraction, ...]
     N: int
-    precision_bits: int = 256
     mode: str = "u-admissible-derived"
 
     @classmethod
-    def from_u(cls, u, N: int | None = None, precision_bits: int = 256,
-               n_hint: int = 4) -> "ParamSet":
+    def from_u(cls, u, n_hint: int = 4, min_N: int = 0) -> "ParamSet":
+        """Omega derived from the roots u, exact up to the larger of
+        2r + 4 max(n_hint, 1) and min_N."""
         u = tuple(parse_fraction(x) for x in u)
         r = len(u)
-        if N is None:
-            N = 2 * r + 4 * n_hint
+        N = max(2 * r + 4 * max(n_hint, 1), min_N)
         omega = tuple(omega_from_u(u, a, r) for a in range(N + 1))
-        return cls(r, u, omega, N, precision_bits)
+        return cls(r, u, omega, N)
 
     @classmethod
-    def default(cls, r: int, n: int, N: int | None = None,
-                precision_bits: int = 256) -> "ParamSet":
-        if N is None:
-            N = 2 * r + 4 * max(n, 1)
-        return cls.from_u(combinat.default_u(r, n), N, precision_bits, max(n, 1))
+    def default(cls, r: int, n: int) -> "ParamSet":
+        return cls.from_u(combinat.default_u(r, n), n)
 
     @classmethod
-    def with_omega(cls, u, omega, precision_bits: int = 256) -> "ParamSet":
+    def with_omega(cls, u, omega) -> "ParamSet":
         """Roots u together with a directly supplied Omega (which need not be
         the one u would derive — that is the whole point of some modules)."""
         u = tuple(parse_fraction(x) for x in u)
         omega = tuple(parse_fraction(w) for w in omega)
-        return cls(len(u), u, omega, len(omega) - 1, precision_bits,
-                   "user-supplied")
+        return cls(len(u), u, omega, len(omega) - 1, "user-supplied")
 
     def as_json(self) -> dict:
         return {
@@ -433,7 +429,8 @@ class ParamSet:
             "u": [format_fraction(x) for x in self.u],
             "omega": [format_fraction(w) for w in self.omega],
             "N": self.N,
-            "precision_bits": self.precision_bits,
+            # fixed: no computation reads it, but perfbench/checks.py does
+            "precision_bits": 256,
             "mode": self.mode,
         }
 

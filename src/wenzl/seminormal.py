@@ -241,12 +241,10 @@ RELATION_FAMILIES = (
 )
 
 
-def _relation_residuals(S, E, X, ps: ParamSet, unwrap_order: int | None,
-                        d: int) -> dict:
+def _relation_residuals(S, E, X, ps: ParamSet, d: int) -> dict:
     """Exact max-abs residual of every defining relation family for d x d
-    Fraction matrices S_1..S_{n-1}, E_1..E_{n-1}, X_1..X_n."""
-    if unwrap_order is None:
-        unwrap_order = min(ps.N, ps.r + 2)
+    Fraction matrices S_1..S_{n-1}, E_1..E_{n-1}, X_1..X_n.  Unwrapping is
+    checked for X_1^a, 0 <= a <= min(N, r + 2)."""
     n = len(X)
     assert len(S) == len(E) == max(n - 1, 0)
     mul, add, sub = _linalg.mat_mul, _linalg.mat_add, _linalg.mat_sub
@@ -293,7 +291,7 @@ def _relation_residuals(S, E, X, ps: ParamSet, unwrap_order: int | None,
     if n >= 2:
         E1, X1 = E[0], X[0]
         P = I
-        for a in range(unwrap_order + 1):
+        for a in range(min(ps.N, ps.r + 2) + 1):
             upd("unwrapping", sub(mul(mul(E1, P), E1), scale(E1, ps.omega[a])))
             P = mul(P, X1)
     if ps.u and n >= 1:
@@ -304,20 +302,19 @@ def _relation_residuals(S, E, X, ps: ParamSet, unwrap_order: int | None,
     return res
 
 
-def check_module(S, E, X, ps: ParamSet, unwrap_order: int | None = None) -> dict:
+def check_module(S, E, X, ps: ParamSet) -> dict:
     """Exact relation residuals for a module given by Fraction matrices with
     at least one X.  Every value should be Fraction(0) for a genuine module."""
-    return _relation_residuals(S, E, X, ps, unwrap_order, len(X[0]))
+    return _relation_residuals(S, E, X, ps, len(X[0]))
 
 
-def tower_scalar_residual(rep: SeminormalRep, order: int | None = None) -> Fraction:
+def tower_scalar_residual(rep: SeminormalRep) -> Fraction:
     """Residual of E_k X_k^a E_k = omega_k^(a) E_k for every position k and
-    0 <= a <= order, the scalars taken from the truncated-series recursion.
+    0 <= a <= r + 1, the scalars taken from the truncated-series recursion.
     The scalar depends only on the shape before step k, so it is applied
     row by row."""
     ps = rep.ps
-    if order is None:
-        order = ps.r + 1
+    order = ps.r + 1
     worst = Fraction(0)
     for k in range(1, rep.n):
         by_shape: dict = {}
@@ -352,12 +349,11 @@ def adjointness_residual(rep: SeminormalRep) -> Fraction:
     return worst
 
 
-def verify_relations(rep: SeminormalRep, unwrap_order: int | None = None) -> dict:
+def verify_relations(rep: SeminormalRep) -> dict:
     """Exact residuals of the full defining-relation suite on a seminormal
     model, plus G-adjointness of every generator (``star-symmetry``) and the
     blockwise scalar tower.  Every value is 0 for a genuine model."""
-    res = _relation_residuals(rep.S, rep.E, rep.X, rep.ps, unwrap_order,
-                              rep.dim)
+    res = _relation_residuals(rep.S, rep.E, rep.X, rep.ps, rep.dim)
     res["star-symmetry"] = adjointness_residual(rep)
     res["tower-scalars"] = tower_scalar_residual(rep)
     return res

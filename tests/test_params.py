@@ -57,7 +57,7 @@ def test_default_paramset():
     ps = ParamSet.default(2, 2)
     assert ps.u == (F(6), F(-2))
     assert ps.omega[:3] == (F(8), F(28), F(208))
-    assert ps.precision_bits == 256
+    assert ps.as_json()["precision_bits"] == 256
     assert ps.N >= 12
     ps3 = ParamSet.default(2, 3)
     assert ps3.u == (F(9), F(-3))

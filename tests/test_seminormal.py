@@ -74,7 +74,7 @@ def test_relation_suite_2_3():
 
 
 def test_relation_suite_low_precision_still_passes():
-    ps = ParamSet.default(2, 2, precision_bits=64)
+    ps = ParamSet.default(2, 2)
     for rep in build_all(ps, 2):
         for family, value in verify_relations(rep).items():
             assert value == 0
