@@ -103,6 +103,17 @@ def test_verify_exact_at_large_roots(tmp_path):
         assert all(v == 0 for rec in rel for v in rec["residuals"].values())
 
 
+def test_verify_precision_independent_verdicts(tmp_path):
+    # the model is exact, so there is no precision to choose: --precision is
+    # a usage error and every record carries the fixed 256
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--r", "1", "--n", "2", "--precision", "64"])
+    assert exc.value.code == 2
+    rc, records = run(["verify", "--r", "1", "--n", "2"], tmp_path)
+    assert rc == 0 and all(rec["pass"] for rec in records)
+    assert all(rec["ps"]["precision_bits"] == 256 for rec in records)
+
+
 def test_gram_single_row(tmp_path):
     rc, records = run(["gram", "--shape", "(2)", "--u", "5"], tmp_path)
     assert rc == 0
@@ -145,6 +156,21 @@ def test_omega_example(tmp_path):
     assert values == s["omega"]
 
 
+def test_config_file_overrides_flags(tmp_path):
+    # --config is gone: a valid config file is a usage error, and the flags
+    # alone set (r, u, n)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"u": ["3/2"], "N": 10}))
+    with pytest.raises(SystemExit) as exc:
+        main(["omega", "--u", "3/2", "--order", "3", "--config", str(cfg)])
+    assert exc.value.code == 2
+    rc, records = run(["omega", "--u", "3/2", "--order", "3"], tmp_path)
+    assert rc == 0
+    ps = summary_of(records)["ps"]
+    assert ps["r"] == 1 and ps["u"] == ["3/2"]
+    assert ps["precision_bits"] == 256
+
+
 def test_byte_identical_reruns(tmp_path):
     for args in (["counts", "--r", "1", "--n", "2"],
                  ["verify", "--r", "1", "--n", "2"],
@@ -185,9 +211,7 @@ def test_cli_imports_no_mpmath():
     assert out.stdout.strip() == "False"
 
 
-def test_usage_errors(tmp_path):
-    cfg = tmp_path / "f.json"
-    cfg.write_text(json.dumps({"u": ["3/2"], "N": 10}))
+def test_usage_errors():
     for args in (["counts", "--r", "0"],
                  ["frobnicate"],
                  ["gram"],                      # missing --shape
@@ -195,10 +219,8 @@ def test_usage_errors(tmp_path):
                  ["counts", "--u", "not-a-number"],
                  ["verify", "--precision", "16"],
                  ["omega", "--order", "-1"],
-                 # options that no longer exist: (r, u, n) fix every job
-                 ["verify", "--precision", "64"],
-                 ["verify", "--n", "3", "--trunc", "0"],
-                 ["omega", "--config", str(cfg)]):
+                 # --trunc no longer exists: (r, u, n) fix every job
+                 ["verify", "--n", "3", "--trunc", "0"]):
         with pytest.raises(SystemExit) as exc:
             main(args)
         assert exc.value.code == 2
