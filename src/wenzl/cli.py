@@ -42,6 +42,8 @@ class RunConfig:
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
+    # errors found after parsing are reported with this subcommand's usage
+    sp.set_defaults(parser=sp)
     sp.add_argument("--r", type=int, default=None,
                     help="number of roots (default 2, or len(--u))")
     sp.add_argument("--n", type=int, default=None, help="strand count (default 3)")
@@ -99,8 +101,8 @@ def _parse_shape(parser, text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _resolve(parser: argparse.ArgumentParser, args) -> RunConfig:
-    r, n, u = args.r, args.n, args.u
+def _resolve(args) -> RunConfig:
+    parser, r, n, u = args.parser, args.r, args.n, args.u
     if u is not None:
         u = _parse_u(parser, u)
         if r is not None and r != len(u):
@@ -239,8 +241,7 @@ COMMANDS = {"counts": cmd_counts, "verify": cmd_verify, "gram": cmd_gram,
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    cfg = _resolve(parser, parser.parse_args(argv))
+    cfg = _resolve(_build_parser().parse_args(argv))
     # omega reports scalars up to --order, so it stores at least that many
     ps = ParamSet.from_u(cfg.u, n_hint=cfg.n, min_N=cfg.order or 0)
     meta = ps.as_json()

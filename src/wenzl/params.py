@@ -1,7 +1,8 @@
 """Parameter sets and the exact generating-function machinery.
 
 Everything here is exact rational arithmetic: dense polynomials in y,
-reduced rational functions, and Laurent-type truncated expansions at
+rational functions kept as built (not reduced, compared by
+cross-multiplication), and Laurent-type truncated expansions at
 y = infinity.  A series knows the lowest power it is exact to (``low``)
 and refuses to certify coefficients below it, so precision bookkeeping
 is automatic through products.
@@ -30,7 +31,7 @@ def format_fraction(x: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
-# dense polynomials and reduced rational functions in one variable
+# dense polynomials, and rational functions kept unreduced, in one variable
 # ---------------------------------------------------------------------------
 
 class Poly:
@@ -108,9 +109,6 @@ class Poly:
                 rem[k + j] -= q * b
         return Poly(quo), Poly(rem)
 
-    def monic(self) -> "Poly":
-        return self * (1 / self.coeffs[-1]) if self else self
-
     def derivative(self) -> "Poly":
         return Poly(tuple(k * c for k, c in enumerate(self.coeffs) if k))
 
@@ -127,27 +125,15 @@ class Poly:
 ONE = Poly.const(1)
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    while b:
-        a, b = b, divmod(a, b)[1]
-    return a.monic() if a else ONE
-
-
 class RationalFunction:
-    """num/den, reduced, denominator monic; supports exact field arithmetic."""
+    """num/den exactly as built, never reduced; supports exact field
+    arithmetic.  Equality is by cross-multiplication, so two representations
+    of one function compare equal."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly = ONE):
         assert den, "zero denominator"
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num = divmod(num, g)[0]
-            den = divmod(den, g)[0]
-        lead = den.coeffs[-1]
-        if lead != 1:
-            num = num * (1 / lead)
-            den = den * (1 / lead)
         self.num, self.den = num, den
 
     @classmethod
@@ -156,7 +142,7 @@ class RationalFunction:
 
     def __eq__(self, other):
         return (isinstance(other, RationalFunction)
-                and self.num == other.num and self.den == other.den)
+                and self.num * other.den == other.num * self.den)
 
     def __bool__(self):
         return bool(self.num)
@@ -447,14 +433,21 @@ def w1_series(ps: ParamSet, N: int | None = None) -> LaurentSeries:
     return LaurentSeries({-a: ps.omega[a] for a in range(N + 1)}, -N)
 
 
-def w1_rational(ps: ParamSet) -> RationalFunction:
-    """(y - (1/2)(-1)^r) prod_i (y + u_i)/(y - u_i) - y + 1/2."""
-    assert ps.mode == "u-admissible-derived", "needs u"
+def _w_at_shape(shape, ps: ParamSet) -> RationalFunction:
+    """1/2 - y + (y - (1/2)(-1)^r) prod_alpha (y + c(alpha))/(y - c(alpha)),
+    the product over the addable and removable nodes of ``shape``."""
     sign = -1 if ps.r % 2 else 1
     rf = RationalFunction(Poly((-HALF * sign, Fraction(1))))
-    for ui in ps.u:
-        rf = rf * RationalFunction(Poly.y_plus(ui), Poly.y_plus(-ui))
-    return rf - RationalFunction(Poly((-HALF, Fraction(1))))
+    for _, c, _ in combinat.addable_removable(shape, ps.u):
+        rf = rf * RationalFunction(Poly.y_plus(c), Poly.y_plus(-c))
+    return rf + RationalFunction(Poly((HALF, Fraction(-1))))
+
+
+def w1_rational(ps: ParamSet) -> RationalFunction:
+    """W_1 = W at the empty shape, whose addable nodes have contents u_i:
+    (y - (1/2)(-1)^r) prod_i (y + u_i)/(y - u_i) - y + 1/2."""
+    assert ps.mode == "u-admissible-derived", "needs u"
+    return _w_at_shape(combinat.empty_mp(ps.r), ps)
 
 
 def w1_identity_check(ps: ParamSet, N: int | None = None) -> bool:
@@ -479,18 +472,12 @@ def w1_product_identity_check(ps: ParamSet, N: int | None = None) -> bool:
 
 
 def wk_rational(t, k: int, ps: ParamSet) -> RationalFunction:
-    """1/2 - y + (y - (1/2)(-1)^r) prod_alpha (y + c(alpha))/(y - c(alpha)),
-    the product over addable and removable nodes of the step-(k-1) shape."""
+    """W_k along t in closed form: W at the step-(k-1) shape of t, unreduced.
+    Coinciding contents need no special case, since num and den are
+    polynomial in the contents; whether u is generic enough is decided when
+    the seminormal model is built."""
     assert 1 <= k <= len(t)
-    shape = t[k - 2] if k >= 2 else combinat.empty_mp(ps.r)
-    contents = [c for _, c, _ in combinat.addable_removable(shape, ps.u)]
-    if len(set(contents)) != len(contents):
-        raise ValueError(f"content collision among nodes of {shape}: u not generic")
-    sign = -1 if ps.r % 2 else 1
-    rf = RationalFunction(Poly((-HALF * sign, Fraction(1))))
-    for c in contents:
-        rf = rf * RationalFunction(Poly.y_plus(c), Poly.y_plus(-c))
-    return rf + RationalFunction(Poly((HALF, Fraction(-1))))
+    return _w_at_shape(t[k - 2] if k >= 2 else combinat.empty_mp(ps.r), ps)
 
 
 def _recursion_factor_rational(c: Fraction) -> RationalFunction:

@@ -54,8 +54,8 @@ def swap_a(t, k: int, ps: ParamSet) -> Fraction:
     cs = combinat.content_sequence(t, ps.u)
     d = cs[k] - cs[k - 1]
     if d == 0:
-        raise ValueError(f"equal adjacent contents at k={k}: "
-                         "parameters not generic")
+        raise ValueError(f"equal adjacent contents at k={k} from shape "
+                         f"{_prev(t, k)}: parameters not generic")
     return 1 / d
 
 
@@ -120,7 +120,8 @@ def _orthonormal_entries(ps: ParamSet, k: int, idx: dict, contents: dict):
                 ev = e_diag(m, k, ps)
                 if ev <= 0:
                     raise ValueError(
-                        f"contraction coefficient {ev} <= 0 at k={k}: "
+                        f"contraction coefficient {ev} <= 0 at k={k} from "
+                        f"shape {_prev(t, k)}: "
                         "parameters outside the positivity regime")
                 evals[m] = ev
             for s in cls:
@@ -128,8 +129,9 @@ def _orthonormal_entries(ps: ParamSet, k: int, idx: dict, contents: dict):
                 for tt in cls:
                     denom = cs + contents[tt][k - 1]
                     if denom == 0:
-                        raise ValueError("opposite contents in one class: "
-                                         "parameters not generic")
+                        raise ValueError(
+                            f"opposite contents in one class at k={k} from "
+                            f"shape {_prev(t, k)}: parameters not generic")
                     if s == tt:
                         E_diag[idx[s]] = evals[s]
                         S_diag[idx[s]] = (evals[s] - 1) / denom
@@ -145,14 +147,14 @@ def _orthonormal_entries(ps: ParamSet, k: int, idx: dict, contents: dict):
             if partner is None:
                 if a * a != 1:
                     raise ValueError(
-                        f"swap at k={k} undefined but coefficient "
-                        f"{a} is not a unit: outside the regime")
+                        f"swap at k={k} from shape {_prev(t, k)} undefined "
+                        f"but coefficient {a} is not a unit: outside the regime")
             else:
                 b2 = 1 - a * a
                 if b2 < 0:
                     raise ValueError(
-                        f"squared off-diagonal {b2} < 0 at k={k}: "
-                        "outside the positivity regime")
+                        f"squared off-diagonal {b2} < 0 at k={k} from shape "
+                        f"{_prev(t, k)}: outside the positivity regime")
                 if b2:
                     S_off[idx[partner], i] = (1, b2)
     return (S_diag, S_off), (E_diag, E_off)
@@ -424,13 +426,11 @@ def check_identities(ps: ParamSet, n: int) -> IdentityReport:
                     w = params.wk_rational(t, k, ps)
                     record("w-vanishes-at-zero", w(Fraction(0)) == 0,
                            f"k={k}, prefix={t[:k - 1]}")
-                    lhs_rf = params.RationalFunction(
-                        w.num, w.den * params.Poly((Fraction(0), Fraction(1))))
-                    rhs_rf = params.RationalFunction(params.Poly())
-                    for m in cls:
-                        rhs_rf = rhs_rf + params.RationalFunction(
-                            params.Poly.const(e[m]), params.Poly.y_plus(-c[m]))
-                    record("w-partial-fractions", lhs_rf == rhs_rf,
+                    y = params.RationalFunction(params.Poly.y_plus(0))
+                    parts = sum(params.RationalFunction(
+                        params.Poly.const(e[m]), params.Poly.y_plus(-c[m]))
+                        for m in cls)
+                    record("w-partial-fractions", w / y == parts,
                            f"k={k}, prefix={t[:k - 1]}")
                     if k <= n - 2 and t[k - 1] == t[k + 1]:
                         record("contraction-inverse",
@@ -455,9 +455,7 @@ def check_identities(ps: ParamSet, n: int) -> IdentityReport:
                 seen_prefixes.add(key)
                 direct = params.wk_rational(t, k, ps)
                 rec = params.wk_recursive_rational(t, k, ps)
-                record("w-recursion",
-                       direct.num * rec.den == rec.num * direct.den,
-                       f"k={k}, prefix={t[:k - 1]}")
+                record("w-recursion", direct == rec, f"k={k}, prefix={t[:k - 1]}")
             # matching products of squared off-diagonals with contractions
             for k in range(1, n - 1):
                 if not (returns_at(t, k) and t[k - 1] == t[k + 1]):

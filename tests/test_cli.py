@@ -2,8 +2,10 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -74,14 +76,59 @@ def test_verify_default_parameters(tmp_path):
 
 
 def test_verify_rejects_degenerate_u(tmp_path):
-    # equal roots fail the build; u = 1/2 at r = 1 fails the identities
-    for args in (["--u", "1,1", "--n", "2"],
-                 ["--r", "1", "--n", "2", "--u", "1/2"]):
+    # equal roots and u = 0 at r = 1 fail the build; the error names the
+    # condition, k and the shape before step k
+    for args, cause in ((["--u", "1,1", "--n", "2"],
+                         "equal adjacent contents at k=1 from shape ((), ())"),
+                        (["--r", "1", "--n", "2", "--u", "0"],
+                         "opposite contents in one class at k=1 from shape ((),)")):
         rc, records = run(["verify", *args], tmp_path)
         assert rc == 1
         errors = [rec for rec in records if rec["kind"] == "error"]
         assert errors and not errors[0]["pass"]
         assert "ValueError" in errors[0]["error"]
+        assert cause in errors[0]["error"]
+
+
+# contents collide at a shape only W_n is taken at, which no generator on n
+# strands acts from: the model is built and every check passes
+COLLIDING_AT_LAST_STEP = (["--r", "1", "--n", "2", "--u", "1/2"],
+                          ["--r", "1", "--n", "3", "--u", "3/2"],
+                          ["--n", "2", "--u", "1,-1/2"],
+                          ["--n", "2", "--u", "2,-1/2"])
+
+
+def test_verify_and_cellrank_pass_with_collision_at_last_step(tmp_path):
+    for args in COLLIDING_AT_LAST_STEP:
+        rc, records = run(["verify", *args], tmp_path)
+        assert rc == 0, args
+        rel = [rec for rec in records if rec["kind"] == "relations"]
+        assert rel and all(rec["pass"] for rec in rel), args
+        assert all(v == 0 for rec in rel for v in rec["residuals"].values())
+        ident = [rec for rec in records if rec["kind"] == "identities"]
+        assert len(ident) == 1 and ident[0]["pass"] and not ident[0]["failures"]
+        assert ident[0]["checked"]["w-recursion"] > 0
+        rc, records = run(["cellrank", *args], tmp_path)
+        assert rc == 0, args
+        s = summary_of(records)
+        assert s["rank"] == s["target"] and s["pass"], args
+
+
+def test_verify_and_cellrank_agree_on_random_small_roots(tmp_path):
+    # roots drawn from the halves in [-3, 3], so collisions and opposite
+    # contents are common; both commands must reach the same verdict
+    rng = random.Random(20051)
+    halves = [Fraction(k, 2) for k in range(-6, 7)]
+    for _ in range(30):
+        r, n = rng.choice(((1, 2), (1, 3), (2, 2)))
+        u = ",".join(str(rng.choice(halves)) for _ in range(r))
+        args = ["--n", str(n), "--u=" + u]
+        rc_v, rec_v = run(["verify", *args], tmp_path, "v.jsonl")
+        rc_c, rec_c = run(["cellrank", *args], tmp_path, "c.jsonl")
+        assert rc_v == rc_c, args
+        err_v = any(rec["kind"] == "error" for rec in rec_v)
+        err_c = any(rec["kind"] == "error" for rec in rec_c)
+        assert err_v == err_c, args
 
 
 def test_verify_empty_shape(tmp_path):
@@ -224,3 +271,15 @@ def test_usage_errors():
         with pytest.raises(SystemExit) as exc:
             main(args)
         assert exc.value.code == 2
+
+
+def test_usage_errors_after_parsing_name_the_subcommand(capsys):
+    for args, prog in ((["omega", "--order", "-1"], "wenzl omega"),
+                       (["verify", "--r", "3", "--u", "1,2"], "wenzl verify"),
+                       (["counts", "--u", "not-a-number"], "wenzl counts")):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: {prog} "), args
+        assert f"{prog}: error:" in err, args

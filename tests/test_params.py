@@ -31,12 +31,20 @@ def test_poly_arithmetic():
 
 
 def test_rational_function_reduction():
+    # kept as built: equal functions with different num/den compare equal
     num = Poly.y_plus(-1) * Poly.y_plus(1)   # y^2 - 1
     a = RationalFunction(num, Poly.y_plus(-1))
+    assert a.num == num and a.den == Poly.y_plus(-1)
     assert a == RationalFunction(Poly.y_plus(1))
     assert a(F(5)) == 6
     c = RationalFunction(Poly.const(3)) / RationalFunction(Poly.const(6))
     assert c == RationalFunction.const(F(1, 2))
+    assert c(F(7)) == F(1, 2)
+    b = RationalFunction(Poly.y_plus(2) * F(3), Poly.y_plus(-3) * F(3))
+    assert b == RationalFunction(Poly.y_plus(2), Poly.y_plus(-3))
+    assert b(F(4)) == 6 and b(F(-2)) == 0
+    assert b != RationalFunction(Poly.y_plus(3), Poly.y_plus(-3))
+    assert a - RationalFunction(Poly.y_plus(1)) == RationalFunction(Poly())
 
 
 def test_residue_at_simple_pole():
@@ -130,6 +138,32 @@ def test_wk_series_matches_rational():
                 rf = params.wk_rational(t, k, ps)
                 expanded = params.series_of_rational(rf, series.low)
                 assert series.agrees_with(expanded, series.low)
+
+
+def test_w1_is_w_at_the_empty_shape():
+    for r, n in ((1, 3), (2, 3), (3, 2)):
+        ps = ParamSet.default(r, n)
+        for lam in combinat.reachable_shapes(r, n):
+            for t in combinat.enumerate_updown(n, lam):
+                assert params.wk_rational(t, 1, ps) == params.w1_rational(ps)
+
+
+def test_wk_rational_at_colliding_shape():
+    # at r = 1, u = 1/2 the shape (1) has an addable and a removable node of
+    # content -1/2; the unreduced closed form still equals the recursion
+    ps = ParamSet.from_u((F(1, 2),), n_hint=2)
+    lam = ((1,),)
+    contents = [c for _, c, _ in combinat.addable_removable(lam, ps.u)]
+    assert len(set(contents)) < len(contents)
+    for shape in combinat.reachable_shapes(1, 2):
+        for t in combinat.enumerate_updown(2, shape, ps.u):
+            assert t[0] == lam
+            direct = params.wk_rational(t, 2, ps)
+            assert direct == params.wk_recursive_rational(t, 2, ps)
+            assert direct(F(0)) == 0
+            series = params.wk_recursive(t, 2, ps, ps.N - 2)
+            expanded = params.series_of_rational(direct, series.low)
+            assert series.agrees_with(expanded, series.low)
 
 
 def test_omega_k_values_at_first_position():

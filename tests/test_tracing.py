@@ -1,0 +1,45 @@
+"""The benchmark's tracer patches ``wenzl`` functions by name; every name it
+lists must exist, be called, and come back unpatched."""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+from wenzl.cli import main
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _owner(module, cls):
+    owner = importlib.import_module(module)
+    return getattr(owner, cls) if cls is not None else owner
+
+
+def test_tracer_targets_resolve_and_restore(tmp_path):
+    tracing = _load_tracing()
+    originals = [inspect.getattr_static(_owner(module, cls), attr)
+                 for _, module, cls, attr, _ in tracing.TARGETS]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for (_, module, cls, attr, _), raw in zip(tracing.TARGETS, originals):
+            assert inspect.getattr_static(_owner(module, cls), attr) is not raw
+        assert main(["verify", "--r", "1", "--n", "2",
+                     "--out", str(tmp_path / "out.jsonl")]) == 0
+    finally:
+        tracer.uninstall()
+    for (_, module, cls, attr, _), raw in zip(tracing.TARGETS, originals):
+        assert inspect.getattr_static(_owner(module, cls), attr) is raw
+    # a verify job reaches every parameter layer through the patched names
+    names = {span[0] for span in tracer.spans}
+    assert {"params.paramset", "params.omega_k", "params.wk",
+            "seminormal.build", "seminormal.relations",
+            "seminormal.identities"} <= names
