@@ -13,6 +13,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -141,6 +142,12 @@ def box_diff(small: Multipartition, large: Multipartition) -> Node:
     raise ValueError("multipartitions are equal")
 
 
+def neighbors(lam: Multipartition) -> list[Multipartition]:
+    """The shapes one box away from lam, addable nodes first."""
+    return ([add_box(lam, a) for a in addable_nodes(lam)]
+            + [remove_box(lam, b) for b in removable_nodes(lam)])
+
+
 def mp_adjacent(a: Multipartition, b: Multipartition) -> bool:
     """True when b is a plus or minus one box away from a."""
     diff = 0
@@ -181,38 +188,30 @@ def content_sequence(t: Tableau, u) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+@functools.cache
+def _walk(r: int, n: int) -> tuple[tuple[Tableau, ...], dict]:
+    """The updown tableaux of n steps, extending those of n - 1 steps in
+    depth-first order (addable before removable nodes), and the same
+    tableaux bucketed by endpoint."""
+    walks = ((),) if n == 0 else tuple(
+        t + (nu,) for t in _walk(r, n - 1)[0]
+        for nu in neighbors(t[-1] if t else empty_mp(r)))
+    by_end: dict[Multipartition, list[Tableau]] = {}
+    for t in walks:
+        by_end.setdefault(t[-1] if t else empty_mp(r), []).append(t)
+    return walks, by_end
+
+
 def enumerate_updown(n: int, lam: Multipartition, u=None) -> list[Tableau]:
-    """All updown tableaux from the empty multipartition to lam in n steps,
-    sorted lexicographically by content sequence under u (default generic)."""
-    r = len(lam)
+    """All updown tableaux from the empty multipartition to lam in n steps:
+    the walks of n steps ending at lam, sorted lexicographically by content
+    sequence under u (default generic).  Ties keep the depth-first order."""
     if (n - mp_size(lam)) % 2 or mp_size(lam) > n:
         raise ValueError(f"no updown tableaux: n={n}, |lam|={mp_size(lam)}")
     if u is None:
-        u = default_u(r, n)
-
-    out: list[Tableau] = []
-
-    def walk(path: tuple[Multipartition, ...]):
-        k = len(path)
-        if k == n:
-            if (path[-1] if path else empty_mp(r)) == lam:
-                out.append(path)
-            return
-        cur = path[-1] if path else empty_mp(r)
-        # |lam| must stay reachable in the remaining steps
-        budget = n - k - 1
-        for node in addable_nodes(cur):
-            nxt = add_box(cur, node)
-            if abs(mp_size(nxt) - mp_size(lam)) <= budget:
-                walk(path + (nxt,))
-        for node in removable_nodes(cur):
-            nxt = remove_box(cur, node)
-            if abs(mp_size(nxt) - mp_size(lam)) <= budget:
-                walk(path + (nxt,))
-
-    walk(())
-    out.sort(key=lambda t: content_sequence(t, u))
-    return out
+        u = default_u(len(lam), n)
+    return sorted(_walk(len(lam), n)[1].get(lam, ()),
+                  key=lambda t: content_sequence(t, u))
 
 
 def hook_product(p: Partition) -> int:
@@ -295,13 +294,8 @@ def k_neighbors(t: Tableau, k: int) -> list[Tableau]:
         return [t]
     r = len(t[0])
     prev = t[k - 2] if k >= 2 else empty_mp(r)
-    nxt = t[k]
-    mids = []
-    for node in addable_nodes(prev):
-        mids.append(add_box(prev, node))
-    for node in removable_nodes(prev):
-        mids.append(remove_box(prev, node))
-    return [t[:k - 1] + (mid,) + t[k:] for mid in mids if mp_adjacent(mid, nxt)]
+    return [t[:k - 1] + (mid,) + t[k:] for mid in neighbors(prev)
+            if mp_adjacent(mid, t[k])]
 
 
 def sk_action(t: Tableau, k: int):

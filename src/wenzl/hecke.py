@@ -353,25 +353,33 @@ def gamma_top(lam, ps: ParamSet) -> Fraction:
     return out
 
 
+def _descents(lam, s, ps: ParamSet):
+    """(t, gamma(t) / gamma(s)) for each standard t one dominance step below
+    s, where t is s with steps k and k+1 swapped."""
+    cs = combinat.content_sequence(s, ps.u)
+    for k in range(1, len(s)):
+        t = combinat.sk_action(s, k)
+        if t is None or t == s or not combinat.dominance_std(s, t):
+            continue
+        d = cs[k - 1] - cs[k]
+        if d == 0:
+            raise ValueError(f"equal adjacent contents at k={k} in shape {lam}: "
+                             "gamma undefined, parameters not generic")
+        yield t, (d + 1) * (d - 1) / d ** 2
+
+
 def gamma_coeffs(lam, ps: ParamSet) -> dict:
     """gamma for every standard tableau, propagated down dominance from the
     maximal tableau by adjacent swaps."""
     tl = combinat.t_lambda(lam)
     gamma = {tl: gamma_top(lam, ps)}
     pending = deque([tl])
-    n = combinat.mp_size(lam)
     while pending:
         s = pending.popleft()
-        cs = combinat.content_sequence(s, ps.u)
-        for k in range(1, n):
-            t = combinat.sk_action(s, k)
-            if t is None or t in gamma:
-                continue
-            if not (combinat.dominance_std(s, t) and s != t):
-                continue
-            d = cs[k - 1] - combinat.content_sequence(t, ps.u)[k - 1]
-            gamma[t] = (d + 1) * (d - 1) / d ** 2 * gamma[s]
-            pending.append(t)
+        for t, ratio in _descents(lam, s, ps):
+            if t not in gamma:
+                gamma[t] = ratio * gamma[s]
+                pending.append(t)
     assert len(gamma) == len(combinat.standard_tableaux(lam))
     return gamma
 
@@ -379,17 +387,8 @@ def gamma_coeffs(lam, ps: ParamSet) -> dict:
 def gamma_path_independent(lam, ps: ParamSet) -> bool:
     """Every way of descending one dominance step gives the same gamma."""
     gamma = gamma_coeffs(lam, ps)
-    n = combinat.mp_size(lam)
-    for s, gs in gamma.items():
-        cs = combinat.content_sequence(s, ps.u)
-        for k in range(1, n):
-            t = combinat.sk_action(s, k)
-            if t is None or not (combinat.dominance_std(s, t) and s != t):
-                continue
-            d = cs[k - 1] - combinat.content_sequence(t, ps.u)[k - 1]
-            if gamma[t] != (d + 1) * (d - 1) / d ** 2 * gs:
-                return False
-    return True
+    return all(gamma[t] == ratio * gs for s, gs in gamma.items()
+               for t, ratio in _descents(lam, s, ps))
 
 
 def gram_entry(H: HeckeAlgebra, mb: MurphyBasis, lam, s, t) -> Fraction:

@@ -472,11 +472,11 @@ def w1_product_identity_check(ps: ParamSet, N: int | None = None) -> bool:
 
 
 def wk_rational(t, k: int, ps: ParamSet) -> RationalFunction:
-    """W_k along t in closed form: W at the step-(k-1) shape of t, unreduced.
-    Coinciding contents need no special case, since num and den are
-    polynomial in the contents; whether u is generic enough is decided when
-    the seminormal model is built."""
-    assert 1 <= k <= len(t)
+    """W_k along t in closed form: W at the step-(k-1) shape of t, unreduced;
+    t may end there.  Coinciding contents need no special case, since num and
+    den are polynomial in the contents; whether u is generic enough is
+    decided when the seminormal model is built."""
+    assert 1 <= k <= len(t) + 1
     return _w_at_shape(t[k - 2] if k >= 2 else combinat.empty_mp(ps.r), ps)
 
 
@@ -488,8 +488,8 @@ def _recursion_factor_rational(c: Fraction) -> RationalFunction:
 
 
 def wk_recursive_rational(t, k: int, ps: ParamSet) -> RationalFunction:
-    """The recursion in exact rational-function arithmetic, specialized along t."""
-    assert 1 <= k <= len(t)
+    """The rational-function recursion along the first k - 1 steps of t."""
+    assert 1 <= k <= len(t) + 1
     rf = w1_rational(ps)
     y_minus_half = RationalFunction(Poly((-HALF, Fraction(1))))
     contents = combinat.content_sequence(t, ps.u)

@@ -229,8 +229,14 @@ def build_rep(ps: ParamSet, n: int, shape) -> SeminormalRep:
 
 
 def build_all(ps: ParamSet, n: int) -> list[SeminormalRep]:
-    return [build_rep(ps, n, shape)
+    """One model per reachable shape.  Equal roots also raise ValueError once
+    n >= 1; from n = 2 on, a per-k check of ``build_rep`` fails first."""
+    reps = [build_rep(ps, n, shape)
             for shape in combinat.reachable_shapes(ps.r, n)]
+    repeated = [x for j, x in enumerate(ps.u) if x in ps.u[:j]]
+    if n >= 1 and repeated:
+        raise ValueError(f"repeated root {repeated[0]} in u: parameters not generic")
+    return reps
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +383,14 @@ class IdentityReport:
 
 
 def check_identities(ps: ParamSet, n: int) -> IdentityReport:
-    """Every exact coefficient identity, checked with zero tolerance over all
-    updown tableaux of every reachable shape at n strands."""
+    """Every exact coefficient identity at n strands, checked with zero
+    tolerance once per local configuration.  A coefficient at k reads only
+    the shape mu before step k and the next steps, so each window out of mu
+    is placed after t^mu, at k = |mu| + 1: the class and W identities once
+    per mu with |mu| <= n - 2, the swap identities once per (mu, nu, rho)
+    with rho != mu, the matching identities once per (mu, nu) with
+    |mu| <= n - 3.  ``w-recursion`` runs on every walk of fewer than n
+    steps, against W taken once per endpoint."""
     counts: dict[str, int] = {}
     failures: list[str] = []
 
@@ -387,94 +399,80 @@ def check_identities(ps: ParamSet, n: int) -> IdentityReport:
         if not ok:
             failures.append(f"{name}: {ctx}")
 
-    seen_classes: set = set()
-    seen_prefixes: set = set()
+    # the recursion matches the closed rational form at every level
+    w_at: dict = {}
+    for m in range(n):
+        for mu in combinat.reachable_shapes(ps.r, m):
+            for p in combinat.enumerate_updown(m, mu, ps.u):
+                if mu not in w_at:
+                    w_at[mu] = params.wk_rational(p, m + 1, ps)
+                rec = params.wk_recursive_rational(p, m + 1, ps)
+                record("w-recursion", w_at[mu] == rec, f"k={m + 1}, prefix={p}")
 
-    for shape in combinat.reachable_shapes(ps.r, n):
-        for t in combinat.enumerate_updown(n, shape, ps.u):
-            cs = combinat.content_sequence(t, ps.u)
-            for k in range(1, n):
-                if returns_at(t, k):
-                    key = (k, t[:k - 1] + t[k:])
-                    if key in seen_classes:
-                        continue
-                    seen_classes.add(key)
-                    cls = combinat.k_neighbors(t, k)
-                    e = {m: e_diag(m, k, ps) for m in cls}
-                    c = {m: combinat.content_sequence(m, ps.u)[k - 1]
-                         for m in cls}
-                    for s in cls:
-                        csk = c[s]
-                        lhs = sum(e[m] / (csk + c[m]) for m in cls)
-                        record("class-sum-linear",
-                               lhs == 1 + Fraction(1, 2) / csk,
-                               f"s={s}, k={k}")
-                        lhs = sum(e[m] / (csk + c[m]) ** 2 for m in cls)
-                        rhs = ((1 - Fraction(1, 4) / csk ** 2) / e[s]
-                               + Fraction(1, 2) / csk ** 2)
-                        record("class-sum-quadratic", lhs == rhs,
-                               f"s={s}, k={k}")
-                        for tp in cls:
-                            if tp == s:
-                                continue
-                            lhs = sum(e[m] / ((csk + c[m]) * (c[m] + c[tp]))
-                                      for m in cls)
-                            record("class-sum-cross",
-                                   lhs == Fraction(1, 2) / (csk * c[tp]),
-                                   f"s={s}, t'={tp}, k={k}")
-                    # partial fractions of W_k(y)/y over the class
-                    w = params.wk_rational(t, k, ps)
-                    record("w-vanishes-at-zero", w(Fraction(0)) == 0,
-                           f"k={k}, prefix={t[:k - 1]}")
-                    y = params.RationalFunction(params.Poly.y_plus(0))
-                    parts = sum(params.RationalFunction(
-                        params.Poly.const(e[m]), params.Poly.y_plus(-c[m]))
-                        for m in cls)
-                    record("w-partial-fractions", w / y == parts,
-                           f"k={k}, prefix={t[:k - 1]}")
-                    if k <= n - 2 and t[k - 1] == t[k + 1]:
-                        record("contraction-inverse",
-                               e_diag(t, k, ps) * e_diag(t, k + 1, ps) == 1,
-                               f"t={t}, k={k}")
-                else:
-                    a = swap_a(t, k, ps)
-                    u = combinat.sk_action(t, k)
-                    if u is None:
-                        record("swap-degenerate-unit", a * a == 1,
-                               f"t={t}, k={k}")
-                    else:
-                        cu = combinat.content_sequence(u, ps.u)
-                        ok = (cu[k] == cs[k - 1] and cu[k - 1] == cs[k]
-                              and swap_a(u, k, ps) == -a)
-                        record("content-swap", ok, f"t={t}, k={k}")
-            # the recursion matches the closed rational form at every level
-            for k in range(1, n + 1):
-                key = (k, t[:k - 1])
-                if key in seen_prefixes:
+    y = params.RationalFunction(params.Poly.y_plus(0))
+    for mu in (lam for size in range(n - 1)
+               for lam in combinat.multipartitions(ps.r, size)):
+        tmu = combinat.t_lambda(mu)
+        k = len(tmu) + 1
+        nbrs = combinat.neighbors(mu)
+        cls = [tmu + (nu, mu) for nu in nbrs]
+        e = {m: e_diag(m, k, ps) for m in cls}
+        c = {m: combinat.content_sequence(m, ps.u)[k - 1] for m in cls}
+        for s in cls:
+            csk = c[s]
+            lhs = sum(e[m] / (csk + c[m]) for m in cls)
+            record("class-sum-linear", lhs == 1 + Fraction(1, 2) / csk,
+                   f"s={s}, k={k}")
+            lhs = sum(e[m] / (csk + c[m]) ** 2 for m in cls)
+            rhs = ((1 - Fraction(1, 4) / csk ** 2) / e[s]
+                   + Fraction(1, 2) / csk ** 2)
+            record("class-sum-quadratic", lhs == rhs, f"s={s}, k={k}")
+            for tp in cls:
+                if tp == s:
                     continue
-                seen_prefixes.add(key)
-                direct = params.wk_rational(t, k, ps)
-                rec = params.wk_recursive_rational(t, k, ps)
-                record("w-recursion", direct == rec, f"k={k}, prefix={t[:k - 1]}")
-            # matching products of squared off-diagonals with contractions
-            for k in range(1, n - 1):
-                if not (returns_at(t, k) and t[k - 1] == t[k + 1]):
+                lhs = sum(e[m] / ((csk + c[m]) * (c[m] + c[tp])) for m in cls)
+                record("class-sum-cross", lhs == Fraction(1, 2) / (csk * c[tp]),
+                       f"s={s}, t'={tp}, k={k}")
+        # partial fractions of W_k(y)/y over the class
+        w = w_at[mu]
+        record("w-vanishes-at-zero", w(Fraction(0)) == 0, f"k={k}, prefix={tmu}")
+        parts = sum(params.RationalFunction(
+            params.Poly.const(e[m]), params.Poly.y_plus(-c[m])) for m in cls)
+        record("w-partial-fractions", w / y == parts, f"k={k}, prefix={tmu}")
+        for nu in nbrs:
+            for rho in combinat.neighbors(nu):
+                if rho == mu:
                     continue
-                for tt in combinat.k_neighbors(t, k + 1):
-                    if returns_at(tt, k):
-                        continue
-                    target = combinat.sk_action(tt, k)
-                    if target is None:
-                        continue
-                    for uu in combinat.k_neighbors(t, k):
-                        if returns_at(uu, k + 1):
-                            continue
-                        if combinat.sk_action(uu, k + 1) != target:
-                            continue
-                        lhs = swap_b_squared(tt, k, ps) * e_diag(tt, k + 1, ps)
-                        rhs = swap_b_squared(uu, k + 1, ps) * e_diag(uu, k, ps)
-                        record("square-root-matching", lhs == rhs,
-                               f"t={tt}, u={uu}, k={k}")
+                t = tmu + (nu, rho)
+                a = swap_a(t, k, ps)
+                u = combinat.sk_action(t, k)
+                if u is None:
+                    record("swap-degenerate-unit", a * a == 1, f"t={t}, k={k}")
+                    continue
+                cs = combinat.content_sequence(t, ps.u)
+                cu = combinat.content_sequence(u, ps.u)
+                ok = (cu[k] == cs[k - 1] and cu[k - 1] == cs[k]
+                      and swap_a(u, k, ps) == -a)
+                record("content-swap", ok, f"t={t}, k={k}")
+            if k > n - 2:
+                continue
+            t = tmu + (nu, mu, nu)
+            record("contraction-inverse",
+                   e_diag(t, k, ps) * e_diag(t, k + 1, ps) == 1, f"t={t}, k={k}")
+            # matching products of squared off-diagonals with contractions:
+            # mu, nu, x, nu and mu, y, mu, nu swap to the same tableau
+            for x in combinat.neighbors(nu):
+                tt = tmu + (nu, x, nu)
+                target = combinat.sk_action(tt, k) if x != mu else None
+                if target is None:
+                    continue
+                uu = tmu + (target[k - 1], mu, nu)
+                if combinat.sk_action(uu, k + 1) != target:
+                    continue
+                lhs = swap_b_squared(tt, k, ps) * e_diag(tt, k + 1, ps)
+                rhs = swap_b_squared(uu, k + 1, ps) * e_diag(uu, k, ps)
+                record("square-root-matching", lhs == rhs,
+                       f"t={tt}, u={uu}, k={k}")
     return IdentityReport(counts, failures)
 
 

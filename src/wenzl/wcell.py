@@ -146,9 +146,11 @@ class Realization:
         if kind == "E" and 1 <= letter[1] <= self.n - 1:
             return rep.E[letter[1] - 1]
         if kind == "X" and 1 <= letter[1] <= self.n and letter[2] >= 0:
-            out = _linalg.identity(rep.dim)
-            for _ in range(letter[2]):
-                out = _linalg.mat_mul(out, rep.X[letter[1] - 1])
+            # X_j is diagonal, so X_j^p is the diagonal of contents^p
+            Xj, p = rep.X[letter[1] - 1], letter[2]
+            out = _linalg.zeros(rep.dim, rep.dim)
+            for i in range(rep.dim):
+                out[i][i] = Xj[i][i] ** p
             return out
         raise ValueError(f"letter {letter!r} out of range at n={self.n}")
 

@@ -114,6 +114,15 @@ def test_verify_and_cellrank_pass_with_collision_at_last_step(tmp_path):
         assert s["rank"] == s["target"] and s["pass"], args
 
 
+def verdicts(args, tmp_path):
+    """(exit code, ends in an error record) of verify and of cellrank."""
+    out = []
+    for command in ("verify", "cellrank"):
+        rc, records = run([command, *args], tmp_path, command + ".jsonl")
+        out.append((rc, any(rec["kind"] == "error" for rec in records)))
+    return out
+
+
 def test_verify_and_cellrank_agree_on_random_small_roots(tmp_path):
     # roots drawn from the halves in [-3, 3], so collisions and opposite
     # contents are common; both commands must reach the same verdict
@@ -123,12 +132,12 @@ def test_verify_and_cellrank_agree_on_random_small_roots(tmp_path):
         r, n = rng.choice(((1, 2), (1, 3), (2, 2)))
         u = ",".join(str(rng.choice(halves)) for _ in range(r))
         args = ["--n", str(n), "--u=" + u]
-        rc_v, rec_v = run(["verify", *args], tmp_path, "v.jsonl")
-        rc_c, rec_c = run(["cellrank", *args], tmp_path, "c.jsonl")
-        assert rc_v == rc_c, args
-        err_v = any(rec["kind"] == "error" for rec in rec_v)
-        err_c = any(rec["kind"] == "error" for rec in rec_c)
-        assert err_v == err_c, args
+        v, c = verdicts(args, tmp_path)
+        assert v == c, args
+    # equal roots on one strand, where no generator position k decides the
+    # regime: both commands end in an error record
+    for args in (["--n", "1", "--u", "0,0"], ["--r", "3", "--n", "1", "--u", "1,2,1"]):
+        assert verdicts(args, tmp_path) == [(1, True), (1, True)], args
 
 
 def test_verify_empty_shape(tmp_path):
@@ -171,10 +180,14 @@ def test_gram_single_row(tmp_path):
 
 
 def test_gram_degenerate_parameters(tmp_path):
-    rc, records = run(["gram", "--shape", "(1|1)", "--u", "1,1"], tmp_path)
-    assert rc == 1
-    assert records[0]["kind"] == "error"
-    assert "ZeroDivisionError" in records[0]["error"]
+    # a zero content gap leaves gamma undefined; the error names the
+    # condition, k and the shape
+    for shape, u, cause in (("(1|1)", "1,1", "k=1 in shape ((1,), (1,))"),
+                            ("(2|1)", "0,1", "k=2 in shape ((2,), (1,))")):
+        rc, records = run(["gram", "--shape", shape, "--u", u], tmp_path)
+        assert rc == 1
+        assert records[0]["kind"] == "error"
+        assert "ValueError: equal adjacent contents at " + cause in records[0]["error"]
 
 
 def test_cellrank_smallest(tmp_path):

@@ -9,7 +9,7 @@ from wenzl.params import ParamSet
 from wenzl.seminormal import (
     RELATION_FAMILIES, branching_blocks, build_all, check_identities,
     check_module, module_contraction_free, module_nonsplit, module_rank_one,
-    module_residue_family, verify_relations,
+    module_residue_family, returns_at, verify_relations,
 )
 
 F = Fraction
@@ -94,6 +94,58 @@ def test_identity_suite():
                    "contraction-inverse", "w-partial-fractions",
                    "w-recursion", "square-root-matching", "content-swap"):
         assert report.counts.get(family, 0) > 0, family
+
+
+def _visited_windows(ps, n):
+    """Brute force: every visit of every n-step tableau of every shape,
+    reduced to the local data its identity family reads, as sets."""
+    seen = {}
+
+    def add(family, key):
+        seen.setdefault(family, set()).add(key)
+
+    for lam in combinat.reachable_shapes(ps.r, n):
+        for t in combinat.enumerate_updown(n, lam, ps.u):
+            for k in range(1, n):
+                mu = t[k - 2] if k >= 2 else combinat.empty_mp(ps.r)
+                if not returns_at(t, k):
+                    partner = combinat.sk_action(t, k)
+                    add("swap-degenerate-unit" if partner is None
+                        else "content-swap", (mu, t[k - 1], t[k]))
+                    continue
+                cls = [s[k - 1] for s in combinat.k_neighbors(t, k)]
+                for nu in cls:
+                    add("class-sum-linear", (mu, nu))
+                    add("class-sum-quadratic", (mu, nu))
+                    for other in cls:
+                        if other != nu:
+                            add("class-sum-cross", (mu, nu, other))
+                add("w-vanishes-at-zero", mu)
+                add("w-partial-fractions", mu)
+                if k > n - 2 or t[k - 1] != t[k + 1]:
+                    continue
+                add("contraction-inverse", (mu, t[k - 1]))
+                for tt in combinat.k_neighbors(t, k + 1):
+                    if returns_at(tt, k) or combinat.sk_action(tt, k) is None:
+                        continue
+                    if any(not returns_at(uu, k + 1) and
+                           combinat.sk_action(uu, k + 1) ==
+                           combinat.sk_action(tt, k)
+                           for uu in combinat.k_neighbors(t, k)):
+                        add("square-root-matching", (mu, t[k - 1], tt[k]))
+    return seen
+
+
+@pytest.mark.parametrize("r,n", [(1, 4), (2, 3), (3, 3), (2, 4)])
+def test_identity_suite_checks_each_window_once(r, n):
+    ps = ParamSet.default(r, n)
+    report = check_identities(ps, n)
+    assert report.ok
+    seen = _visited_windows(ps, n)
+    walks = sum(combinat.count_updown(m, lam) for m in range(n)
+                for lam in combinat.reachable_shapes(r, m))
+    assert report.counts == {"w-recursion": walks,
+                             **{name: len(keys) for name, keys in seen.items()}}
 
 
 def test_module_fixtures_exact():

@@ -34,6 +34,12 @@ def test_tracer_targets_resolve_and_restore(tmp_path):
             assert inspect.getattr_static(_owner(module, cls), attr) is not raw
         assert main(["verify", "--r", "1", "--n", "2",
                      "--out", str(tmp_path / "out.jsonl")]) == 0
+        # one job of each other kind, under the root span the benchmark uses
+        traced_main = tracer.wrap(tracing.ROOT, main)
+        assert traced_main(["gram", "--shape", "(1|1)",
+                            "--out", str(tmp_path / "gram.jsonl")]) == 0
+        assert traced_main(["cellrank", "--r", "1", "--n", "2",
+                            "--out", str(tmp_path / "cell.jsonl")]) == 0
     finally:
         tracer.uninstall()
     for (_, module, cls, attr, _), raw in zip(tracing.TARGETS, originals):
@@ -43,3 +49,5 @@ def test_tracer_targets_resolve_and_restore(tmp_path):
     assert {"params.paramset", "params.omega_k", "params.wk",
             "seminormal.build", "seminormal.relations",
             "seminormal.identities"} <= names
+    # together the three jobs reach every traced name
+    assert set(tracing.SPAN_NAMES) <= names
