@@ -173,10 +173,11 @@ def cmd_counts(cfg: RunConfig, ps: ParamSet, meta: dict) -> tuple[list[dict], bo
 def cmd_verify(cfg: RunConfig, ps: ParamSet, meta: dict) -> tuple[list[dict], bool]:
     reps = seminormal.build_all(ps, cfg.n)
     idr = seminormal.check_identities(ps, cfg.n)
+    scalars = seminormal.tower_scalars(ps, cfg.n)
     records = []
     ok = idr.ok
     for rep in reps:
-        res = seminormal.verify_relations(rep)
+        res = seminormal.verify_relations(rep, scalars)
         passed = all(v == 0 for v in res.values())
         ok = ok and passed
         records.append({"kind": "relations", "shape": _shape_json(rep.shape),

@@ -317,11 +317,3 @@ def word_for_diagram(g: BrauerDiagram) -> Word:
     check, loops = compose_word(word, n)
     assert check == g and loops == 0, (g, word)
     return word
-
-
-def diagram_to_json(g: BrauerDiagram) -> list[list[int]]:
-    return [list(e) for e in g.edges]
-
-
-def diagram_from_json(n: int, data) -> BrauerDiagram:
-    return BrauerDiagram.from_edges(n, [tuple(e) for e in data])

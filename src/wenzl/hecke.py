@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import _linalg, combinat
 from .diagrams import perm_inverse, perm_mult, perm_word
-from .params import ParamSet, format_fraction, parse_fraction
+from .params import ParamSet
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 Element = dict
@@ -211,19 +211,6 @@ class HeckeAlgebra:
                 {(alpha, self.id): Fraction(1)})
             for k, v in piece.items():
                 _merge(out, k, c * v)
-        return out
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self, el: Element) -> list[dict]:
-        return [{"alpha": list(alpha), "w": list(w), "coeff": format_fraction(c)}
-                for (alpha, w), c in sorted(el.items())]
-
-    def from_json(self, data) -> Element:
-        out: Element = {}
-        for row in data:
-            _merge(out, (tuple(row["alpha"]), tuple(row["w"])),
-                   parse_fraction(row["coeff"]))
         return out
 
 

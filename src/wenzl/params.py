@@ -321,11 +321,9 @@ def schur_q(a: int, x) -> Fraction:
     return coeffs[a]
 
 
-def omega_from_u(u, a: int, r: int | None = None) -> Fraction:
-    """omega_a = q_{a+1}(u) - (1/2)(-1)^r q_a(u) + (1/2) delta_{a0}."""
-    if r is None:
-        r = len(u)
-    sign = -1 if r % 2 else 1
+def omega_from_u(u, a: int) -> Fraction:
+    """omega_a = q_{a+1}(u) - (1/2)(-1)^r q_a(u) + (1/2) delta_{a0}, r = len(u)."""
+    sign = -1 if len(u) % 2 else 1
     out = schur_q(a + 1, u) - HALF * sign * schur_q(a, u)
     if a == 0:
         out += HALF
@@ -377,7 +375,9 @@ class ParamSet:
     """Parameters (r, u) with the derived admissible sequence Omega.
 
     ``omega[a]`` is exact for 0 <= a <= N.  ``from_u`` sizes N from r and
-    the strand count n, enough for every check on n strands.  ``mode``
+    the strand count n.  No check on n strands reads Omega beyond index
+    r + 2 (the tower scalars come from the closed form of W_k), so N stays
+    for the ``omega`` command and the reports.  ``mode``
     records whether Omega was derived from u or supplied directly.
     """
 
@@ -394,7 +394,7 @@ class ParamSet:
         u = tuple(parse_fraction(x) for x in u)
         r = len(u)
         N = max(2 * r + 4 * max(n_hint, 1), min_N)
-        omega = tuple(omega_from_u(u, a, r) for a in range(N + 1))
+        omega = tuple(omega_from_u(u, a) for a in range(N + 1))
         return cls(r, u, omega, N)
 
     @classmethod
@@ -488,40 +488,24 @@ def _recursion_factor_rational(c: Fraction) -> RationalFunction:
 
 
 def wk_recursive_rational(t, k: int, ps: ParamSet) -> RationalFunction:
-    """The rational-function recursion along the first k - 1 steps of t."""
+    """One step of the recursion for W_k along t, taken from the closed form
+    W_{k-1}: F(c)(W_{k-1} + y - 1/2) - (y - 1/2), with c the content of step
+    k - 1 and F the recursion factor; W_1 itself when k = 1.  t may end at
+    step k - 1."""
     assert 1 <= k <= len(t) + 1
-    rf = w1_rational(ps)
+    if k == 1:
+        return w1_rational(ps)
     y_minus_half = RationalFunction(Poly((-HALF, Fraction(1))))
-    contents = combinat.content_sequence(t, ps.u)
-    for i in range(1, k):
-        rf = _recursion_factor_rational(contents[i - 1]) * (rf + y_minus_half) \
-            - y_minus_half
-    return rf
-
-
-def wk_recursive(t, k: int, ps: ParamSet, N: int | None = None) -> LaurentSeries:
-    """Same recursion on truncated series; each step costs a little truncation,
-    so the certified order of the result may sit above -N by 2(k-1)."""
-    if N is None:
-        N = ps.N
-    margin = 2 * (k - 1)
-    assert N + margin <= ps.N, (
-        f"stored Omega too short: need order {N + margin}, have {ps.N}")
-    s = w1_series(ps, N + margin)
-    contents = combinat.content_sequence(t, ps.u)
-    for i in range(1, k):
-        y = y_series(s.low)
-        factor = series_of_rational(_recursion_factor_rational(contents[i - 1]),
-                                    s.low)
-        s = factor * (s + y - HALF) - y + HALF
-    return s
+    c = combinat.content_sequence(t, ps.u)[k - 2]
+    return (_recursion_factor_rational(c)
+            * (wk_rational(t, k - 1, ps) + y_minus_half) - y_minus_half)
 
 
 def omega_k_values(t, k: int, ps: ParamSet, A: int) -> list[Fraction]:
-    """The scalars omega_k^{(a)}, a = 0..A, at position k along t: coefficients
-    of y^{-a} at infinity, produced by the truncated-series recursion (the
-    closed rational form is cross-checked elsewhere)."""
-    series = wk_recursive(t, k, ps, A)
+    """The scalars omega_k^{(a)}, a = 0..A, at position k along t: the
+    coefficients of y^{-a} in the expansion at infinity of the closed form
+    W_k, which depends only on the step-(k-1) shape of t; t may end there."""
+    series = series_of_rational(wk_rational(t, k, ps), -A)
     assert series.top <= 0, "W_k should be O(1) at infinity"
     return [series[-a] for a in range(A + 1)]
 

@@ -316,25 +316,26 @@ def check_module(S, E, X, ps: ParamSet) -> dict:
     return _relation_residuals(S, E, X, ps, len(X[0]))
 
 
-def tower_scalar_residual(rep: SeminormalRep) -> Fraction:
+def tower_scalars(ps: ParamSet, n: int) -> dict:
+    """omega_k^(a), 0 <= a <= r + 1, keyed by the shape mu before step k,
+    for every mu with |mu| <= n - 2 (every position k < n): the expansion at
+    infinity of the closed form of W at mu, taken once per shape."""
+    return {mu: params.omega_k_values(combinat.t_lambda(mu),
+                                      combinat.mp_size(mu) + 1, ps, ps.r + 1)
+            for size in range(n - 1)
+            for mu in combinat.multipartitions(ps.r, size)}
+
+
+def tower_scalar_residual(rep: SeminormalRep, scalars: dict) -> Fraction:
     """Residual of E_k X_k^a E_k = omega_k^(a) E_k for every position k and
-    0 <= a <= r + 1, the scalars taken from the truncated-series recursion.
-    The scalar depends only on the shape before step k, so it is applied
-    row by row."""
-    ps = rep.ps
-    order = ps.r + 1
+    0 <= a <= r + 1, with ``scalars`` from ``tower_scalars``.  The scalar
+    depends only on the shape before step k, so it is applied row by row."""
     worst = Fraction(0)
     for k in range(1, rep.n):
-        by_shape: dict = {}
-        rows = []
-        for t in rep.basis:
-            sh = _prev(t, k)
-            if sh not in by_shape:
-                by_shape[sh] = params.omega_k_values(t, k, ps, order)
-            rows.append(by_shape[sh])
+        rows = [scalars[_prev(t, k)] for t in rep.basis]
         Ek, Xk = rep.E[k - 1], rep.X[k - 1]
         P = _linalg.identity(rep.dim)
-        for a in range(order + 1):
+        for a in range(rep.ps.r + 2):
             M = _linalg.mat_mul(_linalg.mat_mul(Ek, P), Ek)
             for w, row, erow in zip(rows, M, Ek):
                 for x, e in zip(row, erow):
@@ -357,13 +358,15 @@ def adjointness_residual(rep: SeminormalRep) -> Fraction:
     return worst
 
 
-def verify_relations(rep: SeminormalRep) -> dict:
+def verify_relations(rep: SeminormalRep, scalars: dict) -> dict:
     """Exact residuals of the full defining-relation suite on a seminormal
     model, plus G-adjointness of every generator (``star-symmetry``) and the
-    blockwise scalar tower.  Every value is 0 for a genuine model."""
+    blockwise scalar tower against ``scalars`` (``tower_scalars`` of the
+    model's parameters and strand count).  Every value is 0 for a genuine
+    model."""
     res = _relation_residuals(rep.S, rep.E, rep.X, rep.ps, rep.dim)
     res["star-symmetry"] = adjointness_residual(rep)
-    res["tower-scalars"] = tower_scalar_residual(rep)
+    res["tower-scalars"] = tower_scalar_residual(rep, scalars)
     return res
 
 
@@ -389,8 +392,11 @@ def check_identities(ps: ParamSet, n: int) -> IdentityReport:
     is placed after t^mu, at k = |mu| + 1: the class and W identities once
     per mu with |mu| <= n - 2, the swap identities once per (mu, nu, rho)
     with rho != mu, the matching identities once per (mu, nu) with
-    |mu| <= n - 3.  ``w-recursion`` runs on every walk of fewer than n
-    steps, against W taken once per endpoint."""
+    |mu| <= n - 3.  ``w-recursion`` checks W_1 = W at the empty shape
+    (n >= 1) and one recursion step per lattice edge mu -> nu with
+    |mu| <= n - 2: the closed form at nu equals the step from the closed
+    form at mu.  By induction on the walk, the recursion from W_1 then
+    gives the closed form along every walk of fewer than n steps."""
     counts: dict[str, int] = {}
     failures: list[str] = []
 
@@ -399,22 +405,20 @@ def check_identities(ps: ParamSet, n: int) -> IdentityReport:
         if not ok:
             failures.append(f"{name}: {ctx}")
 
-    # the recursion matches the closed rational form at every level
-    w_at: dict = {}
-    for m in range(n):
-        for mu in combinat.reachable_shapes(ps.r, m):
-            for p in combinat.enumerate_updown(m, mu, ps.u):
-                if mu not in w_at:
-                    w_at[mu] = params.wk_rational(p, m + 1, ps)
-                rec = params.wk_recursive_rational(p, m + 1, ps)
-                record("w-recursion", w_at[mu] == rec, f"k={m + 1}, prefix={p}")
-
+    if n >= 1:
+        record("w-recursion", params.wk_rational((), 1, ps)
+               == params.wk_recursive_rational((), 1, ps), "k=1")
     y = params.RationalFunction(params.Poly.y_plus(0))
     for mu in (lam for size in range(n - 1)
                for lam in combinat.multipartitions(ps.r, size)):
         tmu = combinat.t_lambda(mu)
         k = len(tmu) + 1
         nbrs = combinat.neighbors(mu)
+        for nu in nbrs:
+            t = tmu + (nu,)
+            record("w-recursion", params.wk_rational(t, k + 1, ps)
+                   == params.wk_recursive_rational(t, k + 1, ps),
+                   f"k={k + 1}, prefix={t}")
         cls = [tmu + (nu, mu) for nu in nbrs]
         e = {m: e_diag(m, k, ps) for m in cls}
         c = {m: combinat.content_sequence(m, ps.u)[k - 1] for m in cls}
@@ -434,7 +438,7 @@ def check_identities(ps: ParamSet, n: int) -> IdentityReport:
                 record("class-sum-cross", lhs == Fraction(1, 2) / (csk * c[tp]),
                        f"s={s}, t'={tp}, k={k}")
         # partial fractions of W_k(y)/y over the class
-        w = w_at[mu]
+        w = params.wk_rational(tmu, k, ps)
         record("w-vanishes-at-zero", w(Fraction(0)) == 0, f"k={k}, prefix={tmu}")
         parts = sum(params.RationalFunction(
             params.Poly.const(e[m]), params.Poly.y_plus(-c[m])) for m in cls)

@@ -90,30 +90,6 @@ def word_for_monomial(m: RegularMonomial) -> Word:
     return tuple(letters)
 
 
-def word_to_json(word: Word) -> list[dict]:
-    out = []
-    for letter in word:
-        if letter[0] == "X":
-            out.append({"X": letter[1], "pow": letter[2]})
-        else:
-            out.append({letter[0]: letter[1]})
-    return out
-
-
-def word_from_json(data) -> Word:
-    letters = []
-    for item in data:
-        if "X" in item:
-            letters.append(("X", int(item["X"]), int(item.get("pow", 1))))
-        elif "S" in item:
-            letters.append(("S", int(item["S"])))
-        elif "E" in item:
-            letters.append(("E", int(item["E"])))
-        else:
-            raise ValueError(f"unknown letter {item!r}")
-    return tuple(letters)
-
-
 # -- the realization -----------------------------------------------------
 
 

@@ -2,7 +2,6 @@
 
 import itertools
 
-from wenzl import diagrams
 from wenzl.diagrams import (
     BrauerDiagram, compose, compose_word, contraction_diagram,
     double_factorial, enumerate_diagrams, generator_diagram,
@@ -118,9 +117,3 @@ def test_word_for_diagram_normal_form():
             first_e = kinds.index("E")
             last_e = len(kinds) - 1 - kinds[::-1].index("E")
             assert all(k == "E" for k in kinds[first_e:last_e + 1])
-
-
-def test_json_round_trip():
-    for g in enumerate_diagrams(3):
-        data = diagrams.diagram_to_json(g)
-        assert diagrams.diagram_from_json(3, data) == g

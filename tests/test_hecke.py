@@ -100,12 +100,6 @@ def test_star_is_an_antiinvolution():
                     == H.multiply(H.star(b), H.star(a)))
 
 
-def test_element_json_round_trip():
-    H = _alg(2, 3)
-    el = H.multiply(H.gen_T(1), H.gen_Y(2))
-    assert H.from_json(H.to_json(el)) == el
-
-
 def test_murphy_basis_ranks():
     for r, n in ((1, 2), (2, 2), (1, 3)):
         H = _alg(r, n)

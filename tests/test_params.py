@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from wenzl import combinat, params
 from wenzl.params import (
     LaurentSeries, ParamSet, Poly, RationalFunction, brauer_omega_sequence,
@@ -128,16 +130,32 @@ def test_w1_identities():
         assert params.w1_product_identity_check(ps)
 
 
-def test_wk_series_matches_rational():
-    ps = ParamSet.default(2, 3)
-    for lam in combinat.reachable_shapes(2, 2):
-        for t in combinat.enumerate_updown(2, lam):
-            for k in (1, 2):
-                order = ps.N - 2 * (k - 1)
-                series = params.wk_recursive(t, k, ps, order)
-                rf = params.wk_rational(t, k, ps)
-                expanded = params.series_of_rational(rf, series.low)
-                assert series.agrees_with(expanded, series.low)
+def _walk_recursion(t, k, ps):
+    """Reference W_k: the rational recursion from W_1 along the first
+    k - 1 steps of t, num/den unreduced."""
+    rf = params.w1_rational(ps)
+    y_minus_half = RationalFunction(Poly((-F(1, 2), F(1))))
+    for c in combinat.content_sequence(t, ps.u)[:k - 1]:
+        rf = params._recursion_factor_rational(c) * (rf + y_minus_half) \
+            - y_minus_half
+    return rf
+
+
+@pytest.mark.parametrize("r,n", [(2, 3), (1, 4)])
+def test_wk_rational_matches_walk_recursion(r, n):
+    # every walk of fewer than n steps, t ending at step k - 1
+    ps = ParamSet.default(r, n)
+    A = ps.r + 1
+    walks = [(t, m + 1) for m in range(n)
+             for lam in combinat.reachable_shapes(r, m)
+             for t in combinat.enumerate_updown(m, lam, ps.u)]
+    for t, k in walks:
+        ref = _walk_recursion(t, k, ps)
+        assert params.wk_rational(t, k, ps) == ref, t
+        assert params.wk_recursive_rational(t, k, ps) == ref, t
+        expanded = params.series_of_rational(ref, -A)
+        assert params.omega_k_values(t, k, ps, A) == [expanded[-a]
+                                                      for a in range(A + 1)]
 
 
 def test_w1_is_w_at_the_empty_shape():
@@ -151,6 +169,7 @@ def test_w1_is_w_at_the_empty_shape():
 def test_wk_rational_at_colliding_shape():
     # at r = 1, u = 1/2 the shape (1) has an addable and a removable node of
     # content -1/2; the unreduced closed form still equals the recursion
+    # along the walk, one step of it, and its expansion gives the scalars
     ps = ParamSet.from_u((F(1, 2),), n_hint=2)
     lam = ((1,),)
     contents = [c for _, c, _ in combinat.addable_removable(lam, ps.u)]
@@ -159,11 +178,13 @@ def test_wk_rational_at_colliding_shape():
         for t in combinat.enumerate_updown(2, shape, ps.u):
             assert t[0] == lam
             direct = params.wk_rational(t, 2, ps)
+            ref = _walk_recursion(t, 2, ps)
+            assert direct == ref
             assert direct == params.wk_recursive_rational(t, 2, ps)
             assert direct(F(0)) == 0
-            series = params.wk_recursive(t, 2, ps, ps.N - 2)
-            expanded = params.series_of_rational(direct, series.low)
-            assert series.agrees_with(expanded, series.low)
+            expanded = params.series_of_rational(ref, -4)
+            assert params.omega_k_values(t, 2, ps, 4) == [expanded[-a]
+                                                          for a in range(5)]
 
 
 def test_omega_k_values_at_first_position():

@@ -9,7 +9,7 @@ from wenzl.params import ParamSet
 from wenzl.seminormal import (
     RELATION_FAMILIES, branching_blocks, build_all, check_identities,
     check_module, module_contraction_free, module_nonsplit, module_rank_one,
-    module_residue_family, returns_at, verify_relations,
+    module_residue_family, returns_at, tower_scalars, verify_relations,
 )
 
 F = Fraction
@@ -65,8 +65,9 @@ def test_generators_are_symmetric():
 
 def test_relation_suite_2_3():
     ps = ParamSet.default(2, 3)
+    scalars = tower_scalars(ps, 3)
     for rep in build_all(ps, 3):
-        res = verify_relations(rep)
+        res = verify_relations(rep, scalars)
         assert set(res) == set(RELATION_FAMILIES) | {"star-symmetry",
                                                      "tower-scalars"}
         for family, value in res.items():
@@ -75,8 +76,9 @@ def test_relation_suite_2_3():
 
 def test_relation_suite_low_precision_still_passes():
     ps = ParamSet.default(2, 2)
+    scalars = tower_scalars(ps, 2)
     for rep in build_all(ps, 2):
-        for family, value in verify_relations(rep).items():
+        for family, value in verify_relations(rep, scalars).items():
             assert value == 0
 
 
@@ -142,9 +144,12 @@ def test_identity_suite_checks_each_window_once(r, n):
     report = check_identities(ps, n)
     assert report.ok
     seen = _visited_windows(ps, n)
-    walks = sum(combinat.count_updown(m, lam) for m in range(n)
-                for lam in combinat.reachable_shapes(r, m))
-    assert report.counts == {"w-recursion": walks,
+    # W_1 once, then one recursion step per distinct last edge of a walk
+    last_edges = {(t[m - 2] if m >= 2 else combinat.empty_mp(r), t[m - 1])
+                  for m in range(1, n)
+                  for lam in combinat.reachable_shapes(r, m)
+                  for t in combinat.enumerate_updown(m, lam, ps.u)}
+    assert report.counts == {"w-recursion": 1 + len(last_edges),
                              **{name: len(keys) for name, keys in seen.items()}}
 
 

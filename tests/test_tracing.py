@@ -4,6 +4,7 @@ lists must exist, be called, and come back unpatched."""
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 from wenzl.cli import main
@@ -28,7 +29,15 @@ def test_tracer_targets_resolve_and_restore(tmp_path):
     originals = [inspect.getattr_static(_owner(module, cls), attr)
                  for _, module, cls, attr, _ in tracing.TARGETS]
     tracer = tracing.Tracer()
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
     tracer.install()
+    previous = sys.getprofile()
+    sys.setprofile(profile)
     try:
         for (_, module, cls, attr, _), raw in zip(tracing.TARGETS, originals):
             assert inspect.getattr_static(_owner(module, cls), attr) is not raw
@@ -41,6 +50,7 @@ def test_tracer_targets_resolve_and_restore(tmp_path):
         assert traced_main(["cellrank", "--r", "1", "--n", "2",
                             "--out", str(tmp_path / "cell.jsonl")]) == 0
     finally:
+        sys.setprofile(previous)
         tracer.uninstall()
     for (_, module, cls, attr, _), raw in zip(tracing.TARGETS, originals):
         assert inspect.getattr_static(_owner(module, cls), attr) is raw
@@ -51,3 +61,7 @@ def test_tracer_targets_resolve_and_restore(tmp_path):
             "seminormal.identities"} <= names
     # together the three jobs reach every traced name
     assert set(tracing.SPAN_NAMES) <= names
+    # and each target on its own, not only one of those sharing its name
+    for (name, module, cls, attr, _), raw in zip(tracing.TARGETS, originals):
+        fn = raw.__func__ if isinstance(raw, classmethod) else raw
+        assert fn.__code__ in entered, (name, module, cls, attr)

@@ -11,8 +11,7 @@ from wenzl.wcell import (
     cellular_element, cellular_rank_report, contraction_chain,
     contraction_murphy_commute_residual, enumerate_r_regular,
     filtration_index, hecke_pairing_residual, murphy_words, rank_report,
-    star_word_sum, word_for_monomial, word_from_json, word_sum_mul,
-    word_to_json,
+    star_word_sum, word_for_monomial, word_sum_mul,
 )
 
 F = Fraction
@@ -55,7 +54,6 @@ def test_monomial_support_rules():
 def test_monomial_degree_and_words():
     for m in enumerate_r_regular(2, 2):
         word = word_for_monomial(m)
-        assert word_from_json(word_to_json(word)) == word
         x_power = sum(letter[2] for letter in word if letter[0] == "X")
         assert x_power == m.degree
 
