@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,6 +75,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--order", type=int, default=8,
                     help="largest scalar index to report (default 8)")
     return p
+
+
+def _join_negative_roots(argv: list[str]) -> list[str]:
+    """Write ``--u -3,9`` as ``--u=-3,9``.  argparse takes a value that
+    starts with ``-`` for an option unless it is a plain negative number, so
+    roots whose first entry is negative parse only in the ``=`` form."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--u" and re.match(r"-[0-9.]", arg):
+            out[-1] = "--u=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _parse_u(parser, text: str) -> tuple[Fraction, ...]:
@@ -242,7 +256,8 @@ COMMANDS = {"counts": cmd_counts, "verify": cmd_verify, "gram": cmd_gram,
 
 
 def main(argv=None) -> int:
-    cfg = _resolve(_build_parser().parse_args(argv))
+    argv = sys.argv[1:] if argv is None else argv
+    cfg = _resolve(_build_parser().parse_args(_join_negative_roots(argv)))
     # omega reports scalars up to --order, so it stores at least that many
     ps = ParamSet.from_u(cfg.u, n_hint=cfg.n, min_N=cfg.order or 0)
     meta = ps.as_json()

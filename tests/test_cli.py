@@ -242,6 +242,17 @@ def test_byte_identical_reruns(tmp_path):
         for path in (a, b):
             assert main([*args, "--out", str(path)]) == 0
         assert a.read_bytes() == b.read_bytes()
+    # roots whose first entry is negative: the space-separated form gives the
+    # same report as the "=" form
+    for args, u in ((["verify", "--n", "2"], "-3,9"),
+                    (["omega", "--r", "1"], "-3/2"),
+                    (["gram", "--shape", "(1|1)"], "-1,5")):
+        a = tmp_path / f"{args[0]}-space.jsonl"
+        b = tmp_path / f"{args[0]}-equals.jsonl"
+        assert main([*args, "--u", u, "--out", str(a)]) == 0
+        assert main([*args, "--u=" + u, "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert json.loads(a.read_text().splitlines()[-1])["ps"]["u"][0] == u.split(",")[0]
 
 
 def test_edge_inputs_end_in_records(tmp_path):
@@ -280,7 +291,12 @@ def test_usage_errors():
                  ["verify", "--precision", "16"],
                  ["omega", "--order", "-1"],
                  # --trunc no longer exists: (r, u, n) fix every job
-                 ["verify", "--n", "3", "--trunc", "0"]):
+                 ["verify", "--n", "3", "--trunc", "0"],
+                 # --u still needs a value, and a negative one must parse
+                 ["verify", "--u"],
+                 ["verify", "--u", "--n", "2"],
+                 ["verify", "--u", "-x"],
+                 ["verify", "--u", "-3,y"]):
         with pytest.raises(SystemExit) as exc:
             main(args)
         assert exc.value.code == 2

@@ -101,12 +101,23 @@ def test_star_is_an_antiinvolution():
 
 
 def test_murphy_basis_ranks():
-    for r, n in ((1, 2), (2, 2), (1, 3)):
-        H = _alg(r, n)
+    # the sizes gram runs, at a stream-like fractional root set too; with
+    # more than one root the coordinate matrix has denominators.  The
+    # coordinates of the i-th basis element are the i-th unit vector
+    algebras = [_alg(r, n) for r, n in ((1, 2), (2, 2), (1, 3))]
+    for r, n in ((3, 2), (1, 4), (2, 3)):
+        u = tuple(8 * x + F(2, 7) for x in combinat.default_u(r, n))
+        algebras.append(HeckeAlgebra(ParamSet.from_u(u, n_hint=n), n))
+    for H in algebras:
+        r, n = H.ps.r, H.n
         mb = MurphyBasis(H)
-        want = r ** n * [1, 1, 2, 6][n]
+        want = r ** n * [1, 1, 2, 6, 24][n]
         assert len(mb.keys) == want
         assert mb.rank() == want
+        if r > 1 and H.ps.u[0].denominator > 1:
+            assert any(x.denominator > 1 for row in mb.matrix for x in row)
+        for i, el in enumerate(mb.elements):
+            assert mb.coords(el) == [int(i == j) for j in range(want)], (r, n, i)
 
 
 def test_murphy_star_symmetry():
