@@ -1,17 +1,19 @@
-"""Exact linear algebra over Fraction.
+"""Exact linear algebra over Fraction on sparse rows.
 
-Matrices are lists of row lists, and products and sums stay dense.
-``rank``, ``det``, ``inverse`` and ``solve`` take and return the same dense
-lists, but share one sparse elimination (``_eliminate``) that holds each row
-as a dict ``{column: Fraction}`` of its nonzero entries.  Columns are
-eliminated left to right.  The pivot of a column is, among the rows not yet
-used as pivots that hold it, the one with the fewest nonzeros; the lowest
-row index breaks ties, so every run takes the same pivots.  Only rows that
-hold the column are updated, only at the pivot row's nonzeros, and entries
-that cancel are dropped, so the work follows the nonzeros rather than the
-matrix size.  ``rank`` and ``det`` clear each column from the rows not yet
-pivoted; ``inverse`` and ``solve`` clear it from every other row
-(Gauss-Jordan).
+A matrix is a list of rows, and each row is a dict ``{column: Fraction}``
+of its nonzero entries; a vector is one such row.  No operation stores a
+zero, so the form is canonical and ``==`` is matrix equality.  The column
+count is not stored: an operation reads only the entries that are there.
+
+``rank``, ``det`` and ``inverse`` share one elimination (``_eliminate``) on
+copies of the input rows.  Columns are eliminated left to right.  The pivot
+of a column is, among the rows not yet used as pivots that hold it, the one
+with the fewest nonzeros; the lowest row index breaks ties, so every run
+takes the same pivots.  Only rows that hold the column are updated, only at
+the pivot row's nonzeros, and entries that cancel are dropped, so the work
+follows the nonzeros rather than the matrix size.  ``rank`` and ``det``
+clear each column from the rows not yet pivoted; ``inverse`` clears it from
+every other row (Gauss-Jordan).
 """
 
 from __future__ import annotations
@@ -19,83 +21,94 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def zeros(m: int, n: int) -> list[list[Fraction]]:
-    return [[Fraction(0)] * n for _ in range(m)]
+def zeros(m: int) -> list[dict]:
+    return [{} for _ in range(m)]
 
 
-def identity(n: int) -> list[list[Fraction]]:
-    out = zeros(n, n)
-    for i in range(n):
-        out[i][i] = Fraction(1)
+def diagonal(values) -> list[dict]:
+    return [{i: Fraction(v)} if v else {} for i, v in enumerate(values)]
+
+
+def identity(n: int) -> list[dict]:
+    return [{i: Fraction(1)} for i in range(n)]
+
+
+def from_dense(a) -> list[dict]:
+    """The rows of a list-of-lists matrix, for fixtures written out densely."""
+    return [{j: Fraction(x) for j, x in enumerate(row) if x} for row in a]
+
+
+def _merge_row(row: dict, entries) -> dict:
+    out = dict(row)
+    for j, y in entries:
+        x = out.get(j)
+        if x is None:
+            out[j] = y
+        else:
+            x += y
+            if x:
+                out[j] = x
+            else:
+                del out[j]
     return out
 
 
 def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [_merge_row(ra, rb.items()) for ra, rb in zip(a, b)]
 
 
 def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [_merge_row(ra, ((j, -y) for j, y in rb.items())) for ra, rb in zip(a, b)]
 
 
 def mat_scale(a, c):
     c = Fraction(c)
-    return [[x * c for x in row] for row in a]
+    if not c:
+        return zeros(len(a))
+    return [{j: x * c for j, x in row.items()} for row in a]
 
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    assert all(len(row) == k for row in a)
-    out = zeros(n, m)
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c:
-                bt = b[t]
-                for j in range(m):
-                    if bt[j]:
-                        oi[j] += c * bt[j]
+    out = []
+    for ai in a:
+        oi: dict = {}
+        for t, c in ai.items():
+            for j, y in b[t].items():
+                x = oi.get(j)
+                oi[j] = c * y if x is None else x + c * y
+        out.append({j: x for j, x in oi.items() if x})
     return out
 
 
-def transpose(a):
-    return [list(col) for col in zip(*a)]
+def max_abs(a) -> Fraction:
+    return max((abs(x) for row in a for x in row.values()), default=Fraction(0))
 
 
-def is_zero(a) -> bool:
-    return all(x == 0 for row in a for x in row)
-
-
-def _sparse(a, extra=()):
-    """The nonzero entries of each row of a, as dicts; row i also gets the
-    entries extra[i]."""
-    rows = [{j: Fraction(x) for j, x in enumerate(row) if x} for row in a]
-    for row, more in zip(rows, extra):
-        row.update(more)
-    return rows
-
-
-def _eliminate(rows, ncols, jordan=False):
-    """Eliminate in place on dict rows, pivoting on the columns below ncols.
+def _eliminate(rows, augmented=None):
+    """Eliminate in place on rows.
 
     Each pivot row is scaled to 1 at its column, and that column is cleared
-    from the rows not yet pivoted, which is all ``rank`` and ``det`` need;
-    with ``jordan`` it is cleared from every other row (Gauss-Jordan), so
-    each pivot row ends up holding no other pivot column.  Returns the pivots
+    from the rows not yet pivoted, which is all ``rank`` and ``det`` need.
+    With ``augmented`` = n, the columns from n on hold an appended identity:
+    only the columns below n are pivoted, and each is cleared from every
+    other row (Gauss-Jordan), so each pivot row ends up holding no other
+    pivot column and, from n on, its row of the inverse.  Returns the pivots
     as (column, row, value before scaling), in column order.
     """
-    holders = {}
+    holders: dict = {}
     for i, row in enumerate(rows):
         for j in row:
             holders.setdefault(j, set()).add(i)
+    jordan = augmented is not None
+    # a row gains entries only at columns of a pivot row, which are already
+    # held, so the pivot columns are known up front
+    columns = sorted(c for c in holders if not jordan or c < augmented)
     used = set()
     pivots = []
-    for c in range(ncols):
+    for c in columns:
         if len(used) == len(rows):
             break
-        cands = [i for i in holders.get(c, ()) if i not in used]
+        cands = [i for i in holders[c] if i not in used]
         if not cands:
             continue
         p = min(cands, key=lambda i: (len(rows[i]), i))
@@ -115,7 +128,7 @@ def _eliminate(rows, ncols, jordan=False):
                 x = row.get(j)
                 if x is None:
                     row[j] = -f * y
-                    holders.setdefault(j, set()).add(i)
+                    holders[j].add(i)
                 else:
                     x -= f * y
                     if x:
@@ -142,15 +155,13 @@ def _sign(perm) -> int:
 
 
 def rank(a) -> int:
-    if not a:
-        return 0
-    return len(_eliminate(_sparse(a), len(a[0])))
+    return len(_eliminate([dict(row) for row in a]))
 
 
 def det(a) -> Fraction:
     n = len(a)
-    assert all(len(row) == n for row in a), "determinant needs a square matrix"
-    pivots = _eliminate(_sparse(a), n)
+    assert all(j < n for row in a for j in row), "determinant needs a square matrix"
+    pivots = _eliminate([dict(row) for row in a])
     if len(pivots) < n:
         return Fraction(0)
     # the pivot of column c sits in row perm[c], and clearing does not change
@@ -161,31 +172,13 @@ def det(a) -> Fraction:
     return out
 
 
-def inverse(a) -> list[list[Fraction]]:
+def inverse(a) -> list[dict]:
     n = len(a)
-    assert all(len(row) == n for row in a), "inverse needs a square matrix"
-    rows = _sparse(a, ({n + i: Fraction(1)} for i in range(n)))
-    pivots = _eliminate(rows, n, jordan=True)
+    assert all(j < n for row in a for j in row), "inverse needs a square matrix"
+    rows = [{**row, n + i: Fraction(1)} for i, row in enumerate(a)]
+    pivots = _eliminate(rows, n)
     assert len(pivots) == n, "matrix is singular"
-    out = zeros(n, n)
+    out = zeros(n)
     for c, p, _ in pivots:
-        for j, x in rows[p].items():
-            if j >= n:
-                out[c][j - n] = x
+        out[c] = {j - n: x for j, x in rows[p].items() if j >= n}
     return out
-
-
-def solve(a, rhs) -> list[Fraction] | None:
-    """One solution x of a x = rhs, or None when the system is inconsistent.
-    Free variables are set to zero."""
-    m = len(a)
-    n = len(a[0]) if a else 0
-    assert m == len(rhs)
-    rows = _sparse(a, ({n: Fraction(v)} if v else {} for v in rhs))
-    pivots = _eliminate(rows, n + 1, jordan=True)
-    if any(c == n for c, _, _ in pivots):
-        return None
-    x = [Fraction(0)] * n
-    for c, p, _ in pivots:
-        x[c] = rows[p].get(n, Fraction(0))
-    return x

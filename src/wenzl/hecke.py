@@ -263,27 +263,21 @@ class MurphyBasis:
                     self.triples.append((lam, s, t))
                     self.elements.append(murphy_element(H, s, t))
         self.triple_index = {tr: i for i, tr in enumerate(self.triples)}
-        self.matrix = _linalg.zeros(len(self.keys), len(self.triples))
-        for col, el in enumerate(self.elements):
-            for key, c in el.items():
-                self.matrix[self.key_index[key]][col] = c
+        # row i holds the coefficients of element i, by key index
+        self.matrix = [{self.key_index[key]: c for key, c in el.items()}
+                       for el in self.elements]
         self._inv = None
 
     def rank(self) -> int:
         return _linalg.rank(self.matrix)
 
-    def vec(self, el: Element) -> list[Fraction]:
-        v = [Fraction(0)] * len(self.keys)
-        for key, c in el.items():
-            v[self.key_index[key]] = c
-        return v
-
-    def coords(self, el: Element) -> list[Fraction]:
+    def coords(self, el: Element) -> dict:
+        """The nonzero coordinates of el by triple index: the row vector x
+        with x · matrix = el, read off the inverse rows of el's keys."""
         if self._inv is None:
             self._inv = _linalg.inverse(self.matrix)
-        support = [(self.key_index[key], c) for key, c in el.items()]
-        return [sum((row[j] * c for j, c in support), Fraction(0))
-                for row in self._inv]
+        vec = {self.key_index[key]: c for key, c in el.items()}
+        return _linalg.mat_mul([vec], self._inv)[0]
 
 
 def murphy_triangular_report(H: HeckeAlgebra, mb: MurphyBasis) -> list[str]:
@@ -296,10 +290,7 @@ def murphy_triangular_report(H: HeckeAlgebra, mb: MurphyBasis) -> list[str]:
         contents = combinat.content_sequence(s, H.ps.u)
         for k in range(1, H.n + 1):
             prod = H.multiply(H.gen_Y(k), el)
-            x = mb.coords(prod)
-            for idx, c in enumerate(x):
-                if not c:
-                    continue
+            for idx, c in mb.coords(prod).items():
                 mu, a, b = mb.triples[idx]
                 if mu != lam:
                     if combinat.dominance_mp(mu, lam) and mu != lam:
@@ -383,11 +374,8 @@ def gram_entry(H: HeckeAlgebra, mb: MurphyBasis, lam, s, t) -> Fraction:
     tl = combinat.t_lambda(lam)
     m = mb.elements
     prod = H.multiply(m[mb.triple_index[lam, tl, s]], m[mb.triple_index[lam, t, tl]])
-    x = mb.coords(prod)
     value = Fraction(0)
-    for idx, c in enumerate(x):
-        if not c:
-            continue
+    for idx, c in mb.coords(prod).items():
         mu, a, b = mb.triples[idx]
         if mu == lam:
             if (a, b) == (tl, tl):
@@ -401,9 +389,11 @@ def gram_entry(H: HeckeAlgebra, mb: MurphyBasis, lam, s, t) -> Fraction:
     return value
 
 
-def gram_matrix(H: HeckeAlgebra, mb: MurphyBasis, lam) -> list[list[Fraction]]:
+def gram_matrix(H: HeckeAlgebra, mb: MurphyBasis, lam) -> list[dict]:
+    """The cell form on the standard tableaux of lam, as sparse rows."""
     stds = combinat.standard_tableaux(lam)
-    return [[gram_entry(H, mb, lam, s, t) for t in stds] for s in stds]
+    return [{j: x for j, t in enumerate(stds) if (x := gram_entry(H, mb, lam, s, t))}
+            for s in stds]
 
 
 def gram_det(H: HeckeAlgebra, mb: MurphyBasis, lam) -> Fraction:

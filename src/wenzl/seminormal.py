@@ -73,10 +73,10 @@ class SeminormalRep:
     """Generator matrices over the updown basis of one shape.
 
     S[i-1], E[i-1] act at position i (1 <= i < n); X[j-1] is diagonal with
-    the step-j contents.  All matrices are exact Fraction row lists: the
-    symmetric orthonormal model conjugated by diag(sqrt(gamma)), so every
-    generator M satisfies gamma[i] M[i][j] = M[j][i] gamma[j], with every
-    gamma[i] > 0.
+    the step-j contents.  All matrices are ``_linalg`` sparse rows of exact
+    Fractions: the symmetric orthonormal model conjugated by
+    diag(sqrt(gamma)), so every generator M satisfies
+    gamma[i] M[i][j] = M[j][i] gamma[j], with every gamma[i] > 0.
     """
 
     ps: ParamSet
@@ -91,6 +91,11 @@ class SeminormalRep:
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    def x_power(self, j: int, p: int) -> list[dict]:
+        """X_j^p: the diagonal of the step-j contents to the p (0**0 == 1)."""
+        return _linalg.diagonal(row.get(i, 0) ** p
+                                for i, row in enumerate(self.X[j - 1]))
 
 
 def _rational_sqrt(x: Fraction) -> Fraction | None:
@@ -200,20 +205,17 @@ def build_rep(ps: ParamSet, n: int, shape) -> SeminormalRep:
     d = len(basis)
     contents = {t: combinat.content_sequence(t, ps.u) for t in basis}
 
-    X = []
-    for j in range(1, n + 1):
-        M = _linalg.zeros(d, d)
-        for t, i in idx.items():
-            M[i][i] = Fraction(contents[t][j - 1])
-        X.append(M)
+    X = [_linalg.diagonal(contents[t][j - 1] for t in basis)
+         for j in range(1, n + 1)]
 
     entries = [_orthonormal_entries(ps, k, idx, contents) for k in range(1, n)]
     gamma = _gamma(d, [off for pair in entries for _, off in pair])
 
     def rational(name: str, k: int, diag: dict, off: dict):
-        M = _linalg.zeros(d, d)
+        M = _linalg.zeros(d)
         for i, v in diag.items():
-            M[i][i] = v
+            if v:
+                M[i][i] = v
         for (i, j), (sign, sq) in off.items():
             root = _rational_sqrt(sq * gamma[j] / gamma[i])
             if root is None:
@@ -251,8 +253,8 @@ RELATION_FAMILIES = (
 
 def _relation_residuals(S, E, X, ps: ParamSet, d: int) -> dict:
     """Exact max-abs residual of every defining relation family for d x d
-    Fraction matrices S_1..S_{n-1}, E_1..E_{n-1}, X_1..X_n.  Unwrapping is
-    checked for X_1^a, 0 <= a <= min(N, r + 2)."""
+    matrices S_1..S_{n-1}, E_1..E_{n-1}, X_1..X_n, given as ``_linalg``
+    sparse rows.  Unwrapping is checked for X_1^a, 0 <= a <= min(N, r + 2)."""
     n = len(X)
     assert len(S) == len(E) == max(n - 1, 0)
     mul, add, sub = _linalg.mat_mul, _linalg.mat_add, _linalg.mat_sub
@@ -261,7 +263,7 @@ def _relation_residuals(S, E, X, ps: ParamSet, d: int) -> dict:
     res: dict = {name: Fraction(0) for name in RELATION_FAMILIES}
 
     def upd(name, M):
-        res[name] = max(res[name], *(abs(x) for row in M for x in row))
+        res[name] = max(res[name], _linalg.max_abs(M))
 
     for i in range(1, n):
         Si, Ei = S[i - 1], E[i - 1]
@@ -311,8 +313,9 @@ def _relation_residuals(S, E, X, ps: ParamSet, d: int) -> dict:
 
 
 def check_module(S, E, X, ps: ParamSet) -> dict:
-    """Exact relation residuals for a module given by Fraction matrices with
-    at least one X.  Every value should be Fraction(0) for a genuine module."""
+    """Exact relation residuals for a module given by ``_linalg`` sparse rows,
+    with at least one X.  Every value should be Fraction(0) for a genuine
+    module."""
     return _relation_residuals(S, E, X, ps, len(X[0]))
 
 
@@ -329,18 +332,17 @@ def tower_scalars(ps: ParamSet, n: int) -> dict:
 def tower_scalar_residual(rep: SeminormalRep, scalars: dict) -> Fraction:
     """Residual of E_k X_k^a E_k = omega_k^(a) E_k for every position k and
     0 <= a <= r + 1, with ``scalars`` from ``tower_scalars``.  The scalar
-    depends only on the shape before step k, so it is applied row by row."""
+    depends only on the shape before step k, so the right side is E_k
+    scaled row by row: diag(omega^(a) of each row) E_k."""
     worst = Fraction(0)
+    mul = _linalg.mat_mul
     for k in range(1, rep.n):
         rows = [scalars[_prev(t, k)] for t in rep.basis]
-        Ek, Xk = rep.E[k - 1], rep.X[k - 1]
-        P = _linalg.identity(rep.dim)
+        Ek = rep.E[k - 1]
         for a in range(rep.ps.r + 2):
-            M = _linalg.mat_mul(_linalg.mat_mul(Ek, P), Ek)
-            for w, row, erow in zip(rows, M, Ek):
-                for x, e in zip(row, erow):
-                    worst = max(worst, abs(x - w[a] * e))
-            P = _linalg.mat_mul(P, Xk)
+            lhs = mul(mul(Ek, rep.x_power(k, a)), Ek)
+            rhs = mul(_linalg.diagonal(w[a] for w in rows), Ek)
+            worst = max(worst, _linalg.max_abs(_linalg.mat_sub(lhs, rhs)))
     return worst
 
 
@@ -352,9 +354,9 @@ def adjointness_residual(rep: SeminormalRep) -> Fraction:
     g = rep.gamma
     worst = max((1 - x for x in g if x <= 0), default=Fraction(0))
     for M in (*rep.S, *rep.E, *rep.X):
-        for i in range(rep.dim):
-            for j in range(i):
-                worst = max(worst, abs(g[i] * M[i][j] - M[j][i] * g[j]))
+        for i, row in enumerate(M):
+            for j, x in row.items():
+                worst = max(worst, abs(g[i] * x - M[j].get(i, 0) * g[j]))
     return worst
 
 
@@ -513,10 +515,10 @@ def branching_blocks(rep: SeminormalRep) -> dict:
             block_of[i] = mu
     off = Fraction(0)
     for M in (*rep.S[:n - 2], *rep.E[:n - 2], *rep.X[:n - 1]):
-        for i in range(rep.dim):
-            for j in range(rep.dim):
+        for i, row in enumerate(M):
+            for j, x in row.items():
                 if block_of[i] != block_of[j]:
-                    off = max(off, abs(M[i][j]))
+                    off = max(off, abs(x))
     return {
         "sizes": {mu: len(ix) for mu, ix in groups.items()},
         "sizes_ok": sizes_ok,
@@ -536,19 +538,19 @@ class ModuleFixture(NamedTuple):
     ps: ParamSet
 
 
+def _fixture(S, E, X1, X2, ps: ParamSet) -> ModuleFixture:
+    """A two-strand module from its matrices written out densely."""
+    dense = _linalg.from_dense
+    return ModuleFixture([dense(S)], [dense(E)], [dense(X1), dense(X2)], ps)
+
+
 def module_rank_one(u1=Fraction(2), sign: int = 1) -> ModuleFixture:
     """One-dimensional module at r = 1: the contraction acts by zero, the
     swap by +-1, and the second eigenvalue sits one step away."""
     assert sign in (1, -1)
     u1 = Fraction(u1)
     ps = ParamSet.from_u((u1,), n_hint=2)
-    F = Fraction
-    return ModuleFixture(
-        S=[[[F(sign)]]],
-        E=[[[F(0)]]],
-        X=[[[u1]], [[u1 + sign]]],
-        ps=ps,
-    )
+    return _fixture([[sign]], [[0]], [[u1]], [[u1 + sign]], ps)
 
 
 def module_contraction_free() -> ModuleFixture:
@@ -560,7 +562,7 @@ def module_contraction_free() -> ModuleFixture:
     E = [[F(0), F(0)], [F(0), F(0)]]
     X1 = [[F(3), F(0)], [F(0), F(1)]]
     X2 = [[F(1), F(0)], [F(0), F(3)]]
-    return ModuleFixture([S], [E], [X1, X2], ps)
+    return _fixture(S, E, X1, X2, ps)
 
 
 def module_nonsplit() -> ModuleFixture:
@@ -575,7 +577,7 @@ def module_nonsplit() -> ModuleFixture:
     E = [[F(1), F(0)], [F(0), F(0)]]
     X1 = [[F(0), q], [-q, F(1, 2)]]
     X2 = [[F(0), -q], [q, F(-1, 2)]]
-    return ModuleFixture([S], [E], [X1, X2], ps)
+    return _fixture(S, E, X1, X2, ps)
 
 
 def module_residue_family(v) -> ModuleFixture:
@@ -587,18 +589,9 @@ def module_residue_family(v) -> ModuleFixture:
     g = params.ene0_gammas(v)
     omega = [params.omega_residue_form(v, a) for a in range(d + 3)]
     ps = ParamSet.with_omega(v, omega)
-    F = Fraction
-    E = [[g[i] for i in range(d)] for _ in range(d)]
-    S = _linalg.zeros(d, d)
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                S[i][i] = (g[i] - 1) / (2 * v[i])
-            else:
-                S[j][i] = g[i] / (v[i] + v[j])
-    X1 = _linalg.zeros(d, d)
-    X2 = _linalg.zeros(d, d)
-    for i in range(d):
-        X1[i][i] = v[i]
-        X2[i][i] = -v[i]
-    return ModuleFixture([S], [E], [X1, X2], ps)
+    E = [[g[j] for j in range(d)] for _ in range(d)]
+    S = [[(g[j] - 1) / (2 * v[j]) if i == j else g[j] / (v[i] + v[j])
+          for j in range(d)] for i in range(d)]
+    X1 = [[v[i] if i == j else 0 for j in range(d)] for i in range(d)]
+    X2 = [[-v[i] if i == j else 0 for j in range(d)] for i in range(d)]
+    return _fixture(S, E, X1, X2, ps)

@@ -97,12 +97,13 @@ class Realization:
     """Every generator as one exact block per reachable shape.
 
     ``reps`` holds the rational seminormal models, built once; words are
-    evaluated on them with Fraction matrices.  The flattened entries of all
-    blocks of an evaluated word form a vector of length r^n (2n-1)!!, and
-    rank of a word family is the exact rank of those vectors over Q.  Each
-    block is the orthonormal model conjugated by diag(sqrt(gamma)), which
-    scales each entry by a fixed nonzero factor, so that rank is also the
-    rank of the family in the orthonormal model.
+    evaluated on them as ``_linalg`` sparse rows.  The entries of all blocks
+    of an evaluated word, placed block after block and row after row, form
+    a sparse vector of length r^n (2n-1)!!, and rank of a word family is
+    the exact rank of those vectors over Q.  Each block is the orthonormal
+    model conjugated by diag(sqrt(gamma)), which scales each entry by a
+    fixed nonzero factor, so that rank is also the rank of the family in
+    the orthonormal model.
     """
 
     def __init__(self, ps: ParamSet, n: int):
@@ -122,15 +123,10 @@ class Realization:
         if kind == "E" and 1 <= letter[1] <= self.n - 1:
             return rep.E[letter[1] - 1]
         if kind == "X" and 1 <= letter[1] <= self.n and letter[2] >= 0:
-            # X_j is diagonal, so X_j^p is the diagonal of contents^p
-            Xj, p = rep.X[letter[1] - 1], letter[2]
-            out = _linalg.zeros(rep.dim, rep.dim)
-            for i in range(rep.dim):
-                out[i][i] = Xj[i][i] ** p
-            return out
+            return rep.x_power(letter[1], letter[2])
         raise ValueError(f"letter {letter!r} out of range at n={self.n}")
 
-    def evaluate(self, word: Word) -> list[list[list[Fraction]]]:
+    def evaluate(self, word: Word) -> list[list[dict]]:
         blocks = []
         for rep in self.reps:
             acc = _linalg.identity(rep.dim)
@@ -139,15 +135,20 @@ class Realization:
             blocks.append(acc)
         return blocks
 
-    def evaluate_sum(self, terms: WordSum) -> list[list[list[Fraction]]]:
-        out = [_linalg.zeros(d, d) for d in self.dims]
+    def evaluate_sum(self, terms: WordSum) -> list[list[dict]]:
+        out = [_linalg.zeros(d) for d in self.dims]
         for coeff, word in terms:
             out = [_linalg.mat_add(acc, _linalg.mat_scale(blk, coeff))
                    for acc, blk in zip(out, self.evaluate(word))]
         return out
 
-    def vec(self, blocks) -> list[Fraction]:
-        return [x for blk in blocks for row in blk for x in row]
+    def vec(self, blocks) -> dict:
+        out, start = {}, 0
+        for blk, d in zip(blocks, self.dims):
+            out.update((start + i * d + j, x)
+                       for i, row in enumerate(blk) for j, x in row.items())
+            start += d * d
+        return out
 
 
 def rank_report(words, real: Realization) -> dict:
@@ -155,7 +156,7 @@ def rank_report(words, real: Realization) -> dict:
 
 
 def _rank_from_vecs(vecs) -> dict:
-    """Exact rank over Q of a family of rational vectors."""
+    """Exact rank over Q of a family of sparse rational vectors."""
     return {"count": len(vecs), "rank": _linalg.rank(vecs)}
 
 
@@ -348,7 +349,7 @@ def contraction_murphy_commute_residual(ps: ParamSet, n: int, arcs: int,
             m_blocks = real.evaluate_sum(murphy_words(ps, shape, s, t))
             for eb, mb in zip(e_blocks, m_blocks):
                 diff = _linalg.mat_sub(_linalg.mat_mul(eb, mb), _linalg.mat_mul(mb, eb))
-                worst = max(worst, *(abs(x) for row in diff for x in row))
+                worst = max(worst, _linalg.max_abs(diff))
     return worst
 
 
@@ -388,6 +389,5 @@ def hecke_pairing_residual(ps: ParamSet, n: int, arcs: int, shape: Multipartitio
                 gram = hecke.gram_entry(H, mb, shape, t, v)
                 lhs = _linalg.mat_mul(evaluated[s, t], evaluated[v, s])
                 rhs = _linalg.mat_scale(evaluated[s, s], scale * gram)
-                diff = _linalg.mat_sub(lhs, rhs)
-                worst = max(worst, *(abs(x) for row in diff for x in row))
+                worst = max(worst, _linalg.max_abs(_linalg.mat_sub(lhs, rhs)))
     return worst

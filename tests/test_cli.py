@@ -1,5 +1,6 @@
 """Command line round trips: JSON-lines reports, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import random
@@ -312,3 +313,45 @@ def test_usage_errors_after_parsing_name_the_subcommand(capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"usage: {prog} "), args
         assert f"{prog}: error:" in err, args
+
+
+# sha256 of the exit code and report of each input, as the dense-matrix code
+# wrote them; a change of matrix format or arithmetic must leave them alone
+GOLDEN_REPORTS = {
+    "verify --r 2 --n 3":
+        "157a611833c7b8730c955ebf6ae2e0da063fe5fbd3bc38525978b53c664ed4f8",
+    "verify --r 3 --n 3 --u 120,-72,24":
+        "32279bc7ae00be894fcf9d62680af5b92f5088edd7d6906e5f09e01221a703f9",
+    "gram --shape (3|-)":
+        "9e1b703b0a22b0965db2206fe52d3efcaa84e5986c80c81125f8eaf379a174aa",
+    "gram --shape (2,1|-)":
+        "1b8c79c062b077b3070c4502888fb4ee46fafa6905be608d49945af831524cc8",
+    "gram --shape (1,1,1|-)":
+        "84e1aebca30499670f00bcbe007e9eb858cb58c7b242fbae029efc550c9db5e1",
+    "gram --shape (2|1)":
+        "a96161a3c02731765a61b73b0cd097be12a3db236a29ce538bd7340cb6e33321",
+    "gram --shape (1,1|1)":
+        "5c04d2fa0f9677522fd1b2898c5c2d13de625c0ab203d95ed40f1d4647512d30",
+    "gram --shape (1|2)":
+        "c828b52dd670cc2d6c4afe3798fbd38852f52deabc40429571bafeb8239bfc06",
+    "gram --shape (1|1,1)":
+        "739689b381c1a3dbcc5e1632d3efc3f08cab474ef425017df3bab00203d92fa9",
+    "gram --shape (-|3)":
+        "cbb23514be58f01cfdc14d7ae2eabc32c11a7f6ab1d3f303d97215ae91517c83",
+    "gram --shape (-|2,1)":
+        "1fcd7c5f0637bbf170344e54d51a7d56647d264b2c2c62b6d8889154be9a5283",
+    "gram --shape (-|1,1,1)":
+        "dba33ae556de7e0573265c6396c66760fb70ced93b7b23b7462e188c9346461e",
+    "cellrank --r 3 --n 2":
+        "7b9db443f3708fc1160a7a0d8f69433eb81e7b4b8b446ce48f30b12e9131414c",
+    "cellrank --r 4 --n 2":
+        "d3ff3d327bda47acdfbd656b1838fbb254cb7318a4727f124e3d82ab2c8dd9e7",
+}
+
+
+def test_reports_match_golden_digests(tmp_path):
+    out = tmp_path / "out.jsonl"
+    for argv, digest in GOLDEN_REPORTS.items():
+        rc = main([*argv.split(), "--out", str(out)])
+        got = hashlib.sha256(f"{rc}\n".encode() + out.read_bytes()).hexdigest()
+        assert got == digest, argv

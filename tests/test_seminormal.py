@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from wenzl import combinat
+from wenzl import _linalg, combinat
 from wenzl.params import ParamSet
 from wenzl.seminormal import (
     RELATION_FAMILIES, branching_blocks, build_all, check_identities,
@@ -42,14 +42,14 @@ def test_single_strand():
         # X_1 acts by the content of the single box
         t = rep.basis[0]
         c = combinat.content_sequence(t, ps.u)[0]
-        assert rep.X[0] == [[c]]
+        assert rep.X[0] == _linalg.from_dense([[c]])
 
 
 def test_contraction_block_is_omega0():
     ps = ParamSet.default(1, 2)
     for rep in build_all(ps, 2):
         if rep.shape == combinat.empty_mp(1):
-            assert rep.E[0] == [[ps.omega[0]]]
+            assert rep.E[0] == _linalg.from_dense([[ps.omega[0]]])
 
 
 def test_generators_are_symmetric():
@@ -59,7 +59,7 @@ def test_generators_are_symmetric():
         g = rep.gamma
         assert len(g) == rep.dim and all(x > 0 for x in g)
         for M in (*rep.S, *rep.E, *rep.X):
-            assert all(g[i] * M[i][j] == M[j][i] * g[j]
+            assert all(g[i] * M[i].get(j, 0) == M[j].get(i, 0) * g[j]
                        for i in range(rep.dim) for j in range(rep.dim))
 
 
@@ -169,12 +169,9 @@ def test_module_fixtures_exact():
 def test_nonsplit_fixture_is_not_diagonalizable():
     fix = module_nonsplit()
     q = F(1, 4)
-    m = [[fix.X[0][i][j] - (q if i == j else 0) for j in range(2)]
-         for i in range(2)]
-    assert any(any(row) for row in m)          # X_1 != q
-    sq = [[sum(m[i][k] * m[k][j] for k in range(2)) for j in range(2)]
-          for i in range(2)]
-    assert all(v == 0 for row in sq for v in row)   # (X_1 - q)^2 == 0
+    m = _linalg.mat_sub(fix.X[0], _linalg.mat_scale(_linalg.identity(2), q))
+    assert m != _linalg.zeros(2)                         # X_1 != q
+    assert _linalg.mat_mul(m, m) == _linalg.zeros(2)     # (X_1 - q)^2 == 0
 
 
 def test_branching_blocks():
