@@ -186,8 +186,9 @@ def cmd_counts(cfg: RunConfig, ps: ParamSet, meta: dict) -> tuple[list[dict], bo
 
 def cmd_verify(cfg: RunConfig, ps: ParamSet, meta: dict) -> tuple[list[dict], bool]:
     reps = seminormal.build_all(ps, cfg.n)
-    idr = seminormal.check_identities(ps, cfg.n)
-    scalars = seminormal.tower_scalars(ps, cfg.n)
+    w_memo: dict = {}  # W at each shape, shared by the two for this job
+    idr = seminormal.check_identities(ps, cfg.n, w_memo)
+    scalars = seminormal.tower_scalars(ps, cfg.n, w_memo)
     records = []
     ok = idr.ok
     for rep in reps:

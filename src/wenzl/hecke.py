@@ -23,11 +23,17 @@ Element = dict
 
 
 def _merge(out: Element, key: Key, c: Fraction):
-    v = out.get(key, 0) + c
+    """out[key] += c, storing no zero."""
+    v = out.get(key)
+    if v is None:
+        if c:
+            out[key] = c
+        return
+    v += c
     if v:
         out[key] = v
     else:
-        out.pop(key, None)
+        del out[key]
 
 
 class HeckeAlgebra:

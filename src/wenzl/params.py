@@ -471,13 +471,20 @@ def w1_product_identity_check(ps: ParamSet, N: int | None = None) -> bool:
     return lhs.agrees_with(rhs, max(lhs.low, rhs.low))
 
 
-def wk_rational(t, k: int, ps: ParamSet) -> RationalFunction:
+def wk_rational(t, k: int, ps: ParamSet, memo: dict | None = None) -> RationalFunction:
     """W_k along t in closed form: W at the step-(k-1) shape of t, unreduced;
     t may end there.  Coinciding contents need no special case, since num and
     den are polynomial in the contents; whether u is generic enough is
-    decided when the seminormal model is built."""
+    decided when the seminormal model is built.  ``memo``, one dict per
+    parameter set, keeps W at each shape met, so each is formed once."""
     assert 1 <= k <= len(t) + 1
-    return _w_at_shape(t[k - 2] if k >= 2 else combinat.empty_mp(ps.r), ps)
+    shape = t[k - 2] if k >= 2 else combinat.empty_mp(ps.r)
+    if memo is None:
+        return _w_at_shape(shape, ps)
+    w = memo.get(shape)
+    if w is None:
+        w = memo[shape] = _w_at_shape(shape, ps)
+    return w
 
 
 def _recursion_factor_rational(c: Fraction) -> RationalFunction:
@@ -487,25 +494,28 @@ def _recursion_factor_rational(c: Fraction) -> RationalFunction:
                             (minus * minus - ONE) * (plus * plus))
 
 
-def wk_recursive_rational(t, k: int, ps: ParamSet) -> RationalFunction:
+def wk_recursive_rational(t, k: int, ps: ParamSet,
+                          memo: dict | None = None) -> RationalFunction:
     """One step of the recursion for W_k along t, taken from the closed form
     W_{k-1}: F(c)(W_{k-1} + y - 1/2) - (y - 1/2), with c the content of step
     k - 1 and F the recursion factor; W_1 itself when k = 1.  t may end at
-    step k - 1."""
+    step k - 1.  ``memo`` is passed to ``wk_rational``."""
     assert 1 <= k <= len(t) + 1
     if k == 1:
         return w1_rational(ps)
     y_minus_half = RationalFunction(Poly((-HALF, Fraction(1))))
     c = combinat.content_sequence(t, ps.u)[k - 2]
     return (_recursion_factor_rational(c)
-            * (wk_rational(t, k - 1, ps) + y_minus_half) - y_minus_half)
+            * (wk_rational(t, k - 1, ps, memo) + y_minus_half) - y_minus_half)
 
 
-def omega_k_values(t, k: int, ps: ParamSet, A: int) -> list[Fraction]:
+def omega_k_values(t, k: int, ps: ParamSet, A: int,
+                   memo: dict | None = None) -> list[Fraction]:
     """The scalars omega_k^{(a)}, a = 0..A, at position k along t: the
     coefficients of y^{-a} in the expansion at infinity of the closed form
-    W_k, which depends only on the step-(k-1) shape of t; t may end there."""
-    series = series_of_rational(wk_rational(t, k, ps), -A)
+    W_k, which depends only on the step-(k-1) shape of t; t may end there.
+    ``memo`` is passed to ``wk_rational``."""
+    series = series_of_rational(wk_rational(t, k, ps, memo), -A)
     assert series.top <= 0, "W_k should be O(1) at infinity"
     return [series[-a] for a in range(A + 1)]
 

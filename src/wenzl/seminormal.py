@@ -319,12 +319,14 @@ def check_module(S, E, X, ps: ParamSet) -> dict:
     return _relation_residuals(S, E, X, ps, len(X[0]))
 
 
-def tower_scalars(ps: ParamSet, n: int) -> dict:
+def tower_scalars(ps: ParamSet, n: int, memo: dict | None = None) -> dict:
     """omega_k^(a), 0 <= a <= r + 1, keyed by the shape mu before step k,
     for every mu with |mu| <= n - 2 (every position k < n): the expansion at
-    infinity of the closed form of W at mu, taken once per shape."""
+    infinity of the closed form of W at mu, taken once per shape.  ``memo``
+    is a ``params.wk_rational`` memo for ``ps``, as ``check_identities``
+    leaves it."""
     return {mu: params.omega_k_values(combinat.t_lambda(mu),
-                                      combinat.mp_size(mu) + 1, ps, ps.r + 1)
+                                      combinat.mp_size(mu) + 1, ps, ps.r + 1, memo)
             for size in range(n - 1)
             for mu in combinat.multipartitions(ps.r, size)}
 
@@ -387,7 +389,7 @@ class IdentityReport:
         return not self.failures
 
 
-def check_identities(ps: ParamSet, n: int) -> IdentityReport:
+def check_identities(ps: ParamSet, n: int, memo: dict | None = None) -> IdentityReport:
     """Every exact coefficient identity at n strands, checked with zero
     tolerance once per local configuration.  A coefficient at k reads only
     the shape mu before step k and the next steps, so each window out of mu
@@ -398,7 +400,11 @@ def check_identities(ps: ParamSet, n: int) -> IdentityReport:
     (n >= 1) and one recursion step per lattice edge mu -> nu with
     |mu| <= n - 2: the closed form at nu equals the step from the closed
     form at mu.  By induction on the walk, the recursion from W_1 then
-    gives the closed form along every walk of fewer than n steps."""
+    gives the closed form along every walk of fewer than n steps.  W at
+    each shape is formed once, in ``memo`` (a fresh dict if not given), a
+    ``params.wk_rational`` memo for ``ps``."""
+    if memo is None:
+        memo = {}
     counts: dict[str, int] = {}
     failures: list[str] = []
 
@@ -408,8 +414,8 @@ def check_identities(ps: ParamSet, n: int) -> IdentityReport:
             failures.append(f"{name}: {ctx}")
 
     if n >= 1:
-        record("w-recursion", params.wk_rational((), 1, ps)
-               == params.wk_recursive_rational((), 1, ps), "k=1")
+        record("w-recursion", params.wk_rational((), 1, ps, memo)
+               == params.wk_recursive_rational((), 1, ps, memo), "k=1")
     y = params.RationalFunction(params.Poly.y_plus(0))
     for mu in (lam for size in range(n - 1)
                for lam in combinat.multipartitions(ps.r, size)):
@@ -418,8 +424,8 @@ def check_identities(ps: ParamSet, n: int) -> IdentityReport:
         nbrs = combinat.neighbors(mu)
         for nu in nbrs:
             t = tmu + (nu,)
-            record("w-recursion", params.wk_rational(t, k + 1, ps)
-                   == params.wk_recursive_rational(t, k + 1, ps),
+            record("w-recursion", params.wk_rational(t, k + 1, ps, memo)
+                   == params.wk_recursive_rational(t, k + 1, ps, memo),
                    f"k={k + 1}, prefix={t}")
         cls = [tmu + (nu, mu) for nu in nbrs]
         e = {m: e_diag(m, k, ps) for m in cls}
@@ -440,7 +446,7 @@ def check_identities(ps: ParamSet, n: int) -> IdentityReport:
                 record("class-sum-cross", lhs == Fraction(1, 2) / (csk * c[tp]),
                        f"s={s}, t'={tp}, k={k}")
         # partial fractions of W_k(y)/y over the class
-        w = params.wk_rational(tmu, k, ps)
+        w = params.wk_rational(tmu, k, ps, memo)
         record("w-vanishes-at-zero", w(Fraction(0)) == 0, f"k={k}, prefix={tmu}")
         parts = sum(params.RationalFunction(
             params.Poly.const(e[m]), params.Poly.y_plus(-c[m])) for m in cls)

@@ -6,7 +6,8 @@ seminormal modules, so exact rank over Q on that rational realization
 certifies spanning/independence statements that would otherwise need a
 symbolic normal form.  Words in the generators are plain tuples of letters
 ("S", i), ("E", i), ("X", j, power); linear combinations of words are
-tuples of (coefficient, word) pairs.
+tuples of (coefficient, word) pairs.  A cellular basis element keeps its
+factors (left word, Murphy middle, right word) and is evaluated from them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 from . import _linalg, combinat, diagrams, hecke, seminormal
 from .combinat import Multipartition, Tableau
-from .diagrams import BrauerDiagram, perm_inverse, word_for_permutation
+from .diagrams import BrauerDiagram, perm_inverse, star_word, word_for_permutation
 from .params import ParamSet
 
 Letter = tuple
@@ -97,9 +98,12 @@ class Realization:
     """Every generator as one exact block per reachable shape.
 
     ``reps`` holds the rational seminormal models, built once; words are
-    evaluated on them as ``_linalg`` sparse rows.  The entries of all blocks
-    of an evaluated word, placed block after block and row after row, form
-    a sparse vector of length r^n (2n-1)!!, and rank of a word family is
+    evaluated on them as ``_linalg`` sparse rows, one block per shape, and
+    so are word sums (``evaluate_sum``) and products of word sums
+    (``evaluate_product``, which evaluates each factor once and multiplies
+    the blocks, never expanding the product into words).  The entries of all
+    blocks of an evaluated word, placed block after block and row after row,
+    form a sparse vector of length r^n (2n-1)!!, and rank of a word family is
     the exact rank of those vectors over Q.  Each block is the orthonormal
     model conjugated by diag(sqrt(gamma)), which scales each entry by a
     fixed nonzero factor, so that rank is also the rank of the family in
@@ -112,9 +116,18 @@ class Realization:
         self.shapes = [rep.shape for rep in self.reps]
         self.dims = [rep.dim for rep in self.reps]
         self.vec_len = sum(d * d for d in self.dims)
+        self._letters: dict = {}
 
     def block_index(self, shape: Multipartition) -> int:
         return self.shapes.index(shape)
+
+    def _letter_blocks(self, letter: Letter) -> list[list[dict]]:
+        """The blocks of one letter, made once per realization."""
+        blocks = self._letters.get(letter)
+        if blocks is None:
+            blocks = self._letters[letter] = [self._letter_block(rep, letter)
+                                              for rep in self.reps]
+        return blocks
 
     def _letter_block(self, rep: seminormal.SeminormalRep, letter: Letter):
         kind = letter[0]
@@ -127,20 +140,33 @@ class Realization:
         raise ValueError(f"letter {letter!r} out of range at n={self.n}")
 
     def evaluate(self, word: Word) -> list[list[dict]]:
-        blocks = []
-        for rep in self.reps:
-            acc = _linalg.identity(rep.dim)
-            for letter in word:
-                acc = _linalg.mat_mul(acc, self._letter_block(rep, letter))
-            blocks.append(acc)
-        return blocks
+        """One block per shape.  The blocks may be those of the generators,
+        which, like every ``_linalg`` value, are only read."""
+        if not word:
+            return [_linalg.identity(d) for d in self.dims]
+        out = list(self._letter_blocks(word[0]))
+        for letter in word[1:]:
+            out = _mul_blocks(out, self._letter_blocks(letter))
+        return out
 
     def evaluate_sum(self, terms: WordSum) -> list[list[dict]]:
-        out = [_linalg.zeros(d) for d in self.dims]
+        out = None
         for coeff, word in terms:
-            out = [_linalg.mat_add(acc, _linalg.mat_scale(blk, coeff))
-                   for acc, blk in zip(out, self.evaluate(word))]
-        return out
+            blocks = self.evaluate(word)
+            if coeff != 1:
+                blocks = [_linalg.mat_scale(blk, coeff) for blk in blocks]
+            out = blocks if out is None else [_linalg.mat_add(acc, blk)
+                                              for acc, blk in zip(out, blocks)]
+        return [_linalg.zeros(d) for d in self.dims] if out is None else out
+
+    def evaluate_product(self, factors) -> list[list[dict]]:
+        """The product of the word sums ``factors``, in order: each factor
+        is evaluated once, and the product is never expanded into words."""
+        out = None
+        for terms in factors:
+            blocks = self.evaluate_sum(terms)
+            out = blocks if out is None else _mul_blocks(out, blocks)
+        return [_linalg.identity(d) for d in self.dims] if out is None else out
 
     def vec(self, blocks) -> dict:
         out, start = {}, 0
@@ -149,6 +175,11 @@ class Realization:
                        for i, row in enumerate(blk) for j, x in row.items())
             start += d * d
         return out
+
+
+def _mul_blocks(a, b) -> list[list[dict]]:
+    """The blockwise product of two evaluated elements."""
+    return [_linalg.mat_mul(x, y) for x, y in zip(a, b)]
 
 
 def rank_report(words, real: Realization) -> dict:
@@ -174,16 +205,22 @@ def word_sum_mul(a: WordSum, b: WordSum) -> WordSum:
     return tuple((c, w) for w, c in acc.items())
 
 
+def word_sum_product(factors) -> WordSum:
+    """The expansion of a product of word sums into words."""
+    terms: WordSum = ((Fraction(1), ()),)
+    for f in factors:
+        terms = word_sum_mul(terms, f)
+    return terms
+
+
 def star_word_sum(terms: WordSum) -> WordSum:
     return tuple((c, tuple(reversed(w))) for c, w in terms)
 
 
 def cyclotomic_word_sum(ps: ParamSet) -> WordSum:
     """The defining polynomial in X_1, expanded into generator words."""
-    terms: WordSum = ((Fraction(1), ()),)
-    for root in ps.u:
-        terms = word_sum_mul(terms, ((Fraction(1), (("X", 1, 1),)), (-root, ())))
-    return terms
+    return word_sum_product(((Fraction(1), (("X", 1, 1),)), (-root, ()))
+                            for root in ps.u)
 
 
 # -- cellular structure --------------------------------------------------
@@ -230,46 +267,64 @@ def contraction_chain(n: int, arcs: int) -> Word:
     return tuple(("E", n - 1 - 2 * j) for j in range(arcs))
 
 
-def murphy_words(ps: ParamSet, shape: Multipartition, s: Tableau, t: Tableau) -> WordSum:
-    """The Murphy product as generator words: starred coset word for s, the
-    root-shifted X prefix, the row-stabilizer sum, then the coset word for t."""
+def murphy_factors(ps: ParamSet, shape: Multipartition, s: Tableau,
+                   t: Tableau) -> tuple[Word, tuple[WordSum, ...], Word]:
+    """The Murphy product of (s, t) as its factors: the starred coset word
+    for s; the middle M_lambda, which depends only on the shape, as one
+    root-shifted X_k - u_i for each 1 <= i < r and k up to the size of the
+    first i components, then the row-stabilizer sum; the coset word for t."""
     m = combinat.mp_size(shape)
-    left = word_for_permutation(perm_inverse(combinat.d_perm(s)))
-    terms: WordSum = ((Fraction(1), left),)
     sizes = [sum(p) for p in shape]
-    for i in range(1, ps.r):
-        bound = sum(sizes[:i])
-        for k in range(1, bound + 1):
-            factor = ((Fraction(1), (("X", k, 1),)), (-ps.u[i], ()))
-            terms = word_sum_mul(terms, factor)
-    row = tuple((Fraction(1), word_for_permutation(w))
-                for w in combinat.young_subgroup(shape, m))
-    terms = word_sum_mul(terms, row)
-    right: WordSum = ((Fraction(1), word_for_permutation(combinat.d_perm(t))),)
-    return word_sum_mul(terms, right)
+    middle = tuple(((Fraction(1), (("X", k, 1),)), (-ps.u[i], ()))
+                   for i in range(1, ps.r) for k in range(1, sum(sizes[:i]) + 1))
+    middle += (tuple((Fraction(1), word_for_permutation(w))
+                     for w in combinat.young_subgroup(shape, m)),)
+    return (word_for_permutation(perm_inverse(combinat.d_perm(s))), middle,
+            word_for_permutation(combinat.d_perm(t)))
+
+
+def murphy_words(ps: ParamSet, shape: Multipartition, s: Tableau, t: Tableau) -> WordSum:
+    """The Murphy product expanded into generator words."""
+    left, middle, right = murphy_factors(ps, shape, s, t)
+    return word_sum_product((((Fraction(1), left),), *middle, ((Fraction(1), right),)))
 
 
 @dataclass(frozen=True)
 class CellularWord:
-    """A sum of generator words carrying its declared cell data."""
+    """A cellular basis element as its declared factors, left word ·
+    middle factor sums · right word, with its cell data.  ``terms`` is the
+    expansion into words; evaluating the factors one by one gives the same
+    element with far fewer block products."""
 
-    terms: WordSum
+    left_word: Word
+    middle: tuple[WordSum, ...]
+    right_word: Word
     arcs: int
     shape: Multipartition
     left: tuple
     right: tuple
 
+    @property
+    def terms(self) -> WordSum:
+        return word_sum_product((((Fraction(1), self.left_word),), *self.middle,
+                                 ((Fraction(1), self.right_word),)))
+
     def star(self) -> "CellularWord":
-        return CellularWord(star_word_sum(self.terms), self.arcs, self.shape,
+        """The anti-involution: the starred factors in reverse order."""
+        return CellularWord(star_word(self.right_word),
+                            tuple(star_word_sum(f) for f in reversed(self.middle)),
+                            star_word(self.left_word), self.arcs, self.shape,
                             self.right, self.left)
 
 
 def cellular_element(ps: ParamSet, n: int, arcs: int, shape: Multipartition,
                      left: tuple, right: tuple) -> CellularWord:
-    """The basis word for a (left, right) pair of cell triples: starred
-    placement and powers, the contraction chain, the Murphy product, then
-    the right powers and placement.  X powers ride the odd positions
-    n-1, n-3, ... in decreasing order."""
+    """The basis element for a (left, right) pair of cell triples, as
+    factors: starred placement and powers, the contraction chain and the
+    starred coset word of the left tableau make the left word; the middle
+    is the Murphy middle of the shape; the right coset word, the right
+    powers and placement make the right word.  X powers ride the odd
+    positions n-1, n-3, ... in decreasing order.  Nothing is expanded."""
     s, rho, e = left
     t, kappa, d = right
     if len(rho) != arcs or len(kappa) != arcs:
@@ -282,9 +337,8 @@ def cellular_element(ps: ParamSet, n: int, arcs: int, shape: Multipartition,
     pre += contraction_chain(n, arcs)
     post = tuple(("X", n - 1 - 2 * j, a) for j, a in enumerate(kappa) if a)
     post += word_for_permutation(d)
-    terms = tuple((c, pre + w + post)
-                  for c, w in murphy_words(ps, shape, s, t))
-    return CellularWord(terms, arcs, shape,
+    s_word, middle, t_word = murphy_factors(ps, shape, s, t)
+    return CellularWord(pre + s_word, middle, t_word + post, arcs, shape,
                         (s, tuple(rho), e), (t, tuple(kappa), d))
 
 
@@ -309,7 +363,12 @@ def filtration_index(word) -> int:
 
 
 def cellular_rank_report(ps: ParamSet, n: int) -> dict:
-    """Counts and exact rank of the full cellular family at (r, n)."""
+    """Counts and exact rank of the full cellular family at (r, n).
+
+    Each element of a cell is A · M · B on every block.  The middle M is
+    evaluated once per cell as the product of its factors, A · M once per
+    left word and B once per right word, so each of the |triples|^2 vectors
+    takes one block product."""
     r = ps.r
     target = r ** n * diagrams.double_factorial(2 * n - 1)
     real = Realization(ps, n)
@@ -322,10 +381,20 @@ def cellular_rank_report(ps: ParamSet, n: int) -> dict:
             cells.append({"arcs": arcs, "shape": [list(p) for p in shape],
                           "members": len(triples)})
             total += len(triples) ** 2
+            # the middle is the cell's; A·M and B are kept by their words
+            m_blocks, am_of, b_of = None, {}, {}
             for a in triples:
                 for b in triples:
                     cw = cellular_element(ps, n, arcs, shape, a, b)
-                    vecs.append(real.vec(real.evaluate_sum(cw.terms)))
+                    if m_blocks is None:
+                        m_blocks = real.evaluate_product(cw.middle)
+                    if cw.left_word not in am_of:
+                        am_of[cw.left_word] = _mul_blocks(
+                            real.evaluate(cw.left_word), m_blocks)
+                    if cw.right_word not in b_of:
+                        b_of[cw.right_word] = real.evaluate(cw.right_word)
+                    vecs.append(real.vec(_mul_blocks(am_of[cw.left_word],
+                                                     b_of[cw.right_word])))
     report = _rank_from_vecs(vecs)
     report["target"] = target
     report["sum_of_squares"] = total

@@ -195,7 +195,7 @@ def test_criterion_11_cellular_rank():
                     total += len(wcell.cell_triples(r, n, arcs, shape)) ** 2
             ok &= total == r ** n * diagrams.double_factorial(2 * n - 1)
     ranks = []
-    for r, n in ((1, 2), (1, 3), (2, 2)):
+    for r, n in ((1, 2), (1, 3), (2, 2), (3, 2), (4, 2), (1, 4), (2, 3)):
         rpt = wcell.cellular_rank_report(ParamSet.default(r, n), n)
         ranks.append(rpt["rank"])
         ok &= rpt["ok"] and rpt["rank"] == rpt["target"]

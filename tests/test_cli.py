@@ -346,6 +346,10 @@ GOLDEN_REPORTS = {
         "7b9db443f3708fc1160a7a0d8f69433eb81e7b4b8b446ce48f30b12e9131414c",
     "cellrank --r 4 --n 2":
         "d3ff3d327bda47acdfbd656b1838fbb254cb7318a4727f124e3d82ab2c8dd9e7",
+    "cellrank --r 2 --n 3":
+        "19ad87d7258c87f486163bb6a35c565071f1ef97e347245f745a4acddeb2e54b",
+    "cellrank --r 1 --n 4":
+        "a01552d1c80d0a7394924f4382b277a65bc37e8e06fd1827e4b00eeb96022850",
 }
 
 

@@ -24,6 +24,18 @@ def _monomials(H):
             for w in itertools.permutations(range(1, H.n + 1))]
 
 
+def test_merge_stores_no_zero():
+    out = {}
+    hecke._merge(out, "a", F(0))
+    assert out == {}
+    hecke._merge(out, "a", F(1, 3))
+    assert out == {"a": F(1, 3)} and type(out["a"]) is Fraction
+    hecke._merge(out, "a", F(1, 6))
+    assert out == {"a": F(1, 2)}
+    hecke._merge(out, "a", F(-1, 2))
+    assert out == {}
+
+
 def test_swap_involution():
     H = _alg(2, 3)
     for i in (1, 2):

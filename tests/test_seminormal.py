@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from wenzl import _linalg, combinat
+from wenzl import _linalg, combinat, params
 from wenzl.params import ParamSet
 from wenzl.seminormal import (
     RELATION_FAMILIES, branching_blocks, build_all, check_identities,
@@ -96,6 +96,30 @@ def test_identity_suite():
                    "contraction-inverse", "w-partial-fractions",
                    "w-recursion", "square-root-matching", "content-swap"):
         assert report.counts.get(family, 0) > 0, family
+
+
+def test_closed_form_w_taken_once_per_shape(monkeypatch):
+    # one memo per parameter set: check_identities forms W at every shape
+    # of size <= n - 1 once, and tower_scalars reads it without adding any
+    ps = ParamSet.default(2, 4)
+    plain = check_identities(ps, 4)
+    formed = []
+    w_at_shape = params._w_at_shape
+
+    def counted(shape, ps):
+        formed.append(shape)
+        return w_at_shape(shape, ps)
+
+    monkeypatch.setattr(params, "_w_at_shape", counted)
+    memo = {}
+    report = check_identities(ps, 4, memo)
+    assert report.counts == plain.counts and report.ok
+    shapes = {mu for size in range(4) for mu in combinat.multipartitions(2, size)}
+    assert set(memo) == shapes
+    # each shape once, and W_1 once more from its own definition
+    assert sorted(formed) == sorted([*shapes, combinat.empty_mp(2)])
+    assert tower_scalars(ps, 4, memo) == tower_scalars(ps, 4)
+    assert set(memo) == shapes
 
 
 def _visited_windows(ps, n):

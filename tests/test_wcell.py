@@ -1,5 +1,6 @@
 """Census of regular monomials, the block realization, and cellular words."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -246,3 +247,59 @@ def test_cellular_rank_report_smallest():
     assert rpt["ok"] and rpt["count"] == rpt["rank"] == 3
     assert rpt["target"] == rpt["sum_of_squares"] == 3
     assert {c["arcs"] for c in rpt["cells"]} == {0, 1}
+
+
+def _drawn_params(r, n, rng):
+    """Roots k * default_u + delta, as the benchmark streams draw them."""
+    k = rng.choice((1, 2, 4, 8))
+    delta = rng.choice((F(0), F(1, 2), F(1, 3), F(2, 7), F(-1, 4)))
+    return ParamSet.from_u(tuple(k * x + delta for x in combinat.default_u(r, n)), n)
+
+
+@pytest.mark.parametrize("r,n", [(2, 2), (1, 3), (3, 2), (4, 2), (1, 4)])
+def test_factored_vectors_equal_expansion(r, n, monkeypatch):
+    # the report evaluates A_a M B_b from factors; every vector it ranks must
+    # equal the evaluation of the element's expanded word sum, and the
+    # factor form of star() must expand to the starred word sum
+    ranked = []
+    rank_from_vecs = wcell._rank_from_vecs
+
+    def capture(vecs):
+        ranked.append(vecs)
+        return rank_from_vecs(vecs)
+
+    monkeypatch.setattr(wcell, "_rank_from_vecs", capture)
+    rng = random.Random(f"factored:{r}:{n}")
+    for ps in (ParamSet.default(r, n), _drawn_params(r, n, rng),
+               _drawn_params(r, n, rng)):
+        ranked.clear()
+        rpt = cellular_rank_report(ps, n)
+        assert rpt["rank"] == rpt["target"]
+        real = Realization(ps, n)
+        want = []
+        for arcs in range(n // 2 + 1):
+            for shape in combinat.multipartitions(r, n - 2 * arcs):
+                triples = cell_triples(r, n, arcs, shape)
+                for a in triples:
+                    for b in triples:
+                        cw = cellular_element(ps, n, arcs, shape, a, b)
+                        terms = cw.terms
+                        want.append(real.vec(real.evaluate_sum(terms)))
+                        starred = cw.star().terms
+                        expected = star_word_sum(terms)
+                        assert len(starred) == len(expected)
+                        assert ({w: c for c, w in starred}
+                                == {w: c for c, w in expected})
+        assert ranked == [want], (r, n, ps.u)
+
+
+def test_murphy_words_expand_the_factors():
+    ps = ParamSet.default(3, 2)
+    real = Realization(ps, 2)
+    for shape in combinat.multipartitions(3, 2):
+        for s in combinat.standard_tableaux(shape):
+            for t in combinat.standard_tableaux(shape):
+                left, middle, right = wcell.murphy_factors(ps, shape, s, t)
+                product = real.evaluate_product(
+                    (((F(1), left),), *middle, ((F(1), right),)))
+                assert product == real.evaluate_sum(murphy_words(ps, shape, s, t))
