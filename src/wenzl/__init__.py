@@ -4,8 +4,9 @@ Subpackages by subject:
 
 - ``diagrams``:   Brauer diagrams, their multiplication, generator words
 - ``combinat``:   multipartitions, updown tableaux, contents, coset reps
-- ``params``:     parameter sets, Schur q-functions, admissible sequences,
-                  the rational functions and series attached to tableaux
+- ``params``:     parameter sets, admissible sequences, W at a shape as a
+                  rational function and its expansion at infinity (Omega
+                  and the tower scalars)
 - ``seminormal``: rational seminormal representations and exact checks
 - ``hecke``:      the degenerate cyclotomic Hecke quotient and Murphy basis
 - ``wcell``:      the faithful matrix realization and cellular elements

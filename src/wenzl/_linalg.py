@@ -33,11 +33,6 @@ def identity(n: int) -> list[dict]:
     return [{i: Fraction(1)} for i in range(n)]
 
 
-def from_dense(a) -> list[dict]:
-    """The rows of a list-of-lists matrix, for fixtures written out densely."""
-    return [{j: Fraction(x) for j, x in enumerate(row) if x} for row in a]
-
-
 def _merge_row(row: dict, entries) -> dict:
     out = dict(row)
     for j, y in entries:

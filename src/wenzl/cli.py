@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -77,14 +78,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _join_negative_roots(argv: list[str]) -> list[str]:
-    """Write ``--u -3,9`` as ``--u=-3,9``.  argparse takes a value that
-    starts with ``-`` for an option unless it is a plain negative number, so
-    roots whose first entry is negative parse only in the ``=`` form."""
+# values that start with "-": a negative first root, an empty first component
+_DASH_VALUES = {"--u": r"-[0-9.]", "--shape": r"-(\||$)"}
+
+
+def _join_dash_values(argv: list[str]) -> list[str]:
+    """Write ``--u -3,9`` as ``--u=-3,9`` and ``--shape -|1`` as
+    ``--shape=-|1``: argparse takes a value that starts with ``-`` for an
+    option unless it is a plain negative number."""
     out = []
     for arg in argv:
-        if out and out[-1] == "--u" and re.match(r"-[0-9.]", arg):
-            out[-1] = "--u=" + arg
+        pattern = _DASH_VALUES.get(out[-1]) if out else None
+        if pattern and re.match(pattern, arg):
+            out[-1] += "=" + arg
         else:
             out.append(arg)
     return out
@@ -213,9 +219,7 @@ def cmd_gram(cfg: RunConfig, ps: ParamSet, meta: dict) -> tuple[list[dict], bool
     det = hecke.gram_det(H, mb, shape)
     gammas = hecke.gamma_coeffs(shape, ps)
     path_ok = hecke.gamma_path_independent(shape, ps)
-    prod = Fraction(1)
-    for g in gammas.values():
-        prod *= g
+    prod = math.prod(gammas.values(), start=Fraction(1))
     ok = det == prod and path_ok
     records = [{"kind": "gram", "shape": _shape_json(shape), "n": n,
                 "gram_det": format_fraction(det),
@@ -258,7 +262,7 @@ COMMANDS = {"counts": cmd_counts, "verify": cmd_verify, "gram": cmd_gram,
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    cfg = _resolve(_build_parser().parse_args(_join_negative_roots(argv)))
+    cfg = _resolve(_build_parser().parse_args(_join_dash_values(argv)))
     # omega reports scalars up to --order, so it stores at least that many
     ps = ParamSet.from_u(cfg.u, n_hint=cfg.n, min_N=cfg.order or 0)
     meta = ps.as_json()

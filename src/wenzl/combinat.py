@@ -18,8 +18,6 @@ import itertools
 import math
 from fractions import Fraction
 
-from .diagrams import perm_mult, perm_inverse  # noqa: F401  (re-exported)
-
 Partition = tuple[int, ...]
 Multipartition = tuple[Partition, ...]
 Node = tuple[int, int, int]
@@ -132,10 +130,7 @@ def remove_box(lam: Multipartition, node: Node) -> Multipartition:
 def box_diff(small: Multipartition, large: Multipartition) -> Node:
     """The node where two multipartitions differing by one box disagree."""
     for s, (p, q) in enumerate(zip(small, large), start=1):
-        rows = max(len(p), len(q))
-        for i in range(1, rows + 1):
-            a = p[i - 1] if i <= len(p) else 0
-            b = q[i - 1] if i <= len(q) else 0
+        for i, (a, b) in enumerate(itertools.zip_longest(p, q, fillvalue=0), start=1):
             if a != b:
                 assert abs(a - b) == 1
                 return (i, max(a, b), s)
@@ -150,14 +145,8 @@ def neighbors(lam: Multipartition) -> list[Multipartition]:
 
 def mp_adjacent(a: Multipartition, b: Multipartition) -> bool:
     """True when b is a plus or minus one box away from a."""
-    diff = 0
-    for p, q in zip(a, b):
-        rows = max(len(p), len(q))
-        for i in range(rows):
-            x = p[i] if i < len(p) else 0
-            y = q[i] if i < len(q) else 0
-            diff += abs(x - y)
-    return diff == 1
+    return sum(abs(x - y) for p, q in zip(a, b)
+               for x, y in itertools.zip_longest(p, q, fillvalue=0)) == 1
 
 
 def step_node(t: Tableau, k: int) -> tuple[Node, bool]:
@@ -224,14 +213,10 @@ def hook_product(p: Partition) -> int:
 
 
 def n_std(lam: Multipartition) -> int:
-    """Number of standard tableaux: multinomial times hook-length factors."""
-    total = mp_size(lam)
-    out = math.factorial(total)
-    for p in lam:
-        out //= math.factorial(sum(p))
-    for p in lam:
-        out *= math.factorial(sum(p)) // hook_product(p)
-    return out
+    """Number of standard tableaux: the multinomial of the component sizes
+    times each component's hook-length count, which is |lam|! over the
+    product of all hook lengths."""
+    return math.factorial(mp_size(lam)) // math.prod(hook_product(p) for p in lam)
 
 
 def count_updown(n: int, lam: Multipartition) -> int:
@@ -241,10 +226,7 @@ def count_updown(n: int, lam: Multipartition) -> int:
     if (n - size) % 2 or size > n:
         raise ValueError(f"parity mismatch: n={n}, |lam|={size}")
     m = (n - size) // 2
-    out = r ** m * math.comb(n, 2 * m) * n_std(lam)
-    for odd in range(2 * m - 1, 1, -2):
-        out *= odd
-    return out
+    return r ** m * math.comb(n, 2 * m) * n_std(lam) * math.prod(range(2 * m - 1, 1, -2))
 
 
 def standard_tableaux(lam: Multipartition) -> list[Tableau]:
@@ -274,15 +256,19 @@ def tableau_entries(t: Tableau) -> dict[Node, int]:
 
 
 def d_perm(t: Tableau) -> tuple[int, ...]:
-    """The permutation carrying t^lambda to t entrywise: d(t^lam(box)) = t(box)."""
+    """The permutation carrying t^lambda to t entrywise: d(t^lam(box)) = t(box).
+    t^lambda fills components in order and rows in order, so its entry at
+    (i, j, s) is the number of boxes in the components before s and in the
+    rows above i of component s, plus j."""
     if not t:
         return ()
     lam = t[-1]
-    canon = tableau_entries(t_lambda(lam))
-    mine = tableau_entries(t)
+    before = [0]
+    for p in lam:
+        before.append(before[-1] + sum(p))
     d = [0] * len(t)
-    for box, k in canon.items():
-        d[k - 1] = mine[box]
+    for (i, j, s), k in tableau_entries(t).items():
+        d[before[s - 1] + sum(lam[s - 1][:i - 1]) + j - 1] = k
     return tuple(d)
 
 
@@ -320,15 +306,10 @@ def sk_action(t: Tableau, k: int):
 def dominance_mp(lam: Multipartition, mu: Multipartition) -> bool:
     """lam dominates mu: partial sums by component prefix never fall behind."""
     assert len(lam) == len(mu) and mp_size(lam) == mp_size(mu)
-    r = len(lam)
-    for s in range(1, r + 1):
-        head_l = sum(mp_size((p,)) for p in lam[:s - 1])
-        head_m = sum(mp_size((p,)) for p in mu[:s - 1])
-        rows = max(len(lam[s - 1]), len(mu[s - 1]))
-        for k in range(rows + 1):
-            a = head_l + sum(lam[s - 1][:k])
-            b = head_m + sum(mu[s - 1][:k])
-            if a < b:
+    for s in range(len(lam)):
+        head_l, head_m = mp_size(lam[:s]), mp_size(mu[:s])
+        for k in range(max(len(lam[s]), len(mu[s])) + 1):
+            if head_l + sum(lam[s][:k]) < head_m + sum(mu[s][:k]):
                 return False
     return True
 

@@ -101,12 +101,6 @@ def contraction_diagram(n: int, i: int, j: int) -> BrauerDiagram:
     return BrauerDiagram.from_edges(n, pairs)
 
 
-def permutation_diagram(n: int, w: tuple[int, ...]) -> BrauerDiagram:
-    """Edges {i, w(i)-bar} for a permutation w in one-line form."""
-    assert sorted(w) == list(range(1, n + 1))
-    return BrauerDiagram.from_edges(n, [(i, n + w[i - 1]) for i in range(1, n + 1)])
-
-
 def generator_diagram(n: int, letter: Letter) -> BrauerDiagram:
     kind, i = letter[0], letter[1]
     if kind == "S":
@@ -192,9 +186,9 @@ def enumerate_diagrams(n: int) -> list[BrauerDiagram]:
 # ---------------------------------------------------------------------------
 #
 # Words (i_1, ..., i_k) stand for the product s_{i_1} s_{i_2} ... s_{i_k}
-# applied first letter first, matching how the diagrams stack:
-# permutation_diagram(v) o permutation_diagram(w) = permutation_diagram(v * w)
-# with (v * w)(x) = w(v(x)).
+# applied first letter first, matching how the diagrams stack: the diagram
+# of v stacked over the diagram of w is the diagram of v * w, with
+# (v * w)(x) = w(v(x)).
 
 
 def perm_mult(v: tuple[int, ...], w: tuple[int, ...]) -> tuple[int, ...]:
@@ -206,15 +200,6 @@ def perm_inverse(w: tuple[int, ...]) -> tuple[int, ...]:
     for i, wi in enumerate(w):
         out[wi - 1] = i + 1
     return tuple(out)
-
-
-def perm_of_word(word: tuple[int, ...], n: int) -> tuple[int, ...]:
-    w = tuple(range(1, n + 1))
-    for i in word:
-        s = list(range(1, n + 1))
-        s[i - 1], s[i] = s[i], s[i - 1]
-        w = perm_mult(w, tuple(s))
-    return w
 
 
 def perm_word(w: tuple[int, ...]) -> tuple[int, ...]:
@@ -304,11 +289,6 @@ def word_for_diagram(g: BrauerDiagram) -> Word:
             q = tuple(q)
             if best_q is None or key(perm_word(q)) < key(perm_word(best_q)):
                 best_q = q
-    if f == 0 and best_q is None:  # permutation diagram: q is forced
-        q = [0] * n
-        for t, u in verts:
-            q[best_p[t - 1] - 1] = u
-        best_q = tuple(q)
 
     word = word_for_permutation(best_p)
     word += tuple(("E", 2 * k + 1) for k in range(f))

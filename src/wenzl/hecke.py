@@ -1,5 +1,5 @@
 """The degenerate cyclotomic quotient on permutations: exact normal forms,
-the Murphy-style basis, Gram determinants, and semisimplicity witnesses.
+the Murphy-style basis, Gram determinants, and the semisimplicity test.
 
 Elements are dicts mapping (alpha, w) to Fraction, where alpha is an
 n-tuple of exponents with 0 <= alpha_j < r and w is a one-line permutation:
@@ -143,15 +143,8 @@ class HeckeAlgebra:
             swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
             _merge(out, (tuple(swapped), perm_mult(s, w)), c)
             a, b = alpha[i - 1], alpha[i]
-            if a > b:
-                sign = -1
-                lo, hi = b, a
-            elif a < b:
-                sign = 1
-                lo, hi = a, b
-            else:
-                continue
-            for q in range(lo, hi):
+            sign = 1 if a < b else -1  # no correction term when a == b
+            for q in range(min(a, b), max(a, b)):
                 na = list(alpha)
                 na[i - 1], na[i] = q, a + b - 1 - q
                 _merge(out, (tuple(na), w), sign * c)
@@ -286,37 +279,6 @@ class MurphyBasis:
         return _linalg.mat_mul([vec], self._inv)[0]
 
 
-def murphy_triangular_report(H: HeckeAlgebra, mb: MurphyBasis) -> list[str]:
-    """Check Y_k m_st = c_s(k) m_st + (dominance-higher terms): the diagonal
-    coefficient is the content, every other surviving coordinate must sit at
-    (same shape, s' strictly dominating s, same t) or at a shape strictly
-    dominating lam.  Returns human-readable failure strings (empty = pass)."""
-    failures = []
-    for (lam, s, t), el in zip(mb.triples, mb.elements):
-        contents = combinat.content_sequence(s, H.ps.u)
-        for k in range(1, H.n + 1):
-            prod = H.multiply(H.gen_Y(k), el)
-            for idx, c in mb.coords(prod).items():
-                mu, a, b = mb.triples[idx]
-                if mu != lam:
-                    if combinat.dominance_mp(mu, lam) and mu != lam:
-                        continue
-                    failures.append(
-                        f"Y_{k} m(s,t) at {lam}: lands on non-dominating {mu}")
-                elif (a, b) == (s, t):
-                    if c != contents[k - 1]:
-                        failures.append(
-                            f"Y_{k} m(s,t) at {lam}: diagonal {c} != content "
-                            f"{contents[k - 1]}")
-                elif b == t and combinat.dominance_std(a, s) and a != s:
-                    continue
-                else:
-                    failures.append(
-                        f"Y_{k} m(s,t) at {lam}: stray coordinate at "
-                        f"(s'={a}, t'={b})")
-    return failures
-
-
 # ---------------------------------------------------------------------------
 # Gram forms and the product formula for their determinants
 # ---------------------------------------------------------------------------
@@ -420,26 +382,3 @@ def is_semisimple(ps: ParamSet, n: int) -> bool:
             if d.denominator == 1 and abs(d) < n:
                 return False
     return True
-
-
-def row_symmetrizer_witness(ps: ParamSet, n: int) -> tuple[Fraction, bool]:
-    """The one-row shape witness: m = (root-shifted Y's)(sum over all T_w)
-    satisfies m^2 = scalar * m with
-    scalar = n! * prod_{t>=2} prod_{d=0}^{n-1} (u_1 + d - u_t).
-    Returns (scalar, product matches exactly)."""
-    H = HeckeAlgebra(ps, n)
-    el = H.one()
-    for i in range(1, ps.r):
-        for k in range(1, n + 1):
-            el = H.multiply(el, H.add(H.gen_Y(k),
-                                      H.scale(-ps.u[i], H.one())))
-    row_sum: Element = {}
-    for w in itertools.permutations(range(1, n + 1)):
-        _merge(row_sum, ((0,) * n, w), Fraction(1))
-    el = H.multiply(el, row_sum)
-    scalar = Fraction(math.factorial(n))
-    for t in range(1, ps.r):
-        for d in range(n):
-            scalar *= ps.u[0] + d - ps.u[t]
-    ok = H.multiply(el, el) == H.scale(scalar, el)
-    return scalar, ok

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import _linalg, combinat, params
 from .params import ParamSet
@@ -242,7 +241,7 @@ def build_all(ps: ParamSet, n: int) -> list[SeminormalRep]:
 
 
 # ---------------------------------------------------------------------------
-# relation suite (shared between the fixtures and the seminormal models)
+# relation suite
 # ---------------------------------------------------------------------------
 
 RELATION_FAMILIES = (
@@ -310,13 +309,6 @@ def _relation_residuals(S, E, X, ps: ParamSet, d: int) -> dict:
             P = mul(P, sub(X[0], scale(I, ui)))
         upd("cyclotomic", P)
     return res
-
-
-def check_module(S, E, X, ps: ParamSet) -> dict:
-    """Exact relation residuals for a module given by ``_linalg`` sparse rows,
-    with at least one X.  Every value should be Fraction(0) for a genuine
-    module."""
-    return _relation_residuals(S, E, X, ps, len(X[0]))
 
 
 def tower_scalars(ps: ParamSet, n: int, memo: dict | None = None) -> dict:
@@ -486,118 +478,3 @@ def check_identities(ps: ParamSet, n: int, memo: dict | None = None) -> Identity
                 record("square-root-matching", lhs == rhs,
                        f"t={tt}, u={uu}, k={k}")
     return IdentityReport(counts, failures)
-
-
-# ---------------------------------------------------------------------------
-# branching: restriction to one strand fewer
-# ---------------------------------------------------------------------------
-
-
-def branching_blocks(rep: SeminormalRep) -> dict:
-    """Group the basis by the next-to-last shape and check that the smaller
-    algebra's generators act block-diagonally with the predicted block sizes."""
-    n = rep.n
-    groups: dict = {}
-    for i, t in enumerate(rep.basis):
-        mu = t[n - 2] if n >= 2 else combinat.empty_mp(rep.ps.r)
-        groups.setdefault(mu, []).append(i)
-
-    shape = rep.shape
-    expected = set()
-    for node in combinat.addable_nodes(shape):
-        mu = combinat.add_box(shape, node)
-        if combinat.mp_size(mu) <= n - 1:
-            expected.add(mu)
-    for node in combinat.removable_nodes(shape):
-        expected.add(combinat.remove_box(shape, node))
-
-    sizes_ok = (set(groups) == expected and
-                all(len(ix) == combinat.count_updown(n - 1, mu)
-                    for mu, ix in groups.items()))
-
-    block_of = {}
-    for mu, ix in groups.items():
-        for i in ix:
-            block_of[i] = mu
-    off = Fraction(0)
-    for M in (*rep.S[:n - 2], *rep.E[:n - 2], *rep.X[:n - 1]):
-        for i, row in enumerate(M):
-            for j, x in row.items():
-                if block_of[i] != block_of[j]:
-                    off = max(off, abs(x))
-    return {
-        "sizes": {mu: len(ix) for mu, ix in groups.items()},
-        "sizes_ok": sizes_ok,
-        "max_offblock": off,
-    }
-
-
-# ---------------------------------------------------------------------------
-# small exact modules (two strands) used as ground-truth fixtures
-# ---------------------------------------------------------------------------
-
-
-class ModuleFixture(NamedTuple):
-    S: list
-    E: list
-    X: list
-    ps: ParamSet
-
-
-def _fixture(S, E, X1, X2, ps: ParamSet) -> ModuleFixture:
-    """A two-strand module from its matrices written out densely."""
-    dense = _linalg.from_dense
-    return ModuleFixture([dense(S)], [dense(E)], [dense(X1), dense(X2)], ps)
-
-
-def module_rank_one(u1=Fraction(2), sign: int = 1) -> ModuleFixture:
-    """One-dimensional module at r = 1: the contraction acts by zero, the
-    swap by +-1, and the second eigenvalue sits one step away."""
-    assert sign in (1, -1)
-    u1 = Fraction(u1)
-    ps = ParamSet.from_u((u1,), n_hint=2)
-    return _fixture([[sign]], [[0]], [[u1]], [[u1 + sign]], ps)
-
-
-def module_contraction_free() -> ModuleFixture:
-    """Two-dimensional module at r = 2, u = (3, 1), with E = 0: the skein
-    relation alone forces the off-diagonal swap."""
-    ps = ParamSet.from_u((3, 1), n_hint=2)
-    F = Fraction
-    S = [[F(-1, 2), F(3, 2)], [F(1, 2), F(1, 2)]]
-    E = [[F(0), F(0)], [F(0), F(0)]]
-    X1 = [[F(3), F(0)], [F(0), F(1)]]
-    X2 = [[F(1), F(0)], [F(0), F(3)]]
-    return _fixture(S, E, X1, X2, ps)
-
-
-def module_nonsplit() -> ModuleFixture:
-    """Two-dimensional module at r = 2 with equal roots u = (1/4, 1/4):
-    X_1 - 1/4 is nonzero nilpotent, so X_1 is not semisimple, yet every
-    relation holds exactly for the matching admissible sequence."""
-    q = Fraction(1, 4)
-    omega = params.nilpotent_example_omega(6)
-    ps = ParamSet.with_omega((q, q), omega)
-    F = Fraction
-    S = [[F(1), F(0)], [F(0), F(-1)]]
-    E = [[F(1), F(0)], [F(0), F(0)]]
-    X1 = [[F(0), q], [-q, F(1, 2)]]
-    X2 = [[F(0), -q], [q, F(-1, 2)]]
-    return _fixture(S, E, X1, X2, ps)
-
-
-def module_residue_family(v) -> ModuleFixture:
-    """The d-dimensional two-strand module with X_1 = diag(v), X_2 = -X_1,
-    contraction columns proportional to the residue coefficients, and the
-    swap determined by the skein relation."""
-    v = [Fraction(x) for x in v]
-    d = len(v)
-    g = params.ene0_gammas(v)
-    omega = [params.omega_residue_form(v, a) for a in range(d + 3)]
-    ps = ParamSet.with_omega(v, omega)
-    E = [[g[j] for j in range(d)] for _ in range(d)]
-    S = [[(g[j] - 1) / (2 * v[j]) if i == j else g[j] / (v[i] + v[j])
-          for j in range(d)] for i in range(d)]
-    X1 = [[v[i] if i == j else 0 for j in range(d)] for i in range(d)]
-    X2 = [[-v[i] if i == j else 0 for j in range(d)] for i in range(d)]
-    return _fixture(S, E, X1, X2, ps)

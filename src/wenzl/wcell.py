@@ -217,30 +217,7 @@ def star_word_sum(terms: WordSum) -> WordSum:
     return tuple((c, tuple(reversed(w))) for c, w in terms)
 
 
-def cyclotomic_word_sum(ps: ParamSet) -> WordSum:
-    """The defining polynomial in X_1, expanded into generator words."""
-    return word_sum_product(((Fraction(1), (("X", 1, 1),)), (-root, ()))
-                            for root in ps.u)
-
-
 # -- cellular structure --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CellIndex:
-    """One member of a cell's index set: a standard tableau of the shape,
-    one exponent per declared arc, and a placement permutation moving the
-    reference arcs {n-1, n}, {n-3, n-2}, ... onto their targets."""
-
-    arcs: int
-    shape: Multipartition
-    tab: Tableau
-    powers: tuple[int, ...]
-    placement: tuple[int, ...]
-
-    @property
-    def triple(self):
-        return (self.tab, self.powers, self.placement)
 
 
 def cell_triples(r: int, n: int, arcs: int, shape: Multipartition) -> list[tuple]:
@@ -251,15 +228,6 @@ def cell_triples(r: int, n: int, arcs: int, shape: Multipartition) -> list[tuple
     powers = list(itertools.product(range(r), repeat=arcs))
     placements = combinat.coset_reps(n, arcs)
     return [(t, k, d) for t in tabs for k in powers for d in placements]
-
-
-def cell_indices(r: int, n: int) -> list[CellIndex]:
-    out: list[CellIndex] = []
-    for arcs in range(n // 2 + 1):
-        for shape in combinat.multipartitions(r, n - 2 * arcs):
-            out.extend(CellIndex(arcs, shape, t, k, d)
-                       for t, k, d in cell_triples(r, n, arcs, shape))
-    return out
 
 
 def contraction_chain(n: int, arcs: int) -> Word:
@@ -340,23 +308,6 @@ def cellular_element(ps: ParamSet, n: int, arcs: int, shape: Multipartition,
     s_word, middle, t_word = murphy_factors(ps, shape, s, t)
     return CellularWord(pre + s_word, middle, t_word + post, arcs, shape,
                         (s, tuple(rho), e), (t, tuple(kappa), d))
-
-
-def filtration_index(word) -> int:
-    """Declared contraction count: read off a cellular word, or the longest
-    run of E letters stepping down by two in a raw word (structural only)."""
-    if isinstance(word, CellularWord):
-        return word.arcs
-    best = run = 0
-    prev = None
-    for letter in word:
-        if letter[0] == "E":
-            run = run + 1 if prev is not None and letter[1] == prev - 2 else 1
-            prev = letter[1]
-            best = max(best, run)
-        else:
-            run, prev = 0, None
-    return best
 
 
 # -- rank and compatibility checks ---------------------------------------

@@ -1,0 +1,308 @@
+"""Code the tests share and the command line does not call: the dense
+matrix reader, the Schur reference for Omega and other admissible
+sequences, exact two-strand module fixtures, the branching report, Hecke
+triangularity and symmetrizer witnesses, cell indices and word helpers."""
+
+import itertools
+import math
+from fractions import Fraction
+from typing import NamedTuple
+
+from wenzl import combinat, hecke, seminormal, wcell
+from wenzl.combinat import Multipartition, Tableau
+from wenzl.diagrams import BrauerDiagram, perm_mult
+from wenzl.params import ONE, ParamSet, Poly
+
+HALF = Fraction(1, 2)
+
+
+def from_dense(a) -> list[dict]:
+    """The ``_linalg`` rows of a list-of-lists matrix written out densely."""
+    return [{j: Fraction(x) for j, x in enumerate(row) if x} for row in a]
+
+
+def schur_q(a: int, x) -> Fraction:
+    """Coefficient of y^a in prod_i (1 + x_i y)/(1 - x_i y)."""
+    assert a >= 0
+    coeffs = [Fraction(0)] * (a + 1)
+    coeffs[0] = Fraction(1)
+    for xi in x:
+        xi = Fraction(xi)
+        # multiply by (1 + xi*y), then by 1/(1 - xi*y) = sum (xi*y)^k
+        for k in range(a, 0, -1):
+            coeffs[k] += xi * coeffs[k - 1]
+        for k in range(1, a + 1):
+            coeffs[k] += xi * coeffs[k - 1]
+    return coeffs[a]
+
+
+def omega_from_u(u, a: int) -> Fraction:
+    """omega_a = q_{a+1}(u) - (1/2)(-1)^r q_a(u) + (1/2) delta_{a0}, r = len(u)."""
+    sign = -1 if len(u) % 2 else 1
+    out = schur_q(a + 1, u) - HALF * sign * schur_q(a, u)
+    if a == 0:
+        out += HALF
+    return out
+
+
+def ene0_gammas(v) -> list[Fraction]:
+    """The residue coefficients of the d-dimensional module with X_1 = diag(v)."""
+    v = [Fraction(x) for x in v]
+    d = len(v)
+    sign = -1 if d % 2 else 1
+    out = []
+    for i, vi in enumerate(v):
+        g = 2 * vi - sign
+        for j, vj in enumerate(v):
+            if j != i:
+                assert vi != vj, "coincident eigenvalues"
+                g *= (vi + vj) / (vi - vj)
+        out.append(g)
+    return out
+
+
+def omega_residue_form(v, a: int) -> Fraction:
+    return sum(Fraction(x) ** a * g for x, g in zip(v, ene0_gammas(v)))
+
+
+def nilpotent_example_omega(A: int) -> list[Fraction]:
+    """omega_a = (1/4)^a (1 - a): an admissible sequence that no pair of
+    distinct roots derives; its algebra admits a module on which X_1 - 1/4
+    is nonzero nilpotent."""
+    q = Fraction(1, 4)
+    return [q ** a * (1 - a) for a in range(A + 1)]
+
+
+def brauer_omega_sequence(A: int) -> list[Poly]:
+    """The one-parameter family omega_a = w*((w-1)/2)^a, as exact polynomials
+    in the loop value w; admissible for every w."""
+    w = Poly((Fraction(0), Fraction(1)))
+    step = (w - ONE) * HALF
+    out, cur = [], w
+    for _ in range(A + 1):
+        out.append(cur)
+        cur = cur * step
+    return out
+
+
+class ModuleFixture(NamedTuple):
+    S: list
+    E: list
+    X: list
+    ps: ParamSet
+
+
+def check_module(S, E, X, ps: ParamSet) -> dict:
+    """Exact relation residuals for a module given by ``_linalg`` sparse rows,
+    with at least one X.  Every value should be Fraction(0) for a genuine
+    module."""
+    return seminormal._relation_residuals(S, E, X, ps, len(X[0]))
+
+
+def _fixture(S, E, X1, X2, ps: ParamSet) -> ModuleFixture:
+    """A two-strand module from its matrices written out densely."""
+    return ModuleFixture([from_dense(S)], [from_dense(E)],
+                         [from_dense(X1), from_dense(X2)], ps)
+
+
+def module_rank_one(u1=Fraction(2), sign: int = 1) -> ModuleFixture:
+    """One-dimensional module at r = 1: the contraction acts by zero, the
+    swap by +-1, and the second eigenvalue sits one step away."""
+    assert sign in (1, -1)
+    u1 = Fraction(u1)
+    ps = ParamSet.from_u((u1,), n_hint=2)
+    return _fixture([[sign]], [[0]], [[u1]], [[u1 + sign]], ps)
+
+
+def module_contraction_free() -> ModuleFixture:
+    """Two-dimensional module at r = 2, u = (3, 1), with E = 0: the skein
+    relation alone forces the off-diagonal swap."""
+    ps = ParamSet.from_u((3, 1), n_hint=2)
+    F = Fraction
+    S = [[F(-1, 2), F(3, 2)], [F(1, 2), F(1, 2)]]
+    E = [[F(0), F(0)], [F(0), F(0)]]
+    X1 = [[F(3), F(0)], [F(0), F(1)]]
+    X2 = [[F(1), F(0)], [F(0), F(3)]]
+    return _fixture(S, E, X1, X2, ps)
+
+
+def module_nonsplit() -> ModuleFixture:
+    """Two-dimensional module at r = 2 with equal roots u = (1/4, 1/4):
+    X_1 - 1/4 is nonzero nilpotent, so X_1 is not semisimple, yet every
+    relation holds exactly for the matching admissible sequence."""
+    q = Fraction(1, 4)
+    omega = nilpotent_example_omega(6)
+    ps = ParamSet.with_omega((q, q), omega)
+    F = Fraction
+    S = [[F(1), F(0)], [F(0), F(-1)]]
+    E = [[F(1), F(0)], [F(0), F(0)]]
+    X1 = [[F(0), q], [-q, F(1, 2)]]
+    X2 = [[F(0), -q], [q, F(-1, 2)]]
+    return _fixture(S, E, X1, X2, ps)
+
+
+def module_residue_family(v) -> ModuleFixture:
+    """The d-dimensional two-strand module with X_1 = diag(v), X_2 = -X_1,
+    contraction columns proportional to the residue coefficients, and the
+    swap determined by the skein relation."""
+    v = [Fraction(x) for x in v]
+    d = len(v)
+    g = ene0_gammas(v)
+    omega = [omega_residue_form(v, a) for a in range(d + 3)]
+    ps = ParamSet.with_omega(v, omega)
+    E = [[g[j] for j in range(d)] for _ in range(d)]
+    S = [[(g[j] - 1) / (2 * v[j]) if i == j else g[j] / (v[i] + v[j])
+          for j in range(d)] for i in range(d)]
+    X1 = [[v[i] if i == j else 0 for j in range(d)] for i in range(d)]
+    X2 = [[-v[i] if i == j else 0 for j in range(d)] for i in range(d)]
+    return _fixture(S, E, X1, X2, ps)
+
+
+def module_fixtures() -> list[ModuleFixture]:
+    """Every fixture above, the rank-one module at two roots and signs."""
+    return [module_rank_one(sign=1), module_rank_one(Fraction(5, 3), sign=-1),
+            module_contraction_free(), module_nonsplit(),
+            module_residue_family((Fraction(3), Fraction(-7), Fraction(11)))]
+
+
+def branching_blocks(rep: seminormal.SeminormalRep) -> dict:
+    """Group the basis by the next-to-last shape and check that the smaller
+    algebra's generators act block-diagonally with the predicted block sizes."""
+    n = rep.n
+    groups: dict = {}
+    for i, t in enumerate(rep.basis):
+        mu = t[n - 2] if n >= 2 else combinat.empty_mp(rep.ps.r)
+        groups.setdefault(mu, []).append(i)
+
+    expected = {mu for mu in combinat.neighbors(rep.shape) if combinat.mp_size(mu) <= n - 1}
+
+    sizes_ok = (set(groups) == expected and
+                all(len(ix) == combinat.count_updown(n - 1, mu)
+                    for mu, ix in groups.items()))
+
+    block_of = {}
+    for mu, ix in groups.items():
+        for i in ix:
+            block_of[i] = mu
+    off = Fraction(0)
+    for M in (*rep.S[:n - 2], *rep.E[:n - 2], *rep.X[:n - 1]):
+        for i, row in enumerate(M):
+            for j, x in row.items():
+                if block_of[i] != block_of[j]:
+                    off = max(off, abs(x))
+    return {
+        "sizes": {mu: len(ix) for mu, ix in groups.items()},
+        "sizes_ok": sizes_ok,
+        "max_offblock": off,
+    }
+
+
+def murphy_triangular_report(H: hecke.HeckeAlgebra, mb: hecke.MurphyBasis) -> list[str]:
+    """Check Y_k m_st = c_s(k) m_st + (dominance-higher terms): the diagonal
+    coefficient is the content, every other surviving coordinate must sit at
+    (same shape, s' strictly dominating s, same t) or at a shape strictly
+    dominating lam.  Returns human-readable failure strings (empty = pass)."""
+    failures = []
+    for (lam, s, t), el in zip(mb.triples, mb.elements):
+        contents = combinat.content_sequence(s, H.ps.u)
+        for k in range(1, H.n + 1):
+            prod = H.multiply(H.gen_Y(k), el)
+            for idx, c in mb.coords(prod).items():
+                mu, a, b = mb.triples[idx]
+                if mu != lam:
+                    if combinat.dominance_mp(mu, lam) and mu != lam:
+                        continue
+                    failures.append(
+                        f"Y_{k} m(s,t) at {lam}: lands on non-dominating {mu}")
+                elif (a, b) == (s, t):
+                    if c != contents[k - 1]:
+                        failures.append(
+                            f"Y_{k} m(s,t) at {lam}: diagonal {c} != content "
+                            f"{contents[k - 1]}")
+                elif b == t and combinat.dominance_std(a, s) and a != s:
+                    continue
+                else:
+                    failures.append(
+                        f"Y_{k} m(s,t) at {lam}: stray coordinate at "
+                        f"(s'={a}, t'={b})")
+    return failures
+
+
+def row_symmetrizer_witness(ps: ParamSet, n: int) -> tuple[Fraction, bool]:
+    """The one-row shape witness: m = (root-shifted Y's)(sum over all T_w)
+    satisfies m^2 = scalar * m with
+    scalar = n! * prod_{t>=2} prod_{d=0}^{n-1} (u_1 + d - u_t).
+    Returns (scalar, product matches exactly)."""
+    H = hecke.HeckeAlgebra(ps, n)
+    el = H.one()
+    for i in range(1, ps.r):
+        for k in range(1, n + 1):
+            el = H.multiply(el, H.add(H.gen_Y(k),
+                                      H.scale(-ps.u[i], H.one())))
+    row_sum: dict = {}
+    for w in itertools.permutations(range(1, n + 1)):
+        hecke._merge(row_sum, ((0,) * n, w), Fraction(1))
+    el = H.multiply(el, row_sum)
+    scalar = Fraction(math.factorial(n))
+    for t in range(1, ps.r):
+        for d in range(n):
+            scalar *= ps.u[0] + d - ps.u[t]
+    ok = H.multiply(el, el) == H.scale(scalar, el)
+    return scalar, ok
+
+
+def cyclotomic_word_sum(ps: ParamSet) -> wcell.WordSum:
+    """The defining polynomial in X_1, expanded into generator words."""
+    return wcell.word_sum_product(((Fraction(1), (("X", 1, 1),)), (-root, ()))
+                                  for root in ps.u)
+
+
+class CellIndex(NamedTuple):
+    """One member of a cell's index set; ``triple`` is a standard tableau of
+    the shape, one exponent per declared arc, and a placement permutation
+    moving the reference arcs {n-1, n}, {n-3, n-2}, ... onto their targets."""
+
+    arcs: int
+    shape: Multipartition
+    triple: tuple[Tableau, tuple[int, ...], tuple[int, ...]]
+
+
+def cell_indices(r: int, n: int) -> list[CellIndex]:
+    out: list[CellIndex] = []
+    for arcs in range(n // 2 + 1):
+        for shape in combinat.multipartitions(r, n - 2 * arcs):
+            out.extend(CellIndex(arcs, shape, triple)
+                       for triple in wcell.cell_triples(r, n, arcs, shape))
+    return out
+
+
+def filtration_index(word) -> int:
+    """Declared contraction count: read off a cellular word, or the longest
+    run of E letters stepping down by two in a raw word (structural only)."""
+    if isinstance(word, wcell.CellularWord):
+        return word.arcs
+    best = run = 0
+    prev = None
+    for letter in word:
+        if letter[0] == "E":
+            run = run + 1 if prev is not None and letter[1] == prev - 2 else 1
+            prev = letter[1]
+            best = max(best, run)
+        else:
+            run, prev = 0, None
+    return best
+
+
+def permutation_diagram(n: int, w: tuple[int, ...]) -> BrauerDiagram:
+    """Edges {i, w(i)-bar} for a permutation w in one-line form."""
+    assert sorted(w) == list(range(1, n + 1))
+    return BrauerDiagram.from_edges(n, [(i, n + w[i - 1]) for i in range(1, n + 1)])
+
+
+def perm_of_word(word: tuple[int, ...], n: int) -> tuple[int, ...]:
+    w = tuple(range(1, n + 1))
+    for i in word:
+        s = list(range(1, n + 1))
+        s[i - 1], s[i] = s[i], s[i - 1]
+        w = perm_mult(w, tuple(s))
+    return w

@@ -8,6 +8,7 @@ tolerances here are the promised ones; do not shrink them to save time.
 import math
 from fractions import Fraction
 
+import support
 from wenzl import combinat, diagrams, hecke, params, seminormal, wcell
 from wenzl.params import ParamSet
 
@@ -89,12 +90,12 @@ def test_criterion_06_admissibility():
     ok = True
     for r in (1, 2, 3, 4):
         u = combinat.default_u(r, 4)
-        seq = [params.omega_from_u(u, a) for a in range(13)]
+        seq = [support.omega_from_u(u, a) for a in range(13)]
         good, bad = params.check_admissible(seq)
         ok &= good and bad is None
-    nil_ok, _ = params.check_admissible(params.nilpotent_example_omega(12))
+    nil_ok, _ = params.check_admissible(support.nilpotent_example_omega(12))
     ok &= nil_ok
-    brauer = params.brauer_omega_sequence(21)
+    brauer = support.brauer_omega_sequence(21)
     br_ok, _ = params.check_admissible(brauer)
     ok &= br_ok
     w = params.Poly((F(0), F(1)))
@@ -109,16 +110,10 @@ def test_criterion_06_admissibility():
 
 
 def test_criterion_07_module_fixtures():
-    fixtures = [
-        seminormal.module_rank_one(sign=1),
-        seminormal.module_rank_one(F(5, 3), sign=-1),
-        seminormal.module_contraction_free(),
-        seminormal.module_nonsplit(),
-        seminormal.module_residue_family((F(3), F(-7), F(11))),
-    ]
+    fixtures = support.module_fixtures()
     ok = True
     for fix in fixtures:
-        res = seminormal.check_module(fix.S, fix.E, fix.X, fix.ps)
+        res = support.check_module(fix.S, fix.E, fix.X, fix.ps)
         ok &= all(v == 0 for v in res.values())
     report(7, ok, f"all {len(fixtures)} explicit module fixtures satisfy "
                   "every relation with residual exactly 0")
@@ -145,9 +140,7 @@ def test_criterion_09_gram_determinants():
             mb = hecke.MurphyBasis(H)
             for lam in combinat.multipartitions(r, n):
                 det = hecke.gram_det(H, mb, lam)
-                prod = F(1)
-                for g in hecke.gamma_coeffs(lam, ps).values():
-                    prod *= g
+                prod = math.prod(hecke.gamma_coeffs(lam, ps).values(), start=F(1))
                 ok &= det == prod
                 ok &= hecke.gamma_path_independent(lam, ps)
     report(9, ok, "Gram determinant equals the product of path coefficients "
@@ -167,16 +160,16 @@ def test_criterion_10_semisimplicity_boundary():
     for r in (1, 2):
         for n in (1, 2, 3):
             ps = ParamSet.default(r, n)
-            scalar, sym_ok = hecke.row_symmetrizer_witness(ps, n)
+            scalar, sym_ok = support.row_symmetrizer_witness(ps, n)
             want = F(math.factorial(n))
             for d in range(n):
                 for t in range(1, r):
                     want *= ps.u[0] + d - ps.u[t]
             ok &= sym_ok and scalar == want and scalar != 0
-    frozen, sym_ok = hecke.row_symmetrizer_witness(
+    frozen, sym_ok = support.row_symmetrizer_witness(
         ParamSet.from_u((F(6), F(-2)), n_hint=3), 3)
     ok &= sym_ok and frozen == 4320
-    zero, sym_ok = hecke.row_symmetrizer_witness(
+    zero, sym_ok = support.row_symmetrizer_witness(
         ParamSet.from_u((F(0), F(1)), n_hint=2), 2)
     ok &= sym_ok and zero == 0
     report(10, ok, "semisimplicity flips exactly at gap n; symmetrizer "
@@ -210,7 +203,7 @@ def test_criterion_12_branching():
         for n in range(1, 5):
             ps = ParamSet.default(r, n)
             for rep in seminormal.build_all(ps, n):
-                rpt = seminormal.branching_blocks(rep)
+                rpt = support.branching_blocks(rep)
                 ok &= rpt["sizes_ok"] and rpt["max_offblock"] == 0
     report(12, ok, "restriction decomposes along shape adjacency with the "
                    "predicted block sizes and off-block entries exactly 0, "

@@ -256,6 +256,15 @@ def test_byte_identical_reruns(tmp_path):
         assert json.loads(a.read_text().splitlines()[-1])["ps"]["u"][0] == u.split(",")[0]
 
 
+def test_shape_with_empty_first_component(tmp_path):
+    # a leading "-" is an empty first component: "--shape -|1" is "--shape=-|1"
+    a, b = tmp_path / "space.jsonl", tmp_path / "equals.jsonl"
+    for shape in ("-|1", "-", "-|-|2,1"):
+        assert main(["gram", "--shape", shape, "--out", str(a)]) == 0
+        assert main(["gram", "--shape=" + shape, "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes(), shape
+
+
 def test_edge_inputs_end_in_records(tmp_path):
     # empty, degenerate and out-of-regime inputs; gram takes its size from
     # the shape, so it gets the same cases as shapes

@@ -163,6 +163,15 @@ def test_t_lambda_and_d_perm():
     assert d_perm(()) == ()
 
 
+def test_d_perm_matches_entries_of_t_lambda():
+    # d(t^lam(box)) = t(box), with the entries of t^lambda read off its walk
+    for lam in (lam for r in (1, 2, 3) for m in range(6) for lam in multipartitions(r, m)):
+        canon = combinat.tableau_entries(t_lambda(lam))
+        for t in standard_tableaux(lam):
+            mine = combinat.tableau_entries(t)
+            assert d_perm(t) == tuple(mine[box] for box in sorted(canon, key=canon.get)), t
+
+
 def test_sk_action_and_neighbors():
     lam = ((2, 1),)
     for t in standard_tableaux(lam):

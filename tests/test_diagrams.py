@@ -2,12 +2,12 @@
 
 import itertools
 
+from support import perm_of_word, permutation_diagram
 from wenzl.diagrams import (
-    BrauerDiagram, compose, compose_word, contraction_diagram,
+    compose, compose_word, contraction_diagram,
     double_factorial, enumerate_diagrams, generator_diagram,
-    identity_diagram, perm_inverse, perm_mult, perm_of_word,
-    permutation_diagram, perm_word, star_word, transposition_diagram,
-    word_for_diagram, word_for_permutation,
+    identity_diagram, perm_inverse, perm_mult, perm_word, star_word,
+    transposition_diagram, word_for_diagram, word_for_permutation,
 )
 
 

@@ -1,13 +1,15 @@
 """Degenerate cyclotomic quotient: normal form, Murphy basis, Gram forms."""
 
 import itertools
+import math
 from fractions import Fraction
 
+from support import murphy_triangular_report, row_symmetrizer_witness
 from wenzl import combinat, hecke
 from wenzl.hecke import (
     HeckeAlgebra, MurphyBasis, gamma_coeffs, gamma_path_independent,
     gamma_top, gram_det, gram_entry, gram_matrix, is_semisimple,
-    murphy_element, murphy_triangular_report, row_symmetrizer_witness,
+    murphy_element,
 )
 from wenzl.params import ParamSet
 
@@ -160,9 +162,7 @@ def test_gram_dets_two_strands():
     }
     for lam, det in want.items():
         assert gram_det(H, mb, lam) == det
-        prod = F(1)
-        for v in gamma_coeffs(lam, ps).values():
-            prod *= v
+        prod = math.prod(gamma_coeffs(lam, ps).values(), start=F(1))
         assert prod == det
         assert gamma_path_independent(lam, ps)
 

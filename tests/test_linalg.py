@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+from support import from_dense
 from wenzl import _linalg as la
 
 F = Fraction
@@ -41,19 +42,19 @@ def _perm_sign(perm):
 
 
 def test_identity_and_zeros():
-    assert la.identity(2) == [{0: 1}, {1: 1}] == la.from_dense(_eye(2))
-    assert la.zeros(2) == [{}, {}] == la.from_dense([[0, 0, 0], [0, 0, 0]])
+    assert la.identity(2) == [{0: 1}, {1: 1}] == from_dense(_eye(2))
+    assert la.zeros(2) == [{}, {}] == from_dense([[0, 0, 0], [0, 0, 0]])
     assert la.diagonal([F(2), 0, F(-1, 3)]) == [{0: F(2)}, {}, {2: F(-1, 3)}]
     # 0**0 == 1, as an X^0 letter needs
     assert la.diagonal(x ** 0 for x in (0, F(3))) == la.identity(2)
     assert la.max_abs(la.zeros(3)) == 0
-    assert la.max_abs(la.from_dense([[F(1, 2), F(-7, 3)], [0, 2]])) == F(7, 3)
+    assert la.max_abs(from_dense([[F(1, 2), F(-7, 3)], [0, 2]])) == F(7, 3)
 
 
 def test_mat_ops():
-    a = la.from_dense([[F(1), F(2)], [F(3), F(4)]])
-    b = la.from_dense([[F(0), F(1)], [F(1), F(0)]])
-    assert la.mat_mul(a, b) == la.from_dense([[F(2), F(1)], [F(4), F(3)]])
+    a = from_dense([[F(1), F(2)], [F(3), F(4)]])
+    b = from_dense([[F(0), F(1)], [F(1), F(0)]])
+    assert la.mat_mul(a, b) == from_dense([[F(2), F(1)], [F(4), F(3)]])
     assert la.mat_add(a, la.mat_scale(a, -1)) == la.zeros(2)
     assert la.mat_sub(a, a) == la.zeros(2)
     assert la.mat_scale(a, 0) == la.zeros(2)
@@ -73,7 +74,7 @@ def test_mat_ops_match_dense_reference():
             a2[0] = [-x for x in a[0]]
             a2[-1] = list(a[-1])
         c = F(rng.randint(-5, 5), rng.randint(1, 3))
-        A, A2, B = la.from_dense(a), la.from_dense(a2), la.from_dense(b)
+        A, A2, B = from_dense(a), from_dense(a2), from_dense(b)
         results = {
             "mul": (la.mat_mul(A, B), _dense_mul(a, b, n)),
             "add": (la.mat_add(A, A2), [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, a2)]),
@@ -81,24 +82,24 @@ def test_mat_ops_match_dense_reference():
             "scale": (la.mat_scale(A, c), [[x * c for x in row] for row in a]),
         }
         for name, (got, want) in results.items():
-            assert got == la.from_dense(want), (name, a, a2, b, c)
+            assert got == from_dense(want), (name, a, a2, b, c)
             assert all(x != 0 for row in got for x in row.values()), (name, got)
         assert la.mat_add(A, la.mat_scale(A, -1)) == la.zeros(m)
         assert la.max_abs(la.mat_sub(A, A2)) == max(
             (abs(x - y) for ra, rb in zip(a, a2) for x, y in zip(ra, rb)), default=0)
         # the operands are left as they were
-        assert A == la.from_dense(a) and A2 == la.from_dense(a2)
+        assert A == from_dense(a) and A2 == from_dense(a2)
 
 
 def test_det_and_inverse():
-    a = la.from_dense([[F(2), F(1)], [F(7), F(4)]])
+    a = from_dense([[F(2), F(1)], [F(7), F(4)]])
     assert la.det(a) == 1
     inv = la.inverse(a)
     assert la.mat_mul(a, inv) == la.identity(2)
-    assert a == la.from_dense([[F(2), F(1)], [F(7), F(4)]])
-    assert la.det(la.from_dense([[F(1), F(2)], [F(2), F(4)]])) == 0
+    assert a == from_dense([[F(2), F(1)], [F(7), F(4)]])
+    assert la.det(from_dense([[F(1), F(2)], [F(2), F(4)]])) == 0
     # 3x3 with fractional entries
-    m = la.from_dense([[F(1, 2), F(0), F(1)], [F(0), F(3), F(0)], [F(1), F(0), F(1)]])
+    m = from_dense([[F(1, 2), F(0), F(1)], [F(0), F(3), F(0)], [F(1), F(0), F(1)]])
     assert la.det(m) == F(-3, 2)
     assert la.mat_mul(m, la.inverse(m)) == la.identity(3)
     assert la.det([]) == 1 and la.inverse([]) == []
@@ -113,7 +114,7 @@ def test_det_and_inverse():
         if n > 1 and rng.random() < 0.2:
             # a repeated row or a zero row
             a[rng.randrange(1, n)] = list(a[0]) if rng.random() < 0.5 else [F(0)] * n
-        rows = la.from_dense(a)
+        rows = from_dense(a)
         d = la.det(rows)
         assert d == _cofactor_det(a), a
         if d:
@@ -127,18 +128,18 @@ def test_det_and_inverse():
     for n in range(1, 6):
         for perm in itertools.permutations(range(n)):
             p = _perm_matrix(perm)
-            rows = la.from_dense(p)
+            rows = from_dense(p)
             assert la.det(rows) == _perm_sign(perm) == _cofactor_det(p), perm
             assert la.mat_mul(rows, la.inverse(rows)) == la.identity(n)
     # a scaled permutation: det is the sign times the product of the scales
     p = _perm_matrix((2, 0, 3, 1))
     scaled = [[x * F(i + 2, 3) for x in row] for i, row in enumerate(p)]
-    assert la.det(la.from_dense(scaled)) == -F(2 * 3 * 4 * 5, 3 ** 4)
+    assert la.det(from_dense(scaled)) == -F(2 * 3 * 4 * 5, 3 ** 4)
 
 
 def test_rank():
     def rank(a):
-        return la.rank(la.from_dense(a))
+        return la.rank(from_dense(a))
 
     assert rank([[F(1), F(2)], [F(2), F(4)]]) == 1
     assert la.rank(la.identity(4)) == 4

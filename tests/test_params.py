@@ -1,14 +1,18 @@
-"""Exact parameter sets, admissible sequences, and the series machinery."""
+"""Exact parameter sets, admissible sequences, and the expansion of W."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from support import (
+    brauer_omega_sequence, nilpotent_example_omega, omega_from_u,
+    omega_residue_form, schur_q,
+)
 from wenzl import combinat, params
 from wenzl.params import (
-    LaurentSeries, ParamSet, Poly, RationalFunction, brauer_omega_sequence,
-    check_admissible, format_fraction, nilpotent_example_omega, omega_from_u,
-    omega_residue_form, parse_fraction, residue_at_simple_pole, schur_q,
+    ParamSet, Poly, RationalFunction, check_admissible, format_fraction,
+    parse_fraction,
 )
 
 F = Fraction
@@ -26,8 +30,6 @@ def test_parse_format_fraction():
 def test_poly_arithmetic():
     p = Poly.y_plus(-2) * Poly.y_plus(3)      # (y - 2)(y + 3)
     assert p(F(2)) == 0 and p(F(-3)) == 0 and p(F(0)) == -6
-    q, rem = divmod(p, Poly.y_plus(-2))
-    assert rem == Poly() and q == Poly.y_plus(3)
     assert p.degree == 2
     assert (p * F(1, 2))(F(0)) == -3
 
@@ -47,13 +49,6 @@ def test_rational_function_reduction():
     assert b(F(4)) == 6 and b(F(-2)) == 0
     assert b != RationalFunction(Poly.y_plus(3), Poly.y_plus(-3))
     assert a - RationalFunction(Poly.y_plus(1)) == RationalFunction(Poly())
-
-
-def test_residue_at_simple_pole():
-    den = Poly.y_plus(-2) * Poly.y_plus(3)
-    rf = RationalFunction(Poly.const(1), den)
-    assert residue_at_simple_pole(rf, F(2)) == F(1, 5)
-    assert residue_at_simple_pole(rf, F(-3)) == F(-1, 5)
 
 
 def test_schur_q_values():
@@ -85,8 +80,9 @@ def test_paramset_json_round_trip():
 
 def test_omega_from_u_matches_residue_form():
     v = (F(3), F(-7), F(11))
+    omega = ParamSet.from_u(v, n_hint=1).omega
     for a in range(7):
-        assert omega_from_u(v, a) == omega_residue_form(v, a)
+        assert omega_from_u(v, a) == omega_residue_form(v, a) == omega[a]
 
 
 def test_omega_from_u_admissible():
@@ -95,6 +91,7 @@ def test_omega_from_u_admissible():
         omega = [omega_from_u(u, a) for a in range(13)]
         ok, bad = check_admissible(omega)
         assert ok and bad is None
+        assert check_admissible(ParamSet.from_u(u, 3, 40).omega) == (True, None)
 
 
 def test_check_admissible_rejects():
@@ -123,11 +120,44 @@ def test_brauer_family():
         expected = expected * step
 
 
+def _roots():
+    """Seeded rational roots for r = 1..4, then repeated, zero and large ones."""
+    rng = random.Random(20050)
+    return [tuple(F(rng.randint(-40, 40), rng.randint(1, 6)) for _ in range(r))
+            for r in (1, 2, 3, 4) for _ in range(6)] + [
+        (F(2), F(2)), (F(1, 4), F(1, 4)), (F(1), F(1), F(1)), (F(0),), (F(0), F(0)),
+        (F(0), F(5)), (F(3), F(0), F(-3)), (F(100000), F(-3)), (F(-3), F(100000), F(7, 2))]
+
+
+def test_omega_from_u_is_the_schur_formula():
+    # Omega is read off W_1 at infinity; the Schur q formula is independent
+    for u in _roots():
+        for n, min_N in ((1, 0), (3, 0), (2, 40)):
+            ps = ParamSet.from_u(u, n, min_N)
+            assert ps.N == max(2 * len(u) + 4 * n, min_N)
+            assert list(ps.omega) == [omega_from_u(u, a) for a in range(ps.N + 1)], u
+
+
 def test_w1_identities():
-    for r in (1, 2, 3):
-        ps = ParamSet.default(r, 3)
-        assert params.w1_identity_check(ps)
-        assert params.w1_product_identity_check(ps)
+    # (W_1(y) + y - 1/2)(W_1(-y) - y - 1/2) = (1/2 - y)(1/2 + y) exactly, as
+    # rational functions; W_1(-y) flips the sign of the odd coefficients
+    def at_minus_y(p):
+        return Poly(tuple(-c if k % 2 else c for k, c in enumerate(p.coeffs)))
+
+    half, y = F(1, 2), RationalFunction(Poly.y_plus(0))
+    for u in _roots():
+        w = params.w1_rational(ParamSet.from_u(u, 3))
+        w_minus = RationalFunction(at_minus_y(w.num), at_minus_y(w.den))
+        assert (w + y - half) * (w_minus - y - half) == (-y + half) * (y + half), u
+
+
+def test_series_of_rational():
+    # 1/(y - 2) = y^-1 + 2 y^-2 + 4 y^-3 + ..., and y/(y - 2) = 1 + 2 y^-1 + ...
+    y, series = Poly.y_plus(0), params.series_of_rational
+    assert series(RationalFunction(Poly.const(1), Poly.y_plus(-2)), 3) == [0, 1, 2, 4]
+    assert series(RationalFunction(y, Poly.y_plus(-2)), 2) == [1, 2, 4]
+    with pytest.raises(AssertionError, match="at infinity"):
+        series(RationalFunction(y), 2)
 
 
 def _walk_recursion(t, k, ps):
@@ -153,9 +183,7 @@ def test_wk_rational_matches_walk_recursion(r, n):
         ref = _walk_recursion(t, k, ps)
         assert params.wk_rational(t, k, ps) == ref, t
         assert params.wk_recursive_rational(t, k, ps) == ref, t
-        expanded = params.series_of_rational(ref, -A)
-        assert params.omega_k_values(t, k, ps, A) == [expanded[-a]
-                                                      for a in range(A + 1)]
+        assert params.omega_k_values(t, k, ps, A) == params.series_of_rational(ref, A)
 
 
 def test_w1_is_w_at_the_empty_shape():
@@ -182,9 +210,7 @@ def test_wk_rational_at_colliding_shape():
             assert direct == ref
             assert direct == params.wk_recursive_rational(t, 2, ps)
             assert direct(F(0)) == 0
-            expanded = params.series_of_rational(ref, -4)
-            assert params.omega_k_values(t, 2, ps, 4) == [expanded[-a]
-                                                          for a in range(5)]
+            assert params.omega_k_values(t, 2, ps, 4) == params.series_of_rational(ref, 4)
 
 
 def test_omega_k_values_at_first_position():
@@ -193,14 +219,6 @@ def test_omega_k_values_at_first_position():
     t = (((1,), ()), ((1, 1), ()))
     vals = params.omega_k_values(t, 1, ps, 4)
     assert tuple(vals) == ps.omega[:5]
-
-
-def test_laurent_series_truncation():
-    a = LaurentSeries({-1: F(1)}, -4)        # 1/y + O(y^4 tail tracking)
-    b = LaurentSeries({1: F(2)}, -4)
-    prod = a * b
-    assert prod[0] == 2
-    assert prod.low >= -4
 
 
 def test_from_omega_mode():

@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from support import (
+    branching_blocks, check_module, from_dense, module_fixtures, module_nonsplit,
+)
 from wenzl import _linalg, combinat, params
 from wenzl.params import ParamSet
 from wenzl.seminormal import (
-    RELATION_FAMILIES, branching_blocks, build_all, check_identities,
-    check_module, module_contraction_free, module_nonsplit, module_rank_one,
-    module_residue_family, returns_at, tower_scalars, verify_relations,
+    RELATION_FAMILIES, build_all, check_identities, returns_at, tower_scalars,
+    verify_relations,
 )
 
 F = Fraction
@@ -42,14 +44,14 @@ def test_single_strand():
         # X_1 acts by the content of the single box
         t = rep.basis[0]
         c = combinat.content_sequence(t, ps.u)[0]
-        assert rep.X[0] == _linalg.from_dense([[c]])
+        assert rep.X[0] == from_dense([[c]])
 
 
 def test_contraction_block_is_omega0():
     ps = ParamSet.default(1, 2)
     for rep in build_all(ps, 2):
         if rep.shape == combinat.empty_mp(1):
-            assert rep.E[0] == _linalg.from_dense([[ps.omega[0]]])
+            assert rep.E[0] == from_dense([[ps.omega[0]]])
 
 
 def test_generators_are_symmetric():
@@ -106,9 +108,9 @@ def test_closed_form_w_taken_once_per_shape(monkeypatch):
     formed = []
     w_at_shape = params._w_at_shape
 
-    def counted(shape, ps):
+    def counted(shape, r, u):
         formed.append(shape)
-        return w_at_shape(shape, ps)
+        return w_at_shape(shape, r, u)
 
     monkeypatch.setattr(params, "_w_at_shape", counted)
     memo = {}
@@ -178,14 +180,7 @@ def test_identity_suite_checks_each_window_once(r, n):
 
 
 def test_module_fixtures_exact():
-    fixtures = [
-        module_rank_one(sign=1),
-        module_rank_one(F(5, 3), sign=-1),
-        module_contraction_free(),
-        module_nonsplit(),
-        module_residue_family((F(3), F(-7), F(11))),
-    ]
-    for fix in fixtures:
+    for fix in module_fixtures():
         res = check_module(fix.S, fix.E, fix.X, fix.ps)
         assert all(v == 0 for v in res.values()), res
 

@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from support import cell_indices, cyclotomic_word_sum, filtration_index, from_dense
 from wenzl import _linalg, combinat, diagrams, wcell
 from wenzl.params import ParamSet
 from wenzl.wcell import (
-    CellularWord, Realization, RegularMonomial, cell_indices, cell_triples,
+    Realization, RegularMonomial, cell_triples,
     cellular_element, cellular_rank_report, contraction_chain,
     contraction_murphy_commute_residual, enumerate_r_regular,
-    filtration_index, hecke_pairing_residual, murphy_words, rank_report,
+    hecke_pairing_residual, murphy_words, rank_report,
     star_word_sum, word_for_monomial, word_sum_mul,
 )
 
@@ -21,7 +22,7 @@ F = Fraction
 def adjoint(block, gamma):
     """G^-1 block^T G for the form G = diag(gamma)."""
     d = len(gamma)
-    return _linalg.from_dense([[block[j].get(i, 0) * gamma[j] / gamma[i]
+    return from_dense([[block[j].get(i, 0) * gamma[j] / gamma[i]
                                 for j in range(d)] for i in range(d)])
 
 
@@ -106,7 +107,7 @@ def test_cyclotomic_word_sum_vanishes():
     for r, n in ((1, 2), (2, 2), (2, 3)):
         ps = ParamSet.default(r, n)
         real = Realization(ps, n)
-        for blk, d in zip(real.evaluate_sum(wcell.cyclotomic_word_sum(ps)), real.dims):
+        for blk, d in zip(real.evaluate_sum(cyclotomic_word_sum(ps)), real.dims):
             assert blk == _linalg.zeros(d)
 
 
