@@ -218,7 +218,7 @@ def cmd_gram(cfg: RunConfig, ps: ParamSet, meta: dict) -> tuple[list[dict], bool
     mb = hecke.MurphyBasis(H)
     det = hecke.gram_det(H, mb, shape)
     gammas = hecke.gamma_coeffs(shape, ps)
-    path_ok = hecke.gamma_path_independent(shape, ps)
+    path_ok = hecke.gamma_path_independent(shape, ps, gammas)
     prod = math.prod(gammas.values(), start=Fraction(1))
     ok = det == prod and path_ok
     records = [{"kind": "gram", "shape": _shape_json(shape), "n": n,

@@ -46,14 +46,6 @@ class BrauerDiagram:
             raise ValueError(f"not a perfect matching on {2*n} vertices: {pairs!r}")
         return cls(n, edges)
 
-    def partner(self, v: int) -> int:
-        for a, b in self.edges:
-            if a == v:
-                return b
-            if b == v:
-                return a
-        raise ValueError(f"vertex {v} out of range")
-
     def top_arcs(self) -> tuple[Edge, ...]:
         """Horizontal edges in the top row, labels in 1..n."""
         return tuple((a, b) for a, b in self.edges if b <= self.n)
@@ -67,18 +59,6 @@ class BrauerDiagram:
         """Through edges as (top label, bottom label), both in 1..n."""
         n = self.n
         return tuple((a, b - n) for a, b in self.edges if a <= n < b)
-
-    def is_permutation(self) -> bool:
-        return len(self.verticals()) == self.n
-
-    def permutation(self) -> tuple[int, ...]:
-        """One-line form w with w(i) the bottom label joined to top i."""
-        if not self.is_permutation():
-            raise ValueError("diagram has horizontal edges")
-        w = [0] * self.n
-        for t, b in self.verticals():
-            w[t - 1] = b
-        return tuple(w)
 
 
 def identity_diagram(n: int) -> BrauerDiagram:

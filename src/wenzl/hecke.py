@@ -1,25 +1,34 @@
 """The degenerate cyclotomic quotient on permutations: exact normal forms,
-the Murphy-style basis, Gram determinants, and the semisimplicity test.
+the Murphy basis, Gram determinants, and the semisimplicity test.
 
 Elements are dicts mapping (alpha, w) to Fraction, where alpha is an
 n-tuple of exponents with 0 <= alpha_j < r and w is a one-line permutation:
 the key stands for Y_1^{alpha_1} ... Y_n^{alpha_n} T_w.  All rewriting is
 exact; no floats appear anywhere in this module.
+
+Elements are made from the same generator words that ``wcell.Realization``
+evaluates: ``act`` applies a word on the right, ("S", i) as T_i and
+("X", j, a) as Y_j^a, and ``multiply`` applies each key of its right factor
+as that key's word.  The Murphy product is written once, as its factors in
+words (``murphy_factors``), for both models.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import deque
 from fractions import Fraction
 
 from . import _linalg, combinat
-from .diagrams import perm_inverse, perm_mult, perm_word
+from .combinat import Multipartition, Tableau
+from .diagrams import Word, perm_inverse, perm_mult, perm_word, word_for_permutation
 from .params import ParamSet
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 Element = dict
+WordSum = tuple[tuple[Fraction, Word], ...]
 
 
 def _merge(out: Element, key: Key, c: Fraction):
@@ -54,27 +63,8 @@ class HeckeAlgebra:
         self.cyc = coeffs[:-1]
         self.id = tuple(range(1, n + 1))
 
-    # -- constructors ------------------------------------------------------
-
-    def zero(self) -> Element:
-        return {}
-
     def one(self) -> Element:
         return {(((0,) * self.n), self.id): Fraction(1)}
-
-    def monomial(self, alpha, w, c=Fraction(1)) -> Element:
-        alpha = tuple(alpha)
-        assert len(alpha) == self.n and all(a >= 0 for a in alpha)
-        el = {(alpha, tuple(w)): Fraction(c)}
-        return self._reduce(el)
-
-    def gen_T(self, i: int) -> Element:
-        return self.monomial((0,) * self.n, self._s(i))
-
-    def gen_Y(self, j: int) -> Element:
-        e = [0] * self.n
-        e[j - 1] = 1
-        return self.monomial(e, self.id)
 
     def _s(self, i: int) -> tuple[int, ...]:
         assert 1 <= i < self.n
@@ -83,19 +73,6 @@ class HeckeAlgebra:
         return tuple(w)
 
     # -- ring operations ---------------------------------------------------
-
-    def add(self, a: Element, b: Element) -> Element:
-        out = dict(a)
-        for k, c in b.items():
-            _merge(out, k, c)
-        return out
-
-    def scale(self, c, a: Element) -> Element:
-        c = Fraction(c)
-        return {k: v * c for k, v in a.items()} if c else {}
-
-    def sub(self, a: Element, b: Element) -> Element:
-        return self.add(a, self.scale(-1, b))
 
     def rmul_T(self, el: Element, i: int) -> Element:
         s = self._s(i)
@@ -188,29 +165,38 @@ class HeckeAlgebra:
                 work.append(((na, iw), ic))
         return out
 
-    def multiply(self, x: Element, y: Element) -> Element:
+    def act(self, el: Element, word: Word) -> Element:
+        """el times the word, letter by letter on the right: ("S", i) is T_i
+        and ("X", j, a) is Y_j^a.  E letters have no image here."""
+        for letter in word:
+            kind = letter[0]
+            if kind == "S" and 1 <= letter[1] <= self.n - 1:
+                el = self.rmul_T(el, letter[1])
+            elif kind == "X" and 1 <= letter[1] <= self.n and letter[2] >= 0:
+                for _ in range(letter[2]):
+                    el = self.rmul_Y(el, letter[1])
+            else:
+                raise ValueError(f"letter {letter!r} out of range at n={self.n}")
+        return el
+
+    def act_sum(self, el: Element, terms: WordSum) -> Element:
+        """el times the word sum ``terms``."""
         out: Element = {}
-        for (beta, v), cv in y.items():
-            acc = {k: c * cv for k, c in x.items()}
-            for j, bj in enumerate(beta, start=1):
-                for _ in range(bj):
-                    acc = self.rmul_Y(acc, j)
-            for letter in perm_word(v):
-                acc = self.rmul_T(acc, letter)
-            for k, c in acc.items():
-                _merge(out, k, c)
+        for coeff, word in terms:
+            for k, c in self.act(el, word).items():
+                _merge(out, k, coeff * c)
         return out
 
-    def star(self, el: Element) -> Element:
-        """The anti-involution fixing every generator and reversing words."""
-        out: Element = {}
-        for (alpha, w), c in el.items():
-            piece = self.multiply(
-                {((0,) * self.n, perm_inverse(w)): Fraction(1)},
-                {(alpha, self.id): Fraction(1)})
-            for k, v in piece.items():
-                _merge(out, k, c * v)
-        return out
+    def multiply(self, x: Element, y: Element) -> Element:
+        """x times y: each key of y acts on x as its word."""
+        return self.act_sum(x, [(c, _key_word(key)) for key, c in y.items()])
+
+
+def _key_word(key: Key) -> Word:
+    """The word of the monomial Y^alpha T_w: its X letters, then T_w's."""
+    alpha, w = key
+    return (tuple(("X", j, a) for j, a in enumerate(alpha, start=1) if a)
+            + word_for_permutation(w))
 
 
 # ---------------------------------------------------------------------------
@@ -218,24 +204,20 @@ class HeckeAlgebra:
 # ---------------------------------------------------------------------------
 
 
-def murphy_element(H: HeckeAlgebra, s, t) -> Element:
-    """T_{d(s)}^* (prod of root-shifted Y's) (row sum over the stabilizer)
-    T_{d(t)} for standard tableaux s, t of a common shape."""
-    lam = s[-1] if s else combinat.empty_mp(H.r)
-    assert (t[-1] if t else combinat.empty_mp(H.r)) == lam
-    n, r = H.n, H.r
-    el = H.monomial((0,) * n, perm_inverse(combinat.d_perm(s)))
-    sizes = [combinat.mp_size((p,)) for p in lam]
-    for i in range(1, r):
-        a_i = sum(sizes[:i])
-        for k in range(1, a_i + 1):
-            factor = H.add(H.gen_Y(k), H.scale(-H.ps.u[i], H.one()))
-            el = H.multiply(el, factor)
-    row_sum: Element = {}
-    for w in combinat.young_subgroup(lam, n):
-        _merge(row_sum, ((0,) * n, w), Fraction(1))
-    el = H.multiply(el, row_sum)
-    return H.multiply(el, H.monomial((0,) * n, combinat.d_perm(t)))
+def murphy_factors(ps: ParamSet, shape: Multipartition, s: Tableau,
+                   t: Tableau) -> tuple[Word, tuple[WordSum, ...], Word]:
+    """The Murphy product of (s, t) as its factors: the starred coset word
+    for s; the middle M_lambda, which depends only on the shape, as one
+    root-shifted X_k - u_i for each 1 <= i < r and k up to the size of the
+    first i components, then the row-stabilizer sum; the coset word for t."""
+    m = combinat.mp_size(shape)
+    sizes = [sum(p) for p in shape]
+    middle = tuple(((Fraction(1), (("X", k, 1),)), (-ps.u[i], ()))
+                   for i in range(1, ps.r) for k in range(1, sum(sizes[:i]) + 1))
+    middle += (tuple((Fraction(1), word_for_permutation(w))
+                     for w in combinat.young_subgroup(shape, m)),)
+    return (word_for_permutation(perm_inverse(combinat.d_perm(s))), middle,
+            word_for_permutation(combinat.d_perm(t)))
 
 
 class MurphyBasis:
@@ -243,7 +225,9 @@ class MurphyBasis:
 
     The key list enumerates every normal-form monomial, so the coordinate
     matrix is square of size r^n n!; the change of basis being invertible
-    is exactly the spanning/independence statement.
+    is exactly the spanning/independence statement.  Each element is
+    evaluated from its Murphy factors: M_lambda once per shape, the starred
+    coset word of s times M_lambda once per s, then the coset word of t.
     """
 
     def __init__(self, H: HeckeAlgebra):
@@ -257,18 +241,22 @@ class MurphyBasis:
         self.elements = []
         for lam in combinat.multipartitions(r, n):
             stds = combinat.standard_tableaux(lam)
+            m_lam = None
             for s in stds:
+                left = None
                 for t in stds:
+                    s_word, middle, t_word = murphy_factors(H.ps, lam, s, t)
+                    if m_lam is None:
+                        m_lam = functools.reduce(H.act_sum, middle, H.one())
+                    if left is None:
+                        left = H.multiply(H.act(H.one(), s_word), m_lam)
                     self.triples.append((lam, s, t))
-                    self.elements.append(murphy_element(H, s, t))
+                    self.elements.append(H.act(left, t_word))
         self.triple_index = {tr: i for i, tr in enumerate(self.triples)}
         # row i holds the coefficients of element i, by key index
         self.matrix = [{self.key_index[key]: c for key, c in el.items()}
                        for el in self.elements]
         self._inv = None
-
-    def rank(self) -> int:
-        return _linalg.rank(self.matrix)
 
     def coords(self, el: Element) -> dict:
         """The nonzero coordinates of el by triple index: the row vector x
@@ -330,9 +318,9 @@ def gamma_coeffs(lam, ps: ParamSet) -> dict:
     return gamma
 
 
-def gamma_path_independent(lam, ps: ParamSet) -> bool:
-    """Every way of descending one dominance step gives the same gamma."""
-    gamma = gamma_coeffs(lam, ps)
+def gamma_path_independent(lam, ps: ParamSet, gamma: dict) -> bool:
+    """Every way of descending one dominance step gives the same gamma, for
+    ``gamma`` as ``gamma_coeffs`` returns it."""
     return all(gamma[t] == ratio * gs for s, gs in gamma.items()
                for t, ratio in _descents(lam, s, ps))
 

@@ -195,8 +195,9 @@ class ParamSet:
     ``omega[a]`` is exact for 0 <= a <= N.  ``from_u`` sizes N from r and
     the strand count n.  No check on n strands reads Omega beyond index
     r + 2 (the tower scalars come from the closed form of W_k), so N stays
-    for the ``omega`` command and the reports.  ``mode``
-    records whether Omega was derived from u or supplied directly.
+    for the ``omega`` command and the reports.  ``mode`` records whether
+    Omega was derived from u; a parameter set constructed directly with
+    an Omega of its own names another mode.
     """
 
     r: int
@@ -218,14 +219,6 @@ class ParamSet:
     @classmethod
     def default(cls, r: int, n: int) -> "ParamSet":
         return cls.from_u(combinat.default_u(r, n), n)
-
-    @classmethod
-    def with_omega(cls, u, omega) -> "ParamSet":
-        """Roots u together with a directly supplied Omega (which need not be
-        the one u would derive — that is the whole point of some modules)."""
-        u = tuple(parse_fraction(x) for x in u)
-        omega = tuple(parse_fraction(w) for w in omega)
-        return cls(len(u), u, omega, len(omega) - 1, "user-supplied")
 
     def as_json(self) -> dict:
         return {

@@ -7,7 +7,9 @@ certifies spanning/independence statements that would otherwise need a
 symbolic normal form.  Words in the generators are plain tuples of letters
 ("S", i), ("E", i), ("X", j, power); linear combinations of words are
 tuples of (coefficient, word) pairs.  A cellular basis element keeps its
-factors (left word, Murphy middle, right word) and is evaluated from them.
+factors (left word, Murphy middle, right word) and is evaluated from them;
+its Murphy factors are ``hecke.murphy_factors``, the same words from which
+the Hecke quotient makes its Murphy basis.
 """
 
 from __future__ import annotations
@@ -18,12 +20,9 @@ from fractions import Fraction
 
 from . import _linalg, combinat, diagrams, hecke, seminormal
 from .combinat import Multipartition, Tableau
-from .diagrams import BrauerDiagram, perm_inverse, star_word, word_for_permutation
+from .diagrams import BrauerDiagram, Letter, Word, star_word, word_for_permutation
+from .hecke import WordSum, murphy_factors
 from .params import ParamSet
-
-Letter = tuple
-Word = tuple[Letter, ...]
-WordSum = tuple[tuple[Fraction, Word], ...]
 
 
 # -- regular monomials ---------------------------------------------------
@@ -34,8 +33,8 @@ class RegularMonomial:
     """X^left · B_diagram · X^right with the endpoint support rules.
 
     Left exponents vanish at the left endpoint of every top arc; right
-    exponents live only at the left endpoints of bottom arcs.  Exponent
-    bounds (< r) are checked separately by :meth:`bounded_by`.
+    exponents live only at the left endpoints of bottom arcs.  Exponents
+    are not bounded here; the census takes those below r.
     """
 
     left_powers: tuple[int, ...]
@@ -59,9 +58,6 @@ class RegularMonomial:
     @property
     def degree(self) -> int:
         return sum(self.left_powers) + sum(self.right_powers)
-
-    def bounded_by(self, r: int) -> bool:
-        return all(a < r for a in self.left_powers + self.right_powers)
 
 
 def enumerate_r_regular(r: int, n: int) -> list[RegularMonomial]:
@@ -115,7 +111,6 @@ class Realization:
         self.reps = seminormal.build_all(ps, n)
         self.shapes = [rep.shape for rep in self.reps]
         self.dims = [rep.dim for rep in self.reps]
-        self.vec_len = sum(d * d for d in self.dims)
         self._letters: dict = {}
 
     def block_index(self, shape: Multipartition) -> int:
@@ -233,22 +228,6 @@ def cell_triples(r: int, n: int, arcs: int, shape: Multipartition) -> list[tuple
 def contraction_chain(n: int, arcs: int) -> Word:
     """E_{n-1} E_{n-3} ...: one contraction per declared arc."""
     return tuple(("E", n - 1 - 2 * j) for j in range(arcs))
-
-
-def murphy_factors(ps: ParamSet, shape: Multipartition, s: Tableau,
-                   t: Tableau) -> tuple[Word, tuple[WordSum, ...], Word]:
-    """The Murphy product of (s, t) as its factors: the starred coset word
-    for s; the middle M_lambda, which depends only on the shape, as one
-    root-shifted X_k - u_i for each 1 <= i < r and k up to the size of the
-    first i components, then the row-stabilizer sum; the coset word for t."""
-    m = combinat.mp_size(shape)
-    sizes = [sum(p) for p in shape]
-    middle = tuple(((Fraction(1), (("X", k, 1),)), (-ps.u[i], ()))
-                   for i in range(1, ps.r) for k in range(1, sum(sizes[:i]) + 1))
-    middle += (tuple((Fraction(1), word_for_permutation(w))
-                     for w in combinat.young_subgroup(shape, m)),)
-    return (word_for_permutation(perm_inverse(combinat.d_perm(s))), middle,
-            word_for_permutation(combinat.d_perm(t)))
 
 
 def murphy_words(ps: ParamSet, shape: Multipartition, s: Tableau, t: Tableau) -> WordSum:

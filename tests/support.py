@@ -3,7 +3,7 @@ matrix reader, the Schur reference for Omega and other admissible
 sequences, exact two-strand module fixtures, the branching report, Hecke
 triangularity and symmetrizer witnesses, cell indices and word helpers."""
 
-import itertools
+import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -132,7 +132,7 @@ def module_nonsplit() -> ModuleFixture:
     relation holds exactly for the matching admissible sequence."""
     q = Fraction(1, 4)
     omega = nilpotent_example_omega(6)
-    ps = ParamSet.with_omega((q, q), omega)
+    ps = ParamSet(2, (q, q), tuple(omega), len(omega) - 1, "user-supplied")
     F = Fraction
     S = [[F(1), F(0)], [F(0), F(-1)]]
     E = [[F(1), F(0)], [F(0), F(0)]]
@@ -149,7 +149,7 @@ def module_residue_family(v) -> ModuleFixture:
     d = len(v)
     g = ene0_gammas(v)
     omega = [omega_residue_form(v, a) for a in range(d + 3)]
-    ps = ParamSet.with_omega(v, omega)
+    ps = ParamSet(d, tuple(v), tuple(omega), len(omega) - 1, "user-supplied")
     E = [[g[j] for j in range(d)] for _ in range(d)]
     S = [[(g[j] - 1) / (2 * v[j]) if i == j else g[j] / (v[i] + v[j])
           for j in range(d)] for i in range(d)]
@@ -206,7 +206,7 @@ def murphy_triangular_report(H: hecke.HeckeAlgebra, mb: hecke.MurphyBasis) -> li
     for (lam, s, t), el in zip(mb.triples, mb.elements):
         contents = combinat.content_sequence(s, H.ps.u)
         for k in range(1, H.n + 1):
-            prod = H.multiply(H.gen_Y(k), el)
+            prod = H.multiply(H.act(H.one(), (("X", k, 1),)), el)
             for idx, c in mb.coords(prod).items():
                 mu, a, b = mb.triples[idx]
                 if mu != lam:
@@ -229,25 +229,21 @@ def murphy_triangular_report(H: hecke.HeckeAlgebra, mb: hecke.MurphyBasis) -> li
 
 
 def row_symmetrizer_witness(ps: ParamSet, n: int) -> tuple[Fraction, bool]:
-    """The one-row shape witness: m = (root-shifted Y's)(sum over all T_w)
+    """The one-row shape witness: m = (root-shifted Y's)(sum over all T_w),
+    the Murphy middle of the shape with all n boxes in the first component,
     satisfies m^2 = scalar * m with
     scalar = n! * prod_{t>=2} prod_{d=0}^{n-1} (u_1 + d - u_t).
     Returns (scalar, product matches exactly)."""
     H = hecke.HeckeAlgebra(ps, n)
-    el = H.one()
-    for i in range(1, ps.r):
-        for k in range(1, n + 1):
-            el = H.multiply(el, H.add(H.gen_Y(k),
-                                      H.scale(-ps.u[i], H.one())))
-    row_sum: dict = {}
-    for w in itertools.permutations(range(1, n + 1)):
-        hecke._merge(row_sum, ((0,) * n, w), Fraction(1))
-    el = H.multiply(el, row_sum)
+    shape = ((n,),) + ((),) * (ps.r - 1)
+    tl = combinat.t_lambda(shape)
+    _, middle, _ = hecke.murphy_factors(ps, shape, tl, tl)
+    el = functools.reduce(H.act_sum, middle, H.one())
     scalar = Fraction(math.factorial(n))
     for t in range(1, ps.r):
         for d in range(n):
             scalar *= ps.u[0] + d - ps.u[t]
-    ok = H.multiply(el, el) == H.scale(scalar, el)
+    ok = H.multiply(el, el) == H.act_sum(el, ((scalar, ()),))  # scalar * el
     return scalar, ok
 
 

@@ -1,17 +1,23 @@
 """Degenerate cyclotomic quotient: normal form, Murphy basis, Gram forms."""
 
+import functools
 import itertools
 import math
+import random
 from fractions import Fraction
 
+import pytest
+
 from support import murphy_triangular_report, row_symmetrizer_witness
-from wenzl import combinat, hecke
+from wenzl import _linalg, combinat, hecke
+from wenzl.diagrams import star_word
 from wenzl.hecke import (
     HeckeAlgebra, MurphyBasis, gamma_coeffs, gamma_path_independent,
     gamma_top, gram_det, gram_entry, gram_matrix, is_semisimple,
-    murphy_element,
+    murphy_factors,
 )
 from wenzl.params import ParamSet
+from wenzl.wcell import star_word_sum
 
 F = Fraction
 
@@ -20,10 +26,26 @@ def _alg(r, n):
     return HeckeAlgebra(ParamSet.default(r, n), n)
 
 
+def _word(H, *letters):
+    """The element of a word: the letters acting on the identity."""
+    return H.act(H.one(), letters)
+
+
 def _monomials(H):
-    return [H.monomial(alpha, w)
+    return [{(alpha, w): F(1)}
             for alpha in itertools.product(range(H.ps.r), repeat=H.n)
             for w in itertools.permutations(range(1, H.n + 1))]
+
+
+def _star(H, el):
+    """The anti-involution fixing every generator: each key's word,
+    reversed, evaluated through act."""
+    return H.act_sum(H.one(), [(c, star_word(hecke._key_word(key))) for key, c in el.items()])
+
+
+def _evaluate(H, left, middle, right):
+    """The left-to-right product of the factors, nothing shared."""
+    return H.act(functools.reduce(H.act_sum, middle, _word(H, *left)), right)
 
 
 def test_merge_stores_no_zero():
@@ -41,13 +63,13 @@ def test_merge_stores_no_zero():
 def test_swap_involution():
     H = _alg(2, 3)
     for i in (1, 2):
-        T = H.gen_T(i)
+        T = _word(H, ("S", i))
         assert H.multiply(T, T) == H.one()
 
 
 def test_braid_relation():
     H = _alg(2, 3)
-    T1, T2 = H.gen_T(1), H.gen_T(2)
+    T1, T2 = _word(H, ("S", 1)), _word(H, ("S", 2))
     lhs = H.multiply(H.multiply(T1, T2), T1)
     rhs = H.multiply(H.multiply(T2, T1), T2)
     assert lhs == rhs
@@ -58,16 +80,18 @@ def test_affine_skein_relation():
     for r, n in ((1, 3), (2, 3)):
         H = _alg(r, n)
         for i in (1, 2):
-            T, Y = H.gen_T(i), H.gen_Y(i)
-            lhs = H.add(H.multiply(H.multiply(T, Y), T), T)
-            assert lhs == H.gen_Y(i + 1)
+            T, Y = _word(H, ("S", i)), _word(H, ("X", i, 1))
+            tyt = H.multiply(H.multiply(T, Y), T)
+            assert tyt == _word(H, ("S", i), ("X", i, 1), ("S", i))
+            lhs = H.act_sum(T, ((F(1), (("X", i, 1), ("S", i))), (F(1), ())))
+            assert lhs == _word(H, ("X", i + 1, 1))
 
 
 def test_y_commute():
     H = _alg(2, 3)
-    Y1, Y3 = H.gen_Y(1), H.gen_Y(3)
+    Y1, Y3 = _word(H, ("X", 1, 1)), _word(H, ("X", 3, 1))
     assert H.multiply(Y1, Y3) == H.multiply(Y3, Y1)
-    T1 = H.gen_T(1)
+    T1 = _word(H, ("S", 1))
     assert H.multiply(T1, Y3) == H.multiply(Y3, T1)
 
 
@@ -76,8 +100,8 @@ def test_cyclotomic_polynomial_kills_y1():
         H = _alg(r, n)
         el = H.one()
         for ut in H.ps.u:
-            el = H.multiply(el, H.sub(H.gen_Y(1), H.scale(ut, H.one())))
-        assert el == H.zero()
+            el = H.act_sum(el, ((F(1), (("X", 1, 1),)), (-ut, ())))
+        assert el == {}
 
 
 def test_multiplication_is_associative():
@@ -108,10 +132,18 @@ def test_star_is_an_antiinvolution():
     H = _alg(2, 2)
     mono = _monomials(H)
     for a in mono:
-        assert H.star(H.star(a)) == a
+        assert _star(H, _star(H, a)) == a
         for b in mono:
-            assert (H.star(H.multiply(a, b))
-                    == H.multiply(H.star(b), H.star(a)))
+            assert (_star(H, H.multiply(a, b))
+                    == H.multiply(_star(H, b), _star(H, a)))
+
+
+def test_letter_validation():
+    H = _alg(2, 2)
+    for bad in (("S", 2), ("S", 0), ("E", 1), ("E", 0), ("X", 3, 1), ("X", 0, 1),
+                ("X", 1, -1), ("Q", 1)):
+        with pytest.raises(ValueError):
+            H.act(H.one(), (bad,))
 
 
 def test_murphy_basis_ranks():
@@ -127,20 +159,40 @@ def test_murphy_basis_ranks():
         mb = MurphyBasis(H)
         want = r ** n * [1, 1, 2, 6, 24][n]
         assert len(mb.keys) == want
-        assert mb.rank() == want
+        assert _linalg.rank(mb.matrix) == want
         if r > 1 and H.ps.u[0].denominator > 1:
             assert any(x.denominator > 1 for row in mb.matrix for x in row.values())
         for i, el in enumerate(mb.elements):
             assert mb.coords(el) == {i: 1}, (r, n, i)
 
 
+@pytest.mark.parametrize("r,n", [(2, 2), (1, 3), (3, 2), (1, 4), (2, 3)])
+def test_murphy_elements_are_their_factors(r, n):
+    # every element equals the product of its own factors evaluated from
+    # the identity, so a middle or a left part shared across shapes or
+    # across s would show
+    rng = random.Random(f"murphy:{r}:{n}")
+    k, delta = rng.choice((2, 4, 8)), rng.choice((F(1, 2), F(1, 3), F(2, 7), F(-1, 4)))
+    seeded = tuple(k * x + delta for x in combinat.default_u(r, n))
+    for ps in (ParamSet.default(r, n), ParamSet.from_u(seeded, n_hint=n)):
+        H = HeckeAlgebra(ps, n)
+        mb = MurphyBasis(H)
+        assert len(mb.elements) == r ** n * math.factorial(n)
+        for (lam, s, t), el in zip(mb.triples, mb.elements):
+            assert el == _evaluate(H, *murphy_factors(ps, lam, s, t)), (ps.u, lam, s, t)
+
+
 def test_murphy_star_symmetry():
     H = _alg(2, 2)
-    for lam in combinat.multipartitions(2, 2):
-        tabs = combinat.standard_tableaux(lam)
-        for s in tabs:
-            for t in tabs:
-                assert H.star(murphy_element(H, s, t)) == murphy_element(H, t, s)
+    mb = MurphyBasis(H)
+    for lam, s, t in mb.triples:
+        left, middle, right = murphy_factors(H.ps, lam, s, t)
+        starred = _evaluate(H, star_word(right),
+                            tuple(star_word_sum(f) for f in reversed(middle)),
+                            star_word(left))
+        m_ts = mb.elements[mb.triple_index[lam, t, s]]
+        assert starred == m_ts
+        assert _star(H, mb.elements[mb.triple_index[lam, s, t]]) == m_ts
 
 
 def test_murphy_triangularity():
@@ -164,7 +216,7 @@ def test_gram_dets_two_strands():
         assert gram_det(H, mb, lam) == det
         prod = math.prod(gamma_coeffs(lam, ps).values(), start=F(1))
         assert prod == det
-        assert gamma_path_independent(lam, ps)
+        assert gamma_path_independent(lam, ps, gamma_coeffs(lam, ps))
 
 
 def test_gram_matrix_symmetric():

@@ -1,6 +1,8 @@
 """The package is the program: every module-level function and class in
-``src/wenzl`` is reached by name from ``cli.main``, or is listed in ``KEPT``
-with the reason it stays.  Test-only code lives in tests/support.py."""
+``src/wenzl`` is reached by name from ``cli.main``, and every method or
+property of a class there is used by name as an attribute somewhere in
+``src/wenzl``, or is listed in ``KEPT`` with the reason it stays.  Test-only
+code lives in tests/support.py."""
 
 import ast
 from pathlib import Path
@@ -15,6 +17,9 @@ KEPT = {
     ("wcell", "hecke_pairing_residual"): "ROADMAP item 2: checks the cell forms with arcs",
     ("wcell", "enumerate_r_regular"): "census: the spanning half of the freeness theorem",
     ("wcell", "word_for_monomial"): "the same census as words, for a job to certify it",
+    # methods and properties, as (module, "Class.name")
+    ("params", "ParamSet.default"): "the README's entry point: Omega at the CLI's default roots",
+    ("wcell", "CellularWord.star"): "ROADMAP item 1: the anti-involution axiom of cellularity",
 }
 
 
@@ -57,12 +62,40 @@ def _reach(roots):
     return defs, seen
 
 
+def _methods():
+    """{(module, "Class.name"): node} of the methods and properties of the
+    classes in ``src/wenzl``, dunders left out, and every name used as an
+    attribute there."""
+    methods, used = {}, set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                methods.update(((path.stem, f"{node.name}.{item.name}"), item)
+                               for item in node.body if isinstance(item, ast.FunctionDef)
+                               and not (item.name.startswith("__") and item.name.endswith("__")))
+        used.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+    return methods, used
+
+
 def test_every_function_and_class_is_reached_from_the_cli():
     defs, from_cli = _reach([("cli", "main")])
-    _, reached = _reach([("cli", "main"), *KEPT])
+    kept = [key for key in KEPT if "." not in key[1]]  # functions and classes
+    _, reached = _reach([("cli", "main"), *kept])
     dead = sorted(key for key, node in defs.items() if key not in reached
                   and isinstance(node, (ast.FunctionDef, ast.ClassDef)))
     assert dead == [], f"not reached from cli.main and not in KEPT: {dead}"
-    for key in KEPT:
+    for key in kept:
         # a kept name exists, and needs no entry once the CLI calls it
         assert key in defs and key not in from_cli, key
+
+
+def test_every_method_is_used_in_the_package():
+    methods, used = _methods()
+    unused = sorted(key for key in methods if key[1].split(".")[1] not in used)
+    dead = [key for key in unused if key not in KEPT]
+    assert dead == [], f"methods that no code in src/wenzl uses, not in KEPT: {dead}"
+    for key in KEPT:
+        # a kept method exists, and needs no entry once src/wenzl uses it
+        if "." in key[1]:
+            assert key in unused, key

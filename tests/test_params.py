@@ -222,8 +222,13 @@ def test_omega_k_values_at_first_position():
 
 
 def test_from_omega_mode():
+    # a parameter set built with an Omega of its own says so, and W_1,
+    # which is read off the roots, refuses it
     omega = nilpotent_example_omega(10)
-    ps = ParamSet.with_omega((F(1, 4), F(1, 4)), omega)
+    ps = ParamSet(2, (F(1, 4), F(1, 4)), tuple(omega), 10, "user-supplied")
     assert ps.mode != "u-admissible-derived"
+    assert ps.as_json()["mode"] == "user-supplied"
     assert ps.omega[2] == F(-1, 16)
+    with pytest.raises(AssertionError):
+        params.w1_rational(ps)
 
