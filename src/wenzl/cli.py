@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -148,6 +149,8 @@ def _resolve(args) -> RunConfig:
     order = getattr(args, "order", None)
     if order is not None and order < 0:
         parser.error("order must be nonnegative")
+    if args.out is not None and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+        parser.error(f"--out {args.out}: no such directory")
     if u is None:
         u = combinat.default_u(r, n)
     return RunConfig(args.command, r, n, u, args.out, shape=shape, order=order)

@@ -8,9 +8,9 @@ exact; no floats appear anywhere in this module.
 
 Elements are made from the same generator words that ``wcell.Realization``
 evaluates: ``act`` applies a word on the right, ("S", i) as T_i and
-("X", j, a) as Y_j^a, and ``multiply`` applies each key of its right factor
-as that key's word.  The Murphy product is written once, as its factors in
-words (``murphy_factors``), for both models.
+("X", j, a) as Y_j^a, and ``act_factors`` applies the factors of a product
+(left word, middle word sums, right word); no two elements are multiplied.
+The Murphy product is written once, as its factors (``murphy_factors``).
 """
 
 from __future__ import annotations
@@ -187,16 +187,10 @@ class HeckeAlgebra:
                 _merge(out, k, coeff * c)
         return out
 
-    def multiply(self, x: Element, y: Element) -> Element:
-        """x times y: each key of y acts on x as its word."""
-        return self.act_sum(x, [(c, _key_word(key)) for key, c in y.items()])
-
-
-def _key_word(key: Key) -> Word:
-    """The word of the monomial Y^alpha T_w: its X letters, then T_w's."""
-    alpha, w = key
-    return (tuple(("X", j, a) for j, a in enumerate(alpha, start=1) if a)
-            + word_for_permutation(w))
+    def act_factors(self, el: Element, left: Word, middle, right: Word) -> Element:
+        """el times the product of a left word, the word sums ``middle`` and
+        a right word, applied in that order."""
+        return self.act(functools.reduce(self.act_sum, middle, self.act(el, left)), right)
 
 
 # ---------------------------------------------------------------------------
@@ -204,20 +198,29 @@ def _key_word(key: Key) -> Word:
 # ---------------------------------------------------------------------------
 
 
-def murphy_factors(ps: ParamSet, shape: Multipartition, s: Tableau,
-                   t: Tableau) -> tuple[Word, tuple[WordSum, ...], Word]:
-    """The Murphy product of (s, t) as its factors: the starred coset word
-    for s; the middle M_lambda, which depends only on the shape, as one
-    root-shifted X_k - u_i for each 1 <= i < r and k up to the size of the
-    first i components, then the row-stabilizer sum; the coset word for t."""
-    m = combinat.mp_size(shape)
+def murphy_middle(ps: ParamSet, shape: Multipartition) -> tuple[WordSum, ...]:
+    """M_lambda as word sums: one root-shifted X_k - u_i for each 1 <= i < r
+    and k up to the size of the first i components, then the row-stabilizer
+    sum."""
     sizes = [sum(p) for p in shape]
     middle = tuple(((Fraction(1), (("X", k, 1),)), (-ps.u[i], ()))
                    for i in range(1, ps.r) for k in range(1, sum(sizes[:i]) + 1))
-    middle += (tuple((Fraction(1), word_for_permutation(w))
-                     for w in combinat.young_subgroup(shape, m)),)
-    return (word_for_permutation(perm_inverse(combinat.d_perm(s))), middle,
-            word_for_permutation(combinat.d_perm(t)))
+    return middle + (tuple((Fraction(1), word_for_permutation(w))
+                           for w in combinat.young_subgroup(shape, sum(sizes))),)
+
+
+def coset_word(t: Tableau) -> Word:
+    return word_for_permutation(combinat.d_perm(t))
+
+
+def star_coset_word(t: Tableau) -> Word:
+    return word_for_permutation(perm_inverse(combinat.d_perm(t)))
+
+
+def murphy_factors(ps: ParamSet, shape: Multipartition, s: Tableau,
+                   t: Tableau) -> tuple[Word, tuple[WordSum, ...], Word]:
+    """The Murphy product of (s, t) as its factors T_{d(s)}*, M_lambda, T_{d(t)}."""
+    return star_coset_word(s), murphy_middle(ps, shape), coset_word(t)
 
 
 class MurphyBasis:
@@ -225,9 +228,8 @@ class MurphyBasis:
 
     The key list enumerates every normal-form monomial, so the coordinate
     matrix is square of size r^n n!; the change of basis being invertible
-    is exactly the spanning/independence statement.  Each element is
-    evaluated from its Murphy factors: M_lambda once per shape, the starred
-    coset word of s times M_lambda once per s, then the coset word of t.
+    is exactly the spanning/independence statement.  Each element applies
+    the coset word of t to T_{d(s)}* · M_lambda, which is made once per s.
     """
 
     def __init__(self, H: HeckeAlgebra):
@@ -241,15 +243,11 @@ class MurphyBasis:
         self.elements = []
         for lam in combinat.multipartitions(r, n):
             stds = combinat.standard_tableaux(lam)
-            m_lam = None
+            middle = murphy_middle(H.ps, lam)
+            t_words = [coset_word(t) for t in stds]
             for s in stds:
-                left = None
-                for t in stds:
-                    s_word, middle, t_word = murphy_factors(H.ps, lam, s, t)
-                    if m_lam is None:
-                        m_lam = functools.reduce(H.act_sum, middle, H.one())
-                    if left is None:
-                        left = H.multiply(H.act(H.one(), s_word), m_lam)
+                left = H.act_factors(H.one(), star_coset_word(s), middle, ())
+                for t, t_word in zip(stds, t_words):
                     self.triples.append((lam, s, t))
                     self.elements.append(H.act(left, t_word))
         self.triple_index = {tr: i for i, tr in enumerate(self.triples)}
@@ -326,10 +324,11 @@ def gamma_path_independent(lam, ps: ParamSet, gamma: dict) -> bool:
 
 
 def gram_entry(H: HeckeAlgebra, mb: MurphyBasis, lam, s, t) -> Fraction:
-    """The cell form <m_s, m_t> read off the product of two basis elements."""
+    """The cell form <m_s, m_t>: the coordinate at m_{t^lam t^lam} of
+    m_{t^lam s} times the factors of m_{t t^lam}, every coordinate checked."""
     tl = combinat.t_lambda(lam)
-    m = mb.elements
-    prod = H.multiply(m[mb.triple_index[lam, tl, s]], m[mb.triple_index[lam, t, tl]])
+    prod = H.act_factors(mb.elements[mb.triple_index[lam, tl, s]],
+                         *murphy_factors(H.ps, lam, t, tl))
     value = Fraction(0)
     for idx, c in mb.coords(prod).items():
         mu, a, b = mb.triples[idx]

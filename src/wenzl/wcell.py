@@ -7,9 +7,9 @@ certifies spanning/independence statements that would otherwise need a
 symbolic normal form.  Words in the generators are plain tuples of letters
 ("S", i), ("E", i), ("X", j, power); linear combinations of words are
 tuples of (coefficient, word) pairs.  A cellular basis element keeps its
-factors (left word, Murphy middle, right word) and is evaluated from them;
-its Murphy factors are ``hecke.murphy_factors``, the same words from which
-the Hecke quotient makes its Murphy basis.
+factors (left word, Murphy middle, right word) and is evaluated from them,
+never expanded into words; its Murphy factors are ``hecke.murphy_factors``,
+the same words from which the Hecke quotient makes its Murphy basis.
 """
 
 from __future__ import annotations
@@ -189,27 +189,13 @@ def _rank_from_vecs(vecs) -> dict:
 # -- word sums -----------------------------------------------------------
 
 
-def word_sum_mul(a: WordSum, b: WordSum) -> WordSum:
-    acc: dict[Word, Fraction] = {}
-    for ca, wa in a:
-        for cb, wb in b:
-            w = wa + wb
-            c = acc.pop(w, Fraction(0)) + ca * cb
-            if c:
-                acc[w] = c
-    return tuple((c, w) for w, c in acc.items())
-
-
-def word_sum_product(factors) -> WordSum:
-    """The expansion of a product of word sums into words."""
-    terms: WordSum = ((Fraction(1), ()),)
-    for f in factors:
-        terms = word_sum_mul(terms, f)
-    return terms
-
-
 def star_word_sum(terms: WordSum) -> WordSum:
     return tuple((c, tuple(reversed(w))) for c, w in terms)
+
+
+def _word_sums(left: Word, middle: tuple[WordSum, ...], right: Word) -> tuple[WordSum, ...]:
+    """The factors (left word, middle, right word) as word sums."""
+    return (((Fraction(1), left),), *middle, ((Fraction(1), right),))
 
 
 # -- cellular structure --------------------------------------------------
@@ -230,18 +216,11 @@ def contraction_chain(n: int, arcs: int) -> Word:
     return tuple(("E", n - 1 - 2 * j) for j in range(arcs))
 
 
-def murphy_words(ps: ParamSet, shape: Multipartition, s: Tableau, t: Tableau) -> WordSum:
-    """The Murphy product expanded into generator words."""
-    left, middle, right = murphy_factors(ps, shape, s, t)
-    return word_sum_product((((Fraction(1), left),), *middle, ((Fraction(1), right),)))
-
-
 @dataclass(frozen=True)
 class CellularWord:
     """A cellular basis element as its declared factors, left word ·
-    middle factor sums · right word, with its cell data.  ``terms`` is the
-    expansion into words; evaluating the factors one by one gives the same
-    element with far fewer block products."""
+    middle factor sums · right word, with its cell data.  It is evaluated
+    from those factors and never expanded into words."""
 
     left_word: Word
     middle: tuple[WordSum, ...]
@@ -250,11 +229,6 @@ class CellularWord:
     shape: Multipartition
     left: tuple
     right: tuple
-
-    @property
-    def terms(self) -> WordSum:
-        return word_sum_product((((Fraction(1), self.left_word),), *self.middle,
-                                 ((Fraction(1), self.right_word),)))
 
     def star(self) -> "CellularWord":
         """The anti-involution: the starred factors in reverse order."""
@@ -336,7 +310,7 @@ def cellular_rank_report(ps: ParamSet, n: int) -> dict:
 def contraction_murphy_commute_residual(ps: ParamSet, n: int, arcs: int,
                                         shape: Multipartition,
                                         real: Realization | None = None) -> Fraction:
-    """Worst |chain·M - M·chain| over all Murphy words of the cell."""
+    """Worst |chain·M - M·chain| over all Murphy products of the cell."""
     if real is None:
         real = Realization(ps, n)
     chain = contraction_chain(n, arcs)
@@ -345,7 +319,7 @@ def contraction_murphy_commute_residual(ps: ParamSet, n: int, arcs: int,
     e_blocks = real.evaluate(chain)
     for s in tabs:
         for t in tabs:
-            m_blocks = real.evaluate_sum(murphy_words(ps, shape, s, t))
+            m_blocks = real.evaluate_product(_word_sums(*murphy_factors(ps, shape, s, t)))
             for eb, mb in zip(e_blocks, m_blocks):
                 diff = _linalg.mat_sub(_linalg.mat_mul(eb, mb), _linalg.mat_mul(mb, eb))
                 worst = max(worst, _linalg.max_abs(diff))
@@ -379,7 +353,8 @@ def hecke_pairing_residual(ps: ParamSet, n: int, arcs: int, shape: Multipartitio
     for a in tabs:
         for b in tabs:
             cw = cellular_element(ps, n, arcs, shape, triv(a), triv(b))
-            evaluated[a, b] = real.evaluate_sum(cw.terms)[blk]
+            evaluated[a, b] = real.evaluate_product(
+                _word_sums(cw.left_word, cw.middle, cw.right_word))[blk]
     worst = Fraction(0)
     scale = ps.omega[0] ** arcs
     for s in tabs:

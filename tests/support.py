@@ -1,7 +1,9 @@
 """Code the tests share and the command line does not call: the dense
 matrix reader, the Schur reference for Omega and other admissible
-sequences, exact two-strand module fixtures, the branching report, Hecke
-triangularity and symmetrizer witnesses, cell indices and word helpers."""
+sequences, exact two-strand module fixtures, the branching report, the
+reference product of two Hecke elements and expansion of products into
+words, Hecke triangularity and symmetrizer witnesses, cell indices and word
+helpers."""
 
 import functools
 import math
@@ -10,7 +12,7 @@ from typing import NamedTuple
 
 from wenzl import combinat, hecke, seminormal, wcell
 from wenzl.combinat import Multipartition, Tableau
-from wenzl.diagrams import BrauerDiagram, perm_mult
+from wenzl.diagrams import BrauerDiagram, Word, perm_mult, word_for_permutation
 from wenzl.params import ONE, ParamSet, Poly
 
 HALF = Fraction(1, 2)
@@ -197,6 +199,49 @@ def branching_blocks(rep: seminormal.SeminormalRep) -> dict:
     }
 
 
+def multiply(H: hecke.HeckeAlgebra, x: hecke.Element, y: hecke.Element) -> hecke.Element:
+    """x times y: each key of y acts on x as its word."""
+    return H.act_sum(x, [(c, key_word(key)) for key, c in y.items()])
+
+
+def key_word(key: hecke.Key) -> Word:
+    """The word of the monomial Y^alpha T_w: its X letters, then T_w's."""
+    alpha, w = key
+    return (tuple(("X", j, a) for j, a in enumerate(alpha, start=1) if a)
+            + word_for_permutation(w))
+
+
+def word_sum_mul(a: wcell.WordSum, b: wcell.WordSum) -> wcell.WordSum:
+    acc: dict[Word, Fraction] = {}
+    for ca, wa in a:
+        for cb, wb in b:
+            w = wa + wb
+            c = acc.pop(w, Fraction(0)) + ca * cb
+            if c:
+                acc[w] = c
+    return tuple((c, w) for w, c in acc.items())
+
+
+def word_sum_product(factors) -> wcell.WordSum:
+    """The expansion of a product of word sums into words."""
+    terms: wcell.WordSum = ((Fraction(1), ()),)
+    for f in factors:
+        terms = word_sum_mul(terms, f)
+    return terms
+
+
+def murphy_words(ps: ParamSet, shape: Multipartition, s: Tableau, t: Tableau) -> wcell.WordSum:
+    """The Murphy product expanded into generator words."""
+    left, middle, right = hecke.murphy_factors(ps, shape, s, t)
+    return word_sum_product((((Fraction(1), left),), *middle, ((Fraction(1), right),)))
+
+
+def terms(cw: wcell.CellularWord) -> wcell.WordSum:
+    """A cellular element's expansion into words."""
+    return word_sum_product((((Fraction(1), cw.left_word),), *cw.middle,
+                             ((Fraction(1), cw.right_word),)))
+
+
 def murphy_triangular_report(H: hecke.HeckeAlgebra, mb: hecke.MurphyBasis) -> list[str]:
     """Check Y_k m_st = c_s(k) m_st + (dominance-higher terms): the diagonal
     coefficient is the content, every other surviving coordinate must sit at
@@ -206,7 +251,7 @@ def murphy_triangular_report(H: hecke.HeckeAlgebra, mb: hecke.MurphyBasis) -> li
     for (lam, s, t), el in zip(mb.triples, mb.elements):
         contents = combinat.content_sequence(s, H.ps.u)
         for k in range(1, H.n + 1):
-            prod = H.multiply(H.act(H.one(), (("X", k, 1),)), el)
+            prod = multiply(H, H.act(H.one(), (("X", k, 1),)), el)
             for idx, c in mb.coords(prod).items():
                 mu, a, b = mb.triples[idx]
                 if mu != lam:
@@ -243,14 +288,14 @@ def row_symmetrizer_witness(ps: ParamSet, n: int) -> tuple[Fraction, bool]:
     for t in range(1, ps.r):
         for d in range(n):
             scalar *= ps.u[0] + d - ps.u[t]
-    ok = H.multiply(el, el) == H.act_sum(el, ((scalar, ()),))  # scalar * el
+    ok = multiply(H, el, el) == H.act_sum(el, ((scalar, ()),))  # scalar * el
     return scalar, ok
 
 
 def cyclotomic_word_sum(ps: ParamSet) -> wcell.WordSum:
     """The defining polynomial in X_1, expanded into generator words."""
-    return wcell.word_sum_product(((Fraction(1), (("X", 1, 1),)), (-root, ()))
-                                  for root in ps.u)
+    return word_sum_product(((Fraction(1), (("X", 1, 1),)), (-root, ()))
+                            for root in ps.u)
 
 
 class CellIndex(NamedTuple):

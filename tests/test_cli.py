@@ -324,6 +324,20 @@ def test_usage_errors_after_parsing_name_the_subcommand(capsys):
         assert f"{prog}: error:" in err, args
 
 
+def test_out_into_a_missing_directory_is_a_usage_error(tmp_path):
+    out = tmp_path / "missing" / "r.jsonl"
+    src = str(Path(wenzl.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "wenzl.cli", "counts", "--out", str(out)],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: wenzl counts ")
+    assert "wenzl counts: error: --out" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert not out.parent.exists()
+
+
 # sha256 of the exit code and report of each input, as the dense-matrix code
 # wrote them; a change of matrix format or arithmetic must leave them alone
 GOLDEN_REPORTS = {
@@ -351,6 +365,9 @@ GOLDEN_REPORTS = {
         "1fcd7c5f0637bbf170344e54d51a7d56647d264b2c2c62b6d8889154be9a5283",
     "gram --shape (-|1,1,1)":
         "dba33ae556de7e0573265c6396c66760fb70ced93b7b23b7462e188c9346461e",
+    # r = 3, n = 3: a Hecke quotient of dimension 162, which no other case reaches
+    "gram --shape (2|1|-)":
+        "0ddf134e9ff226fbb8da4e331f9da78f7602722a4fddbd108fc2263fda2ff503",
     "cellrank --r 3 --n 2":
         "7b9db443f3708fc1160a7a0d8f69433eb81e7b4b8b446ce48f30b12e9131414c",
     "cellrank --r 4 --n 2":
