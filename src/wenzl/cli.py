@@ -44,7 +44,9 @@ class RunConfig:
 # -- argument handling -----------------------------------------------------
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
+def _add_command(sub, name: str, summary: str) -> argparse.ArgumentParser:
+    """The subcommand ``name``, with the options every job takes."""
+    sp = sub.add_parser(name, help=summary)
     # errors found after parsing are reported with this subcommand's usage
     sp.set_defaults(parser=sp)
     sp.add_argument("--r", type=int, default=None,
@@ -55,6 +57,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                          "(default: generic roots for r and n)")
     sp.add_argument("--out", type=str, default=None,
                     help="write the JSON-lines report here instead of stdout")
+    return sp
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,22 +65,19 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="wenzl",
         description="Exact checks for the cyclotomic Nazarov-Wenzl algebras")
     sub = p.add_subparsers(dest="command", required=True)
-    sp = sub.add_parser("counts", help="module dimensions and the sum-of-squares identity")
-    _add_common(sp)
-    sp = sub.add_parser("verify", help="seminormal relation suite and exact identities")
-    _add_common(sp)
-    sp = sub.add_parser("gram", help="Gram determinant of one cell module")
-    _add_common(sp)
+    _add_command(sub, "counts", "module dimensions and the sum-of-squares identity")
+    _add_command(sub, "verify", "seminormal relation suite and exact identities")
+    sp = _add_command(sub, "gram", "Gram determinant of one cell module")
     sp.add_argument("--shape", type=str, required=True,
                     help="multipartition: components split by |, parts by comma, e.g. 2,1|1")
-    sp = sub.add_parser("cellrank", help="cellular family count and exact rank over Q")
-    _add_common(sp)
-    sp = sub.add_parser("omega", help="contraction scalars from the roots, with admissibility")
-    _add_common(sp)
+    _add_command(sub, "cellrank", "cellular family count and exact rank over Q")
+    sp = _add_command(sub, "omega", "contraction scalars from the roots, with admissibility")
     sp.add_argument("--order", type=int, default=8,
                     help="largest scalar index to report (default 8)")
     return p
 
+
+_PARSER = _build_parser()  # built once, for every job of a process
 
 # values that start with "-": a negative first root, an empty first component
 _DASH_VALUES = {"--u": r"-[0-9.]", "--shape": r"-(\||$)"}
@@ -149,6 +149,8 @@ def _resolve(args) -> RunConfig:
     order = getattr(args, "order", None)
     if order is not None and order < 0:
         parser.error("order must be nonnegative")
+    if args.out is not None and (not os.path.basename(args.out) or os.path.isdir(args.out)):
+        parser.error(f"--out {args.out!r}: not a file name")
     if args.out is not None and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
         parser.error(f"--out {args.out}: no such directory")
     if u is None:
@@ -194,14 +196,13 @@ def cmd_counts(cfg: RunConfig, ps: ParamSet, meta: dict) -> tuple[list[dict], bo
 
 
 def cmd_verify(cfg: RunConfig, ps: ParamSet, meta: dict) -> tuple[list[dict], bool]:
-    reps = seminormal.build_all(ps, cfg.n)
+    real = seminormal.Realization(seminormal.build_all(ps, cfg.n))
     w_memo: dict = {}  # W at each shape, shared by the two for this job
     idr = seminormal.check_identities(ps, cfg.n, w_memo)
     scalars = seminormal.tower_scalars(ps, cfg.n, w_memo)
     records = []
     ok = idr.ok
-    for rep in reps:
-        res = seminormal.verify_relations(rep, scalars)
+    for rep, res in zip(real.reps, seminormal.verify_relations(real, scalars)):
         passed = all(v == 0 for v in res.values())
         ok = ok and passed
         records.append({"kind": "relations", "shape": _shape_json(rep.shape),
@@ -211,7 +212,7 @@ def cmd_verify(cfg: RunConfig, ps: ParamSet, meta: dict) -> tuple[list[dict], bo
     records.append({"kind": "identities", "checked": idr.counts,
                     "failures": idr.failures, "pass": idr.ok, "ps": meta})
     records.append({"kind": "summary", "command": "verify", "n": cfg.n,
-                    "modules": len(reps), "pass": ok, "ps": meta})
+                    "modules": len(real.reps), "pass": ok, "ps": meta})
     return records, ok
 
 
@@ -265,7 +266,7 @@ COMMANDS = {"counts": cmd_counts, "verify": cmd_verify, "gram": cmd_gram,
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    cfg = _resolve(_build_parser().parse_args(_join_dash_values(argv)))
+    cfg = _resolve(_PARSER.parse_args(_join_dash_values(argv)))
     # omega reports scalars up to --order, so it stores at least that many
     ps = ParamSet.from_u(cfg.u, n_hint=cfg.n, min_N=cfg.order or 0)
     meta = ps.as_json()

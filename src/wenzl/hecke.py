@@ -6,11 +6,14 @@ n-tuple of exponents with 0 <= alpha_j < r and w is a one-line permutation:
 the key stands for Y_1^{alpha_1} ... Y_n^{alpha_n} T_w.  All rewriting is
 exact; no floats appear anywhere in this module.
 
-Elements are made from the same generator words that ``wcell.Realization``
-evaluates: ``act`` applies a word on the right, ("S", i) as T_i and
-("X", j, a) as Y_j^a, and ``act_factors`` applies the factors of a product
-(left word, middle word sums, right word); no two elements are multiplied.
-The Murphy product is written once, as its factors (``murphy_factors``).
+Elements are made from the same generator words that
+``seminormal.Realization`` evaluates: ``act`` applies a word on the right,
+("S", i) as T_i and ("X", j, a) as Y_j^a, and ``act_factors`` applies the
+factors of a product (left word, middle word sums, right word); no two
+elements are multiplied.  The Murphy product is written once, as its
+factors (``murphy_factors``).  Y_1 is reduced with the coefficients of the
+cyclotomic relation in ``seminormal.relations`` (``cyclotomic_coeffs``);
+with its E terms dropped, that table of relations holds here.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from fractions import Fraction
 from . import _linalg, combinat
 from .combinat import Multipartition, Tableau
 from .diagrams import Word, perm_inverse, perm_mult, perm_word, word_for_permutation
-from .params import ParamSet
+from .params import ParamSet, cyclotomic_coeffs
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 Element = dict
@@ -55,12 +58,7 @@ class HeckeAlgebra:
         self.n = n
         self.r = ps.r
         # prod (Y - u_i) = Y^r + cyc[r-1] Y^{r-1} + ... + cyc[0]
-        coeffs = [Fraction(1)]
-        for ui in ps.u:
-            coeffs = [0] + coeffs
-            coeffs = [a - ui * b for a, b in zip(coeffs, coeffs[1:] + [0])]
-        assert coeffs[-1] == 1 and len(coeffs) == self.r + 1
-        self.cyc = coeffs[:-1]
+        self.cyc = cyclotomic_coeffs(ps.u)[:-1]
         self.id = tuple(range(1, n + 1))
 
     def one(self) -> Element:

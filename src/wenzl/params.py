@@ -9,6 +9,7 @@ scalars omega_k^(a) that of W_k.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -186,6 +187,11 @@ def check_admissible(omega) -> tuple[bool, int | None]:
             return False, a
         a += 1
     return True, None
+
+
+def cyclotomic_coeffs(u) -> tuple[Fraction, ...]:
+    """c_0, ..., c_r with prod_i (y - u_i) = sum_k c_k y^k, so c_r = 1."""
+    return math.prod((Poly.y_plus(-x) for x in u), start=ONE).coeffs
 
 
 @dataclass(frozen=True)

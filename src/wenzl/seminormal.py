@@ -4,10 +4,12 @@ Everything here is exact.  The orthonormal seminormal model has symmetric
 matrices whose off-diagonal entries are square roots of Fractions.  Each
 block is built instead as that model conjugated by diag(sqrt(gamma)), with
 gamma chosen on a spanning tree of the generator graph so that every entry
-is a Fraction; ``wcell`` evaluates words on these blocks.  The relation
-suite, the scalar tower and self-adjointness for the form diag(gamma) are
-then checked on Fraction matrices with zero tolerance, as are the
-polynomial identities between the coefficients themselves.
+is a Fraction.  The models make one ``Realization``, their direct sum, which
+evaluates generator words on every block; ``wcell`` ranks word families on
+it.  The defining relations are written once, as pairs of word sums
+(``relations``), and both sides are evaluated on the realization; they, the
+scalar tower and self-adjointness for diag(gamma) are checked with zero
+tolerance, as are the polynomial identities between the coefficients.
 """
 
 from __future__ import annotations
@@ -90,11 +92,6 @@ class SeminormalRep:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def x_power(self, j: int, p: int) -> list[dict]:
-        """X_j^p: the diagonal of the step-j contents to the p (0**0 == 1)."""
-        return _linalg.diagonal(row.get(i, 0) ** p
-                                for i, row in enumerate(self.X[j - 1]))
 
 
 def _rational_sqrt(x: Fraction) -> Fraction | None:
@@ -241,6 +238,94 @@ def build_all(ps: ParamSet, n: int) -> list[SeminormalRep]:
 
 
 # ---------------------------------------------------------------------------
+# the realization: the direct sum of the models
+# ---------------------------------------------------------------------------
+
+
+class Realization:
+    """The direct sum of the models given (``build_all`` gives one per
+    reachable shape): a word, a word sum (``evaluate_sum``) or a product of
+    word sums (``evaluate_product``, never expanded into words) evaluates to
+    one ``_linalg`` block per model.  ``vec`` lays the blocks out as one
+    sparse vector, of length r^n (2n-1)!! over all shapes; its rank over Q
+    is also that in the orthonormal model, whose entries differ from these
+    by fixed nonzero factors.
+    """
+
+    def __init__(self, reps: list[SeminormalRep]):
+        self.reps = reps
+        self.ps, self.n = reps[0].ps, reps[0].n
+        self.shapes = [rep.shape for rep in reps]
+        self.dims = [rep.dim for rep in reps]
+        self._letters: dict = {}
+
+    def block_index(self, shape) -> int:
+        return self.shapes.index(shape)
+
+    def _letter_blocks(self, letter) -> list[list[dict]]:
+        """The blocks of one letter, made once per realization; the block of
+        ("X", j, a) is the a-th power of X_j, the identity at a = 0."""
+        blocks = self._letters.get(letter)
+        if blocks is not None:
+            return blocks
+        kind, i = letter[0], letter[1]
+        if kind in ("S", "E") and 1 <= i <= self.n - 1:
+            blocks = [getattr(rep, kind)[i - 1] for rep in self.reps]
+        elif kind == "X" and 1 <= i <= self.n and 0 <= letter[2] <= 1:
+            blocks = [rep.X[i - 1] if letter[2] else _linalg.identity(rep.dim)
+                      for rep in self.reps]
+        elif kind == "X" and 1 <= i <= self.n and letter[2] > 1:
+            blocks = mul_blocks(self._letter_blocks(("X", i, letter[2] - 1)),
+                                self._letter_blocks(("X", i, 1)))
+        else:
+            raise ValueError(f"letter {letter!r} out of range at n={self.n}")
+        self._letters[letter] = blocks
+        return blocks
+
+    def evaluate(self, word) -> list[list[dict]]:
+        """One block per model.  The blocks may be those of the generators,
+        which, like every ``_linalg`` value, are only read."""
+        if not word:
+            return [_linalg.identity(d) for d in self.dims]
+        out = list(self._letter_blocks(word[0]))
+        for letter in word[1:]:
+            out = mul_blocks(out, self._letter_blocks(letter))
+        return out
+
+    def evaluate_sum(self, terms) -> list[list[dict]]:
+        out = None
+        for coeff, word in terms:
+            blocks = self.evaluate(word)
+            if coeff != 1:
+                blocks = [_linalg.mat_scale(blk, coeff) for blk in blocks]
+            out = blocks if out is None else [_linalg.mat_add(acc, blk)
+                                              for acc, blk in zip(out, blocks)]
+        return [_linalg.zeros(d) for d in self.dims] if out is None else out
+
+    def evaluate_product(self, factors) -> list[list[dict]]:
+        """The product of the word sums ``factors``, in order: each factor
+        is evaluated once, and the product is never expanded into words."""
+        out = None
+        for terms in factors:
+            blocks = self.evaluate_sum(terms)
+            out = blocks if out is None else mul_blocks(out, blocks)
+        return [_linalg.identity(d) for d in self.dims] if out is None else out
+
+    def vec(self, blocks) -> dict:
+        out, start = {}, 0
+        for blk, d in zip(blocks, self.dims):
+            out.update((start + i * d + j, x)
+                       for i, row in enumerate(blk) for j, x in row.items())
+            start += d * d
+        return out
+
+
+def mul_blocks(a, b) -> list[list[dict]]:
+    """The blockwise product of two evaluated elements."""
+    return [_linalg.mat_mul(x, y) for x, y in zip(a, b)]
+
+
+# ---------------------------------------------------------------------------
 # relation suite
 # ---------------------------------------------------------------------------
 
@@ -250,65 +335,58 @@ RELATION_FAMILIES = (
 )
 
 
-def _relation_residuals(S, E, X, ps: ParamSet, d: int) -> dict:
-    """Exact max-abs residual of every defining relation family for d x d
-    matrices S_1..S_{n-1}, E_1..E_{n-1}, X_1..X_n, given as ``_linalg``
-    sparse rows.  Unwrapping is checked for X_1^a, 0 <= a <= min(N, r + 2)."""
-    n = len(X)
-    assert len(S) == len(E) == max(n - 1, 0)
-    mul, add, sub = _linalg.mat_mul, _linalg.mat_add, _linalg.mat_sub
-    scale = _linalg.mat_scale
-    I = _linalg.identity(d)
-    res: dict = {name: Fraction(0) for name in RELATION_FAMILIES}
-
-    def upd(name, M):
-        res[name] = max(res[name], _linalg.max_abs(M))
+def relations(ps: ParamSet, n: int):
+    """The defining relations at n strands as (family, lhs, rhs), each side
+    a word sum: Nazarov's affine Wenzl relations in S_i, E_i and X_j (the
+    commutations with |i - j| > 1 in both orders), unwrapping
+    E_1 X_1^a E_1 = omega_a E_1 for 0 <= a <= min(N, r + 2), and the
+    cyclotomic relation sum_k c_k X_1^k = 0, c from ``cyclotomic_coeffs``."""
+    def w(*words):
+        return tuple((Fraction(1), word) for word in words)
 
     for i in range(1, n):
-        Si, Ei = S[i - 1], E[i - 1]
-        upd("involution", sub(mul(Si, Si), I))
-        upd("contraction-scalar", sub(mul(Ei, Ei), scale(Ei, ps.omega[0])))
-        upd("tangle", sub(mul(Ei, Si), Ei))
-        upd("tangle", sub(mul(Si, Ei), Ei))
-        rhs = sub(Ei, I)
-        upd("skein", sub(sub(mul(Si, X[i - 1]), mul(X[i], Si)), rhs))
-        upd("skein", sub(sub(mul(X[i - 1], Si), mul(Si, X[i])), rhs))
-        Xsum = add(X[i - 1], X[i])
-        upd("antisymmetry", mul(Ei, Xsum))
-        upd("antisymmetry", mul(Xsum, Ei))
+        s, e, x, x1 = ("S", i), ("E", i), ("X", i, 1), ("X", i + 1, 1)
+        yield "involution", w((s, s)), w(())
+        yield "contraction-scalar", w((e, e)), ((ps.omega[0], (e,)),)
+        yield "tangle", w((e, s)), w((e,))
+        yield "tangle", w((s, e)), w((e,))
+        yield "skein", w((s, x), ()), w((x1, s), (e,))
+        yield "skein", w((x, s), ()), w((s, x1), (e,))
+        yield "antisymmetry", w((e, x), (e, x1)), ()
+        yield "antisymmetry", w((x, e), (x1, e)), ()
         if i <= n - 2:
-            Sj, Ej = S[i], E[i]
-            upd("braid", sub(mul(mul(Si, Sj), Si), mul(mul(Sj, Si), Sj)))
-            upd("untwisting", sub(mul(mul(Ej, Ei), Ej), Ej))
-            upd("untwisting", sub(mul(mul(Ei, Ej), Ei), Ei))
-            upd("tangle", sub(mul(mul(Si, Ej), Ei), mul(Sj, Ei)))
-            upd("tangle", sub(mul(mul(Ej, Ei), Sj), mul(Ej, Si)))
-        for j in range(1, n):
-            if abs(i - j) > 1:
-                Sj, Ej = S[j - 1], E[j - 1]
-                upd("commutation", sub(mul(Si, Sj), mul(Sj, Si)))
-                upd("commutation", sub(mul(Si, Ej), mul(Ej, Si)))
-                upd("commutation", sub(mul(Ei, Ej), mul(Ej, Ei)))
-        for j in range(1, n + 1):
-            if j not in (i, i + 1):
-                Xj = X[j - 1]
-                upd("braid", sub(mul(Si, Xj), mul(Xj, Si)))
-                upd("commutation", sub(mul(Ei, Xj), mul(Xj, Ei)))
-    for a in range(n):
-        for b in range(a):
-            upd("commutation", sub(mul(X[a], X[b]), mul(X[b], X[a])))
+            s2, e2 = ("S", i + 1), ("E", i + 1)
+            yield "braid", w((s, s2, s)), w((s2, s, s2))
+            yield "untwisting", w((e2, e, e2)), w((e2,))
+            yield "untwisting", w((e, e2, e)), w((e,))
+            yield "tangle", w((s, e2, e)), w((s2, e))
+            yield "tangle", w((e2, e, s2)), w((e2, s))
+        for sj, ej in ((("S", j), ("E", j)) for j in range(1, n) if abs(i - j) > 1):
+            yield "commutation", w((s, sj)), w((sj, s))
+            yield "commutation", w((s, ej)), w((ej, s))
+            yield "commutation", w((e, ej)), w((ej, e))
+        for xj in (("X", j, 1) for j in range(1, n + 1) if j not in (i, i + 1)):
+            yield "braid", w((s, xj)), w((xj, s))
+            yield "commutation", w((e, xj)), w((xj, e))
+    for xa, xb in ((("X", a, 1), ("X", b, 1)) for a in range(2, n + 1) for b in range(1, a)):
+        yield "commutation", w((xa, xb)), w((xb, xa))
     if n >= 2:
-        E1, X1 = E[0], X[0]
-        P = I
+        e = ("E", 1)
         for a in range(min(ps.N, ps.r + 2) + 1):
-            upd("unwrapping", sub(mul(mul(E1, P), E1), scale(E1, ps.omega[a])))
-            P = mul(P, X1)
+            yield "unwrapping", w((e, ("X", 1, a), e)), ((ps.omega[a], (e,)),)
     if ps.u and n >= 1:
-        P = I
-        for ui in ps.u:
-            P = mul(P, sub(X[0], scale(I, ui)))
-        upd("cyclotomic", P)
-    return res
+        yield "cyclotomic", tuple((c, (("X", 1, k),)) for k, c in
+                                  enumerate(params.cyclotomic_coeffs(ps.u)) if c), ()
+
+
+def residuals(real: Realization) -> list[dict]:
+    """Exact max |lhs - rhs| over the ``relations`` of each family, one dict
+    per block of ``real``."""
+    out = [dict.fromkeys(RELATION_FAMILIES, Fraction(0)) for _ in real.reps]
+    for family, lhs, rhs in relations(real.ps, real.n):
+        for res, a, b in zip(out, real.evaluate_sum(lhs), real.evaluate_sum(rhs)):
+            res[family] = max(res[family], _linalg.max_abs(_linalg.mat_sub(a, b)))
+    return out
 
 
 def tower_scalars(ps: ParamSet, n: int, memo: dict | None = None) -> dict:
@@ -321,23 +399,6 @@ def tower_scalars(ps: ParamSet, n: int, memo: dict | None = None) -> dict:
                                       combinat.mp_size(mu) + 1, ps, ps.r + 1, memo)
             for size in range(n - 1)
             for mu in combinat.multipartitions(ps.r, size)}
-
-
-def tower_scalar_residual(rep: SeminormalRep, scalars: dict) -> Fraction:
-    """Residual of E_k X_k^a E_k = omega_k^(a) E_k for every position k and
-    0 <= a <= r + 1, with ``scalars`` from ``tower_scalars``.  The scalar
-    depends only on the shape before step k, so the right side is E_k
-    scaled row by row: diag(omega^(a) of each row) E_k."""
-    worst = Fraction(0)
-    mul = _linalg.mat_mul
-    for k in range(1, rep.n):
-        rows = [scalars[_prev(t, k)] for t in rep.basis]
-        Ek = rep.E[k - 1]
-        for a in range(rep.ps.r + 2):
-            lhs = mul(mul(Ek, rep.x_power(k, a)), Ek)
-            rhs = mul(_linalg.diagonal(w[a] for w in rows), Ek)
-            worst = max(worst, _linalg.max_abs(_linalg.mat_sub(lhs, rhs)))
-    return worst
 
 
 def adjointness_residual(rep: SeminormalRep) -> Fraction:
@@ -354,16 +415,29 @@ def adjointness_residual(rep: SeminormalRep) -> Fraction:
     return worst
 
 
-def verify_relations(rep: SeminormalRep, scalars: dict) -> dict:
-    """Exact residuals of the full defining-relation suite on a seminormal
-    model, plus G-adjointness of every generator (``star-symmetry``) and the
-    blockwise scalar tower against ``scalars`` (``tower_scalars`` of the
-    model's parameters and strand count).  Every value is 0 for a genuine
-    model."""
-    res = _relation_residuals(rep.S, rep.E, rep.X, rep.ps, rep.dim)
-    res["star-symmetry"] = adjointness_residual(rep)
-    res["tower-scalars"] = tower_scalar_residual(rep, scalars)
-    return res
+def verify_relations(real: Realization, scalars: dict) -> list[dict]:
+    """Exact residuals of the defining relations on each block of ``real``,
+    plus G-adjointness of every generator (``star-symmetry``) and the scalar
+    tower E_k X_k^a E_k = omega_k^(a) E_k, 0 <= a <= r + 1, against
+    ``scalars`` from ``tower_scalars`` (``tower-scalars``).  The tower's
+    scalar depends only on the shape before step k, so its right side is
+    E_k with each row scaled by its own scalar.  One dict per block; every
+    value is 0 for a genuine model."""
+    out = residuals(real)
+    for res, rep in zip(out, real.reps):
+        res["star-symmetry"] = adjointness_residual(rep)
+        res["tower-scalars"] = Fraction(0)
+    for k in range(1, real.n):
+        e = ("E", k)
+        rows = [[scalars[_prev(t, k)] for t in rep.basis] for rep in real.reps]
+        for a in range(real.ps.r + 2):
+            lhs = real.evaluate((e, ("X", k, a), e))
+            for res, blk, Ek, ws in zip(out, lhs, real.evaluate((e,)), rows):
+                rhs = [{j: w[a] * x for j, x in row.items()} if w[a] else {}
+                       for row, w in zip(Ek, ws)]
+                diff = _linalg.max_abs(_linalg.mat_sub(blk, rhs))
+                res["tower-scalars"] = max(res["tower-scalars"], diff)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,17 @@
-"""Matrix realization on the sum of all cell modules, monomial census, and
-cellular words.
+"""Monomial census, cellular words, and their exact rank on the
+realization.
 
 In the generic regime the algebra acts faithfully on the direct sum of its
 seminormal modules, so exact rank over Q on that rational realization
-certifies spanning/independence statements that would otherwise need a
-symbolic normal form.  Words in the generators are plain tuples of letters
-("S", i), ("E", i), ("X", j, power); linear combinations of words are
-tuples of (coefficient, word) pairs.  A cellular basis element keeps its
-factors (left word, Murphy middle, right word) and is evaluated from them,
-never expanded into words; its Murphy factors are ``hecke.murphy_factors``,
-the same words from which the Hecke quotient makes its Murphy basis.
+(``seminormal.Realization``, the one on which ``verify`` checks the defining
+relations) certifies spanning/independence statements that would otherwise
+need a symbolic normal form.  Words in the generators are plain tuples of
+letters ("S", i), ("E", i), ("X", j, power); linear combinations of words
+are tuples of (coefficient, word) pairs.  A cellular basis element keeps
+its factors (left word, Murphy middle, right word) and is evaluated from
+them, never expanded into words; its Murphy factors are
+``hecke.murphy_factors``, the same words from which the Hecke quotient
+makes its Murphy basis.
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ from fractions import Fraction
 
 from . import _linalg, combinat, diagrams, hecke, seminormal
 from .combinat import Multipartition, Tableau
-from .diagrams import BrauerDiagram, Letter, Word, star_word, word_for_permutation
+from .diagrams import BrauerDiagram, Word, star_word, word_for_permutation
 from .hecke import WordSum, murphy_factors
 from .params import ParamSet
+from .seminormal import Realization, mul_blocks
 
 
 # -- regular monomials ---------------------------------------------------
@@ -85,105 +88,6 @@ def word_for_monomial(m: RegularMonomial) -> Word:
     letters += list(diagrams.word_for_diagram(m.diagram))
     letters += [("X", j, b) for j, b in enumerate(m.right_powers, start=1) if b]
     return tuple(letters)
-
-
-# -- the realization -----------------------------------------------------
-
-
-class Realization:
-    """Every generator as one exact block per reachable shape.
-
-    ``reps`` holds the rational seminormal models, built once; words are
-    evaluated on them as ``_linalg`` sparse rows, one block per shape, and
-    so are word sums (``evaluate_sum``) and products of word sums
-    (``evaluate_product``, which evaluates each factor once and multiplies
-    the blocks, never expanding the product into words).  The entries of all
-    blocks of an evaluated word, placed block after block and row after row,
-    form a sparse vector of length r^n (2n-1)!!, and rank of a word family is
-    the exact rank of those vectors over Q.  Each block is the orthonormal
-    model conjugated by diag(sqrt(gamma)), which scales each entry by a
-    fixed nonzero factor, so that rank is also the rank of the family in
-    the orthonormal model.
-    """
-
-    def __init__(self, ps: ParamSet, n: int):
-        self.n = n
-        self.reps = seminormal.build_all(ps, n)
-        self.shapes = [rep.shape for rep in self.reps]
-        self.dims = [rep.dim for rep in self.reps]
-        self._letters: dict = {}
-
-    def block_index(self, shape: Multipartition) -> int:
-        return self.shapes.index(shape)
-
-    def _letter_blocks(self, letter: Letter) -> list[list[dict]]:
-        """The blocks of one letter, made once per realization."""
-        blocks = self._letters.get(letter)
-        if blocks is None:
-            blocks = self._letters[letter] = [self._letter_block(rep, letter)
-                                              for rep in self.reps]
-        return blocks
-
-    def _letter_block(self, rep: seminormal.SeminormalRep, letter: Letter):
-        kind = letter[0]
-        if kind == "S" and 1 <= letter[1] <= self.n - 1:
-            return rep.S[letter[1] - 1]
-        if kind == "E" and 1 <= letter[1] <= self.n - 1:
-            return rep.E[letter[1] - 1]
-        if kind == "X" and 1 <= letter[1] <= self.n and letter[2] >= 0:
-            return rep.x_power(letter[1], letter[2])
-        raise ValueError(f"letter {letter!r} out of range at n={self.n}")
-
-    def evaluate(self, word: Word) -> list[list[dict]]:
-        """One block per shape.  The blocks may be those of the generators,
-        which, like every ``_linalg`` value, are only read."""
-        if not word:
-            return [_linalg.identity(d) for d in self.dims]
-        out = list(self._letter_blocks(word[0]))
-        for letter in word[1:]:
-            out = _mul_blocks(out, self._letter_blocks(letter))
-        return out
-
-    def evaluate_sum(self, terms: WordSum) -> list[list[dict]]:
-        out = None
-        for coeff, word in terms:
-            blocks = self.evaluate(word)
-            if coeff != 1:
-                blocks = [_linalg.mat_scale(blk, coeff) for blk in blocks]
-            out = blocks if out is None else [_linalg.mat_add(acc, blk)
-                                              for acc, blk in zip(out, blocks)]
-        return [_linalg.zeros(d) for d in self.dims] if out is None else out
-
-    def evaluate_product(self, factors) -> list[list[dict]]:
-        """The product of the word sums ``factors``, in order: each factor
-        is evaluated once, and the product is never expanded into words."""
-        out = None
-        for terms in factors:
-            blocks = self.evaluate_sum(terms)
-            out = blocks if out is None else _mul_blocks(out, blocks)
-        return [_linalg.identity(d) for d in self.dims] if out is None else out
-
-    def vec(self, blocks) -> dict:
-        out, start = {}, 0
-        for blk, d in zip(blocks, self.dims):
-            out.update((start + i * d + j, x)
-                       for i, row in enumerate(blk) for j, x in row.items())
-            start += d * d
-        return out
-
-
-def _mul_blocks(a, b) -> list[list[dict]]:
-    """The blockwise product of two evaluated elements."""
-    return [_linalg.mat_mul(x, y) for x, y in zip(a, b)]
-
-
-def rank_report(words, real: Realization) -> dict:
-    return _rank_from_vecs([real.vec(real.evaluate(w)) for w in words])
-
-
-def _rank_from_vecs(vecs) -> dict:
-    """Exact rank over Q of a family of sparse rational vectors."""
-    return {"count": len(vecs), "rank": _linalg.rank(vecs)}
 
 
 # -- word sums -----------------------------------------------------------
@@ -266,6 +170,15 @@ def cellular_element(ps: ParamSet, n: int, arcs: int, shape: Multipartition,
 # -- rank and compatibility checks ---------------------------------------
 
 
+def rank_report(words, real: Realization) -> dict:
+    return _rank_from_vecs([real.vec(real.evaluate(w)) for w in words])
+
+
+def _rank_from_vecs(vecs) -> dict:
+    """Exact rank over Q of a family of sparse rational vectors."""
+    return {"count": len(vecs), "rank": _linalg.rank(vecs)}
+
+
 def cellular_rank_report(ps: ParamSet, n: int) -> dict:
     """Counts and exact rank of the full cellular family at (r, n).
 
@@ -275,7 +188,7 @@ def cellular_rank_report(ps: ParamSet, n: int) -> dict:
     takes one block product."""
     r = ps.r
     target = r ** n * diagrams.double_factorial(2 * n - 1)
-    real = Realization(ps, n)
+    real = Realization(seminormal.build_all(ps, n))
     cells = []
     vecs = []
     total = 0
@@ -293,11 +206,11 @@ def cellular_rank_report(ps: ParamSet, n: int) -> dict:
                     if m_blocks is None:
                         m_blocks = real.evaluate_product(cw.middle)
                     if cw.left_word not in am_of:
-                        am_of[cw.left_word] = _mul_blocks(
+                        am_of[cw.left_word] = mul_blocks(
                             real.evaluate(cw.left_word), m_blocks)
                     if cw.right_word not in b_of:
                         b_of[cw.right_word] = real.evaluate(cw.right_word)
-                    vecs.append(real.vec(_mul_blocks(am_of[cw.left_word],
+                    vecs.append(real.vec(mul_blocks(am_of[cw.left_word],
                                                      b_of[cw.right_word])))
     report = _rank_from_vecs(vecs)
     report["target"] = target
@@ -312,7 +225,7 @@ def contraction_murphy_commute_residual(ps: ParamSet, n: int, arcs: int,
                                         real: Realization | None = None) -> Fraction:
     """Worst |chain·M - M·chain| over all Murphy products of the cell."""
     if real is None:
-        real = Realization(ps, n)
+        real = Realization(seminormal.build_all(ps, n))
     chain = contraction_chain(n, arcs)
     tabs = combinat.standard_tableaux(shape)
     worst = Fraction(0)
@@ -341,7 +254,7 @@ def hecke_pairing_residual(ps: ParamSet, n: int, arcs: int, shape: Multipartitio
     mb = hecke.MurphyBasis(H)
     tabs = combinat.standard_tableaux(shape)
     if real is None:
-        real = Realization(ps, n)
+        real = Realization(seminormal.build_all(ps, n))
     blk = real.block_index(shape)
     zero = (0,) * arcs
     ident = tuple(range(1, n + 1))

@@ -1,6 +1,7 @@
 """Code the tests share and the command line does not call: the dense
 matrix reader, the Schur reference for Omega and other admissible
-sequences, exact two-strand module fixtures, the branching report, the
+sequences, exact two-strand module fixtures, the hand-written relation
+suite that the relation table is checked against, the branching report, the
 reference product of two Hecke elements and expansion of products into
 words, Hecke triangularity and symmetrizer witnesses, cell indices and word
 helpers."""
@@ -10,10 +11,11 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from wenzl import combinat, hecke, seminormal, wcell
+from wenzl import _linalg, combinat, hecke, seminormal, wcell
 from wenzl.combinat import Multipartition, Tableau
 from wenzl.diagrams import BrauerDiagram, Word, perm_mult, word_for_permutation
 from wenzl.params import ONE, ParamSet, Poly
+from wenzl.seminormal import RELATION_FAMILIES
 
 HALF = Fraction(1, 2)
 
@@ -96,9 +98,75 @@ class ModuleFixture(NamedTuple):
 
 def check_module(S, E, X, ps: ParamSet) -> dict:
     """Exact relation residuals for a module given by ``_linalg`` sparse rows,
-    with at least one X.  Every value should be Fraction(0) for a genuine
-    module."""
-    return seminormal._relation_residuals(S, E, X, ps, len(X[0]))
+    with at least one X: the relation table evaluated on the one-block
+    realization of the module.  Every value should be Fraction(0) for a
+    genuine module."""
+    d = len(X[0])
+    rep = seminormal.SeminormalRep(ps, len(X), None, tuple(range(d)), S, E, X,
+                                   (Fraction(1),) * d)
+    return seminormal.residuals(seminormal.Realization([rep]))[0]
+
+
+# the reference for the relation table: each relation as matrix products
+def _relation_residuals(S, E, X, ps: ParamSet, d: int) -> dict:
+    """Exact max-abs residual of every defining relation family for d x d
+    matrices S_1..S_{n-1}, E_1..E_{n-1}, X_1..X_n, given as ``_linalg``
+    sparse rows.  Unwrapping is checked for X_1^a, 0 <= a <= min(N, r + 2)."""
+    n = len(X)
+    assert len(S) == len(E) == max(n - 1, 0)
+    mul, add, sub = _linalg.mat_mul, _linalg.mat_add, _linalg.mat_sub
+    scale = _linalg.mat_scale
+    I = _linalg.identity(d)
+    res: dict = {name: Fraction(0) for name in RELATION_FAMILIES}
+
+    def upd(name, M):
+        res[name] = max(res[name], _linalg.max_abs(M))
+
+    for i in range(1, n):
+        Si, Ei = S[i - 1], E[i - 1]
+        upd("involution", sub(mul(Si, Si), I))
+        upd("contraction-scalar", sub(mul(Ei, Ei), scale(Ei, ps.omega[0])))
+        upd("tangle", sub(mul(Ei, Si), Ei))
+        upd("tangle", sub(mul(Si, Ei), Ei))
+        rhs = sub(Ei, I)
+        upd("skein", sub(sub(mul(Si, X[i - 1]), mul(X[i], Si)), rhs))
+        upd("skein", sub(sub(mul(X[i - 1], Si), mul(Si, X[i])), rhs))
+        Xsum = add(X[i - 1], X[i])
+        upd("antisymmetry", mul(Ei, Xsum))
+        upd("antisymmetry", mul(Xsum, Ei))
+        if i <= n - 2:
+            Sj, Ej = S[i], E[i]
+            upd("braid", sub(mul(mul(Si, Sj), Si), mul(mul(Sj, Si), Sj)))
+            upd("untwisting", sub(mul(mul(Ej, Ei), Ej), Ej))
+            upd("untwisting", sub(mul(mul(Ei, Ej), Ei), Ei))
+            upd("tangle", sub(mul(mul(Si, Ej), Ei), mul(Sj, Ei)))
+            upd("tangle", sub(mul(mul(Ej, Ei), Sj), mul(Ej, Si)))
+        for j in range(1, n):
+            if abs(i - j) > 1:
+                Sj, Ej = S[j - 1], E[j - 1]
+                upd("commutation", sub(mul(Si, Sj), mul(Sj, Si)))
+                upd("commutation", sub(mul(Si, Ej), mul(Ej, Si)))
+                upd("commutation", sub(mul(Ei, Ej), mul(Ej, Ei)))
+        for j in range(1, n + 1):
+            if j not in (i, i + 1):
+                Xj = X[j - 1]
+                upd("braid", sub(mul(Si, Xj), mul(Xj, Si)))
+                upd("commutation", sub(mul(Ei, Xj), mul(Xj, Ei)))
+    for a in range(n):
+        for b in range(a):
+            upd("commutation", sub(mul(X[a], X[b]), mul(X[b], X[a])))
+    if n >= 2:
+        E1, X1 = E[0], X[0]
+        P = I
+        for a in range(min(ps.N, ps.r + 2) + 1):
+            upd("unwrapping", sub(mul(mul(E1, P), E1), scale(E1, ps.omega[a])))
+            P = mul(P, X1)
+    if ps.u and n >= 1:
+        P = I
+        for ui in ps.u:
+            P = mul(P, sub(X[0], scale(I, ui)))
+        upd("cyclotomic", P)
+    return res
 
 
 def _fixture(S, E, X1, X2, ps: ParamSet) -> ModuleFixture:

@@ -65,9 +65,9 @@ def test_criterion_04_relation_residuals():
         for n in range(1, 5):
             ps = ParamSet.default(r, n)
             scalars = seminormal.tower_scalars(ps, n)
-            for rep in seminormal.build_all(ps, n):
+            real = seminormal.Realization(seminormal.build_all(ps, n))
+            for res in seminormal.verify_relations(real, scalars):
                 blocks += 1
-                res = seminormal.verify_relations(rep, scalars)
                 ok &= all(value == 0 for value in res.values())
     report(4, ok, f"every relation residual, G-adjointness and scalar tower "
                   f"included, is exactly 0 on the rational seminormal model "

@@ -338,6 +338,22 @@ def test_out_into_a_missing_directory_is_a_usage_error(tmp_path):
     assert not out.parent.exists()
 
 
+def test_out_naming_a_directory_or_nothing_is_a_usage_error(tmp_path):
+    target = tmp_path / "dir"
+    target.mkdir()
+    src = str(Path(wenzl.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    for out in (str(target), str(target / "new") + os.sep, ""):
+        proc = subprocess.run(
+            [sys.executable, "-m", "wenzl.cli", "counts", "--out", out],
+            env=env, cwd=target, capture_output=True, text=True)
+        assert proc.returncode == 2, out
+        assert proc.stderr.startswith("usage: wenzl counts ")
+        assert f"wenzl counts: error: --out {out!r}: not a file name" in proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+        assert list(target.iterdir()) == []
+
+
 # sha256 of the exit code and report of each input, as the dense-matrix code
 # wrote them; a change of matrix format or arithmetic must leave them alone
 GOLDEN_REPORTS = {

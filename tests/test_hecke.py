@@ -17,6 +17,7 @@ from wenzl.hecke import (
     murphy_factors,
 )
 from wenzl.params import ParamSet
+from wenzl.seminormal import relations
 from wenzl.wcell import star_word_sum
 
 F = Fraction
@@ -283,3 +284,26 @@ def test_row_symmetrizer_witness():
     scalar, ok = row_symmetrizer_witness(ParamSet.from_u((F(0), F(1)),
                                                          n_hint=2), 2)
     assert ok and scalar == 0
+
+
+def _without_e(terms):
+    return tuple((c, w) for c, w in terms if all(letter[0] != "E" for letter in w))
+
+
+@pytest.mark.parametrize("r,n", [(2, 2), (1, 3), (3, 2), (2, 3), (1, 4)])
+def test_relation_table_without_e_holds_in_the_quotient(r, n):
+    # the quotient by the ideal of E_1 is the degenerate cyclotomic Hecke
+    # algebra: the relation table with every E term dropped holds there
+    rng = random.Random(f"relations:{r}:{n}")
+    k, delta = rng.choice((2, 4, 8)), rng.choice((F(1, 2), F(1, 3), F(2, 7), F(-1, 4)))
+    seeded = tuple(k * x + delta for x in combinat.default_u(r, n))
+    for ps in (ParamSet.default(r, n), ParamSet.from_u(seeded, n_hint=n)):
+        H = HeckeAlgebra(ps, n)
+        checked = set()
+        for family, lhs, rhs in relations(ps, n):
+            lhs, rhs = _without_e(lhs), _without_e(rhs)
+            assert H.act_sum(H.one(), lhs) == H.act_sum(H.one(), rhs), (ps.u, family, lhs)
+            if lhs or rhs:
+                checked.add(family)
+        assert {"involution", "skein", "cyclotomic"} <= checked
+        assert n < 3 or "braid" in checked

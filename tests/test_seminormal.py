@@ -1,17 +1,20 @@
 """Seminormal models: relation residuals, exact identities, module fixtures."""
 
+import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
 
 from support import (
-    branching_blocks, check_module, from_dense, module_fixtures, module_nonsplit,
+    _relation_residuals, branching_blocks, check_module, from_dense,
+    module_fixtures, module_nonsplit,
 )
 from wenzl import _linalg, combinat, params
 from wenzl.params import ParamSet
 from wenzl.seminormal import (
-    RELATION_FAMILIES, build_all, check_identities, returns_at, tower_scalars,
-    verify_relations,
+    RELATION_FAMILIES, Realization, build_all, check_identities, relations,
+    residuals, returns_at, tower_scalars, verify_relations,
 )
 
 F = Fraction
@@ -68,19 +71,71 @@ def test_generators_are_symmetric():
 def test_relation_suite_2_3():
     ps = ParamSet.default(2, 3)
     scalars = tower_scalars(ps, 3)
-    for rep in build_all(ps, 3):
-        res = verify_relations(rep, scalars)
+    real = Realization(build_all(ps, 3))
+    for rep, res in zip(real.reps, verify_relations(real, scalars)):
         assert set(res) == set(RELATION_FAMILIES) | {"star-symmetry",
                                                      "tower-scalars"}
         for family, value in res.items():
             assert value == 0, (rep.shape, family, value)
 
 
+def _reference(real):
+    return [_relation_residuals(rep.S, rep.E, rep.X, rep.ps, rep.dim)
+            for rep in real.reps]
+
+
+def _seeded_u(r, n):
+    rng = random.Random(f"relations:{r}:{n}")
+    k, delta = rng.choice((2, 4, 8)), rng.choice((F(1, 2), F(1, 3), F(2, 7), F(-1, 4)))
+    return tuple(k * x + delta for x in combinat.default_u(r, n))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_relation_table_equals_the_hand_written_suite(r):
+    # the same residual for every family on every block, n <= 4, at the
+    # default and at seeded roots
+    for n in range(5):
+        for ps in (ParamSet.default(r, n), ParamSet.from_u(_seeded_u(r, n), n_hint=n)):
+            real = Realization(build_all(ps, n))
+            assert residuals(real) == _reference(real), (ps.u, n)
+
+
+def test_relation_table_equals_the_hand_written_suite_on_fixtures():
+    for fix in module_fixtures():
+        assert check_module(fix.S, fix.E, fix.X, fix.ps) == _relation_residuals(
+            fix.S, fix.E, fix.X, fix.ps, len(fix.X[0]))
+
+
+@pytest.mark.parametrize("kind", ["S", "E", "X"])
+def test_relation_table_equals_the_hand_written_suite_off_the_model(kind):
+    # one entry of S_1, E_1 or X_1 changed on the largest block; X_1 then
+    # has an entry off the diagonal, so its powers are no longer diagonal
+    ps = ParamSet.default(2, 3)
+    reps = build_all(ps, 3)
+    b = max(range(len(reps)), key=lambda i: reps[i].dim)
+    rep = reps[b]
+    mats = [dict(row) for row in getattr(rep, kind)[0]]
+    mats[0][rep.dim - 1] = mats[0].get(rep.dim - 1, 0) + 1
+    reps[b] = dataclasses.replace(rep, **{kind: [mats, *getattr(rep, kind)[1:]]})
+    real = Realization(reps)
+    got = residuals(real)
+    assert got == _reference(real)
+    assert any(got[b].values()) and not any(v for i, res in enumerate(got)
+                                            if i != b for v in res.values())
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_relation_table_covers_every_family(r):
+    # a family with no relation in the table would report 0 unchecked
+    ps = ParamSet.default(r, 3)
+    assert {family for family, _, _ in relations(ps, 3)} == set(RELATION_FAMILIES)
+
+
 def test_relation_suite_low_precision_still_passes():
     ps = ParamSet.default(2, 2)
     scalars = tower_scalars(ps, 2)
-    for rep in build_all(ps, 2):
-        for family, value in verify_relations(rep, scalars).items():
+    for res in verify_relations(Realization(build_all(ps, 2)), scalars):
+        for family, value in res.items():
             assert value == 0
 
 

@@ -11,6 +11,7 @@ from support import (
 )
 from wenzl import _linalg, combinat, diagrams, wcell
 from wenzl.params import ParamSet
+from wenzl.seminormal import build_all
 from wenzl.wcell import (
     Realization, RegularMonomial, cell_triples,
     cellular_element, cellular_rank_report, contraction_chain,
@@ -64,7 +65,7 @@ def test_monomial_degree_and_words():
 
 def test_realization_layout():
     ps = ParamSet.default(2, 2)
-    real = Realization(ps, 2)
+    real = Realization(build_all(ps, 2))
     assert sum(d * d for d in real.dims) == 12
     assert sorted(real.shapes) == sorted(combinat.reachable_shapes(2, 2))
     blocks = real.evaluate(())
@@ -72,7 +73,7 @@ def test_realization_layout():
 
 
 def test_letter_validation():
-    real = Realization(ParamSet.default(2, 2), 2)
+    real = Realization(build_all(ParamSet.default(2, 2), 2))
     for bad in (("S", 2), ("E", 0), ("X", 3, 1), ("Q", 1)):
         with pytest.raises((ValueError, KeyError)):
             real.evaluate((bad,))
@@ -82,7 +83,7 @@ def test_star_word_transposes():
     # every generator is self-adjoint for diag(gamma), so star is the
     # adjoint on every block, exactly
     ps = ParamSet.default(2, 3)
-    real = Realization(ps, 3)
+    real = Realization(build_all(ps, 3))
     words = [
         (("S", 1), ("E", 2)),
         (("X", 1, 1), ("S", 2), ("X", 3, 2)),
@@ -97,7 +98,7 @@ def test_star_word_transposes():
 
 def test_unwrapping_word_sum():
     ps = ParamSet.default(2, 2)
-    real = Realization(ps, 2)
+    real = Realization(build_all(ps, 2))
     for a in range(4):
         terms = ((F(1), (("E", 1), ("X", 1, a), ("E", 1))),
                  (-ps.omega[a], (("E", 1),)))
@@ -108,7 +109,7 @@ def test_unwrapping_word_sum():
 def test_cyclotomic_word_sum_vanishes():
     for r, n in ((1, 2), (2, 2), (2, 3)):
         ps = ParamSet.default(r, n)
-        real = Realization(ps, n)
+        real = Realization(build_all(ps, n))
         for blk, d in zip(real.evaluate_sum(cyclotomic_word_sum(ps)), real.dims):
             assert blk == _linalg.zeros(d)
 
@@ -116,7 +117,7 @@ def test_cyclotomic_word_sum_vanishes():
 def test_monomial_family_has_full_rank():
     for r, n in ((1, 2), (2, 2), (1, 3)):
         ps = ParamSet.default(r, n)
-        real = Realization(ps, n)
+        real = Realization(build_all(ps, n))
         words = [word_for_monomial(m) for m in enumerate_r_regular(r, n)]
         rpt = rank_report(words, real)
         size = sum(d * d for d in real.dims)
@@ -199,7 +200,7 @@ def test_filtration_index_raw_words():
 
 def test_star_swaps_cell_sides_on_own_block():
     ps = ParamSet.default(2, 2)
-    real = Realization(ps, 2)
+    real = Realization(build_all(ps, 2))
     empty = combinat.empty_mp(2)
     triples = cell_triples(2, 2, 1, empty)
     blk = real.block_index(empty)
@@ -216,7 +217,7 @@ def test_star_swaps_cell_sides_on_own_block():
 
 def test_cellular_word_transpose_everywhere():
     ps = ParamSet.default(2, 2)
-    real = Realization(ps, 2)
+    real = Realization(build_all(ps, 2))
     for shape, arcs in ((combinat.empty_mp(2), 1), ((((1,), (1,))), 0)):
         triples = cell_triples(2, 2, arcs, shape)
         for a in triples[:3]:
@@ -238,7 +239,7 @@ def test_chain_commutes_with_murphy_product():
 def test_hecke_pairing():
     for r, n in ((1, 2), (2, 2), (1, 3), (2, 3)):
         ps = ParamSet.default(r, n)
-        real = Realization(ps, n)
+        real = Realization(build_all(ps, n))
         for arcs in range(min(n // 2, 1) + 1):
             for shape in combinat.multipartitions(r, n - 2 * arcs):
                 res = hecke_pairing_residual(ps, n, arcs, shape, real)
@@ -279,7 +280,7 @@ def test_factored_vectors_equal_expansion(r, n, monkeypatch):
         ranked.clear()
         rpt = cellular_rank_report(ps, n)
         assert rpt["rank"] == rpt["target"]
-        real = Realization(ps, n)
+        real = Realization(build_all(ps, n))
         want = []
         for arcs in range(n // 2 + 1):
             for shape in combinat.multipartitions(r, n - 2 * arcs):
@@ -299,7 +300,7 @@ def test_factored_vectors_equal_expansion(r, n, monkeypatch):
 
 def test_murphy_words_expand_the_factors():
     ps = ParamSet.default(3, 2)
-    real = Realization(ps, 2)
+    real = Realization(build_all(ps, 2))
     for shape in combinat.multipartitions(3, 2):
         for s in combinat.standard_tableaux(shape):
             for t in combinat.standard_tableaux(shape):
