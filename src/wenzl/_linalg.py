@@ -1,9 +1,12 @@
-"""Exact linear algebra over Fraction on sparse rows.
+"""Exact linear algebra over Q on sparse rows.
 
-A matrix is a list of rows, and each row is a dict ``{column: Fraction}``
-of its nonzero entries; a vector is one such row.  No operation stores a
-zero, so the form is canonical and ``==`` is matrix equality.  The column
-count is not stored: an operation reads only the entries that are there.
+A matrix is a list of rows, and each row is a dict ``{column: value}`` of
+its nonzero entries; a vector is one such row.  A value is a Fraction or an
+int: the realization keeps its blocks as int rows over one denominator, and
+sums, products and scalings of int rows by ints stay ints.  No operation
+stores a zero, so the form is canonical and ``==`` is matrix equality.  The
+column count is not stored: an operation reads only the entries that are
+there.
 
 ``rank``, ``det`` and ``inverse`` share one elimination (``_eliminate``) on
 copies of the input rows.  Columns are eliminated left to right.  The pivot
@@ -30,7 +33,7 @@ def diagonal(values) -> list[dict]:
 
 
 def identity(n: int) -> list[dict]:
-    return [{i: Fraction(1)} for i in range(n)]
+    return [{i: 1} for i in range(n)]
 
 
 def _merge_row(row: dict, entries) -> dict:
@@ -57,7 +60,9 @@ def mat_sub(a, b):
 
 
 def mat_scale(a, c):
-    c = Fraction(c)
+    """c times a; a itself when c is 1, since values are only read."""
+    if c == 1:
+        return a
     if not c:
         return zeros(len(a))
     return [{j: x * c for j, x in row.items()} for row in a]
@@ -75,8 +80,9 @@ def mat_mul(a, b):
     return out
 
 
-def max_abs(a) -> Fraction:
-    return max((abs(x) for row in a for x in row.values()), default=Fraction(0))
+def max_abs(a):
+    """The largest |entry|, of the entries' type; 0 for the zero matrix."""
+    return max((abs(x) for row in a for x in row.values()), default=0)
 
 
 def _eliminate(rows, augmented=None):
@@ -110,7 +116,8 @@ def _eliminate(rows, augmented=None):
         prow = rows[p]
         value = prow[c]
         if value != 1:
-            inv = 1 / value
+            # exact for int and Fraction values alike
+            inv = Fraction(value.denominator, value.numerator)
             for j in prow:
                 prow[j] *= inv
         used.add(p)

@@ -169,12 +169,15 @@ def default_u(r: int, n: int) -> tuple[Fraction, ...]:
                  for t in range(1, r + 1))
 
 
+@functools.cache
+def _step_nodes(t: Tableau) -> tuple[tuple[Node, bool], ...]:
+    """``step_node`` at every step of t, taken once per tableau; it does not
+    depend on the roots."""
+    return tuple(step_node(t, k) for k in range(1, len(t) + 1))
+
+
 def content_sequence(t: Tableau, u) -> tuple[Fraction, ...]:
-    out = []
-    for k in range(1, len(t) + 1):
-        node, removed = step_node(t, k)
-        out.append(node_content(node, u, removed))
-    return tuple(out)
+    return tuple(node_content(node, u, removed) for node, removed in _step_nodes(t))
 
 
 @functools.cache
@@ -248,8 +251,7 @@ def t_lambda(lam: Multipartition) -> Tableau:
 def tableau_entries(t: Tableau) -> dict[Node, int]:
     """For a standard tableau, the entry written in each box."""
     out = {}
-    for k in range(1, len(t) + 1):
-        node, removed = step_node(t, k)
+    for k, (node, removed) in enumerate(_step_nodes(t), start=1):
         assert not removed, "not a standard tableau"
         out[node] = k
     return out
@@ -292,7 +294,7 @@ def sk_action(t: Tableau, k: int):
     prev = t[k - 2] if k >= 2 else empty_mp(r)
     if prev == t[k]:
         raise ValueError("steps k, k+1 return to the start; swap is not defined")
-    node2, removed2 = step_node(t, k + 1)
+    node2, removed2 = _step_nodes(t)[k]
     try:
         mid = remove_box(prev, node2) if removed2 else add_box(prev, node2)
     except (AssertionError, IndexError):

@@ -1,10 +1,12 @@
 """Parameter sets and the exact generating functions W at a shape.
 
-Everything here is exact rational arithmetic: dense polynomials in y and
-rational functions kept as built (not reduced, compared by
-cross-multiplication).  The scalars are coefficients of one expansion at
-y = infinity: Omega is that of W_1 (W at the empty shape), and the tower
-scalars omega_k^(a) that of W_k.
+Everything here is exact rational arithmetic: dense polynomials in y, and
+rational functions num/den whose denominators are cleared when they are
+built, so num and den are polynomials over Z (Python ints) and their
+products never normalise a Fraction.  A rational function is not reduced:
+equality is by cross-multiplication.  The scalars are coefficients of one
+expansion at y = infinity: Omega is that of W_1 (W at the empty shape), and
+the tower scalars omega_k^(a) that of W_k; they are Fractions.
 """
 
 from __future__ import annotations
@@ -31,12 +33,13 @@ def format_fraction(x: Fraction) -> str:
 # ---------------------------------------------------------------------------
 
 class Poly:
-    """Dense polynomial over Fraction; coeffs[k] is the y^k coefficient."""
+    """Dense polynomial over Q; coeffs[k] is the y^k coefficient, an int or
+    a Fraction as given, so a polynomial over Z computes on ints."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -77,7 +80,7 @@ class Poly:
             return Poly(tuple(c * other for c in self.coeffs))
         if not self or not other:
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
@@ -98,15 +101,27 @@ class Poly:
 ONE = Poly.const(1)
 
 
+def _times_int(p: Poly, scale: int) -> Poly:
+    """scale * p as a polynomial with int coefficients; scale clears every
+    denominator of p."""
+    return Poly(tuple(c.numerator * (scale // c.denominator) for c in p.coeffs))
+
+
 class RationalFunction:
-    """num/den exactly as built, never reduced, with exact +, -, * and /
-    (and + or - of a scalar).  Equality is by cross-multiplication, so two
-    representations of one function compare equal."""
+    """num/den as built, never reduced, with exact +, -, * and / (and + or -
+    of a scalar).  Building one clears the denominators of its coefficients:
+    num and den are both multiplied by their lcm, so they hold ints.
+    Equality is by cross-multiplication, so two representations of one
+    function compare equal."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly = ONE):
         assert den, "zero denominator"
+        cs = num.coeffs + den.coeffs
+        if not all(type(c) is int for c in cs):
+            scale = math.lcm(*(c.denominator for c in cs))
+            num, den = _times_int(num, scale), _times_int(den, scale)
         self.num, self.den = num, den
 
     @classmethod
@@ -165,7 +180,7 @@ def series_of_rational(rf: RationalFunction, A: int) -> list[Fraction]:
         acc = p[k] if k < len(p) else Fraction(0)
         for j in range(1, min(k, len(q) - 1) + 1):
             acc -= q[j] * out[k - j]
-        out.append(acc / q[0])
+        out.append(Fraction(acc) / q[0])  # num and den hold ints: int / int is a float
     return out
 
 
@@ -191,7 +206,8 @@ def check_admissible(omega) -> tuple[bool, int | None]:
 
 def cyclotomic_coeffs(u) -> tuple[Fraction, ...]:
     """c_0, ..., c_r with prod_i (y - u_i) = sum_k c_k y^k, so c_r = 1."""
-    return math.prod((Poly.y_plus(-x) for x in u), start=ONE).coeffs
+    return tuple(Fraction(c) for c in
+                 math.prod((Poly.y_plus(-x) for x in u), start=ONE).coeffs)
 
 
 @dataclass(frozen=True)
@@ -277,10 +293,13 @@ def wk_rational(t, k: int, ps: ParamSet, memo: dict | None = None) -> RationalFu
 
 
 def _recursion_factor_rational(c: Fraction) -> RationalFunction:
-    """((y+c)^2 - 1)(y-c)^2 / (((y-c)^2 - 1)(y+c)^2)."""
-    plus, minus = Poly.y_plus(c), Poly.y_plus(-c)
-    return RationalFunction((plus * plus - ONE) * (minus * minus),
-                            (minus * minus - ONE) * (plus * plus))
+    """((y+c)^2 - 1)(y-c)^2 / (((y-c)^2 - 1)(y+c)^2), formed over Z: with
+    c = p/q, num and den are both multiplied by q^4 through q(y + c) =
+    qy + p and q(y - c) = qy - p."""
+    p, q = c.numerator, c.denominator
+    plus, minus, q2 = Poly((p, q)), Poly((-p, q)), Poly((q * q,))
+    return RationalFunction((plus * plus - q2) * (minus * minus),
+                            (minus * minus - q2) * (plus * plus))
 
 
 def wk_recursive_rational(t, k: int, ps: ParamSet,

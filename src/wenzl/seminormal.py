@@ -6,10 +6,14 @@ block is built instead as that model conjugated by diag(sqrt(gamma)), with
 gamma chosen on a spanning tree of the generator graph so that every entry
 is a Fraction.  The models make one ``Realization``, their direct sum, which
 evaluates generator words on every block; ``wcell`` ranks word families on
-it.  The defining relations are written once, as pairs of word sums
-(``relations``), and both sides are evaluated on the realization; they, the
-scalar tower and self-adjointness for diag(gamma) are checked with zero
-tolerance, as are the polynomial identities between the coefficients.
+it.  The realization computes on ints: each letter's blocks are brought once
+over one common denominator, and an evaluated element is int blocks over
+one positive denominator (``Evaluated``), so a Fraction is made only for a
+reported residual.  The defining relations are written once, as pairs of
+word sums (``relations``), and both sides are evaluated on the realization
+and compared by cross-multiplying; they, the scalar tower and
+self-adjointness for diag(gamma) are checked with zero tolerance, as are the
+polynomial identities between the coefficients.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import _linalg, combinat, params
 from .params import ParamSet
@@ -242,14 +247,27 @@ def build_all(ps: ParamSet, n: int) -> list[SeminormalRep]:
 # ---------------------------------------------------------------------------
 
 
+class Evaluated(NamedTuple):
+    """An element of the realization: one ``_linalg`` block of ints per
+    model, ``blocks``, all over the one positive denominator ``den``."""
+
+    blocks: list
+    den: int
+
+
 class Realization:
     """The direct sum of the models given (``build_all`` gives one per
     reachable shape): a word, a word sum (``evaluate_sum``) or a product of
     word sums (``evaluate_product``, never expanded into words) evaluates to
-    one ``_linalg`` block per model.  ``vec`` lays the blocks out as one
-    sparse vector, of length r^n (2n-1)!! over all shapes; its rank over Q
-    is also that in the orthonormal model, whose entries differ from these
-    by fixed nonzero factors.
+    an ``Evaluated``, int blocks over one denominator.  Each letter's blocks
+    are brought once per realization over the lcm of their denominators; a
+    product multiplies the denominators and a sum brings its terms to their
+    lcm, so no Fraction is normalised until a residual is reported.  ``vec``
+    lays the int blocks out as one sparse vector, of length r^n (2n-1)!!
+    over all shapes: the element scaled by its positive den.  The rank over
+    Q of such vectors is that of the elements, and also that in the
+    orthonormal model, whose entries differ from these by fixed nonzero
+    factors.
     """
 
     def __init__(self, reps: list[SeminormalRep]):
@@ -257,72 +275,108 @@ class Realization:
         self.ps, self.n = reps[0].ps, reps[0].n
         self.shapes = [rep.shape for rep in reps]
         self.dims = [rep.dim for rep in reps]
+        self._one = Evaluated([_linalg.identity(d) for d in self.dims], 1)
         self._letters: dict = {}
 
     def block_index(self, shape) -> int:
         return self.shapes.index(shape)
 
-    def _letter_blocks(self, letter) -> list[list[dict]]:
+    def _letter(self, letter) -> Evaluated:
         """The blocks of one letter, made once per realization; the block of
         ("X", j, a) is the a-th power of X_j, the identity at a = 0."""
-        blocks = self._letters.get(letter)
-        if blocks is not None:
-            return blocks
+        ev = self._letters.get(letter)
+        if ev is not None:
+            return ev
         kind, i = letter[0], letter[1]
         if kind in ("S", "E") and 1 <= i <= self.n - 1:
-            blocks = [getattr(rep, kind)[i - 1] for rep in self.reps]
+            ev = _cleared([getattr(rep, kind)[i - 1] for rep in self.reps])
         elif kind == "X" and 1 <= i <= self.n and 0 <= letter[2] <= 1:
-            blocks = [rep.X[i - 1] if letter[2] else _linalg.identity(rep.dim)
-                      for rep in self.reps]
+            ev = _cleared([rep.X[i - 1] for rep in self.reps]) if letter[2] else self._one
         elif kind == "X" and 1 <= i <= self.n and letter[2] > 1:
-            blocks = mul_blocks(self._letter_blocks(("X", i, letter[2] - 1)),
-                                self._letter_blocks(("X", i, 1)))
+            ev = mul_blocks(self._letter(("X", i, letter[2] - 1)),
+                            self._letter(("X", i, 1)))
         else:
             raise ValueError(f"letter {letter!r} out of range at n={self.n}")
-        self._letters[letter] = blocks
-        return blocks
+        self._letters[letter] = ev
+        return ev
 
-    def evaluate(self, word) -> list[list[dict]]:
-        """One block per model.  The blocks may be those of the generators,
-        which, like every ``_linalg`` value, are only read."""
+    def evaluate(self, word) -> Evaluated:
+        """The blocks may be those of the generators, which, like every
+        ``_linalg`` value, are only read."""
         if not word:
-            return [_linalg.identity(d) for d in self.dims]
-        out = list(self._letter_blocks(word[0]))
+            return self._one
+        out = self._letter(word[0])
         for letter in word[1:]:
-            out = mul_blocks(out, self._letter_blocks(letter))
+            out = mul_blocks(out, self._letter(letter))
         return out
 
-    def evaluate_sum(self, terms) -> list[list[dict]]:
+    def evaluate_sum(self, terms) -> Evaluated:
+        parts = [scaled(self.evaluate(word), coeff) for coeff, word in terms]
+        den = math.lcm(*(part.den for part in parts))
         out = None
-        for coeff, word in terms:
-            blocks = self.evaluate(word)
-            if coeff != 1:
-                blocks = [_linalg.mat_scale(blk, coeff) for blk in blocks]
+        for blocks, d in parts:
+            blocks = [_linalg.mat_scale(blk, den // d) for blk in blocks]
             out = blocks if out is None else [_linalg.mat_add(acc, blk)
                                               for acc, blk in zip(out, blocks)]
-        return [_linalg.zeros(d) for d in self.dims] if out is None else out
+        if out is None:
+            out = [_linalg.zeros(d) for d in self.dims]
+        return Evaluated(out, den)
 
-    def evaluate_product(self, factors) -> list[list[dict]]:
+    def evaluate_product(self, factors) -> Evaluated:
         """The product of the word sums ``factors``, in order: each factor
         is evaluated once, and the product is never expanded into words."""
         out = None
         for terms in factors:
-            blocks = self.evaluate_sum(terms)
-            out = blocks if out is None else mul_blocks(out, blocks)
-        return [_linalg.identity(d) for d in self.dims] if out is None else out
+            ev = self.evaluate_sum(terms)
+            out = ev if out is None else mul_blocks(out, ev)
+        return self._one if out is None else out
 
-    def vec(self, blocks) -> dict:
+    def vec(self, ev: Evaluated) -> dict:
         out, start = {}, 0
-        for blk, d in zip(blocks, self.dims):
+        for blk, d in zip(ev.blocks, self.dims):
             out.update((start + i * d + j, x)
                        for i, row in enumerate(blk) for j, x in row.items())
             start += d * d
         return out
 
 
-def mul_blocks(a, b) -> list[list[dict]]:
+def _cleared(blocks) -> Evaluated:
+    """Blocks of rationals (Fractions or ints) as int blocks over the lcm of
+    every denominator."""
+    den = math.lcm(*(x.denominator for blk in blocks for row in blk for x in row.values()))
+    return Evaluated([[{j: x.numerator * (den // x.denominator) for j, x in row.items()}
+                       for row in blk] for blk in blocks], den)
+
+
+def mul_blocks(a: Evaluated, b: Evaluated) -> Evaluated:
     """The blockwise product of two evaluated elements."""
-    return [_linalg.mat_mul(x, y) for x, y in zip(a, b)]
+    return Evaluated([_linalg.mat_mul(x, y) for x, y in zip(a.blocks, b.blocks)],
+                     a.den * b.den)
+
+
+def scaled(ev: Evaluated, c) -> Evaluated:
+    """c ev for an int or Fraction c: its numerator scales the blocks, and
+    its denominator joins den."""
+    return Evaluated([_linalg.mat_scale(blk, c.numerator) for blk in ev.blocks],
+                     ev.den * c.denominator)
+
+
+_ZERO = Fraction(0)
+
+
+def block_residuals(a: Evaluated, b: Evaluated) -> list[Fraction]:
+    """Exact max |a - b| on each block: both sides are brought over the lcm
+    L of their denominators and compared as ints, and each value is
+    Fraction(max |int difference|, L).  Rows store no zero, so equal blocks
+    are found by ``==`` before any difference is formed."""
+    den = math.lcm(a.den, b.den)
+    fa, fb = den // a.den, den // b.den
+    out = []
+    for x, y in zip(a.blocks, b.blocks):
+        x, y = _linalg.mat_scale(x, fa), _linalg.mat_scale(y, fb)
+        out.append(_ZERO if x == y else
+                   Fraction(_linalg.max_abs(_linalg.mat_sub(x, y)), den))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +438,9 @@ def residuals(real: Realization) -> list[dict]:
     per block of ``real``."""
     out = [dict.fromkeys(RELATION_FAMILIES, Fraction(0)) for _ in real.reps]
     for family, lhs, rhs in relations(real.ps, real.n):
-        for res, a, b in zip(out, real.evaluate_sum(lhs), real.evaluate_sum(rhs)):
-            res[family] = max(res[family], _linalg.max_abs(_linalg.mat_sub(a, b)))
+        for res, value in zip(out, block_residuals(real.evaluate_sum(lhs),
+                                                   real.evaluate_sum(rhs))):
+            res[family] = max(res[family], value)
     return out
 
 
@@ -421,23 +476,33 @@ def verify_relations(real: Realization, scalars: dict) -> list[dict]:
     tower E_k X_k^a E_k = omega_k^(a) E_k, 0 <= a <= r + 1, against
     ``scalars`` from ``tower_scalars`` (``tower-scalars``).  The tower's
     scalar depends only on the shape before step k, so its right side is
-    E_k with each row scaled by its own scalar.  One dict per block; every
-    value is 0 for a genuine model."""
+    E_k, evaluated once per k, with each row scaled by its own scalar.  One
+    dict per block; every value is 0 for a genuine model."""
     out = residuals(real)
     for res, rep in zip(out, real.reps):
         res["star-symmetry"] = adjointness_residual(rep)
         res["tower-scalars"] = Fraction(0)
     for k in range(1, real.n):
         e = ("E", k)
+        ek = real.evaluate((e,))
         rows = [[scalars[_prev(t, k)] for t in rep.basis] for rep in real.reps]
         for a in range(real.ps.r + 2):
-            lhs = real.evaluate((e, ("X", k, a), e))
-            for res, blk, Ek, ws in zip(out, lhs, real.evaluate((e,)), rows):
-                rhs = [{j: w[a] * x for j, x in row.items()} if w[a] else {}
-                       for row, w in zip(Ek, ws)]
-                diff = _linalg.max_abs(_linalg.mat_sub(blk, rhs))
-                res["tower-scalars"] = max(res["tower-scalars"], diff)
+            rhs = _rows_scaled(ek, [[w[a] for w in ws] for ws in rows])
+            for res, value in zip(out, block_residuals(
+                    real.evaluate((e, ("X", k, a), e)), rhs)):
+                res["tower-scalars"] = max(res["tower-scalars"], value)
     return out
+
+
+def _rows_scaled(ev: Evaluated, scalars) -> Evaluated:
+    """ev with row i of block b scaled by scalars[b][i], a Fraction: the
+    numerators over the lcm q of the denominators scale the rows, and q
+    joins den."""
+    q = math.lcm(*(w.denominator for ws in scalars for w in ws))
+    return Evaluated([[{j: x * f for j, x in row.items()} if f else {}
+                       for row, f in zip(blk, (w.numerator * (q // w.denominator)
+                                                for w in ws))]
+                      for blk, ws in zip(ev.blocks, scalars)], ev.den * q)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .combinat import Multipartition, Tableau
 from .diagrams import BrauerDiagram, Word, star_word, word_for_permutation
 from .hecke import WordSum, murphy_factors
 from .params import ParamSet
-from .seminormal import Realization, mul_blocks
+from .seminormal import Evaluated, Realization, block_residuals, mul_blocks, scaled
 
 
 # -- regular monomials ---------------------------------------------------
@@ -199,15 +199,14 @@ def cellular_rank_report(ps: ParamSet, n: int) -> dict:
                           "members": len(triples)})
             total += len(triples) ** 2
             # the middle is the cell's; A·M and B are kept by their words
-            m_blocks, am_of, b_of = None, {}, {}
+            m, am_of, b_of = None, {}, {}
             for a in triples:
                 for b in triples:
                     cw = cellular_element(ps, n, arcs, shape, a, b)
-                    if m_blocks is None:
-                        m_blocks = real.evaluate_product(cw.middle)
+                    if m is None:
+                        m = real.evaluate_product(cw.middle)
                     if cw.left_word not in am_of:
-                        am_of[cw.left_word] = mul_blocks(
-                            real.evaluate(cw.left_word), m_blocks)
+                        am_of[cw.left_word] = mul_blocks(real.evaluate(cw.left_word), m)
                     if cw.right_word not in b_of:
                         b_of[cw.right_word] = real.evaluate(cw.right_word)
                     vecs.append(real.vec(mul_blocks(am_of[cw.left_word],
@@ -229,13 +228,11 @@ def contraction_murphy_commute_residual(ps: ParamSet, n: int, arcs: int,
     chain = contraction_chain(n, arcs)
     tabs = combinat.standard_tableaux(shape)
     worst = Fraction(0)
-    e_blocks = real.evaluate(chain)
+    e = real.evaluate(chain)
     for s in tabs:
         for t in tabs:
-            m_blocks = real.evaluate_product(_word_sums(*murphy_factors(ps, shape, s, t)))
-            for eb, mb in zip(e_blocks, m_blocks):
-                diff = _linalg.mat_sub(_linalg.mat_mul(eb, mb), _linalg.mat_mul(mb, eb))
-                worst = max(worst, _linalg.max_abs(diff))
+            m = real.evaluate_product(_word_sums(*murphy_factors(ps, shape, s, t)))
+            worst = max(worst, *block_residuals(mul_blocks(e, m), mul_blocks(m, e)))
     return worst
 
 
@@ -266,15 +263,15 @@ def hecke_pairing_residual(ps: ParamSet, n: int, arcs: int, shape: Multipartitio
     for a in tabs:
         for b in tabs:
             cw = cellular_element(ps, n, arcs, shape, triv(a), triv(b))
-            evaluated[a, b] = real.evaluate_product(
-                _word_sums(cw.left_word, cw.middle, cw.right_word))[blk]
+            ev = real.evaluate_product(_word_sums(cw.left_word, cw.middle, cw.right_word))
+            evaluated[a, b] = Evaluated(ev.blocks[blk:blk + 1], ev.den)
     worst = Fraction(0)
     scale = ps.omega[0] ** arcs
     for s in tabs:
         for t in tabs:
             for v in tabs:
                 gram = hecke.gram_entry(H, mb, shape, t, v)
-                lhs = _linalg.mat_mul(evaluated[s, t], evaluated[v, s])
-                rhs = _linalg.mat_scale(evaluated[s, s], scale * gram)
-                worst = max(worst, _linalg.max_abs(_linalg.mat_sub(lhs, rhs)))
+                lhs = mul_blocks(evaluated[s, t], evaluated[v, s])
+                rhs = scaled(evaluated[s, s], scale * gram)
+                worst = max(worst, *block_residuals(lhs, rhs))
     return worst

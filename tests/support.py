@@ -1,13 +1,15 @@
 """Code the tests share and the command line does not call: the dense
 matrix reader, the Schur reference for Omega and other admissible
 sequences, exact two-strand module fixtures, the hand-written relation
-suite that the relation table is checked against, the branching report, the
-reference product of two Hecke elements and expansion of products into
-words, Hecke triangularity and symmetrizer witnesses, cell indices and word
-helpers."""
+suite that the relation table is checked against, the Fraction-row
+evaluation that the realization's int evaluation is checked against, the
+branching report, the reference product of two Hecke elements and expansion
+of products into words, Hecke triangularity and symmetrizer witnesses, cell
+indices and word helpers."""
 
 import functools
 import math
+import random
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -96,15 +98,85 @@ class ModuleFixture(NamedTuple):
     ps: ParamSet
 
 
+def module_realization(S, E, X, ps: ParamSet) -> seminormal.Realization:
+    """The one-block realization of a module given by ``_linalg`` sparse
+    rows, with at least one X."""
+    d = len(X[0])
+    rep = seminormal.SeminormalRep(ps, len(X), None, tuple(range(d)), S, E, X,
+                                   (Fraction(1),) * d)
+    return seminormal.Realization([rep])
+
+
 def check_module(S, E, X, ps: ParamSet) -> dict:
     """Exact relation residuals for a module given by ``_linalg`` sparse rows,
     with at least one X: the relation table evaluated on the one-block
     realization of the module.  Every value should be Fraction(0) for a
     genuine module."""
-    d = len(X[0])
-    rep = seminormal.SeminormalRep(ps, len(X), None, tuple(range(d)), S, E, X,
-                                   (Fraction(1),) * d)
-    return seminormal.residuals(seminormal.Realization([rep]))[0]
+    return seminormal.residuals(module_realization(S, E, X, ps))[0]
+
+
+def seeded_u(tag: str, r: int, n: int) -> tuple[Fraction, ...]:
+    """Fractional roots k * default_u + delta, k and delta drawn by the tag."""
+    rng = random.Random(f"{tag}:{r}:{n}")
+    k = rng.choice((2, 4, 8))
+    delta = rng.choice((Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), Fraction(-1, 4)))
+    return tuple(k * x + delta for x in combinat.default_u(r, n))
+
+
+def as_fractions(ev: seminormal.Evaluated) -> list[list[dict]]:
+    """The blocks of an evaluated element as ``_linalg`` rows of Fractions:
+    each int entry over the element's denominator."""
+    return [[{j: Fraction(x, ev.den) for j, x in row.items()} for row in blk]
+            for blk in ev.blocks]
+
+
+class FractionRealization:
+    """The reference for ``seminormal.Realization``: the same words, word
+    sums and products evaluated on the models' own Fraction rows, with one
+    Fraction block per model and no common denominator."""
+
+    def __init__(self, reps):
+        self.reps = reps
+        self.n = reps[0].n
+        self.dims = [rep.dim for rep in reps]
+
+    def letter(self, letter) -> list[list[dict]]:
+        kind, i = letter[0], letter[1]
+        if kind in ("S", "E") and 1 <= i <= self.n - 1:
+            return [getattr(rep, kind)[i - 1] for rep in self.reps]
+        if kind == "X" and 1 <= i <= self.n and letter[2] >= 0:
+            out = [_linalg.identity(d) for d in self.dims]
+            for _ in range(letter[2]):
+                out = [_linalg.mat_mul(b, rep.X[i - 1]) for b, rep in zip(out, self.reps)]
+            return out
+        raise ValueError(f"letter {letter!r} out of range at n={self.n}")
+
+    def evaluate(self, word) -> list[list[dict]]:
+        out = [_linalg.identity(d) for d in self.dims]
+        for letter in word:
+            out = [_linalg.mat_mul(a, b) for a, b in zip(out, self.letter(letter))]
+        return out
+
+    def evaluate_sum(self, terms) -> list[list[dict]]:
+        out = [_linalg.zeros(d) for d in self.dims]
+        for coeff, word in terms:
+            out = [_linalg.mat_add(acc, _linalg.mat_scale(blk, Fraction(coeff)))
+                   for acc, blk in zip(out, self.evaluate(word))]
+        return out
+
+    def evaluate_product(self, factors) -> list[list[dict]]:
+        out = [_linalg.identity(d) for d in self.dims]
+        for terms in factors:
+            out = [_linalg.mat_mul(a, b) for a, b in zip(out, self.evaluate_sum(terms))]
+        return out
+
+    def vec(self, blocks) -> dict:
+        out, start = {}, 0
+        for blk, d in zip(blocks, self.dims):
+            out.update((start + i * d + j, x)
+                       for i, row in enumerate(blk) for j, x in row.items())
+            start += d * d
+        return out
 
 
 # the reference for the relation table: each relation as matrix products

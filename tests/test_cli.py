@@ -392,6 +392,14 @@ GOLDEN_REPORTS = {
         "19ad87d7258c87f486163bb6a35c565071f1ef97e347245f745a4acddeb2e54b",
     "cellrank --r 1 --n 4":
         "a01552d1c80d0a7394924f4382b277a65bc37e8e06fd1827e4b00eeb96022850",
+    # fractional roots, whose denominators the int evaluation must carry,
+    # as the Fraction-row evaluation wrote them
+    "verify --u 128/7,-40/7 --n 3":
+        "34b2ac206711b0fde17c417329ab9b157831b758c1c09d489e7d822e9eb7b966",
+    "verify --u 239/4,-145/4,47/4 --n 3":
+        "03fcb61c9c8ca2510d14a098cd6833ab071092b019052afb63efd5aa70caf10a",
+    "cellrank --u 61/3,-35/3,13/3 --n 2":
+        "5adbdc7481cae9646dcc9c40329c8e4ff6971256d94f64bb87767b6ed68bcb1c",
 }
 
 

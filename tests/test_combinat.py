@@ -213,3 +213,20 @@ def test_coset_reps_sizes():
             reps = coset_reps(n, f)
             assert len(reps) == want
             assert len(set(reps)) == want
+
+
+def test_step_nodes_taken_once_per_tableau_equal_a_box_diff_walk():
+    # the memo behind content_sequence and tableau_entries reads each step
+    # of t once; a fresh box_diff walk must give the same (node, removed)
+    for r in (1, 2, 3):
+        for n in range(5):
+            for lam in reachable_shapes(r, n):
+                for t in enumerate_updown(n, lam):
+                    want, prev = [], empty_mp(r)
+                    for cur in t:
+                        removed = mp_size(cur) < mp_size(prev)
+                        want.append((box_diff(cur, prev) if removed
+                                     else box_diff(prev, cur), removed))
+                        prev = cur
+                    assert combinat._step_nodes(t) == tuple(want), t
+                    assert combinat._step_nodes(t) is combinat._step_nodes(t)

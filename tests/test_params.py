@@ -14,6 +14,7 @@ from wenzl.params import (
     ParamSet, Poly, RationalFunction, check_admissible, format_fraction,
     parse_fraction,
 )
+from wenzl.seminormal import tower_scalars
 
 F = Fraction
 
@@ -232,3 +233,34 @@ def test_from_omega_mode():
     with pytest.raises(AssertionError):
         params.w1_rational(ps)
 
+
+
+@pytest.mark.parametrize("u", [(F(9), F(-3)), (F(128, 7), F(-40, 7)),
+                               (F(239, 4), F(-145, 4), F(47, 4))])
+def test_reported_scalars_are_fractions(u):
+    # W is computed over Z; every scalar read off it, and every coefficient
+    # of the cyclotomic polynomial, must still be a Fraction (an int / int
+    # would be a float)
+    n = 3
+    ps = ParamSet.from_u(u, n_hint=n)
+    values = list(ps.omega) + list(params.cyclotomic_coeffs(ps.u))
+    for mu, ws in tower_scalars(ps, n).items():
+        values += ws
+        values += params.omega_k_values(combinat.t_lambda(mu),
+                                        combinat.mp_size(mu) + 1, ps, ps.r + 1)
+    assert values and all(type(x) is Fraction for x in values), \
+        {type(x) for x in values}
+
+
+def test_rational_function_clears_denominators():
+    # (y/2 + 1/3)/(2y/5 - 1/7) is built as (105y + 70)/(84y - 30)
+    num = Poly((F(1, 3), F(1, 2)))
+    den = Poly((F(-1, 7), F(2, 5)))
+    rf = RationalFunction(num, den)
+    assert all(type(c) is int for c in rf.num.coeffs + rf.den.coeffs)
+    assert rf.num == Poly((70, 105)) and rf.den == Poly((-30, 84))
+    assert rf == RationalFunction(Poly((70, 105)), Poly((-30, 84)))
+    assert rf == RationalFunction(num * 6, den * 6)
+    assert rf(F(1)) == F(175, 54) == num(F(1)) / den(F(1))
+    assert params.series_of_rational(rf, 2) == params.series_of_rational(
+        RationalFunction(Poly((70, 105)), Poly((-30, 84))), 2)

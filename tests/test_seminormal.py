@@ -1,14 +1,14 @@
 """Seminormal models: relation residuals, exact identities, module fixtures."""
 
 import dataclasses
-import random
 from fractions import Fraction
 
 import pytest
 
 from support import (
-    _relation_residuals, branching_blocks, check_module, from_dense,
-    module_fixtures, module_nonsplit,
+    FractionRealization, _relation_residuals, as_fractions, branching_blocks,
+    check_module, from_dense, module_fixtures, module_nonsplit,
+    module_realization, seeded_u,
 )
 from wenzl import _linalg, combinat, params
 from wenzl.params import ParamSet
@@ -85,9 +85,7 @@ def _reference(real):
 
 
 def _seeded_u(r, n):
-    rng = random.Random(f"relations:{r}:{n}")
-    k, delta = rng.choice((2, 4, 8)), rng.choice((F(1, 2), F(1, 3), F(2, 7), F(-1, 4)))
-    return tuple(k * x + delta for x in combinat.default_u(r, n))
+    return seeded_u("relations", r, n)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -106,10 +104,10 @@ def test_relation_table_equals_the_hand_written_suite_on_fixtures():
             fix.S, fix.E, fix.X, fix.ps, len(fix.X[0]))
 
 
-@pytest.mark.parametrize("kind", ["S", "E", "X"])
-def test_relation_table_equals_the_hand_written_suite_off_the_model(kind):
-    # one entry of S_1, E_1 or X_1 changed on the largest block; X_1 then
-    # has an entry off the diagonal, so its powers are no longer diagonal
+def _off_model(kind):
+    """The (2, 3) realization with one entry of S_1, E_1 or X_1 changed on
+    its largest block b; X_1 then has an entry off the diagonal, so its
+    powers are no longer diagonal.  Returns (realization, b)."""
     ps = ParamSet.default(2, 3)
     reps = build_all(ps, 3)
     b = max(range(len(reps)), key=lambda i: reps[i].dim)
@@ -117,11 +115,90 @@ def test_relation_table_equals_the_hand_written_suite_off_the_model(kind):
     mats = [dict(row) for row in getattr(rep, kind)[0]]
     mats[0][rep.dim - 1] = mats[0].get(rep.dim - 1, 0) + 1
     reps[b] = dataclasses.replace(rep, **{kind: [mats, *getattr(rep, kind)[1:]]})
-    real = Realization(reps)
+    return Realization(reps), b
+
+
+@pytest.mark.parametrize("kind", ["S", "E", "X"])
+def test_relation_table_equals_the_hand_written_suite_off_the_model(kind):
+    real, b = _off_model(kind)
     got = residuals(real)
     assert got == _reference(real)
     assert any(got[b].values()) and not any(v for i, res in enumerate(got)
                                             if i != b for v in res.values())
+
+
+def _int_form(ev) -> bool:
+    """ev holds ints over one positive int denominator."""
+    return (type(ev.den) is int and ev.den > 0
+            and all(type(x) is int for blk in ev.blocks for row in blk for x in row.values()))
+
+
+def _assert_equals_fraction_reference(real):
+    # both sides of every relation, and the left side E_k X_k^a E_k of the
+    # scalar tower, converted to Fractions, against the Fraction rows
+    ref = FractionRealization(real.reps)
+    for family, lhs, rhs in relations(real.ps, real.n):
+        for side in (lhs, rhs):
+            ev = real.evaluate_sum(side)
+            assert _int_form(ev), (family, side)
+            assert as_fractions(ev) == ref.evaluate_sum(side), (family, side)
+    for k in range(1, real.n):
+        for a in range(real.ps.r + 2):
+            word = (("E", k), ("X", k, a), ("E", k))
+            ev = real.evaluate(word)
+            assert _int_form(ev) and as_fractions(ev) == ref.evaluate(word), word
+
+
+@pytest.mark.parametrize("r,n", [(2, 2), (1, 3), (3, 2), (2, 3), (1, 4)])
+def test_int_evaluation_equals_the_fraction_reference(r, n):
+    for ps in (ParamSet.default(r, n), ParamSet.from_u(seeded_u("reference", r, n), n)):
+        _assert_equals_fraction_reference(Realization(build_all(ps, n)))
+
+
+def test_int_evaluation_equals_the_fraction_reference_on_fixtures():
+    for fix in module_fixtures():
+        _assert_equals_fraction_reference(module_realization(*fix))
+
+
+def _tower_reference(real, scalars) -> list:
+    """max |E_k X_k^a E_k - omega_k^(a) E_k| per block, on the Fraction rows,
+    with the scalar of each row that of the shape before step k."""
+    ref = FractionRealization(real.reps)
+    out = [F(0)] * len(real.reps)
+    for k in range(1, real.n):
+        for a in range(real.ps.r + 2):
+            lhs = ref.evaluate((("E", k), ("X", k, a), ("E", k)))
+            for i, (blk, ek, rep) in enumerate(zip(lhs, ref.evaluate((("E", k),)), real.reps)):
+                ws = [scalars[t[k - 2] if k >= 2 else combinat.empty_mp(rep.ps.r)][a]
+                      for t in rep.basis]
+                rhs = [_linalg.mat_scale([row], w)[0] for row, w in zip(ek, ws)]
+                out[i] = max(out[i], _linalg.max_abs(_linalg.mat_sub(blk, rhs)))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["S", "E", "X"])
+def test_int_evaluation_equals_the_fraction_reference_off_the_model(kind):
+    real, b = _off_model(kind)
+    _assert_equals_fraction_reference(real)
+    scalars = tower_scalars(real.ps, real.n)
+    got = [res["tower-scalars"] for res in verify_relations(real, scalars)]
+    assert got == _tower_reference(real, scalars)
+    assert all(type(x) is Fraction for x in got)
+    if kind == "E":  # the changed E_1 breaks the tower on its block only
+        assert got[b] and not any(x for i, x in enumerate(got) if i != b)
+
+
+def test_tower_rows_over_unequal_denominators():
+    # at (2, 4), u = (73/3, -23/3), E_3 has rows after the empty shape and
+    # after shapes of size 2, whose omega_3^(2) have denominators 1 and 3:
+    # the right side of the tower must bring them over one denominator
+    ps = ParamSet.from_u((F(73, 3), F(-23, 3)), 4)
+    scalars = tower_scalars(ps, 4)
+    assert {w[2].denominator for mu, w in scalars.items()
+            if combinat.mp_size(mu) in (0, 2)} == {1, 3}
+    real = Realization(build_all(ps, 4))
+    got = [res["tower-scalars"] for res in verify_relations(real, scalars)]
+    assert got == _tower_reference(real, scalars) == [0] * len(real.reps)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from support import (
-    cell_indices, cyclotomic_word_sum, filtration_index, from_dense, murphy_words,
-    terms, word_sum_mul,
+    FractionRealization, as_fractions, cell_indices, cyclotomic_word_sum,
+    filtration_index, from_dense, murphy_words, seeded_u, terms, word_sum_mul,
 )
 from wenzl import _linalg, combinat, diagrams, wcell
 from wenzl.params import ParamSet
@@ -68,8 +68,8 @@ def test_realization_layout():
     real = Realization(build_all(ps, 2))
     assert sum(d * d for d in real.dims) == 12
     assert sorted(real.shapes) == sorted(combinat.reachable_shapes(2, 2))
-    blocks = real.evaluate(())
-    assert blocks == [_linalg.identity(d) for d in real.dims]
+    one = real.evaluate(())
+    assert one.den == 1 and one.blocks == [_linalg.identity(d) for d in real.dims]
 
 
 def test_letter_validation():
@@ -90,8 +90,8 @@ def test_star_word_transposes():
         (("E", 1), ("X", 1, 1), ("E", 1), ("S", 2)),
     ]
     for word in words:
-        fwd = real.evaluate(word)
-        rev = real.evaluate(diagrams.star_word(word))
+        fwd = as_fractions(real.evaluate(word))
+        rev = as_fractions(real.evaluate(diagrams.star_word(word)))
         for a, b, rep in zip(fwd, rev, real.reps):
             assert b == adjoint(a, rep.gamma)
 
@@ -102,7 +102,7 @@ def test_unwrapping_word_sum():
     for a in range(4):
         terms = ((F(1), (("E", 1), ("X", 1, a), ("E", 1))),
                  (-ps.omega[a], (("E", 1),)))
-        for blk, d in zip(real.evaluate_sum(terms), real.dims):
+        for blk, d in zip(real.evaluate_sum(terms).blocks, real.dims):
             assert blk == _linalg.zeros(d)
 
 
@@ -110,7 +110,7 @@ def test_cyclotomic_word_sum_vanishes():
     for r, n in ((1, 2), (2, 2), (2, 3)):
         ps = ParamSet.default(r, n)
         real = Realization(build_all(ps, n))
-        for blk, d in zip(real.evaluate_sum(cyclotomic_word_sum(ps)), real.dims):
+        for blk, d in zip(real.evaluate_sum(cyclotomic_word_sum(ps)).blocks, real.dims):
             assert blk == _linalg.zeros(d)
 
 
@@ -208,9 +208,9 @@ def test_star_swaps_cell_sides_on_own_block():
         for b in triples:
             ab = cellular_element(ps, 2, 1, empty, a, b)
             ba = cellular_element(ps, 2, 1, empty, b, a)
-            left = real.evaluate_sum(terms(ab.star()))[blk]
-            right = real.evaluate_sum(terms(ba))[blk]
-            fwd = real.evaluate_sum(terms(ab))[blk]
+            left = as_fractions(real.evaluate_sum(terms(ab.star())))[blk]
+            right = as_fractions(real.evaluate_sum(terms(ba)))[blk]
+            fwd = as_fractions(real.evaluate_sum(terms(ab)))[blk]
             assert left == right == adjoint(fwd, real.reps[blk].gamma)
             assert ab.star().left == ab.right and ab.star().right == ab.left
 
@@ -223,8 +223,8 @@ def test_cellular_word_transpose_everywhere():
         for a in triples[:3]:
             for b in triples[:3]:
                 cw = cellular_element(ps, 2, arcs, shape, a, b)
-                fwd = real.evaluate_sum(terms(cw))
-                rev = real.evaluate_sum(star_word_sum(terms(cw)))
+                fwd = as_fractions(real.evaluate_sum(terms(cw)))
+                rev = as_fractions(real.evaluate_sum(star_word_sum(terms(cw))))
                 for x, y, rep in zip(fwd, rev, real.reps):
                     assert y == adjoint(x, rep.gamma)
 
@@ -307,4 +307,32 @@ def test_murphy_words_expand_the_factors():
                 left, middle, right = wcell.murphy_factors(ps, shape, s, t)
                 product = real.evaluate_product(
                     (((F(1), left),), *middle, ((F(1), right),)))
-                assert product == real.evaluate_sum(murphy_words(ps, shape, s, t))
+                assert as_fractions(product) == as_fractions(
+                    real.evaluate_sum(murphy_words(ps, shape, s, t)))
+
+
+@pytest.mark.parametrize("r,n", [(2, 2), (1, 3), (3, 2), (2, 3), (1, 4)])
+def test_cellular_elements_equal_the_fraction_reference(r, n):
+    # each element's factors evaluated on ints over one denominator, then
+    # converted, equal the Fraction-row evaluation; its vector is the
+    # reference vector times den, and the family has the same rank
+    for ps in (ParamSet.default(r, n), ParamSet.from_u(seeded_u("reference", r, n), n)):
+        real = Realization(build_all(ps, n))
+        ref = FractionRealization(real.reps)
+        vecs, ref_vecs = [], []
+        for arcs in range(n // 2 + 1):
+            for shape in combinat.multipartitions(r, n - 2 * arcs):
+                triples = cell_triples(r, n, arcs, shape)
+                for a in triples:
+                    for b in triples:
+                        cw = cellular_element(ps, n, arcs, shape, a, b)
+                        factors = (((F(1), cw.left_word),), *cw.middle,
+                                   ((F(1), cw.right_word),))
+                        ev, want = real.evaluate_product(factors), ref.evaluate_product(factors)
+                        assert as_fractions(ev) == want, (ps.u, a, b)
+                        vecs.append(real.vec(ev))
+                        ref_vecs.append(ref.vec(want))
+                        assert all(type(x) is int for x in vecs[-1].values())
+                        assert {i: F(x, ev.den) for i, x in vecs[-1].items()} == ref_vecs[-1]
+        target = r ** n * diagrams.double_factorial(2 * n - 1)
+        assert _linalg.rank(vecs) == _linalg.rank(ref_vecs) == target, ps.u
