@@ -1,12 +1,9 @@
 """Exact linear algebra over Q on sparse rows.
 
 A matrix is a list of rows, and each row is a dict ``{column: value}`` of
-its nonzero entries; a vector is one such row.  A value is a Fraction or an
-int: the realization keeps its blocks as int rows over one denominator, and
-sums, products and scalings of int rows by ints stay ints.  No operation
-stores a zero, so the form is canonical and ``==`` is matrix equality.  The
-column count is not stored: an operation reads only the entries that are
-there.
+its nonzero entries; a vector is one such row.  No operation stores a
+zero, so the form is canonical and ``==`` is matrix equality.  The column
+count is not stored: an operation reads only the entries that are there.
 
 ``rank``, ``det`` and ``inverse`` share one elimination (``_eliminate``) on
 copies of the input rows.  Columns are eliminated left to right.  The pivot
@@ -26,10 +23,6 @@ from fractions import Fraction
 
 def zeros(m: int) -> list[dict]:
     return [{} for _ in range(m)]
-
-
-def diagonal(values) -> list[dict]:
-    return [{i: Fraction(v)} if v else {} for i, v in enumerate(values)]
 
 
 def identity(n: int) -> list[dict]:

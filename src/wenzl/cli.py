@@ -151,8 +151,12 @@ def _resolve(args) -> RunConfig:
         parser.error("order must be nonnegative")
     if args.out is not None and (not os.path.basename(args.out) or os.path.isdir(args.out)):
         parser.error(f"--out {args.out!r}: not a file name")
-    if args.out is not None and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
-        parser.error(f"--out {args.out}: no such directory")
+    if args.out is not None:
+        # opened before the job: a name the system refuses is a usage error
+        try:
+            open(args.out, "a").close()
+        except OSError as e:
+            parser.error(f"--out {args.out}: {e.strerror}")
     if u is None:
         u = combinat.default_u(r, n)
     return RunConfig(args.command, r, n, u, args.out, shape=shape, order=order)

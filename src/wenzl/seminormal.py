@@ -4,12 +4,12 @@ Everything here is exact.  The orthonormal seminormal model has symmetric
 matrices whose off-diagonal entries are square roots of Fractions.  Each
 block is built instead as that model conjugated by diag(sqrt(gamma)), with
 gamma chosen on a spanning tree of the generator graph so that every entry
-is a Fraction.  The models make one ``Realization``, their direct sum, which
-evaluates generator words on every block; ``wcell`` ranks word families on
-it.  The realization computes on ints: each letter's blocks are brought once
-over one common denominator, and an evaluated element is int blocks over
-one positive denominator (``Evaluated``), so a Fraction is made only for a
-reported residual.  The defining relations are written once, as pairs of
+is rational, and each generator is held once, as int rows over one positive
+denominator (``Evaluated``).  The models make one ``Realization``, their
+direct sum, which evaluates generator words on every block; ``wcell`` ranks
+word families on it.  The realization stacks each letter's blocks once over
+one common denominator and computes on ints, so a Fraction is made only for
+a reported residual.  The defining relations are written once, as pairs of
 word sums (``relations``), and both sides are evaluated on the realization
 and compared by cross-multiplying; they, the scalar tower and
 self-adjointness for diag(gamma) are checked with zero tolerance, as are the
@@ -41,12 +41,12 @@ def returns_at(t, k: int) -> bool:
     return 1 <= k < len(t) and _prev(t, k) == t[k]
 
 
-def e_diag(t, k: int, ps: ParamSet) -> Fraction:
-    """Diagonal coefficient of the contraction generator at position k,
-    defined when steps k, k+1 return: (2c - (-1)^r) times the product of
-    (c + c(alpha))/(c - c(alpha)) over the other boundary nodes."""
+def e_diag(t, cs, k: int, ps: ParamSet) -> Fraction:
+    """Diagonal contraction coefficient at position k of t, whose contents
+    are cs, defined when steps k, k+1 return: (2c - (-1)^r) times the
+    product of (c + c(alpha))/(c - c(alpha)) over the other boundary nodes."""
     assert returns_at(t, k)
-    c = combinat.content_sequence(t, ps.u)[k - 1]
+    c = cs[k - 1]
     sign = -1 if ps.r % 2 else 1
     out = Fraction(2 * c - sign)
     for _, ca, _ in combinat.addable_removable(_prev(t, k), ps.u):
@@ -55,9 +55,8 @@ def e_diag(t, k: int, ps: ParamSet) -> Fraction:
     return out
 
 
-def swap_a(t, k: int, ps: ParamSet) -> Fraction:
-    """Diagonal swap coefficient 1/(c_t(k+1) - c_t(k)) at a non-returning k."""
-    cs = combinat.content_sequence(t, ps.u)
+def swap_a(t, cs, k: int) -> Fraction:
+    """Diagonal swap coefficient 1/(cs[k] - cs[k-1]), cs the contents of t."""
     d = cs[k] - cs[k - 1]
     if d == 0:
         raise ValueError(f"equal adjacent contents at k={k} from shape "
@@ -65,24 +64,28 @@ def swap_a(t, k: int, ps: ParamSet) -> Fraction:
     return 1 / d
 
 
-def swap_b_squared(t, k: int, ps: ParamSet) -> Fraction:
-    return 1 - swap_a(t, k, ps) ** 2
-
-
 # ---------------------------------------------------------------------------
 # the seminormal representation
 # ---------------------------------------------------------------------------
 
 
+class Evaluated(NamedTuple):
+    """An element of the realization: one ``_linalg`` block of ints per
+    model, ``blocks``, all over the one positive denominator ``den``."""
+
+    blocks: list
+    den: int
+
+
 @dataclass
 class SeminormalRep:
-    """Generator matrices over the updown basis of one shape.
+    """Generator blocks over the updown basis of one shape.
 
     S[i-1], E[i-1] act at position i (1 <= i < n); X[j-1] is diagonal with
-    the step-j contents.  All matrices are ``_linalg`` sparse rows of exact
-    Fractions: the symmetric orthonormal model conjugated by
-    diag(sqrt(gamma)), so every generator M satisfies
-    gamma[i] M[i][j] = M[j][i] gamma[j], with every gamma[i] > 0.
+    the step-j contents.  Each is an ``Evaluated`` with one block: ``_linalg``
+    int rows over one positive denominator.  They are the symmetric
+    orthonormal model conjugated by diag(sqrt(gamma)), so every generator M
+    satisfies gamma[i] M[i][j] = M[j][i] gamma[j], with every gamma[i] > 0.
     """
 
     ps: ParamSet
@@ -123,7 +126,7 @@ def _orthonormal_entries(ps: ParamSet, k: int, idx: dict, contents: dict):
             evals = {}
             for m in cls:
                 seen.add(idx[m])
-                ev = e_diag(m, k, ps)
+                ev = e_diag(m, contents[m], k, ps)
                 if ev <= 0:
                     raise ValueError(
                         f"contraction coefficient {ev} <= 0 at k={k} from "
@@ -147,7 +150,7 @@ def _orthonormal_entries(ps: ParamSet, k: int, idx: dict, contents: dict):
                         S_off[idx[tt], idx[s]] = (1 if denom > 0 else -1,
                                                   sq / denom ** 2)
         else:
-            a = swap_a(t, k, ps)
+            a = swap_a(t, contents[t], k)
             S_diag[i] = a
             partner = combinat.sk_action(t, k)
             if partner is None:
@@ -190,7 +193,7 @@ def _gamma(d: int, offs) -> list[Fraction]:
 
 
 def build_rep(ps: ParamSet, n: int, shape) -> SeminormalRep:
-    """Assemble the rational generator matrices for one shape.
+    """Assemble the generator blocks of one shape, each cleared as it is made.
 
     Raises ValueError outside the positivity regime: a nonpositive diagonal
     contraction coefficient, a squared off-diagonal below zero, or a
@@ -206,13 +209,13 @@ def build_rep(ps: ParamSet, n: int, shape) -> SeminormalRep:
     d = len(basis)
     contents = {t: combinat.content_sequence(t, ps.u) for t in basis}
 
-    X = [_linalg.diagonal(contents[t][j - 1] for t in basis)
-         for j in range(1, n + 1)]
+    X = [_cleared([[{i: contents[t][j - 1]} if contents[t][j - 1] else {}
+                    for i, t in enumerate(basis)]]) for j in range(1, n + 1)]
 
     entries = [_orthonormal_entries(ps, k, idx, contents) for k in range(1, n)]
     gamma = _gamma(d, [off for pair in entries for _, off in pair])
 
-    def rational(name: str, k: int, diag: dict, off: dict):
+    def block(name: str, k: int, diag: dict, off: dict) -> Evaluated:
         M = _linalg.zeros(d)
         for i, v in diag.items():
             if v:
@@ -224,10 +227,10 @@ def build_rep(ps: ParamSet, n: int, shape) -> SeminormalRep:
                     f"{name}_{k} entry ({i}, {j}) has no rational form: "
                     "the squared entries do not match around a cycle")
             M[i][j] = sign * root
-        return M
+        return _cleared([M])
 
-    S = [rational("S", k, *s) for k, (s, _) in enumerate(entries, start=1)]
-    E = [rational("E", k, *e) for k, (_, e) in enumerate(entries, start=1)]
+    S = [block("S", k, *s) for k, (s, _) in enumerate(entries, start=1)]
+    E = [block("E", k, *e) for k, (_, e) in enumerate(entries, start=1)]
     return SeminormalRep(ps, n, shape, basis, S, E, X, tuple(gamma))
 
 
@@ -247,27 +250,19 @@ def build_all(ps: ParamSet, n: int) -> list[SeminormalRep]:
 # ---------------------------------------------------------------------------
 
 
-class Evaluated(NamedTuple):
-    """An element of the realization: one ``_linalg`` block of ints per
-    model, ``blocks``, all over the one positive denominator ``den``."""
-
-    blocks: list
-    den: int
-
-
 class Realization:
     """The direct sum of the models given (``build_all`` gives one per
     reachable shape): a word, a word sum (``evaluate_sum``) or a product of
     word sums (``evaluate_product``, never expanded into words) evaluates to
-    an ``Evaluated``, int blocks over one denominator.  Each letter's blocks
-    are brought once per realization over the lcm of their denominators; a
-    product multiplies the denominators and a sum brings its terms to their
-    lcm, so no Fraction is normalised until a residual is reported.  ``vec``
-    lays the int blocks out as one sparse vector, of length r^n (2n-1)!!
-    over all shapes: the element scaled by its positive den.  The rank over
-    Q of such vectors is that of the elements, and also that in the
-    orthonormal model, whose entries differ from these by fixed nonzero
-    factors.
+    an ``Evaluated``, int blocks over one denominator.  The models' blocks of
+    each letter are stacked once per realization over the lcm of their
+    denominators; a product multiplies the denominators and a sum brings its
+    terms to their lcm, so no Fraction is normalised until a residual is
+    reported.  ``vec`` lays the int blocks out as one sparse vector, of
+    length r^n (2n-1)!! over all shapes: the element scaled by its positive
+    den.  The rank over Q of such vectors is that of the elements, and also
+    that in the orthonormal model, whose entries differ from these by fixed
+    nonzero factors.
     """
 
     def __init__(self, reps: list[SeminormalRep]):
@@ -288,10 +283,13 @@ class Realization:
         if ev is not None:
             return ev
         kind, i = letter[0], letter[1]
-        if kind in ("S", "E") and 1 <= i <= self.n - 1:
-            ev = _cleared([getattr(rep, kind)[i - 1] for rep in self.reps])
-        elif kind == "X" and 1 <= i <= self.n and 0 <= letter[2] <= 1:
-            ev = _cleared([rep.X[i - 1] for rep in self.reps]) if letter[2] else self._one
+        if (kind in ("S", "E") and 1 <= i <= self.n - 1
+                or kind == "X" and 1 <= i <= self.n and letter[2] == 1):
+            evs = [getattr(rep, kind)[i - 1] for rep in self.reps]
+            den = math.lcm(*(e.den for e in evs))
+            ev = Evaluated([_linalg.mat_scale(e.blocks[0], den // e.den) for e in evs], den)
+        elif kind == "X" and 1 <= i <= self.n and letter[2] == 0:
+            ev = self._one
         elif kind == "X" and 1 <= i <= self.n and letter[2] > 1:
             ev = mul_blocks(self._letter(("X", i, letter[2] - 1)),
                             self._letter(("X", i, 1)))
@@ -342,7 +340,7 @@ class Realization:
 
 def _cleared(blocks) -> Evaluated:
     """Blocks of rationals (Fractions or ints) as int blocks over the lcm of
-    every denominator."""
+    every denominator: the one place where rational rows become int rows."""
     den = math.lcm(*(x.denominator for blk in blocks for row in blk for x in row.values()))
     return Evaluated([[{j: x.numerator * (den // x.denominator) for j, x in row.items()}
                        for row in blk] for blk in blocks], den)
@@ -460,13 +458,14 @@ def adjointness_residual(rep: SeminormalRep) -> Fraction:
     """Max |gamma_i M_ij - M_ji gamma_j| over every generator M: 0 exactly
     when each is self-adjoint for the form diag(gamma), which makes the
     model conjugate to a symmetric one.  That needs the form positive
-    definite, so a gamma_i <= 0 counts as 1 - gamma_i."""
-    g = rep.gamma
-    worst = max((1 - x for x in g if x <= 0), default=Fraction(0))
-    for M in (*rep.S, *rep.E, *rep.X):
-        for i, row in enumerate(M):
-            for j, x in row.items():
-                worst = max(worst, abs(g[i] * x - M[j].get(i, 0) * g[j]))
+    definite, so a gamma_i <= 0 counts as 1 - gamma_i.  Compared as ints:
+    with gamma = g / q and M = B / den, max |g_i B_ij - B_ji g_j| / (q den)."""
+    [[g]], q = _cleared([[dict(enumerate(rep.gamma))]])
+    worst = max((1 - x for x in rep.gamma if x <= 0), default=Fraction(0))
+    for (B,), den in (*rep.S, *rep.E, *rep.X):
+        m = max((abs(g[i] * x - B[j].get(i, 0) * g[j])
+                 for i, row in enumerate(B) for j, x in row.items()), default=0)
+        worst = max(worst, Fraction(m, q * den))
     return worst
 
 
@@ -559,8 +558,9 @@ def check_identities(ps: ParamSet, n: int, memo: dict | None = None) -> Identity
                    == params.wk_recursive_rational(t, k + 1, ps, memo),
                    f"k={k + 1}, prefix={t}")
         cls = [tmu + (nu, mu) for nu in nbrs]
-        e = {m: e_diag(m, k, ps) for m in cls}
-        c = {m: combinat.content_sequence(m, ps.u)[k - 1] for m in cls}
+        cs = {m: combinat.content_sequence(m, ps.u) for m in cls}
+        e = {m: e_diag(m, cs[m], k, ps) for m in cls}
+        c = {m: cs[m][k - 1] for m in cls}
         for s in cls:
             csk = c[s]
             lhs = sum(e[m] / (csk + c[m]) for m in cls)
@@ -587,21 +587,22 @@ def check_identities(ps: ParamSet, n: int, memo: dict | None = None) -> Identity
                 if rho == mu:
                     continue
                 t = tmu + (nu, rho)
-                a = swap_a(t, k, ps)
+                ct = combinat.content_sequence(t, ps.u)
+                a = swap_a(t, ct, k)
                 u = combinat.sk_action(t, k)
                 if u is None:
                     record("swap-degenerate-unit", a * a == 1, f"t={t}, k={k}")
                     continue
-                cs = combinat.content_sequence(t, ps.u)
                 cu = combinat.content_sequence(u, ps.u)
-                ok = (cu[k] == cs[k - 1] and cu[k - 1] == cs[k]
-                      and swap_a(u, k, ps) == -a)
+                ok = (cu[k] == ct[k - 1] and cu[k - 1] == ct[k]
+                      and swap_a(u, cu, k) == -a)
                 record("content-swap", ok, f"t={t}, k={k}")
             if k > n - 2:
                 continue
             t = tmu + (nu, mu, nu)
+            ct = combinat.content_sequence(t, ps.u)
             record("contraction-inverse",
-                   e_diag(t, k, ps) * e_diag(t, k + 1, ps) == 1, f"t={t}, k={k}")
+                   e_diag(t, ct, k, ps) * e_diag(t, ct, k + 1, ps) == 1, f"t={t}, k={k}")
             # matching products of squared off-diagonals with contractions:
             # mu, nu, x, nu and mu, y, mu, nu swap to the same tableau
             for x in combinat.neighbors(nu):
@@ -612,8 +613,9 @@ def check_identities(ps: ParamSet, n: int, memo: dict | None = None) -> Identity
                 uu = tmu + (target[k - 1], mu, nu)
                 if combinat.sk_action(uu, k + 1) != target:
                     continue
-                lhs = swap_b_squared(tt, k, ps) * e_diag(tt, k + 1, ps)
-                rhs = swap_b_squared(uu, k + 1, ps) * e_diag(uu, k, ps)
+                ctt, cuu = (combinat.content_sequence(w, ps.u) for w in (tt, uu))
+                lhs = (1 - swap_a(tt, ctt, k) ** 2) * e_diag(tt, ctt, k + 1, ps)
+                rhs = (1 - swap_a(uu, cuu, k + 1) ** 2) * e_diag(uu, cuu, k, ps)
                 record("square-root-matching", lhs == rhs,
                        f"t={tt}, u={uu}, k={k}")
     return IdentityReport(counts, failures)

@@ -2,10 +2,10 @@
 matrix reader, the Schur reference for Omega and other admissible
 sequences, exact two-strand module fixtures, the hand-written relation
 suite that the relation table is checked against, the Fraction-row
-evaluation that the realization's int evaluation is checked against, the
-branching report, the reference product of two Hecke elements and expansion
-of products into words, Hecke triangularity and symmetrizer witnesses, cell
-indices and word helpers."""
+evaluation and star-symmetry that the model's int forms are checked
+against, the branching report, the reference product of two Hecke elements
+and expansion of products into words, Hecke triangularity and symmetrizer
+witnesses, cell indices and word helpers."""
 
 import functools
 import math
@@ -100,8 +100,10 @@ class ModuleFixture(NamedTuple):
 
 def module_realization(S, E, X, ps: ParamSet) -> seminormal.Realization:
     """The one-block realization of a module given by ``_linalg`` sparse
-    rows, with at least one X."""
+    rows, with at least one X: each matrix cleared to int rows, as
+    ``build_rep`` holds its generators."""
     d = len(X[0])
+    S, E, X = ([seminormal._cleared([M]) for M in mats] for mats in (S, E, X))
     rep = seminormal.SeminormalRep(ps, len(X), None, tuple(range(d)), S, E, X,
                                    (Fraction(1),) * d)
     return seminormal.Realization([rep])
@@ -130,24 +132,45 @@ def as_fractions(ev: seminormal.Evaluated) -> list[list[dict]]:
             for blk in ev.blocks]
 
 
+def fraction_generators(rep: seminormal.SeminormalRep) -> dict:
+    """{"S": [...], "E": [...], "X": [...]}: a model's generators as
+    ``_linalg`` rows of Fractions."""
+    return {kind: [as_fractions(ev)[0] for ev in getattr(rep, kind)] for kind in "SEX"}
+
+
+def adjointness_reference(rep: seminormal.SeminormalRep) -> Fraction:
+    """The reference for ``seminormal.adjointness_residual``: max
+    |gamma_i M_ij - M_ji gamma_j| over every generator M, entry by entry in
+    Fractions, with a gamma_i <= 0 counted as 1 - gamma_i."""
+    g = rep.gamma
+    worst = max((1 - x for x in g if x <= 0), default=Fraction(0))
+    for mats in fraction_generators(rep).values():
+        for M in mats:
+            for i, row in enumerate(M):
+                for j, x in row.items():
+                    worst = max(worst, abs(g[i] * x - M[j].get(i, 0) * g[j]))
+    return worst
+
+
 class FractionRealization:
     """The reference for ``seminormal.Realization``: the same words, word
-    sums and products evaluated on the models' own Fraction rows, with one
-    Fraction block per model and no common denominator."""
+    sums and products evaluated on the models' generators as Fraction rows,
+    with one Fraction block per model and no common denominator."""
 
     def __init__(self, reps):
         self.reps = reps
         self.n = reps[0].n
         self.dims = [rep.dim for rep in reps]
+        self.gens = [fraction_generators(rep) for rep in reps]
 
     def letter(self, letter) -> list[list[dict]]:
         kind, i = letter[0], letter[1]
         if kind in ("S", "E") and 1 <= i <= self.n - 1:
-            return [getattr(rep, kind)[i - 1] for rep in self.reps]
+            return [gens[kind][i - 1] for gens in self.gens]
         if kind == "X" and 1 <= i <= self.n and letter[2] >= 0:
             out = [_linalg.identity(d) for d in self.dims]
             for _ in range(letter[2]):
-                out = [_linalg.mat_mul(b, rep.X[i - 1]) for b, rep in zip(out, self.reps)]
+                out = [_linalg.mat_mul(b, gens["X"][i - 1]) for b, gens in zip(out, self.gens)]
             return out
         raise ValueError(f"letter {letter!r} out of range at n={self.n}")
 
@@ -327,7 +350,8 @@ def branching_blocks(rep: seminormal.SeminormalRep) -> dict:
         for i in ix:
             block_of[i] = mu
     off = Fraction(0)
-    for M in (*rep.S[:n - 2], *rep.E[:n - 2], *rep.X[:n - 1]):
+    gens = fraction_generators(rep)
+    for M in (*gens["S"][:n - 2], *gens["E"][:n - 2], *gens["X"][:n - 1]):
         for i, row in enumerate(M):
             for j, x in row.items():
                 if block_of[i] != block_of[j]:

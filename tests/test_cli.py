@@ -325,17 +325,20 @@ def test_usage_errors_after_parsing_name_the_subcommand(capsys):
 
 
 def test_out_into_a_missing_directory_is_a_usage_error(tmp_path):
-    out = tmp_path / "missing" / "r.jsonl"
+    # so is a name the system refuses as too long, before the job runs
+    missing = tmp_path / "missing" / "r.jsonl"
     src = str(Path(wenzl.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(
-        [sys.executable, "-m", "wenzl.cli", "counts", "--out", str(out)],
-        env=env, capture_output=True, text=True)
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("usage: wenzl counts ")
-    assert "wenzl counts: error: --out" in proc.stderr
-    assert "Traceback" not in proc.stderr and proc.stdout == ""
-    assert not out.parent.exists()
+    for out in (missing, tmp_path / ("x" * 300)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "wenzl.cli", "counts", "--out", str(out)],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 2, out
+        assert proc.stderr.startswith("usage: wenzl counts ")
+        assert "wenzl counts: error: --out" in proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert not missing.parent.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_out_naming_a_directory_or_nothing_is_a_usage_error(tmp_path):

@@ -1,0 +1,40 @@
+"""The README's examples run as written and show what their comments say."""
+
+import json
+import re
+import shlex
+from pathlib import Path
+
+from wenzl.cli import main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _code_blocks(lang: str) -> list[str]:
+    return re.findall(rf"```{lang}\n(.*?)```", README.read_text(), re.S)
+
+
+def test_quick_tour(capsys):
+    (tour,) = _code_blocks("python")
+    exec(compile(tour, str(README), "exec"), {})
+    *models, rank = capsys.readouterr().out.splitlines()
+    # one line per model, ending in its largest residual, then the rank
+    assert models and all(line.split()[-1] == "0" for line in models)
+    assert rank == re.search(r"# (\d+) at two strands", tour).group(1) == "12"
+
+
+def test_command_lines(capsys):
+    lines = [line for block in _code_blocks("sh") for line in block.splitlines()
+             if line.startswith("wenzl ")]
+    assert len(lines) == 6
+    for line in lines:
+        command, _, comment = line.partition("#")
+        rc = main(shlex.split(command)[1:])
+        records = [json.loads(text) for text in capsys.readouterr().out.splitlines()]
+        assert rc == 0 and records[-1]["kind"] == "summary" and records[-1]["pass"], line
+        for rec in records:
+            assert all(v == 0 for v in rec.get("residuals", {}).values()), line
+        stated = re.search(r"sum of squares = (\d+)", comment)
+        if stated:
+            assert records[-1]["sum_of_squares"] == int(stated.group(1)) == 12
+    assert sum("sum of squares" in line for line in lines) == 1

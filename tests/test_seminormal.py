@@ -6,15 +6,17 @@ from fractions import Fraction
 import pytest
 
 from support import (
-    FractionRealization, _relation_residuals, as_fractions, branching_blocks,
-    check_module, from_dense, module_fixtures, module_nonsplit,
-    module_realization, seeded_u,
+    FractionRealization, _relation_residuals, adjointness_reference,
+    as_fractions, branching_blocks, check_module, fraction_generators,
+    from_dense, module_contraction_free, module_fixtures, module_nonsplit,
+    module_rank_one, module_realization, seeded_u,
 )
 from wenzl import _linalg, combinat, params
 from wenzl.params import ParamSet
 from wenzl.seminormal import (
-    RELATION_FAMILIES, Realization, build_all, check_identities, relations,
-    residuals, returns_at, tower_scalars, verify_relations,
+    RELATION_FAMILIES, Realization, _cleared, adjointness_residual, build_all,
+    check_identities, relations, residuals, returns_at, tower_scalars,
+    verify_relations,
 )
 
 F = Fraction
@@ -47,14 +49,14 @@ def test_single_strand():
         # X_1 acts by the content of the single box
         t = rep.basis[0]
         c = combinat.content_sequence(t, ps.u)[0]
-        assert rep.X[0] == from_dense([[c]])
+        assert as_fractions(rep.X[0]) == [from_dense([[c]])]
 
 
 def test_contraction_block_is_omega0():
     ps = ParamSet.default(1, 2)
     for rep in build_all(ps, 2):
         if rep.shape == combinat.empty_mp(1):
-            assert rep.E[0] == from_dense([[ps.omega[0]]])
+            assert as_fractions(rep.E[0]) == [from_dense([[ps.omega[0]]])]
 
 
 def test_generators_are_symmetric():
@@ -63,7 +65,7 @@ def test_generators_are_symmetric():
     for rep in build_all(ps, 3):
         g = rep.gamma
         assert len(g) == rep.dim and all(x > 0 for x in g)
-        for M in (*rep.S, *rep.E, *rep.X):
+        for (M,) in map(as_fractions, (*rep.S, *rep.E, *rep.X)):
             assert all(g[i] * M[i].get(j, 0) == M[j].get(i, 0) * g[j]
                        for i in range(rep.dim) for j in range(rep.dim))
 
@@ -80,7 +82,8 @@ def test_relation_suite_2_3():
 
 
 def _reference(real):
-    return [_relation_residuals(rep.S, rep.E, rep.X, rep.ps, rep.dim)
+    return [_relation_residuals(*(fraction_generators(rep)[kind] for kind in "SEX"),
+                                rep.ps, rep.dim)
             for rep in real.reps]
 
 
@@ -112,9 +115,9 @@ def _off_model(kind):
     reps = build_all(ps, 3)
     b = max(range(len(reps)), key=lambda i: reps[i].dim)
     rep = reps[b]
-    mats = [dict(row) for row in getattr(rep, kind)[0]]
+    mats = [dict(row) for row in as_fractions(getattr(rep, kind)[0])[0]]
     mats[0][rep.dim - 1] = mats[0].get(rep.dim - 1, 0) + 1
-    reps[b] = dataclasses.replace(rep, **{kind: [mats, *getattr(rep, kind)[1:]]})
+    reps[b] = dataclasses.replace(rep, **{kind: [_cleared([mats]), *getattr(rep, kind)[1:]]})
     return Realization(reps), b
 
 
@@ -128,9 +131,10 @@ def test_relation_table_equals_the_hand_written_suite_off_the_model(kind):
 
 
 def _int_form(ev) -> bool:
-    """ev holds ints over one positive int denominator."""
+    """ev holds nonzero ints over one positive int denominator."""
     return (type(ev.den) is int and ev.den > 0
-            and all(type(x) is int for blk in ev.blocks for row in blk for x in row.values()))
+            and all(type(x) is int and x for blk in ev.blocks for row in blk
+                    for x in row.values()))
 
 
 def _assert_equals_fraction_reference(real):
@@ -153,6 +157,49 @@ def _assert_equals_fraction_reference(real):
 def test_int_evaluation_equals_the_fraction_reference(r, n):
     for ps in (ParamSet.default(r, n), ParamSet.from_u(seeded_u("reference", r, n), n)):
         _assert_equals_fraction_reference(Realization(build_all(ps, n)))
+
+
+@pytest.mark.parametrize("r,n", [(2, 2), (1, 3), (3, 2), (2, 3), (1, 4)])
+def test_model_holds_int_blocks(r, n):
+    # every generator of every model is one block of int rows over one
+    # positive int denominator, with no stored zero
+    for ps in (ParamSet.default(r, n), ParamSet.from_u(seeded_u("reference", r, n), n)):
+        for rep in build_all(ps, n):
+            assert (len(rep.S), len(rep.E), len(rep.X)) == (n - 1, n - 1, n)
+            for ev in (*rep.S, *rep.E, *rep.X):
+                assert len(ev.blocks) == 1 and len(ev.blocks[0]) == rep.dim
+                assert _int_form(ev), (ps.u, rep.shape)
+
+
+@pytest.mark.parametrize("r,n", [(2, 3), (3, 3)])
+def test_star_symmetry_equals_the_fraction_reference(r, n):
+    for ps in (ParamSet.default(r, n), ParamSet.from_u(_seeded_u(r, n), n_hint=n)):
+        for rep in build_all(ps, n):
+            got = adjointness_residual(rep)
+            assert type(got) is Fraction
+            assert got == adjointness_reference(rep) == 0, (ps.u, rep.shape)
+
+
+@pytest.mark.parametrize("kind", ["S", "E", "X"])
+def test_star_symmetry_off_the_model(kind):
+    # the changed entry has no adjoint partner on block b, and only there
+    real, b = _off_model(kind)
+    got = [adjointness_residual(rep) for rep in real.reps]
+    assert got == [adjointness_reference(rep) for rep in real.reps]
+    assert got[b] and not any(x for i, x in enumerate(got) if i != b)
+    scalars = tower_scalars(real.ps, real.n)
+    assert [res["star-symmetry"] for res in verify_relations(real, scalars)] == got
+
+
+def test_star_symmetry_counts_a_nonpositive_gamma():
+    # a gamma_i <= 0 counts as 1 - gamma_i, also where every generator is
+    # self-adjoint (the one-dimensional module)
+    cases = ((module_rank_one(), (F(-2, 3),), F(5, 3)),
+             (module_rank_one(), (F(0),), F(1)),
+             (module_contraction_free(), (F(-1, 2), F(1)), F(3, 2)))
+    for fix, gamma, expected in cases:
+        rep = dataclasses.replace(module_realization(*fix).reps[0], gamma=gamma)
+        assert adjointness_residual(rep) == adjointness_reference(rep) == expected
 
 
 def test_int_evaluation_equals_the_fraction_reference_on_fixtures():
