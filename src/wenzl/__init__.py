@@ -2,8 +2,8 @@
 
 Subpackages by subject:
 
-- ``diagrams``:   Brauer diagrams, their multiplication, generator words
-- ``combinat``:   multipartitions, updown tableaux, contents, coset reps
+- ``combinat``:   multipartitions, updown tableaux, contents, coset reps,
+                  permutations and generator words
 - ``params``:     parameter sets, admissible sequences, W at a shape as a
                   rational function and its expansion at infinity (Omega
                   and the tower scalars)

@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import combinat, diagrams, hecke, seminormal, wcell
+from . import combinat, hecke, seminormal, wcell
 from .params import ParamSet, check_admissible, format_fraction, parse_fraction
 
 
@@ -191,7 +191,7 @@ def cmd_counts(cfg: RunConfig, ps: ParamSet, meta: dict) -> tuple[list[dict], bo
         records.append({"kind": "count", "shape": _shape_json(shape),
                         "arcs": (cfg.n - combinat.mp_size(shape)) // 2,
                         "count": c, "ps": meta})
-    target = cfg.r ** cfg.n * diagrams.double_factorial(2 * cfg.n - 1)
+    target = cfg.r ** cfg.n * combinat.double_factorial(2 * cfg.n - 1)
     ok = total == target
     records.append({"kind": "summary", "command": "counts", "n": cfg.n,
                     "sum_of_squares": total, "target": target, "equal": ok,

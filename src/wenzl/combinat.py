@@ -1,4 +1,5 @@
-"""Multipartitions, updown tableaux, contents, and coset representatives.
+"""Multipartitions, updown tableaux, contents, coset representatives,
+permutations and generator words.
 
 Conventions used throughout:
 
@@ -8,7 +9,11 @@ Conventions used throughout:
 - An updown tableau is the tuple (t_1, ..., t_n) of multipartitions visited
   after each step, starting implicitly at the empty multipartition.  Standard
   tableaux are the special case where every step adds a box.
-- Permutations are one-line tuples composed left to right as in ``diagrams``.
+- Permutations are one-line tuples composed left to right: v * w is v
+  then w, (v * w)(x) = w(v(x)), and a word (i_1, ..., i_k) is the product
+  s_{i_1} s_{i_2} ... s_{i_k} applied first letter first.
+- A generator word is a tuple of letters ("S", i), ("E", i) and
+  ("X", j, a), the last standing for X_j^a; it is their product in order.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ Partition = tuple[int, ...]
 Multipartition = tuple[Partition, ...]
 Node = tuple[int, int, int]
 Tableau = tuple[Multipartition, ...]
+Letter = tuple
+Word = tuple[Letter, ...]
 
 
 def partitions(m: int) -> list[Partition]:
@@ -222,6 +229,15 @@ def n_std(lam: Multipartition) -> int:
     return math.factorial(mp_size(lam)) // math.prod(hook_product(p) for p in lam)
 
 
+def double_factorial(m: int) -> int:
+    """m!! for odd m, with (-1)!! = 1."""
+    out = 1
+    while m > 1:
+        out *= m
+        m -= 2
+    return out
+
+
 def count_updown(n: int, lam: Multipartition) -> int:
     """r^m (n choose 2m) (2m-1)!! #std(lam) with 2m = n - |lam|."""
     r = len(lam)
@@ -229,7 +245,7 @@ def count_updown(n: int, lam: Multipartition) -> int:
     if (n - size) % 2 or size > n:
         raise ValueError(f"parity mismatch: n={n}, |lam|={size}")
     m = (n - size) // 2
-    return r ** m * math.comb(n, 2 * m) * n_std(lam) * math.prod(range(2 * m - 1, 1, -2))
+    return r ** m * math.comb(n, 2 * m) * n_std(lam) * double_factorial(2 * m - 1)
 
 
 def standard_tableaux(lam: Multipartition) -> list[Tableau]:
@@ -363,3 +379,46 @@ def coset_reps(n: int, f: int) -> list[tuple[int, ...]]:
             continue
         out.append(d)
     return out
+
+
+# ---------------------------------------------------------------------------
+# permutations and words
+# ---------------------------------------------------------------------------
+
+
+def perm_mult(v: tuple[int, ...], w: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(w[v[i] - 1] for i in range(len(v)))
+
+
+def perm_inverse(w: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * len(w)
+    for i, wi in enumerate(w):
+        out[wi - 1] = i + 1
+    return tuple(out)
+
+
+def perm_word(w: tuple[int, ...]) -> tuple[int, ...]:
+    """Lexicographically least reduced word for w.
+
+    Greedy: always emit the smallest i with w(i) > w(i+1); any descent can
+    start a reduced word, so this is minimal in length and lex-least.
+    """
+    w = list(w)
+    out = []
+    while True:
+        for i in range(len(w) - 1):
+            if w[i] > w[i + 1]:
+                out.append(i + 1)
+                w[i], w[i + 1] = w[i + 1], w[i]
+                break
+        else:
+            return tuple(out)
+
+
+def word_for_permutation(w: tuple[int, ...]) -> Word:
+    return tuple(("S", i) for i in perm_word(w))
+
+
+def star_word(word: Word) -> Word:
+    """The anti-involution fixing every generator letter: reverse the word."""
+    return tuple(reversed(word))

@@ -25,8 +25,8 @@ from collections import deque
 from fractions import Fraction
 
 from . import _linalg, combinat
-from .combinat import Multipartition, Tableau
-from .diagrams import Word, perm_inverse, perm_mult, perm_word, word_for_permutation
+from .combinat import (Multipartition, Tableau, Word, perm_inverse, perm_mult, perm_word,
+                       word_for_permutation)
 from .params import ParamSet, cyclotomic_coeffs
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]

@@ -41,15 +41,17 @@ def returns_at(t, k: int) -> bool:
     return 1 <= k < len(t) and _prev(t, k) == t[k]
 
 
-def e_diag(t, cs, k: int, ps: ParamSet) -> Fraction:
+def e_diag(t, cs, k: int, ps: ParamSet, boundary) -> Fraction:
     """Diagonal contraction coefficient at position k of t, whose contents
     are cs, defined when steps k, k+1 return: (2c - (-1)^r) times the
-    product of (c + c(alpha))/(c - c(alpha)) over the other boundary nodes."""
+    product of (c + c(alpha))/(c - c(alpha)) over the other boundary nodes
+    alpha; ``boundary`` is ``combinat.addable_removable`` of the shape before
+    step k, which the caller takes once for all the tableaux through it."""
     assert returns_at(t, k)
     c = cs[k - 1]
     sign = -1 if ps.r % 2 else 1
     out = Fraction(2 * c - sign)
-    for _, ca, _ in combinat.addable_removable(_prev(t, k), ps.u):
+    for _, ca, _ in boundary:
         if ca != c:
             out *= (c + ca) / (c - ca)
     return out
@@ -123,10 +125,11 @@ def _orthonormal_entries(ps: ParamSet, k: int, idx: dict, contents: dict):
             if i in seen:
                 continue
             cls = combinat.k_neighbors(t, k)
+            boundary = combinat.addable_removable(_prev(t, k), ps.u)
             evals = {}
             for m in cls:
                 seen.add(idx[m])
-                ev = e_diag(m, contents[m], k, ps)
+                ev = e_diag(m, contents[m], k, ps, boundary)
                 if ev <= 0:
                     raise ValueError(
                         f"contraction coefficient {ev} <= 0 at k={k} from "
@@ -559,7 +562,8 @@ def check_identities(ps: ParamSet, n: int, memo: dict | None = None) -> Identity
                    f"k={k + 1}, prefix={t}")
         cls = [tmu + (nu, mu) for nu in nbrs]
         cs = {m: combinat.content_sequence(m, ps.u) for m in cls}
-        e = {m: e_diag(m, cs[m], k, ps) for m in cls}
+        bmu = combinat.addable_removable(mu, ps.u)
+        e = {m: e_diag(m, cs[m], k, ps, bmu) for m in cls}
         c = {m: cs[m][k - 1] for m in cls}
         for s in cls:
             csk = c[s]
@@ -601,8 +605,10 @@ def check_identities(ps: ParamSet, n: int, memo: dict | None = None) -> Identity
                 continue
             t = tmu + (nu, mu, nu)
             ct = combinat.content_sequence(t, ps.u)
+            bnu = combinat.addable_removable(nu, ps.u)
             record("contraction-inverse",
-                   e_diag(t, ct, k, ps) * e_diag(t, ct, k + 1, ps) == 1, f"t={t}, k={k}")
+                   e_diag(t, ct, k, ps, bmu) * e_diag(t, ct, k + 1, ps, bnu) == 1,
+                   f"t={t}, k={k}")
             # matching products of squared off-diagonals with contractions:
             # mu, nu, x, nu and mu, y, mu, nu swap to the same tableau
             for x in combinat.neighbors(nu):
@@ -614,8 +620,8 @@ def check_identities(ps: ParamSet, n: int, memo: dict | None = None) -> Identity
                 if combinat.sk_action(uu, k + 1) != target:
                     continue
                 ctt, cuu = (combinat.content_sequence(w, ps.u) for w in (tt, uu))
-                lhs = (1 - swap_a(tt, ctt, k) ** 2) * e_diag(tt, ctt, k + 1, ps)
-                rhs = (1 - swap_a(uu, cuu, k + 1) ** 2) * e_diag(uu, cuu, k, ps)
+                lhs = (1 - swap_a(tt, ctt, k) ** 2) * e_diag(tt, ctt, k + 1, ps, bnu)
+                rhs = (1 - swap_a(uu, cuu, k + 1) ** 2) * e_diag(uu, cuu, k, ps, bmu)
                 record("square-root-matching", lhs == rhs,
                        f"t={tt}, u={uu}, k={k}")
     return IdentityReport(counts, failures)

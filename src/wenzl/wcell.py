@@ -1,17 +1,15 @@
-"""Monomial census, cellular words, and their exact rank on the
-realization.
+"""Cellular words and their exact rank on the realization.
 
 In the generic regime the algebra acts faithfully on the direct sum of its
 seminormal modules, so exact rank over Q on that rational realization
 (``seminormal.Realization``, the one on which ``verify`` checks the defining
-relations) certifies spanning/independence statements that would otherwise
-need a symbolic normal form.  Words in the generators are plain tuples of
-letters ("S", i), ("E", i), ("X", j, power); linear combinations of words
-are tuples of (coefficient, word) pairs.  A cellular basis element keeps
-its factors (left word, Murphy middle, right word) and is evaluated from
-them, never expanded into words; its Murphy factors are
-``hecke.murphy_factors``, the same words from which the Hecke quotient
-makes its Murphy basis.
+relations) certifies the independence of the cellular family, which would
+otherwise need a symbolic normal form.  Words are generator words as in
+``combinat``; linear combinations of words are tuples of (coefficient,
+word) pairs.  A cellular basis element keeps its factors (left word, Murphy
+middle, right word) and is evaluated from them, never expanded into words;
+its Murphy factors are ``hecke.murphy_factors``, the same words from which
+the Hecke quotient makes its Murphy basis.
 """
 
 from __future__ import annotations
@@ -20,74 +18,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _linalg, combinat, diagrams, hecke, seminormal
-from .combinat import Multipartition, Tableau
-from .diagrams import BrauerDiagram, Word, star_word, word_for_permutation
+from . import _linalg, combinat, hecke, seminormal
+from .combinat import Multipartition, Word, star_word, word_for_permutation
 from .hecke import WordSum, murphy_factors
 from .params import ParamSet
 from .seminormal import Evaluated, Realization, block_residuals, mul_blocks, scaled
-
-
-# -- regular monomials ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RegularMonomial:
-    """X^left · B_diagram · X^right with the endpoint support rules.
-
-    Left exponents vanish at the left endpoint of every top arc; right
-    exponents live only at the left endpoints of bottom arcs.  Exponents
-    are not bounded here; the census takes those below r.
-    """
-
-    left_powers: tuple[int, ...]
-    diagram: BrauerDiagram
-    right_powers: tuple[int, ...]
-
-    def __post_init__(self):
-        n = self.diagram.n
-        if len(self.left_powers) != n or len(self.right_powers) != n:
-            raise ValueError("need one exponent per strand on each side")
-        if any(a < 0 for a in self.left_powers + self.right_powers):
-            raise ValueError("exponents must be nonnegative")
-        top_left = {a for a, _ in self.diagram.top_arcs()}
-        bot_left = {a for a, _ in self.diagram.bottom_arcs()}
-        if any(self.left_powers[i - 1] for i in top_left):
-            raise ValueError("left exponent sits on a top-arc left endpoint")
-        for i in range(1, n + 1):
-            if self.right_powers[i - 1] and i not in bot_left:
-                raise ValueError("right exponent off the bottom-arc left endpoints")
-
-    @property
-    def degree(self) -> int:
-        return sum(self.left_powers) + sum(self.right_powers)
-
-
-def enumerate_r_regular(r: int, n: int) -> list[RegularMonomial]:
-    """All monomials with exponents < r, in a fixed deterministic order:
-    diagrams first, then left exponents, then right exponents, both lex."""
-    out: list[RegularMonomial] = []
-    for g in diagrams.enumerate_diagrams(n):
-        top_left = {a for a, _ in g.top_arcs()}
-        bot_left = sorted(a for a, _ in g.bottom_arcs())
-        left_free = [i for i in range(1, n + 1) if i not in top_left]
-        for avals in itertools.product(range(r), repeat=len(left_free)):
-            left = [0] * n
-            for pos, v in zip(left_free, avals):
-                left[pos - 1] = v
-            for bvals in itertools.product(range(r), repeat=len(bot_left)):
-                right = [0] * n
-                for pos, v in zip(bot_left, bvals):
-                    right[pos - 1] = v
-                out.append(RegularMonomial(tuple(left), g, tuple(right)))
-    return out
-
-
-def word_for_monomial(m: RegularMonomial) -> Word:
-    letters = [("X", j, a) for j, a in enumerate(m.left_powers, start=1) if a]
-    letters += list(diagrams.word_for_diagram(m.diagram))
-    letters += [("X", j, b) for j, b in enumerate(m.right_powers, start=1) if b]
-    return tuple(letters)
 
 
 # -- word sums -----------------------------------------------------------
@@ -170,10 +105,6 @@ def cellular_element(ps: ParamSet, n: int, arcs: int, shape: Multipartition,
 # -- rank and compatibility checks ---------------------------------------
 
 
-def rank_report(words, real: Realization) -> dict:
-    return _rank_from_vecs([real.vec(real.evaluate(w)) for w in words])
-
-
 def _rank_from_vecs(vecs) -> dict:
     """Exact rank over Q of a family of sparse rational vectors."""
     return {"count": len(vecs), "rank": _linalg.rank(vecs)}
@@ -187,7 +118,7 @@ def cellular_rank_report(ps: ParamSet, n: int) -> dict:
     left word and B once per right word, so each of the |triples|^2 vectors
     takes one block product."""
     r = ps.r
-    target = r ** n * diagrams.double_factorial(2 * n - 1)
+    target = r ** n * combinat.double_factorial(2 * n - 1)
     real = Realization(seminormal.build_all(ps, n))
     cells = []
     vecs = []

@@ -1,15 +1,20 @@
-"""Brauer diagrams and words in the crossing/contraction generators.
+"""Brauer diagrams, and the regular-monomial census written over them.
 
 A diagram of size n is a perfect matching on 2n vertices.  The top row is
 labelled 1..n and the bottom row n+1..2n (bottom vertex i is stored as n+i).
 Multiplication stacks the left factor on top of the right factor, identifies
 the left factor's bottom row with the right factor's top row, traces paths
-through the middle, and counts the closed loops that drop out.
+through the middle, and counts the closed loops that drop out.  Stacking
+follows the composition rule of ``combinat``: the diagram of v stacked over
+the diagram of w is the diagram of v * w.  The S/E letters of a generator
+word have a diagrammatic meaning (crossing, contraction), and an S/E word
+evaluates back to a diagram.
 
-Words over the alphabet {S_i, E_i, X_j^a} are kept as plain tuples of
-letters ``("S", i)``, ``("E", i)``, ``("X", j, a)``.  The S/E letters have a
-diagrammatic meaning (crossing, contraction) and a word can be evaluated
-back to a diagram; X letters only tag exponents for the modules downstream.
+The regular monomials X^left · B_diagram · X^right with exponents below r
+are the spanning set of the freeness theorem: r^n (2n-1)!! of them.  The
+tests take their exact rank on ``seminormal.Realization``; no job of the
+command line reaches them, since ``cellrank`` certifies the rank on the
+cellular family.
 """
 
 from __future__ import annotations
@@ -17,18 +22,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from wenzl import _linalg
+from wenzl.combinat import Letter, Word, perm_word, word_for_permutation
+from wenzl.seminormal import Realization
+
 Edge = tuple[int, int]
-Letter = tuple
-Word = tuple[Letter, ...]
-
-
-def double_factorial(m: int) -> int:
-    """m!! for odd m, with (-1)!! = 1."""
-    out = 1
-    while m > 1:
-        out *= m
-        m -= 2
-    return out
 
 
 @dataclass(frozen=True, order=True)
@@ -161,48 +159,6 @@ def enumerate_diagrams(n: int) -> list[BrauerDiagram]:
     return [BrauerDiagram(n, m) for m in matchings(tuple(range(1, 2 * n + 1)))]
 
 
-# ---------------------------------------------------------------------------
-# permutations as one-line tuples, composed left to right
-# ---------------------------------------------------------------------------
-#
-# Words (i_1, ..., i_k) stand for the product s_{i_1} s_{i_2} ... s_{i_k}
-# applied first letter first, matching how the diagrams stack: the diagram
-# of v stacked over the diagram of w is the diagram of v * w, with
-# (v * w)(x) = w(v(x)).
-
-
-def perm_mult(v: tuple[int, ...], w: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(w[v[i] - 1] for i in range(len(v)))
-
-
-def perm_inverse(w: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(w)
-    for i, wi in enumerate(w):
-        out[wi - 1] = i + 1
-    return tuple(out)
-
-
-def perm_word(w: tuple[int, ...]) -> tuple[int, ...]:
-    """Lexicographically least reduced word for w.
-
-    Greedy: always emit the smallest i with w(i) > w(i+1); any descent can
-    start a reduced word, so this is minimal in length and lex-least.
-    """
-    w = list(w)
-    out = []
-    while True:
-        for i in range(len(w) - 1):
-            if w[i] > w[i + 1]:
-                out.append(i + 1)
-                w[i], w[i + 1] = w[i + 1], w[i]
-                break
-        else:
-            return tuple(out)
-
-
-def word_for_permutation(w: tuple[int, ...]) -> Word:
-    return tuple(("S", i) for i in perm_word(w))
-
 
 def compose_word(word: Word, n: int) -> tuple[BrauerDiagram, int]:
     """Evaluate an S/E word to (diagram, total loop count)."""
@@ -212,10 +168,6 @@ def compose_word(word: Word, n: int) -> tuple[BrauerDiagram, int]:
         loops += extra
     return cur, loops
 
-
-def star_word(word: Word) -> Word:
-    """The anti-involution fixing every generator letter: reverse the word."""
-    return tuple(reversed(word))
 
 
 def word_for_diagram(g: BrauerDiagram) -> Word:
@@ -277,3 +229,71 @@ def word_for_diagram(g: BrauerDiagram) -> Word:
     check, loops = compose_word(word, n)
     assert check == g and loops == 0, (g, word)
     return word
+
+
+# -- the regular-monomial census -----------------------------------------
+
+
+@dataclass(frozen=True)
+class RegularMonomial:
+    """X^left · B_diagram · X^right with the endpoint support rules.
+
+    Left exponents vanish at the left endpoint of every top arc; right
+    exponents live only at the left endpoints of bottom arcs.  Exponents
+    are not bounded here; the census takes those below r.
+    """
+
+    left_powers: tuple[int, ...]
+    diagram: BrauerDiagram
+    right_powers: tuple[int, ...]
+
+    def __post_init__(self):
+        n = self.diagram.n
+        if len(self.left_powers) != n or len(self.right_powers) != n:
+            raise ValueError("need one exponent per strand on each side")
+        if any(a < 0 for a in self.left_powers + self.right_powers):
+            raise ValueError("exponents must be nonnegative")
+        top_left = {a for a, _ in self.diagram.top_arcs()}
+        bot_left = {a for a, _ in self.diagram.bottom_arcs()}
+        if any(self.left_powers[i - 1] for i in top_left):
+            raise ValueError("left exponent sits on a top-arc left endpoint")
+        for i in range(1, n + 1):
+            if self.right_powers[i - 1] and i not in bot_left:
+                raise ValueError("right exponent off the bottom-arc left endpoints")
+
+    @property
+    def degree(self) -> int:
+        return sum(self.left_powers) + sum(self.right_powers)
+
+
+def enumerate_r_regular(r: int, n: int) -> list[RegularMonomial]:
+    """All monomials with exponents < r, in a fixed deterministic order:
+    diagrams first, then left exponents, then right exponents, both lex."""
+    out: list[RegularMonomial] = []
+    for g in enumerate_diagrams(n):
+        top_left = {a for a, _ in g.top_arcs()}
+        bot_left = sorted(a for a, _ in g.bottom_arcs())
+        left_free = [i for i in range(1, n + 1) if i not in top_left]
+        for avals in itertools.product(range(r), repeat=len(left_free)):
+            left = [0] * n
+            for pos, v in zip(left_free, avals):
+                left[pos - 1] = v
+            for bvals in itertools.product(range(r), repeat=len(bot_left)):
+                right = [0] * n
+                for pos, v in zip(bot_left, bvals):
+                    right[pos - 1] = v
+                out.append(RegularMonomial(tuple(left), g, tuple(right)))
+    return out
+
+
+def word_for_monomial(m: RegularMonomial) -> Word:
+    letters = [("X", j, a) for j, a in enumerate(m.left_powers, start=1) if a]
+    letters += list(word_for_diagram(m.diagram))
+    letters += [("X", j, b) for j, b in enumerate(m.right_powers, start=1) if b]
+    return tuple(letters)
+
+
+def rank_report(words, real: Realization) -> dict:
+    """Count and exact rank over Q of a word family on the realization."""
+    vecs = [real.vec(real.evaluate(w)) for w in words]
+    return {"count": len(vecs), "rank": _linalg.rank(vecs)}

@@ -13,9 +13,9 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
+from brauer import BrauerDiagram
 from wenzl import _linalg, combinat, hecke, seminormal, wcell
-from wenzl.combinat import Multipartition, Tableau
-from wenzl.diagrams import BrauerDiagram, Word, perm_mult, word_for_permutation
+from wenzl.combinat import Multipartition, Tableau, Word, perm_mult, word_for_permutation
 from wenzl.params import ONE, ParamSet, Poly
 from wenzl.seminormal import RELATION_FAMILIES
 

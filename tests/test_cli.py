@@ -403,6 +403,11 @@ GOLDEN_REPORTS = {
         "03fcb61c9c8ca2510d14a098cd6833ab071092b019052afb63efd5aa70caf10a",
     "cellrank --u 61/3,-35/3,13/3 --n 2":
         "5adbdc7481cae9646dcc9c40329c8e4ff6971256d94f64bb87767b6ed68bcb1c",
+    # the closed count of updown tableaux, with its (2m-1)!! factor
+    "counts --r 3 --n 4":
+        "c8c89d5fca0e767fc748c32e8d83de4b1127e702ffba0ce07854ec57cbdc769f",
+    "counts --r 2 --n 5":
+        "b099443e2196ed06fc98b502f02b24aeb6d55a149a16b8469f972373b2ef0146",
 }
 
 

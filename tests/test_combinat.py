@@ -3,7 +3,7 @@
 from fractions import Fraction
 import math
 
-from wenzl import combinat, diagrams
+from wenzl import combinat
 from wenzl.combinat import (
     add_box, addable_nodes, box_diff, content_sequence, coset_reps,
     count_updown, d_perm, default_u, dominance_mp, dominance_std, empty_mp,
@@ -118,7 +118,7 @@ def test_square_sum_is_diagram_count():
         for n in range(5):
             total = sum(count_updown(n, lam) ** 2
                         for lam in reachable_shapes(r, n))
-            assert total == r ** n * diagrams.double_factorial(2 * n - 1)
+            assert total == r ** n * combinat.double_factorial(2 * n - 1)
 
 
 def test_step_node_directions():

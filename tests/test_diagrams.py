@@ -2,12 +2,13 @@
 
 import itertools
 
+from brauer import (
+    compose, compose_word, contraction_diagram, enumerate_diagrams,
+    generator_diagram, identity_diagram, transposition_diagram, word_for_diagram,
+)
 from support import perm_of_word, permutation_diagram
-from wenzl.diagrams import (
-    compose, compose_word, contraction_diagram,
-    double_factorial, enumerate_diagrams, generator_diagram,
-    identity_diagram, perm_inverse, perm_mult, perm_word, star_word,
-    transposition_diagram, word_for_diagram, word_for_permutation,
+from wenzl.combinat import (
+    double_factorial, perm_inverse, perm_mult, perm_word, star_word, word_for_permutation,
 )
 
 

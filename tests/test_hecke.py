@@ -10,7 +10,7 @@ import pytest
 
 from support import key_word, multiply, murphy_triangular_report, row_symmetrizer_witness
 from wenzl import _linalg, combinat, hecke
-from wenzl.diagrams import star_word
+from wenzl.combinat import star_word
 from wenzl.hecke import (
     HeckeAlgebra, MurphyBasis, gamma_coeffs, gamma_path_independent,
     gamma_top, gram_det, gram_entry, gram_matrix, is_semisimple,

@@ -2,7 +2,8 @@
 ``src/wenzl`` is reached by name from ``cli.main``, and every method or
 property of a class there is used by name as an attribute somewhere in
 ``src/wenzl``, or is listed in ``KEPT`` with the reason it stays.  Test-only
-code lives in tests/support.py."""
+code lives in tests/support.py, and the Brauer diagrams and the
+regular-monomial census in tests/brauer.py."""
 
 import ast
 from pathlib import Path
@@ -13,10 +14,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "wenzl"
 KEPT = {
     ("hecke", "is_semisimple"): "ROADMAP item 3: cell forms are nondegenerate exactly then",
     ("wcell", "contraction_murphy_commute_residual"): "ROADMAP item 1: the word order",
-    ("wcell", "rank_report"): "ROADMAP item 1: the full-vector rank it replaces",
     ("wcell", "hecke_pairing_residual"): "ROADMAP item 2: checks the cell forms with arcs",
-    ("wcell", "enumerate_r_regular"): "census: the spanning half of the freeness theorem",
-    ("wcell", "word_for_monomial"): "the same census as words, for a job to certify it",
     # methods and properties, as (module, "Class.name")
     ("params", "ParamSet.default"): "the README's entry point: Omega at the CLI's default roots",
     ("wcell", "CellularWord.star"): "ROADMAP item 1: the anti-involution axiom of cellularity",

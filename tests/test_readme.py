@@ -1,4 +1,5 @@
-"""The README's examples run as written and show what their comments say."""
+"""The README's examples run as written and show what their comments say,
+and its module table names each module of the package once."""
 
 import json
 import re
@@ -7,11 +8,18 @@ from pathlib import Path
 
 from wenzl.cli import main
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def _code_blocks(lang: str) -> list[str]:
     return re.findall(rf"```{lang}\n(.*?)```", README.read_text(), re.S)
+
+
+def test_module_table_names_every_module():
+    rows = re.findall(r"^\| `wenzl\.(\w+)` \|", README.read_text(), re.M)
+    modules = {path.stem for path in (ROOT / "src" / "wenzl").glob("*.py")} - {"__init__"}
+    assert sorted(rows) == sorted(modules)
 
 
 def test_quick_tour(capsys):

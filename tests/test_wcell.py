@@ -9,14 +9,15 @@ from support import (
     FractionRealization, as_fractions, cell_indices, cyclotomic_word_sum,
     filtration_index, from_dense, murphy_words, seeded_u, terms, word_sum_mul,
 )
-from wenzl import _linalg, combinat, diagrams, wcell
+import brauer
+from brauer import RegularMonomial, enumerate_r_regular, rank_report, word_for_monomial
+from wenzl import _linalg, combinat, wcell
 from wenzl.params import ParamSet
 from wenzl.seminormal import build_all
 from wenzl.wcell import (
-    Realization, RegularMonomial, cell_triples,
-    cellular_element, cellular_rank_report, contraction_chain,
-    contraction_murphy_commute_residual, enumerate_r_regular,
-    hecke_pairing_residual, rank_report, star_word_sum, word_for_monomial,
+    Realization, cell_triples, cellular_element, cellular_rank_report,
+    contraction_chain, contraction_murphy_commute_residual,
+    hecke_pairing_residual, star_word_sum,
 )
 
 F = Fraction
@@ -34,14 +35,14 @@ def test_census_counts():
                        (3, 2, 27), (1, 4, 105)):
         monos = enumerate_r_regular(r, n)
         assert len(monos) == want
-        assert want == r ** n * diagrams.double_factorial(2 * n - 1)
+        assert want == r ** n * combinat.double_factorial(2 * n - 1)
         assert len(set(monos)) == want
         for m in monos:
             assert all(a < r for a in m.left_powers + m.right_powers)
 
 
 def test_monomial_support_rules():
-    c = diagrams.contraction_diagram(2, 1, 2)
+    c = brauer.contraction_diagram(2, 1, 2)
     # position 1 is the top arc's left endpoint: no left power allowed there
     with pytest.raises(ValueError):
         RegularMonomial((1, 0), c, (1, 0))
@@ -50,7 +51,7 @@ def test_monomial_support_rules():
         RegularMonomial((0, 0), c, (0, 1))
     m = RegularMonomial((0, 1), c, (1, 0))
     assert m.degree == 2
-    e = diagrams.identity_diagram(2)
+    e = brauer.identity_diagram(2)
     assert RegularMonomial((2, 1), e, (0, 0)).degree == 3
     with pytest.raises(ValueError):
         RegularMonomial((0, 0), e, (1, 0))   # no bottom arc to carry it
@@ -91,7 +92,7 @@ def test_star_word_transposes():
     ]
     for word in words:
         fwd = as_fractions(real.evaluate(word))
-        rev = as_fractions(real.evaluate(diagrams.star_word(word)))
+        rev = as_fractions(real.evaluate(combinat.star_word(word)))
         for a, b, rep in zip(fwd, rev, real.reps):
             assert b == adjoint(a, rep.gamma)
 
@@ -115,7 +116,7 @@ def test_cyclotomic_word_sum_vanishes():
 
 
 def test_monomial_family_has_full_rank():
-    for r, n in ((1, 2), (2, 2), (1, 3)):
+    for r, n in ((1, 2), (2, 2), (1, 3), (3, 2), (2, 3), (1, 4)):
         ps = ParamSet.default(r, n)
         real = Realization(build_all(ps, n))
         words = [word_for_monomial(m) for m in enumerate_r_regular(r, n)]
@@ -147,7 +148,7 @@ def test_cell_triples_count_updown():
         for arcs in range(n // 2 + 1):
             for shape in combinat.multipartitions(r, n - 2 * arcs):
                 total += len(cell_triples(r, n, arcs, shape)) ** 2
-        assert total == r ** n * diagrams.double_factorial(2 * n - 1)
+        assert total == r ** n * combinat.double_factorial(2 * n - 1)
     with pytest.raises(ValueError):
         cell_triples(2, 3, 1, ((2,), ()))
 
@@ -334,5 +335,5 @@ def test_cellular_elements_equal_the_fraction_reference(r, n):
                         ref_vecs.append(ref.vec(want))
                         assert all(type(x) is int for x in vecs[-1].values())
                         assert {i: F(x, ev.den) for i, x in vecs[-1].items()} == ref_vecs[-1]
-        target = r ** n * diagrams.double_factorial(2 * n - 1)
+        target = r ** n * combinat.double_factorial(2 * n - 1)
         assert _linalg.rank(vecs) == _linalg.rank(ref_vecs) == target, ps.u
