@@ -201,9 +201,8 @@ def cmd_counts(cfg: RunConfig, ps: ParamSet, meta: dict) -> tuple[list[dict], bo
 
 def cmd_verify(cfg: RunConfig, ps: ParamSet, meta: dict) -> tuple[list[dict], bool]:
     real = seminormal.Realization(seminormal.build_all(ps, cfg.n))
-    w_memo: dict = {}  # W at each shape, shared by the two for this job
-    idr = seminormal.check_identities(ps, cfg.n, w_memo)
-    scalars = seminormal.tower_scalars(ps, cfg.n, w_memo)
+    idr = seminormal.check_identities(ps, cfg.n)
+    scalars = seminormal.tower_scalars(ps, cfg.n)
     records = []
     ok = idr.ok
     for rep, res in zip(real.reps, seminormal.verify_relations(real, scalars)):

@@ -311,13 +311,9 @@ def sk_action(t: Tableau, k: int):
     if prev == t[k]:
         raise ValueError("steps k, k+1 return to the start; swap is not defined")
     node2, removed2 = _step_nodes(t)[k]
-    try:
-        mid = remove_box(prev, node2) if removed2 else add_box(prev, node2)
-    except (AssertionError, IndexError):
+    if node2 not in (removable_nodes(prev) if removed2 else addable_nodes(prev)):
         return None
-    if any(any(row <= 0 for row in p) or list(p) != sorted(p, reverse=True)
-           for p in mid):
-        return None
+    mid = remove_box(prev, node2) if removed2 else add_box(prev, node2)
     return t[:k - 1] + (mid,) + t[k:]
 
 

@@ -321,32 +321,31 @@ def gamma_path_independent(lam, ps: ParamSet, gamma: dict) -> bool:
                for t, ratio in _descents(lam, s, ps))
 
 
-def gram_entry(H: HeckeAlgebra, mb: MurphyBasis, lam, s, t) -> Fraction:
-    """The cell form <m_s, m_t>: the coordinate at m_{t^lam t^lam} of
-    m_{t^lam s} times the factors of m_{t t^lam}, every coordinate checked."""
-    tl = combinat.t_lambda(lam)
-    prod = H.act_factors(mb.elements[mb.triple_index[lam, tl, s]],
-                         *murphy_factors(H.ps, lam, t, tl))
-    value = Fraction(0)
-    for idx, c in mb.coords(prod).items():
-        mu, a, b = mb.triples[idx]
-        if mu == lam:
-            if (a, b) == (tl, tl):
-                value = c
-            else:
-                raise AssertionError(
-                    f"product not proportional to the corner element: "
-                    f"coordinate at ({a}, {b})")
-        elif not combinat.dominance_mp(mu, lam) or mu == lam:
-            raise AssertionError(f"product escapes upward to {mu}")
-    return value
-
-
 def gram_matrix(H: HeckeAlgebra, mb: MurphyBasis, lam) -> list[dict]:
-    """The cell form on the standard tableaux of lam, as sparse rows."""
+    """The cell form on the standard tableaux of lam, as sparse rows: entry
+    <m_s, m_t> is the coordinate at m_{t^lam t^lam} of m_{t^lam s} times the
+    factors of m_{t t^lam}, with every coordinate of the product checked.
+    t^lam and the factors of each t are formed once."""
+    tl = combinat.t_lambda(lam)
     stds = combinat.standard_tableaux(lam)
-    return [{j: x for j, t in enumerate(stds) if (x := gram_entry(H, mb, lam, s, t))}
-            for s in stds]
+    factors = [murphy_factors(H.ps, lam, t, tl) for t in stds]
+    rows = []
+    for s in stds:
+        left = mb.elements[mb.triple_index[lam, tl, s]]
+        row = {}
+        for j, fs in enumerate(factors):
+            for idx, c in mb.coords(H.act_factors(left, *fs)).items():
+                mu, a, b = mb.triples[idx]
+                if mu == lam:
+                    if (a, b) != (tl, tl):
+                        raise AssertionError(
+                            f"product not proportional to the corner element: "
+                            f"coordinate at ({a}, {b})")
+                    row[j] = c
+                elif not combinat.dominance_mp(mu, lam):
+                    raise AssertionError(f"product escapes upward to {mu}")
+        rows.append(row)
+    return rows
 
 
 def gram_det(H: HeckeAlgebra, mb: MurphyBasis, lam) -> Fraction:

@@ -12,7 +12,7 @@ the tower scalars omega_k^(a) that of W_k; they are Fractions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import combinat
@@ -220,6 +220,11 @@ class ParamSet:
     for the ``omega`` command and the reports.  ``mode`` records whether
     Omega was derived from u; a parameter set constructed directly with
     an Omega of its own names another mode.
+
+    ``w_at`` holds W at each shape met (``wk_rational``), so each is formed
+    once per parameter set; ``from_u`` stores W_1, from which it reads
+    Omega.  It is no constructor argument, and neither equality, the hash
+    nor ``as_json`` reads it.
     """
 
     r: int
@@ -227,6 +232,7 @@ class ParamSet:
     omega: tuple[Fraction, ...]
     N: int
     mode: str = "u-admissible-derived"
+    w_at: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
     def from_u(cls, u, n_hint: int = 4, min_N: int = 0) -> "ParamSet":
@@ -235,8 +241,11 @@ class ParamSet:
         u = tuple(parse_fraction(x) for x in u)
         r = len(u)
         N = max(2 * r + 4 * max(n_hint, 1), min_N)
-        omega = series_of_rational(_w_at_shape(combinat.empty_mp(r), r, u), N)
-        return cls(r, u, tuple(omega), N)
+        empty = combinat.empty_mp(r)
+        w1 = _w_at_shape(empty, r, u)
+        ps = cls(r, u, tuple(series_of_rational(w1, N)), N)
+        ps.w_at[empty] = w1
+        return ps
 
     @classmethod
     def default(cls, r: int, n: int) -> "ParamSet":
@@ -273,22 +282,20 @@ def w1_rational(ps: ParamSet) -> RationalFunction:
     """W_1 = W at the empty shape, whose addable nodes have contents u_i:
     (y - (1/2)(-1)^r) prod_i (y + u_i)/(y - u_i) - y + 1/2."""
     assert ps.mode == "u-admissible-derived", "needs u"
-    return _w_at_shape(combinat.empty_mp(ps.r), ps.r, ps.u)
+    return wk_rational((), 1, ps)
 
 
-def wk_rational(t, k: int, ps: ParamSet, memo: dict | None = None) -> RationalFunction:
+def wk_rational(t, k: int, ps: ParamSet) -> RationalFunction:
     """W_k along t in closed form: W at the step-(k-1) shape of t, unreduced;
     t may end there.  Coinciding contents need no special case, since num and
     den are polynomial in the contents; whether u is generic enough is
-    decided when the seminormal model is built.  ``memo``, one dict per
-    parameter set, keeps W at each shape met, so each is formed once."""
+    decided when the seminormal model is built.  W at each shape is formed
+    once per parameter set, in ``ps.w_at``."""
     assert 1 <= k <= len(t) + 1
     shape = t[k - 2] if k >= 2 else combinat.empty_mp(ps.r)
-    if memo is None:
-        return _w_at_shape(shape, ps.r, ps.u)
-    w = memo.get(shape)
+    w = ps.w_at.get(shape)
     if w is None:
-        w = memo[shape] = _w_at_shape(shape, ps.r, ps.u)
+        w = ps.w_at[shape] = _w_at_shape(shape, ps.r, ps.u)
     return w
 
 
@@ -302,25 +309,23 @@ def _recursion_factor_rational(c: Fraction) -> RationalFunction:
                             (minus * minus - q2) * (plus * plus))
 
 
-def wk_recursive_rational(t, k: int, ps: ParamSet,
-                          memo: dict | None = None) -> RationalFunction:
+def wk_recursive_rational(t, k: int, ps: ParamSet) -> RationalFunction:
     """One step of the recursion for W_k along t, taken from the closed form
     W_{k-1}: F(c)(W_{k-1} + y - 1/2) - (y - 1/2), with c the content of step
     k - 1 and F the recursion factor; W_1 itself when k = 1.  t may end at
-    step k - 1.  ``memo`` is passed to ``wk_rational``."""
+    step k - 1."""
     assert 1 <= k <= len(t) + 1
     if k == 1:
         return w1_rational(ps)
     y_minus_half = RationalFunction(Poly((-HALF, Fraction(1))))
     c = combinat.content_sequence(t, ps.u)[k - 2]
     return (_recursion_factor_rational(c)
-            * (wk_rational(t, k - 1, ps, memo) + y_minus_half) - y_minus_half)
+            * (wk_rational(t, k - 1, ps) + y_minus_half) - y_minus_half)
 
 
-def omega_k_values(t, k: int, ps: ParamSet, A: int,
-                   memo: dict | None = None) -> list[Fraction]:
+def omega_k_values(t, k: int, ps: ParamSet, A: int) -> list[Fraction]:
     """The scalars omega_k^{(a)}, a = 0..A, at position k along t: the
     coefficients of y^{-a} in the expansion at infinity of the closed form
     W_k, which depends only on the step-(k-1) shape of t; t may end there.
-    At k = 1 they are Omega.  ``memo`` is passed to ``wk_rational``."""
-    return series_of_rational(wk_rational(t, k, ps, memo), A)
+    At k = 1 they are Omega."""
+    return series_of_rational(wk_rational(t, k, ps), A)

@@ -445,14 +445,13 @@ def residuals(real: Realization) -> list[dict]:
     return out
 
 
-def tower_scalars(ps: ParamSet, n: int, memo: dict | None = None) -> dict:
+def tower_scalars(ps: ParamSet, n: int) -> dict:
     """omega_k^(a), 0 <= a <= r + 1, keyed by the shape mu before step k,
     for every mu with |mu| <= n - 2 (every position k < n): the expansion at
-    infinity of the closed form of W at mu, taken once per shape.  ``memo``
-    is a ``params.wk_rational`` memo for ``ps``, as ``check_identities``
-    leaves it."""
+    infinity of the closed form of W at mu, which ``ps`` forms once per
+    shape."""
     return {mu: params.omega_k_values(combinat.t_lambda(mu),
-                                      combinat.mp_size(mu) + 1, ps, ps.r + 1, memo)
+                                      combinat.mp_size(mu) + 1, ps, ps.r + 1)
             for size in range(n - 1)
             for mu in combinat.multipartitions(ps.r, size)}
 
@@ -522,22 +521,21 @@ class IdentityReport:
         return not self.failures
 
 
-def check_identities(ps: ParamSet, n: int, memo: dict | None = None) -> IdentityReport:
+def check_identities(ps: ParamSet, n: int) -> IdentityReport:
     """Every exact coefficient identity at n strands, checked with zero
     tolerance once per local configuration.  A coefficient at k reads only
     the shape mu before step k and the next steps, so each window out of mu
     is placed after t^mu, at k = |mu| + 1: the class and W identities once
     per mu with |mu| <= n - 2, the swap identities once per (mu, nu, rho)
     with rho != mu, the matching identities once per (mu, nu) with
-    |mu| <= n - 3.  ``w-recursion`` checks W_1 = W at the empty shape
-    (n >= 1) and one recursion step per lattice edge mu -> nu with
-    |mu| <= n - 2: the closed form at nu equals the step from the closed
-    form at mu.  By induction on the walk, the recursion from W_1 then
-    gives the closed form along every walk of fewer than n steps.  W at
-    each shape is formed once, in ``memo`` (a fresh dict if not given), a
-    ``params.wk_rational`` memo for ``ps``."""
-    if memo is None:
-        memo = {}
+    |mu| <= n - 3.  ``w-recursion`` checks one recursion step per lattice
+    edge mu -> nu with |mu| <= n - 2: the closed form at nu equals the step
+    from the closed form at mu.  By induction on the walk, the recursion
+    from W_1 then gives the closed form along every walk of fewer than n
+    steps.  Its first record (n >= 1, ``k=1``) compares W_1 with its own
+    definition: Omega is read off W_1, which ``ps`` holds, so both sides are
+    that one object; it is kept so that the counts stay as they were.  W at
+    each shape is formed once per parameter set, in ``ps.w_at``."""
     counts: dict[str, int] = {}
     failures: list[str] = []
 
@@ -547,8 +545,8 @@ def check_identities(ps: ParamSet, n: int, memo: dict | None = None) -> Identity
             failures.append(f"{name}: {ctx}")
 
     if n >= 1:
-        record("w-recursion", params.wk_rational((), 1, ps, memo)
-               == params.wk_recursive_rational((), 1, ps, memo), "k=1")
+        record("w-recursion", params.wk_rational((), 1, ps)
+               == params.wk_recursive_rational((), 1, ps), "k=1")
     y = params.RationalFunction(params.Poly.y_plus(0))
     for mu in (lam for size in range(n - 1)
                for lam in combinat.multipartitions(ps.r, size)):
@@ -557,8 +555,8 @@ def check_identities(ps: ParamSet, n: int, memo: dict | None = None) -> Identity
         nbrs = combinat.neighbors(mu)
         for nu in nbrs:
             t = tmu + (nu,)
-            record("w-recursion", params.wk_rational(t, k + 1, ps, memo)
-                   == params.wk_recursive_rational(t, k + 1, ps, memo),
+            record("w-recursion", params.wk_rational(t, k + 1, ps)
+                   == params.wk_recursive_rational(t, k + 1, ps),
                    f"k={k + 1}, prefix={t}")
         cls = [tmu + (nu, mu) for nu in nbrs]
         cs = {m: combinat.content_sequence(m, ps.u) for m in cls}
@@ -581,7 +579,7 @@ def check_identities(ps: ParamSet, n: int, memo: dict | None = None) -> Identity
                 record("class-sum-cross", lhs == Fraction(1, 2) / (csk * c[tp]),
                        f"s={s}, t'={tp}, k={k}")
         # partial fractions of W_k(y)/y over the class
-        w = params.wk_rational(tmu, k, ps, memo)
+        w = params.wk_rational(tmu, k, ps)
         record("w-vanishes-at-zero", w(Fraction(0)) == 0, f"k={k}, prefix={tmu}")
         parts = sum(params.RationalFunction(
             params.Poly.const(e[m]), params.Poly.y_plus(-c[m])) for m in cls)

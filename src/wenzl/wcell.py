@@ -113,10 +113,11 @@ def _rank_from_vecs(vecs) -> dict:
 def cellular_rank_report(ps: ParamSet, n: int) -> dict:
     """Counts and exact rank of the full cellular family at (r, n).
 
-    Each element of a cell is A · M · B on every block.  The middle M is
-    evaluated once per cell as the product of its factors, A · M once per
-    left word and B once per right word, so each of the |triples|^2 vectors
-    takes one block product."""
+    Each element of a cell is A · M · B on every block, and its left word
+    depends only on its left triple, its right word only on its right
+    triple.  So the factors are made once per triple, as the element (a, a);
+    the middle M, the cell's, is evaluated once, A · M and B once per
+    triple, and each of the |triples|^2 vectors takes one block product."""
     r = ps.r
     target = r ** n * combinat.double_factorial(2 * n - 1)
     real = Realization(seminormal.build_all(ps, n))
@@ -129,19 +130,11 @@ def cellular_rank_report(ps: ParamSet, n: int) -> dict:
             cells.append({"arcs": arcs, "shape": [list(p) for p in shape],
                           "members": len(triples)})
             total += len(triples) ** 2
-            # the middle is the cell's; A·M and B are kept by their words
-            m, am_of, b_of = None, {}, {}
-            for a in triples:
-                for b in triples:
-                    cw = cellular_element(ps, n, arcs, shape, a, b)
-                    if m is None:
-                        m = real.evaluate_product(cw.middle)
-                    if cw.left_word not in am_of:
-                        am_of[cw.left_word] = mul_blocks(real.evaluate(cw.left_word), m)
-                    if cw.right_word not in b_of:
-                        b_of[cw.right_word] = real.evaluate(cw.right_word)
-                    vecs.append(real.vec(mul_blocks(am_of[cw.left_word],
-                                                     b_of[cw.right_word])))
+            diagonal = [cellular_element(ps, n, arcs, shape, a, a) for a in triples]
+            m = real.evaluate_product(diagonal[0].middle)
+            am = [mul_blocks(real.evaluate(cw.left_word), m) for cw in diagonal]
+            b = [real.evaluate(cw.right_word) for cw in diagonal]
+            vecs.extend(real.vec(mul_blocks(x, y)) for x in am for y in b)
     report = _rank_from_vecs(vecs)
     report["target"] = target
     report["sum_of_squares"] = total
@@ -196,13 +189,13 @@ def hecke_pairing_residual(ps: ParamSet, n: int, arcs: int, shape: Multipartitio
             cw = cellular_element(ps, n, arcs, shape, triv(a), triv(b))
             ev = real.evaluate_product(_word_sums(cw.left_word, cw.middle, cw.right_word))
             evaluated[a, b] = Evaluated(ev.blocks[blk:blk + 1], ev.den)
+    gram = hecke.gram_matrix(H, mb, shape)
     worst = Fraction(0)
     scale = ps.omega[0] ** arcs
     for s in tabs:
-        for t in tabs:
-            for v in tabs:
-                gram = hecke.gram_entry(H, mb, shape, t, v)
+        for i, t in enumerate(tabs):
+            for j, v in enumerate(tabs):
                 lhs = mul_blocks(evaluated[s, t], evaluated[v, s])
-                rhs = scaled(evaluated[s, s], scale * gram)
+                rhs = scaled(evaluated[s, s], scale * gram[i].get(j, 0))
                 worst = max(worst, *block_residuals(lhs, rhs))
     return worst

@@ -417,3 +417,17 @@ def test_reports_match_golden_digests(tmp_path):
         rc = main([*argv.split(), "--out", str(out)])
         got = hashlib.sha256(f"{rc}\n".encode() + out.read_bytes()).hexdigest()
         assert got == digest, argv
+
+
+def test_reports_match_golden_digests_without_asserts(tmp_path):
+    # python -O strips assert statements: no verdict may rest on one
+    src = str(Path(wenzl.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = tmp_path / "out.jsonl"
+    for argv in ("verify --r 2 --n 3", "cellrank --r 2 --n 3", "gram --shape (2|1|-)"):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "wenzl.cli", *argv.split(), "--out", str(out)],
+            env=env, capture_output=True, text=True)
+        assert proc.stderr == "", argv
+        got = hashlib.sha256(f"{proc.returncode}\n".encode() + out.read_bytes()).hexdigest()
+        assert got == GOLDEN_REPORTS[argv], argv

@@ -280,10 +280,9 @@ def test_identity_suite():
 
 
 def test_closed_form_w_taken_once_per_shape(monkeypatch):
-    # one memo per parameter set: check_identities forms W at every shape
-    # of size <= n - 1 once, and tower_scalars reads it without adding any
-    ps = ParamSet.default(2, 4)
-    plain = check_identities(ps, 4)
+    # the parameter set holds W: from_u forms W_1, check_identities forms W
+    # at every other shape of size <= n - 1 once, and tower_scalars and a
+    # second pass form none
     formed = []
     w_at_shape = params._w_at_shape
 
@@ -292,15 +291,20 @@ def test_closed_form_w_taken_once_per_shape(monkeypatch):
         return w_at_shape(shape, r, u)
 
     monkeypatch.setattr(params, "_w_at_shape", counted)
-    memo = {}
-    report = check_identities(ps, 4, memo)
-    assert report.counts == plain.counts and report.ok
+    ps = ParamSet.default(2, 4)
+    assert formed == [combinat.empty_mp(2)]
+    report = check_identities(ps, 4)
+    assert report.ok
     shapes = {mu for size in range(4) for mu in combinat.multipartitions(2, size)}
-    assert set(memo) == shapes
-    # each shape once, and W_1 once more from its own definition
-    assert sorted(formed) == sorted([*shapes, combinat.empty_mp(2)])
-    assert tower_scalars(ps, 4, memo) == tower_scalars(ps, 4)
-    assert set(memo) == shapes
+    assert sorted(formed) == sorted(shapes)
+    scalars = tower_scalars(ps, 4)
+    assert check_identities(ps, 4).counts == report.counts
+    assert sorted(formed) == sorted(shapes) and set(ps.w_at) == shapes
+    # the W held is no part of the parameter set's value, and a fresh one
+    # forms the same scalars
+    fresh = ParamSet.default(2, 4)
+    assert fresh == ps and hash(fresh) == hash(ps) and fresh.as_json() == ps.as_json()
+    assert tower_scalars(fresh, 4) == scalars
 
 
 def _visited_windows(ps, n):

@@ -262,7 +262,7 @@ def _drawn_params(r, n, rng):
     return ParamSet.from_u(tuple(k * x + delta for x in combinat.default_u(r, n)), n)
 
 
-@pytest.mark.parametrize("r,n", [(2, 2), (1, 3), (3, 2), (4, 2), (1, 4)])
+@pytest.mark.parametrize("r,n", [(2, 2), (1, 3), (3, 2), (4, 2), (1, 4), (2, 3)])
 def test_factored_vectors_equal_expansion(r, n, monkeypatch):
     # the report evaluates A_a M B_b from factors; every vector it ranks must
     # equal the evaluation of the element's expanded word sum, and the
