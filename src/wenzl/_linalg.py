@@ -5,19 +5,22 @@ its nonzero entries; a vector is one such row.  No operation stores a
 zero, so the form is canonical and ``==`` is matrix equality.  The column
 count is not stored: an operation reads only the entries that are there.
 
-``rank``, ``det`` and ``inverse`` share one elimination (``_eliminate``) on
-copies of the input rows.  Columns are eliminated left to right.  The pivot
-of a column is, among the rows not yet used as pivots that hold it, the one
-with the fewest nonzeros; the lowest row index breaks ties, so every run
-takes the same pivots.  Only rows that hold the column are updated, only at
-the pivot row's nonzeros, and entries that cancel are dropped, so the work
+``rank``, ``det`` and ``inverse`` share one elimination (``_eliminate``),
+fraction-free over Z: it works on int copies of the input rows, each row
+cleared of its denominators once, and never forms a ``Fraction`` inside
+the loop.  Columns are eliminated left to right.  The pivot of a column
+is, among the rows not yet used as pivots that hold it, the one with the
+fewest nonzeros; the lowest row index breaks ties, so every run takes the
+same pivots.  Only rows that hold the column are updated, only at the
+pivot row's nonzeros, and entries that cancel are dropped, so the work
 follows the nonzeros rather than the matrix size.  ``rank`` and ``det``
 clear each column from the rows not yet pivoted; ``inverse`` clears it from
-every other row (Gauss-Jordan).
+every other row (Gauss-Jordan) and divides by the pivots only at the end.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -79,18 +82,36 @@ def max_abs(a):
 
 
 def _eliminate(rows, augmented=None):
-    """Eliminate in place on rows.
+    """Eliminate in place on rows, fraction-free over Z.
 
-    Each pivot row is scaled to 1 at its column, and that column is cleared
-    from the rows not yet pivoted, which is all ``rank`` and ``det`` need.
-    With ``augmented`` = n, the columns from n on hold an appended identity:
-    only the columns below n are pivoted, and each is cleared from every
-    other row (Gauss-Jordan), so each pivot row ends up holding no other
-    pivot column and, from n on, its row of the inverse.  Returns the pivots
-    as (column, row, value before scaling), in column order.
+    Each row is first replaced by its int multiple over the lcm of its
+    denominators (its scale; 1 for an int row), so every stored value is an
+    int.  A row that holds the pivot column is updated as a·row − b·(pivot
+    row), where v is the pivot value, f the row's value, g = gcd(v, f),
+    a = v/g > 0 and b = f/g; the row is then divided by the gcd of its
+    entries.  Each stored row is therefore a positive rational multiple of
+    the same row in elimination over Q, which scales each pivot row to 1:
+    it has the same zero pattern, so every pivot choice is the same.  The
+    multiple of row i is num[i] / den[i]: its scale times each a, over each
+    gcd divided out.
+
+    The column is cleared from the rows not yet pivoted, which is all
+    ``rank`` and ``det`` need.  With ``augmented`` = n, the columns from n
+    on hold an appended identity: only the columns below n are pivoted, and
+    each is cleared from every other row (Gauss-Jordan), so each pivot row
+    ends up holding no other pivot column and, from n on, its row of the
+    inverse times its final pivot value.  Returns the pivots as (column,
+    row, value), in column order, where value is the pivot over Q: the
+    stored pivot over the row's multiple.
     """
+    num = []
+    den = []
     holders: dict = {}
     for i, row in enumerate(rows):
+        scale = math.lcm(*(x.denominator for x in row.values()))
+        rows[i] = {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
+        num.append(scale)
+        den.append(1)
         for j in row:
             holders.setdefault(j, set()).add(i)
     jordan = augmented is not None
@@ -107,31 +128,37 @@ def _eliminate(rows, augmented=None):
             continue
         p = min(cands, key=lambda i: (len(rows[i]), i))
         prow = rows[p]
-        value = prow[c]
-        if value != 1:
-            # exact for int and Fraction values alike
-            inv = Fraction(value.denominator, value.numerator)
-            for j in prow:
-                prow[j] *= inv
+        v = prow[c]
+        pivots.append((c, p, Fraction(v * den[p], num[p])))
         used.add(p)
         for i in list(holders[c]) if jordan else cands:
             if i == p:
                 continue
             row = rows[i]
             f = row[c]
+            g = math.gcd(v, f)
+            a, b = v // g, f // g
+            if a < 0:
+                a, b = -a, -b
+            if a != 1:
+                rows[i] = row = {j: a * x for j, x in row.items()}
+                num[i] *= a
             for j, y in prow.items():
                 x = row.get(j)
                 if x is None:
-                    row[j] = -f * y
+                    row[j] = -b * y
                     holders[j].add(i)
                 else:
-                    x -= f * y
+                    x -= b * y
                     if x:
                         row[j] = x
                     else:
                         del row[j]
                         holders[j].discard(i)
-        pivots.append((c, p, value))
+            g = math.gcd(*row.values())
+            if g > 1:
+                rows[i] = {j: x // g for j, x in row.items()}
+                den[i] *= g
     return pivots
 
 
@@ -150,17 +177,22 @@ def _sign(perm) -> int:
 
 
 def rank(a) -> int:
-    return len(_eliminate([dict(row) for row in a]))
+    return len(_eliminate(list(a)))
+
+
+def _require_square(a, what: str):
+    n = len(a)
+    if any(j >= n for row in a for j in row):
+        raise ValueError(f"{what} needs a square matrix")
 
 
 def det(a) -> Fraction:
-    n = len(a)
-    assert all(j < n for row in a for j in row), "determinant needs a square matrix"
-    pivots = _eliminate([dict(row) for row in a])
-    if len(pivots) < n:
+    _require_square(a, "determinant")
+    pivots = _eliminate(list(a))
+    if len(pivots) < len(a):
         return Fraction(0)
     # the pivot of column c sits in row perm[c], and clearing does not change
-    # the determinant: it is the sign of perm times the pivot values
+    # the determinant: it is the sign of perm times the pivot values over Q
     out = Fraction(_sign([p for _, p, _ in pivots]))
     for _, _, value in pivots:
         out *= value
@@ -168,12 +200,16 @@ def det(a) -> Fraction:
 
 
 def inverse(a) -> list[dict]:
+    _require_square(a, "inverse")
     n = len(a)
-    assert all(j < n for row in a for j in row), "inverse needs a square matrix"
-    rows = [{**row, n + i: Fraction(1)} for i, row in enumerate(a)]
+    # the appended 1 becomes the row's scale when the row is cleared to ints
+    rows = [{**row, n + i: 1} for i, row in enumerate(a)]
     pivots = _eliminate(rows, n)
-    assert len(pivots) == n, "matrix is singular"
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
     out = zeros(n)
     for c, p, _ in pivots:
-        out[c] = {j - n: x for j, x in rows[p].items() if j >= n}
+        row = rows[p]
+        w = row[c]
+        out[c] = {j - n: Fraction(x, w) for j, x in row.items() if j >= n}
     return out

@@ -3,9 +3,10 @@ matrix reader, the Schur reference for Omega and other admissible
 sequences, exact two-strand module fixtures, the hand-written relation
 suite that the relation table is checked against, the Fraction-row
 evaluation and star-symmetry that the model's int forms are checked
-against, the branching report, the reference product of two Hecke elements
-and expansion of products into words, Hecke triangularity and symmetrizer
-witnesses, cell indices and word helpers."""
+against, the Fraction elimination that ``_linalg``'s int elimination is
+checked against, the branching report, the reference product of two Hecke
+elements and expansion of products into words, Hecke triangularity and
+symmetrizer witnesses, cell indices and word helpers."""
 
 import functools
 import math
@@ -200,6 +201,78 @@ class FractionRealization:
                        for i, row in enumerate(blk) for j, x in row.items())
             start += d * d
         return out
+
+
+def fraction_eliminate(rows, augmented=None):
+    """The reference for ``_linalg._eliminate``: the same pivots over Q, on
+    Fraction rows.
+
+    Each pivot row is scaled to 1 at its column, and that column is cleared
+    from the rows not yet pivoted, which is all ``rank`` and ``det`` need.
+    With ``augmented`` = n, the columns from n on hold an appended identity:
+    only the columns below n are pivoted, and each is cleared from every
+    other row (Gauss-Jordan), so each pivot row ends up holding no other
+    pivot column and, from n on, its row of the inverse.  Returns the pivots
+    as (column, row, value before scaling), in column order.
+    """
+    holders: dict = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            holders.setdefault(j, set()).add(i)
+    jordan = augmented is not None
+    # a row gains entries only at columns of a pivot row, which are already
+    # held, so the pivot columns are known up front
+    columns = sorted(c for c in holders if not jordan or c < augmented)
+    used = set()
+    pivots = []
+    for c in columns:
+        if len(used) == len(rows):
+            break
+        cands = [i for i in holders[c] if i not in used]
+        if not cands:
+            continue
+        p = min(cands, key=lambda i: (len(rows[i]), i))
+        prow = rows[p]
+        value = prow[c]
+        if value != 1:
+            # exact for int and Fraction values alike
+            inv = Fraction(value.denominator, value.numerator)
+            for j in prow:
+                prow[j] *= inv
+        used.add(p)
+        for i in list(holders[c]) if jordan else cands:
+            if i == p:
+                continue
+            row = rows[i]
+            f = row[c]
+            for j, y in prow.items():
+                x = row.get(j)
+                if x is None:
+                    row[j] = -f * y
+                    holders[j].add(i)
+                else:
+                    x -= f * y
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+                        holders[j].discard(i)
+        pivots.append((c, p, value))
+    return pivots
+
+
+def fraction_inverse(a) -> list[dict]:
+    """The inverse of an invertible square matrix through
+    ``fraction_eliminate``, as ``_linalg.inverse`` formed it over Fraction
+    rows."""
+    n = len(a)
+    rows = [{**row, n + i: Fraction(1)} for i, row in enumerate(a)]
+    pivots = fraction_eliminate(rows, n)
+    assert len(pivots) == n, "matrix is singular"
+    out = _linalg.zeros(n)
+    for c, p, _ in pivots:
+        out[c] = {j - n: x for j, x in rows[p].items() if j >= n}
+    return out
 
 
 # the reference for the relation table: each relation as matrix products

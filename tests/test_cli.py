@@ -403,6 +403,12 @@ GOLDEN_REPORTS = {
         "03fcb61c9c8ca2510d14a098cd6833ab071092b019052afb63efd5aa70caf10a",
     "cellrank --u 61/3,-35/3,13/3 --n 2":
         "5adbdc7481cae9646dcc9c40329c8e4ff6971256d94f64bb87767b6ed68bcb1c",
+    # Murphy coordinate matrices with denominators, which the elimination
+    # clears to int rows, one scale per row
+    "gram --shape (2|1|-) --u 61/3,-35/3,13/3":
+        "19f70538b02269b58c3d6a4afaf1ccd1873d2d10ff184326fba389e1a3ac5703",
+    "gram --shape (1,1|1) --u 128/7,-40/7":
+        "808a8f023f99f8bfb4c3f4650da31c3a3b1c90c9efd4dc832c145f012cc9feae",
     # the closed count of updown tableaux, with its (2m-1)!! factor
     "counts --r 3 --n 4":
         "c8c89d5fca0e767fc748c32e8d83de4b1127e702ffba0ce07854ec57cbdc769f",

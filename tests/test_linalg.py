@@ -1,9 +1,14 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
-from support import from_dense
+import pytest
+
+from support import fraction_eliminate, fraction_inverse, from_dense, seeded_u
 from wenzl import _linalg as la
+from wenzl import combinat, hecke, wcell
+from wenzl.params import ParamSet
 
 F = Fraction
 
@@ -39,6 +44,39 @@ def _perm_sign(perm):
     inversions = sum(1 for i, j in itertools.combinations(range(len(perm)), 2)
                      if perm[i] > perm[j])
     return (-1) ** inversions
+
+
+def _seeded_squares():
+    """Seeded sparse n x n matrices, n <= 5, invertible and singular: one in
+    five has a repeated row or a zero row."""
+    rng = random.Random(2005)
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        a = _sparse_matrix(rng, n, n, rng.choice((0.3, 0.5, 0.8)))
+        if n > 1 and rng.random() < 0.2:
+            # a repeated row or a zero row
+            a[rng.randrange(1, n)] = list(a[0]) if rng.random() < 0.5 else [F(0)] * n
+        yield a
+
+
+def _seeded_products():
+    """Seeded products B C with inner dimension k, and k: B is [I_k; R] and C
+    is [I_k S] with shuffled rows and columns, so both have rank k; zero and
+    repeated rows of B give zero and repeated rows of B C; k = 0 is the zero
+    matrix."""
+    rng = random.Random(1905)
+    for _ in range(200):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        k = rng.randint(0, min(m, n))
+        b = _eye(k) + _sparse_matrix(rng, m - k, k)
+        for _ in range(rng.randint(0, 2)):
+            b.append(list(rng.choice(b)) if rng.random() < 0.5 else [F(0)] * k)
+        rng.shuffle(b)
+        cols = list(range(n))
+        rng.shuffle(cols)
+        c = [row + extra for row, extra in zip(_eye(k), _sparse_matrix(rng, k, n - k))]
+        c = [[row[j] for j in cols] for row in c]
+        yield (_dense_mul(b, c, n) if k else [[F(0)] * n for _ in b]), k
 
 
 def test_identity_and_zeros():
@@ -103,14 +141,9 @@ def test_det_and_inverse():
     # seeded sparse matrices, invertible and singular, against cofactor
     # expansion; the pivot order differs from the row order, so the sign of
     # the determinant comes from the pivot permutation
-    rng = random.Random(2005)
     invertible = singular = 0
-    for _ in range(150):
-        n = rng.randint(1, 5)
-        a = _sparse_matrix(rng, n, n, rng.choice((0.3, 0.5, 0.8)))
-        if n > 1 and rng.random() < 0.2:
-            # a repeated row or a zero row
-            a[rng.randrange(1, n)] = list(a[0]) if rng.random() < 0.5 else [F(0)] * n
+    for a in _seeded_squares():
+        n = len(a)
         rows = from_dense(a)
         d = la.det(rows)
         assert d == _cofactor_det(a), a
@@ -143,22 +176,144 @@ def test_rank():
     assert rank([[F(1), F(2), F(3)], [F(4), F(5), F(6)]]) == 2
     assert la.rank(la.zeros(2)) == 0
     assert la.rank([]) == 0 and rank([[]]) == 0
-    # seeded products B C with inner dimension k: B is [I_k; R] and C is
-    # [I_k S] with shuffled rows and columns, so both have rank k; zero and
-    # repeated rows of B give zero and repeated rows of B C; k = 0 is the
-    # zero matrix
-    rng = random.Random(1905)
-    for _ in range(200):
-        m, n = rng.randint(1, 8), rng.randint(1, 8)
-        k = rng.randint(0, min(m, n))
-        b = _eye(k) + _sparse_matrix(rng, m - k, k)
-        for _ in range(rng.randint(0, 2)):
-            b.append(list(rng.choice(b)) if rng.random() < 0.5 else [F(0)] * k)
-        rng.shuffle(b)
-        cols = list(range(n))
-        rng.shuffle(cols)
-        c = [row + extra for row, extra in zip(_eye(k), _sparse_matrix(rng, k, n - k))]
-        c = [[row[j] for j in cols] for row in c]
-        bc = _dense_mul(b, c, n) if k else [[F(0)] * n for _ in b]
-        assert rank(bc) == k, (b, c)
-        assert rank([list(col) for col in zip(*bc)]) == k, (b, c)
+    # seeded products of known rank k, and their transposes
+    for bc, k in _seeded_products():
+        assert rank(bc) == k, bc
+        assert rank([list(col) for col in zip(*bc)]) == k, bc
+
+
+def test_checks_raise_without_asserts():
+    # ValueError, not assert: under python -O a singular inverse would
+    # otherwise come back with empty rows
+    with pytest.raises(ValueError, match="matrix is singular"):
+        la.inverse(from_dense([[F(1), F(2)], [F(2), F(4)]]))
+    with pytest.raises(ValueError, match="matrix is singular"):
+        la.inverse(la.zeros(3))
+    wide = from_dense([[F(1), F(0), F(1)], [F(0), F(1), F(1)]])
+    with pytest.raises(ValueError, match="inverse needs a square matrix"):
+        la.inverse(wide)
+    with pytest.raises(ValueError, match="determinant needs a square matrix"):
+        la.det(wide)
+
+
+def _big_matrices():
+    """Seeded matrices of about 200-bit entries, sparse and dense, square and
+    not: int entries, and Fraction entries with about 100-bit numerators and
+    denominators; one in four has a zero row, a repeated row or a row that
+    is a multiple of another."""
+    rng = random.Random(2006)
+    for t in range(120):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        if t % 2:
+            n = m
+        density = rng.choice((0.3, 0.6, 1.0))
+        if t % 3 == 2:
+            def entry():
+                return F(rng.getrandbits(100) - 2 ** 99, rng.getrandbits(100) + 1)
+        else:
+            def entry():
+                return rng.getrandbits(200) - 2 ** 199
+        a = [[entry() if rng.random() < density else 0 for _ in range(n)] for _ in range(m)]
+        if m > 1 and rng.random() < 0.25:
+            i = rng.randrange(1, m)
+            a[i] = rng.choice(([0] * n, list(a[0]), [x * rng.choice((-3, 5, F(2, 7))) for x in a[0]]))
+        yield [{j: x for j, x in enumerate(row) if x} for row in a]
+
+
+def _repeated_and_zero_rows():
+    base = [{0: 3, 2: -5}, {1: 7, 3: 2}, {0: F(1, 2), 1: F(-4, 3), 3: 1}, {2: 9}]
+    yield [{}, {}, {}]
+    yield [dict(base[0]), {}, dict(base[0]), {}]
+    yield [dict(base[0]), dict(base[1]), {j: -4 * x for j, x in base[0].items()}, dict(base[3])]
+    yield [dict(base[2]), {j: F(5, 3) * x for j, x in base[2].items()}, dict(base[1]), {}]
+    yield [dict(row) for row in base] + [dict(base[1]), {}]
+    yield [dict(row) for row in base]
+
+
+def _cellrank_vectors(r, n, monkeypatch):
+    """The vectors cellular_rank_report ranks at the default and at seeded
+    fractional roots."""
+    ranked = []
+    monkeypatch.setattr(wcell, "_rank_from_vecs",
+                        lambda vecs: ranked.append(vecs) or {"count": len(vecs), "rank": 0})
+    for ps in (ParamSet.default(r, n), ParamSet.from_u(seeded_u("eliminate", r, n), n)):
+        wcell.cellular_rank_report(ps, n)
+    monkeypatch.undo()
+    return ranked
+
+
+def _murphy_matrices(r, n):
+    for ps in (ParamSet.default(r, n), ParamSet.from_u(seeded_u("eliminate", r, n), n)):
+        yield hecke.MurphyBasis(hecke.HeckeAlgebra(ps, n)).matrix
+
+
+def _assert_matches_fraction_reference(a):
+    """The int elimination takes the pivots of the Fraction elimination, with
+    the same values over Q, and rank, det and inverse agree with it; the
+    input is left as it was."""
+    before = [dict(row) for row in a]
+    want = fraction_eliminate([dict(row) for row in a])
+    assert la._eliminate(list(a)) == want
+    assert la.rank(a) == len(want)
+    n = len(a)
+    if any(j >= n for row in a for j in row):
+        assert a == before
+        return
+    full = len(want) == n
+    sign = la._sign([p for _, p, _ in want]) if full else 0
+    assert la.det(a) == math.prod((v for *_, v in want), start=F(sign))
+    augmented = [{**row, n + i: 1} for i, row in enumerate(a)]
+    assert la._eliminate(augmented, n) == fraction_eliminate(
+        [{**row, n + i: F(1)} for i, row in enumerate(a)], n)
+    if full:
+        assert la.inverse(a) == fraction_inverse(a)
+    else:
+        with pytest.raises(ValueError, match="matrix is singular"):
+            la.inverse(a)
+    assert a == before
+
+
+def test_int_elimination_matches_fraction_reference():
+    for a in _seeded_squares():
+        _assert_matches_fraction_reference(from_dense(a))
+    for bc, _ in _seeded_products():
+        _assert_matches_fraction_reference(from_dense(bc))
+        _assert_matches_fraction_reference(from_dense([list(col) for col in zip(*bc)]))
+    for a in _big_matrices():
+        _assert_matches_fraction_reference(a)
+    for a in _repeated_and_zero_rows():
+        _assert_matches_fraction_reference(a)
+
+
+@pytest.mark.parametrize("r,n", [(2, 2), (1, 3), (3, 2), (2, 3), (1, 4)])
+def test_int_elimination_matches_fraction_reference_on_cellrank(r, n, monkeypatch):
+    target = r ** n * combinat.double_factorial(2 * n - 1)
+    for vecs in _cellrank_vectors(r, n, monkeypatch):
+        assert la.rank(vecs) == target
+        _assert_matches_fraction_reference(vecs)
+
+
+@pytest.mark.parametrize("r,n", [(3, 2), (1, 4), (2, 3)])
+def test_int_elimination_matches_fraction_reference_on_murphy(r, n):
+    for matrix in _murphy_matrices(r, n):
+        _assert_matches_fraction_reference(matrix)
+
+
+def test_int_rows_stay_int(monkeypatch):
+    # every stored value after elimination is an int, and no row stores a
+    # zero: a Fraction slipping back in would undo the int arithmetic
+    def check(rows, augmented=None):
+        la._eliminate(rows, augmented)
+        assert all(type(x) is int and x for row in rows for x in row.values())
+
+    for vecs in _cellrank_vectors(2, 3, monkeypatch):
+        assert all(type(x) is int for v in vecs for x in v.values())
+        check(list(vecs))
+    for a in _big_matrices():
+        check(list(a))
+        n = len(a)
+        if all(j < n for row in a for j in row):
+            check([{**row, n + i: 1} for i, row in enumerate(a)], n)
+    for matrix in _murphy_matrices(2, 3):
+        check(list(matrix))
+        check([{**row, len(matrix) + i: 1} for i, row in enumerate(matrix)], len(matrix))
