@@ -268,6 +268,10 @@ COMMANDS = {"counts": cmd_counts, "verify": cmd_verify, "gram": cmd_gram,
 
 
 def main(argv=None) -> int:
+    # an exact checker prints its exact values, however many digits they
+    # have; Python before 3.10.7 has no limit to lift
+    if getattr(sys, "set_int_max_str_digits", None):
+        sys.set_int_max_str_digits(0)
     argv = sys.argv[1:] if argv is None else argv
     cfg = _resolve(_PARSER.parse_args(_join_dash_values(argv)))
     # omega reports scalars up to --order, so it stores at least that many

@@ -156,9 +156,15 @@ def mp_adjacent(a: Multipartition, b: Multipartition) -> bool:
                for x, y in itertools.zip_longest(p, q, fillvalue=0)) == 1
 
 
+def shape_before(t: Tableau, k: int) -> Multipartition:
+    """The shape of t before step k: t_{k-1}, or the empty multipartition
+    when k = 1."""
+    return t[k - 2] if k >= 2 else empty_mp(len(t[0]))
+
+
 def step_node(t: Tableau, k: int) -> tuple[Node, bool]:
     """(node, removed) describing step k of an updown tableau (1-based)."""
-    prev = t[k - 2] if k >= 2 else empty_mp(len(t[0]))
+    prev = shape_before(t, k)
     cur = t[k - 1]
     if mp_size(cur) > mp_size(prev):
         return box_diff(prev, cur), False
@@ -296,9 +302,7 @@ def k_neighbors(t: Tableau, k: int) -> list[Tableau]:
     assert 1 <= k <= n
     if k == n:
         return [t]
-    r = len(t[0])
-    prev = t[k - 2] if k >= 2 else empty_mp(r)
-    return [t[:k - 1] + (mid,) + t[k:] for mid in neighbors(prev)
+    return [t[:k - 1] + (mid,) + t[k:] for mid in neighbors(shape_before(t, k))
             if mp_adjacent(mid, t[k])]
 
 
@@ -306,8 +310,7 @@ def sk_action(t: Tableau, k: int):
     """Swap steps k and k+1; None when the swapped path leaves the lattice."""
     n = len(t)
     assert 1 <= k < n
-    r = len(t[0])
-    prev = t[k - 2] if k >= 2 else empty_mp(r)
+    prev = shape_before(t, k)
     if prev == t[k]:
         raise ValueError("steps k, k+1 return to the start; swap is not defined")
     node2, removed2 = _step_nodes(t)[k]

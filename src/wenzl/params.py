@@ -5,8 +5,9 @@ rational functions num/den whose denominators are cleared when they are
 built, so num and den are polynomials over Z (Python ints) and their
 products never normalise a Fraction.  A rational function is not reduced:
 equality is by cross-multiplication.  The scalars are coefficients of one
-expansion at y = infinity: Omega is that of W_1 (W at the empty shape), and
-the tower scalars omega_k^(a) that of W_k; they are Fractions.
+expansion at y = infinity: Omega is that of W at the empty shape, and the
+tower scalars omega_k^(a) that of W at the shape before step k; they are
+Fractions.
 """
 
 from __future__ import annotations
@@ -216,15 +217,15 @@ class ParamSet:
 
     ``omega[a]`` is exact for 0 <= a <= N.  ``from_u`` sizes N from r and
     the strand count n.  No check on n strands reads Omega beyond index
-    r + 2 (the tower scalars come from the closed form of W_k), so N stays
+    r + 2 (the tower scalars come from the closed form of W), so N stays
     for the ``omega`` command and the reports.  ``mode`` records whether
     Omega was derived from u; a parameter set constructed directly with
     an Omega of its own names another mode.
 
     ``w_at`` holds W at each shape met (``wk_rational``), so each is formed
-    once per parameter set; ``from_u`` stores W_1, from which it reads
-    Omega.  It is no constructor argument, and neither equality, the hash
-    nor ``as_json`` reads it.
+    once per parameter set; ``from_u`` stores W at the empty shape, from
+    which it reads Omega.  It is no constructor argument, and neither
+    equality, the hash nor ``as_json`` reads it.
     """
 
     r: int
@@ -236,8 +237,9 @@ class ParamSet:
 
     @classmethod
     def from_u(cls, u, n_hint: int = 4, min_N: int = 0) -> "ParamSet":
-        """Omega from the roots u: the coefficients of y^0 .. y^-N of W_1 at
-        infinity, with N the larger of 2r + 4 max(n_hint, 1) and min_N."""
+        """Omega from the roots u: the coefficients of y^0 .. y^-N at infinity
+        of W at the empty shape, with N the larger of 2r + 4 max(n_hint, 1)
+        and min_N."""
         u = tuple(parse_fraction(x) for x in u)
         r = len(u)
         N = max(2 * r + 4 * max(n_hint, 1), min_N)
@@ -264,7 +266,7 @@ class ParamSet:
 
 
 # ---------------------------------------------------------------------------
-# the generating functions W_1, W_k(y, t)
+# W at a shape, one step of its recursion, and the tower scalars
 # ---------------------------------------------------------------------------
 
 def _w_at_shape(shape, r: int, u) -> RationalFunction:
@@ -278,24 +280,16 @@ def _w_at_shape(shape, r: int, u) -> RationalFunction:
     return rf + RationalFunction(Poly((HALF, Fraction(-1))))
 
 
-def w1_rational(ps: ParamSet) -> RationalFunction:
-    """W_1 = W at the empty shape, whose addable nodes have contents u_i:
-    (y - (1/2)(-1)^r) prod_i (y + u_i)/(y - u_i) - y + 1/2."""
-    assert ps.mode == "u-admissible-derived", "needs u"
-    return wk_rational((), 1, ps)
-
-
-def wk_rational(t, k: int, ps: ParamSet) -> RationalFunction:
-    """W_k along t in closed form: W at the step-(k-1) shape of t, unreduced;
-    t may end there.  Coinciding contents need no special case, since num and
-    den are polynomial in the contents; whether u is generic enough is
-    decided when the seminormal model is built.  W at each shape is formed
-    once per parameter set, in ``ps.w_at``."""
-    assert 1 <= k <= len(t) + 1
-    shape = t[k - 2] if k >= 2 else combinat.empty_mp(ps.r)
-    w = ps.w_at.get(shape)
+def wk_rational(mu, ps: ParamSet) -> RationalFunction:
+    """W at the shape mu in closed form, unreduced: W_k along every walk
+    whose shape before step k is mu; W_1 at the empty shape.  Coinciding
+    contents need no special case, since num and den are polynomial in the
+    contents; whether u is generic enough is decided when the seminormal
+    model is built.  W at each shape is formed once per parameter set, in
+    ``ps.w_at``."""
+    w = ps.w_at.get(mu)
     if w is None:
-        w = ps.w_at[shape] = _w_at_shape(shape, ps.r, ps.u)
+        w = ps.w_at[mu] = _w_at_shape(mu, ps.r, ps.u)
     return w
 
 
@@ -309,23 +303,17 @@ def _recursion_factor_rational(c: Fraction) -> RationalFunction:
                             (minus * minus - q2) * (plus * plus))
 
 
-def wk_recursive_rational(t, k: int, ps: ParamSet) -> RationalFunction:
-    """One step of the recursion for W_k along t, taken from the closed form
-    W_{k-1}: F(c)(W_{k-1} + y - 1/2) - (y - 1/2), with c the content of step
-    k - 1 and F the recursion factor; W_1 itself when k = 1.  t may end at
-    step k - 1."""
-    assert 1 <= k <= len(t) + 1
-    if k == 1:
-        return w1_rational(ps)
+def wk_recursive_rational(mu, c: Fraction, ps: ParamSet) -> RationalFunction:
+    """One step of the recursion for W, from the closed form at the shape mu
+    across a step of content c: F(c)(W + y - 1/2) - (y - 1/2), with F the
+    recursion factor."""
     y_minus_half = RationalFunction(Poly((-HALF, Fraction(1))))
-    c = combinat.content_sequence(t, ps.u)[k - 2]
     return (_recursion_factor_rational(c)
-            * (wk_rational(t, k - 1, ps) + y_minus_half) - y_minus_half)
+            * (wk_rational(mu, ps) + y_minus_half) - y_minus_half)
 
 
-def omega_k_values(t, k: int, ps: ParamSet, A: int) -> list[Fraction]:
-    """The scalars omega_k^{(a)}, a = 0..A, at position k along t: the
-    coefficients of y^{-a} in the expansion at infinity of the closed form
-    W_k, which depends only on the step-(k-1) shape of t; t may end there.
-    At k = 1 they are Omega."""
-    return series_of_rational(wk_rational(t, k, ps), A)
+def omega_k_values(mu, ps: ParamSet, A: int) -> list[Fraction]:
+    """The scalars omega_k^{(a)}, a = 0..A, at every position k whose shape
+    before step k is mu: the coefficients of y^{-a} in the expansion at
+    infinity of W at mu.  At the empty shape they are Omega."""
+    return series_of_rational(wk_rational(mu, ps), A)

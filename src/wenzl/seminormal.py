@@ -31,25 +31,18 @@ from .params import ParamSet
 # ---------------------------------------------------------------------------
 
 
-def _prev(t, k: int):
-    """Shape after step k-1 (the empty multipartition when k = 1)."""
-    return t[k - 2] if k >= 2 else combinat.empty_mp(len(t[0]))
-
-
 def returns_at(t, k: int) -> bool:
     """Steps k, k+1 of t leave and re-enter the same shape."""
-    return 1 <= k < len(t) and _prev(t, k) == t[k]
+    return 1 <= k < len(t) and combinat.shape_before(t, k) == t[k]
 
 
-def e_diag(t, cs, k: int, ps: ParamSet, boundary) -> Fraction:
-    """Diagonal contraction coefficient at position k of t, whose contents
-    are cs, defined when steps k, k+1 return: (2c - (-1)^r) times the
+def e_diag(c: Fraction, boundary, r: int) -> Fraction:
+    """Diagonal contraction coefficient of a pair of steps that leave a shape
+    mu across a node of content c and return: (2c - (-1)^r) times the
     product of (c + c(alpha))/(c - c(alpha)) over the other boundary nodes
-    alpha; ``boundary`` is ``combinat.addable_removable`` of the shape before
-    step k, which the caller takes once for all the tableaux through it."""
-    assert returns_at(t, k)
-    c = cs[k - 1]
-    sign = -1 if ps.r % 2 else 1
+    alpha; ``boundary`` is ``combinat.addable_removable`` of mu, which the
+    caller takes once for all the steps out of it."""
+    sign = -1 if r % 2 else 1
     out = Fraction(2 * c - sign)
     for _, ca, _ in boundary:
         if ca != c:
@@ -62,7 +55,7 @@ def swap_a(t, cs, k: int) -> Fraction:
     d = cs[k] - cs[k - 1]
     if d == 0:
         raise ValueError(f"equal adjacent contents at k={k} from shape "
-                         f"{_prev(t, k)}: parameters not generic")
+                         f"{combinat.shape_before(t, k)}: parameters not generic")
     return 1 / d
 
 
@@ -121,19 +114,20 @@ def _orthonormal_entries(ps: ParamSet, k: int, idx: dict, contents: dict):
     S_diag, S_off, E_diag, E_off = {}, {}, {}, {}
     seen: set[int] = set()
     for t, i in idx.items():
+        mu = combinat.shape_before(t, k)
         if returns_at(t, k):
             if i in seen:
                 continue
             cls = combinat.k_neighbors(t, k)
-            boundary = combinat.addable_removable(_prev(t, k), ps.u)
+            boundary = combinat.addable_removable(mu, ps.u)
             evals = {}
             for m in cls:
                 seen.add(idx[m])
-                ev = e_diag(m, contents[m], k, ps, boundary)
+                ev = e_diag(contents[m][k - 1], boundary, ps.r)
                 if ev <= 0:
                     raise ValueError(
                         f"contraction coefficient {ev} <= 0 at k={k} from "
-                        f"shape {_prev(t, k)}: "
+                        f"shape {mu}: "
                         "parameters outside the positivity regime")
                 evals[m] = ev
             for s in cls:
@@ -143,7 +137,7 @@ def _orthonormal_entries(ps: ParamSet, k: int, idx: dict, contents: dict):
                     if denom == 0:
                         raise ValueError(
                             f"opposite contents in one class at k={k} from "
-                            f"shape {_prev(t, k)}: parameters not generic")
+                            f"shape {mu}: parameters not generic")
                     if s == tt:
                         E_diag[idx[s]] = evals[s]
                         S_diag[idx[s]] = (evals[s] - 1) / denom
@@ -159,14 +153,14 @@ def _orthonormal_entries(ps: ParamSet, k: int, idx: dict, contents: dict):
             if partner is None:
                 if a * a != 1:
                     raise ValueError(
-                        f"swap at k={k} from shape {_prev(t, k)} undefined "
+                        f"swap at k={k} from shape {mu} undefined "
                         f"but coefficient {a} is not a unit: outside the regime")
             else:
                 b2 = 1 - a * a
                 if b2 < 0:
                     raise ValueError(
                         f"squared off-diagonal {b2} < 0 at k={k} from shape "
-                        f"{_prev(t, k)}: outside the positivity regime")
+                        f"{mu}: outside the positivity regime")
                 if b2:
                     S_off[idx[partner], i] = (1, b2)
     return (S_diag, S_off), (E_diag, E_off)
@@ -450,8 +444,7 @@ def tower_scalars(ps: ParamSet, n: int) -> dict:
     for every mu with |mu| <= n - 2 (every position k < n): the expansion at
     infinity of the closed form of W at mu, which ``ps`` forms once per
     shape."""
-    return {mu: params.omega_k_values(combinat.t_lambda(mu),
-                                      combinat.mp_size(mu) + 1, ps, ps.r + 1)
+    return {mu: params.omega_k_values(mu, ps, ps.r + 1)
             for size in range(n - 1)
             for mu in combinat.multipartitions(ps.r, size)}
 
@@ -486,7 +479,8 @@ def verify_relations(real: Realization, scalars: dict) -> list[dict]:
     for k in range(1, real.n):
         e = ("E", k)
         ek = real.evaluate((e,))
-        rows = [[scalars[_prev(t, k)] for t in rep.basis] for rep in real.reps]
+        rows = [[scalars[combinat.shape_before(t, k)] for t in rep.basis]
+                for rep in real.reps]
         for a in range(real.ps.r + 2):
             rhs = _rows_scaled(ek, [[w[a] for w in ws] for ws in rows])
             for res, value in zip(out, block_residuals(
@@ -524,18 +518,21 @@ class IdentityReport:
 def check_identities(ps: ParamSet, n: int) -> IdentityReport:
     """Every exact coefficient identity at n strands, checked with zero
     tolerance once per local configuration.  A coefficient at k reads only
-    the shape mu before step k and the next steps, so each window out of mu
-    is placed after t^mu, at k = |mu| + 1: the class and W identities once
-    per mu with |mu| <= n - 2, the swap identities once per (mu, nu, rho)
-    with rho != mu, the matching identities once per (mu, nu) with
-    |mu| <= n - 3.  ``w-recursion`` checks one recursion step per lattice
-    edge mu -> nu with |mu| <= n - 2: the closed form at nu equals the step
-    from the closed form at mu.  By induction on the walk, the recursion
-    from W_1 then gives the closed form along every walk of fewer than n
-    steps.  Its first record (n >= 1, ``k=1``) compares W_1 with its own
-    definition: Omega is read off W_1, which ``ps`` holds, so both sides are
-    that one object; it is kept so that the counts stay as they were.  W at
-    each shape is formed once per parameter set, in ``ps.w_at``."""
+    the shape mu before step k and the contents of the steps out of mu,
+    which ``combinat.neighbors`` and ``combinat.addable_removable`` list in
+    one order (the step back from nu has content -c_nu).  So the class and
+    W identities are read off one table of contents per mu with
+    |mu| <= n - 2, and the contraction-inverse identity per (mu, nu) with
+    |mu| <= n - 3.  The swap identities, per (mu, nu, rho) with rho != mu,
+    and the matching identities, per (mu, nu) with |mu| <= n - 3, check
+    ``combinat.sk_action`` on windows placed after t^mu, at k = |mu| + 1;
+    elsewhere t^mu only names a window in a failure.  ``w-recursion``
+    checks that the closed form at nu is one recursion step from that at
+    mu, per lattice edge mu -> nu with |mu| <= n - 2; by induction on the
+    walk, the recursion from W at the empty shape, from which Omega is
+    read, then gives the closed form along every walk of fewer than n
+    steps.  W at each shape is formed once per parameter set, in
+    ``ps.w_at``."""
     counts: dict[str, int] = {}
     failures: list[str] = []
 
@@ -544,47 +541,39 @@ def check_identities(ps: ParamSet, n: int) -> IdentityReport:
         if not ok:
             failures.append(f"{name}: {ctx}")
 
-    if n >= 1:
-        record("w-recursion", params.wk_rational((), 1, ps)
-               == params.wk_recursive_rational((), 1, ps), "k=1")
     y = params.RationalFunction(params.Poly.y_plus(0))
     for mu in (lam for size in range(n - 1)
                for lam in combinat.multipartitions(ps.r, size)):
         tmu = combinat.t_lambda(mu)
         k = len(tmu) + 1
-        nbrs = combinat.neighbors(mu)
-        for nu in nbrs:
-            t = tmu + (nu,)
-            record("w-recursion", params.wk_rational(t, k + 1, ps)
-                   == params.wk_recursive_rational(t, k + 1, ps),
-                   f"k={k + 1}, prefix={t}")
-        cls = [tmu + (nu, mu) for nu in nbrs]
-        cs = {m: combinat.content_sequence(m, ps.u) for m in cls}
         bmu = combinat.addable_removable(mu, ps.u)
-        e = {m: e_diag(m, cs[m], k, ps, bmu) for m in cls}
-        c = {m: cs[m][k - 1] for m in cls}
-        for s in cls:
-            csk = c[s]
-            lhs = sum(e[m] / (csk + c[m]) for m in cls)
-            record("class-sum-linear", lhs == 1 + Fraction(1, 2) / csk,
-                   f"s={s}, k={k}")
-            lhs = sum(e[m] / (csk + c[m]) ** 2 for m in cls)
-            rhs = ((1 - Fraction(1, 4) / csk ** 2) / e[s]
-                   + Fraction(1, 2) / csk ** 2)
-            record("class-sum-quadratic", lhs == rhs, f"s={s}, k={k}")
-            for tp in cls:
+        c = {nu: cn for nu, (_, cn, _) in zip(combinat.neighbors(mu), bmu)}
+        for nu, cn in c.items():
+            record("w-recursion", params.wk_rational(nu, ps)
+                   == params.wk_recursive_rational(mu, cn, ps),
+                   f"k={k + 1}, prefix={tmu + (nu,)}")
+        e = {nu: e_diag(cn, bmu, ps.r) for nu, cn in c.items()}
+        for s, cs in c.items():
+            lhs = sum(e[m] / (cs + c[m]) for m in c)
+            record("class-sum-linear", lhs == 1 + Fraction(1, 2) / cs,
+                   f"s={tmu + (s, mu)}, k={k}")
+            lhs = sum(e[m] / (cs + c[m]) ** 2 for m in c)
+            rhs = ((1 - Fraction(1, 4) / cs ** 2) / e[s]
+                   + Fraction(1, 2) / cs ** 2)
+            record("class-sum-quadratic", lhs == rhs, f"s={tmu + (s, mu)}, k={k}")
+            for tp in c:
                 if tp == s:
                     continue
-                lhs = sum(e[m] / ((csk + c[m]) * (c[m] + c[tp])) for m in cls)
-                record("class-sum-cross", lhs == Fraction(1, 2) / (csk * c[tp]),
-                       f"s={s}, t'={tp}, k={k}")
-        # partial fractions of W_k(y)/y over the class
-        w = params.wk_rational(tmu, k, ps)
+                lhs = sum(e[m] / ((cs + c[m]) * (c[m] + c[tp])) for m in c)
+                record("class-sum-cross", lhs == Fraction(1, 2) / (cs * c[tp]),
+                       f"s={tmu + (s, mu)}, t'={tmu + (tp, mu)}, k={k}")
+        # partial fractions of W(y)/y over the class
+        w = params.wk_rational(mu, ps)
         record("w-vanishes-at-zero", w(Fraction(0)) == 0, f"k={k}, prefix={tmu}")
         parts = sum(params.RationalFunction(
-            params.Poly.const(e[m]), params.Poly.y_plus(-c[m])) for m in cls)
+            params.Poly.const(e[m]), params.Poly.y_plus(-c[m])) for m in c)
         record("w-partial-fractions", w / y == parts, f"k={k}, prefix={tmu}")
-        for nu in nbrs:
+        for nu in c:
             for rho in combinat.neighbors(nu):
                 if rho == mu:
                     continue
@@ -601,12 +590,9 @@ def check_identities(ps: ParamSet, n: int) -> IdentityReport:
                 record("content-swap", ok, f"t={t}, k={k}")
             if k > n - 2:
                 continue
-            t = tmu + (nu, mu, nu)
-            ct = combinat.content_sequence(t, ps.u)
             bnu = combinat.addable_removable(nu, ps.u)
-            record("contraction-inverse",
-                   e_diag(t, ct, k, ps, bmu) * e_diag(t, ct, k + 1, ps, bnu) == 1,
-                   f"t={t}, k={k}")
+            record("contraction-inverse", e[nu] * e_diag(-c[nu], bnu, ps.r) == 1,
+                   f"t={tmu + (nu, mu, nu)}, k={k}")
             # matching products of squared off-diagonals with contractions:
             # mu, nu, x, nu and mu, y, mu, nu swap to the same tableau
             for x in combinat.neighbors(nu):
@@ -618,8 +604,8 @@ def check_identities(ps: ParamSet, n: int) -> IdentityReport:
                 if combinat.sk_action(uu, k + 1) != target:
                     continue
                 ctt, cuu = (combinat.content_sequence(w, ps.u) for w in (tt, uu))
-                lhs = (1 - swap_a(tt, ctt, k) ** 2) * e_diag(tt, ctt, k + 1, ps, bnu)
-                rhs = (1 - swap_a(uu, cuu, k + 1) ** 2) * e_diag(uu, cuu, k, ps, bmu)
+                lhs = (1 - swap_a(tt, ctt, k) ** 2) * e_diag(ctt[k], bnu, ps.r)
+                rhs = (1 - swap_a(uu, cuu, k + 1) ** 2) * e[target[k - 1]]
                 record("square-root-matching", lhs == rhs,
                        f"t={tt}, u={uu}, k={k}")
     return IdentityReport(counts, failures)

@@ -273,6 +273,8 @@ def test_edge_inputs_end_in_records(tmp_path):
     cases += [[command, *args] for command in ("counts", "verify", "cellrank", "omega")
               for args in (["--n", "0"], ["--u", "1,1"],
                            ["--r", "1", "--n", "2", "--u", "1/2"])]
+    # roots whose exact values run to thousands of digits
+    cases += [["omega", "--u", "1e400"], ["verify", "--u", "1e5000", "--n", "0"]]
     for argv in cases:
         rc, records = run(argv, tmp_path)
         assert rc in (0, 1), argv
@@ -357,13 +359,19 @@ def test_out_naming_a_directory_or_nothing_is_a_usage_error(tmp_path):
         assert list(target.iterdir()) == []
 
 
-# sha256 of the exit code and report of each input, as the dense-matrix code
-# wrote them; a change of matrix format or arithmetic must leave them alone
+# sha256 of the exit code and report of each input; a change of matrix format
+# or arithmetic must leave them alone.  The verify reports count one
+# w-recursion record per lattice edge out of a shape of size <= n - 2.
 GOLDEN_REPORTS = {
     "verify --r 2 --n 3":
-        "157a611833c7b8730c955ebf6ae2e0da063fe5fbd3bc38525978b53c664ed4f8",
+        "cd0832c4b2b7e1dbd1bb377757cf92ca5e0a741102714a396581ccc6de13f310",
     "verify --r 3 --n 3 --u 120,-72,24":
-        "32279bc7ae00be894fcf9d62680af5b92f5088edd7d6906e5f09e01221a703f9",
+        "a94badca0b0f50cb88b910feab1b9ec6d0ae1d58f212967d2bc61f07c63e1339",
+    # n = 4: the contraction-inverse and matching windows out of nonempty shapes
+    "verify --r 1 --n 4":
+        "78c2ae22ba467019697d52c7d26264e3caa1b80b2b717aed150fe4e8ad471603",
+    "verify --r 2 --n 4":
+        "dbc868b7da5270c9aa9bba75c4a848641c115fc87abe5047228bf26ffac64470",
     "gram --shape (3|-)":
         "9e1b703b0a22b0965db2206fe52d3efcaa84e5986c80c81125f8eaf379a174aa",
     "gram --shape (2,1|-)":
@@ -398,9 +406,9 @@ GOLDEN_REPORTS = {
     # fractional roots, whose denominators the int evaluation must carry,
     # as the Fraction-row evaluation wrote them
     "verify --u 128/7,-40/7 --n 3":
-        "34b2ac206711b0fde17c417329ab9b157831b758c1c09d489e7d822e9eb7b966",
+        "cfa5e1d90bde84ad4ce648419d9120947addd3a811c4cba73d3c05e0d8cf0be5",
     "verify --u 239/4,-145/4,47/4 --n 3":
-        "03fcb61c9c8ca2510d14a098cd6833ab071092b019052afb63efd5aa70caf10a",
+        "7ebe72af3cc8652e723463a61b585a9923ac8d9a8199edfc40c8c28783c74cb5",
     "cellrank --u 61/3,-35/3,13/3 --n 2":
         "5adbdc7481cae9646dcc9c40329c8e4ff6971256d94f64bb87767b6ed68bcb1c",
     # Murphy coordinate matrices with denominators, which the elimination
@@ -430,7 +438,8 @@ def test_reports_match_golden_digests_without_asserts(tmp_path):
     src = str(Path(wenzl.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     out = tmp_path / "out.jsonl"
-    for argv in ("verify --r 2 --n 3", "cellrank --r 2 --n 3", "gram --shape (2|1|-)"):
+    for argv in ("verify --r 2 --n 3", "verify --r 1 --n 4", "cellrank --r 2 --n 3",
+                 "gram --shape (2|1|-)"):
         proc = subprocess.run(
             [sys.executable, "-O", "-m", "wenzl.cli", *argv.split(), "--out", str(out)],
             env=env, capture_output=True, text=True)

@@ -147,7 +147,7 @@ def test_w1_identities():
 
     half, y = F(1, 2), RationalFunction(Poly.y_plus(0))
     for u in _roots():
-        w = params.w1_rational(ParamSet.from_u(u, 3))
+        w = params.wk_rational(combinat.empty_mp(len(u)), ParamSet.from_u(u, 3))
         w_minus = RationalFunction(at_minus_y(w.num), at_minus_y(w.den))
         assert (w + y - half) * (w_minus - y - half) == (-y + half) * (y + half), u
 
@@ -164,7 +164,7 @@ def test_series_of_rational():
 def _walk_recursion(t, k, ps):
     """Reference W_k: the rational recursion from W_1 along the first
     k - 1 steps of t, num/den unreduced."""
-    rf = params.w1_rational(ps)
+    rf = params.wk_rational(combinat.empty_mp(ps.r), ps)
     y_minus_half = RationalFunction(Poly((-F(1, 2), F(1))))
     for c in combinat.content_sequence(t, ps.u)[:k - 1]:
         rf = params._recursion_factor_rational(c) * (rf + y_minus_half) \
@@ -182,9 +182,24 @@ def test_wk_rational_matches_walk_recursion(r, n):
              for t in combinat.enumerate_updown(m, lam, ps.u)]
     for t, k in walks:
         ref = _walk_recursion(t, k, ps)
-        assert params.wk_rational(t, k, ps) == ref, t
-        assert params.wk_recursive_rational(t, k, ps) == ref, t
-        assert params.omega_k_values(t, k, ps, A) == params.series_of_rational(ref, A)
+        mu = t[-1] if t else combinat.empty_mp(r)
+        assert params.wk_rational(mu, ps) == ref, t
+        if t:
+            # the last step of t, from the shape before it
+            c = combinat.content_sequence(t, ps.u)[-1]
+            step = params.wk_recursive_rational(combinat.shape_before(t, k - 1), c, ps)
+            assert step == ref, t
+        assert params.omega_k_values(mu, ps, A) == params.series_of_rational(ref, A)
+
+
+def _w1_from_roots(ps):
+    """(y - (1/2)(-1)^r) prod_i (y + u_i)/(y - u_i) - y + 1/2, from the
+    roots alone."""
+    y = RationalFunction(Poly.y_plus(0))
+    rf = y - F((-1) ** ps.r, 2)
+    for x in ps.u:
+        rf = rf * RationalFunction(Poly.y_plus(x), Poly.y_plus(-x))
+    return rf - y + F(1, 2)
 
 
 def test_w1_is_w_at_the_empty_shape():
@@ -192,7 +207,8 @@ def test_w1_is_w_at_the_empty_shape():
         ps = ParamSet.default(r, n)
         for lam in combinat.reachable_shapes(r, n):
             for t in combinat.enumerate_updown(n, lam):
-                assert params.wk_rational(t, 1, ps) == params.w1_rational(ps)
+                assert params.wk_rational(combinat.shape_before(t, 1), ps) \
+                    == _w1_from_roots(ps)
 
 
 def test_wk_rational_at_colliding_shape():
@@ -206,32 +222,30 @@ def test_wk_rational_at_colliding_shape():
     for shape in combinat.reachable_shapes(1, 2):
         for t in combinat.enumerate_updown(2, shape, ps.u):
             assert t[0] == lam
-            direct = params.wk_rational(t, 2, ps)
+            direct = params.wk_rational(lam, ps)
             ref = _walk_recursion(t, 2, ps)
             assert direct == ref
-            assert direct == params.wk_recursive_rational(t, 2, ps)
+            c = combinat.content_sequence(t, ps.u)[0]
+            assert direct == params.wk_recursive_rational(combinat.empty_mp(1), c, ps)
             assert direct(F(0)) == 0
-            assert params.omega_k_values(t, 2, ps, 4) == params.series_of_rational(ref, 4)
+            assert params.omega_k_values(lam, ps, 4) == params.series_of_rational(ref, 4)
 
 
 def test_omega_k_values_at_first_position():
     # before the first strand the shape is empty: the scalars are Omega itself
     ps = ParamSet.default(2, 2)
     t = (((1,), ()), ((1, 1), ()))
-    vals = params.omega_k_values(t, 1, ps, 4)
+    vals = params.omega_k_values(combinat.shape_before(t, 1), ps, 4)
     assert tuple(vals) == ps.omega[:5]
 
 
 def test_from_omega_mode():
-    # a parameter set built with an Omega of its own says so, and W_1,
-    # which is read off the roots, refuses it
+    # a parameter set built with an Omega of its own says so
     omega = nilpotent_example_omega(10)
     ps = ParamSet(2, (F(1, 4), F(1, 4)), tuple(omega), 10, "user-supplied")
     assert ps.mode != "u-admissible-derived"
     assert ps.as_json()["mode"] == "user-supplied"
     assert ps.omega[2] == F(-1, 16)
-    with pytest.raises(AssertionError):
-        params.w1_rational(ps)
 
 
 
@@ -246,8 +260,7 @@ def test_reported_scalars_are_fractions(u):
     values = list(ps.omega) + list(params.cyclotomic_coeffs(ps.u))
     for mu, ws in tower_scalars(ps, n).items():
         values += ws
-        values += params.omega_k_values(combinat.t_lambda(mu),
-                                        combinat.mp_size(mu) + 1, ps, ps.r + 1)
+        values += params.omega_k_values(mu, ps, ps.r + 1)
     assert values and all(type(x) is Fraction for x in values), \
         {type(x) for x in values}
 

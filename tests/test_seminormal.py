@@ -11,7 +11,7 @@ from support import (
     from_dense, module_contraction_free, module_fixtures, module_nonsplit,
     module_rank_one, module_realization, seeded_u,
 )
-from wenzl import _linalg, combinat, params
+from wenzl import _linalg, combinat, params, seminormal
 from wenzl.params import ParamSet
 from wenzl.seminormal import (
     RELATION_FAMILIES, Realization, _cleared, adjointness_residual, build_all,
@@ -279,6 +279,38 @@ def test_identity_suite():
         assert report.counts.get(family, 0) > 0, family
 
 
+def _failed_families(report):
+    """The families with a failure; each failure names its position k."""
+    assert all("k=" in ctx for ctx in report.failures), report.failures
+    return {ctx.split(":")[0] for ctx in report.failures}
+
+
+def test_identity_suite_fails_on_wrong_contraction_coefficients(monkeypatch):
+    # e + 1 for e: twice e would scale both sides of square-root-matching
+    e_diag = seminormal.e_diag
+    monkeypatch.setattr(seminormal, "e_diag", lambda *args: e_diag(*args) + 1)
+    report = check_identities(ParamSet.default(2, 3), 3)
+    failed = _failed_families(report)
+    assert {"class-sum-linear", "class-sum-quadratic", "class-sum-cross",
+            "w-partial-fractions", "contraction-inverse",
+            "square-root-matching"} <= failed
+    assert not failed & {"w-recursion", "w-vanishes-at-zero", "content-swap",
+                         "swap-degenerate-unit"}
+
+
+def test_identity_suite_fails_on_wrong_closed_form(monkeypatch):
+    # W + 1 at every shape but the empty one, from which Omega is read
+    w_at_shape = params._w_at_shape
+
+    def perturbed(shape, *args):
+        w = w_at_shape(shape, *args)
+        return w + 1 if any(shape) else w
+
+    monkeypatch.setattr(params, "_w_at_shape", perturbed)
+    report = check_identities(ParamSet.default(2, 3), 3)
+    assert "w-recursion" in _failed_families(report)
+
+
 def test_closed_form_w_taken_once_per_shape(monkeypatch):
     # the parameter set holds W: from_u forms W_1, check_identities forms W
     # at every other shape of size <= n - 1 once, and tower_scalars and a
@@ -353,12 +385,12 @@ def test_identity_suite_checks_each_window_once(r, n):
     report = check_identities(ps, n)
     assert report.ok
     seen = _visited_windows(ps, n)
-    # W_1 once, then one recursion step per distinct last edge of a walk
+    # one recursion step per distinct last edge of a walk
     last_edges = {(t[m - 2] if m >= 2 else combinat.empty_mp(r), t[m - 1])
                   for m in range(1, n)
                   for lam in combinat.reachable_shapes(r, m)
                   for t in combinat.enumerate_updown(m, lam, ps.u)}
-    assert report.counts == {"w-recursion": 1 + len(last_edges),
+    assert report.counts == {"w-recursion": len(last_edges),
                              **{name: len(keys) for name, keys in seen.items()}}
 
 
