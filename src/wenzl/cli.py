@@ -221,9 +221,7 @@ def cmd_verify(cfg: RunConfig, ps: ParamSet, meta: dict) -> tuple[list[dict], bo
 
 def cmd_gram(cfg: RunConfig, ps: ParamSet, meta: dict) -> tuple[list[dict], bool]:
     shape, n = cfg.shape, cfg.n
-    H = hecke.HeckeAlgebra(ps, n)
-    mb = hecke.MurphyBasis(H)
-    det = hecke.gram_det(H, mb, shape)
+    det = hecke.gram_det(hecke.murphy_basis(ps, n), shape)
     gammas = hecke.gamma_coeffs(shape, ps)
     path_ok = hecke.gamma_path_independent(shape, ps, gammas)
     prod = math.prod(gammas.values(), start=Fraction(1))

@@ -252,15 +252,41 @@ class MurphyBasis:
         # row i holds the coefficients of element i, by key index
         self.matrix = [{self.key_index[key]: c for key, c in el.items()}
                        for el in self.elements]
-        self._inv = None
+
+    @functools.cached_property
+    def _inv(self) -> tuple[int, list[dict]]:
+        """(D, rows): the inverse of ``matrix`` as int rows over one positive
+        denominator D, cleared once, on the first ``coords`` call."""
+        inv = _linalg.inverse(self.matrix)
+        den = math.lcm(*(x.denominator for row in inv for x in row.values()))
+        return den, [{j: x.numerator * (den // x.denominator) for j, x in row.items()}
+                     for row in inv]
 
     def coords(self, el: Element) -> dict:
         """The nonzero coordinates of el by triple index: the row vector x
-        with x · matrix = el, read off the inverse rows of el's keys."""
-        if self._inv is None:
-            self._inv = _linalg.inverse(self.matrix)
-        vec = {self.key_index[key]: c for key, c in el.items()}
-        return _linalg.mat_mul([vec], self._inv)[0]
+        with x · matrix = el.  el is brought to ints over the lcm L of its
+        denominators, its int row product with the inverse rows of its keys
+        is formed, and each nonzero entry v becomes Fraction(v, D·L)."""
+        den, inv = self._inv
+        scale = math.lcm(*(c.denominator for c in el.values()))
+        acc: dict = {}
+        for key, c in el.items():
+            f = c.numerator * (scale // c.denominator)
+            for j, y in inv[self.key_index[key]].items():
+                x = acc.get(j)
+                acc[j] = f * y if x is None else x + f * y
+        den *= scale
+        return {j: Fraction(x, den) for j, x in acc.items() if x}
+
+
+@functools.lru_cache(maxsize=1)
+def murphy_basis(ps: ParamSet, n: int) -> MurphyBasis:
+    """The Murphy basis of the quotient on n strands at ps, held for the next
+    call.  A batch asks for every shape of one parameter set in turn, and
+    the basis and its coordinate inverse depend only on (u, n), so a run of
+    jobs at one parameter set builds them once.  One entry: a long batch
+    stays flat in memory."""
+    return MurphyBasis(HeckeAlgebra(ps, n))
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +347,14 @@ def gamma_path_independent(lam, ps: ParamSet, gamma: dict) -> bool:
                for t, ratio in _descents(lam, s, ps))
 
 
-def gram_matrix(H: HeckeAlgebra, mb: MurphyBasis, lam) -> list[dict]:
+def gram_matrix(mb: MurphyBasis, lam) -> list[dict]:
     """The cell form on the standard tableaux of lam, as sparse rows: entry
     <m_s, m_t> is the coordinate at m_{t^lam t^lam} of m_{t^lam s} times the
-    factors of m_{t t^lam}, with every coordinate of the product checked.
-    t^lam and the factors of each t are formed once."""
+    factors of m_{t t^lam}, in the algebra ``mb.H``, with every coordinate
+    of the product checked.  t^lam and the factors of each t are formed
+    once; the basis elements are only read, so a held basis stays as
+    built."""
+    H = mb.H
     tl = combinat.t_lambda(lam)
     stds = combinat.standard_tableaux(lam)
     factors = [murphy_factors(H.ps, lam, t, tl) for t in stds]
@@ -348,8 +377,8 @@ def gram_matrix(H: HeckeAlgebra, mb: MurphyBasis, lam) -> list[dict]:
     return rows
 
 
-def gram_det(H: HeckeAlgebra, mb: MurphyBasis, lam) -> Fraction:
-    return _linalg.det(gram_matrix(H, mb, lam))
+def gram_det(mb: MurphyBasis, lam) -> Fraction:
+    return _linalg.det(gram_matrix(mb, lam))
 
 
 # ---------------------------------------------------------------------------

@@ -171,8 +171,6 @@ def hecke_pairing_residual(ps: ParamSet, n: int, arcs: int, shape: Multipartitio
     m = combinat.mp_size(shape)
     if m != n - 2 * arcs:
         raise ValueError("shape size must match the declared arc count")
-    H = hecke.HeckeAlgebra(ps, m)
-    mb = hecke.MurphyBasis(H)
     tabs = combinat.standard_tableaux(shape)
     if real is None:
         real = Realization(seminormal.build_all(ps, n))
@@ -189,7 +187,7 @@ def hecke_pairing_residual(ps: ParamSet, n: int, arcs: int, shape: Multipartitio
             cw = cellular_element(ps, n, arcs, shape, triv(a), triv(b))
             ev = real.evaluate_product(_word_sums(cw.left_word, cw.middle, cw.right_word))
             evaluated[a, b] = Evaluated(ev.blocks[blk:blk + 1], ev.den)
-    gram = hecke.gram_matrix(H, mb, shape)
+    gram = hecke.gram_matrix(hecke.murphy_basis(ps, m), shape)
     worst = Fraction(0)
     scale = ps.omega[0] ** arcs
     for s in tabs:

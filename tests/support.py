@@ -479,11 +479,13 @@ def terms(cw: wcell.CellularWord) -> wcell.WordSum:
                              ((Fraction(1), cw.right_word),)))
 
 
-def murphy_triangular_report(H: hecke.HeckeAlgebra, mb: hecke.MurphyBasis) -> list[str]:
-    """Check Y_k m_st = c_s(k) m_st + (dominance-higher terms): the diagonal
-    coefficient is the content, every other surviving coordinate must sit at
-    (same shape, s' strictly dominating s, same t) or at a shape strictly
-    dominating lam.  Returns human-readable failure strings (empty = pass)."""
+def murphy_triangular_report(mb: hecke.MurphyBasis) -> list[str]:
+    """Check Y_k m_st = c_s(k) m_st + (dominance-higher terms) in the algebra
+    ``mb.H``: the diagonal coefficient is the content, every other surviving
+    coordinate must sit at (same shape, s' strictly dominating s, same t) or
+    at a shape strictly dominating lam.  Returns human-readable failure
+    strings (empty = pass)."""
+    H = mb.H
     failures = []
     for (lam, s, t), el in zip(mb.triples, mb.elements):
         contents = combinat.content_sequence(s, H.ps.u)

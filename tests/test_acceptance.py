@@ -137,10 +137,9 @@ def test_criterion_09_gram_determinants():
     for r in (1, 2):
         for n in (1, 2, 3):
             ps = ParamSet.default(r, n)
-            H = hecke.HeckeAlgebra(ps, n)
-            mb = hecke.MurphyBasis(H)
+            mb = hecke.MurphyBasis(hecke.HeckeAlgebra(ps, n))
             for lam in combinat.multipartitions(r, n):
-                det = hecke.gram_det(H, mb, lam)
+                det = hecke.gram_det(mb, lam)
                 gammas = hecke.gamma_coeffs(lam, ps)
                 prod = math.prod(gammas.values(), start=F(1))
                 ok &= det == prod

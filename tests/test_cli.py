@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 import wenzl
+from support import seeded_u
+from wenzl import combinat, hecke
 from wenzl.cli import main
 
 
@@ -190,6 +192,49 @@ def test_gram_degenerate_parameters(tmp_path):
         assert records[0]["kind"] == "error"
         assert "ValueError: equal adjacent contents at " + cause in records[0]["error"]
 
+
+
+def _shape_arg(shape) -> str:
+    return "--shape=(" + "|".join(",".join(map(str, p)) or "-" for p in shape) + ")"
+
+
+def _u_arg(u) -> str:
+    return "--u=" + ",".join(map(str, u))
+
+
+def test_gram_reports_do_not_depend_on_job_order(tmp_path):
+    # every shape of one parameter set, forward, reversed, and interleaved
+    # with another parameter set that evicts the held basis
+    shapes = list(combinat.multipartitions(2, 3))
+    u = _u_arg(seeded_u("order", 2, 3))
+    evict = ["gram", "--shape=(2|-|-)", _u_arg(seeded_u("order", 3, 2))]
+    out = tmp_path / "out.jsonl"
+
+    def job(argv):
+        rc = main([*argv, "--out", str(out)])
+        return rc, out.read_bytes()
+
+    hecke.murphy_basis.cache_clear()
+    forward = {s: job(["gram", _shape_arg(s), u]) for s in shapes}
+    assert hecke.murphy_basis.cache_info().misses == 1
+    backward = {s: job(["gram", _shape_arg(s), u]) for s in reversed(shapes)}
+    assert hecke.murphy_basis.cache_info().misses == 1
+    interleaved, evicting = {}, set()
+    for s in shapes:
+        evicting.add(job(evict))
+        interleaved[s] = job(["gram", _shape_arg(s), u])
+    assert hecke.murphy_basis.cache_info().misses == 1 + 2 * len(shapes)
+    assert forward == backward == interleaved
+    assert all(rc == 0 for rc, _ in forward.values())
+    assert len(evicting) == 1 and evicting.pop()[0] == 0
+
+
+def test_gram_error_repeats(tmp_path):
+    # the error comes after the basis is held; a second run gives it again
+    got = [run(["gram", "--shape", "(1|1)", "--u", "1,1"], tmp_path) for _ in range(2)]
+    assert got[0] == got[1]
+    rc, records = got[0]
+    assert rc == 1 and [rec["kind"] for rec in records] == ["error"]
 
 def test_cellrank_smallest(tmp_path):
     # the rank is exact, so roots of any size reach full rank

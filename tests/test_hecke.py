@@ -8,15 +8,16 @@ from fractions import Fraction
 
 import pytest
 
-from support import key_word, multiply, murphy_triangular_report, row_symmetrizer_witness
+from support import (fraction_inverse, key_word, multiply, murphy_triangular_report,
+                     row_symmetrizer_witness, seeded_u)
 from wenzl import _linalg, combinat, hecke
 from wenzl.combinat import star_word
 from wenzl.hecke import (
     HeckeAlgebra, MurphyBasis, gamma_coeffs, gamma_path_independent,
     gamma_top, gram_det, gram_matrix, is_semisimple,
-    murphy_factors,
+    murphy_basis, murphy_factors,
 )
-from wenzl.params import ParamSet
+from wenzl.params import ParamSet, wk_rational
 from wenzl.seminormal import relations
 from wenzl.wcell import star_word_sum
 
@@ -198,14 +199,12 @@ def test_murphy_star_symmetry():
 
 def test_murphy_triangularity():
     for r, n in ((2, 2), (1, 3)):
-        H = _alg(r, n)
-        assert murphy_triangular_report(H, MurphyBasis(H)) == []
+        assert murphy_triangular_report(MurphyBasis(_alg(r, n))) == []
 
 
 def test_gram_dets_two_strands():
     ps = ParamSet.default(2, 2)
-    H = HeckeAlgebra(ps, 2)
-    mb = MurphyBasis(H)
+    mb = MurphyBasis(HeckeAlgebra(ps, 2))
     want = {
         ((2,), ()): F(144),
         ((1, 1), ()): F(56),
@@ -214,24 +213,23 @@ def test_gram_dets_two_strands():
         ((), (1, 1)): F(1),
     }
     for lam, det in want.items():
-        assert gram_det(H, mb, lam) == det
+        assert gram_det(mb, lam) == det
         prod = math.prod(gamma_coeffs(lam, ps).values(), start=F(1))
         assert prod == det
         assert gamma_path_independent(lam, ps, gamma_coeffs(lam, ps))
 
 
 def test_gram_matrix_symmetric():
-    ps = ParamSet.default(2, 2)
-    H = HeckeAlgebra(ps, 2)
-    mb = MurphyBasis(H)
+    mb = MurphyBasis(_alg(2, 2))
     lam = ((1,), (1,))
-    g = gram_matrix(H, mb, lam)
+    g = gram_matrix(mb, lam)
     assert len(g) == 2 and g[0][1] == g[1][0]
 
 
-def _gram_by_multiply(H, mb, lam):
+def _gram_by_multiply(mb, lam):
     """The cell form read off the full product m_{t^lam s} · m_{t t^lam} of
     two basis elements: the coefficient of m_{t^lam t^lam}."""
+    H = mb.H
     tl = combinat.t_lambda(lam)
     stds = combinat.standard_tableaux(lam)
     m, corner = mb.elements, mb.triple_index[lam, tl, tl]
@@ -247,11 +245,63 @@ def test_gram_matrix_equals_the_product_of_two_elements(r, n):
     k, delta = rng.choice((2, 4, 8)), rng.choice((F(1, 2), F(1, 3), F(2, 7), F(-1, 4)))
     seeded = tuple(k * x + delta for x in combinat.default_u(r, n))
     for ps in (ParamSet.default(r, n), ParamSet.from_u(seeded, n_hint=n)):
-        H = HeckeAlgebra(ps, n)
-        mb = MurphyBasis(H)
+        mb = MurphyBasis(HeckeAlgebra(ps, n))
         for lam in combinat.multipartitions(r, n):
-            assert gram_matrix(H, mb, lam) == _gram_by_multiply(H, mb, lam), (ps.u, lam)
+            assert gram_matrix(mb, lam) == _gram_by_multiply(mb, lam), (ps.u, lam)
 
+
+
+def test_murphy_basis_is_held_per_parameter_set():
+    # an equal parameter set, whatever W it has formed, finds the held basis
+    ps = ParamSet.default(2, 3)
+    wk_rational(((1,), ()), ps)
+    mb = murphy_basis(ps, 3)
+    assert mb.H.ps == ps and mb.H.n == 3
+    assert murphy_basis(ParamSet.default(2, 3), 3) is mb
+    # another u, or another n, builds a new basis, and one entry is held
+    other = ParamSet.from_u((F(6), F(-3)), n_hint=3)
+    assert other != ps
+    mb_u = murphy_basis(other, 3)
+    assert mb_u is not mb and mb_u.H.ps.u == other.u
+    mb_n = murphy_basis(other, 2)
+    assert mb_n is not mb_u and mb_n.H.n == 2
+    assert murphy_basis(other, 2) is mb_n
+    assert murphy_basis(ps, 3) is not mb
+
+
+def test_held_murphy_basis_stays_as_built():
+    # gram_matrix only reads the basis elements: after every shape, the held
+    # basis is the one a fresh build gives, so no product aliases an element
+    ps = ParamSet.from_u(seeded_u("held", 2, 3), n_hint=3)
+    mb = murphy_basis(ps, 3)
+    for lam in combinat.multipartitions(2, 3):
+        gram_matrix(mb, lam)
+    assert murphy_basis(ps, 3) is mb
+    fresh = MurphyBasis(HeckeAlgebra(ps, 3))
+    assert mb.elements == fresh.elements and mb.matrix == fresh.matrix
+    for el in fresh.elements:
+        assert mb.coords(el) == fresh.coords(el)
+
+
+@pytest.mark.parametrize("r,n", [(3, 2), (1, 4), (2, 3)])
+def test_int_coordinates_equal_the_fraction_inverse(r, n):
+    # coords on int rows against x · inverse over Fraction rows, on every
+    # basis element and every product a Gram matrix reads
+    for ps in (ParamSet.default(r, n), ParamSet.from_u(seeded_u("coords", r, n), n_hint=n)):
+        mb = MurphyBasis(HeckeAlgebra(ps, n))
+        H, inv = mb.H, fraction_inverse(mb.matrix)
+        els = list(mb.elements)
+        for lam in combinat.multipartitions(r, n):
+            tl = combinat.t_lambda(lam)
+            stds = combinat.standard_tableaux(lam)
+            for s in stds:
+                left = mb.elements[mb.triple_index[lam, tl, s]]
+                els += [H.act_factors(left, *murphy_factors(ps, lam, t, tl)) for t in stds]
+        for el in els:
+            got = mb.coords(el)
+            vec = {mb.key_index[key]: c for key, c in el.items()}
+            assert got == _linalg.mat_mul([vec], inv)[0], (ps.u, el)
+            assert all(type(x) is Fraction and x for x in got.values())
 
 def test_gamma_top_divides_product():
     ps = ParamSet.default(2, 2)
