@@ -1,10 +1,13 @@
 """The degenerate cyclotomic quotient on permutations: exact normal forms,
 the Murphy basis, Gram determinants, and the semisimplicity test.
 
-Elements are dicts mapping (alpha, w) to Fraction, where alpha is an
-n-tuple of exponents with 0 <= alpha_j < r and w is a one-line permutation:
-the key stands for Y_1^{alpha_1} ... Y_n^{alpha_n} T_w.  All rewriting is
-exact; no floats appear anywhere in this module.
+An element (``Element``) is int coefficients over one positive
+denominator, as in the seminormal model: a dict mapping (alpha, w) to a
+nonzero int, where alpha is an n-tuple of exponents with 0 <= alpha_j < r
+and w is a one-line permutation, so the key stands for
+Y_1^{alpha_1} ... Y_n^{alpha_n} T_w, and the denominator of them all.  All
+rewriting is exact and on ints: no Fraction is made inside it, and no
+floats appear anywhere in this module.
 
 Elements are made from the same generator words that
 ``seminormal.Realization`` evaluates: ``act`` applies a word on the right,
@@ -23,6 +26,7 @@ import itertools
 import math
 from collections import deque
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import _linalg, combinat
 from .combinat import (Multipartition, Tableau, Word, perm_inverse, perm_mult, perm_word,
@@ -30,11 +34,20 @@ from .combinat import (Multipartition, Tableau, Word, perm_inverse, perm_mult, p
 from .params import ParamSet, cyclotomic_coeffs
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
-Element = dict
 WordSum = tuple[tuple[Fraction, Word], ...]
 
 
-def _merge(out: Element, key: Key, c: Fraction):
+class Element(NamedTuple):
+    """An element of the quotient: the nonzero int coefficients ``terms`` by
+    key, all over the one positive denominator ``den``.  Every element a
+    method returns has gcd(den, every coefficient) = 1 (zero is ({}, 1)), so
+    == is equality of elements."""
+
+    terms: dict
+    den: int
+
+
+def _merge(out: dict, key: Key, c: int):
     """out[key] += c, storing no zero."""
     v = out.get(key)
     if v is None:
@@ -48,8 +61,26 @@ def _merge(out: Element, key: Key, c: Fraction):
         del out[key]
 
 
+def _canonical(terms: dict, den: int) -> Element:
+    """The element terms / den, with the common factor of den and every
+    coefficient divided out."""
+    if den != 1:
+        g = math.gcd(den, *terms.values())
+        if g != 1:
+            terms = {key: c // g for key, c in terms.items()}
+            den //= g
+    return Element(terms, den)
+
+
 class HeckeAlgebra:
-    """Exact arithmetic in the quotient where (Y_1 - u_1)...(Y_1 - u_r) = 0."""
+    """Exact arithmetic in the quotient where (Y_1 - u_1)...(Y_1 - u_r) = 0.
+
+    The coefficients of that relation below Y_1^r are cleared once to ints
+    ``cyc`` over their lcm ``Q``, which can exceed the roots' own
+    denominator.  ``act``, ``act_sum``, ``act_factors``, ``rmul_T`` and
+    ``rmul_Y`` take and return an ``Element``, and ``lmul_T`` and ``_reduce``
+    rewrite the int terms inside ``rmul_Y``: no method writes into its
+    input's terms, and every value it forms is an int."""
 
     def __init__(self, ps: ParamSet, n: int):
         if not ps.u:
@@ -57,12 +88,14 @@ class HeckeAlgebra:
         self.ps = ps
         self.n = n
         self.r = ps.r
-        # prod (Y - u_i) = Y^r + cyc[r-1] Y^{r-1} + ... + cyc[0]
-        self.cyc = cyclotomic_coeffs(ps.u)[:-1]
+        # prod (Y - u_i) = Y^r + (cyc[r-1] Y^{r-1} + ... + cyc[0]) / Q
+        cyc = cyclotomic_coeffs(ps.u)[:-1]
+        self.Q = math.lcm(*(c.denominator for c in cyc))
+        self.cyc = tuple(c.numerator * (self.Q // c.denominator) for c in cyc)
         self.id = tuple(range(1, n + 1))
 
     def one(self) -> Element:
-        return {(((0,) * self.n), self.id): Fraction(1)}
+        return Element({((0,) * self.n, self.id): 1}, 1)
 
     def _s(self, i: int) -> tuple[int, ...]:
         assert 1 <= i < self.n
@@ -73,16 +106,15 @@ class HeckeAlgebra:
     # -- ring operations ---------------------------------------------------
 
     def rmul_T(self, el: Element, i: int) -> Element:
+        """w -> w s_i is a bijection of the keys: no two terms meet."""
         s = self._s(i)
-        out: Element = {}
-        for (alpha, w), c in el.items():
-            _merge(out, (alpha, perm_mult(w, s)), c)
-        return out
+        return Element({(alpha, perm_mult(w, s)): c for (alpha, w), c in el.terms.items()},
+                       el.den)
 
     def rmul_Y(self, el: Element, j: int) -> Element:
         """Multiply by Y_j on the right: push Y_j left through each T_w."""
-        out: Element = {}
-        for (alpha, w), c in el.items():
+        out: dict = {}
+        for (alpha, w), c in el.terms.items():
             word = perm_word(w)
             jj = j
             # scan the reduced word right to left; each straightening step
@@ -100,7 +132,8 @@ class HeckeAlgebra:
             na = list(alpha)
             na[jj - 1] += 1
             _merge(out, (tuple(na), w), c)
-        return self._reduce(out)
+        out, power = self._reduce(out)
+        return _canonical(out, el.den * self.Q ** power)
 
     def _perm_of(self, word) -> tuple[int, ...]:
         w = self.id
@@ -108,12 +141,13 @@ class HeckeAlgebra:
             w = perm_mult(w, self._s(i))
         return w
 
-    def lmul_T(self, el: Element, i: int) -> Element:
-        """Multiply by T_i on the left via the divided-difference rule:
+    def lmul_T(self, terms: dict, i: int) -> dict:
+        """Multiply int terms by T_i on the left, over their denominator, via
+        the divided-difference rule:
         T_i Y^b T_v = Y^{s_i b} T_{s_i v} - (difference quotient) T_v."""
         s = self._s(i)
-        out: Element = {}
-        for (alpha, w), c in el.items():
+        out: dict = {}
+        for (alpha, w), c in terms.items():
             swapped = list(alpha)
             swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
             _merge(out, (tuple(swapped), perm_mult(s, w)), c)
@@ -125,26 +159,26 @@ class HeckeAlgebra:
                 _merge(out, (tuple(na), w), sign * c)
         return out
 
-    def _reduce(self, el: Element) -> Element:
-        """Rewrite until every exponent is below r, largest position first."""
-        out: Element = {}
-        work = list(el.items())
+    def _reduce(self, terms: dict) -> tuple[dict, int]:
+        """Rewrite int terms until every exponent is below r, largest
+        position first.  Each substitution Y_1^p -> -sum_j (cyc[j] / Q)
+        Y_1^{p-r+j} adds one power of Q to its term's denominator; the
+        result is (out, e): int terms over Q^e, every term brought to the
+        largest power e met."""
+        by_power: dict[int, dict] = {}
+        work = [(alpha, w, c, 0) for (alpha, w), c in terms.items()]
         while work:
-            (alpha, w), c = work.pop()
-            if not c:
-                continue
+            alpha, w, c, e = work.pop()
             m = next((p for p in range(self.n, 0, -1)
                       if alpha[p - 1] >= self.r), None)
             if m is None:
-                _merge(out, (alpha, w), c)
+                _merge(by_power.setdefault(e, {}), (alpha, w), c)
                 continue
             p = alpha[m - 1]
             if m == 1:
-                base = (0,) + alpha[1:]
                 for j, cj in enumerate(self.cyc):
                     if cj:
-                        na = (p - self.r + j,) + base[1:]
-                        work.append(((na, w), -c * cj))
+                        work.append(((p - self.r + j,) + alpha[1:], w, -c * cj, e + 1))
                 continue
             ahat = list(alpha)
             ahat[m - 1] = 0
@@ -153,15 +187,22 @@ class HeckeAlgebra:
                 na = list(ahat)
                 na[m - 1] += l
                 na[m - 2] += p - 1 - l
-                work.append(((tuple(na), uperm), c))
+                work.append((tuple(na), uperm, c, e))
             inner_alpha = [0] * self.n
             inner_alpha[m - 2] = p
-            inner = self._reduce({(tuple(inner_alpha), uperm): c})
-            inner = self.lmul_T(inner, m - 1)
-            for (ia, iw), ic in inner.items():
+            inner, ie = self._reduce({(tuple(inner_alpha), uperm): c})
+            for (ia, iw), ic in self.lmul_T(inner, m - 1).items():
                 na = tuple(x + y for x, y in zip(ahat, ia))
-                work.append(((na, iw), ic))
-        return out
+                work.append((na, iw, ic, e + ie))
+        top = max(by_power, default=0)
+        if len(by_power) <= 1:
+            return by_power.get(top, {}), top
+        out: dict = {}
+        for e, part in by_power.items():
+            f = self.Q ** (top - e)
+            for key, c in part.items():
+                _merge(out, key, c * f)
+        return out, top
 
     def act(self, el: Element, word: Word) -> Element:
         """el times the word, letter by letter on the right: ("S", i) is T_i
@@ -178,12 +219,20 @@ class HeckeAlgebra:
         return el
 
     def act_sum(self, el: Element, terms: WordSum) -> Element:
-        """el times the word sum ``terms``."""
-        out: Element = {}
+        """el times the word sum ``terms``: each word's element is scaled by
+        its coefficient's numerator, over its den times the coefficient's
+        denominator, and the terms are added over the lcm of those."""
+        parts = []
         for coeff, word in terms:
-            for k, c in self.act(el, word).items():
-                _merge(out, k, coeff * c)
-        return out
+            part = self.act(el, word)
+            parts.append((coeff.numerator, part.den * coeff.denominator, part.terms))
+        den = math.lcm(*(d for _, d, _ in parts))
+        out: dict = {}
+        for num, d, part in parts:
+            f = num * (den // d)
+            for key, c in part.items():
+                _merge(out, key, f * c)
+        return _canonical(out, den)
 
     def act_factors(self, el: Element, left: Word, middle, right: Word) -> Element:
         """el times the product of a left word, the word sums ``middle`` and
@@ -250,8 +299,8 @@ class MurphyBasis:
                     self.elements.append(H.act(left, t_word))
         self.triple_index = {tr: i for i, tr in enumerate(self.triples)}
         # row i holds the coefficients of element i, by key index
-        self.matrix = [{self.key_index[key]: c for key, c in el.items()}
-                       for el in self.elements]
+        self.matrix = [{self.key_index[key]: Fraction(c, el.den)
+                        for key, c in el.terms.items()} for el in self.elements]
 
     @functools.cached_property
     def _inv(self) -> tuple[int, list[dict]]:
@@ -264,18 +313,16 @@ class MurphyBasis:
 
     def coords(self, el: Element) -> dict:
         """The nonzero coordinates of el by triple index: the row vector x
-        with x · matrix = el.  el is brought to ints over the lcm L of its
-        denominators, its int row product with the inverse rows of its keys
-        is formed, and each nonzero entry v becomes Fraction(v, D·L)."""
+        with x · matrix = el.  The int row product of el's terms with the
+        inverse rows of their keys is formed, and each nonzero entry v
+        becomes Fraction(v, D·el.den)."""
         den, inv = self._inv
-        scale = math.lcm(*(c.denominator for c in el.values()))
         acc: dict = {}
-        for key, c in el.items():
-            f = c.numerator * (scale // c.denominator)
+        for key, c in el.terms.items():
             for j, y in inv[self.key_index[key]].items():
                 x = acc.get(j)
-                acc[j] = f * y if x is None else x + f * y
-        den *= scale
+                acc[j] = c * y if x is None else x + c * y
+        den *= el.den
         return {j: Fraction(x, den) for j, x in acc.items() if x}
 
 

@@ -6,8 +6,8 @@ built, so num and den are polynomials over Z (Python ints) and their
 products never normalise a Fraction.  A rational function is not reduced:
 equality is by cross-multiplication.  The scalars are coefficients of one
 expansion at y = infinity: Omega is that of W at the empty shape, and the
-tower scalars omega_k^(a) that of W at the shape before step k; they are
-Fractions.
+tower scalars omega_k^(a) that of W at the shape before step k; the
+expansion runs on ints, and they are returned as Fractions.
 """
 
 from __future__ import annotations
@@ -171,18 +171,24 @@ def series_of_rational(rf: RationalFunction, A: int) -> list[Fraction]:
     """The coefficients of y^0, y^-1, ..., y^-A in the expansion of num/den
     at y = infinity, which must be O(1) there.  In x = 1/y this is the power
     series of p(x)/q(x), p and q the reversed coefficients of num and den,
-    with p shifted by deg den - deg num."""
+    with p shifted by deg den - deg num.  num and den hold ints, so the k-th
+    coefficient is kept as an int N_k over q0^(k+1), q0 = q[0]:
+    N_k = p_k q0^k - sum_j q_j N_{k-j} q0^(j-1), and one Fraction is made
+    per coefficient."""
     num, den = rf.num, rf.den
     assert num.degree <= den.degree, "W should be O(1) at infinity"
-    p = [Fraction(0)] * (den.degree - num.degree) + list(reversed(num.coeffs))
+    p = [0] * (den.degree - num.degree) + list(reversed(num.coeffs))
     q = list(reversed(den.coeffs))
-    out: list[Fraction] = []
+    powers = [1]  # q0^k
+    for _ in range(A + 1):
+        powers.append(powers[-1] * q[0])
+    out: list[int] = []
     for k in range(A + 1):
-        acc = p[k] if k < len(p) else Fraction(0)
+        acc = p[k] * powers[k] if k < len(p) else 0
         for j in range(1, min(k, len(q) - 1) + 1):
-            acc -= q[j] * out[k - j]
-        out.append(Fraction(acc) / q[0])  # num and den hold ints: int / int is a float
-    return out
+            acc -= q[j] * out[k - j] * powers[j - 1]
+        out.append(acc)
+    return [Fraction(x, powers[k + 1]) for k, x in enumerate(out)]
 
 
 def check_admissible(omega) -> tuple[bool, int | None]:

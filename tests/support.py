@@ -4,8 +4,10 @@ sequences, exact two-strand module fixtures, the hand-written relation
 suite that the relation table is checked against, the Fraction-row
 evaluation and star-symmetry that the model's int forms are checked
 against, the Fraction elimination that ``_linalg``'s int elimination is
-checked against, the branching report, the reference product of two Hecke
-elements and expansion of products into words, Hecke triangularity and
+checked against, the branching report, the Fraction-dict Hecke rewriting
+and the Fraction expansion at infinity that the int forms are checked
+against, the reference product of two Hecke elements and expansion of
+products into words, Hecke triangularity and
 symmetrizer witnesses, cell indices and word helpers."""
 
 import functools
@@ -16,8 +18,9 @@ from typing import NamedTuple
 
 from brauer import BrauerDiagram
 from wenzl import _linalg, combinat, hecke, seminormal, wcell
-from wenzl.combinat import Multipartition, Tableau, Word, perm_mult, word_for_permutation
-from wenzl.params import ONE, ParamSet, Poly
+from wenzl.combinat import (Multipartition, Tableau, Word, perm_mult, perm_word,
+                            word_for_permutation)
+from wenzl.params import ONE, ParamSet, Poly, cyclotomic_coeffs
 from wenzl.seminormal import RELATION_FAMILIES
 
 HALF = Fraction(1, 2)
@@ -126,9 +129,12 @@ def seeded_u(tag: str, r: int, n: int) -> tuple[Fraction, ...]:
     return tuple(k * x + delta for x in combinat.default_u(r, n))
 
 
-def as_fractions(ev: seminormal.Evaluated) -> list[list[dict]]:
-    """The blocks of an evaluated element as ``_linalg`` rows of Fractions:
-    each int entry over the element's denominator."""
+def as_fractions(ev):
+    """An int element over its denominator, as Fractions: the blocks of a
+    ``seminormal.Evaluated`` as ``_linalg`` rows, or a ``hecke.Element`` as a
+    dict by key."""
+    if isinstance(ev, hecke.Element):
+        return {key: Fraction(c, ev.den) for key, c in ev.terms.items()}
     return [[{j: Fraction(x, ev.den) for j, x in row.items()} for row in blk]
             for blk in ev.blocks]
 
@@ -438,7 +444,136 @@ def branching_blocks(rep: seminormal.SeminormalRep) -> dict:
 
 def multiply(H: hecke.HeckeAlgebra, x: hecke.Element, y: hecke.Element) -> hecke.Element:
     """x times y: each key of y acts on x as its word."""
-    return H.act_sum(x, [(c, key_word(key)) for key, c in y.items()])
+    return H.act_sum(x, [(c, key_word(key)) for key, c in as_fractions(y).items()])
+
+
+def _merge(out: dict, key, c: Fraction):
+    """out[key] += c, storing no zero."""
+    v = out.get(key, 0) + c
+    if v:
+        out[key] = v
+    else:
+        out.pop(key, None)
+
+
+class FractionHecke:
+    """The reference for ``hecke.HeckeAlgebra``: the same rewriting on
+    elements that are dicts mapping (alpha, w) to a nonzero Fraction, with
+    the cyclotomic coefficients as Fractions and no common denominator."""
+
+    def __init__(self, ps: ParamSet, n: int):
+        self.n, self.r = n, ps.r
+        self.cyc = cyclotomic_coeffs(ps.u)[:-1]
+        self.id = tuple(range(1, n + 1))
+
+    def one(self) -> dict:
+        return {((0,) * self.n, self.id): Fraction(1)}
+
+    def _s(self, i: int) -> tuple[int, ...]:
+        w = list(self.id)
+        w[i - 1], w[i] = w[i], w[i - 1]
+        return tuple(w)
+
+    def rmul_T(self, el: dict, i: int) -> dict:
+        out: dict = {}
+        for (alpha, w), c in el.items():
+            _merge(out, (alpha, perm_mult(w, self._s(i))), c)
+        return out
+
+    def rmul_Y(self, el: dict, j: int) -> dict:
+        out: dict = {}
+        for (alpha, w), c in el.items():
+            word = perm_word(w)
+            jj = j
+            for p in range(len(word) - 1, -1, -1):
+                i = word[p]
+                if jj in (i, i + 1):
+                    rest = word[:p] + word[p + 1:]
+                    _merge(out, (alpha, perm_of_word(rest, self.n)), -c if jj == i else c)
+                    jj = i + 1 if jj == i else i
+            na = list(alpha)
+            na[jj - 1] += 1
+            _merge(out, (tuple(na), w), c)
+        return self._reduce(out)
+
+    def lmul_T(self, el: dict, i: int) -> dict:
+        s = self._s(i)
+        out: dict = {}
+        for (alpha, w), c in el.items():
+            swapped = list(alpha)
+            swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
+            _merge(out, (tuple(swapped), perm_mult(s, w)), c)
+            a, b = alpha[i - 1], alpha[i]
+            sign = 1 if a < b else -1
+            for q in range(min(a, b), max(a, b)):
+                na = list(alpha)
+                na[i - 1], na[i] = q, a + b - 1 - q
+                _merge(out, (tuple(na), w), sign * c)
+        return out
+
+    def _reduce(self, el: dict) -> dict:
+        out: dict = {}
+        work = list(el.items())
+        while work:
+            (alpha, w), c = work.pop()
+            m = next((p for p in range(self.n, 0, -1) if alpha[p - 1] >= self.r), None)
+            if m is None:
+                _merge(out, (alpha, w), c)
+                continue
+            p = alpha[m - 1]
+            if m == 1:
+                for j, cj in enumerate(self.cyc):
+                    if cj:
+                        work.append((((p - self.r + j,) + alpha[1:], w), -c * cj))
+                continue
+            ahat = list(alpha)
+            ahat[m - 1] = 0
+            uperm = perm_mult(self._s(m - 1), w)
+            for l in range(p):
+                na = list(ahat)
+                na[m - 1] += l
+                na[m - 2] += p - 1 - l
+                work.append(((tuple(na), uperm), c))
+            inner_alpha = [0] * self.n
+            inner_alpha[m - 2] = p
+            inner = self.lmul_T(self._reduce({(tuple(inner_alpha), uperm): c}), m - 1)
+            for (ia, iw), ic in inner.items():
+                work.append(((tuple(x + y for x, y in zip(ahat, ia)), iw), ic))
+        return out
+
+    def act(self, el: dict, word: Word) -> dict:
+        for letter in word:
+            if letter[0] == "S":
+                el = self.rmul_T(el, letter[1])
+            else:
+                for _ in range(letter[2]):
+                    el = self.rmul_Y(el, letter[1])
+        return el
+
+    def act_sum(self, el: dict, terms) -> dict:
+        out: dict = {}
+        for coeff, word in terms:
+            for k, c in self.act(el, word).items():
+                _merge(out, k, coeff * c)
+        return out
+
+    def act_factors(self, el: dict, left: Word, middle, right: Word) -> dict:
+        return self.act(functools.reduce(self.act_sum, middle, self.act(el, left)), right)
+
+
+def series_reference(rf, A: int) -> list[Fraction]:
+    """The reference for ``params.series_of_rational``: each coefficient of
+    the expansion at infinity solved for in Fractions."""
+    num, den = rf.num, rf.den
+    p = [Fraction(0)] * (den.degree - num.degree) + list(reversed(num.coeffs))
+    q = list(reversed(den.coeffs))
+    out: list[Fraction] = []
+    for k in range(A + 1):
+        acc = p[k] if k < len(p) else Fraction(0)
+        for j in range(1, min(k, len(q) - 1) + 1):
+            acc -= q[j] * out[k - j]
+        out.append(Fraction(acc) / q[0])
+    return out
 
 
 def key_word(key: hecke.Key) -> Word:

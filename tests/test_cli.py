@@ -462,6 +462,14 @@ GOLDEN_REPORTS = {
         "19f70538b02269b58c3d6a4afaf1ccd1873d2d10ff184326fba389e1a3ac5703",
     "gram --shape (1,1|1) --u 128/7,-40/7":
         "808a8f023f99f8bfb4c3f4650da31c3a3b1c90c9efd4dc832c145f012cc9feae",
+    # roots whose cyclotomic coefficients clear over a larger denominator Q
+    # than the roots' own: Q = 8 for three half-integral roots, Q = 4 at r = 1
+    "gram --shape (1|1|-) --u 21/2,-11/2,5/2":
+        "280d24517d79c79b556ef6d4b087979d6bab7d882decc9f100905a30abb6d466",
+    "gram --shape (2|-|-) --u 21/2,-11/2,5/2":
+        "7882e077f5305270a5e2f98bb664761fa146e7a89558b43682963e735fc19ff2",
+    "gram --shape (3,1) --u 63/4":
+        "66a2831c4bc35e3346f62f30d3128ff30f4534f62b02527aea30ca9aba8bf337",
     # the closed count of updown tableaux, with its (2m-1)!! factor
     "counts --r 3 --n 4":
         "c8c89d5fca0e767fc748c32e8d83de4b1127e702ffba0ce07854ec57cbdc769f",
@@ -484,7 +492,7 @@ def test_reports_match_golden_digests_without_asserts(tmp_path):
     env = {**os.environ, "PYTHONPATH": src}
     out = tmp_path / "out.jsonl"
     for argv in ("verify --r 2 --n 3", "verify --r 1 --n 4", "cellrank --r 2 --n 3",
-                 "gram --shape (2|1|-)"):
+                 "gram --shape (2|1|-)", "gram --shape (1|1|-) --u 21/2,-11/2,5/2"):
         proc = subprocess.run(
             [sys.executable, "-O", "-m", "wenzl.cli", *argv.split(), "--out", str(out)],
             env=env, capture_output=True, text=True)

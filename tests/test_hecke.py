@@ -8,12 +8,12 @@ from fractions import Fraction
 
 import pytest
 
-from support import (fraction_inverse, key_word, multiply, murphy_triangular_report,
-                     row_symmetrizer_witness, seeded_u)
+from support import (FractionHecke, as_fractions, fraction_inverse, key_word, multiply,
+                     murphy_triangular_report, row_symmetrizer_witness, seeded_u)
 from wenzl import _linalg, combinat, hecke
 from wenzl.combinat import star_word
 from wenzl.hecke import (
-    HeckeAlgebra, MurphyBasis, gamma_coeffs, gamma_path_independent,
+    Element, HeckeAlgebra, MurphyBasis, gamma_coeffs, gamma_path_independent,
     gamma_top, gram_det, gram_matrix, is_semisimple,
     murphy_basis, murphy_factors,
 )
@@ -34,7 +34,7 @@ def _word(H, *letters):
 
 
 def _monomials(H):
-    return [{(alpha, w): F(1)}
+    return [Element({(alpha, w): 1}, 1)
             for alpha in itertools.product(range(H.ps.r), repeat=H.n)
             for w in itertools.permutations(range(1, H.n + 1))]
 
@@ -42,7 +42,8 @@ def _monomials(H):
 def _star(H, el):
     """The anti-involution fixing every generator: each key's word,
     reversed, evaluated through act."""
-    return H.act_sum(H.one(), [(c, star_word(key_word(key))) for key, c in el.items()])
+    return H.act_sum(H.one(), [(c, star_word(key_word(key)))
+                               for key, c in as_fractions(el).items()])
 
 
 def _evaluate(H, left, middle, right):
@@ -52,13 +53,13 @@ def _evaluate(H, left, middle, right):
 
 def test_merge_stores_no_zero():
     out = {}
-    hecke._merge(out, "a", F(0))
+    hecke._merge(out, "a", 0)
     assert out == {}
-    hecke._merge(out, "a", F(1, 3))
-    assert out == {"a": F(1, 3)} and type(out["a"]) is Fraction
-    hecke._merge(out, "a", F(1, 6))
-    assert out == {"a": F(1, 2)}
-    hecke._merge(out, "a", F(-1, 2))
+    hecke._merge(out, "a", 3)
+    assert out == {"a": 3} and type(out["a"]) is int
+    hecke._merge(out, "a", 4)
+    assert out == {"a": 7}
+    hecke._merge(out, "a", -7)
     assert out == {}
 
 
@@ -103,7 +104,7 @@ def test_cyclotomic_polynomial_kills_y1():
         el = H.one()
         for ut in H.ps.u:
             el = H.act_sum(el, ((F(1), (("X", 1, 1),)), (-ut, ())))
-        assert el == {}
+        assert el == Element({}, 1)
 
 
 def test_multiplication_is_associative():
@@ -126,7 +127,7 @@ def test_products_stay_in_normal_form():
             allowed.add((alpha, w))
     for a in _monomials(H):
         for b in _monomials(H):
-            for key in multiply(H, a, b):
+            for key in as_fractions(multiply(H, a, b)):
                 assert key in allowed
 
 
@@ -299,9 +300,51 @@ def test_int_coordinates_equal_the_fraction_inverse(r, n):
                 els += [H.act_factors(left, *murphy_factors(ps, lam, t, tl)) for t in stds]
         for el in els:
             got = mb.coords(el)
-            vec = {mb.key_index[key]: c for key, c in el.items()}
+            vec = {mb.key_index[key]: c for key, c in as_fractions(el).items()}
             assert got == _linalg.mat_mul([vec], inv)[0], (ps.u, el)
             assert all(type(x) is Fraction and x for x in got.values())
+
+
+def _canonical(el):
+    """An int element over one positive denominator, with no zero stored and
+    no factor common to the denominator and every coefficient."""
+    return (type(el.den) is int and el.den > 0
+            and all(type(c) is int and c for c in el.terms.values())
+            and math.gcd(el.den, *el.terms.values()) == 1)
+
+
+@pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (1, 4), (2, 3)])
+def test_int_rewriting_equals_the_fraction_reference(r, n):
+    # every Murphy basis element and every Gram product against the
+    # Fraction-dict rewriting, at default roots, integral multiples of them,
+    # and fractional roots with denominators 2, 3, 4 and 7; at r = 3 the
+    # half-integral roots clear the cyclotomic relation over Q = 8
+    default = combinat.default_u(r, n)
+    rng = random.Random(f"fraction-hecke:{r}:{n}")
+    roots = [default, tuple(3 * x for x in default), tuple(-2 * x for x in default)]
+    roots += [tuple(rng.choice((1, 2, 4, 8)) * x + delta for x in default)
+              for delta in (F(1, 2), F(1, 3), F(-1, 4), F(2, 7))]
+    for u in roots:
+        ps = ParamSet.from_u(u, n_hint=n)
+        mb, ref = MurphyBasis(HeckeAlgebra(ps, n)), FractionHecke(ps, n)
+        H = mb.H
+        if r == 3 and u[0].denominator == 2:
+            assert H.Q == 8
+        want = {}
+        for (lam, s, t), el in zip(mb.triples, mb.elements):
+            want[lam, s, t] = ref.act_factors(ref.one(), *murphy_factors(ps, lam, s, t))
+            assert _canonical(el) and as_fractions(el) == want[lam, s, t], (u, lam, s, t)
+        for lam in combinat.multipartitions(r, n):
+            tl = combinat.t_lambda(lam)
+            stds = combinat.standard_tableaux(lam)
+            for s in stds:
+                left = mb.elements[mb.triple_index[lam, tl, s]]
+                for t in stds:
+                    fs = murphy_factors(ps, lam, t, tl)
+                    got = H.act_factors(left, *fs)
+                    assert _canonical(got), (u, lam, s, t)
+                    assert as_fractions(got) == ref.act_factors(want[lam, tl, s], *fs)
+
 
 def test_gamma_top_divides_product():
     ps = ParamSet.default(2, 2)

@@ -7,7 +7,7 @@ import pytest
 
 from support import (
     brauer_omega_sequence, nilpotent_example_omega, omega_from_u,
-    omega_residue_form, schur_q,
+    omega_residue_form, schur_q, seeded_u, series_reference,
 )
 from wenzl import combinat, params
 from wenzl.params import (
@@ -159,6 +159,29 @@ def test_series_of_rational():
     assert series(RationalFunction(y, Poly.y_plus(-2)), 2) == [1, 2, 4]
     with pytest.raises(AssertionError, match="at infinity"):
         series(RationalFunction(y), 2)
+
+
+def test_series_of_rational_equals_the_fraction_reference():
+    # the int recursion over powers of the leading coefficient against the
+    # Fraction one: W at every shape of size <= 3, at default and seeded
+    # roots, and hand-made functions whose denominator leads with a
+    # negative non-unit
+    y = Poly.y_plus(0)
+    rfs = [RationalFunction(Poly((3, -5, 2)), Poly((7, 1, -6))),
+           RationalFunction(Poly((F(-2, 3),)), Poly((F(1, 5), 4, F(-9, 2)))),
+           RationalFunction(Poly((1, 0, -4, 11)), Poly((-3, 0, 2, 0, -10))),
+           RationalFunction(y * 2 + Poly.const(F(5, 7)), Poly((F(1, 2), -3)))]
+    assert all(rf.den.coeffs[-1] < -1 for rf in rfs)
+    for r in (1, 2, 3):
+        for u in (combinat.default_u(r, 3), seeded_u("series", r, 3)):
+            ps = ParamSet.from_u(u, n_hint=3)
+            rfs += [params.wk_rational(mu, ps) for m in range(4)
+                    for mu in combinat.multipartitions(r, m)]
+    for rf in rfs:
+        for A in (0, 1, 2, 7, 40):
+            got = params.series_of_rational(rf, A)
+            assert got == series_reference(rf, A), (rf, A)
+            assert all(type(x) is Fraction for x in got)
 
 
 def _walk_recursion(t, k, ps):
