@@ -103,7 +103,9 @@ def removable_nodes(lam: Multipartition) -> list[Node]:
 def node_content(node: Node, u, removed: bool = False) -> Fraction:
     i, j, s = node
     c = u[s - 1] + (j - i)
-    return -c if removed else Fraction(c)
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return -c if removed else c
 
 
 def addable_removable(lam: Multipartition, u) -> list[tuple[Node, Fraction, str]]:
@@ -207,16 +209,21 @@ def _walk(r: int, n: int) -> tuple[tuple[Tableau, ...], dict]:
     return walks, by_end
 
 
-def enumerate_updown(n: int, lam: Multipartition, u=None) -> list[Tableau]:
-    """All updown tableaux from the empty multipartition to lam in n steps:
-    the walks of n steps ending at lam, sorted lexicographically by content
-    sequence under u (default generic).  Ties keep the depth-first order."""
+def updown_walks(n: int, lam: Multipartition) -> tuple[Tableau, ...]:
+    """All updown tableaux from the empty multipartition to lam in n steps,
+    in depth-first order (addable before removable nodes)."""
     if (n - mp_size(lam)) % 2 or mp_size(lam) > n:
         raise ValueError(f"no updown tableaux: n={n}, |lam|={mp_size(lam)}")
+    return tuple(_walk(len(lam), n)[1].get(lam, ()))
+
+
+def enumerate_updown(n: int, lam: Multipartition, u=None) -> list[Tableau]:
+    """``updown_walks`` sorted lexicographically by content sequence under
+    u (default generic).  Ties keep the depth-first order."""
+    walks = updown_walks(n, lam)
     if u is None:
         u = default_u(len(lam), n)
-    return sorted(_walk(len(lam), n)[1].get(lam, ()),
-                  key=lambda t: content_sequence(t, u))
+    return sorted(walks, key=lambda t: content_sequence(t, u))
 
 
 def hook_product(p: Partition) -> int:

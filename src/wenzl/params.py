@@ -1,5 +1,8 @@
-"""Parameter sets and the exact generating functions W at a shape.
+"""Parameter sets, the steps out of a shape, and the exact generating
+functions W at a shape.
 
+A parameter set holds, per shape met, the steps out of it with their
+contents as ints over one denominator (``steps_out``), and W there.
 Everything here is exact rational arithmetic: dense polynomials in y, and
 rational functions num/den whose denominators are cleared when they are
 built, so num and den are polynomials over Z (Python ints) and their
@@ -12,9 +15,11 @@ expansion runs on ints, and they are returned as Fractions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import combinat
 
@@ -228,10 +233,12 @@ class ParamSet:
     Omega was derived from u; a parameter set constructed directly with
     an Omega of its own names another mode.
 
-    ``w_at`` holds W at each shape met (``wk_rational``), so each is formed
-    once per parameter set; ``from_u`` stores W at the empty shape, from
-    which it reads Omega.  It is no constructor argument, and neither
-    equality, the hash nor ``as_json`` reads it.
+    Two tables hold what depends only on a shape, so that each value is
+    formed once per parameter set: ``steps`` the steps out of each shape
+    met (``steps_out``), and ``w_at`` W at each shape met
+    (``wk_rational``); ``from_u`` stores W at the empty shape, from which
+    it reads Omega.  They are no constructor arguments, and neither
+    equality, the hash nor ``as_json`` reads them.
     """
 
     r: int
@@ -240,6 +247,7 @@ class ParamSet:
     N: int
     mode: str = "u-admissible-derived"
     w_at: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    steps: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
     def from_u(cls, u, n_hint: int = 4, min_N: int = 0) -> "ParamSet":
@@ -250,10 +258,19 @@ class ParamSet:
         r = len(u)
         N = max(2 * r + 4 * max(n_hint, 1), min_N)
         empty = combinat.empty_mp(r)
-        w1 = _w_at_shape(empty, r, u)
+        # the steps out of the empty shape add the nodes (1, 1, s), whose
+        # contents are the roots
+        q = _clearing(u)
+        w1 = _w_at_shape(empty, tuple(x.numerator * (q // x.denominator) for x in u), q)
         ps = cls(r, u, tuple(series_of_rational(w1, N)), N)
         ps.w_at[empty] = w1
         return ps
+
+    @functools.cached_property
+    def q(self) -> int:
+        """The lcm of the roots' denominators: q c is an int for every
+        content c."""
+        return _clearing(self.u)
 
     @classmethod
     def default(cls, r: int, n: int) -> "ParamSet":
@@ -271,19 +288,51 @@ class ParamSet:
         }
 
 
+def _clearing(u) -> int:
+    """The lcm of the denominators of the roots u."""
+    return math.lcm(*(x.denominator for x in u))
+
+
 # ---------------------------------------------------------------------------
-# W at a shape, one step of its recursion, and the tower scalars
+# the steps out of a shape, W at a shape, one step of its recursion, and the
+# tower scalars
 # ---------------------------------------------------------------------------
 
-def _w_at_shape(shape, r: int, u) -> RationalFunction:
+class Steps(NamedTuple):
+    """The steps out of one shape mu, keyed by the shape nu they reach, in
+    ``combinat.neighbors`` order (addable nodes first).  ``C`` holds the int
+    q c(mu -> nu): c is the content of the node added, or minus that of the
+    node removed, and q is ``ParamSet.q``.  ``e`` holds the diagonal
+    contraction coefficient of leaving mu for nu and returning; it stays
+    None until ``seminormal`` first reads it."""
+
+    C: dict
+    e: dict | None = None
+
+
+def steps_out(mu, ps: ParamSet) -> Steps:
+    """The steps out of the shape mu, formed once per parameter set, in
+    ``ps.steps``: the one place where the boundary of a shape is read."""
+    st = ps.steps.get(mu)
+    if st is None:
+        q = ps.q
+        cs = (c.numerator * (q // c.denominator)
+              for _, c, _ in combinat.addable_removable(mu, ps.u))
+        st = ps.steps[mu] = Steps(dict(zip(combinat.neighbors(mu), cs)))
+    return st
+
+
+def _w_at_shape(shape, C, q: int) -> RationalFunction:
     """1/2 - y + (y - (1/2)(-1)^r) prod_alpha (y + c(alpha))/(y - c(alpha)),
-    the product over the addable and removable nodes of ``shape`` under the
-    roots u."""
-    sign = -1 if r % 2 else 1
-    rf = RationalFunction(Poly((-HALF * sign, Fraction(1))))
-    for _, c, _ in combinat.addable_removable(shape, u):
-        rf = rf * RationalFunction(Poly.y_plus(c), Poly.y_plus(-c))
-    return rf + RationalFunction(Poly((HALF, Fraction(-1))))
+    the product over the addable and removable nodes alpha of the
+    r-multipartition ``shape``, given their contents c as the ints C = q c.
+    Over Z it is ((1 - 2y) Q + (2y - (-1)^r) P) / (2Q), with P and Q the
+    products of the factors qy + C and qy - C."""
+    sign = -1 if len(shape) % 2 else 1
+    P = Q = Poly((1,))
+    for x in C:
+        P, Q = P * Poly((x, q)), Q * Poly((-x, q))
+    return RationalFunction(Poly((1, -2)) * Q + Poly((-sign, 2)) * P, Q * 2)
 
 
 def wk_rational(mu, ps: ParamSet) -> RationalFunction:
@@ -292,10 +341,10 @@ def wk_rational(mu, ps: ParamSet) -> RationalFunction:
     contents need no special case, since num and den are polynomial in the
     contents; whether u is generic enough is decided when the seminormal
     model is built.  W at each shape is formed once per parameter set, in
-    ``ps.w_at``."""
+    ``ps.w_at``, from the contents in ``ps.steps``."""
     w = ps.w_at.get(mu)
     if w is None:
-        w = ps.w_at[mu] = _w_at_shape(mu, ps.r, ps.u)
+        w = ps.w_at[mu] = _w_at_shape(mu, tuple(steps_out(mu, ps).C.values()), ps.q)
     return w
 
 

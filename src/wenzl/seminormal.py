@@ -1,19 +1,24 @@
 """Seminormal matrix models on updown-tableau bases, with verification suites.
 
-Everything here is exact.  The orthonormal seminormal model has symmetric
-matrices whose off-diagonal entries are square roots of Fractions.  Each
-block is built instead as that model conjugated by diag(sqrt(gamma)), with
-gamma chosen on a spanning tree of the generator graph so that every entry
-is rational, and each generator is held once, as int rows over one positive
-denominator (``Evaluated``).  The models make one ``Realization``, their
-direct sum, which evaluates generator words on every block; ``wcell`` ranks
-word families on it.  The realization stacks each letter's blocks once over
-one common denominator and computes on ints, so a Fraction is made only for
-a reported residual.  The defining relations are written once, as pairs of
-word sums (``relations``), and both sides are evaluated on the realization
-and compared by cross-multiplying; they, the scalar tower and
-self-adjointness for diag(gamma) are checked with zero tolerance, as are the
-polynomial identities between the coefficients.
+Everything here is exact.  Every coefficient of the model depends only on a
+lattice step mu -> nu: its content c, held as the int C = q c over the lcm q
+of the roots' denominators, and the diagonal contraction coefficient e.
+Both are formed once per parameter set, in the step table ``ps.steps``
+(``params.steps_out``, and ``coefficients`` for e), and the model and the
+identity suite read them from there.  The orthonormal seminormal model has
+symmetric matrices whose off-diagonal entries are square roots of
+Fractions.  Each block is built instead as that model conjugated by
+diag(sqrt(gamma)), with gamma chosen on a spanning tree of the generator
+graph so that every entry is rational, and each generator is held once, as
+int rows over one positive denominator (``Evaluated``).  The models make one
+``Realization``, their direct sum, which evaluates generator words on every
+block; ``wcell`` ranks word families on it.  The realization stacks each
+letter's blocks once over one common denominator and computes on ints, so a
+Fraction is made only for a reported residual.  The defining relations are
+written once, as pairs of word sums (``relations``), and both sides are
+evaluated on the realization and compared by cross-multiplying; they, the
+scalar tower and self-adjointness for diag(gamma) are checked with zero
+tolerance, as are the polynomial identities between the coefficients.
 """
 
 from __future__ import annotations
@@ -36,27 +41,50 @@ def returns_at(t, k: int) -> bool:
     return 1 <= k < len(t) and combinat.shape_before(t, k) == t[k]
 
 
-def e_diag(c: Fraction, boundary, r: int) -> Fraction:
+def e_diag(C: int, boundary, q: int, r: int) -> Fraction:
     """Diagonal contraction coefficient of a pair of steps that leave a shape
     mu across a node of content c and return: (2c - (-1)^r) times the
     product of (c + c(alpha))/(c - c(alpha)) over the other boundary nodes
-    alpha; ``boundary`` is ``combinat.addable_removable`` of mu, which the
-    caller takes once for all the steps out of it."""
+    alpha.  Every content comes as the int q c: C for c, and ``boundary``
+    for the contents of all the steps out of mu (``params.steps_out``).  So
+    (2C - (-1)^r q) prod (C + C(alpha)) over q prod (C - C(alpha)) is formed
+    on ints, and one Fraction is made."""
     sign = -1 if r % 2 else 1
-    out = Fraction(2 * c - sign)
-    for _, ca, _ in boundary:
-        if ca != c:
-            out *= (c + ca) / (c - ca)
-    return out
+    num, den = 2 * C - sign * q, q
+    for x in boundary:
+        if x != C:
+            num *= C + x
+            den *= C - x
+    return Fraction(num, den)
 
 
-def swap_a(t, cs, k: int) -> Fraction:
-    """Diagonal swap coefficient 1/(cs[k] - cs[k-1]), cs the contents of t."""
-    d = cs[k] - cs[k - 1]
+def coefficients(ps: ParamSet, mu) -> params.Steps:
+    """The steps out of mu with their contraction coefficients ``e``, each
+    formed by ``e_diag`` once per parameter set and held in ``ps.steps``."""
+    st = params.steps_out(mu, ps)
+    if st.e is None:
+        q, boundary = ps.q, tuple(st.C.values())
+        st = ps.steps[mu] = st._replace(
+            e={nu: e_diag(C, boundary, q, ps.r) for nu, C in st.C.items()})
+    return st
+
+
+def swap_a(t, k: int, d: int, q: int) -> Fraction:
+    """Diagonal swap coefficient 1/(c_{k+1} - c_k) of steps k, k+1 of t,
+    from the int d = q (c_{k+1} - c_k)."""
     if d == 0:
         raise ValueError(f"equal adjacent contents at k={k} from shape "
                          f"{combinat.shape_before(t, k)}: parameters not generic")
-    return 1 / d
+    return Fraction(q, d)
+
+
+def _contents(ps: ParamSet, t) -> tuple[int, ...]:
+    """q c at each step of t, read from the step table."""
+    out, mu = [], combinat.empty_mp(ps.r)
+    for nu in t:
+        out.append(params.steps_out(mu, ps).C[nu])
+        mu = nu
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +138,9 @@ def _rational_sqrt(x: Fraction) -> Fraction | None:
 def _orthonormal_entries(ps: ParamSet, k: int, idx: dict, contents: dict):
     """S_k and E_k of the orthonormal model, each as (diagonal, off), with
     diagonal {i: value} exact and off {(i, j): (sign, square)} holding the
-    sign and the exact square of every nonzero off-diagonal entry."""
+    sign and the exact square of every nonzero off-diagonal entry.
+    ``contents`` holds the ints q c of each basis tableau."""
+    q = ps.q
     S_diag, S_off, E_diag, E_off = {}, {}, {}, {}
     seen: set[int] = set()
     for t, i in idx.items():
@@ -119,11 +149,11 @@ def _orthonormal_entries(ps: ParamSet, k: int, idx: dict, contents: dict):
             if i in seen:
                 continue
             cls = combinat.k_neighbors(t, k)
-            boundary = combinat.addable_removable(mu, ps.u)
+            e = coefficients(ps, mu).e
             evals = {}
             for m in cls:
                 seen.add(idx[m])
-                ev = e_diag(contents[m][k - 1], boundary, ps.r)
+                ev = e[m[k - 1]]
                 if ev <= 0:
                     raise ValueError(
                         f"contraction coefficient {ev} <= 0 at k={k} from "
@@ -138,16 +168,17 @@ def _orthonormal_entries(ps: ParamSet, k: int, idx: dict, contents: dict):
                         raise ValueError(
                             f"opposite contents in one class at k={k} from "
                             f"shape {mu}: parameters not generic")
+                    # denom is q (c_s + c_tt)
                     if s == tt:
                         E_diag[idx[s]] = evals[s]
-                        S_diag[idx[s]] = (evals[s] - 1) / denom
+                        S_diag[idx[s]] = (evals[s] - 1) * q / denom
                     else:
                         sq = evals[s] * evals[tt]
                         E_off[idx[tt], idx[s]] = (1, sq)
                         S_off[idx[tt], idx[s]] = (1 if denom > 0 else -1,
-                                                  sq / denom ** 2)
+                                                  sq * q * q / denom ** 2)
         else:
-            a = swap_a(t, contents[t], k)
+            a = swap_a(t, k, contents[t][k] - contents[t][k - 1], q)
             S_diag[i] = a
             partner = combinat.sk_action(t, k)
             if partner is None:
@@ -200,14 +231,20 @@ def build_rep(ps: ParamSet, n: int, shape) -> SeminormalRep:
     """
     if not ps.u:
         raise ValueError("a seminormal model needs the roots u")
-    basis = tuple(combinat.enumerate_updown(n, shape, ps.u))
+    # the basis in the order of combinat.enumerate_updown: by content
+    # sequence, which q > 0 scales without reordering; ties stay in walk order
+    contents = {t: _contents(ps, t) for t in combinat.updown_walks(n, shape)}
+    basis = tuple(sorted(contents, key=contents.__getitem__))
     assert len(basis) == combinat.count_updown(n, shape)
     idx = {t: i for i, t in enumerate(basis)}
     d = len(basis)
-    contents = {t: combinat.content_sequence(t, ps.u) for t in basis}
 
-    X = [_cleared([[{i: contents[t][j - 1]} if contents[t][j - 1] else {}
-                    for i, t in enumerate(basis)]]) for j in range(1, n + 1)]
+    # X_j = diag(C_j) / q, over the lcm q / g of its entries' denominators
+    q, X = ps.q, []
+    for j in range(n):
+        col = [contents[t][j] for t in basis]
+        g = math.gcd(q, *col)
+        X.append(Evaluated([[{i: x // g} if x else {} for i, x in enumerate(col)]], q // g))
 
     entries = [_orthonormal_entries(ps, k, idx, contents) for k in range(1, n)]
     gamma = _gamma(d, [off for pair in entries for _, off in pair])
@@ -306,6 +343,8 @@ class Realization:
         return out
 
     def evaluate_sum(self, terms) -> Evaluated:
+        if len(terms) == 1 and terms[0][0] == 1:
+            return self.evaluate(terms[0][1])
         parts = [scaled(self.evaluate(word), coeff) for coeff, word in terms]
         den = math.lcm(*(part.den for part in parts))
         out = None
@@ -435,7 +474,8 @@ def residuals(real: Realization) -> list[dict]:
     for family, lhs, rhs in relations(real.ps, real.n):
         for res, value in zip(out, block_residuals(real.evaluate_sum(lhs),
                                                    real.evaluate_sum(rhs))):
-            res[family] = max(res[family], value)
+            if value:
+                res[family] = max(res[family], value)
     return out
 
 
@@ -485,7 +525,8 @@ def verify_relations(real: Realization, scalars: dict) -> list[dict]:
             rhs = _rows_scaled(ek, [[w[a] for w in ws] for ws in rows])
             for res, value in zip(out, block_residuals(
                     real.evaluate((e, ("X", k, a), e)), rhs)):
-                res["tower-scalars"] = max(res["tower-scalars"], value)
+                if value:
+                    res["tower-scalars"] = max(res["tower-scalars"], value)
     return out
 
 
@@ -515,16 +556,54 @@ class IdentityReport:
         return not self.failures
 
 
+def _int_sum(terms) -> tuple[int, int]:
+    """The sum of a/b over the int pairs (a, b) of ``terms``, as one int
+    pair (num, den) over the product of the b."""
+    num, den = 0, 1
+    for a, b in terms:
+        num, den = num * b + a * den, den * b
+    return num, den
+
+
+def class_sums(C: dict, e: dict, q: int):
+    """The class-sum identities at one shape mu, from the steps out of it:
+    C maps each nu to q c_nu, e to its contraction coefficient.  For each s,
+
+        sum_m e_m / (c_s + c_m)               = 1 + 1/(2 c_s)
+        sum_m e_m / (c_s + c_m)^2             = (1 - 1/(4 c_s^2)) / e_s + 1/(2 c_s^2)
+        sum_m e_m / ((c_s + c_m)(c_m + c_t')) = 1 / (2 c_s c_t'),  t' != s,
+
+    yielded as (name, s, t' or None, lhs, rhs), each side an int pair
+    (num, den).  With e_m = E_m / D over the lcm D of the e's denominators
+    and c = C / q, every sum runs on ints: the linear one is
+    q sum E_m / (C_s + C_m) over D, against (2 C_s + q) / (2 C_s)."""
+    D = math.lcm(*(x.denominator for x in e.values()))
+    E = {m: x.numerator * (D // x.denominator) for m, x in e.items()}
+    q2 = q * q
+    for s, cs in C.items():
+        num, den = _int_sum((E[m], cs + x) for m, x in C.items())
+        yield "class-sum-linear", s, None, (q * num, D * den), (2 * cs + q, 2 * cs)
+        num, den = _int_sum((E[m], (cs + x) ** 2) for m, x in C.items())
+        c2 = 4 * cs * cs
+        yield ("class-sum-quadratic", s, None, (q2 * num, D * den),
+               ((c2 - q2) * D + 2 * q2 * E[s], c2 * E[s]))
+        for tp, ct in C.items():
+            if tp != s:
+                num, den = _int_sum((E[m], (cs + x) * (x + ct)) for m, x in C.items())
+                yield "class-sum-cross", s, tp, (q2 * num, D * den), (q2, 2 * cs * ct)
+
+
 def check_identities(ps: ParamSet, n: int) -> IdentityReport:
     """Every exact coefficient identity at n strands, checked with zero
     tolerance once per local configuration.  A coefficient at k reads only
-    the shape mu before step k and the contents of the steps out of mu,
-    which ``combinat.neighbors`` and ``combinat.addable_removable`` list in
-    one order (the step back from nu has content -c_nu).  So the class and
-    W identities are read off one table of contents per mu with
-    |mu| <= n - 2, and the contraction-inverse identity per (mu, nu) with
-    |mu| <= n - 3.  The swap identities, per (mu, nu, rho) with rho != mu,
-    and the matching identities, per (mu, nu) with |mu| <= n - 3, check
+    the shape mu before step k and the steps out of mu, which the step
+    table ``ps.steps`` holds with their contents and contraction
+    coefficients (the step back from nu has content -c_nu).  So the class
+    and W identities are read off the steps out of each mu with
+    |mu| <= n - 2, the class sums on ints (``class_sums``), and the
+    contraction-inverse identity per (mu, nu) with |mu| <= n - 3.  The swap
+    identities, per (mu, nu, rho) with rho != mu, and the matching
+    identities, per (mu, nu) with |mu| <= n - 3, check
     ``combinat.sk_action`` on windows placed after t^mu, at k = |mu| + 1;
     elsewhere t^mu only names a window in a failure.  ``w-recursion``
     checks that the closed form at nu is one recursion step from that at
@@ -541,61 +620,53 @@ def check_identities(ps: ParamSet, n: int) -> IdentityReport:
         if not ok:
             failures.append(f"{name}: {ctx}")
 
-    y = params.RationalFunction(params.Poly.y_plus(0))
+    q = ps.q
+    y = params.RationalFunction(params.Poly((0, 1)))
     for mu in (lam for size in range(n - 1)
                for lam in combinat.multipartitions(ps.r, size)):
         tmu = combinat.t_lambda(mu)
         k = len(tmu) + 1
-        bmu = combinat.addable_removable(mu, ps.u)
-        c = {nu: cn for nu, (_, cn, _) in zip(combinat.neighbors(mu), bmu)}
-        for nu, cn in c.items():
+        C, e = coefficients(ps, mu)
+        for nu, cn in C.items():
             record("w-recursion", params.wk_rational(nu, ps)
-                   == params.wk_recursive_rational(mu, cn, ps),
+                   == params.wk_recursive_rational(mu, Fraction(cn, q), ps),
                    f"k={k + 1}, prefix={tmu + (nu,)}")
-        e = {nu: e_diag(cn, bmu, ps.r) for nu, cn in c.items()}
-        for s, cs in c.items():
-            lhs = sum(e[m] / (cs + c[m]) for m in c)
-            record("class-sum-linear", lhs == 1 + Fraction(1, 2) / cs,
-                   f"s={tmu + (s, mu)}, k={k}")
-            lhs = sum(e[m] / (cs + c[m]) ** 2 for m in c)
-            rhs = ((1 - Fraction(1, 4) / cs ** 2) / e[s]
-                   + Fraction(1, 2) / cs ** 2)
-            record("class-sum-quadratic", lhs == rhs, f"s={tmu + (s, mu)}, k={k}")
-            for tp in c:
-                if tp == s:
-                    continue
-                lhs = sum(e[m] / ((cs + c[m]) * (c[m] + c[tp])) for m in c)
-                record("class-sum-cross", lhs == Fraction(1, 2) / (cs * c[tp]),
-                       f"s={tmu + (s, mu)}, t'={tmu + (tp, mu)}, k={k}")
-        # partial fractions of W(y)/y over the class
+        for name, s, tp, (ln, ld), (rn, rd) in class_sums(C, e, q):
+            ctx = (f"s={tmu + (s, mu)}, "
+                   + (f"t'={tmu + (tp, mu)}, " if tp is not None else "") + f"k={k}")
+            if not ld or not rd:
+                raise ZeroDivisionError(f"{name}: zero denominator at {ctx}")
+            record(name, ln * rd == rn * ld, ctx)
+        # partial fractions of W(y)/y over the class: e_m / (y - c_m) is
+        # q e_m / (qy - C_m)
         w = params.wk_rational(mu, ps)
         record("w-vanishes-at-zero", w(Fraction(0)) == 0, f"k={k}, prefix={tmu}")
         parts = sum(params.RationalFunction(
-            params.Poly.const(e[m]), params.Poly.y_plus(-c[m])) for m in c)
+            params.Poly.const(e[m] * q), params.Poly((-x, q))) for m, x in C.items())
         record("w-partial-fractions", w / y == parts, f"k={k}, prefix={tmu}")
-        for nu in c:
-            for rho in combinat.neighbors(nu):
+        for nu, cn in C.items():
+            for rho, cr in params.steps_out(nu, ps).C.items():
                 if rho == mu:
                     continue
                 t = tmu + (nu, rho)
-                ct = combinat.content_sequence(t, ps.u)
-                a = swap_a(t, ct, k)
+                a = swap_a(t, k, cr - cn, q)
                 u = combinat.sk_action(t, k)
                 if u is None:
                     record("swap-degenerate-unit", a * a == 1, f"t={t}, k={k}")
                     continue
-                cu = combinat.content_sequence(u, ps.u)
-                ok = (cu[k] == ct[k - 1] and cu[k - 1] == ct[k]
-                      and swap_a(u, cu, k) == -a)
+                # u takes mu -> u[k - 1] -> rho
+                cu, cu_next = C[u[k - 1]], params.steps_out(u[k - 1], ps).C[rho]
+                ok = (cu_next == cn and cu == cr
+                      and swap_a(u, k, cu_next - cu, q) == -a)
                 record("content-swap", ok, f"t={t}, k={k}")
             if k > n - 2:
                 continue
-            bnu = combinat.addable_removable(nu, ps.u)
-            record("contraction-inverse", e[nu] * e_diag(-c[nu], bnu, ps.r) == 1,
+            C_nu, e_nu = coefficients(ps, nu)
+            record("contraction-inverse", e[nu] * e_nu[mu] == 1,
                    f"t={tmu + (nu, mu, nu)}, k={k}")
             # matching products of squared off-diagonals with contractions:
             # mu, nu, x, nu and mu, y, mu, nu swap to the same tableau
-            for x in combinat.neighbors(nu):
+            for x, cx in C_nu.items():
                 tt = tmu + (nu, x, nu)
                 target = combinat.sk_action(tt, k) if x != mu else None
                 if target is None:
@@ -603,9 +674,9 @@ def check_identities(ps: ParamSet, n: int) -> IdentityReport:
                 uu = tmu + (target[k - 1], mu, nu)
                 if combinat.sk_action(uu, k + 1) != target:
                     continue
-                ctt, cuu = (combinat.content_sequence(w, ps.u) for w in (tt, uu))
-                lhs = (1 - swap_a(tt, ctt, k) ** 2) * e_diag(ctt[k], bnu, ps.r)
-                rhs = (1 - swap_a(uu, cuu, k + 1) ** 2) * e[target[k - 1]]
+                back = params.steps_out(target[k - 1], ps).C[mu]
+                lhs = (1 - swap_a(tt, k, cx - cn, q) ** 2) * e_nu[x]
+                rhs = (1 - swap_a(uu, k + 1, cn - back, q) ** 2) * e[target[k - 1]]
                 record("square-root-matching", lhs == rhs,
                        f"t={tt}, u={uu}, k={k}")
     return IdentityReport(counts, failures)

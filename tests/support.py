@@ -4,9 +4,10 @@ sequences, exact two-strand module fixtures, the hand-written relation
 suite that the relation table is checked against, the Fraction-row
 evaluation and star-symmetry that the model's int forms are checked
 against, the Fraction elimination that ``_linalg``'s int elimination is
-checked against, the branching report, the Fraction-dict Hecke rewriting
-and the Fraction expansion at infinity that the int forms are checked
-against, the reference product of two Hecke elements and expansion of
+checked against, the branching report, the Fraction-dict Hecke rewriting,
+the Fraction expansion at infinity, and the Fraction forms of the
+contraction coefficient, of W at a shape and of the class sums, that the
+int forms are checked against, the reference product of two Hecke elements and expansion of
 products into words, Hecke triangularity and
 symmetrizer witnesses, cell indices and word helpers."""
 
@@ -20,7 +21,7 @@ from brauer import BrauerDiagram
 from wenzl import _linalg, combinat, hecke, seminormal, wcell
 from wenzl.combinat import (Multipartition, Tableau, Word, perm_mult, perm_word,
                             word_for_permutation)
-from wenzl.params import ONE, ParamSet, Poly, cyclotomic_coeffs
+from wenzl.params import ONE, ParamSet, Poly, RationalFunction, cyclotomic_coeffs
 from wenzl.seminormal import RELATION_FAMILIES
 
 HALF = Fraction(1, 2)
@@ -127,6 +128,17 @@ def seeded_u(tag: str, r: int, n: int) -> tuple[Fraction, ...]:
     k = rng.choice((2, 4, 8))
     delta = rng.choice((Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), Fraction(-1, 4)))
     return tuple(k * x + delta for x in combinat.default_u(r, n))
+
+
+def root_sets(tag: str, r: int) -> list[tuple[Fraction, ...]]:
+    """Roots for checking an int form against its Fraction reference: the
+    default ones, seeded ones, the default ones shifted onto the single
+    denominators 2, 3, 4 and 7, and roots over mixed denominators (q = 6 at
+    r = 2, 12 at r = 3)."""
+    base = combinat.default_u(r, 3)
+    return [base, seeded_u(tag, r, 3),
+            *(tuple(x + Fraction(1, d) for x in base) for d in (2, 3, 4, 7)),
+            (Fraction(37, 2), Fraction(-11, 3), Fraction(23, 4))[:r]]
 
 
 def as_fractions(ev):
@@ -574,6 +586,58 @@ def series_reference(rf, A: int) -> list[Fraction]:
             acc -= q[j] * out[k - j]
         out.append(Fraction(acc) / q[0])
     return out
+
+
+def e_diag_reference(c: Fraction, boundary, r: int) -> Fraction:
+    """The reference for ``seminormal.e_diag``: (2c - (-1)^r) times the
+    product of (c + c(alpha))/(c - c(alpha)) over the other boundary nodes
+    alpha, in Fractions; ``boundary`` is ``combinat.addable_removable`` of
+    the shape left."""
+    sign = -1 if r % 2 else 1
+    out = Fraction(2 * c - sign)
+    for _, ca, _ in boundary:
+        if ca != c:
+            out *= (c + ca) / (c - ca)
+    return out
+
+
+def w_at_shape_reference(shape, r: int, u) -> RationalFunction:
+    """The reference for ``params._w_at_shape``: 1/2 - y + (y - (1/2)(-1)^r)
+    prod_alpha (y + c(alpha))/(y - c(alpha)) over the addable and removable
+    nodes of ``shape``, built as a product of rational functions over Q."""
+    sign = -1 if r % 2 else 1
+    rf = RationalFunction(Poly((-HALF * sign, Fraction(1))))
+    for _, c, _ in combinat.addable_removable(shape, u):
+        rf = rf * RationalFunction(Poly.y_plus(c), Poly.y_plus(-c))
+    return rf + RationalFunction(Poly((HALF, Fraction(-1))))
+
+
+def _defined(side):
+    """side(), or None where it divides by zero."""
+    try:
+        return side()
+    except ZeroDivisionError:
+        return None
+
+
+def class_sums_reference(c: dict, e: dict):
+    """The reference for ``seminormal.class_sums``: the same identities in
+    the same order, each side a Fraction summed term by term (None where it
+    divides by zero), from the contents c and contraction coefficients e of
+    the steps out of a shape."""
+    for s, cs in c.items():
+        yield ("class-sum-linear", s, None,
+               _defined(lambda: sum(e[m] / (cs + c[m]) for m in c)),
+               _defined(lambda: 1 + HALF / cs))
+        yield ("class-sum-quadratic", s, None,
+               _defined(lambda: sum(e[m] / (cs + c[m]) ** 2 for m in c)),
+               _defined(lambda: (1 - Fraction(1, 4) / cs ** 2) / e[s] + HALF / cs ** 2))
+        for tp in c:
+            if tp != s:
+                yield ("class-sum-cross", s, tp,
+                       _defined(lambda: sum(e[m] / ((cs + c[m]) * (c[m] + c[tp]))
+                                            for m in c)),
+                       _defined(lambda: HALF / (cs * c[tp])))
 
 
 def key_word(key: hecke.Key) -> Word:

@@ -475,6 +475,19 @@ GOLDEN_REPORTS = {
         "c8c89d5fca0e767fc748c32e8d83de4b1127e702ffba0ce07854ec57cbdc769f",
     "counts --r 2 --n 5":
         "b099443e2196ed06fc98b502f02b24aeb6d55a149a16b8469f972373b2ef0146",
+    # roots over unequal denominators: the contents clear over q = 6, the
+    # lcm of 2 and 3, though the contents of one step may need only one
+    "verify --u 37/2,-11/3 --n 3":
+        "c93310577141d022189a1e0bea6b27094d533ee9de0ccb19620bbe30441cd73e",
+    # the model's build errors, each the first check to fail in build order:
+    # opposite contents in a class, a negative contraction coefficient, and
+    # equal adjacent contents in a swap
+    "verify --u 0,2 --n 3":
+        "83f0d432b1939a3fbb0aba360e388d1b757daafc2f4090b5f9cfb2688158c677",
+    "verify --u 5,3 --n 3":
+        "9f73557ebf010ee07c67d4c2c265468ca1f902dd2d7f06e47f59596c5eaf6495",
+    "verify --u 0,1 --n 3":
+        "9fa052905f85bf0d824b14cf14d95f38ee3608b5a591e4a7171184b18f5d2e2b",
 }
 
 
@@ -492,7 +505,8 @@ def test_reports_match_golden_digests_without_asserts(tmp_path):
     env = {**os.environ, "PYTHONPATH": src}
     out = tmp_path / "out.jsonl"
     for argv in ("verify --r 2 --n 3", "verify --r 1 --n 4", "cellrank --r 2 --n 3",
-                 "gram --shape (2|1|-)", "gram --shape (1|1|-) --u 21/2,-11/2,5/2"):
+                 "gram --shape (2|1|-)", "gram --shape (1|1|-) --u 21/2,-11/2,5/2",
+                 "verify --u 37/2,-11/3 --n 3"):
         proc = subprocess.run(
             [sys.executable, "-O", "-m", "wenzl.cli", *argv.split(), "--out", str(out)],
             env=env, capture_output=True, text=True)

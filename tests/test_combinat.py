@@ -230,3 +230,12 @@ def test_step_nodes_taken_once_per_tableau_equal_a_box_diff_walk():
                         prev = cur
                     assert combinat._step_nodes(t) == tuple(want), t
                     assert combinat._step_nodes(t) is combinat._step_nodes(t)
+
+
+def test_node_content_is_a_fraction_for_int_and_fraction_roots():
+    for u in ((6, -2), (Fraction(6), Fraction(-2)), (Fraction(13, 2), Fraction(-7, 3))):
+        for i, j, s in ((1, 1, 1), (2, 3, 2), (3, 1, 2)):
+            want = Fraction(u[s - 1]) + (j - i)
+            for removed in (False, True):
+                got = node_content((i, j, s), u, removed)
+                assert type(got) is Fraction and got == (-want if removed else want)

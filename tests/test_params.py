@@ -15,6 +15,7 @@ from wenzl.params import (
     parse_fraction,
 )
 from wenzl.seminormal import tower_scalars
+from support import root_sets, w_at_shape_reference
 
 F = Fraction
 
@@ -300,3 +301,21 @@ def test_rational_function_clears_denominators():
     assert rf(F(1)) == F(175, 54) == num(F(1)) / den(F(1))
     assert params.series_of_rational(rf, 2) == params.series_of_rational(
         RationalFunction(Poly((70, 105)), Poly((-30, 84))), 2)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_w_at_shape_equals_the_fraction_reference(r):
+    # W from the factors qy + C and qy - C, on int polynomials, against the
+    # product of rational functions over Q: every shape of size <= 3, its
+    # expansion at infinity, and Omega read off W at the empty shape
+    for u in root_sets("w", r):
+        ps = ParamSet.from_u(u, n_hint=3)
+        for m in range(4):
+            for mu in combinat.multipartitions(r, m):
+                got = params.wk_rational(mu, ps)
+                ref = w_at_shape_reference(mu, r, ps.u)
+                assert all(type(x) is int for x in got.num.coeffs + got.den.coeffs)
+                assert got == ref, (u, mu)
+                assert params.series_of_rational(got, 7) == params.series_of_rational(ref, 7)
+        empty = w_at_shape_reference(combinat.empty_mp(r), r, ps.u)
+        assert ps.omega == tuple(params.series_of_rational(empty, ps.N))

@@ -7,11 +7,13 @@ import pytest
 
 from support import (
     FractionRealization, _relation_residuals, adjointness_reference,
-    as_fractions, branching_blocks, check_module, fraction_generators,
-    from_dense, module_contraction_free, module_fixtures, module_nonsplit,
-    module_rank_one, module_realization, seeded_u,
+    as_fractions, branching_blocks, check_module, class_sums_reference,
+    e_diag_reference, fraction_generators, from_dense, module_contraction_free,
+    module_fixtures, module_nonsplit, module_rank_one, module_realization,
+    root_sets, seeded_u,
 )
 from wenzl import _linalg, combinat, params, seminormal
+from wenzl.cli import main
 from wenzl.params import ParamSet
 from wenzl.seminormal import (
     RELATION_FAMILIES, Realization, _cleared, adjointness_residual, build_all,
@@ -415,3 +417,115 @@ def test_branching_blocks():
         assert rpt["sizes_ok"]
         assert rpt["max_offblock"] == 0
         assert sum(rpt["sizes"].values()) == rep.dim
+
+
+def _shapes(r, top=3):
+    return [mu for m in range(top + 1) for mu in combinat.multipartitions(r, m)]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_e_diag_equals_the_fraction_reference(r):
+    # on ints over q, one Fraction made, against the product of Fractions:
+    # every step out of every shape of size <= 3
+    for u in root_sets("e-diag", r):
+        ps = ParamSet.from_u(u, n_hint=3)
+        q = ps.q
+        assert q > 0 and all((q * x).denominator == 1 for x in ps.u)
+        for mu in _shapes(r):
+            boundary = combinat.addable_removable(mu, ps.u)
+            C = tuple(params.steps_out(mu, ps).C.values())
+            assert C == tuple(q * c for _, c, _ in boundary) and all(type(x) is int for x in C)
+            for x, (_, c, _) in zip(C, boundary):
+                got = seminormal.e_diag(x, C, q, r)
+                assert type(got) is Fraction
+                assert got == e_diag_reference(c, boundary, r), (u, mu, c)
+
+
+def _side(pair):
+    """An int pair (num, den) as a Fraction, None at den = 0."""
+    return Fraction(*pair) if pair[1] else None
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_class_sums_equal_the_fraction_reference(r):
+    # both sides of every class sum, as the int pairs make them, against
+    # the Fraction sums term by term, a zero denominator where the
+    # reference divides by zero: at the table's coefficients, where every
+    # defined identity holds once the contents are distinct, and at
+    # coefficients one off, where some fail
+    for u in root_sets("class-sums", r):
+        ps = ParamSet.from_u(u, n_hint=3)
+        for mu in _shapes(r):
+            C, e = seminormal.coefficients(ps, mu)
+            c = {nu: Fraction(x, ps.q) for nu, x in C.items()}
+            for es, holds in ((e, True), ({nu: x + 1 for nu, x in e.items()}, False)):
+                got = [(name, s, tp, _side(lhs), _side(rhs))
+                       for name, s, tp, lhs, rhs in seminormal.class_sums(C, es, ps.q)]
+                assert got == list(class_sums_reference(c, es)), (u, mu)
+                if len(set(C.values())) == len(C):
+                    verdicts = [lhs == rhs for *_, lhs, rhs in got
+                                if lhs is not None and rhs is not None]
+                    assert all(verdicts) == holds, (u, mu)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_step_table_equals_content_sequence_and_e_diag(r):
+    # every basis tableau with n <= 4: the contents read from the table are
+    # q times its content sequence, and the coefficient of each step is
+    # the Fraction e_diag at the shape it leaves; build_rep orders its
+    # basis as enumerate_updown does
+    for n in range(5):
+        for u in (combinat.default_u(r, n), seeded_u("table", r, n)):
+            ps = ParamSet.from_u(u, n_hint=n)
+            for lam in combinat.reachable_shapes(r, n):
+                for t in combinat.enumerate_updown(n, lam, ps.u):
+                    cs = combinat.content_sequence(t, ps.u)
+                    assert seminormal._contents(ps, t) == tuple(ps.q * c for c in cs)
+                    for k in range(1, n + 1):
+                        mu = combinat.shape_before(t, k)
+                        got = seminormal.coefficients(ps, mu).e[t[k - 1]]
+                        assert got == e_diag_reference(
+                            cs[k - 1], combinat.addable_removable(mu, ps.u), r), (t, k)
+            if n <= 3:
+                assert [rep.basis for rep in build_all(ps, n)] == [
+                    tuple(combinat.enumerate_updown(n, lam, ps.u))
+                    for lam in combinat.reachable_shapes(r, n)]
+
+
+def test_verify_forms_each_coefficient_once(monkeypatch, tmp_path):
+    # one verify run reads the boundary of each shape of size <= n - 1 once,
+    # forms e once per step out of each shape of size <= n - 2, and takes
+    # no content sequence: the model and the identities share the table
+    boundaries, coefficients, sequences = [], [], []
+    addable_removable = combinat.addable_removable
+    content_sequence = combinat.content_sequence
+    e_diag = seminormal.e_diag
+
+    def counted_boundary(mu, u):
+        boundaries.append(mu)
+        return addable_removable(mu, u)
+
+    def counted_sequence(t, u):
+        sequences.append(t)
+        return content_sequence(t, u)
+
+    def counted_e(C, boundary, q, r):
+        coefficients.append((C, boundary))
+        return e_diag(C, boundary, q, r)
+
+    monkeypatch.setattr(combinat, "addable_removable", counted_boundary)
+    monkeypatch.setattr(combinat, "content_sequence", counted_sequence)
+    monkeypatch.setattr(seminormal, "e_diag", counted_e)
+    assert main(["verify", "--r", "2", "--n", "3", "--out", str(tmp_path / "out.jsonl")]) == 0
+    assert sorted(boundaries) == sorted(_shapes(2, 2))
+    steps = sum(len(combinat.neighbors(mu)) for mu in _shapes(2, 1))
+    assert len(coefficients) == len(set(coefficients)) == steps == 10
+    assert sequences == []
+
+
+def test_identity_suite_raises_where_a_class_sum_divides_by_zero():
+    # at u = (0, 2) the step of content 0 out of the empty shape makes
+    # c_s + c_s = 0: the Fraction sums divided by it, and the int sums must
+    # not compare a zero denominator
+    with pytest.raises(ZeroDivisionError, match="class-sum-linear: zero denominator"):
+        check_identities(ParamSet.from_u((0, 2), 3), 3)
