@@ -107,10 +107,14 @@ class Poly:
 ONE = Poly.const(1)
 
 
-def _times_int(p: Poly, scale: int) -> Poly:
-    """scale * p as a polynomial with int coefficients; scale clears every
-    denominator of p."""
-    return Poly(tuple(c.numerator * (scale // c.denominator) for c in p.coeffs))
+def clearing(xs) -> int:
+    """The lcm of the denominators of the Fractions xs."""
+    return math.lcm(*(x.denominator for x in xs))
+
+
+def cleared(xs, d: int) -> tuple[int, ...]:
+    """The ints d x for the Fractions xs, whose denominators all divide d."""
+    return tuple(x.numerator * (d // x.denominator) for x in xs)
 
 
 class RationalFunction:
@@ -126,8 +130,8 @@ class RationalFunction:
         assert den, "zero denominator"
         cs = num.coeffs + den.coeffs
         if not all(type(c) is int for c in cs):
-            scale = math.lcm(*(c.denominator for c in cs))
-            num, den = _times_int(num, scale), _times_int(den, scale)
+            scale = clearing(cs)
+            num, den = Poly(cleared(num.coeffs, scale)), Poly(cleared(den.coeffs, scale))
         self.num, self.den = num, den
 
     @classmethod
@@ -260,8 +264,8 @@ class ParamSet:
         empty = combinat.empty_mp(r)
         # the steps out of the empty shape add the nodes (1, 1, s), whose
         # contents are the roots
-        q = _clearing(u)
-        w1 = _w_at_shape(empty, tuple(x.numerator * (q // x.denominator) for x in u), q)
+        q = clearing(u)
+        w1 = _w_at_shape(empty, cleared(u, q), q)
         ps = cls(r, u, tuple(series_of_rational(w1, N)), N)
         ps.w_at[empty] = w1
         return ps
@@ -270,7 +274,7 @@ class ParamSet:
     def q(self) -> int:
         """The lcm of the roots' denominators: q c is an int for every
         content c."""
-        return _clearing(self.u)
+        return clearing(self.u)
 
     @classmethod
     def default(cls, r: int, n: int) -> "ParamSet":
@@ -286,11 +290,6 @@ class ParamSet:
             "precision_bits": 256,
             "mode": self.mode,
         }
-
-
-def _clearing(u) -> int:
-    """The lcm of the denominators of the roots u."""
-    return math.lcm(*(x.denominator for x in u))
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +314,7 @@ def steps_out(mu, ps: ParamSet) -> Steps:
     ``ps.steps``: the one place where the boundary of a shape is read."""
     st = ps.steps.get(mu)
     if st is None:
-        q = ps.q
-        cs = (c.numerator * (q // c.denominator)
-              for _, c, _ in combinat.addable_removable(mu, ps.u))
+        cs = cleared((c for _, c, _ in combinat.addable_removable(mu, ps.u)), ps.q)
         st = ps.steps[mu] = Steps(dict(zip(combinat.neighbors(mu), cs)))
     return st
 

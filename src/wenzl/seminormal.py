@@ -343,8 +343,6 @@ class Realization:
         return out
 
     def evaluate_sum(self, terms) -> Evaluated:
-        if len(terms) == 1 and terms[0][0] == 1:
-            return self.evaluate(terms[0][1])
         parts = [scaled(self.evaluate(word), coeff) for coeff, word in terms]
         den = math.lcm(*(part.den for part in parts))
         out = None
@@ -534,10 +532,9 @@ def _rows_scaled(ev: Evaluated, scalars) -> Evaluated:
     """ev with row i of block b scaled by scalars[b][i], a Fraction: the
     numerators over the lcm q of the denominators scale the rows, and q
     joins den."""
-    q = math.lcm(*(w.denominator for ws in scalars for w in ws))
+    q = params.clearing(w for ws in scalars for w in ws)
     return Evaluated([[{j: x * f for j, x in row.items()} if f else {}
-                       for row, f in zip(blk, (w.numerator * (q // w.denominator)
-                                                for w in ws))]
+                       for row, f in zip(blk, params.cleared(ws, q))]
                       for blk, ws in zip(ev.blocks, scalars)], ev.den * q)
 
 
@@ -577,8 +574,8 @@ def class_sums(C: dict, e: dict, q: int):
     (num, den).  With e_m = E_m / D over the lcm D of the e's denominators
     and c = C / q, every sum runs on ints: the linear one is
     q sum E_m / (C_s + C_m) over D, against (2 C_s + q) / (2 C_s)."""
-    D = math.lcm(*(x.denominator for x in e.values()))
-    E = {m: x.numerator * (D // x.denominator) for m, x in e.items()}
+    D = params.clearing(e.values())
+    E = dict(zip(e, params.cleared(e.values(), D)))
     q2 = q * q
     for s, cs in C.items():
         num, den = _int_sum((E[m], cs + x) for m, x in C.items())
