@@ -169,7 +169,11 @@ def _shape_json(shape) -> list[list[int]]:
 def _write_report(records, out_path) -> None:
     text = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
     if out_path:
-        with open(out_path, "w") as fh:
+        # ``_resolve`` made the file; empty it only if it holds something, so
+        # a fresh file, a pipe or /dev/null is written without a truncation
+        with open(out_path, "a") as fh:
+            if os.fstat(fh.fileno()).st_size:
+                fh.truncate(0)
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -221,7 +225,11 @@ def cmd_verify(cfg: RunConfig, ps: ParamSet, meta: dict) -> tuple[list[dict], bo
 
 def cmd_gram(cfg: RunConfig, ps: ParamSet, meta: dict) -> tuple[list[dict], bool]:
     shape, n = cfg.shape, cfg.n
-    det = hecke.gram_det(hecke.murphy_basis(ps, n), shape)
+    mb = hecke.murphy_basis(ps, n)
+    # the held basis's parameter set equals ps, and the jobs before at this
+    # parameter set have filled its step table, which the gamma ratios read
+    ps = mb.H.ps
+    det = hecke.gram_det(mb, shape)
     gammas = hecke.gamma_coeffs(shape, ps)
     path_ok = hecke.gamma_path_independent(shape, ps, gammas)
     prod = math.prod(gammas.values(), start=Fraction(1))

@@ -17,6 +17,13 @@ elements are multiplied.  The Murphy product is written once, as its
 factors (``murphy_factors``).  Y_1 is reduced with the coefficients of the
 cyclotomic relation in ``seminormal.relations`` (``cyclotomic_coeffs``);
 with its E terms dropped, that table of relations holds here.
+
+The image of a key times Y_j depends only on the key, j and the roots, so
+the algebra straightens and reduces it once and holds it: ``rmul_Y`` only
+scales and adds held images.  ``murphy_basis`` holds one algebra per
+parameter set, so the basis build and every Gram matrix at that parameter
+set share them.  T_i moves no coefficient: on the right it swaps the
+values i and i + 1 of w, on the left the entries at positions i and i + 1.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from typing import NamedTuple
 from . import _linalg, combinat
 from .combinat import (Multipartition, Tableau, Word, perm_inverse, perm_mult, perm_word,
                        word_for_permutation)
-from .params import ParamSet, cyclotomic_coeffs
+from .params import ParamSet, cyclotomic_coeffs, steps_out
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 WordSum = tuple[tuple[Fraction, Word], ...]
@@ -61,6 +68,21 @@ def _merge(out: dict, key: Key, c: int):
         del out[key]
 
 
+def _swap_values(w: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """w s_i: w with its values i and i + 1 swapped."""
+    out = list(w)
+    out[w.index(i)], out[w.index(i + 1)] = i + 1, i
+    return tuple(out)
+
+
+def _swap_positions(w: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """s_i w (or s_i alpha): w with its entries at positions i and i + 1
+    swapped."""
+    out = list(w)
+    out[i - 1], out[i] = out[i], out[i - 1]
+    return tuple(out)
+
+
 def _canonical(terms: dict, den: int) -> Element:
     """The element terms / den, with the common factor of den and every
     coefficient divided out."""
@@ -79,8 +101,10 @@ class HeckeAlgebra:
     ``cyc`` over their lcm ``Q``, which can exceed the roots' own
     denominator.  ``act``, ``act_sum``, ``act_factors``, ``rmul_T`` and
     ``rmul_Y`` take and return an ``Element``, and ``lmul_T`` and ``_reduce``
-    rewrite the int terms inside ``rmul_Y``: no method writes into its
-    input's terms, and every value it forms is an int."""
+    rewrite the int terms inside ``_straighten``, which forms the image of
+    one key times Y_j for the held table that ``rmul_Y`` reads: no method
+    writes into its input's terms or into a held image, and every value it
+    forms is an int."""
 
     def __init__(self, ps: ParamSet, n: int):
         if not ps.u:
@@ -93,6 +117,8 @@ class HeckeAlgebra:
         self.Q = math.lcm(*(c.denominator for c in cyc))
         self.cyc = tuple(c.numerator * (self.Q // c.denominator) for c in cyc)
         self.id = tuple(range(1, n + 1))
+        # (key, j) -> the key times Y_j in normal form, filled on first use
+        self._y_images: dict = {}
 
     def one(self) -> Element:
         return Element({((0,) * self.n, self.id): 1}, 1)
@@ -107,33 +133,49 @@ class HeckeAlgebra:
 
     def rmul_T(self, el: Element, i: int) -> Element:
         """w -> w s_i is a bijection of the keys: no two terms meet."""
-        s = self._s(i)
-        return Element({(alpha, perm_mult(w, s)): c for (alpha, w), c in el.terms.items()},
+        return Element({(alpha, _swap_values(w, i)): c for (alpha, w), c in el.terms.items()},
                        el.den)
 
     def rmul_Y(self, el: Element, j: int) -> Element:
-        """Multiply by Y_j on the right: push Y_j left through each T_w."""
+        """Multiply by Y_j on the right: each key's image (``_y_image``) is
+        scaled by its coefficient and brought to the largest power of Q
+        met, and the sum is put in canonical form."""
+        images = [(c, *self._y_image(key, j)) for key, c in el.terms.items()]
+        top = max((e for _, _, e in images), default=0)
         out: dict = {}
-        for (alpha, w), c in el.terms.items():
-            word = perm_word(w)
-            jj = j
-            # scan the reduced word right to left; each straightening step
-            # drops the letter and the Y factor at once
-            for p in range(len(word) - 1, -1, -1):
-                i = word[p]
-                if jj == i:
-                    rest = word[:p] + word[p + 1:]
-                    _merge(out, (alpha, self._perm_of(rest)), -c)
-                    jj = i + 1
-                elif jj == i + 1:
-                    rest = word[:p] + word[p + 1:]
-                    _merge(out, (alpha, self._perm_of(rest)), c)
-                    jj = i
-            na = list(alpha)
-            na[jj - 1] += 1
-            _merge(out, (tuple(na), w), c)
-        out, power = self._reduce(out)
-        return _canonical(out, el.den * self.Q ** power)
+        for c, image, e in images:
+            f = c * self.Q ** (top - e)
+            for key, x in image.items():
+                _merge(out, key, f * x)
+        return _canonical(out, el.den * self.Q ** top)
+
+    def _y_image(self, key: Key, j: int) -> tuple[dict, int]:
+        """(terms, e): the key times Y_j in normal form, int terms over Q^e,
+        held for every later call with the same key and j."""
+        image = self._y_images.get((key, j))
+        if image is None:
+            image = self._y_images[key, j] = self._straighten(key, j)
+        return image
+
+    def _straighten(self, key: Key, j: int) -> tuple[dict, int]:
+        """Y^alpha T_w Y_j, with Y_j pushed left through T_w and reduced."""
+        alpha, w = key
+        word = perm_word(w)
+        out: dict = {}
+        # scan the reduced word right to left; each straightening step
+        # drops the letter and the Y factor at once
+        for p in range(len(word) - 1, -1, -1):
+            i = word[p]
+            if j == i:
+                _merge(out, (alpha, self._perm_of(word[:p] + word[p + 1:])), -1)
+                j = i + 1
+            elif j == i + 1:
+                _merge(out, (alpha, self._perm_of(word[:p] + word[p + 1:])), 1)
+                j = i
+        na = list(alpha)
+        na[j - 1] += 1
+        _merge(out, (tuple(na), w), 1)
+        return self._reduce(out)
 
     def _perm_of(self, word) -> tuple[int, ...]:
         w = self.id
@@ -145,12 +187,9 @@ class HeckeAlgebra:
         """Multiply int terms by T_i on the left, over their denominator, via
         the divided-difference rule:
         T_i Y^b T_v = Y^{s_i b} T_{s_i v} - (difference quotient) T_v."""
-        s = self._s(i)
         out: dict = {}
         for (alpha, w), c in terms.items():
-            swapped = list(alpha)
-            swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
-            _merge(out, (tuple(swapped), perm_mult(s, w)), c)
+            _merge(out, (_swap_positions(alpha, i), _swap_positions(w, i)), c)
             a, b = alpha[i - 1], alpha[i]
             sign = 1 if a < b else -1  # no correction term when a == b
             for q in range(min(a, b), max(a, b)):
@@ -182,7 +221,7 @@ class HeckeAlgebra:
                 continue
             ahat = list(alpha)
             ahat[m - 1] = 0
-            uperm = perm_mult(self._s(m - 1), w)
+            uperm = _swap_positions(w, m - 1)
             for l in range(p):
                 na = list(ahat)
                 na[m - 1] += l
@@ -358,17 +397,21 @@ def gamma_top(lam, ps: ParamSet) -> Fraction:
 
 def _descents(lam, s, ps: ParamSet):
     """(t, gamma(t) / gamma(s)) for each standard t one dominance step below
-    s, where t is s with steps k and k+1 swapped."""
-    cs = combinat.content_sequence(s, ps.u)
+    s, where t is s with steps k and k+1 swapped: (d + 1)(d - 1) / d^2 for
+    the difference d of the contents of steps k and k+1, read as ints over
+    q from the step table."""
+    q = ps.q
+    C = [steps_out(mu, ps).C[nu] for mu, nu in zip((combinat.empty_mp(ps.r),) + s, s)]
     for k in range(1, len(s)):
         t = combinat.sk_action(s, k)
         if t is None or t == s or not combinat.dominance_std(s, t):
             continue
-        d = cs[k - 1] - cs[k]
-        if d == 0:
+        # the content difference d is D / q
+        D = C[k - 1] - C[k]
+        if D == 0:
             raise ValueError(f"equal adjacent contents at k={k} in shape {lam}: "
                              "gamma undefined, parameters not generic")
-        yield t, (d + 1) * (d - 1) / d ** 2
+        yield t, Fraction((D + q) * (D - q), D * D)
 
 
 def gamma_coeffs(lam, ps: ParamSet) -> dict:
@@ -398,13 +441,15 @@ def gram_matrix(mb: MurphyBasis, lam) -> list[dict]:
     """The cell form on the standard tableaux of lam, as sparse rows: entry
     <m_s, m_t> is the coordinate at m_{t^lam t^lam} of m_{t^lam s} times the
     factors of m_{t t^lam}, in the algebra ``mb.H``, with every coordinate
-    of the product checked.  t^lam and the factors of each t are formed
-    once; the basis elements are only read, so a held basis stays as
-    built."""
+    of the product checked.  t^lam, its coset word and M_lam are formed once
+    per matrix and the starred coset word once per t; the basis elements
+    are only read, so a held basis stays as built."""
     H = mb.H
     tl = combinat.t_lambda(lam)
     stds = combinat.standard_tableaux(lam)
-    factors = [murphy_factors(H.ps, lam, t, tl) for t in stds]
+    # murphy_factors(ps, lam, t, tl) for each t, with M_lam formed once
+    middle, right = murphy_middle(H.ps, lam), coset_word(tl)
+    factors = [(star_coset_word(t), middle, right) for t in stds]
     rows = []
     for s in stds:
         left = mb.elements[mb.triple_index[lam, tl, s]]

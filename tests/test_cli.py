@@ -388,6 +388,20 @@ def test_out_into_a_missing_directory_is_a_usage_error(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_out_holding_a_longer_report_ends_as_a_fresh_run(tmp_path):
+    # the report replaces what the file held: its bytes are a fresh run's,
+    # and a file that cannot hold anything, /dev/null, takes the report too
+    fresh, reused = tmp_path / "fresh.jsonl", tmp_path / "reused.jsonl"
+    short = ["gram", "--shape=(1|-)"]
+    assert main(["verify", "--r", "2", "--n", "3", "--out", str(reused)]) == 0
+    held = reused.stat().st_size
+    assert main([*short, "--out", str(fresh)]) == 0
+    assert 0 < fresh.stat().st_size < held
+    assert main([*short, "--out", str(reused)]) == 0
+    assert reused.read_bytes() == fresh.read_bytes()
+    assert main([*short, "--out", os.devnull]) == 0
+
+
 def test_out_naming_a_directory_or_nothing_is_a_usage_error(tmp_path):
     target = tmp_path / "dir"
     target.mkdir()

@@ -1,5 +1,6 @@
 """Degenerate cyclotomic quotient: normal form, Murphy basis, Gram forms."""
 
+import collections
 import functools
 import itertools
 import math
@@ -9,8 +10,8 @@ from fractions import Fraction
 import pytest
 
 from support import (FractionHecke, as_fractions, fraction_inverse, key_word, multiply,
-                     murphy_triangular_report, row_symmetrizer_witness, seeded_u)
-from wenzl import _linalg, combinat, hecke
+                     murphy_triangular_report, root_sets, row_symmetrizer_witness, seeded_u)
+from wenzl import _linalg, cli, combinat, hecke
 from wenzl.combinat import star_word
 from wenzl.hecke import (
     Element, HeckeAlgebra, MurphyBasis, gamma_coeffs, gamma_path_independent,
@@ -344,6 +345,135 @@ def test_int_rewriting_equals_the_fraction_reference(r, n):
                     got = H.act_factors(left, *fs)
                     assert _canonical(got), (u, lam, s, t)
                     assert as_fractions(got) == ref.act_factors(want[lam, tl, s], *fs)
+
+
+def _element(fracs: dict) -> Element:
+    """The canonical int element of a dict of Fraction coefficients."""
+    den = math.lcm(*(c.denominator for c in fracs.values()))
+    return hecke._canonical({k: c.numerator * (den // c.denominator)
+                             for k, c in fracs.items()}, den)
+
+
+def _seeded_checks(H, ref, rng):
+    """rmul_Y at every j, act on a word and act_sum on a word sum, each on
+    seeded elements, against the Fraction reference."""
+    n, r = H.n, H.r
+    keys = [(alpha, w) for alpha in itertools.product(range(r), repeat=n)
+            for w in itertools.permutations(range(1, n + 1))]
+    letters = [("S", i) for i in range(1, n)] + [("X", j, a) for j in range(1, n + 1)
+                                                 for a in range(3)]
+    coeffs = [F(1), F(-2), F(3, 7), F(-5, 4), F(11, 6)]
+    for _ in range(4):
+        fr = {k: rng.choice(coeffs) for k in rng.sample(keys, min(len(keys), 6))}
+        el = _element(fr)
+        for j in range(1, n + 1):
+            got = H.rmul_Y(el, j)
+            assert _canonical(got) and as_fractions(got) == ref.rmul_Y(fr, j), (fr, j)
+        word = tuple(rng.choice(letters) for _ in range(4))
+        got = H.act(el, word)
+        assert _canonical(got) and as_fractions(got) == ref.act(fr, word), (fr, word)
+        wsum = tuple((rng.choice(coeffs), tuple(rng.choice(letters) for _ in range(3)))
+                     for _ in range(3))
+        got = H.act_sum(el, wsum)
+        assert _canonical(got) and as_fractions(got) == ref.act_sum(fr, wsum), (fr, wsum)
+
+
+@pytest.mark.parametrize("r,n", [(3, 2), (1, 4), (2, 3)])
+def test_held_y_images_equal_the_fraction_reference(r, n):
+    # rmul_Y, act and act_sum on seeded elements, from an empty table of
+    # held images, from one that the basis and the Gram matrix of every
+    # shape have filled (at r = 1 no M_lam holds a Y, so it stays empty),
+    # and from one that earlier elements filled; every image the shapes
+    # filled is checked too
+    rng = random.Random(f"held-images:{r}:{n}")
+    for u in root_sets("held-images", r):
+        ps = ParamSet.from_u(u, n_hint=n)
+        ref = FractionHecke(ps, n)
+        cold = HeckeAlgebra(ps, n)
+        assert not cold._y_images
+        _seeded_checks(cold, ref, rng)
+        mb = MurphyBasis(HeckeAlgebra(ps, n))
+        for lam in combinat.multipartitions(r, n):
+            gram_matrix(mb, lam)
+        warm = mb.H
+        for (key, j), (terms, e) in warm._y_images.items():
+            held = {k: F(c, warm.Q ** e) for k, c in terms.items()}
+            assert held == ref.rmul_Y({key: F(1)}, j), (u, key, j)
+        assert warm._y_images or r == 1
+        _seeded_checks(warm, ref, rng)
+        assert cold._y_images
+        _seeded_checks(cold, ref, rng)
+
+
+def _gram_job(lam, u, out) -> int:
+    """The exit code of one gram job at the shape lam and the roots u."""
+    shape = "(" + "|".join(",".join(map(str, p)) or "-" for p in lam) + ")"
+    return cli.main(["gram", "--shape=" + shape, "--u=" + ",".join(map(str, u)),
+                     "--out", str(out)])
+
+
+def test_each_key_is_straightened_once_per_parameter_set(tmp_path, monkeypatch):
+    # the gram jobs of every shape at one parameter set share one held
+    # algebra: across the basis build and every Gram matrix, each (key, j)
+    # is straightened at most once, and every image straightened is held
+    calls = collections.Counter()
+    straighten = HeckeAlgebra._straighten
+
+    def counted(self, key, j):
+        calls[key, j] += 1
+        return straighten(self, key, j)
+
+    monkeypatch.setattr(HeckeAlgebra, "_straighten", counted)
+    out = tmp_path / "out.jsonl"
+    for r, n in ((3, 2), (1, 4), (2, 3), (2, 2)):
+        calls.clear()
+        ps = ParamSet.from_u(seeded_u("straighten-once", r, n), n_hint=n)
+        hecke.murphy_basis.cache_clear()
+        for lam in combinat.multipartitions(r, n):
+            assert _gram_job(lam, ps.u, out) == 0
+        assert hecke.murphy_basis.cache_info().misses == 1
+        H = hecke.murphy_basis(ps, n).H
+        # at r = 1 no M_lam holds a Y, so nothing is straightened
+        assert set(calls.values()) <= {1} and (calls or r == 1), (r, n)
+        assert set(calls) == set(H._y_images)
+
+
+def test_gram_jobs_read_each_boundary_once_per_parameter_set(tmp_path, monkeypatch):
+    # the gamma ratios read the step table of the held basis's parameter
+    # set, so across the jobs of every shape at one parameter set the
+    # boundary of each shape met is read once
+    boundaries = []
+    addable_removable = combinat.addable_removable
+
+    def counted(mu, u):
+        boundaries.append(mu)
+        return addable_removable(mu, u)
+
+    monkeypatch.setattr(combinat, "addable_removable", counted)
+    out = tmp_path / "out.jsonl"
+    u = seeded_u("boundary-once", 2, 3)
+    hecke.murphy_basis.cache_clear()
+    for lam in combinat.multipartitions(2, 3):
+        assert _gram_job(lam, u, out) == 0
+    assert boundaries and len(boundaries) == len(set(boundaries))
+
+
+@pytest.mark.parametrize("r,n", [(3, 2), (1, 4), (2, 3), (2, 4)])
+def test_int_descents_equal_the_fraction_contents(r, n):
+    # each gamma ratio read on ints over q from the step table against
+    # (d + 1)(d - 1) / d^2 with d the difference of Fraction contents
+    for u in root_sets("descents", r):
+        ps = ParamSet.from_u(u, n_hint=n)
+        for lam in combinat.multipartitions(r, n):
+            for s in combinat.standard_tableaux(lam):
+                cs = combinat.content_sequence(s, u)
+                want = []
+                for k in range(1, n):
+                    t = combinat.sk_action(s, k)
+                    if t is not None and t != s and combinat.dominance_std(s, t):
+                        d = cs[k - 1] - cs[k]
+                        want.append((t, (d + 1) * (d - 1) / d ** 2))
+                assert list(hecke._descents(lam, s, ps)) == want, (u, lam, s)
 
 
 def test_gamma_top_divides_product():
