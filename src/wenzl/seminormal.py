@@ -7,22 +7,26 @@ Both are formed once per parameter set, in the step table ``ps.steps``
 (``params.steps_out``, and ``coefficients`` for e), and the model and the
 identity suite read them from there.  The orthonormal seminormal model has
 symmetric matrices whose off-diagonal entries are square roots of
-Fractions.  Each block is built instead as that model conjugated by
+rationals.  Each model is built instead as that model conjugated by
 diag(sqrt(gamma)), with gamma chosen on a spanning tree of the generator
-graph so that every entry is rational, and each generator is held once, as
-int rows over one positive denominator (``Evaluated``).  The models make one
-``Realization``, their direct sum, which evaluates generator words on every
-block; ``wcell`` ranks word families on it.  The realization stacks each
-letter's blocks once over one common denominator and computes on ints, so a
-Fraction is made only for a reported residual.  The defining relations are
-written once, as pairs of word sums (``relations``), and both sides are
-evaluated on the realization and compared by cross-multiplying; they, the
-scalar tower and self-adjointness for diag(gamma) are checked with zero
+graph so that every entry is rational.  It is built on ints: every entry,
+every squared off-diagonal and gamma is an int pair (num, den), a square
+root is taken with ``math.isqrt``, and each generator is held once, as one
+matrix of int rows over one positive denominator in lowest terms
+(``Evaluated``).  The models make one ``Realization``, their direct sum,
+which stacks each letter's generators once into one block-diagonal matrix
+over one common denominator, so a word takes one matrix product per
+letter on ints and a Fraction is made only for a reported residual;
+``wcell`` ranks word families on it.  The defining relations are written
+once, as pairs of word sums (``relations``), and both sides are evaluated
+on the realization and compared block by block by cross-multiplying; they,
+the scalar tower and self-adjointness for diag(gamma) are checked with zero
 tolerance, as are the polynomial identities between the coefficients.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -69,13 +73,23 @@ def coefficients(ps: ParamSet, mu) -> params.Steps:
     return st
 
 
-def swap_a(t, k: int, d: int, q: int) -> Fraction:
-    """Diagonal swap coefficient 1/(c_{k+1} - c_k) of steps k, k+1 of t,
-    from the int d = q (c_{k+1} - c_k)."""
+def _signed(num: int, den: int) -> tuple[int, int]:
+    """num/den as an int pair with a positive den."""
+    return (num, den) if den > 0 else (-num, -den)
+
+
+def _swap_pair(t, k: int, d: int, q: int) -> tuple[int, int]:
+    """Diagonal swap coefficient 1/(c_{k+1} - c_k) of steps k, k+1 of t, as
+    an int pair (num, den) with den > 0, from the int d = q (c_{k+1} - c_k)."""
     if d == 0:
         raise ValueError(f"equal adjacent contents at k={k} from shape "
                          f"{combinat.shape_before(t, k)}: parameters not generic")
-    return Fraction(q, d)
+    return (q, d) if d > 0 else (-q, -d)
+
+
+def swap_a(t, k: int, d: int, q: int) -> Fraction:
+    """The swap coefficient of ``_swap_pair`` as a Fraction."""
+    return Fraction(*_swap_pair(t, k, d, q))
 
 
 def _contents(ps: ParamSet, t) -> tuple[int, ...]:
@@ -93,20 +107,21 @@ def _contents(ps: ParamSet, t) -> tuple[int, ...]:
 
 
 class Evaluated(NamedTuple):
-    """An element of the realization: one ``_linalg`` block of ints per
-    model, ``blocks``, all over the one positive denominator ``den``."""
+    """A rational matrix: one ``_linalg`` matrix of ints, ``rows``, over one
+    positive denominator ``den``.  It is a generator of one model, or an
+    element of a realization, block-diagonal over its models."""
 
-    blocks: list
+    rows: list
     den: int
 
 
 @dataclass
 class SeminormalRep:
-    """Generator blocks over the updown basis of one shape.
+    """Generators over the updown basis of one shape.
 
     S[i-1], E[i-1] act at position i (1 <= i < n); X[j-1] is diagonal with
-    the step-j contents.  Each is an ``Evaluated`` with one block: ``_linalg``
-    int rows over one positive denominator.  They are the symmetric
+    the step-j contents.  Each is an ``Evaluated``: d x d int rows over one
+    positive denominator, in lowest terms.  They are the symmetric
     orthonormal model conjugated by diag(sqrt(gamma)), so every generator M
     satisfies gamma[i] M[i][j] = M[j][i] gamma[j], with every gamma[i] > 0.
     """
@@ -125,21 +140,13 @@ class SeminormalRep:
         return len(self.basis)
 
 
-def _rational_sqrt(x: Fraction) -> Fraction | None:
-    """The nonnegative square root of x when it is rational, else None."""
-    if x < 0:
-        return None
-    p, q = math.isqrt(x.numerator), math.isqrt(x.denominator)
-    if p * p == x.numerator and q * q == x.denominator:
-        return Fraction(p, q)
-    return None
-
-
 def _orthonormal_entries(ps: ParamSet, k: int, idx: dict, contents: dict):
     """S_k and E_k of the orthonormal model, each as (diagonal, off), with
-    diagonal {i: value} exact and off {(i, j): (sign, square)} holding the
-    sign and the exact square of every nonzero off-diagonal entry.
-    ``contents`` holds the ints q c of each basis tableau."""
+    diagonal {i: value} and off {(i, j): (sign, square)} holding the sign
+    and the square of every nonzero off-diagonal entry.  Every value is an
+    int pair (num, den) with den > 0, formed from the contents, the ints
+    q c of each basis tableau in ``contents``, and the numerators and
+    denominators of the step table's e."""
     q = ps.q
     S_diag, S_off, E_diag, E_off = {}, {}, {}, {}
     seen: set[int] = set()
@@ -159,9 +166,10 @@ def _orthonormal_entries(ps: ParamSet, k: int, idx: dict, contents: dict):
                         f"contraction coefficient {ev} <= 0 at k={k} from "
                         f"shape {mu}: "
                         "parameters outside the positivity regime")
-                evals[m] = ev
+                evals[m] = ev.numerator, ev.denominator
             for s in cls:
                 cs = contents[s][k - 1]
+                sn, sd = evals[s]
                 for tt in cls:
                     denom = cs + contents[tt][k - 1]
                     if denom == 0:
@@ -170,38 +178,39 @@ def _orthonormal_entries(ps: ParamSet, k: int, idx: dict, contents: dict):
                             f"shape {mu}: parameters not generic")
                     # denom is q (c_s + c_tt)
                     if s == tt:
-                        E_diag[idx[s]] = evals[s]
-                        S_diag[idx[s]] = (evals[s] - 1) * q / denom
+                        E_diag[idx[s]] = sn, sd
+                        S_diag[idx[s]] = _signed((sn - sd) * q, sd * denom)
                     else:
-                        sq = evals[s] * evals[tt]
-                        E_off[idx[tt], idx[s]] = (1, sq)
+                        tn, td = evals[tt]
+                        E_off[idx[tt], idx[s]] = 1, (sn * tn, sd * td)
                         S_off[idx[tt], idx[s]] = (1 if denom > 0 else -1,
-                                                  sq * q * q / denom ** 2)
+                                                  (sn * tn * q * q, sd * td * denom * denom))
         else:
-            a = swap_a(t, k, contents[t][k] - contents[t][k - 1], q)
-            S_diag[i] = a
+            d = contents[t][k] - contents[t][k - 1]
+            S_diag[i] = _swap_pair(t, k, d, q)
             partner = combinat.sk_action(t, k)
+            # a = q / d, so a^2 = 1 when d^2 = q^2, and 1 - a^2 = (d^2 - q^2) / d^2
             if partner is None:
-                if a * a != 1:
+                if d * d != q * q:
                     raise ValueError(
-                        f"swap at k={k} from shape {mu} undefined "
-                        f"but coefficient {a} is not a unit: outside the regime")
+                        f"swap at k={k} from shape {mu} undefined but coefficient "
+                        f"{Fraction(q, d)} is not a unit: outside the regime")
             else:
-                b2 = 1 - a * a
+                b2 = d * d - q * q
                 if b2 < 0:
                     raise ValueError(
-                        f"squared off-diagonal {b2} < 0 at k={k} from shape "
-                        f"{mu}: outside the positivity regime")
+                        f"squared off-diagonal {Fraction(b2, d * d)} < 0 at k={k} "
+                        f"from shape {mu}: outside the positivity regime")
                 if b2:
-                    S_off[idx[partner], i] = (1, b2)
+                    S_off[idx[partner], i] = 1, (b2, d * d)
     return (S_diag, S_off), (E_diag, E_off)
 
 
-def _gamma(d: int, offs) -> list[Fraction]:
-    """Positive weights on a spanning forest of the generator graph: along a
-    tree edge from i to j with orthonormal entry m, gamma[j] = gamma[i] m^2,
-    which makes the rational entry at (i, j) equal to +-m^2 and at (j, i)
-    equal to +-1."""
+def _gamma(d: int, offs) -> list[tuple[int, int]]:
+    """Positive weights on a spanning forest of the generator graph, as int
+    pairs (num, den) in lowest terms: along a tree edge from i to j with
+    orthonormal entry m, gamma[j] = gamma[i] m^2, which makes the rational
+    entry at (i, j) equal to +-m^2 and at (j, i) equal to +-1."""
     nbrs: list[list] = [[] for _ in range(d)]
     for off in offs:
         for (i, j), (_, sq) in off.items():
@@ -210,18 +219,35 @@ def _gamma(d: int, offs) -> list[Fraction]:
     for root in range(d):
         if gamma[root] is not None:
             continue
-        gamma[root] = Fraction(1)
+        gamma[root] = 1, 1
         queue = [root]
         for i in queue:
-            for j, sq in nbrs[i]:
+            gn, gd = gamma[i]
+            for j, (sn, sd) in nbrs[i]:
                 if gamma[j] is None:
-                    gamma[j] = gamma[i] * sq
+                    num, den = gn * sn, gd * sd
+                    g = math.gcd(num, den)
+                    gamma[j] = num // g, den // g
                     queue.append(j)
     return gamma
 
 
+def _block(d: int, entries: dict) -> Evaluated:
+    """The d x d matrix with the nonzero entries {(i, j): (num, den)}, each
+    den > 0, as int rows over the lcm of the dens, divided by the gcd of
+    that lcm and every entry: its rows and den in lowest terms."""
+    den = math.lcm(*(b for _, b in entries.values()))
+    ints = {key: a * (den // b) for key, (a, b) in entries.items()}
+    g = math.gcd(den, *ints.values())
+    rows = _linalg.zeros(d)
+    for (i, j), x in ints.items():
+        rows[i][j] = x // g
+    return Evaluated(rows, den // g)
+
+
 def build_rep(ps: ParamSet, n: int, shape) -> SeminormalRep:
-    """Assemble the generator blocks of one shape, each cleared as it is made.
+    """Assemble the generators of one shape on ints, each cleared as it is
+    made.
 
     Raises ValueError outside the positivity regime: a nonpositive diagonal
     contraction coefficient, a squared off-diagonal below zero, or a
@@ -244,28 +270,30 @@ def build_rep(ps: ParamSet, n: int, shape) -> SeminormalRep:
     for j in range(n):
         col = [contents[t][j] for t in basis]
         g = math.gcd(q, *col)
-        X.append(Evaluated([[{i: x // g} if x else {} for i, x in enumerate(col)]], q // g))
+        X.append(Evaluated([{i: x // g} if x else {} for i, x in enumerate(col)], q // g))
 
     entries = [_orthonormal_entries(ps, k, idx, contents) for k in range(1, n)]
     gamma = _gamma(d, [off for pair in entries for _, off in pair])
 
     def block(name: str, k: int, diag: dict, off: dict) -> Evaluated:
-        M = _linalg.zeros(d)
-        for i, v in diag.items():
-            if v:
-                M[i][i] = v
-        for (i, j), (sign, sq) in off.items():
-            root = _rational_sqrt(sq * gamma[j] / gamma[i])
-            if root is None:
+        # the entry at (i, j) is sign sqrt(sq gamma[j] / gamma[i]) = sign
+        # sqrt(N / D), which is rational exactly when N D is a square
+        out = {(i, i): v for i, v in diag.items() if v[0]}
+        for (i, j), (sign, (sn, sd)) in off.items():
+            (ni, di), (nj, dj) = gamma[i], gamma[j]
+            num, den = sn * nj * di, sd * dj * ni
+            root = math.isqrt(num * den)
+            if root * root != num * den:
                 raise ValueError(
                     f"{name}_{k} entry ({i}, {j}) has no rational form: "
                     "the squared entries do not match around a cycle")
-            M[i][j] = sign * root
-        return _cleared([M])
+            out[i, j] = sign * root, den
+        return _block(d, out)
 
     S = [block("S", k, *s) for k, (s, _) in enumerate(entries, start=1)]
     E = [block("E", k, *e) for k, (_, e) in enumerate(entries, start=1)]
-    return SeminormalRep(ps, n, shape, basis, S, E, X, tuple(gamma))
+    return SeminormalRep(ps, n, shape, basis, S, E, X,
+                         tuple(Fraction(*g) for g in gamma))
 
 
 def build_all(ps: ParamSet, n: int) -> list[SeminormalRep]:
@@ -286,17 +314,21 @@ def build_all(ps: ParamSet, n: int) -> list[SeminormalRep]:
 
 class Realization:
     """The direct sum of the models given (``build_all`` gives one per
-    reachable shape): a word, a word sum (``evaluate_sum``) or a product of
-    word sums (``evaluate_product``, never expanded into words) evaluates to
-    an ``Evaluated``, int blocks over one denominator.  The models' blocks of
-    each letter are stacked once per realization over the lcm of their
-    denominators; a product multiplies the denominators and a sum brings its
-    terms to their lcm, so no Fraction is normalised until a residual is
-    reported.  ``vec`` lays the int blocks out as one sparse vector, of
-    length r^n (2n-1)!! over all shapes: the element scaled by its positive
-    den.  The rank over Q of such vectors is that of the elements, and also
-    that in the orthonormal model, whose entries differ from these by fixed
-    nonzero factors.
+    reachable shape), as block-diagonal matrices of size sum d: the model
+    of ``reps[b]`` acts on the rows and columns ``ranges[b]``, in that
+    order.  A word, a word sum (``evaluate_sum``) or a product of word sums
+    (``evaluate_product``, never expanded into words) evaluates to one
+    ``Evaluated``, int rows over one denominator.  Each letter is stacked
+    once per realization over the lcm of its models' denominators, so a
+    word takes one matrix product per letter; a product multiplies the
+    denominators and a sum brings its terms to their lcm, so no Fraction
+    is normalised until a residual is reported.  ``block`` reads the
+    matrix of one model off an element.  ``vec`` lays the blocks out as
+    one sparse vector, of length r^n (2n-1)!! over all shapes, block by
+    block and row by row: the element scaled by its positive den.  The rank
+    over Q of such vectors is that of the elements, and also that in the
+    orthonormal model, whose entries differ from these by fixed nonzero
+    factors.
     """
 
     def __init__(self, reps: list[SeminormalRep]):
@@ -304,54 +336,73 @@ class Realization:
         self.ps, self.n = reps[0].ps, reps[0].n
         self.shapes = [rep.shape for rep in reps]
         self.dims = [rep.dim for rep in reps]
-        self._one = Evaluated([_linalg.identity(d) for d in self.dims], 1)
+        starts = list(itertools.accumulate(self.dims, initial=0))
+        self.ranges = list(zip(starts, starts[1:]))
+        self._one = Evaluated(_linalg.identity(starts[-1]), 1)
         self._letters: dict = {}
+        # vec puts entry (i, j) of the matrix at _vec_base[i] + j: the
+        # block's place in the vector plus its local row times d, less the
+        # block's start from j
+        self._vec_base, place = [], 0
+        for (start, _), d in zip(self.ranges, self.dims):
+            self._vec_base.extend(place + i * d - start for i in range(d))
+            place += d * d
 
     def block_index(self, shape) -> int:
         return self.shapes.index(shape)
 
+    def block(self, ev: Evaluated, b: int) -> Evaluated:
+        """The matrix of model b in ev, over ev's den."""
+        start, end = self.ranges[b]
+        return Evaluated([{j - start: x for j, x in row.items()}
+                          for row in ev.rows[start:end]], ev.den)
+
     def _letter(self, letter) -> Evaluated:
-        """The blocks of one letter, made once per realization; the block of
-        ("X", j, a) is the a-th power of X_j, the identity at a = 0."""
+        """One letter as one block-diagonal matrix, made once per
+        realization: the models' generators over the lcm of their dens,
+        each shifted to its row range; ("X", j, a) is the a-th power of
+        X_j, the identity at a = 0."""
         ev = self._letters.get(letter)
         if ev is not None:
             return ev
         kind, i = letter[0], letter[1]
         if (kind in ("S", "E") and 1 <= i <= self.n - 1
                 or kind == "X" and 1 <= i <= self.n and letter[2] == 1):
-            evs = [getattr(rep, kind)[i - 1] for rep in self.reps]
-            den = math.lcm(*(e.den for e in evs))
-            ev = Evaluated([_linalg.mat_scale(e.blocks[0], den // e.den) for e in evs], den)
+            gens = [getattr(rep, kind)[i - 1] for rep in self.reps]
+            den = math.lcm(*(g.den for g in gens))
+            rows = []
+            for (start, _), (blk, d) in zip(self.ranges, gens):
+                f = den // d
+                rows.extend({start + j: x * f for j, x in row.items()} for row in blk)
+            ev = Evaluated(rows, den)
         elif kind == "X" and 1 <= i <= self.n and letter[2] == 0:
             ev = self._one
         elif kind == "X" and 1 <= i <= self.n and letter[2] > 1:
-            ev = mul_blocks(self._letter(("X", i, letter[2] - 1)),
-                            self._letter(("X", i, 1)))
+            ev = mul(self._letter(("X", i, letter[2] - 1)), self._letter(("X", i, 1)))
         else:
             raise ValueError(f"letter {letter!r} out of range at n={self.n}")
         self._letters[letter] = ev
         return ev
 
     def evaluate(self, word) -> Evaluated:
-        """The blocks may be those of the generators, which, like every
-        ``_linalg`` value, are only read."""
+        """The rows may be those of a letter, which, like every ``_linalg``
+        value, are only read."""
         if not word:
             return self._one
         out = self._letter(word[0])
         for letter in word[1:]:
-            out = mul_blocks(out, self._letter(letter))
+            out = mul(out, self._letter(letter))
         return out
 
     def evaluate_sum(self, terms) -> Evaluated:
         parts = [scaled(self.evaluate(word), coeff) for coeff, word in terms]
         den = math.lcm(*(part.den for part in parts))
         out = None
-        for blocks, d in parts:
-            blocks = [_linalg.mat_scale(blk, den // d) for blk in blocks]
-            out = blocks if out is None else [_linalg.mat_add(acc, blk)
-                                              for acc, blk in zip(out, blocks)]
+        for rows, d in parts:
+            rows = _linalg.mat_scale(rows, den // d)
+            out = rows if out is None else _linalg.mat_add(out, rows)
         if out is None:
-            out = [_linalg.zeros(d) for d in self.dims]
+            out = _linalg.zeros(sum(self.dims))
         return Evaluated(out, den)
 
     def evaluate_product(self, factors) -> Evaluated:
@@ -360,55 +411,48 @@ class Realization:
         out = None
         for terms in factors:
             ev = self.evaluate_sum(terms)
-            out = ev if out is None else mul_blocks(out, ev)
+            out = ev if out is None else mul(out, ev)
         return self._one if out is None else out
 
     def vec(self, ev: Evaluated) -> dict:
-        out, start = {}, 0
-        for blk, d in zip(ev.blocks, self.dims):
-            out.update((start + i * d + j, x)
-                       for i, row in enumerate(blk) for j, x in row.items())
-            start += d * d
-        return out
+        base = self._vec_base
+        return {base[i] + j: x for i, row in enumerate(ev.rows) for j, x in row.items()}
+
+    def block_residuals(self, a: Evaluated, b: Evaluated) -> list[Fraction]:
+        """Exact max |a - b| on each block: both sides are brought over the
+        lcm L of their denominators once, and each block's rows are
+        compared as ints (``_residual``)."""
+        den = math.lcm(a.den, b.den)
+        x, y = _linalg.mat_scale(a.rows, den // a.den), _linalg.mat_scale(b.rows, den // b.den)
+        return [_residual(x[start:end], y[start:end], den) for start, end in self.ranges]
 
 
-def _cleared(blocks) -> Evaluated:
-    """Blocks of rationals (Fractions or ints) as int blocks over the lcm of
-    every denominator: the one place where rational rows become int rows."""
-    den = math.lcm(*(x.denominator for blk in blocks for row in blk for x in row.values()))
-    return Evaluated([[{j: x.numerator * (den // x.denominator) for j, x in row.items()}
-                       for row in blk] for blk in blocks], den)
-
-
-def mul_blocks(a: Evaluated, b: Evaluated) -> Evaluated:
-    """The blockwise product of two evaluated elements."""
-    return Evaluated([_linalg.mat_mul(x, y) for x, y in zip(a.blocks, b.blocks)],
-                     a.den * b.den)
+def mul(a: Evaluated, b: Evaluated) -> Evaluated:
+    """The product of two evaluated elements."""
+    return Evaluated(_linalg.mat_mul(a.rows, b.rows), a.den * b.den)
 
 
 def scaled(ev: Evaluated, c) -> Evaluated:
-    """c ev for an int or Fraction c: its numerator scales the blocks, and
+    """c ev for an int or Fraction c: its numerator scales the rows, and
     its denominator joins den."""
-    return Evaluated([_linalg.mat_scale(blk, c.numerator) for blk in ev.blocks],
-                     ev.den * c.denominator)
+    return Evaluated(_linalg.mat_scale(ev.rows, c.numerator), ev.den * c.denominator)
 
 
 _ZERO = Fraction(0)
 
 
-def block_residuals(a: Evaluated, b: Evaluated) -> list[Fraction]:
-    """Exact max |a - b| on each block: both sides are brought over the lcm
-    L of their denominators and compared as ints, and each value is
-    Fraction(max |int difference|, L).  Rows store no zero, so equal blocks
-    are found by ``==`` before any difference is formed."""
+def _residual(x, y, den: int) -> Fraction:
+    """max |x - y| / den for int rows x, y.  Rows store no zero, so equal
+    rows are found by ``==`` before any difference is formed."""
+    return _ZERO if x == y else Fraction(_linalg.max_abs(_linalg.mat_sub(x, y)), den)
+
+
+def residual(a: Evaluated, b: Evaluated) -> Fraction:
+    """Exact max |a - b| over the whole matrix, compared as ints over the
+    lcm of the two denominators."""
     den = math.lcm(a.den, b.den)
-    fa, fb = den // a.den, den // b.den
-    out = []
-    for x, y in zip(a.blocks, b.blocks):
-        x, y = _linalg.mat_scale(x, fa), _linalg.mat_scale(y, fb)
-        out.append(_ZERO if x == y else
-                   Fraction(_linalg.max_abs(_linalg.mat_sub(x, y)), den))
-    return out
+    return _residual(_linalg.mat_scale(a.rows, den // a.den),
+                     _linalg.mat_scale(b.rows, den // b.den), den)
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +514,8 @@ def residuals(real: Realization) -> list[dict]:
     per block of ``real``."""
     out = [dict.fromkeys(RELATION_FAMILIES, Fraction(0)) for _ in real.reps]
     for family, lhs, rhs in relations(real.ps, real.n):
-        for res, value in zip(out, block_residuals(real.evaluate_sum(lhs),
-                                                   real.evaluate_sum(rhs))):
+        for res, value in zip(out, real.block_residuals(real.evaluate_sum(lhs),
+                                                        real.evaluate_sum(rhs))):
             if value:
                 res[family] = max(res[family], value)
     return out
@@ -493,9 +537,10 @@ def adjointness_residual(rep: SeminormalRep) -> Fraction:
     model conjugate to a symmetric one.  That needs the form positive
     definite, so a gamma_i <= 0 counts as 1 - gamma_i.  Compared as ints:
     with gamma = g / q and M = B / den, max |g_i B_ij - B_ji g_j| / (q den)."""
-    [[g]], q = _cleared([[dict(enumerate(rep.gamma))]])
+    q = params.clearing(rep.gamma)
+    g = params.cleared(rep.gamma, q)
     worst = max((1 - x for x in rep.gamma if x <= 0), default=Fraction(0))
-    for (B,), den in (*rep.S, *rep.E, *rep.X):
+    for B, den in (*rep.S, *rep.E, *rep.X):
         m = max((abs(g[i] * x - B[j].get(i, 0) * g[j])
                  for i, row in enumerate(B) for j, x in row.items()), default=0)
         worst = max(worst, Fraction(m, q * den))
@@ -517,11 +562,10 @@ def verify_relations(real: Realization, scalars: dict) -> list[dict]:
     for k in range(1, real.n):
         e = ("E", k)
         ek = real.evaluate((e,))
-        rows = [[scalars[combinat.shape_before(t, k)] for t in rep.basis]
-                for rep in real.reps]
+        rows = [scalars[combinat.shape_before(t, k)] for rep in real.reps for t in rep.basis]
         for a in range(real.ps.r + 2):
-            rhs = _rows_scaled(ek, [[w[a] for w in ws] for ws in rows])
-            for res, value in zip(out, block_residuals(
+            rhs = _rows_scaled(ek, [w[a] for w in rows])
+            for res, value in zip(out, real.block_residuals(
                     real.evaluate((e, ("X", k, a), e)), rhs)):
                 if value:
                     res["tower-scalars"] = max(res["tower-scalars"], value)
@@ -529,13 +573,11 @@ def verify_relations(real: Realization, scalars: dict) -> list[dict]:
 
 
 def _rows_scaled(ev: Evaluated, scalars) -> Evaluated:
-    """ev with row i of block b scaled by scalars[b][i], a Fraction: the
-    numerators over the lcm q of the denominators scale the rows, and q
-    joins den."""
-    q = params.clearing(w for ws in scalars for w in ws)
-    return Evaluated([[{j: x * f for j, x in row.items()} if f else {}
-                       for row, f in zip(blk, params.cleared(ws, q))]
-                      for blk, ws in zip(ev.blocks, scalars)], ev.den * q)
+    """ev with row i scaled by scalars[i], a Fraction: the numerators over
+    the lcm q of the denominators scale the rows, and q joins den."""
+    q = params.clearing(scalars)
+    return Evaluated([{j: x * f for j, x in row.items()} if f else {}
+                      for row, f in zip(ev.rows, params.cleared(scalars, q))], ev.den * q)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from . import _linalg, combinat, hecke, seminormal
 from .combinat import Multipartition, Word, star_word, word_for_permutation
 from .hecke import WordSum, murphy_factors
 from .params import ParamSet
-from .seminormal import Evaluated, Realization, block_residuals, mul_blocks, scaled
+from .seminormal import Realization, mul, residual, scaled
 
 
 # -- word sums -----------------------------------------------------------
@@ -113,11 +113,11 @@ def _rank_from_vecs(vecs) -> dict:
 def cellular_rank_report(ps: ParamSet, n: int) -> dict:
     """Counts and exact rank of the full cellular family at (r, n).
 
-    Each element of a cell is A · M · B on every block, and its left word
+    Each element of a cell is A · M · B on the realization, and its left word
     depends only on its left triple, its right word only on its right
     triple.  So the factors are made once per triple, as the element (a, a);
     the middle M, the cell's, is evaluated once, A · M and B once per
-    triple, and each of the |triples|^2 vectors takes one block product."""
+    triple, and each of the |triples|^2 vectors takes one matrix product."""
     r = ps.r
     target = r ** n * combinat.double_factorial(2 * n - 1)
     real = Realization(seminormal.build_all(ps, n))
@@ -132,9 +132,9 @@ def cellular_rank_report(ps: ParamSet, n: int) -> dict:
             total += len(triples) ** 2
             diagonal = [cellular_element(ps, n, arcs, shape, a, a) for a in triples]
             m = real.evaluate_product(diagonal[0].middle)
-            am = [mul_blocks(real.evaluate(cw.left_word), m) for cw in diagonal]
+            am = [mul(real.evaluate(cw.left_word), m) for cw in diagonal]
             b = [real.evaluate(cw.right_word) for cw in diagonal]
-            vecs.extend(real.vec(mul_blocks(x, y)) for x in am for y in b)
+            vecs.extend(real.vec(mul(x, y)) for x in am for y in b)
     report = _rank_from_vecs(vecs)
     report["target"] = target
     report["sum_of_squares"] = total
@@ -156,7 +156,7 @@ def contraction_murphy_commute_residual(ps: ParamSet, n: int, arcs: int,
     for s in tabs:
         for t in tabs:
             m = real.evaluate_product(_word_sums(*murphy_factors(ps, shape, s, t)))
-            worst = max(worst, *block_residuals(mul_blocks(e, m), mul_blocks(m, e)))
+            worst = max(worst, residual(mul(e, m), mul(m, e)))
     return worst
 
 
@@ -186,14 +186,14 @@ def hecke_pairing_residual(ps: ParamSet, n: int, arcs: int, shape: Multipartitio
         for b in tabs:
             cw = cellular_element(ps, n, arcs, shape, triv(a), triv(b))
             ev = real.evaluate_product(_word_sums(cw.left_word, cw.middle, cw.right_word))
-            evaluated[a, b] = Evaluated(ev.blocks[blk:blk + 1], ev.den)
+            evaluated[a, b] = real.block(ev, blk)
     gram = hecke.gram_matrix(hecke.murphy_basis(ps, m), shape)
     worst = Fraction(0)
     scale = ps.omega[0] ** arcs
     for s in tabs:
         for i, t in enumerate(tabs):
             for j, v in enumerate(tabs):
-                lhs = mul_blocks(evaluated[s, t], evaluated[v, s])
+                lhs = mul(evaluated[s, t], evaluated[v, s])
                 rhs = scaled(evaluated[s, s], scale * gram[i].get(j, 0))
-                worst = max(worst, *block_residuals(lhs, rhs))
+                worst = max(worst, residual(lhs, rhs))
     return worst

@@ -6,8 +6,9 @@ evaluation and star-symmetry that the model's int forms are checked
 against, the Fraction elimination that ``_linalg``'s int elimination is
 checked against, the branching report, the Fraction-dict Hecke rewriting,
 the Fraction expansion at infinity, and the Fraction forms of the
-contraction coefficient, of W at a shape and of the class sums, that the
-int forms are checked against, the reference product of two Hecke elements and expansion of
+contraction coefficient, of the seminormal model (``build_rep_reference``),
+of W at a shape and of the class sums, that the int forms are checked
+against, the reference product of two Hecke elements and expansion of
 products into words, Hecke triangularity and
 symmetrizer witnesses, cell indices and word helpers."""
 
@@ -108,7 +109,7 @@ def module_realization(S, E, X, ps: ParamSet) -> seminormal.Realization:
     rows, with at least one X: each matrix cleared to int rows, as
     ``build_rep`` holds its generators."""
     d = len(X[0])
-    S, E, X = ([seminormal._cleared([M]) for M in mats] for mats in (S, E, X))
+    S, E, X = ([cleared(M) for M in mats] for mats in (S, E, X))
     rep = seminormal.SeminormalRep(ps, len(X), None, tuple(range(d)), S, E, X,
                                    (Fraction(1),) * d)
     return seminormal.Realization([rep])
@@ -141,20 +142,33 @@ def root_sets(tag: str, r: int) -> list[tuple[Fraction, ...]]:
             (Fraction(37, 2), Fraction(-11, 3), Fraction(23, 4))[:r]]
 
 
+def cleared(M) -> seminormal.Evaluated:
+    """``_linalg`` rows of rationals (Fractions or ints) as int rows over
+    the lcm of every denominator."""
+    den = math.lcm(*(x.denominator for row in M for x in row.values()))
+    return seminormal.Evaluated([{j: x.numerator * (den // x.denominator)
+                                  for j, x in row.items()} for row in M], den)
+
+
 def as_fractions(ev):
-    """An int element over its denominator, as Fractions: the blocks of a
-    ``seminormal.Evaluated`` as ``_linalg`` rows, or a ``hecke.Element`` as a
-    dict by key."""
+    """An int element over its denominator, as Fractions: the matrix of a
+    ``seminormal.Evaluated`` as ``_linalg`` rows, or a ``hecke.Element`` as
+    a dict by key."""
     if isinstance(ev, hecke.Element):
         return {key: Fraction(c, ev.den) for key, c in ev.terms.items()}
-    return [[{j: Fraction(x, ev.den) for j, x in row.items()} for row in blk]
-            for blk in ev.blocks]
+    return [{j: Fraction(x, ev.den) for j, x in row.items()} for row in ev.rows]
+
+
+def blocks_as_fractions(real: seminormal.Realization, ev) -> list:
+    """An element of ``real`` as one Fraction matrix per model, each on
+    its own rows and columns, as ``FractionRealization`` evaluates it."""
+    return [as_fractions(real.block(ev, b)) for b in range(len(real.reps))]
 
 
 def fraction_generators(rep: seminormal.SeminormalRep) -> dict:
     """{"S": [...], "E": [...], "X": [...]}: a model's generators as
     ``_linalg`` rows of Fractions."""
-    return {kind: [as_fractions(ev)[0] for ev in getattr(rep, kind)] for kind in "SEX"}
+    return {kind: [as_fractions(ev) for ev in getattr(rep, kind)] for kind in "SEX"}
 
 
 def adjointness_reference(rep: seminormal.SeminormalRep) -> Fraction:
@@ -599,6 +613,129 @@ def e_diag_reference(c: Fraction, boundary, r: int) -> Fraction:
         if ca != c:
             out *= (c + ca) / (c - ca)
     return out
+
+
+def _rational_sqrt(x: Fraction) -> Fraction | None:
+    """The nonnegative square root of x when it is rational, else None."""
+    if x < 0:
+        return None
+    p, q = math.isqrt(x.numerator), math.isqrt(x.denominator)
+    if p * p == x.numerator and q * q == x.denominator:
+        return Fraction(p, q)
+    return None
+
+
+def _orthonormal_entries_reference(ps: ParamSet, k: int, idx: dict, contents: dict):
+    """S_k and E_k of the orthonormal model in Fractions, each as (diagonal,
+    off), with diagonal {i: value} and off {(i, j): (sign, square)}."""
+    q = ps.q
+    S_diag, S_off, E_diag, E_off = {}, {}, {}, {}
+    seen: set[int] = set()
+    for t, i in idx.items():
+        mu = combinat.shape_before(t, k)
+        if seminormal.returns_at(t, k):
+            if i in seen:
+                continue
+            cls = combinat.k_neighbors(t, k)
+            e = seminormal.coefficients(ps, mu).e
+            evals = {}
+            for m in cls:
+                seen.add(idx[m])
+                ev = e[m[k - 1]]
+                if ev <= 0:
+                    raise ValueError(
+                        f"contraction coefficient {ev} <= 0 at k={k} from "
+                        f"shape {mu}: "
+                        "parameters outside the positivity regime")
+                evals[m] = ev
+            for s in cls:
+                cs = contents[s][k - 1]
+                for tt in cls:
+                    denom = cs + contents[tt][k - 1]
+                    if denom == 0:
+                        raise ValueError(
+                            f"opposite contents in one class at k={k} from "
+                            f"shape {mu}: parameters not generic")
+                    if s == tt:
+                        E_diag[idx[s]] = evals[s]
+                        S_diag[idx[s]] = (evals[s] - 1) * q / denom
+                    else:
+                        sq = evals[s] * evals[tt]
+                        E_off[idx[tt], idx[s]] = (1, sq)
+                        S_off[idx[tt], idx[s]] = (1 if denom > 0 else -1,
+                                                  sq * q * q / denom ** 2)
+        else:
+            a = seminormal.swap_a(t, k, contents[t][k] - contents[t][k - 1], q)
+            S_diag[i] = a
+            partner = combinat.sk_action(t, k)
+            if partner is None:
+                if a * a != 1:
+                    raise ValueError(
+                        f"swap at k={k} from shape {mu} undefined "
+                        f"but coefficient {a} is not a unit: outside the regime")
+            else:
+                b2 = 1 - a * a
+                if b2 < 0:
+                    raise ValueError(
+                        f"squared off-diagonal {b2} < 0 at k={k} from shape "
+                        f"{mu}: outside the positivity regime")
+                if b2:
+                    S_off[idx[partner], i] = (1, b2)
+    return (S_diag, S_off), (E_diag, E_off)
+
+
+def _gamma_reference(d: int, offs) -> list[Fraction]:
+    """gamma on the spanning forest of the generator graph, in Fractions."""
+    nbrs: list[list] = [[] for _ in range(d)]
+    for off in offs:
+        for (i, j), (_, sq) in off.items():
+            nbrs[i].append((j, sq))
+    gamma: list = [None] * d
+    for root in range(d):
+        if gamma[root] is not None:
+            continue
+        gamma[root] = Fraction(1)
+        queue = [root]
+        for i in queue:
+            for j, sq in nbrs[i]:
+                if gamma[j] is None:
+                    gamma[j] = gamma[i] * sq
+                    queue.append(j)
+    return gamma
+
+
+def build_rep_reference(ps: ParamSet, n: int, shape) -> seminormal.SeminormalRep:
+    """The reference for ``seminormal.build_rep``: every entry of S_k and
+    E_k, every squared off-diagonal and gamma formed as a Fraction, the
+    square roots taken of Fractions, and each generator then cleared to
+    int rows (``cleared``).  It raises the same ValueErrors, in the same
+    order."""
+    contents = {t: seminormal._contents(ps, t) for t in combinat.updown_walks(n, shape)}
+    basis = tuple(sorted(contents, key=contents.__getitem__))
+    idx = {t: i for i, t in enumerate(basis)}
+    d = len(basis)
+    X = [cleared([{i: Fraction(contents[t][j], ps.q)} if contents[t][j] else {}
+                  for i, t in enumerate(basis)]) for j in range(n)]
+    entries = [_orthonormal_entries_reference(ps, k, idx, contents) for k in range(1, n)]
+    gamma = _gamma_reference(d, [off for pair in entries for _, off in pair])
+
+    def block(name: str, k: int, diag: dict, off: dict) -> seminormal.Evaluated:
+        M = _linalg.zeros(d)
+        for i, v in diag.items():
+            if v:
+                M[i][i] = v
+        for (i, j), (sign, sq) in off.items():
+            root = _rational_sqrt(sq * gamma[j] / gamma[i])
+            if root is None:
+                raise ValueError(
+                    f"{name}_{k} entry ({i}, {j}) has no rational form: "
+                    "the squared entries do not match around a cycle")
+            M[i][j] = sign * root
+        return cleared(M)
+
+    S = [block("S", k, *s) for k, (s, _) in enumerate(entries, start=1)]
+    E = [block("E", k, *e) for k, (_, e) in enumerate(entries, start=1)]
+    return seminormal.SeminormalRep(ps, n, shape, basis, S, E, X, tuple(gamma))
 
 
 def w_at_shape_reference(shape, r: int, u) -> RationalFunction:

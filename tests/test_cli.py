@@ -494,7 +494,7 @@ GOLDEN_REPORTS = {
     "verify --u 37/2,-11/3 --n 3":
         "c93310577141d022189a1e0bea6b27094d533ee9de0ccb19620bbe30441cd73e",
     # the model's build errors, each the first check to fail in build order:
-    # opposite contents in a class, a negative contraction coefficient, and
+    # opposite contents in a class, a negative contraction coefficient,
     # equal adjacent contents in a swap
     "verify --u 0,2 --n 3":
         "83f0d432b1939a3fbb0aba360e388d1b757daafc2f4090b5f9cfb2688158c677",
@@ -502,6 +502,9 @@ GOLDEN_REPORTS = {
         "9f73557ebf010ee07c67d4c2c265468ca1f902dd2d7f06e47f59596c5eaf6495",
     "verify --u 0,1 --n 3":
         "9fa052905f85bf0d824b14cf14d95f38ee3608b5a591e4a7171184b18f5d2e2b",
+    # and a squared off-diagonal below zero, -5/4 at k = 3 from shape ((1, 1),)
+    "verify --u 1/3 --n 4":
+        "c1ee1b0200b1d03629a65e1b42ad36de7a623604841e0ef252227154eb2a5372",
 }
 
 
@@ -520,7 +523,7 @@ def test_reports_match_golden_digests_without_asserts(tmp_path):
     out = tmp_path / "out.jsonl"
     for argv in ("verify --r 2 --n 3", "verify --r 1 --n 4", "cellrank --r 2 --n 3",
                  "gram --shape (2|1|-)", "gram --shape (1|1|-) --u 21/2,-11/2,5/2",
-                 "verify --u 37/2,-11/3 --n 3"):
+                 "verify --u 37/2,-11/3 --n 3", "verify --u 1/3 --n 4"):
         proc = subprocess.run(
             [sys.executable, "-O", "-m", "wenzl.cli", *argv.split(), "--out", str(out)],
             env=env, capture_output=True, text=True)

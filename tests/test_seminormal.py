@@ -7,18 +7,18 @@ import pytest
 
 from support import (
     FractionRealization, _relation_residuals, adjointness_reference,
-    as_fractions, branching_blocks, check_module, class_sums_reference,
-    e_diag_reference, fraction_generators, from_dense, module_contraction_free,
-    module_fixtures, module_nonsplit, module_rank_one, module_realization,
-    root_sets, seeded_u,
+    as_fractions, blocks_as_fractions, branching_blocks, build_rep_reference,
+    check_module, class_sums_reference, cleared, e_diag_reference,
+    fraction_generators, from_dense, module_contraction_free, module_fixtures,
+    module_nonsplit, module_rank_one, module_realization, root_sets, seeded_u,
 )
 from wenzl import _linalg, combinat, params, seminormal
 from wenzl.cli import main
 from wenzl.params import ParamSet
 from wenzl.seminormal import (
-    RELATION_FAMILIES, Realization, _cleared, adjointness_residual, build_all,
-    check_identities, relations, residuals, returns_at, tower_scalars,
-    verify_relations,
+    RELATION_FAMILIES, Realization, adjointness_residual, build_all,
+    build_rep, check_identities, relations, residuals, returns_at,
+    tower_scalars, verify_relations,
 )
 
 F = Fraction
@@ -51,14 +51,14 @@ def test_single_strand():
         # X_1 acts by the content of the single box
         t = rep.basis[0]
         c = combinat.content_sequence(t, ps.u)[0]
-        assert as_fractions(rep.X[0]) == [from_dense([[c]])]
+        assert as_fractions(rep.X[0]) == from_dense([[c]])
 
 
 def test_contraction_block_is_omega0():
     ps = ParamSet.default(1, 2)
     for rep in build_all(ps, 2):
         if rep.shape == combinat.empty_mp(1):
-            assert as_fractions(rep.E[0]) == [from_dense([[ps.omega[0]]])]
+            assert as_fractions(rep.E[0]) == from_dense([[ps.omega[0]]])
 
 
 def test_generators_are_symmetric():
@@ -67,7 +67,7 @@ def test_generators_are_symmetric():
     for rep in build_all(ps, 3):
         g = rep.gamma
         assert len(g) == rep.dim and all(x > 0 for x in g)
-        for (M,) in map(as_fractions, (*rep.S, *rep.E, *rep.X)):
+        for M in map(as_fractions, (*rep.S, *rep.E, *rep.X)):
             assert all(g[i] * M[i].get(j, 0) == M[j].get(i, 0) * g[j]
                        for i in range(rep.dim) for j in range(rep.dim))
 
@@ -117,9 +117,9 @@ def _off_model(kind):
     reps = build_all(ps, 3)
     b = max(range(len(reps)), key=lambda i: reps[i].dim)
     rep = reps[b]
-    mats = [dict(row) for row in as_fractions(getattr(rep, kind)[0])[0]]
+    mats = [dict(row) for row in as_fractions(getattr(rep, kind)[0])]
     mats[0][rep.dim - 1] = mats[0].get(rep.dim - 1, 0) + 1
-    reps[b] = dataclasses.replace(rep, **{kind: [_cleared([mats]), *getattr(rep, kind)[1:]]})
+    reps[b] = dataclasses.replace(rep, **{kind: [cleared(mats), *getattr(rep, kind)[1:]]})
     return Realization(reps), b
 
 
@@ -135,8 +135,7 @@ def test_relation_table_equals_the_hand_written_suite_off_the_model(kind):
 def _int_form(ev) -> bool:
     """ev holds nonzero ints over one positive int denominator."""
     return (type(ev.den) is int and ev.den > 0
-            and all(type(x) is int and x for blk in ev.blocks for row in blk
-                    for x in row.values()))
+            and all(type(x) is int and x for row in ev.rows for x in row.values()))
 
 
 def _assert_equals_fraction_reference(real):
@@ -147,12 +146,12 @@ def _assert_equals_fraction_reference(real):
         for side in (lhs, rhs):
             ev = real.evaluate_sum(side)
             assert _int_form(ev), (family, side)
-            assert as_fractions(ev) == ref.evaluate_sum(side), (family, side)
+            assert blocks_as_fractions(real, ev) == ref.evaluate_sum(side), (family, side)
     for k in range(1, real.n):
         for a in range(real.ps.r + 2):
             word = (("E", k), ("X", k, a), ("E", k))
             ev = real.evaluate(word)
-            assert _int_form(ev) and as_fractions(ev) == ref.evaluate(word), word
+            assert _int_form(ev) and blocks_as_fractions(real, ev) == ref.evaluate(word), word
 
 
 @pytest.mark.parametrize("r,n", [(2, 2), (1, 3), (3, 2), (2, 3), (1, 4)])
@@ -163,14 +162,73 @@ def test_int_evaluation_equals_the_fraction_reference(r, n):
 
 @pytest.mark.parametrize("r,n", [(2, 2), (1, 3), (3, 2), (2, 3), (1, 4)])
 def test_model_holds_int_blocks(r, n):
-    # every generator of every model is one block of int rows over one
+    # every generator of every model is one matrix of int rows over one
     # positive int denominator, with no stored zero
     for ps in (ParamSet.default(r, n), ParamSet.from_u(seeded_u("reference", r, n), n)):
         for rep in build_all(ps, n):
             assert (len(rep.S), len(rep.E), len(rep.X)) == (n - 1, n - 1, n)
             for ev in (*rep.S, *rep.E, *rep.X):
-                assert len(ev.blocks) == 1 and len(ev.blocks[0]) == rep.dim
+                assert len(ev.rows) == rep.dim
                 assert _int_form(ev), (ps.u, rep.shape)
+
+
+def _built_or_error(build, ps, n, shape):
+    try:
+        return build(ps, n, shape)
+    except ValueError as e:
+        return str(e)
+
+
+# roots at which the build raises: a squared off-diagonal below zero, opposite
+# contents in a class, a negative contraction coefficient, equal adjacent
+# contents
+_BUILD_ERROR_ROOTS = {1: [(F(1, 3),)], 2: [(0, 2), (5, 3), (0, 1)], 3: []}
+
+
+@pytest.mark.parametrize("r,top", [(1, 4), (2, 4), (3, 3)])
+def test_build_rep_equals_the_fraction_reference(r, top):
+    # the int build against the Fraction build, generator by generator, in
+    # rows, den and gamma, or in the text of the error both raise: every
+    # reachable shape with n <= top, over the reference root sets and roots
+    # outside the regime
+    built = 0
+    for u in (*root_sets("build", r), *_BUILD_ERROR_ROOTS[r]):
+        ps = ParamSet.from_u(u, n_hint=top)
+        for n in range(top + 1):
+            for shape in combinat.reachable_shapes(r, n):
+                got = _built_or_error(build_rep, ps, n, shape)
+                want = _built_or_error(build_rep_reference, ps, n, shape)
+                if isinstance(want, str):
+                    assert got == want, (u, n, shape)
+                    continue
+                built += 1
+                assert got.basis == want.basis, (u, n, shape)
+                for kind in "SEX":
+                    assert getattr(got, kind) == getattr(want, kind), (u, n, shape, kind)
+                assert got.gamma == want.gamma, (u, n, shape)
+                assert all(type(g) is Fraction for g in got.gamma)
+    assert built > 0
+
+
+def test_build_rep_raises_where_an_entry_has_no_rational_form(monkeypatch):
+    # gamma doubled at the last basis tableau: each entry at it is then the
+    # square root of sq gamma[j] / gamma[i] with twice or half a square, a
+    # pair (num, den) whose product is no square
+    gamma = seminormal._gamma
+
+    def doubled(d, offs):
+        out = gamma(d, offs)
+        num, den = out[-1]
+        out[-1] = 2 * num, den
+        return out
+
+    ps = ParamSet.default(2, 3)
+    shape = max(combinat.reachable_shapes(2, 3), key=lambda mu: combinat.count_updown(3, mu))
+    assert build_rep(ps, 3, shape).dim > 1
+    monkeypatch.setattr(seminormal, "_gamma", doubled)
+    with pytest.raises(ValueError, match=r"^[SE]_\d entry \(\d+, \d+\) has no rational "
+                       "form: the squared entries do not match around a cycle$"):
+        build_rep(ps, 3, shape)
 
 
 @pytest.mark.parametrize("r,n", [(2, 3), (3, 3)])

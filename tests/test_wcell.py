@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from support import (
-    FractionRealization, as_fractions, cell_indices, cyclotomic_word_sum,
-    filtration_index, from_dense, murphy_words, seeded_u, terms, word_sum_mul,
+    FractionRealization, as_fractions, blocks_as_fractions, cell_indices,
+    cyclotomic_word_sum, filtration_index, from_dense, murphy_words, seeded_u,
+    terms, word_sum_mul,
 )
 import brauer
 from brauer import RegularMonomial, enumerate_r_regular, rank_report, word_for_monomial
@@ -70,7 +71,40 @@ def test_realization_layout():
     assert sum(d * d for d in real.dims) == 12
     assert sorted(real.shapes) == sorted(combinat.reachable_shapes(2, 2))
     one = real.evaluate(())
-    assert one.den == 1 and one.blocks == [_linalg.identity(d) for d in real.dims]
+    assert one.den == 1 and one.rows == _linalg.identity(sum(real.dims))
+    assert [real.block(one, b) for b in range(len(real.reps))] == [
+        (_linalg.identity(d), 1) for d in real.dims]
+
+
+@pytest.mark.parametrize("r,n", [(2, 2), (1, 3), (3, 2), (2, 3)])
+def test_row_ranges_and_vector_layout(r, n):
+    # the row ranges tile [0, sum d) in build_all order, each as long as its
+    # model; every element is zero off them, and vec lays it out block by
+    # block, row by row: entry (i, j) of block b at the sum of the earlier
+    # d^2 plus i d + j
+    reps = build_all(ParamSet.default(r, n), n)
+    real = Realization(reps)
+    assert real.shapes == list(combinat.reachable_shapes(r, n))
+    ends = [0]
+    for (start, end), rep in zip(real.ranges, reps):
+        assert start == ends[-1] and end - start == rep.dim
+        ends.append(end)
+    assert ends[-1] == sum(real.dims)
+    words = [(), (("S", 1),), (("E", 1), ("X", 1, r)), (("X", n, 2), ("E", n - 1), ("S", 1))]
+    for word in words:
+        ev = real.evaluate(word)
+        assert len(ev.rows) == ends[-1]
+        assert all(start <= j < end for start, end in real.ranges
+                   for row in ev.rows[start:end] for j in row)
+        want, place = {}, 0
+        for b, d in enumerate(real.dims):
+            blk = real.block(ev, b)
+            assert blk.den == ev.den and len(blk.rows) == d
+            want.update((place + i * d + j, x)
+                        for i, row in enumerate(blk.rows) for j, x in row.items())
+            place += d * d
+        assert real.vec(ev) == want, word
+        assert place == r ** n * combinat.double_factorial(2 * n - 1)
 
 
 def test_letter_validation():
@@ -91,8 +125,8 @@ def test_star_word_transposes():
         (("E", 1), ("X", 1, 1), ("E", 1), ("S", 2)),
     ]
     for word in words:
-        fwd = as_fractions(real.evaluate(word))
-        rev = as_fractions(real.evaluate(combinat.star_word(word)))
+        fwd = blocks_as_fractions(real, real.evaluate(word))
+        rev = blocks_as_fractions(real, real.evaluate(combinat.star_word(word)))
         for a, b, rep in zip(fwd, rev, real.reps):
             assert b == adjoint(a, rep.gamma)
 
@@ -103,16 +137,18 @@ def test_unwrapping_word_sum():
     for a in range(4):
         terms = ((F(1), (("E", 1), ("X", 1, a), ("E", 1))),
                  (-ps.omega[a], (("E", 1),)))
-        for blk, d in zip(real.evaluate_sum(terms).blocks, real.dims):
-            assert blk == _linalg.zeros(d)
+        ev = real.evaluate_sum(terms)
+        for b, d in enumerate(real.dims):
+            assert real.block(ev, b).rows == _linalg.zeros(d)
 
 
 def test_cyclotomic_word_sum_vanishes():
     for r, n in ((1, 2), (2, 2), (2, 3)):
         ps = ParamSet.default(r, n)
         real = Realization(build_all(ps, n))
-        for blk, d in zip(real.evaluate_sum(cyclotomic_word_sum(ps)).blocks, real.dims):
-            assert blk == _linalg.zeros(d)
+        ev = real.evaluate_sum(cyclotomic_word_sum(ps))
+        for b, d in enumerate(real.dims):
+            assert real.block(ev, b).rows == _linalg.zeros(d)
 
 
 def test_monomial_family_has_full_rank():
@@ -209,9 +245,9 @@ def test_star_swaps_cell_sides_on_own_block():
         for b in triples:
             ab = cellular_element(ps, 2, 1, empty, a, b)
             ba = cellular_element(ps, 2, 1, empty, b, a)
-            left = as_fractions(real.evaluate_sum(terms(ab.star())))[blk]
-            right = as_fractions(real.evaluate_sum(terms(ba)))[blk]
-            fwd = as_fractions(real.evaluate_sum(terms(ab)))[blk]
+            left = as_fractions(real.block(real.evaluate_sum(terms(ab.star())), blk))
+            right = as_fractions(real.block(real.evaluate_sum(terms(ba)), blk))
+            fwd = as_fractions(real.block(real.evaluate_sum(terms(ab)), blk))
             assert left == right == adjoint(fwd, real.reps[blk].gamma)
             assert ab.star().left == ab.right and ab.star().right == ab.left
 
@@ -224,8 +260,8 @@ def test_cellular_word_transpose_everywhere():
         for a in triples[:3]:
             for b in triples[:3]:
                 cw = cellular_element(ps, 2, arcs, shape, a, b)
-                fwd = as_fractions(real.evaluate_sum(terms(cw)))
-                rev = as_fractions(real.evaluate_sum(star_word_sum(terms(cw))))
+                fwd = blocks_as_fractions(real, real.evaluate_sum(terms(cw)))
+                rev = blocks_as_fractions(real, real.evaluate_sum(star_word_sum(terms(cw))))
                 for x, y, rep in zip(fwd, rev, real.reps):
                     assert y == adjoint(x, rep.gamma)
 
@@ -330,7 +366,7 @@ def test_cellular_elements_equal_the_fraction_reference(r, n):
                         factors = (((F(1), cw.left_word),), *cw.middle,
                                    ((F(1), cw.right_word),))
                         ev, want = real.evaluate_product(factors), ref.evaluate_product(factors)
-                        assert as_fractions(ev) == want, (ps.u, a, b)
+                        assert blocks_as_fractions(real, ev) == want, (ps.u, a, b)
                         vecs.append(real.vec(ev))
                         ref_vecs.append(ref.vec(want))
                         assert all(type(x) is int for x in vecs[-1].values())
