@@ -226,9 +226,6 @@ def cmd_verify(cfg: RunConfig, ps: ParamSet, meta: dict) -> tuple[list[dict], bo
 def cmd_gram(cfg: RunConfig, ps: ParamSet, meta: dict) -> tuple[list[dict], bool]:
     shape, n = cfg.shape, cfg.n
     mb = hecke.murphy_basis(ps, n)
-    # the held basis's parameter set equals ps, and the jobs before at this
-    # parameter set have filled its step table, which the gamma ratios read
-    ps = mb.H.ps
     det = hecke.gram_det(mb, shape)
     gammas = hecke.gamma_coeffs(shape, ps)
     path_ok = hecke.gamma_path_independent(shape, ps, gammas)

@@ -423,8 +423,3 @@ def perm_word(w: tuple[int, ...]) -> tuple[int, ...]:
 
 def word_for_permutation(w: tuple[int, ...]) -> Word:
     return tuple(("S", i) for i in perm_word(w))
-
-
-def star_word(word: Word) -> Word:
-    """The anti-involution fixing every generator letter: reverse the word."""
-    return tuple(reversed(word))

@@ -1,5 +1,5 @@
 """The degenerate cyclotomic quotient on permutations: exact normal forms,
-the Murphy basis, Gram determinants, and the semisimplicity test.
+the Murphy basis, and Gram determinants.
 
 An element (``Element``) is int coefficients over one positive
 denominator, as in the seminormal model: a dict mapping (alpha, w) to a
@@ -20,10 +20,11 @@ with its E terms dropped, that table of relations holds here.
 
 The image of a key times Y_j depends only on the key, j and the roots, so
 the algebra straightens and reduces it once and holds it: ``rmul_Y`` only
-scales and adds held images.  ``murphy_basis`` holds one algebra per
-parameter set, so the basis build and every Gram matrix at that parameter
-set share them.  T_i moves no coefficient: on the right it swaps the
-values i and i + 1 of w, on the left the entries at positions i and i + 1.
+scales and adds held images.  ``murphy_basis`` hangs the basis, and with
+it one algebra, on the parameter set (``ParamSet.murphy``), so the basis
+build and every Gram matrix at that parameter set share them.  T_i moves
+no coefficient: on the right it swaps the values i and i + 1 of w, on the
+left the entries at positions i and i + 1.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import NamedTuple
 from . import _linalg, combinat
 from .combinat import (Multipartition, Tableau, Word, perm_inverse, perm_mult, perm_word,
                        word_for_permutation)
-from .params import ParamSet, cyclotomic_coeffs, steps_out
+from .params import ParamSet, cleared, clearing, cyclotomic_coeffs, steps_out
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 WordSum = tuple[tuple[Fraction, Word], ...]
@@ -114,8 +115,8 @@ class HeckeAlgebra:
         self.r = ps.r
         # prod (Y - u_i) = Y^r + (cyc[r-1] Y^{r-1} + ... + cyc[0]) / Q
         cyc = cyclotomic_coeffs(ps.u)[:-1]
-        self.Q = math.lcm(*(c.denominator for c in cyc))
-        self.cyc = tuple(c.numerator * (self.Q // c.denominator) for c in cyc)
+        self.Q = clearing(cyc)
+        self.cyc = cleared(cyc, self.Q)
         self.id = tuple(range(1, n + 1))
         # (key, j) -> the key times Y_j in normal form, filled on first use
         self._y_images: dict = {}
@@ -346,9 +347,8 @@ class MurphyBasis:
         """(D, rows): the inverse of ``matrix`` as int rows over one positive
         denominator D, cleared once, on the first ``coords`` call."""
         inv = _linalg.inverse(self.matrix)
-        den = math.lcm(*(x.denominator for row in inv for x in row.values()))
-        return den, [{j: x.numerator * (den // x.denominator) for j, x in row.items()}
-                     for row in inv]
+        den = clearing(x for row in inv for x in row.values())
+        return den, [dict(zip(row, cleared(row.values(), den))) for row in inv]
 
     def coords(self, el: Element) -> dict:
         """The nonzero coordinates of el by triple index: the row vector x
@@ -365,14 +365,16 @@ class MurphyBasis:
         return {j: Fraction(x, den) for j, x in acc.items() if x}
 
 
-@functools.lru_cache(maxsize=1)
 def murphy_basis(ps: ParamSet, n: int) -> MurphyBasis:
-    """The Murphy basis of the quotient on n strands at ps, held for the next
-    call.  A batch asks for every shape of one parameter set in turn, and
-    the basis and its coordinate inverse depend only on (u, n), so a run of
-    jobs at one parameter set builds them once.  One entry: a long batch
-    stays flat in memory."""
-    return MurphyBasis(HeckeAlgebra(ps, n))
+    """The Murphy basis of the quotient on n strands at ps, held by ps
+    (``ps.murphy``).  A batch asks for every shape of one parameter set in
+    turn, and the basis and its coordinate inverse depend only on (u, n), so
+    a run of jobs at the parameter set that ``ParamSet.from_u`` holds builds
+    them once."""
+    mb = ps.murphy.get(n)
+    if mb is None:
+        mb = ps.murphy[n] = MurphyBasis(HeckeAlgebra(ps, n))
+    return mb
 
 
 # ---------------------------------------------------------------------------
@@ -471,19 +473,3 @@ def gram_matrix(mb: MurphyBasis, lam) -> list[dict]:
 
 def gram_det(mb: MurphyBasis, lam) -> Fraction:
     return _linalg.det(gram_matrix(mb, lam))
-
-
-# ---------------------------------------------------------------------------
-# semisimplicity
-# ---------------------------------------------------------------------------
-
-
-def is_semisimple(ps: ParamSet, n: int) -> bool:
-    """Fails exactly when two roots differ by an integer smaller than n in
-    absolute value (equal roots included)."""
-    for i in range(ps.r):
-        for j in range(i + 1, ps.r):
-            d = ps.u[i] - ps.u[j]
-            if d.denominator == 1 and abs(d) < n:
-                return False
-    return True

@@ -2,7 +2,8 @@
 functions W at a shape.
 
 A parameter set holds, per shape met, the steps out of it with their
-contents as ints over one denominator (``steps_out``), and W there.
+contents as ints over one denominator (``steps_out``), and W there;
+``ParamSet.from_u`` holds the last parameter set it built.
 Everything here is exact rational arithmetic: dense polynomials in y, and
 rational functions num/den whose denominators are cleared when they are
 built, so num and den are polynomials over Z (Python ints) and their
@@ -237,12 +238,15 @@ class ParamSet:
     Omega was derived from u; a parameter set constructed directly with
     an Omega of its own names another mode.
 
-    Two tables hold what depends only on a shape, so that each value is
-    formed once per parameter set: ``steps`` the steps out of each shape
-    met (``steps_out``), and ``w_at`` W at each shape met
-    (``wk_rational``); ``from_u`` stores W at the empty shape, from which
-    it reads Omega.  They are no constructor arguments, and neither
-    equality, the hash nor ``as_json`` reads them.
+    Three tables hold what depends only on the parameter set, so that each
+    value is formed once: ``steps`` the steps out of each shape met
+    (``steps_out``), ``w_at`` W at each shape met (``wk_rational``), and
+    ``murphy`` the Murphy basis on n strands by n (``hecke.murphy_basis``);
+    ``from_u`` stores W at the empty shape, from which it reads Omega.
+    They are no constructor arguments, and neither equality, the hash nor
+    ``as_json`` reads them.  ``from_u`` holds the last parameter set it
+    built, so the jobs of a batch at one (u, N) share its tables; one
+    constructed directly is never held.
     """
 
     r: int
@@ -252,23 +256,17 @@ class ParamSet:
     mode: str = "u-admissible-derived"
     w_at: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     steps: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    murphy: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
     def from_u(cls, u, n_hint: int = 4, min_N: int = 0) -> "ParamSet":
         """Omega from the roots u: the coefficients of y^0 .. y^-N at infinity
         of W at the empty shape, with N the larger of 2r + 4 max(n_hint, 1)
-        and min_N."""
+        and min_N.  The parameter set is held: an equal (u, N), however its
+        roots are written, returns the same instance until another (u, N)
+        replaces it."""
         u = tuple(parse_fraction(x) for x in u)
-        r = len(u)
-        N = max(2 * r + 4 * max(n_hint, 1), min_N)
-        empty = combinat.empty_mp(r)
-        # the steps out of the empty shape add the nodes (1, 1, s), whose
-        # contents are the roots
-        q = clearing(u)
-        w1 = _w_at_shape(empty, cleared(u, q), q)
-        ps = cls(r, u, tuple(series_of_rational(w1, N)), N)
-        ps.w_at[empty] = w1
-        return ps
+        return _param_set(u, max(2 * len(u) + 4 * max(n_hint, 1), min_N))
 
     @functools.cached_property
     def q(self) -> int:
@@ -290,6 +288,20 @@ class ParamSet:
             "precision_bits": 256,
             "mode": self.mode,
         }
+
+
+@functools.lru_cache(maxsize=1)
+def _param_set(u: tuple[Fraction, ...], N: int) -> ParamSet:
+    """The parameter set of ``from_u``, held for the next call with an equal
+    (u, N).  One entry: a long batch stays flat in memory."""
+    empty = combinat.empty_mp(len(u))
+    # the steps out of the empty shape add the nodes (1, 1, s), whose
+    # contents are the roots
+    q = clearing(u)
+    w1 = _w_at_shape(empty, cleared(u, q), q)
+    ps = ParamSet(len(u), u, tuple(series_of_rational(w1, N)), N)
+    ps.w_at[empty] = w1
+    return ps
 
 
 # ---------------------------------------------------------------------------

@@ -322,12 +322,11 @@ class Realization:
     once per realization over the lcm of its models' denominators, so a
     word takes one matrix product per letter; a product multiplies the
     denominators and a sum brings its terms to their lcm, so no Fraction
-    is normalised until a residual is reported.  ``block`` reads the
-    matrix of one model off an element.  ``vec`` lays the blocks out as
-    one sparse vector, of length r^n (2n-1)!! over all shapes, block by
-    block and row by row: the element scaled by its positive den.  The rank
-    over Q of such vectors is that of the elements, and also that in the
-    orthonormal model, whose entries differ from these by fixed nonzero
+    is normalised until a residual is reported.  ``vec`` lays the blocks
+    out as one sparse vector, of length r^n (2n-1)!! over all shapes, block
+    by block and row by row: the element scaled by its positive den.  The
+    rank over Q of such vectors is that of the elements, and also that in
+    the orthonormal model, whose entries differ from these by fixed nonzero
     factors.
     """
 
@@ -347,15 +346,6 @@ class Realization:
         for (start, _), d in zip(self.ranges, self.dims):
             self._vec_base.extend(place + i * d - start for i in range(d))
             place += d * d
-
-    def block_index(self, shape) -> int:
-        return self.shapes.index(shape)
-
-    def block(self, ev: Evaluated, b: int) -> Evaluated:
-        """The matrix of model b in ev, over ev's den."""
-        start, end = self.ranges[b]
-        return Evaluated([{j - start: x for j, x in row.items()}
-                          for row in ev.rows[start:end]], ev.den)
 
     def _letter(self, letter) -> Evaluated:
         """One letter as one block-diagonal matrix, made once per
@@ -445,14 +435,6 @@ def _residual(x, y, den: int) -> Fraction:
     """max |x - y| / den for int rows x, y.  Rows store no zero, so equal
     rows are found by ``==`` before any difference is formed."""
     return _ZERO if x == y else Fraction(_linalg.max_abs(_linalg.mat_sub(x, y)), den)
-
-
-def residual(a: Evaluated, b: Evaluated) -> Fraction:
-    """Exact max |a - b| over the whole matrix, compared as ints over the
-    lcm of the two denominators."""
-    den = math.lcm(a.den, b.den)
-    return _residual(_linalg.mat_scale(a.rows, den // a.den),
-                     _linalg.mat_scale(b.rows, den // b.den), den)
 
 
 # ---------------------------------------------------------------------------

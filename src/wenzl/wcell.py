@@ -16,25 +16,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
-from . import _linalg, combinat, hecke, seminormal
-from .combinat import Multipartition, Word, star_word, word_for_permutation
+from . import _linalg, combinat, seminormal
+from .combinat import Multipartition, Word, word_for_permutation
 from .hecke import WordSum, murphy_factors
 from .params import ParamSet
-from .seminormal import Realization, mul, residual, scaled
-
-
-# -- word sums -----------------------------------------------------------
-
-
-def star_word_sum(terms: WordSum) -> WordSum:
-    return tuple((c, tuple(reversed(w))) for c, w in terms)
-
-
-def _word_sums(left: Word, middle: tuple[WordSum, ...], right: Word) -> tuple[WordSum, ...]:
-    """The factors (left word, middle, right word) as word sums."""
-    return (((Fraction(1), left),), *middle, ((Fraction(1), right),))
+from .seminormal import Realization, mul
 
 
 # -- cellular structure --------------------------------------------------
@@ -69,13 +56,6 @@ class CellularWord:
     left: tuple
     right: tuple
 
-    def star(self) -> "CellularWord":
-        """The anti-involution: the starred factors in reverse order."""
-        return CellularWord(star_word(self.right_word),
-                            tuple(star_word_sum(f) for f in reversed(self.middle)),
-                            star_word(self.left_word), self.arcs, self.shape,
-                            self.right, self.left)
-
 
 def cellular_element(ps: ParamSet, n: int, arcs: int, shape: Multipartition,
                      left: tuple, right: tuple) -> CellularWord:
@@ -102,7 +82,7 @@ def cellular_element(ps: ParamSet, n: int, arcs: int, shape: Multipartition,
                         (s, tuple(rho), e), (t, tuple(kappa), d))
 
 
-# -- rank and compatibility checks ---------------------------------------
+# -- rank ----------------------------------------------------------------
 
 
 def _rank_from_vecs(vecs) -> dict:
@@ -141,59 +121,3 @@ def cellular_rank_report(ps: ParamSet, n: int) -> dict:
     report["ok"] = total == target and report["rank"] == target
     report["cells"] = cells
     return report
-
-
-def contraction_murphy_commute_residual(ps: ParamSet, n: int, arcs: int,
-                                        shape: Multipartition,
-                                        real: Realization | None = None) -> Fraction:
-    """Worst |chain·M - M·chain| over all Murphy products of the cell."""
-    if real is None:
-        real = Realization(seminormal.build_all(ps, n))
-    chain = contraction_chain(n, arcs)
-    tabs = combinat.standard_tableaux(shape)
-    worst = Fraction(0)
-    e = real.evaluate(chain)
-    for s in tabs:
-        for t in tabs:
-            m = real.evaluate_product(_word_sums(*murphy_factors(ps, shape, s, t)))
-            worst = max(worst, residual(mul(e, m), mul(m, e)))
-    return worst
-
-
-def hecke_pairing_residual(ps: ParamSet, n: int, arcs: int, shape: Multipartition,
-                           real: Realization | None = None) -> Fraction:
-    """Worst deviation, on the matching block, of evaluated cellular products
-    from the contraction-scalar-power times the Hecke Gram pairing.
-
-    For trivial powers and placements, the product of the (s,t) and (v,s)
-    cellular words must act on the block of the cell's shape as
-    omega_0^arcs <m_t, m_v> times the (s,s) word."""
-    m = combinat.mp_size(shape)
-    if m != n - 2 * arcs:
-        raise ValueError("shape size must match the declared arc count")
-    tabs = combinat.standard_tableaux(shape)
-    if real is None:
-        real = Realization(seminormal.build_all(ps, n))
-    blk = real.block_index(shape)
-    zero = (0,) * arcs
-    ident = tuple(range(1, n + 1))
-
-    def triv(x):
-        return (x, zero, ident)
-
-    evaluated = {}
-    for a in tabs:
-        for b in tabs:
-            cw = cellular_element(ps, n, arcs, shape, triv(a), triv(b))
-            ev = real.evaluate_product(_word_sums(cw.left_word, cw.middle, cw.right_word))
-            evaluated[a, b] = real.block(ev, blk)
-    gram = hecke.gram_matrix(hecke.murphy_basis(ps, m), shape)
-    worst = Fraction(0)
-    scale = ps.omega[0] ** arcs
-    for s in tabs:
-        for i, t in enumerate(tabs):
-            for j, v in enumerate(tabs):
-                lhs = mul(evaluated[s, t], evaluated[v, s])
-                rhs = scaled(evaluated[s, s], scale * gram[i].get(j, 0))
-                worst = max(worst, residual(lhs, rhs))
-    return worst

@@ -10,7 +10,11 @@ contraction coefficient, of the seminormal model (``build_rep_reference``),
 of W at a shape and of the class sums, that the int forms are checked
 against, the reference product of two Hecke elements and expansion of
 products into words, Hecke triangularity and
-symmetrizer witnesses, cell indices and word helpers."""
+symmetrizer witnesses, the semisimplicity boundary, cell indices and word
+helpers, the anti-involution of a cellular element, the view of one model's
+block of a realization, and the two cellular residual checks (the
+contraction chain commuting with the Murphy products, and the cellular
+products against the Hecke Gram pairing)."""
 
 import functools
 import math
@@ -159,10 +163,25 @@ def as_fractions(ev):
     return [{j: Fraction(x, ev.den) for j, x in row.items()} for row in ev.rows]
 
 
+def block(real: seminormal.Realization, ev, b: int) -> seminormal.Evaluated:
+    """The matrix of model b in ev, over ev's den."""
+    start, end = real.ranges[b]
+    return seminormal.Evaluated([{j - start: x for j, x in row.items()}
+                                 for row in ev.rows[start:end]], ev.den)
+
+
 def blocks_as_fractions(real: seminormal.Realization, ev) -> list:
     """An element of ``real`` as one Fraction matrix per model, each on
     its own rows and columns, as ``FractionRealization`` evaluates it."""
-    return [as_fractions(real.block(ev, b)) for b in range(len(real.reps))]
+    return [as_fractions(block(real, ev, b)) for b in range(len(real.reps))]
+
+
+def residual(a, b) -> Fraction:
+    """Exact max |a - b| over the whole matrix of two ``Evaluated``,
+    compared as ints over the lcm of the two denominators."""
+    den = math.lcm(a.den, b.den)
+    return seminormal._residual(_linalg.mat_scale(a.rows, den // a.den),
+                                _linalg.mat_scale(b.rows, den // b.den), den)
 
 
 def fraction_generators(rep: seminormal.SeminormalRep) -> dict:
@@ -803,16 +822,94 @@ def word_sum_product(factors) -> wcell.WordSum:
     return terms
 
 
+def _word_sums(left: Word, middle: tuple[wcell.WordSum, ...],
+               right: Word) -> tuple[wcell.WordSum, ...]:
+    """The factors (left word, middle, right word) as word sums."""
+    return (((Fraction(1), left),), *middle, ((Fraction(1), right),))
+
+
 def murphy_words(ps: ParamSet, shape: Multipartition, s: Tableau, t: Tableau) -> wcell.WordSum:
     """The Murphy product expanded into generator words."""
-    left, middle, right = hecke.murphy_factors(ps, shape, s, t)
-    return word_sum_product((((Fraction(1), left),), *middle, ((Fraction(1), right),)))
+    return word_sum_product(_word_sums(*hecke.murphy_factors(ps, shape, s, t)))
 
 
 def terms(cw: wcell.CellularWord) -> wcell.WordSum:
     """A cellular element's expansion into words."""
-    return word_sum_product((((Fraction(1), cw.left_word),), *cw.middle,
-                             ((Fraction(1), cw.right_word),)))
+    return word_sum_product(_word_sums(cw.left_word, cw.middle, cw.right_word))
+
+
+def star_word(word: Word) -> Word:
+    """The anti-involution fixing every generator letter: reverse the word."""
+    return tuple(reversed(word))
+
+
+def star_word_sum(terms: wcell.WordSum) -> wcell.WordSum:
+    return tuple((c, tuple(reversed(w))) for c, w in terms)
+
+
+def star(cw: wcell.CellularWord) -> wcell.CellularWord:
+    """The anti-involution of a cellular element: the starred factors in
+    reverse order."""
+    return wcell.CellularWord(star_word(cw.right_word),
+                              tuple(star_word_sum(f) for f in reversed(cw.middle)),
+                              star_word(cw.left_word), cw.arcs, cw.shape,
+                              cw.right, cw.left)
+
+
+def contraction_murphy_commute_residual(ps: ParamSet, n: int, arcs: int,
+                                        shape: Multipartition,
+                                        real: seminormal.Realization | None = None) -> Fraction:
+    """Worst |chain·M - M·chain| over all Murphy products of the cell."""
+    if real is None:
+        real = seminormal.Realization(seminormal.build_all(ps, n))
+    chain = wcell.contraction_chain(n, arcs)
+    tabs = combinat.standard_tableaux(shape)
+    worst = Fraction(0)
+    e = real.evaluate(chain)
+    for s in tabs:
+        for t in tabs:
+            m = real.evaluate_product(_word_sums(*hecke.murphy_factors(ps, shape, s, t)))
+            worst = max(worst, residual(seminormal.mul(e, m), seminormal.mul(m, e)))
+    return worst
+
+
+def hecke_pairing_residual(ps: ParamSet, n: int, arcs: int, shape: Multipartition,
+                           real: seminormal.Realization | None = None) -> Fraction:
+    """Worst deviation, on the matching block, of evaluated cellular products
+    from the contraction-scalar-power times the Hecke Gram pairing.
+
+    For trivial powers and placements, the product of the (s,t) and (v,s)
+    cellular words must act on the block of the cell's shape as
+    omega_0^arcs <m_t, m_v> times the (s,s) word."""
+    m = combinat.mp_size(shape)
+    if m != n - 2 * arcs:
+        raise ValueError("shape size must match the declared arc count")
+    tabs = combinat.standard_tableaux(shape)
+    if real is None:
+        real = seminormal.Realization(seminormal.build_all(ps, n))
+    blk = real.shapes.index(shape)
+    zero = (0,) * arcs
+    ident = tuple(range(1, n + 1))
+
+    def triv(x):
+        return (x, zero, ident)
+
+    evaluated = {}
+    for a in tabs:
+        for b in tabs:
+            cw = wcell.cellular_element(ps, n, arcs, shape, triv(a), triv(b))
+            ev = real.evaluate_product(_word_sums(cw.left_word, cw.middle, cw.right_word))
+            evaluated[a, b] = block(real, ev, blk)
+    gram = hecke.gram_matrix(hecke.murphy_basis(ps, m), shape)
+    worst = Fraction(0)
+    scale = ps.omega[0] ** arcs
+    for s in tabs:
+        for i, t in enumerate(tabs):
+            for j, v in enumerate(tabs):
+                lhs = seminormal.mul(evaluated[s, t], evaluated[v, s])
+                rhs = seminormal.scaled(evaluated[s, s], scale * gram[i].get(j, 0))
+                worst = max(worst, residual(lhs, rhs))
+    return worst
 
 
 def murphy_triangular_report(mb: hecke.MurphyBasis) -> list[str]:
@@ -865,6 +962,17 @@ def row_symmetrizer_witness(ps: ParamSet, n: int) -> tuple[Fraction, bool]:
             scalar *= ps.u[0] + d - ps.u[t]
     ok = multiply(H, el, el) == H.act_sum(el, ((scalar, ()),))  # scalar * el
     return scalar, ok
+
+
+def is_semisimple(ps: ParamSet, n: int) -> bool:
+    """Fails exactly when two roots differ by an integer smaller than n in
+    absolute value (equal roots included)."""
+    for i in range(ps.r):
+        for j in range(i + 1, ps.r):
+            d = ps.u[i] - ps.u[j]
+            if d.denominator == 1 and abs(d) < n:
+                return False
+    return True
 
 
 def cyclotomic_word_sum(ps: ParamSet) -> wcell.WordSum:

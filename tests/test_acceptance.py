@@ -154,9 +154,9 @@ def test_criterion_10_semisimplicity_boundary():
         for d in range(0, n + 3):
             for sd in (d, -d):
                 ps = ParamSet.from_u((F(0), F(sd)), n_hint=max(n, 1))
-                ok &= hecke.is_semisimple(ps, n) == (d >= n)
-        ok &= hecke.is_semisimple(ParamSet.from_u((F(0), F(1, 2)),
-                                                  n_hint=max(n, 1)), n)
+                ok &= support.is_semisimple(ps, n) == (d >= n)
+        ok &= support.is_semisimple(ParamSet.from_u((F(0), F(1, 2)),
+                                                    n_hint=max(n, 1)), n)
     # the symmetrizer witness: m^2 = n! prod_{d<n, t>=2} (u_1 + d - u_t) m
     for r in (1, 2):
         for n in (1, 2, 3):

@@ -13,7 +13,7 @@ import pytest
 
 import wenzl
 from support import seeded_u
-from wenzl import combinat, hecke
+from wenzl import combinat
 from wenzl.cli import main
 
 
@@ -202,11 +202,12 @@ def _u_arg(u) -> str:
     return "--u=" + ",".join(map(str, u))
 
 
-def test_gram_reports_do_not_depend_on_job_order(tmp_path):
+def test_gram_reports_do_not_depend_on_job_order(tmp_path, murphy_builds):
     # every shape of one parameter set, forward, reversed, and interleaved
-    # with another parameter set that evicts the held basis
+    # with another parameter set that evicts the held one, and its basis
     shapes = list(combinat.multipartitions(2, 3))
-    u = _u_arg(seeded_u("order", 2, 3))
+    roots = seeded_u("order", 2, 3)
+    u = _u_arg(roots)
     evict = ["gram", "--shape=(2|-|-)", _u_arg(seeded_u("order", 3, 2))]
     out = tmp_path / "out.jsonl"
 
@@ -214,16 +215,15 @@ def test_gram_reports_do_not_depend_on_job_order(tmp_path):
         rc = main([*argv, "--out", str(out)])
         return rc, out.read_bytes()
 
-    hecke.murphy_basis.cache_clear()
     forward = {s: job(["gram", _shape_arg(s), u]) for s in shapes}
-    assert hecke.murphy_basis.cache_info().misses == 1
+    assert murphy_builds == [(roots, 3)]
     backward = {s: job(["gram", _shape_arg(s), u]) for s in reversed(shapes)}
-    assert hecke.murphy_basis.cache_info().misses == 1
+    assert murphy_builds == [(roots, 3)]
     interleaved, evicting = {}, set()
     for s in shapes:
         evicting.add(job(evict))
         interleaved[s] = job(["gram", _shape_arg(s), u])
-    assert hecke.murphy_basis.cache_info().misses == 1 + 2 * len(shapes)
+    assert len(murphy_builds) == 1 + 2 * len(shapes)
     assert forward == backward == interleaved
     assert all(rc == 0 for rc, _ in forward.values())
     assert len(evicting) == 1 and evicting.pop()[0] == 0

@@ -9,18 +9,17 @@ from fractions import Fraction
 
 import pytest
 
-from support import (FractionHecke, as_fractions, fraction_inverse, key_word, multiply,
-                     murphy_triangular_report, root_sets, row_symmetrizer_witness, seeded_u)
+from support import (FractionHecke, as_fractions, fraction_inverse, is_semisimple, key_word,
+                     multiply, murphy_triangular_report, root_sets, row_symmetrizer_witness,
+                     seeded_u, star_word, star_word_sum)
 from wenzl import _linalg, cli, combinat, hecke
-from wenzl.combinat import star_word
 from wenzl.hecke import (
     Element, HeckeAlgebra, MurphyBasis, gamma_coeffs, gamma_path_independent,
-    gamma_top, gram_det, gram_matrix, is_semisimple,
+    gamma_top, gram_det, gram_matrix,
     murphy_basis, murphy_factors,
 )
 from wenzl.params import ParamSet, wk_rational
 from wenzl.seminormal import relations
-from wenzl.wcell import star_word_sum
 
 F = Fraction
 
@@ -253,14 +252,15 @@ def test_gram_matrix_equals_the_product_of_two_elements(r, n):
 
 
 
-def test_murphy_basis_is_held_per_parameter_set():
-    # an equal parameter set, whatever W it has formed, finds the held basis
+def test_murphy_basis_is_held_per_parameter_set(murphy_builds):
+    # the held parameter set, whatever W it has formed, holds the basis, and
+    # from_u returns it for an equal (u, N)
     ps = ParamSet.default(2, 3)
     wk_rational(((1,), ()), ps)
     mb = murphy_basis(ps, 3)
-    assert mb.H.ps == ps and mb.H.n == 3
+    assert mb.H.ps is ps and mb.H.n == 3 and ps.murphy == {3: mb}
     assert murphy_basis(ParamSet.default(2, 3), 3) is mb
-    # another u, or another n, builds a new basis, and one entry is held
+    # another u, or another n, builds a new basis
     other = ParamSet.from_u((F(6), F(-3)), n_hint=3)
     assert other != ps
     mb_u = murphy_basis(other, 3)
@@ -268,7 +268,10 @@ def test_murphy_basis_is_held_per_parameter_set():
     mb_n = murphy_basis(other, 2)
     assert mb_n is not mb_u and mb_n.H.n == 2
     assert murphy_basis(other, 2) is mb_n
-    assert murphy_basis(ps, 3) is not mb
+    # one parameter set is held: other replaced ps, so an equal parameter
+    # set is built afresh, and with it the basis
+    assert murphy_basis(ParamSet.default(2, 3), 3) is not mb
+    assert murphy_builds == [(ps.u, 3), (other.u, 3), (other.u, 2), (ps.u, 3)]
 
 
 def test_held_murphy_basis_stays_as_built():
@@ -412,7 +415,8 @@ def _gram_job(lam, u, out) -> int:
                      "--out", str(out)])
 
 
-def test_each_key_is_straightened_once_per_parameter_set(tmp_path, monkeypatch):
+def test_each_key_is_straightened_once_per_parameter_set(tmp_path, monkeypatch,
+                                                        murphy_builds):
     # the gram jobs of every shape at one parameter set share one held
     # algebra: across the basis build and every Gram matrix, each (key, j)
     # is straightened at most once, and every image straightened is held
@@ -427,21 +431,21 @@ def test_each_key_is_straightened_once_per_parameter_set(tmp_path, monkeypatch):
     out = tmp_path / "out.jsonl"
     for r, n in ((3, 2), (1, 4), (2, 3), (2, 2)):
         calls.clear()
+        murphy_builds.clear()
         ps = ParamSet.from_u(seeded_u("straighten-once", r, n), n_hint=n)
-        hecke.murphy_basis.cache_clear()
         for lam in combinat.multipartitions(r, n):
             assert _gram_job(lam, ps.u, out) == 0
-        assert hecke.murphy_basis.cache_info().misses == 1
+        assert murphy_builds == [(ps.u, n)]
         H = hecke.murphy_basis(ps, n).H
+        assert len(murphy_builds) == 1
         # at r = 1 no M_lam holds a Y, so nothing is straightened
         assert set(calls.values()) <= {1} and (calls or r == 1), (r, n)
         assert set(calls) == set(H._y_images)
 
 
-def test_gram_jobs_read_each_boundary_once_per_parameter_set(tmp_path, monkeypatch):
-    # the gamma ratios read the step table of the held basis's parameter
-    # set, so across the jobs of every shape at one parameter set the
-    # boundary of each shape met is read once
+def _count_boundaries(monkeypatch) -> list:
+    """The shapes whose boundary is read (``combinat.addable_removable``)
+    from here on, in order."""
     boundaries = []
     addable_removable = combinat.addable_removable
 
@@ -450,12 +454,36 @@ def test_gram_jobs_read_each_boundary_once_per_parameter_set(tmp_path, monkeypat
         return addable_removable(mu, u)
 
     monkeypatch.setattr(combinat, "addable_removable", counted)
+    return boundaries
+
+
+def test_gram_jobs_read_each_boundary_once_per_parameter_set(tmp_path, monkeypatch,
+                                                            murphy_builds):
+    # the gamma ratios read the step table of the held parameter set, so
+    # across the jobs of every shape at one parameter set the boundary of
+    # each shape met is read once, and the basis is built once
+    boundaries = _count_boundaries(monkeypatch)
     out = tmp_path / "out.jsonl"
     u = seeded_u("boundary-once", 2, 3)
-    hecke.murphy_basis.cache_clear()
     for lam in combinat.multipartitions(2, 3):
         assert _gram_job(lam, u, out) == 0
     assert boundaries and len(boundaries) == len(set(boundaries))
+    assert murphy_builds == [(u, 3)]
+
+
+def test_verify_then_gram_read_each_boundary_once(tmp_path, monkeypatch):
+    # a verify job and the gram jobs after it at the same (u, n) share the
+    # held parameter set: its step table holds the boundary of every shape
+    # of size below n, so the gram jobs read none again
+    boundaries = _count_boundaries(monkeypatch)
+    out = tmp_path / "out.jsonl"
+    u = seeded_u("verify-then-gram", 2, 3)
+    assert cli.main(["verify", "--n", "3", "--u=" + ",".join(map(str, u)),
+                     "--out", str(out)]) == 0
+    read_by_verify = len(boundaries)
+    for lam in combinat.multipartitions(2, 3):
+        assert _gram_job(lam, u, out) == 0
+    assert len(boundaries) == read_by_verify == len(set(boundaries)) == 8
 
 
 @pytest.mark.parametrize("r,n", [(3, 2), (1, 4), (2, 3), (2, 4)])

@@ -12,12 +12,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "wenzl"
 
 # (module, name): why it stays with no caller from the CLI; what it reaches stays too
 KEPT = {
-    ("hecke", "is_semisimple"): "ROADMAP item 3: cell forms are nondegenerate exactly then",
-    ("wcell", "contraction_murphy_commute_residual"): "ROADMAP item 1: the word order",
-    ("wcell", "hecke_pairing_residual"): "ROADMAP item 2: checks the cell forms with arcs",
     # methods and properties, as (module, "Class.name")
     ("params", "ParamSet.default"): "the README's entry point: Omega at the CLI's default roots",
-    ("wcell", "CellularWord.star"): "ROADMAP item 1: the anti-involution axiom of cellularity",
 }
 
 

@@ -71,6 +71,28 @@ def test_default_paramset():
     assert ps3.omega[:2] == (F(12), F(66))
 
 
+def test_from_u_holds_one_parameter_set():
+    # an equal (u, N) returns the held instance, however the roots are
+    # written and whichever of n_hint and min_N sizes N
+    ps = ParamSet.from_u(("1/2", 3), n_hint=3)
+    assert ps.N == 16 and ps.u == (F(1, 2), F(3))
+    assert ParamSet.from_u(("2/4", "3"), n_hint=3) is ps
+    assert ParamSet.from_u((F(1, 2), 3), n_hint=2, min_N=16) is ps
+    assert ParamSet.default(2, 3) is not ps
+    # another u replaced it: an equal (u, N) is built afresh
+    again = ParamSet.from_u(("2/4", 3), n_hint=3)
+    assert again == ps and again is not ps
+    # another N replaces it too
+    wider = ParamSet.from_u(("1/2", 3), n_hint=3, min_N=17)
+    assert wider.N == 17 and wider.u == again.u and wider != again
+    assert ParamSet.from_u(("1/2", 3), n_hint=3) is not again
+    # one constructed directly is equal to the held one, and never held
+    held = ParamSet.from_u(("1/2", 3), n_hint=3)
+    direct = ParamSet(held.r, held.u, held.omega, held.N)
+    assert direct == held and direct is not held
+    assert ParamSet.from_u(("1/2", 3), n_hint=3) is held
+
+
 def test_paramset_json_round_trip():
     ps = ParamSet.from_u((F(3, 2), F(-5)), n_hint=3)
     data = ps.as_json()

@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from support import (
-    FractionRealization, as_fractions, blocks_as_fractions, cell_indices,
-    cyclotomic_word_sum, filtration_index, from_dense, murphy_words, seeded_u,
-    terms, word_sum_mul,
+    FractionRealization, as_fractions, block, blocks_as_fractions,
+    cell_indices, contraction_murphy_commute_residual, cyclotomic_word_sum,
+    filtration_index, from_dense, hecke_pairing_residual, murphy_words, seeded_u,
+    star, star_word, star_word_sum, terms, word_sum_mul,
 )
 import brauer
 from brauer import RegularMonomial, enumerate_r_regular, rank_report, word_for_monomial
@@ -16,9 +17,7 @@ from wenzl import _linalg, combinat, wcell
 from wenzl.params import ParamSet
 from wenzl.seminormal import build_all
 from wenzl.wcell import (
-    Realization, cell_triples, cellular_element, cellular_rank_report,
-    contraction_chain, contraction_murphy_commute_residual,
-    hecke_pairing_residual, star_word_sum,
+    Realization, cell_triples, cellular_element, cellular_rank_report, contraction_chain,
 )
 
 F = Fraction
@@ -72,7 +71,7 @@ def test_realization_layout():
     assert sorted(real.shapes) == sorted(combinat.reachable_shapes(2, 2))
     one = real.evaluate(())
     assert one.den == 1 and one.rows == _linalg.identity(sum(real.dims))
-    assert [real.block(one, b) for b in range(len(real.reps))] == [
+    assert [block(real, one, b) for b in range(len(real.reps))] == [
         (_linalg.identity(d), 1) for d in real.dims]
 
 
@@ -98,7 +97,7 @@ def test_row_ranges_and_vector_layout(r, n):
                    for row in ev.rows[start:end] for j in row)
         want, place = {}, 0
         for b, d in enumerate(real.dims):
-            blk = real.block(ev, b)
+            blk = block(real, ev, b)
             assert blk.den == ev.den and len(blk.rows) == d
             want.update((place + i * d + j, x)
                         for i, row in enumerate(blk.rows) for j, x in row.items())
@@ -126,7 +125,7 @@ def test_star_word_transposes():
     ]
     for word in words:
         fwd = blocks_as_fractions(real, real.evaluate(word))
-        rev = blocks_as_fractions(real, real.evaluate(combinat.star_word(word)))
+        rev = blocks_as_fractions(real, real.evaluate(star_word(word)))
         for a, b, rep in zip(fwd, rev, real.reps):
             assert b == adjoint(a, rep.gamma)
 
@@ -139,7 +138,7 @@ def test_unwrapping_word_sum():
                  (-ps.omega[a], (("E", 1),)))
         ev = real.evaluate_sum(terms)
         for b, d in enumerate(real.dims):
-            assert real.block(ev, b).rows == _linalg.zeros(d)
+            assert block(real, ev, b).rows == _linalg.zeros(d)
 
 
 def test_cyclotomic_word_sum_vanishes():
@@ -148,7 +147,7 @@ def test_cyclotomic_word_sum_vanishes():
         real = Realization(build_all(ps, n))
         ev = real.evaluate_sum(cyclotomic_word_sum(ps))
         for b, d in enumerate(real.dims):
-            assert real.block(ev, b).rows == _linalg.zeros(d)
+            assert block(real, ev, b).rows == _linalg.zeros(d)
 
 
 def test_monomial_family_has_full_rank():
@@ -240,16 +239,16 @@ def test_star_swaps_cell_sides_on_own_block():
     real = Realization(build_all(ps, 2))
     empty = combinat.empty_mp(2)
     triples = cell_triples(2, 2, 1, empty)
-    blk = real.block_index(empty)
+    blk = real.shapes.index(empty)
     for a in triples:
         for b in triples:
             ab = cellular_element(ps, 2, 1, empty, a, b)
             ba = cellular_element(ps, 2, 1, empty, b, a)
-            left = as_fractions(real.block(real.evaluate_sum(terms(ab.star())), blk))
-            right = as_fractions(real.block(real.evaluate_sum(terms(ba)), blk))
-            fwd = as_fractions(real.block(real.evaluate_sum(terms(ab)), blk))
+            left = as_fractions(block(real, real.evaluate_sum(terms(star(ab))), blk))
+            right = as_fractions(block(real, real.evaluate_sum(terms(ba)), blk))
+            fwd = as_fractions(block(real, real.evaluate_sum(terms(ab)), blk))
             assert left == right == adjoint(fwd, real.reps[blk].gamma)
-            assert ab.star().left == ab.right and ab.star().right == ab.left
+            assert star(ab).left == ab.right and star(ab).right == ab.left
 
 
 def test_cellular_word_transpose_everywhere():
@@ -302,7 +301,7 @@ def _drawn_params(r, n, rng):
 def test_factored_vectors_equal_expansion(r, n, monkeypatch):
     # the report evaluates A_a M B_b from factors; every vector it ranks must
     # equal the evaluation of the element's expanded word sum, and the
-    # factor form of star() must expand to the starred word sum
+    # factor form of star(cw) must expand to the starred word sum
     ranked = []
     rank_from_vecs = wcell._rank_from_vecs
 
@@ -327,7 +326,7 @@ def test_factored_vectors_equal_expansion(r, n, monkeypatch):
                         cw = cellular_element(ps, n, arcs, shape, a, b)
                         expanded = terms(cw)
                         want.append(real.vec(real.evaluate_sum(expanded)))
-                        starred = terms(cw.star())
+                        starred = terms(star(cw))
                         expected = star_word_sum(expanded)
                         assert len(starred) == len(expected)
                         assert ({w: c for c, w in starred}
