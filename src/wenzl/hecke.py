@@ -24,7 +24,18 @@ scales and adds held images.  ``murphy_basis`` hangs the basis, and with
 it one algebra, on the parameter set (``ParamSet.murphy``), so the basis
 build and every Gram matrix at that parameter set share them.  T_i moves
 no coefficient: on the right it swaps the values i and i + 1 of w, on the
-left the entries at positions i and i + 1.
+left the entries at positions i and i + 1.  ``act`` composes each maximal
+run of S letters into one permutation p and relabels the values of every
+w by p in one pass.
+
+What the basis and the Gram matrices read of a shape apart from the roots
+is held per shape for the process, in ``functools.cache`` tables keyed by
+the shape alone: its standard tableaux, their coset words and starred
+coset words and the row-stabilizer sum of M_lambda (``shape_words``, which
+``wcell`` reads too), and, for gram jobs only, the descent edges of each
+tableau and the shapes that dominate it (``_order``).  A batch forms them
+on a shape's first job, whatever the roots; the tables grow with the
+shapes at the sizes a batch runs, not with the number of jobs.
 """
 
 from __future__ import annotations
@@ -100,7 +111,7 @@ class HeckeAlgebra:
 
     The coefficients of that relation below Y_1^r are cleared once to ints
     ``cyc`` over their lcm ``Q``, which can exceed the roots' own
-    denominator.  ``act``, ``act_sum``, ``act_factors``, ``rmul_T`` and
+    denominator.  ``act``, ``act_sum``, ``act_factors``, ``_rmul_perm`` and
     ``rmul_Y`` take and return an ``Element``, and ``lmul_T`` and ``_reduce``
     rewrite the int terms inside ``_straighten``, which forms the image of
     one key times Y_j for the held table that ``rmul_Y`` reads: no method
@@ -132,10 +143,14 @@ class HeckeAlgebra:
 
     # -- ring operations ---------------------------------------------------
 
-    def rmul_T(self, el: Element, i: int) -> Element:
-        """w -> w s_i is a bijection of the keys: no two terms meet."""
-        return Element({(alpha, _swap_values(w, i)): c for (alpha, w), c in el.terms.items()},
-                       el.den)
+    def _rmul_perm(self, el: Element, p: tuple[int, ...]) -> Element:
+        """el times T_p for a permutation p: w -> w p relabels each value v
+        of w as p(v), a bijection of the keys, so no two terms meet.  At
+        the algebra's own ``id`` it returns el."""
+        if p is self.id:
+            return el
+        return Element({(alpha, tuple([p[v - 1] for v in w])): c
+                        for (alpha, w), c in el.terms.items()}, el.den)
 
     def rmul_Y(self, el: Element, j: int) -> Element:
         """Multiply by Y_j on the right: each key's image (``_y_image``) is
@@ -245,18 +260,23 @@ class HeckeAlgebra:
         return out, top
 
     def act(self, el: Element, word: Word) -> Element:
-        """el times the word, letter by letter on the right: ("S", i) is T_i
-        and ("X", j, a) is Y_j^a.  E letters have no image here."""
+        """el times the word on the right: ("S", i) is T_i and ("X", j, a)
+        is Y_j^a.  E letters have no image here.  A maximal run of S
+        letters is one permutation p, and T_p maps each key (alpha, w) to
+        (alpha, w p), relabelling the values of w, so the run takes one
+        pass over the terms; no two terms meet."""
+        p = self.id
         for letter in word:
             kind = letter[0]
             if kind == "S" and 1 <= letter[1] <= self.n - 1:
-                el = self.rmul_T(el, letter[1])
+                p = _swap_values(p, letter[1])
             elif kind == "X" and 1 <= letter[1] <= self.n and letter[2] >= 0:
+                el, p = self._rmul_perm(el, p), self.id
                 for _ in range(letter[2]):
                     el = self.rmul_Y(el, letter[1])
             else:
                 raise ValueError(f"letter {letter!r} out of range at n={self.n}")
-        return el
+        return self._rmul_perm(el, p)
 
     def act_sum(self, el: Element, terms: WordSum) -> Element:
         """el times the word sum ``terms``: each word's element is scaled by
@@ -285,29 +305,48 @@ class HeckeAlgebra:
 # ---------------------------------------------------------------------------
 
 
+class ShapeWords(NamedTuple):
+    """What the Murphy basis reads of a shape that the roots do not fix:
+    its standard tableaux (in ``combinat.standard_tableaux`` order), the
+    starred coset word and the coset word of each, T_{d(t)}* and T_{d(t)}
+    by tableau, and the row-stabilizer sum of M_lambda.  One instance per
+    shape is shared by every caller, so none writes into ``words``."""
+
+    tableaux: tuple[Tableau, ...]
+    words: dict
+    row_sum: WordSum
+
+
+@functools.cache
+def shape_words(lam: Multipartition) -> ShapeWords:
+    """The root-free words of lam, formed on its first call and held for the
+    process, so a batch forms them once per shape and not once per root
+    set; what is held is bounded by the shapes at the sizes a batch runs."""
+    tableaux = tuple(combinat.standard_tableaux(lam))
+    words = {}
+    for t in tableaux:
+        d = combinat.d_perm(t)
+        words[t] = (word_for_permutation(perm_inverse(d)), word_for_permutation(d))
+    row_sum = tuple((Fraction(1), word_for_permutation(w))
+                    for w in combinat.young_subgroup(lam, combinat.mp_size(lam)))
+    return ShapeWords(tableaux, words, row_sum)
+
+
 def murphy_middle(ps: ParamSet, shape: Multipartition) -> tuple[WordSum, ...]:
     """M_lambda as word sums: one root-shifted X_k - u_i for each 1 <= i < r
-    and k up to the size of the first i components, then the row-stabilizer
-    sum."""
+    and k up to the size of the first i components, then the held
+    row-stabilizer sum."""
     sizes = [sum(p) for p in shape]
     middle = tuple(((Fraction(1), (("X", k, 1),)), (-ps.u[i], ()))
                    for i in range(1, ps.r) for k in range(1, sum(sizes[:i]) + 1))
-    return middle + (tuple((Fraction(1), word_for_permutation(w))
-                           for w in combinat.young_subgroup(shape, sum(sizes))),)
-
-
-def coset_word(t: Tableau) -> Word:
-    return word_for_permutation(combinat.d_perm(t))
-
-
-def star_coset_word(t: Tableau) -> Word:
-    return word_for_permutation(perm_inverse(combinat.d_perm(t)))
+    return middle + (shape_words(shape).row_sum,)
 
 
 def murphy_factors(ps: ParamSet, shape: Multipartition, s: Tableau,
                    t: Tableau) -> tuple[Word, tuple[WordSum, ...], Word]:
     """The Murphy product of (s, t) as its factors T_{d(s)}*, M_lambda, T_{d(t)}."""
-    return star_coset_word(s), murphy_middle(ps, shape), coset_word(t)
+    words = shape_words(shape).words
+    return words[s][0], murphy_middle(ps, shape), words[t][1]
 
 
 class MurphyBasis:
@@ -316,7 +355,8 @@ class MurphyBasis:
     The key list enumerates every normal-form monomial, so the coordinate
     matrix is square of size r^n n!; the change of basis being invertible
     is exactly the spanning/independence statement.  Each element applies
-    the coset word of t to T_{d(s)}* · M_lambda, which is made once per s.
+    the coset word of t to T_{d(s)}* · M_lambda, which is made once per s;
+    the tableaux and their words are the shape's held ``shape_words``.
     """
 
     def __init__(self, H: HeckeAlgebra):
@@ -329,14 +369,13 @@ class MurphyBasis:
         self.triples = []
         self.elements = []
         for lam in combinat.multipartitions(r, n):
-            stds = combinat.standard_tableaux(lam)
+            shape = shape_words(lam)
             middle = murphy_middle(H.ps, lam)
-            t_words = [coset_word(t) for t in stds]
-            for s in stds:
-                left = H.act_factors(H.one(), star_coset_word(s), middle, ())
-                for t, t_word in zip(stds, t_words):
+            for s in shape.tableaux:
+                left = H.act_factors(H.one(), shape.words[s][0], middle, ())
+                for t in shape.tableaux:
                     self.triples.append((lam, s, t))
-                    self.elements.append(H.act(left, t_word))
+                    self.elements.append(H.act(left, shape.words[t][1]))
         self.triple_index = {tr: i for i, tr in enumerate(self.triples)}
         # row i holds the coefficients of element i, by key index
         self.matrix = [{self.key_index[key]: Fraction(c, el.den)
@@ -397,17 +436,41 @@ def gamma_top(lam, ps: ParamSet) -> Fraction:
     return out
 
 
+class _Order(NamedTuple):
+    """The dominance data of a shape that ``gamma_coeffs`` and
+    ``gram_matrix`` read: the descent edges (k, t) of each standard s, where
+    t is s with steps k and k+1 swapped, one dominance step below s, and
+    the shapes of lam's size that dominate lam.  Shared like
+    ``ShapeWords``: no caller writes into ``descents``."""
+
+    descents: dict
+    above: frozenset
+
+
+@functools.cache
+def _order(lam: Multipartition) -> _Order:
+    """lam's dominance data, formed on its first call and held for the
+    process; it does not depend on the roots.  Only gram jobs read it."""
+    descents = {}
+    for s in shape_words(lam).tableaux:
+        edges = []
+        for k in range(1, len(s)):
+            t = combinat.sk_action(s, k)
+            if t is not None and t != s and combinat.dominance_std(s, t):
+                edges.append((k, t))
+        descents[s] = tuple(edges)
+    above = frozenset(mu for mu in combinat.multipartitions(len(lam), combinat.mp_size(lam))
+                      if combinat.dominance_mp(mu, lam))
+    return _Order(descents, above)
+
+
 def _descents(lam, s, ps: ParamSet):
-    """(t, gamma(t) / gamma(s)) for each standard t one dominance step below
-    s, where t is s with steps k and k+1 swapped: (d + 1)(d - 1) / d^2 for
-    the difference d of the contents of steps k and k+1, read as ints over
-    q from the step table."""
+    """(t, gamma(t) / gamma(s)) for each held descent edge (k, t) of s:
+    (d + 1)(d - 1) / d^2 for the difference d of the contents of steps k
+    and k+1, read as ints over q from the step table."""
     q = ps.q
     C = [steps_out(mu, ps).C[nu] for mu, nu in zip((combinat.empty_mp(ps.r),) + s, s)]
-    for k in range(1, len(s)):
-        t = combinat.sk_action(s, k)
-        if t is None or t == s or not combinat.dominance_std(s, t):
-            continue
+    for k, t in _order(lam).descents[s]:
         # the content difference d is D / q
         D = C[k - 1] - C[k]
         if D == 0:
@@ -418,7 +481,8 @@ def _descents(lam, s, ps: ParamSet):
 
 def gamma_coeffs(lam, ps: ParamSet) -> dict:
     """gamma for every standard tableau, propagated down dominance from the
-    maximal tableau by adjacent swaps."""
+    maximal tableau by adjacent swaps; a tableau the swaps do not reach
+    raises AssertionError."""
     tl = combinat.t_lambda(lam)
     gamma = {tl: gamma_top(lam, ps)}
     pending = deque([tl])
@@ -428,7 +492,10 @@ def gamma_coeffs(lam, ps: ParamSet) -> dict:
             if t not in gamma:
                 gamma[t] = ratio * gamma[s]
                 pending.append(t)
-    assert len(gamma) == len(combinat.standard_tableaux(lam))
+    total = len(shape_words(lam).tableaux)
+    if len(gamma) != total:
+        raise AssertionError(f"gamma reaches {len(gamma)} of the {total} "
+                             f"standard tableaux of {lam}")
     return gamma
 
 
@@ -443,17 +510,18 @@ def gram_matrix(mb: MurphyBasis, lam) -> list[dict]:
     """The cell form on the standard tableaux of lam, as sparse rows: entry
     <m_s, m_t> is the coordinate at m_{t^lam t^lam} of m_{t^lam s} times the
     factors of m_{t t^lam}, in the algebra ``mb.H``, with every coordinate
-    of the product checked.  t^lam, its coset word and M_lam are formed once
-    per matrix and the starred coset word once per t; the basis elements
-    are only read, so a held basis stays as built."""
+    of the product checked.  M_lam is formed once per matrix; the tableaux,
+    their words and the shapes that dominate lam are held per shape
+    (``shape_words``, ``_order``).  The basis elements are only read, so a
+    held basis stays as built."""
     H = mb.H
     tl = combinat.t_lambda(lam)
-    stds = combinat.standard_tableaux(lam)
+    shape, above = shape_words(lam), _order(lam).above
     # murphy_factors(ps, lam, t, tl) for each t, with M_lam formed once
-    middle, right = murphy_middle(H.ps, lam), coset_word(tl)
-    factors = [(star_coset_word(t), middle, right) for t in stds]
+    middle, right = murphy_middle(H.ps, lam), shape.words[tl][1]
+    factors = [(shape.words[t][0], middle, right) for t in shape.tableaux]
     rows = []
-    for s in stds:
+    for s in shape.tableaux:
         left = mb.elements[mb.triple_index[lam, tl, s]]
         row = {}
         for j, fs in enumerate(factors):
@@ -465,7 +533,7 @@ def gram_matrix(mb: MurphyBasis, lam) -> list[dict]:
                             f"product not proportional to the corner element: "
                             f"coordinate at ({a}, {b})")
                     row[j] = c
-                elif not combinat.dominance_mp(mu, lam):
+                elif mu not in above:
                     raise AssertionError(f"product escapes upward to {mu}")
         rows.append(row)
     return rows

@@ -261,7 +261,9 @@ def build_rep(ps: ParamSet, n: int, shape) -> SeminormalRep:
     # sequence, which q > 0 scales without reordering; ties stay in walk order
     contents = {t: _contents(ps, t) for t in combinat.updown_walks(n, shape)}
     basis = tuple(sorted(contents, key=contents.__getitem__))
-    assert len(basis) == combinat.count_updown(n, shape)
+    if len(basis) != combinat.count_updown(n, shape):
+        raise AssertionError(f"{len(basis)} updown tableaux of {shape} at n={n}, "
+                             f"not {combinat.count_updown(n, shape)}")
     idx = {t: i for i, t in enumerate(basis)}
     d = len(basis)
 

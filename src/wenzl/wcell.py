@@ -10,16 +10,24 @@ word) pairs.  A cellular basis element keeps its factors (left word, Murphy
 middle, right word) and is evaluated from them, never expanded into words;
 its Murphy factors are ``hecke.murphy_factors``, the same words from which
 the Hecke quotient makes its Murphy basis.
+
+The index triples of each cell (``cell_triples``, on the tableaux that
+``hecke.shape_words`` holds) and the word of each placement permutation
+(``_placement_word``) do not depend on the roots, so each is formed once
+per process in a ``functools.cache`` table keyed by root-free arguments
+alone; the tables grow with the cells at the sizes a batch runs, not with
+the number of jobs.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 from . import _linalg, combinat, seminormal
 from .combinat import Multipartition, Word, word_for_permutation
-from .hecke import WordSum, murphy_factors
+from .hecke import WordSum, murphy_factors, shape_words
 from .params import ParamSet
 from .seminormal import Realization, mul
 
@@ -27,14 +35,24 @@ from .seminormal import Realization, mul
 # -- cellular structure --------------------------------------------------
 
 
-def cell_triples(r: int, n: int, arcs: int, shape: Multipartition) -> list[tuple]:
-    """(tableau, powers, placement) triples indexing one cell."""
+@functools.cache
+def cell_triples(r: int, n: int, arcs: int, shape: Multipartition) -> tuple[tuple, ...]:
+    """(tableau, powers, placement) triples indexing one cell, the tableaux
+    those of ``hecke.shape_words``; formed once per cell and held for the
+    process, since they do not depend on the roots."""
     if combinat.mp_size(shape) != n - 2 * arcs:
         raise ValueError("shape size must be the strand count minus two per arc")
-    tabs = combinat.standard_tableaux(shape)
     powers = list(itertools.product(range(r), repeat=arcs))
     placements = combinat.coset_reps(n, arcs)
-    return [(t, k, d) for t in tabs for k in powers for d in placements]
+    return tuple((t, k, d) for t in shape_words(shape).tableaux
+                 for k in powers for d in placements)
+
+
+@functools.cache
+def _placement_word(d: tuple[int, ...]) -> Word:
+    """The word of a placement permutation, formed once per permutation and
+    held for the process."""
+    return word_for_permutation(d)
 
 
 def contraction_chain(n: int, arcs: int) -> Word:
@@ -72,11 +90,11 @@ def cellular_element(ps: ParamSet, n: int, arcs: int, shape: Multipartition,
     empty = combinat.empty_mp(ps.r)
     if (s[-1] if s else empty) != shape or (t[-1] if t else empty) != shape:
         raise ValueError("tableaux must have the cell's shape")
-    pre = tuple(reversed(word_for_permutation(e)))
+    pre = _placement_word(e)[::-1]
     pre += tuple(("X", n - 1 - 2 * j, a) for j, a in enumerate(rho) if a)
     pre += contraction_chain(n, arcs)
     post = tuple(("X", n - 1 - 2 * j, a) for j, a in enumerate(kappa) if a)
-    post += word_for_permutation(d)
+    post += _placement_word(d)
     s_word, middle, t_word = murphy_factors(ps, shape, s, t)
     return CellularWord(pre + s_word, middle, t_word + post, arcs, shape,
                         (s, tuple(rho), e), (t, tuple(kappa), d))

@@ -1,17 +1,37 @@
-"""Every test starts with no parameter set held from an earlier test, so a
-test that expects a parameter set or a Murphy basis to be built (the
-tracer's, for one) does not depend on which parameter set the test before
-it left behind ``ParamSet.from_u``; the basis hangs on the parameter set.
-``murphy_builds`` records each Murphy basis a test builds."""
+"""Every test starts cold: no parameter set held from an earlier test, and
+none of the root-free tables that ``hecke`` and ``wcell`` hold per shape,
+cell and placement for the process.  So a test that expects a parameter
+set, a Murphy basis or a shape's tableaux to be built (the tracer's, which
+must see ``combinat.enumerate_updown`` entered, for one) does not depend on
+what the test before it left behind; the basis hangs on the parameter set.
+``murphy_builds`` records each Murphy basis a test builds, and
+``drop_holds`` empties every hold again within a test."""
 
 import pytest
 
-from wenzl import hecke, params
+from wenzl import hecke, params, wcell
+
+# the held parameter set and the root-free tables of hecke and wcell, each a
+# functools.cache; combinat's memos of walks and step nodes lie below
+# enumerate_updown and stay
+HOLDS = (params._param_set, hecke.shape_words, hecke._order, wcell.cell_triples,
+         wcell._placement_word)
+
+
+def _drop_holds():
+    for hold in HOLDS:
+        hold.cache_clear()
 
 
 @pytest.fixture(autouse=True)
 def _no_held_parameter_set():
-    params._param_set.cache_clear()
+    _drop_holds()
+
+
+@pytest.fixture
+def drop_holds():
+    """A function that empties every hold, as each test starts."""
+    return _drop_holds
 
 
 @pytest.fixture

@@ -236,6 +236,38 @@ def test_gram_error_repeats(tmp_path):
     rc, records = got[0]
     assert rc == 1 and [rec["kind"] for rec in records] == ["error"]
 
+def test_cellrank_reports_do_not_depend_on_job_order(tmp_path, drop_holds):
+    # (3,2), (2,2) and (1,3) forward, backward, and interleaved with jobs
+    # at other roots and sizes that fill the held shape and cell tables
+    # first, each order run cold (every hold dropped before each job) and
+    # warm (the holds of the jobs before kept)
+    sizes = [(3, 2), (2, 2), (1, 3)]
+    argvs = {(r, n): ["cellrank", "--n", str(n), _u_arg(seeded_u("cell-order", r, n))]
+             for r, n in sizes}
+    others = [["cellrank", "--n", "3", _u_arg(seeded_u("cell-other", 2, 2))],
+              ["gram", "--shape=(1|1|-)", _u_arg(seeded_u("cell-other", 3, 2))]]
+    out = tmp_path / "out.jsonl"
+
+    def job(argv, cold):
+        if cold:
+            drop_holds()
+        rc = main([*argv, "--out", str(out)])
+        return rc, out.read_bytes()
+
+    runs = []
+    for cold in (True, False):
+        drop_holds()
+        runs.append({size: job(argvs[size], cold) for size in sizes})
+        runs.append({size: job(argvs[size], cold) for size in reversed(sizes)})
+        interleaved = {}
+        for size, other in zip(sizes, [*others, others[0]]):
+            assert job(other, cold)[0] == 0
+            interleaved[size] = job(argvs[size], cold)
+        runs.append(interleaved)
+    assert all(run == runs[0] for run in runs)
+    assert all(rc == 0 for rc, _ in runs[0].values())
+
+
 def test_cellrank_smallest(tmp_path):
     # the rank is exact, so roots of any size reach full rank
     for args, target in ((["--r", "1", "--n", "2"], 3),

@@ -12,7 +12,7 @@ import pytest
 from support import (FractionHecke, as_fractions, fraction_inverse, is_semisimple, key_word,
                      multiply, murphy_triangular_report, root_sets, row_symmetrizer_witness,
                      seeded_u, star_word, star_word_sum)
-from wenzl import _linalg, cli, combinat, hecke
+from wenzl import _linalg, cli, combinat, hecke, wcell
 from wenzl.hecke import (
     Element, HeckeAlgebra, MurphyBasis, gamma_coeffs, gamma_path_independent,
     gamma_top, gram_det, gram_matrix,
@@ -556,3 +556,130 @@ def test_relation_table_without_e_holds_in_the_quotient(r, n):
                 checked.add(family)
         assert {"involution", "skein", "cyclotomic"} <= checked
         assert n < 3 or "braid" in checked
+
+
+def test_held_shape_tables_equal_the_tableau_walk():
+    # at every shape with r <= 3, n <= 4: the held tableaux and words are
+    # those of combinat, the held descent edges are the sk_action and
+    # dominance_std walk of each standard tableau, and the held dominating
+    # shapes are dominance_mp over the multipartitions of lam's size
+    for r in (1, 2, 3):
+        for n in range(5):
+            shapes = combinat.multipartitions(r, n)
+            for lam in shapes:
+                held, order = hecke.shape_words(lam), hecke._order(lam)
+                stds = combinat.standard_tableaux(lam)
+                assert held.tableaux == tuple(stds)
+                for t in stds:
+                    d = combinat.d_perm(t)
+                    assert held.words[t] == (
+                        combinat.word_for_permutation(combinat.perm_inverse(d)),
+                        combinat.word_for_permutation(d))
+                assert held.row_sum == tuple(
+                    (F(1), combinat.word_for_permutation(w))
+                    for w in combinat.young_subgroup(lam, n))
+                assert set(order.descents) == set(stds)
+                for s in stds:
+                    want = []
+                    for k in range(1, n):
+                        t = combinat.sk_action(s, k)
+                        if t is not None and t != s and combinat.dominance_std(s, t):
+                            want.append((k, t))
+                    assert order.descents[s] == tuple(want), (lam, s)
+                assert order.above == {mu for mu in shapes if combinat.dominance_mp(mu, lam)}
+
+
+def _table_sizes() -> tuple:
+    """The number of entries in each root-free table."""
+    return tuple(hold.cache_info().currsize for hold in (
+        hecke.shape_words, hecke._order, wcell.cell_triples, wcell._placement_word))
+
+
+def _held_tables(r, n) -> tuple:
+    """The size of every root-free table, then the entries of each at the
+    shapes, cells and placements of r and sizes up to n (read through the
+    tables, so the reading fills what was missing)."""
+    sizes = _table_sizes()
+    shapes = [lam for m in range(n + 1) for lam in combinat.multipartitions(r, m)]
+    cells = [(arcs, lam) for arcs in range(n // 2 + 1)
+             for lam in combinat.multipartitions(r, n - 2 * arcs)]
+    return (sizes, [hecke.shape_words(lam) for lam in shapes],
+            [hecke._order(lam) for lam in shapes],
+            [wcell.cell_triples(r, n, arcs, lam) for arcs, lam in cells],
+            [wcell._placement_word(d) for arcs, _ in cells
+             for d in combinat.coset_reps(n, arcs)])
+
+
+def test_held_tables_are_root_free(tmp_path, drop_holds):
+    # gram jobs on every shape at (2,3) and a cellrank job at (2,2) leave
+    # equal tables at two root sets, one of them fractional, and a second
+    # root set after the first adds no entry and replaces none
+    out = tmp_path / "out.jsonl"
+
+    def jobs(u):
+        for lam in combinat.multipartitions(2, 3):
+            assert _gram_job(lam, u, out) == 0
+        assert cli.main(["cellrank", "--n", "2", "--u=" + ",".join(map(str, u)),
+                         "--out", str(out)]) == 0
+
+    whole, fractional = combinat.default_u(2, 3), seeded_u("root-free", 2, 3)
+    assert any(x.denominator > 1 for x in fractional)
+    tables = []
+    for u in (whole, fractional):
+        drop_holds()
+        jobs(u)
+        tables.append(_held_tables(2, 3))
+    assert tables[0] == tables[1]
+    assert all(tables[0][0])
+    filled = _table_sizes()
+    jobs(whole)
+    again = _held_tables(2, 3)
+    assert again[0] == filled
+    assert all(x is y for a, b in zip(again[1:], tables[1][1:]) for x, y in zip(a, b))
+
+
+def _run_word(rng, n) -> tuple:
+    """A seeded word of runs of 0 to 4 S letters, each run but the last
+    ended by an X letter (X^0 among them)."""
+    word = ()
+    for _ in range(rng.randrange(1, 4)):
+        word += tuple(("S", rng.randrange(1, n)) for _ in range(rng.randrange(5)))
+        word += (("X", rng.randrange(1, n + 1), rng.randrange(3)),)
+    return word + tuple(("S", rng.randrange(1, n)) for _ in range(rng.randrange(5)))
+
+
+@pytest.mark.parametrize("r,n", [(3, 2), (1, 4), (2, 3)])
+def test_act_takes_a_run_of_s_letters_as_one_permutation(r, n):
+    # act on seeded words whose runs of S letters are broken by X letters
+    # equals the Fraction reference, which applies T_i letter by letter,
+    # and act applied one letter at a time
+    rng = random.Random(f"s-runs:{r}:{n}")
+    keys = [(alpha, w) for alpha in itertools.product(range(r), repeat=n)
+            for w in itertools.permutations(range(1, n + 1))]
+    coeffs = [F(1), F(-2), F(3, 7), F(-5, 4), F(11, 6)]
+    for u in root_sets("s-runs", r):
+        ps = ParamSet.from_u(u, n_hint=n)
+        H, ref = HeckeAlgebra(ps, n), FractionHecke(ps, n)
+        for _ in range(6):
+            fr = {k: rng.choice(coeffs) for k in rng.sample(keys, min(len(keys), 6))}
+            el = _element(fr)
+            word = _run_word(rng, n)
+            got = H.act(el, word)
+            assert _canonical(got) and as_fractions(got) == ref.act(fr, word), (u, fr, word)
+            assert got == functools.reduce(lambda x, letter: H.act(x, (letter,)), word, el)
+        # a run that cancels, and the empty word, leave the element as it is
+        assert H.act(el, (("S", 1), ("S", 1))) == el and H.act(el, ()) is el
+
+
+def test_gamma_raises_where_a_held_descent_edge_is_missing(monkeypatch):
+    # dropping the one held edge into a tableau leaves it unreached, which
+    # raises AssertionError (not an assert statement, so python -O keeps it)
+    lam, ps = ((1,), (1,)), ParamSet.default(2, 2)
+    order = hecke._order(lam)
+    into = collections.Counter(t for edges in order.descents.values() for _, t in edges)
+    s, (k, t) = next((s, e) for s, edges in order.descents.items() for e in edges
+                     if into[e[1]] == 1)
+    descents = {**order.descents, s: tuple(e for e in order.descents[s] if e != (k, t))}
+    monkeypatch.setattr(hecke, "_order", lambda mu: order._replace(descents=descents))
+    with pytest.raises(AssertionError, match=r"gamma reaches 1 of the 2 standard tableaux"):
+        gamma_coeffs(lam, ps)

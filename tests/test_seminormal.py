@@ -231,6 +231,18 @@ def test_build_rep_raises_where_an_entry_has_no_rational_form(monkeypatch):
         build_rep(ps, 3, shape)
 
 
+def test_build_rep_raises_on_an_incomplete_basis(monkeypatch):
+    # one updown tableau dropped: the basis falls short of count_updown,
+    # which raises AssertionError (not an assert statement, so python -O
+    # keeps it)
+    walks = combinat.updown_walks
+    monkeypatch.setattr(combinat, "updown_walks", lambda n, shape: walks(n, shape)[1:])
+    shape = ((1,), ())
+    with pytest.raises(AssertionError,
+                       match=r"^5 updown tableaux of \(\(1,\), \(\)\) at n=3, not 6$"):
+        build_rep(ParamSet.default(2, 3), 3, shape)
+
+
 @pytest.mark.parametrize("r,n", [(2, 3), (3, 3)])
 def test_star_symmetry_equals_the_fraction_reference(r, n):
     for ps in (ParamSet.default(r, n), ParamSet.from_u(_seeded_u(r, n), n_hint=n)):
