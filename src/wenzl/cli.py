@@ -23,22 +23,10 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import combinat, hecke, seminormal, wcell
 from .params import ParamSet, check_admissible, format_fraction, parse_fraction
-
-
-@dataclass
-class RunConfig:
-    command: str
-    r: int
-    n: int
-    u: tuple[Fraction, ...]
-    out: str | None
-    shape: tuple[tuple[int, ...], ...] | None = None
-    order: int | None = None
 
 
 # -- argument handling -----------------------------------------------------
@@ -122,16 +110,17 @@ def _parse_shape(parser, text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _resolve(args) -> RunConfig:
+def _resolve(args) -> None:
+    """Check the parsed arguments, and write the resolved n, roots u and
+    shape back onto ``args``: r is the number of roots."""
     parser, r, n, u = args.parser, args.r, args.n, args.u
     if u is not None:
         u = _parse_u(parser, u)
         if r is not None and r != len(u):
             parser.error(f"--r {r} does not match {len(u)} roots")
         r = len(u)
-    shape = None
     if getattr(args, "shape", None) is not None:
-        shape = _parse_shape(parser, args.shape)
+        shape = args.shape = _parse_shape(parser, args.shape)
         if r is not None and r != len(shape):
             parser.error(f"shape has {len(shape)} components but r={r}")
         size = combinat.mp_size(shape)
@@ -146,8 +135,7 @@ def _resolve(args) -> RunConfig:
         parser.error("r must be at least 1")
     if n < 0:
         parser.error("n must be nonnegative")
-    order = getattr(args, "order", None)
-    if order is not None and order < 0:
+    if getattr(args, "order", 0) < 0:
         parser.error("order must be nonnegative")
     if args.out is not None and (not os.path.basename(args.out) or os.path.isdir(args.out)):
         parser.error(f"--out {args.out!r}: not a file name")
@@ -159,7 +147,7 @@ def _resolve(args) -> RunConfig:
             parser.error(f"--out {args.out}: {e.strerror}")
     if u is None:
         u = combinat.default_u(r, n)
-    return RunConfig(args.command, r, n, u, args.out, shape=shape, order=order)
+    args.n, args.u = n, u
 
 
 def _shape_json(shape) -> list[list[int]]:
@@ -181,32 +169,30 @@ def _write_report(records, out_path) -> None:
 
 # -- commands ----------------------------------------------------------------
 #
-# Each command gets the run's parameter set and its JSON form ``meta``, and
-# returns (records, ok).  A ValueError or ZeroDivisionError marks parameters
-# outside the supported regime; ``main`` turns it into an error record.
+# Each command takes the run's parameter set and the resolved arguments, and
+# returns (records, summary, ok): its records, the fields of its summary
+# record, and whether every check passed.  ``main`` adds the summary's kind,
+# command and pass, and the parameter set to every record.  A ValueError or
+# ZeroDivisionError marks parameters outside the supported regime; ``main``
+# turns it into an error record.
 
 
-def cmd_counts(cfg: RunConfig, ps: ParamSet, meta: dict) -> tuple[list[dict], bool]:
-    records = []
-    total = 0
-    for shape in combinat.reachable_shapes(cfg.r, cfg.n):
-        c = combinat.count_updown(cfg.n, shape)
+def cmd_counts(ps: ParamSet, args) -> tuple[list[dict], dict, bool]:
+    n, records, total = args.n, [], 0
+    for shape in combinat.reachable_shapes(ps.r, n):
+        c = combinat.count_updown(n, shape)
         total += c * c
         records.append({"kind": "count", "shape": _shape_json(shape),
-                        "arcs": (cfg.n - combinat.mp_size(shape)) // 2,
-                        "count": c, "ps": meta})
-    target = cfg.r ** cfg.n * combinat.double_factorial(2 * cfg.n - 1)
+                        "arcs": (n - combinat.mp_size(shape)) // 2, "count": c})
+    target = ps.r ** n * combinat.double_factorial(2 * n - 1)
     ok = total == target
-    records.append({"kind": "summary", "command": "counts", "n": cfg.n,
-                    "sum_of_squares": total, "target": target, "equal": ok,
-                    "pass": ok, "ps": meta})
-    return records, ok
+    return records, {"n": n, "sum_of_squares": total, "target": target, "equal": ok}, ok
 
 
-def cmd_verify(cfg: RunConfig, ps: ParamSet, meta: dict) -> tuple[list[dict], bool]:
-    real = seminormal.Realization(seminormal.build_all(ps, cfg.n))
-    idr = seminormal.check_identities(ps, cfg.n)
-    scalars = seminormal.tower_scalars(ps, cfg.n)
+def cmd_verify(ps: ParamSet, args) -> tuple[list[dict], dict, bool]:
+    real = seminormal.Realization(seminormal.build_all(ps, args.n))
+    idr = seminormal.check_identities(ps, args.n)
+    scalars = seminormal.tower_scalars(ps, args.n)
     records = []
     ok = idr.ok
     for rep, res in zip(real.reps, seminormal.verify_relations(real, scalars)):
@@ -215,16 +201,14 @@ def cmd_verify(cfg: RunConfig, ps: ParamSet, meta: dict) -> tuple[list[dict], bo
         records.append({"kind": "relations", "shape": _shape_json(rep.shape),
                         "dim": rep.dim,
                         "residuals": {k: float(v) for k, v in res.items()},
-                        "tolerance": 0.0, "pass": passed, "ps": meta})
+                        "tolerance": 0.0, "pass": passed})
     records.append({"kind": "identities", "checked": idr.counts,
-                    "failures": idr.failures, "pass": idr.ok, "ps": meta})
-    records.append({"kind": "summary", "command": "verify", "n": cfg.n,
-                    "modules": len(real.reps), "pass": ok, "ps": meta})
-    return records, ok
+                    "failures": idr.failures, "pass": idr.ok})
+    return records, {"n": args.n, "modules": len(real.reps)}, ok
 
 
-def cmd_gram(cfg: RunConfig, ps: ParamSet, meta: dict) -> tuple[list[dict], bool]:
-    shape, n = cfg.shape, cfg.n
+def cmd_gram(ps: ParamSet, args) -> tuple[list[dict], dict, bool]:
+    shape, n = args.shape, args.n
     mb = hecke.murphy_basis(ps, n)
     det = hecke.gram_det(mb, shape)
     gammas = hecke.gamma_coeffs(shape, ps)
@@ -235,35 +219,25 @@ def cmd_gram(cfg: RunConfig, ps: ParamSet, meta: dict) -> tuple[list[dict], bool
                 "gram_det": format_fraction(det),
                 "gamma_product": format_fraction(prod),
                 "matches_product": det == prod,
-                "path_independent": path_ok, "pass": ok, "ps": meta},
-               {"kind": "summary", "command": "gram",
-                "gram_det": format_fraction(det), "pass": ok, "ps": meta}]
-    return records, ok
+                "path_independent": path_ok, "pass": ok}]
+    return records, {"gram_det": format_fraction(det)}, ok
 
 
-def cmd_cellrank(cfg: RunConfig, ps: ParamSet, meta: dict) -> tuple[list[dict], bool]:
-    report = wcell.cellular_rank_report(ps, cfg.n)
-    records = [{"kind": "cell", **cell, "ps": meta} for cell in report["cells"]]
-    ok = report["ok"]
-    records.append({"kind": "summary", "command": "cellrank", "n": cfg.n,
-                    "count": report["count"], "rank": report["rank"],
-                    "target": report["target"],
-                    "sum_of_squares": report["sum_of_squares"],
-                    "pass": ok, "ps": meta})
-    return records, ok
+def cmd_cellrank(ps: ParamSet, args) -> tuple[list[dict], dict, bool]:
+    report = wcell.cellular_rank_report(ps, args.n)
+    records = [{"kind": "cell", **cell} for cell in report["cells"]]
+    return records, {"n": args.n, "count": report["count"], "rank": report["rank"],
+                     "target": report["target"],
+                     "sum_of_squares": report["sum_of_squares"]}, report["ok"]
 
 
-def cmd_omega(cfg: RunConfig, ps: ParamSet, meta: dict) -> tuple[list[dict], bool]:
-    order = cfg.order
-    values = ps.omega[:order + 1]
+def cmd_omega(ps: ParamSet, args) -> tuple[list[dict], dict, bool]:
+    values = ps.omega[:args.order + 1]
     ok, bad = check_admissible(values)
-    records = [{"kind": "omega", "a": a, "value": format_fraction(w), "ps": meta}
+    records = [{"kind": "omega", "a": a, "value": format_fraction(w)}
                for a, w in enumerate(values)]
-    records.append({"kind": "summary", "command": "omega", "order": order,
-                    "omega": [format_fraction(w) for w in values],
-                    "admissible": ok, "first_failure": bad, "pass": ok,
-                    "ps": meta})
-    return records, ok
+    return records, {"order": args.order, "omega": [format_fraction(w) for w in values],
+                     "admissible": ok, "first_failure": bad}, ok
 
 
 COMMANDS = {"counts": cmd_counts, "verify": cmd_verify, "gram": cmd_gram,
@@ -276,17 +250,19 @@ def main(argv=None) -> int:
     if getattr(sys, "set_int_max_str_digits", None):
         sys.set_int_max_str_digits(0)
     argv = sys.argv[1:] if argv is None else argv
-    cfg = _resolve(_PARSER.parse_args(_join_dash_values(argv)))
+    args = _PARSER.parse_args(_join_dash_values(argv))
+    _resolve(args)
     # omega reports scalars up to --order, so it stores at least that many
-    ps = ParamSet.from_u(cfg.u, n_hint=cfg.n, min_N=cfg.order or 0)
-    meta = ps.as_json()
+    ps = ParamSet.from_u(args.u, n_hint=args.n, min_N=getattr(args, "order", 0))
     try:
-        records, ok = COMMANDS[cfg.command](cfg, ps, meta)
+        records, summary, ok = COMMANDS[args.command](ps, args)
+        records.append({"kind": "summary", "command": args.command, **summary, "pass": ok})
     except (ValueError, ZeroDivisionError) as e:
-        records = [{"kind": "error", "command": cfg.command,
-                    "error": f"{type(e).__name__}: {e}", "pass": False, "ps": meta}]
+        records = [{"kind": "error", "command": args.command,
+                    "error": f"{type(e).__name__}: {e}", "pass": False}]
         ok = False
-    _write_report(records, cfg.out)
+    meta = ps.as_json()
+    _write_report([{**rec, "ps": meta} for rec in records], args.out)
     return 0 if ok else 1
 
 

@@ -392,10 +392,6 @@ def coset_reps(n: int, f: int) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-def perm_mult(v: tuple[int, ...], w: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(w[v[i] - 1] for i in range(len(v)))
-
-
 def perm_inverse(w: tuple[int, ...]) -> tuple[int, ...]:
     out = [0] * len(w)
     for i, wi in enumerate(w):

@@ -48,9 +48,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import _linalg, combinat
-from .combinat import (Multipartition, Tableau, Word, perm_inverse, perm_mult, perm_word,
+from .combinat import (Multipartition, Tableau, Word, perm_inverse, perm_word,
                        word_for_permutation)
-from .params import ParamSet, cleared, clearing, cyclotomic_coeffs, steps_out
+from .params import ParamSet, cleared, clearing, contents, cyclotomic_coeffs
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 WordSum = tuple[tuple[Fraction, Word], ...]
@@ -135,12 +135,6 @@ class HeckeAlgebra:
     def one(self) -> Element:
         return Element({((0,) * self.n, self.id): 1}, 1)
 
-    def _s(self, i: int) -> tuple[int, ...]:
-        assert 1 <= i < self.n
-        w = list(self.id)
-        w[i - 1], w[i] = w[i], w[i - 1]
-        return tuple(w)
-
     # -- ring operations ---------------------------------------------------
 
     def _rmul_perm(self, el: Element, p: tuple[int, ...]) -> Element:
@@ -194,10 +188,8 @@ class HeckeAlgebra:
         return self._reduce(out)
 
     def _perm_of(self, word) -> tuple[int, ...]:
-        w = self.id
-        for i in word:
-            w = perm_mult(w, self._s(i))
-        return w
+        """The permutation of the word: w s_i for each letter i, as in ``act``."""
+        return functools.reduce(_swap_values, word, self.id)
 
     def lmul_T(self, terms: dict, i: int) -> dict:
         """Multiply int terms by T_i on the left, over their denominator, via
@@ -377,9 +369,10 @@ class MurphyBasis:
                     self.triples.append((lam, s, t))
                     self.elements.append(H.act(left, shape.words[t][1]))
         self.triple_index = {tr: i for i, tr in enumerate(self.triples)}
-        # row i holds the coefficients of element i, by key index
-        self.matrix = [{self.key_index[key]: Fraction(c, el.den)
-                        for key, c in el.terms.items()} for el in self.elements]
+        # row i holds the int terms of element i, by key index: the element
+        # times its den
+        self.matrix = [{self.key_index[key]: c for key, c in el.terms.items()}
+                       for el in self.elements]
 
     @functools.cached_property
     def _inv(self) -> tuple[int, list[dict]]:
@@ -390,10 +383,10 @@ class MurphyBasis:
         return den, [dict(zip(row, cleared(row.values(), den))) for row in inv]
 
     def coords(self, el: Element) -> dict:
-        """The nonzero coordinates of el by triple index: the row vector x
-        with x · matrix = el.  The int row product of el's terms with the
-        inverse rows of their keys is formed, and each nonzero entry v
-        becomes Fraction(v, D·el.den)."""
+        """The nonzero coordinates of el by triple index: the x with
+        sum_j x_j elements[j] = el.  Row j of ``matrix`` is element j times
+        its den d_j, so the int row product v of el's terms with the inverse
+        rows of their keys gives x_j = Fraction(v_j d_j, D·el.den)."""
         den, inv = self._inv
         acc: dict = {}
         for key, c in el.terms.items():
@@ -401,7 +394,7 @@ class MurphyBasis:
                 x = acc.get(j)
                 acc[j] = c * y if x is None else x + c * y
         den *= el.den
-        return {j: Fraction(x, den) for j, x in acc.items() if x}
+        return {j: Fraction(x * self.elements[j].den, den) for j, x in acc.items() if x}
 
 
 def murphy_basis(ps: ParamSet, n: int) -> MurphyBasis:
@@ -468,8 +461,7 @@ def _descents(lam, s, ps: ParamSet):
     """(t, gamma(t) / gamma(s)) for each held descent edge (k, t) of s:
     (d + 1)(d - 1) / d^2 for the difference d of the contents of steps k
     and k+1, read as ints over q from the step table."""
-    q = ps.q
-    C = [steps_out(mu, ps).C[nu] for mu, nu in zip((combinat.empty_mp(ps.r),) + s, s)]
+    q, C = ps.q, contents(ps, s)
     for k, t in _order(lam).descents[s]:
         # the content difference d is D / q
         D = C[k - 1] - C[k]

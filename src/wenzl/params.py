@@ -2,8 +2,10 @@
 functions W at a shape.
 
 A parameter set holds, per shape met, the steps out of it with their
-contents as ints over one denominator (``steps_out``), and W there;
-``ParamSet.from_u`` holds the last parameter set it built.
+contents as ints over one denominator and their contraction coefficients
+(``steps_out``, the only writer of that table), and W there; ``contents``
+walks a tableau through the table.  ``ParamSet.from_u`` holds the last
+parameter set it built.
 Everything here is exact rational arithmetic: dense polynomials in y, and
 rational functions num/den whose denominators are cleared when they are
 built, so num and den are polynomials over Z (Python ints) and their
@@ -314,21 +316,51 @@ class Steps(NamedTuple):
     ``combinat.neighbors`` order (addable nodes first).  ``C`` holds the int
     q c(mu -> nu): c is the content of the node added, or minus that of the
     node removed, and q is ``ParamSet.q``.  ``e`` holds the diagonal
-    contraction coefficient of leaving mu for nu and returning; it stays
-    None until ``seminormal`` first reads it."""
+    contraction coefficient of leaving mu for nu and returning
+    (``e_diag``)."""
 
     C: dict
-    e: dict | None = None
+    e: dict
+
+
+def e_diag(C: int, boundary, q: int, r: int) -> Fraction:
+    """Diagonal contraction coefficient of a pair of steps that leave a shape
+    mu across a node of content c and return: (2c - (-1)^r) times the
+    product of (c + c(alpha))/(c - c(alpha)) over the other boundary nodes
+    alpha.  Every content comes as the int q c: C for c, and ``boundary``
+    for the contents of all the steps out of mu.  So
+    (2C - (-1)^r q) prod (C + C(alpha)) over q prod (C - C(alpha)) is formed
+    on ints, and one Fraction is made."""
+    sign = -1 if r % 2 else 1
+    num, den = 2 * C - sign * q, q
+    for x in boundary:
+        if x != C:
+            num *= C + x
+            den *= C - x
+    return Fraction(num, den)
 
 
 def steps_out(mu, ps: ParamSet) -> Steps:
-    """The steps out of the shape mu, formed once per parameter set, in
-    ``ps.steps``: the one place where the boundary of a shape is read."""
+    """The steps out of the shape mu with their contents and contraction
+    coefficients, formed once per parameter set, in ``ps.steps``: the one
+    place where the boundary of a shape is read."""
     st = ps.steps.get(mu)
     if st is None:
-        cs = cleared((c for _, c, _ in combinat.addable_removable(mu, ps.u)), ps.q)
-        st = ps.steps[mu] = Steps(dict(zip(combinat.neighbors(mu), cs)))
+        q = ps.q
+        cs = cleared((c for _, c, _ in combinat.addable_removable(mu, ps.u)), q)
+        nus = combinat.neighbors(mu)
+        st = ps.steps[mu] = Steps(dict(zip(nus, cs)),
+                                  {nu: e_diag(x, cs, q, ps.r) for nu, x in zip(nus, cs)})
     return st
+
+
+def contents(ps: ParamSet, t) -> tuple[int, ...]:
+    """q c at each step of the walk t, read from the step table."""
+    out, mu = [], combinat.empty_mp(ps.r)
+    for nu in t:
+        out.append(steps_out(mu, ps).C[nu])
+        mu = nu
+    return tuple(out)
 
 
 def _w_at_shape(shape, C, q: int) -> RationalFunction:

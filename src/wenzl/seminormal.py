@@ -4,12 +4,12 @@ Everything here is exact.  Every coefficient of the model depends only on a
 lattice step mu -> nu: its content c, held as the int C = q c over the lcm q
 of the roots' denominators, and the diagonal contraction coefficient e.
 Both are formed once per parameter set, in the step table ``ps.steps``
-(``params.steps_out``, and ``coefficients`` for e), and the model and the
-identity suite read them from there.  The orthonormal seminormal model has
-symmetric matrices whose off-diagonal entries are square roots of
-rationals.  Each model is built instead as that model conjugated by
-diag(sqrt(gamma)), with gamma chosen on a spanning tree of the generator
-graph so that every entry is rational.  It is built on ints: every entry,
+(``params.steps_out``), and the model and the identity suite read them
+from there.  The orthonormal seminormal model has symmetric matrices
+whose off-diagonal entries are square roots of rationals.  Each model is
+built instead as that model conjugated by diag(sqrt(gamma)), with gamma
+chosen on a spanning tree of the generator graph so that every entry is
+rational.  It is built on ints: every entry,
 every squared off-diagonal and gamma is an int pair (num, den), a square
 root is taken with ``math.isqrt``, and each generator is held once, as one
 matrix of int rows over one positive denominator in lowest terms
@@ -45,34 +45,6 @@ def returns_at(t, k: int) -> bool:
     return 1 <= k < len(t) and combinat.shape_before(t, k) == t[k]
 
 
-def e_diag(C: int, boundary, q: int, r: int) -> Fraction:
-    """Diagonal contraction coefficient of a pair of steps that leave a shape
-    mu across a node of content c and return: (2c - (-1)^r) times the
-    product of (c + c(alpha))/(c - c(alpha)) over the other boundary nodes
-    alpha.  Every content comes as the int q c: C for c, and ``boundary``
-    for the contents of all the steps out of mu (``params.steps_out``).  So
-    (2C - (-1)^r q) prod (C + C(alpha)) over q prod (C - C(alpha)) is formed
-    on ints, and one Fraction is made."""
-    sign = -1 if r % 2 else 1
-    num, den = 2 * C - sign * q, q
-    for x in boundary:
-        if x != C:
-            num *= C + x
-            den *= C - x
-    return Fraction(num, den)
-
-
-def coefficients(ps: ParamSet, mu) -> params.Steps:
-    """The steps out of mu with their contraction coefficients ``e``, each
-    formed by ``e_diag`` once per parameter set and held in ``ps.steps``."""
-    st = params.steps_out(mu, ps)
-    if st.e is None:
-        q, boundary = ps.q, tuple(st.C.values())
-        st = ps.steps[mu] = st._replace(
-            e={nu: e_diag(C, boundary, q, ps.r) for nu, C in st.C.items()})
-    return st
-
-
 def _signed(num: int, den: int) -> tuple[int, int]:
     """num/den as an int pair with a positive den."""
     return (num, den) if den > 0 else (-num, -den)
@@ -90,15 +62,6 @@ def _swap_pair(t, k: int, d: int, q: int) -> tuple[int, int]:
 def swap_a(t, k: int, d: int, q: int) -> Fraction:
     """The swap coefficient of ``_swap_pair`` as a Fraction."""
     return Fraction(*_swap_pair(t, k, d, q))
-
-
-def _contents(ps: ParamSet, t) -> tuple[int, ...]:
-    """q c at each step of t, read from the step table."""
-    out, mu = [], combinat.empty_mp(ps.r)
-    for nu in t:
-        out.append(params.steps_out(mu, ps).C[nu])
-        mu = nu
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +119,7 @@ def _orthonormal_entries(ps: ParamSet, k: int, idx: dict, contents: dict):
             if i in seen:
                 continue
             cls = combinat.k_neighbors(t, k)
-            e = coefficients(ps, mu).e
+            e = params.steps_out(mu, ps).e
             evals = {}
             for m in cls:
                 seen.add(idx[m])
@@ -259,7 +222,7 @@ def build_rep(ps: ParamSet, n: int, shape) -> SeminormalRep:
         raise ValueError("a seminormal model needs the roots u")
     # the basis in the order of combinat.enumerate_updown: by content
     # sequence, which q > 0 scales without reordering; ties stay in walk order
-    contents = {t: _contents(ps, t) for t in combinat.updown_walks(n, shape)}
+    contents = {t: params.contents(ps, t) for t in combinat.updown_walks(n, shape)}
     basis = tuple(sorted(contents, key=contents.__getitem__))
     if len(basis) != combinat.count_updown(n, shape):
         raise AssertionError(f"{len(basis)} updown tableaux of {shape} at n={n}, "
@@ -649,7 +612,7 @@ def check_identities(ps: ParamSet, n: int) -> IdentityReport:
                for lam in combinat.multipartitions(ps.r, size)):
         tmu = combinat.t_lambda(mu)
         k = len(tmu) + 1
-        C, e = coefficients(ps, mu)
+        C, e = params.steps_out(mu, ps)
         for nu, cn in C.items():
             record("w-recursion", params.wk_rational(nu, ps)
                    == params.wk_recursive_rational(mu, Fraction(cn, q), ps),
@@ -684,7 +647,7 @@ def check_identities(ps: ParamSet, n: int) -> IdentityReport:
                 record("content-swap", ok, f"t={t}, k={k}")
             if k > n - 2:
                 continue
-            C_nu, e_nu = coefficients(ps, nu)
+            C_nu, e_nu = params.steps_out(nu, ps)
             record("contraction-inverse", e[nu] * e_nu[mu] == 1,
                    f"t={tmu + (nu, mu, nu)}, k={k}")
             # matching products of squared off-diagonals with contractions:

@@ -23,9 +23,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from brauer import BrauerDiagram
-from wenzl import _linalg, combinat, hecke, seminormal, wcell
-from wenzl.combinat import (Multipartition, Tableau, Word, perm_mult, perm_word,
-                            word_for_permutation)
+from wenzl import _linalg, combinat, hecke, params, seminormal, wcell
+from wenzl.combinat import Multipartition, Tableau, Word, perm_word, word_for_permutation
 from wenzl.params import ONE, ParamSet, Poly, RationalFunction, cyclotomic_coeffs
 from wenzl.seminormal import RELATION_FAMILIES
 
@@ -622,7 +621,7 @@ def series_reference(rf, A: int) -> list[Fraction]:
 
 
 def e_diag_reference(c: Fraction, boundary, r: int) -> Fraction:
-    """The reference for ``seminormal.e_diag``: (2c - (-1)^r) times the
+    """The reference for ``params.e_diag``: (2c - (-1)^r) times the
     product of (c + c(alpha))/(c - c(alpha)) over the other boundary nodes
     alpha, in Fractions; ``boundary`` is ``combinat.addable_removable`` of
     the shape left."""
@@ -656,7 +655,7 @@ def _orthonormal_entries_reference(ps: ParamSet, k: int, idx: dict, contents: di
             if i in seen:
                 continue
             cls = combinat.k_neighbors(t, k)
-            e = seminormal.coefficients(ps, mu).e
+            e = params.steps_out(mu, ps).e
             evals = {}
             for m in cls:
                 seen.add(idx[m])
@@ -729,7 +728,7 @@ def build_rep_reference(ps: ParamSet, n: int, shape) -> seminormal.SeminormalRep
     square roots taken of Fractions, and each generator then cleared to
     int rows (``cleared``).  It raises the same ValueErrors, in the same
     order."""
-    contents = {t: seminormal._contents(ps, t) for t in combinat.updown_walks(n, shape)}
+    contents = {t: params.contents(ps, t) for t in combinat.updown_walks(n, shape)}
     basis = tuple(sorted(contents, key=contents.__getitem__))
     idx = {t: i for i, t in enumerate(basis)}
     d = len(basis)
@@ -1021,6 +1020,10 @@ def permutation_diagram(n: int, w: tuple[int, ...]) -> BrauerDiagram:
     """Edges {i, w(i)-bar} for a permutation w in one-line form."""
     assert sorted(w) == list(range(1, n + 1))
     return BrauerDiagram.from_edges(n, [(i, n + w[i - 1]) for i in range(1, n + 1)])
+
+
+def perm_mult(v: tuple[int, ...], w: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(w[v[i] - 1] for i in range(len(v)))
 
 
 def perm_of_word(word: tuple[int, ...], n: int) -> tuple[int, ...]:

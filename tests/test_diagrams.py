@@ -6,10 +6,8 @@ from brauer import (
     compose, compose_word, contraction_diagram, enumerate_diagrams,
     generator_diagram, identity_diagram, transposition_diagram, word_for_diagram,
 )
-from support import perm_of_word, permutation_diagram, star_word
-from wenzl.combinat import (
-    double_factorial, perm_inverse, perm_mult, perm_word, word_for_permutation,
-)
+from support import perm_mult, perm_of_word, permutation_diagram, star_word
+from wenzl.combinat import double_factorial, perm_inverse, perm_word, word_for_permutation
 
 
 def test_double_factorial():

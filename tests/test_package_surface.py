@@ -3,7 +3,8 @@
 property of a class there is used by name as an attribute somewhere in
 ``src/wenzl``, or is listed in ``KEPT`` with the reason it stays.  Test-only
 code lives in tests/support.py, and the Brauer diagrams and the
-regular-monomial census in tests/brauer.py."""
+regular-monomial census in tests/brauer.py.  The tables a parameter set
+holds per shape, its steps and W, are written by ``params`` alone."""
 
 import ast
 from pathlib import Path
@@ -93,3 +94,15 @@ def test_every_method_is_used_in_the_package():
         # a kept method exists, and needs no entry once src/wenzl uses it
         if "." in key[1]:
             assert key in unused, key
+
+
+def test_only_params_writes_the_step_and_w_tables():
+    # an item stored into (or deleted from) <ps>.steps[...] or <ps>.w_at[...]
+    writers = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load)
+                    and isinstance(node.value, ast.Attribute)
+                    and node.value.attr in ("steps", "w_at")):
+                writers.add(path.stem)
+    assert writers == {"params"}, writers

@@ -359,8 +359,8 @@ def _failed_families(report):
 
 def test_identity_suite_fails_on_wrong_contraction_coefficients(monkeypatch):
     # e + 1 for e: twice e would scale both sides of square-root-matching
-    e_diag = seminormal.e_diag
-    monkeypatch.setattr(seminormal, "e_diag", lambda *args: e_diag(*args) + 1)
+    e_diag = params.e_diag
+    monkeypatch.setattr(params, "e_diag", lambda *args: e_diag(*args) + 1)
     report = check_identities(ParamSet.default(2, 3), 3)
     failed = _failed_families(report)
     assert {"class-sum-linear", "class-sum-quadratic", "class-sum-cross",
@@ -506,7 +506,7 @@ def test_e_diag_equals_the_fraction_reference(r):
             C = tuple(params.steps_out(mu, ps).C.values())
             assert C == tuple(q * c for _, c, _ in boundary) and all(type(x) is int for x in C)
             for x, (_, c, _) in zip(C, boundary):
-                got = seminormal.e_diag(x, C, q, r)
+                got = params.e_diag(x, C, q, r)
                 assert type(got) is Fraction
                 assert got == e_diag_reference(c, boundary, r), (u, mu, c)
 
@@ -526,7 +526,7 @@ def test_class_sums_equal_the_fraction_reference(r):
     for u in root_sets("class-sums", r):
         ps = ParamSet.from_u(u, n_hint=3)
         for mu in _shapes(r):
-            C, e = seminormal.coefficients(ps, mu)
+            C, e = params.steps_out(mu, ps)
             c = {nu: Fraction(x, ps.q) for nu, x in C.items()}
             for es, holds in ((e, True), ({nu: x + 1 for nu, x in e.items()}, False)):
                 got = [(name, s, tp, _side(lhs), _side(rhs))
@@ -550,10 +550,10 @@ def test_step_table_equals_content_sequence_and_e_diag(r):
             for lam in combinat.reachable_shapes(r, n):
                 for t in combinat.enumerate_updown(n, lam, ps.u):
                     cs = combinat.content_sequence(t, ps.u)
-                    assert seminormal._contents(ps, t) == tuple(ps.q * c for c in cs)
+                    assert params.contents(ps, t) == tuple(ps.q * c for c in cs)
                     for k in range(1, n + 1):
                         mu = combinat.shape_before(t, k)
-                        got = seminormal.coefficients(ps, mu).e[t[k - 1]]
+                        got = params.steps_out(mu, ps).e[t[k - 1]]
                         assert got == e_diag_reference(
                             cs[k - 1], combinat.addable_removable(mu, ps.u), r), (t, k)
             if n <= 3:
@@ -564,12 +564,13 @@ def test_step_table_equals_content_sequence_and_e_diag(r):
 
 def test_verify_forms_each_coefficient_once(monkeypatch, tmp_path):
     # one verify run reads the boundary of each shape of size <= n - 1 once,
-    # forms e once per step out of each shape of size <= n - 2, and takes
-    # no content sequence: the model and the identities share the table
+    # forms e once per step out of each of those shapes, with its contents,
+    # and takes no content sequence: the model and the identities share the
+    # table
     boundaries, coefficients, sequences = [], [], []
     addable_removable = combinat.addable_removable
     content_sequence = combinat.content_sequence
-    e_diag = seminormal.e_diag
+    e_diag = params.e_diag
 
     def counted_boundary(mu, u):
         boundaries.append(mu)
@@ -585,11 +586,11 @@ def test_verify_forms_each_coefficient_once(monkeypatch, tmp_path):
 
     monkeypatch.setattr(combinat, "addable_removable", counted_boundary)
     monkeypatch.setattr(combinat, "content_sequence", counted_sequence)
-    monkeypatch.setattr(seminormal, "e_diag", counted_e)
+    monkeypatch.setattr(params, "e_diag", counted_e)
     assert main(["verify", "--r", "2", "--n", "3", "--out", str(tmp_path / "out.jsonl")]) == 0
     assert sorted(boundaries) == sorted(_shapes(2, 2))
-    steps = sum(len(combinat.neighbors(mu)) for mu in _shapes(2, 1))
-    assert len(coefficients) == len(set(coefficients)) == steps == 10
+    steps = sum(len(combinat.neighbors(mu)) for mu in _shapes(2, 2))
+    assert len(coefficients) == len(set(coefficients)) == steps == 32
     assert sequences == []
 
 
