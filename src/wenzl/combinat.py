@@ -1,6 +1,9 @@
 """Multipartitions, updown tableaux, contents, coset representatives,
 permutations and generator words.
 
+``steps_from`` holds the steps out of each shape, with the node each adds
+or removes, once per process; every question about a step reads it.
+
 Conventions used throughout:
 
 - A partition is a tuple of weakly decreasing positive integers (no trailing
@@ -108,14 +111,6 @@ def node_content(node: Node, u, removed: bool = False) -> Fraction:
     return -c if removed else c
 
 
-def addable_removable(lam: Multipartition, u) -> list[tuple[Node, Fraction, str]]:
-    """All addable then all removable nodes with their exact contents."""
-    out = [(a, node_content(a, u), "addable") for a in addable_nodes(lam)]
-    out += [(b, node_content(b, u, removed=True), "removable")
-            for b in removable_nodes(lam)]
-    return out
-
-
 def add_box(lam: Multipartition, node: Node) -> Multipartition:
     i, j, s = node
     p = list(lam[s - 1])
@@ -136,41 +131,20 @@ def remove_box(lam: Multipartition, node: Node) -> Multipartition:
     return lam[:s - 1] + (tuple(p),) + lam[s:]
 
 
-def box_diff(small: Multipartition, large: Multipartition) -> Node:
-    """The node where two multipartitions differing by one box disagree."""
-    for s, (p, q) in enumerate(zip(small, large), start=1):
-        for i, (a, b) in enumerate(itertools.zip_longest(p, q, fillvalue=0), start=1):
-            if a != b:
-                assert abs(a - b) == 1
-                return (i, max(a, b), s)
-    raise ValueError("multipartitions are equal")
-
-
-def neighbors(lam: Multipartition) -> list[Multipartition]:
-    """The shapes one box away from lam, addable nodes first."""
-    return ([add_box(lam, a) for a in addable_nodes(lam)]
-            + [remove_box(lam, b) for b in removable_nodes(lam)])
-
-
-def mp_adjacent(a: Multipartition, b: Multipartition) -> bool:
-    """True when b is a plus or minus one box away from a."""
-    return sum(abs(x - y) for p, q in zip(a, b)
-               for x, y in itertools.zip_longest(p, q, fillvalue=0)) == 1
+@functools.cache
+def steps_from(lam: Multipartition) -> dict[Multipartition, tuple[Node, bool]]:
+    """The steps out of lam, held per shape for the process: each shape one
+    box away, addable nodes first, mapped to (node, removed), the node the
+    step adds or removes.  It does not depend on the roots."""
+    steps = {add_box(lam, a): (a, False) for a in addable_nodes(lam)}
+    steps.update((remove_box(lam, b), (b, True)) for b in removable_nodes(lam))
+    return steps
 
 
 def shape_before(t: Tableau, k: int) -> Multipartition:
     """The shape of t before step k: t_{k-1}, or the empty multipartition
     when k = 1."""
     return t[k - 2] if k >= 2 else empty_mp(len(t[0]))
-
-
-def step_node(t: Tableau, k: int) -> tuple[Node, bool]:
-    """(node, removed) describing step k of an updown tableau (1-based)."""
-    prev = shape_before(t, k)
-    cur = t[k - 1]
-    if mp_size(cur) > mp_size(prev):
-        return box_diff(prev, cur), False
-    return box_diff(cur, prev), True
 
 
 def default_u(r: int, n: int) -> tuple[Fraction, ...]:
@@ -184,11 +158,9 @@ def default_u(r: int, n: int) -> tuple[Fraction, ...]:
                  for t in range(1, r + 1))
 
 
-@functools.cache
 def _step_nodes(t: Tableau) -> tuple[tuple[Node, bool], ...]:
-    """``step_node`` at every step of t, taken once per tableau; it does not
-    depend on the roots."""
-    return tuple(step_node(t, k) for k in range(1, len(t) + 1))
+    """(node, removed) at every step of t, read from ``steps_from``."""
+    return tuple(steps_from(shape_before(t, k))[t[k - 1]] for k in range(1, len(t) + 1))
 
 
 def content_sequence(t: Tableau, u) -> tuple[Fraction, ...]:
@@ -202,7 +174,7 @@ def _walk(r: int, n: int) -> tuple[tuple[Tableau, ...], dict]:
     tableaux bucketed by endpoint."""
     walks = ((),) if n == 0 else tuple(
         t + (nu,) for t in _walk(r, n - 1)[0]
-        for nu in neighbors(t[-1] if t else empty_mp(r)))
+        for nu in steps_from(t[-1] if t else empty_mp(r)))
     by_end: dict[Multipartition, list[Tableau]] = {}
     for t in walks:
         by_end.setdefault(t[-1] if t else empty_mp(r), []).append(t)
@@ -303,16 +275,6 @@ def d_perm(t: Tableau) -> tuple[int, ...]:
     return tuple(d)
 
 
-def k_neighbors(t: Tableau, k: int) -> list[Tableau]:
-    """All updown tableaux equal to t except possibly at position k."""
-    n = len(t)
-    assert 1 <= k <= n
-    if k == n:
-        return [t]
-    return [t[:k - 1] + (mid,) + t[k:] for mid in neighbors(shape_before(t, k))
-            if mp_adjacent(mid, t[k])]
-
-
 def sk_action(t: Tableau, k: int):
     """Swap steps k and k+1; None when the swapped path leaves the lattice."""
     n = len(t)
@@ -320,11 +282,9 @@ def sk_action(t: Tableau, k: int):
     prev = shape_before(t, k)
     if prev == t[k]:
         raise ValueError("steps k, k+1 return to the start; swap is not defined")
-    node2, removed2 = _step_nodes(t)[k]
-    if node2 not in (removable_nodes(prev) if removed2 else addable_nodes(prev)):
-        return None
-    mid = remove_box(prev, node2) if removed2 else add_box(prev, node2)
-    return t[:k - 1] + (mid,) + t[k:]
+    step = steps_from(t[k - 1])[t[k]]
+    return next((t[:k - 1] + (mid,) + t[k:] for mid, other in steps_from(prev).items()
+                 if other == step), None)
 
 
 def dominance_mp(lam: Multipartition, mu: Multipartition) -> bool:

@@ -3,8 +3,9 @@ functions W at a shape.
 
 A parameter set holds, per shape met, the steps out of it with their
 contents as ints over one denominator and their contraction coefficients
-(``steps_out``, the only writer of that table), and W there; ``contents``
-walks a tableau through the table.  ``ParamSet.from_u`` holds the last
+(``steps_out``, the only writer of that table, which reads the root-free
+steps of ``combinat.steps_from``), and W there; ``contents`` walks a
+tableau through the table.  ``ParamSet.from_u`` holds the last
 parameter set it built.
 Everything here is exact rational arithmetic: dense polynomials in y, and
 rational functions num/den whose denominators are cleared when they are
@@ -313,7 +314,7 @@ def _param_set(u: tuple[Fraction, ...], N: int) -> ParamSet:
 
 class Steps(NamedTuple):
     """The steps out of one shape mu, keyed by the shape nu they reach, in
-    ``combinat.neighbors`` order (addable nodes first).  ``C`` holds the int
+    ``combinat.steps_from`` order (addable nodes first).  ``C`` holds the int
     q c(mu -> nu): c is the content of the node added, or minus that of the
     node removed, and q is ``ParamSet.q``.  ``e`` holds the diagonal
     contraction coefficient of leaving mu for nu and returning
@@ -342,15 +343,16 @@ def e_diag(C: int, boundary, q: int, r: int) -> Fraction:
 
 def steps_out(mu, ps: ParamSet) -> Steps:
     """The steps out of the shape mu with their contents and contraction
-    coefficients, formed once per parameter set, in ``ps.steps``: the one
-    place where the boundary of a shape is read."""
+    coefficients, formed once per parameter set, in ``ps.steps``: the
+    shapes and nodes of ``combinat.steps_from``, each content by
+    ``combinat.node_content`` and cleared once."""
     st = ps.steps.get(mu)
     if st is None:
-        q = ps.q
-        cs = cleared((c for _, c, _ in combinat.addable_removable(mu, ps.u)), q)
-        nus = combinat.neighbors(mu)
-        st = ps.steps[mu] = Steps(dict(zip(nus, cs)),
-                                  {nu: e_diag(x, cs, q, ps.r) for nu, x in zip(nus, cs)})
+        q, steps = ps.q, combinat.steps_from(mu)
+        cs = cleared((combinat.node_content(node, ps.u, removed)
+                      for node, removed in steps.values()), q)
+        st = ps.steps[mu] = Steps(dict(zip(steps, cs)),
+                                  {nu: e_diag(x, cs, q, ps.r) for nu, x in zip(steps, cs)})
     return st
 
 

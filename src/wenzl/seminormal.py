@@ -118,8 +118,8 @@ def _orthonormal_entries(ps: ParamSet, k: int, idx: dict, contents: dict):
         if returns_at(t, k):
             if i in seen:
                 continue
-            cls = combinat.k_neighbors(t, k)
             e = params.steps_out(mu, ps).e
+            cls = [t[:k - 1] + (nu,) + t[k:] for nu in e]
             evals = {}
             for m in cls:
                 seen.add(idx[m])

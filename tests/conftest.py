@@ -12,8 +12,8 @@ import pytest
 from wenzl import hecke, params, wcell
 
 # the held parameter set and the root-free tables of hecke and wcell, each a
-# functools.cache; combinat's memos of walks and step nodes lie below
-# enumerate_updown and stay
+# functools.cache; combinat's walks (_walk) and steps out of each shape
+# (steps_from) lie below enumerate_updown and stay
 HOLDS = (params._param_set, hecke.shape_words, hecke._order, wcell.cell_triples,
          wcell._placement_word)
 

@@ -3,8 +3,12 @@ matrix reader, the Schur reference for Omega and other admissible
 sequences, exact two-strand module fixtures, the hand-written relation
 suite that the relation table is checked against, the Fraction-row
 evaluation and star-symmetry that the model's int forms are checked
-against, the Fraction elimination that ``_linalg``'s int elimination is
-checked against, the branching report, the Fraction-dict Hecke rewriting,
+against, the lattice read node by node (the addable and removable nodes
+with their contents, ``box_diff``, the class at a returning step and the
+swap of two steps) that ``combinat.steps_from`` is checked against, a
+count of the step tables a parameter set fills, the Fraction elimination
+that ``_linalg``'s int elimination is checked against, the branching
+report, the Fraction-dict Hecke rewriting,
 the Fraction expansion at infinity, and the Fraction forms of the
 contraction coefficient, of the seminormal model (``build_rep_reference``),
 of W at a shape and of the class sums, that the int forms are checked
@@ -17,6 +21,7 @@ contraction chain commuting with the Murphy products, and the cellular
 products against the Hecke Gram pairing)."""
 
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -24,7 +29,7 @@ from typing import NamedTuple
 
 from brauer import BrauerDiagram
 from wenzl import _linalg, combinat, hecke, params, seminormal, wcell
-from wenzl.combinat import Multipartition, Tableau, Word, perm_word, word_for_permutation
+from wenzl.combinat import Multipartition, Node, Tableau, Word, perm_word, word_for_permutation
 from wenzl.params import ONE, ParamSet, Poly, RationalFunction, cyclotomic_coeffs
 from wenzl.seminormal import RELATION_FAMILIES
 
@@ -462,7 +467,7 @@ def branching_blocks(rep: seminormal.SeminormalRep) -> dict:
         mu = t[n - 2] if n >= 2 else combinat.empty_mp(rep.ps.r)
         groups.setdefault(mu, []).append(i)
 
-    expected = {mu for mu in combinat.neighbors(rep.shape) if combinat.mp_size(mu) <= n - 1}
+    expected = {mu for mu in combinat.steps_from(rep.shape) if combinat.mp_size(mu) <= n - 1}
 
     sizes_ok = (set(groups) == expected and
                 all(len(ix) == combinat.count_updown(n - 1, mu)
@@ -605,6 +610,77 @@ class FractionHecke:
         return self.act(functools.reduce(self.act_sum, middle, self.act(el, left)), right)
 
 
+def addable_removable(lam: Multipartition, u) -> list[tuple[Node, Fraction, str]]:
+    """All addable then all removable nodes of lam with their exact
+    contents: the reference for the contents of ``params.steps_out``."""
+    out = [(a, combinat.node_content(a, u), "addable") for a in combinat.addable_nodes(lam)]
+    out += [(b, combinat.node_content(b, u, removed=True), "removable")
+            for b in combinat.removable_nodes(lam)]
+    return out
+
+
+def boxes_apart(a: Multipartition, b: Multipartition) -> int:
+    """The number of boxes in which two multipartitions differ."""
+    return sum(abs(x - y) for p, q in zip(a, b)
+               for x, y in itertools.zip_longest(p, q, fillvalue=0))
+
+
+def box_diff(small: Multipartition, large: Multipartition) -> Node:
+    """The node where two multipartitions differing by one box disagree."""
+    for s, (p, q) in enumerate(zip(small, large), start=1):
+        for i, (a, b) in enumerate(itertools.zip_longest(p, q, fillvalue=0), start=1):
+            if a != b:
+                assert abs(a - b) == 1
+                return (i, max(a, b), s)
+    raise ValueError("multipartitions are equal")
+
+
+def k_neighbors(t: Tableau, k: int) -> list[Tableau]:
+    """All updown tableaux equal to t except possibly at position k, from
+    the addable and removable nodes of the shape before step k: the
+    reference for the class that ``seminormal`` reads off the step table."""
+    n = len(t)
+    assert 1 <= k <= n
+    if k == n:
+        return [t]
+    prev = combinat.shape_before(t, k)
+    mids = ([combinat.add_box(prev, a) for a in combinat.addable_nodes(prev)]
+            + [combinat.remove_box(prev, b) for b in combinat.removable_nodes(prev)])
+    return [t[:k - 1] + (mid,) + t[k:] for mid in mids if boxes_apart(mid, t[k]) == 1]
+
+
+def sk_action_reference(t: Tableau, k: int):
+    """The reference for ``combinat.sk_action``: the node of step k + 1,
+    found by ``box_diff``, added to or removed from the shape before step k
+    when it is addable or removable there; None otherwise."""
+    assert 1 <= k < len(t)
+    prev = combinat.shape_before(t, k)
+    if prev == t[k]:
+        raise ValueError("steps k, k+1 return to the start; swap is not defined")
+    removed = combinat.mp_size(t[k]) < combinat.mp_size(t[k - 1])
+    node = box_diff(t[k], t[k - 1]) if removed else box_diff(t[k - 1], t[k])
+    if node not in (combinat.removable_nodes(prev) if removed else combinat.addable_nodes(prev)):
+        return None
+    mid = combinat.remove_box(prev, node) if removed else combinat.add_box(prev, node)
+    return t[:k - 1] + (mid,) + t[k:]
+
+
+def filled_step_tables(monkeypatch) -> list:
+    """The shapes whose step table ``params.steps_out`` fills from here on,
+    in order: each shape asked for that the parameter set's ``steps`` does
+    not hold yet."""
+    filled = []
+    steps_out = params.steps_out
+
+    def counted(mu, ps):
+        if mu not in ps.steps:
+            filled.append(mu)
+        return steps_out(mu, ps)
+
+    monkeypatch.setattr(params, "steps_out", counted)
+    return filled
+
+
 def series_reference(rf, A: int) -> list[Fraction]:
     """The reference for ``params.series_of_rational``: each coefficient of
     the expansion at infinity solved for in Fractions."""
@@ -623,8 +699,8 @@ def series_reference(rf, A: int) -> list[Fraction]:
 def e_diag_reference(c: Fraction, boundary, r: int) -> Fraction:
     """The reference for ``params.e_diag``: (2c - (-1)^r) times the
     product of (c + c(alpha))/(c - c(alpha)) over the other boundary nodes
-    alpha, in Fractions; ``boundary`` is ``combinat.addable_removable`` of
-    the shape left."""
+    alpha, in Fractions; ``boundary`` is ``addable_removable`` of the shape
+    left."""
     sign = -1 if r % 2 else 1
     out = Fraction(2 * c - sign)
     for _, ca, _ in boundary:
@@ -654,7 +730,7 @@ def _orthonormal_entries_reference(ps: ParamSet, k: int, idx: dict, contents: di
         if seminormal.returns_at(t, k):
             if i in seen:
                 continue
-            cls = combinat.k_neighbors(t, k)
+            cls = k_neighbors(t, k)
             e = params.steps_out(mu, ps).e
             evals = {}
             for m in cls:
@@ -685,7 +761,7 @@ def _orthonormal_entries_reference(ps: ParamSet, k: int, idx: dict, contents: di
         else:
             a = seminormal.swap_a(t, k, contents[t][k] - contents[t][k - 1], q)
             S_diag[i] = a
-            partner = combinat.sk_action(t, k)
+            partner = sk_action_reference(t, k)
             if partner is None:
                 if a * a != 1:
                     raise ValueError(
@@ -762,7 +838,7 @@ def w_at_shape_reference(shape, r: int, u) -> RationalFunction:
     nodes of ``shape``, built as a product of rational functions over Q."""
     sign = -1 if r % 2 else 1
     rf = RationalFunction(Poly((-HALF * sign, Fraction(1))))
-    for _, c, _ in combinat.addable_removable(shape, u):
+    for _, c, _ in addable_removable(shape, u):
         rf = rf * RationalFunction(Poly.y_plus(c), Poly.y_plus(-c))
     return rf + RationalFunction(Poly((HALF, Fraction(-1))))
 

@@ -3,15 +3,17 @@
 from fractions import Fraction
 import math
 
-from wenzl import combinat
+from support import box_diff, boxes_apart, k_neighbors, sk_action_reference
+from wenzl import combinat, params
 from wenzl.combinat import (
-    add_box, addable_nodes, box_diff, content_sequence, coset_reps,
-    count_updown, d_perm, default_u, dominance_mp, dominance_std, empty_mp,
-    enumerate_updown, hook_product, k_neighbors, mp_adjacent, mp_size,
-    multipartitions, n_std, node_content, partitions, reachable_shapes,
-    remove_box, removable_nodes, sk_action, standard_tableaux, step_node,
-    t_lambda, young_subgroup,
+    add_box, addable_nodes, content_sequence, coset_reps, count_updown,
+    d_perm, default_u, dominance_mp, dominance_std, empty_mp,
+    enumerate_updown, hook_product, mp_size, multipartitions, n_std,
+    node_content, partitions, reachable_shapes, remove_box, removable_nodes,
+    shape_before, sk_action, standard_tableaux, steps_from, t_lambda,
+    updown_walks, young_subgroup,
 )
+from wenzl.params import ParamSet
 
 
 def test_partition_counts():
@@ -49,11 +51,12 @@ def test_addable_removable_boxes():
         mu = add_box(lam, node)
         assert mp_size(mu) == 5
         assert remove_box(mu, node) == lam
-        assert box_diff(lam, mu) == node
-        assert mp_adjacent(lam, mu) and mp_adjacent(mu, lam)
+        assert steps_from(lam)[mu] == (node, False)
+        assert steps_from(mu)[lam] == (node, True)
     for node in rem:
         mu = remove_box(lam, node)
         assert add_box(mu, node) == lam
+        assert steps_from(lam)[mu] == (node, True)
 
 
 def test_node_content():
@@ -103,7 +106,7 @@ def test_updown_walks_are_walks():
         assert len(t) == 4
         prev = empty_mp(1)
         for lam in t:
-            assert mp_adjacent(prev, lam)
+            assert lam in steps_from(prev)
             prev = lam
         assert t[-1] == ((2,),)
 
@@ -123,9 +126,9 @@ def test_square_sum_is_diagram_count():
 
 def test_step_node_directions():
     t = (((1,), ()), ((1,), (1,)), ((1,), ()))
-    node, removed = step_node(t, 2)
+    node, removed = steps_from(t[0])[t[1]]
     assert node == (1, 1, 2) and not removed
-    node, removed = step_node(t, 3)
+    node, removed = steps_from(t[1])[t[2]]
     assert node == (1, 1, 2) and removed
 
 
@@ -215,9 +218,9 @@ def test_coset_reps_sizes():
             assert len(set(reps)) == want
 
 
-def test_step_nodes_taken_once_per_tableau_equal_a_box_diff_walk():
-    # the memo behind content_sequence and tableau_entries reads each step
-    # of t once; a fresh box_diff walk must give the same (node, removed)
+def test_step_nodes_equal_a_box_diff_walk():
+    # the step nodes behind content_sequence and tableau_entries, read from
+    # the step tables, against a box_diff walk
     for r in (1, 2, 3):
         for n in range(5):
             for lam in reachable_shapes(r, n):
@@ -229,7 +232,6 @@ def test_step_nodes_taken_once_per_tableau_equal_a_box_diff_walk():
                                      else box_diff(prev, cur), removed))
                         prev = cur
                     assert combinat._step_nodes(t) == tuple(want), t
-                    assert combinat._step_nodes(t) is combinat._step_nodes(t)
 
 
 def test_node_content_is_a_fraction_for_int_and_fraction_roots():
@@ -239,3 +241,28 @@ def test_node_content_is_a_fraction_for_int_and_fraction_roots():
             for removed in (False, True):
                 got = node_content((i, j, s), u, removed)
                 assert type(got) is Fraction and got == (-want if removed else want)
+
+
+def test_steps_from_is_the_lattice():
+    # r <= 3, |lam| <= 5: the step table lists exactly the shapes one box
+    # away, addable nodes first; the class read off the step table at each
+    # returning step is the reference's, and so is every swap of two steps
+    for r in (1, 2, 3):
+        for m in range(6):
+            for lam in multipartitions(r, m):
+                near = [mu for size in (m + 1, m - 1) if size >= 0
+                        for mu in multipartitions(r, size) if boxes_apart(lam, mu) == 1]
+                assert set(steps_from(lam)) == set(near), lam
+                assert list(steps_from(lam).items()) == (
+                    [(add_box(lam, a), (a, False)) for a in addable_nodes(lam)]
+                    + [(remove_box(lam, b), (b, True)) for b in removable_nodes(lam)])
+        for n in range(6):
+            ps = ParamSet.default(r, n)
+            for t in (t for lam in reachable_shapes(r, n) for t in updown_walks(n, lam)):
+                for k in range(1, n):
+                    mu = shape_before(t, k)
+                    if mu == t[k]:
+                        assert [t[:k - 1] + (nu,) + t[k:] for nu in params.steps_out(mu, ps).e
+                                ] == k_neighbors(t, k), (t, k)
+                    else:
+                        assert sk_action(t, k) == sk_action_reference(t, k), (t, k)

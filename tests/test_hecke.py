@@ -9,9 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from support import (FractionHecke, as_fractions, fraction_inverse, is_semisimple, key_word,
-                     multiply, murphy_triangular_report, root_sets, row_symmetrizer_witness,
-                     seeded_u, star_word, star_word_sum)
+from support import (FractionHecke, as_fractions, filled_step_tables, fraction_inverse,
+                     is_semisimple, key_word, multiply, murphy_triangular_report, root_sets,
+                     row_symmetrizer_witness, seeded_u, star_word, star_word_sum)
 from wenzl import _linalg, cli, combinat, hecke, wcell
 from wenzl.hecke import (
     Element, HeckeAlgebra, MurphyBasis, gamma_coeffs, gamma_path_independent,
@@ -445,26 +445,12 @@ def test_each_key_is_straightened_once_per_parameter_set(tmp_path, monkeypatch,
         assert set(calls) == set(H._y_images)
 
 
-def _count_boundaries(monkeypatch) -> list:
-    """The shapes whose boundary is read (``combinat.addable_removable``)
-    from here on, in order."""
-    boundaries = []
-    addable_removable = combinat.addable_removable
-
-    def counted(mu, u):
-        boundaries.append(mu)
-        return addable_removable(mu, u)
-
-    monkeypatch.setattr(combinat, "addable_removable", counted)
-    return boundaries
-
-
 def test_gram_jobs_read_each_boundary_once_per_parameter_set(tmp_path, monkeypatch,
                                                             murphy_builds):
     # the gamma ratios read the step table of the held parameter set, so
-    # across the jobs of every shape at one parameter set the boundary of
-    # each shape met is read once, and the basis is built once
-    boundaries = _count_boundaries(monkeypatch)
+    # across the jobs of every shape at one parameter set the step table of
+    # each shape met is filled once, and the basis is built once
+    boundaries = filled_step_tables(monkeypatch)
     out = tmp_path / "out.jsonl"
     u = seeded_u("boundary-once", 2, 3)
     for lam in combinat.multipartitions(2, 3):
@@ -475,9 +461,9 @@ def test_gram_jobs_read_each_boundary_once_per_parameter_set(tmp_path, monkeypat
 
 def test_verify_then_gram_read_each_boundary_once(tmp_path, monkeypatch):
     # a verify job and the gram jobs after it at the same (u, n) share the
-    # held parameter set: its step table holds the boundary of every shape
-    # of size below n, so the gram jobs read none again
-    boundaries = _count_boundaries(monkeypatch)
+    # held parameter set: its step table holds the steps out of every shape
+    # of size below n, so the gram jobs fill none again
+    boundaries = filled_step_tables(monkeypatch)
     out = tmp_path / "out.jsonl"
     u = seeded_u("verify-then-gram", 2, 3)
     assert cli.main(["verify", "--n", "3", "--u=" + ",".join(map(str, u)),

@@ -4,7 +4,9 @@ property of a class there is used by name as an attribute somewhere in
 ``src/wenzl``, or is listed in ``KEPT`` with the reason it stays.  Test-only
 code lives in tests/support.py, and the Brauer diagrams and the
 regular-monomial census in tests/brauer.py.  The tables a parameter set
-holds per shape, its steps and W, are written by ``params`` alone."""
+holds per shape, its steps and W, are written by ``params`` alone, and the
+nodes of a shape are read by ``combinat.steps_from`` and ``t_lambda``
+alone."""
 
 import ast
 from pathlib import Path
@@ -106,3 +108,19 @@ def test_only_params_writes_the_step_and_w_tables():
                     and node.value.attr in ("steps", "w_at")):
                 writers.add(path.stem)
     assert writers == {"params"}, writers
+
+
+def test_only_steps_from_and_t_lambda_read_the_nodes_of_a_shape():
+    # a call of add_box, remove_box, addable_nodes or removable_nodes, by the
+    # module-level function or class that makes it
+    node_readers = {"add_box", "remove_box", "addable_nodes", "removable_nodes"}
+    callers = set()
+    for path in SRC.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                    if name in node_readers:
+                        callers.add((path.stem, getattr(top, "name", None)))
+    assert callers <= {("combinat", "steps_from"), ("combinat", "t_lambda")}, callers

@@ -15,7 +15,7 @@ from wenzl.params import (
     parse_fraction,
 )
 from wenzl.seminormal import tower_scalars
-from support import root_sets, w_at_shape_reference
+from support import addable_removable, root_sets, w_at_shape_reference
 
 F = Fraction
 
@@ -263,7 +263,7 @@ def test_wk_rational_at_colliding_shape():
     # along the walk, one step of it, and its expansion gives the scalars
     ps = ParamSet.from_u((F(1, 2),), n_hint=2)
     lam = ((1,),)
-    contents = [c for _, c, _ in combinat.addable_removable(lam, ps.u)]
+    contents = [c for _, c, _ in addable_removable(lam, ps.u)]
     assert len(set(contents)) < len(contents)
     for shape in combinat.reachable_shapes(1, 2):
         for t in combinat.enumerate_updown(2, shape, ps.u):

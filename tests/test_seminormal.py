@@ -8,9 +8,10 @@ import pytest
 from support import (
     FractionRealization, _relation_residuals, adjointness_reference,
     as_fractions, blocks_as_fractions, branching_blocks, build_rep_reference,
-    check_module, class_sums_reference, cleared, e_diag_reference,
-    fraction_generators, from_dense, module_contraction_free, module_fixtures,
-    module_nonsplit, module_rank_one, module_realization, root_sets, seeded_u,
+    addable_removable, check_module, class_sums_reference, cleared,
+    e_diag_reference, filled_step_tables, fraction_generators, from_dense,
+    k_neighbors, module_contraction_free, module_fixtures, module_nonsplit,
+    module_rank_one, module_realization, root_sets, seeded_u,
 )
 from wenzl import _linalg, combinat, params, seminormal
 from wenzl.cli import main
@@ -428,7 +429,7 @@ def _visited_windows(ps, n):
                     add("swap-degenerate-unit" if partner is None
                         else "content-swap", (mu, t[k - 1], t[k]))
                     continue
-                cls = [s[k - 1] for s in combinat.k_neighbors(t, k)]
+                cls = [s[k - 1] for s in k_neighbors(t, k)]
                 for nu in cls:
                     add("class-sum-linear", (mu, nu))
                     add("class-sum-quadratic", (mu, nu))
@@ -440,13 +441,13 @@ def _visited_windows(ps, n):
                 if k > n - 2 or t[k - 1] != t[k + 1]:
                     continue
                 add("contraction-inverse", (mu, t[k - 1]))
-                for tt in combinat.k_neighbors(t, k + 1):
+                for tt in k_neighbors(t, k + 1):
                     if returns_at(tt, k) or combinat.sk_action(tt, k) is None:
                         continue
                     if any(not returns_at(uu, k + 1) and
                            combinat.sk_action(uu, k + 1) ==
                            combinat.sk_action(tt, k)
-                           for uu in combinat.k_neighbors(t, k)):
+                           for uu in k_neighbors(t, k)):
                         add("square-root-matching", (mu, t[k - 1], tt[k]))
     return seen
 
@@ -502,7 +503,7 @@ def test_e_diag_equals_the_fraction_reference(r):
         q = ps.q
         assert q > 0 and all((q * x).denominator == 1 for x in ps.u)
         for mu in _shapes(r):
-            boundary = combinat.addable_removable(mu, ps.u)
+            boundary = addable_removable(mu, ps.u)
             C = tuple(params.steps_out(mu, ps).C.values())
             assert C == tuple(q * c for _, c, _ in boundary) and all(type(x) is int for x in C)
             for x, (_, c, _) in zip(C, boundary):
@@ -555,7 +556,7 @@ def test_step_table_equals_content_sequence_and_e_diag(r):
                         mu = combinat.shape_before(t, k)
                         got = params.steps_out(mu, ps).e[t[k - 1]]
                         assert got == e_diag_reference(
-                            cs[k - 1], combinat.addable_removable(mu, ps.u), r), (t, k)
+                            cs[k - 1], addable_removable(mu, ps.u), r), (t, k)
             if n <= 3:
                 assert [rep.basis for rep in build_all(ps, n)] == [
                     tuple(combinat.enumerate_updown(n, lam, ps.u))
@@ -563,18 +564,14 @@ def test_step_table_equals_content_sequence_and_e_diag(r):
 
 
 def test_verify_forms_each_coefficient_once(monkeypatch, tmp_path):
-    # one verify run reads the boundary of each shape of size <= n - 1 once,
-    # forms e once per step out of each of those shapes, with its contents,
+    # one verify run fills the step table of each shape of size <= n - 1
+    # once, forms e once per step out of each of those shapes, with its contents,
     # and takes no content sequence: the model and the identities share the
     # table
-    boundaries, coefficients, sequences = [], [], []
-    addable_removable = combinat.addable_removable
+    boundaries = filled_step_tables(monkeypatch)
+    coefficients, sequences = [], []
     content_sequence = combinat.content_sequence
     e_diag = params.e_diag
-
-    def counted_boundary(mu, u):
-        boundaries.append(mu)
-        return addable_removable(mu, u)
 
     def counted_sequence(t, u):
         sequences.append(t)
@@ -584,12 +581,11 @@ def test_verify_forms_each_coefficient_once(monkeypatch, tmp_path):
         coefficients.append((C, boundary))
         return e_diag(C, boundary, q, r)
 
-    monkeypatch.setattr(combinat, "addable_removable", counted_boundary)
     monkeypatch.setattr(combinat, "content_sequence", counted_sequence)
     monkeypatch.setattr(params, "e_diag", counted_e)
     assert main(["verify", "--r", "2", "--n", "3", "--out", str(tmp_path / "out.jsonl")]) == 0
     assert sorted(boundaries) == sorted(_shapes(2, 2))
-    steps = sum(len(combinat.neighbors(mu)) for mu in _shapes(2, 2))
+    steps = sum(len(combinat.steps_from(mu)) for mu in _shapes(2, 2))
     assert len(coefficients) == len(set(coefficients)) == steps == 32
     assert sequences == []
 
