@@ -67,6 +67,11 @@ def mat_scale(a, c):
 def mat_mul(a, b):
     out = []
     for ai in a:
+        if len(ai) == 1:
+            # a scaled copy of one row of b: products of nonzeros, no cancelling
+            ((t, c),) = ai.items()
+            out.append({j: c * y for j, y in b[t].items()})
+            continue
         oi: dict = {}
         for t, c in ai.items():
             for j, y in b[t].items():

@@ -11,8 +11,9 @@ exit 1.
 
 Every verdict is exact: ``verify`` passes a relation record only when every
 residual is exactly 0 on the rational seminormal model (its ``tolerance`` is
-0), ``gram`` compares Fractions, and ``cellrank`` takes the exact rank over Q
-of the cellular family on that model.
+0), ``gram`` compares Fractions, and ``cellrank`` proves the rank of the
+cellular family on that model cell by cell, from a block upper triangular
+order of its supports (``wcell``), or ends in an ``error`` record.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = _add_command(sub, "gram", "Gram determinant of one cell module")
     sp.add_argument("--shape", type=str, required=True,
                     help="multipartition: components split by |, parts by comma, e.g. 2,1|1")
-    _add_command(sub, "cellrank", "cellular family count and exact rank over Q")
+    _add_command(sub, "cellrank",
+                 "cellular family count and its rank over Q, proved cell by cell")
     sp = _add_command(sub, "omega", "contraction scalars from the roots, with admissibility")
     sp.add_argument("--order", type=int, default=8,
                     help="largest scalar index to report (default 8)")
@@ -93,7 +95,14 @@ def _parse_u(parser, text: str) -> tuple[Fraction, ...]:
 
 
 def _parse_shape(parser, text: str) -> tuple[tuple[int, ...], ...]:
-    comps = text.strip().strip("()").split("|")
+    """Components split by |, parts by comma, within at most one enclosing
+    pair of parentheses; an empty component or "-" is the empty partition."""
+    body = text.strip()
+    if body[:1] == "(" and body[-1:] == ")":
+        body = body[1:-1]
+    if "(" in body or ")" in body:
+        parser.error(f"cannot parse shape {text!r}: parentheses only around the whole shape")
+    comps = body.split("|")
     out = []
     for comp in comps:
         comp = comp.strip()

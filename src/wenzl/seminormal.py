@@ -17,11 +17,12 @@ matrix of int rows over one positive denominator in lowest terms
 which stacks each letter's generators once into one block-diagonal matrix
 over one common denominator, so a word takes one matrix product per
 letter on ints and a Fraction is made only for a reported residual;
-``wcell`` ranks word families on it.  The defining relations are written
-once, as pairs of word sums (``relations``), and both sides are evaluated
-on the realization and compared block by block by cross-multiplying; they,
-the scalar tower and self-adjointness for diag(gamma) are checked with zero
-tolerance, as are the polynomial identities between the coefficients.
+``wcell`` certifies the cellular family's rank on it.  The defining
+relations are written once, as pairs of word sums (``relations``), and both
+sides are evaluated on the realization and compared block by block by
+cross-multiplying; they, the scalar tower and self-adjointness for
+diag(gamma) are checked with zero tolerance, as are the polynomial
+identities between the coefficients.
 """
 
 from __future__ import annotations
@@ -287,12 +288,7 @@ class Realization:
     once per realization over the lcm of its models' denominators, so a
     word takes one matrix product per letter; a product multiplies the
     denominators and a sum brings its terms to their lcm, so no Fraction
-    is normalised until a residual is reported.  ``vec`` lays the blocks
-    out as one sparse vector, of length r^n (2n-1)!! over all shapes, block
-    by block and row by row: the element scaled by its positive den.  The
-    rank over Q of such vectors is that of the elements, and also that in
-    the orthonormal model, whose entries differ from these by fixed nonzero
-    factors.
+    is normalised until a residual is reported.
     """
 
     def __init__(self, reps: list[SeminormalRep]):
@@ -304,13 +300,6 @@ class Realization:
         self.ranges = list(zip(starts, starts[1:]))
         self._one = Evaluated(_linalg.identity(starts[-1]), 1)
         self._letters: dict = {}
-        # vec puts entry (i, j) of the matrix at _vec_base[i] + j: the
-        # block's place in the vector plus its local row times d, less the
-        # block's start from j
-        self._vec_base, place = [], 0
-        for (start, _), d in zip(self.ranges, self.dims):
-            self._vec_base.extend(place + i * d - start for i in range(d))
-            place += d * d
 
     def _letter(self, letter) -> Evaluated:
         """One letter as one block-diagonal matrix, made once per
@@ -368,10 +357,6 @@ class Realization:
             ev = self.evaluate_sum(terms)
             out = ev if out is None else mul(out, ev)
         return self._one if out is None else out
-
-    def vec(self, ev: Evaluated) -> dict:
-        base = self._vec_base
-        return {base[i] + j: x for i, row in enumerate(ev.rows) for j, x in row.items()}
 
     def block_residuals(self, a: Evaluated, b: Evaluated) -> list[Fraction]:
         """Exact max |a - b| on each block: both sides are brought over the

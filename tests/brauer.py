@@ -12,9 +12,10 @@ evaluates back to a diagram.
 
 The regular monomials X^left · B_diagram · X^right with exponents below r
 are the spanning set of the freeness theorem: r^n (2n-1)!! of them.  The
-tests take their exact rank on ``seminormal.Realization``; no job of the
-command line reaches them, since ``cellrank`` certifies the rank on the
-cellular family.
+tests eliminate them, as vectors on ``seminormal.Realization``
+(``support.vec``), to their exact rank; no job of the command line reaches
+them, since ``cellrank`` certifies the rank of the cellular family, cell by
+cell.
 """
 
 from __future__ import annotations
@@ -22,9 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from wenzl import _linalg
 from wenzl.combinat import Letter, Word, perm_word, word_for_permutation
-from wenzl.seminormal import Realization
 
 Edge = tuple[int, int]
 
@@ -291,9 +290,3 @@ def word_for_monomial(m: RegularMonomial) -> Word:
     letters += list(word_for_diagram(m.diagram))
     letters += [("X", j, b) for j, b in enumerate(m.right_powers, start=1) if b]
     return tuple(letters)
-
-
-def rank_report(words, real: Realization) -> dict:
-    """Count and exact rank over Q of a word family on the realization."""
-    vecs = [real.vec(real.evaluate(w)) for w in words]
-    return {"count": len(vecs), "rank": _linalg.rank(vecs)}

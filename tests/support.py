@@ -16,9 +16,10 @@ against, the reference product of two Hecke elements and expansion of
 products into words, Hecke triangularity and
 symmetrizer witnesses, the semisimplicity boundary, cell indices and word
 helpers, the anti-involution of a cellular element, the view of one model's
-block of a realization, and the two cellular residual checks (the
-contraction chain commuting with the Murphy products, and the cellular
-products against the Hecke Gram pairing)."""
+block of a realization, the whole cellular family as vectors that
+``wcell``'s block-triangular certificate is checked against, and the two
+cellular residual checks (the contraction chain commuting with the Murphy
+products, and the cellular products against the Hecke Gram pairing)."""
 
 import functools
 import itertools
@@ -178,6 +179,37 @@ def blocks_as_fractions(real: seminormal.Realization, ev) -> list:
     """An element of ``real`` as one Fraction matrix per model, each on
     its own rows and columns, as ``FractionRealization`` evaluates it."""
     return [as_fractions(block(real, ev, b)) for b in range(len(real.reps))]
+
+
+def vec(real: seminormal.Realization, ev) -> dict:
+    """An element of ``real`` as one sparse vector of length sum d^2 over
+    all models, block by block and row by row: entry (i, j) of block b at
+    the sum of the earlier d^2 plus i d + j, the element scaled by its
+    positive den.  The rank over Q of such vectors is that of the
+    elements."""
+    out, place = {}, 0
+    for (start, end), d in zip(real.ranges, real.dims):
+        for i, row in enumerate(ev.rows[start:end]):
+            out.update((place + i * d + j - start, x) for j, x in row.items())
+        place += d * d
+    return out
+
+
+def cellular_family_vectors(ps: ParamSet, n: int) -> list[dict]:
+    """The reference for ``wcell.cellular_rank_report``: every element
+    A_a M B_b of every cell on the whole realization, as one ``vec`` each,
+    cell by cell and in (a, b) order, whose exact rank is the family's."""
+    real = seminormal.Realization(seminormal.build_all(ps, n))
+    vecs = []
+    for arcs in range(n // 2 + 1):
+        for shape in combinat.multipartitions(ps.r, n - 2 * arcs):
+            triples = wcell.cell_triples(ps.r, n, arcs, shape)
+            diagonal = [wcell.cellular_element(ps, n, arcs, shape, a, a) for a in triples]
+            m = real.evaluate_product(diagonal[0].middle)
+            am = [seminormal.mul(real.evaluate(cw.left_word), m) for cw in diagonal]
+            b = [real.evaluate(cw.right_word) for cw in diagonal]
+            vecs.extend(vec(real, seminormal.mul(x, y)) for x in am for y in b)
+    return vecs
 
 
 def residual(a, b) -> Fraction:

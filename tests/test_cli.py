@@ -342,6 +342,21 @@ def test_shape_with_empty_first_component(tmp_path):
         assert a.read_bytes() == b.read_bytes(), shape
 
 
+def test_shape_takes_at_most_one_enclosing_pair_of_parentheses(tmp_path, capsys):
+    # one pair around the whole shape reads as the bare shape
+    a, b = tmp_path / "wrapped.jsonl", tmp_path / "bare.jsonl"
+    for wrapped, bare in (("(|)", "|"), ("(-|1)", "-|1"), ("(2,1|1)", "2,1|1")):
+        assert main(["gram", "--shape", wrapped, "--out", str(a)]) == 0
+        assert main(["gram", "--shape", bare, "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes(), wrapped
+    # an unbalanced, doubled or inner parenthesis is a usage error
+    for shape in ("(1|", "1|1)", "((1|1))", "(", ")", "(2,(1)|1)", "(1)|(1)"):
+        with pytest.raises(SystemExit) as exc:
+            main(["gram", "--shape", shape, "--out", str(a)])
+        assert exc.value.code == 2, shape
+        assert f"cannot parse shape {shape!r}" in capsys.readouterr().err, shape
+
+
 def test_edge_inputs_end_in_records(tmp_path):
     # empty, degenerate and out-of-regime inputs; gram takes its size from
     # the shape, so it gets the same cases as shapes
@@ -494,6 +509,14 @@ GOLDEN_REPORTS = {
         "19ad87d7258c87f486163bb6a35c565071f1ef97e347245f745a4acddeb2e54b",
     "cellrank --r 1 --n 4":
         "a01552d1c80d0a7394924f4382b277a65bc37e8e06fd1827e4b00eeb96022850",
+    # the sizes where the block-triangular certificate does the most work,
+    # as the elimination of the whole family wrote them
+    "cellrank --r 2 --n 4":
+        "58280d0c5a3b37c57d8bc9292f7edb8c3208eb4708fe3992458f720c8ec6ee66",
+    "cellrank --r 1 --n 5":
+        "412ace5e89fe7318c59d788b86857dfcef229bdb5a2262966b2ff613eebe891f",
+    "cellrank --r 3 --n 3":
+        "0f442d2863c75acbdfa3dd020fb7ead4a3ed8dc5508220e80c96036d4ba41a7c",
     # fractional roots, whose denominators the int evaluation must carry,
     # as the Fraction-row evaluation wrote them
     "verify --u 128/7,-40/7 --n 3":

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from support import fraction_eliminate, fraction_inverse, from_dense, seeded_u
+from support import (
+    cellular_family_vectors, fraction_eliminate, fraction_inverse, from_dense, seeded_u,
+)
 from wenzl import _linalg as la
-from wenzl import combinat, hecke, wcell
+from wenzl import combinat, hecke
 from wenzl.params import ParamSet
 
 F = Fraction
@@ -126,6 +128,49 @@ def test_mat_ops_match_dense_reference():
         assert A == from_dense(a) and A2 == from_dense(a2)
 
 
+def test_mat_mul_rows_with_one_entry_match_dense_reference():
+    # a row of a with one entry is a scaled copy of one row of b; seeded
+    # rows with no entry, one and several, of ints or of Fractions, and rows
+    # with several entries whose products cancel to zero
+    rng = random.Random(2030)
+    for _ in range(300):
+        m, k, n = rng.randint(1, 6), rng.randint(2, 6), rng.randint(1, 6)
+        ints = rng.random() < 0.5
+
+        def value():
+            x = rng.choice((-3, -2, -1, 1, 2, 5, 9))
+            return x if ints else F(x, rng.randint(1, 4))
+
+        b = [[value() if rng.random() < 0.6 else 0 for _ in range(n)] for _ in range(k)]
+        # b's row 1 is c times row 0, so a row c x at 0 and -x at 1 cancels
+        c = value()
+        b[1] = [c * y for y in b[0]]
+        a = []
+        for _ in range(m):
+            row = [0] * k
+            kind = rng.choice(("none", "one", "one", "several", "cancel"))
+            if kind == "one":
+                row[rng.randrange(k)] = value()
+            elif kind == "several":
+                for t in rng.sample(range(k), rng.randint(2, k)):
+                    row[t] = value()
+            elif kind == "cancel":
+                x = value()
+                row[0], row[1] = c * x, -x
+            a.append(row)
+        A = [{j: x for j, x in enumerate(row) if x} for row in a]
+        B = [{j: y for j, y in enumerate(row) if y} for row in b]
+        got = la.mat_mul(A, B)
+        assert got == from_dense(_dense_mul(a, b, n)), (a, b)
+        assert all(x != 0 for row in got for x in row.values()), got
+        for row, out in zip(A, got):
+            if len(row) == 1:
+                ((t, x),) = row.items()
+                assert out == {j: x * y for j, y in B[t].items()}
+            if ints:
+                assert all(type(v) is int for v in out.values())
+
+
 def test_det_and_inverse():
     a = from_dense([[F(2), F(1)], [F(7), F(4)]])
     assert la.det(a) == 1
@@ -230,16 +275,12 @@ def _repeated_and_zero_rows():
     yield [dict(row) for row in base]
 
 
-def _cellrank_vectors(r, n, monkeypatch):
-    """The vectors cellular_rank_report ranks at the default and at seeded
-    fractional roots."""
-    ranked = []
-    monkeypatch.setattr(wcell, "_rank_from_vecs",
-                        lambda vecs: ranked.append(vecs) or {"count": len(vecs), "rank": 0})
-    for ps in (ParamSet.default(r, n), ParamSet.from_u(seeded_u("eliminate", r, n), n)):
-        wcell.cellular_rank_report(ps, n)
-    monkeypatch.undo()
-    return ranked
+def _cellrank_vectors(r, n):
+    """The whole cellular family as vectors (the reference that
+    ``wcell.cellular_rank_report`` is checked against), at the default and
+    at seeded fractional roots."""
+    return [cellular_family_vectors(ps, n)
+            for ps in (ParamSet.default(r, n), ParamSet.from_u(seeded_u("eliminate", r, n), n))]
 
 
 def _murphy_matrices(r, n):
@@ -286,9 +327,9 @@ def test_int_elimination_matches_fraction_reference():
 
 
 @pytest.mark.parametrize("r,n", [(2, 2), (1, 3), (3, 2), (2, 3), (1, 4)])
-def test_int_elimination_matches_fraction_reference_on_cellrank(r, n, monkeypatch):
+def test_int_elimination_matches_fraction_reference_on_cellrank(r, n):
     target = r ** n * combinat.double_factorial(2 * n - 1)
-    for vecs in _cellrank_vectors(r, n, monkeypatch):
+    for vecs in _cellrank_vectors(r, n):
         assert la.rank(vecs) == target
         _assert_matches_fraction_reference(vecs)
 
@@ -299,14 +340,14 @@ def test_int_elimination_matches_fraction_reference_on_murphy(r, n):
         _assert_matches_fraction_reference(matrix)
 
 
-def test_int_rows_stay_int(monkeypatch):
+def test_int_rows_stay_int():
     # every stored value after elimination is an int, and no row stores a
     # zero: a Fraction slipping back in would undo the int arithmetic
     def check(rows, augmented=None):
         la._eliminate(rows, augmented)
         assert all(type(x) is int and x for row in rows for x in row.values())
 
-    for vecs in _cellrank_vectors(2, 3, monkeypatch):
+    for vecs in _cellrank_vectors(2, 3):
         assert all(type(x) is int for v in vecs for x in v.values())
         check(list(vecs))
     for a in _big_matrices():

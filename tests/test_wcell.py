@@ -1,5 +1,7 @@
-"""Census of regular monomials, the block realization, and cellular words."""
+"""Census of regular monomials, the block realization, cellular words, and
+the block-triangular rank certificate."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -7,13 +9,15 @@ import pytest
 
 from support import (
     FractionRealization, as_fractions, block, blocks_as_fractions,
-    cell_indices, contraction_murphy_commute_residual, cyclotomic_word_sum,
-    filtration_index, from_dense, hecke_pairing_residual, murphy_words, seeded_u,
-    star, star_word, star_word_sum, terms, word_sum_mul,
+    cell_indices, cellular_family_vectors, contraction_murphy_commute_residual,
+    cyclotomic_word_sum, filtration_index, from_dense, hecke_pairing_residual,
+    murphy_words, root_sets, seeded_u, star, star_word, star_word_sum, terms, vec,
+    word_sum_mul,
 )
 import brauer
-from brauer import RegularMonomial, enumerate_r_regular, rank_report, word_for_monomial
-from wenzl import _linalg, combinat, wcell
+from brauer import RegularMonomial, enumerate_r_regular, word_for_monomial
+from wenzl import _linalg, combinat, hecke, wcell
+from wenzl.cli import main
 from wenzl.params import ParamSet
 from wenzl.seminormal import build_all
 from wenzl.wcell import (
@@ -78,8 +82,8 @@ def test_realization_layout():
 @pytest.mark.parametrize("r,n", [(2, 2), (1, 3), (3, 2), (2, 3)])
 def test_row_ranges_and_vector_layout(r, n):
     # the row ranges tile [0, sum d) in build_all order, each as long as its
-    # model; every element is zero off them, and vec lays it out block by
-    # block, row by row: entry (i, j) of block b at the sum of the earlier
+    # model; every element is zero off them, and support.vec lays it out
+    # block by block, row by row: entry (i, j) of block b at the sum of the earlier
     # d^2 plus i d + j
     reps = build_all(ParamSet.default(r, n), n)
     real = Realization(reps)
@@ -102,7 +106,7 @@ def test_row_ranges_and_vector_layout(r, n):
             want.update((place + i * d + j, x)
                         for i, row in enumerate(blk.rows) for j, x in row.items())
             place += d * d
-        assert real.vec(ev) == want, word
+        assert vec(real, ev) == want, word
         assert place == r ** n * combinat.double_factorial(2 * n - 1)
 
 
@@ -154,10 +158,10 @@ def test_monomial_family_has_full_rank():
     for r, n in ((1, 2), (2, 2), (1, 3), (3, 2), (2, 3), (1, 4)):
         ps = ParamSet.default(r, n)
         real = Realization(build_all(ps, n))
-        words = [word_for_monomial(m) for m in enumerate_r_regular(r, n)]
-        rpt = rank_report(words, real)
+        vecs = [vec(real, real.evaluate(word_for_monomial(m)))
+                for m in enumerate_r_regular(r, n)]
         size = sum(d * d for d in real.dims)
-        assert rpt == {"count": size, "rank": size}
+        assert (len(vecs), _linalg.rank(vecs)) == (size, size)
 
 
 def test_word_sum_algebra():
@@ -298,22 +302,14 @@ def _drawn_params(r, n, rng):
 
 
 @pytest.mark.parametrize("r,n", [(2, 2), (1, 3), (3, 2), (4, 2), (1, 4), (2, 3)])
-def test_factored_vectors_equal_expansion(r, n, monkeypatch):
-    # the report evaluates A_a M B_b from factors; every vector it ranks must
-    # equal the evaluation of the element's expanded word sum, and the
-    # factor form of star(cw) must expand to the starred word sum
-    ranked = []
-    rank_from_vecs = wcell._rank_from_vecs
-
-    def capture(vecs):
-        ranked.append(vecs)
-        return rank_from_vecs(vecs)
-
-    monkeypatch.setattr(wcell, "_rank_from_vecs", capture)
+def test_factored_vectors_equal_expansion(r, n):
+    # the reference evaluates A_a M B_b from factors, as the report does;
+    # every vector of the family must equal the evaluation of the element's
+    # expanded word sum, and the factor form of star(cw) must expand to the
+    # starred word sum
     rng = random.Random(f"factored:{r}:{n}")
     for ps in (ParamSet.default(r, n), _drawn_params(r, n, rng),
                _drawn_params(r, n, rng)):
-        ranked.clear()
         rpt = cellular_rank_report(ps, n)
         assert rpt["rank"] == rpt["target"]
         real = Realization(build_all(ps, n))
@@ -325,13 +321,13 @@ def test_factored_vectors_equal_expansion(r, n, monkeypatch):
                     for b in triples:
                         cw = cellular_element(ps, n, arcs, shape, a, b)
                         expanded = terms(cw)
-                        want.append(real.vec(real.evaluate_sum(expanded)))
+                        want.append(vec(real, real.evaluate_sum(expanded)))
                         starred = terms(star(cw))
                         expected = star_word_sum(expanded)
                         assert len(starred) == len(expected)
                         assert ({w: c for c, w in starred}
                                 == {w: c for c, w in expected})
-        assert ranked == [want], (r, n, ps.u)
+        assert cellular_family_vectors(ps, n) == want, (r, n, ps.u)
 
 
 def test_murphy_words_expand_the_factors():
@@ -366,9 +362,92 @@ def test_cellular_elements_equal_the_fraction_reference(r, n):
                                    ((F(1), cw.right_word),))
                         ev, want = real.evaluate_product(factors), ref.evaluate_product(factors)
                         assert blocks_as_fractions(real, ev) == want, (ps.u, a, b)
-                        vecs.append(real.vec(ev))
+                        vecs.append(vec(real, ev))
                         ref_vecs.append(ref.vec(want))
                         assert all(type(x) is int for x in vecs[-1].values())
                         assert {i: F(x, ev.den) for i, x in vecs[-1].items()} == ref_vecs[-1]
         target = r ** n * combinat.double_factorial(2 * n - 1)
         assert _linalg.rank(vecs) == _linalg.rank(ref_vecs) == target, ps.u
+
+
+@pytest.mark.parametrize("r,n", [(2, 2), (1, 3), (3, 2), (4, 2), (2, 3), (1, 4)])
+def test_certified_rank_equals_the_reference_rank(r, n):
+    # the block-triangular certificate proves the rank that eliminating the
+    # whole family gives, at the default, the reference and the stream's
+    # roots; roots outside the regime end both in the same error
+    rng = random.Random(f"certified:{r}:{n}")
+    for ps in (ParamSet.default(r, n),
+               *(ParamSet.from_u(u, n) for u in root_sets("certified", r) if len(u) == r),
+               _drawn_params(r, n, rng), _drawn_params(r, n, rng)):
+        try:
+            want = _linalg.rank(cellular_family_vectors(ps, n))
+        except ValueError as e:
+            with pytest.raises(ValueError) as got:
+                cellular_rank_report(ps, n)
+            assert str(got.value) == str(e), ps.u
+            continue
+        rpt = cellular_rank_report(ps, n)
+        assert rpt["rank"] == want == rpt["target"] == rpt["count"], ps.u
+
+
+def _cellrank_job(r, n, tmp_path):
+    out = tmp_path / "out.jsonl"
+    rc = main(["cellrank", "--r", str(r), "--n", str(n), "--out", str(out)])
+    return rc, [json.loads(line) for line in out.read_text().splitlines()]
+
+
+def _middle_replaced(middle):
+    """murphy_factors with the Murphy middle M replaced by middle(M)."""
+    def factors(ps, shape, s, t):
+        left, m, right = hecke.murphy_factors(ps, shape, s, t)
+        return left, middle(m), right
+    return factors
+
+
+@pytest.mark.parametrize("r,n,reference_rank,cell", [
+    (2, 2, 6, "cell (arcs=0, shape=((1,), (1,)))"),
+    (3, 2, 11, "cell (arcs=0, shape=((1,), (1,), ()))"),
+    (2, 3, 42, "cell (arcs=0, shape=((2,), (1,)))"),
+])
+def test_broken_core_is_caught(r, n, reference_rank, cell, monkeypatch, tmp_path):
+    # without its root-shift factors X_k - u_i the Murphy middle is no
+    # longer rank one on its own block: the family loses rank, and the job
+    # fails instead of reporting a rank
+    monkeypatch.setattr(wcell, "murphy_factors", _middle_replaced(lambda m: m[-1:]))
+    ps = ParamSet.default(r, n)
+    assert _linalg.rank(cellular_family_vectors(ps, n)) == reference_rank
+    rc, records = _cellrank_job(r, n, tmp_path)
+    assert rc == 1 and len(records) == 1
+    assert records[0]["kind"] == "error" and records[0]["pass"] is False
+    assert records[0]["error"] == f"ValueError: own block of {cell} does not factor as u w^T"
+
+
+def test_own_factors_checks_every_row_exactly():
+    # w is the first nonzero row, u_a the column at w's first entry; a row
+    # on other columns, or on the same ones but not a multiple of w, fails
+    us, w = wcell._own_factors([[{}, {0: 2, 2: -4}], [{0: F(1, 3), 2: F(-2, 3)}, {}]], "c")
+    assert w == {0: 2, 2: -4} and us == [{1: 2}, {0: F(1, 3)}]
+    for bad in ([{0: 1, 2: -2}, {0: 1, 2: -3}], [{0: 1, 2: -2}, {0: 1}],
+                [{0: 1, 2: -2}, {0: 1, 1: 1, 2: -2}]):
+        with pytest.raises(ValueError, match=r"^own block of c does not factor as u w\^T$"):
+            wcell._own_factors([[{}], bad], "c")
+
+
+@pytest.mark.parametrize("r,n,middle,error", [
+    # no middle: each cell at two strands and r = 1 is one 1 x 1 block,
+    # which factors, and the two shapes of size 2 reach each other's block
+    (1, 2, lambda m: (), "the supports form a cycle: cell (arcs=0, shape=((2,),)) "
+                        "-> cell (arcs=0, shape=((1, 1),)) -> cell (arcs=0, shape=((2,),))"),
+    # no middle on a 2 x 2 own block: the left words alone have full rank there
+    (2, 2, lambda m: (), "own block of cell (arcs=0, shape=((1,), (1,))) "
+                         "does not factor as u w^T"),
+    # a zero middle: no element of the first cell reaches any block
+    (2, 2, lambda m: ((),), "own block outside the support of "
+                            "cell (arcs=0, shape=((2,), ()))"),
+])
+def test_failed_certificate_ends_in_a_named_error(r, n, middle, error, monkeypatch, tmp_path):
+    monkeypatch.setattr(wcell, "murphy_factors", _middle_replaced(middle))
+    rc, records = _cellrank_job(r, n, tmp_path)
+    assert rc == 1 and len(records) == 1
+    assert records[0]["kind"] == "error" and records[0]["pass"] is False
+    assert records[0]["error"] == f"ValueError: {error}"
