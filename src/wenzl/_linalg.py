@@ -105,9 +105,10 @@ def _eliminate(rows, augmented=None):
     on hold an appended identity: only the columns below n are pivoted, and
     each is cleared from every other row (Gauss-Jordan), so each pivot row
     ends up holding no other pivot column and, from n on, its row of the
-    inverse times its final pivot value.  Returns the pivots as (column,
-    row, value), in column order, where value is the pivot over Q: the
-    stored pivot over the row's multiple.
+    inverse times its final pivot value.  Returns (pivots, num, den): the
+    pivots as (column, row), in column order, and each row's multiple.  No
+    Fraction is formed: the pivot over Q, the stored pivot over its row's
+    multiple, is read from these ints by ``det`` alone.
     """
     num = []
     den = []
@@ -134,7 +135,7 @@ def _eliminate(rows, augmented=None):
         p = min(cands, key=lambda i: (len(rows[i]), i))
         prow = rows[p]
         v = prow[c]
-        pivots.append((c, p, Fraction(v * den[p], num[p])))
+        pivots.append((c, p))
         used.add(p)
         for i in list(holders[c]) if jordan else cands:
             if i == p:
@@ -164,7 +165,7 @@ def _eliminate(rows, augmented=None):
             if g > 1:
                 rows[i] = {j: x // g for j, x in row.items()}
                 den[i] *= g
-    return pivots
+    return pivots, num, den
 
 
 def _sign(perm) -> int:
@@ -182,7 +183,7 @@ def _sign(perm) -> int:
 
 
 def rank(a) -> int:
-    return len(_eliminate(list(a)))
+    return len(_eliminate(list(a))[0])
 
 
 def _require_square(a, what: str):
@@ -193,15 +194,18 @@ def _require_square(a, what: str):
 
 def det(a) -> Fraction:
     _require_square(a, "determinant")
-    pivots = _eliminate(list(a))
+    rows = list(a)
+    pivots, num, den = _eliminate(rows)
     if len(pivots) < len(a):
         return Fraction(0)
     # the pivot of column c sits in row perm[c], and clearing does not change
-    # the determinant: it is the sign of perm times the pivot values over Q
-    out = Fraction(_sign([p for _, p, _ in pivots]))
-    for _, _, value in pivots:
-        out *= value
-    return out
+    # the determinant: it is the sign of perm times the pivot values over Q,
+    # each the stored pivot times the row's den over its num
+    top, bottom = _sign([p for _, p in pivots]), 1
+    for c, p in pivots:
+        top *= rows[p][c] * den[p]
+        bottom *= num[p]
+    return Fraction(top, bottom)
 
 
 def inverse(a) -> list[dict]:
@@ -209,11 +213,11 @@ def inverse(a) -> list[dict]:
     n = len(a)
     # the appended 1 becomes the row's scale when the row is cleared to ints
     rows = [{**row, n + i: 1} for i, row in enumerate(a)]
-    pivots = _eliminate(rows, n)
+    pivots, _, _ = _eliminate(rows, n)
     if len(pivots) < n:
         raise ValueError("matrix is singular")
     out = zeros(n)
-    for c, p, _ in pivots:
+    for c, p in pivots:
         row = rows[p]
         w = row[c]
         out[c] = {j - n: Fraction(x, w) for j, x in row.items() if j >= n}

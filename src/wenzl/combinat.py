@@ -3,6 +3,8 @@ permutations and generator words.
 
 ``steps_from`` holds the steps out of each shape, with the node each adds
 or removes, once per process; every question about a step reads it.
+``multipartitions``, ``reachable_shapes`` and ``count_updown`` are held
+per process too, as tuples where they list shapes: none reads the roots.
 
 Conventions used throughout:
 
@@ -56,8 +58,11 @@ def mp_size(lam: Multipartition) -> int:
     return sum(sum(p) for p in lam)
 
 
-def multipartitions(r: int, m: int) -> list[Multipartition]:
-    """All r-component multipartitions of total size m, deterministic order."""
+@functools.cache
+def multipartitions(r: int, m: int) -> tuple[Multipartition, ...]:
+    """All r-component multipartitions of total size m, deterministic order;
+    held per (r, m) for the process, since they do not depend on the
+    roots."""
 
     def rec(r, m):
         if r == 1:
@@ -69,17 +74,15 @@ def multipartitions(r: int, m: int) -> list[Multipartition]:
                 for rest in rec(r - 1, m - first_size):
                     yield (p,) + rest
 
-    return list(rec(r, m))
+    return tuple(rec(r, m))
 
 
-def reachable_shapes(r: int, n: int) -> list[Multipartition]:
+@functools.cache
+def reachable_shapes(r: int, n: int) -> tuple[Multipartition, ...]:
     """Shapes whose modules occur at n strands: all r-multipartitions of
     total size n, n-2, n-4, ... — largest size first, each block in the
-    order of :func:`multipartitions`."""
-    out: list[Multipartition] = []
-    for m in range(n, -1, -2):
-        out.extend(multipartitions(r, m))
-    return out
+    order of :func:`multipartitions`; held per (r, n) for the process."""
+    return tuple(lam for m in range(n, -1, -2) for lam in multipartitions(r, m))
 
 
 def addable_nodes(lam: Multipartition) -> list[Node]:
@@ -223,8 +226,10 @@ def double_factorial(m: int) -> int:
     return out
 
 
+@functools.cache
 def count_updown(n: int, lam: Multipartition) -> int:
-    """r^m (n choose 2m) (2m-1)!! #std(lam) with 2m = n - |lam|."""
+    """r^m (n choose 2m) (2m-1)!! #std(lam) with 2m = n - |lam|, held per
+    (n, lam) for the process."""
     r = len(lam)
     size = mp_size(lam)
     if (n - size) % 2 or size > n:
@@ -302,27 +307,6 @@ def dominance_std(s: Tableau, t: Tableau) -> bool:
     """s dominates t: shape restriction dominates at every step."""
     assert len(s) == len(t)
     return all(dominance_mp(s[k], t[k]) for k in range(len(s)))
-
-
-def young_subgroup(lam: Multipartition, n: int) -> list[tuple[int, ...]]:
-    """The row stabilizer of t^lambda as one-line permutations of {1..n}."""
-    rows = []
-    entry = 1
-    for p in lam:
-        for row in p:
-            rows.append(list(range(entry, entry + row)))
-            entry += row
-    perms = [tuple(range(1, n + 1))]
-    for row in rows:
-        new = []
-        for base in perms:
-            for sigma in itertools.permutations(row):
-                w = list(base)
-                for pos, val in zip(row, sigma):
-                    w[pos - 1] = val
-                new.append(tuple(w))
-        perms = new
-    return perms
 
 
 def coset_reps(n: int, f: int) -> list[tuple[int, ...]]:

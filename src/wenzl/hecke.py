@@ -11,12 +11,17 @@ floats appear anywhere in this module.
 
 Elements are made from the same generator words that
 ``seminormal.Realization`` evaluates: ``act`` applies a word on the right,
-("S", i) as T_i and ("X", j, a) as Y_j^a, and ``act_factors`` applies the
-factors of a product (left word, middle word sums, right word); no two
-elements are multiplied.  The Murphy product is written once, as its
-factors (``murphy_factors``).  Y_1 is reduced with the coefficients of the
-cyclotomic relation in ``seminormal.relations`` (``cyclotomic_coeffs``);
-with its E terms dropped, that table of relations holds here.
+("S", i) as T_i and ("X", j, a) as Y_j^a, ``act_sum`` a word sum, merging
+a word of S letters alone straight into the sum as relabelled keys, and
+``act_factors`` the factors of a product (left word, middle word sums,
+right word); no two elements are multiplied.  The Murphy product is
+written once, as its factors (``murphy_factors``).  Y_1 is reduced with
+the coefficients of the cyclotomic relation in ``seminormal.relations``
+(``cyclotomic_coeffs``); with its E terms dropped, that table of relations
+holds here.  The row-stabilizer sum of M_lambda is held as coset factors,
+C_2 ... C_k for a row of k boxes (``_row_factors``): k(k+1)/2 - 1 words of
+S letters instead of one word per permutation, k!, and both evaluators
+take it as a product.
 
 The image of a key times Y_j depends only on the key, j and the roots, so
 the algebra straightens and reduces it once and holds it: ``rmul_Y`` only
@@ -31,11 +36,12 @@ w by p in one pass.
 What the basis and the Gram matrices read of a shape apart from the roots
 is held per shape for the process, in ``functools.cache`` tables keyed by
 the shape alone: its standard tableaux, their coset words and starred
-coset words and the row-stabilizer sum of M_lambda (``shape_words``, which
-``wcell`` reads too), and, for gram jobs only, the descent edges of each
-tableau and the shapes that dominate it (``_order``).  A batch forms them
-on a shape's first job, whatever the roots; the tables grow with the
-shapes at the sizes a batch runs, not with the number of jobs.
+coset words and the coset factors of the row-stabilizer sum of M_lambda
+(``shape_words``, which ``wcell`` reads too), and, for gram jobs only, the
+descent edges of each tableau and the shapes that dominate it
+(``_order``).  A batch forms them on a shape's first job, whatever the
+roots; the tables grow with the shapes at the sizes a batch runs, not with
+the number of jobs.
 """
 
 from __future__ import annotations
@@ -143,8 +149,15 @@ class HeckeAlgebra:
         the algebra's own ``id`` it returns el."""
         if p is self.id:
             return el
-        return Element({(alpha, tuple([p[v - 1] for v in w])): c
-                        for (alpha, w), c in el.terms.items()}, el.den)
+        return Element(dict(self._relabelled(el.terms, p)), el.den)
+
+    def _relabelled(self, terms: dict, p: tuple[int, ...]):
+        """The (key, c) pairs of int terms times T_p: each key (alpha, w)
+        becomes (alpha, w p), each value v of w relabelled as p(v)."""
+        if p is self.id:
+            return terms.items()
+        return (((alpha, tuple([p[v - 1] for v in w])), c)
+                for (alpha, w), c in terms.items())
 
     def rmul_Y(self, el: Element, j: int) -> Element:
         """Multiply by Y_j on the right: each key's image (``_y_image``) is
@@ -254,35 +267,52 @@ class HeckeAlgebra:
     def act(self, el: Element, word: Word) -> Element:
         """el times the word on the right: ("S", i) is T_i and ("X", j, a)
         is Y_j^a.  E letters have no image here.  A maximal run of S
-        letters is one permutation p, and T_p maps each key (alpha, w) to
-        (alpha, w p), relabelling the values of w, so the run takes one
-        pass over the terms; no two terms meet."""
-        p = self.id
-        for letter in word:
-            kind = letter[0]
-            if kind == "S" and 1 <= letter[1] <= self.n - 1:
-                p = _swap_values(p, letter[1])
-            elif kind == "X" and 1 <= letter[1] <= self.n and letter[2] >= 0:
-                el, p = self._rmul_perm(el, p), self.id
-                for _ in range(letter[2]):
-                    el = self.rmul_Y(el, letter[1])
-            else:
+        letters is one permutation p (``_s_run``), and T_p maps each key
+        (alpha, w) to (alpha, w p), relabelling the values of w, so the run
+        takes one pass over the terms; no two terms meet."""
+        k = 0
+        while True:
+            p, k = self._s_run(word, k)
+            el = self._rmul_perm(el, p)
+            if k == len(word):
+                return el
+            letter = word[k]
+            if letter[0] != "X" or not 1 <= letter[1] <= self.n or letter[2] < 0:
                 raise ValueError(f"letter {letter!r} out of range at n={self.n}")
-        return self._rmul_perm(el, p)
+            for _ in range(letter[2]):
+                el = self.rmul_Y(el, letter[1])
+            k += 1
+
+    def _s_run(self, word: Word, k: int) -> tuple[tuple[int, ...], int]:
+        """(p, end): the permutation p of the maximal run of S letters in
+        range that starts at word[k], w s_i for each letter i as in
+        ``_perm_of``, and the index just past the run."""
+        p = self.id
+        while k < len(word) and word[k][0] == "S" and 1 <= word[k][1] <= self.n - 1:
+            p = _swap_values(p, word[k][1])
+            k += 1
+        return p, k
 
     def act_sum(self, el: Element, terms: WordSum) -> Element:
         """el times the word sum ``terms``: each word's element is scaled by
         its coefficient's numerator, over its den times the coefficient's
-        denominator, and the terms are added over the lcm of those."""
+        denominator, and the terms are added over the lcm of those.  A word
+        that is one run of S letters (every word of a coset factor) is a
+        permutation p: its term is el's keys relabelled by p
+        (``_relabelled``), merged straight into the sum; any other word's
+        element is formed by ``act`` first."""
         parts = []
         for coeff, word in terms:
-            part = self.act(el, word)
-            parts.append((coeff.numerator, part.den * coeff.denominator, part.terms))
-        den = math.lcm(*(d for _, d, _ in parts))
+            p, end = self._s_run(word, 0)
+            part = el
+            if end < len(word):
+                part, p = self.act(el, word), self.id
+            parts.append((coeff.numerator, part.den * coeff.denominator, part.terms, p))
+        den = math.lcm(*(d for _, d, _, _ in parts))
         out: dict = {}
-        for num, d, part in parts:
+        for num, d, part, p in parts:
             f = num * (den // d)
-            for key, c in part.items():
+            for key, c in self._relabelled(part, p):
                 _merge(out, key, f * c)
         return _canonical(out, den)
 
@@ -301,12 +331,32 @@ class ShapeWords(NamedTuple):
     """What the Murphy basis reads of a shape that the roots do not fix:
     its standard tableaux (in ``combinat.standard_tableaux`` order), the
     starred coset word and the coset word of each, T_{d(t)}* and T_{d(t)}
-    by tableau, and the row-stabilizer sum of M_lambda.  One instance per
-    shape is shared by every caller, so none writes into ``words``."""
+    by tableau, and the row-stabilizer sum of M_lambda as the coset
+    factors of its rows (``_row_factors``).  One instance per shape is
+    shared by every caller, so none writes into ``words``."""
 
     tableaux: tuple[Tableau, ...]
     words: dict
-    row_sum: WordSum
+    row_factors: tuple[WordSum, ...]
+
+
+def _row_factors(lam: Multipartition) -> tuple[WordSum, ...]:
+    """The row-stabilizer sum of t^lambda as a product of coset sums.  Each
+    row, on the entries p, ..., p + k - 1, is the sum over S_k, which is
+    C_2 C_3 ... C_k with C_j = 1 + s_{j-1} + s_{j-1} s_{j-2} + ... +
+    s_{j-1} ... s_1 (indices shifted by p - 1): a word of S_{j-1} times one
+    of the j coset representatives gives each permutation once.  So a row
+    takes k(k+1)/2 - 1 words instead of k!, and a row of one box none.
+    Rows act on disjoint entries, so their factors commute."""
+    factors = []
+    p = 1
+    for row in (row for part in lam for row in part):
+        for j in range(2, row + 1):
+            top = p + j - 2
+            factors.append(tuple((Fraction(1), tuple(("S", top - i) for i in range(m)))
+                                 for m in range(j)))
+        p += row
+    return tuple(factors)
 
 
 @functools.cache
@@ -319,19 +369,17 @@ def shape_words(lam: Multipartition) -> ShapeWords:
     for t in tableaux:
         d = combinat.d_perm(t)
         words[t] = (word_for_permutation(perm_inverse(d)), word_for_permutation(d))
-    row_sum = tuple((Fraction(1), word_for_permutation(w))
-                    for w in combinat.young_subgroup(lam, combinat.mp_size(lam)))
-    return ShapeWords(tableaux, words, row_sum)
+    return ShapeWords(tableaux, words, _row_factors(lam))
 
 
 def murphy_middle(ps: ParamSet, shape: Multipartition) -> tuple[WordSum, ...]:
     """M_lambda as word sums: one root-shifted X_k - u_i for each 1 <= i < r
-    and k up to the size of the first i components, then the held
-    row-stabilizer sum."""
+    and k up to the size of the first i components, then the held coset
+    factors of the row-stabilizer sum."""
     sizes = [sum(p) for p in shape]
     middle = tuple(((Fraction(1), (("X", k, 1),)), (-ps.u[i], ()))
                    for i in range(1, ps.r) for k in range(1, sum(sizes[:i]) + 1))
-    return middle + (shape_words(shape).row_sum,)
+    return middle + shape_words(shape).row_factors
 
 
 def murphy_factors(ps: ParamSet, shape: Multipartition, s: Tableau,

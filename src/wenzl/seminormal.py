@@ -16,8 +16,10 @@ matrix of int rows over one positive denominator in lowest terms
 (``Evaluated``).  The models make one ``Realization``, their direct sum,
 which stacks each letter's generators once into one block-diagonal matrix
 over one common denominator, so a word takes one matrix product per
-letter on ints and a Fraction is made only for a reported residual;
-``wcell`` certifies the cellular family's rank on it.  The defining
+letter on ints and a Fraction is made only for a reported residual; it
+holds the product of each prefix of a product of word sums, and applies
+words to a matrix one stacked letter at a time.  ``wcell`` certifies the
+cellular family's rank on it.  The defining
 relations are written once, as pairs of word sums (``relations``), and both
 sides are evaluated on the realization and compared block by block by
 cross-multiplying; they, the scalar tower and self-adjointness for
@@ -283,12 +285,15 @@ class Realization:
     reachable shape), as block-diagonal matrices of size sum d: the model
     of ``reps[b]`` acts on the rows and columns ``ranges[b]``, in that
     order.  A word, a word sum (``evaluate_sum``) or a product of word sums
-    (``evaluate_product``, never expanded into words) evaluates to one
-    ``Evaluated``, int rows over one denominator.  Each letter is stacked
-    once per realization over the lcm of its models' denominators, so a
-    word takes one matrix product per letter; a product multiplies the
-    denominators and a sum brings its terms to their lcm, so no Fraction
-    is normalised until a residual is reported.
+    (``evaluate_product``, never expanded into words, each prefix's product
+    held for the realization) evaluates to one ``Evaluated``, int rows over
+    one denominator.  Each letter is stacked once per realization over the
+    lcm of its models' denominators, so a word takes one matrix product per
+    letter; ``words_times`` and ``times_words`` take words to a given
+    matrix one stacked letter at a time instead, from the end that meets
+    it.  A product multiplies the denominators and a sum brings its terms
+    to their lcm, so no Fraction is normalised until a residual is
+    reported.
     """
 
     def __init__(self, reps: list[SeminormalRep]):
@@ -300,6 +305,8 @@ class Realization:
         self.ranges = list(zip(starts, starts[1:]))
         self._one = Evaluated(_linalg.identity(starts[-1]), 1)
         self._letters: dict = {}
+        # the trie of held prefix products: factor key -> (product, next level)
+        self._prefixes: dict = {}
 
     def _letter(self, letter) -> Evaluated:
         """One letter as one block-diagonal matrix, made once per
@@ -350,13 +357,55 @@ class Realization:
         return Evaluated(out, den)
 
     def evaluate_product(self, factors) -> Evaluated:
-        """The product of the word sums ``factors``, in order: each factor
-        is evaluated once, and the product is never expanded into words."""
-        out = None
+        """The product of the word sums ``factors``, in order, never
+        expanded into words.  The product of each prefix is held for the
+        realization, in a trie with one level per factor, keyed by the
+        factor's terms with each coefficient as its int pair, so that a
+        lookup hashes no Fraction; products that share a prefix, as the
+        Murphy middles of the shapes share their root-shift factors and
+        their first coset factors, evaluate it once."""
+        out, node = None, self._prefixes
         for terms in factors:
-            ev = self.evaluate_sum(terms)
-            out = ev if out is None else mul(out, ev)
+            key = tuple((c.numerator, c.denominator, word) for c, word in terms)
+            entry = node.get(key)
+            if entry is None:
+                ev = self.evaluate_sum(terms)
+                entry = node[key] = (ev if out is None else mul(out, ev), {})
+            out, node = entry
         return self._one if out is None else out
+
+    def words_times(self, words, x: Evaluated) -> list[Evaluated]:
+        """word · x for each of ``words``, each taken from its right end one
+        stacked letter L at a time (x <- L x).  A letter holds few entries
+        per row, so a step costs a small multiple of the nonzeros of x,
+        and words next to each other in ``words`` share the steps of
+        their common suffix."""
+        return self._letter_steps(x, [word[::-1] for word in words],
+                                  lambda acc, letter: mul(letter, acc))
+
+    def times_words(self, x: Evaluated, words) -> list[Evaluated]:
+        """x · word for each of ``words``, each taken from its left end one
+        stacked letter L at a time (x <- x L); words next to each other
+        share the steps of their common prefix."""
+        return self._letter_steps(x, words, mul)
+
+    def _letter_steps(self, x: Evaluated, sequences, step) -> list[Evaluated]:
+        """x after every letter of each sequence in turn, by ``step``; only
+        the steps of the previous sequence are held, and a sequence resumes
+        after the letters it shares with it."""
+        path, prev, out = [x], (), []
+        for seq in sequences:
+            k = 0
+            for a, b in zip(seq, prev):
+                if a != b:
+                    break
+                k += 1
+            del path[k + 1:]
+            for letter in seq[k:]:
+                path.append(step(path[-1], self._letter(letter)))
+            out.append(path[-1])
+            prev = seq
+        return out
 
     def block_residuals(self, a: Evaluated, b: Evaluated) -> list[Fraction]:
         """Exact max |a - b| on each block: both sides are brought over the

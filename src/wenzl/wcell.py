@@ -8,8 +8,8 @@ otherwise need a symbolic normal form.  Words are generator words as in
 ``combinat``; linear combinations of words are tuples of (coefficient,
 word) pairs.  A cellular basis element keeps its factors (left word, Murphy
 middle, right word) and is evaluated from them, never expanded into words;
-its Murphy factors are ``hecke.murphy_factors``, the same words from which
-the Hecke quotient makes its Murphy basis.
+its middle comes from ``hecke.murphy_factors``, the factors from which the
+Hecke quotient makes its Murphy basis, and its words from ``cell_words``.
 
 The rank is proved cell by cell, never by eliminating the whole family.
 The realization has one block per cell c = (f, lambda), lambda's model, and
@@ -30,10 +30,21 @@ supports form a cycle, so that no such order exists; when a cell's own
 block is outside its support; or when its own block does not factor as
 u_a w^T, the form from which its block rank is read.
 
+Each factor is evaluated once per job.  A cell's middle is one product
+of word sums, and the realization holds the product of each prefix
+(``Realization.evaluate_product``), so the cells share the root-shift
+factors X_k - u_i at the head of their middles and the coset factors of
+the rows they have in common.  Each left word is taken to the middle one
+stacked letter at a time from its right end, and each right word to the
+row w from its left end (``Realization.words_times``, ``times_words``):
+a letter has few entries per row, so no letter product of the realization's
+size is formed, and the words of one tableau, next to each other in the
+order of the triples, share the steps of their common end.
+
 The index triples of each cell (``cell_triples``, on the tableaux that
-``hecke.shape_words`` holds) and the word of each placement permutation
-(``_placement_word``) do not depend on the roots, so each is formed once
-per process in a ``functools.cache`` table keyed by root-free arguments
+``hecke.shape_words`` holds) and the left and right word of each triple
+(``cell_words``) do not depend on the roots, so each is formed once per
+process in a ``functools.cache`` table keyed by root-free arguments
 alone; the tables grow with the cells at the sizes a batch runs, not with
 the number of jobs.
 """
@@ -49,7 +60,7 @@ from . import _linalg, combinat, seminormal
 from .combinat import Multipartition, Word, word_for_permutation
 from .hecke import WordSum, murphy_factors, shape_words
 from .params import ParamSet
-from .seminormal import Realization, mul
+from .seminormal import Evaluated, Realization
 
 
 # -- cellular structure --------------------------------------------------
@@ -68,16 +79,29 @@ def cell_triples(r: int, n: int, arcs: int, shape: Multipartition) -> tuple[tupl
                  for k in powers for d in placements)
 
 
-@functools.cache
-def _placement_word(d: tuple[int, ...]) -> Word:
-    """The word of a placement permutation, formed once per permutation and
-    held for the process."""
-    return word_for_permutation(d)
-
-
 def contraction_chain(n: int, arcs: int) -> Word:
     """E_{n-1} E_{n-3} ...: one contraction per declared arc."""
     return tuple(("E", n - 1 - 2 * j) for j in range(arcs))
+
+
+@functools.cache
+def cell_words(r: int, n: int, arcs: int, shape: Multipartition) -> dict:
+    """(left word, right word) of each triple of the cell, by triple, in
+    the order of ``cell_triples``.  The starred placement and powers, the
+    contraction chain and the starred coset word of the tableau make the
+    left word; the coset word, the powers and the placement make the right
+    word.  X powers ride the odd positions n-1, n-3, ... in decreasing
+    order.  Formed once per cell and held for the process, since they do
+    not depend on the roots."""
+    tableau_words = shape_words(shape).words
+    chain = contraction_chain(n, arcs)
+    words = {}
+    for t, k, d in cell_triples(r, n, arcs, shape):
+        powers = tuple(("X", n - 1 - 2 * j, a) for j, a in enumerate(k) if a)
+        placement = word_for_permutation(d)
+        words[t, k, d] = (placement[::-1] + powers + chain + tableau_words[t][0],
+                          tableau_words[t][1] + powers + placement)
+    return words
 
 
 @dataclass(frozen=True)
@@ -98,11 +122,9 @@ class CellularWord:
 def cellular_element(ps: ParamSet, n: int, arcs: int, shape: Multipartition,
                      left: tuple, right: tuple) -> CellularWord:
     """The basis element for a (left, right) pair of cell triples, as
-    factors: starred placement and powers, the contraction chain and the
-    starred coset word of the left tableau make the left word; the middle
-    is the Murphy middle of the shape; the right coset word, the right
-    powers and placement make the right word.  X powers ride the odd
-    positions n-1, n-3, ... in decreasing order.  Nothing is expanded."""
+    factors: the held left word of the left triple and right word of the
+    right triple (``cell_words``), and between them the Murphy middle of
+    the shape, read from ``murphy_factors``.  Nothing is expanded."""
     s, rho, e = left
     t, kappa, d = right
     if len(rho) != arcs or len(kappa) != arcs:
@@ -110,14 +132,13 @@ def cellular_element(ps: ParamSet, n: int, arcs: int, shape: Multipartition,
     empty = combinat.empty_mp(ps.r)
     if (s[-1] if s else empty) != shape or (t[-1] if t else empty) != shape:
         raise ValueError("tableaux must have the cell's shape")
-    pre = _placement_word(e)[::-1]
-    pre += tuple(("X", n - 1 - 2 * j, a) for j, a in enumerate(rho) if a)
-    pre += contraction_chain(n, arcs)
-    post = tuple(("X", n - 1 - 2 * j, a) for j, a in enumerate(kappa) if a)
-    post += _placement_word(d)
-    s_word, middle, t_word = murphy_factors(ps, shape, s, t)
-    return CellularWord(pre + s_word, middle, t_word + post, arcs, shape,
-                        (s, tuple(rho), e), (t, tuple(kappa), d))
+    left, right = (s, tuple(rho), e), (t, tuple(kappa), d)
+    words = cell_words(ps.r, n, arcs, shape)
+    left_words, right_words = words.get(left), words.get(right)
+    if left_words is None or right_words is None:
+        raise ValueError("triples must index the cell (cell_triples)")
+    _, middle, _ = murphy_factors(ps, shape, s, t)
+    return CellularWord(left_words[0], middle, right_words[1], arcs, shape, left, right)
 
 
 # -- rank ----------------------------------------------------------------
@@ -152,15 +173,16 @@ def cellular_rank_report(ps: ParamSet, n: int) -> dict:
 
     Each element of a cell is A_a · M · B_b on the realization, its left
     word depending only on its left triple and its right word only on its
-    right triple, so the factors are made once per triple, as the element
-    (a, a), and the cell's middle M once per cell.  X_a = A_a · M is
-    evaluated on every block: the blocks where some X_a is nonzero are the
+    right triple, so the factors are read once per triple, as the element
+    (a, a), and the cell's middle M is evaluated once per cell, from the
+    realization's held prefixes.  X_a = A_a · M is taken one letter of A_a
+    at a time, on every block: the blocks where some X_a is nonzero are the
     cell's support, which holds every element of the cell.  On the cell's
     own block each X_a is u_a w^T (``_own_factors``), so the element (a, b)
-    is u_a v_b^T there, with v_b = w^T B_b on the own model alone, and the
-    cell's block rank is rank U times rank V.  The rank is the sum of the
-    block ranks once the supports admit an order (see the module
-    docstring)."""
+    is u_a v_b^T there, with v_b = w^T B_b taken one letter of B_b at a
+    time, and the cell's block rank is rank U times rank V.  The rank is
+    the sum of the block ranks once the supports admit an order (see the
+    module docstring)."""
     r = ps.r
     target = r ** n * combinat.double_factorial(2 * n - 1)
     real = Realization(seminormal.build_all(ps, n))
@@ -178,17 +200,15 @@ def cellular_rank_report(ps: ParamSet, n: int) -> dict:
             names[shape] = name = f"cell (arcs={arcs}, shape={shape})"
             diagonal = [cellular_element(ps, n, arcs, shape, a, a) for a in triples]
             m = real.evaluate_product(diagonal[0].middle)
-            xs = [mul(real.evaluate(cw.left_word), m).rows for cw in diagonal]
-            own = real.shapes.index(shape)
+            xs = [x.rows for x in real.words_times([cw.left_word for cw in diagonal], m)]
             support = {real.shapes[block_of[i]] for x in xs for i, row in enumerate(x) if row}
             if shape not in support:
                 raise ValueError(f"own block outside the support of {name}")
             after[shape] = support - {shape}
-            start, end = real.ranges[own]
+            start, end = real.ranges[real.shapes.index(shape)]
             us, w = _own_factors([x[start:end] for x in xs], name)
-            w = [{j - start: x for j, x in w.items()}]
-            one = Realization([real.reps[own]])
-            vs = [_linalg.mat_mul(w, one.evaluate(cw.right_word).rows)[0] for cw in diagonal]
+            vs = [v.rows[0] for v in real.times_words(
+                Evaluated([w], 1), [cw.right_word for cw in diagonal])]
             rank += _rank_from_vecs(us)["rank"] * _rank_from_vecs(vs)["rank"]
     try:
         graphlib.TopologicalSorter(after).prepare()

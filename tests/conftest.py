@@ -12,10 +12,11 @@ import pytest
 from wenzl import hecke, params, wcell
 
 # the held parameter set and the root-free tables of hecke and wcell, each a
-# functools.cache; combinat's walks (_walk) and steps out of each shape
-# (steps_from) lie below enumerate_updown and stay
+# functools.cache; combinat's walks (_walk), steps out of each shape
+# (steps_from), multipartitions (multipartitions, reachable_shapes) and
+# updown counts (count_updown) lie below enumerate_updown and stay held
 HOLDS = (params._param_set, hecke.shape_words, hecke._order, wcell.cell_triples,
-         wcell._placement_word)
+         wcell.cell_words)
 
 
 def _drop_holds():

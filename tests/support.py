@@ -17,11 +17,14 @@ products into words, Hecke triangularity and
 symmetrizer witnesses, the semisimplicity boundary, cell indices and word
 helpers, the anti-involution of a cellular element, the view of one model's
 block of a realization, the whole cellular family as vectors that
-``wcell``'s block-triangular certificate is checked against, and the two
+``wcell``'s block-triangular certificate is checked against, the Young
+subgroup and the report with nothing shared (``unshared_rank_report``)
+that the coset factors and the shared report are checked against, and the two
 cellular residual checks (the contraction chain commuting with the Murphy
 products, and the cellular products against the Hecke Gram pairing)."""
 
 import functools
+import graphlib
 import itertools
 import math
 import random
@@ -210,6 +213,102 @@ def cellular_family_vectors(ps: ParamSet, n: int) -> list[dict]:
             b = [real.evaluate(cw.right_word) for cw in diagonal]
             vecs.extend(vec(real, seminormal.mul(x, y)) for x in am for y in b)
     return vecs
+
+
+def young_subgroup(lam: Multipartition, n: int) -> list[tuple[int, ...]]:
+    """The row stabilizer of t^lambda as one-line permutations of {1..n}:
+    the reference that ``hecke.shape_words``' coset factors expand to."""
+    rows = []
+    entry = 1
+    for p in lam:
+        for row in p:
+            rows.append(list(range(entry, entry + row)))
+            entry += row
+    perms = [tuple(range(1, n + 1))]
+    for row in rows:
+        new = []
+        for base in perms:
+            for sigma in itertools.permutations(row):
+                w = list(base)
+                for pos, val in zip(row, sigma):
+                    w[pos - 1] = val
+                new.append(tuple(w))
+        perms = new
+    return perms
+
+
+def is_root_shift(factor: wcell.WordSum) -> bool:
+    """A factor of the form X_k - u_i, told from a coset factor by its form
+    alone: one X letter to the first power, then the empty word."""
+    return (len(factor) == 2 and factor[0][0] == 1 and len(factor[0][1]) == 1
+            and factor[0][1][0][0] == "X" and factor[0][1][0][2] == 1 and factor[1][1] == ())
+
+
+def expanded_murphy_middle(ps: ParamSet, shape: Multipartition) -> tuple[wcell.WordSum, ...]:
+    """M_lambda with its row-stabilizer sum expanded: the root-shift factors
+    of ``hecke.murphy_middle``, then one word per element of the Young
+    subgroup."""
+    row_sum = tuple((Fraction(1), word_for_permutation(w))
+                    for w in young_subgroup(shape, combinat.mp_size(shape)))
+    return (*(f for f in hecke.murphy_middle(ps, shape) if is_root_shift(f)), row_sum)
+
+
+def reference_words(n: int, arcs: int, shape: Multipartition, left: tuple,
+                     right: tuple) -> tuple[Word, Word]:
+    """The left word of a left triple and the right word of a right triple,
+    each assembled from its parts."""
+    (s, rho, e), (t, kappa, d) = left, right
+    words = hecke.shape_words(shape).words
+    chain = wcell.contraction_chain(n, arcs)
+    pre = word_for_permutation(e)[::-1]
+    pre += tuple(("X", n - 1 - 2 * j, a) for j, a in enumerate(rho) if a)
+    post = tuple(("X", n - 1 - 2 * j, a) for j, a in enumerate(kappa) if a)
+    return pre + chain + words[s][0], words[t][1] + post + word_for_permutation(d)
+
+
+def unshared_rank_report(ps: ParamSet, n: int, middle=lambda m: m) -> dict:
+    """The reference for ``wcell.cellular_rank_report``: the same
+    certificate with nothing shared.  Each cell's words are assembled from
+    their parts, its middle is ``expanded_murphy_middle`` passed through
+    ``middle``, with every factor evaluated, each left word is multiplied
+    out letter by letter before it meets the middle, and the right words
+    are evaluated on a realization of the own model alone."""
+    r = ps.r
+    target = r ** n * combinat.double_factorial(2 * n - 1)
+    real = seminormal.Realization(seminormal.build_all(ps, n))
+    block_of = [b for b, d in enumerate(real.dims) for _ in range(d)]
+    names, after, cells = {}, {}, []
+    total = rank = 0
+    for arcs in range(n // 2 + 1):
+        for shape in combinat.multipartitions(r, n - 2 * arcs):
+            triples = wcell.cell_triples(r, n, arcs, shape)
+            cells.append({"arcs": arcs, "shape": [list(p) for p in shape],
+                          "members": len(triples)})
+            total += len(triples) ** 2
+            names[shape] = name = f"cell (arcs={arcs}, shape={shape})"
+            words = [reference_words(n, arcs, shape, a, a) for a in triples]
+            m = functools.reduce(seminormal.mul, (real.evaluate_sum(f) for f in
+                                                  middle(expanded_murphy_middle(ps, shape))),
+                                 real.evaluate(()))
+            xs = [seminormal.mul(real.evaluate(left), m).rows for left, _ in words]
+            own = real.shapes.index(shape)
+            support = {real.shapes[block_of[i]] for x in xs for i, row in enumerate(x) if row}
+            if shape not in support:
+                raise ValueError(f"own block outside the support of {name}")
+            after[shape] = support - {shape}
+            start, end = real.ranges[own]
+            us, w = wcell._own_factors([x[start:end] for x in xs], name)
+            w = [{j - start: x for j, x in w.items()}]
+            one = seminormal.Realization([real.reps[own]])
+            vs = [_linalg.mat_mul(w, one.evaluate(right).rows)[0] for _, right in words]
+            rank += _linalg.rank(us) * _linalg.rank(vs)
+    try:
+        graphlib.TopologicalSorter(after).prepare()
+    except graphlib.CycleError as e:
+        cycle = " -> ".join(names[shape] for shape in e.args[1])
+        raise ValueError(f"the supports form a cycle: {cycle}") from None
+    return {"count": total, "rank": rank, "target": target, "sum_of_squares": total,
+            "ok": total == target and rank == target, "cells": cells}
 
 
 def residual(a, b) -> Fraction:

@@ -509,6 +509,12 @@ GOLDEN_REPORTS = {
         "19ad87d7258c87f486163bb6a35c565071f1ef97e347245f745a4acddeb2e54b",
     "cellrank --r 1 --n 4":
         "a01552d1c80d0a7394924f4382b277a65bc37e8e06fd1827e4b00eeb96022850",
+    # r = 3 at four strands, and fractional roots over q = 3, as the report
+    # wrote them before its factors were shared and its row sums factored
+    "cellrank --r 3 --n 4":
+        "f0ac2b7aca5ab1a1bb34b8bbbfcf6be8ddd4d9521795a908a0e40072b80fa9fb",
+    "cellrank --u 61/3,-35/3,13/3 --n 3":
+        "2ca6e84b9e9fb028d77ea9e8e761be278f427991d73258aba9d6f30cf346118b",
     # the sizes where the block-triangular certificate does the most work,
     # as the elimination of the whole family wrote them
     "cellrank --r 2 --n 4":

@@ -3,7 +3,7 @@
 from fractions import Fraction
 import math
 
-from support import box_diff, boxes_apart, k_neighbors, sk_action_reference
+from support import box_diff, boxes_apart, k_neighbors, sk_action_reference, young_subgroup
 from wenzl import combinat, params
 from wenzl.combinat import (
     add_box, addable_nodes, content_sequence, coset_reps, count_updown,
@@ -11,7 +11,7 @@ from wenzl.combinat import (
     enumerate_updown, hook_product, mp_size, multipartitions, n_std,
     node_content, partitions, reachable_shapes, remove_box, removable_nodes,
     shape_before, sk_action, standard_tableaux, steps_from, t_lambda,
-    updown_walks, young_subgroup,
+    updown_walks,
 )
 from wenzl.params import ParamSet
 
@@ -266,3 +266,19 @@ def test_steps_from_is_the_lattice():
                                 ] == k_neighbors(t, k), (t, k)
                     else:
                         assert sk_action(t, k) == sk_action_reference(t, k), (t, k)
+
+
+def test_shape_lists_and_counts_are_held():
+    # multipartitions, reachable_shapes and count_updown are held per
+    # process: a second call returns the same tuple, equal to a fresh one
+    for r in (1, 2, 3):
+        for m in range(5):
+            held = multipartitions(r, m)
+            assert type(held) is tuple and multipartitions(r, m) is held
+            assert held == tuple(multipartitions.__wrapped__(r, m))
+            shapes = reachable_shapes(r, m)
+            assert type(shapes) is tuple and reachable_shapes(r, m) is shapes
+            assert shapes == tuple(reachable_shapes.__wrapped__(r, m))
+            for lam in shapes:
+                assert count_updown(m, lam) == count_updown.__wrapped__(m, lam)
+    assert count_updown.cache_info().hits

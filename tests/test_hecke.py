@@ -11,7 +11,8 @@ import pytest
 
 from support import (FractionHecke, as_fractions, filled_step_tables, fraction_inverse,
                      is_semisimple, key_word, multiply, murphy_triangular_report, root_sets,
-                     row_symmetrizer_witness, seeded_u, star_word, star_word_sum)
+                     row_symmetrizer_witness, seeded_u, star_word, star_word_sum,
+                     word_sum_product, young_subgroup)
 from wenzl import _linalg, cli, combinat, hecke, wcell
 from wenzl.hecke import (
     Element, HeckeAlgebra, MurphyBasis, gamma_coeffs, gamma_path_independent,
@@ -19,7 +20,7 @@ from wenzl.hecke import (
     murphy_basis, murphy_factors,
 )
 from wenzl.params import ParamSet, wk_rational
-from wenzl.seminormal import relations
+from wenzl.seminormal import Realization, build_all, relations
 
 F = Fraction
 
@@ -563,9 +564,10 @@ def test_held_shape_tables_equal_the_tableau_walk():
                     assert held.words[t] == (
                         combinat.word_for_permutation(combinat.perm_inverse(d)),
                         combinat.word_for_permutation(d))
-                assert held.row_sum == tuple(
-                    (F(1), combinat.word_for_permutation(w))
-                    for w in combinat.young_subgroup(lam, n))
+                # the coset factors expand to each element of the Young
+                # subgroup once, with coefficient 1
+                assert _permutation_sum(word_sum_product(held.row_factors), n) == (
+                    collections.Counter(young_subgroup(lam, n)))
                 assert set(order.descents) == set(stds)
                 for s in stds:
                     want = []
@@ -577,16 +579,26 @@ def test_held_shape_tables_equal_the_tableau_walk():
                 assert order.above == {mu for mu in shapes if combinat.dominance_mp(mu, lam)}
 
 
+def _permutation_sum(terms, n) -> collections.Counter:
+    """A word sum of S words as a sum of permutations: the coefficient of
+    each permutation, as ``HeckeAlgebra.act`` composes its words."""
+    out = collections.Counter()
+    for c, word in terms:
+        out[functools.reduce(hecke._swap_values, (i for _, i in word),
+                             tuple(range(1, n + 1)))] += c
+    return +out
+
+
 def _table_sizes() -> tuple:
     """The number of entries in each root-free table."""
     return tuple(hold.cache_info().currsize for hold in (
-        hecke.shape_words, hecke._order, wcell.cell_triples, wcell._placement_word))
+        hecke.shape_words, hecke._order, wcell.cell_triples, wcell.cell_words))
 
 
 def _held_tables(r, n) -> tuple:
     """The size of every root-free table, then the entries of each at the
-    shapes, cells and placements of r and sizes up to n (read through the
-    tables, so the reading fills what was missing)."""
+    shapes and cells of r and sizes up to n (read through the tables, so
+    the reading fills what was missing)."""
     sizes = _table_sizes()
     shapes = [lam for m in range(n + 1) for lam in combinat.multipartitions(r, m)]
     cells = [(arcs, lam) for arcs in range(n // 2 + 1)
@@ -594,8 +606,7 @@ def _held_tables(r, n) -> tuple:
     return (sizes, [hecke.shape_words(lam) for lam in shapes],
             [hecke._order(lam) for lam in shapes],
             [wcell.cell_triples(r, n, arcs, lam) for arcs, lam in cells],
-            [wcell._placement_word(d) for arcs, _ in cells
-             for d in combinat.coset_reps(n, arcs)])
+            [wcell.cell_words(r, n, arcs, lam) for arcs, lam in cells])
 
 
 def test_held_tables_are_root_free(tmp_path, drop_holds):
@@ -671,3 +682,59 @@ def test_gamma_raises_where_a_held_descent_edge_is_missing(monkeypatch):
     monkeypatch.setattr(hecke, "_order", lambda mu: order._replace(descents=descents))
     with pytest.raises(AssertionError, match=r"gamma reaches 1 of the 2 standard tableaux"):
         gamma_coeffs(lam, ps)
+
+
+@pytest.mark.parametrize("r,n", [(1, 5), (2, 4), (3, 3)])
+def test_coset_factors_equal_the_young_subgroup_sum(r, n):
+    # the product of the held coset factors of every shape equals the sum
+    # over its Young subgroup: in the Fraction-dict algebra on a seeded
+    # element and on the identity, and on the realization; each row of k
+    # boxes takes k(k+1)/2 - 1 words
+    ps = ParamSet.default(r, n)
+    ref = FractionHecke(ps, n)
+    real = Realization(build_all(ps, n))
+    rng = random.Random(f"cosets:{r}:{n}")
+    keys = [(alpha, w) for alpha in itertools.product(range(r), repeat=n)
+            for w in itertools.permutations(range(1, n + 1))]
+    seeded = {k: rng.choice((F(1), F(-2), F(3, 7))) for k in rng.sample(keys, 5)}
+    for lam in combinat.multipartitions(r, n):
+        factors = hecke.shape_words(lam).row_factors
+        expanded = tuple((F(1), combinat.word_for_permutation(w)) for w in young_subgroup(lam, n))
+        assert sum(len(f) for f in factors) == sum(k * (k + 1) // 2 - 1 for p in lam for k in p)
+        for el in (ref.one(), seeded):
+            assert functools.reduce(ref.act_sum, factors, el) == ref.act_sum(el, expanded), lam
+        assert as_fractions(real.evaluate_product(factors)) == as_fractions(
+            real.evaluate_sum(expanded)), lam
+
+
+@pytest.mark.parametrize("r,n", [(2, 3), (1, 4)])
+def test_act_sum_relabels_bare_permutations(r, n, monkeypatch):
+    # a word of S letters alone is merged into the sum as its relabelled
+    # keys, with no element formed by act; the sum equals the Fraction
+    # reference and the sum of the elements that act forms
+    rng = random.Random(f"bare:{r}:{n}")
+    ps = ParamSet.default(r, n)
+    H, ref = HeckeAlgebra(ps, n), FractionHecke(ps, n)
+    keys = [(alpha, w) for alpha in itertools.product(range(r), repeat=n)
+            for w in itertools.permutations(range(1, n + 1))]
+    coeffs = [F(1), F(-2), F(3, 7), F(-5, 4)]
+    for _ in range(6):
+        fr = {k: rng.choice(coeffs) for k in rng.sample(keys, 6)}
+        el = _element(fr)
+        wsum = tuple((rng.choice(coeffs), tuple(("S", rng.randrange(1, n))
+                                                for _ in range(rng.randrange(4))))
+                     for _ in range(4)) + ((F(2), (("X", 1, 1),)),)
+        parts = [H.act(el, word) for _, word in wsum]
+        formed = []
+        act = HeckeAlgebra.act
+        monkeypatch.setattr(HeckeAlgebra, "act", lambda self, x, word: formed.append(word)
+                            or act(self, x, word))
+        got = H.act_sum(el, wsum)
+        monkeypatch.undo()
+        assert formed == [(("X", 1, 1),)]
+        assert _canonical(got) and as_fractions(got) == ref.act_sum(fr, wsum)
+        total = {}
+        for (c, _), part in zip(wsum, parts):
+            for key, x in as_fractions(part).items():
+                total[key] = total.get(key, 0) + c * x
+        assert as_fractions(got) == {k: x for k, x in total.items() if x}

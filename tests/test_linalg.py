@@ -288,13 +288,20 @@ def _murphy_matrices(r, n):
         yield hecke.MurphyBasis(hecke.HeckeAlgebra(ps, n)).matrix
 
 
+def _pivot_values(rows, augmented=None):
+    """The pivots of the int elimination as (column, row, value over Q), the
+    value read from the stored pivot and its row's multiple num / den."""
+    pivots, num, den = la._eliminate(rows, augmented)
+    return [(c, p, F(rows[p][c] * den[p], num[p])) for c, p in pivots]
+
+
 def _assert_matches_fraction_reference(a):
     """The int elimination takes the pivots of the Fraction elimination, with
     the same values over Q, and rank, det and inverse agree with it; the
     input is left as it was."""
     before = [dict(row) for row in a]
     want = fraction_eliminate([dict(row) for row in a])
-    assert la._eliminate(list(a)) == want
+    assert _pivot_values(list(a)) == want
     assert la.rank(a) == len(want)
     n = len(a)
     if any(j >= n for row in a for j in row):
@@ -304,7 +311,7 @@ def _assert_matches_fraction_reference(a):
     sign = la._sign([p for _, p, _ in want]) if full else 0
     assert la.det(a) == math.prod((v for *_, v in want), start=F(sign))
     augmented = [{**row, n + i: 1} for i, row in enumerate(a)]
-    assert la._eliminate(augmented, n) == fraction_eliminate(
+    assert _pivot_values(augmented, n) == fraction_eliminate(
         [{**row, n + i: F(1)} for i, row in enumerate(a)], n)
     if full:
         assert la.inverse(a) == fraction_inverse(a)
@@ -358,3 +365,19 @@ def test_int_rows_stay_int():
     for matrix in _murphy_matrices(2, 3):
         check(list(matrix))
         check([{**row, len(matrix) + i: 1} for i, row in enumerate(matrix)], len(matrix))
+
+
+def test_rank_and_inverse_form_no_fraction(monkeypatch):
+    # the elimination keeps each pivot as the stored int and its row's
+    # multiple: rank forms no Fraction at all, and inverse only its entries
+    mats = [from_dense(a) for a in _seeded_squares()] + list(_big_matrices())
+    want = [la.rank(a) for a in mats]
+    made = []
+    monkeypatch.setattr(la, "Fraction", lambda *args: made.append(args) or F(*args))
+    assert [la.rank(a) for a in mats] == want and made == []
+    for a in mats:
+        n = len(a)
+        if la.rank(a) == n and all(j < n for row in a for j in row):
+            inv = la.inverse(a)
+            assert len(made) == sum(len(row) for row in inv)
+            made.clear()

@@ -11,12 +11,12 @@ from support import (
     FractionRealization, as_fractions, block, blocks_as_fractions,
     cell_indices, cellular_family_vectors, contraction_murphy_commute_residual,
     cyclotomic_word_sum, filtration_index, from_dense, hecke_pairing_residual,
-    murphy_words, root_sets, seeded_u, star, star_word, star_word_sum, terms, vec,
-    word_sum_mul,
+    is_root_shift, murphy_words, reference_words, root_sets, seeded_u, star, star_word,
+    star_word_sum, terms, unshared_rank_report, vec, word_sum_mul,
 )
 import brauer
 from brauer import RegularMonomial, enumerate_r_regular, word_for_monomial
-from wenzl import _linalg, combinat, hecke, wcell
+from wenzl import _linalg, combinat, hecke, seminormal, wcell
 from wenzl.cli import main
 from wenzl.params import ParamSet
 from wenzl.seminormal import build_all
@@ -404,6 +404,12 @@ def _middle_replaced(middle):
     return factors
 
 
+def _without_root_shifts(middle):
+    """The Murphy middle without its root-shift factors X_k - u_i, told by
+    their form: the coset factors of the row-stabilizer sum stay."""
+    return tuple(f for f in middle if not is_root_shift(f))
+
+
 @pytest.mark.parametrize("r,n,reference_rank,cell", [
     (2, 2, 6, "cell (arcs=0, shape=((1,), (1,)))"),
     (3, 2, 11, "cell (arcs=0, shape=((1,), (1,), ()))"),
@@ -413,7 +419,7 @@ def test_broken_core_is_caught(r, n, reference_rank, cell, monkeypatch, tmp_path
     # without its root-shift factors X_k - u_i the Murphy middle is no
     # longer rank one on its own block: the family loses rank, and the job
     # fails instead of reporting a rank
-    monkeypatch.setattr(wcell, "murphy_factors", _middle_replaced(lambda m: m[-1:]))
+    monkeypatch.setattr(wcell, "murphy_factors", _middle_replaced(_without_root_shifts))
     ps = ParamSet.default(r, n)
     assert _linalg.rank(cellular_family_vectors(ps, n)) == reference_rank
     rc, records = _cellrank_job(r, n, tmp_path)
@@ -451,3 +457,109 @@ def test_failed_certificate_ends_in_a_named_error(r, n, middle, error, monkeypat
     assert rc == 1 and len(records) == 1
     assert records[0]["kind"] == "error" and records[0]["pass"] is False
     assert records[0]["error"] == f"ValueError: {error}"
+
+
+@pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (4, 2), (2, 3), (1, 4)])
+def test_report_equals_the_unshared_reference(r, n):
+    # held words, shared middle prefixes, words taken letter by letter and
+    # coset factors give the report that nothing shared gives, at every root
+    # set of support.root_sets with r roots; roots outside the regime end
+    # both in the same error
+    for u in (u for u in root_sets("unshared", r) if len(u) == r):
+        ps = ParamSet.from_u(u, n)
+        try:
+            want = unshared_rank_report(ps, n)
+        except ValueError as e:
+            with pytest.raises(ValueError) as got:
+                cellular_rank_report(ps, n)
+            assert str(got.value) == str(e), u
+            continue
+        assert cellular_rank_report(ps, n) == want, u
+
+
+@pytest.mark.parametrize("r,n,middle", [
+    (2, 2, _without_root_shifts), (3, 2, _without_root_shifts), (2, 3, _without_root_shifts),
+    (1, 2, lambda m: ()), (2, 2, lambda m: ()), (2, 2, lambda m: ((),)),
+])
+def test_broken_core_errors_equal_the_unshared_reference(r, n, middle, monkeypatch):
+    # a broken middle ends the shared report in the error that the unshared
+    # one, given the same middle over the expanded row sum, ends in
+    ps = ParamSet.default(r, n)
+    with pytest.raises(ValueError) as want:
+        unshared_rank_report(ps, n, middle)
+    monkeypatch.setattr(wcell, "murphy_factors", _middle_replaced(middle))
+    with pytest.raises(ValueError) as got:
+        cellular_rank_report(ps, n)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("r,n", [(2, 3), (1, 4), (3, 2)])
+def test_evaluate_product_holds_each_prefix(r, n, monkeypatch):
+    # every Murphy middle of (r, n) equals its Fraction-row evaluation; each
+    # distinct prefix evaluates its last factor once, and a second pass over
+    # held prefixes hashes no Fraction
+    ps = ParamSet.default(r, n)
+    real = Realization(build_all(ps, n))
+    ref = FractionRealization(real.reps)
+    evaluated = []
+    evaluate_sum = Realization.evaluate_sum
+
+    def counted(self, terms):
+        evaluated.append(terms)
+        return evaluate_sum(self, terms)
+
+    monkeypatch.setattr(Realization, "evaluate_sum", counted)
+    middles = [hecke.murphy_middle(ps, shape)
+               for m in range(n + 1) for shape in combinat.multipartitions(r, m)]
+    products = [real.evaluate_product(middle) for middle in middles]
+    for middle, product in zip(middles, products):
+        assert blocks_as_fractions(real, product) == ref.evaluate_product(middle)
+    prefixes = {middle[:k] for middle in middles for k in range(1, len(middle) + 1)}
+    assert len(evaluated) == len(prefixes) < sum(len(middle) for middle in middles)
+    monkeypatch.setattr(F, "__hash__", lambda self: pytest.fail("a Fraction was hashed"))
+    again = [real.evaluate_product(middle) for middle in middles]
+    assert all(x is y for x, y in zip(again, products)) and len(evaluated) == len(prefixes)
+
+
+@pytest.mark.parametrize("r,n", [(2, 3), (1, 4)])
+def test_words_taken_letter_by_letter_equal_the_evaluated_words(r, n, monkeypatch):
+    # word · x and x · word, one stacked letter at a time, equal the products
+    # with the evaluated words exactly, and words next to each other share
+    # the steps of their common end
+    ps = ParamSet.default(r, n)
+    real = Realization(build_all(ps, n))
+    x = real.evaluate_sum(((F(1), (("S", 1),)), (F(-2, 3), (("X", n, 1),))))
+    base = (("S", 1), ("E", 2), ("X", 1, r))
+    words = [(), base, base + (("S", 2),), base + (("E", 1), ("S", 1)),
+             base + (("X", 2, 1), ("S", 2), ("E", 1))]
+    for word in words:
+        real.evaluate(word)  # every letter stacked before the steps are counted
+    lefts = [word[::-1] for word in words]
+    steps = []
+    mul = seminormal.mul
+    monkeypatch.setattr(seminormal, "mul", lambda a, b: steps.append(1) or mul(a, b))
+    got_left, got_right = real.words_times(lefts, x), real.times_words(x, words)
+    # base is taken once per side, then only each word's own letters
+    assert len(steps) == 2 * (3 + 1 + 2 + 3)
+    monkeypatch.undo()
+    assert got_left == [seminormal.mul(real.evaluate(word), x) for word in lefts]
+    assert got_right == [seminormal.mul(x, real.evaluate(word)) for word in words]
+
+
+def test_cell_words_are_the_assembled_words():
+    # the held words of each triple are the words assembled from their parts,
+    # and the element reads them; a triple outside the cell is refused
+    for r, n in ((1, 4), (2, 3), (3, 2)):
+        ps = ParamSet.default(r, n)
+        for arcs in range(n // 2 + 1):
+            for shape in combinat.multipartitions(r, n - 2 * arcs):
+                words = wcell.cell_words(r, n, arcs, shape)
+                assert list(words) == list(cell_triples(r, n, arcs, shape))
+                for a, (left, right) in words.items():
+                    assert (left, right) == reference_words(n, arcs, shape, a, a)
+                    cw = cellular_element(ps, n, arcs, shape, a, a)
+                    assert (cw.left_word, cw.right_word) == (left, right)
+    ps = ParamSet.default(1, 4)
+    (t,) = combinat.standard_tableaux(((2,),))
+    with pytest.raises(ValueError, match="triples must index the cell"):
+        cellular_element(ps, 4, 1, ((2,),), (t, (0,), (1, 2, 3, 4)), (t, (0,), (4, 3, 2, 1)))
