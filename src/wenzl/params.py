@@ -11,7 +11,10 @@ Everything here is exact rational arithmetic: dense polynomials in y, and
 rational functions num/den whose denominators are cleared when they are
 built, so num and den are polynomials over Z (Python ints) and their
 products never normalise a Fraction.  A rational function is not reduced:
-equality is by cross-multiplication.  The scalars are coefficients of one
+equality is by cross-multiplication.  Rational functions are built, added,
+multiplied, compared and expanded at infinity, never evaluated or
+divided: an identity about W is stated on its coefficients, or multiplied
+through by its denominator.  The scalars are coefficients of one
 expansion at y = infinity: Omega is that of W at the empty shape, and the
 tower scalars omega_k^(a) that of W at the shape before step k; the
 expansion runs on ints, and they are returned as Fractions.
@@ -98,12 +101,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __call__(self, x: Fraction) -> Fraction:
-        out = Fraction(0)
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
     def __repr__(self):
         return f"Poly({list(self.coeffs)})"
 
@@ -122,7 +119,7 @@ def cleared(xs, d: int) -> tuple[int, ...]:
 
 
 class RationalFunction:
-    """num/den as built, never reduced, with exact +, -, * and / (and + or -
+    """num/den as built, never reduced, with exact +, - and * (and + or -
     of a scalar).  Building one clears the denominators of its coefficients:
     num and den are both multiplied by their lcm, so they hold ints.
     Equality is by cross-multiplication, so two representations of one
@@ -162,15 +159,6 @@ class RationalFunction:
 
     def __mul__(self, other):
         return RationalFunction(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        assert other.num, "division by zero rational function"
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __call__(self, x: Fraction) -> Fraction:
-        d = self.den(x)
-        assert d != 0, f"pole at {x}"
-        return self.num(x) / d
 
     def __repr__(self):
         return f"RationalFunction({self.num!r}, {self.den!r})"

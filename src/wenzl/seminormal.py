@@ -59,12 +59,7 @@ def _swap_pair(t, k: int, d: int, q: int) -> tuple[int, int]:
     if d == 0:
         raise ValueError(f"equal adjacent contents at k={k} from shape "
                          f"{combinat.shape_before(t, k)}: parameters not generic")
-    return (q, d) if d > 0 else (-q, -d)
-
-
-def swap_a(t, k: int, d: int, q: int) -> Fraction:
-    """The swap coefficient of ``_swap_pair`` as a Fraction."""
-    return Fraction(*_swap_pair(t, k, d, q))
+    return _signed(q, d)
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +626,16 @@ def check_identities(ps: ParamSet, n: int) -> IdentityReport:
     walk, the recursion from W at the empty shape, from which Omega is
     read, then gives the closed form along every walk of fewer than n
     steps.  W at each shape is formed once per parameter set, in
-    ``ps.w_at``."""
+    ``ps.w_at``.
+
+    Each identity is stated in the form its coefficients are held, so no
+    rational function is evaluated or divided.  W(0) = 0 reads the constant
+    terms of W's closed form, and the partial fractions of W/y are
+    compared with W multiplied through by y.  The swap identities read the
+    coefficient a = 1/(c_{k+1} - c_k) as the int pair (a0, a1) of
+    ``_swap_pair``, which raises on equal contents: a is a unit when
+    a0^2 = a1^2, and 1 - a^2 is (a1^2 - a0^2)/a1^2.  ``content-swap``
+    checks that u's contents are t's swapped; u's coefficient is then -a."""
     counts: dict[str, int] = {}
     failures: list[str] = []
 
@@ -657,28 +661,30 @@ def check_identities(ps: ParamSet, n: int) -> IdentityReport:
             if not ld or not rd:
                 raise ZeroDivisionError(f"{name}: zero denominator at {ctx}")
             record(name, ln * rd == rn * ld, ctx)
-        # partial fractions of W(y)/y over the class: e_m / (y - c_m) is
-        # q e_m / (qy - C_m)
+        # W(0) = 0 on the constant terms: den(0) = 2 prod(-C) is nonzero,
+        # since a zero content has ended the class sums above
         w = params.wk_rational(mu, ps)
-        record("w-vanishes-at-zero", w(Fraction(0)) == 0, f"k={k}, prefix={tmu}")
+        record("w-vanishes-at-zero", (w.num.coeffs or (0,))[0] == 0, f"k={k}, prefix={tmu}")
+        # partial fractions of W(y)/y over the class, multiplied through by
+        # y: e_m / (y - c_m) is q e_m / (qy - C_m)
         parts = sum(params.RationalFunction(
             params.Poly.const(e[m] * q), params.Poly((-x, q))) for m, x in C.items())
-        record("w-partial-fractions", w / y == parts, f"k={k}, prefix={tmu}")
+        record("w-partial-fractions", w == y * parts, f"k={k}, prefix={tmu}")
         for nu, cn in C.items():
             for rho, cr in params.steps_out(nu, ps).C.items():
                 if rho == mu:
                     continue
                 t = tmu + (nu, rho)
-                a = swap_a(t, k, cr - cn, q)
+                # the swap coefficient a = a0 / a1, or the regime error
+                a0, a1 = _swap_pair(t, k, cr - cn, q)
                 u = combinat.sk_action(t, k)
                 if u is None:
-                    record("swap-degenerate-unit", a * a == 1, f"t={t}, k={k}")
+                    record("swap-degenerate-unit", a0 * a0 == a1 * a1, f"t={t}, k={k}")
                     continue
-                # u takes mu -> u[k - 1] -> rho
+                # u takes mu -> u[k - 1] -> rho; with t's contents swapped,
+                # u's difference is -(cr - cn), so its coefficient is -a
                 cu, cu_next = C[u[k - 1]], params.steps_out(u[k - 1], ps).C[rho]
-                ok = (cu_next == cn and cu == cr
-                      and swap_a(u, k, cu_next - cu, q) == -a)
-                record("content-swap", ok, f"t={t}, k={k}")
+                record("content-swap", cu_next == cn and cu == cr, f"t={t}, k={k}")
             if k > n - 2:
                 continue
             C_nu, e_nu = params.steps_out(nu, ps)
@@ -695,8 +701,11 @@ def check_identities(ps: ParamSet, n: int) -> IdentityReport:
                 if combinat.sk_action(uu, k + 1) != target:
                     continue
                 back = params.steps_out(target[k - 1], ps).C[mu]
-                lhs = (1 - swap_a(tt, k, cx - cn, q) ** 2) * e_nu[x]
-                rhs = (1 - swap_a(uu, k + 1, cn - back, q) ** 2) * e[target[k - 1]]
+                # 1 - a^2 for each swap coefficient a = a0 / a1
+                a0, a1 = _swap_pair(tt, k, cx - cn, q)
+                b0, b1 = _swap_pair(uu, k + 1, cn - back, q)
+                lhs = Fraction(a1 * a1 - a0 * a0, a1 * a1) * e_nu[x]
+                rhs = Fraction(b1 * b1 - b0 * b0, b1 * b1) * e[target[k - 1]]
                 record("square-root-matching", lhs == rhs,
                        f"t={tt}, u={uu}, k={k}")
     return IdentityReport(counts, failures)

@@ -173,16 +173,17 @@ def cellular_rank_report(ps: ParamSet, n: int) -> dict:
 
     Each element of a cell is A_a · M · B_b on the realization, its left
     word depending only on its left triple and its right word only on its
-    right triple, so the factors are read once per triple, as the element
-    (a, a), and the cell's middle M is evaluated once per cell, from the
-    realization's held prefixes.  X_a = A_a · M is taken one letter of A_a
-    at a time, on every block: the blocks where some X_a is nonzero are the
-    cell's support, which holds every element of the cell.  On the cell's
-    own block each X_a is u_a w^T (``_own_factors``), so the element (a, b)
-    is u_a v_b^T there, with v_b = w^T B_b taken one letter of B_b at a
-    time, and the cell's block rank is rank U times rank V.  The rank is
-    the sum of the block ranks once the supports admit an order (see the
-    module docstring)."""
+    right triple, so each triple's two words are read once from
+    ``cell_words``, and the cell's middle M is taken from one
+    ``cellular_element``, its first triple's with itself, and evaluated
+    once per cell from the realization's held prefixes.  X_a = A_a · M is
+    taken one letter of A_a at a time, on every block: the blocks where
+    some X_a is nonzero are the cell's support, which holds every element
+    of the cell.  On the cell's own block each X_a is u_a w^T
+    (``_own_factors``), so the element (a, b) is u_a v_b^T there, with
+    v_b = w^T B_b taken one letter of B_b at a time, and the cell's block
+    rank is rank U times rank V.  The rank is the sum of the block ranks
+    once the supports admit an order (see the module docstring)."""
     r = ps.r
     target = r ** n * combinat.double_factorial(2 * n - 1)
     real = Realization(seminormal.build_all(ps, n))
@@ -198,9 +199,10 @@ def cellular_rank_report(ps: ParamSet, n: int) -> dict:
                           "members": len(triples)})
             total += len(triples) ** 2
             names[shape] = name = f"cell (arcs={arcs}, shape={shape})"
-            diagonal = [cellular_element(ps, n, arcs, shape, a, a) for a in triples]
-            m = real.evaluate_product(diagonal[0].middle)
-            xs = [x.rows for x in real.words_times([cw.left_word for cw in diagonal], m)]
+            words = cell_words(r, n, arcs, shape)
+            first = triples[0]
+            m = real.evaluate_product(cellular_element(ps, n, arcs, shape, first, first).middle)
+            xs = [x.rows for x in real.words_times([words[a][0] for a in triples], m)]
             support = {real.shapes[block_of[i]] for x in xs for i, row in enumerate(x) if row}
             if shape not in support:
                 raise ValueError(f"own block outside the support of {name}")
@@ -208,7 +210,7 @@ def cellular_rank_report(ps: ParamSet, n: int) -> dict:
             start, end = real.ranges[real.shapes.index(shape)]
             us, w = _own_factors([x[start:end] for x in xs], name)
             vs = [v.rows[0] for v in real.times_words(
-                Evaluated([w], 1), [cw.right_word for cw in diagonal])]
+                Evaluated([w], 1), [words[a][1] for a in triples])]
             rank += _rank_from_vecs(us)["rank"] * _rank_from_vecs(vs)["rank"]
     try:
         graphlib.TopologicalSorter(after).prepare()

@@ -12,8 +12,11 @@ report, the Fraction-dict Hecke rewriting,
 the Fraction expansion at infinity, and the Fraction forms of the
 contraction coefficient, of the seminormal model (``build_rep_reference``),
 of W at a shape and of the class sums, that the int forms are checked
-against, the reference product of two Hecke elements and expansion of
-products into words, Hecke triangularity and
+against, the identity suite in Fraction forms (``identities_reference``: W
+evaluated at 0 and divided by y, each swap coefficient a Fraction), that
+the identities on the coefficients as held are checked against, the
+reference product of two Hecke elements and expansion of products into
+words, Hecke triangularity and
 symmetrizer witnesses, the semisimplicity boundary, cell indices and word
 helpers, the anti-involution of a cellular element, the view of one model's
 block of a realization, the whole cellular family as vectors that
@@ -890,7 +893,7 @@ def _orthonormal_entries_reference(ps: ParamSet, k: int, idx: dict, contents: di
                         S_off[idx[tt], idx[s]] = (1 if denom > 0 else -1,
                                                   sq * q * q / denom ** 2)
         else:
-            a = seminormal.swap_a(t, k, contents[t][k] - contents[t][k - 1], q)
+            a = swap_a(t, k, contents[t][k] - contents[t][k - 1], q)
             S_diag[i] = a
             partner = sk_action_reference(t, k)
             if partner is None:
@@ -1000,6 +1003,89 @@ def class_sums_reference(c: dict, e: dict):
                        _defined(lambda: sum(e[m] / ((cs + c[m]) * (c[m] + c[tp]))
                                             for m in c)),
                        _defined(lambda: HALF / (cs * c[tp])))
+
+
+def poly_value(p: Poly, x: Fraction) -> Fraction:
+    """p(x), by Horner's rule in Fractions."""
+    out = Fraction(0)
+    for c in reversed(p.coeffs):
+        out = out * x + c
+    return out
+
+
+def swap_a(t: Tableau, k: int, d: int, q: int) -> Fraction:
+    """The swap coefficient of ``seminormal._swap_pair`` as a Fraction."""
+    return Fraction(*seminormal._swap_pair(t, k, d, q))
+
+
+def identities_reference(ps: ParamSet, n: int) -> seminormal.IdentityReport:
+    """The reference for ``seminormal.check_identities``: the same windows
+    in the same order, with W evaluated at 0 (a pole raises
+    ZeroDivisionError) and divided by y, and each swap coefficient a
+    Fraction (``swap_a``): a unit is a^2 = 1, ``content-swap`` also asks
+    u's coefficient to be -a, and 1 - a^2 is formed in Fractions."""
+    counts: dict[str, int] = {}
+    failures: list[str] = []
+
+    def record(name: str, ok: bool, ctx: str = ""):
+        counts[name] = counts.get(name, 0) + 1
+        if not ok:
+            failures.append(f"{name}: {ctx}")
+
+    q = ps.q
+    y = RationalFunction(Poly((0, 1)))
+    for mu in (lam for size in range(n - 1) for lam in combinat.multipartitions(ps.r, size)):
+        tmu = combinat.t_lambda(mu)
+        k = len(tmu) + 1
+        C, e = params.steps_out(mu, ps)
+        for nu, cn in C.items():
+            record("w-recursion", params.wk_rational(nu, ps)
+                   == params.wk_recursive_rational(mu, Fraction(cn, q), ps),
+                   f"k={k + 1}, prefix={tmu + (nu,)}")
+        for name, s, tp, (ln, ld), (rn, rd) in seminormal.class_sums(C, e, q):
+            ctx = (f"s={tmu + (s, mu)}, "
+                   + (f"t'={tmu + (tp, mu)}, " if tp is not None else "") + f"k={k}")
+            if not ld or not rd:
+                raise ZeroDivisionError(f"{name}: zero denominator at {ctx}")
+            record(name, ln * rd == rn * ld, ctx)
+        w = params.wk_rational(mu, ps)
+        at_zero = poly_value(w.num, Fraction(0)) / poly_value(w.den, Fraction(0))
+        record("w-vanishes-at-zero", at_zero == 0, f"k={k}, prefix={tmu}")
+        parts = sum(RationalFunction(Poly.const(e[m] * q), Poly((-x, q))) for m, x in C.items())
+        record("w-partial-fractions", RationalFunction(w.num, w.den * y.num) == parts,
+               f"k={k}, prefix={tmu}")
+        for nu, cn in C.items():
+            for rho, cr in params.steps_out(nu, ps).C.items():
+                if rho == mu:
+                    continue
+                t = tmu + (nu, rho)
+                a = swap_a(t, k, cr - cn, q)
+                u = combinat.sk_action(t, k)
+                if u is None:
+                    record("swap-degenerate-unit", a * a == 1, f"t={t}, k={k}")
+                    continue
+                cu, cu_next = C[u[k - 1]], params.steps_out(u[k - 1], ps).C[rho]
+                ok = (cu_next == cn and cu == cr
+                      and swap_a(u, k, cu_next - cu, q) == -a)
+                record("content-swap", ok, f"t={t}, k={k}")
+            if k > n - 2:
+                continue
+            C_nu, e_nu = params.steps_out(nu, ps)
+            record("contraction-inverse", e[nu] * e_nu[mu] == 1,
+                   f"t={tmu + (nu, mu, nu)}, k={k}")
+            for x, cx in C_nu.items():
+                tt = tmu + (nu, x, nu)
+                target = combinat.sk_action(tt, k) if x != mu else None
+                if target is None:
+                    continue
+                uu = tmu + (target[k - 1], mu, nu)
+                if combinat.sk_action(uu, k + 1) != target:
+                    continue
+                back = params.steps_out(target[k - 1], ps).C[mu]
+                lhs = (1 - swap_a(tt, k, cx - cn, q) ** 2) * e_nu[x]
+                rhs = (1 - swap_a(uu, k + 1, cn - back, q) ** 2) * e[target[k - 1]]
+                record("square-root-matching", lhs == rhs, f"t={tt}, u={uu}, k={k}")
+    return seminormal.IdentityReport(counts, failures)
 
 
 def key_word(key: hecke.Key) -> Word:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -577,8 +578,9 @@ def test_reports_match_golden_digests(tmp_path):
         assert got == digest, argv
 
 
-def test_reports_match_golden_digests_without_asserts(tmp_path):
-    # python -O strips assert statements: no verdict may rest on one
+def _golden_digests_without_asserts(python, tmp_path):
+    """Run a subset of the goldens under ``python -O``, with the package
+    on PYTHONPATH, and compare their digests."""
     src = str(Path(wenzl.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     out = tmp_path / "out.jsonl"
@@ -586,8 +588,40 @@ def test_reports_match_golden_digests_without_asserts(tmp_path):
                  "gram --shape (2|1|-)", "gram --shape (1|1|-) --u 21/2,-11/2,5/2",
                  "verify --u 37/2,-11/3 --n 3", "verify --u 1/3 --n 4"):
         proc = subprocess.run(
-            [sys.executable, "-O", "-m", "wenzl.cli", *argv.split(), "--out", str(out)],
+            [python, "-O", "-m", "wenzl.cli", *argv.split(), "--out", str(out)],
             env=env, capture_output=True, text=True)
-        assert proc.stderr == "", argv
+        assert proc.stderr == "", (python, argv)
         got = hashlib.sha256(f"{proc.returncode}\n".encode() + out.read_bytes()).hexdigest()
-        assert got == GOLDEN_REPORTS[argv], argv
+        assert got == GOLDEN_REPORTS[argv], (python, argv)
+
+
+def _other_pythons() -> list[str]:
+    """Each CPython 3.10 or later on PATH by its versioned name
+    (python3.10, python3.11, ...), other than the one running the tests,
+    that starts and reports that version."""
+    found = []
+    for minor in range(10, 20):
+        exe = shutil.which(f"python3.{minor}")
+        if exe is None or (3, minor) == sys.version_info[:2]:
+            continue
+        probe = subprocess.run(
+            [exe, "-c", "import sys; print(sys.implementation.name, *sys.version_info[:2])"],
+            capture_output=True, text=True)
+        if probe.returncode == 0 and probe.stdout.split() == ["cpython", "3", str(minor)]:
+            found.append(exe)
+    return found
+
+
+def test_reports_match_golden_digests_without_asserts(tmp_path):
+    # python -O strips assert statements: no verdict may rest on one
+    _golden_digests_without_asserts(sys.executable, tmp_path)
+
+
+def test_reports_match_golden_digests_without_asserts_on_other_pythons(tmp_path):
+    # pyproject.toml promises Python 3.10 or later: the same bytes under
+    # every other such CPython found
+    pythons = _other_pythons()
+    if not pythons:
+        pytest.skip("no other CPython 3.10 or later on PATH")
+    for python in pythons:
+        _golden_digests_without_asserts(python, tmp_path)

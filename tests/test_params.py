@@ -30,10 +30,10 @@ def test_parse_format_fraction():
 
 
 def test_poly_arithmetic():
-    p = Poly.y_plus(-2) * Poly.y_plus(3)      # (y - 2)(y + 3)
-    assert p(F(2)) == 0 and p(F(-3)) == 0 and p(F(0)) == -6
+    p = Poly.y_plus(-2) * Poly.y_plus(3)      # (y - 2)(y + 3) = y^2 + y - 6
+    assert p == Poly((-6, 1, 1))
     assert p.degree == 2
-    assert (p * F(1, 2))(F(0)) == -3
+    assert p * F(1, 2) == Poly((-3, F(1, 2), F(1, 2)))
 
 
 def test_rational_function_reduction():
@@ -42,13 +42,10 @@ def test_rational_function_reduction():
     a = RationalFunction(num, Poly.y_plus(-1))
     assert a.num == num and a.den == Poly.y_plus(-1)
     assert a == RationalFunction(Poly.y_plus(1))
-    assert a(F(5)) == 6
-    c = RationalFunction(Poly.const(3)) / RationalFunction(Poly.const(6))
+    c = RationalFunction(Poly.const(3), Poly.const(6))
     assert c == RationalFunction.const(F(1, 2))
-    assert c(F(7)) == F(1, 2)
     b = RationalFunction(Poly.y_plus(2) * F(3), Poly.y_plus(-3) * F(3))
     assert b == RationalFunction(Poly.y_plus(2), Poly.y_plus(-3))
-    assert b(F(4)) == 6 and b(F(-2)) == 0
     assert b != RationalFunction(Poly.y_plus(3), Poly.y_plus(-3))
     assert a - RationalFunction(Poly.y_plus(1)) == RationalFunction(Poly())
 
@@ -273,7 +270,8 @@ def test_wk_rational_at_colliding_shape():
             assert direct == ref
             c = combinat.content_sequence(t, ps.u)[0]
             assert direct == params.wk_recursive_rational(combinat.empty_mp(1), c, ps)
-            assert direct(F(0)) == 0
+            # W(0) = 0: the constant term of num vanishes, that of den not
+            assert direct.num.coeffs[0] == 0 != direct.den.coeffs[0]
             assert params.omega_k_values(lam, ps, 4) == params.series_of_rational(ref, 4)
 
 
@@ -320,7 +318,6 @@ def test_rational_function_clears_denominators():
     assert rf.num == Poly((70, 105)) and rf.den == Poly((-30, 84))
     assert rf == RationalFunction(Poly((70, 105)), Poly((-30, 84)))
     assert rf == RationalFunction(num * 6, den * 6)
-    assert rf(F(1)) == F(175, 54) == num(F(1)) / den(F(1))
     assert params.series_of_rational(rf, 2) == params.series_of_rational(
         RationalFunction(Poly((70, 105)), Poly((-30, 84))), 2)
 

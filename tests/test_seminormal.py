@@ -10,8 +10,8 @@ from support import (
     as_fractions, blocks_as_fractions, branching_blocks, build_rep_reference,
     addable_removable, check_module, class_sums_reference, cleared,
     e_diag_reference, filled_step_tables, fraction_generators, from_dense,
-    k_neighbors, module_contraction_free, module_fixtures, module_nonsplit,
-    module_rank_one, module_realization, root_sets, seeded_u,
+    identities_reference, k_neighbors, module_contraction_free, module_fixtures,
+    module_nonsplit, module_rank_one, module_realization, root_sets, seeded_u,
 )
 from wenzl import _linalg, combinat, params, seminormal
 from wenzl.cli import main
@@ -358,10 +358,41 @@ def _failed_families(report):
     return {ctx.split(":")[0] for ctx in report.failures}
 
 
-def test_identity_suite_fails_on_wrong_contraction_coefficients(monkeypatch):
+def _wrong_contraction_coefficients(monkeypatch):
     # e + 1 for e: twice e would scale both sides of square-root-matching
     e_diag = params.e_diag
     monkeypatch.setattr(params, "e_diag", lambda *args: e_diag(*args) + 1)
+
+
+def _wrong_closed_form(monkeypatch):
+    # W + 1 at every shape but the empty one, from which Omega is read
+    w_at_shape = params._w_at_shape
+
+    def perturbed(shape, *args):
+        w = w_at_shape(shape, *args)
+        return w + 1 if any(shape) else w
+
+    monkeypatch.setattr(params, "_w_at_shape", perturbed)
+
+
+def _content_shifted_by_q(monkeypatch):
+    # c + 1 for the content of the step ((1,), (1,)) -> ((2,), (1,)), read
+    # at (2, 3) only as the second step of a swap window and in W there; a
+    # step out of a smaller shape meets equal contents or a zero class sum
+    steps_out = params.steps_out
+
+    def shifted(mu, ps):
+        st = steps_out(mu, ps)
+        if mu != ((1,), (1,)):
+            return st
+        nu = ((2,), (1,))
+        return params.Steps({**st.C, nu: st.C[nu] + ps.q}, st.e)
+
+    monkeypatch.setattr(params, "steps_out", shifted)
+
+
+def test_identity_suite_fails_on_wrong_contraction_coefficients(monkeypatch):
+    _wrong_contraction_coefficients(monkeypatch)
     report = check_identities(ParamSet.default(2, 3), 3)
     failed = _failed_families(report)
     assert {"class-sum-linear", "class-sum-quadratic", "class-sum-cross",
@@ -372,16 +403,47 @@ def test_identity_suite_fails_on_wrong_contraction_coefficients(monkeypatch):
 
 
 def test_identity_suite_fails_on_wrong_closed_form(monkeypatch):
-    # W + 1 at every shape but the empty one, from which Omega is read
-    w_at_shape = params._w_at_shape
-
-    def perturbed(shape, *args):
-        w = w_at_shape(shape, *args)
-        return w + 1 if any(shape) else w
-
-    monkeypatch.setattr(params, "_w_at_shape", perturbed)
+    _wrong_closed_form(monkeypatch)
     report = check_identities(ParamSet.default(2, 3), 3)
     assert "w-recursion" in _failed_families(report)
+
+
+def test_identity_suite_fails_on_a_content_shifted_by_q(monkeypatch):
+    _content_shifted_by_q(monkeypatch)
+    report = check_identities(ParamSet.default(2, 3), 3)
+    assert _failed_families(report) == {"content-swap", "swap-degenerate-unit", "w-recursion"}
+
+
+@pytest.mark.parametrize("mutate", [_wrong_contraction_coefficients, _wrong_closed_form,
+                                    _content_shifted_by_q])
+def test_mutated_tables_fail_as_the_fraction_reference_does(mutate, monkeypatch):
+    # the identities on the coefficients as held flag the same windows as
+    # the Fraction forms: W evaluated at 0 and divided by y, and each swap
+    # coefficient a Fraction
+    mutate(monkeypatch)
+    ps = ParamSet.default(2, 3)
+    report, want = check_identities(ps, 3), identities_reference(ps, 3)
+    assert report.failures and report.failures == want.failures
+    assert report.counts == want.counts
+
+
+@pytest.mark.parametrize("r,n", [(2, 2), (1, 3), (2, 3), (3, 3), (1, 4)])
+def test_identity_suite_equals_the_fraction_reference(r, n):
+    # every root set of support.root_sets: the same checked counts and
+    # failures; and roots with a zero content, or with equal adjacent
+    # contents, end both in the same error
+    degenerate = {1: [(0,), (F(-1, 2),)], 2: [(0, 2), (3, 3), (5, 3)], 3: [(3, 3, 1)]}
+    for u in root_sets("identities", r) + degenerate[r]:
+        ps = ParamSet.from_u(u, n)
+        try:
+            want = identities_reference(ps, n)
+        except (ValueError, ZeroDivisionError) as e:
+            with pytest.raises(type(e)) as got:
+                check_identities(ps, n)
+            assert str(got.value) == str(e), u
+            continue
+        report = check_identities(ps, n)
+        assert (report.counts, report.failures) == (want.counts, want.failures), u
 
 
 def test_closed_form_w_taken_once_per_shape(monkeypatch):
