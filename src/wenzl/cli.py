@@ -4,10 +4,10 @@ Five subcommands: counts, verify, gram, cellrank, omega.  Each takes the
 strand count n and the roots u (r is their number); everything a job checks
 follows from (r, u, n), and ``--out`` only redirects the report.  Output is
 one JSON record per checked instance plus a summary record, each embedding
-the fully resolved parameter set; identical inputs produce byte-identical
-output.  Exit status: 0 all checks pass, 1 any failure, 2 usage errors.
-Parameters outside the supported regime end in one ``error`` record and
-exit 1.
+the parameter set as its roots (``ps``: r, u and a fixed
+``precision_bits``); identical inputs produce byte-identical output.  Exit
+status: 0 all checks pass, 1 any failure, 2 usage errors.  Parameters
+outside the supported regime end in one ``error`` record and exit 1.
 
 Every verdict is exact: ``verify`` passes a relation record only when every
 residual is exactly 0 on the rational seminormal model (its ``tolerance`` is
@@ -26,7 +26,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import combinat, hecke, seminormal, wcell
+from . import combinat, hecke, params, seminormal, wcell
 from .params import ParamSet, check_admissible, format_fraction, parse_fraction
 
 
@@ -241,7 +241,7 @@ def cmd_cellrank(ps: ParamSet, args) -> tuple[list[dict], dict, bool]:
 
 
 def cmd_omega(ps: ParamSet, args) -> tuple[list[dict], dict, bool]:
-    values = ps.omega[:args.order + 1]
+    values = params.omega_k_values(combinat.empty_mp(ps.r), ps, args.order)
     ok, bad = check_admissible(values)
     records = [{"kind": "omega", "a": a, "value": format_fraction(w)}
                for a, w in enumerate(values)]
@@ -261,8 +261,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _PARSER.parse_args(_join_dash_values(argv))
     _resolve(args)
-    # omega reports scalars up to --order, so it stores at least that many
-    ps = ParamSet.from_u(args.u, n_hint=args.n, min_N=getattr(args, "order", 0))
+    ps = ParamSet.from_u(args.u)
     try:
         records, summary, ok = COMMANDS[args.command](ps, args)
         records.append({"kind": "summary", "command": args.command, **summary, "pass": ok})

@@ -1,12 +1,12 @@
 """Parameter sets, the steps out of a shape, and the exact generating
 functions W at a shape.
 
-A parameter set holds, per shape met, the steps out of it with their
-contents as ints over one denominator and their contraction coefficients
-(``steps_out``, the only writer of that table, which reads the root-free
-steps of ``combinat.steps_from``), and W there; ``contents`` walks a
-tableau through the table.  ``ParamSet.from_u`` holds the last
-parameter set it built.
+A parameter set is its roots u.  It holds, per shape met, the steps out
+of it with their contents as ints over one denominator and their
+contraction coefficients (``steps_out``, the only writer of that table,
+which reads the root-free steps of ``combinat.steps_from``), and W there;
+``contents`` walks a tableau through the table.  ``ParamSet.from_u`` holds
+the last parameter set it built.
 Everything here is exact rational arithmetic: dense polynomials in y, and
 rational functions num/den whose denominators are cleared when they are
 built, so num and den are polynomials over Z (Python ints) and their
@@ -15,9 +15,10 @@ equality is by cross-multiplication.  Rational functions are built, added,
 multiplied, compared and expanded at infinity, never evaluated or
 divided: an identity about W is stated on its coefficients, or multiplied
 through by its denominator.  The scalars are coefficients of one
-expansion at y = infinity: Omega is that of W at the empty shape, and the
-tower scalars omega_k^(a) that of W at the shape before step k; the
-expansion runs on ints, and they are returned as Fractions.
+expansion at y = infinity (``omega_k_values``): Omega is that of W at the
+empty shape, read there by each use to the length it needs, and the tower
+scalars omega_k^(a) that of W at the shape before step k; the expansion
+runs on ints, and they are returned as Fractions.
 """
 
 from __future__ import annotations
@@ -220,44 +221,36 @@ def cyclotomic_coeffs(u) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class ParamSet:
-    """Parameters (r, u) with the derived admissible sequence Omega.
+    """The parameter set fixed by the roots u; r is their number.
 
-    ``omega[a]`` is exact for 0 <= a <= N.  ``from_u`` sizes N from r and
-    the strand count n.  No check on n strands reads Omega beyond index
-    r + 2 (the tower scalars come from the closed form of W), so N stays
-    for the ``omega`` command and the reports.  ``mode`` records whether
-    Omega was derived from u; a parameter set constructed directly with
-    an Omega of its own names another mode.
+    Omega is u-admissible: it is no field, but read where it is used, as the
+    expansion at infinity of W at the empty shape (``omega_k_values``).
 
-    Three tables hold what depends only on the parameter set, so that each
-    value is formed once: ``steps`` the steps out of each shape met
-    (``steps_out``), ``w_at`` W at each shape met (``wk_rational``), and
-    ``murphy`` the Murphy basis on n strands by n (``hecke.murphy_basis``);
-    ``from_u`` stores W at the empty shape, from which it reads Omega.
-    They are no constructor arguments, and neither equality, the hash nor
-    ``as_json`` reads them.  ``from_u`` holds the last parameter set it
-    built, so the jobs of a batch at one (u, N) share its tables; one
-    constructed directly is never held.
+    Three tables hold what depends only on the roots, so that each value is
+    formed once: ``steps`` the steps out of each shape met (``steps_out``),
+    ``w_at`` W at each shape met (``wk_rational``), and ``murphy`` the
+    Murphy basis on n strands by n (``hecke.murphy_basis``).  They are no
+    constructor arguments, and neither equality, the hash nor ``as_json``
+    reads them.  ``from_u`` holds the last parameter set it built, so the
+    jobs of a batch at one u share its tables; one constructed directly is
+    never held.
     """
 
-    r: int
     u: tuple[Fraction, ...]
-    omega: tuple[Fraction, ...]
-    N: int
-    mode: str = "u-admissible-derived"
     w_at: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     steps: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     murphy: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
-    def from_u(cls, u, n_hint: int = 4, min_N: int = 0) -> "ParamSet":
-        """Omega from the roots u: the coefficients of y^0 .. y^-N at infinity
-        of W at the empty shape, with N the larger of 2r + 4 max(n_hint, 1)
-        and min_N.  The parameter set is held: an equal (u, N), however its
-        roots are written, returns the same instance until another (u, N)
-        replaces it."""
-        u = tuple(parse_fraction(x) for x in u)
-        return _param_set(u, max(2 * len(u) + 4 * max(n_hint, 1), min_N))
+    def from_u(cls, u) -> "ParamSet":
+        """The parameter set of the roots u, held: equal roots, however they
+        are written, return the same instance until other roots replace
+        it."""
+        return _param_set(tuple(parse_fraction(x) for x in u))
+
+    @property
+    def r(self) -> int:
+        return len(self.u)
 
     @functools.cached_property
     def q(self) -> int:
@@ -267,32 +260,20 @@ class ParamSet:
 
     @classmethod
     def default(cls, r: int, n: int) -> "ParamSet":
-        return cls.from_u(combinat.default_u(r, n), n)
+        return cls.from_u(combinat.default_u(r, n))
 
     def as_json(self) -> dict:
         return {
             "r": self.r,
             "u": [format_fraction(x) for x in self.u],
-            "omega": [format_fraction(w) for w in self.omega],
-            "N": self.N,
             # fixed: no computation reads it, but perfbench/checks.py does
             "precision_bits": 256,
-            "mode": self.mode,
         }
 
 
-@functools.lru_cache(maxsize=1)
-def _param_set(u: tuple[Fraction, ...], N: int) -> ParamSet:
-    """The parameter set of ``from_u``, held for the next call with an equal
-    (u, N).  One entry: a long batch stays flat in memory."""
-    empty = combinat.empty_mp(len(u))
-    # the steps out of the empty shape add the nodes (1, 1, s), whose
-    # contents are the roots
-    q = clearing(u)
-    w1 = _w_at_shape(empty, cleared(u, q), q)
-    ps = ParamSet(len(u), u, tuple(series_of_rational(w1, N)), N)
-    ps.w_at[empty] = w1
-    return ps
+# the parameter set of ``from_u``, held for the next call with equal roots;
+# one entry, so a long batch stays flat in memory
+_param_set = functools.lru_cache(maxsize=1)(ParamSet)
 
 
 # ---------------------------------------------------------------------------

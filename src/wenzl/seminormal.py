@@ -445,15 +445,18 @@ def relations(ps: ParamSet, n: int):
     """The defining relations at n strands as (family, lhs, rhs), each side
     a word sum: Nazarov's affine Wenzl relations in S_i, E_i and X_j (the
     commutations with |i - j| > 1 in both orders), unwrapping
-    E_1 X_1^a E_1 = omega_a E_1 for 0 <= a <= min(N, r + 2), and the
-    cyclotomic relation sum_k c_k X_1^k = 0, c from ``cyclotomic_coeffs``."""
+    E_1 X_1^a E_1 = omega_a E_1 for 0 <= a <= r + 2, Omega read off W at
+    the empty shape, and the cyclotomic relation sum_k c_k X_1^k = 0, c
+    from ``cyclotomic_coeffs``."""
     def w(*words):
         return tuple((Fraction(1), word) for word in words)
+
+    omega = params.omega_k_values(combinat.empty_mp(ps.r), ps, ps.r + 2)
 
     for i in range(1, n):
         s, e, x, x1 = ("S", i), ("E", i), ("X", i, 1), ("X", i + 1, 1)
         yield "involution", w((s, s)), w(())
-        yield "contraction-scalar", w((e, e)), ((ps.omega[0], (e,)),)
+        yield "contraction-scalar", w((e, e)), ((omega[0], (e,)),)
         yield "tangle", w((e, s)), w((e,))
         yield "tangle", w((s, e)), w((e,))
         yield "skein", w((s, x), ()), w((x1, s), (e,))
@@ -478,8 +481,8 @@ def relations(ps: ParamSet, n: int):
         yield "commutation", w((xa, xb)), w((xb, xa))
     if n >= 2:
         e = ("E", 1)
-        for a in range(min(ps.N, ps.r + 2) + 1):
-            yield "unwrapping", w((e, ("X", 1, a), e)), ((ps.omega[a], (e,)),)
+        for a, omega_a in enumerate(omega):
+            yield "unwrapping", w((e, ("X", 1, a), e)), ((omega_a, (e,)),)
     if ps.u and n >= 1:
         yield "cyclotomic", tuple((c, (("X", 1, k),)) for k, c in
                                   enumerate(params.cyclotomic_coeffs(ps.u)) if c), ()

@@ -63,6 +63,12 @@ def schur_q(a: int, x) -> Fraction:
     return coeffs[a]
 
 
+def derived_omega(ps: ParamSet, A: int) -> list[Fraction]:
+    """Omega_0, ..., Omega_A of ps, read off W at the empty shape as every
+    use in ``src`` reads it."""
+    return params.omega_k_values(combinat.empty_mp(ps.r), ps, A)
+
+
 def omega_from_u(u, a: int) -> Fraction:
     """omega_a = q_{a+1}(u) - (1/2)(-1)^r q_a(u) + (1/2) delta_{a0}, r = len(u)."""
     sign = -1 if len(u) % 2 else 1
@@ -93,9 +99,9 @@ def omega_residue_form(v, a: int) -> Fraction:
 
 
 def nilpotent_example_omega(A: int) -> list[Fraction]:
-    """omega_a = (1/4)^a (1 - a): an admissible sequence that no pair of
-    distinct roots derives; its algebra admits a module on which X_1 - 1/4
-    is nonzero nilpotent."""
+    """omega_a = (1/4)^a (1 - a): the admissible sequence that the equal
+    roots (1/4, 1/4) derive, and no pair of distinct roots; its algebra
+    admits a module on which X_1 - 1/4 is nonzero nilpotent."""
     q = Fraction(1, 4)
     return [q ** a * (1 - a) for a in range(A + 1)]
 
@@ -468,13 +474,15 @@ def fraction_inverse(a) -> list[dict]:
 def _relation_residuals(S, E, X, ps: ParamSet, d: int) -> dict:
     """Exact max-abs residual of every defining relation family for d x d
     matrices S_1..S_{n-1}, E_1..E_{n-1}, X_1..X_n, given as ``_linalg``
-    sparse rows.  Unwrapping is checked for X_1^a, 0 <= a <= min(N, r + 2)."""
+    sparse rows.  Unwrapping is checked for X_1^a, 0 <= a <= r + 2, Omega
+    derived from the roots."""
     n = len(X)
     assert len(S) == len(E) == max(n - 1, 0)
     mul, add, sub = _linalg.mat_mul, _linalg.mat_add, _linalg.mat_sub
     scale = _linalg.mat_scale
     I = _linalg.identity(d)
     res: dict = {name: Fraction(0) for name in RELATION_FAMILIES}
+    omega = derived_omega(ps, ps.r + 2)
 
     def upd(name, M):
         res[name] = max(res[name], _linalg.max_abs(M))
@@ -482,7 +490,7 @@ def _relation_residuals(S, E, X, ps: ParamSet, d: int) -> dict:
     for i in range(1, n):
         Si, Ei = S[i - 1], E[i - 1]
         upd("involution", sub(mul(Si, Si), I))
-        upd("contraction-scalar", sub(mul(Ei, Ei), scale(Ei, ps.omega[0])))
+        upd("contraction-scalar", sub(mul(Ei, Ei), scale(Ei, omega[0])))
         upd("tangle", sub(mul(Ei, Si), Ei))
         upd("tangle", sub(mul(Si, Ei), Ei))
         rhs = sub(Ei, I)
@@ -515,8 +523,8 @@ def _relation_residuals(S, E, X, ps: ParamSet, d: int) -> dict:
     if n >= 2:
         E1, X1 = E[0], X[0]
         P = I
-        for a in range(min(ps.N, ps.r + 2) + 1):
-            upd("unwrapping", sub(mul(mul(E1, P), E1), scale(E1, ps.omega[a])))
+        for omega_a in omega:
+            upd("unwrapping", sub(mul(mul(E1, P), E1), scale(E1, omega_a)))
             P = mul(P, X1)
     if ps.u and n >= 1:
         P = I
@@ -537,14 +545,14 @@ def module_rank_one(u1=Fraction(2), sign: int = 1) -> ModuleFixture:
     swap by +-1, and the second eigenvalue sits one step away."""
     assert sign in (1, -1)
     u1 = Fraction(u1)
-    ps = ParamSet.from_u((u1,), n_hint=2)
+    ps = ParamSet.from_u((u1,))
     return _fixture([[sign]], [[0]], [[u1]], [[u1 + sign]], ps)
 
 
 def module_contraction_free() -> ModuleFixture:
     """Two-dimensional module at r = 2, u = (3, 1), with E = 0: the skein
     relation alone forces the off-diagonal swap."""
-    ps = ParamSet.from_u((3, 1), n_hint=2)
+    ps = ParamSet.from_u((3, 1))
     F = Fraction
     S = [[F(-1, 2), F(3, 2)], [F(1, 2), F(1, 2)]]
     E = [[F(0), F(0)], [F(0), F(0)]]
@@ -556,10 +564,10 @@ def module_contraction_free() -> ModuleFixture:
 def module_nonsplit() -> ModuleFixture:
     """Two-dimensional module at r = 2 with equal roots u = (1/4, 1/4):
     X_1 - 1/4 is nonzero nilpotent, so X_1 is not semisimple, yet every
-    relation holds exactly for the matching admissible sequence."""
+    relation holds exactly for the sequence those roots derive
+    (``nilpotent_example_omega``)."""
     q = Fraction(1, 4)
-    omega = nilpotent_example_omega(6)
-    ps = ParamSet(2, (q, q), tuple(omega), len(omega) - 1, "user-supplied")
+    ps = ParamSet.from_u((q, q))
     F = Fraction
     S = [[F(1), F(0)], [F(0), F(-1)]]
     E = [[F(1), F(0)], [F(0), F(0)]]
@@ -571,12 +579,12 @@ def module_nonsplit() -> ModuleFixture:
 def module_residue_family(v) -> ModuleFixture:
     """The d-dimensional two-strand module with X_1 = diag(v), X_2 = -X_1,
     contraction columns proportional to the residue coefficients, and the
-    swap determined by the skein relation."""
+    swap determined by the skein relation; the roots v derive its Omega,
+    ``omega_residue_form``."""
     v = [Fraction(x) for x in v]
     d = len(v)
     g = ene0_gammas(v)
-    omega = [omega_residue_form(v, a) for a in range(d + 3)]
-    ps = ParamSet(d, tuple(v), tuple(omega), len(omega) - 1, "user-supplied")
+    ps = ParamSet.from_u(v)
     E = [[g[j] for j in range(d)] for _ in range(d)]
     S = [[(g[j] - 1) / (2 * v[j]) if i == j else g[j] / (v[i] + v[j])
           for j in range(d)] for i in range(d)]
@@ -1194,7 +1202,7 @@ def hecke_pairing_residual(ps: ParamSet, n: int, arcs: int, shape: Multipartitio
             evaluated[a, b] = block(real, ev, blk)
     gram = hecke.gram_matrix(hecke.murphy_basis(ps, m), shape)
     worst = Fraction(0)
-    scale = ps.omega[0] ** arcs
+    scale = derived_omega(ps, 0)[0] ** arcs
     for s in tabs:
         for i, t in enumerate(tabs):
             for j, v in enumerate(tabs):

@@ -153,10 +153,9 @@ def test_criterion_10_semisimplicity_boundary():
     for n in (1, 2, 3):
         for d in range(0, n + 3):
             for sd in (d, -d):
-                ps = ParamSet.from_u((F(0), F(sd)), n_hint=max(n, 1))
+                ps = ParamSet.from_u((F(0), F(sd)))
                 ok &= support.is_semisimple(ps, n) == (d >= n)
-        ok &= support.is_semisimple(ParamSet.from_u((F(0), F(1, 2)),
-                                                    n_hint=max(n, 1)), n)
+        ok &= support.is_semisimple(ParamSet.from_u((F(0), F(1, 2))), n)
     # the symmetrizer witness: m^2 = n! prod_{d<n, t>=2} (u_1 + d - u_t) m
     for r in (1, 2):
         for n in (1, 2, 3):
@@ -168,10 +167,10 @@ def test_criterion_10_semisimplicity_boundary():
                     want *= ps.u[0] + d - ps.u[t]
             ok &= sym_ok and scalar == want and scalar != 0
     frozen, sym_ok = support.row_symmetrizer_witness(
-        ParamSet.from_u((F(6), F(-2)), n_hint=3), 3)
+        ParamSet.from_u((F(6), F(-2))), 3)
     ok &= sym_ok and frozen == 4320
     zero, sym_ok = support.row_symmetrizer_witness(
-        ParamSet.from_u((F(0), F(1)), n_hint=2), 2)
+        ParamSet.from_u((F(0), F(1))), 2)
     ok &= sym_ok and zero == 0
     report(10, ok, "semisimplicity flips exactly at gap n; symmetrizer "
                    "squares to the predicted scalar, and to 0 under an "

@@ -310,6 +310,18 @@ def test_config_file_overrides_flags(tmp_path):
     assert ps["precision_bits"] == 256
 
 
+def test_every_record_carries_the_roots_alone(tmp_path):
+    # a parameter set is its roots: every record of every command, an error
+    # record too, has ps = {precision_bits, r, u}
+    for argv in (["counts", "--n", "2"], ["verify", "--n", "2"], ["gram", "--shape", "(1|1)"],
+                 ["cellrank", "--n", "2"], ["omega", "--order", "12"],
+                 ["verify", "--u", "1,1", "--n", "2"]):
+        rc, records = run(argv, tmp_path)
+        assert records[-1]["kind"] == ("error" if "1,1" in argv else "summary"), argv
+        for rec in records:
+            assert set(rec["ps"]) == {"precision_bits", "r", "u"}, (argv, rec["kind"])
+
+
 def test_byte_identical_reruns(tmp_path):
     for args in (["counts", "--r", "1", "--n", "2"],
                  ["verify", "--r", "1", "--n", "2"],
@@ -471,102 +483,102 @@ def test_out_naming_a_directory_or_nothing_is_a_usage_error(tmp_path):
 # w-recursion record per lattice edge out of a shape of size <= n - 2.
 GOLDEN_REPORTS = {
     "verify --r 2 --n 3":
-        "cd0832c4b2b7e1dbd1bb377757cf92ca5e0a741102714a396581ccc6de13f310",
+        "011012278bb66b6e00aa66cbe6e3fcc0605e3942bfc28f2dc8ae4089a26f3164",
     "verify --r 3 --n 3 --u 120,-72,24":
-        "a94badca0b0f50cb88b910feab1b9ec6d0ae1d58f212967d2bc61f07c63e1339",
+        "50ae409f0f848d23efadf1eeb6e6471852bb273d03c9ed1887425fb68be8af13",
     # n = 4: the contraction-inverse and matching windows out of nonempty shapes
     "verify --r 1 --n 4":
-        "78c2ae22ba467019697d52c7d26264e3caa1b80b2b717aed150fe4e8ad471603",
+        "5f7b66ff93806030c038d165b4548b58ca7a0b5a3a0ffde618ef1ee07a3ef0e1",
     "verify --r 2 --n 4":
-        "dbc868b7da5270c9aa9bba75c4a848641c115fc87abe5047228bf26ffac64470",
+        "f3b55ad4892d4518c8c194ba367d7e5a317e31faaa40c9c76eaf28e88439dac5",
     "gram --shape (3|-)":
-        "9e1b703b0a22b0965db2206fe52d3efcaa84e5986c80c81125f8eaf379a174aa",
+        "b31db084f402dccfe972ec55b681087fd469d249cb997f9cb21d29079495c88a",
     "gram --shape (2,1|-)":
-        "1b8c79c062b077b3070c4502888fb4ee46fafa6905be608d49945af831524cc8",
+        "84982d339e393871d6c0f33501154be9e766c4338b131a8b534762598c490fc3",
     "gram --shape (1,1,1|-)":
-        "84e1aebca30499670f00bcbe007e9eb858cb58c7b242fbae029efc550c9db5e1",
+        "b0f7193263dca36527afbb87c7c0e2c45e272ebf9b368d565204c216b45015b1",
     "gram --shape (2|1)":
-        "a96161a3c02731765a61b73b0cd097be12a3db236a29ce538bd7340cb6e33321",
+        "53449e2a6b146f149899c185eb46730812009b020642c2fb49d6eb44205737c9",
     "gram --shape (1,1|1)":
-        "5c04d2fa0f9677522fd1b2898c5c2d13de625c0ab203d95ed40f1d4647512d30",
+        "9ffee80f7ab51a5f27ed5b7da34a9ccc3fc1b20b3626bd83012d1ee9b7e6dbe4",
     "gram --shape (1|2)":
-        "c828b52dd670cc2d6c4afe3798fbd38852f52deabc40429571bafeb8239bfc06",
+        "2df14f47ca3a5d8656d484585833ec716b51306ca30429fe048e50a00907e0f9",
     "gram --shape (1|1,1)":
-        "739689b381c1a3dbcc5e1632d3efc3f08cab474ef425017df3bab00203d92fa9",
+        "2cd41e41c03b44b79fadf42385f46290995dc1ec4e4c72662e5bb73837f8632d",
     "gram --shape (-|3)":
-        "cbb23514be58f01cfdc14d7ae2eabc32c11a7f6ab1d3f303d97215ae91517c83",
+        "622bc5c3d1abe2b9e007d91c7b293824d378df0ade71b26352816791db54e878",
     "gram --shape (-|2,1)":
-        "1fcd7c5f0637bbf170344e54d51a7d56647d264b2c2c62b6d8889154be9a5283",
+        "8e3f86daf8ad4018ee263324c3213292c9c289ec5366fe33d2435b88adeac13f",
     "gram --shape (-|1,1,1)":
-        "dba33ae556de7e0573265c6396c66760fb70ced93b7b23b7462e188c9346461e",
+        "48f9268a01e239012021a993fcf1b462a4b28f971cac5dc3baa9031075dee8e9",
     # r = 3, n = 3: a Hecke quotient of dimension 162, which no other case reaches
     "gram --shape (2|1|-)":
-        "0ddf134e9ff226fbb8da4e331f9da78f7602722a4fddbd108fc2263fda2ff503",
+        "8407b9ece1353080307d06a5b339599280e9aeaec26266e8fa098271f500ec39",
     "cellrank --r 3 --n 2":
-        "7b9db443f3708fc1160a7a0d8f69433eb81e7b4b8b446ce48f30b12e9131414c",
+        "b6ed5057c399c1a316d74f9ec1459c8411c714ac0f1ae9abf652fd05f12db60f",
     "cellrank --r 4 --n 2":
-        "d3ff3d327bda47acdfbd656b1838fbb254cb7318a4727f124e3d82ab2c8dd9e7",
+        "67d0e78920b56fbbd98d5650cb7df77f547ae41ea7997d067d7881286f6104ab",
     "cellrank --r 2 --n 3":
-        "19ad87d7258c87f486163bb6a35c565071f1ef97e347245f745a4acddeb2e54b",
+        "ce181a78cf9b31a15fdbad9f6ae889d59c8a916ce25ecafc2681aa2ef604c657",
     "cellrank --r 1 --n 4":
-        "a01552d1c80d0a7394924f4382b277a65bc37e8e06fd1827e4b00eeb96022850",
+        "a26800aa8cfe4943227f9a197a6ea946f80552bb51afdfea1c5d9283d2f94f75",
     # r = 3 at four strands, and fractional roots over q = 3, as the report
     # wrote them before its factors were shared and its row sums factored
     "cellrank --r 3 --n 4":
-        "f0ac2b7aca5ab1a1bb34b8bbbfcf6be8ddd4d9521795a908a0e40072b80fa9fb",
+        "3c08ae7409261c60e86da0f0cd1a266e895fe29a13551a555ab1fd3e0a10fcc9",
     "cellrank --u 61/3,-35/3,13/3 --n 3":
-        "2ca6e84b9e9fb028d77ea9e8e761be278f427991d73258aba9d6f30cf346118b",
+        "d2c5a8769be24ed31d0edef75bdd25a71bafa598ba09a4266b6068535ea2e85b",
     # the sizes where the block-triangular certificate does the most work,
     # as the elimination of the whole family wrote them
     "cellrank --r 2 --n 4":
-        "58280d0c5a3b37c57d8bc9292f7edb8c3208eb4708fe3992458f720c8ec6ee66",
+        "c16022941a5b5a6d0069caff196a6c77846615580c69911f9a07b14b692c1397",
     "cellrank --r 1 --n 5":
-        "412ace5e89fe7318c59d788b86857dfcef229bdb5a2262966b2ff613eebe891f",
+        "18c2a14bb03b6bdd2c1a04350f37ff3f675879317357f82398b45c3ec280ee05",
     "cellrank --r 3 --n 3":
-        "0f442d2863c75acbdfa3dd020fb7ead4a3ed8dc5508220e80c96036d4ba41a7c",
+        "8e0dda156e508cc9ed7f823347eafb0f850ecf594d97ad9bc727839d39469416",
     # fractional roots, whose denominators the int evaluation must carry,
     # as the Fraction-row evaluation wrote them
     "verify --u 128/7,-40/7 --n 3":
-        "cfa5e1d90bde84ad4ce648419d9120947addd3a811c4cba73d3c05e0d8cf0be5",
+        "dfff299d3978323359a03fb38406b473cad13c71fc46f15ab3da3f0506075a42",
     "verify --u 239/4,-145/4,47/4 --n 3":
-        "7ebe72af3cc8652e723463a61b585a9923ac8d9a8199edfc40c8c28783c74cb5",
+        "404180b7590f2b01c781e5d7fa28945b31482b49532f68783ffe4b41a13cb6f0",
     "cellrank --u 61/3,-35/3,13/3 --n 2":
-        "5adbdc7481cae9646dcc9c40329c8e4ff6971256d94f64bb87767b6ed68bcb1c",
+        "9b81a157136d85f5449306e7868d96f9f3ed3bb2a1d7f55f64e77a72dbae3e00",
     # Murphy coordinate matrices with denominators, which the elimination
     # clears to int rows, one scale per row
     "gram --shape (2|1|-) --u 61/3,-35/3,13/3":
-        "19f70538b02269b58c3d6a4afaf1ccd1873d2d10ff184326fba389e1a3ac5703",
+        "7d4fae53649b18a53bd04418cc8a751a85ab6a8f32d8369a729ff0e8c6339586",
     "gram --shape (1,1|1) --u 128/7,-40/7":
-        "808a8f023f99f8bfb4c3f4650da31c3a3b1c90c9efd4dc832c145f012cc9feae",
+        "69ad9d6698701e32cbd547f14c7d21d775112936c9bca6566b492d5936607888",
     # roots whose cyclotomic coefficients clear over a larger denominator Q
     # than the roots' own: Q = 8 for three half-integral roots, Q = 4 at r = 1
     "gram --shape (1|1|-) --u 21/2,-11/2,5/2":
-        "280d24517d79c79b556ef6d4b087979d6bab7d882decc9f100905a30abb6d466",
+        "f25b200d47854dc3b40c4ffb3fc5a9d23f3eb21ce1b2a96c83ca859cb2ba0767",
     "gram --shape (2|-|-) --u 21/2,-11/2,5/2":
-        "7882e077f5305270a5e2f98bb664761fa146e7a89558b43682963e735fc19ff2",
+        "8c53e0658544ea6bbec7cfa950d33b02021de74c09a65f526189f023f8295c29",
     "gram --shape (3,1) --u 63/4":
-        "66a2831c4bc35e3346f62f30d3128ff30f4534f62b02527aea30ca9aba8bf337",
+        "033927ecfae2b7c2cfae3d3da636e2e3fa48f25f8c71cfa4f63049b8a18590d0",
     # the closed count of updown tableaux, with its (2m-1)!! factor
     "counts --r 3 --n 4":
-        "c8c89d5fca0e767fc748c32e8d83de4b1127e702ffba0ce07854ec57cbdc769f",
+        "9b3f1594102ae989018b585408853031d6e4a63ff370958bb0e45c40e97aaca5",
     "counts --r 2 --n 5":
-        "b099443e2196ed06fc98b502f02b24aeb6d55a149a16b8469f972373b2ef0146",
+        "237ae4a762a50ade092ca6f5b10a13fa76c9eee3f2f8e2f0cc76d7c4654ba282",
     # roots over unequal denominators: the contents clear over q = 6, the
     # lcm of 2 and 3, though the contents of one step may need only one
     "verify --u 37/2,-11/3 --n 3":
-        "c93310577141d022189a1e0bea6b27094d533ee9de0ccb19620bbe30441cd73e",
+        "4e4e956df747792e8e9bdd9cf2b21c1a3223c817383fd8360dd5930e01ad2c61",
     # the model's build errors, each the first check to fail in build order:
     # opposite contents in a class, a negative contraction coefficient,
     # equal adjacent contents in a swap
     "verify --u 0,2 --n 3":
-        "83f0d432b1939a3fbb0aba360e388d1b757daafc2f4090b5f9cfb2688158c677",
+        "a420b66a0a987f3ccf615bdfe2f96fb5fc95f13849339a1ad10913a0ab673eb8",
     "verify --u 5,3 --n 3":
-        "9f73557ebf010ee07c67d4c2c265468ca1f902dd2d7f06e47f59596c5eaf6495",
+        "11b5b4d8712db6a7d0c30c4558177ced767edb1decbf34f9303f297741d0de81",
     "verify --u 0,1 --n 3":
-        "9fa052905f85bf0d824b14cf14d95f38ee3608b5a591e4a7171184b18f5d2e2b",
+        "0a2d18ef10b55eb99288ecf2fa8eb042edbdd418645b7a7b06f76591bd8cca21",
     # and a squared off-diagonal below zero, -5/4 at k = 3 from shape ((1, 1),)
     "verify --u 1/3 --n 4":
-        "c1ee1b0200b1d03629a65e1b42ad36de7a623604841e0ef252227154eb2a5372",
+        "1e9158302a4a2f32851fb39fa547e07254261d542646b70f67ac239644eb16c2",
 }
 
 

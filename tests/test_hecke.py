@@ -157,7 +157,7 @@ def test_murphy_basis_ranks():
     algebras = [_alg(r, n) for r, n in ((1, 2), (2, 2), (1, 3))]
     for r, n in ((3, 2), (1, 4), (2, 3)):
         u = tuple(8 * x + F(2, 7) for x in combinat.default_u(r, n))
-        algebras.append(HeckeAlgebra(ParamSet.from_u(u, n_hint=n), n))
+        algebras.append(HeckeAlgebra(ParamSet.from_u(u), n))
     for H in algebras:
         r, n = H.ps.r, H.n
         mb = MurphyBasis(H)
@@ -178,7 +178,7 @@ def test_murphy_elements_are_their_factors(r, n):
     rng = random.Random(f"murphy:{r}:{n}")
     k, delta = rng.choice((2, 4, 8)), rng.choice((F(1, 2), F(1, 3), F(2, 7), F(-1, 4)))
     seeded = tuple(k * x + delta for x in combinat.default_u(r, n))
-    for ps in (ParamSet.default(r, n), ParamSet.from_u(seeded, n_hint=n)):
+    for ps in (ParamSet.default(r, n), ParamSet.from_u(seeded)):
         H = HeckeAlgebra(ps, n)
         mb = MurphyBasis(H)
         assert len(mb.elements) == r ** n * math.factorial(n)
@@ -246,7 +246,7 @@ def test_gram_matrix_equals_the_product_of_two_elements(r, n):
     rng = random.Random(f"gram:{r}:{n}")
     k, delta = rng.choice((2, 4, 8)), rng.choice((F(1, 2), F(1, 3), F(2, 7), F(-1, 4)))
     seeded = tuple(k * x + delta for x in combinat.default_u(r, n))
-    for ps in (ParamSet.default(r, n), ParamSet.from_u(seeded, n_hint=n)):
+    for ps in (ParamSet.default(r, n), ParamSet.from_u(seeded)):
         mb = MurphyBasis(HeckeAlgebra(ps, n))
         for lam in combinat.multipartitions(r, n):
             assert gram_matrix(mb, lam) == _gram_by_multiply(mb, lam), (ps.u, lam)
@@ -255,14 +255,14 @@ def test_gram_matrix_equals_the_product_of_two_elements(r, n):
 
 def test_murphy_basis_is_held_per_parameter_set(murphy_builds):
     # the held parameter set, whatever W it has formed, holds the basis, and
-    # from_u returns it for an equal (u, N)
+    # from_u returns it for equal roots
     ps = ParamSet.default(2, 3)
     wk_rational(((1,), ()), ps)
     mb = murphy_basis(ps, 3)
     assert mb.H.ps is ps and mb.H.n == 3 and ps.murphy == {3: mb}
     assert murphy_basis(ParamSet.default(2, 3), 3) is mb
     # another u, or another n, builds a new basis
-    other = ParamSet.from_u((F(6), F(-3)), n_hint=3)
+    other = ParamSet.from_u((F(6), F(-3)))
     assert other != ps
     mb_u = murphy_basis(other, 3)
     assert mb_u is not mb and mb_u.H.ps.u == other.u
@@ -278,7 +278,7 @@ def test_murphy_basis_is_held_per_parameter_set(murphy_builds):
 def test_held_murphy_basis_stays_as_built():
     # gram_matrix only reads the basis elements: after every shape, the held
     # basis is the one a fresh build gives, so no product aliases an element
-    ps = ParamSet.from_u(seeded_u("held", 2, 3), n_hint=3)
+    ps = ParamSet.from_u(seeded_u("held", 2, 3))
     mb = murphy_basis(ps, 3)
     for lam in combinat.multipartitions(2, 3):
         gram_matrix(mb, lam)
@@ -293,7 +293,7 @@ def test_held_murphy_basis_stays_as_built():
 def test_int_coordinates_equal_the_fraction_inverse(r, n):
     # coords on int rows against x · inverse over Fraction rows, on every
     # basis element and every product a Gram matrix reads
-    for ps in (ParamSet.default(r, n), ParamSet.from_u(seeded_u("coords", r, n), n_hint=n)):
+    for ps in (ParamSet.default(r, n), ParamSet.from_u(seeded_u("coords", r, n))):
         mb = MurphyBasis(HeckeAlgebra(ps, n))
         H = mb.H
         inv = fraction_inverse([{mb.key_index[key]: c for key, c in as_fractions(el).items()}
@@ -332,7 +332,7 @@ def test_int_rewriting_equals_the_fraction_reference(r, n):
     roots += [tuple(rng.choice((1, 2, 4, 8)) * x + delta for x in default)
               for delta in (F(1, 2), F(1, 3), F(-1, 4), F(2, 7))]
     for u in roots:
-        ps = ParamSet.from_u(u, n_hint=n)
+        ps = ParamSet.from_u(u)
         mb, ref = MurphyBasis(HeckeAlgebra(ps, n)), FractionHecke(ps, n)
         H = mb.H
         if r == 3 and u[0].denominator == 2:
@@ -393,7 +393,7 @@ def test_held_y_images_equal_the_fraction_reference(r, n):
     # filled is checked too
     rng = random.Random(f"held-images:{r}:{n}")
     for u in root_sets("held-images", r):
-        ps = ParamSet.from_u(u, n_hint=n)
+        ps = ParamSet.from_u(u)
         ref = FractionHecke(ps, n)
         cold = HeckeAlgebra(ps, n)
         assert not cold._y_images
@@ -435,7 +435,7 @@ def test_each_key_is_straightened_once_per_parameter_set(tmp_path, monkeypatch,
     for r, n in ((3, 2), (1, 4), (2, 3), (2, 2)):
         calls.clear()
         murphy_builds.clear()
-        ps = ParamSet.from_u(seeded_u("straighten-once", r, n), n_hint=n)
+        ps = ParamSet.from_u(seeded_u("straighten-once", r, n))
         for lam in combinat.multipartitions(r, n):
             assert _gram_job(lam, ps.u, out) == 0
         assert murphy_builds == [(ps.u, n)]
@@ -480,7 +480,7 @@ def test_int_descents_equal_the_fraction_contents(r, n):
     # each gamma ratio read on ints over q from the step table against
     # (d + 1)(d - 1) / d^2 with d the difference of Fraction contents
     for u in root_sets("descents", r):
-        ps = ParamSet.from_u(u, n_hint=n)
+        ps = ParamSet.from_u(u)
         for lam in combinat.multipartitions(r, n):
             for s in combinat.standard_tableaux(lam):
                 cs = combinat.content_sequence(s, u)
@@ -503,24 +503,22 @@ def test_gamma_top_divides_product():
 def test_semisimplicity_boundary():
     for n in (1, 2, 3):
         for d in range(0, n + 3):
-            ps = ParamSet.from_u((F(0), F(d)), n_hint=n)
+            ps = ParamSet.from_u((F(0), F(d)))
             assert is_semisimple(ps, n) == (d >= n)
-            ps_neg = ParamSet.from_u((F(0), F(-d)), n_hint=n)
+            ps_neg = ParamSet.from_u((F(0), F(-d)))
             assert is_semisimple(ps_neg, n) == (d >= n)
     # non-integral separation never collides
-    ps = ParamSet.from_u((F(0), F(1, 2)), n_hint=3)
+    ps = ParamSet.from_u((F(0), F(1, 2)))
     assert is_semisimple(ps, 3)
     # one parameter: always semisimple here
     assert is_semisimple(ParamSet.default(1, 3), 3)
 
 
 def test_row_symmetrizer_witness():
-    scalar, ok = row_symmetrizer_witness(ParamSet.from_u((F(6), F(-2)),
-                                                         n_hint=3), 3)
+    scalar, ok = row_symmetrizer_witness(ParamSet.from_u((F(6), F(-2))), 3)
     assert ok and scalar == 4320
     # 3! * (6-(-2)) * (7-(-2)) * (8-(-2)) = 6 * 8 * 9 * 10
-    scalar, ok = row_symmetrizer_witness(ParamSet.from_u((F(0), F(1)),
-                                                         n_hint=2), 2)
+    scalar, ok = row_symmetrizer_witness(ParamSet.from_u((F(0), F(1))), 2)
     assert ok and scalar == 0
 
 
@@ -535,7 +533,7 @@ def test_relation_table_without_e_holds_in_the_quotient(r, n):
     rng = random.Random(f"relations:{r}:{n}")
     k, delta = rng.choice((2, 4, 8)), rng.choice((F(1, 2), F(1, 3), F(2, 7), F(-1, 4)))
     seeded = tuple(k * x + delta for x in combinat.default_u(r, n))
-    for ps in (ParamSet.default(r, n), ParamSet.from_u(seeded, n_hint=n)):
+    for ps in (ParamSet.default(r, n), ParamSet.from_u(seeded)):
         H = HeckeAlgebra(ps, n)
         checked = set()
         for family, lhs, rhs in relations(ps, n):
@@ -657,7 +655,7 @@ def test_act_takes_a_run_of_s_letters_as_one_permutation(r, n):
             for w in itertools.permutations(range(1, n + 1))]
     coeffs = [F(1), F(-2), F(3, 7), F(-5, 4), F(11, 6)]
     for u in root_sets("s-runs", r):
-        ps = ParamSet.from_u(u, n_hint=n)
+        ps = ParamSet.from_u(u)
         H, ref = HeckeAlgebra(ps, n), FractionHecke(ps, n)
         for _ in range(6):
             fr = {k: rng.choice(coeffs) for k in rng.sample(keys, min(len(keys), 6))}

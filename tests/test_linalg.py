@@ -280,11 +280,11 @@ def _cellrank_vectors(r, n):
     ``wcell.cellular_rank_report`` is checked against), at the default and
     at seeded fractional roots."""
     return [cellular_family_vectors(ps, n)
-            for ps in (ParamSet.default(r, n), ParamSet.from_u(seeded_u("eliminate", r, n), n))]
+            for ps in (ParamSet.default(r, n), ParamSet.from_u(seeded_u("eliminate", r, n)))]
 
 
 def _murphy_matrices(r, n):
-    for ps in (ParamSet.default(r, n), ParamSet.from_u(seeded_u("eliminate", r, n), n)):
+    for ps in (ParamSet.default(r, n), ParamSet.from_u(seeded_u("eliminate", r, n))):
         yield hecke.MurphyBasis(hecke.HeckeAlgebra(ps, n)).matrix
 
 

@@ -16,7 +16,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "wenzl"
 # (module, name): why it stays with no caller from the CLI; what it reaches stays too
 KEPT = {
     # methods and properties, as (module, "Class.name")
-    ("params", "ParamSet.default"): "the README's entry point: Omega at the CLI's default roots",
+    ("params", "ParamSet.default"): "the README's entry point: the parameter set at the CLI's default roots",
 }
 
 

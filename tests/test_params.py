@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 
 from support import (
-    brauer_omega_sequence, nilpotent_example_omega, omega_from_u,
-    omega_residue_form, schur_q, seeded_u, series_reference,
+    brauer_omega_sequence, derived_omega, filled_step_tables, module_nonsplit,
+    module_residue_family, nilpotent_example_omega, omega_from_u, omega_residue_form,
+    schur_q, seeded_u, series_reference,
 )
 from wenzl import combinat, params
+from wenzl.cli import main
 from wenzl.params import (
     ParamSet, Poly, RationalFunction, check_admissible, format_fraction,
     parse_fraction,
@@ -59,51 +61,71 @@ def test_schur_q_values():
 
 def test_default_paramset():
     ps = ParamSet.default(2, 2)
-    assert ps.u == (F(6), F(-2))
-    assert ps.omega[:3] == (F(8), F(28), F(208))
+    assert ps.u == (F(6), F(-2)) and ps.r == 2
+    assert derived_omega(ps, 2) == [F(8), F(28), F(208)]
     assert ps.as_json()["precision_bits"] == 256
-    assert ps.N >= 12
     ps3 = ParamSet.default(2, 3)
     assert ps3.u == (F(9), F(-3))
-    assert ps3.omega[:2] == (F(12), F(66))
+    assert derived_omega(ps3, 1) == [F(12), F(66)]
 
 
 def test_from_u_holds_one_parameter_set():
-    # an equal (u, N) returns the held instance, however the roots are
-    # written and whichever of n_hint and min_N sizes N
-    ps = ParamSet.from_u(("1/2", 3), n_hint=3)
-    assert ps.N == 16 and ps.u == (F(1, 2), F(3))
-    assert ParamSet.from_u(("2/4", "3"), n_hint=3) is ps
-    assert ParamSet.from_u((F(1, 2), 3), n_hint=2, min_N=16) is ps
+    # equal roots return the held instance, however they are written
+    ps = ParamSet.from_u(("1/2", 3))
+    assert ps.u == (F(1, 2), F(3)) and ps.r == 2
+    assert ParamSet.from_u(("2/4", "3")) is ps
+    assert ParamSet.from_u((F(1, 2), 3)) is ps
     assert ParamSet.default(2, 3) is not ps
-    # another u replaced it: an equal (u, N) is built afresh
-    again = ParamSet.from_u(("2/4", 3), n_hint=3)
+    # other roots replaced it: equal roots are built afresh
+    again = ParamSet.from_u(("2/4", 3))
     assert again == ps and again is not ps
-    # another N replaces it too
-    wider = ParamSet.from_u(("1/2", 3), n_hint=3, min_N=17)
-    assert wider.N == 17 and wider.u == again.u and wider != again
-    assert ParamSet.from_u(("1/2", 3), n_hint=3) is not again
+    assert ParamSet.from_u(("1/2", 3)) is again
     # one constructed directly is equal to the held one, and never held
-    held = ParamSet.from_u(("1/2", 3), n_hint=3)
-    direct = ParamSet(held.r, held.u, held.omega, held.N)
-    assert direct == held and direct is not held
-    assert ParamSet.from_u(("1/2", 3), n_hint=3) is held
+    direct = ParamSet(again.u)
+    assert direct == again and direct is not again
+    assert ParamSet.from_u(("1/2", 3)) is again
+
+
+def test_jobs_at_one_u_share_one_parameter_set(tmp_path, monkeypatch):
+    # the held parameter set is keyed by the roots alone: verify at two
+    # strand counts, gram and omega to a high order at the same roots build
+    # one parameter set and fill the step table of each shape once
+    boundaries = filled_step_tables(monkeypatch)
+    u = "--u=" + ",".join(map(str, seeded_u("one-u", 2, 4)))
+    out = str(tmp_path / "out.jsonl")
+    for argv in (["verify", "--n", "3"], ["verify", "--n", "4"],
+                 ["gram", "--shape", "(2|1)"], ["omega", "--order", "30"]):
+        assert main([*argv, u, "--out", out]) == 0, argv
+    assert params._param_set.cache_info().misses == 1
+    assert boundaries and len(boundaries) == len(set(boundaries))
+    assert set(boundaries) == {mu for m in range(4) for mu in combinat.multipartitions(2, m)}
 
 
 def test_paramset_json_round_trip():
-    ps = ParamSet.from_u((F(3, 2), F(-5)), n_hint=3)
+    ps = ParamSet.from_u((F(3, 2), F(-5)))
     data = ps.as_json()
-    assert data["r"] == 2
-    assert data["u"] == ["3/2", "-5"]
-    assert all(isinstance(s, str) for s in data["omega"])
-    assert parse_fraction(data["omega"][0]) == ps.omega[0]
+    assert data == {"r": 2, "u": ["3/2", "-5"], "precision_bits": 256}
+    assert ParamSet.from_u(data["u"]) is ps
 
 
 def test_omega_from_u_matches_residue_form():
     v = (F(3), F(-7), F(11))
-    omega = ParamSet.from_u(v, n_hint=1).omega
+    omega = derived_omega(ParamSet.from_u(v), 6)
     for a in range(7):
         assert omega_from_u(v, a) == omega_residue_form(v, a) == omega[a]
+
+
+def test_fixture_roots_derive_their_omega():
+    # the module fixtures take their parameter sets from their roots: the
+    # equal roots (1/4, 1/4) derive the nilpotent example, and the roots
+    # (3, -7, 11) the residue form
+    nonsplit = module_nonsplit().ps
+    assert nonsplit.u == (F(1, 4), F(1, 4))
+    assert derived_omega(nonsplit, 40) == nilpotent_example_omega(40)
+    v = (F(3), F(-7), F(11))
+    residue = module_residue_family(v).ps
+    assert residue.u == v
+    assert derived_omega(residue, 40) == [omega_residue_form(v, a) for a in range(41)]
 
 
 def test_omega_from_u_admissible():
@@ -112,7 +134,7 @@ def test_omega_from_u_admissible():
         omega = [omega_from_u(u, a) for a in range(13)]
         ok, bad = check_admissible(omega)
         assert ok and bad is None
-        assert check_admissible(ParamSet.from_u(u, 3, 40).omega) == (True, None)
+        assert check_admissible(derived_omega(ParamSet.from_u(u), 40)) == (True, None)
 
 
 def test_check_admissible_rejects():
@@ -151,12 +173,12 @@ def _roots():
 
 
 def test_omega_from_u_is_the_schur_formula():
-    # Omega is read off W_1 at infinity; the Schur q formula is independent
+    # Omega is read off W_1 at infinity; the Schur q formula is independent.
+    # Each length is a prefix of a longer one: a use reads what it needs
     for u in _roots():
-        for n, min_N in ((1, 0), (3, 0), (2, 40)):
-            ps = ParamSet.from_u(u, n, min_N)
-            assert ps.N == max(2 * len(u) + 4 * n, min_N)
-            assert list(ps.omega) == [omega_from_u(u, a) for a in range(ps.N + 1)], u
+        ps = ParamSet.from_u(u)
+        for A in (0, len(u) + 2, 2 * len(u) + 12, 40):
+            assert derived_omega(ps, A) == [omega_from_u(u, a) for a in range(A + 1)], u
 
 
 def test_w1_identities():
@@ -167,7 +189,7 @@ def test_w1_identities():
 
     half, y = F(1, 2), RationalFunction(Poly.y_plus(0))
     for u in _roots():
-        w = params.wk_rational(combinat.empty_mp(len(u)), ParamSet.from_u(u, 3))
+        w = params.wk_rational(combinat.empty_mp(len(u)), ParamSet.from_u(u))
         w_minus = RationalFunction(at_minus_y(w.num), at_minus_y(w.den))
         assert (w + y - half) * (w_minus - y - half) == (-y + half) * (y + half), u
 
@@ -194,7 +216,7 @@ def test_series_of_rational_equals_the_fraction_reference():
     assert all(rf.den.coeffs[-1] < -1 for rf in rfs)
     for r in (1, 2, 3):
         for u in (combinat.default_u(r, 3), seeded_u("series", r, 3)):
-            ps = ParamSet.from_u(u, n_hint=3)
+            ps = ParamSet.from_u(u)
             rfs += [params.wk_rational(mu, ps) for m in range(4)
                     for mu in combinat.multipartitions(r, m)]
     for rf in rfs:
@@ -258,7 +280,7 @@ def test_wk_rational_at_colliding_shape():
     # at r = 1, u = 1/2 the shape (1) has an addable and a removable node of
     # content -1/2; the unreduced closed form still equals the recursion
     # along the walk, one step of it, and its expansion gives the scalars
-    ps = ParamSet.from_u((F(1, 2),), n_hint=2)
+    ps = ParamSet.from_u((F(1, 2),))
     lam = ((1,),)
     contents = [c for _, c, _ in addable_removable(lam, ps.u)]
     assert len(set(contents)) < len(contents)
@@ -280,17 +302,7 @@ def test_omega_k_values_at_first_position():
     ps = ParamSet.default(2, 2)
     t = (((1,), ()), ((1, 1), ()))
     vals = params.omega_k_values(combinat.shape_before(t, 1), ps, 4)
-    assert tuple(vals) == ps.omega[:5]
-
-
-def test_from_omega_mode():
-    # a parameter set built with an Omega of its own says so
-    omega = nilpotent_example_omega(10)
-    ps = ParamSet(2, (F(1, 4), F(1, 4)), tuple(omega), 10, "user-supplied")
-    assert ps.mode != "u-admissible-derived"
-    assert ps.as_json()["mode"] == "user-supplied"
-    assert ps.omega[2] == F(-1, 16)
-
+    assert vals == [omega_from_u(ps.u, a) for a in range(5)]
 
 
 @pytest.mark.parametrize("u", [(F(9), F(-3)), (F(128, 7), F(-40, 7)),
@@ -300,8 +312,8 @@ def test_reported_scalars_are_fractions(u):
     # of the cyclotomic polynomial, must still be a Fraction (an int / int
     # would be a float)
     n = 3
-    ps = ParamSet.from_u(u, n_hint=n)
-    values = list(ps.omega) + list(params.cyclotomic_coeffs(ps.u))
+    ps = ParamSet.from_u(u)
+    values = derived_omega(ps, 2 * ps.r + 4 * n) + list(params.cyclotomic_coeffs(ps.u))
     for mu, ws in tower_scalars(ps, n).items():
         values += ws
         values += params.omega_k_values(mu, ps, ps.r + 1)
@@ -328,7 +340,7 @@ def test_w_at_shape_equals_the_fraction_reference(r):
     # product of rational functions over Q: every shape of size <= 3, its
     # expansion at infinity, and Omega read off W at the empty shape
     for u in root_sets("w", r):
-        ps = ParamSet.from_u(u, n_hint=3)
+        ps = ParamSet.from_u(u)
         for m in range(4):
             for mu in combinat.multipartitions(r, m):
                 got = params.wk_rational(mu, ps)
@@ -337,4 +349,4 @@ def test_w_at_shape_equals_the_fraction_reference(r):
                 assert got == ref, (u, mu)
                 assert params.series_of_rational(got, 7) == params.series_of_rational(ref, 7)
         empty = w_at_shape_reference(combinat.empty_mp(r), r, ps.u)
-        assert ps.omega == tuple(params.series_of_rational(empty, ps.N))
+        assert derived_omega(ps, 12) == params.series_of_rational(empty, 12)

@@ -9,7 +9,7 @@ import pytest
 
 from support import (
     FractionRealization, as_fractions, block, blocks_as_fractions,
-    cell_indices, cellular_family_vectors, contraction_murphy_commute_residual,
+    cell_indices, cellular_family_vectors, contraction_murphy_commute_residual, derived_omega,
     cyclotomic_word_sum, filtration_index, from_dense, hecke_pairing_residual,
     is_root_shift, murphy_words, reference_words, root_sets, seeded_u, star, star_word,
     star_word_sum, terms, unshared_rank_report, vec, word_sum_mul,
@@ -137,9 +137,9 @@ def test_star_word_transposes():
 def test_unwrapping_word_sum():
     ps = ParamSet.default(2, 2)
     real = Realization(build_all(ps, 2))
-    for a in range(4):
+    for a, omega_a in enumerate(derived_omega(ps, 3)):
         terms = ((F(1), (("E", 1), ("X", 1, a), ("E", 1))),
-                 (-ps.omega[a], (("E", 1),)))
+                 (-omega_a, (("E", 1),)))
         ev = real.evaluate_sum(terms)
         for b, d in enumerate(real.dims):
             assert block(real, ev, b).rows == _linalg.zeros(d)
@@ -298,7 +298,7 @@ def _drawn_params(r, n, rng):
     """Roots k * default_u + delta, as the benchmark streams draw them."""
     k = rng.choice((1, 2, 4, 8))
     delta = rng.choice((F(0), F(1, 2), F(1, 3), F(2, 7), F(-1, 4)))
-    return ParamSet.from_u(tuple(k * x + delta for x in combinat.default_u(r, n)), n)
+    return ParamSet.from_u(tuple(k * x + delta for x in combinat.default_u(r, n)))
 
 
 @pytest.mark.parametrize("r,n", [(2, 2), (1, 3), (3, 2), (4, 2), (1, 4), (2, 3)])
@@ -348,7 +348,7 @@ def test_cellular_elements_equal_the_fraction_reference(r, n):
     # each element's factors evaluated on ints over one denominator, then
     # converted, equal the Fraction-row evaluation; its vector is the
     # reference vector times den, and the family has the same rank
-    for ps in (ParamSet.default(r, n), ParamSet.from_u(seeded_u("reference", r, n), n)):
+    for ps in (ParamSet.default(r, n), ParamSet.from_u(seeded_u("reference", r, n))):
         real = Realization(build_all(ps, n))
         ref = FractionRealization(real.reps)
         vecs, ref_vecs = [], []
@@ -377,7 +377,7 @@ def test_certified_rank_equals_the_reference_rank(r, n):
     # roots; roots outside the regime end both in the same error
     rng = random.Random(f"certified:{r}:{n}")
     for ps in (ParamSet.default(r, n),
-               *(ParamSet.from_u(u, n) for u in root_sets("certified", r) if len(u) == r),
+               *(ParamSet.from_u(u) for u in root_sets("certified", r) if len(u) == r),
                _drawn_params(r, n, rng), _drawn_params(r, n, rng)):
         try:
             want = _linalg.rank(cellular_family_vectors(ps, n))
@@ -466,7 +466,7 @@ def test_report_equals_the_unshared_reference(r, n):
     # set of support.root_sets with r roots; roots outside the regime end
     # both in the same error
     for u in (u for u in root_sets("unshared", r) if len(u) == r):
-        ps = ParamSet.from_u(u, n)
+        ps = ParamSet.from_u(u)
         try:
             want = unshared_rank_report(ps, n)
         except ValueError as e:
