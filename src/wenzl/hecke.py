@@ -42,6 +42,19 @@ descent edges of each tableau and the shapes that dominate it
 (``_order``).  A batch forms them on a shape's first job, whatever the
 roots; the tables grow with the shapes at the sizes a batch runs, not with
 the number of jobs.
+
+The Gram determinant of lambda is checked against the product of the
+gamma coefficients of its standard tableaux.  Each gamma is a closed
+product over the steps of its tableau (``gamma_coeffs``): at the step that
+adds alpha_k to the shape mu before it, c_k - c_beta for each node beta
+addable to mu below alpha_k, over the same for each beta removable from mu
+below it, below meaning a later component or a lower row of the same one.
+Every content is read as an int over q from the step table
+(``params.steps_out``), like every other coefficient.  The descent ratios
+gamma(t) / gamma(s) are a second derivation, which
+``gamma_path_independent`` compares with the products.  They are read
+first, so that equal adjacent contents end in the regime error that names
+them, before a product can divide by a zero they bring.
 """
 
 from __future__ import annotations
@@ -49,14 +62,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import deque
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import _linalg, combinat
 from .combinat import (Multipartition, Tableau, Word, perm_inverse, perm_word,
                        word_for_permutation)
-from .params import ParamSet, cleared, clearing, contents, cyclotomic_coeffs
+from .params import ParamSet, cleared, clearing, contents, cyclotomic_coeffs, steps_out
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 WordSum = tuple[tuple[Fraction, Word], ...]
@@ -462,21 +474,6 @@ def murphy_basis(ps: ParamSet, n: int) -> MurphyBasis:
 # ---------------------------------------------------------------------------
 
 
-def gamma_top(lam, ps: ParamSet) -> Fraction:
-    """gamma at the maximal standard tableau: row factorials times the
-    cross-component content shifts."""
-    out = Fraction(1)
-    for p in lam:
-        for row in p:
-            out *= math.factorial(row)
-    for s_idx in range(len(lam)):
-        for t_idx in range(s_idx + 1, len(lam)):
-            for i, row in enumerate(lam[s_idx], start=1):
-                for j in range(1, row + 1):
-                    out *= (j - i) + ps.u[s_idx] - ps.u[t_idx]
-    return out
-
-
 class _Order(NamedTuple):
     """The dominance data of a shape that ``gamma_coeffs`` and
     ``gram_matrix`` read: the descent edges (k, t) of each standard s, where
@@ -519,29 +516,51 @@ def _descents(lam, s, ps: ParamSet):
         yield t, Fraction((D + q) * (D - q), D * D)
 
 
+def _gamma(t, ps: ParamSet) -> Fraction:
+    """The closed product of ``gamma_coeffs`` for the standard tableau t,
+    on ints: the nodes come from ``combinat.steps_from`` and the contents
+    as C = q c from ``steps_out``.  A removable beta's step content is
+    -q c_beta, so its factor c_k - c_beta is (C_k + C_beta) / q, and an
+    addable one's is (C_k - C_beta) / q; one Fraction is made."""
+    num = den = 1
+    mu = combinat.empty_mp(ps.r)
+    for nu in t:
+        steps, C = combinat.steps_from(mu), steps_out(mu, ps).C
+        (i, _, s), _ = steps[nu]
+        for other, ((bi, _, bs), removed) in steps.items():
+            if (bs, bi) > (s, i):
+                if removed:
+                    num, den = num * ps.q, den * (C[nu] + C[other])
+                else:
+                    num, den = num * (C[nu] - C[other]), den * ps.q
+        mu = nu
+    return Fraction(num, den)
+
+
 def gamma_coeffs(lam, ps: ParamSet) -> dict:
-    """gamma for every standard tableau, propagated down dominance from the
-    maximal tableau by adjacent swaps; a tableau the swaps do not reach
-    raises AssertionError."""
-    tl = combinat.t_lambda(lam)
-    gamma = {tl: gamma_top(lam, ps)}
-    pending = deque([tl])
-    while pending:
-        s = pending.popleft()
-        for t, ratio in _descents(lam, s, ps):
-            if t not in gamma:
-                gamma[t] = ratio * gamma[s]
-                pending.append(t)
-    total = len(shape_words(lam).tableaux)
-    if len(gamma) != total:
-        raise AssertionError(f"gamma reaches {len(gamma)} of the {total} "
-                             f"standard tableaux of {lam}")
-    return gamma
+    """gamma for every standard tableau t of lam, in ``shape_words`` order,
+    normalised so that the Gram determinant of lam is their product:
+
+        gamma_t = prod_k prod_{beta addable to t_{k-1}, below alpha_k} (c_k - c_beta)
+                       / prod_{beta removable from t_{k-1}, below alpha_k} (c_k - c_beta),
+
+    where step k adds the node alpha_k of content c_k, and a node
+    (i', j', s') is below (i, j, s) when (s', i') > (s, i): a later
+    component, or a lower row of the same one.  The held descents of every
+    tableau are read first: equal adjacent contents end in their ValueError,
+    which names the condition, k and the shape, before a product can meet
+    the zero factor they bring."""
+    tableaux = shape_words(lam).tableaux
+    for s in tableaux:
+        for _ in _descents(lam, s, ps):
+            pass
+    return {t: _gamma(t, ps) for t in tableaux}
 
 
 def gamma_path_independent(lam, ps: ParamSet, gamma: dict) -> bool:
-    """Every way of descending one dominance step gives the same gamma, for
-    ``gamma`` as ``gamma_coeffs`` returns it."""
+    """Every held descent ratio (``_descents``) carries ``gamma``, as
+    ``gamma_coeffs`` returns it, from each tableau to the one a dominance
+    step below: the closed products checked against a second derivation."""
     return all(gamma[t] == ratio * gs for s, gs in gamma.items()
                for t, ratio in _descents(lam, s, ps))
 

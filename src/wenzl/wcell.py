@@ -41,12 +41,12 @@ a letter has few entries per row, so no letter product of the realization's
 size is formed, and the words of one tableau, next to each other in the
 order of the triples, share the steps of their common end.
 
-The index triples of each cell (``cell_triples``, on the tableaux that
-``hecke.shape_words`` holds) and the left and right word of each triple
-(``cell_words``) do not depend on the roots, so each is formed once per
-process in a ``functools.cache`` table keyed by root-free arguments
-alone; the tables grow with the cells at the sizes a batch runs, not with
-the number of jobs.
+The left and right word of each index triple of a cell (``cell_words``,
+on the tableaux that ``hecke.shape_words`` holds) do not depend on the
+roots, so they are formed once per process in one ``functools.cache``
+table per cell, keyed by root-free arguments alone, and the triples
+(``cell_triples``) are its keys; the table grows with the cells at the
+sizes a batch runs, not with the number of jobs.
 """
 
 from __future__ import annotations
@@ -66,17 +66,11 @@ from .seminormal import Evaluated, Realization
 # -- cellular structure --------------------------------------------------
 
 
-@functools.cache
 def cell_triples(r: int, n: int, arcs: int, shape: Multipartition) -> tuple[tuple, ...]:
     """(tableau, powers, placement) triples indexing one cell, the tableaux
-    those of ``hecke.shape_words``; formed once per cell and held for the
-    process, since they do not depend on the roots."""
-    if combinat.mp_size(shape) != n - 2 * arcs:
-        raise ValueError("shape size must be the strand count minus two per arc")
-    powers = list(itertools.product(range(r), repeat=arcs))
-    placements = combinat.coset_reps(n, arcs)
-    return tuple((t, k, d) for t in shape_words(shape).tableaux
-                 for k in powers for d in placements)
+    those of ``hecke.shape_words``: the keys of the cell's held
+    ``cell_words``, in their order."""
+    return tuple(cell_words(r, n, arcs, shape))
 
 
 def contraction_chain(n: int, arcs: int) -> Word:
@@ -86,21 +80,27 @@ def contraction_chain(n: int, arcs: int) -> Word:
 
 @functools.cache
 def cell_words(r: int, n: int, arcs: int, shape: Multipartition) -> dict:
-    """(left word, right word) of each triple of the cell, by triple, in
-    the order of ``cell_triples``.  The starred placement and powers, the
-    contraction chain and the starred coset word of the tableau make the
-    left word; the coset word, the powers and the placement make the right
-    word.  X powers ride the odd positions n-1, n-3, ... in decreasing
-    order.  Formed once per cell and held for the process, since they do
-    not depend on the roots."""
+    """(left word, right word) of each triple (tableau, powers, placement)
+    of the cell, by triple: the tableaux in ``hecke.shape_words`` order,
+    then the powers, then the placements.  The starred placement and
+    powers, the contraction chain and the starred coset word of the tableau
+    make the left word; the coset word, the powers and the placement make
+    the right word.  X powers ride the odd positions n-1, n-3, ... in
+    decreasing order.  Formed once per cell and held for the process, since
+    they do not depend on the roots; the cell's one held table."""
+    if combinat.mp_size(shape) != n - 2 * arcs:
+        raise ValueError("shape size must be the strand count minus two per arc")
     tableau_words = shape_words(shape).words
     chain = contraction_chain(n, arcs)
+    placements = combinat.coset_reps(n, arcs)
     words = {}
-    for t, k, d in cell_triples(r, n, arcs, shape):
-        powers = tuple(("X", n - 1 - 2 * j, a) for j, a in enumerate(k) if a)
-        placement = word_for_permutation(d)
-        words[t, k, d] = (placement[::-1] + powers + chain + tableau_words[t][0],
-                          tableau_words[t][1] + powers + placement)
+    for t in shape_words(shape).tableaux:
+        for k in itertools.product(range(r), repeat=arcs):
+            powers = tuple(("X", n - 1 - 2 * j, a) for j, a in enumerate(k) if a)
+            for d in placements:
+                placement = word_for_permutation(d)
+                words[t, k, d] = (placement[::-1] + powers + chain + tableau_words[t][0],
+                                  tableau_words[t][1] + powers + placement)
     return words
 
 

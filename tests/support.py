@@ -16,7 +16,9 @@ against, the identity suite in Fraction forms (``identities_reference``: W
 evaluated at 0 and divided by y, each swap coefficient a Fraction), that
 the identities on the coefficients as held are checked against, the
 reference product of two Hecke elements and expansion of products into
-words, Hecke triangularity and
+words, gamma walked down dominance from t^lambda (``gamma_by_descents``)
+that the closed products of ``hecke.gamma_coeffs`` are checked against,
+Hecke triangularity and
 symmetrizer witnesses, the semisimplicity boundary, cell indices and word
 helpers, the anti-involution of a cellular element, the view of one model's
 block of a realization, the whole cellular family as vectors that
@@ -26,6 +28,7 @@ that the coset factors and the shared report are checked against, and the two
 cellular residual checks (the contraction chain commuting with the Murphy
 products, and the cellular products against the Hecke Gram pairing)."""
 
+import collections
 import functools
 import graphlib
 import itertools
@@ -750,6 +753,43 @@ class FractionHecke:
 
     def act_factors(self, el: dict, left: Word, middle, right: Word) -> dict:
         return self.act(functools.reduce(self.act_sum, middle, self.act(el, left)), right)
+
+
+def gamma_top(lam: Multipartition, ps: ParamSet) -> Fraction:
+    """gamma at the maximal standard tableau t^lambda: row factorials times
+    the cross-component content shifts (j - i) + u_s - u_t, formed from the
+    roots."""
+    out = Fraction(1)
+    for p in lam:
+        for row in p:
+            out *= math.factorial(row)
+    for s_idx in range(len(lam)):
+        for t_idx in range(s_idx + 1, len(lam)):
+            for i, row in enumerate(lam[s_idx], start=1):
+                for j in range(1, row + 1):
+                    out *= (j - i) + ps.u[s_idx] - ps.u[t_idx]
+    return out
+
+
+def gamma_by_descents(lam: Multipartition, ps: ParamSet) -> dict:
+    """gamma for every standard tableau, propagated down dominance from
+    ``gamma_top`` at t^lambda by the held descent ratios, breadth first:
+    the reference that ``hecke.gamma_coeffs``'s closed products are checked
+    against.  A tableau the descents do not reach raises AssertionError."""
+    tl = combinat.t_lambda(lam)
+    gamma = {tl: gamma_top(lam, ps)}
+    pending = collections.deque([tl])
+    while pending:
+        s = pending.popleft()
+        for t, ratio in hecke._descents(lam, s, ps):
+            if t not in gamma:
+                gamma[t] = ratio * gamma[s]
+                pending.append(t)
+    total = len(hecke.shape_words(lam).tableaux)
+    if len(gamma) != total:
+        raise AssertionError(f"gamma reaches {len(gamma)} of the {total} "
+                             f"standard tableaux of {lam}")
+    return gamma
 
 
 def addable_removable(lam: Multipartition, u) -> list[tuple[Node, Fraction, str]]:

@@ -185,9 +185,13 @@ def test_gram_single_row(tmp_path):
 
 def test_gram_degenerate_parameters(tmp_path):
     # a zero content gap leaves gamma undefined; the error names the
-    # condition, k and the shape
+    # condition, k and the shape.  The descents are read tableau by tableau
+    # in shape_words order, so where several gaps vanish the first met in
+    # that order is named: at (2,1|1) and u = (-2, -3) that is k=2, where a
+    # walk down dominance from t^lambda met k=3 first
     for shape, u, cause in (("(1|1)", "1,1", "k=1 in shape ((1,), (1,))"),
-                            ("(2|1)", "0,1", "k=2 in shape ((2,), (1,))")):
+                            ("(2|1)", "0,1", "k=2 in shape ((2,), (1,))"),
+                            ("(2,1|1)", "-2,-3", "k=2 in shape ((2, 1), (1,))")):
         rc, records = run(["gram", "--shape", shape, "--u", u], tmp_path)
         assert rc == 1
         assert records[0]["kind"] == "error"
@@ -579,6 +583,12 @@ GOLDEN_REPORTS = {
     # and a squared off-diagonal below zero, -5/4 at k = 3 from shape ((1, 1),)
     "verify --u 1/3 --n 4":
         "1e9158302a4a2f32851fb39fa547e07254261d542646b70f67ac239644eb16c2",
+    # gram's regime error, equal adjacent contents, which must end the job
+    # before any closed gamma product meets the zero factor they bring
+    "gram --shape (1|1) --u 1,1":
+        "8e5439774789c5ce53c2b39a4d8bf72f7ca89dd10486a7fc3d58b15e421f124c",
+    "gram --shape (2|1) --u 0,1":
+        "d636348f113387b55d0b86b26235e17e154c9212d7ce72b5ef2fd6a1098d9fb0",
 }
 
 
@@ -598,7 +608,8 @@ def _golden_digests_without_asserts(python, tmp_path):
     out = tmp_path / "out.jsonl"
     for argv in ("verify --r 2 --n 3", "verify --r 1 --n 4", "cellrank --r 2 --n 3",
                  "gram --shape (2|1|-)", "gram --shape (1|1|-) --u 21/2,-11/2,5/2",
-                 "verify --u 37/2,-11/3 --n 3", "verify --u 1/3 --n 4"):
+                 "verify --u 37/2,-11/3 --n 3", "verify --u 1/3 --n 4",
+                 "gram --shape (2|1) --u 0,1"):
         proc = subprocess.run(
             [python, "-O", "-m", "wenzl.cli", *argv.split(), "--out", str(out)],
             env=env, capture_output=True, text=True)

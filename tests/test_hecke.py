@@ -5,19 +5,19 @@ import functools
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from support import (FractionHecke, as_fractions, filled_step_tables, fraction_inverse,
-                     is_semisimple, key_word, multiply, murphy_triangular_report, root_sets,
-                     row_symmetrizer_witness, seeded_u, star_word, star_word_sum,
-                     word_sum_product, young_subgroup)
+                     gamma_by_descents, gamma_top, is_semisimple, key_word, multiply,
+                     murphy_triangular_report, root_sets, row_symmetrizer_witness, seeded_u,
+                     star_word, star_word_sum, word_sum_product, young_subgroup)
 from wenzl import _linalg, cli, combinat, hecke, wcell
 from wenzl.hecke import (
-    Element, HeckeAlgebra, MurphyBasis, gamma_coeffs, gamma_path_independent,
-    gamma_top, gram_det, gram_matrix,
-    murphy_basis, murphy_factors,
+    Element, HeckeAlgebra, MurphyBasis, gamma_coeffs, gamma_path_independent, gram_det,
+    gram_matrix, murphy_basis, murphy_factors,
 )
 from wenzl.params import ParamSet, wk_rational
 from wenzl.seminormal import Realization, build_all, relations
@@ -494,10 +494,13 @@ def test_int_descents_equal_the_fraction_contents(r, n):
 
 
 def test_gamma_top_divides_product():
+    # the reference's gamma at t^lambda, from the roots, is one of its
+    # coefficients and the closed product's at t^lambda
     ps = ParamSet.default(2, 2)
     for lam in combinat.multipartitions(2, 2):
-        coeffs = gamma_coeffs(lam, ps)
+        coeffs = gamma_by_descents(lam, ps)
         assert gamma_top(lam, ps) in coeffs.values()
+        assert gamma_coeffs(lam, ps)[combinat.t_lambda(lam)] == gamma_top(lam, ps)
 
 
 def test_semisimplicity_boundary():
@@ -590,21 +593,22 @@ def _permutation_sum(terms, n) -> collections.Counter:
 def _table_sizes() -> tuple:
     """The number of entries in each root-free table."""
     return tuple(hold.cache_info().currsize for hold in (
-        hecke.shape_words, hecke._order, wcell.cell_triples, wcell.cell_words))
+        hecke.shape_words, hecke._order, wcell.cell_words))
 
 
 def _held_tables(r, n) -> tuple:
     """The size of every root-free table, then the entries of each at the
     shapes and cells of r and sizes up to n (read through the tables, so
-    the reading fills what was missing)."""
+    the reading fills what was missing), then the triples of each cell,
+    which are the keys of its held words."""
     sizes = _table_sizes()
     shapes = [lam for m in range(n + 1) for lam in combinat.multipartitions(r, m)]
     cells = [(arcs, lam) for arcs in range(n // 2 + 1)
              for lam in combinat.multipartitions(r, n - 2 * arcs)]
     return (sizes, [hecke.shape_words(lam) for lam in shapes],
             [hecke._order(lam) for lam in shapes],
-            [wcell.cell_triples(r, n, arcs, lam) for arcs, lam in cells],
-            [wcell.cell_words(r, n, arcs, lam) for arcs, lam in cells])
+            [wcell.cell_words(r, n, arcs, lam) for arcs, lam in cells],
+            [wcell.cell_triples(r, n, arcs, lam) for arcs, lam in cells])
 
 
 def test_held_tables_are_root_free(tmp_path, drop_holds):
@@ -632,7 +636,8 @@ def test_held_tables_are_root_free(tmp_path, drop_holds):
     jobs(whole)
     again = _held_tables(2, 3)
     assert again[0] == filled
-    assert all(x is y for a, b in zip(again[1:], tables[1][1:]) for x, y in zip(a, b))
+    assert all(x is y for a, b in zip(again[1:4], tables[1][1:4]) for x, y in zip(a, b))
+    assert again[4] == tables[1][4]
 
 
 def _run_word(rng, n) -> tuple:
@@ -668,18 +673,73 @@ def test_act_takes_a_run_of_s_letters_as_one_permutation(r, n):
         assert H.act(el, (("S", 1), ("S", 1))) == el and H.act(el, ()) is el
 
 
-def test_gamma_raises_where_a_held_descent_edge_is_missing(monkeypatch):
-    # dropping the one held edge into a tableau leaves it unreached, which
-    # raises AssertionError (not an assert statement, so python -O keeps it)
-    lam, ps = ((1,), (1,)), ParamSet.default(2, 2)
-    order = hecke._order(lam)
-    into = collections.Counter(t for edges in order.descents.values() for _, t in edges)
-    s, (k, t) = next((s, e) for s, edges in order.descents.items() for e in edges
-                     if into[e[1]] == 1)
-    descents = {**order.descents, s: tuple(e for e in order.descents[s] if e != (k, t))}
-    monkeypatch.setattr(hecke, "_order", lambda mu: order._replace(descents=descents))
-    with pytest.raises(AssertionError, match=r"gamma reaches 1 of the 2 standard tableaux"):
-        gamma_coeffs(lam, ps)
+# roots at which some content gap vanishes, so that some shapes meet equal
+# adjacent contents
+DEGENERATE_U = {
+    1: [],
+    2: [(F(0), F(0)), (F(0), F(1)), (F(0), F(2)), (F(-2), F(-3)), (F(1, 2), F(3, 2))],
+    3: [(F(0), F(1), F(5)), (F(0), F(0), F(7)), (F(1, 2), F(-1, 2), F(9)),
+        (F(2), F(0), F(-1))],
+}
+
+
+@pytest.mark.parametrize("r,n", [(1, 4), (2, 3), (3, 3), (2, 4)])
+def test_gamma_closed_form_equals_the_descent_walk(r, n):
+    # the closed product of every tableau equals the walk down dominance
+    # from t^lambda, entry for entry; where a content gap vanishes, both
+    # raise the regime error, naming the same condition and shape (the k
+    # each names may differ, since they read the descents in other orders)
+    raised = 0
+    for u in root_sets("gamma", r) + DEGENERATE_U[r]:
+        ps = ParamSet.from_u(u)
+        for lam in combinat.multipartitions(r, n):
+            try:
+                want = gamma_by_descents(lam, ps)
+            except ValueError as e:
+                with pytest.raises(ValueError) as got:
+                    gamma_coeffs(lam, ps)
+                assert re.sub(r"k=\d+", "k", str(got.value)) == re.sub(r"k=\d+", "k", str(e))
+                raised += 1
+                continue
+            got = gamma_coeffs(lam, ps)
+            assert got == want and list(got) == list(hecke.shape_words(lam).tableaux), (u, lam)
+            assert gamma_path_independent(lam, ps, got)
+    assert raised > 0 if DEGENERATE_U[r] else raised == 0
+
+
+def test_path_independence_catches_a_doubled_gamma_or_an_inverted_ratio(monkeypatch):
+    # the closed products and the held descent ratios are two derivations:
+    # doubling one gamma, or inverting one ratio, breaks their agreement
+    lam, ps = ((2, 1), (1,)), ParamSet.default(2, 4)
+    gamma = gamma_coeffs(lam, ps)
+    assert gamma_path_independent(lam, ps, gamma) and all(gamma.values())
+    for t in gamma:
+        assert not gamma_path_independent(lam, ps, {**gamma, t: 2 * gamma[t]}), t
+    descents = hecke._descents
+    s = next(s for s in gamma if hecke._order(lam).descents[s])
+
+    def inverted(mu, v, ps):
+        for i, (t, ratio) in enumerate(descents(mu, v, ps)):
+            yield t, 1 / ratio if (v, i) == (s, 0) else ratio
+
+    monkeypatch.setattr(hecke, "_descents", inverted)
+    assert not gamma_path_independent(lam, ps, gamma_coeffs(lam, ps))
+
+
+def test_gamma_closed_form_reads_the_nodes_below(monkeypatch):
+    # negating the row and component of every node turns "below" into
+    # "above" in the closed product; the step table is filled first, so the
+    # contents stay as they are, and the products then differ from the
+    # reference
+    steps_from = combinat.steps_from
+    for r, n in ((2, 3), (3, 3), (1, 4)):
+        ps = ParamSet.default(r, n)
+        want = {lam: gamma_by_descents(lam, ps) for lam in combinat.multipartitions(r, n)}
+        assert all(gamma_coeffs(lam, ps) == g for lam, g in want.items())
+        monkeypatch.setattr(combinat, "steps_from", lambda mu: {
+            nu: ((-i, j, -s), removed) for nu, ((i, j, s), removed) in steps_from(mu).items()})
+        assert any(gamma_coeffs(lam, ps) != g for lam, g in want.items()), (r, n)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("r,n", [(1, 5), (2, 4), (3, 3)])
