@@ -2,12 +2,16 @@
 the Murphy basis, and Gram determinants.
 
 An element (``Element``) is int coefficients over one positive
-denominator, as in the seminormal model: a dict mapping (alpha, w) to a
-nonzero int, where alpha is an n-tuple of exponents with 0 <= alpha_j < r
-and w is a one-line permutation, so the key stands for
-Y_1^{alpha_1} ... Y_n^{alpha_n} T_w, and the denominator of them all.  All
-rewriting is exact and on ints: no Fraction is made inside it, and no
-floats appear anywhere in this module.
+denominator, as in the seminormal model: a dict mapping the index of a
+normal-form monomial (alpha, w) to a nonzero int, where alpha is an n-tuple
+of exponents with 0 <= alpha_j < r and w is a one-line permutation, so the
+monomial stands for Y_1^{alpha_1} ... Y_n^{alpha_n} T_w, and the
+denominator of them all.  The index is the monomial's position in the
+algebra's list of all r^n n! of them (``HeckeAlgebra.keys``), which is the
+column order of the Murphy matrix too, so no element is keyed by a tuple
+and no coordinate lookup hashes one.  All rewriting is exact and on ints:
+no Fraction is made inside it, and no floats appear anywhere in this
+module.
 
 Elements are made from the same generator words that
 ``seminormal.Realization`` evaluates: ``act`` applies a word on the right,
@@ -24,14 +28,25 @@ S letters instead of one word per permutation, k!, and both evaluators
 take it as a product.
 
 The image of a key times Y_j depends only on the key, j and the roots, so
-the algebra straightens and reduces it once and holds it: ``rmul_Y`` only
-scales and adds held images.  ``murphy_basis`` hangs the basis, and with
-it one algebra, on the parameter set (``ParamSet.murphy``), so the basis
-build and every Gram matrix at that parameter set share them.  T_i moves
-no coefficient: on the right it swaps the values i and i + 1 of w, on the
-left the entries at positions i and i + 1.  ``act`` composes each maximal
-run of S letters into one permutation p and relabels the values of every
-w by p in one pass.
+the algebra straightens and reduces it once, on the monomials themselves,
+and holds it as (index, coefficient) pairs: ``rmul_Y`` only scales and adds
+held images.  The reduction is linear, so the reduction of each unit
+monomial it meets inside is held too and scaled by the coefficient.
+``murphy_basis`` hangs the basis, and with it one algebra, on the parameter
+set (``ParamSet.murphy``), so the basis build and every Gram matrix at that
+parameter set share them.  T_i moves no coefficient: on the right it swaps
+the values i and i + 1 of w, on the left the entries at positions i and
+i + 1.  ``act`` composes each maximal run of S letters into one permutation
+p, and T_p on the right maps each index to an index through one table per
+p, held by the algebra; the table depends on r, n and p alone.
+
+A Gram matrix of lambda applies M_lambda to the d^2 inputs
+M_lambda T_{d(s)} T_{d(t)}*, which repeat on the diagonal and across the
+cosets of the Young subgroup; ``gram_matrix`` evaluates M_lambda once per
+distinct input (over every shape, 24 for the 48 pairs at r = 2, n = 3
+and 116 for 384 at r = 2, n = 4),
+checks every coordinate of each product on ints and forms a Fraction at
+the corner alone.
 
 What the basis and the Gram matrices read of a shape apart from the roots
 is held per shape for the process, in ``functools.cache`` tables keyed by
@@ -52,9 +67,10 @@ below it, below meaning a later component or a lower row of the same one.
 Every content is read as an int over q from the step table
 (``params.steps_out``), like every other coefficient.  The descent ratios
 gamma(t) / gamma(s) are a second derivation, which
-``gamma_path_independent`` compares with the products.  They are read
-first, so that equal adjacent contents end in the regime error that names
-them, before a product can divide by a zero they bring.
+``gamma_path_independent`` compares with the products.  The contents at
+every descent are compared first, as ints, so that equal adjacent contents
+end in the regime error that names them, before a product can divide by a
+zero they bring.
 """
 
 from __future__ import annotations
@@ -76,9 +92,10 @@ WordSum = tuple[tuple[Fraction, Word], ...]
 
 class Element(NamedTuple):
     """An element of the quotient: the nonzero int coefficients ``terms`` by
-    key, all over the one positive denominator ``den``.  Every element a
-    method returns has gcd(den, every coefficient) = 1 (zero is ({}, 1)), so
-    == is equality of elements."""
+    monomial index (a position in ``HeckeAlgebra.keys``), all over the one
+    positive denominator ``den``.  Every element a method returns has
+    gcd(den, every coefficient) = 1 (zero is ({}, 1)), so == is equality of
+    elements."""
 
     terms: dict
     den: int
@@ -114,12 +131,13 @@ def _swap_positions(w: tuple[int, ...], i: int) -> tuple[int, ...]:
 
 
 def _canonical(terms: dict, den: int) -> Element:
-    """The element terms / den, with the common factor of den and every
-    coefficient divided out."""
+    """The element terms / den, with its zero coefficients dropped and the
+    common factor of den and every coefficient divided out."""
+    terms = {i: c for i, c in terms.items() if c}
     if den != 1:
         g = math.gcd(den, *terms.values())
         if g != 1:
-            terms = {key: c // g for key, c in terms.items()}
+            terms = {i: c // g for i, c in terms.items()}
             den //= g
     return Element(terms, den)
 
@@ -127,14 +145,17 @@ def _canonical(terms: dict, den: int) -> Element:
 class HeckeAlgebra:
     """Exact arithmetic in the quotient where (Y_1 - u_1)...(Y_1 - u_r) = 0.
 
-    The coefficients of that relation below Y_1^r are cleared once to ints
-    ``cyc`` over their lcm ``Q``, which can exceed the roots' own
-    denominator.  ``act``, ``act_sum``, ``act_factors``, ``_rmul_perm`` and
-    ``rmul_Y`` take and return an ``Element``, and ``lmul_T`` and ``_reduce``
-    rewrite the int terms inside ``_straighten``, which forms the image of
-    one key times Y_j for the held table that ``rmul_Y`` reads: no method
-    writes into its input's terms or into a held image, and every value it
-    forms is an int."""
+    ``keys`` lists the r^n n! normal-form monomials (alpha, w), alpha
+    before w, and an element's terms are keyed by a monomial's position
+    there (``key_index``).  The coefficients of that relation below Y_1^r
+    are cleared once to ints ``cyc`` over their lcm ``Q``, which can exceed
+    the roots' own denominator.  ``act``, ``act_sum``, ``act_factors``,
+    ``_rmul_perm`` and ``rmul_Y`` take and return an ``Element``, and
+    ``lmul_T`` and ``_reduce`` rewrite int terms keyed by the monomials
+    themselves inside ``_straighten``, which forms the image of one key
+    times Y_j for the held table that ``rmul_Y`` reads, converted to indices
+    once, as it is held: no method writes into its input's terms or into a
+    held image, and every value it forms is an int."""
 
     def __init__(self, ps: ParamSet, n: int):
         if not ps.u:
@@ -147,11 +168,20 @@ class HeckeAlgebra:
         self.Q = clearing(cyc)
         self.cyc = cleared(cyc, self.Q)
         self.id = tuple(range(1, n + 1))
-        # (key, j) -> the key times Y_j in normal form, filled on first use
+        self.keys = [(alpha, w) for alpha in itertools.product(range(self.r), repeat=n)
+                     for w in itertools.permutations(self.id)]
+        self.key_index = {key: i for i, key in enumerate(self.keys)}
+        # (i, j) -> key i times Y_j in normal form, as (index, coefficient)
+        # pairs, filled on first use
         self._y_images: dict = {}
+        # p -> the index of (alpha, w p) at the index of (alpha, w)
+        self._relabels: dict = {}
+        # a unit monomial Y_{m-1}^p T_w -> T_{m-1} times its reduction, on
+        # monomial keys, filled by _reduce
+        self._units: dict = {}
 
     def one(self) -> Element:
-        return Element({((0,) * self.n, self.id): 1}, 1)
+        return Element({self.key_index[(0,) * self.n, self.id]: 1}, 1)
 
     # -- ring operations ---------------------------------------------------
 
@@ -164,32 +194,51 @@ class HeckeAlgebra:
         return Element(dict(self._relabelled(el.terms, p)), el.den)
 
     def _relabelled(self, terms: dict, p: tuple[int, ...]):
-        """The (key, c) pairs of int terms times T_p: each key (alpha, w)
-        becomes (alpha, w p), each value v of w relabelled as p(v)."""
+        """The (index, c) pairs of int terms times T_p: each index moves
+        through the relabelling table of p (``_relabel``)."""
         if p is self.id:
             return terms.items()
-        return (((alpha, tuple([p[v - 1] for v in w])), c)
-                for (alpha, w), c in terms.items())
+        return zip(map(self._relabel(p).__getitem__, terms), terms.values())
+
+    def _relabel(self, p: tuple[int, ...]) -> list[int]:
+        """The table of T_p on the right, held per p: at the index of each
+        key (alpha, w), the index of (alpha, w p), each value v of w
+        relabelled as p(v).  Keys run through the permutations for each
+        alpha in turn, so the table is one block of n! per alpha.  It
+        depends on r, n and p alone."""
+        table = self._relabels.get(p)
+        if table is None:
+            size = math.factorial(self.n)
+            zero = self.keys[0][0]
+            moved = [self.key_index[zero, tuple([p[v - 1] for v in w])]
+                     for _, w in self.keys[:size]]
+            table = self._relabels[p] = [a + x for a in range(0, len(self.keys), size)
+                                         for x in moved]
+        return table
 
     def rmul_Y(self, el: Element, j: int) -> Element:
         """Multiply by Y_j on the right: each key's image (``_y_image``) is
         scaled by its coefficient and brought to the largest power of Q
         met, and the sum is put in canonical form."""
-        images = [(c, *self._y_image(key, j)) for key, c in el.terms.items()]
+        images = [(c, *self._y_image(i, j)) for i, c in el.terms.items()]
         top = max((e for _, _, e in images), default=0)
         out: dict = {}
         for c, image, e in images:
             f = c * self.Q ** (top - e)
-            for key, x in image.items():
-                _merge(out, key, f * x)
+            for i, x in image:
+                v = out.get(i)
+                out[i] = f * x if v is None else v + f * x
         return _canonical(out, el.den * self.Q ** top)
 
-    def _y_image(self, key: Key, j: int) -> tuple[dict, int]:
-        """(terms, e): the key times Y_j in normal form, int terms over Q^e,
-        held for every later call with the same key and j."""
-        image = self._y_images.get((key, j))
+    def _y_image(self, i: int, j: int) -> tuple[tuple, int]:
+        """(pairs, e): key i times Y_j in normal form, as (index, int)
+        pairs over Q^e, held for every later call with the same i and j."""
+        image = self._y_images.get((i, j))
         if image is None:
-            image = self._y_images[key, j] = self._straighten(key, j)
+            terms, e = self._straighten(self.keys[i], j)
+            index = self.key_index
+            image = self._y_images[i, j] = (
+                tuple([(index[key], c) for key, c in terms.items()]), e)
         return image
 
     def _straighten(self, key: Key, j: int) -> tuple[dict, int]:
@@ -236,7 +285,10 @@ class HeckeAlgebra:
         position first.  Each substitution Y_1^p -> -sum_j (cyc[j] / Q)
         Y_1^{p-r+j} adds one power of Q to its term's denominator; the
         result is (out, e): int terms over Q^e, every term brought to the
-        largest power e met."""
+        largest power e met.  The rewriting is linear, so the inner
+        monomial Y_{m-1}^p T_u of each step at m > 1 is reduced, times
+        T_{m-1}, once per algebra with coefficient 1 and held (``_units``),
+        and each term scales the held image by its coefficient."""
         by_power: dict[int, dict] = {}
         work = [(alpha, w, c, 0) for (alpha, w), c in terms.items()]
         while work:
@@ -262,10 +314,15 @@ class HeckeAlgebra:
                 work.append((tuple(na), uperm, c, e))
             inner_alpha = [0] * self.n
             inner_alpha[m - 2] = p
-            inner, ie = self._reduce({(tuple(inner_alpha), uperm): c})
-            for (ia, iw), ic in self.lmul_T(inner, m - 1).items():
+            unit = (tuple(inner_alpha), uperm)
+            held = self._units.get(unit)
+            if held is None:
+                inner, ie = self._reduce({unit: 1})
+                held = self._units[unit] = (tuple(self.lmul_T(inner, m - 1).items()), ie)
+            inner, ie = held
+            for (ia, iw), ic in inner:
                 na = tuple(x + y for x, y in zip(ahat, ia))
-                work.append((na, iw, ic, e + ie))
+                work.append((na, iw, c * ic, e + ie))
         top = max(by_power, default=0)
         if len(by_power) <= 1:
             return by_power.get(top, {}), top
@@ -280,8 +337,9 @@ class HeckeAlgebra:
         """el times the word on the right: ("S", i) is T_i and ("X", j, a)
         is Y_j^a.  E letters have no image here.  A maximal run of S
         letters is one permutation p (``_s_run``), and T_p maps each key
-        (alpha, w) to (alpha, w p), relabelling the values of w, so the run
-        takes one pass over the terms; no two terms meet."""
+        (alpha, w) to (alpha, w p), one lookup per term in the table of p
+        (``_relabel``), so the run takes one pass over the terms; no two
+        terms meet."""
         k = 0
         while True:
             p, k = self._s_run(word, k)
@@ -324,8 +382,9 @@ class HeckeAlgebra:
         out: dict = {}
         for num, d, part, p in parts:
             f = num * (den // d)
-            for key, c in self._relabelled(part, p):
-                _merge(out, key, f * c)
+            for i, c in self._relabelled(part, p):
+                v = out.get(i)
+                out[i] = f * c if v is None else v + f * c
         return _canonical(out, den)
 
     def act_factors(self, el: Element, left: Word, middle, right: Word) -> Element:
@@ -404,23 +463,20 @@ def murphy_factors(ps: ParamSet, shape: Multipartition, s: Tableau,
 class MurphyBasis:
     """All basis elements indexed by (shape, s, t), with exact coordinates.
 
-    The key list enumerates every normal-form monomial, so the coordinate
-    matrix is square of size r^n n!; the change of basis being invertible
-    is exactly the spanning/independence statement.  Each element applies
-    the coset word of t to T_{d(s)}* · M_lambda, which is made once per s;
-    the tableaux and their words are the shape's held ``shape_words``.
+    The algebra's key list (``keys``) enumerates every normal-form
+    monomial, so the coordinate matrix is square of size r^n n!; the change
+    of basis being invertible is exactly the spanning/independence
+    statement.  Each element applies the coset word of t to T_{d(s)}* ·
+    M_lambda, which is made once per s; the tableaux and their words are
+    the shape's held ``shape_words``.
     """
 
     def __init__(self, H: HeckeAlgebra):
         self.H = H
-        n, r = H.n, H.r
-        self.keys = [(alpha, w)
-                     for alpha in itertools.product(range(r), repeat=n)
-                     for w in itertools.permutations(range(1, n + 1))]
-        self.key_index = {k: i for i, k in enumerate(self.keys)}
+        self.keys = H.keys
         self.triples = []
         self.elements = []
-        for lam in combinat.multipartitions(r, n):
+        for lam in combinat.multipartitions(H.r, H.n):
             shape = shape_words(lam)
             middle = murphy_middle(H.ps, lam)
             for s in shape.tableaux:
@@ -430,9 +486,8 @@ class MurphyBasis:
                     self.elements.append(H.act(left, shape.words[t][1]))
         self.triple_index = {tr: i for i, tr in enumerate(self.triples)}
         # row i holds the int terms of element i, by key index: the element
-        # times its den
-        self.matrix = [{self.key_index[key]: c for key, c in el.terms.items()}
-                       for el in self.elements]
+        # times its den, read and never written
+        self.matrix = [el.terms for el in self.elements]
 
     @functools.cached_property
     def _inv(self) -> tuple[int, list[dict]]:
@@ -442,19 +497,20 @@ class MurphyBasis:
         den = clearing(x for row in inv for x in row.values())
         return den, [dict(zip(row, cleared(row.values(), den))) for row in inv]
 
-    def coords(self, el: Element) -> dict:
-        """The nonzero coordinates of el by triple index: the x with
-        sum_j x_j elements[j] = el.  Row j of ``matrix`` is element j times
-        its den d_j, so the int row product v of el's terms with the inverse
-        rows of their keys gives x_j = Fraction(v_j d_j, D·el.den)."""
-        den, inv = self._inv
+    def coords(self, el: Element) -> tuple[dict, int]:
+        """(x, den): the nonzero coordinates of el by triple index, as ints
+        over one positive denominator, not reduced: sum_j (x_j / den)
+        elements[j] = el.  Row j of ``matrix`` is element j times its den
+        d_j, so the int row product v of el's terms with the inverse rows
+        of their indices gives x_j = v_j d_j over den = D·el.den."""
+        D, inv = self._inv
         acc: dict = {}
-        for key, c in el.terms.items():
-            for j, y in inv[self.key_index[key]].items():
+        for i, c in el.terms.items():
+            for j, y in inv[i].items():
                 x = acc.get(j)
                 acc[j] = c * y if x is None else x + c * y
-        den *= el.den
-        return {j: Fraction(x * self.elements[j].den, den) for j, x in acc.items() if x}
+        els = self.elements
+        return {j: x * els[j].den for j, x in acc.items() if x}, D * el.den
 
 
 def murphy_basis(ps: ParamSet, n: int) -> MurphyBasis:
@@ -502,6 +558,12 @@ def _order(lam: Multipartition) -> _Order:
     return _Order(descents, above)
 
 
+def _equal_contents(lam, k: int) -> ValueError:
+    """The regime error of a zero content gap at steps k and k+1 of lam."""
+    return ValueError(f"equal adjacent contents at k={k} in shape {lam}: "
+                      "gamma undefined, parameters not generic")
+
+
 def _descents(lam, s, ps: ParamSet):
     """(t, gamma(t) / gamma(s)) for each held descent edge (k, t) of s:
     (d + 1)(d - 1) / d^2 for the difference d of the contents of steps k
@@ -511,8 +573,7 @@ def _descents(lam, s, ps: ParamSet):
         # the content difference d is D / q
         D = C[k - 1] - C[k]
         if D == 0:
-            raise ValueError(f"equal adjacent contents at k={k} in shape {lam}: "
-                             "gamma undefined, parameters not generic")
+            raise _equal_contents(lam, k)
         yield t, Fraction((D + q) * (D - q), D * D)
 
 
@@ -546,14 +607,16 @@ def gamma_coeffs(lam, ps: ParamSet) -> dict:
 
     where step k adds the node alpha_k of content c_k, and a node
     (i', j', s') is below (i, j, s) when (s', i') > (s, i): a later
-    component, or a lower row of the same one.  The held descents of every
-    tableau are read first: equal adjacent contents end in their ValueError,
-    which names the condition, k and the shape, before a product can meet
-    the zero factor they bring."""
-    tableaux = shape_words(lam).tableaux
+    component, or a lower row of the same one.  The contents at the held
+    descents of every tableau are compared first, as ints: equal adjacent
+    contents end in their ValueError, which names the condition, k and the
+    shape, before a product can meet the zero factor they bring."""
+    tableaux, descents = shape_words(lam).tableaux, _order(lam).descents
     for s in tableaux:
-        for _ in _descents(lam, s, ps):
-            pass
+        C = contents(ps, s)
+        for k, _ in descents[s]:
+            if C[k - 1] == C[k]:
+                raise _equal_contents(lam, k)
     return {t: _gamma(t, ps) for t in tableaux}
 
 
@@ -565,37 +628,64 @@ def gamma_path_independent(lam, ps: ParamSet, gamma: dict) -> bool:
                for t, ratio in _descents(lam, s, ps))
 
 
+def _input_key(el: Element):
+    """What a Gram product depends on: its input element, by its terms and den."""
+    return el.den, frozenset(el.terms.items())
+
+
 def gram_matrix(mb: MurphyBasis, lam) -> list[dict]:
     """The cell form on the standard tableaux of lam, as sparse rows: entry
     <m_s, m_t> is the coordinate at m_{t^lam t^lam} of m_{t^lam s} times the
-    factors of m_{t t^lam}, in the algebra ``mb.H``, with every coordinate
-    of the product checked.  M_lam is formed once per matrix; the tableaux,
-    their words and the shapes that dominate lam are held per shape
+    factors of m_{t t^lam}, in the algebra ``mb.H``.  The input of the
+    product, m_{t^lam s} T_{d(t)}* = M_lam T_{d(s)} T_{d(t)}*, is the same
+    element on the diagonal and across a coset of the Young subgroup, so
+    M_lam is evaluated once per distinct input (``_input_key``) and every
+    pair with that input reads its entry.  Every nonzero coordinate of each
+    product is checked on ints, and only the corner one becomes a Fraction
+    (``_corner``).  M_lam is formed once per matrix; the tableaux, their
+    words and the shapes that dominate lam are held per shape
     (``shape_words``, ``_order``).  The basis elements are only read, so a
     held basis stays as built."""
     H = mb.H
     tl = combinat.t_lambda(lam)
     shape, above = shape_words(lam), _order(lam).above
-    # murphy_factors(ps, lam, t, tl) for each t, with M_lam formed once
+    # the factors of m_{t tl} after T_{d(t)}*, with M_lam formed once
     middle, right = murphy_middle(H.ps, lam), shape.words[tl][1]
-    factors = [(shape.words[t][0], middle, right) for t in shape.tableaux]
+    corner = mb.triple_index[lam, tl, tl]
+    entries: dict = {}
     rows = []
     for s in shape.tableaux:
         left = mb.elements[mb.triple_index[lam, tl, s]]
         row = {}
-        for j, fs in enumerate(factors):
-            for idx, c in mb.coords(H.act_factors(left, *fs)).items():
-                mu, a, b = mb.triples[idx]
-                if mu == lam:
-                    if (a, b) != (tl, tl):
-                        raise AssertionError(
-                            f"product not proportional to the corner element: "
-                            f"coordinate at ({a}, {b})")
-                    row[j] = c
-                elif mu not in above:
-                    raise AssertionError(f"product escapes upward to {mu}")
+        for j, t in enumerate(shape.tableaux):
+            x = H.act(left, shape.words[t][0])
+            key = _input_key(x)
+            c = entries.get(key)
+            if c is None:
+                product = H.act_factors(x, (), middle, right)
+                c = entries[key] = _corner(mb, lam, corner, above, product)
+            if c:
+                row[j] = c
         rows.append(row)
     return rows
+
+
+def _corner(mb: MurphyBasis, lam, corner: int, above: frozenset, el: Element):
+    """The coordinate of el at the corner m_{t^lam t^lam}, or 0, once every
+    nonzero coordinate is checked: at lam only the corner, elsewhere only
+    shapes that dominate lam."""
+    x, den = mb.coords(el)
+    for idx in x:
+        mu, a, b = mb.triples[idx]
+        if mu == lam:
+            if idx != corner:
+                raise AssertionError(
+                    f"product not proportional to the corner element: "
+                    f"coordinate at ({a}, {b})")
+        elif mu not in above:
+            raise AssertionError(f"product escapes upward to {mu}")
+    c = x.get(corner)
+    return Fraction(c, den) if c else 0
 
 
 def gram_det(mb: MurphyBasis, lam) -> Fraction:

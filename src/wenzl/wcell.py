@@ -44,8 +44,8 @@ order of the triples, share the steps of their common end.
 The left and right word of each index triple of a cell (``cell_words``,
 on the tableaux that ``hecke.shape_words`` holds) do not depend on the
 roots, so they are formed once per process in one ``functools.cache``
-table per cell, keyed by root-free arguments alone, and the triples
-(``cell_triples``) are its keys; the table grows with the cells at the
+table per cell, keyed by root-free arguments alone, and the cell's
+triples are its keys; the table grows with the cells at the
 sizes a batch runs, not with the number of jobs.
 """
 
@@ -64,13 +64,6 @@ from .seminormal import Evaluated, Realization
 
 
 # -- cellular structure --------------------------------------------------
-
-
-def cell_triples(r: int, n: int, arcs: int, shape: Multipartition) -> tuple[tuple, ...]:
-    """(tableau, powers, placement) triples indexing one cell, the tableaux
-    those of ``hecke.shape_words``: the keys of the cell's held
-    ``cell_words``, in their order."""
-    return tuple(cell_words(r, n, arcs, shape))
 
 
 def contraction_chain(n: int, arcs: int) -> Word:
@@ -136,7 +129,7 @@ def cellular_element(ps: ParamSet, n: int, arcs: int, shape: Multipartition,
     words = cell_words(ps.r, n, arcs, shape)
     left_words, right_words = words.get(left), words.get(right)
     if left_words is None or right_words is None:
-        raise ValueError("triples must index the cell (cell_triples)")
+        raise ValueError("triples must index the cell (the keys of cell_words)")
     _, middle, _ = murphy_factors(ps, shape, s, t)
     return CellularWord(left_words[0], middle, right_words[1], arcs, shape, left, right)
 
@@ -196,12 +189,12 @@ def cellular_rank_report(ps: ParamSet, n: int) -> dict:
     total = rank = 0
     for arcs in range(n // 2 + 1):
         for shape in combinat.multipartitions(r, n - 2 * arcs):
-            triples = cell_triples(r, n, arcs, shape)
+            words = cell_words(r, n, arcs, shape)
+            triples = tuple(words)
             cells.append({"arcs": arcs, "shape": [list(p) for p in shape],
                           "members": len(triples)})
             total += len(triples) ** 2
             names[shape] = name = f"cell (arcs={arcs}, shape={shape})"
-            words = cell_words(r, n, arcs, shape)
             first = triples[0]
             m = real.evaluate_product(cellular_element(ps, n, arcs, shape, first, first).middle)
             xs = [x.rows for x in real.words_times([words[a][0] for a in triples], m)]

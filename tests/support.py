@@ -8,7 +8,12 @@ with their contents, ``box_diff``, the class at a returning step and the
 swap of two steps) that ``combinat.steps_from`` is checked against, a
 count of the step tables a parameter set fills, the Fraction elimination
 that ``_linalg``'s int elimination is checked against, the branching
-report, the Fraction-dict Hecke rewriting,
+report, the Fraction-dict Hecke rewriting, the
+tuple-key Hecke algebra, Murphy basis and Gram matrix (``TupleHecke``,
+``TupleMurphyBasis``, ``tuple_gram_matrix``) that the ones keyed by
+monomial index are checked against, with the decoding between the two
+keys (``by_monomial``, ``from_monomials``), the cell triples as the keys
+of the held cell words (``cell_triples``),
 the Fraction expansion at infinity, and the Fraction forms of the
 contraction coefficient, of the seminormal model (``build_rep_reference``),
 of W at a shape and of the class sums, that the int forms are checked
@@ -218,7 +223,7 @@ def cellular_family_vectors(ps: ParamSet, n: int) -> list[dict]:
     vecs = []
     for arcs in range(n // 2 + 1):
         for shape in combinat.multipartitions(ps.r, n - 2 * arcs):
-            triples = wcell.cell_triples(ps.r, n, arcs, shape)
+            triples = cell_triples(ps.r, n, arcs, shape)
             diagonal = [wcell.cellular_element(ps, n, arcs, shape, a, a) for a in triples]
             m = real.evaluate_product(diagonal[0].middle)
             am = [seminormal.mul(real.evaluate(cw.left_word), m) for cw in diagonal]
@@ -293,7 +298,7 @@ def unshared_rank_report(ps: ParamSet, n: int, middle=lambda m: m) -> dict:
     total = rank = 0
     for arcs in range(n // 2 + 1):
         for shape in combinat.multipartitions(r, n - 2 * arcs):
-            triples = wcell.cell_triples(r, n, arcs, shape)
+            triples = cell_triples(r, n, arcs, shape)
             cells.append({"arcs": arcs, "shape": [list(p) for p in shape],
                           "members": len(triples)})
             total += len(triples) ** 2
@@ -638,7 +643,35 @@ def branching_blocks(rep: seminormal.SeminormalRep) -> dict:
 
 def multiply(H: hecke.HeckeAlgebra, x: hecke.Element, y: hecke.Element) -> hecke.Element:
     """x times y: each key of y acts on x as its word."""
-    return H.act_sum(x, [(c, key_word(key)) for key, c in as_fractions(y).items()])
+    return H.act_sum(x, [(c, key_word(key)) for key, c in by_monomial(H, y).items()])
+
+
+def by_monomial(H: hecke.HeckeAlgebra, el: hecke.Element) -> dict:
+    """An element of H as Fractions keyed by the monomial (alpha, w) of
+    each index, as ``FractionHecke`` keys its elements."""
+    return {H.keys[i]: Fraction(c, el.den) for i, c in el.terms.items()}
+
+
+def from_monomials(H: hecke.HeckeAlgebra, fracs: dict) -> hecke.Element:
+    """The canonical int element of H of Fraction coefficients keyed by
+    monomial: ``by_monomial``'s inverse."""
+    den = math.lcm(*(c.denominator for c in fracs.values()))
+    return hecke._canonical({H.key_index[key]: c.numerator * (den // c.denominator)
+                             for key, c in fracs.items()}, den)
+
+
+def coordinates(mb: hecke.MurphyBasis, el: hecke.Element) -> dict:
+    """The nonzero coordinates of el in the basis, as Fractions by triple
+    index: ``MurphyBasis.coords`` over its denominator."""
+    x, den = mb.coords(el)
+    return {j: Fraction(v, den) for j, v in x.items()}
+
+
+def cell_triples(r: int, n: int, arcs: int, shape: Multipartition) -> tuple[tuple, ...]:
+    """(tableau, powers, placement) triples indexing one cell, the tableaux
+    those of ``hecke.shape_words``: the keys of the cell's held
+    ``wcell.cell_words``, in their order."""
+    return tuple(wcell.cell_words(r, n, arcs, shape))
 
 
 def _merge(out: dict, key, c: Fraction):
@@ -753,6 +786,313 @@ class FractionHecke:
 
     def act_factors(self, el: dict, left: Word, middle, right: Word) -> dict:
         return self.act(functools.reduce(self.act_sum, middle, self.act(el, left)), right)
+
+
+class TupleHecke:
+    """The reference for ``hecke.HeckeAlgebra`` on tuple keys: elements are
+    ``hecke.Element`` with terms keyed by the monomial (alpha, w) itself,
+    as the algebra held them before it keyed them by monomial index.  Exact
+    arithmetic in the quotient where (Y_1 - u_1)...(Y_1 - u_r) = 0.
+
+    The coefficients of that relation below Y_1^r are cleared once to ints
+    ``cyc`` over their lcm ``Q``, which can exceed the roots' own
+    denominator.  ``act``, ``act_sum``, ``act_factors``, ``_rmul_perm`` and
+    ``rmul_Y`` take and return an ``Element``, and ``lmul_T`` and ``_reduce``
+    rewrite the int terms inside ``_straighten``, which forms the image of
+    one key times Y_j for the held table that ``rmul_Y`` reads: no method
+    writes into its input's terms or into a held image, and every value it
+    forms is an int."""
+
+    def __init__(self, ps: ParamSet, n: int):
+        if not ps.u:
+            raise ValueError("the quotient needs the roots u")
+        self.ps = ps
+        self.n = n
+        self.r = ps.r
+        # prod (Y - u_i) = Y^r + (cyc[r-1] Y^{r-1} + ... + cyc[0]) / Q
+        cyc = cyclotomic_coeffs(ps.u)[:-1]
+        self.Q = params.clearing(cyc)
+        self.cyc = params.cleared(cyc, self.Q)
+        self.id = tuple(range(1, n + 1))
+        # (key, j) -> the key times Y_j in normal form, filled on first use
+        self._y_images: dict = {}
+
+    def one(self) -> hecke.Element:
+        return hecke.Element({((0,) * self.n, self.id): 1}, 1)
+
+    # -- ring operations ---------------------------------------------------
+
+    def _rmul_perm(self, el: hecke.Element, p: tuple[int, ...]) -> hecke.Element:
+        """el times T_p for a permutation p: w -> w p relabels each value v
+        of w as p(v), a bijection of the keys, so no two terms meet.  At
+        the algebra's own ``id`` it returns el."""
+        if p is self.id:
+            return el
+        return hecke.Element(dict(self._relabelled(el.terms, p)), el.den)
+
+    def _relabelled(self, terms: dict, p: tuple[int, ...]):
+        """The (key, c) pairs of int terms times T_p: each key (alpha, w)
+        becomes (alpha, w p), each value v of w relabelled as p(v)."""
+        if p is self.id:
+            return terms.items()
+        return (((alpha, tuple([p[v - 1] for v in w])), c)
+                for (alpha, w), c in terms.items())
+
+    def rmul_Y(self, el: hecke.Element, j: int) -> hecke.Element:
+        """Multiply by Y_j on the right: each key's image (``_y_image``) is
+        scaled by its coefficient and brought to the largest power of Q
+        met, and the sum is put in canonical form."""
+        images = [(c, *self._y_image(key, j)) for key, c in el.terms.items()]
+        top = max((e for _, _, e in images), default=0)
+        out: dict = {}
+        for c, image, e in images:
+            f = c * self.Q ** (top - e)
+            for key, x in image.items():
+                hecke._merge(out, key, f * x)
+        return hecke._canonical(out, el.den * self.Q ** top)
+
+    def _y_image(self, key: hecke.Key, j: int) -> tuple[dict, int]:
+        """(terms, e): the key times Y_j in normal form, int terms over Q^e,
+        held for every later call with the same key and j."""
+        image = self._y_images.get((key, j))
+        if image is None:
+            image = self._y_images[key, j] = self._straighten(key, j)
+        return image
+
+    def _straighten(self, key: hecke.Key, j: int) -> tuple[dict, int]:
+        """Y^alpha T_w Y_j, with Y_j pushed left through T_w and reduced."""
+        alpha, w = key
+        word = perm_word(w)
+        out: dict = {}
+        # scan the reduced word right to left; each straightening step
+        # drops the letter and the Y factor at once
+        for p in range(len(word) - 1, -1, -1):
+            i = word[p]
+            if j == i:
+                hecke._merge(out, (alpha, self._perm_of(word[:p] + word[p + 1:])), -1)
+                j = i + 1
+            elif j == i + 1:
+                hecke._merge(out, (alpha, self._perm_of(word[:p] + word[p + 1:])), 1)
+                j = i
+        na = list(alpha)
+        na[j - 1] += 1
+        hecke._merge(out, (tuple(na), w), 1)
+        return self._reduce(out)
+
+    def _perm_of(self, word) -> tuple[int, ...]:
+        """The permutation of the word: w s_i for each letter i, as in ``act``."""
+        return functools.reduce(hecke._swap_values, word, self.id)
+
+    def lmul_T(self, terms: dict, i: int) -> dict:
+        """Multiply int terms by T_i on the left, over their denominator, via
+        the divided-difference rule:
+        T_i Y^b T_v = Y^{s_i b} T_{s_i v} - (difference quotient) T_v."""
+        out: dict = {}
+        for (alpha, w), c in terms.items():
+            hecke._merge(out, (hecke._swap_positions(alpha, i), hecke._swap_positions(w, i)), c)
+            a, b = alpha[i - 1], alpha[i]
+            sign = 1 if a < b else -1  # no correction term when a == b
+            for q in range(min(a, b), max(a, b)):
+                na = list(alpha)
+                na[i - 1], na[i] = q, a + b - 1 - q
+                hecke._merge(out, (tuple(na), w), sign * c)
+        return out
+
+    def _reduce(self, terms: dict) -> tuple[dict, int]:
+        """Rewrite int terms until every exponent is below r, largest
+        position first.  Each substitution Y_1^p -> -sum_j (cyc[j] / Q)
+        Y_1^{p-r+j} adds one power of Q to its term's denominator; the
+        result is (out, e): int terms over Q^e, every term brought to the
+        largest power e met."""
+        by_power: dict[int, dict] = {}
+        work = [(alpha, w, c, 0) for (alpha, w), c in terms.items()]
+        while work:
+            alpha, w, c, e = work.pop()
+            m = next((p for p in range(self.n, 0, -1)
+                      if alpha[p - 1] >= self.r), None)
+            if m is None:
+                hecke._merge(by_power.setdefault(e, {}), (alpha, w), c)
+                continue
+            p = alpha[m - 1]
+            if m == 1:
+                for j, cj in enumerate(self.cyc):
+                    if cj:
+                        work.append(((p - self.r + j,) + alpha[1:], w, -c * cj, e + 1))
+                continue
+            ahat = list(alpha)
+            ahat[m - 1] = 0
+            uperm = hecke._swap_positions(w, m - 1)
+            for l in range(p):
+                na = list(ahat)
+                na[m - 1] += l
+                na[m - 2] += p - 1 - l
+                work.append((tuple(na), uperm, c, e))
+            inner_alpha = [0] * self.n
+            inner_alpha[m - 2] = p
+            inner, ie = self._reduce({(tuple(inner_alpha), uperm): c})
+            for (ia, iw), ic in self.lmul_T(inner, m - 1).items():
+                na = tuple(x + y for x, y in zip(ahat, ia))
+                work.append((na, iw, ic, e + ie))
+        top = max(by_power, default=0)
+        if len(by_power) <= 1:
+            return by_power.get(top, {}), top
+        out: dict = {}
+        for e, part in by_power.items():
+            f = self.Q ** (top - e)
+            for key, c in part.items():
+                hecke._merge(out, key, c * f)
+        return out, top
+
+    def act(self, el: hecke.Element, word: Word) -> hecke.Element:
+        """el times the word on the right: ("S", i) is T_i and ("X", j, a)
+        is Y_j^a.  E letters have no image here.  A maximal run of S
+        letters is one permutation p (``_s_run``), and T_p maps each key
+        (alpha, w) to (alpha, w p), relabelling the values of w, so the run
+        takes one pass over the terms; no two terms meet."""
+        k = 0
+        while True:
+            p, k = self._s_run(word, k)
+            el = self._rmul_perm(el, p)
+            if k == len(word):
+                return el
+            letter = word[k]
+            if letter[0] != "X" or not 1 <= letter[1] <= self.n or letter[2] < 0:
+                raise ValueError(f"letter {letter!r} out of range at n={self.n}")
+            for _ in range(letter[2]):
+                el = self.rmul_Y(el, letter[1])
+            k += 1
+
+    def _s_run(self, word: Word, k: int) -> tuple[tuple[int, ...], int]:
+        """(p, end): the permutation p of the maximal run of S letters in
+        range that starts at word[k], w s_i for each letter i as in
+        ``_perm_of``, and the index just past the run."""
+        p = self.id
+        while k < len(word) and word[k][0] == "S" and 1 <= word[k][1] <= self.n - 1:
+            p = hecke._swap_values(p, word[k][1])
+            k += 1
+        return p, k
+
+    def act_sum(self, el: hecke.Element, terms: wcell.WordSum) -> hecke.Element:
+        """el times the word sum ``terms``: each word's element is scaled by
+        its coefficient's numerator, over its den times the coefficient's
+        denominator, and the terms are added over the lcm of those.  A word
+        that is one run of S letters (every word of a coset factor) is a
+        permutation p: its term is el's keys relabelled by p
+        (``_relabelled``), merged straight into the sum; any other word's
+        element is formed by ``act`` first."""
+        parts = []
+        for coeff, word in terms:
+            p, end = self._s_run(word, 0)
+            part = el
+            if end < len(word):
+                part, p = self.act(el, word), self.id
+            parts.append((coeff.numerator, part.den * coeff.denominator, part.terms, p))
+        den = math.lcm(*(d for _, d, _, _ in parts))
+        out: dict = {}
+        for num, d, part, p in parts:
+            f = num * (den // d)
+            for key, c in self._relabelled(part, p):
+                hecke._merge(out, key, f * c)
+        return hecke._canonical(out, den)
+
+    def act_factors(self, el: hecke.Element, left: Word, middle, right: Word) -> hecke.Element:
+        """el times the product of a left word, the word sums ``middle`` and
+        a right word, applied in that order."""
+        return self.act(functools.reduce(self.act_sum, middle, self.act(el, left)), right)
+
+
+
+
+class TupleMurphyBasis:
+    """The reference for ``hecke.MurphyBasis`` on ``TupleHecke``: all basis elements indexed by (shape, s, t), with exact coordinates.
+
+    The key list enumerates every normal-form monomial, so the coordinate
+    matrix is square of size r^n n!; the change of basis being invertible
+    is exactly the spanning/independence statement.  Each element applies
+    the coset word of t to T_{d(s)}* · M_lambda, which is made once per s;
+    the tableaux and their words are the shape's held ``shape_words``.
+    """
+
+    def __init__(self, H: TupleHecke):
+        self.H = H
+        n, r = H.n, H.r
+        self.keys = [(alpha, w)
+                     for alpha in itertools.product(range(r), repeat=n)
+                     for w in itertools.permutations(range(1, n + 1))]
+        self.key_index = {k: i for i, k in enumerate(self.keys)}
+        self.triples = []
+        self.elements = []
+        for lam in combinat.multipartitions(r, n):
+            shape = hecke.shape_words(lam)
+            middle = hecke.murphy_middle(H.ps, lam)
+            for s in shape.tableaux:
+                left = H.act_factors(H.one(), shape.words[s][0], middle, ())
+                for t in shape.tableaux:
+                    self.triples.append((lam, s, t))
+                    self.elements.append(H.act(left, shape.words[t][1]))
+        self.triple_index = {tr: i for i, tr in enumerate(self.triples)}
+        # row i holds the int terms of element i, by key index: the element
+        # times its den
+        self.matrix = [{self.key_index[key]: c for key, c in el.terms.items()}
+                       for el in self.elements]
+
+    @functools.cached_property
+    def _inv(self) -> tuple[int, list[dict]]:
+        """(D, rows): the inverse of ``matrix`` as int rows over one positive
+        denominator D, cleared once, on the first ``coords`` call."""
+        inv = _linalg.inverse(self.matrix)
+        den = params.clearing(x for row in inv for x in row.values())
+        return den, [dict(zip(row, params.cleared(row.values(), den))) for row in inv]
+
+    def coords(self, el: hecke.Element) -> dict:
+        """The nonzero coordinates of el by triple index: the x with
+        sum_j x_j elements[j] = el.  Row j of ``matrix`` is element j times
+        its den d_j, so the int row product v of el's terms with the inverse
+        rows of their keys gives x_j = Fraction(v_j d_j, D·el.den)."""
+        den, inv = self._inv
+        acc: dict = {}
+        for key, c in el.terms.items():
+            for j, y in inv[self.key_index[key]].items():
+                x = acc.get(j)
+                acc[j] = c * y if x is None else x + c * y
+        den *= el.den
+        return {j: Fraction(x * self.elements[j].den, den) for j, x in acc.items() if x}
+
+
+
+
+def tuple_gram_matrix(mb: TupleMurphyBasis, lam) -> list[dict]:
+    """The reference for ``hecke.gram_matrix``: every one of the d^2 products
+    evaluated and read through ``coords``.  The cell form on the standard tableaux of lam, as sparse rows: entry
+    <m_s, m_t> is the coordinate at m_{t^lam t^lam} of m_{t^lam s} times the
+    factors of m_{t t^lam}, in the algebra ``mb.H``, with every coordinate
+    of the product checked.  M_lam is formed once per matrix; the tableaux,
+    their words and the shapes that dominate lam are held per shape
+    (``shape_words``, ``_order``).  The basis elements are only read, so a
+    held basis stays as built."""
+    H = mb.H
+    tl = combinat.t_lambda(lam)
+    shape, above = hecke.shape_words(lam), hecke._order(lam).above
+    # murphy_factors(ps, lam, t, tl) for each t, with M_lam formed once
+    middle, right = hecke.murphy_middle(H.ps, lam), shape.words[tl][1]
+    factors = [(shape.words[t][0], middle, right) for t in shape.tableaux]
+    rows = []
+    for s in shape.tableaux:
+        left = mb.elements[mb.triple_index[lam, tl, s]]
+        row = {}
+        for j, fs in enumerate(factors):
+            for idx, c in mb.coords(H.act_factors(left, *fs)).items():
+                mu, a, b = mb.triples[idx]
+                if mu == lam:
+                    if (a, b) != (tl, tl):
+                        raise AssertionError(
+                            f"product not proportional to the corner element: "
+                            f"coordinate at ({a}, {b})")
+                    row[j] = c
+                elif mu not in above:
+                    raise AssertionError(f"product escapes upward to {mu}")
+        rows.append(row)
+    return rows
 
 
 def gamma_top(lam: Multipartition, ps: ParamSet) -> Fraction:
@@ -1264,7 +1604,7 @@ def murphy_triangular_report(mb: hecke.MurphyBasis) -> list[str]:
         contents = combinat.content_sequence(s, H.ps.u)
         for k in range(1, H.n + 1):
             prod = multiply(H, H.act(H.one(), (("X", k, 1),)), el)
-            for idx, c in mb.coords(prod).items():
+            for idx, c in coordinates(mb, prod).items():
                 mu, a, b = mb.triples[idx]
                 if mu != lam:
                     if combinat.dominance_mp(mu, lam) and mu != lam:
@@ -1336,7 +1676,7 @@ def cell_indices(r: int, n: int) -> list[CellIndex]:
     for arcs in range(n // 2 + 1):
         for shape in combinat.multipartitions(r, n - 2 * arcs):
             out.extend(CellIndex(arcs, shape, triple)
-                       for triple in wcell.cell_triples(r, n, arcs, shape))
+                       for triple in cell_triples(r, n, arcs, shape))
     return out
 
 

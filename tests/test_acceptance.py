@@ -185,7 +185,7 @@ def test_criterion_11_cellular_rank():
             total = 0
             for arcs in range(n // 2 + 1):
                 for shape in combinat.multipartitions(r, n - 2 * arcs):
-                    total += len(wcell.cell_triples(r, n, arcs, shape)) ** 2
+                    total += len(support.cell_triples(r, n, arcs, shape)) ** 2
             ok &= total == r ** n * combinat.double_factorial(2 * n - 1)
     ranks = []
     for r, n in ((1, 2), (1, 3), (2, 2), (3, 2), (4, 2), (1, 4), (2, 3)):

@@ -10,10 +10,12 @@ from fractions import Fraction
 
 import pytest
 
-from support import (FractionHecke, as_fractions, filled_step_tables, fraction_inverse,
-                     gamma_by_descents, gamma_top, is_semisimple, key_word, multiply,
-                     murphy_triangular_report, root_sets, row_symmetrizer_witness, seeded_u,
-                     star_word, star_word_sum, word_sum_product, young_subgroup)
+from support import (FractionHecke, TupleHecke, TupleMurphyBasis, as_fractions, by_monomial,
+                     cell_triples, coordinates, filled_step_tables, fraction_inverse,
+                     from_monomials, gamma_by_descents, gamma_top, is_semisimple, key_word,
+                     multiply, murphy_triangular_report, root_sets, row_symmetrizer_witness,
+                     seeded_u, star_word, star_word_sum, tuple_gram_matrix, word_sum_product,
+                     young_subgroup)
 from wenzl import _linalg, cli, combinat, hecke, wcell
 from wenzl.hecke import (
     Element, HeckeAlgebra, MurphyBasis, gamma_coeffs, gamma_path_independent, gram_det,
@@ -35,16 +37,14 @@ def _word(H, *letters):
 
 
 def _monomials(H):
-    return [Element({(alpha, w): 1}, 1)
-            for alpha in itertools.product(range(H.ps.r), repeat=H.n)
-            for w in itertools.permutations(range(1, H.n + 1))]
+    return [Element({i: 1}, 1) for i in range(len(H.keys))]
 
 
 def _star(H, el):
     """The anti-involution fixing every generator: each key's word,
     reversed, evaluated through act."""
     return H.act_sum(H.one(), [(c, star_word(key_word(key)))
-                               for key, c in as_fractions(el).items()])
+                               for key, c in by_monomial(H, el).items()])
 
 
 def _evaluate(H, left, middle, right):
@@ -121,15 +121,19 @@ def test_multiplication_is_associative():
 
 
 def test_products_stay_in_normal_form():
+    # the keys are the normal-form monomials, each once, and every product
+    # is keyed by their indices
     H = _alg(2, 2)
     allowed = set()
     for alpha in itertools.product(range(2), repeat=2):
         for w in itertools.permutations((1, 2)):
             allowed.add((alpha, w))
+    assert len(H.keys) == len(allowed) and set(H.keys) == allowed
+    assert all(H.key_index[key] == i for i, key in enumerate(H.keys))
     for a in _monomials(H):
         for b in _monomials(H):
-            for key in as_fractions(multiply(H, a, b)):
-                assert key in allowed
+            for i in multiply(H, a, b).terms:
+                assert type(i) is int and 0 <= i < len(H.keys)
 
 
 def test_star_is_an_antiinvolution():
@@ -167,7 +171,7 @@ def test_murphy_basis_ranks():
         if r > 1 and H.ps.u[0].denominator > 1:
             assert any(el.den > 1 for el in mb.elements)
         for i, el in enumerate(mb.elements):
-            assert mb.coords(el) == {i: 1}, (r, n, i)
+            assert coordinates(mb, el) == {i: 1}, (r, n, i)
 
 
 @pytest.mark.parametrize("r,n", [(2, 2), (1, 3), (3, 2), (1, 4), (2, 3)])
@@ -236,8 +240,8 @@ def _gram_by_multiply(mb, lam):
     stds = combinat.standard_tableaux(lam)
     m, corner = mb.elements, mb.triple_index[lam, tl, tl]
     return [{j: x for j, t in enumerate(stds)
-             if (x := mb.coords(multiply(H, m[mb.triple_index[lam, tl, s]],
-                                         m[mb.triple_index[lam, t, tl]])).get(corner, 0))}
+             if (x := coordinates(mb, multiply(H, m[mb.triple_index[lam, tl, s]],
+                                               m[mb.triple_index[lam, t, tl]])).get(corner, 0))}
             for s in stds]
 
 
@@ -296,8 +300,7 @@ def test_int_coordinates_equal_the_fraction_inverse(r, n):
     for ps in (ParamSet.default(r, n), ParamSet.from_u(seeded_u("coords", r, n))):
         mb = MurphyBasis(HeckeAlgebra(ps, n))
         H = mb.H
-        inv = fraction_inverse([{mb.key_index[key]: c for key, c in as_fractions(el).items()}
-                                for el in mb.elements])
+        inv = fraction_inverse([as_fractions(el) for el in mb.elements])
         els = list(mb.elements)
         for lam in combinat.multipartitions(r, n):
             tl = combinat.t_lambda(lam)
@@ -306,10 +309,10 @@ def test_int_coordinates_equal_the_fraction_inverse(r, n):
                 left = mb.elements[mb.triple_index[lam, tl, s]]
                 els += [H.act_factors(left, *murphy_factors(ps, lam, t, tl)) for t in stds]
         for el in els:
-            got = mb.coords(el)
-            vec = {mb.key_index[key]: c for key, c in as_fractions(el).items()}
-            assert got == _linalg.mat_mul([vec], inv)[0], (ps.u, el)
-            assert all(type(x) is Fraction and x for x in got.values())
+            x, den = mb.coords(el)
+            assert type(den) is int and den > 0
+            assert all(type(v) is int and v for v in x.values())
+            assert coordinates(mb, el) == _linalg.mat_mul([as_fractions(el)], inv)[0], (ps.u, el)
 
 
 def _canonical(el):
@@ -340,7 +343,7 @@ def test_int_rewriting_equals_the_fraction_reference(r, n):
         want = {}
         for (lam, s, t), el in zip(mb.triples, mb.elements):
             want[lam, s, t] = ref.act_factors(ref.one(), *murphy_factors(ps, lam, s, t))
-            assert _canonical(el) and as_fractions(el) == want[lam, s, t], (u, lam, s, t)
+            assert _canonical(el) and by_monomial(H, el) == want[lam, s, t], (u, lam, s, t)
         for lam in combinat.multipartitions(r, n):
             tl = combinat.t_lambda(lam)
             stds = combinat.standard_tableaux(lam)
@@ -350,14 +353,7 @@ def test_int_rewriting_equals_the_fraction_reference(r, n):
                     fs = murphy_factors(ps, lam, t, tl)
                     got = H.act_factors(left, *fs)
                     assert _canonical(got), (u, lam, s, t)
-                    assert as_fractions(got) == ref.act_factors(want[lam, tl, s], *fs)
-
-
-def _element(fracs: dict) -> Element:
-    """The canonical int element of a dict of Fraction coefficients."""
-    den = math.lcm(*(c.denominator for c in fracs.values()))
-    return hecke._canonical({k: c.numerator * (den // c.denominator)
-                             for k, c in fracs.items()}, den)
+                    assert by_monomial(H, got) == ref.act_factors(want[lam, tl, s], *fs)
 
 
 def _seeded_checks(H, ref, rng):
@@ -371,17 +367,17 @@ def _seeded_checks(H, ref, rng):
     coeffs = [F(1), F(-2), F(3, 7), F(-5, 4), F(11, 6)]
     for _ in range(4):
         fr = {k: rng.choice(coeffs) for k in rng.sample(keys, min(len(keys), 6))}
-        el = _element(fr)
+        el = from_monomials(H, fr)
         for j in range(1, n + 1):
             got = H.rmul_Y(el, j)
-            assert _canonical(got) and as_fractions(got) == ref.rmul_Y(fr, j), (fr, j)
+            assert _canonical(got) and by_monomial(H, got) == ref.rmul_Y(fr, j), (fr, j)
         word = tuple(rng.choice(letters) for _ in range(4))
         got = H.act(el, word)
-        assert _canonical(got) and as_fractions(got) == ref.act(fr, word), (fr, word)
+        assert _canonical(got) and by_monomial(H, got) == ref.act(fr, word), (fr, word)
         wsum = tuple((rng.choice(coeffs), tuple(rng.choice(letters) for _ in range(3)))
                      for _ in range(3))
         got = H.act_sum(el, wsum)
-        assert _canonical(got) and as_fractions(got) == ref.act_sum(fr, wsum), (fr, wsum)
+        assert _canonical(got) and by_monomial(H, got) == ref.act_sum(fr, wsum), (fr, wsum)
 
 
 @pytest.mark.parametrize("r,n", [(3, 2), (1, 4), (2, 3)])
@@ -402,9 +398,10 @@ def test_held_y_images_equal_the_fraction_reference(r, n):
         for lam in combinat.multipartitions(r, n):
             gram_matrix(mb, lam)
         warm = mb.H
-        for (key, j), (terms, e) in warm._y_images.items():
-            held = {k: F(c, warm.Q ** e) for k, c in terms.items()}
-            assert held == ref.rmul_Y({key: F(1)}, j), (u, key, j)
+        for (i, j), (pairs, e) in warm._y_images.items():
+            assert all(type(k) is int for k, _ in pairs)
+            held = {warm.keys[k]: F(c, warm.Q ** e) for k, c in pairs}
+            assert held == ref.rmul_Y({warm.keys[i]: F(1)}, j), (u, i, j)
         assert warm._y_images or r == 1
         _seeded_checks(warm, ref, rng)
         assert cold._y_images
@@ -443,7 +440,7 @@ def test_each_key_is_straightened_once_per_parameter_set(tmp_path, monkeypatch,
         assert len(murphy_builds) == 1
         # at r = 1 no M_lam holds a Y, so nothing is straightened
         assert set(calls.values()) <= {1} and (calls or r == 1), (r, n)
-        assert set(calls) == set(H._y_images)
+        assert {(H.key_index[key], j) for key, j in calls} == set(H._y_images)
 
 
 def test_gram_jobs_read_each_boundary_once_per_parameter_set(tmp_path, monkeypatch,
@@ -608,7 +605,7 @@ def _held_tables(r, n) -> tuple:
     return (sizes, [hecke.shape_words(lam) for lam in shapes],
             [hecke._order(lam) for lam in shapes],
             [wcell.cell_words(r, n, arcs, lam) for arcs, lam in cells],
-            [wcell.cell_triples(r, n, arcs, lam) for arcs, lam in cells])
+            [cell_triples(r, n, arcs, lam) for arcs, lam in cells])
 
 
 def test_held_tables_are_root_free(tmp_path, drop_holds):
@@ -664,10 +661,10 @@ def test_act_takes_a_run_of_s_letters_as_one_permutation(r, n):
         H, ref = HeckeAlgebra(ps, n), FractionHecke(ps, n)
         for _ in range(6):
             fr = {k: rng.choice(coeffs) for k in rng.sample(keys, min(len(keys), 6))}
-            el = _element(fr)
+            el = from_monomials(H, fr)
             word = _run_word(rng, n)
             got = H.act(el, word)
-            assert _canonical(got) and as_fractions(got) == ref.act(fr, word), (u, fr, word)
+            assert _canonical(got) and by_monomial(H, got) == ref.act(fr, word), (u, fr, word)
             assert got == functools.reduce(lambda x, letter: H.act(x, (letter,)), word, el)
         # a run that cancels, and the empty word, leave the element as it is
         assert H.act(el, (("S", 1), ("S", 1))) == el and H.act(el, ()) is el
@@ -778,7 +775,7 @@ def test_act_sum_relabels_bare_permutations(r, n, monkeypatch):
     coeffs = [F(1), F(-2), F(3, 7), F(-5, 4)]
     for _ in range(6):
         fr = {k: rng.choice(coeffs) for k in rng.sample(keys, 6)}
-        el = _element(fr)
+        el = from_monomials(H, fr)
         wsum = tuple((rng.choice(coeffs), tuple(("S", rng.randrange(1, n))
                                                 for _ in range(rng.randrange(4))))
                      for _ in range(4)) + ((F(2), (("X", 1, 1),)),)
@@ -790,9 +787,115 @@ def test_act_sum_relabels_bare_permutations(r, n, monkeypatch):
         got = H.act_sum(el, wsum)
         monkeypatch.undo()
         assert formed == [(("X", 1, 1),)]
-        assert _canonical(got) and as_fractions(got) == ref.act_sum(fr, wsum)
+        assert _canonical(got) and by_monomial(H, got) == ref.act_sum(fr, wsum)
         total = {}
         for (c, _), part in zip(wsum, parts):
-            for key, x in as_fractions(part).items():
+            for key, x in by_monomial(H, part).items():
                 total[key] = total.get(key, 0) + c * x
-        assert as_fractions(got) == {k: x for k, x in total.items() if x}
+        assert by_monomial(H, got) == {k: x for k, x in total.items() if x}
+
+
+def _decoded(H, el) -> Element:
+    """An int element keyed by index, keyed by its monomials instead."""
+    return Element({H.keys[i]: c for i, c in el.terms.items()}, el.den)
+
+
+def _encoded(H, el) -> Element:
+    """An int element keyed by monomial, keyed by their indices instead."""
+    return Element({H.key_index[key]: c for key, c in el.terms.items()}, el.den)
+
+
+@pytest.mark.parametrize("r,n", [(1, 3), (3, 2), (1, 4), (2, 3), (2, 4)])
+def test_int_keys_equal_the_tuple_reference(r, n):
+    # the algebra keyed by monomial index against the one keyed by the
+    # monomials themselves, entry for entry: the key list, every Murphy
+    # element and the Murphy matrix, the coordinates of every distinct Gram
+    # product (those of the elements, unit vectors, are checked on their
+    # own above), and every Gram matrix, over the
+    # reference root sets and roots where a content gap vanishes.  The
+    # Murphy basis exists at any roots, so there no path raises and some
+    # Gram matrix is singular; what does raise, a letter out of range,
+    # raises the same error in both
+    singular = 0
+    for u in root_sets("int-keys", r) + DEGENERATE_U[r]:
+        ps = ParamSet.from_u(u)
+        mb, ref = MurphyBasis(HeckeAlgebra(ps, n)), TupleMurphyBasis(TupleHecke(ps, n))
+        H = mb.H
+        for bad in (("S", n), ("X", n + 1, 1), ("E", 1)):
+            with pytest.raises(ValueError) as want:
+                ref.H.act(ref.H.one(), (bad,))
+            with pytest.raises(ValueError, match=re.escape(str(want.value))):
+                H.act(H.one(), (bad,))
+        assert mb.keys == H.keys == ref.keys and H.key_index == ref.key_index
+        assert mb.triples == ref.triples
+        assert [_decoded(H, el) for el in mb.elements] == ref.elements, u
+        assert mb.matrix == ref.matrix, u
+        products = []
+        for lam in combinat.multipartitions(r, n):
+            tl = combinat.t_lambda(lam)
+            stds = combinat.standard_tableaux(lam)
+            distinct = {}
+            for s in stds:
+                left = ref.elements[ref.triple_index[lam, tl, s]]
+                for t in stds:
+                    x = ref.H.act(left, hecke.shape_words(lam).words[t][0])
+                    distinct[x.den, frozenset(x.terms.items())] = x
+            products += [ref.H.act_factors(x, (), *murphy_factors(ps, lam, tl, tl)[1:])
+                         for x in distinct.values()]
+            got = gram_matrix(mb, lam)
+            assert got == tuple_gram_matrix(ref, lam), (u, lam)
+            singular += _linalg.det(got) == 0
+        for el in products:
+            assert coordinates(mb, _encoded(H, el)) == ref.coords(el), (u, el)
+    assert singular > 0 if DEGENERATE_U[r] else singular == 0
+
+
+def _distinct_inputs(mb, lam) -> int:
+    """The number of distinct elements m_{t^lam s} T_{d(t)}* over the pairs
+    (s, t), formed in the tuple reference."""
+    ref = TupleMurphyBasis(TupleHecke(mb.H.ps, mb.H.n))
+    tl = combinat.t_lambda(lam)
+    words = hecke.shape_words(lam).words
+    stds = combinat.standard_tableaux(lam)
+    return len({(x.den, frozenset(x.terms.items()))
+                for s in stds for t in stds
+                for x in [ref.H.act(ref.elements[ref.triple_index[lam, tl, s]], words[t][0])]})
+
+
+@pytest.mark.parametrize("r,n,distinct,pairs", [(2, 3, 24, 48), (2, 4, 116, 384)])
+def test_gram_evaluates_the_middle_once_per_distinct_input(r, n, distinct, pairs,
+                                                           monkeypatch):
+    # a Gram matrix applies M_lam once to each distinct input element, not
+    # once per pair (s, t): 24 of the 48 pairs at (2,3), 116 of 384 at (2,4)
+    calls = []
+    act_factors = HeckeAlgebra.act_factors
+    monkeypatch.setattr(HeckeAlgebra, "act_factors",
+                        lambda self, el, *fs: calls.append((el.den, frozenset(el.terms.items())))
+                        or act_factors(self, el, *fs))
+    for ps in (ParamSet.default(r, n), ParamSet.from_u(seeded_u("distinct", r, n))):
+        mb = MurphyBasis(HeckeAlgebra(ps, n))
+        total = 0
+        for lam in combinat.multipartitions(r, n):
+            calls.clear()
+            gram_matrix(mb, lam)
+            assert len(calls) == len(set(calls)) == _distinct_inputs(mb, lam), (ps.u, lam)
+            total += len(calls)
+        assert total == distinct and len(mb.elements) == pairs, ps.u
+
+
+def test_a_gram_memo_keyed_by_the_column_alone_is_caught(monkeypatch):
+    # keying the products by the tableau t alone, so that every row reads
+    # the first row's products, makes some Gram matrix differ from the
+    # reference: the comparison above sees a memo that is too coarse
+    ps = ParamSet.default(2, 3)
+    mb, ref = MurphyBasis(HeckeAlgebra(ps, 3)), TupleMurphyBasis(TupleHecke(ps, 3))
+    shapes = combinat.multipartitions(2, 3)
+    assert all(gram_matrix(mb, lam) == tuple_gram_matrix(ref, lam) for lam in shapes)
+    for lam in shapes:
+        d = len(combinat.standard_tableaux(lam))
+        column = itertools.count()
+        monkeypatch.setattr(hecke, "_input_key", lambda el: next(column) % d)
+        if gram_matrix(mb, lam) != tuple_gram_matrix(ref, lam):
+            break
+    else:
+        raise AssertionError("a memo keyed by t alone went unseen")

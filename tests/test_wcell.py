@@ -9,7 +9,7 @@ import pytest
 
 from support import (
     FractionRealization, as_fractions, block, blocks_as_fractions,
-    cell_indices, cellular_family_vectors, contraction_murphy_commute_residual, derived_omega,
+    cell_indices, cell_triples, cellular_family_vectors, contraction_murphy_commute_residual, derived_omega,
     cyclotomic_word_sum, filtration_index, from_dense, hecke_pairing_residual,
     is_root_shift, murphy_words, reference_words, root_sets, seeded_u, star, star_word,
     star_word_sum, terms, unshared_rank_report, vec, word_sum_mul,
@@ -21,7 +21,7 @@ from wenzl.cli import main
 from wenzl.params import ParamSet
 from wenzl.seminormal import build_all
 from wenzl.wcell import (
-    Realization, cell_triples, cellular_element, cellular_rank_report, contraction_chain,
+    Realization, cellular_element, cellular_rank_report, contraction_chain,
 )
 
 F = Fraction
