@@ -7,15 +7,16 @@ count is not stored: an operation reads only the entries that are there.
 
 ``rank``, ``det`` and ``inverse`` share one elimination (``_eliminate``),
 fraction-free over Z: it works on int copies of the input rows, each row
-cleared of its denominators once, and never forms a ``Fraction`` inside
-the loop.  Columns are eliminated left to right.  The pivot of a column
-is, among the rows not yet used as pivots that hold it, the one with the
-fewest nonzeros; the lowest row index breaks ties, so every run takes the
-same pivots.  Only rows that hold the column are updated, only at the
-pivot row's nonzeros, and entries that cancel are dropped, so the work
-follows the nonzeros rather than the matrix size.  ``rank`` and ``det``
-clear each column from the rows not yet pivoted; ``inverse`` clears it from
-every other row (Gauss-Jordan) and divides by the pivots only at the end.
+cleared of its denominators once, and never forms a ``Fraction``.  Columns
+are eliminated left to right.  The pivot of a column is, among the rows not
+yet used as pivots that hold it, the one with the fewest nonzeros; the
+lowest row index breaks ties, so every run takes the same pivots.  Only
+rows that hold the column are updated, only at the pivot row's nonzeros,
+and entries that cancel are dropped, so the work follows the nonzeros
+rather than the matrix size.  ``rank`` and ``det`` clear each column from
+the rows not yet pivoted; ``inverse`` clears it from every other row
+(Gauss-Jordan) and returns int rows over one denominator, so it forms no
+``Fraction`` either: ``det`` alone makes one, its result.
 """
 
 from __future__ import annotations
@@ -105,40 +106,44 @@ def _eliminate(rows, augmented=None):
     on hold an appended identity: only the columns below n are pivoted, and
     each is cleared from every other row (Gauss-Jordan), so each pivot row
     ends up holding no other pivot column and, from n on, its row of the
-    inverse times its final pivot value.  Returns (pivots, num, den): the
-    pivots as (column, row), in column order, and each row's multiple.  No
-    Fraction is formed: the pivot over Q, the stored pivot over its row's
-    multiple, is read from these ints by ``det`` alone.
+    inverse times its final pivot value.  Only the columns below ``bound``,
+    which can be pivots, keep the set of rows that hold them.  Returns
+    (pivots, num, den): the pivots as (column, row), in column order, and
+    each row's multiple, from which ``det`` reads each pivot over Q.
     """
-    num = []
-    den = []
+    num, den = [], [1] * len(rows)
+    jordan = augmented is not None
+    bound = augmented if jordan else math.inf
     holders: dict = {}
     for i, row in enumerate(rows):
         scale = math.lcm(*(x.denominator for x in row.values()))
         rows[i] = {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
         num.append(scale)
-        den.append(1)
         for j in row:
-            holders.setdefault(j, set()).add(i)
-    jordan = augmented is not None
+            if j < bound:
+                holders.setdefault(j, set()).add(i)
     # a row gains entries only at columns of a pivot row, which are already
     # held, so the pivot columns are known up front
-    columns = sorted(c for c in holders if not jordan or c < augmented)
     used = set()
     pivots = []
-    for c in columns:
+    for c in sorted(holders):
         if len(used) == len(rows):
             break
-        cands = [i for i in holders[c] if i not in used]
-        if not cands:
+        p = None
+        for i in holders[c]:
+            if i not in used:
+                size = len(rows[i])
+                if p is None or size < least or size == least and i < p:
+                    p, least = i, size
+        if p is None:
             continue
-        p = min(cands, key=lambda i: (len(rows[i]), i))
         prow = rows[p]
         v = prow[c]
         pivots.append((c, p))
         used.add(p)
-        for i in list(holders[c]) if jordan else cands:
-            if i == p:
+        done = (p,) if jordan else used
+        for i in list(holders[c]):
+            if i in done:
                 continue
             row = rows[i]
             f = row[c]
@@ -153,14 +158,16 @@ def _eliminate(rows, augmented=None):
                 x = row.get(j)
                 if x is None:
                     row[j] = -b * y
-                    holders[j].add(i)
+                    if j < bound:
+                        holders[j].add(i)
                 else:
                     x -= b * y
                     if x:
                         row[j] = x
                     else:
                         del row[j]
-                        holders[j].discard(i)
+                        if j < bound:
+                            holders[j].discard(i)
             g = math.gcd(*row.values())
             if g > 1:
                 rows[i] = {j: x // g for j, x in row.items()}
@@ -208,7 +215,10 @@ def det(a) -> Fraction:
     return Fraction(top, bottom)
 
 
-def inverse(a) -> list[dict]:
+def inverse(a) -> tuple[int, list[dict]]:
+    """(D, rows): the inverse of the square matrix a as int rows over one
+    positive denominator D, in lowest terms, gcd(D, every entry) = 1;
+    (1, []) for the empty matrix.  Raises ValueError if a is singular."""
     _require_square(a, "inverse")
     n = len(a)
     # the appended 1 becomes the row's scale when the row is cleared to ints
@@ -216,9 +226,11 @@ def inverse(a) -> list[dict]:
     pivots, _, _ = _eliminate(rows, n)
     if len(pivots) < n:
         raise ValueError("matrix is singular")
-    out = zeros(n)
-    for c, p in pivots:
-        row = rows[p]
-        w = row[c]
-        out[c] = {j - n: Fraction(x, w) for j, x in row.items() if j >= n}
-    return out
+    # the pivot row of column c holds its pivot w at c and, from n on, w
+    # times row c of the inverse.  It holds an entry of the identity, so it
+    # starts with gcd 1 and keeps it through each update: over the lcm D of
+    # every |w|, the rows are in lowest terms
+    ws = [rows[p][c] for c, p in pivots]
+    D = math.lcm(*ws)
+    return D, [{j - n: x * (D // w) for j, x in rows[p].items() if j >= n}
+               for (_, p), w in zip(pivots, ws)]

@@ -22,55 +22,46 @@ right word); no two elements are multiplied.  The Murphy product is
 written once, as its factors (``murphy_factors``).  Y_1 is reduced with
 the coefficients of the cyclotomic relation in ``seminormal.relations``
 (``cyclotomic_coeffs``); with its E terms dropped, that table of relations
-holds here.  The row-stabilizer sum of M_lambda is held as coset factors,
-C_2 ... C_k for a row of k boxes (``_row_factors``): k(k+1)/2 - 1 words of
-S letters instead of one word per permutation, k!, and both evaluators
-take it as a product.
+holds here.  The row-stabilizer sum of M_lambda is held as coset factors
+(``_row_factors``), which both evaluators take as a product.
 
 The image of a key times Y_j depends only on the key, j and the roots, so
-the algebra straightens and reduces it once, on the monomials themselves,
-and holds it as (index, coefficient) pairs: ``rmul_Y`` only scales and adds
-held images.  The reduction is linear, so the reduction of each unit
-monomial it meets inside is held too and scaled by the coefficient.
-``murphy_basis`` hangs the basis, and with it one algebra, on the parameter
-set (``ParamSet.murphy``), so the basis build and every Gram matrix at that
-parameter set share them.  T_i moves no coefficient: on the right it swaps
-the values i and i + 1 of w, on the left the entries at positions i and
-i + 1.  ``act`` composes each maximal run of S letters into one permutation
-p, and T_p on the right maps each index to an index through one table per
-p, held by the algebra; the table depends on r, n and p alone.
+the algebra reduces it once and holds it as (index, coefficient) pairs:
+``rmul_Y`` only scales and adds held images.  The reduction is linear, so
+the reduction of each unit monomial it meets inside is held too and scaled
+by the coefficient.  ``murphy_basis`` hangs the basis, and with it one
+algebra, on the parameter set (``ParamSet.murphy``), so the basis build and
+every Gram matrix at that parameter set share them.  T_i moves no
+coefficient: on the right it swaps the values i and i + 1 of w, on the
+left the entries at positions i and i + 1; ``act`` composes each maximal
+run of S letters into one permutation p and maps each index through p's
+table.
 
 A Gram matrix of lambda applies M_lambda to the d^2 inputs
 M_lambda T_{d(s)} T_{d(t)}*, which repeat on the diagonal and across the
 cosets of the Young subgroup; ``gram_matrix`` evaluates M_lambda once per
-distinct input (over every shape, 24 for the 48 pairs at r = 2, n = 3
-and 116 for 384 at r = 2, n = 4),
-checks every coordinate of each product on ints and forms a Fraction at
-the corner alone.
+distinct input (over every shape, 24 for the 48 pairs at r = 2, n = 3 and
+116 for 384 at r = 2, n = 4), checks every coordinate of each product on
+ints and forms a Fraction at the corner alone.
 
-What the basis and the Gram matrices read of a shape apart from the roots
-is held per shape for the process, in ``functools.cache`` tables keyed by
-the shape alone: its standard tableaux, their coset words and starred
-coset words and the coset factors of the row-stabilizer sum of M_lambda
-(``shape_words``, which ``wcell`` reads too), and, for gram jobs only, the
-descent edges of each tableau and the shapes that dominate it
-(``_order``).  A batch forms them on a shape's first job, whatever the
-roots; the tables grow with the shapes at the sizes a batch runs, not with
-the number of jobs.
+What is read apart from the roots is held for the process, in
+``functools.cache`` tables, so a new parameter set pays only for what its
+roots fix.  Per (r, n) (``key_tables``): the key list and its index, the
+table of each p, and each key times Y_j with Y_j pushed left through T_w,
+before the reduction.  Per shape: its standard tableaux, their coset words
+and starred coset words and the coset factors of the row-stabilizer sum of
+M_lambda (``shape_words``, which ``wcell`` reads too), and, for gram jobs
+only, the descent edges of each tableau and the shapes that dominate it
+(``_order``).  A batch forms them at a size's or shape's first job,
+whatever the roots; they grow with the sizes and shapes a batch runs, not
+with the number of jobs.
 
 The Gram determinant of lambda is checked against the product of the
-gamma coefficients of its standard tableaux.  Each gamma is a closed
-product over the steps of its tableau (``gamma_coeffs``): at the step that
-adds alpha_k to the shape mu before it, c_k - c_beta for each node beta
-addable to mu below alpha_k, over the same for each beta removable from mu
-below it, below meaning a later component or a lower row of the same one.
-Every content is read as an int over q from the step table
-(``params.steps_out``), like every other coefficient.  The descent ratios
+gamma coefficients of its standard tableaux, each a closed product over
+the steps of its tableau (``gamma_coeffs``), every content read as an int
+over q from the step table (``params.steps_out``).  The descent ratios
 gamma(t) / gamma(s) are a second derivation, which
-``gamma_path_independent`` compares with the products.  The contents at
-every descent are compared first, as ints, so that equal adjacent contents
-end in the regime error that names them, before a product can divide by a
-zero they bring.
+``gamma_path_independent`` compares with the products.
 """
 
 from __future__ import annotations
@@ -142,20 +133,29 @@ def _canonical(terms: dict, den: int) -> Element:
     return Element(terms, den)
 
 
+@functools.cache
+def key_tables(r: int, n: int) -> tuple:
+    """(id, keys, key_index, relabels, pushes): what every algebra at (r, n)
+    reads that the roots do not fix, held for the process from the first;
+    the last two are filled by ``HeckeAlgebra._relabel`` and ``_push``."""
+    id_ = tuple(range(1, n + 1))
+    keys = [(alpha, w) for alpha in itertools.product(range(r), repeat=n)
+            for w in itertools.permutations(id_)]
+    return id_, keys, {key: i for i, key in enumerate(keys)}, {}, {}
+
+
 class HeckeAlgebra:
     """Exact arithmetic in the quotient where (Y_1 - u_1)...(Y_1 - u_r) = 0.
 
     ``keys`` lists the r^n n! normal-form monomials (alpha, w), alpha
-    before w, and an element's terms are keyed by a monomial's position
-    there (``key_index``).  The coefficients of that relation below Y_1^r
-    are cleared once to ints ``cyc`` over their lcm ``Q``, which can exceed
-    the roots' own denominator.  ``act``, ``act_sum``, ``act_factors``,
-    ``_rmul_perm`` and ``rmul_Y`` take and return an ``Element``, and
-    ``lmul_T`` and ``_reduce`` rewrite int terms keyed by the monomials
-    themselves inside ``_straighten``, which forms the image of one key
-    times Y_j for the held table that ``rmul_Y`` reads, converted to indices
-    once, as it is held: no method writes into its input's terms or into a
-    held image, and every value it forms is an int."""
+    before w, indexed by ``key_index``, both from ``key_tables(r, n)``.  The
+    coefficients of that relation below Y_1^r are cleared once to ints
+    ``cyc`` over their lcm ``Q``, which can exceed the roots' own
+    denominator.  ``act``, ``act_sum``, ``act_factors`` and ``rmul_Y`` take
+    and return an ``Element``; ``_push``, ``lmul_T`` and ``_reduce`` rewrite
+    int terms keyed by the monomials themselves, and ``_y_image`` converts
+    each reduced image to indices once, as it is held.  No method writes
+    into its input's terms or into a held entry, and every value is an int."""
 
     def __init__(self, ps: ParamSet, n: int):
         if not ps.u:
@@ -167,15 +167,11 @@ class HeckeAlgebra:
         cyc = cyclotomic_coeffs(ps.u)[:-1]
         self.Q = clearing(cyc)
         self.cyc = cleared(cyc, self.Q)
-        self.id = tuple(range(1, n + 1))
-        self.keys = [(alpha, w) for alpha in itertools.product(range(self.r), repeat=n)
-                     for w in itertools.permutations(self.id)]
-        self.key_index = {key: i for i, key in enumerate(self.keys)}
+        self.id, self.keys, self.key_index, self._relabels, self._pushes = key_tables(
+            self.r, n)
         # (i, j) -> key i times Y_j in normal form, as (index, coefficient)
         # pairs, filled on first use
         self._y_images: dict = {}
-        # p -> the index of (alpha, w p) at the index of (alpha, w)
-        self._relabels: dict = {}
         # a unit monomial Y_{m-1}^p T_w -> T_{m-1} times its reduction, on
         # monomial keys, filled by _reduce
         self._units: dict = {}
@@ -185,14 +181,6 @@ class HeckeAlgebra:
 
     # -- ring operations ---------------------------------------------------
 
-    def _rmul_perm(self, el: Element, p: tuple[int, ...]) -> Element:
-        """el times T_p for a permutation p: w -> w p relabels each value v
-        of w as p(v), a bijection of the keys, so no two terms meet.  At
-        the algebra's own ``id`` it returns el."""
-        if p is self.id:
-            return el
-        return Element(dict(self._relabelled(el.terms, p)), el.den)
-
     def _relabelled(self, terms: dict, p: tuple[int, ...]):
         """The (index, c) pairs of int terms times T_p: each index moves
         through the relabelling table of p (``_relabel``)."""
@@ -201,11 +189,10 @@ class HeckeAlgebra:
         return zip(map(self._relabel(p).__getitem__, terms), terms.values())
 
     def _relabel(self, p: tuple[int, ...]) -> list[int]:
-        """The table of T_p on the right, held per p: at the index of each
-        key (alpha, w), the index of (alpha, w p), each value v of w
-        relabelled as p(v).  Keys run through the permutations for each
-        alpha in turn, so the table is one block of n! per alpha.  It
-        depends on r, n and p alone."""
+        """The table of T_p on the right, held per p in ``key_tables``: at
+        the index of each key (alpha, w), the index of (alpha, w p), each
+        value v of w relabelled as p(v).  Keys run through the permutations
+        for each alpha in turn, so the table is one block of n! per alpha."""
         table = self._relabels.get(p)
         if table is None:
             size = math.factorial(self.n)
@@ -242,28 +229,34 @@ class HeckeAlgebra:
         return image
 
     def _straighten(self, key: Key, j: int) -> tuple[dict, int]:
-        """Y^alpha T_w Y_j, with Y_j pushed left through T_w and reduced."""
-        alpha, w = key
-        word = perm_word(w)
-        out: dict = {}
-        # scan the reduced word right to left; each straightening step
-        # drops the letter and the Y factor at once
-        for p in range(len(word) - 1, -1, -1):
-            i = word[p]
-            if j == i:
-                _merge(out, (alpha, self._perm_of(word[:p] + word[p + 1:])), -1)
-                j = i + 1
-            elif j == i + 1:
-                _merge(out, (alpha, self._perm_of(word[:p] + word[p + 1:])), 1)
-                j = i
-        na = list(alpha)
-        na[j - 1] += 1
-        _merge(out, (tuple(na), w), 1)
-        return self._reduce(out)
+        """Y^alpha T_w Y_j: Y_j pushed left through T_w (``_push``), reduced."""
+        return self._reduce(self._push(key, j))
 
-    def _perm_of(self, word) -> tuple[int, ...]:
-        """The permutation of the word: w s_i for each letter i, as in ``act``."""
-        return functools.reduce(_swap_values, word, self.id)
+    def _push(self, key: Key, j: int) -> dict:
+        """Y^alpha T_w Y_j with Y_j pushed left through T_w, as +-1 terms on
+        monomial keys, an exponent possibly r: root-free, so held in
+        ``key_tables`` by the key and the j asked for.  The reduced word of w
+        is scanned right to left, ``after`` the permutation of the letters
+        past the scan: a step that drops the letter i and the Y factor swaps
+        the values after[i - 1] and after[i] of w."""
+        pushed = self._pushes.get((key, j))
+        if pushed is not None:
+            return pushed
+        alpha, w = key
+        out: dict = {}
+        after, k = list(self.id), j
+        for i in reversed(perm_word(w)):
+            if k == i or k == i + 1:
+                a, b = after[i - 1], after[i]
+                _merge(out, (alpha, tuple([b if v == a else a if v == b else v for v in w])),
+                       -1 if k == i else 1)
+                k = 2 * i + 1 - k
+            after[i - 1], after[i] = after[i], after[i - 1]
+        na = list(alpha)
+        na[k - 1] += 1
+        _merge(out, (tuple(na), w), 1)
+        self._pushes[key, j] = out
+        return out
 
     def lmul_T(self, terms: dict, i: int) -> dict:
         """Multiply int terms by T_i on the left, over their denominator, via
@@ -339,11 +332,12 @@ class HeckeAlgebra:
         letters is one permutation p (``_s_run``), and T_p maps each key
         (alpha, w) to (alpha, w p), one lookup per term in the table of p
         (``_relabel``), so the run takes one pass over the terms; no two
-        terms meet."""
+        terms meet.  At the algebra's own ``id`` el is kept as it is."""
         k = 0
         while True:
             p, k = self._s_run(word, k)
-            el = self._rmul_perm(el, p)
+            if p is not self.id:
+                el = Element(dict(self._relabelled(el.terms, p)), el.den)
             if k == len(word):
                 return el
             letter = word[k]
@@ -355,8 +349,8 @@ class HeckeAlgebra:
 
     def _s_run(self, word: Word, k: int) -> tuple[tuple[int, ...], int]:
         """(p, end): the permutation p of the maximal run of S letters in
-        range that starts at word[k], w s_i for each letter i as in
-        ``_perm_of``, and the index just past the run."""
+        range that starts at word[k], w s_i for each letter i, and the index
+        just past the run."""
         p = self.id
         while k < len(word) and word[k][0] == "S" and 1 <= word[k][1] <= self.n - 1:
             p = _swap_values(p, word[k][1])
@@ -433,8 +427,7 @@ def _row_factors(lam: Multipartition) -> tuple[WordSum, ...]:
 @functools.cache
 def shape_words(lam: Multipartition) -> ShapeWords:
     """The root-free words of lam, formed on its first call and held for the
-    process, so a batch forms them once per shape and not once per root
-    set; what is held is bounded by the shapes at the sizes a batch runs."""
+    process, so a batch forms them once per shape and not once per root set."""
     tableaux = tuple(combinat.standard_tableaux(lam))
     words = {}
     for t in tableaux:
@@ -463,12 +456,10 @@ def murphy_factors(ps: ParamSet, shape: Multipartition, s: Tableau,
 class MurphyBasis:
     """All basis elements indexed by (shape, s, t), with exact coordinates.
 
-    The algebra's key list (``keys``) enumerates every normal-form
-    monomial, so the coordinate matrix is square of size r^n n!; the change
-    of basis being invertible is exactly the spanning/independence
+    The coordinate matrix is square of size r^n n! (``keys``), and the
+    change of basis being invertible is exactly the spanning/independence
     statement.  Each element applies the coset word of t to T_{d(s)}* ·
-    M_lambda, which is made once per s; the tableaux and their words are
-    the shape's held ``shape_words``.
+    M_lambda, which is made once per s, from the shape's ``shape_words``.
     """
 
     def __init__(self, H: HeckeAlgebra):
@@ -492,17 +483,17 @@ class MurphyBasis:
     @functools.cached_property
     def _inv(self) -> tuple[int, list[dict]]:
         """(D, rows): the inverse of ``matrix`` as int rows over one positive
-        denominator D, cleared once, on the first ``coords`` call."""
-        inv = _linalg.inverse(self.matrix)
-        den = clearing(x for row in inv for x in row.values())
-        return den, [dict(zip(row, cleared(row.values(), den))) for row in inv]
+        denominator D in lowest terms, as ``_linalg.inverse`` returns it,
+        formed on the first ``coords`` call."""
+        return _linalg.inverse(self.matrix)
 
     def coords(self, el: Element) -> tuple[dict, int]:
         """(x, den): the nonzero coordinates of el by triple index, as ints
         over one positive denominator, not reduced: sum_j (x_j / den)
         elements[j] = el.  Row j of ``matrix`` is element j times its den
-        d_j, so the int row product v of el's terms with the inverse rows
-        of their indices gives x_j = v_j d_j over den = D·el.den."""
+        d_j, so the int row product v of el's terms with the int inverse
+        rows (``_inv``) of their indices gives x_j = v_j d_j over den =
+        D·el.den; no Fraction is formed."""
         D, inv = self._inv
         acc: dict = {}
         for i, c in el.terms.items():
@@ -515,10 +506,9 @@ class MurphyBasis:
 
 def murphy_basis(ps: ParamSet, n: int) -> MurphyBasis:
     """The Murphy basis of the quotient on n strands at ps, held by ps
-    (``ps.murphy``).  A batch asks for every shape of one parameter set in
-    turn, and the basis and its coordinate inverse depend only on (u, n), so
-    a run of jobs at the parameter set that ``ParamSet.from_u`` holds builds
-    them once."""
+    (``ps.murphy``): the basis and its coordinate inverse depend only on
+    (u, n), so a run of jobs at the parameter set that ``ParamSet.from_u``
+    holds builds them once."""
     mb = ps.murphy.get(n)
     if mb is None:
         mb = ps.murphy[n] = MurphyBasis(HeckeAlgebra(ps, n))
@@ -642,10 +632,8 @@ def gram_matrix(mb: MurphyBasis, lam) -> list[dict]:
     M_lam is evaluated once per distinct input (``_input_key``) and every
     pair with that input reads its entry.  Every nonzero coordinate of each
     product is checked on ints, and only the corner one becomes a Fraction
-    (``_corner``).  M_lam is formed once per matrix; the tableaux, their
-    words and the shapes that dominate lam are held per shape
-    (``shape_words``, ``_order``).  The basis elements are only read, so a
-    held basis stays as built."""
+    (``_corner``).  M_lam is formed once per matrix.  The basis elements are
+    only read, so a held basis stays as built."""
     H = mb.H
     tl = combinat.t_lambda(lam)
     shape, above = shape_words(lam), _order(lam).above

@@ -1,6 +1,6 @@
 """Every test starts cold: no parameter set held from an earlier test, and
-none of the root-free tables that ``hecke`` and ``wcell`` hold per shape
-and cell for the process.  So a test that expects a parameter
+none of the root-free tables that ``hecke`` and ``wcell`` hold per size,
+shape and cell for the process.  So a test that expects a parameter
 set, a Murphy basis or a shape's tableaux to be built (the tracer's, which
 must see ``combinat.enumerate_updown`` entered, for one) does not depend on
 what the test before it left behind; the basis hangs on the parameter set.
@@ -11,11 +11,13 @@ import pytest
 
 from wenzl import hecke, params, wcell
 
-# the held parameter set and the root-free tables of hecke and wcell, each a
-# functools.cache; combinat's walks (_walk), steps out of each shape
-# (steps_from), multipartitions (multipartitions, reachable_shapes) and
-# updown counts (count_updown) lie below enumerate_updown and stay held
-HOLDS = (params._param_set, hecke.shape_words, hecke._order, wcell.cell_words)
+# the held parameter set and the root-free tables of hecke (per (r, n) and
+# per shape) and wcell, each a functools.cache; combinat's walks (_walk),
+# steps out of each shape (steps_from), multipartitions (multipartitions,
+# reachable_shapes) and updown counts (count_updown) lie below
+# enumerate_updown and stay held
+HOLDS = (params._param_set, hecke.key_tables, hecke.shape_words, hecke._order,
+         wcell.cell_words)
 
 
 def _drop_holds():

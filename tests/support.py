@@ -7,7 +7,9 @@ against, the lattice read node by node (the addable and removable nodes
 with their contents, ``box_diff``, the class at a returning step and the
 swap of two steps) that ``combinat.steps_from`` is checked against, a
 count of the step tables a parameter set fills, the Fraction elimination
-that ``_linalg``'s int elimination is checked against, the branching
+that ``_linalg``'s int elimination is checked against, the inverse as
+Fraction rows from that int elimination (``eliminated_inverse``) and int
+rows over one denominator read as Fractions (``over``), the branching
 report, the Fraction-dict Hecke rewriting, the
 tuple-key Hecke algebra, Murphy basis and Gram matrix (``TupleHecke``,
 ``TupleMurphyBasis``, ``tuple_gram_matrix``) that the ones keyed by
@@ -466,8 +468,7 @@ def fraction_eliminate(rows, augmented=None):
 
 def fraction_inverse(a) -> list[dict]:
     """The inverse of an invertible square matrix through
-    ``fraction_eliminate``, as ``_linalg.inverse`` formed it over Fraction
-    rows."""
+    ``fraction_eliminate``, as Fraction rows."""
     n = len(a)
     rows = [{**row, n + i: Fraction(1)} for i, row in enumerate(a)]
     pivots = fraction_eliminate(rows, n)
@@ -476,6 +477,30 @@ def fraction_inverse(a) -> list[dict]:
     for c, p, _ in pivots:
         out[c] = {j - n: x for j, x in rows[p].items() if j >= n}
     return out
+
+
+def eliminated_inverse(a) -> list[dict]:
+    """The reference for ``_linalg.inverse`` on its own elimination: the
+    inverse as Fraction rows, one ``Fraction`` per entry, each entry of the
+    pivot row of column c over its final pivot, as ``_linalg.inverse``
+    returned it before it returned int rows over one denominator."""
+    _linalg._require_square(a, "inverse")
+    n = len(a)
+    rows = [{**row, n + i: 1} for i, row in enumerate(a)]
+    pivots, _, _ = _linalg._eliminate(rows, n)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
+    out = _linalg.zeros(n)
+    for c, p in pivots:
+        row = rows[p]
+        w = row[c]
+        out[c] = {j - n: Fraction(x, w) for j, x in row.items() if j >= n}
+    return out
+
+
+def over(D: int, rows) -> list[dict]:
+    """Int rows over one denominator D, as Fraction rows."""
+    return [{j: Fraction(x, D) for j, x in row.items()} for row in rows]
 
 
 # the reference for the relation table: each relation as matrix products
@@ -1039,10 +1064,9 @@ class TupleMurphyBasis:
     @functools.cached_property
     def _inv(self) -> tuple[int, list[dict]]:
         """(D, rows): the inverse of ``matrix`` as int rows over one positive
-        denominator D, cleared once, on the first ``coords`` call."""
-        inv = _linalg.inverse(self.matrix)
-        den = params.clearing(x for row in inv for x in row.values())
-        return den, [dict(zip(row, params.cleared(row.values(), den))) for row in inv]
+        denominator D, as ``_linalg.inverse`` returns it, on the first
+        ``coords`` call."""
+        return _linalg.inverse(self.matrix)
 
     def coords(self, el: hecke.Element) -> dict:
         """The nonzero coordinates of el by triple index: the x with

@@ -1,6 +1,8 @@
 """Command line round trips: JSON-lines reports, exit codes, determinism."""
 
+import concurrent.futures
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -232,6 +234,38 @@ def test_gram_reports_do_not_depend_on_job_order(tmp_path, murphy_builds):
     assert forward == backward == interleaved
     assert all(rc == 0 for rc, _ in forward.values())
     assert len(evicting) == 1 and evicting.pop()[0] == 0
+
+
+def test_gram_reports_do_not_depend_on_batch_order(tmp_path):
+    # every shape at (3,2), (1,4) and (2,3), at default and seeded roots, in
+    # one process with the sizes interleaved and then grouped: each report
+    # is byte for byte the same job's in a fresh process, so no table held
+    # per size, shape or parameter set leaks from one job into another
+    groups = [[["gram", _shape_arg(lam), _u_arg(u)]
+               for u in (combinat.default_u(r, n), seeded_u("batch-order", r, n))
+               for lam in combinat.multipartitions(r, n)]
+              for r, n in ((3, 2), (1, 4), (2, 3))]
+    grouped = [argv for group in groups for argv in group]
+    interleaved = [argv for column in itertools.zip_longest(*groups)
+                   for argv in column if argv is not None]
+    src = str(Path(wenzl.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def fresh(k):
+        out = tmp_path / f"fresh-{k}.jsonl"
+        proc = subprocess.run([sys.executable, "-m", "wenzl.cli", *grouped[k], "--out", str(out)],
+                              env=env, capture_output=True, text=True)
+        assert proc.stderr == "", grouped[k]
+        return proc.returncode, out.read_bytes()
+
+    with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+        want = dict(zip(map(tuple, grouped), pool.map(fresh, range(len(grouped)))))
+    out = tmp_path / "out.jsonl"
+    for order in (interleaved, grouped):
+        for argv in order:
+            rc = main([*argv, "--out", str(out)])
+            assert (rc, out.read_bytes()) == want[tuple(argv)], argv
+    assert len(want) == 48 and all(rc == 0 for rc, _ in want.values())
 
 
 def test_gram_error_repeats(tmp_path):

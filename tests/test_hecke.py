@@ -279,18 +279,65 @@ def test_murphy_basis_is_held_per_parameter_set(murphy_builds):
     assert murphy_builds == [(ps.u, 3), (other.u, 3), (other.u, 2), (ps.u, 3)]
 
 
-def test_held_murphy_basis_stays_as_built():
+def test_held_murphy_basis_stays_as_built(drop_holds):
     # gram_matrix only reads the basis elements: after every shape, the held
     # basis is the one a fresh build gives, so no product aliases an element
     ps = ParamSet.from_u(seeded_u("held", 2, 3))
     mb = murphy_basis(ps, 3)
-    for lam in combinat.multipartitions(2, 3):
+    shapes = combinat.multipartitions(2, 3)
+    for lam in shapes:
         gram_matrix(mb, lam)
     assert murphy_basis(ps, 3) is mb
     fresh = MurphyBasis(HeckeAlgebra(ps, 3))
     assert mb.elements == fresh.elements and mb.matrix == fresh.matrix
     for el in fresh.elements:
         assert mb.coords(el) == fresh.coords(el)
+    # a basis at (2,3) built after another parameter set's at (2,3) and one
+    # at (3,2), on the key tables they filled, is the one built on fresh
+    # tables: its elements, matrix, coordinates and Gram matrices
+    other = ParamSet.default(2, 3)
+    gram_matrix(murphy_basis(ParamSet.default(3, 2), 2), ((1,), (1,), ()))
+    after = MurphyBasis(HeckeAlgebra(other, 3))
+    assert after.H.keys is mb.H.keys and after.H._pushes
+    grams = [gram_matrix(after, lam) for lam in shapes]
+    drop_holds()
+    cold = MurphyBasis(HeckeAlgebra(other, 3))
+    assert cold.H.keys is not after.H.keys and cold.H.keys == after.H.keys
+    assert after.elements == cold.elements and after.matrix == cold.matrix
+    assert after._inv == cold._inv
+    for el in cold.elements + mb.elements:
+        assert after.coords(el) == cold.coords(el)
+    assert grams == [gram_matrix(cold, lam) for lam in shapes]
+
+
+def test_algebras_at_one_size_share_the_key_tables():
+    # two parameter sets at one (r, n) read the same key list, index,
+    # relabel tables and pushes, object for object, and keep their own
+    # images and unit reductions; an algebra at (2,3) built after them gets
+    # its own tables, and theirs stay as they were
+    a = HeckeAlgebra(ParamSet.default(3, 2), 2)
+    for j in (1, 2):
+        a.rmul_Y(a.act(a.one(), (("S", 1),)), j)
+    b = HeckeAlgebra(ParamSet.from_u(seeded_u("shared", 3, 2)), 2)
+    assert a.ps != b.ps and a.Q != b.Q
+    assert a.id is b.id and a.keys is b.keys and a.key_index is b.key_index
+    assert a._relabels is b._relabels and a._pushes is b._pushes
+    assert a._relabel((2, 1)) is b._relabel((2, 1))
+    assert set(a._pushes) == {(a.keys[1], 1), (a.keys[1], 2)}
+    assert all(b._push(key, j) is pushed for (key, j), pushed in a._pushes.items())
+    assert a._y_images is not b._y_images and a._units is not b._units
+    assert hecke.key_tables.cache_info().currsize == 1
+    before = (list(a.keys), dict(a._relabels), dict(a._pushes))
+    c = HeckeAlgebra(ParamSet.default(2, 3), 3)
+    assert hecke.key_tables.cache_info().currsize == 2
+    assert c.keys is not a.keys and c._relabels is not a._relabels
+    assert c._pushes is not a._pushes and not c._pushes
+    assert c.keys == [(alpha, w) for alpha in itertools.product(range(2), repeat=3)
+                      for w in itertools.permutations((1, 2, 3))]
+    c.rmul_Y(c.act(c.one(), (("S", 2), ("S", 1))), 3)
+    assert c._pushes and c._relabels
+    assert (a.keys, a._relabels, a._pushes) == before
+    assert HeckeAlgebra(ParamSet.default(3, 2), 2).keys is a.keys
 
 
 @pytest.mark.parametrize("r,n", [(3, 2), (1, 4), (2, 3)])
@@ -590,19 +637,20 @@ def _permutation_sum(terms, n) -> collections.Counter:
 def _table_sizes() -> tuple:
     """The number of entries in each root-free table."""
     return tuple(hold.cache_info().currsize for hold in (
-        hecke.shape_words, hecke._order, wcell.cell_words))
+        hecke.key_tables, hecke.shape_words, hecke._order, wcell.cell_words))
 
 
 def _held_tables(r, n) -> tuple:
-    """The size of every root-free table, then the entries of each at the
-    shapes and cells of r and sizes up to n (read through the tables, so
-    the reading fills what was missing), then the triples of each cell,
-    which are the keys of its held words."""
+    """The size of every root-free table, then the entries of each at r and
+    sizes up to n and at the shapes and cells there (read through the
+    tables, so the reading fills what was missing), then the triples of
+    each cell, which are the keys of its held words."""
     sizes = _table_sizes()
     shapes = [lam for m in range(n + 1) for lam in combinat.multipartitions(r, m)]
     cells = [(arcs, lam) for arcs in range(n // 2 + 1)
              for lam in combinat.multipartitions(r, n - 2 * arcs)]
-    return (sizes, [hecke.shape_words(lam) for lam in shapes],
+    return (sizes, [hecke.key_tables(r, m) for m in range(n + 1)],
+            [hecke.shape_words(lam) for lam in shapes],
             [hecke._order(lam) for lam in shapes],
             [wcell.cell_words(r, n, arcs, lam) for arcs, lam in cells],
             [cell_triples(r, n, arcs, lam) for arcs, lam in cells])
@@ -633,8 +681,8 @@ def test_held_tables_are_root_free(tmp_path, drop_holds):
     jobs(whole)
     again = _held_tables(2, 3)
     assert again[0] == filled
-    assert all(x is y for a, b in zip(again[1:4], tables[1][1:4]) for x, y in zip(a, b))
-    assert again[4] == tables[1][4]
+    assert all(x is y for a, b in zip(again[1:5], tables[1][1:5]) for x, y in zip(a, b))
+    assert again[5] == tables[1][5]
 
 
 def _run_word(rng, n) -> tuple:

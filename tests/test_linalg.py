@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from support import (
-    cellular_family_vectors, fraction_eliminate, fraction_inverse, from_dense, seeded_u,
+    cellular_family_vectors, eliminated_inverse, fraction_eliminate, fraction_inverse,
+    from_dense, over, seeded_u,
 )
 from wenzl import _linalg as la
 from wenzl import combinat, hecke
@@ -79,6 +80,16 @@ def _seeded_products():
         c = [row + extra for row, extra in zip(_eye(k), _sparse_matrix(rng, k, n - k))]
         c = [[row[j] for j in cols] for row in c]
         yield (_dense_mul(b, c, n) if k else [[F(0)] * n for _ in b]), k
+
+
+def _inverse(a):
+    """la.inverse(a) as Fraction rows, once its form is checked: nonzero
+    int rows over one positive int D, with gcd(D, every entry) = 1."""
+    D, rows = la.inverse(a)
+    assert type(D) is int and D > 0, D
+    assert all(type(x) is int and x for row in rows for x in row.values())
+    assert math.gcd(D, *(x for row in rows for x in row.values())) == 1, D
+    return over(D, rows)
 
 
 def test_identity_and_zeros():
@@ -174,15 +185,17 @@ def test_mat_mul_rows_with_one_entry_match_dense_reference():
 def test_det_and_inverse():
     a = from_dense([[F(2), F(1)], [F(7), F(4)]])
     assert la.det(a) == 1
-    inv = la.inverse(a)
+    assert la.inverse(a) == (1, [{0: 4, 1: -1}, {0: -7, 1: 2}])
+    inv = _inverse(a)
     assert la.mat_mul(a, inv) == la.identity(2)
     assert a == from_dense([[F(2), F(1)], [F(7), F(4)]])
     assert la.det(from_dense([[F(1), F(2)], [F(2), F(4)]])) == 0
-    # 3x3 with fractional entries
+    # 3x3 with fractional entries: the inverse over its one denominator
     m = from_dense([[F(1, 2), F(0), F(1)], [F(0), F(3), F(0)], [F(1), F(0), F(1)]])
     assert la.det(m) == F(-3, 2)
-    assert la.mat_mul(m, la.inverse(m)) == la.identity(3)
-    assert la.det([]) == 1 and la.inverse([]) == []
+    assert la.inverse(m) == (3, [{0: -6, 2: 6}, {1: 1}, {0: 6, 2: -3}])
+    assert la.mat_mul(m, _inverse(m)) == la.identity(3) and _inverse(m) == fraction_inverse(m)
+    assert la.det([]) == 1 and la.inverse([]) == (1, [])
     # seeded sparse matrices, invertible and singular, against cofactor
     # expansion; the pivot order differs from the row order, so the sign of
     # the determinant comes from the pivot permutation
@@ -194,8 +207,10 @@ def test_det_and_inverse():
         assert d == _cofactor_det(a), a
         if d:
             invertible += 1
-            assert la.mat_mul(rows, la.inverse(rows)) == la.identity(n), a
-            assert la.mat_mul(la.inverse(rows), rows) == la.identity(n), a
+            inv = _inverse(rows)
+            assert inv == fraction_inverse(rows), a
+            assert la.mat_mul(rows, inv) == la.identity(n), a
+            assert la.mat_mul(inv, rows) == la.identity(n), a
         else:
             singular += 1
     assert invertible > 30 and singular > 30
@@ -205,7 +220,8 @@ def test_det_and_inverse():
             p = _perm_matrix(perm)
             rows = from_dense(p)
             assert la.det(rows) == _perm_sign(perm) == _cofactor_det(p), perm
-            assert la.mat_mul(rows, la.inverse(rows)) == la.identity(n)
+            assert la.mat_mul(rows, _inverse(rows)) == la.identity(n)
+            assert _inverse(rows) == fraction_inverse(rows), perm
     # a scaled permutation: det is the sign times the product of the scales
     p = _perm_matrix((2, 0, 3, 1))
     scaled = [[x * F(i + 2, 3) for x in row] for i, row in enumerate(p)]
@@ -314,7 +330,7 @@ def _assert_matches_fraction_reference(a):
     assert _pivot_values(augmented, n) == fraction_eliminate(
         [{**row, n + i: F(1)} for i, row in enumerate(a)], n)
     if full:
-        assert la.inverse(a) == fraction_inverse(a)
+        assert _inverse(a) == fraction_inverse(a)
     else:
         with pytest.raises(ValueError, match="matrix is singular"):
             la.inverse(a)
@@ -369,15 +385,51 @@ def test_int_rows_stay_int():
 
 def test_rank_and_inverse_form_no_fraction(monkeypatch):
     # the elimination keeps each pivot as the stored int and its row's
-    # multiple: rank forms no Fraction at all, and inverse only its entries
+    # multiple, and inverse returns int rows over one denominator: neither
+    # forms a Fraction at all, by the module's name or any other way, such
+    # as Fraction arithmetic
     mats = [from_dense(a) for a in _seeded_squares()] + list(_big_matrices())
+    mats += [hecke.MurphyBasis(hecke.HeckeAlgebra(ParamSet.from_u(seeded_u("no-fraction", 2, 3)),
+                                                  3)).matrix]
     want = [la.rank(a) for a in mats]
+    invertible = [a for a, k in zip(mats, want)
+                  if k == len(a) and all(j < len(a) for row in a for j in row)]
+    inverses = [la.inverse(a) for a in invertible]
+    assert len(invertible) > 30
     made = []
+    new = F.__new__
     monkeypatch.setattr(la, "Fraction", lambda *args: made.append(args) or F(*args))
+    monkeypatch.setattr(F, "__new__", lambda cls, *args, **kw: made.append(args)
+                        or new(cls, *args, **kw))
+    if hasattr(F, "_from_coprime_ints"):
+        # Python 3.12 on forms the results of Fraction arithmetic here
+        coprime = F._from_coprime_ints
+        monkeypatch.setattr(F, "_from_coprime_ints", classmethod(
+            lambda cls, *args: made.append(args) or coprime(*args)))
+    assert F(1, 2) + F(1, 3) == F(5, 6) and made
+    made.clear()
     assert [la.rank(a) for a in mats] == want and made == []
+    assert [la.inverse(a) for a in invertible] == inverses and made == []
+
+
+def test_inverse_equals_the_fraction_rows_of_its_elimination():
+    # the int rows over one denominator, read as Fractions, are the rows the
+    # same elimination gives with one Fraction per entry, on seeded, big,
+    # repeated-row and Murphy matrices; a singular matrix raises the same
+    # error in both
+    mats = [from_dense(a) for a in _seeded_squares()] + list(_big_matrices())
+    mats += list(_repeated_and_zero_rows()) + list(_murphy_matrices(3, 2))
+    inverted = 0
     for a in mats:
         n = len(a)
-        if la.rank(a) == n and all(j < n for row in a for j in row):
-            inv = la.inverse(a)
-            assert len(made) == sum(len(row) for row in inv)
-            made.clear()
+        if any(j >= n for row in a for j in row):
+            continue
+        try:
+            want = eliminated_inverse(a)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=str(err)):
+                la.inverse(a)
+            continue
+        assert _inverse(a) == want, a
+        inverted += 1
+    assert inverted > 30
