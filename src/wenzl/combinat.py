@@ -151,7 +151,8 @@ def shape_before(t: Tableau, k: int) -> Multipartition:
 
 
 def default_u(r: int, n: int) -> tuple[Fraction, ...]:
-    """Integral parameters satisfying the positivity and genericity gaps.
+    """Integral parameters with genericity gaps: roots at least 2n apart, so
+    that contents in different components differ by at least 2 on n strands.
 
     Magnitudes n + 2n(r-t) strictly decrease by 2n down to n, with signs
     alternating + - + - from the first component.

@@ -57,11 +57,11 @@ whatever the roots; they grow with the sizes and shapes a batch runs, not
 with the number of jobs.
 
 The Gram determinant of lambda is checked against the product of the
-gamma coefficients of its standard tableaux, each a closed product over
-the steps of its tableau (``gamma_coeffs``), every content read as an int
-over q from the step table (``params.steps_out``).  The descent ratios
-gamma(t) / gamma(s) are a second derivation, which
-``gamma_path_independent`` compares with the products.
+gamma coefficients of its standard tableaux (``gamma_coeffs``), each the
+product of the step factors of its steps (``params.gamma``), as the
+seminormal model reads it.  The descent ratios gamma(t) / gamma(s) are a
+second derivation, which ``gamma_path_independent`` compares with the
+products.
 """
 
 from __future__ import annotations
@@ -72,10 +72,10 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import _linalg, combinat
+from . import _linalg, combinat, params
 from .combinat import (Multipartition, Tableau, Word, perm_inverse, perm_word,
                        word_for_permutation)
-from .params import ParamSet, cleared, clearing, contents, cyclotomic_coeffs, steps_out
+from .params import ParamSet, cleared, clearing, contents, cyclotomic_coeffs
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 WordSum = tuple[tuple[Fraction, Word], ...]
@@ -567,37 +567,11 @@ def _descents(lam, s, ps: ParamSet):
         yield t, Fraction((D + q) * (D - q), D * D)
 
 
-def _gamma(t, ps: ParamSet) -> Fraction:
-    """The closed product of ``gamma_coeffs`` for the standard tableau t,
-    on ints: the nodes come from ``combinat.steps_from`` and the contents
-    as C = q c from ``steps_out``.  A removable beta's step content is
-    -q c_beta, so its factor c_k - c_beta is (C_k + C_beta) / q, and an
-    addable one's is (C_k - C_beta) / q; one Fraction is made."""
-    num = den = 1
-    mu = combinat.empty_mp(ps.r)
-    for nu in t:
-        steps, C = combinat.steps_from(mu), steps_out(mu, ps).C
-        (i, _, s), _ = steps[nu]
-        for other, ((bi, _, bs), removed) in steps.items():
-            if (bs, bi) > (s, i):
-                if removed:
-                    num, den = num * ps.q, den * (C[nu] + C[other])
-                else:
-                    num, den = num * (C[nu] - C[other]), den * ps.q
-        mu = nu
-    return Fraction(num, den)
-
-
 def gamma_coeffs(lam, ps: ParamSet) -> dict:
     """gamma for every standard tableau t of lam, in ``shape_words`` order,
-    normalised so that the Gram determinant of lam is their product:
-
-        gamma_t = prod_k prod_{beta addable to t_{k-1}, below alpha_k} (c_k - c_beta)
-                       / prod_{beta removable from t_{k-1}, below alpha_k} (c_k - c_beta),
-
-    where step k adds the node alpha_k of content c_k, and a node
-    (i', j', s') is below (i, j, s) when (s', i') > (s, i): a later
-    component, or a lower row of the same one.  The contents at the held
+    normalised so that the Gram determinant of lam is their product: the
+    product of the step factors F of its steps (``params.gamma``), the gamma
+    the seminormal model reads at every walk.  The contents at the held
     descents of every tableau are compared first, as ints: equal adjacent
     contents end in their ValueError, which names the condition, k and the
     shape, before a product can meet the zero factor they bring."""
@@ -607,7 +581,7 @@ def gamma_coeffs(lam, ps: ParamSet) -> dict:
         for k, _ in descents[s]:
             if C[k - 1] == C[k]:
                 raise _equal_contents(lam, k)
-    return {t: _gamma(t, ps) for t in tableaux}
+    return {t: params.gamma(ps, t) for t in tableaux}
 
 
 def gamma_path_independent(lam, ps: ParamSet, gamma: dict) -> bool:

@@ -1,13 +1,13 @@
 """Parameter sets, the steps out of a shape, and the exact generating
 functions W at a shape.
 
-A parameter set is its roots u.  It holds, per shape met, the steps out
-of it with their contents as ints over one denominator and their
-contraction coefficients (``steps_out``, the only writer of that table,
-which reads the root-free steps of ``combinat.steps_from``), and W there;
-``contents`` walks a tableau through the table.  ``ParamSet.from_u`` holds
-the last parameter set it built.
-Everything here is exact rational arithmetic: dense polynomials in y, and
+A parameter set is its roots u.  It holds, per shape met, the steps out of
+it with their contents as ints over one denominator, their contraction
+coefficients and their step factors (``steps_out``, the only writer of that
+table, which reads the root-free steps of ``combinat.steps_from``), and W
+there; ``contents`` walks a tableau through the table, and ``gamma``
+multiplies the step factors along it.  ``ParamSet.from_u`` holds the last
+parameter set it built.  Everything here is exact rational arithmetic: dense polynomials in y, and
 rational functions num/den whose denominators are cleared when they are
 built, so num and den are polynomials over Z (Python ints) and their
 products never normalise a Fraction.  A rational function is not reduced:
@@ -283,14 +283,18 @@ _param_set = functools.lru_cache(maxsize=1)(ParamSet)
 
 class Steps(NamedTuple):
     """The steps out of one shape mu, keyed by the shape nu they reach, in
-    ``combinat.steps_from`` order (addable nodes first).  ``C`` holds the int
-    q c(mu -> nu): c is the content of the node added, or minus that of the
-    node removed, and q is ``ParamSet.q``.  ``e`` holds the diagonal
-    contraction coefficient of leaving mu for nu and returning
-    (``e_diag``)."""
+    ``combinat.steps_from`` order (addable nodes first), as ``steps_out``
+    forms them: ``C`` the int q c(mu -> nu) (c the content of the node
+    added, or minus that of the node removed; q is ``ParamSet.q``), ``e``
+    the diagonal contraction coefficient of leaving mu for nu and returning
+    (``e_diag``), ``g`` the step factor, whose product along a walk is its
+    gamma, and ``h`` h(mu), None until a factor of a step that removes a
+    node is asked for; until then ``g`` holds the steps that add one."""
 
     C: dict
     e: dict
+    g: dict
+    h: tuple | None
 
 
 def e_diag(C: int, boundary, q: int, r: int) -> Fraction:
@@ -310,19 +314,59 @@ def e_diag(C: int, boundary, q: int, r: int) -> Fraction:
     return Fraction(num, den)
 
 
-def steps_out(mu, ps: ParamSet) -> Steps:
-    """The steps out of the shape mu with their contents and contraction
-    coefficients, formed once per parameter set, in ``ps.steps``: the
-    shapes and nodes of ``combinat.steps_from``, each content by
-    ``combinat.node_content`` and cleared once."""
+def steps_out(mu, ps: ParamSet, removing: bool = False) -> Steps:
+    """The ``Steps`` out of mu, formed once per parameter set, in
+    ``ps.steps``, from the shapes and nodes of ``combinat.steps_from``, each
+    content by ``combinat.node_content``, cleared once.  A step that adds
+    alpha has F(mu -> nu), the product of c_alpha - c_beta over the nodes
+    beta addable to mu below alpha over the same for the removable ones,
+    (i', j', s') below (i, j, s) when (s', i') > (s, i); with C = q c,
+    c_alpha - c_beta is (C_alpha -+ C_beta) / q.  A step that removes a node
+    has h(mu) h(nu) / F(nu -> mu), with h 1 at the empty shape and h(lam)
+    e_mu(lam) one node on, lam left by mu's first removable node; these and
+    h fill the tables of every smaller shape, so they are formed only once
+    ``removing`` asks.  All are unreduced int pairs (num, den); a factor is
+    0 or undefined only where contents coincide."""
     st = ps.steps.get(mu)
     if st is None:
         q, steps = ps.q, combinat.steps_from(mu)
         cs = cleared((combinat.node_content(node, ps.u, removed)
                       for node, removed in steps.values()), q)
-        st = ps.steps[mu] = Steps(dict(zip(steps, cs)),
-                                  {nu: e_diag(x, cs, q, ps.r) for nu, x in zip(steps, cs)})
+        C = dict(zip(steps, cs))
+        e = {nu: e_diag(x, cs, q, ps.r) for nu, x in C.items()}
+        g = {}
+        for nu, ((i, _, s), removed) in steps.items():
+            if removed:  # after every addable node
+                break
+            num = den = 1
+            for other, ((bi, _, bs), other_removed) in steps.items():
+                if (bs, bi) > (s, i):
+                    x = C[nu] + C[other] if other_removed else C[nu] - C[other]
+                    num, den = (num * q, den * x) if other_removed else (num * x, den * q)
+            g[nu] = num, den
+        st = ps.steps[mu] = Steps(C, e, g, None)
+    if removing and st.h is None:
+        g, h = dict(st.g), None
+        for nu, (_, removed) in combinat.steps_from(mu).items():
+            if removed:
+                below = steps_out(nu, ps, removing=True)
+                (fn, fd), (hn, hd), x = below.g[mu], below.h, below.e[mu]
+                if h is None:
+                    h = hn * x.numerator, hd * x.denominator
+                g[nu] = h[0] * hn * fd, h[1] * hd * fn
+        st = ps.steps[mu] = st._replace(g=g, h=h or (1, 1))
     return st
+
+
+def gamma(ps: ParamSet, t) -> Fraction:
+    """gamma_t: the product of the step factors g along the walk t, read
+    from the step table as int pairs; one Fraction is made."""
+    num = den = 1
+    for mu, nu in zip((combinat.empty_mp(ps.r),) + t, t):
+        g = steps_out(mu, ps).g
+        a, b = g[nu] if nu in g else steps_out(mu, ps, removing=True).g[nu]
+        num, den = num * a, den * b
+    return Fraction(num, den)
 
 
 def contents(ps: ParamSet, t) -> tuple[int, ...]:

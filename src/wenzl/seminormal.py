@@ -1,25 +1,22 @@
 """Seminormal matrix models on updown-tableau bases, with verification suites.
 
 Everything here is exact.  Every coefficient of the model depends only on a
-lattice step mu -> nu: its content c, held as the int C = q c over the lcm q
-of the roots' denominators, and the diagonal contraction coefficient e.
-Both are formed once per parameter set, in the step table ``ps.steps``
-(``params.steps_out``), and the model and the identity suite read them
-from there.  The orthonormal seminormal model has symmetric matrices
-whose off-diagonal entries are square roots of rationals.  Each model is
-built instead as that model conjugated by diag(sqrt(gamma)), with gamma
-chosen on a spanning tree of the generator graph so that every entry is
-rational.  It is built on ints: every entry,
-every squared off-diagonal and gamma is an int pair (num, den), a square
-root is taken with ``math.isqrt``, and each generator is held once, as one
-matrix of int rows over one positive denominator in lowest terms
-(``Evaluated``).  The models make one ``Realization``, their direct sum,
-which stacks each letter's generators once into one block-diagonal matrix
-over one common denominator, so a word takes one matrix product per
-letter on ints and a Fraction is made only for a reported residual; it
-holds the product of each prefix of a product of word sums, and applies
-words to a matrix one stacked letter at a time.  ``wcell`` certifies the
-cellular family's rank on it.  The defining
+lattice step mu -> nu: its content c (the int C = q c over the lcm q of the
+roots' denominators), the diagonal contraction coefficient e, and the step
+factor g, whose product along a tableau t is gamma_t, all read from the step
+table ``ps.steps`` (``params.steps_out``).  Each generator entry is a closed
+rational formula in them (``_entries``), as in Young's seminormal form, with
+no square root and no positivity condition, and each generator is then
+self-adjoint for diag(gamma), which may be negative, as ``verify`` checks.
+The model is built on ints: every entry is an int pair (num, den), and each
+generator is held once, as one matrix of int rows over one positive
+denominator in lowest terms (``Evaluated``).  The models make one
+``Realization``, their direct sum, which stacks each letter's generators
+once into one block-diagonal matrix over one common denominator, so a word
+takes one matrix product per letter on ints and a Fraction is made only for
+a reported residual; it holds the product of each prefix of a product of
+word sums, and applies words to a matrix one stacked letter at a time.
+``wcell`` certifies the cellular family's rank on it.  The defining
 relations are written once, as pairs of word sums (``relations``), and both
 sides are evaluated on the realization and compared block by block by
 cross-multiplying; they, the scalar tower and self-adjointness for
@@ -29,6 +26,7 @@ identities between the coefficients.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -53,12 +51,17 @@ def _signed(num: int, den: int) -> tuple[int, int]:
     return (num, den) if den > 0 else (-num, -den)
 
 
+def _not_generic(condition: str, mu) -> ValueError:
+    """The error of a condition of genericity that fails at the shape mu."""
+    return ValueError(f"{condition} {mu}: parameters not generic")
+
+
 def _swap_pair(t, k: int, d: int, q: int) -> tuple[int, int]:
     """Diagonal swap coefficient 1/(c_{k+1} - c_k) of steps k, k+1 of t, as
     an int pair (num, den) with den > 0, from the int d = q (c_{k+1} - c_k)."""
     if d == 0:
-        raise ValueError(f"equal adjacent contents at k={k} from shape "
-                         f"{combinat.shape_before(t, k)}: parameters not generic")
+        raise _not_generic(f"equal adjacent contents at k={k} from shape",
+                           combinat.shape_before(t, k))
     return _signed(q, d)
 
 
@@ -82,9 +85,9 @@ class SeminormalRep:
 
     S[i-1], E[i-1] act at position i (1 <= i < n); X[j-1] is diagonal with
     the step-j contents.  Each is an ``Evaluated``: d x d int rows over one
-    positive denominator, in lowest terms.  They are the symmetric
-    orthonormal model conjugated by diag(sqrt(gamma)), so every generator M
-    satisfies gamma[i] M[i][j] = M[j][i] gamma[j], with every gamma[i] > 0.
+    positive denominator, in lowest terms.  At generic roots every
+    generator M satisfies gamma[i] M[i][j] = M[j][i] gamma[j], with every
+    gamma[i] nonzero, of either sign.
     """
 
     ps: ParamSet
@@ -94,103 +97,95 @@ class SeminormalRep:
     S: list = field(repr=False)
     E: list = field(repr=False)
     X: list = field(repr=False)
-    gamma: tuple = field(repr=False)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
+    @functools.cached_property
+    def gamma(self) -> tuple:
+        """gamma_t of each basis tableau t (``params.gamma``), on first read."""
+        return tuple(params.gamma(self.ps, t) for t in self.basis)
 
-def _orthonormal_entries(ps: ParamSet, k: int, idx: dict, contents: dict):
-    """S_k and E_k of the orthonormal model, each as (diagonal, off), with
-    diagonal {i: value} and off {(i, j): (sign, square)} holding the sign
-    and the square of every nonzero off-diagonal entry.  Every value is an
-    int pair (num, den) with den > 0, formed from the contents, the ints
-    q c of each basis tableau in ``contents``, and the numerators and
-    denominators of the step table's e."""
+
+def _entries(ps: ParamSet, k: int, idx: dict, contents: dict):
+    """The nonzero entries {(i, j): (num, den)} of S_k and E_k, int pairs
+    with den > 0, from closed formulas on the step table (``params.Steps``).
+
+    Where t returns at k, to mu, its class holds t^nu for each step mu -> nu:
+    E[t^nu][t^nu'] = e_nu'(mu) and S[t^nu][t^nu'] = (e_nu'(mu) - delta) /
+    (c_nu + c_nu').  Elsewhere S[t][t] = a = 1/(c_{k+1} - c_k), and where
+    s = s_k t lies in the lattice, S[t][s] = p, with p p_s = b^2 = 1 - a^2
+    and p^2 / b^2 = gamma_s / gamma_t, so each generator is self-adjoint for
+    diag(gamma).  With alpha, beta the nodes of steps k, k+1 of t, nu, nu'
+    the middle shapes of t and s, and rho the shape after step k+1:
+
+    - add, add: p = b^2 where alpha lies above beta, else 1;
+    - add, remove: p = b^2 F(nu' -> rho) / (e_nu(mu) F(mu -> nu));
+    - remove, add: p = e_nu'(mu) F(mu -> nu') / F(nu -> rho);
+    - remove, remove: p = b^2 v where alpha lies above beta, else v, with
+      v = e_nu'(mu) / e_nu(mu).
+
+    So p_s = b^2 / p.  A node lies above another in an earlier component or
+    a higher row."""
     q = ps.q
-    S_diag, S_off, E_diag, E_off = {}, {}, {}, {}
-    seen: set[int] = set()
+    S, E = {}, {}
     for t, i in idx.items():
         mu = combinat.shape_before(t, k)
+        st = params.steps_out(mu, ps)
         if returns_at(t, k):
-            if i in seen:
-                continue
-            e = params.steps_out(mu, ps).e
-            cls = [t[:k - 1] + (nu,) + t[k:] for nu in e]
-            evals = {}
-            for m in cls:
-                seen.add(idx[m])
-                ev = e[m[k - 1]]
-                if ev <= 0:
-                    raise ValueError(
-                        f"contraction coefficient {ev} <= 0 at k={k} from "
-                        f"shape {mu}: "
-                        "parameters outside the positivity regime")
-                evals[m] = ev.numerator, ev.denominator
-            for s in cls:
-                cs = contents[s][k - 1]
-                sn, sd = evals[s]
-                for tt in cls:
-                    denom = cs + contents[tt][k - 1]
-                    if denom == 0:
-                        raise ValueError(
-                            f"opposite contents in one class at k={k} from "
-                            f"shape {mu}: parameters not generic")
-                    # denom is q (c_s + c_tt)
-                    if s == tt:
-                        E_diag[idx[s]] = sn, sd
-                        S_diag[idx[s]] = _signed((sn - sd) * q, sd * denom)
-                    else:
-                        tn, td = evals[tt]
-                        E_off[idx[tt], idx[s]] = 1, (sn * tn, sd * td)
-                        S_off[idx[tt], idx[s]] = (1 if denom > 0 else -1,
-                                                  (sn * tn * q * q, sd * td * denom * denom))
-        else:
-            d = contents[t][k] - contents[t][k - 1]
-            S_diag[i] = _swap_pair(t, k, d, q)
-            partner = combinat.sk_action(t, k)
-            # a = q / d, so a^2 = 1 when d^2 = q^2, and 1 - a^2 = (d^2 - q^2) / d^2
-            if partner is None:
-                if d * d != q * q:
-                    raise ValueError(
-                        f"swap at k={k} from shape {mu} undefined but coefficient "
-                        f"{Fraction(q, d)} is not a unit: outside the regime")
-            else:
-                b2 = d * d - q * q
-                if b2 < 0:
-                    raise ValueError(
-                        f"squared off-diagonal {Fraction(b2, d * d)} < 0 at k={k} "
-                        f"from shape {mu}: outside the positivity regime")
-                if b2:
-                    S_off[idx[partner], i] = 1, (b2, d * d)
-    return (S_diag, S_off), (E_diag, E_off)
-
-
-def _gamma(d: int, offs) -> list[tuple[int, int]]:
-    """Positive weights on a spanning forest of the generator graph, as int
-    pairs (num, den) in lowest terms: along a tree edge from i to j with
-    orthonormal entry m, gamma[j] = gamma[i] m^2, which makes the rational
-    entry at (i, j) equal to +-m^2 and at (j, i) equal to +-1."""
-    nbrs: list[list] = [[] for _ in range(d)]
-    for off in offs:
-        for (i, j), (_, sq) in off.items():
-            nbrs[i].append((j, sq))
-    gamma: list = [None] * d
-    for root in range(d):
-        if gamma[root] is not None:
+            if not all(st.e.values()):
+                raise _not_generic(f"contraction coefficient 0 at k={k} from shape", mu)
+            if any(-x in st.C.values() for x in st.C.values()):
+                raise _not_generic(f"opposite contents in one class at k={k} from shape", mu)
+            for nu, ev in st.e.items():
+                j = idx[t[:k - 1] + (nu,) + t[k:]]
+                E[i, j] = ev.numerator, ev.denominator
+                # q (c_nu(t) + c_nu) is contents[t][k - 1] + C[nu]
+                num = ev.numerator - ev.denominator if i == j else ev.numerator
+                if num:
+                    S[i, j] = _signed(num * q, ev.denominator * (contents[t][k - 1] + st.C[nu]))
             continue
-        gamma[root] = 1, 1
-        queue = [root]
-        for i in queue:
-            gn, gd = gamma[i]
-            for j, (sn, sd) in nbrs[i]:
-                if gamma[j] is None:
-                    num, den = gn * sn, gd * sd
-                    g = math.gcd(num, den)
-                    gamma[j] = num // g, den // g
-                    queue.append(j)
-    return gamma
+        d = contents[t][k] - contents[t][k - 1]
+        S[i, i] = _swap_pair(t, k, d, q)
+        # a = q / d is a unit when d^2 = q^2, and then b^2 = 1 - a^2 = 0 and
+        # no entry leaves the diagonal
+        if d * d == q * q:
+            continue
+        partner = combinat.sk_action(t, k)
+        if partner is None:
+            raise ValueError(f"swap at k={k} from shape {mu} undefined but coefficient "
+                             f"{Fraction(q, d)} is not a unit: outside the regime")
+        nu, rho, nu2 = t[k - 1], t[k], partner[k - 1]
+        (alpha, removes), (beta, then_removes) = (combinat.steps_from(mu)[nu],
+                                                  combinat.steps_from(nu)[rho])
+        # b^2, or 1 where both steps add or both remove and beta lies above
+        # alpha; a step that removes, then one that adds, takes neither
+        if removes == then_removes and (beta[2], beta[0]) < (alpha[2], alpha[0]):
+            num, den = 1, 1
+        else:
+            num, den = d * d - q * q, d * d
+        ev = st.e[nu]
+        if then_removes and not ev:  # p divides by e_nu(mu)
+            raise _not_generic(f"contraction coefficient 0 at k={k} from shape", mu)
+        if removes and then_removes:
+            v = st.e[nu2] / ev  # e_nu'(mu) / e_nu(mu)
+            num, den = num * v.numerator, den * v.denominator
+        elif then_removes:
+            # F(nu' -> rho) / (e_nu(mu) F(mu -> nu))
+            (fn, fd), (gn, gd) = st.g[nu], params.steps_out(nu2, ps).g[rho]
+            if not fn or not gd:
+                raise _not_generic("coinciding contents out of shape", nu2 if fn else mu)
+            num, den = num * gn * fd * ev.denominator, den * gd * fn * ev.numerator
+        elif removes:
+            # e_nu'(mu) F(mu -> nu') / F(nu -> rho), with no b^2
+            ev, (fn, fd), (gn, gd) = st.e[nu2], st.g[nu2], params.steps_out(nu, ps).g[rho]
+            if not fd or not gn:
+                raise _not_generic("coinciding contents out of shape", nu if fd else mu)
+            num, den = ev.numerator * fn * gd, ev.denominator * fd * gn
+        if num:
+            S[i, idx[partner]] = _signed(num, den)
+    return S, E
 
 
 def _block(d: int, entries: dict) -> Evaluated:
@@ -207,15 +202,12 @@ def _block(d: int, entries: dict) -> Evaluated:
 
 
 def build_rep(ps: ParamSet, n: int, shape) -> SeminormalRep:
-    """Assemble the generators of one shape on ints, each cleared as it is
-    made.
-
-    Raises ValueError outside the positivity regime: a nonpositive diagonal
-    contraction coefficient, a squared off-diagonal below zero, or a
-    non-unit swap coefficient where the swapped tableau leaves the lattice;
-    and when an off-diagonal entry has no rational form, i.e. the squares
-    of the orthonormal entries fail to match around a cycle.
-    """
+    """Assemble the generators of one shape on ints from ``_entries``, each
+    cleared as it is made.  Raises ValueError where a condition of
+    genericity fails at a generator position k: equal adjacent contents,
+    opposite contents in a class, a zero contraction coefficient, a zero or
+    undefined step factor that an entry divides by, or a non-unit swap
+    coefficient where the swapped tableau leaves the lattice."""
     if not ps.u:
         raise ValueError("a seminormal model needs the roots u")
     # the basis in the order of combinat.enumerate_updown: by content
@@ -235,38 +227,26 @@ def build_rep(ps: ParamSet, n: int, shape) -> SeminormalRep:
         g = math.gcd(q, *col)
         X.append(Evaluated([{i: x // g} if x else {} for i, x in enumerate(col)], q // g))
 
-    entries = [_orthonormal_entries(ps, k, idx, contents) for k in range(1, n)]
-    gamma = _gamma(d, [off for pair in entries for _, off in pair])
-
-    def block(name: str, k: int, diag: dict, off: dict) -> Evaluated:
-        # the entry at (i, j) is sign sqrt(sq gamma[j] / gamma[i]) = sign
-        # sqrt(N / D), which is rational exactly when N D is a square
-        out = {(i, i): v for i, v in diag.items() if v[0]}
-        for (i, j), (sign, (sn, sd)) in off.items():
-            (ni, di), (nj, dj) = gamma[i], gamma[j]
-            num, den = sn * nj * di, sd * dj * ni
-            root = math.isqrt(num * den)
-            if root * root != num * den:
-                raise ValueError(
-                    f"{name}_{k} entry ({i}, {j}) has no rational form: "
-                    "the squared entries do not match around a cycle")
-            out[i, j] = sign * root, den
-        return _block(d, out)
-
-    S = [block("S", k, *s) for k, (s, _) in enumerate(entries, start=1)]
-    E = [block("E", k, *e) for k, (_, e) in enumerate(entries, start=1)]
-    return SeminormalRep(ps, n, shape, basis, S, E, X,
-                         tuple(Fraction(*g) for g in gamma))
+    entries = [_entries(ps, k, idx, contents) for k in range(1, n)]
+    return SeminormalRep(ps, n, shape, basis, [_block(d, s) for s, _ in entries],
+                         [_block(d, e) for _, e in entries], X)
 
 
 def build_all(ps: ParamSet, n: int) -> list[SeminormalRep]:
     """One model per reachable shape.  Equal roots also raise ValueError once
-    n >= 1; from n = 2 on, a per-k check of ``build_rep`` fails first."""
+    n >= 1; from n = 2 on, a per-k check of ``build_rep`` fails first.  Last,
+    each step out of a shape of size below n lies on some basis tableau, so
+    its step factor, read by that tableau's gamma, must be nonzero and
+    defined; one that adds a node is on a standard tableau too, so a zero
+    one makes an f = 0 Gram determinant 0: W_n is not semisimple."""
     reps = [build_rep(ps, n, shape)
             for shape in combinat.reachable_shapes(ps.r, n)]
     repeated = [x for j, x in enumerate(ps.u) if x in ps.u[:j]]
     if n >= 1 and repeated:
         raise ValueError(f"repeated root {repeated[0]} in u: parameters not generic")
+    for mu in (mu for size in range(n) for mu in combinat.multipartitions(ps.r, size)):
+        if not all(num and den for num, den in params.steps_out(mu, ps, removing=True).g.values()):
+            raise _not_generic("coinciding contents out of shape", mu)
     return reps
 
 
@@ -512,13 +492,13 @@ def tower_scalars(ps: ParamSet, n: int) -> dict:
 
 def adjointness_residual(rep: SeminormalRep) -> Fraction:
     """Max |gamma_i M_ij - M_ji gamma_j| over every generator M: 0 exactly
-    when each is self-adjoint for the form diag(gamma), which makes the
-    model conjugate to a symmetric one.  That needs the form positive
-    definite, so a gamma_i <= 0 counts as 1 - gamma_i.  Compared as ints:
-    with gamma = g / q and M = B / den, max |g_i B_ij - B_ji g_j| / (q den)."""
+    when each is self-adjoint for the nondegenerate form diag(gamma), so a
+    gamma_i = 0 counts as 1.  The form need not be positive: a negative
+    gamma_i is no failure.  Compared as ints: with gamma = g / q and
+    M = B / den, max |g_i B_ij - B_ji g_j| / (q den)."""
     q = params.clearing(rep.gamma)
     g = params.cleared(rep.gamma, q)
-    worst = max((1 - x for x in rep.gamma if x <= 0), default=Fraction(0))
+    worst = Fraction(0 if all(g) else 1)
     for B, den in (*rep.S, *rep.E, *rep.X):
         m = max((abs(g[i] * x - B[j].get(i, 0) * g[j])
                  for i, row in enumerate(B) for j, x in row.items()), default=0)
@@ -653,7 +633,7 @@ def check_identities(ps: ParamSet, n: int) -> IdentityReport:
                for lam in combinat.multipartitions(ps.r, size)):
         tmu = combinat.t_lambda(mu)
         k = len(tmu) + 1
-        C, e = params.steps_out(mu, ps)
+        C, e, _, _ = params.steps_out(mu, ps)
         for nu, cn in C.items():
             record("w-recursion", params.wk_rational(nu, ps)
                    == params.wk_recursive_rational(mu, Fraction(cn, q), ps),
@@ -690,7 +670,7 @@ def check_identities(ps: ParamSet, n: int) -> IdentityReport:
                 record("content-swap", cu_next == cn and cu == cr, f"t={t}, k={k}")
             if k > n - 2:
                 continue
-            C_nu, e_nu = params.steps_out(nu, ps)
+            C_nu, e_nu, _, _ = params.steps_out(nu, ps)
             record("contraction-inverse", e[nu] * e_nu[mu] == 1,
                    f"t={tmu + (nu, mu, nu)}, k={k}")
             # matching products of squared off-diagonals with contractions:

@@ -141,8 +141,9 @@ def module_realization(S, E, X, ps: ParamSet) -> seminormal.Realization:
     ``build_rep`` holds its generators."""
     d = len(X[0])
     S, E, X = ([cleared(M) for M in mats] for mats in (S, E, X))
-    rep = seminormal.SeminormalRep(ps, len(X), None, tuple(range(d)), S, E, X,
-                                   (Fraction(1),) * d)
+    rep = seminormal.SeminormalRep(ps, len(X), None, tuple(range(d)), S, E, X)
+    # no tableau basis to take gamma along: the form is the identity
+    rep.gamma = (Fraction(1),) * d
     return seminormal.Realization([rep])
 
 
@@ -347,9 +348,9 @@ def fraction_generators(rep: seminormal.SeminormalRep) -> dict:
 def adjointness_reference(rep: seminormal.SeminormalRep) -> Fraction:
     """The reference for ``seminormal.adjointness_residual``: max
     |gamma_i M_ij - M_ji gamma_j| over every generator M, entry by entry in
-    Fractions, with a gamma_i <= 0 counted as 1 - gamma_i."""
+    Fractions, with 1 for a gamma_i = 0 and nothing for a negative one."""
     g = rep.gamma
-    worst = max((1 - x for x in g if x <= 0), default=Fraction(0))
+    worst = Fraction(1) if 0 in g else Fraction(0)
     for mats in fraction_generators(rep).values():
         for M in mats:
             for i, row in enumerate(M):
@@ -1218,10 +1219,10 @@ def filled_step_tables(monkeypatch) -> list:
     filled = []
     steps_out = params.steps_out
 
-    def counted(mu, ps):
+    def counted(mu, ps, **kw):
         if mu not in ps.steps:
             filled.append(mu)
-        return steps_out(mu, ps)
+        return steps_out(mu, ps, **kw)
 
     monkeypatch.setattr(params, "steps_out", counted)
     return filled
@@ -1375,7 +1376,9 @@ def build_rep_reference(ps: ParamSet, n: int, shape) -> seminormal.SeminormalRep
 
     S = [block("S", k, *s) for k, (s, _) in enumerate(entries, start=1)]
     E = [block("E", k, *e) for k, (_, e) in enumerate(entries, start=1)]
-    return seminormal.SeminormalRep(ps, n, shape, basis, S, E, X, tuple(gamma))
+    rep = seminormal.SeminormalRep(ps, n, shape, basis, S, E, X)
+    rep.gamma = tuple(gamma)
+    return rep
 
 
 def w_at_shape_reference(shape, r: int, u) -> RationalFunction:
@@ -1449,7 +1452,7 @@ def identities_reference(ps: ParamSet, n: int) -> seminormal.IdentityReport:
     for mu in (lam for size in range(n - 1) for lam in combinat.multipartitions(ps.r, size)):
         tmu = combinat.t_lambda(mu)
         k = len(tmu) + 1
-        C, e = params.steps_out(mu, ps)
+        C, e, _, _ = params.steps_out(mu, ps)
         for nu, cn in C.items():
             record("w-recursion", params.wk_rational(nu, ps)
                    == params.wk_recursive_rational(mu, Fraction(cn, q), ps),
@@ -1482,7 +1485,7 @@ def identities_reference(ps: ParamSet, n: int) -> seminormal.IdentityReport:
                 record("content-swap", ok, f"t={t}, k={k}")
             if k > n - 2:
                 continue
-            C_nu, e_nu = params.steps_out(nu, ps)
+            C_nu, e_nu, _, _ = params.steps_out(nu, ps)
             record("contraction-inverse", e[nu] * e_nu[mu] == 1,
                    f"t={tmu + (nu, mu, nu)}, k={k}")
             for x, cx in C_nu.items():

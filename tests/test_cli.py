@@ -96,6 +96,49 @@ def test_verify_rejects_degenerate_u(tmp_path):
         assert cause in errors[0]["error"]
 
 
+def test_verify_and_cellrank_name_a_coinciding_content(tmp_path):
+    # at u = (5, 3) the node (3, 1) of the first component and the empty
+    # second component's (1, 1) share the content 3, so the step factor of
+    # adding the first out of ((1, 1), ()) is 0: both commands end in the
+    # error that names it, after every model's entries are built.  At
+    # u = (1/4, 5/4) the nodes (1, 2) and (1, 1) of the two components share
+    # 5/4, so the factor of adding the first to ((1,), ()) is 0, and so is
+    # the gamma of the one tableau of ((2,), ()), though no generator entry
+    # reads it; likewise at (-1/4, 7/4) on three strands.  Each of these is
+    # a step onto a standard tableau of the f = 0 cell ``gram`` is given,
+    # whose Gram determinant is 0: the Hecke quotient, and with it W_n, is
+    # not semisimple there.  On one strand, equal roots still end in the
+    # repeated root
+    for args, cause, cell in (
+            (["--u", "5,3", "--n", "3"], "coinciding contents out of shape ((1, 1), ())",
+             "(1,1,1|-)"),
+            (["--u", "1/4,5/4", "--n", "2"], "coinciding contents out of shape ((1,), ())",
+             "(2|-)"),
+            (["--u", "-1/4,7/4", "--n", "3"], "coinciding contents out of shape ((2,), ())",
+             "(3|-)"),
+            (["--u", "0,0", "--n", "1"], "repeated root 0 in u", None)):
+        for command in ("verify", "cellrank"):
+            rc, records = run([command, *args], tmp_path)
+            assert rc == 1 and [rec["kind"] for rec in records] == ["error"], (command, args)
+            assert records[0]["error"] == f"ValueError: {cause}: parameters not generic", (
+                command, args)
+        if cell:
+            rc, records = run(["gram", "--u", args[1], "--shape", cell], tmp_path)
+            assert rc == 0 and summary_of(records)["gram_det"] == "0", args
+
+
+def test_cellrank_reaches_its_target_beyond_the_positivity_regime(tmp_path):
+    # roots where the orthonormal model needs a square root of a negative
+    # number, -5/4 at u = 1/3 and -221/4 at u = (7/3, -11/5): the rational
+    # model is built there, and the family has full rank
+    for args, target in ((["--u", "1/3", "--n", "4"], 105),
+                         (["--u", "7/3,-11/5", "--n", "3"], 120)):
+        rc, records = run(["cellrank", *args], tmp_path)
+        s = summary_of(records)
+        assert rc == 0 and s["pass"], args
+        assert s["rank"] == s["target"] == target, args
+
+
 # contents collide at a shape only W_n is taken at, which no generator on n
 # strands acts from: the model is built and every check passes
 COLLIDING_AT_LAST_STEP = (["--r", "1", "--n", "2", "--u", "1/2"],
@@ -135,7 +178,7 @@ def test_verify_and_cellrank_agree_on_random_small_roots(tmp_path):
     rng = random.Random(20051)
     halves = [Fraction(k, 2) for k in range(-6, 7)]
     for _ in range(30):
-        r, n = rng.choice(((1, 2), (1, 3), (2, 2)))
+        r, n = rng.choice(((1, 2), (1, 3), (2, 2), (2, 3), (1, 4)))
         u = ",".join(str(rng.choice(halves)) for _ in range(r))
         args = ["--n", str(n), "--u=" + u]
         v, c = verdicts(args, tmp_path)
@@ -606,17 +649,18 @@ GOLDEN_REPORTS = {
     "verify --u 37/2,-11/3 --n 3":
         "4e4e956df747792e8e9bdd9cf2b21c1a3223c817383fd8360dd5930e01ad2c61",
     # the model's build errors, each the first check to fail in build order:
-    # opposite contents in a class, a negative contraction coefficient,
-    # equal adjacent contents in a swap
+    # opposite contents in a class, a zero step factor out of ((1, 1), ()),
+    # found after every model's entries, equal adjacent contents in a swap
     "verify --u 0,2 --n 3":
         "a420b66a0a987f3ccf615bdfe2f96fb5fc95f13849339a1ad10913a0ab673eb8",
     "verify --u 5,3 --n 3":
-        "11b5b4d8712db6a7d0c30c4558177ced767edb1decbf34f9303f297741d0de81",
+        "6852774362011ae15526dd1f09ba05a56728815937c60b3286a6d8e12b9ae869",
     "verify --u 0,1 --n 3":
         "0a2d18ef10b55eb99288ecf2fa8eb042edbdd418645b7a7b06f76591bd8cca21",
-    # and a squared off-diagonal below zero, -5/4 at k = 3 from shape ((1, 1),)
+    # roots where the orthonormal model needs the square root of -5/4, at
+    # k = 3 from shape ((1, 1),): the rational model passes
     "verify --u 1/3 --n 4":
-        "1e9158302a4a2f32851fb39fa547e07254261d542646b70f67ac239644eb16c2",
+        "c0be394d66bd78327853a3eb164abe609b77ada2ae265f2034084b0c4474eba7",
     # gram's regime error, equal adjacent contents, which must end the job
     # before any closed gamma product meets the zero factor they bring
     "gram --shape (1|1) --u 1,1":

@@ -773,18 +773,35 @@ def test_path_independence_catches_a_doubled_gamma_or_an_inverted_ratio(monkeypa
 
 def test_gamma_closed_form_reads_the_nodes_below(monkeypatch):
     # negating the row and component of every node turns "below" into
-    # "above" in the closed product; the step table is filled first, so the
-    # contents stay as they are, and the products then differ from the
-    # reference
-    steps_from = combinat.steps_from
+    # "above" in the step factors of a step table filled from here on; the
+    # contents read each node as it was, so they stay as they are, and the
+    # products then differ from the reference
+    steps_from, node_content = combinat.steps_from, combinat.node_content
     for r, n in ((2, 3), (3, 3), (1, 4)):
         ps = ParamSet.default(r, n)
         want = {lam: gamma_by_descents(lam, ps) for lam in combinat.multipartitions(r, n)}
         assert all(gamma_coeffs(lam, ps) == g for lam, g in want.items())
         monkeypatch.setattr(combinat, "steps_from", lambda mu: {
             nu: ((-i, j, -s), removed) for nu, ((i, j, s), removed) in steps_from(mu).items()})
-        assert any(gamma_coeffs(lam, ps) != g for lam, g in want.items()), (r, n)
+        monkeypatch.setattr(combinat, "node_content", lambda node, u, removed=False: (
+            node_content((-node[0], node[1], -node[2]), u, removed)))
+        fresh = ParamSet(ps.u)
+        assert any(gamma_coeffs(lam, fresh) != g for lam, g in want.items()), (r, n)
         monkeypatch.undo()
+
+
+def test_gamma_coeffs_form_no_factor_of_a_removing_step():
+    # a standard tableau only adds nodes: the gamma of every shape fills
+    # the step tables it walks through with the factors of adding steps
+    # alone, and forms no h
+    for r, n in ((2, 3), (1, 4)):
+        ps = ParamSet.default(r, n)
+        for lam in combinat.multipartitions(r, n):
+            gamma_coeffs(lam, ps)
+        assert ps.steps and all(st.h is None for st in ps.steps.values()), (r, n)
+        for mu, st in ps.steps.items():
+            assert set(st.g) == {nu for nu, (_, removed) in combinat.steps_from(mu).items()
+                                 if not removed}, mu
 
 
 @pytest.mark.parametrize("r,n", [(1, 5), (2, 4), (3, 3)])

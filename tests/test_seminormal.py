@@ -1,6 +1,9 @@
 """Seminormal models: relation residuals, exact identities, module fixtures."""
 
 import dataclasses
+import math
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -180,56 +183,177 @@ def _built_or_error(build, ps, n, shape):
         return str(e)
 
 
-# roots at which the build raises: a squared off-diagonal below zero, opposite
-# contents in a class, a negative contraction coefficient, equal adjacent
-# contents
+# roots at which a build raises: opposite contents in a class at (0, 2),
+# equal adjacent contents at (0, 1); and roots that the reference refuses for
+# positivity alone, a squared off-diagonal below zero at (1/3,) and a
+# negative contraction coefficient at (5, 3), where the model is built
 _BUILD_ERROR_ROOTS = {1: [(F(1, 3),)], 2: [(0, 2), (5, 3), (0, 1)], 3: []}
+
+
+def _conjugation_invariants(rep) -> list:
+    """What conjugation by an invertible diagonal keeps of a model: its
+    basis and X, and for S_k and E_k each diagonal entry and each product
+    M_ij M_ji, keyed by the nonzero entries (i, j), so the zero pattern
+    too."""
+    out = [rep.basis, rep.X]
+    for M in map(as_fractions, (*rep.S, *rep.E)):
+        out.append({(i, j): x if i == j else x * M[j].get(i, 0)
+                    for i, row in enumerate(M) for j, x in row.items()})
+    return out
+
+
+def _generic(ps, n) -> bool:
+    try:
+        build_all(ps, n)
+    except ValueError:
+        return False
+    return True
 
 
 @pytest.mark.parametrize("r,top", [(1, 4), (2, 4), (3, 3)])
 def test_build_rep_equals_the_fraction_reference(r, top):
-    # the int build against the Fraction build, generator by generator, in
-    # rows, den and gamma, or in the text of the error both raise: every
-    # reachable shape with n <= top, over the reference root sets and roots
-    # outside the regime
-    built = 0
+    # the closed model against the reference, the orthonormal model
+    # conjugated by diag(sqrt(gamma)) with gamma on a spanning tree: the
+    # same invariants of diagonal conjugation, or the same error text where
+    # both raise, unless the reference's is a positivity error; and, where
+    # build_all accepts the roots, each model self-adjoint for its own
+    # gamma.  Every reachable shape with n <= top, over the reference root
+    # sets and roots outside the regime
+    built = beyond = 0
     for u in (*root_sets("build", r), *_BUILD_ERROR_ROOTS[r]):
         ps = ParamSet.from_u(u)
         for n in range(top + 1):
+            generic = _generic(ps, n)
             for shape in combinat.reachable_shapes(r, n):
                 got = _built_or_error(build_rep, ps, n, shape)
                 want = _built_or_error(build_rep_reference, ps, n, shape)
-                if isinstance(want, str):
+                if isinstance(want, str) and "positivity regime" not in want:
                     assert got == want, (u, n, shape)
                     continue
-                built += 1
-                assert got.basis == want.basis, (u, n, shape)
-                for kind in "SEX":
-                    assert getattr(got, kind) == getattr(want, kind), (u, n, shape, kind)
-                assert got.gamma == want.gamma, (u, n, shape)
-                assert all(type(g) is Fraction for g in got.gamma)
-    assert built > 0
+                if isinstance(want, str):
+                    if not generic:
+                        continue
+                    beyond += 1
+                else:
+                    built += 1
+                    assert _conjugation_invariants(got) == _conjugation_invariants(want), (
+                        u, n, shape)
+                if not generic:  # a step factor of some gamma is 0 or undefined
+                    continue
+                assert all(type(g) is Fraction and g for g in got.gamma)
+                assert adjointness_residual(got) == adjointness_reference(got) == 0, (
+                    u, n, shape)
+    assert built > 0 and (beyond > 0 or not _BUILD_ERROR_ROOTS[r])
 
 
-def test_build_rep_raises_where_an_entry_has_no_rational_form(monkeypatch):
-    # gamma doubled at the last basis tableau: each entry at it is then the
-    # square root of sq gamma[j] / gamma[i] with twice or half a square, a
-    # pair (num, den) whose product is no square
-    gamma = seminormal._gamma
+def _flipped_swap(rep):
+    """rep with the two entries of one swap pair of S_k exchanged, at the
+    first k and pair (i, j) where they differ: the swap taken the other
+    way round."""
+    for k, ev in enumerate(rep.S):
+        M = [dict(row) for row in as_fractions(ev)]
+        for i, row in enumerate(M):
+            for j, x in row.items():
+                if i != j and M[j].get(i, 0) not in (0, x):
+                    M[i][j], M[j][i] = M[j][i], x
+                    return dataclasses.replace(
+                        rep, S=[*rep.S[:k], cleared(M), *rep.S[k + 1:]])
+    raise AssertionError(f"no swap pair with unequal entries in {rep.shape}")
 
-    def doubled(d, offs):
-        out = gamma(d, offs)
-        num, den = out[-1]
-        out[-1] = 2 * num, den
-        return out
 
+def _scaled_step_factor(monkeypatch, mu, nu):
+    # the step factor of mu -> nu times 2, in every table read from here on
+    steps_out = params.steps_out
+
+    def scaled(shape, ps, **kw):
+        st = steps_out(shape, ps, **kw)
+        if shape != mu or nu not in st.g:
+            return st
+        num, den = st.g[nu]
+        return st._replace(g={**st.g, nu: (2 * num, den)})
+
+    monkeypatch.setattr(params, "steps_out", scaled)
+
+
+def _failed(real) -> set:
+    scalars = tower_scalars(real.ps, real.n)
+    return {(rep.shape, family) for rep, res in zip(real.reps, verify_relations(real, scalars))
+            for family, value in res.items() if value}
+
+
+def test_flipping_one_swap_leaves_a_residual():
+    # the entries p and p_s of a swap between two tableaux are no
+    # symmetric pair: exchanged, the block fails, and only that block
     ps = ParamSet.default(2, 3)
-    shape = max(combinat.reachable_shapes(2, 3), key=lambda mu: combinat.count_updown(3, mu))
-    assert build_rep(ps, 3, shape).dim > 1
-    monkeypatch.setattr(seminormal, "_gamma", doubled)
-    with pytest.raises(ValueError, match=r"^[SE]_\d entry \(\d+, \d+\) has no rational "
-                       "form: the squared entries do not match around a cycle$"):
-        build_rep(ps, 3, shape)
+    reps = build_all(ps, 3)
+    b = max(range(len(reps)), key=lambda i: reps[i].dim)
+    reps[b] = _flipped_swap(reps[b])
+    failed = _failed(Realization(reps))
+    assert failed and {shape for shape, _ in failed} == {reps[b].shape}
+
+
+@pytest.mark.parametrize("mu,nu", [(((1,), ()), ((2,), ())),
+                                   (((1,), (1,)), ((), (1,)))])
+def test_scaling_one_step_factor_leaves_a_residual(mu, nu, monkeypatch):
+    # one step factor twice its value, a step that adds a node and one that
+    # removes one: a gamma or an entry reads it, and the model fails
+    ps = ParamSet.from_u(seeded_u("scaled-step", 2, 3))
+    assert not _failed(Realization(build_all(ps, 3)))
+    ps = ParamSet(ps.u)
+    _scaled_step_factor(monkeypatch, mu, nu)
+    assert _failed(Realization(build_all(ps, 3)))
+
+
+# the conditions of genericity a build names, each with the shape it fails at
+_NAMED_CONDITION = re.compile(
+    r"^(equal adjacent contents at k=\d+ from shape|opposite contents in one class at "
+    r"k=\d+ from shape|contraction coefficient 0 at k=\d+ from shape|coinciding contents "
+    r"out of shape) \(.*\): parameters not generic$")
+
+
+@pytest.mark.parametrize("r,n,draws", [(1, 3, 60), (1, 4, 60), (2, 3, 60), (3, 3, 25)])
+def test_every_residual_vanishes_at_random_roots(r, n, draws):
+    # roots p/q, q in {7, 11, 13} and |p| <= 60: where no named condition
+    # refuses them, every defining relation, star-symmetry and the tower
+    # are exactly 0 and every identity holds; and the reference refuses
+    # some of those roots for positivity
+    rng = random.Random(f"random-roots:{r}:{n}")
+    passed = beyond = 0
+    for _ in range(draws):
+        u = tuple(F(rng.randint(-60, 60), rng.choice((7, 11, 13))) for _ in range(r))
+        ps = ParamSet.from_u(u)
+        try:
+            real = Realization(build_all(ps, n))
+        except ValueError as e:
+            assert _NAMED_CONDITION.match(str(e)), (u, str(e))
+            continue
+        passed += 1
+        assert not _failed(real), u
+        assert check_identities(ps, n).ok, u
+        try:
+            for shape in combinat.reachable_shapes(r, n):
+                build_rep_reference(ps, n, shape)
+        except ValueError as e:
+            assert "positivity regime" in str(e), (u, str(e))
+            beyond += 1
+    assert passed > draws // 2 and beyond > 0, (passed, beyond)
+
+
+def test_no_square_root_is_taken(monkeypatch):
+    # the model is rational by its formulas: every model builds with the
+    # square roots of math raising, at roots inside the positivity regime
+    # and beyond it, and where a named condition refuses the roots
+    def no_root(x):
+        raise AssertionError(f"square root of {x} taken")
+
+    monkeypatch.setattr(math, "isqrt", no_root)
+    monkeypatch.setattr(math, "sqrt", no_root)
+    for u, n in (((9, -3), 3), ((F(1, 3),), 4), ((F(7, 3), F(-11, 5)), 3),
+                 (seeded_u("no-root", 3, 3), 3)):
+        assert not _failed(Realization(build_all(ParamSet.from_u(u), n))), u
+    for u, n in (((5, 3), 3), ((0, 2), 3)):
+        with pytest.raises(ValueError, match=_NAMED_CONDITION):
+            build_all(ParamSet.from_u(u), n)
 
 
 def test_build_rep_raises_on_an_incomplete_basis(monkeypatch):
@@ -265,13 +389,18 @@ def test_star_symmetry_off_the_model(kind):
 
 
 def test_star_symmetry_counts_a_nonpositive_gamma():
-    # a gamma_i <= 0 counts as 1 - gamma_i, also where every generator is
-    # self-adjoint (the one-dimensional module)
-    cases = ((module_rank_one(), (F(-2, 3),), F(5, 3)),
+    # a gamma_i = 0 counts as 1, also where every generator is self-adjoint
+    # (the one-dimensional module); a negative gamma_i counts nothing, even
+    # where gamma is negative throughout, but a sign that breaks
+    # self-adjointness does
+    cases = ((module_rank_one(), (F(-2, 3),), F(0)),
              (module_rank_one(), (F(0),), F(1)),
-             (module_contraction_free(), (F(-1, 2), F(1)), F(3, 2)))
+             (module_contraction_free(), (F(-1), F(-3)), F(0)),
+             (module_contraction_free(), (F(-1, 2), F(1)), F(5, 4)),
+             (module_contraction_free(), (F(0), F(1)), F(1)))
     for fix, gamma, expected in cases:
-        rep = dataclasses.replace(module_realization(*fix).reps[0], gamma=gamma)
+        rep = module_realization(*fix).reps[0]
+        rep.gamma = gamma
         assert adjointness_residual(rep) == adjointness_reference(rep) == expected
 
 
@@ -381,12 +510,12 @@ def _content_shifted_by_q(monkeypatch):
     # step out of a smaller shape meets equal contents or a zero class sum
     steps_out = params.steps_out
 
-    def shifted(mu, ps):
-        st = steps_out(mu, ps)
+    def shifted(mu, ps, **kw):
+        st = steps_out(mu, ps, **kw)
         if mu != ((1,), (1,)):
             return st
         nu = ((2,), (1,))
-        return params.Steps({**st.C, nu: st.C[nu] + ps.q}, st.e)
+        return st._replace(C={**st.C, nu: st.C[nu] + ps.q})
 
     monkeypatch.setattr(params, "steps_out", shifted)
 
@@ -589,7 +718,7 @@ def test_class_sums_equal_the_fraction_reference(r):
     for u in root_sets("class-sums", r):
         ps = ParamSet.from_u(u)
         for mu in _shapes(r):
-            C, e = params.steps_out(mu, ps)
+            C, e, _, _ = params.steps_out(mu, ps)
             c = {nu: Fraction(x, ps.q) for nu, x in C.items()}
             for es, holds in ((e, True), ({nu: x + 1 for nu, x in e.items()}, False)):
                 got = [(name, s, tp, _side(lhs), _side(rhs))
@@ -623,6 +752,34 @@ def test_step_table_equals_content_sequence_and_e_diag(r):
                 assert [rep.basis for rep in build_all(ps, n)] == [
                     tuple(combinat.enumerate_updown(n, lam, ps.u))
                     for lam in combinat.reachable_shapes(r, n)]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_step_factors_equal_the_fraction_products(r):
+    # every step out of every shape of size <= 3: a step that adds alpha
+    # has the product of c_alpha - c_beta over the nodes beta below alpha,
+    # addable ones over removable ones, in Fractions; h is a gradient of e,
+    # h(mu) = h(lam) e_mu(lam) at every shape lam one node below mu, not
+    # only the one it is taken from; a step that removes a node has
+    # h(mu) h(nu) / F(nu -> mu)
+    for u in root_sets("step-factors", r):
+        ps = ParamSet.from_u(u)
+        for mu in _shapes(r):
+            st = params.steps_out(mu, ps, removing=True)
+            h = F(*st.h)
+            for nu, ((i, j, s), removed) in combinat.steps_from(mu).items():
+                if removed:
+                    below = params.steps_out(nu, ps, removing=True)
+                    assert h == F(*below.h) * below.e[mu], (u, mu, nu)
+                    assert F(*st.g[nu]) == h * F(*below.h) / F(*below.g[mu]), (u, mu, nu)
+                    continue
+                want = F(1)
+                c = combinat.node_content((i, j, s), ps.u)
+                for beta, beta_removed in combinat.steps_from(mu).values():
+                    if (beta[2], beta[0]) > (s, i):
+                        x = c - combinat.node_content(beta, ps.u)
+                        want = want / x if beta_removed else want * x
+                assert F(*st.g[nu]) == want, (u, mu, nu)
 
 
 def test_verify_forms_each_coefficient_once(monkeypatch, tmp_path):
