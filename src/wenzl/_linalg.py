@@ -4,6 +4,9 @@ A matrix is a list of rows, and each row is a dict ``{column: value}`` of
 its nonzero entries; a vector is one such row.  No operation stores a
 zero, so the form is canonical and ``==`` is matrix equality.  The column
 count is not stored: an operation reads only the entries that are there.
+The one exception is the accumulator of ``mat_mul_add``, which adds
+f·a·b into the caller's rows in place and keeps the entries that cancel, as
+zeros, so that a sum of products is formed with no matrix in between.
 
 ``rank``, ``det`` and ``inverse`` share one elimination (``_eliminate``),
 fraction-free over Z: it works on int copies of the input rows, each row
@@ -52,10 +55,6 @@ def mat_add(a, b):
     return [_merge_row(ra, rb.items()) for ra, rb in zip(a, b)]
 
 
-def mat_sub(a, b):
-    return [_merge_row(ra, ((j, -y) for j, y in rb.items())) for ra, rb in zip(a, b)]
-
-
 def mat_scale(a, c):
     """c times a; a itself when c is 1, since values are only read."""
     if c == 1:
@@ -82,9 +81,14 @@ def mat_mul(a, b):
     return out
 
 
-def max_abs(a):
-    """The largest |entry|, of the entries' type; 0 for the zero matrix."""
-    return max((abs(x) for row in a for x in row.values()), default=0)
+def mat_mul_add(acc, a, b, f) -> None:
+    """acc += f a b, in place.  acc is an accumulator, not a matrix of this
+    format: an entry that cancels stays in it, as a 0."""
+    for oi, ai in zip(acc, a):
+        for t, c in ai.items():
+            c *= f
+            for j, y in b[t].items():
+                oi[j] = oi.get(j, 0) + c * y
 
 
 def _eliminate(rows, augmented=None):

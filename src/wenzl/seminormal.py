@@ -17,11 +17,13 @@ takes one matrix product per letter on ints and a Fraction is made only for
 a reported residual; it holds the product of each prefix of a product of
 word sums, and applies words to a matrix one stacked letter at a time.
 ``wcell`` certifies the cellular family's rank on it.  The defining
-relations are written once, as pairs of word sums (``relations``), and both
-sides are evaluated on the realization and compared block by block by
-cross-multiplying; they, the scalar tower and self-adjointness for
-diag(gamma) are checked with zero tolerance, as are the polynomial
-identities between the coefficients.
+relations are written once, as pairs of word sums (``relations``).  Each
+relation, and each identity of the scalar tower, is checked as one signed
+sum lhs - rhs accumulated on ints over a denominator fixed before any
+product (``Realization.sum_residuals``), and a block is scanned only where
+the sum is nonzero; they and self-adjointness for diag(gamma) are checked
+with zero tolerance, as are the polynomial identities between the
+coefficients.
 """
 
 from __future__ import annotations
@@ -268,7 +270,8 @@ class Realization:
     matrix one stacked letter at a time instead, from the end that meets
     it.  A product multiplies the denominators and a sum brings its terms
     to their lcm, so no Fraction is normalised until a residual is
-    reported.
+    reported.  ``sum_residuals`` checks a signed sum of products, lhs - rhs
+    of a relation, in one int accumulator, with no side formed whole.
     """
 
     def __init__(self, reps: list[SeminormalRep]):
@@ -382,13 +385,31 @@ class Realization:
             prev = seq
         return out
 
-    def block_residuals(self, a: Evaluated, b: Evaluated) -> list[Fraction]:
-        """Exact max |a - b| on each block: both sides are brought over the
-        lcm L of their denominators once, and each block's rows are
-        compared as ints (``_residual``)."""
-        den = math.lcm(a.den, b.den)
-        x, y = _linalg.mat_scale(a.rows, den // a.den), _linalg.mat_scale(b.rows, den // b.den)
-        return [_residual(x[start:end], y[start:end], den) for start, end in self.ranges]
+    def factors(self, word) -> list[Evaluated]:
+        """The stacked letters of a word, with the identity letters
+        X_j^0 left out."""
+        return [ev for ev in map(self._letter, word) if ev is not self._one]
+
+    def sum_residuals(self, terms) -> list[Fraction]:
+        """Exact max |sum c f_1 ... f_m| on each block, over the terms
+        (c, [f_1, ..., f_m]) of a signed sum of products of ``Evaluated``,
+        the empty product the identity.  Its denominator L, the lcm of each
+        term's c.denominator times its factors' dens, is fixed before any
+        product is formed; each nonzero term then adds its last product,
+        times its int multiple over L, into one int accumulator
+        (``_linalg.mat_mul_add``).  The blocks are scanned for their
+        largest entries only when the accumulator holds a nonzero one."""
+        terms = [(c, fs or [self._one]) for c, fs in terms if c]
+        dens = [c.denominator * math.prod(f.den for f in fs) for c, fs in terms]
+        den = math.lcm(*dens)
+        acc = _linalg.zeros(sum(self.dims))
+        for (c, fs), d in zip(terms, dens):
+            head = self._one if len(fs) == 1 else functools.reduce(mul, fs[:-1])
+            _linalg.mat_mul_add(acc, head.rows, fs[-1].rows, c.numerator * (den // d))
+        if not any(map(any, map(dict.values, acc))):
+            return [Fraction(0)] * len(self.ranges)
+        return [Fraction(max(map(abs, itertools.chain.from_iterable(
+            map(dict.values, acc[start:end]))), default=0), den) for start, end in self.ranges]
 
 
 def mul(a: Evaluated, b: Evaluated) -> Evaluated:
@@ -400,15 +421,6 @@ def scaled(ev: Evaluated, c) -> Evaluated:
     """c ev for an int or Fraction c: its numerator scales the rows, and
     its denominator joins den."""
     return Evaluated(_linalg.mat_scale(ev.rows, c.numerator), ev.den * c.denominator)
-
-
-_ZERO = Fraction(0)
-
-
-def _residual(x, y, den: int) -> Fraction:
-    """max |x - y| / den for int rows x, y.  Rows store no zero, so equal
-    rows are found by ``==`` before any difference is formed."""
-    return _ZERO if x == y else Fraction(_linalg.max_abs(_linalg.mat_sub(x, y)), den)
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +485,9 @@ def residuals(real: Realization) -> list[dict]:
     per block of ``real``."""
     out = [dict.fromkeys(RELATION_FAMILIES, Fraction(0)) for _ in real.reps]
     for family, lhs, rhs in relations(real.ps, real.n):
-        for res, value in zip(out, real.block_residuals(real.evaluate_sum(lhs),
-                                                        real.evaluate_sum(rhs))):
+        terms = [(c, real.factors(word)) for c, word in lhs]
+        terms += [(-c, real.factors(word)) for c, word in rhs]
+        for res, value in zip(out, real.sum_residuals(terms)):
             if value:
                 res[family] = max(res[family], value)
     return out
@@ -511,32 +524,33 @@ def verify_relations(real: Realization, scalars: dict) -> list[dict]:
     plus G-adjointness of every generator (``star-symmetry``) and the scalar
     tower E_k X_k^a E_k = omega_k^(a) E_k, 0 <= a <= r + 1, against
     ``scalars`` from ``tower_scalars`` (``tower-scalars``).  The tower's
-    scalar depends only on the shape before step k, so its right side is
-    E_k, evaluated once per k, with each row scaled by its own scalar.  One
-    dict per block; every value is 0 for a genuine model."""
+    scalar depends only on the shape mu before step k, so its right side is
+    D E_k, D diagonal: each omega_k^(a) is cleared to an int once per shape
+    mu, over the lcm of their denominators, and D holds it on the rows where
+    E_k is nonzero, the rows of the tableaux that return at k.  One dict per
+    block; every value is 0 for a genuine model."""
     out = residuals(real)
     for res, rep in zip(out, real.reps):
         res["star-symmetry"] = adjointness_residual(rep)
         res["tower-scalars"] = Fraction(0)
+    tableaux = [t for rep in real.reps for t in rep.basis]
     for k in range(1, real.n):
         e = ("E", k)
         ek = real.evaluate((e,))
-        rows = [scalars[combinat.shape_before(t, k)] for rep in real.reps for t in rep.basis]
+        mus = [combinat.shape_before(t, k) if row else None
+               for t, row in zip(tableaux, ek.rows)]
+        shapes = list(dict.fromkeys(mu for mu in mus if mu is not None))
         for a in range(real.ps.r + 2):
-            rhs = _rows_scaled(ek, [w[a] for w in rows])
-            for res, value in zip(out, real.block_residuals(
-                    real.evaluate((e, ("X", k, a), e)), rhs)):
+            ws = [scalars[mu][a] for mu in shapes]
+            q = params.clearing(ws)
+            w = dict(zip(shapes, params.cleared(ws, q)))
+            diag = Evaluated([{i: w[mu]} if mu is not None and w[mu] else {}
+                              for i, mu in enumerate(mus)], q)
+            for res, value in zip(out, real.sum_residuals(
+                    ((1, real.factors((e, ("X", k, a), e))), (-1, [diag, ek])))):
                 if value:
                     res["tower-scalars"] = max(res["tower-scalars"], value)
     return out
-
-
-def _rows_scaled(ev: Evaluated, scalars) -> Evaluated:
-    """ev with row i scaled by scalars[i], a Fraction: the numerators over
-    the lcm q of the denominators scale the rows, and q joins den."""
-    q = params.clearing(scalars)
-    return Evaluated([{j: x * f for j, x in row.items()} if f else {}
-                      for row, f in zip(ev.rows, params.cleared(scalars, q))], ev.den * q)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,12 @@ matrix reader, the Schur reference for Omega and other admissible
 sequences, exact two-strand module fixtures, the hand-written relation
 suite that the relation table is checked against, the Fraction-row
 evaluation and star-symmetry that the model's int forms are checked
-against, the lattice read node by node (the addable and removable nodes
-with their contents, ``box_diff``, the class at a returning step and the
-swap of two steps) that ``combinat.steps_from`` is checked against, a
+against, the two-sided relation check (``two_sided_residuals``: each side
+a whole element, compared block by block by ``block_residuals``, with
+``_residual``, ``_rows_scaled``, ``mat_sub`` and ``max_abs``) that
+``Realization.sum_residuals`` is checked against, the lattice read node
+by node (the addable and removable nodes with their contents,
+``box_diff``, the class at a returning step and the swap of two steps) that ``combinat.steps_from`` is checked against, a
 count of the step tables a parameter set fills, the Fraction elimination
 that ``_linalg``'s int elimination is checked against, the inverse as
 Fraction rows from that int elimination (``eliminated_inverse``) and int
@@ -335,8 +338,68 @@ def residual(a, b) -> Fraction:
     """Exact max |a - b| over the whole matrix of two ``Evaluated``,
     compared as ints over the lcm of the two denominators."""
     den = math.lcm(a.den, b.den)
-    return seminormal._residual(_linalg.mat_scale(a.rows, den // a.den),
-                                _linalg.mat_scale(b.rows, den // b.den), den)
+    return _residual(_linalg.mat_scale(a.rows, den // a.den),
+                     _linalg.mat_scale(b.rows, den // b.den), den)
+
+
+# the two-sided relation check that ``Realization.sum_residuals`` replaced:
+# each side a whole element, compared block by block
+def mat_sub(a, b):
+    return [_linalg._merge_row(ra, ((j, -y) for j, y in rb.items())) for ra, rb in zip(a, b)]
+
+
+def max_abs(a):
+    """The largest |entry|, of the entries' type; 0 for the zero matrix."""
+    return max((abs(x) for row in a for x in row.values()), default=0)
+
+
+def _residual(x, y, den: int) -> Fraction:
+    """max |x - y| / den for int rows x, y.  Rows store no zero, so equal
+    rows are found by ``==`` before any difference is formed."""
+    return Fraction(0) if x == y else Fraction(max_abs(mat_sub(x, y)), den)
+
+
+def block_residuals(real: seminormal.Realization, a, b) -> list[Fraction]:
+    """Exact max |a - b| on each block of ``real``: both sides are brought
+    over the lcm L of their denominators once, and each block's rows are
+    compared as ints (``_residual``)."""
+    den = math.lcm(a.den, b.den)
+    x, y = _linalg.mat_scale(a.rows, den // a.den), _linalg.mat_scale(b.rows, den // b.den)
+    return [_residual(x[start:end], y[start:end], den) for start, end in real.ranges]
+
+
+def _rows_scaled(ev, scalars) -> seminormal.Evaluated:
+    """ev with row i scaled by scalars[i], a Fraction: the numerators over
+    the lcm q of the denominators scale the rows, and q joins den."""
+    q = params.clearing(scalars)
+    return seminormal.Evaluated([{j: x * f for j, x in row.items()} if f else {}
+                                 for row, f in zip(ev.rows, params.cleared(scalars, q))],
+                                ev.den * q)
+
+
+def two_sided_residuals(real: seminormal.Realization, scalars: dict) -> list[dict]:
+    """The reference for ``seminormal.verify_relations``: each side of each
+    relation evaluated on its own (``evaluate_sum``) and compared block by
+    block (``block_residuals``); the tower's right side E_k with each row
+    scaled by its own scalar (``_rows_scaled``)."""
+    out = [dict.fromkeys(RELATION_FAMILIES, Fraction(0)) for _ in real.reps]
+    for family, lhs, rhs in seminormal.relations(real.ps, real.n):
+        for res, value in zip(out, block_residuals(real, real.evaluate_sum(lhs),
+                                                   real.evaluate_sum(rhs))):
+            res[family] = max(res[family], value)
+    for res, rep in zip(out, real.reps):
+        res["star-symmetry"] = seminormal.adjointness_residual(rep)
+        res["tower-scalars"] = Fraction(0)
+    for k in range(1, real.n):
+        e = ("E", k)
+        ek = real.evaluate((e,))
+        rows = [scalars[combinat.shape_before(t, k)] for rep in real.reps for t in rep.basis]
+        for a in range(real.ps.r + 2):
+            rhs = _rows_scaled(ek, [w[a] for w in rows])
+            for res, value in zip(out, block_residuals(
+                    real, real.evaluate((e, ("X", k, a), e)), rhs)):
+                res["tower-scalars"] = max(res["tower-scalars"], value)
+    return out
 
 
 def fraction_generators(rep: seminormal.SeminormalRep) -> dict:
@@ -512,14 +575,14 @@ def _relation_residuals(S, E, X, ps: ParamSet, d: int) -> dict:
     derived from the roots."""
     n = len(X)
     assert len(S) == len(E) == max(n - 1, 0)
-    mul, add, sub = _linalg.mat_mul, _linalg.mat_add, _linalg.mat_sub
+    mul, add, sub = _linalg.mat_mul, _linalg.mat_add, mat_sub
     scale = _linalg.mat_scale
     I = _linalg.identity(d)
     res: dict = {name: Fraction(0) for name in RELATION_FAMILIES}
     omega = derived_omega(ps, ps.r + 2)
 
     def upd(name, M):
-        res[name] = max(res[name], _linalg.max_abs(M))
+        res[name] = max(res[name], max_abs(M))
 
     for i in range(1, n):
         Si, Ei = S[i - 1], E[i - 1]

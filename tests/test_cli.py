@@ -15,9 +15,10 @@ from pathlib import Path
 import pytest
 
 import wenzl
-from support import seeded_u
-from wenzl import combinat
+from support import seeded_u, two_sided_residuals
+from wenzl import combinat, seminormal
 from wenzl.cli import main
+from wenzl.params import ParamSet
 
 
 def run(args, tmp_path, name="out.jsonl"):
@@ -71,6 +72,33 @@ def test_verify_passes(tmp_path):
     ident = [rec for rec in records if rec["kind"] == "identities"]
     assert len(ident) == 1 and ident[0]["pass"] and not ident[0]["failures"]
     assert summary_of(records)["pass"]
+
+
+def test_verify_reports_a_perturbed_entry(tmp_path, monkeypatch):
+    # one diagonal entry of S_1 raised by 1 on the model of ((1,), ()): the
+    # job exits 1, that block's record fails with the residuals the
+    # two-sided reference gives, and every other block passes
+    target = ((1,), ())
+    entries = seminormal._entries
+
+    def perturbed(ps, k, idx, contents):
+        S, E = entries(ps, k, idx, contents)
+        if k == 1 and next(iter(idx))[-1] == target:
+            num, den = S.get((0, 0), (0, 1))
+            S = {**S, (0, 0): (num + den, den)}
+        return S, E
+
+    monkeypatch.setattr(seminormal, "_entries", perturbed)
+    rc, records = run(["verify", "--r", "2", "--n", "3"], tmp_path)
+    assert rc == 1 and not summary_of(records)["pass"]
+    ps = ParamSet.default(2, 3)
+    real = seminormal.Realization(seminormal.build_all(ps, 3))
+    want = two_sided_residuals(real, seminormal.tower_scalars(ps, 3))
+    rel = [rec for rec in records if rec["kind"] == "relations"]
+    assert len(rel) == len(real.reps)
+    for rec, rep, res in zip(rel, real.reps, want):
+        assert rec["residuals"] == {k: float(v) for k, v in res.items()}, rep.shape
+        assert rec["pass"] == (rep.shape != target) == (not any(res.values())), rep.shape
 
 
 def test_verify_default_parameters(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 from support import (
     cellular_family_vectors, eliminated_inverse, fraction_eliminate, fraction_inverse,
-    from_dense, over, seeded_u,
+    from_dense, mat_sub, max_abs, over, seeded_u,
 )
 from wenzl import _linalg as la
 from wenzl import combinat, hecke
@@ -95,8 +95,8 @@ def _inverse(a):
 def test_identity_and_zeros():
     assert la.identity(2) == [{0: 1}, {1: 1}] == from_dense(_eye(2))
     assert la.zeros(2) == [{}, {}] == from_dense([[0, 0, 0], [0, 0, 0]])
-    assert la.max_abs(la.zeros(3)) == 0
-    assert la.max_abs(from_dense([[F(1, 2), F(-7, 3)], [0, 2]])) == F(7, 3)
+    assert max_abs(la.zeros(3)) == 0
+    assert max_abs(from_dense([[F(1, 2), F(-7, 3)], [0, 2]])) == F(7, 3)
 
 
 def test_mat_ops():
@@ -104,7 +104,7 @@ def test_mat_ops():
     b = from_dense([[F(0), F(1)], [F(1), F(0)]])
     assert la.mat_mul(a, b) == from_dense([[F(2), F(1)], [F(4), F(3)]])
     assert la.mat_add(a, la.mat_scale(a, -1)) == la.zeros(2)
-    assert la.mat_sub(a, a) == la.zeros(2)
+    assert mat_sub(a, a) == la.zeros(2)
     assert la.mat_scale(a, 0) == la.zeros(2)
 
 
@@ -126,14 +126,14 @@ def test_mat_ops_match_dense_reference():
         results = {
             "mul": (la.mat_mul(A, B), _dense_mul(a, b, n)),
             "add": (la.mat_add(A, A2), [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, a2)]),
-            "sub": (la.mat_sub(A, A2), [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, a2)]),
+            "sub": (mat_sub(A, A2), [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, a2)]),
             "scale": (la.mat_scale(A, c), [[x * c for x in row] for row in a]),
         }
         for name, (got, want) in results.items():
             assert got == from_dense(want), (name, a, a2, b, c)
             assert all(x != 0 for row in got for x in row.values()), (name, got)
         assert la.mat_add(A, la.mat_scale(A, -1)) == la.zeros(m)
-        assert la.max_abs(la.mat_sub(A, A2)) == max(
+        assert max_abs(mat_sub(A, A2)) == max(
             (abs(x - y) for ra, rb in zip(a, a2) for x, y in zip(ra, rb)), default=0)
         # the operands are left as they were
         assert A == from_dense(a) and A2 == from_dense(a2)
@@ -180,6 +180,40 @@ def test_mat_mul_rows_with_one_entry_match_dense_reference():
                 assert out == {j: x * y for j, y in B[t].items()}
             if ints:
                 assert all(type(v) is int for v in out.values())
+
+
+def test_mat_mul_add_matches_the_product_and_sum():
+    # acc += f a b on seeded sparse int matrices against
+    # mat_add(acc, f mat_mul(a, b)): with f = 0 and f < 0, empty rows of a,
+    # an accumulator that already holds entries, and one that a second
+    # product cancels to zero, which it then holds as zeros
+    rng = random.Random(2041)
+
+    def ints(m, n, density):
+        return [{j: rng.choice((-4, -3, -1, 1, 2, 7)) for j in range(n)
+                 if rng.random() < density} for _ in range(m)]
+
+    def nonzero(acc):
+        return [{j: x for j, x in row.items() if x} for row in acc]
+
+    for _ in range(200):
+        m, k, n = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        a, b = ints(m, k, rng.choice((0.0, 0.3, 0.8))), ints(k, n, 0.5)
+        start = ints(m, n, 0.4) if rng.random() < 0.5 else la.zeros(m)
+        f = rng.choice((0, 1, -1, 3, -5))
+        acc = [dict(row) for row in start]
+        la.mat_mul_add(acc, a, b, f)
+        want = la.mat_add(start, la.mat_scale(la.mat_mul(a, b), f))
+        assert nonzero(acc) == want, (a, b, start, f)
+        assert all(type(x) is int for row in acc for x in row.values())
+        # the same product with -f cancels every entry the first one added
+        la.mat_mul_add(acc, a, b, -f)
+        assert nonzero(acc) == start
+        if f and any(la.mat_mul(a, b)) and not any(start):
+            assert any(acc) and not any(map(any, map(dict.values, acc)))
+    acc = la.zeros(2)
+    la.mat_mul_add(acc, [{}, {0: 2}], [{0: 1, 1: 3}], 5)
+    assert acc == [{}, {0: 10, 1: 30}]
 
 
 def test_det_and_inverse():

@@ -13,14 +13,15 @@ from support import (
     as_fractions, blocks_as_fractions, branching_blocks, build_rep_reference,
     addable_removable, check_module, class_sums_reference, cleared, derived_omega,
     e_diag_reference, filled_step_tables, fraction_generators, from_dense,
-    identities_reference, k_neighbors, module_contraction_free, module_fixtures,
-    module_nonsplit, module_rank_one, module_realization, root_sets, seeded_u,
+    identities_reference, k_neighbors, mat_sub, max_abs, module_contraction_free,
+    module_fixtures, module_nonsplit, module_rank_one, module_realization, root_sets,
+    seeded_u, two_sided_residuals,
 )
 from wenzl import _linalg, combinat, params, seminormal
 from wenzl.cli import main
 from wenzl.params import ParamSet
 from wenzl.seminormal import (
-    RELATION_FAMILIES, Realization, adjointness_residual, build_all,
+    RELATION_FAMILIES, Evaluated, Realization, adjointness_residual, build_all,
     build_rep, check_identities, relations, residuals, returns_at,
     tower_scalars, verify_relations,
 )
@@ -66,14 +67,21 @@ def test_contraction_block_is_omega0():
 
 
 def test_generators_are_symmetric():
-    # exactly self-adjoint for the positive form diag(gamma)
-    ps = ParamSet.default(2, 3)
-    for rep in build_all(ps, 3):
-        g = rep.gamma
-        assert len(g) == rep.dim and all(x > 0 for x in g)
-        for M in map(as_fractions, (*rep.S, *rep.E, *rep.X)):
-            assert all(g[i] * M[i].get(j, 0) == M[j].get(i, 0) * g[j]
-                       for i in range(rep.dim) for j in range(rep.dim))
+    # exactly self-adjoint for diag(gamma), every gamma nonzero: a positive
+    # form at the default (2, 3) roots; at the default (3, 3) roots
+    # (15, -9, 3) a form negative on some blocks, on ((2,), (1,), ())
+    # throughout
+    gammas = {}
+    for r in (2, 3):
+        for rep in build_all(ParamSet.default(r, 3), 3):
+            g = gammas[r, rep.shape] = rep.gamma
+            assert len(g) == rep.dim and all(g)
+            for M in map(as_fractions, (*rep.S, *rep.E, *rep.X)):
+                assert all(g[i] * M[i].get(j, 0) == M[j].get(i, 0) * g[j]
+                           for i in range(rep.dim) for j in range(rep.dim))
+    assert all(x > 0 for (r, _), g in gammas.items() if r == 2 for x in g)
+    g = gammas[3, ((2,), (1,), ())]
+    assert len(g) == 3 and all(x < 0 for x in g)
 
 
 def test_relation_suite_2_3():
@@ -162,6 +170,78 @@ def _assert_equals_fraction_reference(real):
 def test_int_evaluation_equals_the_fraction_reference(r, n):
     for ps in (ParamSet.default(r, n), ParamSet.from_u(seeded_u("reference", r, n))):
         _assert_equals_fraction_reference(Realization(build_all(ps, n)))
+
+
+def _perturbed(real, kind, blocks, rng):
+    """real with one entry of one S, E or X generator, at a seeded position,
+    raised by 1 on each of ``blocks``."""
+    reps = list(real.reps)
+    for b in blocks:
+        rep = reps[b]
+        gens = list(getattr(rep, kind))
+        g = rng.randrange(len(gens))
+        mats = [dict(row) for row in as_fractions(gens[g])]
+        i, j = rng.randrange(rep.dim), rng.randrange(rep.dim)
+        mats[i][j] = mats[i].get(j, 0) + 1
+        if not mats[i][j]:
+            del mats[i][j]
+        gens[g] = cleared(mats)
+        reps[b] = dataclasses.replace(rep, **{kind: gens})
+    return Realization(reps)
+
+
+@pytest.mark.parametrize("r,n", [(2, 3), (3, 3), (1, 4)])
+def test_fused_residuals_equal_the_two_sided_reference(r, n):
+    # each relation and tower identity as one accumulation of lhs - rhs
+    # against both sides evaluated whole and compared block by block: the
+    # same exact Fraction per block and family, on the models and with one
+    # S, E or X entry raised by 1 in one block or in several, where only
+    # those blocks may fail
+    rng = random.Random(f"fused:{r}:{n}")
+    built = 0
+    for u in root_sets("fused", r):
+        ps = ParamSet.from_u(u)
+        try:
+            real = Realization(build_all(ps, n))
+        except ValueError:
+            continue
+        built += 1
+        scalars = tower_scalars(ps, n)
+        got = verify_relations(real, scalars)
+        assert got == two_sided_residuals(real, scalars), u
+        assert all(type(v) is Fraction and v == 0 for res in got for v in res.values()), u
+        if built > 2:
+            continue
+        for kind in "SEX":
+            for blocks in ([rng.randrange(len(real.reps))],
+                           rng.sample(range(len(real.reps)), 3)):
+                bad = _perturbed(real, kind, blocks, rng)
+                got = verify_relations(bad, scalars)
+                assert got == two_sided_residuals(bad, scalars), (u, kind, blocks)
+                failed = {b for b, res in enumerate(got) if any(res.values())}
+                assert failed and failed <= set(blocks), (u, kind, blocks, failed)
+    assert built >= 3
+
+
+def test_sum_residuals_report_the_one_block_that_differs():
+    # X_1 less a copy of X_1 changed on block b: every other block of the
+    # accumulator cancels to zeros it holds, and the one entry left on b is
+    # reported there alone; identity letters are the empty product, and a
+    # zero coefficient drops its term
+    ps = ParamSet.default(2, 3)
+    real = Realization(build_all(ps, 3))
+    x1 = real.evaluate((("X", 1, 1),))
+    b = max(range(len(real.reps)), key=lambda i: real.dims[i])
+    start, _ = real.ranges[b]
+    rows = [dict(row) for row in x1.rows]
+    rows[start][start] += 7
+    assert all(any(x1.rows[lo:hi]) for lo, hi in real.ranges)
+    got = real.sum_residuals(((1, [x1]), (-1, [Evaluated(rows, x1.den)])))
+    assert got == [F(7, x1.den) if i == b else 0 for i in range(len(real.reps))]
+    assert real.factors((("X", 1, 0), ("X", 2, 0))) == []
+    one = real.sum_residuals(((F(1, 2), real.factors((("X", 1, 0),))), (F(-1, 3), []),
+                              (F(0), [x1])))
+    assert one == [F(1, 6)] * len(real.reps)
 
 
 @pytest.mark.parametrize("r,n", [(2, 2), (1, 3), (3, 2), (2, 3), (1, 4)])
@@ -421,7 +501,7 @@ def _tower_reference(real, scalars) -> list:
                 ws = [scalars[t[k - 2] if k >= 2 else combinat.empty_mp(rep.ps.r)][a]
                       for t in rep.basis]
                 rhs = [_linalg.mat_scale([row], w)[0] for row, w in zip(ek, ws)]
-                out[i] = max(out[i], _linalg.max_abs(_linalg.mat_sub(blk, rhs)))
+                out[i] = max(out[i], max_abs(mat_sub(blk, rhs)))
     return out
 
 
@@ -667,7 +747,7 @@ def test_module_fixtures_exact():
 def test_nonsplit_fixture_is_not_diagonalizable():
     fix = module_nonsplit()
     q = F(1, 4)
-    m = _linalg.mat_sub(fix.X[0], _linalg.mat_scale(_linalg.identity(2), q))
+    m = mat_sub(fix.X[0], _linalg.mat_scale(_linalg.identity(2), q))
     assert m != _linalg.zeros(2)                         # X_1 != q
     assert _linalg.mat_mul(m, m) == _linalg.zeros(2)     # (X_1 - q)^2 == 0
 
