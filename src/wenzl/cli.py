@@ -7,7 +7,8 @@ one JSON record per checked instance plus a summary record, each embedding
 the parameter set as its roots (``ps``: r, u and a fixed
 ``precision_bits``); identical inputs produce byte-identical output.  Exit
 status: 0 all checks pass, 1 any failure, 2 usage errors.  Parameters
-outside the supported regime end in one ``error`` record and exit 1.
+outside the supported regime, and a job that runs out of memory, end in one
+``error`` record and exit 1.
 
 Every verdict is exact: ``verify`` passes a relation record only when every
 residual is exactly 0 on the rational seminormal model (its ``tolerance`` is
@@ -249,6 +250,12 @@ def cmd_omega(ps: ParamSet, args) -> tuple[list[dict], dict, bool]:
                      "admissible": ok, "first_failure": bad}, ok
 
 
+# the tables held for the process: the last parameter set built, with its
+# step table and Murphy basis, and the root-free tables of hecke, wcell and combinat
+_HOLDS = (params._param_set, hecke.key_tables, hecke.shape_words, hecke._order, wcell.cell_words,
+          combinat._walk, combinat.steps_from, combinat.multipartitions,
+          combinat.reachable_shapes, combinat.count_updown)
+
 COMMANDS = {"counts": cmd_counts, "verify": cmd_verify, "gram": cmd_gram,
             "cellrank": cmd_cellrank, "omega": cmd_omega}
 
@@ -262,6 +269,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(_join_dash_values(argv))
     _resolve(args)
     ps = ParamSet.from_u(args.u)
+    meta = ps.as_json()
     try:
         records, summary, ok = COMMANDS[args.command](ps, args)
         records.append({"kind": "summary", "command": args.command, **summary, "pass": ok})
@@ -269,7 +277,18 @@ def main(argv=None) -> int:
         records = [{"kind": "error", "command": args.command,
                     "error": f"{type(e).__name__}: {e}", "pass": False}]
         ok = False
-    meta = ps.as_json()
+    except MemoryError:
+        records, ok = None, False
+    if records is None:
+        # out of the handler, the job's frames are gone; the tables held
+        # for the process go too, so the record can be written
+        ps.steps.clear()
+        ps.murphy.clear()
+        for hold in _HOLDS:
+            hold.cache_clear()
+        records = [{"kind": "error", "command": args.command,
+                    "error": f"MemoryError: out of memory at r={ps.r}, n={args.n}",
+                    "pass": False}]
     _write_report([{**rec, "ps": meta} for rec in records], args.out)
     return 0 if ok else 1
 

@@ -288,9 +288,16 @@ def sk_action(t: Tableau, k: int):
     prev = shape_before(t, k)
     if prev == t[k]:
         raise ValueError("steps k, k+1 return to the start; swap is not defined")
-    step = steps_from(t[k - 1])[t[k]]
-    return next((t[:k - 1] + (mid,) + t[k:] for mid, other in steps_from(prev).items()
-                 if other == step), None)
+    mid = swap_middle(prev, t[k - 1], t[k])
+    return None if mid is None else t[:k - 1] + (mid,) + t[k:]
+
+
+def swap_middle(mu: Multipartition, nu: Multipartition, rho: Multipartition):
+    """The middle shape of the steps mu -> nu -> rho taken in the other
+    order, the step out of mu by the node of nu -> rho; None when it leaves
+    the lattice."""
+    step = steps_from(nu)[rho]
+    return next((mid for mid, other in steps_from(mu).items() if other == step), None)
 
 
 def dominance_mp(lam: Multipartition, mu: Multipartition) -> bool:

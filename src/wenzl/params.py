@@ -1,24 +1,26 @@
-"""Parameter sets, the steps out of a shape, and the exact generating
-functions W at a shape.
+"""Parameter sets, the steps out of a shape, and the generating functions
+W at a shape, all on ints.
 
 A parameter set is its roots u.  It holds, per shape met, the steps out of
 it with their contents as ints over one denominator, their contraction
 coefficients and their step factors (``steps_out``, the only writer of that
-table, which reads the root-free steps of ``combinat.steps_from``), and W
-there; ``contents`` walks a tableau through the table, and ``gamma``
-multiplies the step factors along it.  ``ParamSet.from_u`` holds the last
-parameter set it built.  Everything here is exact rational arithmetic: dense polynomials in y, and
-rational functions num/den whose denominators are cleared when they are
-built, so num and den are polynomials over Z (Python ints) and their
-products never normalise a Fraction.  A rational function is not reduced:
-equality is by cross-multiplication.  Rational functions are built, added,
-multiplied, compared and expanded at infinity, never evaluated or
-divided: an identity about W is stated on its coefficients, or multiplied
-through by its denominator.  The scalars are coefficients of one
-expansion at y = infinity (``omega_k_values``): Omega is that of W at the
-empty shape, read there by each use to the length it needs, and the tower
-scalars omega_k^(a) that of W at the shape before step k; the expansion
-runs on ints, and they are returned as Fractions.
+table, which reads the root-free steps of ``combinat.steps_from``);
+``contents`` walks a tableau through the table, and ``gamma`` multiplies the
+step factors along it.  ``ParamSet.from_u`` holds the last parameter set it
+built.  W at a shape is read off the same table: it is held as the int
+roots of the linear factors of W + y - 1/2 (``wk_rational``), so an identity
+between W at two shapes is one between multisets of ints, and it becomes a
+polynomial only as int coefficient lists (``w_polynomials``), which are
+multiplied and compared, never divided.  The scalars are coefficients of
+one expansion at y = infinity, on ints (``omega_k_values``): Omega is that
+of W at the empty shape, read there by each use to the length it needs,
+and the tower scalars omega_k^(a) that of W at the shape before step k;
+they are returned as Fractions.
+
+``wk_rational``, ``wk_recursive_rational`` and ``omega_k_values`` keep the
+names by which ``perfbench/tracing.py`` patches them to time their layers,
+though they form no rational function any more; they keep them until
+ROADMAP item 9 replaces that patching.
 """
 
 from __future__ import annotations
@@ -42,73 +44,6 @@ def format_fraction(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-# ---------------------------------------------------------------------------
-# dense polynomials, and rational functions kept unreduced, in one variable
-# ---------------------------------------------------------------------------
-
-class Poly:
-    """Dense polynomial over Q; coeffs[k] is the y^k coefficient, an int or
-    a Fraction as given, so a polynomial over Z computes on ints."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def const(cls, c) -> "Poly":
-        return cls((Fraction(c),))
-
-    @classmethod
-    def y_plus(cls, c) -> "Poly":
-        """The monic linear polynomial y + c."""
-        return cls((Fraction(c), Fraction(1)))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return Poly(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
-
-    def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Poly(tuple(c * other for c in self.coeffs))
-        if not self or not other:
-            return Poly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"Poly({list(self.coeffs)})"
-
-
-ONE = Poly.const(1)
-
-
 def clearing(xs) -> int:
     """The lcm of the denominators of the Fractions xs."""
     return math.lcm(*(x.denominator for x in xs))
@@ -119,68 +54,32 @@ def cleared(xs, d: int) -> tuple[int, ...]:
     return tuple(x.numerator * (d // x.denominator) for x in xs)
 
 
-class RationalFunction:
-    """num/den as built, never reduced, with exact +, - and * (and + or -
-    of a scalar).  Building one clears the denominators of its coefficients:
-    num and den are both multiplied by their lcm, so they hold ints.
-    Equality is by cross-multiplication, so two representations of one
-    function compare equal."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly = ONE):
-        assert den, "zero denominator"
-        cs = num.coeffs + den.coeffs
-        if not all(type(c) is int for c in cs):
-            scale = clearing(cs)
-            num, den = Poly(cleared(num.coeffs, scale)), Poly(cleared(den.coeffs, scale))
-        self.num, self.den = num, den
-
-    @classmethod
-    def const(cls, c) -> "RationalFunction":
-        return cls(Poly.const(c))
-
-    def __eq__(self, other):
-        return (isinstance(other, RationalFunction)
-                and self.num * other.den == other.num * self.den)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RationalFunction.const(other)
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    def __repr__(self):
-        return f"RationalFunction({self.num!r}, {self.den!r})"
-
-
 # ---------------------------------------------------------------------------
-# the expansion at y = infinity, and admissible parameter sequences
+# polynomials in y as int coefficient lists, the expansion at y = infinity,
+# and admissible parameter sequences
 # ---------------------------------------------------------------------------
 
-def series_of_rational(rf: RationalFunction, A: int) -> list[Fraction]:
+def linear_product(roots, q: int) -> list[int]:
+    """The coefficients of prod (q y + a) over the ints a of ``roots``,
+    lowest degree first."""
+    out = [1]
+    for a in roots:
+        out = [a * x + q * y for x, y in zip(out + [0], [0] + out)]
+    return out
+
+
+def series_at_infinity(num, den, A: int) -> list[Fraction]:
     """The coefficients of y^0, y^-1, ..., y^-A in the expansion of num/den
-    at y = infinity, which must be O(1) there.  In x = 1/y this is the power
-    series of p(x)/q(x), p and q the reversed coefficients of num and den,
-    with p shifted by deg den - deg num.  num and den hold ints, so the k-th
-    coefficient is kept as an int N_k over q0^(k+1), q0 = q[0]:
+    at y = infinity, which must be O(1) there; num and den are int
+    coefficient lists, lowest degree first, den's last coefficient nonzero.
+    In x = 1/y this is the power series of p(x)/q(x), p and q the reversed
+    coefficients of num and den, with p shifted by deg den - deg num.  The
+    k-th coefficient is kept as an int N_k over q0^(k+1), q0 = q[0]:
     N_k = p_k q0^k - sum_j q_j N_{k-j} q0^(j-1), and one Fraction is made
     per coefficient."""
-    num, den = rf.num, rf.den
-    assert num.degree <= den.degree, "W should be O(1) at infinity"
-    p = [0] * (den.degree - num.degree) + list(reversed(num.coeffs))
-    q = list(reversed(den.coeffs))
+    assert len(num) <= len(den), "W should be O(1) at infinity"
+    p = [0] * (len(den) - len(num)) + num[::-1]
+    q = den[::-1]
     powers = [1]  # q0^k
     for _ in range(A + 1):
         powers.append(powers[-1] * q[0])
@@ -198,8 +97,8 @@ def check_admissible(omega) -> tuple[bool, int | None]:
     hold for every odd index the list can express?  Returns (ok, first bad a).
 
     Entries may be Fractions or any exact ring elements supporting +, *, ==
-    and scalar multiplication by Fraction (e.g. Poly, for one-parameter
-    families)."""
+    and scalar multiplication by Fraction (e.g. polynomials, for
+    one-parameter families)."""
     omega = list(omega)
     a = 0
     while 2 * a + 1 < len(omega):
@@ -215,8 +114,10 @@ def check_admissible(omega) -> tuple[bool, int | None]:
 
 def cyclotomic_coeffs(u) -> tuple[Fraction, ...]:
     """c_0, ..., c_r with prod_i (y - u_i) = sum_k c_k y^k, so c_r = 1."""
-    return tuple(Fraction(c) for c in
-                 math.prod((Poly.y_plus(-x) for x in u), start=ONE).coeffs)
+    out = [Fraction(1)]
+    for x in u:
+        out = [b - x * a for a, b in zip(out + [0], [0] + out)]
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -226,10 +127,10 @@ class ParamSet:
     Omega is u-admissible: it is no field, but read where it is used, as the
     expansion at infinity of W at the empty shape (``omega_k_values``).
 
-    Three tables hold what depends only on the roots, so that each value is
+    Two tables hold what depends only on the roots, so that each value is
     formed once: ``steps`` the steps out of each shape met (``steps_out``),
-    ``w_at`` W at each shape met (``wk_rational``), and ``murphy`` the
-    Murphy basis on n strands by n (``hecke.murphy_basis``).  They are no
+    and ``murphy`` the Murphy basis on n strands by n
+    (``hecke.murphy_basis``).  They are no
     constructor arguments, and neither equality, the hash nor ``as_json``
     reads them.  ``from_u`` holds the last parameter set it built, so the
     jobs of a batch at one u share its tables; one constructed directly is
@@ -237,7 +138,6 @@ class ParamSet:
     """
 
     u: tuple[Fraction, ...]
-    w_at: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     steps: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     murphy: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -358,6 +258,14 @@ def steps_out(mu, ps: ParamSet, removing: bool = False) -> Steps:
     return st
 
 
+def step_factor(ps: ParamSet, mu, nu) -> tuple[int, int]:
+    """The step factor g(mu -> nu), an int pair (num, den), from the step
+    table; the tables of steps that remove a node are filled on first
+    ask."""
+    g = steps_out(mu, ps).g
+    return g[nu] if nu in g else steps_out(mu, ps, removing=True).g[nu]
+
+
 def gamma(ps: ParamSet, t) -> Fraction:
     """gamma_t: the product of the step factors g along the walk t, read
     from the step table as int pairs; one Fraction is made."""
@@ -378,53 +286,43 @@ def contents(ps: ParamSet, t) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _w_at_shape(shape, C, q: int) -> RationalFunction:
-    """1/2 - y + (y - (1/2)(-1)^r) prod_alpha (y + c(alpha))/(y - c(alpha)),
-    the product over the addable and removable nodes alpha of the
-    r-multipartition ``shape``, given their contents c as the ints C = q c.
-    Over Z it is ((1 - 2y) Q + (2y - (-1)^r) P) / (2Q), with P and Q the
-    products of the factors qy + C and qy - C."""
-    sign = -1 if len(shape) % 2 else 1
-    P = Q = Poly((1,))
-    for x in C:
-        P, Q = P * Poly((x, q)), Q * Poly((-x, q))
-    return RationalFunction(Poly((1, -2)) * Q + Poly((-sign, 2)) * P, Q * 2)
+def wk_rational(mu, ps: ParamSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """W at the shape mu in closed form, 1/2 - y + (y - (1/2)(-1)^r)
+    prod (y + c)/(y - c) over the contents c of the steps out of mu, as the
+    ints (a..., b...) of its linear factors W + y - 1/2 = (y - (1/2)(-1)^r)
+    prod (qy + a) / prod (qy + b): (C, -C) for C = q c from the step table.
+    It is W_k along every walk whose shape before step k is mu; W_1 at the
+    empty shape.  Coinciding contents need no special case; whether u is
+    generic enough is decided when the seminormal model is built."""
+    C = tuple(steps_out(mu, ps).C.values())
+    return C, tuple(-x for x in C)
 
 
-def wk_rational(mu, ps: ParamSet) -> RationalFunction:
-    """W at the shape mu in closed form, unreduced: W_k along every walk
-    whose shape before step k is mu; W_1 at the empty shape.  Coinciding
-    contents need no special case, since num and den are polynomial in the
-    contents; whether u is generic enough is decided when the seminormal
-    model is built.  W at each shape is formed once per parameter set, in
-    ``ps.w_at``, from the contents in ``ps.steps``."""
-    w = ps.w_at.get(mu)
-    if w is None:
-        w = ps.w_at[mu] = _w_at_shape(mu, tuple(steps_out(mu, ps).C.values()), ps.q)
-    return w
+def wk_recursive_rational(form, C: int, ps: ParamSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """One step of the recursion for W, from the linear factors ``form`` of
+    W at a shape (``wk_rational``) across a step of content c, C = q c:
+    W + y - 1/2 times the recursion factor
+    ((y+c)^2 - 1)(y-c)^2 / (((y-c)^2 - 1)(y+c)^2), whose linear factors
+    over q are qy + C -+ q, qy - C twice, over qy - C -+ q, qy + C twice."""
+    (num, den), q = form, ps.q
+    return num + (C - q, C + q, -C, -C), den + (-C - q, -C + q, C, C)
 
 
-def _recursion_factor_rational(c: Fraction) -> RationalFunction:
-    """((y+c)^2 - 1)(y-c)^2 / (((y-c)^2 - 1)(y+c)^2), formed over Z: with
-    c = p/q, num and den are both multiplied by q^4 through q(y + c) =
-    qy + p and q(y - c) = qy - p."""
-    p, q = c.numerator, c.denominator
-    plus, minus, q2 = Poly((p, q)), Poly((-p, q)), Poly((q * q,))
-    return RationalFunction((plus * plus - q2) * (minus * minus),
-                            (minus * minus - q2) * (plus * plus))
-
-
-def wk_recursive_rational(mu, c: Fraction, ps: ParamSet) -> RationalFunction:
-    """One step of the recursion for W, from the closed form at the shape mu
-    across a step of content c: F(c)(W + y - 1/2) - (y - 1/2), with F the
-    recursion factor."""
-    y_minus_half = RationalFunction(Poly((-HALF, Fraction(1))))
-    return (_recursion_factor_rational(c)
-            * (wk_rational(mu, ps) + y_minus_half) - y_minus_half)
+def w_polynomials(ps: ParamSet, form) -> tuple[list[int], list[int]]:
+    """W = N / (2Q) from its linear factors ``form`` (``wk_rational``), as
+    int coefficient lists: with P and Q the products of the factors of num
+    and den, N = (1 - 2y) Q + (2y - (-1)^r) P, whose y^(|C| + 1) terms
+    cancel, so N and 2Q have |C| + 1 coefficients each."""
+    P, Q = linear_product(form[0], ps.q), linear_product(form[1], ps.q)
+    sign = -1 if ps.r % 2 else 1
+    N = [x - sign * y for x, y in zip(Q, P)]
+    for i, (x, y) in enumerate(zip(Q[:-1], P[:-1]), start=1):
+        N[i] += 2 * (y - x)
+    return N, [2 * x for x in Q]
 
 
 def omega_k_values(mu, ps: ParamSet, A: int) -> list[Fraction]:
     """The scalars omega_k^{(a)}, a = 0..A, at every position k whose shape
     before step k is mu: the coefficients of y^{-a} in the expansion at
-    infinity of W at mu.  At the empty shape they are Omega."""
-    return series_of_rational(wk_rational(mu, ps), A)
+    infinity of W at mu, on ints.  At the empty shape they are Omega."""
+    return series_at_infinity(*w_polynomials(ps, wk_rational(mu, ps)), A)

@@ -5,25 +5,29 @@ lattice step mu -> nu: its content c (the int C = q c over the lcm q of the
 roots' denominators), the diagonal contraction coefficient e, and the step
 factor g, whose product along a tableau t is gamma_t, all read from the step
 table ``ps.steps`` (``params.steps_out``).  Each generator entry is a closed
-rational formula in them (``_entries``), as in Young's seminormal form, with
-no square root and no positivity condition, and each generator is then
-self-adjoint for diag(gamma), which may be negative, as ``verify`` checks.
-The model is built on ints: every entry is an int pair (num, den), and each
-generator is held once, as one matrix of int rows over one positive
-denominator in lowest terms (``Evaluated``).  The models make one
-``Realization``, their direct sum, which stacks each letter's generators
-once into one block-diagonal matrix over one common denominator, so a word
-takes one matrix product per letter on ints and a Fraction is made only for
-a reported residual; it holds the product of each prefix of a product of
-word sums, and applies words to a matrix one stacked letter at a time.
+rational formula in them (``_entries``, with the swap entries of
+``swap_entry``), as in Young's seminormal form, with no square root and no
+positivity condition, and each generator is then self-adjoint for
+diag(gamma), which may be negative, as ``verify`` checks.  The model is
+built on ints: every entry is an int pair (num, den), and each generator is
+held once, as one matrix of int rows over one positive denominator in
+lowest terms (``Evaluated``).  The models make one ``Realization``, their
+direct sum, which stacks each letter's generators once into one
+block-diagonal matrix over one common denominator, so a word takes one
+matrix product per letter on ints and a Fraction is made only for a
+reported residual; it holds the product of each prefix of a product of word
+sums, and applies words to a matrix one stacked letter at a time.
 ``wcell`` certifies the cellular family's rank on it.  The defining
 relations are written once, as pairs of word sums (``relations``).  Each
 relation, and each identity of the scalar tower, is checked as one signed
 sum lhs - rhs accumulated on ints over a denominator fixed before any
 product (``Realization.sum_residuals``), and a block is scanned only where
-the sum is nonzero; they and self-adjointness for diag(gamma) are checked
-with zero tolerance, as are the polynomial identities between the
-coefficients.
+the sum is nonzero.  The identities between the coefficients are checked
+on the ints of the step table, once per local window and with no
+polynomial division or rational function (``check_identities``): the class
+sums, W and its recursion as multisets of linear factors, and the formulas
+of self-adjointness for diag(gamma), one identity of step factors per
+window on the values ``_entries`` places.  Every check has zero tolerance.
 """
 
 from __future__ import annotations
@@ -58,12 +62,12 @@ def _not_generic(condition: str, mu) -> ValueError:
     return ValueError(f"{condition} {mu}: parameters not generic")
 
 
-def _swap_pair(t, k: int, d: int, q: int) -> tuple[int, int]:
-    """Diagonal swap coefficient 1/(c_{k+1} - c_k) of steps k, k+1 of t, as
-    an int pair (num, den) with den > 0, from the int d = q (c_{k+1} - c_k)."""
+def _swap_pair(mu, k: int, d: int, q: int) -> tuple[int, int]:
+    """Diagonal swap coefficient 1/(c_{k+1} - c_k) of steps k, k+1 out of
+    the shape mu, as an int pair (num, den) with den > 0, from the int
+    d = q (c_{k+1} - c_k)."""
     if d == 0:
-        raise _not_generic(f"equal adjacent contents at k={k} from shape",
-                           combinat.shape_before(t, k))
+        raise _not_generic(f"equal adjacent contents at k={k} from shape", mu)
     return _signed(q, d)
 
 
@@ -88,8 +92,9 @@ class SeminormalRep:
     S[i-1], E[i-1] act at position i (1 <= i < n); X[j-1] is diagonal with
     the step-j contents.  Each is an ``Evaluated``: d x d int rows over one
     positive denominator, in lowest terms.  At generic roots every
-    generator M satisfies gamma[i] M[i][j] = M[j][i] gamma[j], with every
-    gamma[i] nonzero, of either sign.
+    generator M satisfies gamma[i] M[i][j] = M[j][i] gamma[j] for gamma of
+    ``params.gamma``, every gamma[i] nonzero, of either sign (its formulas
+    by ``check_identities``, the placed matrices by the relations).
     """
 
     ps: ParamSet
@@ -104,10 +109,51 @@ class SeminormalRep:
     def dim(self) -> int:
         return len(self.basis)
 
-    @functools.cached_property
-    def gamma(self) -> tuple:
-        """gamma_t of each basis tableau t (``params.gamma``), on first read."""
-        return tuple(params.gamma(self.ps, t) for t in self.basis)
+
+def swap_entry(ps: ParamSet, k: int, mu, nu, rho, nu2, d: int) -> tuple[int, int]:
+    """p = S[t][s], an int pair (num, den) with den > 0, for t through the
+    window mu -> nu -> rho at steps k, k+1 and s = s_k t through nu2, where
+    d = q (c_{k+1} - c_k) of t and d^2 != q^2.  With a = q / d, b^2 =
+    1 - a^2, alpha, beta the nodes of the steps nu, rho of t:
+
+    - add, add: p = b^2 where alpha lies above beta, else 1;
+    - add, remove: p = b^2 F(nu' -> rho) / (e_nu(mu) F(mu -> nu));
+    - remove, add: p = e_nu'(mu) F(mu -> nu') / F(nu -> rho);
+    - remove, remove: p = b^2 v where alpha lies above beta, else v, with
+      v = e_nu'(mu) / e_nu(mu).
+
+    So p p_s = b^2 and p^2 / b^2 = gamma_s / gamma_t.  A node lies above
+    another in an earlier component or a higher row.  ``_entries`` reads
+    every off-diagonal swap entry here, and ``check_identities`` the pair
+    p, p_s that it certifies."""
+    q, st = ps.q, params.steps_out(mu, ps)
+    (alpha, removes), (beta, then_removes) = (combinat.steps_from(mu)[nu],
+                                              combinat.steps_from(nu)[rho])
+    # b^2, or 1 where both steps add or both remove and beta lies above
+    # alpha; a step that removes, then one that adds, takes neither
+    if removes == then_removes and (beta[2], beta[0]) < (alpha[2], alpha[0]):
+        num, den = 1, 1
+    else:
+        num, den = d * d - q * q, d * d
+    ev = st.e[nu]
+    if then_removes and not ev:  # p divides by e_nu(mu)
+        raise _not_generic(f"contraction coefficient 0 at k={k} from shape", mu)
+    if removes and then_removes:
+        v = st.e[nu2] / ev  # e_nu'(mu) / e_nu(mu)
+        num, den = num * v.numerator, den * v.denominator
+    elif then_removes:
+        # F(nu' -> rho) / (e_nu(mu) F(mu -> nu))
+        (fn, fd), (gn, gd) = st.g[nu], params.steps_out(nu2, ps).g[rho]
+        if not fn or not gd:
+            raise _not_generic("coinciding contents out of shape", nu2 if fn else mu)
+        num, den = num * gn * fd * ev.denominator, den * gd * fn * ev.numerator
+    elif removes:
+        # e_nu'(mu) F(mu -> nu') / F(nu -> rho), with no b^2
+        ev, (fn, fd), (gn, gd) = st.e[nu2], st.g[nu2], params.steps_out(nu, ps).g[rho]
+        if not fd or not gn:
+            raise _not_generic("coinciding contents out of shape", nu if fd else mu)
+        num, den = ev.numerator * fn * gd, ev.denominator * fd * gn
+    return _signed(num, den)
 
 
 def _entries(ps: ParamSet, k: int, idx: dict, contents: dict):
@@ -117,25 +163,16 @@ def _entries(ps: ParamSet, k: int, idx: dict, contents: dict):
     Where t returns at k, to mu, its class holds t^nu for each step mu -> nu:
     E[t^nu][t^nu'] = e_nu'(mu) and S[t^nu][t^nu'] = (e_nu'(mu) - delta) /
     (c_nu + c_nu').  Elsewhere S[t][t] = a = 1/(c_{k+1} - c_k), and where
-    s = s_k t lies in the lattice, S[t][s] = p, with p p_s = b^2 = 1 - a^2
-    and p^2 / b^2 = gamma_s / gamma_t, so each generator is self-adjoint for
-    diag(gamma).  With alpha, beta the nodes of steps k, k+1 of t, nu, nu'
-    the middle shapes of t and s, and rho the shape after step k+1:
-
-    - add, add: p = b^2 where alpha lies above beta, else 1;
-    - add, remove: p = b^2 F(nu' -> rho) / (e_nu(mu) F(mu -> nu));
-    - remove, add: p = e_nu'(mu) F(mu -> nu') / F(nu -> rho);
-    - remove, remove: p = b^2 v where alpha lies above beta, else v, with
-      v = e_nu'(mu) / e_nu(mu).
-
-    So p_s = b^2 / p.  A node lies above another in an earlier component or
-    a higher row."""
+    s = s_k t lies in the lattice, S[t][s] = p (``swap_entry``); where a
+    is a unit, b^2 = 0 and no entry leaves the diagonal.  Each generator is
+    so self-adjoint for diag(gamma).  The swap entries depend only on the
+    window mu -> nu -> rho of steps k, k+1, so each is formed once."""
     q = ps.q
-    S, E = {}, {}
+    S, E, swaps = {}, {}, {}
     for t, i in idx.items():
         mu = combinat.shape_before(t, k)
-        st = params.steps_out(mu, ps)
         if returns_at(t, k):
+            st = params.steps_out(mu, ps)
             if not all(st.e.values()):
                 raise _not_generic(f"contraction coefficient 0 at k={k} from shape", mu)
             if any(-x in st.C.values() for x in st.C.values()):
@@ -148,45 +185,21 @@ def _entries(ps: ParamSet, k: int, idx: dict, contents: dict):
                 if num:
                     S[i, j] = _signed(num * q, ev.denominator * (contents[t][k - 1] + st.C[nu]))
             continue
-        d = contents[t][k] - contents[t][k - 1]
-        S[i, i] = _swap_pair(t, k, d, q)
-        # a = q / d is a unit when d^2 = q^2, and then b^2 = 1 - a^2 = 0 and
-        # no entry leaves the diagonal
-        if d * d == q * q:
-            continue
-        partner = combinat.sk_action(t, k)
-        if partner is None:
-            raise ValueError(f"swap at k={k} from shape {mu} undefined but coefficient "
-                             f"{Fraction(q, d)} is not a unit: outside the regime")
-        nu, rho, nu2 = t[k - 1], t[k], partner[k - 1]
-        (alpha, removes), (beta, then_removes) = (combinat.steps_from(mu)[nu],
-                                                  combinat.steps_from(nu)[rho])
-        # b^2, or 1 where both steps add or both remove and beta lies above
-        # alpha; a step that removes, then one that adds, takes neither
-        if removes == then_removes and (beta[2], beta[0]) < (alpha[2], alpha[0]):
-            num, den = 1, 1
-        else:
-            num, den = d * d - q * q, d * d
-        ev = st.e[nu]
-        if then_removes and not ev:  # p divides by e_nu(mu)
-            raise _not_generic(f"contraction coefficient 0 at k={k} from shape", mu)
-        if removes and then_removes:
-            v = st.e[nu2] / ev  # e_nu'(mu) / e_nu(mu)
-            num, den = num * v.numerator, den * v.denominator
-        elif then_removes:
-            # F(nu' -> rho) / (e_nu(mu) F(mu -> nu))
-            (fn, fd), (gn, gd) = st.g[nu], params.steps_out(nu2, ps).g[rho]
-            if not fn or not gd:
-                raise _not_generic("coinciding contents out of shape", nu2 if fn else mu)
-            num, den = num * gn * fd * ev.denominator, den * gd * fn * ev.numerator
-        elif removes:
-            # e_nu'(mu) F(mu -> nu') / F(nu -> rho), with no b^2
-            ev, (fn, fd), (gn, gd) = st.e[nu2], st.g[nu2], params.steps_out(nu, ps).g[rho]
-            if not fd or not gn:
-                raise _not_generic("coinciding contents out of shape", nu if fd else mu)
-            num, den = ev.numerator * fn * gd, ev.denominator * fd * gn
-        if num:
-            S[i, idx[partner]] = _signed(num, den)
+        window = mu, t[k - 1], t[k]
+        swap = swaps.get(window)
+        if swap is None:
+            d = contents[t][k] - contents[t][k - 1]
+            a, nu2, p = _swap_pair(mu, k, d, q), None, None
+            if d * d != q * q:
+                nu2 = combinat.swap_middle(*window)
+                if nu2 is None:
+                    raise ValueError(f"swap at k={k} from shape {mu} undefined but coefficient "
+                                     f"{Fraction(q, d)} is not a unit: outside the regime")
+                p = swap_entry(ps, k, *window, nu2, d)
+            swap = swaps[window] = a, nu2, p
+        S[i, i], nu2, p = swap
+        if p is not None and p[0]:
+            S[i, idx[t[:k - 1] + (nu2,) + t[k:]]] = p
     return S, E
 
 
@@ -496,42 +509,27 @@ def residuals(real: Realization) -> list[dict]:
 def tower_scalars(ps: ParamSet, n: int) -> dict:
     """omega_k^(a), 0 <= a <= r + 1, keyed by the shape mu before step k,
     for every mu with |mu| <= n - 2 (every position k < n): the expansion at
-    infinity of the closed form of W at mu, which ``ps`` forms once per
-    shape."""
+    infinity of the closed form of W at mu, on ints
+    (``params.omega_k_values``)."""
     return {mu: params.omega_k_values(mu, ps, ps.r + 1)
             for size in range(n - 1)
             for mu in combinat.multipartitions(ps.r, size)}
 
 
-def adjointness_residual(rep: SeminormalRep) -> Fraction:
-    """Max |gamma_i M_ij - M_ji gamma_j| over every generator M: 0 exactly
-    when each is self-adjoint for the nondegenerate form diag(gamma), so a
-    gamma_i = 0 counts as 1.  The form need not be positive: a negative
-    gamma_i is no failure.  Compared as ints: with gamma = g / q and
-    M = B / den, max |g_i B_ij - B_ji g_j| / (q den)."""
-    q = params.clearing(rep.gamma)
-    g = params.cleared(rep.gamma, q)
-    worst = Fraction(0 if all(g) else 1)
-    for B, den in (*rep.S, *rep.E, *rep.X):
-        m = max((abs(g[i] * x - B[j].get(i, 0) * g[j])
-                 for i, row in enumerate(B) for j, x in row.items()), default=0)
-        worst = max(worst, Fraction(m, q * den))
-    return worst
-
-
 def verify_relations(real: Realization, scalars: dict) -> list[dict]:
     """Exact residuals of the defining relations on each block of ``real``,
-    plus G-adjointness of every generator (``star-symmetry``) and the scalar
-    tower E_k X_k^a E_k = omega_k^(a) E_k, 0 <= a <= r + 1, against
-    ``scalars`` from ``tower_scalars`` (``tower-scalars``).  The tower's
+    plus the scalar tower E_k X_k^a E_k = omega_k^(a) E_k, 0 <= a <= r + 1,
+    against ``scalars`` from ``tower_scalars`` (``tower-scalars``).  Each is
+    one signed sum lhs - rhs (``Realization.sum_residuals``).  The tower's
     scalar depends only on the shape mu before step k, so its right side is
     D E_k, D diagonal: each omega_k^(a) is cleared to an int once per shape
     mu, over the lcm of their denominators, and D holds it on the rows where
     E_k is nonzero, the rows of the tableaux that return at k.  One dict per
-    block; every value is 0 for a genuine model."""
+    block; every value is 0 for a genuine model.  Self-adjointness for
+    diag(gamma) is no residual of the model: ``check_identities`` certifies
+    it on the coefficients, once per window."""
     out = residuals(real)
-    for res, rep in zip(out, real.reps):
-        res["star-symmetry"] = adjointness_residual(rep)
+    for res in out:
         res["tower-scalars"] = Fraction(0)
     tableaux = [t for rep in real.reps for t in rep.basis]
     for k in range(1, real.n):
@@ -605,88 +603,163 @@ def class_sums(C: dict, e: dict, q: int):
                 yield "class-sum-cross", s, tp, (q2 * num, D * den), (q2, 2 * cs * ct)
 
 
+def w_equal(w, v) -> bool:
+    """The two ratios of linear factors ``w`` and ``v`` (``params.wk_rational``,
+    ``params.wk_recursive_rational``) are one function: cross-multiplied,
+    their factors are one multiset of ints."""
+    return sorted(w[0] + v[1]) == sorted(w[1] + v[0])
+
+
+def w_vanishes_at_zero(ps: ParamSet, w) -> bool:
+    """N(0) = 0 for W = N / (2Q) with the linear factors ``w``:
+    prod(-C) = (-1)^r prod(C)."""
+    return math.prod(w[1]) == (-1 if ps.r % 2 else 1) * math.prod(w[0])
+
+
+def w_partial_fractions_hold(ps: ParamSet, mu, w) -> bool:
+    """W = y sum_m e_m / (y - c_m) over the steps m out of mu, for W at mu
+    with the linear factors ``w``, multiplied through by 2Q:
+    D N = 2 q y sum_m E_m prod_{m' != m} (qy - C_m'), with W = N / (2Q)
+    (``params.w_polynomials``) and e_m = E_m / D, one int polynomial
+    identity of degree |C|."""
+    C, e, _, _ = params.steps_out(mu, ps)
+    q, D = ps.q, params.clearing(e.values())
+    # the sum S over the factors so far, one factor at a time, beside their
+    # product P: S (qy - C_m) + E_m P, then P (qy - C_m)
+    P, S = [1], [0]
+    for x, E_m in zip(C.values(), params.cleared(e.values(), D)):
+        S = [q * b - x * a + E_m * p for a, b, p in zip(S + [0], [0] + S, P + [0])]
+        P = [q * b - x * a for a, b in zip(P + [0], [0] + P)]
+    N, _ = params.w_polynomials(ps, w)
+    return [D * x for x in N] == [0] + [2 * q * x for x in S[:-1]]
+
+
 def check_identities(ps: ParamSet, n: int) -> IdentityReport:
     """Every exact coefficient identity at n strands, checked with zero
     tolerance once per local configuration.  A coefficient at k reads only
     the shape mu before step k and the steps out of mu, which the step
-    table ``ps.steps`` holds with their contents and contraction
-    coefficients (the step back from nu has content -c_nu).  So the class
-    and W identities are read off the steps out of each mu with
-    |mu| <= n - 2, the class sums on ints (``class_sums``), and the
-    contraction-inverse identity per (mu, nu) with |mu| <= n - 3.  The swap
-    identities, per (mu, nu, rho) with rho != mu, and the matching
-    identities, per (mu, nu) with |mu| <= n - 3, check
-    ``combinat.sk_action`` on windows placed after t^mu, at k = |mu| + 1;
+    table ``ps.steps`` holds with their contents, contraction coefficients
+    and step factors (the step back from nu has content -c_nu).  So the
+    class, W and class self-adjointness identities are read off the steps
+    out of each mu with |mu| <= n - 2, the class sums on ints
+    (``class_sums``), and the contraction-inverse identity per (mu, nu) with
+    |mu| <= n - 3.  The swap identities, per (mu, nu, rho) with rho != mu,
+    and the matching identities, per (mu, nu) with |mu| <= n - 3, check
+    the swaps of ``combinat.swap_middle`` and ``combinat.sk_action`` on
+    windows placed after t^mu, at k = |mu| + 1;
     elsewhere t^mu only names a window in a failure.  ``w-recursion``
     checks that the closed form at nu is one recursion step from that at
     mu, per lattice edge mu -> nu with |mu| <= n - 2; by induction on the
     walk, the recursion from W at the empty shape, from which Omega is
     read, then gives the closed form along every walk of fewer than n
-    steps.  W at each shape is formed once per parameter set, in
-    ``ps.w_at``.
+    steps.
 
-    Each identity is stated in the form its coefficients are held, so no
-    rational function is evaluated or divided.  W(0) = 0 reads the constant
-    terms of W's closed form, and the partial fractions of W/y are
-    compared with W multiplied through by y.  The swap identities read the
-    coefficient a = 1/(c_{k+1} - c_k) as the int pair (a0, a1) of
+    Each identity is stated on ints, in the form its coefficients are held,
+    so nothing is divided.  W is held by the linear factors of W + y - 1/2
+    (``params.wk_rational``): ``w-recursion`` compares the multisets of
+    factors of the two sides cross-multiplied (``w_equal``),
+    W(0) = 0 is prod(-C) = (-1)^r prod(C) (``w_vanishes_at_zero``), and
+    the partial fractions are one int polynomial identity
+    (``w_partial_fractions_hold``).  The swap identities read
+    the coefficient a = 1/(c_{k+1} - c_k) as the int pair (a0, a1) of
     ``_swap_pair``, which raises on equal contents: a is a unit when
     a0^2 = a1^2, and 1 - a^2 is (a1^2 - a0^2)/a1^2.  ``content-swap``
-    checks that u's contents are t's swapped; u's coefficient is then -a."""
+    checks that u's contents are t's swapped; u's coefficient is then -a.
+    ``star-symmetry`` is self-adjointness for diag(gamma) on the values of
+    ``swap_entry``, e and g that ``_entries`` places, not on the held
+    matrices: the gammas of two tableaux that differ only at steps k, k+1
+    differ only by the step factors g there, so per swap window with
+    partner nu' where a is no unit, p g(mu->nu) g(nu->rho) =
+    p_s g(mu->nu') g(nu'->rho), and per pair nu, nu' of a class
+    e_nu' g(mu->nu) g(nu->mu) = e_nu g(mu->nu') g(nu'->mu)."""
     counts: dict[str, int] = {}
     failures: list[str] = []
 
-    def record(name: str, ok: bool, ctx: str = ""):
+    def record(name: str, ok: bool, ctx: str, *args):
+        """Count a check of ``name``; a failure names its window, the
+        template ``ctx`` filled with ``args`` only then."""
         counts[name] = counts.get(name, 0) + 1
         if not ok:
-            failures.append(f"{name}: {ctx}")
+            failures.append(f"{name}: " + ctx.format(*args))
+
+    def factors(*steps):
+        """The product of the step factors of ``steps`` as an int pair, or
+        None where one of them is 0 or undefined."""
+        num = den = 1
+        for step in steps:
+            a, b = params.step_factor(ps, *step)
+            num, den = num * a, den * b
+        return (num, den) if num and den else None
+
+    def adjoint(x, gx, y, gy) -> bool:
+        """x gx = y gy for int pairs x, y and products gx, gy of ``factors``."""
+        return (gx is not None and gy is not None
+                and x[0] * gx[0] * y[1] * gy[1] == y[0] * gy[0] * x[1] * gx[1])
 
     q = ps.q
-    y = params.RationalFunction(params.Poly((0, 1)))
     for mu in (lam for size in range(n - 1)
                for lam in combinat.multipartitions(ps.r, size)):
         tmu = combinat.t_lambda(mu)
         k = len(tmu) + 1
         C, e, _, _ = params.steps_out(mu, ps)
-        for nu, cn in C.items():
-            record("w-recursion", params.wk_rational(nu, ps)
-                   == params.wk_recursive_rational(mu, Fraction(cn, q), ps),
-                   f"k={k + 1}, prefix={tmu + (nu,)}")
-        for name, s, tp, (ln, ld), (rn, rd) in class_sums(C, e, q):
-            ctx = (f"s={tmu + (s, mu)}, "
-                   + (f"t'={tmu + (tp, mu)}, " if tp is not None else "") + f"k={k}")
-            if not ld or not rd:
-                raise ZeroDivisionError(f"{name}: zero denominator at {ctx}")
-            record(name, ln * rd == rn * ld, ctx)
-        # W(0) = 0 on the constant terms: den(0) = 2 prod(-C) is nonzero,
-        # since a zero content has ended the class sums above
         w = params.wk_rational(mu, ps)
-        record("w-vanishes-at-zero", (w.num.coeffs or (0,))[0] == 0, f"k={k}, prefix={tmu}")
-        # partial fractions of W(y)/y over the class, multiplied through by
-        # y: e_m / (y - c_m) is q e_m / (qy - C_m)
-        parts = sum(params.RationalFunction(
-            params.Poly.const(e[m] * q), params.Poly((-x, q))) for m, x in C.items())
-        record("w-partial-fractions", w == y * parts, f"k={k}, prefix={tmu}")
+        for nu, cn in C.items():
+            record("w-recursion", w_equal(params.wk_rational(nu, ps),
+                                          params.wk_recursive_rational(w, cn, ps)),
+                   "k={}, prefix={}", k + 1, tmu + (nu,))
+        for name, s, tp, (ln, ld), (rn, rd) in class_sums(C, e, q):
+            ctx = "s={}, " + ("t'={}, " if tp is not None else "") + "k={}"
+            args = (tmu + (s, mu), *((tmu + (tp, mu),) if tp is not None else ()), k)
+            if not ld or not rd:
+                raise ZeroDivisionError(f"{name}: zero denominator at " + ctx.format(*args))
+            record(name, ln * rd == rn * ld, ctx, *args)
+        # the den of W(0), 2 prod(-C), is nonzero, since a zero content has
+        # ended the class sums above
+        record("w-vanishes-at-zero", w_vanishes_at_zero(ps, w), "k={}, prefix={}", k, tmu)
+        record("w-partial-fractions", w_partial_fractions_hold(ps, mu, w),
+               "k={}, prefix={}", k, tmu)
+        # g(mu->nu) g(nu->mu) and e_nu of each step out of mu and back
+        loops = {nu: (factors((mu, nu), (nu, mu)), (x.numerator, x.denominator))
+                 for nu, x in e.items()}
+        for nu, nu2 in itertools.combinations(C, 2):
+            (g, x), (g2, x2) = loops[nu], loops[nu2]
+            record("star-symmetry", adjoint(x2, g, x, g2),
+                   "s={}, t'={}, k={}", tmu + (nu, mu), tmu + (nu2, mu), k)
+        # p and g(mu->nu) g(nu->rho) of each swap window out of mu, by nu, rho
+        entries = {}
         for nu, cn in C.items():
             for rho, cr in params.steps_out(nu, ps).C.items():
                 if rho == mu:
                     continue
-                t = tmu + (nu, rho)
                 # the swap coefficient a = a0 / a1, or the regime error
-                a0, a1 = _swap_pair(t, k, cr - cn, q)
-                u = combinat.sk_action(t, k)
-                if u is None:
-                    record("swap-degenerate-unit", a0 * a0 == a1 * a1, f"t={t}, k={k}")
+                a0, a1 = _swap_pair(mu, k, cr - cn, q)
+                nu2 = combinat.swap_middle(mu, nu, rho)
+                if nu2 is None:
+                    record("swap-degenerate-unit", a0 * a0 == a1 * a1, "t={}, k={}",
+                           tmu + (nu, rho), k)
                     continue
-                # u takes mu -> u[k - 1] -> rho; with t's contents swapped,
-                # u's difference is -(cr - cn), so its coefficient is -a
-                cu, cu_next = C[u[k - 1]], params.steps_out(u[k - 1], ps).C[rho]
-                record("content-swap", cu_next == cn and cu == cr, f"t={t}, k={k}")
+                # u takes mu -> nu2 -> rho; with t's contents swapped, u's
+                # difference is -(cr - cn), so its coefficient is -a
+                cu, cu_next = C[nu2], params.steps_out(nu2, ps).C[rho]
+                record("content-swap", cu_next == cn and cu == cr, "t={}, k={}",
+                       tmu + (nu, rho), k)
+                if a0 * a0 == a1 * a1:  # no entry leaves the diagonal
+                    continue
+                if (nu, rho) not in entries:
+                    entries[nu, rho] = (swap_entry(ps, k, mu, nu, rho, nu2, cr - cn),
+                                        factors((mu, nu), (nu, rho)))
+                if (nu2, rho) not in entries:
+                    d = cu_next - cu
+                    entries[nu2, rho] = (swap_entry(ps, k, mu, nu2, rho, nu, d)
+                                         if d * d != q * q else (0, 1),
+                                         factors((mu, nu2), (nu2, rho)))
+                record("star-symmetry", adjoint(*entries[nu, rho], *entries[nu2, rho]),
+                       "t={}, u={}, k={}", tmu + (nu, rho), tmu + (nu2, rho), k)
             if k > n - 2:
                 continue
             C_nu, e_nu, _, _ = params.steps_out(nu, ps)
             record("contraction-inverse", e[nu] * e_nu[mu] == 1,
-                   f"t={tmu + (nu, mu, nu)}, k={k}")
+                   "t={}, k={}", tmu + (nu, mu, nu), k)
             # matching products of squared off-diagonals with contractions:
             # mu, nu, x, nu and mu, y, mu, nu swap to the same tableau
             for x, cx in C_nu.items():
@@ -699,10 +772,10 @@ def check_identities(ps: ParamSet, n: int) -> IdentityReport:
                     continue
                 back = params.steps_out(target[k - 1], ps).C[mu]
                 # 1 - a^2 for each swap coefficient a = a0 / a1
-                a0, a1 = _swap_pair(tt, k, cx - cn, q)
-                b0, b1 = _swap_pair(uu, k + 1, cn - back, q)
+                a0, a1 = _swap_pair(mu, k, cx - cn, q)
+                b0, b1 = _swap_pair(target[k - 1], k + 1, cn - back, q)
                 lhs = Fraction(a1 * a1 - a0 * a0, a1 * a1) * e_nu[x]
                 rhs = Fraction(b1 * b1 - b0 * b0, b1 * b1) * e[target[k - 1]]
-                record("square-root-matching", lhs == rhs,
-                       f"t={tt}, u={uu}, k={k}")
+                record("swap-contraction-matching", lhs == rhs,
+                       "t={}, u={}, k={}", tt, uu, k)
     return IdentityReport(counts, failures)

@@ -1,9 +1,16 @@
 """Code the tests share and the command line does not call: the dense
+polynomials and unreduced rational functions (``Poly``,
+``RationalFunction``) through which W, its recursion and its expansion at
+infinity are formed as the references for the int forms of ``params``
+(``form_rational``, ``w_rational``, ``w_recursive_rational``,
+``series_of_rational``), the dense
 matrix reader, the Schur reference for Omega and other admissible
 sequences, exact two-strand module fixtures, the hand-written relation
 suite that the relation table is checked against, the Fraction-row
-evaluation and star-symmetry that the model's int forms are checked
-against, the two-sided relation check (``two_sided_residuals``: each side
+evaluation that the model's int forms are checked against, the
+self-adjointness of every entry of a model for diag(gamma)
+(``adjointness_reference``, with ``gammas``) that the window identities
+are checked against, the two-sided relation check (``two_sided_residuals``: each side
 a whole element, compared block by block by ``block_residuals``, with
 ``_residual``, ``_rows_scaled``, ``mat_sub`` and ``max_abs``) that
 ``Realization.sum_residuals`` is checked against, the lattice read node
@@ -50,10 +57,173 @@ from typing import NamedTuple
 from brauer import BrauerDiagram
 from wenzl import _linalg, combinat, hecke, params, seminormal, wcell
 from wenzl.combinat import Multipartition, Node, Tableau, Word, perm_word, word_for_permutation
-from wenzl.params import ONE, ParamSet, Poly, RationalFunction, cyclotomic_coeffs
+from wenzl.params import ParamSet, cyclotomic_coeffs
 from wenzl.seminormal import RELATION_FAMILIES
 
 HALF = Fraction(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# dense polynomials, and rational functions kept unreduced, in one variable:
+# the path that W, its recursion and its expansion at infinity took before
+# they were stated on the ints of the step table, and that those are
+# checked against
+# ---------------------------------------------------------------------------
+
+class Poly:
+    """Dense polynomial over Q; coeffs[k] is the y^k coefficient, an int or
+    a Fraction as given, so a polynomial over Z computes on ints."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = list(coeffs)
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @classmethod
+    def const(cls, c) -> "Poly":
+        return cls((Fraction(c),))
+
+    @classmethod
+    def y_plus(cls, c) -> "Poly":
+        """The monic linear polynomial y + c."""
+        return cls((Fraction(c), Fraction(1)))
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1  # -1 for the zero polynomial
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __eq__(self, other):
+        return isinstance(other, Poly) and self.coeffs == other.coeffs
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return Poly(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
+
+    def __neg__(self):
+        return Poly(tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return Poly(tuple(c * other for c in self.coeffs))
+        if not self or not other:
+            return Poly()
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return Poly(out)
+
+    __rmul__ = __mul__
+
+    def __repr__(self):
+        return f"Poly({list(self.coeffs)})"
+
+
+ONE = Poly.const(1)
+
+
+class RationalFunction:
+    """num/den as built, never reduced, with exact +, - and * (and + or -
+    of a scalar).  Building one clears the denominators of its coefficients:
+    num and den are both multiplied by their lcm, so they hold ints.
+    Equality is by cross-multiplication, so two representations of one
+    function compare equal."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: Poly, den: Poly = ONE):
+        assert den, "zero denominator"
+        cs = num.coeffs + den.coeffs
+        if not all(type(c) is int for c in cs):
+            scale = params.clearing(cs)
+            num = Poly(params.cleared(num.coeffs, scale))
+            den = Poly(params.cleared(den.coeffs, scale))
+        self.num, self.den = num, den
+
+    @classmethod
+    def const(cls, c) -> "RationalFunction":
+        return cls(Poly.const(c))
+
+    def __eq__(self, other):
+        return (isinstance(other, RationalFunction)
+                and self.num * other.den == other.num * self.den)
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = RationalFunction.const(other)
+        return RationalFunction(self.num * other.den + other.num * self.den,
+                                self.den * other.den)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RationalFunction(-self.num, self.den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        return RationalFunction(self.num * other.num, self.den * other.den)
+
+    def __repr__(self):
+        return f"RationalFunction({self.num!r}, {self.den!r})"
+
+
+def series_of_rational(rf: RationalFunction, A: int) -> list[Fraction]:
+    """The expansion at infinity of ``rf``, by ``params.series_at_infinity``
+    on its int coefficients."""
+    return params.series_at_infinity(list(rf.num.coeffs), list(rf.den.coeffs), A)
+
+
+def form_rational(form, ps: ParamSet) -> RationalFunction:
+    """The rational function that the int linear factors (a..., b...) of
+    ``params.wk_rational`` or ``params.wk_recursive_rational`` stand for:
+    1/2 - y + (y - (1/2)(-1)^r) prod (qy + a) / prod (qy + b), built over Z
+    as ((1 - 2y) Q + (2y - (-1)^r) P) / (2Q), with P and Q the products of
+    the factors as ``Poly``."""
+    sign = -1 if ps.r % 2 else 1
+    P = Q = Poly((1,))
+    for a in form[0]:
+        P = P * Poly((a, ps.q))
+    for b in form[1]:
+        Q = Q * Poly((b, ps.q))
+    return RationalFunction(Poly((1, -2)) * Q + Poly((-sign, 2)) * P, Q * 2)
+
+
+def w_rational(mu, ps: ParamSet) -> RationalFunction:
+    """W at the shape mu as a rational function, from its closed form
+    ``params.wk_rational``."""
+    return form_rational(params.wk_rational(mu, ps), ps)
+
+
+def recursion_factor_rational(c: Fraction) -> RationalFunction:
+    """((y+c)^2 - 1)(y-c)^2 / (((y-c)^2 - 1)(y+c)^2), formed over Z: with
+    c = p/q, num and den are both multiplied by q^4 through q(y + c) =
+    qy + p and q(y - c) = qy - p."""
+    p, q = c.numerator, c.denominator
+    plus, minus, q2 = Poly((p, q)), Poly((-p, q)), Poly((q * q,))
+    return RationalFunction((plus * plus - q2) * (minus * minus),
+                            (minus * minus - q2) * (plus * plus))
+
+
+def w_recursive_rational(mu, c: Fraction, ps: ParamSet) -> RationalFunction:
+    """One step of the recursion for W as a rational function, from W at
+    the shape mu (``w_rational``) across a step of content c:
+    F(c)(W + y - 1/2) - (y - 1/2), with F the recursion factor."""
+    y_minus_half = RationalFunction(Poly((-HALF, Fraction(1))))
+    return (recursion_factor_rational(c)
+            * (w_rational(mu, ps) + y_minus_half) - y_minus_half)
 
 
 def from_dense(a) -> list[dict]:
@@ -145,8 +315,6 @@ def module_realization(S, E, X, ps: ParamSet) -> seminormal.Realization:
     d = len(X[0])
     S, E, X = ([cleared(M) for M in mats] for mats in (S, E, X))
     rep = seminormal.SeminormalRep(ps, len(X), None, tuple(range(d)), S, E, X)
-    # no tableau basis to take gamma along: the form is the identity
-    rep.gamma = (Fraction(1),) * d
     return seminormal.Realization([rep])
 
 
@@ -387,8 +555,7 @@ def two_sided_residuals(real: seminormal.Realization, scalars: dict) -> list[dic
         for res, value in zip(out, block_residuals(real, real.evaluate_sum(lhs),
                                                    real.evaluate_sum(rhs))):
             res[family] = max(res[family], value)
-    for res, rep in zip(out, real.reps):
-        res["star-symmetry"] = seminormal.adjointness_residual(rep)
+    for res in out:
         res["tower-scalars"] = Fraction(0)
     for k in range(1, real.n):
         e = ("E", k)
@@ -408,11 +575,21 @@ def fraction_generators(rep: seminormal.SeminormalRep) -> dict:
     return {kind: [as_fractions(ev) for ev in getattr(rep, kind)] for kind in "SEX"}
 
 
-def adjointness_reference(rep: seminormal.SeminormalRep) -> Fraction:
-    """The reference for ``seminormal.adjointness_residual``: max
-    |gamma_i M_ij - M_ji gamma_j| over every generator M, entry by entry in
-    Fractions, with 1 for a gamma_i = 0 and nothing for a negative one."""
-    g = rep.gamma
+def gammas(rep: seminormal.SeminormalRep) -> tuple[Fraction, ...]:
+    """gamma_t of each basis tableau t of a model (``params.gamma``)."""
+    return tuple(params.gamma(rep.ps, t) for t in rep.basis)
+
+
+def adjointness_reference(rep: seminormal.SeminormalRep, g=None) -> Fraction:
+    """Max |gamma_i M_ij - M_ji gamma_j| over every generator M of a model,
+    entry by entry in Fractions, with 1 for a gamma_i = 0 and nothing for a
+    negative one: 0 exactly when each generator is self-adjoint for the
+    nondegenerate form diag(gamma), which ``seminormal.check_identities``
+    certifies window by window (``star-symmetry``).  gamma is ``gammas``
+    of the model unless ``g`` gives it; a module with no tableau basis
+    takes the identity form."""
+    if g is None:
+        g = gammas(rep) if rep.shape is not None else (Fraction(1),) * rep.dim
     worst = Fraction(1) if 0 in g else Fraction(0)
     for mats in fraction_generators(rep).values():
         for M in mats:
@@ -1292,8 +1469,9 @@ def filled_step_tables(monkeypatch) -> list:
 
 
 def series_reference(rf, A: int) -> list[Fraction]:
-    """The reference for ``params.series_of_rational``: each coefficient of
-    the expansion at infinity solved for in Fractions."""
+    """The reference for ``params.series_at_infinity``: each coefficient of
+    the expansion at infinity of a ``RationalFunction`` solved for in
+    Fractions."""
     num, den = rf.num, rf.den
     p = [Fraction(0)] * (den.degree - num.degree) + list(reversed(num.coeffs))
     q = list(reversed(den.coeffs))
@@ -1439,13 +1617,12 @@ def build_rep_reference(ps: ParamSet, n: int, shape) -> seminormal.SeminormalRep
 
     S = [block("S", k, *s) for k, (s, _) in enumerate(entries, start=1)]
     E = [block("E", k, *e) for k, (_, e) in enumerate(entries, start=1)]
-    rep = seminormal.SeminormalRep(ps, n, shape, basis, S, E, X)
-    rep.gamma = tuple(gamma)
-    return rep
+    return seminormal.SeminormalRep(ps, n, shape, basis, S, E, X)
 
 
 def w_at_shape_reference(shape, r: int, u) -> RationalFunction:
-    """The reference for ``params._w_at_shape``: 1/2 - y + (y - (1/2)(-1)^r)
+    """The reference for ``w_rational`` and the factors of
+    ``params.wk_rational``: 1/2 - y + (y - (1/2)(-1)^r)
     prod_alpha (y + c(alpha))/(y - c(alpha)) over the addable and removable
     nodes of ``shape``, built as a product of rational functions over Q."""
     sign = -1 if r % 2 else 1
@@ -1493,15 +1670,19 @@ def poly_value(p: Poly, x: Fraction) -> Fraction:
 
 def swap_a(t: Tableau, k: int, d: int, q: int) -> Fraction:
     """The swap coefficient of ``seminormal._swap_pair`` as a Fraction."""
-    return Fraction(*seminormal._swap_pair(t, k, d, q))
+    return Fraction(*seminormal._swap_pair(combinat.shape_before(t, k), k, d, q))
 
 
 def identities_reference(ps: ParamSet, n: int) -> seminormal.IdentityReport:
     """The reference for ``seminormal.check_identities``: the same windows
-    in the same order, with W evaluated at 0 (a pole raises
-    ZeroDivisionError) and divided by y, and each swap coefficient a
-    Fraction (``swap_a``): a unit is a^2 = 1, ``content-swap`` also asks
-    u's coefficient to be -a, and 1 - a^2 is formed in Fractions."""
+    in the same order, with W as a ``RationalFunction`` (``w_rational``,
+    ``w_recursive_rational``), evaluated at 0 (a pole raises
+    ZeroDivisionError) and divided by y, each swap coefficient a Fraction
+    (``swap_a``): a unit is a^2 = 1, ``content-swap`` also asks u's
+    coefficient to be -a, and 1 - a^2 is formed in Fractions; and
+    self-adjointness on each window in Fractions: each entry and each ratio
+    of the step factors of two tableaux a Fraction, and False where a step
+    factor is 0 or undefined."""
     counts: dict[str, int] = {}
     failures: list[str] = []
 
@@ -1510,6 +1691,17 @@ def identities_reference(ps: ParamSet, n: int) -> seminormal.IdentityReport:
         if not ok:
             failures.append(f"{name}: {ctx}")
 
+    def ratio(*steps):
+        """The product of the step factors of ``steps`` as a Fraction, or
+        None where one is 0 or undefined."""
+        gs = [params.step_factor(ps, *step) for step in steps]
+        return None if not all(a and b for a, b in gs) else math.prod(
+            (Fraction(a, b) for a, b in gs), start=Fraction(1))
+
+    def adjoint(x, y, left, right):
+        left, right = ratio(*left), ratio(*right)
+        return left is not None and right is not None and x * left == y * right
+
     q = ps.q
     y = RationalFunction(Poly((0, 1)))
     for mu in (lam for size in range(n - 1) for lam in combinat.multipartitions(ps.r, size)):
@@ -1517,8 +1709,8 @@ def identities_reference(ps: ParamSet, n: int) -> seminormal.IdentityReport:
         k = len(tmu) + 1
         C, e, _, _ = params.steps_out(mu, ps)
         for nu, cn in C.items():
-            record("w-recursion", params.wk_rational(nu, ps)
-                   == params.wk_recursive_rational(mu, Fraction(cn, q), ps),
+            record("w-recursion", w_rational(nu, ps)
+                   == w_recursive_rational(mu, Fraction(cn, q), ps),
                    f"k={k + 1}, prefix={tmu + (nu,)}")
         for name, s, tp, (ln, ld), (rn, rd) in seminormal.class_sums(C, e, q):
             ctx = (f"s={tmu + (s, mu)}, "
@@ -1526,12 +1718,16 @@ def identities_reference(ps: ParamSet, n: int) -> seminormal.IdentityReport:
             if not ld or not rd:
                 raise ZeroDivisionError(f"{name}: zero denominator at {ctx}")
             record(name, ln * rd == rn * ld, ctx)
-        w = params.wk_rational(mu, ps)
+        w = w_rational(mu, ps)
         at_zero = poly_value(w.num, Fraction(0)) / poly_value(w.den, Fraction(0))
         record("w-vanishes-at-zero", at_zero == 0, f"k={k}, prefix={tmu}")
         parts = sum(RationalFunction(Poly.const(e[m] * q), Poly((-x, q))) for m, x in C.items())
         record("w-partial-fractions", RationalFunction(w.num, w.den * y.num) == parts,
                f"k={k}, prefix={tmu}")
+        for nu, nu2 in itertools.combinations(C, 2):
+            record("star-symmetry", adjoint(e[nu2], e[nu], ((mu, nu), (nu, mu)),
+                                            ((mu, nu2), (nu2, mu))),
+                   f"s={tmu + (nu, mu)}, t'={tmu + (nu2, mu)}, k={k}")
         for nu, cn in C.items():
             for rho, cr in params.steps_out(nu, ps).C.items():
                 if rho == mu:
@@ -1546,6 +1742,15 @@ def identities_reference(ps: ParamSet, n: int) -> seminormal.IdentityReport:
                 ok = (cu_next == cn and cu == cr
                       and swap_a(u, k, cu_next - cu, q) == -a)
                 record("content-swap", ok, f"t={t}, k={k}")
+                if a * a == 1:
+                    continue
+                d = cu_next - cu
+                p = Fraction(*seminormal.swap_entry(ps, k, mu, nu, rho, u[k - 1], cr - cn))
+                p_s = (Fraction(*seminormal.swap_entry(ps, k, mu, u[k - 1], rho, nu, d))
+                       if d * d != q * q else Fraction(0))
+                record("star-symmetry", adjoint(p, p_s, ((mu, nu), (nu, rho)),
+                                                ((mu, u[k - 1]), (u[k - 1], rho))),
+                       f"t={t}, u={u}, k={k}")
             if k > n - 2:
                 continue
             C_nu, e_nu, _, _ = params.steps_out(nu, ps)
@@ -1562,7 +1767,7 @@ def identities_reference(ps: ParamSet, n: int) -> seminormal.IdentityReport:
                 back = params.steps_out(target[k - 1], ps).C[mu]
                 lhs = (1 - swap_a(tt, k, cx - cn, q) ** 2) * e_nu[x]
                 rhs = (1 - swap_a(uu, k + 1, cn - back, q) ** 2) * e[target[k - 1]]
-                record("square-root-matching", lhs == rhs, f"t={tt}, u={uu}, k={k}")
+                record("swap-contraction-matching", lhs == rhs, f"t={tt}, u={uu}, k={k}")
     return seminormal.IdentityReport(counts, failures)
 
 

@@ -59,7 +59,8 @@ def test_criterion_03_monomial_census():
 
 
 def test_criterion_04_relation_residuals():
-    """Every defining relation on every block, r<=3, n<=4, default u."""
+    """Every defining relation on every block, and every block's G-adjointness
+    on its held matrices, r<=3, n<=4, default u."""
     ok = True
     blocks = 0
     for r in (1, 2, 3):
@@ -67,24 +68,25 @@ def test_criterion_04_relation_residuals():
             ps = ParamSet.default(r, n)
             scalars = seminormal.tower_scalars(ps, n)
             real = seminormal.Realization(seminormal.build_all(ps, n))
-            for res in seminormal.verify_relations(real, scalars):
+            for rep, res in zip(real.reps, seminormal.verify_relations(real, scalars)):
                 blocks += 1
                 ok &= all(value == 0 for value in res.values())
-    report(4, ok, f"every relation residual, G-adjointness and scalar tower "
-                  f"included, is exactly 0 on the rational seminormal model "
-                  f"for r<=3, n<=4 ({blocks} blocks)")
+                ok &= support.adjointness_reference(rep) == 0
+    report(4, ok, f"every relation residual, scalar tower included, and every "
+                  f"G-adjointness residual of the held matrices is exactly 0 on the "
+                  f"rational seminormal model for r<=3, n<=4 ({blocks} blocks)")
 
 
 def test_criterion_05_exact_identities():
     ok = True
     checked = 0
-    for r in (1, 2):
+    for r in (1, 2, 3):
         for n in range(1, 5):
             rpt = seminormal.check_identities(ParamSet.default(r, n), n)
             ok &= rpt.ok and not rpt.failures
             checked += sum(rpt.counts.values())
-    report(5, ok, f"coefficient identity suite has zero failures for "
-                  f"r<=2, n<=4 ({checked} instances, zero tolerance)")
+    report(5, ok, f"coefficient identity suite, G-adjointness per window included, "
+                  f"has zero failures for r<=3, n<=4 ({checked} instances, zero tolerance)")
 
 
 def test_criterion_06_admissibility():
@@ -99,8 +101,8 @@ def test_criterion_06_admissibility():
     brauer = support.brauer_omega_sequence(21)
     br_ok, _ = params.check_admissible(brauer)
     ok &= br_ok
-    w = params.Poly((F(0), F(1)))
-    step = params.Poly.y_plus(-1) * F(1, 2)
+    w = support.Poly((F(0), F(1)))
+    step = support.Poly.y_plus(-1) * F(1, 2)
     expected = w
     for a in range(11):
         ok &= brauer[a] == expected

@@ -6,6 +6,7 @@ import itertools
 import json
 import os
 import random
+import resource
 import shutil
 import subprocess
 import sys
@@ -16,7 +17,7 @@ import pytest
 
 import wenzl
 from support import seeded_u, two_sided_residuals
-from wenzl import combinat, seminormal
+from wenzl import cli, combinat, params, seminormal
 from wenzl.cli import main
 from wenzl.params import ParamSet
 
@@ -498,6 +499,44 @@ def test_edge_inputs_end_in_records(tmp_path):
         assert (rc == 0) == all(rec.get("pass", True) for rec in records), argv
 
 
+def test_out_of_memory_ends_in_a_record(tmp_path):
+    # gram at (2, 6) under a 200 MB address-space limit set on the child
+    # process alone: its Hecke tables run out of memory, and the job ends
+    # in the named error record with exit 1, written to --out, not in a
+    # traceback that leaves the file empty
+    limit = 200 * 2 ** 20
+    out = tmp_path / "out.jsonl"
+    src = str(Path(wenzl.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "wenzl.cli", "gram", "--r", "2", "--n", "6",
+         "--shape", "3,2|1", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "")
+    assert [json.loads(line) for line in out.read_text().splitlines()] == [
+        {"kind": "error", "command": "gram",
+         "error": "MemoryError: out of memory at r=2, n=6", "pass": False,
+         "ps": {"precision_bits": 256, "r": 2, "u": ["18", "-6"]}}]
+
+
+def test_out_of_memory_lets_go_of_the_held_tables(tmp_path, monkeypatch):
+    # a job that runs out of memory after filling the tables: every table
+    # held for the process is let go before the record is written
+    def exhausted(ps, args):
+        seminormal.build_all(ps, args.n)
+        assert ps.steps and params._param_set.cache_info().currsize == 1
+        held.append(ps)
+        raise MemoryError
+
+    held = []
+    monkeypatch.setitem(cli.COMMANDS, "verify", exhausted)
+    rc, records = run(["verify", "--r", "2", "--n", "3"], tmp_path)
+    assert rc == 1 and [rec["kind"] for rec in records] == ["error"]
+    assert records[0]["error"] == "MemoryError: out of memory at r=2, n=3"
+    assert held[0].steps == {} and held[0].murphy == {}
+    assert all(hold.cache_info().currsize == 0 for hold in cli._HOLDS)
+
+
 def test_cli_imports_no_mpmath():
     src = str(Path(wenzl.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
@@ -589,17 +628,19 @@ def test_out_naming_a_directory_or_nothing_is_a_usage_error(tmp_path):
 
 # sha256 of the exit code and report of each input; a change of matrix format
 # or arithmetic must leave them alone.  The verify reports count one
-# w-recursion record per lattice edge out of a shape of size <= n - 2.
+# w-recursion record per lattice edge out of a shape of size <= n - 2, and
+# self-adjointness once per window as star-symmetry among the identities,
+# not among each model's residuals.
 GOLDEN_REPORTS = {
     "verify --r 2 --n 3":
-        "011012278bb66b6e00aa66cbe6e3fcc0605e3942bfc28f2dc8ae4089a26f3164",
+        "3cc164b5a7226739a768249980144b052f354d8aeb815a49ffa49d6548b849ee",
     "verify --r 3 --n 3 --u 120,-72,24":
-        "50ae409f0f848d23efadf1eeb6e6471852bb273d03c9ed1887425fb68be8af13",
+        "0cee23dd33a2f913d6fb7ac7277ed268d9ac3fce0959ac753cdd47b7aab638d8",
     # n = 4: the contraction-inverse and matching windows out of nonempty shapes
     "verify --r 1 --n 4":
-        "5f7b66ff93806030c038d165b4548b58ca7a0b5a3a0ffde618ef1ee07a3ef0e1",
+        "e909ffaf9dbc5ac7c293216d3de5d2a87243a643e036373abcfbbbc10d82ec7e",
     "verify --r 2 --n 4":
-        "f3b55ad4892d4518c8c194ba367d7e5a317e31faaa40c9c76eaf28e88439dac5",
+        "625e275fc2acf32721742911f7b8b7dc718894e8171244fc825a8e102ab3bdf6",
     "gram --shape (3|-)":
         "b31db084f402dccfe972ec55b681087fd469d249cb997f9cb21d29079495c88a",
     "gram --shape (2,1|-)":
@@ -648,9 +689,9 @@ GOLDEN_REPORTS = {
     # fractional roots, whose denominators the int evaluation must carry,
     # as the Fraction-row evaluation wrote them
     "verify --u 128/7,-40/7 --n 3":
-        "dfff299d3978323359a03fb38406b473cad13c71fc46f15ab3da3f0506075a42",
+        "c68df1d89dea2ef0505a1baf711f20f6c9d84738af947006c207f41d57e2996f",
     "verify --u 239/4,-145/4,47/4 --n 3":
-        "404180b7590f2b01c781e5d7fa28945b31482b49532f68783ffe4b41a13cb6f0",
+        "3f113c95c2aacf3a9f587a9f9c4e926bb8779a88b8e86060deacdaad535e48a5",
     "cellrank --u 61/3,-35/3,13/3 --n 2":
         "9b81a157136d85f5449306e7868d96f9f3ed3bb2a1d7f55f64e77a72dbae3e00",
     # Murphy coordinate matrices with denominators, which the elimination
@@ -675,7 +716,7 @@ GOLDEN_REPORTS = {
     # roots over unequal denominators: the contents clear over q = 6, the
     # lcm of 2 and 3, though the contents of one step may need only one
     "verify --u 37/2,-11/3 --n 3":
-        "4e4e956df747792e8e9bdd9cf2b21c1a3223c817383fd8360dd5930e01ad2c61",
+        "0a0dd674aed856c5633af544b25aa16abcc537adc893e1f558bbc6c036a61c97",
     # the model's build errors, each the first check to fail in build order:
     # opposite contents in a class, a zero step factor out of ((1, 1), ()),
     # found after every model's entries, equal adjacent contents in a swap
@@ -688,7 +729,7 @@ GOLDEN_REPORTS = {
     # roots where the orthonormal model needs the square root of -5/4, at
     # k = 3 from shape ((1, 1),): the rational model passes
     "verify --u 1/3 --n 4":
-        "c0be394d66bd78327853a3eb164abe609b77ada2ae265f2034084b0c4474eba7",
+        "f7242db7955768b992434bc042c3ff130eb3e88e0a7273f4a307f589532dbfe4",
     # gram's regime error, equal adjacent contents, which must end the job
     # before any closed gamma product meets the zero factor they bring
     "gram --shape (1|1) --u 1,1":

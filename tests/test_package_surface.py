@@ -3,8 +3,9 @@
 property of a class there is used by name as an attribute somewhere in
 ``src/wenzl``, or is listed in ``KEPT`` with the reason it stays.  Test-only
 code lives in tests/support.py, and the Brauer diagrams and the
-regular-monomial census in tests/brauer.py.  The tables a parameter set
-holds per shape, its steps and W, are written by ``params`` alone, and the
+regular-monomial census in tests/brauer.py.  The table a parameter set
+holds per shape, its steps, is written by ``params`` alone (and so would be
+one of W, which no parameter set holds any more), and the
 nodes of a shape are read by ``combinat.steps_from`` and ``t_lambda``
 alone."""
 

@@ -6,16 +6,14 @@ from fractions import Fraction
 import pytest
 
 from support import (
-    brauer_omega_sequence, derived_omega, filled_step_tables, module_nonsplit,
-    module_residue_family, nilpotent_example_omega, omega_from_u, omega_residue_form,
-    schur_q, seeded_u, series_reference,
+    Poly, RationalFunction, brauer_omega_sequence, derived_omega, form_rational,
+    filled_step_tables, module_nonsplit, module_residue_family, nilpotent_example_omega,
+    omega_from_u, omega_residue_form, poly_value, recursion_factor_rational, schur_q,
+    seeded_u, series_of_rational, series_reference, w_rational, w_recursive_rational,
 )
-from wenzl import combinat, params
+from wenzl import combinat, params, seminormal
 from wenzl.cli import main
-from wenzl.params import (
-    ParamSet, Poly, RationalFunction, check_admissible, format_fraction,
-    parse_fraction,
-)
+from wenzl.params import ParamSet, check_admissible, format_fraction, parse_fraction
 from wenzl.seminormal import tower_scalars
 from support import addable_removable, root_sets, w_at_shape_reference
 
@@ -189,14 +187,15 @@ def test_w1_identities():
 
     half, y = F(1, 2), RationalFunction(Poly.y_plus(0))
     for u in _roots():
-        w = params.wk_rational(combinat.empty_mp(len(u)), ParamSet.from_u(u))
+        ps = ParamSet.from_u(u)
+        w = form_rational(params.wk_rational(combinat.empty_mp(len(u)), ps), ps)
         w_minus = RationalFunction(at_minus_y(w.num), at_minus_y(w.den))
         assert (w + y - half) * (w_minus - y - half) == (-y + half) * (y + half), u
 
 
 def test_series_of_rational():
     # 1/(y - 2) = y^-1 + 2 y^-2 + 4 y^-3 + ..., and y/(y - 2) = 1 + 2 y^-1 + ...
-    y, series = Poly.y_plus(0), params.series_of_rational
+    y, series = Poly.y_plus(0), series_of_rational
     assert series(RationalFunction(Poly.const(1), Poly.y_plus(-2)), 3) == [0, 1, 2, 4]
     assert series(RationalFunction(y, Poly.y_plus(-2)), 2) == [1, 2, 4]
     with pytest.raises(AssertionError, match="at infinity"):
@@ -217,11 +216,11 @@ def test_series_of_rational_equals_the_fraction_reference():
     for r in (1, 2, 3):
         for u in (combinat.default_u(r, 3), seeded_u("series", r, 3)):
             ps = ParamSet.from_u(u)
-            rfs += [params.wk_rational(mu, ps) for m in range(4)
+            rfs += [w_rational(mu, ps) for m in range(4)
                     for mu in combinat.multipartitions(r, m)]
     for rf in rfs:
         for A in (0, 1, 2, 7, 40):
-            got = params.series_of_rational(rf, A)
+            got = series_of_rational(rf, A)
             assert got == series_reference(rf, A), (rf, A)
             assert all(type(x) is Fraction for x in got)
 
@@ -229,11 +228,10 @@ def test_series_of_rational_equals_the_fraction_reference():
 def _walk_recursion(t, k, ps):
     """Reference W_k: the rational recursion from W_1 along the first
     k - 1 steps of t, num/den unreduced."""
-    rf = params.wk_rational(combinat.empty_mp(ps.r), ps)
+    rf = w_rational(combinat.empty_mp(ps.r), ps)
     y_minus_half = RationalFunction(Poly((-F(1, 2), F(1))))
     for c in combinat.content_sequence(t, ps.u)[:k - 1]:
-        rf = params._recursion_factor_rational(c) * (rf + y_minus_half) \
-            - y_minus_half
+        rf = recursion_factor_rational(c) * (rf + y_minus_half) - y_minus_half
     return rf
 
 
@@ -248,13 +246,14 @@ def test_wk_rational_matches_walk_recursion(r, n):
     for t, k in walks:
         ref = _walk_recursion(t, k, ps)
         mu = t[-1] if t else combinat.empty_mp(r)
-        assert params.wk_rational(mu, ps) == ref, t
+        assert form_rational(params.wk_rational(mu, ps), ps) == ref, t
         if t:
             # the last step of t, from the shape before it
-            c = combinat.content_sequence(t, ps.u)[-1]
-            step = params.wk_recursive_rational(combinat.shape_before(t, k - 1), c, ps)
-            assert step == ref, t
-        assert params.omega_k_values(mu, ps, A) == params.series_of_rational(ref, A)
+            C = params.contents(ps, t)[-1]
+            before = params.wk_rational(combinat.shape_before(t, k - 1), ps)
+            step = params.wk_recursive_rational(before, C, ps)
+            assert form_rational(step, ps) == ref, t
+        assert params.omega_k_values(mu, ps, A) == series_of_rational(ref, A)
 
 
 def _w1_from_roots(ps):
@@ -272,8 +271,8 @@ def test_w1_is_w_at_the_empty_shape():
         ps = ParamSet.default(r, n)
         for lam in combinat.reachable_shapes(r, n):
             for t in combinat.enumerate_updown(n, lam):
-                assert params.wk_rational(combinat.shape_before(t, 1), ps) \
-                    == _w1_from_roots(ps)
+                w = params.wk_rational(combinat.shape_before(t, 1), ps)
+                assert form_rational(w, ps) == _w1_from_roots(ps)
 
 
 def test_wk_rational_at_colliding_shape():
@@ -289,12 +288,14 @@ def test_wk_rational_at_colliding_shape():
             assert t[0] == lam
             direct = params.wk_rational(lam, ps)
             ref = _walk_recursion(t, 2, ps)
-            assert direct == ref
-            c = combinat.content_sequence(t, ps.u)[0]
-            assert direct == params.wk_recursive_rational(combinat.empty_mp(1), c, ps)
-            # W(0) = 0: the constant term of num vanishes, that of den not
-            assert direct.num.coeffs[0] == 0 != direct.den.coeffs[0]
-            assert params.omega_k_values(lam, ps, 4) == params.series_of_rational(ref, 4)
+            assert form_rational(direct, ps) == ref
+            step = params.wk_recursive_rational(params.wk_rational(combinat.empty_mp(1), ps),
+                                                params.contents(ps, t)[0], ps)
+            assert form_rational(step, ps) == ref and seminormal.w_equal(direct, step)
+            # W(0) = 0: the constant term of N vanishes, that of 2Q not
+            N, D = params.w_polynomials(ps, direct)
+            assert N[0] == 0 != D[0] and seminormal.w_vanishes_at_zero(ps, direct)
+            assert params.omega_k_values(lam, ps, 4) == series_of_rational(ref, 4)
 
 
 def test_omega_k_values_at_first_position():
@@ -330,7 +331,7 @@ def test_rational_function_clears_denominators():
     assert rf.num == Poly((70, 105)) and rf.den == Poly((-30, 84))
     assert rf == RationalFunction(Poly((70, 105)), Poly((-30, 84)))
     assert rf == RationalFunction(num * 6, den * 6)
-    assert params.series_of_rational(rf, 2) == params.series_of_rational(
+    assert series_of_rational(rf, 2) == series_of_rational(
         RationalFunction(Poly((70, 105)), Poly((-30, 84))), 2)
 
 
@@ -343,10 +344,55 @@ def test_w_at_shape_equals_the_fraction_reference(r):
         ps = ParamSet.from_u(u)
         for m in range(4):
             for mu in combinat.multipartitions(r, m):
-                got = params.wk_rational(mu, ps)
+                form = params.wk_rational(mu, ps)
+                N, D = params.w_polynomials(ps, form)
                 ref = w_at_shape_reference(mu, r, ps.u)
-                assert all(type(x) is int for x in got.num.coeffs + got.den.coeffs)
-                assert got == ref, (u, mu)
-                assert params.series_of_rational(got, 7) == params.series_of_rational(ref, 7)
+                assert all(type(x) is int for x in (*form[0], *form[1], *N, *D))
+                assert form_rational(form, ps) == RationalFunction(Poly(N), Poly(D)) == ref, (
+                    u, mu)
+                assert params.series_at_infinity(N, D, 7) == series_of_rational(ref, 7)
         empty = w_at_shape_reference(combinat.empty_mp(r), r, ps.u)
-        assert derived_omega(ps, 12) == params.series_of_rational(empty, 12)
+        assert derived_omega(ps, 12) == series_of_rational(empty, 12)
+
+
+# roots at which contents of the steps out of some shape of size <= 4
+# coincide, and repeated roots
+_COLLIDING_U = {1: [(F(1, 2),), (F(-3, 2),), (F(0),), (F(1),)],
+                2: [(F(1, 4), F(5, 4)), (F(5), F(3)), (F(0), F(2)), (F(-1, 4), F(7, 4))],
+                3: [(F(2), F(-1), F(1, 2)), (F(3, 2), F(1, 2), F(-5, 2))]}
+_REPEATED_U = {1: [], 2: [(F(2), F(2)), (F(1, 4), F(1, 4)), (F(0), F(0))],
+               3: [(F(1), F(1), F(1)), (F(3), F(0), F(3))]}
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_int_w_identities_equal_the_rational_function_path(r):
+    # each W identity on the ints of the step table against the same
+    # identity of rational functions, and the int series against the
+    # Fraction one, at every shape of size <= 4, also where contents
+    # coincide and partial fractions fail: the same booleans and the same
+    # Fractions.  And the lemma that no code path uses: where the contents
+    # are distinct, omega^(a) = sum_m e_m c_m^a
+    y = RationalFunction(Poly((0, 1)))
+    seen = {True: 0, False: 0}
+    for u in root_sets("w-identities", r) + _COLLIDING_U[r] + _REPEATED_U[r]:
+        ps = ParamSet.from_u(u)
+        q, A = ps.q, 2 * r + 4
+        for mu in (mu for m in range(5) for mu in combinat.multipartitions(r, m)):
+            C, e, _, _ = params.steps_out(mu, ps)
+            w, form = w_rational(mu, ps), params.wk_rational(mu, ps)
+            for nu, cn in C.items():
+                step = params.wk_recursive_rational(form, cn, ps)
+                assert seminormal.w_equal(params.wk_rational(nu, ps), step) == (
+                    w_rational(nu, ps) == w_recursive_rational(mu, F(cn, q), ps)), (u, nu)
+            assert seminormal.w_vanishes_at_zero(ps, form) == (poly_value(w.num, F(0)) == 0)
+            parts = sum(RationalFunction(Poly.const(e[m] * q), Poly((-x, q)))
+                        for m, x in C.items())
+            ok = seminormal.w_partial_fractions_hold(ps, mu, form)
+            assert ok == (RationalFunction(w.num, w.den * y.num) == parts), (u, mu)
+            seen[ok] += 1
+            omega = params.omega_k_values(mu, ps, A)
+            assert omega == series_reference(w, A), (u, mu)
+            if len(set(C.values())) == len(C):
+                assert omega == [sum(e[m] * F(x, q) ** a for m, x in C.items())
+                                 for a in range(A + 1)], (u, mu)
+    assert seen[True] and seen[False], seen

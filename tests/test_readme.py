@@ -1,5 +1,6 @@
 """The README's examples run as written and show what their comments say,
-and its module table names each module of the package once."""
+its module table names each module of the package once, and its section
+on identities names every check that ``verify`` reports."""
 
 import json
 import re
@@ -7,6 +8,8 @@ import shlex
 from pathlib import Path
 
 from wenzl.cli import main
+from wenzl.params import ParamSet
+from wenzl.seminormal import RELATION_FAMILIES, check_identities
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -46,3 +49,21 @@ def test_command_lines(capsys):
         if stated:
             assert records[-1]["sum_of_squares"] == int(stated.group(1)) == 12
     assert sum("sum of squares" in line for line in lines) == 1
+
+
+def _identity_section() -> str:
+    text = README.read_text()
+    start = text.index("### Identities and the scalar tower")
+    return text[start:text.index("\n## ", start)]
+
+
+def test_identity_section_names_every_check():
+    # every identity that verify counts at (2, 4), every relation family
+    # and the scalar tower are named there, so a renamed check cannot
+    # leave the section behind
+    section = _identity_section()
+    names = {*check_identities(ParamSet.default(2, 4), 4).counts,
+             *RELATION_FAMILIES, "tower-scalars"}
+    assert len(names) == 22
+    missing = sorted(name for name in names if f"`{name}`" not in section)
+    assert missing == [], missing

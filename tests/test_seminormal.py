@@ -12,7 +12,7 @@ from support import (
     FractionRealization, _relation_residuals, adjointness_reference,
     as_fractions, blocks_as_fractions, branching_blocks, build_rep_reference,
     addable_removable, check_module, class_sums_reference, cleared, derived_omega,
-    e_diag_reference, filled_step_tables, fraction_generators, from_dense,
+    e_diag_reference, filled_step_tables, fraction_generators, from_dense, gammas,
     identities_reference, k_neighbors, mat_sub, max_abs, module_contraction_free,
     module_fixtures, module_nonsplit, module_rank_one, module_realization, root_sets,
     seeded_u, two_sided_residuals,
@@ -21,7 +21,7 @@ from wenzl import _linalg, combinat, params, seminormal
 from wenzl.cli import main
 from wenzl.params import ParamSet
 from wenzl.seminormal import (
-    RELATION_FAMILIES, Evaluated, Realization, adjointness_residual, build_all,
+    RELATION_FAMILIES, Evaluated, Realization, build_all,
     build_rep, check_identities, relations, residuals, returns_at,
     tower_scalars, verify_relations,
 )
@@ -71,16 +71,16 @@ def test_generators_are_symmetric():
     # form at the default (2, 3) roots; at the default (3, 3) roots
     # (15, -9, 3) a form negative on some blocks, on ((2,), (1,), ())
     # throughout
-    gammas = {}
+    forms = {}
     for r in (2, 3):
         for rep in build_all(ParamSet.default(r, 3), 3):
-            g = gammas[r, rep.shape] = rep.gamma
+            g = forms[r, rep.shape] = gammas(rep)
             assert len(g) == rep.dim and all(g)
             for M in map(as_fractions, (*rep.S, *rep.E, *rep.X)):
                 assert all(g[i] * M[i].get(j, 0) == M[j].get(i, 0) * g[j]
                            for i in range(rep.dim) for j in range(rep.dim))
-    assert all(x > 0 for (r, _), g in gammas.items() if r == 2 for x in g)
-    g = gammas[3, ((2,), (1,), ())]
+    assert all(x > 0 for (r, _), g in forms.items() if r == 2 for x in g)
+    g = forms[3, ((2,), (1,), ())]
     assert len(g) == 3 and all(x < 0 for x in g)
 
 
@@ -89,8 +89,7 @@ def test_relation_suite_2_3():
     scalars = tower_scalars(ps, 3)
     real = Realization(build_all(ps, 3))
     for rep, res in zip(real.reps, verify_relations(real, scalars)):
-        assert set(res) == set(RELATION_FAMILIES) | {"star-symmetry",
-                                                     "tower-scalars"}
+        assert set(res) == set(RELATION_FAMILIES) | {"tower-scalars"}
         for family, value in res.items():
             assert value == 0, (rep.shape, family, value)
 
@@ -297,13 +296,15 @@ def test_build_rep_equals_the_fraction_reference(r, top):
     # same invariants of diagonal conjugation, or the same error text where
     # both raise, unless the reference's is a positivity error; and, where
     # build_all accepts the roots, each model self-adjoint for its own
-    # gamma.  Every reachable shape with n <= top, over the reference root
-    # sets and roots outside the regime
+    # gamma, as the window identities certify.  Every reachable shape with
+    # n <= top, over the reference root sets and roots outside the regime
     built = beyond = 0
     for u in (*root_sets("build", r), *_BUILD_ERROR_ROOTS[r]):
         ps = ParamSet.from_u(u)
         for n in range(top + 1):
             generic = _generic(ps, n)
+            if generic:
+                assert "star-symmetry: " not in " ".join(check_identities(ps, n).failures)
             for shape in combinat.reachable_shapes(r, n):
                 got = _built_or_error(build_rep, ps, n, shape)
                 want = _built_or_error(build_rep_reference, ps, n, shape)
@@ -320,9 +321,8 @@ def test_build_rep_equals_the_fraction_reference(r, top):
                         u, n, shape)
                 if not generic:  # a step factor of some gamma is 0 or undefined
                     continue
-                assert all(type(g) is Fraction and g for g in got.gamma)
-                assert adjointness_residual(got) == adjointness_reference(got) == 0, (
-                    u, n, shape)
+                assert all(type(g) is Fraction and g for g in gammas(got))
+                assert adjointness_reference(got) == 0, (u, n, shape)
     assert built > 0 and (beyond > 0 or not _BUILD_ERROR_ROOTS[r])
 
 
@@ -356,9 +356,13 @@ def _scaled_step_factor(monkeypatch, mu, nu):
 
 
 def _failed(real) -> set:
+    """(shape, family) of each relation residual that is not 0, and (None,
+    family) of each identity family with a failure."""
     scalars = tower_scalars(real.ps, real.n)
-    return {(rep.shape, family) for rep, res in zip(real.reps, verify_relations(real, scalars))
-            for family, value in res.items() if value}
+    failed = {(None, f.split(":")[0]) for f in check_identities(real.ps, real.n).failures}
+    return failed | {(rep.shape, family)
+                     for rep, res in zip(real.reps, verify_relations(real, scalars))
+                     for family, value in res.items() if value}
 
 
 def test_flipping_one_swap_leaves_a_residual():
@@ -394,9 +398,10 @@ _NAMED_CONDITION = re.compile(
 @pytest.mark.parametrize("r,n,draws", [(1, 3, 60), (1, 4, 60), (2, 3, 60), (3, 3, 25)])
 def test_every_residual_vanishes_at_random_roots(r, n, draws):
     # roots p/q, q in {7, 11, 13} and |p| <= 60: where no named condition
-    # refuses them, every defining relation, star-symmetry and the tower
-    # are exactly 0 and every identity holds; and the reference refuses
-    # some of those roots for positivity
+    # refuses them, every defining relation and the tower are exactly 0,
+    # every identity holds, star-symmetry on the windows included, and
+    # every held generator is self-adjoint for its gamma; and the reference
+    # refuses some of those roots for positivity
     rng = random.Random(f"random-roots:{r}:{n}")
     passed = beyond = 0
     for _ in range(draws):
@@ -410,6 +415,7 @@ def test_every_residual_vanishes_at_random_roots(r, n, draws):
         passed += 1
         assert not _failed(real), u
         assert check_identities(ps, n).ok, u
+        assert all(adjointness_reference(rep) == 0 for rep in real.reps), u
         try:
             for shape in combinat.reachable_shapes(r, n):
                 build_rep_reference(ps, n, shape)
@@ -450,29 +456,39 @@ def test_build_rep_raises_on_an_incomplete_basis(monkeypatch):
 
 @pytest.mark.parametrize("r,n", [(2, 3), (3, 3)])
 def test_star_symmetry_equals_the_fraction_reference(r, n):
+    # the window identities, on the coefficients, against every entry of
+    # every model in Fractions: both hold, and the windows are those of the
+    # reference, which compares gamma of whole tableaux
     for ps in (ParamSet.default(r, n), ParamSet.from_u(_seeded_u(r, n))):
+        report, want = check_identities(ps, n), identities_reference(ps, n)
+        assert report.ok and report.counts["star-symmetry"] > 0, ps.u
+        assert report.counts == want.counts and want.ok, ps.u
         for rep in build_all(ps, n):
-            got = adjointness_residual(rep)
-            assert type(got) is Fraction
-            assert got == adjointness_reference(rep) == 0, (ps.u, rep.shape)
+            assert adjointness_reference(rep) == 0, (ps.u, rep.shape)
 
 
 @pytest.mark.parametrize("kind", ["S", "E", "X"])
 def test_star_symmetry_off_the_model(kind):
-    # the changed entry has no adjoint partner on block b, and only there
+    # the changed entry has no adjoint partner on block b, and only there;
+    # the tables are those of the model, so the window identities still
+    # hold, and the relations fail on block b alone: self-adjointness is no
+    # residual of a model, and its record holds none
     real, b = _off_model(kind)
-    got = [adjointness_residual(rep) for rep in real.reps]
-    assert got == [adjointness_reference(rep) for rep in real.reps]
+    got = [adjointness_reference(rep) for rep in real.reps]
     assert got[b] and not any(x for i, x in enumerate(got) if i != b)
-    scalars = tower_scalars(real.ps, real.n)
-    assert [res["star-symmetry"] for res in verify_relations(real, scalars)] == got
+    assert check_identities(real.ps, real.n).ok
+    res = verify_relations(real, tower_scalars(real.ps, real.n))
+    assert all("star-symmetry" not in r for r in res)
+    assert any(res[b].values()) and not any(v for i, r in enumerate(res) if i != b
+                                            for v in r.values())
 
 
 def test_star_symmetry_counts_a_nonpositive_gamma():
-    # a gamma_i = 0 counts as 1, also where every generator is self-adjoint
-    # (the one-dimensional module); a negative gamma_i counts nothing, even
-    # where gamma is negative throughout, but a sign that breaks
-    # self-adjointness does
+    # the reference: a gamma_i = 0 counts as 1, also where every generator
+    # is self-adjoint (the one-dimensional module); a negative gamma_i
+    # counts nothing, even where gamma is negative throughout, but a sign
+    # that breaks self-adjointness does.  The window identities hold at the
+    # default (3, 3) roots, where gamma is negative on a whole block
     cases = ((module_rank_one(), (F(-2, 3),), F(0)),
              (module_rank_one(), (F(0),), F(1)),
              (module_contraction_free(), (F(-1), F(-3)), F(0)),
@@ -480,8 +496,11 @@ def test_star_symmetry_counts_a_nonpositive_gamma():
              (module_contraction_free(), (F(0), F(1)), F(1)))
     for fix, gamma, expected in cases:
         rep = module_realization(*fix).reps[0]
-        rep.gamma = gamma
-        assert adjointness_residual(rep) == adjointness_reference(rep) == expected
+        assert adjointness_reference(rep, gamma) == expected
+    ps = ParamSet.default(3, 3)
+    assert any(g < 0 for rep in build_all(ps, 3) for g in gammas(rep))
+    report = check_identities(ps, 3)
+    assert report.ok and report.counts["star-symmetry"] > 0
 
 
 def test_int_evaluation_equals_the_fraction_reference_on_fixtures():
@@ -557,7 +576,8 @@ def test_identity_suite():
     assert report.ok and report.failures == []
     for family in ("class-sum-linear", "class-sum-quadratic",
                    "contraction-inverse", "w-partial-fractions",
-                   "w-recursion", "square-root-matching", "content-swap"):
+                   "w-recursion", "swap-contraction-matching", "content-swap",
+                   "star-symmetry"):
         assert report.counts.get(family, 0) > 0, family
 
 
@@ -568,20 +588,23 @@ def _failed_families(report):
 
 
 def _wrong_contraction_coefficients(monkeypatch):
-    # e + 1 for e: twice e would scale both sides of square-root-matching
+    # e + 1 for e: twice e would scale both sides of swap-contraction-matching
     e_diag = params.e_diag
     monkeypatch.setattr(params, "e_diag", lambda *args: e_diag(*args) + 1)
 
 
-def _wrong_closed_form(monkeypatch):
-    # W + 1 at every shape but the empty one, from which Omega is read
-    w_at_shape = params._w_at_shape
+def _wrong_closed_form(monkeypatch, shape=None):
+    # the first boundary content c + 1 in W's closed form at ``shape``, or
+    # at every shape but the empty one, from which Omega is read
+    wk_rational = params.wk_rational
 
-    def perturbed(shape, *args):
-        w = w_at_shape(shape, *args)
-        return w + 1 if any(shape) else w
+    def perturbed(mu, ps):
+        num, den = wk_rational(mu, ps)
+        if mu == shape or shape is None and any(mu):
+            return (num[0] + ps.q, *num[1:]), (den[0] - ps.q, *den[1:])
+        return num, den
 
-    monkeypatch.setattr(params, "_w_at_shape", perturbed)
+    monkeypatch.setattr(params, "wk_rational", perturbed)
 
 
 def _content_shifted_by_q(monkeypatch):
@@ -600,13 +623,69 @@ def _content_shifted_by_q(monkeypatch):
     monkeypatch.setattr(params, "steps_out", shifted)
 
 
+def _scaled_contraction(monkeypatch, mu, nu):
+    # e_nu(mu) twice its value, in every table read from here on
+    steps_out = params.steps_out
+
+    def scaled(shape, ps, **kw):
+        st = steps_out(shape, ps, **kw)
+        return st._replace(e={**st.e, nu: 2 * st.e[nu]}) if shape == mu else st
+
+    monkeypatch.setattr(params, "steps_out", scaled)
+
+
+def _flipped_swap_sign(monkeypatch, window):
+    # p of the swap window (mu, nu, rho) negated, in the model and in the
+    # identities
+    swap_entry = seminormal.swap_entry
+
+    def flipped(ps, k, mu, nu, rho, nu2, d):
+        num, den = swap_entry(ps, k, mu, nu, rho, nu2, d)
+        return (-num, den) if (mu, nu, rho) == window else (num, den)
+
+    monkeypatch.setattr(seminormal, "swap_entry", flipped)
+
+
+_EMPTY, _ONE = ((), ()), ((1,), ())
+# each mutation of the coefficients: the identity families and the relation
+# families that must fail under it
+_MUTATIONS = {
+    "step-factor": (lambda mp: _scaled_step_factor(mp, _ONE, ((2,), ())),
+                    {"star-symmetry"}, set()),
+    "swap-sign": (lambda mp: _flipped_swap_sign(mp, (_EMPTY, _ONE, ((1,), (1,)))),
+                  {"star-symmetry"}, set()),
+    "contraction": (lambda mp: _scaled_contraction(mp, _EMPTY, _ONE),
+                    {"w-partial-fractions"}, {"tower-scalars"}),
+    "w-content": (lambda mp: _wrong_closed_form(mp, _ONE), {"w-recursion"}, {"tower-scalars"}),
+}
+
+
+@pytest.mark.parametrize("mutation", list(_MUTATIONS))
+def test_each_mutation_fails_its_check(mutation, monkeypatch):
+    # one step factor g scaled, the sign of one swap's p flipped, one e
+    # scaled at one step, one boundary content shifted in W's closed form:
+    # each fails the check named for it, and the window identities fail
+    # exactly where some model is not self-adjoint for its gamma
+    mutate, identities, relations_failed = _MUTATIONS[mutation]
+    ps = ParamSet.from_u(seeded_u("mutations", 2, 3))
+    assert not _failed(Realization(build_all(ps, 3)))
+    mutate(monkeypatch)
+    ps = ParamSet(ps.u)
+    reps = build_all(ps, 3)
+    failed = _failed_families(check_identities(ps, 3))
+    assert identities <= failed, failed
+    res = verify_relations(Realization(reps), tower_scalars(ps, 3))
+    assert relations_failed <= {family for r in res for family, v in r.items() if v}
+    assert ("star-symmetry" in failed) == any(adjointness_reference(rep) for rep in reps)
+
+
 def test_identity_suite_fails_on_wrong_contraction_coefficients(monkeypatch):
     _wrong_contraction_coefficients(monkeypatch)
     report = check_identities(ParamSet.default(2, 3), 3)
     failed = _failed_families(report)
     assert {"class-sum-linear", "class-sum-quadratic", "class-sum-cross",
             "w-partial-fractions", "contraction-inverse",
-            "square-root-matching"} <= failed
+            "swap-contraction-matching"} <= failed
     assert not failed & {"w-recursion", "w-vanishes-at-zero", "content-swap",
                          "swap-degenerate-unit"}
 
@@ -656,17 +735,11 @@ def test_identity_suite_equals_the_fraction_reference(r, n):
 
 
 def test_closed_form_w_taken_once_per_shape(monkeypatch):
-    # the parameter set holds W: from_u forms none, check_identities forms W
-    # at every shape of size <= n - 1 once, the empty one too, and
-    # tower_scalars and a second pass form none
-    formed = []
-    w_at_shape = params._w_at_shape
-
-    def counted(shape, r, u):
-        formed.append(shape)
-        return w_at_shape(shape, r, u)
-
-    monkeypatch.setattr(params, "_w_at_shape", counted)
+    # W's closed form is read off the step table, and no W is held: from_u
+    # fills no table, check_identities fills that of every shape of size
+    # <= n - 1 once, the empty one too, and tower_scalars and a second pass
+    # fill none
+    formed = filled_step_tables(monkeypatch)
     ps = ParamSet.default(2, 4)
     assert formed == []
     report = check_identities(ps, 4)
@@ -675,8 +748,9 @@ def test_closed_form_w_taken_once_per_shape(monkeypatch):
     assert sorted(formed) == sorted(shapes)
     scalars = tower_scalars(ps, 4)
     assert check_identities(ps, 4).counts == report.counts
-    assert sorted(formed) == sorted(shapes) and set(ps.w_at) == shapes
-    # the W held is no part of the parameter set's value, and a fresh one
+    assert sorted(formed) == sorted(shapes) and set(ps.steps) == shapes
+    assert not hasattr(ps, "w_at")
+    # the tables are no part of the parameter set's value, and a fresh one
     # forms the same scalars
     fresh = ParamSet(ps.u)
     assert fresh == ps and fresh is not ps and hash(fresh) == hash(ps) and fresh.as_json() == ps.as_json()
@@ -693,12 +767,16 @@ def _visited_windows(ps, n):
 
     for lam in combinat.reachable_shapes(ps.r, n):
         for t in combinat.enumerate_updown(n, lam, ps.u):
+            c = combinat.content_sequence(t, ps.u)
             for k in range(1, n):
                 mu = t[k - 2] if k >= 2 else combinat.empty_mp(ps.r)
                 if not returns_at(t, k):
                     partner = combinat.sk_action(t, k)
                     add("swap-degenerate-unit" if partner is None
                         else "content-swap", (mu, t[k - 1], t[k]))
+                    # an entry off the diagonal pairs t with its partner
+                    if partner is not None and (c[k] - c[k - 1]) ** 2 != 1:
+                        add("star-symmetry", (mu, t[k - 1], t[k]))
                     continue
                 cls = [s[k - 1] for s in k_neighbors(t, k)]
                 for nu in cls:
@@ -707,6 +785,7 @@ def _visited_windows(ps, n):
                     for other in cls:
                         if other != nu:
                             add("class-sum-cross", (mu, nu, other))
+                            add("star-symmetry", (mu, frozenset((nu, other))))
                 add("w-vanishes-at-zero", mu)
                 add("w-partial-fractions", mu)
                 if k > n - 2 or t[k - 1] != t[k + 1]:
@@ -719,7 +798,7 @@ def _visited_windows(ps, n):
                            combinat.sk_action(uu, k + 1) ==
                            combinat.sk_action(tt, k)
                            for uu in k_neighbors(t, k)):
-                        add("square-root-matching", (mu, t[k - 1], tt[k]))
+                        add("swap-contraction-matching", (mu, t[k - 1], tt[k]))
     return seen
 
 

@@ -10,7 +10,7 @@ import pytest
 from support import (
     FractionRealization, as_fractions, block, blocks_as_fractions,
     cell_indices, cell_triples, cellular_family_vectors, contraction_murphy_commute_residual, derived_omega,
-    cyclotomic_word_sum, filtration_index, from_dense, hecke_pairing_residual,
+    cyclotomic_word_sum, filtration_index, from_dense, gammas, hecke_pairing_residual,
     is_root_shift, murphy_words, reference_words, root_sets, seeded_u, star, star_word,
     star_word_sum, terms, unshared_rank_report, vec, word_sum_mul,
 )
@@ -131,7 +131,7 @@ def test_star_word_transposes():
         fwd = blocks_as_fractions(real, real.evaluate(word))
         rev = blocks_as_fractions(real, real.evaluate(star_word(word)))
         for a, b, rep in zip(fwd, rev, real.reps):
-            assert b == adjoint(a, rep.gamma)
+            assert b == adjoint(a, gammas(rep))
 
 
 def test_unwrapping_word_sum():
@@ -251,7 +251,7 @@ def test_star_swaps_cell_sides_on_own_block():
             left = as_fractions(block(real, real.evaluate_sum(terms(star(ab))), blk))
             right = as_fractions(block(real, real.evaluate_sum(terms(ba)), blk))
             fwd = as_fractions(block(real, real.evaluate_sum(terms(ab)), blk))
-            assert left == right == adjoint(fwd, real.reps[blk].gamma)
+            assert left == right == adjoint(fwd, gammas(real.reps[blk]))
             assert star(ab).left == ab.right and star(ab).right == ab.left
 
 
@@ -266,7 +266,7 @@ def test_cellular_word_transpose_everywhere():
                 fwd = blocks_as_fractions(real, real.evaluate_sum(terms(cw)))
                 rev = blocks_as_fractions(real, real.evaluate_sum(star_word_sum(terms(cw))))
                 for x, y, rep in zip(fwd, rev, real.reps):
-                    assert y == adjoint(x, rep.gamma)
+                    assert y == adjoint(x, gammas(rep))
 
 
 def test_chain_commutes_with_murphy_product():
