@@ -122,7 +122,8 @@ def _parse_shape(parser, text: str) -> tuple[tuple[int, ...], ...]:
 
 def _resolve(args) -> None:
     """Check the parsed arguments, and write the resolved n, roots u and
-    shape back onto ``args``: r is the number of roots."""
+    shape back onto ``args``: r is the number of roots.  ``args.report`` is
+    the ``--out`` file, opened and emptied, or None for stdout."""
     parser, r, n, u = args.parser, args.r, args.n, args.u
     if u is not None:
         u = _parse_u(parser, u)
@@ -149,10 +150,11 @@ def _resolve(args) -> None:
         parser.error("order must be nonnegative")
     if args.out is not None and (not os.path.basename(args.out) or os.path.isdir(args.out)):
         parser.error(f"--out {args.out!r}: not a file name")
+    args.report = None
     if args.out is not None:
         # opened before the job: a name the system refuses is a usage error
         try:
-            open(args.out, "a").close()
+            args.report = open(args.out, "w")
         except OSError as e:
             parser.error(f"--out {args.out}: {e.strerror}")
     if u is None:
@@ -164,17 +166,15 @@ def _shape_json(shape) -> list[list[int]]:
     return [list(p) for p in shape]
 
 
-def _write_report(records, out_path) -> None:
+def _write_report(records, report) -> None:
+    """The records as JSON lines, to the open ``--out`` file ``report``,
+    which is then closed, or to stdout where it is None."""
     text = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
-    if out_path:
-        # ``_resolve`` made the file; empty it only if it holds something, so
-        # a fresh file, a pipe or /dev/null is written without a truncation
-        with open(out_path, "a") as fh:
-            if os.fstat(fh.fileno()).st_size:
-                fh.truncate(0)
-            fh.write(text)
-    else:
+    if report is None:
         sys.stdout.write(text)
+    else:
+        with report:
+            report.write(text)
 
 
 # -- commands ----------------------------------------------------------------
@@ -250,11 +250,14 @@ def cmd_omega(ps: ParamSet, args) -> tuple[list[dict], dict, bool]:
                      "admissible": ok, "first_failure": bad}, ok
 
 
-# the tables held for the process: the last parameter set built, with its
-# step table and Murphy basis, and the root-free tables of hecke, wcell and combinat
-_HOLDS = (params._param_set, hecke.key_tables, hecke.shape_words, hecke._order, wcell.cell_words,
-          combinat._walk, combinat.steps_from, combinat.multipartitions,
-          combinat.reachable_shapes, combinat.count_updown)
+# the tables held for the process, each a functools cache: the last
+# parameter set built, with its step table and Murphy basis, and the
+# root-free tables of hecke and wcell per (r, n), shape and cell; then
+# combinat's lattice below them, its walks, the steps out of each shape,
+# the multipartitions and the updown counts
+HOLDS = (params._param_set, hecke.key_tables, hecke.shape_words, hecke._order, wcell.cell_words)
+LATTICE = (combinat._walk, combinat.steps_from, combinat.multipartitions,
+           combinat.reachable_shapes, combinat.count_updown)
 
 COMMANDS = {"counts": cmd_counts, "verify": cmd_verify, "gram": cmd_gram,
             "cellrank": cmd_cellrank, "omega": cmd_omega}
@@ -279,17 +282,22 @@ def main(argv=None) -> int:
         ok = False
     except MemoryError:
         records, ok = None, False
+    except BaseException:
+        # an exception past main leaves the report empty, and closed
+        if args.report is not None:
+            args.report.close()
+        raise
     if records is None:
         # out of the handler, the job's frames are gone; the tables held
         # for the process go too, so the record can be written
         ps.steps.clear()
         ps.murphy.clear()
-        for hold in _HOLDS:
+        for hold in HOLDS + LATTICE:
             hold.cache_clear()
         records = [{"kind": "error", "command": args.command,
                     "error": f"MemoryError: out of memory at r={ps.r}, n={args.n}",
                     "pass": False}]
-    _write_report([{**rec, "ps": meta} for rec in records], args.out)
+    _write_report([{**rec, "ps": meta} for rec in records], args.report)
     return 0 if ok else 1
 
 

@@ -58,8 +58,9 @@ with the number of jobs.
 
 The Gram determinant of lambda is checked against the product of the
 gamma coefficients of its standard tableaux (``gamma_coeffs``), each the
-product of the step factors of its steps (``params.gamma``), as the
-seminormal model reads it.  The descent ratios gamma(t) / gamma(s) are a
+product of the step factors of its steps (``params.gamma``), the factors
+for which ``seminormal.check_identities`` certifies the model
+self-adjoint.  The descent ratios gamma(t) / gamma(s) are a
 second derivation, which ``gamma_path_independent`` compares with the
 products.
 """
@@ -570,8 +571,8 @@ def _descents(lam, s, ps: ParamSet):
 def gamma_coeffs(lam, ps: ParamSet) -> dict:
     """gamma for every standard tableau t of lam, in ``shape_words`` order,
     normalised so that the Gram determinant of lam is their product: the
-    product of the step factors F of its steps (``params.gamma``), the gamma
-    the seminormal model reads at every walk.  The contents at the held
+    product of the step factors F of its steps (``params.gamma``), the step
+    factors ``seminormal.check_identities`` reads.  The contents at the held
     descents of every tableau are compared first, as ints: equal adjacent
     contents end in their ValueError, which names the condition, k and the
     shape, before a product can meet the zero factor they bring."""

@@ -188,13 +188,13 @@ class Steps(NamedTuple):
     added, or minus that of the node removed; q is ``ParamSet.q``), ``e``
     the diagonal contraction coefficient of leaving mu for nu and returning
     (``e_diag``), ``g`` the step factor, whose product along a walk is its
-    gamma, and ``h`` h(mu), None until a factor of a step that removes a
-    node is asked for; until then ``g`` holds the steps that add one."""
+    gamma, and ``h`` h(mu), from which the factors of the steps that remove
+    a node are formed; ``g`` and ``h`` are int pairs (num, den)."""
 
     C: dict
     e: dict
     g: dict
-    h: tuple | None
+    h: tuple
 
 
 def e_diag(C: int, boundary, q: int, r: int) -> Fraction:
@@ -214,7 +214,7 @@ def e_diag(C: int, boundary, q: int, r: int) -> Fraction:
     return Fraction(num, den)
 
 
-def steps_out(mu, ps: ParamSet, removing: bool = False) -> Steps:
+def steps_out(mu, ps: ParamSet) -> Steps:
     """The ``Steps`` out of mu, formed once per parameter set, in
     ``ps.steps``, from the shapes and nodes of ``combinat.steps_from``, each
     content by ``combinat.node_content``, cleared once.  A step that adds
@@ -223,47 +223,35 @@ def steps_out(mu, ps: ParamSet, removing: bool = False) -> Steps:
     (i', j', s') below (i, j, s) when (s', i') > (s, i); with C = q c,
     c_alpha - c_beta is (C_alpha -+ C_beta) / q.  A step that removes a node
     has h(mu) h(nu) / F(nu -> mu), with h 1 at the empty shape and h(lam)
-    e_mu(lam) one node on, lam left by mu's first removable node; these and
-    h fill the tables of every smaller shape, so they are formed only once
-    ``removing`` asks.  All are unreduced int pairs (num, den); a factor is
-    0 or undefined only where contents coincide."""
+    e_mu(lam) one node on, lam left by mu's first removable node; these read
+    the tables of the smaller shapes, filled first.  All are unreduced int
+    pairs (num, den), formed on ints, so a fill never raises; a factor is 0
+    or undefined only where contents coincide."""
     st = ps.steps.get(mu)
-    if st is None:
-        q, steps = ps.q, combinat.steps_from(mu)
-        cs = cleared((combinat.node_content(node, ps.u, removed)
-                      for node, removed in steps.values()), q)
-        C = dict(zip(steps, cs))
-        e = {nu: e_diag(x, cs, q, ps.r) for nu, x in C.items()}
-        g = {}
-        for nu, ((i, _, s), removed) in steps.items():
-            if removed:  # after every addable node
-                break
-            num = den = 1
-            for other, ((bi, _, bs), other_removed) in steps.items():
-                if (bs, bi) > (s, i):
-                    x = C[nu] + C[other] if other_removed else C[nu] - C[other]
-                    num, den = (num * q, den * x) if other_removed else (num * x, den * q)
-            g[nu] = num, den
-        st = ps.steps[mu] = Steps(C, e, g, None)
-    if removing and st.h is None:
-        g, h = dict(st.g), None
-        for nu, (_, removed) in combinat.steps_from(mu).items():
-            if removed:
-                below = steps_out(nu, ps, removing=True)
-                (fn, fd), (hn, hd), x = below.g[mu], below.h, below.e[mu]
-                if h is None:
-                    h = hn * x.numerator, hd * x.denominator
-                g[nu] = h[0] * hn * fd, h[1] * hd * fn
-        st = ps.steps[mu] = st._replace(g=g, h=h or (1, 1))
+    if st is not None:
+        return st
+    q, steps = ps.q, combinat.steps_from(mu)
+    cs = cleared((combinat.node_content(node, ps.u, removed)
+                  for node, removed in steps.values()), q)
+    C = dict(zip(steps, cs))
+    e = {nu: e_diag(x, cs, q, ps.r) for nu, x in C.items()}
+    g, h = {}, None
+    for nu, ((i, _, s), removed) in steps.items():
+        if removed:
+            below = steps_out(nu, ps)
+            (fn, fd), (hn, hd), x = below.g[mu], below.h, below.e[mu]
+            if h is None:
+                h = hn * x.numerator, hd * x.denominator
+            g[nu] = h[0] * hn * fd, h[1] * hd * fn
+            continue
+        num = den = 1
+        for other, ((bi, _, bs), other_removed) in steps.items():
+            if (bs, bi) > (s, i):
+                x = C[nu] + C[other] if other_removed else C[nu] - C[other]
+                num, den = (num * q, den * x) if other_removed else (num * x, den * q)
+        g[nu] = num, den
+    st = ps.steps[mu] = Steps(C, e, g, h or (1, 1))
     return st
-
-
-def step_factor(ps: ParamSet, mu, nu) -> tuple[int, int]:
-    """The step factor g(mu -> nu), an int pair (num, den), from the step
-    table; the tables of steps that remove a node are filled on first
-    ask."""
-    g = steps_out(mu, ps).g
-    return g[nu] if nu in g else steps_out(mu, ps, removing=True).g[nu]
 
 
 def gamma(ps: ParamSet, t) -> Fraction:
@@ -271,8 +259,7 @@ def gamma(ps: ParamSet, t) -> Fraction:
     from the step table as int pairs; one Fraction is made."""
     num = den = 1
     for mu, nu in zip((combinat.empty_mp(ps.r),) + t, t):
-        g = steps_out(mu, ps).g
-        a, b = g[nu] if nu in g else steps_out(mu, ps, removing=True).g[nu]
+        a, b = steps_out(mu, ps).g[nu]
         num, den = num * a, den * b
     return Fraction(num, den)
 

@@ -5,9 +5,9 @@ lattice step mu -> nu: its content c (the int C = q c over the lcm q of the
 roots' denominators), the diagonal contraction coefficient e, and the step
 factor g, whose product along a tableau t is gamma_t, all read from the step
 table ``ps.steps`` (``params.steps_out``).  Each generator entry is a closed
-rational formula in them (``_entries``, with the swap entries of
-``swap_entry``), as in Young's seminormal form, with no square root and no
-positivity condition, and each generator is then self-adjoint for
+rational formula in them (``_entries``, with the swap data of each window
+from ``swap_window``), as in Young's seminormal form, with no square root
+and no positivity condition, and each generator is then self-adjoint for
 diag(gamma), which may be negative, as ``verify`` checks.  The model is
 built on ints: every entry is an int pair (num, den), and each generator is
 held once, as one matrix of int rows over one positive denominator in
@@ -123,9 +123,8 @@ def swap_entry(ps: ParamSet, k: int, mu, nu, rho, nu2, d: int) -> tuple[int, int
       v = e_nu'(mu) / e_nu(mu).
 
     So p p_s = b^2 and p^2 / b^2 = gamma_s / gamma_t.  A node lies above
-    another in an earlier component or a higher row.  ``_entries`` reads
-    every off-diagonal swap entry here, and ``check_identities`` the pair
-    p, p_s that it certifies."""
+    another in an earlier component or a higher row.  ``swap_window``
+    reads it for ``_entries`` and ``check_identities``."""
     q, st = ps.q, params.steps_out(mu, ps)
     (alpha, removes), (beta, then_removes) = (combinat.steps_from(mu)[nu],
                                               combinat.steps_from(nu)[rho])
@@ -156,6 +155,23 @@ def swap_entry(ps: ParamSet, k: int, mu, nu, rho, nu2, d: int) -> tuple[int, int
     return _signed(num, den)
 
 
+def swap_window(ps: ParamSet, k: int, mu, nu, rho):
+    """The swap data of the window mu -> nu -> rho at steps k, k+1, as
+    (a, nu2, p): the diagonal coefficient a = 1/(c_{k+1} - c_k)
+    (``_swap_pair``, which raises on equal contents), the middle shape nu2
+    of the window taken in the other order (``combinat.swap_middle``), None
+    where it leaves the lattice, and the off-diagonal entry p
+    (``swap_entry``), None where nu2 is None or a is a unit.  The contents
+    come from the step table; ``_entries`` and ``check_identities`` read
+    every window here."""
+    q = ps.q
+    d = params.steps_out(nu, ps).C[rho] - params.steps_out(mu, ps).C[nu]
+    a = _swap_pair(mu, k, d, q)
+    nu2 = combinat.swap_middle(mu, nu, rho)
+    p = swap_entry(ps, k, mu, nu, rho, nu2, d) if nu2 is not None and d * d != q * q else None
+    return a, nu2, p
+
+
 def _entries(ps: ParamSet, k: int, idx: dict, contents: dict):
     """The nonzero entries {(i, j): (num, den)} of S_k and E_k, int pairs
     with den > 0, from closed formulas on the step table (``params.Steps``).
@@ -163,7 +179,7 @@ def _entries(ps: ParamSet, k: int, idx: dict, contents: dict):
     Where t returns at k, to mu, its class holds t^nu for each step mu -> nu:
     E[t^nu][t^nu'] = e_nu'(mu) and S[t^nu][t^nu'] = (e_nu'(mu) - delta) /
     (c_nu + c_nu').  Elsewhere S[t][t] = a = 1/(c_{k+1} - c_k), and where
-    s = s_k t lies in the lattice, S[t][s] = p (``swap_entry``); where a
+    s = s_k t lies in the lattice, S[t][s] = p (``swap_window``); where a
     is a unit, b^2 = 0 and no entry leaves the diagonal.  Each generator is
     so self-adjoint for diag(gamma).  The swap entries depend only on the
     window mu -> nu -> rho of steps k, k+1, so each is formed once."""
@@ -188,15 +204,11 @@ def _entries(ps: ParamSet, k: int, idx: dict, contents: dict):
         window = mu, t[k - 1], t[k]
         swap = swaps.get(window)
         if swap is None:
-            d = contents[t][k] - contents[t][k - 1]
-            a, nu2, p = _swap_pair(mu, k, d, q), None, None
-            if d * d != q * q:
-                nu2 = combinat.swap_middle(*window)
-                if nu2 is None:
-                    raise ValueError(f"swap at k={k} from shape {mu} undefined but coefficient "
-                                     f"{Fraction(q, d)} is not a unit: outside the regime")
-                p = swap_entry(ps, k, *window, nu2, d)
-            swap = swaps[window] = a, nu2, p
+            swap = swaps[window] = swap_window(ps, k, *window)
+            (a0, a1), nu2, _ = swap
+            if nu2 is None and a0 * a0 != a1 * a1:
+                raise ValueError(f"swap at k={k} from shape {mu} undefined but coefficient "
+                                 f"{Fraction(a0, a1)} is not a unit: outside the regime")
         S[i, i], nu2, p = swap
         if p is not None and p[0]:
             S[i, idx[t[:k - 1] + (nu2,) + t[k:]]] = p
@@ -235,13 +247,9 @@ def build_rep(ps: ParamSet, n: int, shape) -> SeminormalRep:
     idx = {t: i for i, t in enumerate(basis)}
     d = len(basis)
 
-    # X_j = diag(C_j) / q, over the lcm q / g of its entries' denominators
-    q, X = ps.q, []
-    for j in range(n):
-        col = [contents[t][j] for t in basis]
-        g = math.gcd(q, *col)
-        X.append(Evaluated([{i: x // g} if x else {} for i, x in enumerate(col)], q // g))
-
+    # X_j = diag(C_j) / q
+    X = [_block(d, {(i, i): (contents[t][j], ps.q) for i, t in enumerate(basis) if contents[t][j]})
+         for j in range(n)]
     entries = [_entries(ps, k, idx, contents) for k in range(1, n)]
     return SeminormalRep(ps, n, shape, basis, [_block(d, s) for s, _ in entries],
                          [_block(d, e) for _, e in entries], X)
@@ -260,7 +268,7 @@ def build_all(ps: ParamSet, n: int) -> list[SeminormalRep]:
     if n >= 1 and repeated:
         raise ValueError(f"repeated root {repeated[0]} in u: parameters not generic")
     for mu in (mu for size in range(n) for mu in combinat.multipartitions(ps.r, size)):
-        if not all(num and den for num, den in params.steps_out(mu, ps, removing=True).g.values()):
+        if not all(num and den for num, den in params.steps_out(mu, ps).g.values()):
             raise _not_generic("coinciding contents out of shape", mu)
     return reps
 
@@ -660,13 +668,14 @@ def check_identities(ps: ParamSet, n: int) -> IdentityReport:
     factors of the two sides cross-multiplied (``w_equal``),
     W(0) = 0 is prod(-C) = (-1)^r prod(C) (``w_vanishes_at_zero``), and
     the partial fractions are one int polynomial identity
-    (``w_partial_fractions_hold``).  The swap identities read
-    the coefficient a = 1/(c_{k+1} - c_k) as the int pair (a0, a1) of
+    (``w_partial_fractions_hold``).  The swap identities read each window
+    by ``swap_window``, as ``_entries`` does, for t and for its partner u:
+    the coefficient a = 1/(c_{k+1} - c_k) is the int pair (a0, a1) of
     ``_swap_pair``, which raises on equal contents: a is a unit when
     a0^2 = a1^2, and 1 - a^2 is (a1^2 - a0^2)/a1^2.  ``content-swap``
     checks that u's contents are t's swapped; u's coefficient is then -a.
     ``star-symmetry`` is self-adjointness for diag(gamma) on the values of
-    ``swap_entry``, e and g that ``_entries`` places, not on the held
+    ``swap_window``, e and g that ``_entries`` places, not on the held
     matrices: the gammas of two tableaux that differ only at steps k, k+1
     differ only by the step factors g there, so per swap window with
     partner nu' where a is no unit, p g(mu->nu) g(nu->rho) =
@@ -686,14 +695,15 @@ def check_identities(ps: ParamSet, n: int) -> IdentityReport:
         """The product of the step factors of ``steps`` as an int pair, or
         None where one of them is 0 or undefined."""
         num = den = 1
-        for step in steps:
-            a, b = params.step_factor(ps, *step)
+        for before, after in steps:
+            a, b = params.steps_out(before, ps).g[after]
             num, den = num * a, den * b
         return (num, den) if num and den else None
 
     def adjoint(x, gx, y, gy) -> bool:
-        """x gx = y gy for int pairs x, y and products gx, gy of ``factors``."""
-        return (gx is not None and gy is not None
+        """x gx = y gy for int pairs x, y and products gx, gy of ``factors``;
+        False where one of them is None."""
+        return (None not in (x, gx, y, gy)
                 and x[0] * gx[0] * y[1] * gy[1] == y[0] * gy[0] * x[1] * gx[1])
 
     q = ps.q
@@ -725,15 +735,13 @@ def check_identities(ps: ParamSet, n: int) -> IdentityReport:
             (g, x), (g2, x2) = loops[nu], loops[nu2]
             record("star-symmetry", adjoint(x2, g, x, g2),
                    "s={}, t'={}, k={}", tmu + (nu, mu), tmu + (nu2, mu), k)
-        # p and g(mu->nu) g(nu->rho) of each swap window out of mu, by nu, rho
-        entries = {}
+        # each swap window out of mu, by nu, rho, and its partner by nu2
         for nu, cn in C.items():
             for rho, cr in params.steps_out(nu, ps).C.items():
                 if rho == mu:
                     continue
                 # the swap coefficient a = a0 / a1, or the regime error
-                a0, a1 = _swap_pair(mu, k, cr - cn, q)
-                nu2 = combinat.swap_middle(mu, nu, rho)
+                (a0, a1), nu2, p = swap_window(ps, k, mu, nu, rho)
                 if nu2 is None:
                     record("swap-degenerate-unit", a0 * a0 == a1 * a1, "t={}, k={}",
                            tmu + (nu, rho), k)
@@ -743,17 +751,11 @@ def check_identities(ps: ParamSet, n: int) -> IdentityReport:
                 cu, cu_next = C[nu2], params.steps_out(nu2, ps).C[rho]
                 record("content-swap", cu_next == cn and cu == cr, "t={}, k={}",
                        tmu + (nu, rho), k)
-                if a0 * a0 == a1 * a1:  # no entry leaves the diagonal
+                if p is None:  # a is a unit: no entry leaves the diagonal
                     continue
-                if (nu, rho) not in entries:
-                    entries[nu, rho] = (swap_entry(ps, k, mu, nu, rho, nu2, cr - cn),
-                                        factors((mu, nu), (nu, rho)))
-                if (nu2, rho) not in entries:
-                    d = cu_next - cu
-                    entries[nu2, rho] = (swap_entry(ps, k, mu, nu2, rho, nu, d)
-                                         if d * d != q * q else (0, 1),
-                                         factors((mu, nu2), (nu2, rho)))
-                record("star-symmetry", adjoint(*entries[nu, rho], *entries[nu2, rho]),
+                p_s = swap_window(ps, k, mu, nu2, rho)[2]
+                record("star-symmetry", adjoint(p, factors((mu, nu), (nu, rho)),
+                                                p_s, factors((mu, nu2), (nu2, rho))),
                        "t={}, u={}, k={}", tmu + (nu, rho), tmu + (nu2, rho), k)
             if k > n - 2:
                 continue

@@ -9,19 +9,14 @@ what the test before it left behind; the basis hangs on the parameter set.
 
 import pytest
 
-from wenzl import hecke, params, wcell
-
-# the held parameter set and the root-free tables of hecke (per (r, n) and
-# per shape) and wcell, each a functools.cache; combinat's walks (_walk),
-# steps out of each shape (steps_from), multipartitions (multipartitions,
-# reachable_shapes) and updown counts (count_updown) lie below
-# enumerate_updown and stay held
-HOLDS = (params._param_set, hecke.key_tables, hecke.shape_words, hecke._order,
-         wcell.cell_words)
+from wenzl import cli, hecke
 
 
 def _drop_holds():
-    for hold in HOLDS:
+    # the held parameter set and the root-free tables of hecke and wcell;
+    # combinat's lattice tables (``cli.LATTICE``) lie below enumerate_updown
+    # and stay held
+    for hold in cli.HOLDS:
         hold.cache_clear()
 
 

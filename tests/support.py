@@ -1694,7 +1694,7 @@ def identities_reference(ps: ParamSet, n: int) -> seminormal.IdentityReport:
     def ratio(*steps):
         """The product of the step factors of ``steps`` as a Fraction, or
         None where one is 0 or undefined."""
-        gs = [params.step_factor(ps, *step) for step in steps]
+        gs = [params.steps_out(mu, ps).g[nu] for mu, nu in steps]
         return None if not all(a and b for a, b in gs) else math.prod(
             (Fraction(a, b) for a, b in gs), start=Fraction(1))
 

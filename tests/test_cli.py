@@ -2,9 +2,11 @@
 
 import concurrent.futures
 import hashlib
+import importlib
 import itertools
 import json
 import os
+import pkgutil
 import random
 import resource
 import shutil
@@ -534,7 +536,19 @@ def test_out_of_memory_lets_go_of_the_held_tables(tmp_path, monkeypatch):
     assert rc == 1 and [rec["kind"] for rec in records] == ["error"]
     assert records[0]["error"] == "MemoryError: out of memory at r=2, n=3"
     assert held[0].steps == {} and held[0].murphy == {}
-    assert all(hold.cache_info().currsize == 0 for hold in cli._HOLDS)
+    assert all(hold.cache_info().currsize == 0 for hold in cli.HOLDS + cli.LATTICE)
+
+
+def test_every_module_cache_is_a_hold_of_cli():
+    # each functools cache at module level in the package, found as an
+    # attribute with cache_clear, is named once in cli's two tuples, so an
+    # out-of-memory job lets go of every table held for the process
+    caches = set()
+    for info in pkgutil.iter_modules(wenzl.__path__):
+        module = importlib.import_module(f"wenzl.{info.name}")
+        caches |= {x for x in vars(module).values() if hasattr(x, "cache_clear")}
+    held = cli.HOLDS + cli.LATTICE
+    assert caches and len(set(held)) == len(held) and caches == set(held)
 
 
 def test_cli_imports_no_mpmath():
@@ -608,6 +622,21 @@ def test_out_holding_a_longer_report_ends_as_a_fresh_run(tmp_path):
     assert main([*short, "--out", str(reused)]) == 0
     assert reused.read_bytes() == fresh.read_bytes()
     assert main([*short, "--out", os.devnull]) == 0
+
+
+def test_a_job_that_raises_leaves_its_out_file_empty(tmp_path, monkeypatch):
+    # --out is emptied as the job starts, so a job that ends in an exception
+    # that main does not catch leaves no earlier run's report behind
+    out = tmp_path / "out.jsonl"
+    assert main(["counts", "--out", str(out)]) == 0 and out.read_text()
+
+    def broken(ps, args):
+        raise RuntimeError("not caught")
+
+    monkeypatch.setitem(cli.COMMANDS, "counts", broken)
+    with pytest.raises(RuntimeError, match="not caught"):
+        main(["counts", "--out", str(out)])
+    assert out.read_text() == ""
 
 
 def test_out_naming_a_directory_or_nothing_is_a_usage_error(tmp_path):

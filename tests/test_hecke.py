@@ -16,7 +16,7 @@ from support import (FractionHecke, TupleHecke, TupleMurphyBasis, as_fractions, 
                      multiply, murphy_triangular_report, root_sets, row_symmetrizer_witness,
                      seeded_u, star_word, star_word_sum, tuple_gram_matrix, word_sum_product,
                      young_subgroup)
-from wenzl import _linalg, cli, combinat, hecke, wcell
+from wenzl import _linalg, cli, combinat, hecke, params, wcell
 from wenzl.hecke import (
     Element, HeckeAlgebra, MurphyBasis, gamma_coeffs, gamma_path_independent, gram_det,
     gram_matrix, murphy_basis, murphy_factors,
@@ -635,9 +635,10 @@ def _permutation_sum(terms, n) -> collections.Counter:
 
 
 def _table_sizes() -> tuple:
-    """The number of entries in each root-free table."""
-    return tuple(hold.cache_info().currsize for hold in (
-        hecke.key_tables, hecke.shape_words, hecke._order, wcell.cell_words))
+    """The number of entries in each root-free table: every table that
+    ``cli.HOLDS`` names but the parameter set."""
+    return tuple(hold.cache_info().currsize for hold in cli.HOLDS
+                 if hold is not params._param_set)
 
 
 def _held_tables(r, n) -> tuple:
@@ -790,18 +791,21 @@ def test_gamma_closed_form_reads_the_nodes_below(monkeypatch):
         monkeypatch.undo()
 
 
-def test_gamma_coeffs_form_no_factor_of_a_removing_step():
-    # a standard tableau only adds nodes: the gamma of every shape fills
-    # the step tables it walks through with the factors of adding steps
-    # alone, and forms no h
+def test_gamma_coeffs_fill_whole_step_tables():
+    # a standard tableau only adds nodes, yet each step table its gamma
+    # reads is whole: a factor for every step out of the shape, h an int
+    # pair, and the table the same as the one a build fills at those roots
     for r, n in ((2, 3), (1, 4)):
         ps = ParamSet.default(r, n)
         for lam in combinat.multipartitions(r, n):
             gamma_coeffs(lam, ps)
-        assert ps.steps and all(st.h is None for st in ps.steps.values()), (r, n)
+        assert ps.steps, (r, n)
+        fresh = ParamSet(ps.u)
+        build_all(fresh, n)
         for mu, st in ps.steps.items():
-            assert set(st.g) == {nu for nu, (_, removed) in combinat.steps_from(mu).items()
-                                 if not removed}, mu
+            assert list(st.g) == list(combinat.steps_from(mu)), mu
+            assert len(st.h) == 2 and all(type(x) is int for x in st.h), mu
+            assert fresh.steps[mu] == st, mu
 
 
 @pytest.mark.parametrize("r,n", [(1, 5), (2, 4), (3, 3)])

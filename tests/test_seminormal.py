@@ -660,6 +660,25 @@ _MUTATIONS = {
 }
 
 
+def test_one_swap_window_feeds_the_model_and_the_identities(monkeypatch):
+    # p doubled at one window through swap_window alone: the model places it
+    # and the identities read it, so star-symmetry fails and so does a
+    # relation of the model
+    window = (_EMPTY, _ONE, ((1,), (1,)))
+    swap_window = seminormal.swap_window
+
+    def scaled(ps, k, *w):
+        a, nu2, p = swap_window(ps, k, *w)
+        return (a, nu2, (2 * p[0], p[1])) if w == window else (a, nu2, p)
+
+    ps = ParamSet.from_u(seeded_u("mutations", 2, 3))
+    assert not _failed(Realization(build_all(ps, 3)))
+    monkeypatch.setattr(seminormal, "swap_window", scaled)
+    failed = _failed(Realization(build_all(ps, 3)))
+    assert (None, "star-symmetry") in failed
+    assert any(shape is not None for shape, _ in failed), failed
+
+
 @pytest.mark.parametrize("mutation", list(_MUTATIONS))
 def test_each_mutation_fails_its_check(mutation, monkeypatch):
     # one step factor g scaled, the sign of one swap's p flipped, one e
@@ -924,11 +943,11 @@ def test_step_factors_equal_the_fraction_products(r):
     for u in root_sets("step-factors", r):
         ps = ParamSet.from_u(u)
         for mu in _shapes(r):
-            st = params.steps_out(mu, ps, removing=True)
+            st = params.steps_out(mu, ps)
             h = F(*st.h)
             for nu, ((i, j, s), removed) in combinat.steps_from(mu).items():
                 if removed:
-                    below = params.steps_out(nu, ps, removing=True)
+                    below = params.steps_out(nu, ps)
                     assert h == F(*below.h) * below.e[mu], (u, mu, nu)
                     assert F(*st.g[nu]) == h * F(*below.h) / F(*below.g[mu]), (u, mu, nu)
                     continue
