@@ -4,9 +4,10 @@ A matrix is a list of rows, and each row is a dict ``{column: value}`` of
 its nonzero entries; a vector is one such row.  No operation stores a
 zero, so the form is canonical and ``==`` is matrix equality.  The column
 count is not stored: an operation reads only the entries that are there.
-The one exception is the accumulator of ``mat_mul_add``, which adds
-f·a·b into the caller's rows in place and keeps the entries that cancel, as
-zeros, so that a sum of products is formed with no matrix in between.
+A sum of products is formed in an accumulator: rows that keep the entries
+that cancel, as zeros, into which ``mat_mul_add`` adds f·a·b in place, so
+no matrix is formed between the terms; the caller drops those zeros where
+it needs a matrix of this format.
 
 ``rank``, ``det`` and ``inverse`` share one elimination (``_eliminate``),
 fraction-free over Z: it works on int copies of the input rows, each row
@@ -36,39 +37,11 @@ def identity(n: int) -> list[dict]:
     return [{i: 1} for i in range(n)]
 
 
-def _merge_row(row: dict, entries) -> dict:
-    out = dict(row)
-    for j, y in entries:
-        x = out.get(j)
-        if x is None:
-            out[j] = y
-        else:
-            x += y
-            if x:
-                out[j] = x
-            else:
-                del out[j]
-    return out
-
-
-def mat_add(a, b):
-    return [_merge_row(ra, rb.items()) for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, c):
-    """c times a; a itself when c is 1, since values are only read."""
-    if c == 1:
-        return a
-    if not c:
-        return zeros(len(a))
-    return [{j: x * c for j, x in row.items()} for row in a]
-
-
 def mat_mul(a, b):
     out = []
     for ai in a:
         if len(ai) == 1:
-            # a scaled copy of one row of b: products of nonzeros, no cancelling
+            # a multiple of one row of b: products of nonzeros, no cancelling
             ((t, c),) = ai.items()
             out.append({j: c * y for j, y in b[t].items()})
             continue

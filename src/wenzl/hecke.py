@@ -28,11 +28,11 @@ holds here.  The row-stabilizer sum of M_lambda is held as coset factors
 The image of a key times Y_j depends only on the key, j and the roots, so
 the algebra reduces it once and holds it as (index, coefficient) pairs:
 ``rmul_Y`` only scales and adds held images.  The reduction is linear, so
-the reduction of each unit monomial it meets inside is held too and scaled
-by the coefficient.  ``murphy_basis`` hangs the basis, and with it one
-algebra, on the parameter set (``ParamSet.murphy``), so the basis build and
-every Gram matrix at that parameter set share them.  T_i moves no
-coefficient: on the right it swaps the values i and i + 1 of w, on the
+the reduction of each unit monomial it meets inside is held too and
+multiplied by the coefficient.  ``murphy_basis`` hangs the basis, and with
+it one algebra, on the parameter set (``ParamSet.murphy``), so the basis
+build and every Gram matrix at that parameter set share them.  T_i moves
+no coefficient: on the right it swaps the values i and i + 1 of w, on the
 left the entries at positions i and i + 1; ``act`` composes each maximal
 run of S letters into one permutation p and maps each index through p's
 table.
@@ -206,7 +206,7 @@ class HeckeAlgebra:
 
     def rmul_Y(self, el: Element, j: int) -> Element:
         """Multiply by Y_j on the right: each key's image (``_y_image``) is
-        scaled by its coefficient and brought to the largest power of Q
+        multiplied by its coefficient and brought to the largest power of Q
         met, and the sum is put in canonical form."""
         images = [(c, *self._y_image(i, j)) for i, c in el.terms.items()]
         top = max((e for _, _, e in images), default=0)
@@ -359,8 +359,8 @@ class HeckeAlgebra:
         return p, k
 
     def act_sum(self, el: Element, terms: WordSum) -> Element:
-        """el times the word sum ``terms``: each word's element is scaled by
-        its coefficient's numerator, over its den times the coefficient's
+        """el times the word sum ``terms``: each word's element is multiplied
+        by its coefficient's numerator, over its den times the coefficient's
         denominator, and the terms are added over the lcm of those.  A word
         that is one run of S letters (every word of a coset factor) is a
         permutation p: its term is el's keys relabelled by p

@@ -16,18 +16,20 @@ direct sum, which stacks each letter's generators once into one
 block-diagonal matrix over one common denominator, so a word takes one
 matrix product per letter on ints and a Fraction is made only for a
 reported residual; it holds the product of each prefix of a product of word
-sums, and applies words to a matrix one stacked letter at a time.
+sums, and applies words to a matrix one stacked letter at a time.  Every
+sum on it, a word sum or a signed sum of products, is accumulated on ints
+over a denominator fixed before any product (``Realization._accumulate``).
 ``wcell`` certifies the cellular family's rank on it.  The defining
 relations are written once, as pairs of word sums (``relations``).  Each
 relation, and each identity of the scalar tower, is checked as one signed
-sum lhs - rhs accumulated on ints over a denominator fixed before any
-product (``Realization.sum_residuals``), and a block is scanned only where
-the sum is nonzero.  The identities between the coefficients are checked
-on the ints of the step table, once per local window and with no
-polynomial division or rational function (``check_identities``): the class
-sums, W and its recursion as multisets of linear factors, and the formulas
-of self-adjointness for diag(gamma), one identity of step factors per
-window on the values ``_entries`` places.  Every check has zero tolerance.
+sum lhs - rhs in that way (``Realization.sum_residuals``), and a block is
+scanned only where the sum is nonzero.  The identities between the
+coefficients are checked on the ints of the step table, once per local
+window and with no polynomial division or rational function
+(``check_identities``): the class sums, W and its recursion as multisets
+of linear factors, and the formulas of self-adjointness for diag(gamma),
+one identity of step factors per window on the values ``_entries``
+places.  Every check has zero tolerance.
 """
 
 from __future__ import annotations
@@ -289,10 +291,13 @@ class Realization:
     lcm of its models' denominators, so a word takes one matrix product per
     letter; ``words_times`` and ``times_words`` take words to a given
     matrix one stacked letter at a time instead, from the end that meets
-    it.  A product multiplies the denominators and a sum brings its terms
-    to their lcm, so no Fraction is normalised until a residual is
-    reported.  ``sum_residuals`` checks a signed sum of products, lhs - rhs
-    of a relation, in one int accumulator, with no side formed whole.
+    it.  A product multiplies the denominators, and every sum, a word sum
+    as well as lhs - rhs of a relation, adds each term's product into one
+    int accumulator over a denominator fixed before any product is formed
+    (``_accumulate``), with no term formed as a matrix of its own; so no
+    Fraction is normalised until a residual is reported.
+    ``sum_residuals`` reads a signed sum of products off that accumulator,
+    with no side formed whole.
     """
 
     def __init__(self, reps: list[SeminormalRep]):
@@ -335,25 +340,20 @@ class Realization:
         return ev
 
     def evaluate(self, word) -> Evaluated:
-        """The rows may be those of a letter, which, like every ``_linalg``
-        value, are only read."""
-        if not word:
-            return self._one
-        out = self._letter(word[0])
-        for letter in word[1:]:
-            out = mul(out, self._letter(letter))
-        return out
+        """The word as the one-term word sum."""
+        return self._summed([(1, self.factors(word))])
 
     def evaluate_sum(self, terms) -> Evaluated:
-        parts = [scaled(self.evaluate(word), coeff) for coeff, word in terms]
-        den = math.lcm(*(part.den for part in parts))
-        out = None
-        for rows, d in parts:
-            rows = _linalg.mat_scale(rows, den // d)
-            out = rows if out is None else _linalg.mat_add(out, rows)
-        if out is None:
-            out = _linalg.zeros(sum(self.dims))
-        return Evaluated(out, den)
+        """The word sum of the terms (coefficient, word)."""
+        return self._summed([(c, self.factors(word)) for c, word in terms])
+
+    def _summed(self, terms) -> Evaluated:
+        """The signed sum of products ``terms`` (``_accumulate``), with the
+        zeros its accumulator keeps dropped; a row that holds none is kept
+        as it is."""
+        acc, den = self._accumulate(terms)
+        return Evaluated([row if all(row.values()) else {j: x for j, x in row.items() if x}
+                          for row in acc], den)
 
     def evaluate_product(self, factors) -> Evaluated:
         """The product of the word sums ``factors``, in order, never
@@ -411,22 +411,36 @@ class Realization:
         X_j^0 left out."""
         return [ev for ev in map(self._letter, word) if ev is not self._one]
 
-    def sum_residuals(self, terms) -> list[Fraction]:
-        """Exact max |sum c f_1 ... f_m| on each block, over the terms
-        (c, [f_1, ..., f_m]) of a signed sum of products of ``Evaluated``,
-        the empty product the identity.  Its denominator L, the lcm of each
-        term's c.denominator times its factors' dens, is fixed before any
-        product is formed; each nonzero term then adds its last product,
-        times its int multiple over L, into one int accumulator
-        (``_linalg.mat_mul_add``).  The blocks are scanned for their
-        largest entries only when the accumulator holds a nonzero one."""
+    def _accumulate(self, terms) -> tuple[list[dict], int]:
+        """(acc, L): sum c f_1 ... f_m over the terms (c, [f_1, ..., f_m]) of
+        a signed sum of products of ``Evaluated``, the empty product the
+        identity, as int rows acc over L.  L, the lcm of each term's
+        c.denominator times its factors' dens, is fixed before any product
+        is formed; a zero c drops its term, and each other term adds its
+        last product, times its int multiple over L, into one int
+        accumulator (``_linalg.mat_mul_add``), which keeps the entries that
+        cancel, as zeros.  A term of one factor adds that factor's rows,
+        with no product by the identity."""
         terms = [(c, fs or [self._one]) for c, fs in terms if c]
         dens = [c.denominator * math.prod(f.den for f in fs) for c, fs in terms]
         den = math.lcm(*dens)
         acc = _linalg.zeros(sum(self.dims))
         for (c, fs), d in zip(terms, dens):
-            head = self._one if len(fs) == 1 else functools.reduce(mul, fs[:-1])
-            _linalg.mat_mul_add(acc, head.rows, fs[-1].rows, c.numerator * (den // d))
+            f = c.numerator * (den // d)
+            if len(fs) > 1:
+                _linalg.mat_mul_add(acc, functools.reduce(mul, fs[:-1]).rows, fs[-1].rows, f)
+                continue
+            for oi, row in zip(acc, fs[0].rows):
+                for j, y in row.items():
+                    oi[j] = oi.get(j, 0) + f * y
+        return acc, den
+
+    def sum_residuals(self, terms) -> list[Fraction]:
+        """Exact max |sum c f_1 ... f_m| on each block, over the terms
+        (c, [f_1, ..., f_m]) of a signed sum of products, accumulated in one
+        int accumulator (``_accumulate``).  The blocks are scanned for their
+        largest entries only when the accumulator holds a nonzero one."""
+        acc, den = self._accumulate(terms)
         if not any(map(any, map(dict.values, acc))):
             return [Fraction(0)] * len(self.ranges)
         return [Fraction(max(map(abs, itertools.chain.from_iterable(
@@ -436,12 +450,6 @@ class Realization:
 def mul(a: Evaluated, b: Evaluated) -> Evaluated:
     """The product of two evaluated elements."""
     return Evaluated(_linalg.mat_mul(a.rows, b.rows), a.den * b.den)
-
-
-def scaled(ev: Evaluated, c) -> Evaluated:
-    """c ev for an int or Fraction c: its numerator scales the rows, and
-    its denominator joins den."""
-    return Evaluated(_linalg.mat_scale(ev.rows, c.numerator), ev.den * c.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +677,8 @@ def check_identities(ps: ParamSet, n: int) -> IdentityReport:
     W(0) = 0 is prod(-C) = (-1)^r prod(C) (``w_vanishes_at_zero``), and
     the partial fractions are one int polynomial identity
     (``w_partial_fractions_hold``).  The swap identities read each window
-    by ``swap_window``, as ``_entries`` does, for t and for its partner u:
+    by ``swap_window``, as ``_entries`` does, for t and for its partner u,
+    and form it once, where it is first read:
     the coefficient a = 1/(c_{k+1} - c_k) is the int pair (a0, a1) of
     ``_swap_pair``, which raises on equal contents: a is a unit when
     a0^2 = a1^2, and 1 - a^2 is (a1^2 - a0^2)/a1^2.  ``content-swap``
@@ -735,13 +744,15 @@ def check_identities(ps: ParamSet, n: int) -> IdentityReport:
             (g, x), (g2, x2) = loops[nu], loops[nu2]
             record("star-symmetry", adjoint(x2, g, x, g2),
                    "s={}, t'={}, k={}", tmu + (nu, mu), tmu + (nu2, mu), k)
-        # each swap window out of mu, by nu, rho, and its partner by nu2
+        # each swap window out of mu, by nu, rho, and its partner by nu2;
+        # a window is formed once, as t or as the partner that comes first
+        window = functools.cache(functools.partial(swap_window, ps, k, mu))
         for nu, cn in C.items():
             for rho, cr in params.steps_out(nu, ps).C.items():
                 if rho == mu:
                     continue
                 # the swap coefficient a = a0 / a1, or the regime error
-                (a0, a1), nu2, p = swap_window(ps, k, mu, nu, rho)
+                (a0, a1), nu2, p = window(nu, rho)
                 if nu2 is None:
                     record("swap-degenerate-unit", a0 * a0 == a1 * a1, "t={}, k={}",
                            tmu + (nu, rho), k)
@@ -753,7 +764,7 @@ def check_identities(ps: ParamSet, n: int) -> IdentityReport:
                        tmu + (nu, rho), k)
                 if p is None:  # a is a unit: no entry leaves the diagonal
                     continue
-                p_s = swap_window(ps, k, mu, nu2, rho)[2]
+                p_s = window(nu2, rho)[2]
                 record("star-symmetry", adjoint(p, factors((mu, nu), (nu, rho)),
                                                 p_s, factors((mu, nu2), (nu2, rho))),
                        "t={}, u={}, k={}", tmu + (nu, rho), tmu + (nu2, rho), k)

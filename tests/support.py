@@ -13,7 +13,11 @@ self-adjointness of every entry of a model for diag(gamma)
 are checked against, the two-sided relation check (``two_sided_residuals``: each side
 a whole element, compared block by block by ``block_residuals``, with
 ``_residual``, ``_rows_scaled``, ``mat_sub`` and ``max_abs``) that
-``Realization.sum_residuals`` is checked against, the lattice read node
+``Realization.sum_residuals`` is checked against, the word sum formed term
+by term (``term_by_term_sum``: each word a product of its letters,
+``mul_fold``, scaled by its coefficient, ``scaled``, and merged into the
+sum by ``mat_add``, ``mat_scale`` and ``_merge_row``) that
+``Realization.evaluate_sum`` is checked against, the lattice read node
 by node (the addable and removable nodes with their contents,
 ``box_diff``, the class at a returning step and the swap of two steps) that ``combinat.steps_from`` is checked against, a
 count of the step tables a parameter set fills, the Fraction elimination
@@ -502,18 +506,73 @@ def unshared_rank_report(ps: ParamSet, n: int, middle=lambda m: m) -> dict:
             "ok": total == target and rank == target, "cells": cells}
 
 
+# the term-by-term sums that the accumulator of ``_linalg.mat_mul_add``
+# replaced: each term a whole matrix, merged into the sum by ``_merge_row``
+def _merge_row(row: dict, entries) -> dict:
+    out = dict(row)
+    for j, y in entries:
+        x = out.get(j)
+        if x is None:
+            out[j] = y
+        else:
+            x += y
+            if x:
+                out[j] = x
+            else:
+                del out[j]
+    return out
+
+
+def mat_add(a, b):
+    return [_merge_row(ra, rb.items()) for ra, rb in zip(a, b)]
+
+
+def mat_scale(a, c):
+    """c times a; a itself when c is 1, since values are only read."""
+    if c == 1:
+        return a
+    if not c:
+        return _linalg.zeros(len(a))
+    return [{j: x * c for j, x in row.items()} for row in a]
+
+
+def scaled(ev, c) -> seminormal.Evaluated:
+    """c ev for an int or Fraction c: its numerator scales the rows, and
+    its denominator joins den."""
+    return seminormal.Evaluated(mat_scale(ev.rows, c.numerator), ev.den * c.denominator)
+
+
+def mul_fold(real: seminormal.Realization, word) -> seminormal.Evaluated:
+    """The word as the product of its letters, one ``seminormal.mul`` at a
+    time from the identity."""
+    one = seminormal.Evaluated(_linalg.identity(sum(real.dims)), 1)
+    return functools.reduce(seminormal.mul, real.factors(word), one)
+
+
+def term_by_term_sum(real: seminormal.Realization, terms) -> seminormal.Evaluated:
+    """The reference for ``Realization.evaluate_sum``: each word evaluated
+    on its own (``mul_fold``), scaled by its
+    coefficient (``scaled``), brought to the lcm of the terms' dens and
+    merged into the sum (``mat_add``)."""
+    parts = [scaled(mul_fold(real, word), coeff) for coeff, word in terms]
+    den = math.lcm(*(part.den for part in parts))
+    out = _linalg.zeros(sum(real.dims))
+    for rows, d in parts:
+        out = mat_add(out, mat_scale(rows, den // d))
+    return seminormal.Evaluated(out, den)
+
+
 def residual(a, b) -> Fraction:
     """Exact max |a - b| over the whole matrix of two ``Evaluated``,
     compared as ints over the lcm of the two denominators."""
     den = math.lcm(a.den, b.den)
-    return _residual(_linalg.mat_scale(a.rows, den // a.den),
-                     _linalg.mat_scale(b.rows, den // b.den), den)
+    return _residual(mat_scale(a.rows, den // a.den), mat_scale(b.rows, den // b.den), den)
 
 
 # the two-sided relation check that ``Realization.sum_residuals`` replaced:
 # each side a whole element, compared block by block
 def mat_sub(a, b):
-    return [_linalg._merge_row(ra, ((j, -y) for j, y in rb.items())) for ra, rb in zip(a, b)]
+    return [_merge_row(ra, ((j, -y) for j, y in rb.items())) for ra, rb in zip(a, b)]
 
 
 def max_abs(a):
@@ -532,7 +591,7 @@ def block_residuals(real: seminormal.Realization, a, b) -> list[Fraction]:
     over the lcm L of their denominators once, and each block's rows are
     compared as ints (``_residual``)."""
     den = math.lcm(a.den, b.den)
-    x, y = _linalg.mat_scale(a.rows, den // a.den), _linalg.mat_scale(b.rows, den // b.den)
+    x, y = mat_scale(a.rows, den // a.den), mat_scale(b.rows, den // b.den)
     return [_residual(x[start:end], y[start:end], den) for start, end in real.ranges]
 
 
@@ -630,7 +689,7 @@ class FractionRealization:
     def evaluate_sum(self, terms) -> list[list[dict]]:
         out = [_linalg.zeros(d) for d in self.dims]
         for coeff, word in terms:
-            out = [_linalg.mat_add(acc, _linalg.mat_scale(blk, Fraction(coeff)))
+            out = [mat_add(acc, mat_scale(blk, Fraction(coeff)))
                    for acc, blk in zip(out, self.evaluate(word))]
         return out
 
@@ -752,8 +811,7 @@ def _relation_residuals(S, E, X, ps: ParamSet, d: int) -> dict:
     derived from the roots."""
     n = len(X)
     assert len(S) == len(E) == max(n - 1, 0)
-    mul, add, sub = _linalg.mat_mul, _linalg.mat_add, mat_sub
-    scale = _linalg.mat_scale
+    mul, add, sub, scale = _linalg.mat_mul, mat_add, mat_sub, mat_scale
     I = _linalg.identity(d)
     res: dict = {name: Fraction(0) for name in RELATION_FAMILIES}
     omega = derived_omega(ps, ps.r + 2)
@@ -1882,7 +1940,7 @@ def hecke_pairing_residual(ps: ParamSet, n: int, arcs: int, shape: Multipartitio
         for i, t in enumerate(tabs):
             for j, v in enumerate(tabs):
                 lhs = seminormal.mul(evaluated[s, t], evaluated[v, s])
-                rhs = seminormal.scaled(evaluated[s, s], scale * gram[i].get(j, 0))
+                rhs = scaled(evaluated[s, s], scale * gram[i].get(j, 0))
                 worst = max(worst, residual(lhs, rhs))
     return worst
 

@@ -501,24 +501,41 @@ def test_edge_inputs_end_in_records(tmp_path):
         assert (rc == 0) == all(rec.get("pass", True) for rec in records), argv
 
 
+def _out_of_memory(argv, out):
+    """``wenzl.cli`` run on argv with --out, in a child process under a
+    200 MB address-space limit set on the child alone."""
+    limit = 200 * 2 ** 20
+    src = str(Path(wenzl.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-m", "wenzl.cli", *argv, "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+
+
 def test_out_of_memory_ends_in_a_record(tmp_path):
     # gram at (2, 6) under a 200 MB address-space limit set on the child
     # process alone: its Hecke tables run out of memory, and the job ends
     # in the named error record with exit 1, written to --out, not in a
     # traceback that leaves the file empty
-    limit = 200 * 2 ** 20
     out = tmp_path / "out.jsonl"
-    src = str(Path(wenzl.__file__).resolve().parent.parent)
-    proc = subprocess.run(
-        [sys.executable, "-m", "wenzl.cli", "gram", "--r", "2", "--n", "6",
-         "--shape", "3,2|1", "--out", str(out)],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    proc = _out_of_memory(["gram", "--r", "2", "--n", "6", "--shape", "3,2|1"], out)
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "")
     assert [json.loads(line) for line in out.read_text().splitlines()] == [
         {"kind": "error", "command": "gram",
          "error": "MemoryError: out of memory at r=2, n=6", "pass": False,
          "ps": {"precision_bits": 256, "r": 2, "u": ["18", "-6"]}}]
+
+
+def test_verify_out_of_memory_ends_in_a_record(tmp_path):
+    # verify at (3, 6) under the same limit: its models run out of memory,
+    # and the job ends in the same record, written to --out
+    out = tmp_path / "out.jsonl"
+    proc = _out_of_memory(["verify", "--r", "3", "--n", "6"], out)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "")
+    assert [json.loads(line) for line in out.read_text().splitlines()] == [
+        {"kind": "error", "command": "verify",
+         "error": "MemoryError: out of memory at r=3, n=6", "pass": False,
+         "ps": {"precision_bits": 256, "r": 3, "u": ["30", "-18", "6"]}}]
 
 
 def test_out_of_memory_lets_go_of_the_held_tables(tmp_path, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 
 from support import (
     cellular_family_vectors, eliminated_inverse, fraction_eliminate, fraction_inverse,
-    from_dense, mat_sub, max_abs, over, seeded_u,
+    from_dense, mat_add, mat_scale, mat_sub, max_abs, over, seeded_u,
 )
 from wenzl import _linalg as la
 from wenzl import combinat, hecke
@@ -103,9 +103,9 @@ def test_mat_ops():
     a = from_dense([[F(1), F(2)], [F(3), F(4)]])
     b = from_dense([[F(0), F(1)], [F(1), F(0)]])
     assert la.mat_mul(a, b) == from_dense([[F(2), F(1)], [F(4), F(3)]])
-    assert la.mat_add(a, la.mat_scale(a, -1)) == la.zeros(2)
+    assert mat_add(a, mat_scale(a, -1)) == la.zeros(2)
     assert mat_sub(a, a) == la.zeros(2)
-    assert la.mat_scale(a, 0) == la.zeros(2)
+    assert mat_scale(a, 0) == la.zeros(2)
 
 
 def test_mat_ops_match_dense_reference():
@@ -125,14 +125,14 @@ def test_mat_ops_match_dense_reference():
         A, A2, B = from_dense(a), from_dense(a2), from_dense(b)
         results = {
             "mul": (la.mat_mul(A, B), _dense_mul(a, b, n)),
-            "add": (la.mat_add(A, A2), [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, a2)]),
+            "add": (mat_add(A, A2), [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, a2)]),
             "sub": (mat_sub(A, A2), [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, a2)]),
-            "scale": (la.mat_scale(A, c), [[x * c for x in row] for row in a]),
+            "scale": (mat_scale(A, c), [[x * c for x in row] for row in a]),
         }
         for name, (got, want) in results.items():
             assert got == from_dense(want), (name, a, a2, b, c)
             assert all(x != 0 for row in got for x in row.values()), (name, got)
-        assert la.mat_add(A, la.mat_scale(A, -1)) == la.zeros(m)
+        assert mat_add(A, mat_scale(A, -1)) == la.zeros(m)
         assert max_abs(mat_sub(A, A2)) == max(
             (abs(x - y) for ra, rb in zip(a, a2) for x, y in zip(ra, rb)), default=0)
         # the operands are left as they were
@@ -203,7 +203,7 @@ def test_mat_mul_add_matches_the_product_and_sum():
         f = rng.choice((0, 1, -1, 3, -5))
         acc = [dict(row) for row in start]
         la.mat_mul_add(acc, a, b, f)
-        want = la.mat_add(start, la.mat_scale(la.mat_mul(a, b), f))
+        want = mat_add(start, mat_scale(la.mat_mul(a, b), f))
         assert nonzero(acc) == want, (a, b, start, f)
         assert all(type(x) is int for row in acc for x in row.values())
         # the same product with -f cancels every entry the first one added

@@ -1,6 +1,7 @@
 """Seminormal models: relation residuals, exact identities, module fixtures."""
 
 import dataclasses
+import itertools
 import math
 import random
 import re
@@ -13,11 +14,12 @@ from support import (
     as_fractions, blocks_as_fractions, branching_blocks, build_rep_reference,
     addable_removable, check_module, class_sums_reference, cleared, derived_omega,
     e_diag_reference, filled_step_tables, fraction_generators, from_dense, gammas,
-    identities_reference, k_neighbors, mat_sub, max_abs, module_contraction_free,
-    module_fixtures, module_nonsplit, module_rank_one, module_realization, root_sets,
-    seeded_u, two_sided_residuals,
+    identities_reference, k_neighbors, mat_scale, mat_sub, max_abs,
+    module_contraction_free, module_fixtures, module_nonsplit, module_rank_one,
+    module_realization, mul_fold, root_sets, seeded_u, term_by_term_sum,
+    two_sided_residuals,
 )
-from wenzl import _linalg, combinat, params, seminormal
+from wenzl import _linalg, combinat, hecke, params, seminormal
 from wenzl.cli import main
 from wenzl.params import ParamSet
 from wenzl.seminormal import (
@@ -241,6 +243,47 @@ def test_sum_residuals_report_the_one_block_that_differs():
     one = real.sum_residuals(((F(1, 2), real.factors((("X", 1, 0),))), (F(-1, 3), []),
                               (F(0), [x1])))
     assert one == [F(1, 6)] * len(real.reps)
+
+
+@pytest.mark.parametrize("r,n", [(2, 3), (1, 4), (3, 3), (2, 1), (3, 1)])
+def test_word_sums_equal_the_term_by_term_sum(r, n):
+    # the Murphy middle factors of every cell, each evaluated as one int
+    # accumulation, against each term formed whole, scaled and merged: the
+    # same exact rationals per block.  A zero root shift, X_k - 0, has a
+    # zero term, which the accumulator drops; a zero root gives a zero
+    # content, its own opposite in the class at the empty shape, so its
+    # models build at one strand only
+    zero_shift = {1: [], 2: [(5, 0), (F(7, 2), 0)], 3: [(4, -3, 0), (F(9, 2), 0, -3)]}
+    built = 0
+    for u in root_sets("word-sums", r) + zero_shift[r]:
+        ps = ParamSet.from_u(u)
+        try:
+            real = Realization(build_all(ps, n))
+        except ValueError:
+            assert n > 1 and 0 in u, u
+            continue
+        built += 1
+        for arcs in range(n // 2 + 1):
+            for shape in combinat.multipartitions(r, n - 2 * arcs):
+                for terms in hecke.murphy_middle(ps, shape):
+                    ev = real.evaluate_sum(terms)
+                    assert _int_form(ev), (u, shape, terms)
+                    assert blocks_as_fractions(real, ev) == blocks_as_fractions(
+                        real, term_by_term_sum(real, terms)), (u, shape, terms)
+    assert built == len(root_sets("word-sums", r)) + (len(zero_shift[r]) if n == 1 else 0)
+
+
+def test_words_equal_the_product_of_their_letters():
+    # every word of up to four letters at (2, 3), identity letters X_j^0
+    # and a power X_j^2 among them, against the fold of seminormal.mul
+    ps = ParamSet.default(2, 3)
+    real = Realization(build_all(ps, 3))
+    letters = [("S", 1), ("S", 2), ("E", 1), ("E", 2), ("X", 1, 1), ("X", 2, 1),
+               ("X", 3, 1), ("X", 1, 0), ("X", 3, 2)]
+    for length in range(5):
+        for word in itertools.product(letters, repeat=length):
+            ev = real.evaluate(word)
+            assert _int_form(ev) and ev == mul_fold(real, word), word
 
 
 @pytest.mark.parametrize("r,n", [(2, 2), (1, 3), (3, 2), (2, 3), (1, 4)])
@@ -519,7 +562,7 @@ def _tower_reference(real, scalars) -> list:
             for i, (blk, ek, rep) in enumerate(zip(lhs, ref.evaluate((("E", k),)), real.reps)):
                 ws = [scalars[t[k - 2] if k >= 2 else combinat.empty_mp(rep.ps.r)][a]
                       for t in rep.basis]
-                rhs = [_linalg.mat_scale([row], w)[0] for row, w in zip(ek, ws)]
+                rhs = [mat_scale([row], w)[0] for row, w in zip(ek, ws)]
                 out[i] = max(out[i], max_abs(mat_sub(blk, rhs)))
     return out
 
@@ -836,6 +879,22 @@ def test_identity_suite_checks_each_window_once(r, n):
                              **{name: len(keys) for name, keys in seen.items()}}
 
 
+def test_identity_suite_forms_each_swap_window_once(monkeypatch):
+    # t's window and its partner's are one swap_entry each at (2, 4): 80
+    # calls for 80 distinct windows, and the report is the reference's
+    ps = ParamSet.default(2, 4)
+    want, calls, swap_entry = identities_reference(ps, 4), [], seminormal.swap_entry
+
+    def counted(ps, k, mu, nu, rho, nu2, d):
+        calls.append((mu, nu, rho))
+        return swap_entry(ps, k, mu, nu, rho, nu2, d)
+
+    monkeypatch.setattr(seminormal, "swap_entry", counted)
+    report = check_identities(ps, 4)
+    assert len(calls) == len(set(calls)) == 80
+    assert (report.counts, report.failures) == (want.counts, want.failures)
+
+
 def test_module_fixtures_exact():
     for fix in module_fixtures():
         res = check_module(fix.S, fix.E, fix.X, fix.ps)
@@ -845,7 +904,7 @@ def test_module_fixtures_exact():
 def test_nonsplit_fixture_is_not_diagonalizable():
     fix = module_nonsplit()
     q = F(1, 4)
-    m = mat_sub(fix.X[0], _linalg.mat_scale(_linalg.identity(2), q))
+    m = mat_sub(fix.X[0], mat_scale(_linalg.identity(2), q))
     assert m != _linalg.zeros(2)                         # X_1 != q
     assert _linalg.mat_mul(m, m) == _linalg.zeros(2)     # (X_1 - q)^2 == 0
 
