@@ -251,7 +251,7 @@ def cmd_omega(ps: ParamSet, args) -> tuple[list[dict], dict, bool]:
 
 
 # the tables held for the process, each a functools cache: the last
-# parameter set built, with its step table and Murphy basis, and the
+# parameter set built, with its step, swap and Murphy tables, and the
 # root-free tables of hecke and wcell per (r, n), shape and cell; then
 # combinat's lattice below them, its walks, the steps out of each shape,
 # the multipartitions and the updown counts
@@ -291,6 +291,7 @@ def main(argv=None) -> int:
         # out of the handler, the job's frames are gone; the tables held
         # for the process go too, so the record can be written
         ps.steps.clear()
+        ps.swaps.clear()
         ps.murphy.clear()
         for hold in HOLDS + LATTICE:
             hold.cache_clear()

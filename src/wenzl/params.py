@@ -127,10 +127,11 @@ class ParamSet:
     Omega is u-admissible: it is no field, but read where it is used, as the
     expansion at infinity of W at the empty shape (``omega_k_values``).
 
-    Two tables hold what depends only on the roots, so that each value is
+    Three tables hold what depends only on the roots, so that each value is
     formed once: ``steps`` the steps out of each shape met (``steps_out``),
-    and ``murphy`` the Murphy basis on n strands by n
-    (``hecke.murphy_basis``).  They are no
+    ``swaps`` the swap data of each window mu -> nu -> rho met, by
+    (mu, nu, rho) (``seminormal.swap_window``), and ``murphy`` the Murphy
+    basis on n strands by n (``hecke.murphy_basis``).  They are no
     constructor arguments, and neither equality, the hash nor ``as_json``
     reads them.  ``from_u`` holds the last parameter set it built, so the
     jobs of a batch at one u share its tables; one constructed directly is
@@ -139,6 +140,7 @@ class ParamSet:
 
     u: tuple[Fraction, ...]
     steps: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    swaps: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     murphy: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod

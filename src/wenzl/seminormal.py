@@ -16,20 +16,27 @@ direct sum, which stacks each letter's generators once into one
 block-diagonal matrix over one common denominator, so a word takes one
 matrix product per letter on ints and a Fraction is made only for a
 reported residual; it holds the product of each prefix of a product of word
-sums, and applies words to a matrix one stacked letter at a time.  Every
-sum on it, a word sum or a signed sum of products, is accumulated on ints
-over a denominator fixed before any product (``Realization._accumulate``).
+sums, and applies words to a matrix one stacked letter at a time.  A
+diagonal letter, as every X_j is in seminormal form, is held as its
+diagonal too (``Diagonal``), and X_j^a as that diagonal's elementwise
+power.  Every sum on the realization, a word sum or a signed sum of
+products, is accumulated on ints over a denominator fixed before any
+product (``Realization._accumulate``), where a diagonal factor scales the
+entries of its neighbours instead of being multiplied as a matrix.
 ``wcell`` certifies the cellular family's rank on it.  The defining
 relations are written once, as pairs of word sums (``relations``).  Each
 relation, and each identity of the scalar tower, is checked as one signed
 sum lhs - rhs in that way (``Realization.sum_residuals``), and a block is
-scanned only where the sum is nonzero.  The identities between the
-coefficients are checked on the ints of the step table, once per local
-window and with no polynomial division or rational function
-(``check_identities``): the class sums, W and its recursion as multisets
-of linear factors, and the formulas of self-adjointness for diag(gamma),
-one identity of step factors per window on the values ``_entries``
-places.  Every check has zero tolerance.
+scanned only where the sum is nonzero; at k = 1 the tower is the
+unwrapping relation, and each of those sums is formed once for both.  The
+identities between the coefficients are checked on the ints of the step
+table, once per local window and with no polynomial division or rational
+function (``check_identities``): the class sums, W and its recursion as
+multisets of linear factors, and the formulas of self-adjointness for
+diag(gamma), one identity of step factors per window on the values
+``_entries`` places.  The swap data of each window are formed once per
+parameter set, for the model and the identities alike (``ps.swaps``).
+Every check has zero tolerance.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -84,6 +92,15 @@ class Evaluated(NamedTuple):
     element of a realization, block-diagonal over its models."""
 
     rows: list
+    den: int
+
+
+class Diagonal(NamedTuple):
+    """A diagonal rational matrix: its diagonal entries as ints, ``values``,
+    over one positive denominator ``den``.  A realization holds each
+    diagonal letter this way beside its rows, as a factor of its sums."""
+
+    values: list
     den: int
 
 
@@ -165,13 +182,18 @@ def swap_window(ps: ParamSet, k: int, mu, nu, rho):
     where it leaves the lattice, and the off-diagonal entry p
     (``swap_entry``), None where nu2 is None or a is a unit.  The contents
     come from the step table; ``_entries`` and ``check_identities`` read
-    every window here."""
-    q = ps.q
-    d = params.steps_out(nu, ps).C[rho] - params.steps_out(mu, ps).C[nu]
-    a = _swap_pair(mu, k, d, q)
-    nu2 = combinat.swap_middle(mu, nu, rho)
-    p = swap_entry(ps, k, mu, nu, rho, nu2, d) if nu2 is not None and d * d != q * q else None
-    return a, nu2, p
+    every window here.  The data do not depend on k, so each window is
+    formed once per parameter set and held in ``ps.swaps``; a window that
+    raises is held nowhere, and raises again, with the k of each caller."""
+    swap = ps.swaps.get((mu, nu, rho))
+    if swap is None:
+        q = ps.q
+        d = params.steps_out(nu, ps).C[rho] - params.steps_out(mu, ps).C[nu]
+        a = _swap_pair(mu, k, d, q)
+        nu2 = combinat.swap_middle(mu, nu, rho)
+        p = swap_entry(ps, k, mu, nu, rho, nu2, d) if nu2 is not None and d * d != q * q else None
+        swap = ps.swaps[mu, nu, rho] = a, nu2, p
+    return swap
 
 
 def _entries(ps: ParamSet, k: int, idx: dict, contents: dict):
@@ -184,9 +206,10 @@ def _entries(ps: ParamSet, k: int, idx: dict, contents: dict):
     s = s_k t lies in the lattice, S[t][s] = p (``swap_window``); where a
     is a unit, b^2 = 0 and no entry leaves the diagonal.  Each generator is
     so self-adjoint for diag(gamma).  The swap entries depend only on the
-    window mu -> nu -> rho of steps k, k+1, so each is formed once."""
+    window mu -> nu -> rho of steps k, k+1, so each is formed once per
+    parameter set (``swap_window``)."""
     q = ps.q
-    S, E, swaps = {}, {}, {}
+    S, E = {}, {}
     for t, i in idx.items():
         mu = combinat.shape_before(t, k)
         if returns_at(t, k):
@@ -203,15 +226,11 @@ def _entries(ps: ParamSet, k: int, idx: dict, contents: dict):
                 if num:
                     S[i, j] = _signed(num * q, ev.denominator * (contents[t][k - 1] + st.C[nu]))
             continue
-        window = mu, t[k - 1], t[k]
-        swap = swaps.get(window)
-        if swap is None:
-            swap = swaps[window] = swap_window(ps, k, *window)
-            (a0, a1), nu2, _ = swap
-            if nu2 is None and a0 * a0 != a1 * a1:
-                raise ValueError(f"swap at k={k} from shape {mu} undefined but coefficient "
-                                 f"{Fraction(a0, a1)} is not a unit: outside the regime")
-        S[i, i], nu2, p = swap
+        (a0, a1), nu2, p = swap_window(ps, k, mu, t[k - 1], t[k])
+        if nu2 is None and a0 * a0 != a1 * a1:
+            raise ValueError(f"swap at k={k} from shape {mu} undefined but coefficient "
+                             f"{Fraction(a0, a1)} is not a unit: outside the regime")
+        S[i, i] = a0, a1
         if p is not None and p[0]:
             S[i, idx[t[:k - 1] + (nu2,) + t[k:]]] = p
     return S, E
@@ -284,20 +303,23 @@ class Realization:
     """The direct sum of the models given (``build_all`` gives one per
     reachable shape), as block-diagonal matrices of size sum d: the model
     of ``reps[b]`` acts on the rows and columns ``ranges[b]``, in that
-    order.  A word, a word sum (``evaluate_sum``) or a product of word sums
-    (``evaluate_product``, never expanded into words, each prefix's product
-    held for the realization) evaluates to one ``Evaluated``, int rows over
-    one denominator.  Each letter is stacked once per realization over the
-    lcm of its models' denominators, so a word takes one matrix product per
+    order.  A word sum (``evaluate_sum``; a word is the sum of one term) or
+    a product of word sums (``evaluate_product``, never expanded into
+    words, each factor's sum and each prefix's product held for the
+    realization) evaluates to one ``Evaluated``, int rows over one
+    denominator.  Each letter is stacked once per realization over the lcm
+    of its models' denominators, so a word takes one matrix product per
     letter; ``words_times`` and ``times_words`` take words to a given
     matrix one stacked letter at a time instead, from the end that meets
-    it.  A product multiplies the denominators, and every sum, a word sum
-    as well as lhs - rhs of a relation, adds each term's product into one
-    int accumulator over a denominator fixed before any product is formed
-    (``_accumulate``), with no term formed as a matrix of its own; so no
-    Fraction is normalised until a residual is reported.
-    ``sum_residuals`` reads a signed sum of products off that accumulator,
-    with no side formed whole.
+    it.  A diagonal letter is held as its ``Diagonal`` beside its rows,
+    and is that vector in a sum (``factors``).  A product multiplies the
+    denominators, and every sum, a word sum as well as lhs - rhs of a
+    relation, adds each term's product into one int accumulator over a
+    denominator fixed before any product is formed (``_accumulate``), with
+    no term formed as a matrix of its own and no diagonal factor multiplied
+    as a matrix; so no Fraction is normalised until a residual is
+    reported.  ``sum_residuals`` reads a signed sum of products off that
+    accumulator, with no side formed whole.
     """
 
     def __init__(self, reps: list[SeminormalRep]):
@@ -309,14 +331,22 @@ class Realization:
         self.ranges = list(zip(starts, starts[1:]))
         self._one = Evaluated(_linalg.identity(starts[-1]), 1)
         self._letters: dict = {}
-        # the trie of held prefix products: factor key -> (product, next level)
+        # the diagonal of each letter that is diagonal, by letter
+        self._diagonals: dict = {}
+        # the trie of held prefix products: factor key -> (product, next
+        # level), and each factor's word sum by the same key
         self._prefixes: dict = {}
+        self._sums: dict = {}
 
     def _letter(self, letter) -> Evaluated:
         """One letter as one block-diagonal matrix, made once per
         realization: the models' generators over the lcm of their dens,
         each shifted to its row range; ("X", j, a) is the a-th power of
-        X_j, the identity at a = 0."""
+        X_j, the identity at a = 0.  A letter is diagonal when each of its
+        rows holds at most its own index, as every model's X_j does; this
+        is decided here, once, and its diagonal is held beside its rows,
+        keyed by the letter, for ``factors``.  The power of a diagonal X_j
+        is its diagonal raised elementwise, with no product."""
         ev = self._letters.get(letter)
         if ev is not None:
             return ev
@@ -333,15 +363,18 @@ class Realization:
         elif kind == "X" and 1 <= i <= self.n and letter[2] == 0:
             ev = self._one
         elif kind == "X" and 1 <= i <= self.n and letter[2] > 1:
-            ev = mul(self._letter(("X", i, letter[2] - 1)), self._letter(("X", i, 1)))
+            x, a = self._letter(("X", i, 1)), letter[2]
+            diag = self._diagonals.get(("X", i, 1))
+            ev = (mul(self._letter(("X", i, a - 1)), x) if diag is None else
+                  Evaluated([{p: v ** a} if v else {} for p, v in enumerate(diag.values)],
+                            diag.den ** a))
         else:
             raise ValueError(f"letter {letter!r} out of range at n={self.n}")
+        if all(not row or len(row) == 1 and p in row for p, row in enumerate(ev.rows)):
+            self._diagonals[letter] = Diagonal([row.get(p, 0) for p, row in enumerate(ev.rows)],
+                                               ev.den)
         self._letters[letter] = ev
         return ev
-
-    def evaluate(self, word) -> Evaluated:
-        """The word as the one-term word sum."""
-        return self._summed([(1, self.factors(word))])
 
     def evaluate_sum(self, terms) -> Evaluated:
         """The word sum of the terms (coefficient, word)."""
@@ -362,13 +395,17 @@ class Realization:
         factor's terms with each coefficient as its int pair, so that a
         lookup hashes no Fraction; products that share a prefix, as the
         Murphy middles of the shapes share their root-shift factors and
-        their first coset factors, evaluate it once."""
+        their first coset factors, evaluate it once.  Each factor's sum is
+        held under the same key, so a factor that ends several prefixes is
+        evaluated once."""
         out, node = None, self._prefixes
         for terms in factors:
             key = tuple((c.numerator, c.denominator, word) for c, word in terms)
             entry = node.get(key)
             if entry is None:
-                ev = self.evaluate_sum(terms)
+                ev = self._sums.get(key)
+                if ev is None:
+                    ev = self._sums[key] = self.evaluate_sum(terms)
                 entry = node[key] = (ev if out is None else mul(out, ev), {})
             out, node = entry
         return self._one if out is None else out
@@ -406,33 +443,80 @@ class Realization:
             prev = seq
         return out
 
-    def factors(self, word) -> list[Evaluated]:
-        """The stacked letters of a word, with the identity letters
-        X_j^0 left out."""
-        return [ev for ev in map(self._letter, word) if ev is not self._one]
+    def factors(self, word) -> list:
+        """The factors of a word in a sum (``_accumulate``): each letter's
+        ``Diagonal`` where the letter is diagonal, else its stacked matrix,
+        with the identity letters X_j^0 left out."""
+        out = []
+        for letter in word:
+            ev = self._letter(letter)
+            if ev is not self._one:
+                out.append(self._diagonals.get(letter, ev))
+        return out
 
     def _accumulate(self, terms) -> tuple[list[dict], int]:
         """(acc, L): sum c f_1 ... f_m over the terms (c, [f_1, ..., f_m]) of
-        a signed sum of products of ``Evaluated``, the empty product the
-        identity, as int rows acc over L.  L, the lcm of each term's
-        c.denominator times its factors' dens, is fixed before any product
-        is formed; a zero c drops its term, and each other term adds its
-        last product, times its int multiple over L, into one int
-        accumulator (``_linalg.mat_mul_add``), which keeps the entries that
-        cancel, as zeros.  A term of one factor adds that factor's rows,
-        with no product by the identity."""
-        terms = [(c, fs or [self._one]) for c, fs in terms if c]
+        a signed sum of products of ``Evaluated`` and ``Diagonal`` factors,
+        the empty product the identity, as int rows acc over L.  L, the lcm
+        of each term's c.denominator times its factors' dens, is fixed
+        before any product is formed; a zero c drops its term, and each
+        other term adds its product, times its int multiple f over L, into
+        one int accumulator, which keeps the entries that cancel, as zeros.
+        Each run of diagonal factors is folded into one vector, the
+        elementwise product of their diagonals, and the term is added by
+        its sparse factors:
+
+        - none: f times the vector on the diagonal, f alone where there is
+          no vector, the empty product;
+        - one, M between the vectors l and r: f l_i M_ij r_j at each
+          nonzero of M, in one pass over them;
+        - otherwise: each vector folded into the rows of the sparse factor
+          after it, or the last into the columns of the one before it, the
+          product of all but the last factor (the first factor alone where
+          there are two), then ``_linalg.mat_mul_add``.
+        """
+        terms = [(c, fs) for c, fs in terms if c]
         dens = [c.denominator * math.prod(f.den for f in fs) for c, fs in terms]
         den = math.lcm(*dens)
         acc = _linalg.zeros(sum(self.dims))
         for (c, fs), d in zip(terms, dens):
             f = c.numerator * (den // d)
-            if len(fs) > 1:
-                _linalg.mat_mul_add(acc, functools.reduce(mul, fs[:-1]).rows, fs[-1].rows, f)
-                continue
-            for oi, row in zip(acc, fs[0].rows):
-                for j, y in row.items():
-                    oi[j] = oi.get(j, 0) + f * y
+            # the sparse factors, and the vector before each and after the
+            # last, None where no diagonal factor stands there
+            mats, vecs = [], [None]
+            for x in fs:
+                if type(x) is Diagonal:
+                    v = vecs[-1]
+                    vecs[-1] = x.values if v is None else list(map(operator.mul, v, x.values))
+                else:
+                    mats.append(x.rows)
+                    vecs.append(None)
+            if not mats:
+                v = vecs[0]
+                for p, oi in enumerate(acc):
+                    y = f if v is None else f * v[p]
+                    if y:
+                        oi[p] = oi.get(p, 0) + y
+            elif len(mats) == 1:
+                left, right = vecs
+                for i, (oi, row) in enumerate(zip(acc, mats[0])):
+                    g = f if left is None else f * left[i]
+                    if not g:
+                        continue
+                    if right is None:
+                        for j, y in row.items():
+                            oi[j] = oi.get(j, 0) + g * y
+                    else:
+                        for j, y in row.items():
+                            oi[j] = oi.get(j, 0) + g * y * right[j]
+            else:
+                rows = [m if v is None else [{j: x * v[i] for j, x in row.items()} if v[i] else {}
+                                             for i, row in enumerate(m)]
+                        for m, v in zip(mats, vecs)]
+                v = vecs[-1]
+                if v is not None:
+                    rows[-1] = [{j: x * v[j] for j, x in row.items() if v[j]} for row in rows[-1]]
+                _linalg.mat_mul_add(acc, functools.reduce(_linalg.mat_mul, rows[:-1]), rows[-1], f)
         return acc, den
 
     def sum_residuals(self, terms) -> list[Fraction]:
@@ -511,14 +595,23 @@ def relations(ps: ParamSet, n: int):
 
 def residuals(real: Realization) -> list[dict]:
     """Exact max |lhs - rhs| over the ``relations`` of each family, one dict
-    per block of ``real``."""
-    out = [dict.fromkeys(RELATION_FAMILIES, Fraction(0)) for _ in real.reps]
+    per block of ``real``, and "tower-scalars", the scalar tower at k = 1
+    (``verify_relations``): every nonzero row of E_1 starts at the empty
+    shape, where omega_1^(a) is omega_a, so for a <= r + 1 the identity
+    E_1 X_1^a E_1 = omega_1^(a) E_1 is the unwrapping relation at a, and
+    its one sum is recorded under both names."""
+    names = RELATION_FAMILIES + ("tower-scalars",)
+    out = [dict.fromkeys(names, Fraction(0)) for _ in real.reps]
+    e = ("E", 1)
+    towered = {((1, (e, ("X", 1, a), e)),) for a in range(real.ps.r + 2)}
     for family, lhs, rhs in relations(real.ps, real.n):
         terms = [(c, real.factors(word)) for c, word in lhs]
         terms += [(-c, real.factors(word)) for c, word in rhs]
-        for res, value in zip(out, real.sum_residuals(terms)):
-            if value:
-                res[family] = max(res[family], value)
+        values = real.sum_residuals(terms)
+        for name in (family, "tower-scalars") if lhs in towered else (family,):
+            for res, value in zip(out, values):
+                if value:
+                    res[name] = max(res[name], value)
     return out
 
 
@@ -536,21 +629,23 @@ def verify_relations(real: Realization, scalars: dict) -> list[dict]:
     """Exact residuals of the defining relations on each block of ``real``,
     plus the scalar tower E_k X_k^a E_k = omega_k^(a) E_k, 0 <= a <= r + 1,
     against ``scalars`` from ``tower_scalars`` (``tower-scalars``).  Each is
-    one signed sum lhs - rhs (``Realization.sum_residuals``).  The tower's
-    scalar depends only on the shape mu before step k, so its right side is
-    D E_k, D diagonal: each omega_k^(a) is cleared to an int once per shape
-    mu, over the lcm of their denominators, and D holds it on the rows where
-    E_k is nonzero, the rows of the tableaux that return at k.  One dict per
-    block; every value is 0 for a genuine model.  Self-adjointness for
-    diag(gamma) is no residual of the model: ``check_identities`` certifies
-    it on the coefficients, once per window."""
+    one signed sum lhs - rhs (``Realization.sum_residuals``).  At k = 1 the
+    tower is the unwrapping relation at a <= r + 1, whose sums ``residuals``
+    records under both names; there omega_1^(a) is read off Omega at the
+    empty shape, of which ``scalars`` holds the first r + 2 values.  From
+    k = 2 on, the tower's scalar depends only on the shape mu before step
+    k, so its right side is D E_k, D a ``Diagonal``: each omega_k^(a) is
+    cleared to an int once per shape mu, over the lcm of their
+    denominators, and D holds it on the rows where E_k is nonzero, the rows
+    of the tableaux that return at k.  One dict per block; every value is 0
+    for a genuine model.  Self-adjointness for diag(gamma) is no residual
+    of the model: ``check_identities`` certifies it on the coefficients,
+    once per window."""
     out = residuals(real)
-    for res in out:
-        res["tower-scalars"] = Fraction(0)
     tableaux = [t for rep in real.reps for t in rep.basis]
-    for k in range(1, real.n):
+    for k in range(2, real.n):
         e = ("E", k)
-        ek = real.evaluate((e,))
+        ek = real._letter(e)
         mus = [combinat.shape_before(t, k) if row else None
                for t, row in zip(tableaux, ek.rows)]
         shapes = list(dict.fromkeys(mu for mu in mus if mu is not None))
@@ -558,8 +653,7 @@ def verify_relations(real: Realization, scalars: dict) -> list[dict]:
             ws = [scalars[mu][a] for mu in shapes]
             q = params.clearing(ws)
             w = dict(zip(shapes, params.cleared(ws, q)))
-            diag = Evaluated([{i: w[mu]} if mu is not None and w[mu] else {}
-                              for i, mu in enumerate(mus)], q)
+            diag = Diagonal([0 if mu is None else w[mu] for mu in mus], q)
             for res, value in zip(out, real.sum_residuals(
                     ((1, real.factors((e, ("X", k, a), e))), (-1, [diag, ek])))):
                 if value:
@@ -678,7 +772,7 @@ def check_identities(ps: ParamSet, n: int) -> IdentityReport:
     the partial fractions are one int polynomial identity
     (``w_partial_fractions_hold``).  The swap identities read each window
     by ``swap_window``, as ``_entries`` does, for t and for its partner u,
-    and form it once, where it is first read:
+    which forms it once per parameter set:
     the coefficient a = 1/(c_{k+1} - c_k) is the int pair (a0, a1) of
     ``_swap_pair``, which raises on equal contents: a is a unit when
     a0^2 = a1^2, and 1 - a^2 is (a1^2 - a0^2)/a1^2.  ``content-swap``
@@ -745,14 +839,13 @@ def check_identities(ps: ParamSet, n: int) -> IdentityReport:
             record("star-symmetry", adjoint(x2, g, x, g2),
                    "s={}, t'={}, k={}", tmu + (nu, mu), tmu + (nu2, mu), k)
         # each swap window out of mu, by nu, rho, and its partner by nu2;
-        # a window is formed once, as t or as the partner that comes first
-        window = functools.cache(functools.partial(swap_window, ps, k, mu))
+        # ``swap_window`` forms each once, for the model too
         for nu, cn in C.items():
             for rho, cr in params.steps_out(nu, ps).C.items():
                 if rho == mu:
                     continue
                 # the swap coefficient a = a0 / a1, or the regime error
-                (a0, a1), nu2, p = window(nu, rho)
+                (a0, a1), nu2, p = swap_window(ps, k, mu, nu, rho)
                 if nu2 is None:
                     record("swap-degenerate-unit", a0 * a0 == a1 * a1, "t={}, k={}",
                            tmu + (nu, rho), k)
@@ -764,7 +857,7 @@ def check_identities(ps: ParamSet, n: int) -> IdentityReport:
                        tmu + (nu, rho), k)
                 if p is None:  # a is a unit: no entry leaves the diagonal
                     continue
-                p_s = window(nu2, rho)[2]
+                p_s = swap_window(ps, k, mu, nu2, rho)[2]
                 record("star-symmetry", adjoint(p, factors((mu, nu), (nu, rho)),
                                                 p_s, factors((mu, nu2), (nu2, rho))),
                        "t={}, u={}, k={}", tmu + (nu, rho), tmu + (nu2, rho), k)

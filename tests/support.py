@@ -17,7 +17,8 @@ a whole element, compared block by block by ``block_residuals``, with
 by term (``term_by_term_sum``: each word a product of its letters,
 ``mul_fold``, scaled by its coefficient, ``scaled``, and merged into the
 sum by ``mat_add``, ``mat_scale`` and ``_merge_row``) that
-``Realization.evaluate_sum`` is checked against, the lattice read node
+``Realization.evaluate_sum`` is checked against, a word as the one-term
+word sum (``evaluate_word``), the lattice read node
 by node (the addable and removable nodes with their contents,
 ``box_diff``, the class at a returning step and the swap of two steps) that ``combinat.steps_from`` is checked against, a
 count of the step tables a parameter set fills, the Fraction elimination
@@ -327,7 +328,8 @@ def check_module(S, E, X, ps: ParamSet) -> dict:
     with at least one X: the relation table evaluated on the one-block
     realization of the module.  Every value should be Fraction(0) for a
     genuine module."""
-    return seminormal.residuals(module_realization(S, E, X, ps))[0]
+    res = seminormal.residuals(module_realization(S, E, X, ps))[0]
+    return {family: res[family] for family in RELATION_FAMILIES}
 
 
 def seeded_u(tag: str, r: int, n: int) -> tuple[Fraction, ...]:
@@ -404,8 +406,8 @@ def cellular_family_vectors(ps: ParamSet, n: int) -> list[dict]:
             triples = cell_triples(ps.r, n, arcs, shape)
             diagonal = [wcell.cellular_element(ps, n, arcs, shape, a, a) for a in triples]
             m = real.evaluate_product(diagonal[0].middle)
-            am = [seminormal.mul(real.evaluate(cw.left_word), m) for cw in diagonal]
-            b = [real.evaluate(cw.right_word) for cw in diagonal]
+            am = [seminormal.mul(evaluate_word(real, cw.left_word), m) for cw in diagonal]
+            b = [evaluate_word(real, cw.right_word) for cw in diagonal]
             vecs.extend(vec(real, seminormal.mul(x, y)) for x in am for y in b)
     return vecs
 
@@ -484,8 +486,8 @@ def unshared_rank_report(ps: ParamSet, n: int, middle=lambda m: m) -> dict:
             words = [reference_words(n, arcs, shape, a, a) for a in triples]
             m = functools.reduce(seminormal.mul, (real.evaluate_sum(f) for f in
                                                   middle(expanded_murphy_middle(ps, shape))),
-                                 real.evaluate(()))
-            xs = [seminormal.mul(real.evaluate(left), m).rows for left, _ in words]
+                                 evaluate_word(real, ()))
+            xs = [seminormal.mul(evaluate_word(real, left), m).rows for left, _ in words]
             own = real.shapes.index(shape)
             support = {real.shapes[block_of[i]] for x in xs for i, row in enumerate(x) if row}
             if shape not in support:
@@ -495,7 +497,7 @@ def unshared_rank_report(ps: ParamSet, n: int, middle=lambda m: m) -> dict:
             us, w = wcell._own_factors([x[start:end] for x in xs], name)
             w = [{j - start: x for j, x in w.items()}]
             one = seminormal.Realization([real.reps[own]])
-            vs = [_linalg.mat_mul(w, one.evaluate(right).rows)[0] for _, right in words]
+            vs = [_linalg.mat_mul(w, evaluate_word(one, right).rows)[0] for _, right in words]
             rank += _linalg.rank(us) * _linalg.rank(vs)
     try:
         graphlib.TopologicalSorter(after).prepare()
@@ -542,11 +544,18 @@ def scaled(ev, c) -> seminormal.Evaluated:
     return seminormal.Evaluated(mat_scale(ev.rows, c.numerator), ev.den * c.denominator)
 
 
+def evaluate_word(real: seminormal.Realization, word) -> seminormal.Evaluated:
+    """The word on ``real`` as the one-term word sum, through the same
+    accumulator as ``Realization.evaluate_sum`` but not through that
+    method, so a wrapper on it counts only word sums."""
+    return real._summed([(1, real.factors(word))])
+
+
 def mul_fold(real: seminormal.Realization, word) -> seminormal.Evaluated:
-    """The word as the product of its letters, one ``seminormal.mul`` at a
-    time from the identity."""
+    """The word as the product of its letters, each a stacked matrix, one
+    ``seminormal.mul`` at a time from the identity."""
     one = seminormal.Evaluated(_linalg.identity(sum(real.dims)), 1)
-    return functools.reduce(seminormal.mul, real.factors(word), one)
+    return functools.reduce(seminormal.mul, map(real._letter, word), one)
 
 
 def term_by_term_sum(real: seminormal.Realization, terms) -> seminormal.Evaluated:
@@ -618,12 +627,12 @@ def two_sided_residuals(real: seminormal.Realization, scalars: dict) -> list[dic
         res["tower-scalars"] = Fraction(0)
     for k in range(1, real.n):
         e = ("E", k)
-        ek = real.evaluate((e,))
+        ek = evaluate_word(real, (e,))
         rows = [scalars[combinat.shape_before(t, k)] for rep in real.reps for t in rep.basis]
         for a in range(real.ps.r + 2):
             rhs = _rows_scaled(ek, [w[a] for w in rows])
             for res, value in zip(out, block_residuals(
-                    real, real.evaluate((e, ("X", k, a), e)), rhs)):
+                    real, evaluate_word(real, (e, ("X", k, a), e)), rhs)):
                 res["tower-scalars"] = max(res["tower-scalars"], value)
     return out
 
@@ -1898,7 +1907,7 @@ def contraction_murphy_commute_residual(ps: ParamSet, n: int, arcs: int,
     chain = wcell.contraction_chain(n, arcs)
     tabs = combinat.standard_tableaux(shape)
     worst = Fraction(0)
-    e = real.evaluate(chain)
+    e = evaluate_word(real, chain)
     for s in tabs:
         for t in tabs:
             m = real.evaluate_product(_word_sums(*hecke.murphy_factors(ps, shape, s, t)))

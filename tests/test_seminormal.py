@@ -13,8 +13,8 @@ from support import (
     FractionRealization, _relation_residuals, adjointness_reference,
     as_fractions, blocks_as_fractions, branching_blocks, build_rep_reference,
     addable_removable, check_module, class_sums_reference, cleared, derived_omega,
-    e_diag_reference, filled_step_tables, fraction_generators, from_dense, gammas,
-    identities_reference, k_neighbors, mat_scale, mat_sub, max_abs,
+    e_diag_reference, evaluate_word, filled_step_tables, fraction_generators,
+    from_dense, gammas, identities_reference, k_neighbors, mat_scale, mat_sub, max_abs,
     module_contraction_free, module_fixtures, module_nonsplit, module_rank_one,
     module_realization, mul_fold, root_sets, seeded_u, term_by_term_sum,
     two_sided_residuals,
@@ -23,7 +23,7 @@ from wenzl import _linalg, combinat, hecke, params, seminormal
 from wenzl.cli import main
 from wenzl.params import ParamSet
 from wenzl.seminormal import (
-    RELATION_FAMILIES, Evaluated, Realization, build_all,
+    RELATION_FAMILIES, Diagonal, Evaluated, Realization, build_all,
     build_rep, check_identities, relations, residuals, returns_at,
     tower_scalars, verify_relations,
 )
@@ -96,6 +96,12 @@ def test_relation_suite_2_3():
             assert value == 0, (rep.shape, family, value)
 
 
+def _table(res: list[dict]) -> list[dict]:
+    """The relation families of each block's residuals, without the tower
+    at k = 1 that ``residuals`` also records."""
+    return [{family: r[family] for family in RELATION_FAMILIES} for r in res]
+
+
 def _reference(real):
     return [_relation_residuals(*(fraction_generators(rep)[kind] for kind in "SEX"),
                                 rep.ps, rep.dim)
@@ -113,7 +119,7 @@ def test_relation_table_equals_the_hand_written_suite(r):
     for n in range(5):
         for ps in (ParamSet.default(r, n), ParamSet.from_u(_seeded_u(r, n))):
             real = Realization(build_all(ps, n))
-            assert residuals(real) == _reference(real), (ps.u, n)
+            assert _table(residuals(real)) == _reference(real), (ps.u, n)
 
 
 def test_relation_table_equals_the_hand_written_suite_on_fixtures():
@@ -140,7 +146,7 @@ def _off_model(kind):
 def test_relation_table_equals_the_hand_written_suite_off_the_model(kind):
     real, b = _off_model(kind)
     got = residuals(real)
-    assert got == _reference(real)
+    assert _table(got) == _reference(real)
     assert any(got[b].values()) and not any(v for i, res in enumerate(got)
                                             if i != b for v in res.values())
 
@@ -163,7 +169,7 @@ def _assert_equals_fraction_reference(real):
     for k in range(1, real.n):
         for a in range(real.ps.r + 2):
             word = (("E", k), ("X", k, a), ("E", k))
-            ev = real.evaluate(word)
+            ev = evaluate_word(real, word)
             assert _int_form(ev) and blocks_as_fractions(real, ev) == ref.evaluate(word), word
 
 
@@ -231,7 +237,7 @@ def test_sum_residuals_report_the_one_block_that_differs():
     # zero coefficient drops its term
     ps = ParamSet.default(2, 3)
     real = Realization(build_all(ps, 3))
-    x1 = real.evaluate((("X", 1, 1),))
+    x1 = evaluate_word(real, (("X", 1, 1),))
     b = max(range(len(real.reps)), key=lambda i: real.dims[i])
     start, _ = real.ranges[b]
     rows = [dict(row) for row in x1.rows]
@@ -282,8 +288,109 @@ def test_words_equal_the_product_of_their_letters():
                ("X", 3, 1), ("X", 1, 0), ("X", 3, 2)]
     for length in range(5):
         for word in itertools.product(letters, repeat=length):
-            ev = real.evaluate(word)
+            ev = evaluate_word(real, word)
             assert _int_form(ev) and ev == mul_fold(real, word), word
+
+
+def _letters(r, n):
+    """Every letter at n strands: S_k, E_k and X_j^a for a <= r + 2."""
+    return ([(kind, k) for kind in "SE" for k in range(1, n)]
+            + [("X", j, a) for j in range(1, n + 1) for a in range(r + 3)])
+
+
+@pytest.mark.parametrize("r,n", [(2, 3), (1, 4), (3, 3)])
+def test_diagonal_letters_sum_as_their_matrices(r, n):
+    # every word of up to three letters, the empty word among them, equals
+    # the product of its stacked letters (``mul_fold``, here formed once
+    # per prefix), and seeded two-term rational sums of them equal each
+    # term formed whole, scaled and merged: exactly, at every root set of
+    # support.root_sets and, at n = 1, at roots with a zero root, whose X_1
+    # has zeros on its diagonal.  In a sum every model's X_j^a is a vector,
+    # so these words take each of the kernel's forms: diagonals alone, one
+    # matrix between diagonals, a diagonal between two matrices, and
+    # longer products with a diagonal folded in
+    rng = random.Random(f"diagonal:{r}:{n}")
+    coefficients = [F(1), F(-1), F(2, 3), F(-7, 4), F(0)]
+    zero = {1: (0,), 2: (5, 0), 3: (4, -3, 0)}[r]
+    cases = [(u, n) for u in root_sets("diagonal", r)] + [(zero, 1)]
+    for u, m in cases:
+        real = Realization(build_all(ParamSet.from_u(u), m))
+        words = [w for length in range(4) for w in itertools.product(_letters(r, m), repeat=length)]
+        product = {(): mul_fold(real, ())}
+        for word in words[1:]:
+            product[word] = seminormal.mul(product[word[:-1]], real._letter(word[-1]))
+            assert evaluate_word(real, word) == product[word], (u, word)
+        for _ in range(60):
+            terms = [(rng.choice(coefficients), rng.choice(words)) for _ in range(2)]
+            assert blocks_as_fractions(real, real.evaluate_sum(terms)) == blocks_as_fractions(
+                real, term_by_term_sum(real, terms)), (u, terms)
+
+
+def _bent(real, b):
+    """real with X_1 of block b given one entry off its diagonal."""
+    rep = real.reps[b]
+    rows = [dict(row) for row in as_fractions(rep.X[0])]
+    rows[0][1] = rows[0].get(1, 0) + 1
+    return Realization([dataclasses.replace(rep, X=[cleared(rows), *rep.X[1:]])
+                        if i == b else x for i, x in enumerate(real.reps)])
+
+
+def test_a_letter_is_a_vector_only_where_it_is_diagonal():
+    # a letter is taken as a vector in a sum exactly where each row of its
+    # stacked matrix holds at most its own index, and then as that matrix's
+    # diagonal: every X_j^a of the models, and S_1 and E_1 of the nonsplit
+    # fixture, are vectors; the fixture's X_j, which is not diagonalizable,
+    # and an X_1 given one entry off the diagonal keep the matrix path, and
+    # their words still equal the product of their letters
+    ps = ParamSet.default(2, 3)
+    model = Realization(build_all(ps, 3))
+    b = max(range(len(model.reps)), key=lambda i: model.dims[i])
+    vectors = []
+    for real in (model, _bent(model, b), module_realization(*module_nonsplit())):
+        vectors.append(set())
+        for letter in _letters(2, real.n):
+            ev, factors = real._letter(letter), real.factors((letter,))
+            if letter[0] == "X" and letter[2] == 0:
+                assert factors == [], letter
+            elif all(row.keys() <= {i} for i, row in enumerate(ev.rows)):
+                assert factors == [Diagonal([row.get(i, 0) for i, row in enumerate(ev.rows)],
+                                            ev.den)], letter
+                vectors[-1].add(letter)
+            else:
+                assert factors == [ev], letter
+        for word in itertools.product(_letters(2, real.n), repeat=3):
+            assert evaluate_word(real, word) == mul_fold(real, word), word
+    x_powers = {("X", j, a) for j in range(1, 4) for a in range(1, 5)}
+    assert x_powers <= vectors[0]
+    assert vectors[1] & x_powers == {x for x in x_powers if x[1] != 1}
+    assert vectors[2] == {("S", 1), ("E", 1)}
+
+
+def test_verify_relations_multiplies_no_diagonal_letter(monkeypatch):
+    # at (2, 3) the relations and the tower make 6 matrix products, the
+    # prefixes of the six terms of three sparse letters (braid, untwisting
+    # and tangle), and 38 sums: 34 relations and the tower at k = 2; the
+    # tower at k = 1 is read off unwrapping's sums.  The parent
+    # formed each power of X_j and each E_k X_k^a as a product too (21) and
+    # the tower at k = 1 on its own (44)
+    ps = ParamSet.default(2, 3)
+    real, scalars = Realization(build_all(ps, 3)), tower_scalars(ps, 3)
+    calls = {"mat_mul": 0, "_accumulate": 0}
+    mat_mul, accumulate = _linalg.mat_mul, Realization._accumulate
+
+    def counted_mul(a, b):
+        calls["mat_mul"] += 1
+        return mat_mul(a, b)
+
+    def counted_accumulate(self, terms):
+        calls["_accumulate"] += 1
+        return accumulate(self, terms)
+
+    monkeypatch.setattr(_linalg, "mat_mul", counted_mul)
+    monkeypatch.setattr(Realization, "_accumulate", counted_accumulate)
+    got = verify_relations(real, scalars)
+    assert calls == {"mat_mul": 6, "_accumulate": 38}
+    assert got == two_sided_residuals(real, scalars)
 
 
 @pytest.mark.parametrize("r,n", [(2, 2), (1, 3), (3, 2), (2, 3), (1, 4)])
@@ -893,6 +1000,52 @@ def test_identity_suite_forms_each_swap_window_once(monkeypatch):
     report = check_identities(ps, 4)
     assert len(calls) == len(set(calls)) == 80
     assert (report.counts, report.failures) == (want.counts, want.failures)
+
+
+@pytest.mark.parametrize("r,n,windows", [(2, 4, 80), (2, 3, 18), (3, 3, 54)])
+def test_model_and_identities_share_each_swap_window(r, n, windows, monkeypatch):
+    # the parameter set holds each window's swap data: one build_all and
+    # one check_identities form each window once between them (the parent
+    # formed them per k in the model and again in the identities: 264, 46
+    # and 144 swap_entry calls), and the model and the report are the ones
+    # a fresh parameter set gives each on its own
+    ps = ParamSet.default(r, n)
+    calls, swap_entry = [], seminormal.swap_entry
+
+    def counted(ps, k, mu, nu, rho, nu2, d):
+        calls.append((mu, nu, rho))
+        return swap_entry(ps, k, mu, nu, rho, nu2, d)
+
+    monkeypatch.setattr(seminormal, "swap_entry", counted)
+    reps, report = build_all(ps, n), check_identities(ps, n)
+    assert len(calls) == len(set(calls)) == windows
+    assert set(ps.swaps) >= set(calls)
+    alone = ParamSet(ps.u)
+    assert [rep.S for rep in reps] == [rep.S for rep in build_all(alone, n)]
+    want = check_identities(ParamSet(ps.u), n)
+    assert (report.counts, report.failures) == (want.counts, want.failures)
+
+
+def test_a_failing_swap_window_is_held_nowhere():
+    # at u = (3, 3) a window out of the empty shape has equal contents: it
+    # raises for every caller, the model built twice and then the
+    # identities, each with the error a fresh parameter set gives, and the
+    # windows held before it stay all that is held
+    ps = ParamSet.from_u((3, 3))
+    held = []
+    for check in (build_all, build_all, check_identities):
+        want = _error(lambda: check(ParamSet(ps.u), 3))
+        assert "equal adjacent contents at k=1" in want
+        assert _error(lambda: check(ps, 3)) == want
+        held.append(dict(ps.swaps))
+    assert held[0] == held[1]
+
+
+def _error(call) -> str:
+    """The message of the ValueError that ``call`` raises."""
+    with pytest.raises(ValueError) as got:
+        call()
+    return str(got.value)
 
 
 def test_module_fixtures_exact():
