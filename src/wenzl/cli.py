@@ -15,6 +15,13 @@ residual is exactly 0 on the rational seminormal model (its ``tolerance`` is
 0), ``gram`` compares Fractions, and ``cellrank`` proves the rank of the
 cellular family on that model cell by cell, from a block upper triangular
 order of its supports (``wcell``), or ends in an ``error`` record.
+
+A process compiles only what its command runs: this module imports
+``combinat`` and ``params``, and each command imports its own module when
+it runs (``verify`` ``seminormal``, ``gram`` ``hecke``, ``cellrank``
+``wcell``).  The tables held for the process are named by module and
+attribute (``HOLDS``, ``LATTICE``), so naming them imports nothing; a job
+that runs out of memory clears those of the modules imported.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import combinat, hecke, params, seminormal, wcell
+from . import combinat, params
 from .params import ParamSet, check_admissible, format_fraction, parse_fraction
 
 
@@ -200,6 +207,7 @@ def cmd_counts(ps: ParamSet, args) -> tuple[list[dict], dict, bool]:
 
 
 def cmd_verify(ps: ParamSet, args) -> tuple[list[dict], dict, bool]:
+    from . import seminormal
     real = seminormal.Realization(seminormal.build_all(ps, args.n))
     idr = seminormal.check_identities(ps, args.n)
     scalars = seminormal.tower_scalars(ps, args.n)
@@ -218,6 +226,7 @@ def cmd_verify(ps: ParamSet, args) -> tuple[list[dict], dict, bool]:
 
 
 def cmd_gram(ps: ParamSet, args) -> tuple[list[dict], dict, bool]:
+    from . import hecke
     shape, n = args.shape, args.n
     mb = hecke.murphy_basis(ps, n)
     det = hecke.gram_det(mb, shape)
@@ -234,6 +243,7 @@ def cmd_gram(ps: ParamSet, args) -> tuple[list[dict], dict, bool]:
 
 
 def cmd_cellrank(ps: ParamSet, args) -> tuple[list[dict], dict, bool]:
+    from . import wcell
     report = wcell.cellular_rank_report(ps, args.n)
     records = [{"kind": "cell", **cell} for cell in report["cells"]]
     return records, {"n": args.n, "count": report["count"], "rank": report["rank"],
@@ -250,14 +260,24 @@ def cmd_omega(ps: ParamSet, args) -> tuple[list[dict], dict, bool]:
                      "admissible": ok, "first_failure": bad}, ok
 
 
-# the tables held for the process, each a functools cache: the last
-# parameter set built, with its step, swap and Murphy tables, and the
-# root-free tables of hecke and wcell per (r, n), shape and cell; then
-# combinat's lattice below them, its walks, the steps out of each shape,
-# the multipartitions and the updown counts
-HOLDS = (params._param_set, hecke.key_tables, hecke.shape_words, hecke._order, wcell.cell_words)
-LATTICE = (combinat._walk, combinat.steps_from, combinat.multipartitions,
-           combinat.reachable_shapes, combinat.count_updown)
+# the tables held for the process, each a functools cache named by (module,
+# attribute), so that naming them imports nothing: the last parameter set
+# built, with its step, swap and Murphy tables, and the root-free tables of
+# hecke and wcell per (r, n), shape and cell; then combinat's lattice below
+# them, its walks, the steps out of each shape, the multipartitions and the
+# updown counts
+HOLDS = (("params", "_param_set"), ("hecke", "key_tables"), ("hecke", "shape_words"),
+         ("hecke", "_order"), ("wcell", "cell_words"))
+LATTICE = (("combinat", "_walk"), ("combinat", "steps_from"), ("combinat", "multipartitions"),
+           ("combinat", "reachable_shapes"), ("combinat", "count_updown"))
+
+
+def held(names) -> list:
+    """The caches named in ``names`` whose modules this process has
+    imported; a module not imported holds nothing."""
+    modules = [sys.modules.get(f"{__package__}.{module}") for module, _ in names]
+    return [getattr(m, attr) for m, (_, attr) in zip(modules, names) if m is not None]
+
 
 COMMANDS = {"counts": cmd_counts, "verify": cmd_verify, "gram": cmd_gram,
             "cellrank": cmd_cellrank, "omega": cmd_omega}
@@ -293,7 +313,7 @@ def main(argv=None) -> int:
         ps.steps.clear()
         ps.swaps.clear()
         ps.murphy.clear()
-        for hold in HOLDS + LATTICE:
+        for hold in held(HOLDS + LATTICE):
             hold.cache_clear()
         records = [{"kind": "error", "command": args.command,
                     "error": f"MemoryError: out of memory at r={ps.r}, n={args.n}",

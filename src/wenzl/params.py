@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -120,9 +119,9 @@ def cyclotomic_coeffs(u) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class ParamSet:
-    """The parameter set fixed by the roots u; r is their number.
+    """The parameter set fixed by the roots u; r is their number.  Equality,
+    the hash and the repr read u alone.
 
     Omega is u-admissible: it is no field, but read where it is used, as the
     expansion at infinity of W at the empty shape (``omega_k_values``).
@@ -138,10 +137,18 @@ class ParamSet:
     never held.
     """
 
-    u: tuple[Fraction, ...]
-    steps: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    swaps: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    murphy: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    def __init__(self, u: tuple[Fraction, ...]):
+        self.u = u
+        self.steps, self.swaps, self.murphy = {}, {}, {}
+
+    def __eq__(self, other):
+        return self.u == other.u if type(other) is ParamSet else NotImplemented
+
+    def __hash__(self):
+        return hash(self.u)
+
+    def __repr__(self):
+        return f"ParamSet(u={self.u!r})"
 
     @classmethod
     def from_u(cls, u) -> "ParamSet":

@@ -28,15 +28,16 @@ relations are written once, as pairs of word sums (``relations``).  Each
 relation, and each identity of the scalar tower, is checked as one signed
 sum lhs - rhs in that way (``Realization.sum_residuals``), and a block is
 scanned only where the sum is nonzero; at k = 1 the tower is the
-unwrapping relation, and each of those sums is formed once for both.  The
-identities between the coefficients are checked on the ints of the step
-table, once per local window and with no polynomial division or rational
-function (``check_identities``): the class sums, W and its recursion as
-multisets of linear factors, and the formulas of self-adjointness for
-diag(gamma), one identity of step factors per window on the values
-``_entries`` places.  The swap data of each window are formed once per
-parameter set, for the model and the identities alike (``ps.swaps``).
-Every check has zero tolerance.
+unwrapping relation, and each of those sums is formed once for both, and
+at a = 0 unwrapping shares the one sum of the contraction-scalar relation
+at i = 1.  The identities between the coefficients are checked on the ints
+of the step table, once per local window and with no polynomial division or
+rational function (``check_identities``): the class sums, W and its
+recursion as multisets of linear factors, and the formulas of
+self-adjointness for diag(gamma), one identity of step factors per window
+on the values ``_entries`` places.  The swap data of each window are formed
+once per parameter set, for the model and the identities alike
+(``ps.swaps``).  Every check has zero tolerance.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -104,8 +104,7 @@ class Diagonal(NamedTuple):
     den: int
 
 
-@dataclass
-class SeminormalRep:
+class SeminormalRep(NamedTuple):
     """Generators over the updown basis of one shape.
 
     S[i-1], E[i-1] act at position i (1 <= i < n); X[j-1] is diagonal with
@@ -120,9 +119,9 @@ class SeminormalRep:
     n: int
     shape: tuple
     basis: tuple
-    S: list = field(repr=False)
-    E: list = field(repr=False)
-    X: list = field(repr=False)
+    S: list
+    E: list
+    X: list
 
     @property
     def dim(self) -> int:
@@ -599,16 +598,23 @@ def residuals(real: Realization) -> list[dict]:
     (``verify_relations``): every nonzero row of E_1 starts at the empty
     shape, where omega_1^(a) is omega_a, so for a <= r + 1 the identity
     E_1 X_1^a E_1 = omega_1^(a) E_1 is the unwrapping relation at a, and
-    its one sum is recorded under both names."""
+    its one sum is recorded under both names.  At a = 0, where X_1^0 is
+    no factor, unwrapping is the contraction-scalar relation at i = 1,
+    E_1 E_1 = omega_0 E_1, whose one sum is recorded under all three."""
     names = RELATION_FAMILIES + ("tower-scalars",)
     out = [dict.fromkeys(names, Fraction(0)) for _ in real.reps]
     e = ("E", 1)
-    towered = {((1, (e, ("X", 1, a), e)),) for a in range(real.ps.r + 2)}
+    # the names each left side's sum is recorded under beside its family
+    also = {((1, (e, ("X", 1, a), e)),): ("tower-scalars",) for a in range(1, real.ps.r + 2)}
+    also[((1, (e, e)),)] = ("unwrapping", "tower-scalars")
+    shared = ((1, (e, ("X", 1, 0), e)),)
     for family, lhs, rhs in relations(real.ps, real.n):
+        if lhs == shared:
+            continue
         terms = [(c, real.factors(word)) for c, word in lhs]
         terms += [(-c, real.factors(word)) for c, word in rhs]
         values = real.sum_residuals(terms)
-        for name in (family, "tower-scalars") if lhs in towered else (family,):
+        for name in (family, *also.get(lhs, ())):
             for res, value in zip(out, values):
                 if value:
                     res[name] = max(res[name], value)
@@ -666,8 +672,10 @@ def verify_relations(real: Realization, scalars: dict) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class IdentityReport:
+class IdentityReport(NamedTuple):
+    """The identities ``check_identities`` checked, counted by name, and
+    those that failed."""
+
     counts: dict
     failures: list
 

@@ -54,7 +54,7 @@ from __future__ import annotations
 import functools
 import graphlib
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _linalg, combinat, seminormal
 from .combinat import Multipartition, Word, word_for_permutation
@@ -97,8 +97,7 @@ def cell_words(r: int, n: int, arcs: int, shape: Multipartition) -> dict:
     return words
 
 
-@dataclass(frozen=True)
-class CellularWord:
+class CellularWord(NamedTuple):
     """A cellular basis element as its declared factors, left word ·
     middle factor sums · right word, with its cell data.  It is evaluated
     from those factors and never expanded into words."""

@@ -13,10 +13,10 @@ from wenzl import cli, hecke
 
 
 def _drop_holds():
-    # the held parameter set and the root-free tables of hecke and wcell;
-    # combinat's lattice tables (``cli.LATTICE``) lie below enumerate_updown
-    # and stay held
-    for hold in cli.HOLDS:
+    # the held parameter set and the root-free tables of hecke and wcell,
+    # of the modules imported so far; combinat's lattice tables
+    # (``cli.LATTICE``) lie below enumerate_updown and stay held
+    for hold in cli.held(cli.HOLDS):
         hold.cache_clear()
 
 

@@ -553,7 +553,7 @@ def test_out_of_memory_lets_go_of_the_held_tables(tmp_path, monkeypatch):
     assert rc == 1 and [rec["kind"] for rec in records] == ["error"]
     assert records[0]["error"] == "MemoryError: out of memory at r=2, n=3"
     assert held[0].steps == {} and held[0].murphy == {}
-    assert all(hold.cache_info().currsize == 0 for hold in cli.HOLDS + cli.LATTICE)
+    assert all(hold.cache_info().currsize == 0 for hold in cli.held(cli.HOLDS + cli.LATTICE))
 
 
 def test_every_module_cache_is_a_hold_of_cli():
@@ -564,8 +564,9 @@ def test_every_module_cache_is_a_hold_of_cli():
     for info in pkgutil.iter_modules(wenzl.__path__):
         module = importlib.import_module(f"wenzl.{info.name}")
         caches |= {x for x in vars(module).values() if hasattr(x, "cache_clear")}
-    held = cli.HOLDS + cli.LATTICE
-    assert caches and len(set(held)) == len(held) and caches == set(held)
+    names = cli.HOLDS + cli.LATTICE
+    held = cli.held(names)
+    assert caches and len(set(names)) == len(names) == len(held) and caches == set(held)
 
 
 def test_cli_imports_no_mpmath():
@@ -576,6 +577,29 @@ def test_cli_imports_no_mpmath():
          "import sys, wenzl.cli; print('mpmath' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_a_process_imports_only_what_its_command_runs():
+    # import wenzl.cli, then one job of a command, in a fresh child: no
+    # mpmath and no dataclasses, and exactly the wenzl modules of the
+    # command; importing cli alone loads only combinat and params
+    src = str(Path(wenzl.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import contextlib, io, sys, wenzl.cli\n"
+            "if sys.argv[1:]:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        wenzl.cli.main(sys.argv[1:])\n"
+            "print(' '.join(sorted(m for m in sys.modules if m == 'wenzl'\n"
+            "                      or m.startswith('wenzl.') or m in ('mpmath', 'dataclasses'))))")
+    base = {"wenzl", "wenzl.cli", "wenzl.combinat", "wenzl.params"}
+    for argv, modules in (([], ()), (["counts"], ()), (["omega"], ()),
+                          (["verify", "--n", "2"], ("_linalg", "seminormal")),
+                          (["gram", "--shape", "(1|1)"], ("_linalg", "hecke")),
+                          (["cellrank", "--r", "1", "--n", "2"],
+                           ("_linalg", "hecke", "seminormal", "wcell"))):
+        out = subprocess.run([sys.executable, "-c", code, *argv],
+                             env=env, capture_output=True, text=True, check=True)
+        assert set(out.stdout.split()) == base | {f"wenzl.{m}" for m in modules}, argv
 
 
 def test_usage_errors():

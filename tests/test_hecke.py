@@ -637,7 +637,7 @@ def _permutation_sum(terms, n) -> collections.Counter:
 def _table_sizes() -> tuple:
     """The number of entries in each root-free table: every table that
     ``cli.HOLDS`` names but the parameter set."""
-    return tuple(hold.cache_info().currsize for hold in cli.HOLDS
+    return tuple(hold.cache_info().currsize for hold in cli.held(cli.HOLDS)
                  if hold is not params._param_set)
 
 

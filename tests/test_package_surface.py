@@ -22,18 +22,22 @@ KEPT = {
 def _reach(roots):
     """{(module, name): node} of the module-level functions, classes and
     assigned names, and the keys that ``roots`` refer to, transitively: by a
-    bare name, a name imported from a module, or a module attribute."""
+    bare name, a name imported from a module, or a module attribute.  A
+    relative import counts wherever it stands in its module, at the top or
+    within a function that imports a module when it runs."""
     defs, imports = {}, {}
     for path in SRC.glob("*.py"):
         mod, imports[path.stem] = path.stem, {}
-        for node in ast.parse(path.read_text()).body:
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs[mod, node.name] = node
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 for target in getattr(node, "targets", None) or [node.target]:
                     if isinstance(target, ast.Name):
                         defs[mod, target.id] = node
-            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
                 for alias in node.names:  # a whole module has the name None
                     imports[mod][alias.asname or alias.name] = (
                         (alias.name, None) if node.module is None else (node.module, alias.name))

@@ -1,6 +1,5 @@
 """Seminormal models: relation residuals, exact identities, module fixtures."""
 
-import dataclasses
 import itertools
 import math
 import random
@@ -138,7 +137,7 @@ def _off_model(kind):
     rep = reps[b]
     mats = [dict(row) for row in as_fractions(getattr(rep, kind)[0])]
     mats[0][rep.dim - 1] = mats[0].get(rep.dim - 1, 0) + 1
-    reps[b] = dataclasses.replace(rep, **{kind: [cleared(mats), *getattr(rep, kind)[1:]]})
+    reps[b] = rep._replace(**{kind: [cleared(mats), *getattr(rep, kind)[1:]]})
     return Realization(reps), b
 
 
@@ -193,7 +192,7 @@ def _perturbed(real, kind, blocks, rng):
         if not mats[i][j]:
             del mats[i][j]
         gens[g] = cleared(mats)
-        reps[b] = dataclasses.replace(rep, **{kind: gens})
+        reps[b] = rep._replace(**{kind: gens})
     return Realization(reps)
 
 
@@ -331,7 +330,7 @@ def _bent(real, b):
     rep = real.reps[b]
     rows = [dict(row) for row in as_fractions(rep.X[0])]
     rows[0][1] = rows[0].get(1, 0) + 1
-    return Realization([dataclasses.replace(rep, X=[cleared(rows), *rep.X[1:]])
+    return Realization([rep._replace(X=[cleared(rows), *rep.X[1:]])
                         if i == b else x for i, x in enumerate(real.reps)])
 
 
@@ -369,10 +368,11 @@ def test_a_letter_is_a_vector_only_where_it_is_diagonal():
 def test_verify_relations_multiplies_no_diagonal_letter(monkeypatch):
     # at (2, 3) the relations and the tower make 6 matrix products, the
     # prefixes of the six terms of three sparse letters (braid, untwisting
-    # and tangle), and 38 sums: 34 relations and the tower at k = 2; the
-    # tower at k = 1 is read off unwrapping's sums.  The parent
-    # formed each power of X_j and each E_k X_k^a as a product too (21) and
-    # the tower at k = 1 on its own (44)
+    # and tangle), and 37 sums: 34 relations, less unwrapping at a = 0,
+    # which is the contraction-scalar sum at i = 1, and the tower at k = 2;
+    # the tower at k = 1 is read off unwrapping's sums.  Earlier versions
+    # formed each power of X_j and each E_k X_k^a as a product too (21),
+    # the tower at k = 1 on its own (44), and unwrapping at a = 0 apart (38)
     ps = ParamSet.default(2, 3)
     real, scalars = Realization(build_all(ps, 3)), tower_scalars(ps, 3)
     calls = {"mat_mul": 0, "_accumulate": 0}
@@ -389,8 +389,72 @@ def test_verify_relations_multiplies_no_diagonal_letter(monkeypatch):
     monkeypatch.setattr(_linalg, "mat_mul", counted_mul)
     monkeypatch.setattr(Realization, "_accumulate", counted_accumulate)
     got = verify_relations(real, scalars)
-    assert calls == {"mat_mul": 6, "_accumulate": 38}
+    assert calls == {"mat_mul": 6, "_accumulate": 37}
     assert got == two_sided_residuals(real, scalars)
+
+
+def _residuals_one_sum_each(real) -> list:
+    """``residuals`` with one sum per relation: unwrapping at a = 0 formed
+    apart from the contraction-scalar relation at i = 1."""
+    out = [dict.fromkeys((*RELATION_FAMILIES, "tower-scalars"), F(0)) for _ in real.reps]
+    e = ("E", 1)
+    towered = {((1, (e, ("X", 1, a), e)),) for a in range(real.ps.r + 2)}
+    for family, lhs, rhs in seminormal.relations(real.ps, real.n):
+        values = real.sum_residuals([(c, real.factors(word)) for c, word in lhs]
+                                    + [(-c, real.factors(word)) for c, word in rhs])
+        for name in (family, "tower-scalars") if lhs in towered else (family,):
+            for res, value in zip(out, values):
+                res[name] = max(res[name], value)
+    return out
+
+
+@pytest.mark.parametrize("r,n", [(1, 3), (2, 3), (3, 2)])
+def test_unwrapping_at_zero_shares_the_contraction_sum(r, n, monkeypatch):
+    # E_1 X_1^0 E_1 = omega_0 E_1 is the contraction-scalar relation at
+    # i = 1: its one sum leaves every residual as one sum per relation does,
+    # on the models, with an S, E or X entry raised by 1 on one block, and
+    # with E_1 doubled on a block where it is nonzero, which that sum sees,
+    # also where unwrapping is left at a = 0 alone; and one
+    # verify_relations makes one sum fewer than it has relations and tower
+    # identities at k >= 2
+    e = ("E", 1)
+
+    def unwrapping_at_zero_alone(ps, n):
+        return [(family, lhs, rhs) for family, lhs, rhs in relations(ps, n)
+                if family != "unwrapping" or lhs == ((1, (e, ("X", 1, 0), e)),)]
+
+    rng = random.Random(f"shared:{r}:{n}")
+    for u in root_sets("shared", r):
+        ps = ParamSet.from_u(u)
+        try:
+            real = Realization(build_all(ps, n))
+        except ValueError:
+            continue
+        assert residuals(real) == _residuals_one_sum_each(real), u
+        for kind in "SEX":
+            bad = _perturbed(real, kind, [rng.randrange(len(real.reps))], rng)
+            assert residuals(bad) == _residuals_one_sum_each(bad), (u, kind)
+        b = next(b for b, rep in enumerate(real.reps) if any(rep.E[0].rows))
+        reps = list(real.reps)
+        doubled = [{j: 2 * x for j, x in row.items()} for row in as_fractions(reps[b].E[0])]
+        reps[b] = reps[b]._replace(E=[cleared(doubled), *reps[b].E[1:]])
+        bad = Realization(reps)
+        for table in (unwrapping_at_zero_alone, relations):
+            monkeypatch.setattr(seminormal, "relations", table)
+            got = residuals(bad)
+            assert got == _residuals_one_sum_each(bad), (u, table)
+            assert got[b]["contraction-scalar"] and got[b]["unwrapping"], (u, table)
+    calls = []
+    sum_residuals = Realization.sum_residuals
+
+    def counted(self, terms):
+        calls.append(len(terms))
+        return sum_residuals(self, terms)
+
+    monkeypatch.setattr(Realization, "sum_residuals", counted)
+    verify_relations(real, tower_scalars(real.ps, n))
+    sums = len(list(relations(real.ps, n))) + (n - 2) * (r + 2)
+    assert len(calls) == sums - 1
 
 
 @pytest.mark.parametrize("r,n", [(2, 2), (1, 3), (3, 2), (2, 3), (1, 4)])
@@ -486,8 +550,7 @@ def _flipped_swap(rep):
             for j, x in row.items():
                 if i != j and M[j].get(i, 0) not in (0, x):
                     M[i][j], M[j][i] = M[j][i], x
-                    return dataclasses.replace(
-                        rep, S=[*rep.S[:k], cleared(M), *rep.S[k + 1:]])
+                    return rep._replace(S=[*rep.S[:k], cleared(M), *rep.S[k + 1:]])
     raise AssertionError(f"no swap pair with unequal entries in {rep.shape}")
 
 
