@@ -4,9 +4,10 @@ Modules by subject:
 
 - ``combinat``:   multipartitions, updown tableaux, contents, coset reps,
                   permutations and generator words
-- ``params``:     parameter sets, the step table, admissible sequences, W
-                  at a shape as the int roots of its linear factors and its
-                  expansion at infinity (Omega and the tower scalars)
+- ``params``:     parameter sets, the step table, W at a shape as the int
+                  roots of its linear factors and its expansion at infinity
+                  (Omega, u-admissible by construction, and the tower
+                  scalars)
 - ``_linalg``:    sparse int matrices: products, the multiply-accumulate,
                   rank, determinant and inverse by fraction-free elimination
 - ``seminormal``: rational seminormal representations and exact checks

@@ -32,8 +32,6 @@ from typing import NamedTuple
 
 from . import combinat
 
-HALF = Fraction(1, 2)
-
 
 def parse_fraction(s) -> Fraction:
     return s if isinstance(s, Fraction) else Fraction(str(s))
@@ -54,8 +52,8 @@ def cleared(xs, d: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# polynomials in y as int coefficient lists, the expansion at y = infinity,
-# and admissible parameter sequences
+# polynomials in y as int coefficient lists, and the expansion at
+# y = infinity
 # ---------------------------------------------------------------------------
 
 def linear_product(roots, q: int) -> list[int]:
@@ -89,26 +87,6 @@ def series_at_infinity(num, den, A: int) -> list[Fraction]:
             acc -= q[j] * out[k - j] * powers[j - 1]
         out.append(acc)
     return [Fraction(x, powers[k + 1]) for k, x in enumerate(out)]
-
-
-def check_admissible(omega) -> tuple[bool, int | None]:
-    """Does omega_{2a+1} = (1/2){-omega_{2a} + sum_b (-1)^{b-1} omega_{b-1} omega_{2a+1-b}}
-    hold for every odd index the list can express?  Returns (ok, first bad a).
-
-    Entries may be Fractions or any exact ring elements supporting +, *, ==
-    and scalar multiplication by Fraction (e.g. polynomials, for
-    one-parameter families)."""
-    omega = list(omega)
-    a = 0
-    while 2 * a + 1 < len(omega):
-        rhs = -omega[2 * a]
-        for b in range(1, 2 * a + 2):
-            term = omega[b - 1] * omega[2 * a + 1 - b]
-            rhs += term if b % 2 else -term
-        if omega[2 * a + 1] != HALF * rhs:
-            return False, a
-        a += 1
-    return True, None
 
 
 def cyclotomic_coeffs(u) -> tuple[Fraction, ...]:
@@ -289,7 +267,20 @@ def wk_rational(mu, ps: ParamSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
     prod (qy + a) / prod (qy + b): (C, -C) for C = q c from the step table.
     It is W_k along every walk whose shape before step k is mu; W_1 at the
     empty shape.  Coinciding contents need no special case; whether u is
-    generic enough is decided when the seminormal model is built."""
+    generic enough is decided when the seminormal model is built.
+
+    Lemma: over the steps out of an r-multipartition, |C| = r (mod 2) and
+    sum C = q sum u.  In component s, with contents u_s + j - i, let A be
+    the number of addable less removable nodes, and S their contents summed
+    likewise.  At the empty partition A = 1 and S = u_s; a node of content
+    c added stops being addable and becomes removable (A - 2, S - 2c), and
+    at each of c + 1 and c - 1 a node becomes addable or stops being
+    removable (A + 2, S + 2c in all).  So |C| is a sum of r odd numbers and
+    sum C = q sum u.  Hence N(0) = prod(-C) - (-1)^r prod(C) = 0 for
+    W = N / (2Q) (``w_polynomials``), and the y^0 coefficient of W,
+    2 sum C / q + (1 - (-1)^r) / 2 by prod (qy + C)/(qy - C) =
+    1 + 2 sum C / (qy) + O(y^-2), is the same at every shape:
+    omega_k^(0) = Omega_0."""
     C = tuple(steps_out(mu, ps).C.values())
     return C, tuple(-x for x in C)
 
@@ -320,5 +311,11 @@ def w_polynomials(ps: ParamSet, form) -> tuple[list[int], list[int]]:
 def omega_k_values(mu, ps: ParamSet, A: int) -> list[Fraction]:
     """The scalars omega_k^{(a)}, a = 0..A, at every position k whose shape
     before step k is mu: the coefficients of y^{-a} in the expansion at
-    infinity of W at mu, on ints.  At the empty shape they are Omega."""
+    infinity of W at mu, on ints.  At the empty shape they are Omega, and
+    Omega so read is u-admissible: with f = W + y - 1/2 there, the closed
+    form gives f(y) f(-y) = (y - (-1)^r/2)(-y - (-1)^r/2) = 1/4 - y^2, and
+    the coefficient of y^(-2a) in f(y) f(-y) - 1/4 + y^2 is -2 omega_{2a+1}
+    - omega_{2a} + sum_{b=0}^{2a} (-1)^b omega_b omega_{2a-b}, which is 0
+    exactly when the admissibility condition holds at a; the coefficient
+    of each odd power is 0 for any sequence."""
     return series_at_infinity(*w_polynomials(ps, wk_rational(mu, ps)), A)

@@ -28,9 +28,9 @@ relations are written once, as pairs of word sums (``relations``).  Each
 relation, and each identity of the scalar tower, is checked as one signed
 sum lhs - rhs in that way (``Realization.sum_residuals``), and a block is
 scanned only where the sum is nonzero; at k = 1 the tower is the
-unwrapping relation, and each of those sums is formed once for both, and
-at a = 0 unwrapping shares the one sum of the contraction-scalar relation
-at i = 1.  The identities between the coefficients are checked on the ints
+unwrapping relation, and at a = 0, for every k, the contraction-scalar
+relation at i = k, so each of those sums is formed once for both.  The
+identities between the coefficients are checked on the ints
 of the step table, once per local window and with no polynomial division or
 rational function (``check_identities``): the class sums, W and its
 recursion as multisets of linear factors, and the formulas of
@@ -594,21 +594,25 @@ def relations(ps: ParamSet, n: int):
 
 def residuals(real: Realization) -> list[dict]:
     """Exact max |lhs - rhs| over the ``relations`` of each family, one dict
-    per block of ``real``, and "tower-scalars", the scalar tower at k = 1
-    (``verify_relations``): every nonzero row of E_1 starts at the empty
-    shape, where omega_1^(a) is omega_a, so for a <= r + 1 the identity
-    E_1 X_1^a E_1 = omega_1^(a) E_1 is the unwrapping relation at a, and
-    its one sum is recorded under both names.  At a = 0, where X_1^0 is
-    no factor, unwrapping is the contraction-scalar relation at i = 1,
-    E_1 E_1 = omega_0 E_1, whose one sum is recorded under all three."""
+    per block of ``real``, and "tower-scalars", the identities of the tower
+    E_k X_k^a E_k = omega_k^(a) E_k (``verify_relations``) that are
+    relations: at k = 1 every nonzero row of E_1 starts at the empty shape,
+    where omega_1^(a) is omega_a, so for a <= r + 1 the tower is the
+    unwrapping relation at a; at a = 0, where X_k^0 is no factor and
+    omega_k^(0) is Omega_0 at every shape (``params.wk_rational``), it is
+    the contraction-scalar relation at i = k.  Each of those sums is formed
+    once and recorded under both names, and at i = 1 under all three."""
     names = RELATION_FAMILIES + ("tower-scalars",)
     out = [dict.fromkeys(names, Fraction(0)) for _ in real.reps]
     e = ("E", 1)
     # the names each left side's sum is recorded under beside its family
     also = {((1, (e, ("X", 1, a), e)),): ("tower-scalars",) for a in range(1, real.ps.r + 2)}
+    also.update({((1, (("E", i), ("E", i))),): ("tower-scalars",) for i in range(2, real.n)})
     also[((1, (e, e)),)] = ("unwrapping", "tower-scalars")
     shared = ((1, (e, ("X", 1, 0), e)),)
-    for family, lhs, rhs in relations(real.ps, real.n):
+    # built whole: a generator left suspended by a MemoryError is closed as
+    # the frames unwind, and a close that runs out of memory too prints to stderr
+    for family, lhs, rhs in tuple(relations(real.ps, real.n)):
         if lhs == shared:
             continue
         terms = [(c, real.factors(word)) for c, word in lhs]
@@ -631,23 +635,23 @@ def tower_scalars(ps: ParamSet, n: int) -> dict:
             for mu in combinat.multipartitions(ps.r, size)}
 
 
-def verify_relations(real: Realization, scalars: dict) -> list[dict]:
+def verify_relations(real: Realization) -> list[dict]:
     """Exact residuals of the defining relations on each block of ``real``,
     plus the scalar tower E_k X_k^a E_k = omega_k^(a) E_k, 0 <= a <= r + 1,
-    against ``scalars`` from ``tower_scalars`` (``tower-scalars``).  Each is
-    one signed sum lhs - rhs (``Realization.sum_residuals``).  At k = 1 the
-    tower is the unwrapping relation at a <= r + 1, whose sums ``residuals``
-    records under both names; there omega_1^(a) is read off Omega at the
-    empty shape, of which ``scalars`` holds the first r + 2 values.  From
-    k = 2 on, the tower's scalar depends only on the shape mu before step
-    k, so its right side is D E_k, D a ``Diagonal``: each omega_k^(a) is
-    cleared to an int once per shape mu, over the lcm of their
-    denominators, and D holds it on the rows where E_k is nonzero, the rows
-    of the tableaux that return at k.  One dict per block; every value is 0
-    for a genuine model.  Self-adjointness for diag(gamma) is no residual
-    of the model: ``check_identities`` certifies it on the coefficients,
-    once per window."""
+    against the scalars of ``tower_scalars`` (``tower-scalars``).  Each is
+    one signed sum lhs - rhs (``Realization.sum_residuals``).  At k = 1,
+    and at a = 0 for every k, the tower is a relation of the table, whose
+    sums ``residuals`` records under both names.  At k >= 2 and a >= 1,
+    the tower's scalar depends only on the shape mu before step k, so its
+    right side is D E_k, D a ``Diagonal``: each omega_k^(a) is cleared to
+    an int once per shape mu, over the lcm of their denominators, and D
+    holds it on the rows where E_k is nonzero, the rows of the tableaux
+    that return at k.  One dict per block; every value is 0 for a genuine
+    model.  Self-adjointness for diag(gamma) is no residual of the model:
+    ``check_identities`` certifies it on the coefficients, once per
+    window."""
     out = residuals(real)
+    scalars = tower_scalars(real.ps, real.n)
     tableaux = [t for rep in real.reps for t in rep.basis]
     for k in range(2, real.n):
         e = ("E", k)
@@ -655,7 +659,7 @@ def verify_relations(real: Realization, scalars: dict) -> list[dict]:
         mus = [combinat.shape_before(t, k) if row else None
                for t, row in zip(tableaux, ek.rows)]
         shapes = list(dict.fromkeys(mu for mu in mus if mu is not None))
-        for a in range(real.ps.r + 2):
+        for a in range(1, real.ps.r + 2):
             ws = [scalars[mu][a] for mu in shapes]
             q = params.clearing(ws)
             w = dict(zip(shapes, params.cleared(ws, q)))
@@ -728,12 +732,6 @@ def w_equal(w, v) -> bool:
     return sorted(w[0] + v[1]) == sorted(w[1] + v[0])
 
 
-def w_vanishes_at_zero(ps: ParamSet, w) -> bool:
-    """N(0) = 0 for W = N / (2Q) with the linear factors ``w``:
-    prod(-C) = (-1)^r prod(C)."""
-    return math.prod(w[1]) == (-1 if ps.r % 2 else 1) * math.prod(w[0])
-
-
 def w_partial_fractions_hold(ps: ParamSet, mu, w) -> bool:
     """W = y sum_m e_m / (y - c_m) over the steps m out of mu, for W at mu
     with the linear factors ``w``, multiplied through by 2Q:
@@ -775,12 +773,12 @@ def check_identities(ps: ParamSet, n: int) -> IdentityReport:
     Each identity is stated on ints, in the form its coefficients are held,
     so nothing is divided.  W is held by the linear factors of W + y - 1/2
     (``params.wk_rational``): ``w-recursion`` compares the multisets of
-    factors of the two sides cross-multiplied (``w_equal``),
-    W(0) = 0 is prod(-C) = (-1)^r prod(C) (``w_vanishes_at_zero``), and
-    the partial fractions are one int polynomial identity
-    (``w_partial_fractions_hold``).  The swap identities read each window
-    by ``swap_window``, as ``_entries`` does, for t and for its partner u,
-    which forms it once per parameter set:
+    factors of the two sides cross-multiplied (``w_equal``), and the
+    partial fractions are one int polynomial identity
+    (``w_partial_fractions_hold``).  W(0) = 0 is no identity of the job: it
+    holds at every shape, for any roots (``params.wk_rational``).  The swap
+    identities read each window by ``swap_window``, as ``_entries`` does,
+    for t and for its partner u, which forms it once per parameter set:
     the coefficient a = 1/(c_{k+1} - c_k) is the int pair (a0, a1) of
     ``_swap_pair``, which raises on equal contents: a is a unit when
     a0^2 = a1^2, and 1 - a^2 is (a1^2 - a0^2)/a1^2.  ``content-swap``
@@ -834,9 +832,6 @@ def check_identities(ps: ParamSet, n: int) -> IdentityReport:
             if not ld or not rd:
                 raise ZeroDivisionError(f"{name}: zero denominator at " + ctx.format(*args))
             record(name, ln * rd == rn * ld, ctx, *args)
-        # the den of W(0), 2 prod(-C), is nonzero, since a zero content has
-        # ended the class sums above
-        record("w-vanishes-at-zero", w_vanishes_at_zero(ps, w), "k={}, prefix={}", k, tmu)
         record("w-partial-fractions", w_partial_fractions_hold(ps, mu, w),
                "k={}, prefix={}", k, tmu)
         # g(mu->nu) g(nu->mu) and e_nu of each step out of mu and back

@@ -70,7 +70,7 @@ def test_verify_passes(tmp_path):
     for rec in rel:
         assert set(rec["residuals"]) >= {"braid", "skein", "cyclotomic",
                                          "unwrapping", "tower-scalars"}
-        assert rec["tolerance"] == 0
+        assert set(rec) == {"kind", "shape", "dim", "residuals", "pass", "ps"}
         assert all(v == 0 for v in rec["residuals"].values())
     ident = [rec for rec in records if rec["kind"] == "identities"]
     assert len(ident) == 1 and ident[0]["pass"] and not ident[0]["failures"]
@@ -390,8 +390,7 @@ def test_cellrank_smallest(tmp_path):
         assert rc == 0
         s = summary_of(records)
         assert s["count"] == s["rank"] == s["target"] == target
-        assert set(s) == {"kind", "command", "n", "count", "rank", "target",
-                          "sum_of_squares", "pass", "ps"}
+        assert set(s) == {"kind", "command", "n", "count", "rank", "target", "pass", "ps"}
         cells = [rec for rec in records if rec["kind"] == "cell"]
         assert sum(rec["members"] ** 2 for rec in cells) == target
 
@@ -402,7 +401,7 @@ def test_omega_example(tmp_path):
     assert rc == 0
     s = summary_of(records)
     assert s["omega"] == ["4", "6", "9", "27/2", "81/4"]
-    assert s["admissible"] and s["first_failure"] is None
+    assert set(s) == {"kind", "command", "order", "omega", "pass", "ps"} and s["pass"]
     values = [rec["value"] for rec in records if rec["kind"] == "omega"]
     assert values == s["omega"]
 
@@ -703,14 +702,14 @@ def test_out_naming_a_directory_or_nothing_is_a_usage_error(tmp_path):
 # not among each model's residuals.
 GOLDEN_REPORTS = {
     "verify --r 2 --n 3":
-        "3cc164b5a7226739a768249980144b052f354d8aeb815a49ffa49d6548b849ee",
+        "36a4f09754252fd659c525ddb6be53d79d2a05ddb06f9cff29266c5ba257db0d",
     "verify --r 3 --n 3 --u 120,-72,24":
-        "0cee23dd33a2f913d6fb7ac7277ed268d9ac3fce0959ac753cdd47b7aab638d8",
+        "9b1badc0a9383cd359dc785866cc86798936e81398d3afc99855da6107145c1e",
     # n = 4: the contraction-inverse and matching windows out of nonempty shapes
     "verify --r 1 --n 4":
-        "e909ffaf9dbc5ac7c293216d3de5d2a87243a643e036373abcfbbbc10d82ec7e",
+        "0a4dfb596496ab0c1b8faa80ceda554493da64c078223b17f3c0d5e5a3d69e81",
     "verify --r 2 --n 4":
-        "625e275fc2acf32721742911f7b8b7dc718894e8171244fc825a8e102ab3bdf6",
+        "9e6575c4505aa7b3397ea9102e78006b3e327bcdca8e32ba2f4f9c8d38172d0e",
     "gram --shape (3|-)":
         "b31db084f402dccfe972ec55b681087fd469d249cb997f9cb21d29079495c88a",
     "gram --shape (2,1|-)":
@@ -735,35 +734,35 @@ GOLDEN_REPORTS = {
     "gram --shape (2|1|-)":
         "8407b9ece1353080307d06a5b339599280e9aeaec26266e8fa098271f500ec39",
     "cellrank --r 3 --n 2":
-        "b6ed5057c399c1a316d74f9ec1459c8411c714ac0f1ae9abf652fd05f12db60f",
+        "179ad1a8ea601ef90aa07654f0d9253ba38d5063263cc88aa312044c02cb8c0f",
     "cellrank --r 4 --n 2":
-        "67d0e78920b56fbbd98d5650cb7df77f547ae41ea7997d067d7881286f6104ab",
+        "68d8b2f8057cef9dbc37a7187630a968501d823f4a5708d2b0a0726709c34c44",
     "cellrank --r 2 --n 3":
-        "ce181a78cf9b31a15fdbad9f6ae889d59c8a916ce25ecafc2681aa2ef604c657",
+        "cd473d079072c9e8681bd3cdccf9fbf9f749f220ef57154454d1d451f543aef5",
     "cellrank --r 1 --n 4":
-        "a26800aa8cfe4943227f9a197a6ea946f80552bb51afdfea1c5d9283d2f94f75",
+        "bf56e5557a077e3c2388e4cabf4ca7fae60dde531d8abcd53a177f5e289ffa41",
     # r = 3 at four strands, and fractional roots over q = 3, as the report
     # wrote them before its factors were shared and its row sums factored
     "cellrank --r 3 --n 4":
-        "3c08ae7409261c60e86da0f0cd1a266e895fe29a13551a555ab1fd3e0a10fcc9",
+        "b89b220aa55f1961b30a082c27f2b71fa9a0d6e1c38e8abd0c4a666478e9a52a",
     "cellrank --u 61/3,-35/3,13/3 --n 3":
-        "d2c5a8769be24ed31d0edef75bdd25a71bafa598ba09a4266b6068535ea2e85b",
+        "f70e7daf3c74ee5dea64d8b8ce23a9872c50aa641c240adaeec532b1c5af4aa0",
     # the sizes where the block-triangular certificate does the most work,
     # as the elimination of the whole family wrote them
     "cellrank --r 2 --n 4":
-        "c16022941a5b5a6d0069caff196a6c77846615580c69911f9a07b14b692c1397",
+        "6271a78ea5b82782a70c319b0447e84d68cfbece4ed9f1cfd7b1ed9f55d469f0",
     "cellrank --r 1 --n 5":
-        "18c2a14bb03b6bdd2c1a04350f37ff3f675879317357f82398b45c3ec280ee05",
+        "1a67064281f0b7bb8771cb317c09d26af78ffe3490f26a9916ba378bf7b24738",
     "cellrank --r 3 --n 3":
-        "8e0dda156e508cc9ed7f823347eafb0f850ecf594d97ad9bc727839d39469416",
+        "0bf3092f67feef38d88c3d3f99d3331b261422213d7d849df43adc6eff50e1b7",
     # fractional roots, whose denominators the int evaluation must carry,
     # as the Fraction-row evaluation wrote them
     "verify --u 128/7,-40/7 --n 3":
-        "c68df1d89dea2ef0505a1baf711f20f6c9d84738af947006c207f41d57e2996f",
+        "feee9ab4d17e09bdd7cb627c295981b74d92cca96f91dfcd18dd6a05e3e55335",
     "verify --u 239/4,-145/4,47/4 --n 3":
-        "3f113c95c2aacf3a9f587a9f9c4e926bb8779a88b8e86060deacdaad535e48a5",
+        "a8994ae2a2afd6ddcfae49b94d8dfa1c61a29537be421c04ef89ae5fdd852c1c",
     "cellrank --u 61/3,-35/3,13/3 --n 2":
-        "9b81a157136d85f5449306e7868d96f9f3ed3bb2a1d7f55f64e77a72dbae3e00",
+        "5d7e09129fa07a1f7932d57146ab9599e697916d26c512fca33b34029a618b48",
     # Murphy coordinate matrices with denominators, which the elimination
     # clears to int rows, one scale per row
     "gram --shape (2|1|-) --u 61/3,-35/3,13/3":
@@ -786,7 +785,7 @@ GOLDEN_REPORTS = {
     # roots over unequal denominators: the contents clear over q = 6, the
     # lcm of 2 and 3, though the contents of one step may need only one
     "verify --u 37/2,-11/3 --n 3":
-        "0a0dd674aed856c5633af544b25aa16abcc537adc893e1f558bbc6c036a61c97",
+        "cfb146c609f40898144a374a8af99ed483dc086c51b7775fb7fa75c003b57d0b",
     # the model's build errors, each the first check to fail in build order:
     # opposite contents in a class, a zero step factor out of ((1, 1), ()),
     # found after every model's entries, equal adjacent contents in a swap
@@ -799,7 +798,7 @@ GOLDEN_REPORTS = {
     # roots where the orthonormal model needs the square root of -5/4, at
     # k = 3 from shape ((1, 1),): the rational model passes
     "verify --u 1/3 --n 4":
-        "f7242db7955768b992434bc042c3ff130eb3e88e0a7273f4a307f589532dbfe4",
+        "f93ace4c7db1d47b37602401bca9fd0e7be0986f1cb3f225363ceb252c06f8bd",
     # gram's regime error, equal adjacent contents, which must end the job
     # before any closed gamma product meets the zero factor they bring
     "gram --shape (1|1) --u 1,1":

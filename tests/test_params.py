@@ -1,19 +1,21 @@
 """Exact parameter sets, admissible sequences, and the expansion of W."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from support import (
-    Poly, RationalFunction, brauer_omega_sequence, derived_omega, form_rational,
-    filled_step_tables, module_nonsplit, module_residue_family, nilpotent_example_omega,
-    omega_from_u, omega_residue_form, poly_value, recursion_factor_rational, schur_q,
-    seeded_u, series_of_rational, series_reference, w_rational, w_recursive_rational,
+    Poly, RationalFunction, brauer_omega_sequence, check_admissible, derived_omega,
+    form_rational, filled_step_tables, module_nonsplit, module_residue_family,
+    nilpotent_example_omega, omega_from_u, omega_residue_form, poly_value,
+    recursion_factor_rational, schur_q, seeded_u, series_of_rational, series_reference,
+    w_rational, w_recursive_rational,
 )
 from wenzl import combinat, params, seminormal
 from wenzl.cli import main
-from wenzl.params import ParamSet, check_admissible, format_fraction, parse_fraction
+from wenzl.params import ParamSet, format_fraction, parse_fraction
 from wenzl.seminormal import tower_scalars
 from support import addable_removable, root_sets, w_at_shape_reference
 
@@ -133,6 +135,11 @@ def test_omega_from_u_admissible():
         ok, bad = check_admissible(omega)
         assert ok and bad is None
         assert check_admissible(derived_omega(ParamSet.from_u(u), 40)) == (True, None)
+    # Omega is u-admissible by its construction (params.omega_k_values), so
+    # no job checks it: at other roots, and at roots where contents collide
+    for r in (1, 2, 3):
+        for u in root_sets("admissible", r) + _COLLIDING_U[r]:
+            assert check_admissible(derived_omega(ParamSet.from_u(u), 24)) == (True, None), u
 
 
 def test_check_admissible_rejects():
@@ -294,7 +301,7 @@ def test_wk_rational_at_colliding_shape():
             assert form_rational(step, ps) == ref and seminormal.w_equal(direct, step)
             # W(0) = 0: the constant term of N vanishes, that of 2Q not
             N, D = params.w_polynomials(ps, direct)
-            assert N[0] == 0 != D[0] and seminormal.w_vanishes_at_zero(ps, direct)
+            assert N[0] == 0 != D[0]
             assert params.omega_k_values(lam, ps, 4) == series_of_rational(ref, 4)
 
 
@@ -384,7 +391,7 @@ def test_int_w_identities_equal_the_rational_function_path(r):
                 step = params.wk_recursive_rational(form, cn, ps)
                 assert seminormal.w_equal(params.wk_rational(nu, ps), step) == (
                     w_rational(nu, ps) == w_recursive_rational(mu, F(cn, q), ps)), (u, nu)
-            assert seminormal.w_vanishes_at_zero(ps, form) == (poly_value(w.num, F(0)) == 0)
+            assert poly_value(w.num, F(0)) == 0, (u, mu)
             parts = sum(RationalFunction(Poly.const(e[m] * q), Poly((-x, q)))
                         for m, x in C.items())
             ok = seminormal.w_partial_fractions_hold(ps, mu, form)
@@ -396,3 +403,35 @@ def test_int_w_identities_equal_the_rational_function_path(r):
                 assert omega == [sum(e[m] * F(x, q) ** a for m, x in C.items())
                                  for a in range(A + 1)], (u, mu)
     assert seen[True] and seen[False], seen
+
+
+def _shapes_to_six(r):
+    return (mu for m in range(7) for mu in combinat.multipartitions(r, m))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_steps_out_of_a_shape_are_r_mod_2(r):
+    # the parity lemma of params.wk_rational: the steps out of every shape
+    # number r mod 2, so prod(-C) = (-1)^r prod(C) and W(0) = 0 there,
+    # for any roots: no job checks it
+    ps = ParamSet.from_u(seeded_u("parity", r, 6))
+    for mu in _shapes_to_six(r):
+        C = tuple(params.steps_out(mu, ps).C.values())
+        assert len(C) % 2 == r % 2, mu
+        assert math.prod(-x for x in C) == (-1) ** r * math.prod(C), mu
+        assert params.w_polynomials(ps, params.wk_rational(mu, ps))[0][0] == 0, mu
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_omega_zero_at_every_shape(r):
+    # the content lemma of params.wk_rational: the contents of the steps out
+    # of every shape sum to q sum u, so omega_k^(0) at every shape is
+    # Omega_0 = 2 sum u + (1 - (-1)^r) / 2, and the tower at a = 0 is the
+    # contraction-scalar relation
+    for tag in ("omega-zero", "omega-zero-2"):
+        ps = ParamSet.from_u(seeded_u(tag, r, 6))
+        omega0 = params.omega_k_values(combinat.empty_mp(r), ps, 0)[0]
+        assert omega0 == 2 * sum(ps.u) + (1 - (-1) ** r) // 2
+        for mu in _shapes_to_six(r):
+            assert sum(params.steps_out(mu, ps).C.values()) == ps.q * sum(ps.u), mu
+            assert params.omega_k_values(mu, ps, 0) == [omega0], mu

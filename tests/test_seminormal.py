@@ -1,6 +1,7 @@
 """Seminormal models: relation residuals, exact identities, module fixtures."""
 
 import itertools
+import json
 import math
 import random
 import re
@@ -87,9 +88,8 @@ def test_generators_are_symmetric():
 
 def test_relation_suite_2_3():
     ps = ParamSet.default(2, 3)
-    scalars = tower_scalars(ps, 3)
     real = Realization(build_all(ps, 3))
-    for rep, res in zip(real.reps, verify_relations(real, scalars)):
+    for rep, res in zip(real.reps, verify_relations(real)):
         assert set(res) == set(RELATION_FAMILIES) | {"tower-scalars"}
         for family, value in res.items():
             assert value == 0, (rep.shape, family, value)
@@ -213,7 +213,7 @@ def test_fused_residuals_equal_the_two_sided_reference(r, n):
             continue
         built += 1
         scalars = tower_scalars(ps, n)
-        got = verify_relations(real, scalars)
+        got = verify_relations(real)
         assert got == two_sided_residuals(real, scalars), u
         assert all(type(v) is Fraction and v == 0 for res in got for v in res.values()), u
         if built > 2:
@@ -222,7 +222,7 @@ def test_fused_residuals_equal_the_two_sided_reference(r, n):
             for blocks in ([rng.randrange(len(real.reps))],
                            rng.sample(range(len(real.reps)), 3)):
                 bad = _perturbed(real, kind, blocks, rng)
-                got = verify_relations(bad, scalars)
+                got = verify_relations(bad)
                 assert got == two_sided_residuals(bad, scalars), (u, kind, blocks)
                 failed = {b for b, res in enumerate(got) if any(res.values())}
                 assert failed and failed <= set(blocks), (u, kind, blocks, failed)
@@ -368,11 +368,13 @@ def test_a_letter_is_a_vector_only_where_it_is_diagonal():
 def test_verify_relations_multiplies_no_diagonal_letter(monkeypatch):
     # at (2, 3) the relations and the tower make 6 matrix products, the
     # prefixes of the six terms of three sparse letters (braid, untwisting
-    # and tangle), and 37 sums: 34 relations, less unwrapping at a = 0,
-    # which is the contraction-scalar sum at i = 1, and the tower at k = 2;
-    # the tower at k = 1 is read off unwrapping's sums.  Earlier versions
+    # and tangle), and 36 sums: 34 relations, less unwrapping at a = 0,
+    # which is the contraction-scalar sum at i = 1, and the tower at k = 2
+    # for 1 <= a <= 3; the tower at k = 1 is read off unwrapping's sums,
+    # and at a = 0 off the contraction-scalar sums.  Earlier versions
     # formed each power of X_j and each E_k X_k^a as a product too (21),
-    # the tower at k = 1 on its own (44), and unwrapping at a = 0 apart (38)
+    # the tower at k = 1 on its own (44), unwrapping at a = 0 apart (38)
+    # and the tower at a = 0 for k >= 2 apart (37)
     ps = ParamSet.default(2, 3)
     real, scalars = Realization(build_all(ps, 3)), tower_scalars(ps, 3)
     calls = {"mat_mul": 0, "_accumulate": 0}
@@ -388,17 +390,20 @@ def test_verify_relations_multiplies_no_diagonal_letter(monkeypatch):
 
     monkeypatch.setattr(_linalg, "mat_mul", counted_mul)
     monkeypatch.setattr(Realization, "_accumulate", counted_accumulate)
-    got = verify_relations(real, scalars)
-    assert calls == {"mat_mul": 6, "_accumulate": 37}
+    got = verify_relations(real)
+    assert calls == {"mat_mul": 6, "_accumulate": 36}
     assert got == two_sided_residuals(real, scalars)
 
 
 def _residuals_one_sum_each(real) -> list:
     """``residuals`` with one sum per relation: unwrapping at a = 0 formed
-    apart from the contraction-scalar relation at i = 1."""
+    apart from the contraction-scalar relation at i = 1; the unwrapping
+    relations, and the contraction-scalar relation at every i, the tower
+    at a = 0 and k = i, recorded under the tower too."""
     out = [dict.fromkeys((*RELATION_FAMILIES, "tower-scalars"), F(0)) for _ in real.reps]
     e = ("E", 1)
     towered = {((1, (e, ("X", 1, a), e)),) for a in range(real.ps.r + 2)}
+    towered |= {((1, (("E", i), ("E", i))),) for i in range(1, real.n)}
     for family, lhs, rhs in seminormal.relations(real.ps, real.n):
         values = real.sum_residuals([(c, real.factors(word)) for c, word in lhs]
                                     + [(-c, real.factors(word)) for c, word in rhs])
@@ -416,7 +421,7 @@ def test_unwrapping_at_zero_shares_the_contraction_sum(r, n, monkeypatch):
     # with E_1 doubled on a block where it is nonzero, which that sum sees,
     # also where unwrapping is left at a = 0 alone; and one
     # verify_relations makes one sum fewer than it has relations and tower
-    # identities at k >= 2
+    # identities at k >= 2 and a >= 1
     e = ("E", 1)
 
     def unwrapping_at_zero_alone(ps, n):
@@ -452,8 +457,8 @@ def test_unwrapping_at_zero_shares_the_contraction_sum(r, n, monkeypatch):
         return sum_residuals(self, terms)
 
     monkeypatch.setattr(Realization, "sum_residuals", counted)
-    verify_relations(real, tower_scalars(real.ps, n))
-    sums = len(list(relations(real.ps, n))) + (n - 2) * (r + 2)
+    verify_relations(real)
+    sums = len(list(relations(real.ps, n))) + (n - 2) * (r + 1)
     assert len(calls) == sums - 1
 
 
@@ -571,10 +576,9 @@ def _scaled_step_factor(monkeypatch, mu, nu):
 def _failed(real) -> set:
     """(shape, family) of each relation residual that is not 0, and (None,
     family) of each identity family with a failure."""
-    scalars = tower_scalars(real.ps, real.n)
     failed = {(None, f.split(":")[0]) for f in check_identities(real.ps, real.n).failures}
     return failed | {(rep.shape, family)
-                     for rep, res in zip(real.reps, verify_relations(real, scalars))
+                     for rep, res in zip(real.reps, verify_relations(real))
                      for family, value in res.items() if value}
 
 
@@ -690,7 +694,7 @@ def test_star_symmetry_off_the_model(kind):
     got = [adjointness_reference(rep) for rep in real.reps]
     assert got[b] and not any(x for i, x in enumerate(got) if i != b)
     assert check_identities(real.ps, real.n).ok
-    res = verify_relations(real, tower_scalars(real.ps, real.n))
+    res = verify_relations(real)
     assert all("star-symmetry" not in r for r in res)
     assert any(res[b].values()) and not any(v for i, r in enumerate(res) if i != b
                                             for v in r.values())
@@ -742,7 +746,7 @@ def test_int_evaluation_equals_the_fraction_reference_off_the_model(kind):
     real, b = _off_model(kind)
     _assert_equals_fraction_reference(real)
     scalars = tower_scalars(real.ps, real.n)
-    got = [res["tower-scalars"] for res in verify_relations(real, scalars)]
+    got = [res["tower-scalars"] for res in verify_relations(real)]
     assert got == _tower_reference(real, scalars)
     assert all(type(x) is Fraction for x in got)
     if kind == "E":  # the changed E_1 breaks the tower on its block only
@@ -758,7 +762,7 @@ def test_tower_rows_over_unequal_denominators():
     assert {w[2].denominator for mu, w in scalars.items()
             if combinat.mp_size(mu) in (0, 2)} == {1, 3}
     real = Realization(build_all(ps, 4))
-    got = [res["tower-scalars"] for res in verify_relations(real, scalars)]
+    got = [res["tower-scalars"] for res in verify_relations(real)]
     assert got == _tower_reference(real, scalars) == [0] * len(real.reps)
 
 
@@ -771,8 +775,7 @@ def test_relation_table_covers_every_family(r):
 
 def test_relation_suite_low_precision_still_passes():
     ps = ParamSet.default(2, 2)
-    scalars = tower_scalars(ps, 2)
-    for res in verify_relations(Realization(build_all(ps, 2)), scalars):
+    for res in verify_relations(Realization(build_all(ps, 2))):
         for family, value in res.items():
             assert value == 0
 
@@ -906,7 +909,7 @@ def test_each_mutation_fails_its_check(mutation, monkeypatch):
     reps = build_all(ps, 3)
     failed = _failed_families(check_identities(ps, 3))
     assert identities <= failed, failed
-    res = verify_relations(Realization(reps), tower_scalars(ps, 3))
+    res = verify_relations(Realization(reps))
     assert relations_failed <= {family for r in res for family, v in r.items() if v}
     assert ("star-symmetry" in failed) == any(adjointness_reference(rep) for rep in reps)
 
@@ -918,14 +921,30 @@ def test_identity_suite_fails_on_wrong_contraction_coefficients(monkeypatch):
     assert {"class-sum-linear", "class-sum-quadratic", "class-sum-cross",
             "w-partial-fractions", "contraction-inverse",
             "swap-contraction-matching"} <= failed
-    assert not failed & {"w-recursion", "w-vanishes-at-zero", "content-swap",
-                         "swap-degenerate-unit"}
+    assert not failed & {"w-recursion", "content-swap", "swap-degenerate-unit"}
 
 
 def test_identity_suite_fails_on_wrong_closed_form(monkeypatch):
     _wrong_closed_form(monkeypatch)
     report = check_identities(ParamSet.default(2, 3), 3)
     assert "w-recursion" in _failed_families(report)
+
+
+def test_verify_fails_on_a_closed_form_wrong_at_one_shape(tmp_path, monkeypatch):
+    # W wrong at one nonempty shape: omega_2^(0) there is no longer Omega_0,
+    # which the tower at a = 0 reads off the contraction-scalar sum, yet
+    # the job still exits 1, its identities record fails, and so does the
+    # tower at a >= 1
+    _wrong_closed_form(monkeypatch, _ONE)
+    out = tmp_path / "out.jsonl"
+    assert main(["verify", "--r", "2", "--n", "3", "--out", str(out)]) == 1
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    (identities,) = [rec for rec in records if rec["kind"] == "identities"]
+    assert not identities["pass"]
+    assert {f.split(":")[0] for f in identities["failures"]} == {"w-recursion",
+                                                                 "w-partial-fractions"}
+    assert any(rec["residuals"]["tower-scalars"] for rec in records if rec["kind"] == "relations")
+    assert not records[-1]["pass"]
 
 
 def test_identity_suite_fails_on_a_content_shifted_by_q(monkeypatch):
@@ -938,8 +957,8 @@ def test_identity_suite_fails_on_a_content_shifted_by_q(monkeypatch):
                                     _content_shifted_by_q])
 def test_mutated_tables_fail_as_the_fraction_reference_does(mutate, monkeypatch):
     # the identities on the coefficients as held flag the same windows as
-    # the Fraction forms: W evaluated at 0 and divided by y, and each swap
-    # coefficient a Fraction
+    # the Fraction forms: W divided by y, and each swap coefficient a
+    # Fraction
     mutate(monkeypatch)
     ps = ParamSet.default(2, 3)
     report, want = check_identities(ps, 3), identities_reference(ps, 3)
@@ -1018,7 +1037,6 @@ def _visited_windows(ps, n):
                         if other != nu:
                             add("class-sum-cross", (mu, nu, other))
                             add("star-symmetry", (mu, frozenset((nu, other))))
-                add("w-vanishes-at-zero", mu)
                 add("w-partial-fractions", mu)
                 if k > n - 2 or t[k - 1] != t[k + 1]:
                     continue
