@@ -245,7 +245,8 @@ def cmd_gram(ps: ParamSet, args) -> tuple[list[dict], dict, bool]:
 def cmd_cellrank(ps: ParamSet, args) -> tuple[list[dict], dict, bool]:
     from . import wcell
     report = wcell.cellular_rank_report(ps, args.n)
-    records = [{"kind": "cell", **cell} for cell in report["cells"]]
+    records = [{"kind": "cell", **cell, "shape": _shape_json(cell["shape"])}
+               for cell in report["cells"]]
     return records, {"n": args.n, "count": report["count"], "rank": report["rank"],
                      "target": report["target"]}, report["ok"]
 

@@ -193,13 +193,11 @@ def updown_walks(n: int, lam: Multipartition) -> tuple[Tableau, ...]:
     return tuple(_walk(len(lam), n)[1].get(lam, ()))
 
 
-def enumerate_updown(n: int, lam: Multipartition, u=None) -> list[Tableau]:
+def enumerate_updown(n: int, lam: Multipartition) -> list[Tableau]:
     """``updown_walks`` sorted lexicographically by content sequence under
-    u (default generic).  Ties keep the depth-first order."""
-    walks = updown_walks(n, lam)
-    if u is None:
-        u = default_u(len(lam), n)
-    return sorted(walks, key=lambda t: content_sequence(t, u))
+    the default roots (``default_u``).  Ties keep the depth-first order."""
+    u = default_u(len(lam), n)
+    return sorted(updown_walks(n, lam), key=lambda t: content_sequence(t, u))
 
 
 def hook_product(p: Partition) -> int:

@@ -32,12 +32,15 @@ unwrapping relation, and at a = 0, for every k, the contraction-scalar
 relation at i = k, so each of those sums is formed once for both.  The
 identities between the coefficients are checked on the ints
 of the step table, once per local window and with no polynomial division or
-rational function (``check_identities``): the class sums, W and its
-recursion as multisets of linear factors, and the formulas of
-self-adjointness for diag(gamma), one identity of step factors per window
-on the values ``_entries`` places.  The swap data of each window are formed
-once per parameter set, for the model and the identities alike
-(``ps.swaps``).  Every check has zero tolerance.
+rational function (``check_identities``): W, its recursion and its partial
+fractions as multisets of linear factors and int polynomials, and the
+formulas of self-adjointness for diag(gamma), one identity of step factors
+per window on the values ``_entries`` places.  The class sums follow from
+the partial fractions, and the contents of a swapped window are swapped at
+any roots, so neither is checked (the proofs are in ``check_identities``).
+The swap data of each window are formed once per parameter set, for the
+model and the identities alike (``ps.swaps``).  Every check has zero
+tolerance.
 """
 
 from __future__ import annotations
@@ -257,8 +260,9 @@ def build_rep(ps: ParamSet, n: int, shape) -> SeminormalRep:
     coefficient where the swapped tableau leaves the lattice."""
     if not ps.u:
         raise ValueError("a seminormal model needs the roots u")
-    # the basis in the order of combinat.enumerate_updown: by content
-    # sequence, which q > 0 scales without reordering; ties stay in walk order
+    # the basis sorted by content sequence under ps's own roots, which q > 0
+    # scales without reordering; ties stay in walk order.  At the default
+    # roots this is the order of combinat.enumerate_updown
     contents = {t: params.contents(ps, t) for t in combinat.updown_walks(n, shape)}
     basis = tuple(sorted(contents, key=contents.__getitem__))
     if len(basis) != combinat.count_updown(n, shape):
@@ -548,7 +552,8 @@ RELATION_FAMILIES = (
 def relations(ps: ParamSet, n: int):
     """The defining relations at n strands as (family, lhs, rhs), each side
     a word sum: Nazarov's affine Wenzl relations in S_i, E_i and X_j (the
-    commutations with |i - j| > 1 in both orders), unwrapping
+    commutations with |i - j| > 1: S_i S_j and E_i E_j once, for i < j,
+    and S_i E_j in both orders, two relations), unwrapping
     E_1 X_1^a E_1 = omega_a E_1 for 0 <= a <= r + 2, Omega read off W at
     the empty shape, and the cyclotomic relation sum_k c_k X_1^k = 0, c
     from ``cyclotomic_coeffs``."""
@@ -574,10 +579,12 @@ def relations(ps: ParamSet, n: int):
             yield "untwisting", w((e, e2, e)), w((e,))
             yield "tangle", w((s, e2, e)), w((s2, e))
             yield "tangle", w((e2, e, s2)), w((e2, s))
-        for sj, ej in ((("S", j), ("E", j)) for j in range(1, n) if abs(i - j) > 1):
-            yield "commutation", w((s, sj)), w((sj, s))
+        for j in (j for j in range(1, n) if abs(i - j) > 1):
+            sj, ej = ("S", j), ("E", j)
             yield "commutation", w((s, ej)), w((ej, s))
-            yield "commutation", w((e, ej)), w((ej, e))
+            if i < j:
+                yield "commutation", w((s, sj)), w((sj, s))
+                yield "commutation", w((e, ej)), w((ej, e))
         for xj in (("X", j, 1) for j in range(1, n + 1) if j not in (i, i + 1)):
             yield "braid", w((s, xj)), w((xj, s))
             yield "commutation", w((e, xj)), w((xj, e))
@@ -688,43 +695,6 @@ class IdentityReport(NamedTuple):
         return not self.failures
 
 
-def _int_sum(terms) -> tuple[int, int]:
-    """The sum of a/b over the int pairs (a, b) of ``terms``, as one int
-    pair (num, den) over the product of the b."""
-    num, den = 0, 1
-    for a, b in terms:
-        num, den = num * b + a * den, den * b
-    return num, den
-
-
-def class_sums(C: dict, e: dict, q: int):
-    """The class-sum identities at one shape mu, from the steps out of it:
-    C maps each nu to q c_nu, e to its contraction coefficient.  For each s,
-
-        sum_m e_m / (c_s + c_m)               = 1 + 1/(2 c_s)
-        sum_m e_m / (c_s + c_m)^2             = (1 - 1/(4 c_s^2)) / e_s + 1/(2 c_s^2)
-        sum_m e_m / ((c_s + c_m)(c_m + c_t')) = 1 / (2 c_s c_t'),  t' != s,
-
-    yielded as (name, s, t' or None, lhs, rhs), each side an int pair
-    (num, den).  With e_m = E_m / D over the lcm D of the e's denominators
-    and c = C / q, every sum runs on ints: the linear one is
-    q sum E_m / (C_s + C_m) over D, against (2 C_s + q) / (2 C_s)."""
-    D = params.clearing(e.values())
-    E = dict(zip(e, params.cleared(e.values(), D)))
-    q2 = q * q
-    for s, cs in C.items():
-        num, den = _int_sum((E[m], cs + x) for m, x in C.items())
-        yield "class-sum-linear", s, None, (q * num, D * den), (2 * cs + q, 2 * cs)
-        num, den = _int_sum((E[m], (cs + x) ** 2) for m, x in C.items())
-        c2 = 4 * cs * cs
-        yield ("class-sum-quadratic", s, None, (q2 * num, D * den),
-               ((c2 - q2) * D + 2 * q2 * E[s], c2 * E[s]))
-        for tp, ct in C.items():
-            if tp != s:
-                num, den = _int_sum((E[m], (cs + x) * (x + ct)) for m, x in C.items())
-                yield "class-sum-cross", s, tp, (q2 * num, D * den), (q2, 2 * cs * ct)
-
-
 def w_equal(w, v) -> bool:
     """The two ratios of linear factors ``w`` and ``v`` (``params.wk_rational``,
     ``params.wk_recursive_rational``) are one function: cross-multiplied,
@@ -751,24 +721,23 @@ def w_partial_fractions_hold(ps: ParamSet, mu, w) -> bool:
 
 
 def check_identities(ps: ParamSet, n: int) -> IdentityReport:
-    """Every exact coefficient identity at n strands, checked with zero
-    tolerance once per local configuration.  A coefficient at k reads only
-    the shape mu before step k and the steps out of mu, which the step
-    table ``ps.steps`` holds with their contents, contraction coefficients
-    and step factors (the step back from nu has content -c_nu).  So the
-    class, W and class self-adjointness identities are read off the steps
-    out of each mu with |mu| <= n - 2, the class sums on ints
-    (``class_sums``), and the contraction-inverse identity per (mu, nu) with
-    |mu| <= n - 3.  The swap identities, per (mu, nu, rho) with rho != mu,
-    and the matching identities, per (mu, nu) with |mu| <= n - 3, check
-    the swaps of ``combinat.swap_middle`` and ``combinat.sk_action`` on
-    windows placed after t^mu, at k = |mu| + 1;
-    elsewhere t^mu only names a window in a failure.  ``w-recursion``
-    checks that the closed form at nu is one recursion step from that at
-    mu, per lattice edge mu -> nu with |mu| <= n - 2; by induction on the
-    walk, the recursion from W at the empty shape, from which Omega is
-    read, then gives the closed form along every walk of fewer than n
-    steps.
+    """Every exact coefficient identity at n strands that the coefficients
+    can fail, checked with zero tolerance once per local configuration.  A
+    coefficient at k reads only the shape mu before step k and the steps
+    out of mu, which the step table ``ps.steps`` holds with their contents,
+    contraction coefficients and step factors (the step back from nu has
+    content -c_nu).  So the W and class self-adjointness identities are
+    read off the steps out of each mu with |mu| <= n - 2, and the
+    contraction-inverse identity per (mu, nu) with |mu| <= n - 3.  The swap
+    identities, per (mu, nu, rho) with rho != mu, and the matching
+    identities, per (mu, nu) with |mu| <= n - 3, check the swaps of
+    ``combinat.swap_middle`` and ``combinat.sk_action`` on windows placed
+    after t^mu, at k = |mu| + 1; elsewhere t^mu only names a window in a
+    failure.  ``w-recursion`` checks that the closed form at nu is one
+    recursion step from that at mu, per lattice edge mu -> nu with
+    |mu| <= n - 2; by induction on the walk, the recursion from W at the
+    empty shape, from which Omega is read, then gives the closed form
+    along every walk of fewer than n steps.
 
     Each identity is stated on ints, in the form its coefficients are held,
     so nothing is divided.  W is held by the linear factors of W + y - 1/2
@@ -781,15 +750,40 @@ def check_identities(ps: ParamSet, n: int) -> IdentityReport:
     for t and for its partner u, which forms it once per parameter set:
     the coefficient a = 1/(c_{k+1} - c_k) is the int pair (a0, a1) of
     ``_swap_pair``, which raises on equal contents: a is a unit when
-    a0^2 = a1^2, and 1 - a^2 is (a1^2 - a0^2)/a1^2.  ``content-swap``
-    checks that u's contents are t's swapped; u's coefficient is then -a.
-    ``star-symmetry`` is self-adjointness for diag(gamma) on the values of
-    ``swap_window``, e and g that ``_entries`` places, not on the held
-    matrices: the gammas of two tableaux that differ only at steps k, k+1
-    differ only by the step factors g there, so per swap window with
-    partner nu' where a is no unit, p g(mu->nu) g(nu->rho) =
-    p_s g(mu->nu') g(nu'->rho), and per pair nu, nu' of a class
-    e_nu' g(mu->nu) g(nu->mu) = e_nu g(mu->nu') g(nu'->mu)."""
+    a0^2 = a1^2, and 1 - a^2 is (a1^2 - a0^2)/a1^2.  ``star-symmetry`` is
+    self-adjointness for diag(gamma) on the values of ``swap_window``, e
+    and g that ``_entries`` places, not on the held matrices: the gammas of
+    two tableaux that differ only at steps k, k+1 differ only by the step
+    factors g there, so per swap window with partner nu' where a is no
+    unit, p g(mu->nu) g(nu->rho) = p_s g(mu->nu') g(nu'->rho), and per pair
+    nu, nu' of a class e_nu' g(mu->nu) g(nu->mu) = e_nu g(mu->nu') g(nu'->mu).
+
+    Three more identities the model rests on are decided by these or hold
+    at any roots, so they are no verdict of the job:
+
+    - The class sums at mu, over the steps m out of it, for each step s and
+      each t' != s: L_s = sum_m e_m / (c_s + c_m) = 1 + 1/(2 c_s),
+      sum_m e_m / (c_s + c_m)^2 = (1 - 1/(4 c_s^2)) / e_s + 1/(2 c_s^2) and
+      sum_m e_m / ((c_s + c_m)(c_m + c_t')) = 1 / (2 c_s c_t').  They
+      follow from ``w-partial-fractions`` at mu, W = y sum_m e_m / (y - c_m),
+      where the contents out of mu are distinct, no two are opposite (nor
+      is one 0) and every e is nonzero; ``build_all`` establishes all of
+      that at every mu with |mu| <= n - 2, and ``verify`` builds first.
+      F = W + y - 1/2 = (y - (-1)^r/2) prod_m (y + c_m)/(y - c_m) has the
+      factor y + c_s, so W(-c_s) = c_s + 1/2, which is c_s L_s: the linear
+      sum.  F(y) F(-y) = 1/4 - y^2, and F has the pole c_s e_s / (y - c_s)
+      at c_s, so F'(-c_s) = (c_s^2 - 1/4) / (c_s e_s); the partial
+      fractions give F'(-c_s) = 1 - L_s + c_s Q_s for the quadratic sum
+      Q_s.  Term by term, the cross sum is (L_s - L_t') / (c_t' - c_s).
+    - The partner's contents are t's swapped, at any roots:
+      ``combinat.swap_middle`` takes nu' by the (node, removed) step of
+      nu -> rho, so rho is nu' and the node of mu -> nu, and a node
+      removed or added has one content (``params.steps_out``).  So the
+      partner's coefficient is -a.
+    - A swap leaves the lattice only where its two steps add, or remove,
+      adjacent nodes of one component, so c_{k+1} - c_k = +-1 and a is a
+      unit, at any roots; ``_entries`` still raises outside that regime,
+      as the build's own check."""
     counts: dict[str, int] = {}
     failures: list[str] = []
 
@@ -826,12 +820,6 @@ def check_identities(ps: ParamSet, n: int) -> IdentityReport:
             record("w-recursion", w_equal(params.wk_rational(nu, ps),
                                           params.wk_recursive_rational(w, cn, ps)),
                    "k={}, prefix={}", k + 1, tmu + (nu,))
-        for name, s, tp, (ln, ld), (rn, rd) in class_sums(C, e, q):
-            ctx = "s={}, " + ("t'={}, " if tp is not None else "") + "k={}"
-            args = (tmu + (s, mu), *((tmu + (tp, mu),) if tp is not None else ()), k)
-            if not ld or not rd:
-                raise ZeroDivisionError(f"{name}: zero denominator at " + ctx.format(*args))
-            record(name, ln * rd == rn * ld, ctx, *args)
         record("w-partial-fractions", w_partial_fractions_hold(ps, mu, w),
                "k={}, prefix={}", k, tmu)
         # g(mu->nu) g(nu->mu) and e_nu of each step out of mu and back
@@ -844,21 +832,14 @@ def check_identities(ps: ParamSet, n: int) -> IdentityReport:
         # each swap window out of mu, by nu, rho, and its partner by nu2;
         # ``swap_window`` forms each once, for the model too
         for nu, cn in C.items():
-            for rho, cr in params.steps_out(nu, ps).C.items():
+            for rho in params.steps_out(nu, ps).C:
                 if rho == mu:
                     continue
-                # the swap coefficient a = a0 / a1, or the regime error
-                (a0, a1), nu2, p = swap_window(ps, k, mu, nu, rho)
-                if nu2 is None:
-                    record("swap-degenerate-unit", a0 * a0 == a1 * a1, "t={}, k={}",
-                           tmu + (nu, rho), k)
-                    continue
-                # u takes mu -> nu2 -> rho; with t's contents swapped, u's
-                # difference is -(cr - cn), so its coefficient is -a
-                cu, cu_next = C[nu2], params.steps_out(nu2, ps).C[rho]
-                record("content-swap", cu_next == cn and cu == cr, "t={}, k={}",
-                       tmu + (nu, rho), k)
-                if p is None:  # a is a unit: no entry leaves the diagonal
+                # the window's swap data, or the regime error; no entry
+                # leaves the diagonal where the swap leaves the lattice or
+                # a is a unit
+                _, nu2, p = swap_window(ps, k, mu, nu, rho)
+                if p is None:
                     continue
                 p_s = swap_window(ps, k, mu, nu2, rho)[2]
                 record("star-symmetry", adjoint(p, factors((mu, nu), (nu, rho)),

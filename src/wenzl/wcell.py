@@ -163,7 +163,8 @@ def _own_factors(blocks, name: str) -> tuple[list[dict], dict]:
 
 
 def cellular_rank_report(ps: ParamSet, n: int) -> dict:
-    """Counts and certified rank of the full cellular family at (r, n).
+    """Counts and certified rank of the full cellular family at (r, n), and
+    each cell's arcs, shape (the multipartition as held) and members.
 
     Each element of a cell is A_a · M · B_b on the realization, its left
     word depending only on its left triple and its right word only on its
@@ -197,7 +198,7 @@ def cellular_rank_report(ps: ParamSet, n: int) -> dict:
         for shape in combinat.multipartitions(r, n - 2 * arcs):
             words = cell_words(r, n, arcs, shape)
             triples = tuple(words)
-            cells.append({"arcs": arcs, "shape": [list(p) for p in shape],
+            cells.append({"arcs": arcs, "shape": shape,
                           "members": len(triples)})
             total += len(triples) ** 2
             names[shape] = name = f"cell (arcs={arcs}, shape={shape})"

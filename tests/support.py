@@ -34,8 +34,9 @@ keys (``by_monomial``, ``from_monomials``), the cell triples as the keys
 of the held cell words (``cell_triples``),
 the Fraction expansion at infinity, and the Fraction forms of the
 contraction coefficient, of the seminormal model (``build_rep_reference``),
-of W at a shape and of the class sums, that the int forms are checked
-against, the identity suite in Fraction forms (``identities_reference``: W
+of W at a shape, that the int forms are checked against, the class sums
+in Fractions (``class_sums_reference``), which the partial fractions
+decide, the identity suite in Fraction forms (``identities_reference``: W
 divided by y, each swap coefficient a Fraction), that
 the identities on the coefficients as held are checked against, the
 reference product of two Hecke elements and expansion of products into
@@ -502,7 +503,7 @@ def unshared_rank_report(ps: ParamSet, n: int, middle=lambda m: m) -> dict:
     for arcs in range(n // 2 + 1):
         for shape in combinat.multipartitions(r, n - 2 * arcs):
             triples = cell_triples(r, n, arcs, shape)
-            cells.append({"arcs": arcs, "shape": [list(p) for p in shape],
+            cells.append({"arcs": arcs, "shape": shape,
                           "members": len(triples)})
             total += len(triples) ** 2
             names[shape] = name = f"cell (arcs={arcs}, shape={shape})"
@@ -1731,10 +1732,11 @@ def _defined(side):
 
 
 def class_sums_reference(c: dict, e: dict):
-    """The reference for ``seminormal.class_sums``: the same identities in
-    the same order, each side a Fraction summed term by term (None where it
-    divides by zero), from the contents c and contraction coefficients e of
-    the steps out of a shape."""
+    """The class sums at one shape, as (name, s, t' or None, lhs, rhs), each
+    side a Fraction summed term by term (None where it divides by zero),
+    from the contents c and contraction coefficients e of the steps out of
+    it: the oracle for the proof in ``seminormal.check_identities`` that
+    ``w-partial-fractions`` decides them."""
     for s, cs in c.items():
         yield ("class-sum-linear", s, None,
                _defined(lambda: sum(e[m] / (cs + c[m]) for m in c)),
@@ -1767,8 +1769,7 @@ def identities_reference(ps: ParamSet, n: int) -> seminormal.IdentityReport:
     """The reference for ``seminormal.check_identities``: the same windows
     in the same order, with W as a ``RationalFunction`` (``w_rational``,
     ``w_recursive_rational``), divided by y, each swap coefficient a Fraction
-    (``swap_a``): a unit is a^2 = 1, ``content-swap`` also asks u's
-    coefficient to be -a, and 1 - a^2 is formed in Fractions; and
+    (``swap_a``): a unit is a^2 = 1, and 1 - a^2 is formed in Fractions; and
     self-adjointness on each window in Fractions: each entry and each ratio
     of the step factors of two tableaux a Fraction, and False where a step
     factor is 0 or undefined."""
@@ -1801,12 +1802,6 @@ def identities_reference(ps: ParamSet, n: int) -> seminormal.IdentityReport:
             record("w-recursion", w_rational(nu, ps)
                    == w_recursive_rational(mu, Fraction(cn, q), ps),
                    f"k={k + 1}, prefix={tmu + (nu,)}")
-        for name, s, tp, (ln, ld), (rn, rd) in seminormal.class_sums(C, e, q):
-            ctx = (f"s={tmu + (s, mu)}, "
-                   + (f"t'={tmu + (tp, mu)}, " if tp is not None else "") + f"k={k}")
-            if not ld or not rd:
-                raise ZeroDivisionError(f"{name}: zero denominator at {ctx}")
-            record(name, ln * rd == rn * ld, ctx)
         w = w_rational(mu, ps)
         parts = sum(RationalFunction(Poly.const(e[m] * q), Poly((-x, q))) for m, x in C.items())
         record("w-partial-fractions", RationalFunction(w.num, w.den * y.num) == parts,
@@ -1822,16 +1817,9 @@ def identities_reference(ps: ParamSet, n: int) -> seminormal.IdentityReport:
                 t = tmu + (nu, rho)
                 a = swap_a(t, k, cr - cn, q)
                 u = combinat.sk_action(t, k)
-                if u is None:
-                    record("swap-degenerate-unit", a * a == 1, f"t={t}, k={k}")
+                if u is None or a * a == 1:
                     continue
-                cu, cu_next = C[u[k - 1]], params.steps_out(u[k - 1], ps).C[rho]
-                ok = (cu_next == cn and cu == cr
-                      and swap_a(u, k, cu_next - cu, q) == -a)
-                record("content-swap", ok, f"t={t}, k={k}")
-                if a * a == 1:
-                    continue
-                d = cu_next - cu
+                d = params.steps_out(u[k - 1], ps).C[rho] - C[u[k - 1]]
                 p = Fraction(*seminormal.swap_entry(ps, k, mu, nu, rho, u[k - 1], cr - cn))
                 p_s = (Fraction(*seminormal.swap_entry(ps, k, mu, u[k - 1], rho, nu, d))
                        if d * d != q * q else Fraction(0))

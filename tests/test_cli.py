@@ -699,17 +699,19 @@ def test_out_naming_a_directory_or_nothing_is_a_usage_error(tmp_path):
 # or arithmetic must leave them alone.  The verify reports count one
 # w-recursion record per lattice edge out of a shape of size <= n - 2, and
 # self-adjointness once per window as star-symmetry among the identities,
-# not among each model's residuals.
+# not among each model's residuals, and no class sum, content-swap or
+# swap-degenerate-unit: the partial fractions decide the first, and the
+# other two hold at any roots.
 GOLDEN_REPORTS = {
     "verify --r 2 --n 3":
-        "36a4f09754252fd659c525ddb6be53d79d2a05ddb06f9cff29266c5ba257db0d",
+        "a6638b36ae41495a9c893aece1715157febddb5886e7cfe21fa145ef498c9b98",
     "verify --r 3 --n 3 --u 120,-72,24":
-        "9b1badc0a9383cd359dc785866cc86798936e81398d3afc99855da6107145c1e",
+        "54f80933ad65eb5a746556d87603290af858188fec67f8caa97e13a6c3b6772c",
     # n = 4: the contraction-inverse and matching windows out of nonempty shapes
     "verify --r 1 --n 4":
-        "0a4dfb596496ab0c1b8faa80ceda554493da64c078223b17f3c0d5e5a3d69e81",
+        "5c405219a4697de09796c336b253a9d58ad170ba9781c02936af0efdc4595c4e",
     "verify --r 2 --n 4":
-        "9e6575c4505aa7b3397ea9102e78006b3e327bcdca8e32ba2f4f9c8d38172d0e",
+        "2105045cc51c4e49235025a5761e325c4e4e737c73c64707e67b335dbea50e7a",
     "gram --shape (3|-)":
         "b31db084f402dccfe972ec55b681087fd469d249cb997f9cb21d29079495c88a",
     "gram --shape (2,1|-)":
@@ -758,9 +760,9 @@ GOLDEN_REPORTS = {
     # fractional roots, whose denominators the int evaluation must carry,
     # as the Fraction-row evaluation wrote them
     "verify --u 128/7,-40/7 --n 3":
-        "feee9ab4d17e09bdd7cb627c295981b74d92cca96f91dfcd18dd6a05e3e55335",
+        "2a01127b8b216018956f118dfb5d43136bc99700c126ef94b87e08919238d785",
     "verify --u 239/4,-145/4,47/4 --n 3":
-        "a8994ae2a2afd6ddcfae49b94d8dfa1c61a29537be421c04ef89ae5fdd852c1c",
+        "ea1207ebfe073bcb6dd337f756cd7639627e2b4e4687dd26a23d1d33fe83d2de",
     "cellrank --u 61/3,-35/3,13/3 --n 2":
         "5d7e09129fa07a1f7932d57146ab9599e697916d26c512fca33b34029a618b48",
     # Murphy coordinate matrices with denominators, which the elimination
@@ -785,7 +787,7 @@ GOLDEN_REPORTS = {
     # roots over unequal denominators: the contents clear over q = 6, the
     # lcm of 2 and 3, though the contents of one step may need only one
     "verify --u 37/2,-11/3 --n 3":
-        "cfb146c609f40898144a374a8af99ed483dc086c51b7775fb7fa75c003b57d0b",
+        "4d246f6a2bfff0b4d61dbf5c9e0996866af4d613c729e2b6f8225ae97424a366",
     # the model's build errors, each the first check to fail in build order:
     # opposite contents in a class, a zero step factor out of ((1, 1), ()),
     # found after every model's entries, equal adjacent contents in a swap
@@ -798,7 +800,7 @@ GOLDEN_REPORTS = {
     # roots where the orthonormal model needs the square root of -5/4, at
     # k = 3 from shape ((1, 1),): the rational model passes
     "verify --u 1/3 --n 4":
-        "f93ace4c7db1d47b37602401bca9fd0e7be0986f1cb3f225363ceb252c06f8bd",
+        "2fbf74d12aef0d6bf5d6709b52b16c7d3dc3dadd87c6dde5d825ebea481e2eb8",
     # gram's regime error, equal adjacent contents, which must end the job
     # before any closed gamma product meets the zero factor they bring
     "gram --shape (1|1) --u 1,1":

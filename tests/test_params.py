@@ -249,7 +249,7 @@ def test_wk_rational_matches_walk_recursion(r, n):
     A = ps.r + 1
     walks = [(t, m + 1) for m in range(n)
              for lam in combinat.reachable_shapes(r, m)
-             for t in combinat.enumerate_updown(m, lam, ps.u)]
+             for t in combinat.updown_walks(m, lam)]
     for t, k in walks:
         ref = _walk_recursion(t, k, ps)
         mu = t[-1] if t else combinat.empty_mp(r)
@@ -291,7 +291,7 @@ def test_wk_rational_at_colliding_shape():
     contents = [c for _, c, _ in addable_removable(lam, ps.u)]
     assert len(set(contents)) < len(contents)
     for shape in combinat.reachable_shapes(1, 2):
-        for t in combinat.enumerate_updown(2, shape, ps.u):
+        for t in combinat.updown_walks(2, shape):
             assert t[0] == lam
             direct = params.wk_rational(lam, ps)
             ref = _walk_recursion(t, 2, ps)

@@ -790,11 +790,9 @@ def test_identity_suite():
     ps = ParamSet.default(2, 3)
     report = check_identities(ps, 3)
     assert report.ok and report.failures == []
-    for family in ("class-sum-linear", "class-sum-quadratic",
-                   "contraction-inverse", "w-partial-fractions",
-                   "w-recursion", "swap-contraction-matching", "content-swap",
-                   "star-symmetry"):
-        assert report.counts.get(family, 0) > 0, family
+    assert set(report.counts) == {"w-recursion", "w-partial-fractions", "star-symmetry",
+                                  "contraction-inverse", "swap-contraction-matching"}
+    assert all(report.counts.values())
 
 
 def _failed_families(report):
@@ -826,7 +824,7 @@ def _wrong_closed_form(monkeypatch, shape=None):
 def _content_shifted_by_q(monkeypatch):
     # c + 1 for the content of the step ((1,), (1,)) -> ((2,), (1,)), read
     # at (2, 3) only as the second step of a swap window and in W there; a
-    # step out of a smaller shape meets equal contents or a zero class sum
+    # step out of a smaller shape meets equal contents or opposite ones
     steps_out = params.steps_out
 
     def shifted(mu, ps, **kw):
@@ -918,10 +916,8 @@ def test_identity_suite_fails_on_wrong_contraction_coefficients(monkeypatch):
     _wrong_contraction_coefficients(monkeypatch)
     report = check_identities(ParamSet.default(2, 3), 3)
     failed = _failed_families(report)
-    assert {"class-sum-linear", "class-sum-quadratic", "class-sum-cross",
-            "w-partial-fractions", "contraction-inverse",
-            "swap-contraction-matching"} <= failed
-    assert not failed & {"w-recursion", "content-swap", "swap-degenerate-unit"}
+    assert {"w-partial-fractions", "contraction-inverse", "swap-contraction-matching"} <= failed
+    assert "w-recursion" not in failed
 
 
 def test_identity_suite_fails_on_wrong_closed_form(monkeypatch):
@@ -950,7 +946,7 @@ def test_verify_fails_on_a_closed_form_wrong_at_one_shape(tmp_path, monkeypatch)
 def test_identity_suite_fails_on_a_content_shifted_by_q(monkeypatch):
     _content_shifted_by_q(monkeypatch)
     report = check_identities(ParamSet.default(2, 3), 3)
-    assert _failed_families(report) == {"content-swap", "swap-degenerate-unit", "w-recursion"}
+    assert _failed_families(report) == {"w-recursion"}
 
 
 @pytest.mark.parametrize("mutate", [_wrong_contraction_coefficients, _wrong_closed_form,
@@ -966,13 +962,17 @@ def test_mutated_tables_fail_as_the_fraction_reference_does(mutate, monkeypatch)
     assert report.counts == want.counts
 
 
+# roots with a zero content, equal adjacent contents or a zero contraction
+# coefficient
+_DEGENERATE = {1: [(0,), (F(-1, 2),)], 2: [(0, 2), (3, 3), (5, 3)], 3: [(3, 3, 1)]}
+
+
 @pytest.mark.parametrize("r,n", [(2, 2), (1, 3), (2, 3), (3, 3), (1, 4)])
 def test_identity_suite_equals_the_fraction_reference(r, n):
     # every root set of support.root_sets: the same checked counts and
     # failures; and roots with a zero content, or with equal adjacent
     # contents, end both in the same error
-    degenerate = {1: [(0,), (F(-1, 2),)], 2: [(0, 2), (3, 3), (5, 3)], 3: [(3, 3, 1)]}
-    for u in root_sets("identities", r) + degenerate[r]:
+    for u in root_sets("identities", r) + _DEGENERATE[r]:
         ps = ParamSet.from_u(u)
         try:
             want = identities_reference(ps, n)
@@ -983,6 +983,156 @@ def test_identity_suite_equals_the_fraction_reference(r, n):
             continue
         report = check_identities(ps, n)
         assert (report.counts, report.failures) == (want.counts, want.failures), u
+
+
+def _class_sums_defined(ps, mu) -> bool:
+    """The contents of the steps out of mu are distinct, no two are
+    opposite, none is 0, and every contraction coefficient is nonzero:
+    where ``w-partial-fractions`` decides the class sums at mu."""
+    C, e, _, _ = params.steps_out(mu, ps)
+    cs = list(C.values())
+    return len(set(cs)) == len(cs) and not any(-x in cs for x in cs) and all(e.values())
+
+
+_SMALL_ROOTS = (0, F(1, 2), F(-1, 2), 1, -1, F(3, 2), 2, -2, F(5, 2), 3)
+
+
+def _built(tag: str, r: int):
+    """(ps, n) wherever ``build_all(ps, n)`` passes, 2 <= n <= 4 (n <= 3 at
+    r = 3), over ``root_sets``, ``_DEGENERATE`` and 60 seeded sets of small
+    roots, which often collide; and the number of (u, n) refused."""
+    rng = random.Random(f"{tag}:{r}")
+    small = [tuple(rng.choice(_SMALL_ROOTS) for _ in range(r)) for _ in range(60)]
+    built, refused = [], 0
+    for u in root_sets(tag, r) + _DEGENERATE[r] + small:
+        ps = ParamSet.from_u(u)
+        for n in range(2, 5 if r < 3 else 4):
+            try:
+                build_all(ps, n)
+            except ValueError:
+                refused += 1
+                continue
+            built.append((ps, n))
+    return built, refused
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_models_build_only_where_the_class_sums_are_defined(r):
+    # the proof that w-partial-fractions decides the class sums needs, at
+    # every mu the identities read, distinct contents out of mu, no two
+    # opposite nor one 0, and every e nonzero: wherever the models build,
+    # that holds
+    built, refused = _built("class-sum-domain", r)
+    assert built and refused
+    for ps, n in built:
+        for mu in _shapes(r, n - 2):
+            assert _class_sums_defined(ps, mu), (ps.u, n, mu)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_class_sums_follow_from_the_partial_fractions(r):
+    # wherever the models build, every class sum holds in Fractions at
+    # every mu with |mu| <= n - 2; with one e changed at one such mu, a
+    # class sum fails there only where w-partial-fractions fails too
+    built, _ = _built("class-sum-proof", r)
+    rng = random.Random(f"class-sum-proof:{r}")
+    changed = 0
+    for ps, n in built:
+        for mu in _shapes(r, n - 2):
+            st = params.steps_out(mu, ps)
+            c = {nu: F(x, ps.q) for nu, x in st.C.items()}
+            assert all(lhs is not None and lhs == rhs
+                       for *_, lhs, rhs in class_sums_reference(c, st.e)), (ps.u, mu)
+            nu = rng.choice(list(st.e))
+            delta = rng.choice((1, -1, F(1, 2), F(-2, 3), F(5, 7), -st.e[nu]))
+            es = {**st.e, nu: st.e[nu] + delta}
+            ps.steps[mu] = st._replace(e=es)
+            try:
+                holds = seminormal.w_partial_fractions_hold(ps, mu, params.wk_rational(mu, ps))
+            finally:
+                ps.steps[mu] = st
+            if not all(lhs is not None and lhs == rhs
+                       for *_, lhs, rhs in class_sums_reference(c, es)):
+                changed += 1
+                assert not holds, (ps.u, mu, nu, delta)
+    assert changed
+
+
+def test_swapped_windows_swap_their_contents():
+    # every window mu -> nu -> rho != mu at r <= 3, |mu| <= 4: the window
+    # taken in the other order takes the same two (node, removed) steps
+    # swapped, so its contents are t's swapped at any roots; a window with
+    # no partner adds, or removes, two adjacent nodes of one component, so
+    # its contents differ by 1 and its swap coefficient is a unit
+    unpaired = 0
+    for r in (1, 2, 3):
+        tables = [ParamSet.from_u(u) for u in root_sets("content-swap", r)]
+        for mu in _shapes(r, 4):
+            for nu, step in combinat.steps_from(mu).items():
+                for rho, then in combinat.steps_from(nu).items():
+                    if rho == mu:
+                        continue
+                    nu2 = combinat.swap_middle(mu, nu, rho)
+                    if nu2 is not None:
+                        assert combinat.steps_from(mu)[nu2] == then, (mu, nu, rho)
+                        assert combinat.steps_from(nu2)[rho] == step, (mu, nu, rho)
+                        for ps in tables:
+                            C, C_nu, C_nu2 = (params.steps_out(x, ps).C for x in (mu, nu, nu2))
+                            assert (C[nu2], C_nu2[rho]) == (C_nu[rho], C[nu]), (ps.u, mu, nu, rho)
+                        continue
+                    unpaired += 1
+                    ((i, j, s), removed), ((i2, j2, s2), removed2) = step, then
+                    assert removed == removed2 and s == s2 and abs(i - i2) + abs(j - j2) == 1
+                    for ps in tables:
+                        d = params.steps_out(nu, ps).C[rho] - params.steps_out(mu, ps).C[nu]
+                        assert d * d == ps.q * ps.q, (ps.u, mu, nu, rho)
+    assert unpaired == 952
+
+
+def test_verify_fails_wrong_contraction_coefficients_through_the_kept_families(
+        monkeypatch, tmp_path):
+    # e + 1 at every step: the models build, and the job's identities
+    # record fails through the partial fractions, the contraction
+    # inverses, the matching and self-adjointness
+    _wrong_contraction_coefficients(monkeypatch)
+    out = tmp_path / "out.jsonl"
+    assert main(["verify", "--r", "2", "--n", "3", "--out", str(out)]) == 1
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    (identities,) = [rec for rec in records if rec["kind"] == "identities"]
+    assert {f.split(":")[0] for f in identities["failures"]} == {
+        "w-partial-fractions", "contraction-inverse", "swap-contraction-matching",
+        "star-symmetry"}
+    assert not records[-1]["pass"]
+
+
+def test_verify_refuses_a_content_shifted_by_q(monkeypatch, tmp_path):
+    # one content shifted by q: the window it ends loses its unit swap
+    # coefficient, and the build's own check ends the job before any
+    # identity is checked
+    _content_shifted_by_q(monkeypatch)
+    out = tmp_path / "out.jsonl"
+    assert main(["verify", "--r", "2", "--n", "3", "--out", str(out)]) == 1
+    (record,) = [json.loads(line) for line in out.read_text().splitlines()]
+    assert record["kind"] == "error" and record["error"].endswith("outside the regime")
+
+
+def test_relation_table_holds_each_signed_sum_once():
+    # no relation's signed sum lhs - rhs is another's, nor its negative:
+    # S_i S_j and E_i E_j are written once, for i < j, and S_i E_j in both
+    # orders, which are two relations
+    for r in (1, 2, 3):
+        for n in range(7):
+            seen = set()
+            for family, lhs, rhs in relations(ParamSet.default(r, n), n):
+                terms = {}
+                for c, word in lhs:
+                    terms[word] = terms.get(word, 0) + c
+                for c, word in rhs:
+                    terms[word] = terms.get(word, 0) - c
+                key = frozenset((word, c) for word, c in terms.items() if c)
+                assert key not in seen, (r, n, family, lhs, rhs)
+                assert frozenset((word, -c) for word, c in key) not in seen, (r, n, family)
+                seen.add(key)
 
 
 def test_closed_form_w_taken_once_per_shape(monkeypatch):
@@ -1017,25 +1167,20 @@ def _visited_windows(ps, n):
         seen.setdefault(family, set()).add(key)
 
     for lam in combinat.reachable_shapes(ps.r, n):
-        for t in combinat.enumerate_updown(n, lam, ps.u):
+        for t in combinat.updown_walks(n, lam):
             c = combinat.content_sequence(t, ps.u)
             for k in range(1, n):
                 mu = t[k - 2] if k >= 2 else combinat.empty_mp(ps.r)
                 if not returns_at(t, k):
                     partner = combinat.sk_action(t, k)
-                    add("swap-degenerate-unit" if partner is None
-                        else "content-swap", (mu, t[k - 1], t[k]))
                     # an entry off the diagonal pairs t with its partner
                     if partner is not None and (c[k] - c[k - 1]) ** 2 != 1:
                         add("star-symmetry", (mu, t[k - 1], t[k]))
                     continue
                 cls = [s[k - 1] for s in k_neighbors(t, k)]
                 for nu in cls:
-                    add("class-sum-linear", (mu, nu))
-                    add("class-sum-quadratic", (mu, nu))
                     for other in cls:
                         if other != nu:
-                            add("class-sum-cross", (mu, nu, other))
                             add("star-symmetry", (mu, frozenset((nu, other))))
                 add("w-partial-fractions", mu)
                 if k > n - 2 or t[k - 1] != t[k + 1]:
@@ -1062,7 +1207,7 @@ def test_identity_suite_checks_each_window_once(r, n):
     last_edges = {(t[m - 2] if m >= 2 else combinat.empty_mp(r), t[m - 1])
                   for m in range(1, n)
                   for lam in combinat.reachable_shapes(r, m)
-                  for t in combinat.enumerate_updown(m, lam, ps.u)}
+                  for t in combinat.updown_walks(m, lam)}
     assert report.counts == {"w-recursion": len(last_edges),
                              **{name: len(keys) for name, keys in seen.items()}}
 
@@ -1174,44 +1319,17 @@ def test_e_diag_equals_the_fraction_reference(r):
                 assert got == e_diag_reference(c, boundary, r), (u, mu, c)
 
 
-def _side(pair):
-    """An int pair (num, den) as a Fraction, None at den = 0."""
-    return Fraction(*pair) if pair[1] else None
-
-
-@pytest.mark.parametrize("r", [1, 2, 3])
-def test_class_sums_equal_the_fraction_reference(r):
-    # both sides of every class sum, as the int pairs make them, against
-    # the Fraction sums term by term, a zero denominator where the
-    # reference divides by zero: at the table's coefficients, where every
-    # defined identity holds once the contents are distinct, and at
-    # coefficients one off, where some fail
-    for u in root_sets("class-sums", r):
-        ps = ParamSet.from_u(u)
-        for mu in _shapes(r):
-            C, e, _, _ = params.steps_out(mu, ps)
-            c = {nu: Fraction(x, ps.q) for nu, x in C.items()}
-            for es, holds in ((e, True), ({nu: x + 1 for nu, x in e.items()}, False)):
-                got = [(name, s, tp, _side(lhs), _side(rhs))
-                       for name, s, tp, lhs, rhs in seminormal.class_sums(C, es, ps.q)]
-                assert got == list(class_sums_reference(c, es)), (u, mu)
-                if len(set(C.values())) == len(C):
-                    verdicts = [lhs == rhs for *_, lhs, rhs in got
-                                if lhs is not None and rhs is not None]
-                    assert all(verdicts) == holds, (u, mu)
-
-
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_step_table_equals_content_sequence_and_e_diag(r):
     # every basis tableau with n <= 4: the contents read from the table are
     # q times its content sequence, and the coefficient of each step is
     # the Fraction e_diag at the shape it leaves; build_rep orders its
-    # basis as enumerate_updown does
+    # basis by content sequence under the parameter set's own roots
     for n in range(5):
         for u in (combinat.default_u(r, n), seeded_u("table", r, n)):
             ps = ParamSet.from_u(u)
             for lam in combinat.reachable_shapes(r, n):
-                for t in combinat.enumerate_updown(n, lam, ps.u):
+                for t in combinat.updown_walks(n, lam):
                     cs = combinat.content_sequence(t, ps.u)
                     assert params.contents(ps, t) == tuple(ps.q * c for c in cs)
                     for k in range(1, n + 1):
@@ -1221,7 +1339,8 @@ def test_step_table_equals_content_sequence_and_e_diag(r):
                             cs[k - 1], addable_removable(mu, ps.u), r), (t, k)
             if n <= 3:
                 assert [rep.basis for rep in build_all(ps, n)] == [
-                    tuple(combinat.enumerate_updown(n, lam, ps.u))
+                    tuple(sorted(combinat.updown_walks(n, lam),
+                                 key=lambda t: combinat.content_sequence(t, ps.u)))
                     for lam in combinat.reachable_shapes(r, n)]
 
 
@@ -1278,11 +1397,3 @@ def test_verify_forms_each_coefficient_once(monkeypatch, tmp_path):
     steps = sum(len(combinat.steps_from(mu)) for mu in _shapes(2, 2))
     assert len(coefficients) == len(set(coefficients)) == steps == 32
     assert sequences == []
-
-
-def test_identity_suite_raises_where_a_class_sum_divides_by_zero():
-    # at u = (0, 2) the step of content 0 out of the empty shape makes
-    # c_s + c_s = 0: the Fraction sums divided by it, and the int sums must
-    # not compare a zero denominator
-    with pytest.raises(ZeroDivisionError, match="class-sum-linear: zero denominator"):
-        check_identities(ParamSet.from_u((0, 2)), 3)
