@@ -10,11 +10,11 @@ from ``swap_window``), as in Young's seminormal form, with no square root
 and no positivity condition, and each generator is then self-adjoint for
 diag(gamma), which may be negative, as ``verify`` checks.  The model is
 built on ints: every entry is an int pair (num, den), and each generator is
-held once, as one matrix of int rows over one positive denominator in
-lowest terms (``Evaluated``).  The models make one ``Realization``, their
-direct sum, which stacks each letter's generators once into one
-block-diagonal matrix over one common denominator, so a word takes one
-matrix product per letter on ints and a Fraction is made only for a
+held as those entries.  The models make one ``Realization``, their direct
+sum, which merges each letter's entries from every model onto the stacked
+rows and clears them once, into one block-diagonal matrix of int rows over
+one positive denominator in lowest terms (``Evaluated``), so a word takes
+one matrix product per letter on ints and a Fraction is made only for a
 reported residual; it holds the product of each prefix of a product of word
 sums, and applies words to a matrix one stacked letter at a time.  A
 diagonal letter, as every X_j is in seminormal form, is held as its
@@ -27,10 +27,10 @@ entries of its neighbours instead of being multiplied as a matrix.
 relations are written once, as pairs of word sums (``relations``).  Each
 relation, and each identity of the scalar tower, is checked as one signed
 sum lhs - rhs in that way (``Realization.sum_residuals``), and a block is
-scanned only where the sum is nonzero; at k = 1 the tower is the
-unwrapping relation, and at a = 0, for every k, the contraction-scalar
-relation at i = k, so each of those sums is formed once for both.  The
-identities between the coefficients are checked on the ints
+scanned, and merged into the residuals, only where the sum is nonzero; at
+k = 1 the tower is the unwrapping relation, and at a = 0, for every k, the
+contraction-scalar relation at i = k, so each of those sums is formed once
+for both.  The identities between the coefficients are checked on the ints
 of the step table, once per local window and with no polynomial division or
 rational function (``check_identities``): W, its recursion and its partial
 fractions as multisets of linear factors and int polynomials, and the
@@ -91,8 +91,8 @@ def _swap_pair(mu, k: int, d: int, q: int) -> tuple[int, int]:
 
 class Evaluated(NamedTuple):
     """A rational matrix: one ``_linalg`` matrix of ints, ``rows``, over one
-    positive denominator ``den``.  It is a generator of one model, or an
-    element of a realization, block-diagonal over its models."""
+    positive denominator ``den``.  It is a letter or an element of a
+    realization, block-diagonal over its models."""
 
     rows: list
     den: int
@@ -111,8 +111,9 @@ class SeminormalRep(NamedTuple):
     """Generators over the updown basis of one shape.
 
     S[i-1], E[i-1] act at position i (1 <= i < n); X[j-1] is diagonal with
-    the step-j contents.  Each is an ``Evaluated``: d x d int rows over one
-    positive denominator, in lowest terms.  At generic roots every
+    the step-j contents.  Each is held uncleared, as the nonzero entries
+    {(i, j): (num, den)}, den > 0, of ``_entries``, X[j-1] as {(i, i): (C_j,
+    q)}; ``Realization`` clears each letter once.  At generic roots every
     generator M satisfies gamma[i] M[i][j] = M[j][i] gamma[j] for gamma of
     ``params.gamma``, every gamma[i] nonzero, of either sign (its formulas
     by ``check_identities``, the placed matrices by the relations).
@@ -241,7 +242,8 @@ def _entries(ps: ParamSet, k: int, idx: dict, contents: dict):
 def _block(d: int, entries: dict) -> Evaluated:
     """The d x d matrix with the nonzero entries {(i, j): (num, den)}, each
     den > 0, as int rows over the lcm of the dens, divided by the gcd of
-    that lcm and every entry: its rows and den in lowest terms."""
+    that lcm and every entry: its rows and den in lowest terms.  It clears
+    each stacked letter once (``Realization._letter``)."""
     den = math.lcm(*(b for _, b in entries.values()))
     ints = {key: a * (den // b) for key, (a, b) in entries.items()}
     g = math.gcd(den, *ints.values())
@@ -252,9 +254,10 @@ def _block(d: int, entries: dict) -> Evaluated:
 
 
 def build_rep(ps: ParamSet, n: int, shape) -> SeminormalRep:
-    """Assemble the generators of one shape on ints from ``_entries``, each
-    cleared as it is made.  Raises ValueError where a condition of
-    genericity fails at a generator position k: equal adjacent contents,
+    """Assemble the generators of one shape on ints, each held as the
+    entries ``_entries`` forms, which ``Realization`` clears.  Raises
+    ValueError where a condition of genericity fails at a generator
+    position k: equal adjacent contents,
     opposite contents in a class, a zero contraction coefficient, a zero or
     undefined step factor that an entry divides by, or a non-unit swap
     coefficient where the swapped tableau leaves the lattice."""
@@ -269,14 +272,13 @@ def build_rep(ps: ParamSet, n: int, shape) -> SeminormalRep:
         raise AssertionError(f"{len(basis)} updown tableaux of {shape} at n={n}, "
                              f"not {combinat.count_updown(n, shape)}")
     idx = {t: i for i, t in enumerate(basis)}
-    d = len(basis)
 
     # X_j = diag(C_j) / q
-    X = [_block(d, {(i, i): (contents[t][j], ps.q) for i, t in enumerate(basis) if contents[t][j]})
+    X = [{(i, i): (contents[t][j], ps.q) for i, t in enumerate(basis) if contents[t][j]}
          for j in range(n)]
     entries = [_entries(ps, k, idx, contents) for k in range(1, n)]
-    return SeminormalRep(ps, n, shape, basis, [_block(d, s) for s, _ in entries],
-                         [_block(d, e) for _, e in entries], X)
+    return SeminormalRep(ps, n, shape, basis, [s for s, _ in entries],
+                         [e for _, e in entries], X)
 
 
 def build_all(ps: ParamSet, n: int) -> list[SeminormalRep]:
@@ -310,11 +312,11 @@ class Realization:
     a product of word sums (``evaluate_product``, never expanded into
     words, each factor's sum and each prefix's product held for the
     realization) evaluates to one ``Evaluated``, int rows over one
-    denominator.  Each letter is stacked once per realization over the lcm
-    of its models' denominators, so a word takes one matrix product per
-    letter; ``words_times`` and ``times_words`` take words to a given
-    matrix one stacked letter at a time instead, from the end that meets
-    it.  A diagonal letter is held as its ``Diagonal`` beside its rows,
+    denominator.  Each letter is stacked once per realization, its models'
+    entries shifted to their rows and cleared together, so a word takes one
+    matrix product per letter; ``words_times`` and ``times_words`` take
+    words to a given matrix one stacked letter at a time instead, from the
+    end that meets it.  A diagonal letter is held as its ``Diagonal`` beside its rows,
     and is that vector in a sum (``factors``).  A product multiplies the
     denominators, and every sum, a word sum as well as lhs - rhs of a
     relation, adds each term's product into one int accumulator over a
@@ -322,7 +324,7 @@ class Realization:
     no term formed as a matrix of its own and no diagonal factor multiplied
     as a matrix; so no Fraction is normalised until a residual is
     reported.  ``sum_residuals`` reads a signed sum of products off that
-    accumulator, with no side formed whole.
+    accumulator, with no side formed whole, block by nonzero block.
     """
 
     def __init__(self, reps: list[SeminormalRep]):
@@ -343,39 +345,37 @@ class Realization:
 
     def _letter(self, letter) -> Evaluated:
         """One letter as one block-diagonal matrix, made once per
-        realization: the models' generators over the lcm of their dens,
-        each shifted to its row range; ("X", j, a) is the a-th power of
-        X_j, the identity at a = 0.  A letter is diagonal when each of its
-        rows holds at most its own index, as every model's X_j does; this
-        is decided here, once, and its diagonal is held beside its rows,
-        keyed by the letter, for ``factors``.  The power of a diagonal X_j
-        is its diagonal raised elementwise, with no product."""
+        realization: the models' entries, each shifted to its row range,
+        cleared together (``_block``); ("X", j, a) is the a-th power of
+        X_j, the identity at a = 0.  A letter is diagonal when every entry
+        key is (i, i), as in every model's X_j; this is decided here, once,
+        and its diagonal is held beside its rows, keyed by the letter, for
+        ``factors``.  The power of a diagonal X_j is its diagonal raised
+        elementwise, with no product."""
         ev = self._letters.get(letter)
         if ev is not None:
             return ev
         kind, i = letter[0], letter[1]
         if (kind in ("S", "E") and 1 <= i <= self.n - 1
                 or kind == "X" and 1 <= i <= self.n and letter[2] == 1):
-            gens = [getattr(rep, kind)[i - 1] for rep in self.reps]
-            den = math.lcm(*(g.den for g in gens))
-            rows = []
-            for (start, _), (blk, d) in zip(self.ranges, gens):
-                f = den // d
-                rows.extend({start + j: x * f for j, x in row.items()} for row in blk)
-            ev = Evaluated(rows, den)
+            entries = {(s + a, s + b): x for (s, _), rep in zip(self.ranges, self.reps)
+                       for (a, b), x in getattr(rep, kind)[i - 1].items()}
+            ev = _block(len(self._one.rows), entries)
+            if all(a == b for a, b in entries):
+                diag = [row.get(p, 0) for p, row in enumerate(ev.rows)]
+                self._diagonals[letter] = Diagonal(diag, ev.den)
         elif kind == "X" and 1 <= i <= self.n and letter[2] == 0:
             ev = self._one
         elif kind == "X" and 1 <= i <= self.n and letter[2] > 1:
             x, a = self._letter(("X", i, 1)), letter[2]
-            diag = self._diagonals.get(("X", i, 1))
-            ev = (mul(self._letter(("X", i, a - 1)), x) if diag is None else
-                  Evaluated([{p: v ** a} if v else {} for p, v in enumerate(diag.values)],
-                            diag.den ** a))
+            v = self._diagonals.get(("X", i, 1))
+            if v is None:
+                ev = mul(self._letter(("X", i, a - 1)), x)
+            else:
+                v = self._diagonals[letter] = Diagonal([y ** a for y in v.values], v.den ** a)
+                ev = Evaluated([{p: y} if y else {} for p, y in enumerate(v.values)], v.den)
         else:
             raise ValueError(f"letter {letter!r} out of range at n={self.n}")
-        if all(not row or len(row) == 1 and p in row for p, row in enumerate(ev.rows)):
-            self._diagonals[letter] = Diagonal([row.get(p, 0) for p, row in enumerate(ev.rows)],
-                                               ev.den)
         self._letters[letter] = ev
         return ev
 
@@ -522,16 +522,18 @@ class Realization:
                 _linalg.mat_mul_add(acc, functools.reduce(_linalg.mat_mul, rows[:-1]), rows[-1], f)
         return acc, den
 
-    def sum_residuals(self, terms) -> list[Fraction]:
-        """Exact max |sum c f_1 ... f_m| on each block, over the terms
-        (c, [f_1, ..., f_m]) of a signed sum of products, accumulated in one
-        int accumulator (``_accumulate``).  The blocks are scanned for their
-        largest entries only when the accumulator holds a nonzero one."""
+    def sum_residuals(self, terms) -> dict[int, Fraction]:
+        """{b: exact max |sum c f_1 ... f_m| on block b} for each block b
+        where it is nonzero, over the terms (c, [f_1, ..., f_m]) of a signed
+        sum of products, accumulated in one int accumulator
+        (``_accumulate``).  The blocks are scanned only when it holds a
+        nonzero entry, so a sum that vanishes costs no work per block."""
         acc, den = self._accumulate(terms)
         if not any(map(any, map(dict.values, acc))):
-            return [Fraction(0)] * len(self.ranges)
-        return [Fraction(max(map(abs, itertools.chain.from_iterable(
-            map(dict.values, acc[start:end]))), default=0), den) for start, end in self.ranges]
+            return {}
+        tops = (max(map(abs, itertools.chain.from_iterable(map(dict.values, acc[start:end]))),
+                    default=0) for start, end in self.ranges)
+        return {b: Fraction(top, den) for b, top in enumerate(tops) if top}
 
 
 def mul(a: Evaluated, b: Evaluated) -> Evaluated:
@@ -624,11 +626,10 @@ def residuals(real: Realization) -> list[dict]:
             continue
         terms = [(c, real.factors(word)) for c, word in lhs]
         terms += [(-c, real.factors(word)) for c, word in rhs]
-        values = real.sum_residuals(terms)
-        for name in (family, *also.get(lhs, ())):
-            for res, value in zip(out, values):
-                if value:
-                    res[name] = max(res[name], value)
+        for b, value in real.sum_residuals(terms).items():
+            res = out[b]
+            for name in (family, *also.get(lhs, ())):
+                res[name] = max(res[name], value)
     return out
 
 
@@ -671,10 +672,9 @@ def verify_relations(real: Realization) -> list[dict]:
             q = params.clearing(ws)
             w = dict(zip(shapes, params.cleared(ws, q)))
             diag = Diagonal([0 if mu is None else w[mu] for mu in mus], q)
-            for res, value in zip(out, real.sum_residuals(
-                    ((1, real.factors((e, ("X", k, a), e))), (-1, [diag, ek])))):
-                if value:
-                    res["tower-scalars"] = max(res["tower-scalars"], value)
+            for b, value in real.sum_residuals(
+                    ((1, real.factors((e, ("X", k, a), e))), (-1, [diag, ek]))).items():
+                out[b]["tower-scalars"] = max(out[b]["tower-scalars"], value)
     return out
 
 

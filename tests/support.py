@@ -8,7 +8,12 @@ matrix reader, the Schur reference for Omega and other admissible
 sequences, the admissibility check (``check_admissible``), exact
 two-strand module fixtures, the hand-written relation
 suite that the relation table is checked against, the Fraction-row
-evaluation that the model's int forms are checked against, the
+evaluation that the model's int forms are checked against, a matrix as
+the entries a model holds (``entries``), the model as held before each
+letter was cleared once on the stacked basis (``evaluated``,
+``build_all_evaluated``: each generator cleared alone) and its letters
+restacked from those (``restacked_letter``) that ``Realization``'s
+letters are checked against, the
 self-adjointness of every entry of a model for diag(gamma)
 (``adjointness_reference``, with ``gammas``) that the window identities
 are checked against, the two-sided relation check (``two_sided_residuals``: each side
@@ -339,10 +344,10 @@ class ModuleFixture(NamedTuple):
 
 def module_realization(S, E, X, ps: ParamSet) -> seminormal.Realization:
     """The one-block realization of a module given by ``_linalg`` sparse
-    rows, with at least one X: each matrix cleared to int rows, as
+    rows, with at least one X: each matrix as its entries, as
     ``build_rep`` holds its generators."""
     d = len(X[0])
-    S, E, X = ([cleared(M) for M in mats] for mats in (S, E, X))
+    S, E, X = ([entries(M) for M in mats] for mats in (S, E, X))
     rep = seminormal.SeminormalRep(ps, len(X), None, tuple(range(d)), S, E, X)
     return seminormal.Realization([rep])
 
@@ -375,12 +380,73 @@ def root_sets(tag: str, r: int) -> list[tuple[Fraction, ...]]:
             (Fraction(37, 2), Fraction(-11, 3), Fraction(23, 4))[:r]]
 
 
-def cleared(M) -> seminormal.Evaluated:
-    """``_linalg`` rows of rationals (Fractions or ints) as int rows over
-    the lcm of every denominator."""
-    den = math.lcm(*(x.denominator for row in M for x in row.values()))
-    return seminormal.Evaluated([{j: x.numerator * (den // x.denominator)
-                                  for j, x in row.items()} for row in M], den)
+def entries(M) -> dict:
+    """``_linalg`` rows of rationals (Fractions or ints) as the entries
+    ``seminormal.build_rep`` holds a generator by: {(i, j): (num, den)}
+    for each nonzero entry, den > 0."""
+    return {(i, j): (Fraction(x).numerator, Fraction(x).denominator)
+            for i, row in enumerate(M) for j, x in row.items() if x}
+
+
+# the model as it was held before each letter was cleared once on the
+# stacked basis: every generator cleared on its own shape's rows as it was
+# made, and each letter restacked from those over the lcm of their dens
+
+def evaluated(rep: seminormal.SeminormalRep) -> seminormal.SeminormalRep:
+    """rep with each generator cleared alone to an ``Evaluated``, d x d
+    int rows over one positive den in lowest terms (``seminormal._block``)."""
+    return rep._replace(**{kind: [seminormal._block(rep.dim, g) for g in getattr(rep, kind)]
+                           for kind in "SEX"})
+
+
+def build_all_evaluated(ps: ParamSet, n: int) -> list[seminormal.SeminormalRep]:
+    """The reference for ``seminormal.build_all``, each generator cleared
+    as it is made: the basis, the entries of S_k and E_k
+    (``seminormal._entries``), X_j = diag(C_j) / q, and the build's checks
+    after the models, in the same order, so it raises the same first
+    ValueError."""
+    reps = []
+    for shape in combinat.reachable_shapes(ps.r, n):
+        if not ps.u:
+            raise ValueError("a seminormal model needs the roots u")
+        contents = {t: params.contents(ps, t) for t in combinat.updown_walks(n, shape)}
+        basis = tuple(sorted(contents, key=contents.__getitem__))
+        assert len(basis) == combinat.count_updown(n, shape)
+        idx = {t: i for i, t in enumerate(basis)}
+        d = len(basis)
+        X = [seminormal._block(d, {(i, i): (contents[t][j], ps.q)
+                                   for i, t in enumerate(basis) if contents[t][j]})
+             for j in range(n)]
+        pairs = [seminormal._entries(ps, k, idx, contents) for k in range(1, n)]
+        reps.append(seminormal.SeminormalRep(
+            ps, n, shape, basis, [seminormal._block(d, s) for s, _ in pairs],
+            [seminormal._block(d, e) for _, e in pairs], X))
+    repeated = [x for j, x in enumerate(ps.u) if x in ps.u[:j]]
+    if n >= 1 and repeated:
+        raise ValueError(f"repeated root {repeated[0]} in u: parameters not generic")
+    for mu in (mu for size in range(n) for mu in combinat.multipartitions(ps.r, size)):
+        if not all(num and den for num, den in params.steps_out(mu, ps).g.values()):
+            raise ValueError(f"coinciding contents out of shape {mu}: parameters not generic")
+    return reps
+
+
+def restacked_letter(reps, letter) -> seminormal.Evaluated:
+    """The reference for ``Realization._letter`` on models of
+    ``build_all_evaluated``: S_k, E_k and X_j as each model's ``Evaluated``
+    brought to the lcm of their dens, each shifted to its row range, and
+    X_j^a as the product of a copies of X_j from the identity."""
+    kind, i = letter[0], letter[1]
+    if kind == "X" and letter[2] != 1:
+        one = seminormal.Evaluated(_linalg.identity(sum(rep.dim for rep in reps)), 1)
+        x = restacked_letter(reps, ("X", i, 1))
+        return functools.reduce(seminormal.mul, [x] * letter[2], one)
+    gens = [getattr(rep, kind)[i - 1] for rep in reps]
+    den = math.lcm(*(g.den for g in gens))
+    rows, start = [], 0
+    for rep, (blk, d) in zip(reps, gens):
+        rows.extend({start + j: x * (den // d) for j, x in row.items()} for row in blk)
+        start += rep.dim
+    return seminormal.Evaluated(rows, den)
 
 
 def as_fractions(ev):
@@ -663,8 +729,8 @@ def two_sided_residuals(real: seminormal.Realization, scalars: dict) -> list[dic
 
 def fraction_generators(rep: seminormal.SeminormalRep) -> dict:
     """{"S": [...], "E": [...], "X": [...]}: a model's generators as
-    ``_linalg`` rows of Fractions."""
-    return {kind: [as_fractions(ev) for ev in getattr(rep, kind)] for kind in "SEX"}
+    ``_linalg`` rows of Fractions, each cleared alone (``evaluated``)."""
+    return {kind: [as_fractions(ev) for ev in getattr(evaluated(rep), kind)] for kind in "SEX"}
 
 
 def gammas(rep: seminormal.SeminormalRep) -> tuple[Fraction, ...]:
@@ -1680,19 +1746,19 @@ def _gamma_reference(d: int, offs) -> list[Fraction]:
 def build_rep_reference(ps: ParamSet, n: int, shape) -> seminormal.SeminormalRep:
     """The reference for ``seminormal.build_rep``: every entry of S_k and
     E_k, every squared off-diagonal and gamma formed as a Fraction, the
-    square roots taken of Fractions, and each generator then cleared to
-    int rows (``cleared``).  It raises the same ValueErrors, in the same
+    square roots taken of Fractions, and each generator then held as its
+    entries (``entries``).  It raises the same ValueErrors, in the same
     order."""
     contents = {t: params.contents(ps, t) for t in combinat.updown_walks(n, shape)}
     basis = tuple(sorted(contents, key=contents.__getitem__))
     idx = {t: i for i, t in enumerate(basis)}
     d = len(basis)
-    X = [cleared([{i: Fraction(contents[t][j], ps.q)} if contents[t][j] else {}
+    X = [entries([{i: Fraction(contents[t][j], ps.q)} if contents[t][j] else {}
                   for i, t in enumerate(basis)]) for j in range(n)]
-    entries = [_orthonormal_entries_reference(ps, k, idx, contents) for k in range(1, n)]
-    gamma = _gamma_reference(d, [off for pair in entries for _, off in pair])
+    local = [_orthonormal_entries_reference(ps, k, idx, contents) for k in range(1, n)]
+    gamma = _gamma_reference(d, [off for pair in local for _, off in pair])
 
-    def block(name: str, k: int, diag: dict, off: dict) -> seminormal.Evaluated:
+    def block(name: str, k: int, diag: dict, off: dict) -> dict:
         M = _linalg.zeros(d)
         for i, v in diag.items():
             if v:
@@ -1704,10 +1770,10 @@ def build_rep_reference(ps: ParamSet, n: int, shape) -> seminormal.SeminormalRep
                     f"{name}_{k} entry ({i}, {j}) has no rational form: "
                     "the squared entries do not match around a cycle")
             M[i][j] = sign * root
-        return cleared(M)
+        return entries(M)
 
-    S = [block("S", k, *s) for k, (s, _) in enumerate(entries, start=1)]
-    E = [block("E", k, *e) for k, (_, e) in enumerate(entries, start=1)]
+    S = [block("S", k, *s) for k, (s, _) in enumerate(local, start=1)]
+    E = [block("E", k, *e) for k, (_, e) in enumerate(local, start=1)]
     return seminormal.SeminormalRep(ps, n, shape, basis, S, E, X)
 
 

@@ -11,12 +11,13 @@ import pytest
 
 from support import (
     FractionRealization, _relation_residuals, adjointness_reference,
-    as_fractions, blocks_as_fractions, branching_blocks, build_rep_reference,
-    addable_removable, check_module, class_sums_reference, cleared, derived_omega,
-    e_diag_reference, evaluate_word, filled_step_tables, fraction_generators,
+    blocks_as_fractions, branching_blocks, build_rep_reference,
+    addable_removable, build_all_evaluated, check_module, class_sums_reference,
+    derived_omega, e_diag_reference, entries, evaluate_word, evaluated,
+    filled_step_tables, fraction_generators,
     from_dense, gammas, identities_reference, k_neighbors, mat_scale, mat_sub, max_abs,
     module_contraction_free, module_fixtures, module_nonsplit, module_rank_one,
-    module_realization, mul_fold, root_sets, seeded_u, term_by_term_sum,
+    module_realization, mul_fold, restacked_letter, root_sets, seeded_u, term_by_term_sum,
     two_sided_residuals,
 )
 from wenzl import _linalg, combinat, hecke, params, seminormal
@@ -58,14 +59,14 @@ def test_single_strand():
         # X_1 acts by the content of the single box
         t = rep.basis[0]
         c = combinat.content_sequence(t, ps.u)[0]
-        assert as_fractions(rep.X[0]) == from_dense([[c]])
+        assert fraction_generators(rep)["X"][0] == from_dense([[c]])
 
 
 def test_contraction_block_is_omega0():
     ps = ParamSet.default(1, 2)
     for rep in build_all(ps, 2):
         if rep.shape == combinat.empty_mp(1):
-            assert as_fractions(rep.E[0]) == from_dense([derived_omega(ps, 0)])
+            assert fraction_generators(rep)["E"][0] == from_dense([derived_omega(ps, 0)])
 
 
 def test_generators_are_symmetric():
@@ -78,7 +79,7 @@ def test_generators_are_symmetric():
         for rep in build_all(ParamSet.default(r, 3), 3):
             g = forms[r, rep.shape] = gammas(rep)
             assert len(g) == rep.dim and all(g)
-            for M in map(as_fractions, (*rep.S, *rep.E, *rep.X)):
+            for M in itertools.chain(*fraction_generators(rep).values()):
                 assert all(g[i] * M[i].get(j, 0) == M[j].get(i, 0) * g[j]
                            for i in range(rep.dim) for j in range(rep.dim))
     assert all(x > 0 for (r, _), g in forms.items() if r == 2 for x in g)
@@ -135,9 +136,9 @@ def _off_model(kind):
     reps = build_all(ps, 3)
     b = max(range(len(reps)), key=lambda i: reps[i].dim)
     rep = reps[b]
-    mats = [dict(row) for row in as_fractions(getattr(rep, kind)[0])]
+    mats = [dict(row) for row in fraction_generators(rep)[kind][0]]
     mats[0][rep.dim - 1] = mats[0].get(rep.dim - 1, 0) + 1
-    reps[b] = rep._replace(**{kind: [cleared(mats), *getattr(rep, kind)[1:]]})
+    reps[b] = rep._replace(**{kind: [entries(mats), *getattr(rep, kind)[1:]]})
     return Realization(reps), b
 
 
@@ -186,12 +187,12 @@ def _perturbed(real, kind, blocks, rng):
         rep = reps[b]
         gens = list(getattr(rep, kind))
         g = rng.randrange(len(gens))
-        mats = [dict(row) for row in as_fractions(gens[g])]
+        mats = [dict(row) for row in fraction_generators(rep)[kind][g]]
         i, j = rng.randrange(rep.dim), rng.randrange(rep.dim)
         mats[i][j] = mats[i].get(j, 0) + 1
         if not mats[i][j]:
             del mats[i][j]
-        gens[g] = cleared(mats)
+        gens[g] = entries(mats)
         reps[b] = rep._replace(**{kind: gens})
     return Realization(reps)
 
@@ -243,11 +244,11 @@ def test_sum_residuals_report_the_one_block_that_differs():
     rows[start][start] += 7
     assert all(any(x1.rows[lo:hi]) for lo, hi in real.ranges)
     got = real.sum_residuals(((1, [x1]), (-1, [Evaluated(rows, x1.den)])))
-    assert got == [F(7, x1.den) if i == b else 0 for i in range(len(real.reps))]
+    assert got == {b: F(7, x1.den)}
     assert real.factors((("X", 1, 0), ("X", 2, 0))) == []
     one = real.sum_residuals(((F(1, 2), real.factors((("X", 1, 0),))), (F(-1, 3), []),
                               (F(0), [x1])))
-    assert one == [F(1, 6)] * len(real.reps)
+    assert one == dict.fromkeys(range(len(real.reps)), F(1, 6))
 
 
 @pytest.mark.parametrize("r,n", [(2, 3), (1, 4), (3, 3), (2, 1), (3, 1)])
@@ -328,9 +329,9 @@ def test_diagonal_letters_sum_as_their_matrices(r, n):
 def _bent(real, b):
     """real with X_1 of block b given one entry off its diagonal."""
     rep = real.reps[b]
-    rows = [dict(row) for row in as_fractions(rep.X[0])]
+    rows = [dict(row) for row in fraction_generators(rep)["X"][0]]
     rows[0][1] = rows[0].get(1, 0) + 1
-    return Realization([rep._replace(X=[cleared(rows), *rep.X[1:]])
+    return Realization([rep._replace(X=[entries(rows), *rep.X[1:]])
                         if i == b else x for i, x in enumerate(real.reps)])
 
 
@@ -408,8 +409,8 @@ def _residuals_one_sum_each(real) -> list:
         values = real.sum_residuals([(c, real.factors(word)) for c, word in lhs]
                                     + [(-c, real.factors(word)) for c, word in rhs])
         for name in (family, "tower-scalars") if lhs in towered else (family,):
-            for res, value in zip(out, values):
-                res[name] = max(res[name], value)
+            for b, value in values.items():
+                out[b][name] = max(out[b][name], value)
     return out
 
 
@@ -439,10 +440,11 @@ def test_unwrapping_at_zero_shares_the_contraction_sum(r, n, monkeypatch):
         for kind in "SEX":
             bad = _perturbed(real, kind, [rng.randrange(len(real.reps))], rng)
             assert residuals(bad) == _residuals_one_sum_each(bad), (u, kind)
-        b = next(b for b, rep in enumerate(real.reps) if any(rep.E[0].rows))
+        b = next(b for b, rep in enumerate(real.reps) if rep.E[0])
         reps = list(real.reps)
-        doubled = [{j: 2 * x for j, x in row.items()} for row in as_fractions(reps[b].E[0])]
-        reps[b] = reps[b]._replace(E=[cleared(doubled), *reps[b].E[1:]])
+        doubled = [{j: 2 * x for j, x in row.items()}
+                   for row in fraction_generators(reps[b])["E"][0]]
+        reps[b] = reps[b]._replace(E=[entries(doubled), *reps[b].E[1:]])
         bad = Realization(reps)
         for table in (unwrapping_at_zero_alone, relations):
             monkeypatch.setattr(seminormal, "relations", table)
@@ -464,14 +466,47 @@ def test_unwrapping_at_zero_shares_the_contraction_sum(r, n, monkeypatch):
 
 @pytest.mark.parametrize("r,n", [(2, 2), (1, 3), (3, 2), (2, 3), (1, 4)])
 def test_model_holds_int_blocks(r, n):
-    # every generator of every model is one matrix of int rows over one
-    # positive int denominator, with no stored zero
+    # every generator of every model is held as its nonzero entries, int
+    # pairs (num, den) with den > 0 on the model's rows and columns, and
+    # cleared alone it is one matrix of int rows over one positive int
+    # denominator, with no stored zero
     for ps in (ParamSet.default(r, n), ParamSet.from_u(seeded_u("reference", r, n))):
         for rep in build_all(ps, n):
             assert (len(rep.S), len(rep.E), len(rep.X)) == (n - 1, n - 1, n)
-            for ev in (*rep.S, *rep.E, *rep.X):
+            for g in (*rep.S, *rep.E, *rep.X):
+                assert all(0 <= i < rep.dim and 0 <= j < rep.dim and type(a) is int and a
+                           and type(b) is int and b > 0 for (i, j), (a, b) in g.items())
+            ev_rep = evaluated(rep)
+            for ev in (*ev_rep.S, *ev_rep.E, *ev_rep.X):
                 assert len(ev.rows) == rep.dim
                 assert _int_form(ev), (ps.u, rep.shape)
+
+
+@pytest.mark.parametrize("r,n", [(2, 3), (1, 4), (3, 3)])
+def test_stacked_letters_equal_the_restacked_generators(r, n):
+    # every letter, S_k, E_k and X_j^a for a <= r + 2, cleared once on the
+    # stacked basis, is exactly the restack of the models' generators each
+    # cleared alone as it was made: the same rows and the same den, in
+    # lowest terms; and where the roots are refused, both builds raise the
+    # same first error
+    built = refused = 0
+    for u in (*root_sets("stacked", r), *_BUILD_ERROR_ROOTS[r]):
+        ps = ParamSet.from_u(u)
+        try:
+            want = build_all_evaluated(ParamSet(ps.u), n)
+        except ValueError as e:
+            with pytest.raises(ValueError) as got:
+                build_all(ps, n)
+            assert str(got.value) == str(e), u
+            refused += 1
+            continue
+        real = Realization(build_all(ps, n))
+        for letter in _letters(r, n):
+            ev = real._letter(letter)
+            assert ev == restacked_letter(want, letter), (u, letter)
+            assert math.gcd(ev.den, *(x for row in ev.rows for x in row.values())) == 1
+        built += 1
+    assert built >= 5 and refused >= (2 if r == 2 else 0)
 
 
 def _built_or_error(build, ps, n, shape):
@@ -493,8 +528,9 @@ def _conjugation_invariants(rep) -> list:
     basis and X, and for S_k and E_k each diagonal entry and each product
     M_ij M_ji, keyed by the nonzero entries (i, j), so the zero pattern
     too."""
-    out = [rep.basis, rep.X]
-    for M in map(as_fractions, (*rep.S, *rep.E)):
+    gens = fraction_generators(rep)
+    out = [rep.basis, gens["X"]]
+    for M in (*gens["S"], *gens["E"]):
         out.append({(i, j): x if i == j else x * M[j].get(i, 0)
                     for i, row in enumerate(M) for j, x in row.items()})
     return out
@@ -549,13 +585,13 @@ def _flipped_swap(rep):
     """rep with the two entries of one swap pair of S_k exchanged, at the
     first k and pair (i, j) where they differ: the swap taken the other
     way round."""
-    for k, ev in enumerate(rep.S):
-        M = [dict(row) for row in as_fractions(ev)]
+    for k, M in enumerate(fraction_generators(rep)["S"]):
+        M = [dict(row) for row in M]
         for i, row in enumerate(M):
             for j, x in row.items():
                 if i != j and M[j].get(i, 0) not in (0, x):
                     M[i][j], M[j][i] = M[j][i], x
-                    return rep._replace(S=[*rep.S[:k], cleared(M), *rep.S[k + 1:]])
+                    return rep._replace(S=[*rep.S[:k], entries(M), *rep.S[k + 1:]])
     raise AssertionError(f"no swap pair with unequal entries in {rep.shape}")
 
 

@@ -7,6 +7,7 @@ import inspect
 import sys
 from pathlib import Path
 
+from wenzl import combinat
 from wenzl.cli import main
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -65,3 +66,21 @@ def test_tracer_targets_resolve_and_restore(tmp_path):
     for (name, module, cls, attr, _), raw in zip(tracing.TARGETS, originals):
         fn = raw.__func__ if isinstance(raw, classmethod) else raw
         assert fn.__code__ in entered, (name, module, cls, attr)
+
+
+def test_traced_verify_counts_one_block_per_shape(tmp_path):
+    # a traced verify --r 2 --n 3 enters build_rep once per reachable
+    # shape, and each model it returns has that shape's dimension, so the
+    # squares add up to r^n (2n - 1)!! = 120
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert main(["verify", "--r", "2", "--n", "3",
+                     "--out", str(tmp_path / "out.jsonl")]) == 0
+    finally:
+        tracer.uninstall()
+    shapes = combinat.reachable_shapes(2, 3)
+    dims = [combinat.count_updown(3, shape) for shape in shapes]
+    assert tracer.counts["seminormal.blocks"] == len(shapes) == 12
+    assert tracer.counts["seminormal.dim_sq_sum"] == sum(d * d for d in dims) == 120
