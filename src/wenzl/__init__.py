@@ -10,9 +10,9 @@ Modules by subject:
                   scalars)
 - ``_linalg``:    sparse int matrices: products, the multiply-accumulate,
                   rank, determinant and inverse by fraction-free elimination
-- ``seminormal``: rational seminormal representations and exact checks
+- ``seminormal``: rational seminormal models, their realization, and checks
 - ``hecke``:      the degenerate cyclotomic Hecke quotient and Murphy basis
-- ``wcell``:      the faithful matrix realization and cellular elements
+- ``wcell``:      cellular elements and their certified rank on it
 - ``cli``:        batch command-line front end; it imports ``combinat`` and
                   ``params``, and each command its own module when it runs
 """

@@ -207,8 +207,24 @@ def cmd_counts(ps: ParamSet, args) -> tuple[list[dict], dict, bool]:
     return records, {"n": n, "sum_of_squares": total, "target": target, "equal": ok}, ok
 
 
+def _refuse_unless_it_fits(ps: ParamSet, n: int) -> None:
+    """Raise MemoryError before any build where ``verify`` at n would not fit
+    under RLIMIT_AS: 2 KiB per basis row, strand and root, and 4 MiB; 10 to
+    15 KiB a row were measured at n <= 9.  Running out mid-job, CPython 3.11
+    can lose the MemoryError, and the job end in a traceback, not a record."""
+    import resource
+    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if limit != resource.RLIM_INFINITY and os.path.exists("/proc/self/statm"):
+        with open("/proc/self/statm") as f:  # the pages mapped, first
+            mapped = int(f.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+        rows = sum(combinat.count_updown(n, shape) for shape in combinat.reachable_shapes(ps.r, n))
+        if mapped + 2048 * (n + ps.r) * rows + 2 ** 22 > limit:
+            raise MemoryError
+
+
 def cmd_verify(ps: ParamSet, args) -> tuple[list[dict], dict, bool]:
     from . import seminormal
+    _refuse_unless_it_fits(ps, args.n)
     real = seminormal.Realization(seminormal.build_all(ps, args.n))
     idr = seminormal.check_identities(ps, args.n)
     records = []

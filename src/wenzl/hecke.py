@@ -22,7 +22,8 @@ right word); no two elements are multiplied.  The Murphy product is
 written once, as its factors (``murphy_factors``).  Y_1 is reduced with
 the coefficients of the cyclotomic relation in ``seminormal.relations``
 (``cyclotomic_coeffs``); with its E terms dropped, that table of relations
-holds here.  The row-stabilizer sum of M_lambda is held as coset factors
+holds here, as do the commutations of distant letters it leaves out.  The
+row-stabilizer sum of M_lambda is held as coset factors
 (``_row_factors``), which both evaluators take as a product.
 
 The image of a key times Y_j depends only on the key, j and the roots, so

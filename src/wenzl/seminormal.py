@@ -24,23 +24,22 @@ products, is accumulated on ints over a denominator fixed before any
 product (``Realization._accumulate``), where a diagonal factor scales the
 entries of its neighbours instead of being multiplied as a matrix.
 ``wcell`` certifies the cellular family's rank on it.  The defining
-relations are written once, as pairs of word sums (``relations``).  Each
+relations, less the commutations of distant letters that every built model
+satisfies (``relations``), are written once, as pairs of word sums.  Each
 relation, and each identity of the scalar tower, is checked as one signed
 sum lhs - rhs in that way (``Realization.sum_residuals``), and a block is
-scanned, and merged into the residuals, only where the sum is nonzero; at
-k = 1 the tower is the unwrapping relation, and at a = 0, for every k, the
-contraction-scalar relation at i = k, so each of those sums is formed once
-for both.  The identities between the coefficients are checked on the ints
-of the step table, once per local window and with no polynomial division or
-rational function (``check_identities``): W, its recursion and its partial
-fractions as multisets of linear factors and int polynomials, and the
-formulas of self-adjointness for diag(gamma), one identity of step factors
-per window on the values ``_entries`` places.  The class sums follow from
-the partial fractions, and the contents of a swapped window are swapped at
-any roots, so neither is checked (the proofs are in ``check_identities``).
-The swap data of each window are formed once per parameter set, for the
-model and the identities alike (``ps.swaps``).  Every check has zero
-tolerance.
+scanned only where the sum is nonzero; at k = 1 the tower is the unwrapping
+relation, and at a = 0, for every k, the contraction-scalar relation at
+i = k, so each of those sums is formed once for both.  The identities
+between the coefficients are checked on the ints of the step table, once
+per local window, with no polynomial division or rational function
+(``check_identities``): W, its recursion and its partial fractions as
+multisets of linear factors and int polynomials, and self-adjointness for
+diag(gamma), one identity of step factors per window on the values
+``_entries`` places; no identity that these, a relation of the models or
+the lattice decides (the proofs are in ``check_identities``).  A window's
+swap data are formed once per parameter set (``ps.swaps``).  Every check
+has zero tolerance.
 """
 
 from __future__ import annotations
@@ -546,19 +545,26 @@ def mul(a: Evaluated, b: Evaluated) -> Evaluated:
 # ---------------------------------------------------------------------------
 
 RELATION_FAMILIES = (
-    "involution", "braid", "contraction-scalar", "commutation", "skein",
+    "involution", "braid", "contraction-scalar", "skein",
     "unwrapping", "tangle", "untwisting", "antisymmetry", "cyclotomic",
 )
 
 
 def relations(ps: ParamSet, n: int):
-    """The defining relations at n strands as (family, lhs, rhs), each side
-    a word sum: Nazarov's affine Wenzl relations in S_i, E_i and X_j (the
-    commutations with |i - j| > 1: S_i S_j and E_i E_j once, for i < j,
-    and S_i E_j in both orders, two relations), unwrapping
-    E_1 X_1^a E_1 = omega_a E_1 for 0 <= a <= r + 2, Omega read off W at
-    the empty shape, and the cyclotomic relation sum_k c_k X_1^k = 0, c
-    from ``cyclotomic_coeffs``."""
+    """The defining relations at n strands as (family, lhs, rhs), each side a
+    word sum: Nazarov's affine Wenzl relations in S_i, E_i and X_j, unwrapping
+    E_1 X_1^a E_1 = omega_a E_1 for 0 <= a <= r + 2, Omega read off W at the
+    empty shape, and the cyclotomic relation sum_k c_k X_1^k = 0, c from
+    ``cyclotomic_coeffs``; but no commutation of distant letters.  S_i S_j,
+    S_i E_j and E_i E_j for |i - j| > 1, S_i X_j and E_i X_j for j not in
+    {i, i + 1}, and X_a X_b hold on every model ``build_rep`` builds, at any
+    roots.  ``_entries`` places an S_k or E_k entry only between tableaux t, s
+    that differ at step k alone, its value read off t_{k-1}, t_k, t_{k+1} and
+    s_k; X_j is diagonal, its value the content of step j, read off t_{j-1}
+    and t_j.  For |i - j| >= 2 neither letter changes a step that the other
+    reads, so (A_i B_j)[t][s] and (B_j A_i)[t][s] are the same product of two
+    entries, through the tableau that takes s's step at i, or at j: a walk,
+    since its neighbours there are t's."""
     def w(*words):
         return tuple((Fraction(1), word) for word in words)
 
@@ -581,17 +587,6 @@ def relations(ps: ParamSet, n: int):
             yield "untwisting", w((e, e2, e)), w((e,))
             yield "tangle", w((s, e2, e)), w((s2, e))
             yield "tangle", w((e2, e, s2)), w((e2, s))
-        for j in (j for j in range(1, n) if abs(i - j) > 1):
-            sj, ej = ("S", j), ("E", j)
-            yield "commutation", w((s, ej)), w((ej, s))
-            if i < j:
-                yield "commutation", w((s, sj)), w((sj, s))
-                yield "commutation", w((e, ej)), w((ej, e))
-        for xj in (("X", j, 1) for j in range(1, n + 1) if j not in (i, i + 1)):
-            yield "braid", w((s, xj)), w((xj, s))
-            yield "commutation", w((e, xj)), w((xj, e))
-    for xa, xb in ((("X", a, 1), ("X", b, 1)) for a in range(2, n + 1) for b in range(1, a)):
-        yield "commutation", w((xa, xb)), w((xb, xa))
     if n >= 2:
         e = ("E", 1)
         for a, omega_a in enumerate(omega):
@@ -608,9 +603,10 @@ def residuals(real: Realization) -> list[dict]:
     relations: at k = 1 every nonzero row of E_1 starts at the empty shape,
     where omega_1^(a) is omega_a, so for a <= r + 1 the tower is the
     unwrapping relation at a; at a = 0, where X_k^0 is no factor and
-    omega_k^(0) is Omega_0 at every shape (``params.wk_rational``), it is
-    the contraction-scalar relation at i = k.  Each of those sums is formed
-    once and recorded under both names, and at i = 1 under all three."""
+    omega_k^(0) is Omega_0 at every shape (``params.wk_rational``), it is the
+    contraction-scalar relation at i = k.  Each of those sums is formed once
+    and recorded under both names, and at i = 1 under all three.  No
+    commutation of distant letters is summed: ``relations`` proves them."""
     names = RELATION_FAMILIES + ("tower-scalars",)
     out = [dict.fromkeys(names, Fraction(0)) for _ in real.reps]
     e = ("E", 1)
@@ -646,18 +642,17 @@ def tower_scalars(ps: ParamSet, n: int) -> dict:
 def verify_relations(real: Realization) -> list[dict]:
     """Exact residuals of the defining relations on each block of ``real``,
     plus the scalar tower E_k X_k^a E_k = omega_k^(a) E_k, 0 <= a <= r + 1,
-    against the scalars of ``tower_scalars`` (``tower-scalars``).  Each is
-    one signed sum lhs - rhs (``Realization.sum_residuals``).  At k = 1,
-    and at a = 0 for every k, the tower is a relation of the table, whose
-    sums ``residuals`` records under both names.  At k >= 2 and a >= 1,
-    the tower's scalar depends only on the shape mu before step k, so its
-    right side is D E_k, D a ``Diagonal``: each omega_k^(a) is cleared to
-    an int once per shape mu, over the lcm of their denominators, and D
-    holds it on the rows where E_k is nonzero, the rows of the tableaux
-    that return at k.  One dict per block; every value is 0 for a genuine
-    model.  Self-adjointness for diag(gamma) is no residual of the model:
-    ``check_identities`` certifies it on the coefficients, once per
-    window."""
+    against the scalars of ``tower_scalars`` (``tower-scalars``).  Each is one
+    signed sum lhs - rhs (``Realization.sum_residuals``).  At k = 1, and at
+    a = 0 for every k, the tower is a relation of the table, whose sums
+    ``residuals`` records under both names.  At k >= 2 and a >= 1, the tower's
+    scalar depends only on the shape mu before step k, so its right side is
+    D E_k, D a ``Diagonal``: each omega_k^(a) is cleared to an int once per
+    shape mu, over the lcm of their denominators, and D holds it on the rows
+    where E_k is nonzero, the rows of the tableaux that return at k.  One dict
+    per block; every value is 0 for a genuine model.  Self-adjointness for
+    diag(gamma) is no residual of the model: ``check_identities`` certifies it
+    on the coefficients, once per window."""
     out = residuals(real)
     scalars = tower_scalars(real.ps, real.n)
     tableaux = [t for rep in real.reps for t in rep.basis]
@@ -721,45 +716,42 @@ def w_partial_fractions_hold(ps: ParamSet, mu, w) -> bool:
 
 
 def check_identities(ps: ParamSet, n: int) -> IdentityReport:
-    """Every exact coefficient identity at n strands that the coefficients
-    can fail, checked with zero tolerance once per local configuration.  A
-    coefficient at k reads only the shape mu before step k and the steps
-    out of mu, which the step table ``ps.steps`` holds with their contents,
+    """Every exact coefficient identity at n strands that the coefficients can
+    fail, checked with zero tolerance once per local configuration.  A
+    coefficient at k reads only the shape mu before step k and the steps out
+    of mu, which the step table ``ps.steps`` holds with their contents,
     contraction coefficients and step factors (the step back from nu has
-    content -c_nu).  So the W and class self-adjointness identities are
-    read off the steps out of each mu with |mu| <= n - 2, and the
-    contraction-inverse identity per (mu, nu) with |mu| <= n - 3.  The swap
-    identities, per (mu, nu, rho) with rho != mu, and the matching
-    identities, per (mu, nu) with |mu| <= n - 3, check the swaps of
-    ``combinat.swap_middle`` and ``combinat.sk_action`` on windows placed
-    after t^mu, at k = |mu| + 1; elsewhere t^mu only names a window in a
-    failure.  ``w-recursion`` checks that the closed form at nu is one
-    recursion step from that at mu, per lattice edge mu -> nu with
-    |mu| <= n - 2; by induction on the walk, the recursion from W at the
-    empty shape, from which Omega is read, then gives the closed form
-    along every walk of fewer than n steps.
+    content -c_nu).  So the W and class self-adjointness identities are read
+    off the steps out of each mu with |mu| <= n - 2.  The swap identities, per
+    (mu, nu, rho) with rho != mu, check the swaps of ``combinat.swap_middle``
+    on windows placed after t^mu, at k = |mu| + 1; elsewhere t^mu only names a
+    window in a failure.  ``w-recursion`` checks that the closed form at nu is
+    one recursion step from that at mu, per lattice edge mu -> nu with
+    |mu| <= n - 2; by induction on the walk, the recursion from W at the empty
+    shape, from which Omega is read, then gives the closed form along every
+    walk of fewer than n steps.
 
-    Each identity is stated on ints, in the form its coefficients are held,
-    so nothing is divided.  W is held by the linear factors of W + y - 1/2
+    Each identity is stated on ints, in the form its coefficients are held, so
+    nothing is divided.  W is held by the linear factors of W + y - 1/2
     (``params.wk_rational``): ``w-recursion`` compares the multisets of
-    factors of the two sides cross-multiplied (``w_equal``), and the
-    partial fractions are one int polynomial identity
-    (``w_partial_fractions_hold``).  W(0) = 0 is no identity of the job: it
-    holds at every shape, for any roots (``params.wk_rational``).  The swap
-    identities read each window by ``swap_window``, as ``_entries`` does,
-    for t and for its partner u, which forms it once per parameter set:
-    the coefficient a = 1/(c_{k+1} - c_k) is the int pair (a0, a1) of
-    ``_swap_pair``, which raises on equal contents: a is a unit when
-    a0^2 = a1^2, and 1 - a^2 is (a1^2 - a0^2)/a1^2.  ``star-symmetry`` is
-    self-adjointness for diag(gamma) on the values of ``swap_window``, e
-    and g that ``_entries`` places, not on the held matrices: the gammas of
-    two tableaux that differ only at steps k, k+1 differ only by the step
-    factors g there, so per swap window with partner nu' where a is no
-    unit, p g(mu->nu) g(nu->rho) = p_s g(mu->nu') g(nu'->rho), and per pair
-    nu, nu' of a class e_nu' g(mu->nu) g(nu->mu) = e_nu g(mu->nu') g(nu'->mu).
+    factors of the two sides cross-multiplied (``w_equal``), and the partial
+    fractions are one int polynomial identity (``w_partial_fractions_hold``).
+    W(0) = 0 is no identity of the job: it holds at every shape, for any roots
+    (``params.wk_rational``).  The swap identities read each window by
+    ``swap_window``, as ``_entries`` does, for t and for its partner u, which
+    forms it once per parameter set: the coefficient a = 1/(c_{k+1} - c_k) is
+    the int pair (a0, a1) of ``_swap_pair``, which raises on equal contents: a
+    is a unit when a0^2 = a1^2.  ``star-symmetry`` is self-adjointness for
+    diag(gamma) on the values of ``swap_window``, e and g that ``_entries``
+    places, not on the held matrices: the gammas of two tableaux that differ
+    only at steps k, k+1 differ only by the step factors g there, so per swap
+    window with partner nu' where a is no unit, p g(mu->nu) g(nu->rho) =
+    p_s g(mu->nu') g(nu'->rho), and per pair nu, nu' of a class
+    e_nu' g(mu->nu) g(nu->mu) = e_nu g(mu->nu') g(nu'->mu).
 
-    Three more identities the model rests on are decided by these or hold
-    at any roots, so they are no verdict of the job:
+    Five more identities the model rests on are decided by these, or by
+    relations of the models, or hold at any roots, so no verdict of the job
+    checks them (e_x(y) is the e of the step y -> x):
 
     - The class sums at mu, over the steps m out of it, for each step s and
       each t' != s: L_s = sum_m e_m / (c_s + c_m) = 1 + 1/(2 c_s),
@@ -783,7 +775,20 @@ def check_identities(ps: ParamSet, n: int) -> IdentityReport:
     - A swap leaves the lattice only where its two steps add, or remove,
       adjacent nodes of one component, so c_{k+1} - c_k = +-1 and a is a
       unit, at any roots; ``_entries`` still raises outside that regime,
-      as the build's own check."""
+      as the build's own check.
+    - e_nu(mu) e_mu(nu) = 1, |mu| <= n - 3: at t = (..., mu, nu, mu, nu, ...),
+      steps k - 1 ... k + 2, ``untwisting`` E_{k+1} E_k E_{k+1} = E_{k+1}
+      reads e_mu(nu) e_nu(mu) e_mu(nu) = e_mu(nu) at (t, t), and ``_entries``
+      refuses a zero e out of nu.
+    - (1 - a^2) e_x(nu) = (1 - b^2) e_nu'(mu), for t = (..., mu, nu, x, nu,
+      ...), T = s_k t = (..., mu, nu', x, nu, ...) = s_{k+1} u and u = (...,
+      mu, nu', mu, nu, ...), a and b the swap coefficients of t at k and u at
+      k + 1.  ``tangle`` E_{k+1} E_k S_{k+1} = E_{k+1} S_k at (t, T) reads
+      e_x(nu) p(t->T) = e_mu(nu) e_nu'(mu) p(u->T), and
+      S_k E_{k+1} E_k = S_{k+1} E_k at (T, (..., mu, nu, mu, nu, ...)) reads
+      p(T->t) e_mu(nu) = p(T->u), e_nu(mu) != 0 divided out.  Times p(T->t),
+      the first gives the identity by the second and ``involution``, which
+      gives p p_s = 1 - a^2 on each swap pair."""
     counts: dict[str, int] = {}
     failures: list[str] = []
 
@@ -845,27 +850,4 @@ def check_identities(ps: ParamSet, n: int) -> IdentityReport:
                 record("star-symmetry", adjoint(p, factors((mu, nu), (nu, rho)),
                                                 p_s, factors((mu, nu2), (nu2, rho))),
                        "t={}, u={}, k={}", tmu + (nu, rho), tmu + (nu2, rho), k)
-            if k > n - 2:
-                continue
-            C_nu, e_nu, _, _ = params.steps_out(nu, ps)
-            record("contraction-inverse", e[nu] * e_nu[mu] == 1,
-                   "t={}, k={}", tmu + (nu, mu, nu), k)
-            # matching products of squared off-diagonals with contractions:
-            # mu, nu, x, nu and mu, y, mu, nu swap to the same tableau
-            for x, cx in C_nu.items():
-                tt = tmu + (nu, x, nu)
-                target = combinat.sk_action(tt, k) if x != mu else None
-                if target is None:
-                    continue
-                uu = tmu + (target[k - 1], mu, nu)
-                if combinat.sk_action(uu, k + 1) != target:
-                    continue
-                back = params.steps_out(target[k - 1], ps).C[mu]
-                # 1 - a^2 for each swap coefficient a = a0 / a1
-                a0, a1 = _swap_pair(mu, k, cx - cn, q)
-                b0, b1 = _swap_pair(target[k - 1], k + 1, cn - back, q)
-                lhs = Fraction(a1 * a1 - a0 * a0, a1 * a1) * e_nu[x]
-                rhs = Fraction(b1 * b1 - b0 * b0, b1 * b1) * e[target[k - 1]]
-                record("swap-contraction-matching", lhs == rhs,
-                       "t={}, u={}, k={}", tt, uu, k)
     return IdentityReport(counts, failures)

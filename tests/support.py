@@ -7,7 +7,9 @@ infinity are formed as the references for the int forms of ``params``
 matrix reader, the Schur reference for Omega and other admissible
 sequences, the admissibility check (``check_admissible``), exact
 two-strand module fixtures, the hand-written relation
-suite that the relation table is checked against, the Fraction-row
+suite that the relation table is checked against, with the commutations of
+distant letters that the table leaves out, also as word sums
+(``distant_commutations``), the Fraction-row
 evaluation that the model's int forms are checked against, a matrix as
 the entries a model holds (``entries``), the model as held before each
 letter was cleared once on the stacked basis (``evaluated``,
@@ -43,7 +45,9 @@ of W at a shape, that the int forms are checked against, the class sums
 in Fractions (``class_sums_reference``), which the partial fractions
 decide, the identity suite in Fraction forms (``identities_reference``: W
 divided by y, each swap coefficient a Fraction), that
-the identities on the coefficients as held are checked against, the
+the identities on the coefficients as held are checked against, the two
+identities that the relations of the models decide
+(``contraction_identities``), the
 reference product of two Hecke elements and expansion of products into
 words, gamma walked down dominance from t^lambda (``gamma_by_descents``)
 that the closed products of ``hecke.gamma_coeffs`` are checked against,
@@ -906,18 +910,22 @@ def over(D: int, rows) -> list[dict]:
 def _relation_residuals(S, E, X, ps: ParamSet, d: int) -> dict:
     """Exact max-abs residual of every defining relation family for d x d
     matrices S_1..S_{n-1}, E_1..E_{n-1}, X_1..X_n, given as ``_linalg``
-    sparse rows.  Unwrapping is checked for X_1^a, 0 <= a <= r + 2, Omega
+    sparse rows, and of the commutations of distant letters, which the
+    relation table leaves out, as "commutation": S_i S_j, S_i E_j and
+    E_i E_j for |i - j| > 1, S_i X_j and E_i X_j for j not in {i, i + 1},
+    and X_a X_b.  Unwrapping is checked for X_1^a, 0 <= a <= r + 2, Omega
     derived from the roots."""
     n = len(X)
     assert len(S) == len(E) == max(n - 1, 0)
     mul, add, sub, scale = _linalg.mat_mul, mat_add, mat_sub, mat_scale
     I = _linalg.identity(d)
-    res: dict = {name: Fraction(0) for name in RELATION_FAMILIES}
+    res: dict = {name: Fraction(0) for name in (*RELATION_FAMILIES, "commutation")}
     omega = derived_omega(ps, ps.r + 2)
 
     def upd(name, M):
         res[name] = max(res[name], max_abs(M))
 
+    res["commutation"] = distant_commutation_residual(S, E, X)
     for i in range(1, n):
         Si, Ei = S[i - 1], E[i - 1]
         upd("involution", sub(mul(Si, Si), I))
@@ -937,20 +945,6 @@ def _relation_residuals(S, E, X, ps: ParamSet, d: int) -> dict:
             upd("untwisting", sub(mul(mul(Ei, Ej), Ei), Ei))
             upd("tangle", sub(mul(mul(Si, Ej), Ei), mul(Sj, Ei)))
             upd("tangle", sub(mul(mul(Ej, Ei), Sj), mul(Ej, Si)))
-        for j in range(1, n):
-            if abs(i - j) > 1:
-                Sj, Ej = S[j - 1], E[j - 1]
-                upd("commutation", sub(mul(Si, Sj), mul(Sj, Si)))
-                upd("commutation", sub(mul(Si, Ej), mul(Ej, Si)))
-                upd("commutation", sub(mul(Ei, Ej), mul(Ej, Ei)))
-        for j in range(1, n + 1):
-            if j not in (i, i + 1):
-                Xj = X[j - 1]
-                upd("braid", sub(mul(Si, Xj), mul(Xj, Si)))
-                upd("commutation", sub(mul(Ei, Xj), mul(Xj, Ei)))
-    for a in range(n):
-        for b in range(a):
-            upd("commutation", sub(mul(X[a], X[b]), mul(X[b], X[a])))
     if n >= 2:
         E1, X1 = E[0], X[0]
         P = I
@@ -963,6 +957,57 @@ def _relation_residuals(S, E, X, ps: ParamSet, d: int) -> dict:
             P = mul(P, sub(X[0], scale(I, ui)))
         upd("cyclotomic", P)
     return res
+
+
+def distant_commutation_residual(S, E, X) -> Fraction:
+    """Exact max-abs residual of the commutations of distant letters for the
+    matrices S_1..S_{n-1}, E_1..E_{n-1}, X_1..X_n of ``_relation_residuals``:
+    A B - B A for S_i S_j, S_i E_j and E_i E_j with |i - j| > 1, and S_i X_j
+    and E_i X_j with j not in {i, i + 1}, and X_a X_b.  Each matrix is
+    cleared to int rows over the lcm D of its denominators first, so that
+    A B - B A is (A' B' - B' A') / (D_A D_B), formed on ints."""
+    n = len(X)
+
+    def cleared(M):
+        den = math.lcm(*(Fraction(x).denominator for row in M for x in row.values()))
+        return [{j: int(x * den) for j, x in row.items()} for row in M], den
+
+    S, E, X = ([cleared(M) for M in mats] for mats in (S, E, X))
+    pairs = [(S[i], S[j]) for i in range(n - 1) for j in range(i + 2, n - 1)]
+    pairs += [(A[i], B[j]) for A, B in ((S, E), (E, E)) for i in range(n - 1)
+              for j in range(n - 1) if abs(i - j) > 1 and (A is not B or i < j)]
+    pairs += [(A[i], X[j]) for A in (S, E) for i in range(n - 1) for j in range(n)
+              if j not in (i, i + 1)]
+    pairs += [(X[a], X[b]) for a in range(n) for b in range(a)]
+    out = Fraction(0)
+    for (a, da), (b, db) in pairs:
+        out = max(out, Fraction(max_abs(mat_sub(_linalg.mat_mul(a, b), _linalg.mat_mul(b, a))),
+                                da * db))
+    return out
+
+
+def distant_commutations(n: int):
+    """The commutations of distant letters at n strands as (family, lhs,
+    rhs), each side a word sum, as ``seminormal.relations`` yielded them
+    before its table left them out: S_i S_j and E_i E_j once, for i < j,
+    S_i E_j in both orders, S_i X_j ("braid") and E_i X_j for j not in
+    {i, i + 1}, and X_a X_b."""
+    def w(*words):
+        return tuple((Fraction(1), word) for word in words)
+
+    for i in range(1, n):
+        s, e = ("S", i), ("E", i)
+        for j in (j for j in range(1, n) if abs(i - j) > 1):
+            sj, ej = ("S", j), ("E", j)
+            yield "commutation", w((s, ej)), w((ej, s))
+            if i < j:
+                yield "commutation", w((s, sj)), w((sj, s))
+                yield "commutation", w((e, ej)), w((ej, e))
+        for xj in (("X", j, 1) for j in range(1, n + 1) if j not in (i, i + 1)):
+            yield "braid", w((s, xj)), w((xj, s))
+            yield "commutation", w((e, xj)), w((xj, e))
+    for xa, xb in ((("X", a, 1), ("X", b, 1)) for a in range(2, n + 1) for b in range(1, a)):
+        yield "commutation", w((xa, xb)), w((xb, xa))
 
 
 def _fixture(S, E, X1, X2, ps: ParamSet) -> ModuleFixture:
@@ -1835,7 +1880,7 @@ def identities_reference(ps: ParamSet, n: int) -> seminormal.IdentityReport:
     """The reference for ``seminormal.check_identities``: the same windows
     in the same order, with W as a ``RationalFunction`` (``w_rational``,
     ``w_recursive_rational``), divided by y, each swap coefficient a Fraction
-    (``swap_a``): a unit is a^2 = 1, and 1 - a^2 is formed in Fractions; and
+    (``swap_a``): a unit is a^2 = 1; and
     self-adjointness on each window in Fractions: each entry and each ratio
     of the step factors of two tableaux a Fraction, and False where a step
     factor is 0 or undefined."""
@@ -1892,8 +1937,32 @@ def identities_reference(ps: ParamSet, n: int) -> seminormal.IdentityReport:
                 record("star-symmetry", adjoint(p, p_s, ((mu, nu), (nu, rho)),
                                                 ((mu, u[k - 1]), (u[k - 1], rho))),
                        f"t={t}, u={u}, k={k}")
-            if k > n - 2:
-                continue
+    return seminormal.IdentityReport(counts, failures)
+
+
+def contraction_identities(ps: ParamSet, n: int) -> seminormal.IdentityReport:
+    """The two identities ``seminormal.check_identities`` checked before the
+    relations of the models were shown to decide them, in Fractions, per
+    (mu, nu) with |mu| <= n - 3, at k = |mu| + 1: ``contraction-inverse``,
+    e_nu(mu) e_mu(nu) = 1 (``untwisting`` decides it), and
+    ``swap-contraction-matching``, (1 - a^2) e_x(nu) = (1 - b^2) e_nu'(mu)
+    for t = (..., mu, nu, x, nu, ...) and u = (..., mu, nu', mu, nu, ...)
+    with s_k t = s_{k+1} u, a and b the swap coefficients of t at k and of
+    u at k + 1 (``tangle`` and ``involution`` decide it)."""
+    counts: dict[str, int] = {}
+    failures: list[str] = []
+
+    def record(name: str, ok: bool, ctx: str):
+        counts[name] = counts.get(name, 0) + 1
+        if not ok:
+            failures.append(f"{name}: {ctx}")
+
+    q = ps.q
+    for mu in (lam for size in range(n - 2) for lam in combinat.multipartitions(ps.r, size)):
+        tmu = combinat.t_lambda(mu)
+        k = len(tmu) + 1
+        C, e, _, _ = params.steps_out(mu, ps)
+        for nu, cn in C.items():
             C_nu, e_nu, _, _ = params.steps_out(nu, ps)
             record("contraction-inverse", e[nu] * e_nu[mu] == 1,
                    f"t={tmu + (nu, mu, nu)}, k={k}")

@@ -537,6 +537,53 @@ def test_verify_out_of_memory_ends_in_a_record(tmp_path):
          "ps": {"precision_bits": 256, "r": 3, "u": ["30", "-18", "6"]}}]
 
 
+def _under_limit(argv, out, mb: int):
+    """``wenzl.cli`` run on argv with --out, in a child process under an
+    address-space limit of ``mb`` MiB set on the child alone."""
+    limit = mb * 2 ** 20
+    src = str(Path(wenzl.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-m", "wenzl.cli", *argv, "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+
+
+@pytest.mark.parametrize("mb", [165, 190, 220])
+def test_verify_out_of_memory_ends_in_a_record_wherever_the_limit_falls(mb, tmp_path):
+    # verify at (3, 6) under limits on both sides of the 200 MB one, each
+    # on its own child: every one ends in the same record, with exit 1 and
+    # nothing on stdout or stderr, not in a traceback
+    out = tmp_path / "out.jsonl"
+    proc = _under_limit(["verify", "--r", "3", "--n", "6"], out, mb)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", ""), mb
+    assert [json.loads(line) for line in out.read_text().splitlines()] == [
+        {"kind": "error", "command": "verify",
+         "error": "MemoryError: out of memory at r=3, n=6", "pass": False,
+         "ps": {"precision_bits": 256, "r": 3, "u": ["30", "-18", "6"]}}]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads the mapped size")
+def test_verify_refuses_a_job_that_would_not_fit_before_it_builds(tmp_path, monkeypatch):
+    # the address space left under RLIMIT_AS, read as the limit less the
+    # size mapped, against the bound of a (2, 3) job, 32 rows: below it,
+    # the job ends in the out-of-memory record before it builds a model;
+    # with room for it, the same job runs and passes
+    with open("/proc/self/statm") as f:
+        mapped = int(f.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+    bound = 2048 * (3 + 2) * 32 + 2 ** 22
+    build_all = seminormal.build_all
+    builds = []
+    monkeypatch.setattr(seminormal, "build_all", lambda *a: builds.append(a) or build_all(*a))
+    for room, rc, kinds in ((bound // 2, 1, ["error"]),
+                            (4 * bound, 0, ["relations"] * 12 + ["identities", "summary"])):
+        monkeypatch.setattr(resource, "getrlimit",
+                            lambda kind: (mapped + room, resource.RLIM_INFINITY))
+        got, records = run(["verify", "--r", "2", "--n", "3"], tmp_path)
+        assert (got, [rec["kind"] for rec in records]) == (rc, kinds), room
+        assert len(builds) == rc ^ 1
+    assert records[0]["pass"]
+
+
 def test_out_of_memory_lets_go_of_the_held_tables(tmp_path, monkeypatch):
     # a job that runs out of memory after filling the tables: every table
     # held for the process is let go before the record is written
@@ -699,19 +746,21 @@ def test_out_naming_a_directory_or_nothing_is_a_usage_error(tmp_path):
 # or arithmetic must leave them alone.  The verify reports count one
 # w-recursion record per lattice edge out of a shape of size <= n - 2, and
 # self-adjointness once per window as star-symmetry among the identities,
-# not among each model's residuals, and no class sum, content-swap or
-# swap-degenerate-unit: the partial fractions decide the first, and the
-# other two hold at any roots.
+# not among each model's residuals, and no class sum, content-swap,
+# swap-degenerate-unit, contraction-inverse or swap-contraction-matching:
+# the partial fractions decide the first, the next two hold at any roots,
+# and untwisting, tangle and involution decide the last two.  No residual
+# is of a commutation of distant letters, which every built model satisfies.
 GOLDEN_REPORTS = {
     "verify --r 2 --n 3":
-        "a6638b36ae41495a9c893aece1715157febddb5886e7cfe21fa145ef498c9b98",
+        "641cc70335d2b71b8a3538851aeb8a89c1aa6ba14df315882210d8a340ec25fe",
     "verify --r 3 --n 3 --u 120,-72,24":
-        "54f80933ad65eb5a746556d87603290af858188fec67f8caa97e13a6c3b6772c",
-    # n = 4: the contraction-inverse and matching windows out of nonempty shapes
+        "fdaa49c6c21a901d65e34d5c12779e5f3f369276377b1c2563e8a4c1647a3f38",
+    # n = 4: the windows out of nonempty shapes, and the relations at i = 2
     "verify --r 1 --n 4":
-        "5c405219a4697de09796c336b253a9d58ad170ba9781c02936af0efdc4595c4e",
+        "232bc04e6c49e411a718b4423efb7457565acf74821f6c1ef8039fbf33564f12",
     "verify --r 2 --n 4":
-        "2105045cc51c4e49235025a5761e325c4e4e737c73c64707e67b335dbea50e7a",
+        "051d913659fc39ee893ec15f2d82d59307e33617b032c32484fe5a896f6b4f79",
     "gram --shape (3|-)":
         "b31db084f402dccfe972ec55b681087fd469d249cb997f9cb21d29079495c88a",
     "gram --shape (2,1|-)":
@@ -760,9 +809,9 @@ GOLDEN_REPORTS = {
     # fractional roots, whose denominators the int evaluation must carry,
     # as the Fraction-row evaluation wrote them
     "verify --u 128/7,-40/7 --n 3":
-        "2a01127b8b216018956f118dfb5d43136bc99700c126ef94b87e08919238d785",
+        "e6cbecba70ed98390a1b4d03d880c5e273545f620a8527b51b5971a8f71cbb64",
     "verify --u 239/4,-145/4,47/4 --n 3":
-        "ea1207ebfe073bcb6dd337f756cd7639627e2b4e4687dd26a23d1d33fe83d2de",
+        "77af2834842d80a01e6558aca181175cd288329f3c8ab155dd84d4b6f7986213",
     "cellrank --u 61/3,-35/3,13/3 --n 2":
         "5d7e09129fa07a1f7932d57146ab9599e697916d26c512fca33b34029a618b48",
     # Murphy coordinate matrices with denominators, which the elimination
@@ -787,7 +836,7 @@ GOLDEN_REPORTS = {
     # roots over unequal denominators: the contents clear over q = 6, the
     # lcm of 2 and 3, though the contents of one step may need only one
     "verify --u 37/2,-11/3 --n 3":
-        "4d246f6a2bfff0b4d61dbf5c9e0996866af4d613c729e2b6f8225ae97424a366",
+        "3d8e1873b8159c8c7d9ec92104d3947f054ffb987669921cae2f968d17d161b8",
     # the model's build errors, each the first check to fail in build order:
     # opposite contents in a class, a zero step factor out of ((1, 1), ()),
     # found after every model's entries, equal adjacent contents in a swap
@@ -800,7 +849,7 @@ GOLDEN_REPORTS = {
     # roots where the orthonormal model needs the square root of -5/4, at
     # k = 3 from shape ((1, 1),): the rational model passes
     "verify --u 1/3 --n 4":
-        "2fbf74d12aef0d6bf5d6709b52b16c7d3dc3dadd87c6dde5d825ebea481e2eb8",
+        "5825f8b962f92133559b9800243f4545783f7a527784c34c948fe2ed1186cb2d",
     # gram's regime error, equal adjacent contents, which must end the job
     # before any closed gamma product meets the zero factor they bring
     "gram --shape (1|1) --u 1,1":

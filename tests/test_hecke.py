@@ -11,7 +11,8 @@ from fractions import Fraction
 import pytest
 
 from support import (FractionHecke, TupleHecke, TupleMurphyBasis, as_fractions, by_monomial,
-                     cell_triples, coordinates, filled_step_tables, fraction_inverse,
+                     cell_triples, coordinates, distant_commutations, filled_step_tables,
+                     fraction_inverse,
                      from_monomials, gamma_by_descents, gamma_top, is_semisimple, key_word,
                      multiply, murphy_triangular_report, root_sets, row_symmetrizer_witness,
                      seeded_u, star_word, star_word_sum, tuple_gram_matrix, word_sum_product,
@@ -576,19 +577,21 @@ def _without_e(terms):
 @pytest.mark.parametrize("r,n", [(2, 2), (1, 3), (3, 2), (2, 3), (1, 4)])
 def test_relation_table_without_e_holds_in_the_quotient(r, n):
     # the quotient by the ideal of E_1 is the degenerate cyclotomic Hecke
-    # algebra: the relation table with every E term dropped holds there
+    # algebra: the relation table with every E term dropped holds there,
+    # and so do the commutations of distant letters, which the table
+    # leaves out
     rng = random.Random(f"relations:{r}:{n}")
     k, delta = rng.choice((2, 4, 8)), rng.choice((F(1, 2), F(1, 3), F(2, 7), F(-1, 4)))
     seeded = tuple(k * x + delta for x in combinat.default_u(r, n))
     for ps in (ParamSet.default(r, n), ParamSet.from_u(seeded)):
         H = HeckeAlgebra(ps, n)
         checked = set()
-        for family, lhs, rhs in relations(ps, n):
+        for family, lhs, rhs in (*relations(ps, n), *distant_commutations(n)):
             lhs, rhs = _without_e(lhs), _without_e(rhs)
             assert H.act_sum(H.one(), lhs) == H.act_sum(H.one(), rhs), (ps.u, family, lhs)
             if lhs or rhs:
                 checked.add(family)
-        assert {"involution", "skein", "cyclotomic"} <= checked
+        assert {"involution", "skein", "cyclotomic", "commutation"} <= checked
         assert n < 3 or "braid" in checked
 
 

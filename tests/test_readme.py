@@ -64,6 +64,6 @@ def test_identity_section_names_every_check():
     section = _identity_section()
     names = {*check_identities(ParamSet.default(2, 4), 4).counts,
              *RELATION_FAMILIES, "tower-scalars"}
-    assert len(names) == 16
+    assert len(names) == 13
     missing = sorted(name for name in names if f"`{name}`" not in section)
     assert missing == [], missing

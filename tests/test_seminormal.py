@@ -13,8 +13,8 @@ from support import (
     FractionRealization, _relation_residuals, adjointness_reference,
     blocks_as_fractions, branching_blocks, build_rep_reference,
     addable_removable, build_all_evaluated, check_module, class_sums_reference,
-    derived_omega, e_diag_reference, entries, evaluate_word, evaluated,
-    filled_step_tables, fraction_generators,
+    contraction_identities, derived_omega, distant_commutation_residual, e_diag_reference,
+    entries, evaluate_word, evaluated, filled_step_tables, fraction_generators,
     from_dense, gammas, identities_reference, k_neighbors, mat_scale, mat_sub, max_abs,
     module_contraction_free, module_fixtures, module_nonsplit, module_rank_one,
     module_realization, mul_fold, restacked_letter, root_sets, seeded_u, term_by_term_sum,
@@ -98,7 +98,8 @@ def test_relation_suite_2_3():
 
 def _table(res: list[dict]) -> list[dict]:
     """The relation families of each block's residuals, without the tower
-    at k = 1 that ``residuals`` also records."""
+    at k = 1 that ``residuals`` also records, and without the commutations
+    of distant letters that the reference also checks."""
     return [{family: r[family] for family in RELATION_FAMILIES} for r in res]
 
 
@@ -115,17 +116,23 @@ def _seeded_u(r, n):
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_relation_table_equals_the_hand_written_suite(r):
     # the same residual for every family on every block, n <= 4, at the
-    # default and at seeded roots
+    # default and at seeded roots; the distant commutations, which the
+    # table leaves out, hold on every block
     for n in range(5):
         for ps in (ParamSet.default(r, n), ParamSet.from_u(_seeded_u(r, n))):
             real = Realization(build_all(ps, n))
-            assert _table(residuals(real)) == _reference(real), (ps.u, n)
+            want = _reference(real)
+            assert _table(residuals(real)) == _table(want), (ps.u, n)
+            assert not any(res["commutation"] for res in want), (ps.u, n)
 
 
 def test_relation_table_equals_the_hand_written_suite_on_fixtures():
+    # the fixtures are built by hand, not by build_rep, so the reference
+    # checks their distant commutations
     for fix in module_fixtures():
-        assert check_module(fix.S, fix.E, fix.X, fix.ps) == _relation_residuals(
-            fix.S, fix.E, fix.X, fix.ps, len(fix.X[0]))
+        want = _relation_residuals(fix.S, fix.E, fix.X, fix.ps, len(fix.X[0]))
+        assert check_module(fix.S, fix.E, fix.X, fix.ps) == _table([want])[0]
+        assert want["commutation"] == 0
 
 
 def _off_model(kind):
@@ -145,10 +152,66 @@ def _off_model(kind):
 @pytest.mark.parametrize("kind", ["S", "E", "X"])
 def test_relation_table_equals_the_hand_written_suite_off_the_model(kind):
     real, b = _off_model(kind)
-    got = residuals(real)
-    assert _table(got) == _reference(real)
+    got, want = residuals(real), _reference(real)
+    assert _table(got) == _table(want)
     assert any(got[b].values()) and not any(v for i, res in enumerate(got)
                                             if i != b for v in res.values())
+    assert want[b]["commutation"]
+    assert not any(res["commutation"] for i, res in enumerate(want) if i != b)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_generators_are_local(r):
+    # the premise of the lemma in ``relations``: over root_sets at n <= 5,
+    # every nonzero S_k or E_k entry joins t to a tableau s that differs
+    # from t at step k alone, and the entry at every such pair, 0 included,
+    # is one value per window (t_{k-1}, t_k, t_{k+1}, s_k); every X_j is
+    # diagonal, with the content of step j read off t_{j-1} -> t_j
+    built, middles = 0, {}
+    for u in root_sets("locality", r):
+        ps = ParamSet.from_u(u)
+        for n in range(2, 6):
+            try:
+                reps = build_all(ps, n)
+            except ValueError:
+                continue
+            built += 1
+            values = {}
+            for rep in reps:
+                idx = {t: i for i, t in enumerate(rep.basis)}
+                for k in range(1, n):
+                    for kind in "SE":
+                        left = dict(getattr(rep, kind)[k - 1])
+                        for t, i in idx.items():
+                            # the steps k of the tableaux k_neighbors gives,
+                            # which depend on t_{k-1} and t_{k+1} alone
+                            ends = combinat.shape_before(t, k), t[k]
+                            if ends not in middles:
+                                middles[ends] = [s[k - 1] for s in k_neighbors(t, k)]
+                            for mid in middles[ends]:
+                                x = left.pop((i, idx[t[:k - 1] + (mid,) + t[k:]]), None)
+                                window = (kind, k, ends[0], t[k - 1], t[k], mid)
+                                assert values.setdefault(window, x) == x, (u, n, window)
+                        assert left == {}, (u, n, rep.shape, kind, k)
+                for j in range(1, n + 1):
+                    contents = {i: params.steps_out(combinat.shape_before(t, j), ps).C[t[j - 1]]
+                                for t, i in idx.items()}
+                    assert rep.X[j - 1] == {(i, i): (c, ps.q) for i, c in contents.items() if c}
+    # of the 28 (u, n), the roots made for n = 3 refuse n = 5 once or twice
+    assert built >= 26
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_distant_commutations_hold_on_every_built_model(r):
+    # the lemma in ``relations``, through the commutations of the
+    # hand-written suite: every commutation of distant letters holds
+    # exactly on every block at n <= 5, at the default and at seeded roots
+    for n in range(2, 6):
+        for ps in (ParamSet.default(r, n), ParamSet.from_u(_seeded_u(r, n))):
+            for rep in build_all(ps, n):
+                gens = fraction_generators(rep)
+                assert distant_commutation_residual(*(gens[kind] for kind in "SEX")) == 0, (
+                    ps.u, n, rep.shape)
 
 
 def _int_form(ev) -> bool:
@@ -369,13 +432,14 @@ def test_a_letter_is_a_vector_only_where_it_is_diagonal():
 def test_verify_relations_multiplies_no_diagonal_letter(monkeypatch):
     # at (2, 3) the relations and the tower make 6 matrix products, the
     # prefixes of the six terms of three sparse letters (braid, untwisting
-    # and tangle), and 36 sums: 34 relations, less unwrapping at a = 0,
+    # and tangle), and 29 sums: 27 relations, less unwrapping at a = 0,
     # which is the contraction-scalar sum at i = 1, and the tower at k = 2
     # for 1 <= a <= 3; the tower at k = 1 is read off unwrapping's sums,
     # and at a = 0 off the contraction-scalar sums.  Earlier versions
     # formed each power of X_j and each E_k X_k^a as a product too (21),
-    # the tower at k = 1 on its own (44), unwrapping at a = 0 apart (38)
-    # and the tower at a = 0 for k >= 2 apart (37)
+    # the tower at k = 1 on its own (44), unwrapping at a = 0 apart (38),
+    # the tower at a = 0 for k >= 2 apart (37) and the seven distant
+    # commutations, which every built model satisfies (36)
     ps = ParamSet.default(2, 3)
     real, scalars = Realization(build_all(ps, 3)), tower_scalars(ps, 3)
     calls = {"mat_mul": 0, "_accumulate": 0}
@@ -392,7 +456,7 @@ def test_verify_relations_multiplies_no_diagonal_letter(monkeypatch):
     monkeypatch.setattr(_linalg, "mat_mul", counted_mul)
     monkeypatch.setattr(Realization, "_accumulate", counted_accumulate)
     got = verify_relations(real)
-    assert calls == {"mat_mul": 6, "_accumulate": 36}
+    assert calls == {"mat_mul": 6, "_accumulate": 29}
     assert got == two_sided_residuals(real, scalars)
 
 
@@ -826,8 +890,7 @@ def test_identity_suite():
     ps = ParamSet.default(2, 3)
     report = check_identities(ps, 3)
     assert report.ok and report.failures == []
-    assert set(report.counts) == {"w-recursion", "w-partial-fractions", "star-symmetry",
-                                  "contraction-inverse", "swap-contraction-matching"}
+    assert set(report.counts) == {"w-recursion", "w-partial-fractions", "star-symmetry"}
     assert all(report.counts.values())
 
 
@@ -838,7 +901,8 @@ def _failed_families(report):
 
 
 def _wrong_contraction_coefficients(monkeypatch):
-    # e + 1 for e: twice e would scale both sides of swap-contraction-matching
+    # e + 1 for e: twice e would scale both sides of the matching identity
+    # (support.contraction_identities)
     e_diag = params.e_diag
     monkeypatch.setattr(params, "e_diag", lambda *args: e_diag(*args) + 1)
 
@@ -949,11 +1013,49 @@ def test_each_mutation_fails_its_check(mutation, monkeypatch):
 
 
 def test_identity_suite_fails_on_wrong_contraction_coefficients(monkeypatch):
+    # the partial fractions fail, and so do the two identities that the
+    # relations of the models decide
     _wrong_contraction_coefficients(monkeypatch)
-    report = check_identities(ParamSet.default(2, 3), 3)
-    failed = _failed_families(report)
-    assert {"w-partial-fractions", "contraction-inverse", "swap-contraction-matching"} <= failed
+    ps = ParamSet.default(2, 3)
+    failed = _failed_families(check_identities(ps, 3))
+    assert "w-partial-fractions" in failed
     assert "w-recursion" not in failed
+    assert _failed_families(contraction_identities(ps, 3)) == {
+        "contraction-inverse", "swap-contraction-matching"}
+
+
+@pytest.mark.parametrize("n,mu,nu", [(3, _EMPTY, _ONE), (4, _ONE, ((1,), (1,)))])
+def test_untwisting_decides_the_contraction_inverse(n, mu, nu, monkeypatch):
+    # e_nu(mu) doubled, so e_nu(mu) e_mu(nu) = 2: the contraction inverse
+    # fails at t = (..., mu, nu, mu, nu), and so does untwisting on the
+    # models, as the proof in check_identities reads it at (t, t)
+    ps = ParamSet.from_u(seeded_u("untwisting", 2, n))
+    assert contraction_identities(ps, n).ok
+    assert not any(res["untwisting"] for res in verify_relations(Realization(build_all(ps, n))))
+    _scaled_contraction(monkeypatch, mu, nu)
+    ps = ParamSet(ps.u)
+    t = combinat.t_lambda(mu) + (nu, mu, nu)
+    assert f"contraction-inverse: t={t}, k={len(t) - 2}" in contraction_identities(ps, n).failures
+    assert any(res["untwisting"] for res in verify_relations(Realization(build_all(ps, n))))
+
+
+def test_tangle_and_involution_decide_the_matching(monkeypatch):
+    # e_x(nu) doubled at nu = (1|-), x = (1|1), which no contraction
+    # inverse reads out of the empty shape: the matching of
+    # t = (nu, x, nu) with u = (nu', empty, nu) fails, and so does tangle
+    # or involution on the models, the relations its proof reads
+    ps = ParamSet.from_u(seeded_u("matching", 2, 3))
+    assert contraction_identities(ps, 3).ok
+    x = ((1,), (1,))
+    _scaled_contraction(monkeypatch, _ONE, x)
+    ps = ParamSet(ps.u)
+    report = contraction_identities(ps, 3)
+    assert _failed_families(report) == {"swap-contraction-matching"}
+    assert f"swap-contraction-matching: t={(_ONE, x, _ONE)}, u={(((), (1,)), _EMPTY, _ONE)}, k=1" \
+        in report.failures
+    failed = {family for res in verify_relations(Realization(build_all(ps, 3)))
+              for family, value in res.items() if value}
+    assert failed & {"tangle", "involution"}, failed
 
 
 def test_identity_suite_fails_on_wrong_closed_form(monkeypatch):
@@ -1094,6 +1196,20 @@ def test_class_sums_follow_from_the_partial_fractions(r):
     assert changed
 
 
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_contraction_identities_hold_wherever_the_models_build(r):
+    # the two identities that left check_identities, in Fractions: wherever
+    # the models build, both hold at every window, as the relations that
+    # decide them hold there
+    built, _ = _built("contraction-identities", r)
+    counted = 0
+    for ps, n in built:
+        report = contraction_identities(ps, n)
+        assert report.ok, (ps.u, n, report.failures)
+        counted += sum(report.counts.values())
+    assert counted
+
+
 def test_swapped_windows_swap_their_contents():
     # every window mu -> nu -> rho != mu at r <= 3, |mu| <= 4: the window
     # taken in the other order takes the same two (node, removed) steps
@@ -1128,16 +1244,19 @@ def test_swapped_windows_swap_their_contents():
 def test_verify_fails_wrong_contraction_coefficients_through_the_kept_families(
         monkeypatch, tmp_path):
     # e + 1 at every step: the models build, and the job's identities
-    # record fails through the partial fractions, the contraction
-    # inverses, the matching and self-adjointness
+    # record fails through the partial fractions and self-adjointness; the
+    # contraction inverses and the matching, which fail too, fail the
+    # relations that decide them, untwisting and tangle or involution
     _wrong_contraction_coefficients(monkeypatch)
     out = tmp_path / "out.jsonl"
     assert main(["verify", "--r", "2", "--n", "3", "--out", str(out)]) == 1
     records = [json.loads(line) for line in out.read_text().splitlines()]
     (identities,) = [rec for rec in records if rec["kind"] == "identities"]
     assert {f.split(":")[0] for f in identities["failures"]} == {
-        "w-partial-fractions", "contraction-inverse", "swap-contraction-matching",
-        "star-symmetry"}
+        "w-partial-fractions", "star-symmetry"}
+    failed = {family for rec in records if rec["kind"] == "relations"
+              for family, value in rec["residuals"].items() if value}
+    assert "untwisting" in failed and failed & {"tangle", "involution"}, failed
     assert not records[-1]["pass"]
 
 
@@ -1244,8 +1363,14 @@ def test_identity_suite_checks_each_window_once(r, n):
                   for m in range(1, n)
                   for lam in combinat.reachable_shapes(r, m)
                   for t in combinat.updown_walks(m, lam)}
+    # the two identities that the relations decide are the reference's,
+    # once per window too
+    decided = {"contraction-inverse", "swap-contraction-matching"}
     assert report.counts == {"w-recursion": len(last_edges),
-                             **{name: len(keys) for name, keys in seen.items()}}
+                             **{name: len(keys) for name, keys in seen.items()
+                                if name not in decided}}
+    assert contraction_identities(ps, n).counts == {name: len(keys) for name, keys in seen.items()
+                                                    if name in decided}
 
 
 def test_identity_suite_forms_each_swap_window_once(monkeypatch):
