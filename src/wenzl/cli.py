@@ -23,6 +23,10 @@ it runs (``verify`` ``seminormal``, ``gram`` ``hecke``, ``cellrank``
 ``wcell``).  The tables held for the process are named by module and
 attribute (``HOLDS``, ``LATTICE``), so naming them imports nothing; a job
 that runs out of memory clears those of the modules imported.
+
+Each command's parser and the report's encoder are built once per process;
+an argv that names a command goes straight to that command's parser, which
+reports every usage error after it, unrecognized arguments too.
 """
 
 from __future__ import annotations
@@ -42,11 +46,12 @@ from .params import ParamSet, format_fraction, parse_fraction
 # -- argument handling -----------------------------------------------------
 
 
+_COMMAND_PARSERS = {}  # each command's parser by name, filled by _build_parser
+
+
 def _add_command(sub, name: str, summary: str) -> argparse.ArgumentParser:
     """The subcommand ``name``, with the options every job takes."""
-    sp = sub.add_parser(name, help=summary)
-    # errors found after parsing are reported with this subcommand's usage
-    sp.set_defaults(parser=sp)
+    sp = _COMMAND_PARSERS[name] = sub.add_parser(name, help=summary)
     sp.add_argument("--r", type=int, default=None,
                     help="number of roots (default 2, or len(--u))")
     sp.add_argument("--n", type=int, default=None, help="strand count (default 3)")
@@ -132,7 +137,8 @@ def _resolve(args) -> None:
     """Check the parsed arguments, and write the resolved n, roots u and
     shape back onto ``args``: r is the number of roots.  ``args.report`` is
     the ``--out`` file, opened and emptied, or None for stdout."""
-    parser, r, n, u = args.parser, args.r, args.n, args.u
+    # errors found after parsing are reported with the command's usage
+    parser, r, n, u = _COMMAND_PARSERS[args.command], args.r, args.n, args.u
     if u is not None:
         u = _parse_u(parser, u)
         if r is not None and r != len(u):
@@ -174,10 +180,14 @@ def _shape_json(shape) -> list[list[int]]:
     return [list(p) for p in shape]
 
 
+# the encoder json.dumps(rec, sort_keys=True) builds anew for every record
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def _write_report(records, report) -> None:
     """The records as JSON lines, to the open ``--out`` file ``report``,
     which is then closed, or to stdout where it is None."""
-    text = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
+    text = "".join(_ENCODER.encode(rec) + "\n" for rec in records)
     if report is None:
         sys.stdout.write(text)
     else:
@@ -234,7 +244,7 @@ def cmd_verify(ps: ParamSet, args) -> tuple[list[dict], dict, bool]:
         ok = ok and passed
         records.append({"kind": "relations", "shape": _shape_json(rep.shape),
                         "dim": rep.dim,
-                        "residuals": {k: float(v) for k, v in res.items()},
+                        "residuals": {k: float(v) if v else 0.0 for k, v in res.items()},
                         "pass": passed})
     records.append({"kind": "identities", "checked": idr.counts,
                     "failures": idr.failures, "pass": idr.ok})
@@ -302,8 +312,11 @@ def main(argv=None) -> int:
     # have; Python before 3.10.7 has no limit to lift
     if getattr(sys, "set_int_max_str_digits", None):
         sys.set_int_max_str_digits(0)
-    argv = sys.argv[1:] if argv is None else argv
-    args = _PARSER.parse_args(_join_dash_values(argv))
+    argv = _join_dash_values(sys.argv[1:] if argv is None else argv)
+    # help, an unknown command or an option first go through the top level
+    sub = _COMMAND_PARSERS.get(argv[0]) if argv else None
+    args = (_PARSER.parse_args(argv) if sub is None
+            else sub.parse_args(argv[1:], argparse.Namespace(command=argv[0])))
     _resolve(args)
     ps = ParamSet.from_u(args.u)
     meta = ps.as_json()

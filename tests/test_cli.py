@@ -104,6 +104,39 @@ def test_verify_reports_a_perturbed_entry(tmp_path, monkeypatch):
         assert rec["pass"] == (rep.shape != target) == (not any(res.values())), rep.shape
 
 
+def test_the_report_is_json_dumps_per_record(tmp_path, capsys):
+    # one held encoder writes the bytes json.dumps(rec, sort_keys=True) does
+    records = [{"kind": "x", "b": {"z": [1, {"y": 0.0, "a": -2.5}], "a": None}, "a": 0.0},
+               {"neg": -0.1, "pos": 1 / 3, "big": "7" * 5000, "name": "Ω ≤ ∞ — é",
+                "pass": True}]
+    want = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
+    cli._write_report(records, None)
+    assert capsys.readouterr().out == want
+    out = tmp_path / "r.jsonl"
+    cli._write_report(records, open(out, "w"))
+    assert out.read_text() == want
+
+
+def test_verify_writes_a_nonzero_residual_as_its_float(tmp_path, monkeypatch):
+    # a residual of 1/3 is written as its float, every zero as 0.0
+    verify_relations, names = seminormal.verify_relations, []
+
+    def perturbed(real):
+        res = verify_relations(real)
+        names.append(next(iter(res[0])))
+        res[0] = {**res[0], names[0]: Fraction(1, 3)}
+        return res
+
+    monkeypatch.setattr(seminormal, "verify_relations", perturbed)
+    rc, records = run(["verify", "--r", "2", "--n", "3"], tmp_path)
+    assert rc == 1
+    rel = [rec["residuals"] for rec in records if rec["kind"] == "relations"]
+    assert rel[0].pop(names[0]) == 0.3333333333333333
+    zeros = [v for res in rel for v in res.values()]
+    assert zeros and all(type(v) is float and v == 0 for v in zeros)
+    assert (tmp_path / "out.jsonl").read_text().count(": 0.3333333333333333") == 1
+
+
 def test_verify_default_parameters(tmp_path):
     # defaults resolve to r=2, n=3 and pass
     rc, records = run(["verify"], tmp_path)
@@ -669,15 +702,45 @@ def test_usage_errors():
 
 
 def test_usage_errors_after_parsing_name_the_subcommand(capsys):
+    # unrecognized arguments after a command too: its parser reads the argv
     for args, prog in ((["omega", "--order", "-1"], "wenzl omega"),
                        (["verify", "--r", "3", "--u", "1,2"], "wenzl verify"),
-                       (["counts", "--u", "not-a-number"], "wenzl counts")):
+                       (["counts", "--u", "not-a-number"], "wenzl counts"),
+                       (["verify", "--precision", "16"], "wenzl verify"),
+                       (["gram", "--shape", "(1|1)", "extra"], "wenzl gram")):
         with pytest.raises(SystemExit) as exc:
             main(args)
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"usage: {prog} "), args
         assert f"{prog}: error:" in err, args
+        if args[-1] in ("16", "extra"):
+            assert f"{prog}: error: unrecognized arguments: " in err, args
+
+
+def test_no_command_first_reaches_the_top_level_parser(capsys):
+    # help, no argv, an unknown command and an option before the command
+    for args, code in (([], 2), (["-h"], 0), (["frobnicate"], 2), (["--n", "3", "verify"], 2)):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == code, args
+        captured = capsys.readouterr()
+        text = captured.out if code == 0 else captured.err
+        assert text.startswith("usage: wenzl [-h] {counts,verify,gram,cellrank,omega} ..."), args
+
+
+def test_command_parsers_are_held_and_print_the_same_help(capsys):
+    assert list(cli._COMMAND_PARSERS) == list(cli.COMMANDS)
+    for cmd in cli.COMMANDS:
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "-h"])
+        assert exc.value.code == 0
+        direct = capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli._PARSER.parse_args([cmd, "-h"])
+        assert exc.value.code == 0
+        assert direct == capsys.readouterr(), cmd
+        assert direct.out.startswith(f"usage: wenzl {cmd} [-h] "), cmd
 
 
 def test_out_into_a_missing_directory_is_a_usage_error(tmp_path):
