@@ -217,24 +217,25 @@ def cmd_counts(ps: ParamSet, args) -> tuple[list[dict], dict, bool]:
     return records, {"n": n, "sum_of_squares": total, "target": target, "equal": ok}, ok
 
 
-def _refuse_unless_it_fits(ps: ParamSet, n: int) -> None:
-    """Raise MemoryError before any build where ``verify`` at n would not fit
-    under RLIMIT_AS: 2 KiB per basis row, strand and root, and 4 MiB; 10 to
-    15 KiB a row were measured at n <= 9.  Running out mid-job, CPython 3.11
-    can lose the MemoryError, and the job end in a traceback, not a record."""
+def _refuse_unless_it_fits(ps: ParamSet, n: int, per_row: int) -> None:
+    """Raise MemoryError before any build where a job at n would not fit
+    under RLIMIT_AS: ``per_row`` bytes per basis row, strand and root, and
+    4 MiB (measured: ``verify`` 1.7 KiB at most on 500 to 30,000 rows,
+    ``cellrank`` 3.9 to 21.3 KiB on 160 to 3,500, rising with the job).
+    Running out mid-job, CPython 3.11 can lose it and end in a traceback."""
     import resource
     limit = resource.getrlimit(resource.RLIMIT_AS)[0]
     if limit != resource.RLIM_INFINITY and os.path.exists("/proc/self/statm"):
         with open("/proc/self/statm") as f:  # the pages mapped, first
             mapped = int(f.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
         rows = sum(combinat.count_updown(n, shape) for shape in combinat.reachable_shapes(ps.r, n))
-        if mapped + 2048 * (n + ps.r) * rows + 2 ** 22 > limit:
+        if mapped + per_row * (n + ps.r) * rows + 2 ** 22 > limit:
             raise MemoryError
 
 
 def cmd_verify(ps: ParamSet, args) -> tuple[list[dict], dict, bool]:
     from . import seminormal
-    _refuse_unless_it_fits(ps, args.n)
+    _refuse_unless_it_fits(ps, args.n, 2048)
     real = seminormal.Realization(seminormal.build_all(ps, args.n))
     idr = seminormal.check_identities(ps, args.n)
     records = []
@@ -270,6 +271,7 @@ def cmd_gram(ps: ParamSet, args) -> tuple[list[dict], dict, bool]:
 
 def cmd_cellrank(ps: ParamSet, args) -> tuple[list[dict], dict, bool]:
     from . import wcell
+    _refuse_unless_it_fits(ps, args.n, 24 * 1024)
     report = wcell.cellular_rank_report(ps, args.n)
     records = [{"kind": "cell", **cell, "shape": _shape_json(cell["shape"])}
                for cell in report["cells"]]
@@ -287,11 +289,11 @@ def cmd_omega(ps: ParamSet, args) -> tuple[list[dict], dict, bool]:
 # the tables held for the process, each a functools cache named by (module,
 # attribute), so that naming them imports nothing: the last parameter set
 # built, with its step, swap and Murphy tables, and the root-free tables of
-# hecke and wcell per (r, n), shape and cell; then combinat's lattice below
-# them, its walks, the steps out of each shape, the multipartitions and the
-# updown counts
-HOLDS = (("params", "_param_set"), ("hecke", "key_tables"), ("hecke", "shape_words"),
-         ("hecke", "_order"), ("wcell", "cell_words"))
+# seminormal, hecke and wcell per model, (r, n), shape and cell; then
+# combinat's lattice below them, its walks, the steps out of each shape,
+# the multipartitions and the updown counts
+HOLDS = (("params", "_param_set"), ("seminormal", "model_pattern"), ("hecke", "key_tables"),
+         ("hecke", "shape_words"), ("hecke", "_order"), ("wcell", "cell_words"))
 LATTICE = (("combinat", "_walk"), ("combinat", "steps_from"), ("combinat", "multipartitions"),
            ("combinat", "reachable_shapes"), ("combinat", "count_updown"))
 

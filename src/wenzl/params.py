@@ -2,7 +2,7 @@
 W at a shape, all on ints.
 
 A parameter set is its roots u.  It holds, per shape met, the steps out of
-it with their contents as ints over one denominator, their contraction
+it with their contents as the ints q c (``int_content``), their contraction
 coefficients and their step factors (``steps_out``, the only writer of that
 table, which reads the root-free steps of ``combinat.steps_from``);
 ``contents`` walks a tableau through the table, and ``gamma`` multiplies the
@@ -116,7 +116,9 @@ class ParamSet:
     """
 
     def __init__(self, u: tuple[Fraction, ...]):
-        self.u = u
+        # q, the lcm of the roots' denominators: q c and q u_s are ints
+        self.u, self.q = u, clearing(u)
+        self.qu = cleared(u, self.q)
         self.steps, self.swaps, self.murphy = {}, {}, {}
 
     def __eq__(self, other):
@@ -138,12 +140,6 @@ class ParamSet:
     @property
     def r(self) -> int:
         return len(self.u)
-
-    @functools.cached_property
-    def q(self) -> int:
-        """The lcm of the roots' denominators: q c is an int for every
-        content c."""
-        return clearing(self.u)
 
     @classmethod
     def default(cls, r: int, n: int) -> "ParamSet":
@@ -201,10 +197,17 @@ def e_diag(C: int, boundary, q: int, r: int) -> Fraction:
     return Fraction(num, den)
 
 
+def int_content(node, removed: bool, ps: ParamSet) -> int:
+    """q c, c = u_s + j - i, for a step that adds the node (i, j, s), minus
+    that for one that removes it: the int q u_s + q (j - i), no Fraction."""
+    C = ps.qu[node[2] - 1] + ps.q * (node[1] - node[0])
+    return -C if removed else C
+
+
 def steps_out(mu, ps: ParamSet) -> Steps:
     """The ``Steps`` out of mu, formed once per parameter set, in
     ``ps.steps``, from the shapes and nodes of ``combinat.steps_from``, each
-    content by ``combinat.node_content``, cleared once.  A step that adds
+    content an int by ``int_content``.  A step that adds
     alpha has F(mu -> nu), the product of c_alpha - c_beta over the nodes
     beta addable to mu below alpha over the same for the removable ones,
     (i', j', s') below (i, j, s) when (s', i') > (s, i); with C = q c,
@@ -218,8 +221,7 @@ def steps_out(mu, ps: ParamSet) -> Steps:
     if st is not None:
         return st
     q, steps = ps.q, combinat.steps_from(mu)
-    cs = cleared((combinat.node_content(node, ps.u, removed)
-                  for node, removed in steps.values()), q)
+    cs = tuple(int_content(node, removed, ps) for node, removed in steps.values())
     C = dict(zip(steps, cs))
     e = {nu: e_diag(x, cs, q, ps.r) for nu, x in C.items()}
     g, h = {}, None

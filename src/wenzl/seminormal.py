@@ -5,22 +5,24 @@ lattice step mu -> nu: its content c (the int C = q c over the lcm q of the
 roots' denominators), the diagonal contraction coefficient e, and the step
 factor g, whose product along a tableau t is gamma_t, all read from the step
 table ``ps.steps`` (``params.steps_out``).  Each generator entry is a closed
-rational formula in them (``_entries``, with the swap data of each window
+rational formula in them (``build_rep``, with the swap data of each window
 from ``swap_window``), as in Young's seminormal form, with no square root
 and no positivity condition, and each generator is then self-adjoint for
-diag(gamma), which may be negative, as ``verify`` checks.  The model is
-built on ints: every entry is an int pair (num, den), and each generator is
-held as those entries.  The models make one ``Realization``, their direct
-sum, which merges each letter's entries from every model onto the stacked
-rows and clears them once, into one block-diagonal matrix of int rows over
-one positive denominator in lowest terms (``Evaluated``), so a word takes
-one matrix product per letter on ints and a Fraction is made only for a
-reported residual; it holds the product of each prefix of a product of word
-sums, and applies words to a matrix one stacked letter at a time.  A
-diagonal letter, as every X_j is in seminormal form, is held as its
-diagonal too (``Diagonal``), and X_j^a as that diagonal's elementwise
-power.  Every sum on the realization, a word sum or a signed sum of
-products, is accumulated on ints over a denominator fixed before any
+diag(gamma), which may be negative, as ``verify`` checks.  What does not
+read the roots, the walks of a shape, their steps and where each returns
+or swaps, is held per (n, shape) for the process (``model_pattern``), so a
+new parameter set forms only the values: every entry an int pair (num,
+den), each generator held as those entries.  The models make one
+``Realization``, their direct sum, which places each letter's entries from
+every model on the stacked rows in one pass, cleared once into one
+block-diagonal matrix of int rows over one positive denominator in lowest
+terms (``Evaluated``), so a word takes one matrix product per letter on
+ints and a Fraction is made only for a reported residual; it holds the
+product of each prefix of a product of word sums, and applies words to a
+matrix one stacked letter at a time.  A diagonal letter, as every X_j is,
+is held as its diagonal too (``Diagonal``), and X_j^a as that diagonal's
+elementwise power.  Every sum on the realization, a word sum or a signed
+sum of products, is accumulated on ints over a denominator fixed before any
 product (``Realization._accumulate``), where a diagonal factor scales the
 entries of its neighbours instead of being multiplied as a matrix.
 ``wcell`` certifies the cellular family's rank on it.  The defining
@@ -36,7 +38,7 @@ per local window, with no polynomial division or rational function
 (``check_identities``): W, its recursion and its partial fractions as
 multisets of linear factors and int polynomials, and self-adjointness for
 diag(gamma), one identity of step factors per window on the values
-``_entries`` places; no identity that these, a relation of the models or
+``build_rep`` places; no identity that these, a relation of the models or
 the lattice decides (the proofs are in ``check_identities``).  A window's
 swap data are formed once per parameter set (``ps.swaps``).  Every check
 has zero tolerance.
@@ -57,11 +59,6 @@ from .params import ParamSet
 # ---------------------------------------------------------------------------
 # exact coefficient tables
 # ---------------------------------------------------------------------------
-
-
-def returns_at(t, k: int) -> bool:
-    """Steps k, k+1 of t leave and re-enter the same shape."""
-    return 1 <= k < len(t) and combinat.shape_before(t, k) == t[k]
 
 
 def _signed(num: int, den: int) -> tuple[int, int]:
@@ -111,7 +108,7 @@ class SeminormalRep(NamedTuple):
 
     S[i-1], E[i-1] act at position i (1 <= i < n); X[j-1] is diagonal with
     the step-j contents.  Each is held uncleared, as the nonzero entries
-    {(i, j): (num, den)}, den > 0, of ``_entries``, X[j-1] as {(i, i): (C_j,
+    {(i, j): (num, den)}, den > 0, of ``build_rep``, X[j-1] as {(i, i): (C_j,
     q)}; ``Realization`` clears each letter once.  At generic roots every
     generator M satisfies gamma[i] M[i][j] = M[j][i] gamma[j] for gamma of
     ``params.gamma``, every gamma[i] nonzero, of either sign (its formulas
@@ -145,7 +142,7 @@ def swap_entry(ps: ParamSet, k: int, mu, nu, rho, nu2, d: int) -> tuple[int, int
 
     So p p_s = b^2 and p^2 / b^2 = gamma_s / gamma_t.  A node lies above
     another in an earlier component or a higher row.  ``swap_window``
-    reads it for ``_entries`` and ``check_identities``."""
+    reads it for ``build_rep`` and ``check_identities``."""
     q, st = ps.q, params.steps_out(mu, ps)
     (alpha, removes), (beta, then_removes) = (combinat.steps_from(mu)[nu],
                                               combinat.steps_from(nu)[rho])
@@ -183,7 +180,7 @@ def swap_window(ps: ParamSet, k: int, mu, nu, rho):
     of the window taken in the other order (``combinat.swap_middle``), None
     where it leaves the lattice, and the off-diagonal entry p
     (``swap_entry``), None where nu2 is None or a is a unit.  The contents
-    come from the step table; ``_entries`` and ``check_identities`` read
+    come from the step table; ``build_rep`` and ``check_identities`` read
     every window here.  The data do not depend on k, so each window is
     formed once per parameter set and held in ``ps.swaps``; a window that
     raises is held nowhere, and raises again, with the k of each caller."""
@@ -198,86 +195,105 @@ def swap_window(ps: ParamSet, k: int, mu, nu, rho):
     return swap
 
 
-def _entries(ps: ParamSet, k: int, idx: dict, contents: dict):
-    """The nonzero entries {(i, j): (num, den)} of S_k and E_k, int pairs
-    with den > 0, from closed formulas on the step table (``params.Steps``).
-
-    Where t returns at k, to mu, its class holds t^nu for each step mu -> nu:
-    E[t^nu][t^nu'] = e_nu'(mu) and S[t^nu][t^nu'] = (e_nu'(mu) - delta) /
-    (c_nu + c_nu').  Elsewhere S[t][t] = a = 1/(c_{k+1} - c_k), and where
-    s = s_k t lies in the lattice, S[t][s] = p (``swap_window``); where a
-    is a unit, b^2 = 0 and no entry leaves the diagonal.  Each generator is
-    so self-adjoint for diag(gamma).  The swap entries depend only on the
-    window mu -> nu -> rho of steps k, k+1, so each is formed once per
-    parameter set (``swap_window``)."""
-    q = ps.q
-    S, E = {}, {}
-    for t, i in idx.items():
-        mu = combinat.shape_before(t, k)
-        if returns_at(t, k):
-            st = params.steps_out(mu, ps)
-            if not all(st.e.values()):
-                raise _not_generic(f"contraction coefficient 0 at k={k} from shape", mu)
-            if any(-x in st.C.values() for x in st.C.values()):
-                raise _not_generic(f"opposite contents in one class at k={k} from shape", mu)
-            for nu, ev in st.e.items():
-                j = idx[t[:k - 1] + (nu,) + t[k:]]
-                E[i, j] = ev.numerator, ev.denominator
-                # q (c_nu(t) + c_nu) is contents[t][k - 1] + C[nu]
-                num = ev.numerator - ev.denominator if i == j else ev.numerator
-                if num:
-                    S[i, j] = _signed(num * q, ev.denominator * (contents[t][k - 1] + st.C[nu]))
-            continue
-        (a0, a1), nu2, p = swap_window(ps, k, mu, t[k - 1], t[k])
-        if nu2 is None and a0 * a0 != a1 * a1:
-            raise ValueError(f"swap at k={k} from shape {mu} undefined but coefficient "
-                             f"{Fraction(a0, a1)} is not a unit: outside the regime")
-        S[i, i] = a0, a1
-        if p is not None and p[0]:
-            S[i, idx[t[:k - 1] + (nu2,) + t[k:]]] = p
-    return S, E
+@functools.cache
+def model_pattern(n: int, shape) -> tuple:
+    """The root-free part of the model of ``shape`` at n strands, held per
+    (n, shape): the walks of ``combinat.updown_walks`` (fewer than
+    ``count_updown`` raise AssertionError); their steps, (mu, (nu, ...)) per
+    mu left; the keys, each walk's steps by index in that order; the roles,
+    per k - 1 each walk's at steps k, k + 1: (m, p, partners) where it
+    returns to ``classes[m]`` by its p-th step out, partners the walks
+    through each, else (None, w, partner) for its window ``windows[w]`` and
+    the walk through the other middle, or None; the classes; the windows."""
+    walks = combinat.updown_walks(n, shape)
+    if len(walks) != combinat.count_updown(n, shape):
+        raise AssertionError(f"{len(walks)} updown tableaux of {shape} at n={n}, "
+                             f"not {combinat.count_updown(n, shape)}")
+    index = {t: w for w, t in enumerate(walks)}
+    empty, steps, classes, windows = combinat.empty_mp(len(shape)), {}, {}, {}
+    walked = [tuple(zip((empty,) + t, t)) for t in walks]
+    for mu, nu in itertools.chain.from_iterable(walked):
+        steps.setdefault(mu, {})[nu] = None
+    number = {step: i for i, step in enumerate((mu, nu) for mu in steps for nu in steps[mu])}
+    roles = [[] for _ in range(1, n)]
+    for k, t in itertools.product(range(1, n), walks):
+        mu, nu, rho = combinat.shape_before(t, k), t[k - 1], t[k]
+        if rho == mu:
+            out = list(combinat.steps_from(mu))
+            roles[k - 1].append((classes.setdefault(mu, len(classes)), out.index(nu),
+                                 tuple(index[t[:k - 1] + (x,) + t[k:]] for x in out)))
+        else:
+            nu2 = combinat.swap_middle(mu, nu, rho)
+            roles[k - 1].append((None, windows.setdefault((mu, nu, rho), len(windows)),
+                                 None if nu2 is None else index[t[:k - 1] + (nu2,) + t[k:]]))
+    return (walks, tuple((mu, tuple(nus)) for mu, nus in steps.items()),
+            tuple(tuple(map(number.__getitem__, taken)) for taken in walked),
+            tuple(map(tuple, roles)), tuple(classes), tuple(windows))
 
 
-def _block(d: int, entries: dict) -> Evaluated:
-    """The d x d matrix with the nonzero entries {(i, j): (num, den)}, each
-    den > 0, as int rows over the lcm of the dens, divided by the gcd of
-    that lcm and every entry: its rows and den in lowest terms.  It clears
-    each stacked letter once (``Realization._letter``)."""
-    den = math.lcm(*(b for _, b in entries.values()))
-    ints = {key: a * (den // b) for key, (a, b) in entries.items()}
-    g = math.gcd(den, *ints.values())
-    rows = _linalg.zeros(d)
-    for (i, j), x in ints.items():
-        rows[i][j] = x // g
-    return Evaluated(rows, den // g)
+def _class_entries(ps: ParamSet, k: int, mu) -> list:
+    """For the p-th step nu out of mu, the pair (E, S) at each step nu' out
+    of mu, int pairs with den > 0: E = e_nu'(mu), S = (e_nu'(mu) - delta) q
+    / (C_nu + C_nu'), None where 0; raises at a zero e or opposite C."""
+    st = params.steps_out(mu, ps)
+    if not all(st.e.values()):
+        raise _not_generic(f"contraction coefficient 0 at k={k} from shape", mu)
+    if any(-x in st.C.values() for x in st.C.values()):
+        raise _not_generic(f"opposite contents in one class at k={k} from shape", mu)
+    es = [(x.numerator, x.denominator) for x in st.e.values()]
+    return [[((a, b), _signed((a - b if p == p2 else a) * ps.q, b * (c + c2))
+              if p != p2 or a != b else None)
+             for p2, ((a, b), c2) in enumerate(zip(es, st.C.values()))]
+            for p, c in enumerate(st.C.values())]
 
 
 def build_rep(ps: ParamSet, n: int, shape) -> SeminormalRep:
-    """Assemble the generators of one shape on ints, each held as the
-    entries ``_entries`` forms, which ``Realization`` clears.  Raises
-    ValueError where a condition of genericity fails at a generator
-    position k: equal adjacent contents,
-    opposite contents in a class, a zero contraction coefficient, a zero or
-    undefined step factor that an entry divides by, or a non-unit swap
-    coefficient where the swapped tableau leaves the lattice."""
+    """The model of one shape, read off its ``model_pattern``, each
+    generator held as its nonzero entries {(i, j): (num, den)}, den > 0:
+    X_j = diag(C_j) / q; where t returns at k, to mu, the entries of
+    ``_class_entries``, once per model and mu; elsewhere S[t][t] = a =
+    1/(c_{k+1} - c_k) and, where s = s_k t lies in the lattice, S[t][s] = p
+    (``swap_window``), so each is self-adjoint for diag(gamma).  The basis
+    is sorted by content sequence, ties in walk order (at the default roots
+    that of ``combinat.enumerate_updown``), and read in order at each k, so
+    the first condition of genericity that fails raises its ValueError:
+    equal adjacent or opposite class contents, a zero contraction
+    coefficient, a zero or undefined step factor an entry divides by, or a
+    non-unit swap coefficient where the swap leaves the lattice."""
     if not ps.u:
         raise ValueError("a seminormal model needs the roots u")
-    # the basis sorted by content sequence under ps's own roots, which q > 0
-    # scales without reordering; ties stay in walk order.  At the default
-    # roots this is the order of combinat.enumerate_updown
-    contents = {t: params.contents(ps, t) for t in combinat.updown_walks(n, shape)}
-    basis = tuple(sorted(contents, key=contents.__getitem__))
-    if len(basis) != combinat.count_updown(n, shape):
-        raise AssertionError(f"{len(basis)} updown tableaux of {shape} at n={n}, "
-                             f"not {combinat.count_updown(n, shape)}")
-    idx = {t: i for i, t in enumerate(basis)}
-
-    # X_j = diag(C_j) / q
-    X = [{(i, i): (contents[t][j], ps.q) for i, t in enumerate(basis) if contents[t][j]}
-         for j in range(n)]
-    entries = [_entries(ps, k, idx, contents) for k in range(1, n)]
-    return SeminormalRep(ps, n, shape, basis, [s for s, _ in entries],
-                         [e for _, e in entries], X)
+    walks, steps, keys, roles, classes, windows = model_pattern(n, shape)
+    C = [c for mu, nus in steps for c in map(params.steps_out(mu, ps).C.__getitem__, nus)]
+    contents = [tuple(map(C.__getitem__, key)) for key in keys]
+    order = sorted(range(len(walks)), key=contents.__getitem__)
+    pos = sorted(range(len(order)), key=order.__getitem__)  # each walk's place in it
+    X = [{(i, i): (c, ps.q) for i, c in enumerate(column) if c}
+         for column in zip(*map(contents.__getitem__, order))]
+    # class entries by m and swap data by window p, each formed where first met
+    entries, swaps = [None] * len(classes), [None] * len(windows)
+    S, E = [{} for _ in roles], [{} for _ in roles]
+    for k, (at_k, Sk, Ek) in enumerate(zip(roles, S, E), start=1):
+        for i, w in enumerate(order):
+            m, p, partners = at_k[w]
+            if m is not None:
+                if entries[m] is None:
+                    entries[m] = _class_entries(ps, k, classes[m])
+                for j, (e, s) in zip(partners, entries[m][p]):
+                    Ek[i, pos[j]] = e
+                    if s is not None:
+                        Sk[i, pos[j]] = s
+                continue
+            if swaps[p] is None:
+                mu, nu, rho = windows[p]
+                (a0, a1), nu2, x = swap_window(ps, k, mu, nu, rho)
+                if nu2 is None and a0 * a0 != a1 * a1:
+                    raise ValueError(f"swap at k={k} from shape {mu} undefined but coefficient "
+                                     f"{Fraction(a0, a1)} is not a unit: outside the regime")
+                swaps[p] = (a0, a1), (x if x is not None and x[0] else None)
+            Sk[i, i], x = swaps[p]
+            if x is not None:
+                Sk[i, pos[partners]] = x
+    return SeminormalRep(ps, n, shape, tuple(map(walks.__getitem__, order)), S, E, X)
 
 
 def build_all(ps: ParamSet, n: int) -> list[SeminormalRep]:
@@ -344,11 +360,13 @@ class Realization:
 
     def _letter(self, letter) -> Evaluated:
         """One letter as one block-diagonal matrix, made once per
-        realization: the models' entries, each shifted to its row range,
-        cleared together (``_block``); ("X", j, a) is the a-th power of
-        X_j, the identity at a = 0.  A letter is diagonal when every entry
-        key is (i, i), as in every model's X_j; this is decided here, once,
-        and its diagonal is held beside its rows, keyed by the letter, for
+        realization: the models' entries (num, den) as ints over the lcm of
+        the set of their dens, divided by their gcd with it only where that
+        exceeds 1, then placed on their row ranges, so the rows and den are
+        in lowest terms; ("X", j, a) is the a-th power of X_j,
+        the identity at a = 0.  A letter is diagonal when every entry key
+        is (i, i), as in every model's X_j; this is decided here, once, and
+        its diagonal is held beside its rows, keyed by the letter, for
         ``factors``.  The power of a diagonal X_j is its diagonal raised
         elementwise, with no product."""
         ev = self._letters.get(letter)
@@ -357,12 +375,19 @@ class Realization:
         kind, i = letter[0], letter[1]
         if (kind in ("S", "E") and 1 <= i <= self.n - 1
                 or kind == "X" and 1 <= i <= self.n and letter[2] == 1):
-            entries = {(s + a, s + b): x for (s, _), rep in zip(self.ranges, self.reps)
-                       for (a, b), x in getattr(rep, kind)[i - 1].items()}
-            ev = _block(len(self._one.rows), entries)
-            if all(a == b for a, b in entries):
-                diag = [row.get(p, 0) for p, row in enumerate(ev.rows)]
-                self._diagonals[letter] = Diagonal(diag, ev.den)
+            gens = [getattr(rep, kind)[i - 1] for rep in self.reps]
+            den = math.lcm(*{b for entries in gens for _, b in entries.values()})
+            ints = [x * (den // y) for entries in gens for x, y in entries.values()]
+            g = math.gcd(den, *ints)
+            if g > 1:
+                ints, den = [x // g for x in ints], den // g
+            rows, ints = _linalg.zeros(len(self._one.rows)), iter(ints)
+            for (s, _), entries in zip(self.ranges, gens):
+                for (a, b), x in zip(entries, ints):  # entries first: ints stays in step
+                    rows[s + a][s + b] = x
+            ev = Evaluated(rows, den)
+            if not any(itertools.starmap(operator.ne, itertools.chain.from_iterable(gens))):
+                self._diagonals[letter] = Diagonal([r.get(p, 0) for p, r in enumerate(rows)], den)
         elif kind == "X" and 1 <= i <= self.n and letter[2] == 0:
             ev = self._one
         elif kind == "X" and 1 <= i <= self.n and letter[2] > 1:
@@ -558,7 +583,7 @@ def relations(ps: ParamSet, n: int):
     ``cyclotomic_coeffs``; but no commutation of distant letters.  S_i S_j,
     S_i E_j and E_i E_j for |i - j| > 1, S_i X_j and E_i X_j for j not in
     {i, i + 1}, and X_a X_b hold on every model ``build_rep`` builds, at any
-    roots.  ``_entries`` places an S_k or E_k entry only between tableaux t, s
+    roots.  ``build_rep`` places an S_k or E_k entry only between tableaux t, s
     that differ at step k alone, its value read off t_{k-1}, t_k, t_{k+1} and
     s_k; X_j is diagonal, its value the content of step j, read off t_{j-1}
     and t_j.  For |i - j| >= 2 neither letter changes a step that the other
@@ -659,14 +684,15 @@ def verify_relations(real: Realization) -> list[dict]:
     for k in range(2, real.n):
         e = ("E", k)
         ek = real._letter(e)
-        mus = [combinat.shape_before(t, k) if row else None
-               for t, row in zip(tableaux, ek.rows)]
-        shapes = list(dict.fromkeys(mu for mu in mus if mu is not None))
+        # each row's shape before step k by index; -1, the 0 after w, off E_k
+        shapes = {}
+        at = [shapes.setdefault(combinat.shape_before(t, k), len(shapes)) if row else -1
+              for t, row in zip(tableaux, ek.rows)]
         for a in range(1, real.ps.r + 2):
             ws = [scalars[mu][a] for mu in shapes]
             q = params.clearing(ws)
-            w = dict(zip(shapes, params.cleared(ws, q)))
-            diag = Diagonal([0 if mu is None else w[mu] for mu in mus], q)
+            w = params.cleared(ws, q) + (0,)
+            diag = Diagonal([w[i] for i in at], q)
             for b, value in real.sum_residuals(
                     ((1, real.factors((e, ("X", k, a), e))), (-1, [diag, ek]))).items():
                 out[b]["tower-scalars"] = max(out[b]["tower-scalars"], value)
@@ -738,11 +764,11 @@ def check_identities(ps: ParamSet, n: int) -> IdentityReport:
     fractions are one int polynomial identity (``w_partial_fractions_hold``).
     W(0) = 0 is no identity of the job: it holds at every shape, for any roots
     (``params.wk_rational``).  The swap identities read each window by
-    ``swap_window``, as ``_entries`` does, for t and for its partner u, which
+    ``swap_window``, as ``build_rep`` does, for t and for its partner u, which
     forms it once per parameter set: the coefficient a = 1/(c_{k+1} - c_k) is
     the int pair (a0, a1) of ``_swap_pair``, which raises on equal contents: a
     is a unit when a0^2 = a1^2.  ``star-symmetry`` is self-adjointness for
-    diag(gamma) on the values of ``swap_window``, e and g that ``_entries``
+    diag(gamma) on the values of ``swap_window``, e and g that ``build_rep``
     places, not on the held matrices: the gammas of two tableaux that differ
     only at steps k, k+1 differ only by the step factors g there, so per swap
     window with partner nu' where a is no unit, p g(mu->nu) g(nu->rho) =
@@ -774,11 +800,11 @@ def check_identities(ps: ParamSet, n: int) -> IdentityReport:
       partner's coefficient is -a.
     - A swap leaves the lattice only where its two steps add, or remove,
       adjacent nodes of one component, so c_{k+1} - c_k = +-1 and a is a
-      unit, at any roots; ``_entries`` still raises outside that regime,
+      unit, at any roots; ``build_rep`` still raises outside that regime,
       as the build's own check.
     - e_nu(mu) e_mu(nu) = 1, |mu| <= n - 3: at t = (..., mu, nu, mu, nu, ...),
       steps k - 1 ... k + 2, ``untwisting`` E_{k+1} E_k E_{k+1} = E_{k+1}
-      reads e_mu(nu) e_nu(mu) e_mu(nu) = e_mu(nu) at (t, t), and ``_entries``
+      reads e_mu(nu) e_nu(mu) e_mu(nu) = e_mu(nu) at (t, t), and ``build_rep``
       refuses a zero e out of nu.
     - (1 - a^2) e_x(nu) = (1 - b^2) e_nu'(mu), for t = (..., mu, nu, x, nu,
       ...), T = s_k t = (..., mu, nu', x, nu, ...) = s_{k+1} u and u = (...,

@@ -11,11 +11,15 @@ suite that the relation table is checked against, with the commutations of
 distant letters that the table leaves out, also as word sums
 (``distant_commutations``), the Fraction-row
 evaluation that the model's int forms are checked against, a matrix as
-the entries a model holds (``entries``), the model as held before each
-letter was cleared once on the stacked basis (``evaluated``,
-``build_all_evaluated``: each generator cleared alone) and its letters
-restacked from those (``restacked_letter``) that ``Realization``'s
-letters are checked against, the
+the entries a model holds (``entries``), the model built tableau by
+tableau, before its root-free pattern was held per shape
+(``build_all_reference``, with ``build_rep_entries_reference``,
+``entries_reference`` and ``returns_at``), and each letter stacked from
+it and cleared together (``letter_reference``, ``cleared_block``), that
+``build_all`` and ``Realization``'s letters are checked against, the
+model as held before each letter was cleared once on the stacked basis
+(``evaluated``, ``build_all_evaluated``: each generator cleared alone)
+and its letters restacked from those (``restacked_letter``), the
 self-adjointness of every entry of a model for diag(gamma)
 (``adjointness_reference``, with ``gammas``) that the window identities
 are checked against, the two-sided relation check (``two_sided_residuals``: each side
@@ -392,39 +396,82 @@ def entries(M) -> dict:
             for i, row in enumerate(M) for j, x in row.items() if x}
 
 
-# the model as it was held before each letter was cleared once on the
+# the model as it was built tableau by tableau, before the root-free
+# pattern was held per shape: each tableau's contents walked through the
+# step table (``params.contents``), its shape before each step and whether
+# it returns there read off the tableau, and each partner found by its
+# tuple; and as it was held before each letter was cleared once on the
 # stacked basis: every generator cleared on its own shape's rows as it was
 # made, and each letter restacked from those over the lcm of their dens
 
-def evaluated(rep: seminormal.SeminormalRep) -> seminormal.SeminormalRep:
-    """rep with each generator cleared alone to an ``Evaluated``, d x d
-    int rows over one positive den in lowest terms (``seminormal._block``)."""
-    return rep._replace(**{kind: [seminormal._block(rep.dim, g) for g in getattr(rep, kind)]
-                           for kind in "SEX"})
+def returns_at(t, k: int) -> bool:
+    """Steps k, k+1 of t leave and re-enter the same shape."""
+    return 1 <= k < len(t) and combinat.shape_before(t, k) == t[k]
 
 
-def build_all_evaluated(ps: ParamSet, n: int) -> list[seminormal.SeminormalRep]:
-    """The reference for ``seminormal.build_all``, each generator cleared
-    as it is made: the basis, the entries of S_k and E_k
-    (``seminormal._entries``), X_j = diag(C_j) / q, and the build's checks
-    after the models, in the same order, so it raises the same first
-    ValueError."""
-    reps = []
-    for shape in combinat.reachable_shapes(ps.r, n):
-        if not ps.u:
-            raise ValueError("a seminormal model needs the roots u")
-        contents = {t: params.contents(ps, t) for t in combinat.updown_walks(n, shape)}
-        basis = tuple(sorted(contents, key=contents.__getitem__))
-        assert len(basis) == combinat.count_updown(n, shape)
-        idx = {t: i for i, t in enumerate(basis)}
-        d = len(basis)
-        X = [seminormal._block(d, {(i, i): (contents[t][j], ps.q)
-                                   for i, t in enumerate(basis) if contents[t][j]})
-             for j in range(n)]
-        pairs = [seminormal._entries(ps, k, idx, contents) for k in range(1, n)]
-        reps.append(seminormal.SeminormalRep(
-            ps, n, shape, basis, [seminormal._block(d, s) for s, _ in pairs],
-            [seminormal._block(d, e) for _, e in pairs], X))
+def entries_reference(ps: ParamSet, k: int, idx: dict, contents: dict):
+    """The reference for the entries ``seminormal.build_rep`` places at k:
+    the nonzero entries {(i, j): (num, den)} of S_k and E_k, int pairs with
+    den > 0, formed tableau by tableau over the basis index ``idx``, with
+    the contents of each tableau, ``contents``; where t returns at k, its
+    class entries read off the step table at the shape before step k, and
+    elsewhere the swap data of its window (``seminormal.swap_window``)."""
+    q = ps.q
+    S, E = {}, {}
+    for t, i in idx.items():
+        mu = combinat.shape_before(t, k)
+        if returns_at(t, k):
+            st = params.steps_out(mu, ps)
+            if not all(st.e.values()):
+                raise seminormal._not_generic(f"contraction coefficient 0 at k={k} from shape", mu)
+            if any(-x in st.C.values() for x in st.C.values()):
+                raise seminormal._not_generic(
+                    f"opposite contents in one class at k={k} from shape", mu)
+            for nu, ev in st.e.items():
+                j = idx[t[:k - 1] + (nu,) + t[k:]]
+                E[i, j] = ev.numerator, ev.denominator
+                # q (c_nu(t) + c_nu) is contents[t][k - 1] + C[nu]
+                num = ev.numerator - ev.denominator if i == j else ev.numerator
+                if num:
+                    S[i, j] = seminormal._signed(
+                        num * q, ev.denominator * (contents[t][k - 1] + st.C[nu]))
+            continue
+        (a0, a1), nu2, p = seminormal.swap_window(ps, k, mu, t[k - 1], t[k])
+        if nu2 is None and a0 * a0 != a1 * a1:
+            raise ValueError(f"swap at k={k} from shape {mu} undefined but coefficient "
+                             f"{Fraction(a0, a1)} is not a unit: outside the regime")
+        S[i, i] = a0, a1
+        if p is not None and p[0]:
+            S[i, idx[t[:k - 1] + (nu2,) + t[k:]]] = p
+    return S, E
+
+
+def build_rep_entries_reference(ps: ParamSet, n: int, shape) -> seminormal.SeminormalRep:
+    """The reference for ``seminormal.build_rep``, tableau by tableau: the
+    basis sorted by the contents of each walk (``params.contents``), the
+    basis count, X_j = diag(C_j) / q and the entries of
+    ``entries_reference``, raising the same first error."""
+    if not ps.u:
+        raise ValueError("a seminormal model needs the roots u")
+    contents = {t: params.contents(ps, t) for t in combinat.updown_walks(n, shape)}
+    basis = tuple(sorted(contents, key=contents.__getitem__))
+    if len(basis) != combinat.count_updown(n, shape):
+        raise AssertionError(f"{len(basis)} updown tableaux of {shape} at n={n}, "
+                             f"not {combinat.count_updown(n, shape)}")
+    idx = {t: i for i, t in enumerate(basis)}
+    X = [{(i, i): (contents[t][j], ps.q) for i, t in enumerate(basis) if contents[t][j]}
+         for j in range(n)]
+    pairs = [entries_reference(ps, k, idx, contents) for k in range(1, n)]
+    return seminormal.SeminormalRep(ps, n, shape, basis, [s for s, _ in pairs],
+                                    [e for _, e in pairs], X)
+
+
+def build_all_reference(ps: ParamSet, n: int) -> list[seminormal.SeminormalRep]:
+    """The reference for ``seminormal.build_all``: the models of
+    ``build_rep_entries_reference``, then the build's checks after them, in
+    the same order, so it raises the same first ValueError."""
+    reps = [build_rep_entries_reference(ps, n, shape)
+            for shape in combinat.reachable_shapes(ps.r, n)]
     repeated = [x for j, x in enumerate(ps.u) if x in ps.u[:j]]
     if n >= 1 and repeated:
         raise ValueError(f"repeated root {repeated[0]} in u: parameters not generic")
@@ -432,6 +479,48 @@ def build_all_evaluated(ps: ParamSet, n: int) -> list[seminormal.SeminormalRep]:
         if not all(num and den for num, den in params.steps_out(mu, ps).g.values()):
             raise ValueError(f"coinciding contents out of shape {mu}: parameters not generic")
     return reps
+
+
+def cleared_block(d: int, entries: dict) -> seminormal.Evaluated:
+    """The d x d matrix with the nonzero entries {(i, j): (num, den)}, each
+    den > 0, as int rows over the lcm of the dens, divided by the gcd of
+    that lcm and every entry: its rows and den in lowest terms."""
+    den = math.lcm(*(b for _, b in entries.values()))
+    ints = {key: a * (den // b) for key, (a, b) in entries.items()}
+    g = math.gcd(den, *ints.values())
+    rows = _linalg.zeros(d)
+    for (i, j), x in ints.items():
+        rows[i][j] = x // g
+    return seminormal.Evaluated(rows, den // g)
+
+
+def letter_reference(reps, letter) -> tuple:
+    """The reference for ``Realization._letter`` at S_k, E_k and X_j: the
+    models' entries, each shifted to its row range, cleared together
+    (``cleared_block``), and the ``Diagonal`` of the letter where every entry key
+    is (i, i), else None."""
+    kind, i = letter[0], letter[1]
+    starts = itertools.accumulate((rep.dim for rep in reps), initial=0)
+    stacked = {(s + a, s + b): x for s, rep in zip(starts, reps)
+               for (a, b), x in getattr(rep, kind)[i - 1].items()}
+    ev = cleared_block(sum(rep.dim for rep in reps), stacked)
+    if not all(a == b for a, b in stacked):
+        return ev, None
+    return ev, seminormal.Diagonal([row.get(p, 0) for p, row in enumerate(ev.rows)], ev.den)
+
+
+def evaluated(rep: seminormal.SeminormalRep) -> seminormal.SeminormalRep:
+    """rep with each generator cleared alone to an ``Evaluated``, d x d
+    int rows over one positive den in lowest terms (``cleared_block``)."""
+    return rep._replace(**{kind: [cleared_block(rep.dim, g) for g in getattr(rep, kind)]
+                           for kind in "SEX"})
+
+
+def build_all_evaluated(ps: ParamSet, n: int) -> list[seminormal.SeminormalRep]:
+    """The reference for ``seminormal.build_all``, each generator cleared
+    as it is made: the models of ``build_all_reference``, each
+    ``evaluated``, so it raises the same first ValueError."""
+    return [evaluated(rep) for rep in build_all_reference(ps, n)]
 
 
 def restacked_letter(reps, letter) -> seminormal.Evaluated:
@@ -1717,7 +1806,7 @@ def _orthonormal_entries_reference(ps: ParamSet, k: int, idx: dict, contents: di
     seen: set[int] = set()
     for t, i in idx.items():
         mu = combinat.shape_before(t, k)
-        if seminormal.returns_at(t, k):
+        if returns_at(t, k):
             if i in seen:
                 continue
             cls = k_neighbors(t, k)

@@ -82,16 +82,16 @@ def test_verify_reports_a_perturbed_entry(tmp_path, monkeypatch):
     # job exits 1, that block's record fails with the residuals the
     # two-sided reference gives, and every other block passes
     target = ((1,), ())
-    entries = seminormal._entries
+    build_rep = seminormal.build_rep
 
-    def perturbed(ps, k, idx, contents):
-        S, E = entries(ps, k, idx, contents)
-        if k == 1 and next(iter(idx))[-1] == target:
-            num, den = S.get((0, 0), (0, 1))
-            S = {**S, (0, 0): (num + den, den)}
-        return S, E
+    def perturbed(ps, n, shape):
+        rep = build_rep(ps, n, shape)
+        if shape == target:
+            num, den = rep.S[0].get((0, 0), (0, 1))
+            rep.S[0] = {**rep.S[0], (0, 0): (num + den, den)}
+        return rep
 
-    monkeypatch.setattr(seminormal, "_entries", perturbed)
+    monkeypatch.setattr(seminormal, "build_rep", perturbed)
     rc, records = run(["verify", "--r", "2", "--n", "3"], tmp_path)
     assert rc == 1 and not summary_of(records)["pass"]
     ps = ParamSet.default(2, 3)
@@ -617,6 +617,32 @@ def test_verify_refuses_a_job_that_would_not_fit_before_it_builds(tmp_path, monk
     assert records[0]["pass"]
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads the mapped size")
+def test_cellrank_refuses_a_job_that_would_not_fit_before_it_builds(tmp_path, monkeypatch):
+    # cellrank builds the same realization under its own bound, 24 KiB per
+    # row, strand and root: with the room under RLIMIT_AS below that of a
+    # (2, 3) job, 32 rows, the job ends in the out-of-memory record with
+    # exit 1 before any model is built; with room for it, the same job runs
+    # and passes
+    with open("/proc/self/statm") as f:
+        mapped = int(f.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+    bound = 24 * 1024 * (3 + 2) * 32 + 2 ** 22
+    build_all = seminormal.build_all
+    builds = []
+    monkeypatch.setattr(seminormal, "build_all", lambda *a: builds.append(a) or build_all(*a))
+    monkeypatch.setattr(resource, "getrlimit",
+                        lambda kind: (mapped + bound // 2, resource.RLIM_INFINITY))
+    assert run(["cellrank", "--r", "2", "--n", "3"], tmp_path) == (1, [
+        {"kind": "error", "command": "cellrank",
+         "error": "MemoryError: out of memory at r=2, n=3", "pass": False,
+         "ps": {"precision_bits": 256, "r": 2, "u": ["9", "-3"]}}])
+    assert builds == []
+    monkeypatch.setattr(resource, "getrlimit",
+                        lambda kind: (mapped + 4 * bound, resource.RLIM_INFINITY))
+    rc, records = run(["cellrank", "--r", "2", "--n", "3"], tmp_path)
+    assert rc == 0 and summary_of(records)["pass"] and len(builds) == 1
+
+
 def test_out_of_memory_lets_go_of_the_held_tables(tmp_path, monkeypatch):
     # a job that runs out of memory after filling the tables: every table
     # held for the process is let go before the record is written
@@ -633,6 +659,24 @@ def test_out_of_memory_lets_go_of_the_held_tables(tmp_path, monkeypatch):
     assert records[0]["error"] == "MemoryError: out of memory at r=2, n=3"
     assert held[0].steps == {} and held[0].murphy == {}
     assert all(hold.cache_info().currsize == 0 for hold in cli.held(cli.HOLDS + cli.LATTICE))
+
+
+def test_verify_jobs_share_the_model_patterns_of_their_size(tmp_path):
+    # the pattern of a model reads no root: two verify jobs at (2, 3) with
+    # other roots hold one pattern per reachable shape, the same objects,
+    # and a job at a new size adds exactly the shapes of that size; cli
+    # names the hold, so running out of memory lets go of it
+    hold = seminormal.model_pattern
+    assert ("seminormal", "model_pattern") in cli.HOLDS and hold.cache_info().currsize == 0
+    assert run(["verify", "--r", "2", "--n", "3"], tmp_path)[0] == 0
+    shapes = combinat.reachable_shapes(2, 3)
+    assert hold.cache_info().currsize == len(shapes) == 12
+    held = [hold(3, shape) for shape in shapes]
+    assert run(["verify", "--n", "3", "--u", "7/2,-5/3"], tmp_path)[0] == 0
+    assert hold.cache_info().currsize == 12
+    assert all(hold(3, shape) is pattern for shape, pattern in zip(shapes, held))
+    assert run(["verify", "--r", "2", "--n", "2"], tmp_path)[0] == 0
+    assert hold.cache_info().currsize == 12 + len(combinat.reachable_shapes(2, 2)) == 18
 
 
 def test_every_module_cache_is_a_hold_of_cli():

@@ -780,15 +780,15 @@ def test_gamma_closed_form_reads_the_nodes_below(monkeypatch):
     # "above" in the step factors of a step table filled from here on; the
     # contents read each node as it was, so they stay as they are, and the
     # products then differ from the reference
-    steps_from, node_content = combinat.steps_from, combinat.node_content
+    steps_from, int_content = combinat.steps_from, params.int_content
     for r, n in ((2, 3), (3, 3), (1, 4)):
         ps = ParamSet.default(r, n)
         want = {lam: gamma_by_descents(lam, ps) for lam in combinat.multipartitions(r, n)}
         assert all(gamma_coeffs(lam, ps) == g for lam, g in want.items())
         monkeypatch.setattr(combinat, "steps_from", lambda mu: {
             nu: ((-i, j, -s), removed) for nu, ((i, j, s), removed) in steps_from(mu).items()})
-        monkeypatch.setattr(combinat, "node_content", lambda node, u, removed=False: (
-            node_content((-node[0], node[1], -node[2]), u, removed)))
+        monkeypatch.setattr(params, "int_content", lambda node, removed, ps: (
+            int_content((-node[0], node[1], -node[2]), removed, ps)))
         fresh = ParamSet(ps.u)
         assert any(gamma_coeffs(lam, fresh) != g for lam, g in want.items()), (r, n)
         monkeypatch.undo()

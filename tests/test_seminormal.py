@@ -12,21 +12,22 @@ import pytest
 from support import (
     FractionRealization, _relation_residuals, adjointness_reference,
     blocks_as_fractions, branching_blocks, build_rep_reference,
-    addable_removable, build_all_evaluated, check_module, class_sums_reference,
+    addable_removable, build_all_evaluated, build_all_reference, check_module, class_sums_reference,
     contraction_identities, derived_omega, distant_commutation_residual, e_diag_reference,
     entries, evaluate_word, evaluated, filled_step_tables, fraction_generators,
-    from_dense, gammas, identities_reference, k_neighbors, mat_scale, mat_sub, max_abs,
+    from_dense, gammas, identities_reference, k_neighbors, letter_reference, mat_scale,
+    mat_sub, max_abs,
     module_contraction_free, module_fixtures, module_nonsplit, module_rank_one,
-    module_realization, mul_fold, restacked_letter, root_sets, seeded_u, term_by_term_sum,
-    two_sided_residuals,
+    module_realization, mul_fold, restacked_letter, returns_at, root_sets, seeded_u,
+    term_by_term_sum, two_sided_residuals,
 )
 from wenzl import _linalg, combinat, hecke, params, seminormal
 from wenzl.cli import main
 from wenzl.params import ParamSet
 from wenzl.seminormal import (
     RELATION_FAMILIES, Diagonal, Evaluated, Realization, build_all,
-    build_rep, check_identities, relations, residuals, returns_at,
-    tower_scalars, verify_relations,
+    build_rep, check_identities, relations, residuals, tower_scalars,
+    verify_relations,
 )
 
 F = Fraction
@@ -571,6 +572,68 @@ def test_stacked_letters_equal_the_restacked_generators(r, n):
             assert math.gcd(ev.den, *(x for row in ev.rows for x in row.values())) == 1
         built += 1
     assert built >= 5 and refused >= (2 if r == 2 else 0)
+
+
+def _built_all_or_error(build, ps, n):
+    """build(ps, n), or the type and text of the ValueError or
+    AssertionError it raises."""
+    try:
+        return build(ps, n)
+    except (ValueError, AssertionError) as e:
+        return type(e), str(e)
+
+
+def _assert_equals_the_per_tableau_reference(u, n) -> bool:
+    """build_all at the roots u against ``build_all_reference`` at a fresh
+    parameter set: the same first error, or each model's shape, basis in
+    order and entries in order, and every stacked letter S_k, E_k and X_j
+    the reference's restack cleared together, rows, den and diagonal.
+    Whether the roots built."""
+    ps = ParamSet.from_u(u)
+    got, want = (_built_all_or_error(build_all, ps, n),
+                 _built_all_or_error(build_all_reference, ParamSet(ps.u), n))
+    if isinstance(want, tuple):
+        assert got == want, (u, n)
+        return False
+    assert [(rep.shape, rep.basis) for rep in got] == [(rep.shape, rep.basis) for rep in want]
+    for rep, ref in zip(got, want):
+        for kind in "SEX":
+            assert [list(g.items()) for g in getattr(rep, kind)] == [
+                list(g.items()) for g in getattr(ref, kind)], (u, n, rep.shape, kind)
+    real = Realization(got)
+    for letter in [*_letters(ps.r, n)[:2 * (n - 1)], *(("X", j, 1) for j in range(1, n + 1))]:
+        ev, diagonal = letter_reference(want, letter)
+        assert real._letter(letter) == ev, (u, n, letter)
+        assert real._diagonals.get(letter) == diagonal, (u, n, letter)
+    return True
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_build_from_the_held_pattern_equals_the_per_tableau_reference(r):
+    # the models read off the held root-free pattern, and each letter
+    # stacked in one pass, are those built tableau by tableau and cleared
+    # model by model: over root_sets at n <= 5 and the roots at which a
+    # build raises, the same models and letters, or the same first error
+    built = refused = 0
+    for u in (*root_sets("pattern", r), *_BUILD_ERROR_ROOTS[r]):
+        for n in range(6):
+            if _assert_equals_the_per_tableau_reference(u, n):
+                built += 1
+            else:
+                refused += 1
+    assert built >= 30 and refused >= (4 if r == 2 else 0), (built, refused)
+
+
+def test_an_incomplete_basis_raises_as_the_per_tableau_reference(monkeypatch, drop_holds):
+    # one walk of each shape dropped: the pattern falls short of
+    # count_updown, and build_all raises the reference's AssertionError
+    walks = combinat.updown_walks
+    monkeypatch.setattr(combinat, "updown_walks", lambda n, shape: walks(n, shape)[1:])
+    drop_holds()
+    for r, n in ((1, 3), (2, 3), (3, 2)):
+        assert not _assert_equals_the_per_tableau_reference(combinat.default_u(r, n), n)
+    monkeypatch.undo()
+    drop_holds()
 
 
 def _built_or_error(build, ps, n, shape):
@@ -1503,6 +1566,33 @@ def test_step_table_equals_content_sequence_and_e_diag(r):
                     tuple(sorted(combinat.updown_walks(n, lam),
                                  key=lambda t: combinat.content_sequence(t, ps.u)))
                     for lam in combinat.reachable_shapes(r, n)]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_step_contents_are_the_cleared_node_contents(r, monkeypatch):
+    # every step out of every shape of size <= 4: its content in the step
+    # table is the int q u_s + q (j - i), minus that for a removed node, the
+    # Fraction of combinat.node_content cleared over q; at the reference
+    # roots, at negative and fractional ones, and at roots of hundreds of
+    # digits (--u 1e400, and 1e-400, so q = 10^400).  No content is read
+    # through node_content, and the only Fraction a table makes is e, one
+    # per step
+    big = tuple(params.parse_fraction(x) for x in ("1e400", "-1e400", "1e-400"))
+    sets = [ParamSet(tuple(map(params.parse_fraction, u))) for u in (
+        *root_sets("int-contents", r), tuple(-x - F(2, 9) for x in combinat.default_u(r, 4)),
+        big[:r], big[::-1][:r])]
+    node_content, made = combinat.node_content, []
+    monkeypatch.setattr(combinat, "node_content", lambda *a: pytest.fail("node_content read"))
+    monkeypatch.setattr(params, "Fraction", lambda *a: made.append(a) or Fraction(*a))
+    for ps in sets:
+        made.clear()
+        for mu in _shapes(r, 4):
+            steps = combinat.steps_from(mu)
+            C = params.steps_out(mu, ps).C
+            assert list(C) == list(steps) and all(type(x) is int for x in C.values())
+            want = [node_content(node, ps.u, removed) for node, removed in steps.values()]
+            assert tuple(C.values()) == params.cleared(want, ps.q), (ps.u, mu)
+        assert len(made) == sum(len(combinat.steps_from(mu)) for mu in ps.steps), ps.u
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
