@@ -13,8 +13,10 @@ Modules by subject:
 - ``seminormal``: rational seminormal models, their realization, and checks
 - ``hecke``:      the degenerate cyclotomic Hecke quotient and Murphy basis
 - ``wcell``:      cellular elements and their certified rank on it
-- ``cli``:        batch command-line front end; it imports ``combinat`` and
-                  ``params``, and each command its own module when it runs
+- ``cli``:        batch command-line front end, one command per statement
+                  (``verify``, ``gram``, ``cellrank``); it imports
+                  ``combinat`` and ``params``, and each command its own
+                  module when it runs
 """
 
 __version__ = "0.1.0"

@@ -1,21 +1,23 @@
 """Batch front end: argument parsing, command dispatch, JSON-lines reports.
 
-Five subcommands: counts, verify, gram, cellrank, omega.  Each takes the
-strand count n and the roots u (r is their number); everything a job checks
-follows from (r, u, n), and ``--out`` only redirects the report.  Output is
-one JSON record per checked instance plus a summary record, each embedding
-the parameter set as its roots (``ps``: r, u and a fixed
-``precision_bits``); identical inputs produce byte-identical output.  Exit
-status: 0 all checks pass, 1 any failure, 2 usage errors.  Parameters
-outside the supported regime, and a job that runs out of memory, end in one
-``error`` record and exit 1.
+Three subcommands, one per statement of the paper: verify, gram, cellrank.
+Each takes the strand count n and the roots u (r is their number);
+everything a job checks follows from (r, u, n), and ``--out`` only
+redirects the report.  Output is one JSON record per checked instance plus
+a summary record, each embedding the parameter set as its roots (``ps``:
+r, u and a fixed ``precision_bits``); identical inputs produce
+byte-identical output.  Exit status: 0 all checks pass, 1 any failure, 2
+usage errors.  Parameters outside the supported regime, and a job that
+runs out of memory, end in one ``error`` record and exit 1.
 
 Every verdict is exact: ``verify`` passes a relation record only when every
 residual is exactly 0 on the rational seminormal model, ``gram`` compares
 Fractions, and ``cellrank`` proves the rank of the cellular family on that
 model cell by cell, from a block upper triangular order of its supports
-(``wcell``), or ends in an ``error`` record.  ``omega`` reports Omega alone:
-it is u-admissible by its construction (``params.omega_k_values``).
+(``wcell``), or ends in an ``error`` record.  ``verify``'s summary names the
+algebra it certified by Omega_0 ... Omega_{r+2}, the scalars its unwrapping
+relations read; Omega is u-admissible by its construction
+(``params.omega_k_values``), so it carries no verdict.
 
 A process compiles only what its command runs: this module imports
 ``combinat`` and ``params``, and each command imports its own module when
@@ -68,16 +70,12 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="wenzl",
         description="Exact checks for the cyclotomic Nazarov-Wenzl algebras")
     sub = p.add_subparsers(dest="command", required=True)
-    _add_command(sub, "counts", "module dimensions and the sum-of-squares identity")
     _add_command(sub, "verify", "seminormal relation suite and exact identities")
     sp = _add_command(sub, "gram", "Gram determinant of one cell module")
     sp.add_argument("--shape", type=str, required=True,
                     help="multipartition: components split by |, parts by comma, e.g. 2,1|1")
     _add_command(sub, "cellrank",
                  "cellular family count and its rank over Q, proved cell by cell")
-    sp = _add_command(sub, "omega", "the contraction scalars Omega read off the roots")
-    sp.add_argument("--order", type=int, default=8,
-                    help="largest scalar index to report (default 8)")
     return p
 
 
@@ -160,8 +158,6 @@ def _resolve(args) -> None:
         parser.error("r must be at least 1")
     if n < 0:
         parser.error("n must be nonnegative")
-    if getattr(args, "order", 0) < 0:
-        parser.error("order must be nonnegative")
     if args.out is not None and (not os.path.basename(args.out) or os.path.isdir(args.out)):
         parser.error(f"--out {args.out!r}: not a file name")
     args.report = None
@@ -205,37 +201,39 @@ def _write_report(records, report) -> None:
 # turns it into an error record.
 
 
-def cmd_counts(ps: ParamSet, args) -> tuple[list[dict], dict, bool]:
-    n, records, total = args.n, [], 0
-    for shape in combinat.reachable_shapes(ps.r, n):
-        c = combinat.count_updown(n, shape)
-        total += c * c
-        records.append({"kind": "count", "shape": _shape_json(shape),
-                        "arcs": (n - combinat.mp_size(shape)) // 2, "count": c})
-    target = ps.r ** n * combinat.double_factorial(2 * n - 1)
-    ok = total == target
-    return records, {"n": n, "sum_of_squares": total, "target": target, "equal": ok}, ok
-
-
-def _refuse_unless_it_fits(ps: ParamSet, n: int, per_row: int) -> None:
+def _refuse_unless_it_fits(ps: ParamSet, n: int, per_row: int = 0, per_row_cell: int = 0,
+                           per_member: int = 0) -> None:
     """Raise MemoryError before any build where a job at n would not fit
-    under RLIMIT_AS: ``per_row`` bytes per basis row, strand and root, and
-    4 MiB (measured: ``verify`` 1.7 KiB at most on 500 to 30,000 rows,
-    ``cellrank`` 3.9 to 21.3 KiB on 160 to 3,500, rising with the job).
+    under RLIMIT_AS: per strand and root, ``per_row`` bytes per basis row
+    and ``per_row_cell`` per basis row and cell (a reachable shape), then
+    ``per_member`` per member of the cellular family, r^n (2n-1)!!, and
+    4 MiB.  ``verify`` measured 1.7 KiB per row at most, on 500 to 30,000
+    rows.  ``cellrank`` holds the prefix products of every cell's Murphy
+    middle, each a list of every row, to the end of the job, and forms each
+    cell's members in turn, so its peak grows with rows times cells where
+    the cells are many (52 to 91 bytes per row, cell, strand and root from
+    (5, 3) to (24, 2)) and with the family where they are few (1.2 KiB per
+    member at (1, 7)); no one rate per member bounds it (19 KiB at (9, 3),
+    277 KiB at (24, 2)).  Each of 21 sizes from (1, 2) to (20, 2), run in a
+    child process under a limit equal to this bound, completed, using at
+    most 0.78 of it beyond the size mapped.
     Running out mid-job, CPython 3.11 can lose it and end in a traceback."""
     import resource
     limit = resource.getrlimit(resource.RLIMIT_AS)[0]
     if limit != resource.RLIM_INFINITY and os.path.exists("/proc/self/statm"):
         with open("/proc/self/statm") as f:  # the pages mapped, first
             mapped = int(f.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
-        rows = sum(combinat.count_updown(n, shape) for shape in combinat.reachable_shapes(ps.r, n))
-        if mapped + per_row * (n + ps.r) * rows + 2 ** 22 > limit:
+        shapes = combinat.reachable_shapes(ps.r, n)
+        rows = sum(combinat.count_updown(n, shape) for shape in shapes)
+        family = ps.r ** n * combinat.double_factorial(2 * n - 1)
+        size = (n + ps.r) * rows * (per_row + per_row_cell * len(shapes)) + per_member * family
+        if mapped + size + 2 ** 22 > limit:
             raise MemoryError
 
 
 def cmd_verify(ps: ParamSet, args) -> tuple[list[dict], dict, bool]:
     from . import seminormal
-    _refuse_unless_it_fits(ps, args.n, 2048)
+    _refuse_unless_it_fits(ps, args.n, per_row=2048)
     real = seminormal.Realization(seminormal.build_all(ps, args.n))
     idr = seminormal.check_identities(ps, args.n)
     records = []
@@ -249,7 +247,9 @@ def cmd_verify(ps: ParamSet, args) -> tuple[list[dict], dict, bool]:
                         "pass": passed})
     records.append({"kind": "identities", "checked": idr.counts,
                     "failures": idr.failures, "pass": idr.ok})
-    return records, {"n": args.n, "modules": len(real.reps)}, ok
+    omega = params.omega_k_values(combinat.empty_mp(ps.r), ps, ps.r + 2)
+    return records, {"n": args.n, "modules": len(real.reps),
+                     "omega": [format_fraction(w) for w in omega]}, ok
 
 
 def cmd_gram(ps: ParamSet, args) -> tuple[list[dict], dict, bool]:
@@ -271,19 +271,12 @@ def cmd_gram(ps: ParamSet, args) -> tuple[list[dict], dict, bool]:
 
 def cmd_cellrank(ps: ParamSet, args) -> tuple[list[dict], dict, bool]:
     from . import wcell
-    _refuse_unless_it_fits(ps, args.n, 24 * 1024)
+    _refuse_unless_it_fits(ps, args.n, per_row_cell=128, per_member=1280)
     report = wcell.cellular_rank_report(ps, args.n)
     records = [{"kind": "cell", **cell, "shape": _shape_json(cell["shape"])}
                for cell in report["cells"]]
     return records, {"n": args.n, "count": report["count"], "rank": report["rank"],
                      "target": report["target"]}, report["ok"]
-
-
-def cmd_omega(ps: ParamSet, args) -> tuple[list[dict], dict, bool]:
-    values = params.omega_k_values(combinat.empty_mp(ps.r), ps, args.order)
-    records = [{"kind": "omega", "a": a, "value": format_fraction(w)}
-               for a, w in enumerate(values)]
-    return records, {"order": args.order, "omega": [format_fraction(w) for w in values]}, True
 
 
 # the tables held for the process, each a functools cache named by (module,
@@ -305,8 +298,7 @@ def held(names) -> list:
     return [getattr(m, attr) for m, (_, attr) in zip(modules, names) if m is not None]
 
 
-COMMANDS = {"counts": cmd_counts, "verify": cmd_verify, "gram": cmd_gram,
-            "cellrank": cmd_cellrank, "omega": cmd_omega}
+COMMANDS = {"verify": cmd_verify, "gram": cmd_gram, "cellrank": cmd_cellrank}
 
 
 def main(argv=None) -> int:

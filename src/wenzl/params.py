@@ -13,7 +13,8 @@ between W at two shapes is one between multisets of ints, and it becomes a
 polynomial only as int coefficient lists (``w_polynomials``), which are
 multiplied and compared, never divided.  The scalars are coefficients of
 one expansion at y = infinity, on ints (``omega_k_values``): Omega is that
-of W at the empty shape, read there by each use to the length it needs,
+of W at the empty shape, read there to Omega_{r+2} by its two uses, the
+unwrapping relations (``seminormal.relations``) and ``verify``'s summary,
 and the tower scalars omega_k^(a) that of W at the shape before step k;
 they are returned as Fractions.
 

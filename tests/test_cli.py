@@ -37,12 +37,18 @@ def summary_of(records):
     return tail[0]
 
 
+def _dim_squares(records) -> int:
+    """The sum of the squared dims of verify's models: the updown counts
+    of the reachable shapes, squared and summed."""
+    return sum(rec["dim"] ** 2 for rec in records if rec["kind"] == "relations")
+
+
 def test_counts_2_2(tmp_path):
-    rc, records = run(["counts", "--r", "2", "--n", "2"], tmp_path)
-    assert rc == 0
-    s = summary_of(records)
-    assert s["sum_of_squares"] == 12 and s["target"] == 12 and s["pass"]
-    shapes = [rec["shape"] for rec in records if rec["kind"] == "count"]
+    # verify reports each reachable shape's updown count as its model's dim
+    rc, records = run(["verify", "--r", "2", "--n", "2"], tmp_path)
+    assert rc == 0 and summary_of(records)["pass"]
+    assert _dim_squares(records) == 12
+    shapes = [rec["shape"] for rec in records if rec["kind"] == "relations"]
     assert [[], []] in shapes and len(shapes) == 6
     for rec in records:
         assert rec["ps"]["u"] == ["6", "-2"]
@@ -50,16 +56,16 @@ def test_counts_2_2(tmp_path):
 
 
 def test_counts_other_sizes(tmp_path):
-    rc, records = run(["counts", "--r", "1", "--n", "4"], tmp_path)
-    assert rc == 0 and summary_of(records)["target"] == 105
-    rc, records = run(["counts", "--r", "3", "--n", "1"], tmp_path)
-    assert rc == 0 and summary_of(records)["target"] == 3
+    rc, records = run(["verify", "--r", "1", "--n", "4"], tmp_path)
+    assert rc == 0 and _dim_squares(records) == 105
+    rc, records = run(["verify", "--r", "3", "--n", "1"], tmp_path)
+    assert rc == 0 and _dim_squares(records) == 3
 
 
 def test_counts_stdout(capsys):
-    assert main(["counts", "--r", "1", "--n", "2"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert json.loads(lines[-1])["sum_of_squares"] == 3
+    assert main(["verify", "--r", "1", "--n", "2"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert _dim_squares(records) == 3
 
 
 def test_verify_passes(tmp_path):
@@ -429,14 +435,16 @@ def test_cellrank_smallest(tmp_path):
 
 
 def test_omega_example(tmp_path):
-    rc, records = run(["omega", "--r", "1", "--u", "3/2", "--order", "4"],
-                      tmp_path)
+    # Omega at u = 3/2, read off W at the empty shape; verify's summary
+    # names Omega_0 ... Omega_{r+2}, the scalars its unwrapping relations read
+    ps = ParamSet.from_u((Fraction(3, 2),))
+    assert params.omega_k_values(combinat.empty_mp(1), ps, 4) == [
+        4, 6, 9, Fraction(27, 2), Fraction(81, 4)]
+    rc, records = run(["verify", "--r", "1", "--u", "3/2", "--n", "2"], tmp_path)
     assert rc == 0
     s = summary_of(records)
-    assert s["omega"] == ["4", "6", "9", "27/2", "81/4"]
-    assert set(s) == {"kind", "command", "order", "omega", "pass", "ps"} and s["pass"]
-    values = [rec["value"] for rec in records if rec["kind"] == "omega"]
-    assert values == s["omega"]
+    assert s["omega"] == ["4", "6", "9", "27/2"]
+    assert set(s) == {"kind", "command", "n", "modules", "omega", "pass", "ps"} and s["pass"]
 
 
 def test_config_file_overrides_flags(tmp_path):
@@ -445,9 +453,9 @@ def test_config_file_overrides_flags(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"u": ["3/2"], "N": 10}))
     with pytest.raises(SystemExit) as exc:
-        main(["omega", "--u", "3/2", "--order", "3", "--config", str(cfg)])
+        main(["verify", "--u", "3/2", "--n", "2", "--config", str(cfg)])
     assert exc.value.code == 2
-    rc, records = run(["omega", "--u", "3/2", "--order", "3"], tmp_path)
+    rc, records = run(["verify", "--u", "3/2", "--n", "2"], tmp_path)
     assert rc == 0
     ps = summary_of(records)["ps"]
     assert ps["r"] == 1 and ps["u"] == ["3/2"]
@@ -457,8 +465,8 @@ def test_config_file_overrides_flags(tmp_path):
 def test_every_record_carries_the_roots_alone(tmp_path):
     # a parameter set is its roots: every record of every command, an error
     # record too, has ps = {precision_bits, r, u}
-    for argv in (["counts", "--n", "2"], ["verify", "--n", "2"], ["gram", "--shape", "(1|1)"],
-                 ["cellrank", "--n", "2"], ["omega", "--order", "12"],
+    for argv in (["verify"], ["verify", "--n", "2"], ["gram", "--shape", "(1|1)"],
+                 ["cellrank", "--n", "2"], ["cellrank"],
                  ["verify", "--u", "1,1", "--n", "2"]):
         rc, records = run(argv, tmp_path)
         assert records[-1]["kind"] == ("error" if "1,1" in argv else "summary"), argv
@@ -467,11 +475,9 @@ def test_every_record_carries_the_roots_alone(tmp_path):
 
 
 def test_byte_identical_reruns(tmp_path):
-    for args in (["counts", "--r", "1", "--n", "2"],
-                 ["verify", "--r", "1", "--n", "2"],
+    for args in (["verify", "--r", "1", "--n", "2"],
                  ["gram", "--shape", "(1|1)"],
-                 ["cellrank", "--r", "1", "--n", "2"],
-                 ["omega", "--r", "1", "--n", "2"]):
+                 ["cellrank", "--r", "1", "--n", "2"]):
         a = tmp_path / f"{args[0]}-a.jsonl"
         b = tmp_path / f"{args[0]}-b.jsonl"
         for path in (a, b):
@@ -480,7 +486,7 @@ def test_byte_identical_reruns(tmp_path):
     # roots whose first entry is negative: the space-separated form gives the
     # same report as the "=" form
     for args, u in ((["verify", "--n", "2"], "-3,9"),
-                    (["omega", "--r", "1"], "-3/2"),
+                    (["cellrank", "--r", "1", "--n", "2"], "-3/2"),
                     (["gram", "--shape", "(1|1)"], "-1,5")):
         a = tmp_path / f"{args[0]}-space.jsonl"
         b = tmp_path / f"{args[0]}-equals.jsonl"
@@ -519,11 +525,12 @@ def test_edge_inputs_end_in_records(tmp_path):
     # the shape, so it gets the same cases as shapes
     cases = [["gram", "--shape", "(|)"], ["gram", "--shape", "(1|1)", "--u", "1,1"],
              ["gram", "--shape", "(1,1)", "--u", "1/2"]]
-    cases += [[command, *args] for command in ("counts", "verify", "cellrank", "omega")
+    cases += [[command, *args] for command in ("verify", "cellrank")
               for args in (["--n", "0"], ["--u", "1,1"],
                            ["--r", "1", "--n", "2", "--u", "1/2"])]
     # roots whose exact values run to thousands of digits
-    cases += [["omega", "--u", "1e400"], ["verify", "--u", "1e5000", "--n", "0"]]
+    cases += [["cellrank", "--u", "1e400", "--n", "1"], ["gram", "--shape", "(1)", "--u", "1e400"],
+              ["verify", "--u", "1e5000", "--n", "0"]]
     for argv in cases:
         rc, records = run(argv, tmp_path)
         assert rc in (0, 1), argv
@@ -619,14 +626,15 @@ def test_verify_refuses_a_job_that_would_not_fit_before_it_builds(tmp_path, monk
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads the mapped size")
 def test_cellrank_refuses_a_job_that_would_not_fit_before_it_builds(tmp_path, monkeypatch):
-    # cellrank builds the same realization under its own bound, 24 KiB per
-    # row, strand and root: with the room under RLIMIT_AS below that of a
-    # (2, 3) job, 32 rows, the job ends in the out-of-memory record with
+    # cellrank builds the same realization under its own bound, 128 bytes
+    # per row, cell, strand and root and 1,280 per member of the family:
+    # with the room under RLIMIT_AS below that of a (2, 3) job, 32 rows, 12
+    # cells and 120 members, the job ends in the out-of-memory record with
     # exit 1 before any model is built; with room for it, the same job runs
     # and passes
     with open("/proc/self/statm") as f:
         mapped = int(f.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
-    bound = 24 * 1024 * (3 + 2) * 32 + 2 ** 22
+    bound = 128 * (3 + 2) * 32 * 12 + 1280 * 120 + 2 ** 22
     build_all = seminormal.build_all
     builds = []
     monkeypatch.setattr(seminormal, "build_all", lambda *a: builds.append(a) or build_all(*a))
@@ -641,6 +649,16 @@ def test_cellrank_refuses_a_job_that_would_not_fit_before_it_builds(tmp_path, mo
                         lambda kind: (mapped + 4 * bound, resource.RLIM_INFINITY))
     rc, records = run(["cellrank", "--r", "2", "--n", "3"], tmp_path)
     assert rc == 0 and summary_of(records)["pass"] and len(builds) == 1
+
+
+def test_cellrank_runs_a_family_that_fits(tmp_path):
+    # cellrank at (2, 5), 30,240 members on 832 rows, under a 100 MiB limit
+    # on its own child: its bound admits it, and it runs and passes
+    out = tmp_path / "out.jsonl"
+    proc = _under_limit(["cellrank", "--r", "2", "--n", "5"], out, 100)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    s = summary_of([json.loads(line) for line in out.read_text().splitlines()])
+    assert s["pass"] and s["rank"] == s["target"] == 30240
 
 
 def test_out_of_memory_lets_go_of_the_held_tables(tmp_path, monkeypatch):
@@ -705,17 +723,18 @@ def test_cli_imports_no_mpmath():
 def test_a_process_imports_only_what_its_command_runs():
     # import wenzl.cli, then one job of a command, in a fresh child: no
     # mpmath and no dataclasses, and exactly the wenzl modules of the
-    # command; importing cli alone loads only combinat and params
+    # command; importing cli alone, or a usage error, loads only combinat
+    # and params
     src = str(Path(wenzl.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     code = ("import contextlib, io, sys, wenzl.cli\n"
             "if sys.argv[1:]:\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
             "        wenzl.cli.main(sys.argv[1:])\n"
             "print(' '.join(sorted(m for m in sys.modules if m == 'wenzl'\n"
             "                      or m.startswith('wenzl.') or m in ('mpmath', 'dataclasses'))))")
     base = {"wenzl", "wenzl.cli", "wenzl.combinat", "wenzl.params"}
-    for argv, modules in (([], ()), (["counts"], ()), (["omega"], ()),
+    for argv, modules in (([], ()), (["verify", "--r", "0"], ()), (["frobnicate"], ()),
                           (["verify", "--n", "2"], ("_linalg", "seminormal")),
                           (["gram", "--shape", "(1|1)"], ("_linalg", "hecke")),
                           (["cellrank", "--r", "1", "--n", "2"],
@@ -726,13 +745,14 @@ def test_a_process_imports_only_what_its_command_runs():
 
 
 def test_usage_errors():
-    for args in (["counts", "--r", "0"],
+    for args in (["verify", "--r", "0"],
                  ["frobnicate"],
                  ["gram"],                      # missing --shape
                  ["gram", "--shape", "(1|1)", "--n", "5"],
-                 ["counts", "--u", "not-a-number"],
+                 ["cellrank", "--u", "not-a-number"],
                  ["verify", "--precision", "16"],
-                 ["omega", "--order", "-1"],
+                 # --order went with the command that read it
+                 ["cellrank", "--order", "8"],
                  # --trunc no longer exists: (r, u, n) fix every job
                  ["verify", "--n", "3", "--trunc", "0"],
                  # --u still needs a value, and a negative one must parse
@@ -747,9 +767,9 @@ def test_usage_errors():
 
 def test_usage_errors_after_parsing_name_the_subcommand(capsys):
     # unrecognized arguments after a command too: its parser reads the argv
-    for args, prog in ((["omega", "--order", "-1"], "wenzl omega"),
+    for args, prog in ((["cellrank", "--r", "0"], "wenzl cellrank"),
                        (["verify", "--r", "3", "--u", "1,2"], "wenzl verify"),
-                       (["counts", "--u", "not-a-number"], "wenzl counts"),
+                       (["cellrank", "--u", "not-a-number"], "wenzl cellrank"),
                        (["verify", "--precision", "16"], "wenzl verify"),
                        (["gram", "--shape", "(1|1)", "extra"], "wenzl gram")):
         with pytest.raises(SystemExit) as exc:
@@ -763,14 +783,23 @@ def test_usage_errors_after_parsing_name_the_subcommand(capsys):
 
 
 def test_no_command_first_reaches_the_top_level_parser(capsys):
-    # help, no argv, an unknown command and an option before the command
-    for args, code in (([], 2), (["-h"], 0), (["frobnicate"], 2), (["--n", "3", "verify"], 2)):
+    # help, no argv, an unknown command and an option before the command;
+    # counts and omega are unknown commands
+    for args, code in (([], 2), (["-h"], 0), (["frobnicate"], 2), (["--n", "3", "verify"], 2),
+                       (["counts", "--r", "2", "--n", "2"], 2),
+                       (["omega", "--r", "1", "--u", "3/2", "--order", "4"], 2)):
         with pytest.raises(SystemExit) as exc:
             main(args)
         assert exc.value.code == code, args
         captured = capsys.readouterr()
         text = captured.out if code == 0 else captured.err
-        assert text.startswith("usage: wenzl [-h] {counts,verify,gram,cellrank,omega} ..."), args
+        assert text.startswith("usage: wenzl [-h] {verify,gram,cellrank} ..."), args
+
+
+def test_three_commands_one_per_statement():
+    # one command per statement of the paper; a command removed from one
+    # table but not the other fails here
+    assert cli.COMMANDS.keys() == cli._COMMAND_PARSERS.keys() == {"verify", "gram", "cellrank"}
 
 
 def test_command_parsers_are_held_and_print_the_same_help(capsys):
@@ -794,11 +823,11 @@ def test_out_into_a_missing_directory_is_a_usage_error(tmp_path):
     env = {**os.environ, "PYTHONPATH": src}
     for out in (missing, tmp_path / ("x" * 300)):
         proc = subprocess.run(
-            [sys.executable, "-m", "wenzl.cli", "counts", "--out", str(out)],
+            [sys.executable, "-m", "wenzl.cli", "verify", "--out", str(out)],
             env=env, capture_output=True, text=True)
         assert proc.returncode == 2, out
-        assert proc.stderr.startswith("usage: wenzl counts ")
-        assert "wenzl counts: error: --out" in proc.stderr
+        assert proc.stderr.startswith("usage: wenzl verify ")
+        assert "wenzl verify: error: --out" in proc.stderr
         assert "Traceback" not in proc.stderr and proc.stdout == ""
     assert not missing.parent.exists()
     assert list(tmp_path.iterdir()) == []
@@ -822,14 +851,14 @@ def test_a_job_that_raises_leaves_its_out_file_empty(tmp_path, monkeypatch):
     # --out is emptied as the job starts, so a job that ends in an exception
     # that main does not catch leaves no earlier run's report behind
     out = tmp_path / "out.jsonl"
-    assert main(["counts", "--out", str(out)]) == 0 and out.read_text()
+    assert main(["verify", "--out", str(out)]) == 0 and out.read_text()
 
     def broken(ps, args):
         raise RuntimeError("not caught")
 
-    monkeypatch.setitem(cli.COMMANDS, "counts", broken)
+    monkeypatch.setitem(cli.COMMANDS, "verify", broken)
     with pytest.raises(RuntimeError, match="not caught"):
-        main(["counts", "--out", str(out)])
+        main(["verify", "--out", str(out)])
     assert out.read_text() == ""
 
 
@@ -840,11 +869,11 @@ def test_out_naming_a_directory_or_nothing_is_a_usage_error(tmp_path):
     env = {**os.environ, "PYTHONPATH": src}
     for out in (str(target), str(target / "new") + os.sep, ""):
         proc = subprocess.run(
-            [sys.executable, "-m", "wenzl.cli", "counts", "--out", out],
+            [sys.executable, "-m", "wenzl.cli", "verify", "--out", out],
             env=env, cwd=target, capture_output=True, text=True)
         assert proc.returncode == 2, out
-        assert proc.stderr.startswith("usage: wenzl counts ")
-        assert f"wenzl counts: error: --out {out!r}: not a file name" in proc.stderr
+        assert proc.stderr.startswith("usage: wenzl verify ")
+        assert f"wenzl verify: error: --out {out!r}: not a file name" in proc.stderr
         assert "Traceback" not in proc.stderr and proc.stdout == ""
         assert list(target.iterdir()) == []
 
@@ -858,16 +887,17 @@ def test_out_naming_a_directory_or_nothing_is_a_usage_error(tmp_path):
 # the partial fractions decide the first, the next two hold at any roots,
 # and untwisting, tangle and involution decide the last two.  No residual
 # is of a commutation of distant letters, which every built model satisfies.
+# Each verify summary names Omega_0 ... Omega_{r+2}.
 GOLDEN_REPORTS = {
     "verify --r 2 --n 3":
-        "641cc70335d2b71b8a3538851aeb8a89c1aa6ba14df315882210d8a340ec25fe",
+        "5ed8cf6b18bc0faf589fe3a9fdf0a0fd0097f6daf6295cd3bf9ac61f2f43f0f6",
     "verify --r 3 --n 3 --u 120,-72,24":
-        "fdaa49c6c21a901d65e34d5c12779e5f3f369276377b1c2563e8a4c1647a3f38",
+        "c3e1e9dc439ed7194a62c6fc20123862e27a9484f3e21fbdc03c32a30e03c2d9",
     # n = 4: the windows out of nonempty shapes, and the relations at i = 2
     "verify --r 1 --n 4":
-        "232bc04e6c49e411a718b4423efb7457565acf74821f6c1ef8039fbf33564f12",
+        "1c2411e21afb47de25f550566abefeb8841462955c0c79ceb6c3751d8b75e739",
     "verify --r 2 --n 4":
-        "051d913659fc39ee893ec15f2d82d59307e33617b032c32484fe5a896f6b4f79",
+        "712bd7b6ca19b97dc45e462a3b48bf8183901c4fd4b3bf610dee22a080775385",
     "gram --shape (3|-)":
         "b31db084f402dccfe972ec55b681087fd469d249cb997f9cb21d29079495c88a",
     "gram --shape (2,1|-)":
@@ -916,9 +946,9 @@ GOLDEN_REPORTS = {
     # fractional roots, whose denominators the int evaluation must carry,
     # as the Fraction-row evaluation wrote them
     "verify --u 128/7,-40/7 --n 3":
-        "e6cbecba70ed98390a1b4d03d880c5e273545f620a8527b51b5971a8f71cbb64",
+        "44ed5411a30a9d0b691496032a38db43adad7cb34b6b7c811eb750c8a1a7697b",
     "verify --u 239/4,-145/4,47/4 --n 3":
-        "77af2834842d80a01e6558aca181175cd288329f3c8ab155dd84d4b6f7986213",
+        "a1a756adc39e455366c22c98a1e0ec02612d6bee6b91dab39161bbe8750e8fce",
     "cellrank --u 61/3,-35/3,13/3 --n 2":
         "5d7e09129fa07a1f7932d57146ab9599e697916d26c512fca33b34029a618b48",
     # Murphy coordinate matrices with denominators, which the elimination
@@ -935,15 +965,10 @@ GOLDEN_REPORTS = {
         "8c53e0658544ea6bbec7cfa950d33b02021de74c09a65f526189f023f8295c29",
     "gram --shape (3,1) --u 63/4":
         "033927ecfae2b7c2cfae3d3da636e2e3fa48f25f8c71cfa4f63049b8a18590d0",
-    # the closed count of updown tableaux, with its (2m-1)!! factor
-    "counts --r 3 --n 4":
-        "9b3f1594102ae989018b585408853031d6e4a63ff370958bb0e45c40e97aaca5",
-    "counts --r 2 --n 5":
-        "237ae4a762a50ade092ca6f5b10a13fa76c9eee3f2f8e2f0cc76d7c4654ba282",
     # roots over unequal denominators: the contents clear over q = 6, the
     # lcm of 2 and 3, though the contents of one step may need only one
     "verify --u 37/2,-11/3 --n 3":
-        "3d8e1873b8159c8c7d9ec92104d3947f054ffb987669921cae2f968d17d161b8",
+        "ed4feeb3d4a26004f089d32c001a12015b14f3522b378da0af4593c987e0f1db",
     # the model's build errors, each the first check to fail in build order:
     # opposite contents in a class, a zero step factor out of ((1, 1), ()),
     # found after every model's entries, equal adjacent contents in a swap
@@ -956,7 +981,7 @@ GOLDEN_REPORTS = {
     # roots where the orthonormal model needs the square root of -5/4, at
     # k = 3 from shape ((1, 1),): the rational model passes
     "verify --u 1/3 --n 4":
-        "5825f8b962f92133559b9800243f4545783f7a527784c34c948fe2ed1186cb2d",
+        "7e0450a5659f9218d673067895e994fe2be4c670aa4d1db6aa97e2d33e82cefe",
     # gram's regime error, equal adjacent contents, which must end the job
     # before any closed gamma product meets the zero factor they bring
     "gram --shape (1|1) --u 1,1":

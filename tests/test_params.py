@@ -88,13 +88,13 @@ def test_from_u_holds_one_parameter_set():
 
 def test_jobs_at_one_u_share_one_parameter_set(tmp_path, monkeypatch):
     # the held parameter set is keyed by the roots alone: verify at two
-    # strand counts, gram and omega to a high order at the same roots build
-    # one parameter set and fill the step table of each shape once
+    # strand counts, gram and cellrank at the same roots build one
+    # parameter set and fill the step table of each shape once
     boundaries = filled_step_tables(monkeypatch)
     u = "--u=" + ",".join(map(str, seeded_u("one-u", 2, 4)))
     out = str(tmp_path / "out.jsonl")
     for argv in (["verify", "--n", "3"], ["verify", "--n", "4"],
-                 ["gram", "--shape", "(2|1)"], ["omega", "--order", "30"]):
+                 ["gram", "--shape", "(2|1)"], ["cellrank", "--n", "4"]):
         assert main([*argv, u, "--out", out]) == 0, argv
     assert params._param_set.cache_info().misses == 1
     assert boundaries and len(boundaries) == len(set(boundaries))
