@@ -6,8 +6,7 @@ Modules by subject:
                   permutations and generator words
 - ``params``:     parameter sets, the step table, W at a shape as the int
                   roots of its linear factors and its expansion at infinity
-                  (Omega, u-admissible by construction, and the tower
-                  scalars)
+                  (Omega, u-admissible by construction)
 - ``_linalg``:    sparse int matrices: products, the multiply-accumulate,
                   rank, determinant and inverse by fraction-free elimination
 - ``seminormal``: rational seminormal models, their realization, and checks

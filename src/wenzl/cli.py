@@ -16,8 +16,8 @@ Fractions, and ``cellrank`` proves the rank of the cellular family on that
 model cell by cell, from a block upper triangular order of its supports
 (``wcell``), or ends in an ``error`` record.  ``verify``'s summary names the
 algebra it certified by Omega_0 ... Omega_{r+2}, the scalars its unwrapping
-relations read; Omega is u-admissible by its construction
-(``params.omega_k_values``), so it carries no verdict.
+relations read, expanded once per job; Omega is u-admissible by its
+construction (``params.omega_k_values``), so it carries no verdict.
 
 A process compiles only what its command runs: this module imports
 ``combinat`` and ``params``, and each command imports its own module when
@@ -236,9 +236,11 @@ def cmd_verify(ps: ParamSet, args) -> tuple[list[dict], dict, bool]:
     _refuse_unless_it_fits(ps, args.n, per_row=2048)
     real = seminormal.Realization(seminormal.build_all(ps, args.n))
     idr = seminormal.check_identities(ps, args.n)
+    # expanded once per job, for the unwrapping relations and the summary
+    omega = params.omega_k_values(combinat.empty_mp(ps.r), ps, ps.r + 2)
     records = []
     ok = idr.ok
-    for rep, res in zip(real.reps, seminormal.verify_relations(real)):
+    for rep, res in zip(real.reps, seminormal.verify_relations(real, omega)):
         passed = all(v == 0 for v in res.values())
         ok = ok and passed
         records.append({"kind": "relations", "shape": _shape_json(rep.shape),
@@ -247,7 +249,6 @@ def cmd_verify(ps: ParamSet, args) -> tuple[list[dict], dict, bool]:
                         "pass": passed})
     records.append({"kind": "identities", "checked": idr.counts,
                     "failures": idr.failures, "pass": idr.ok})
-    omega = params.omega_k_values(combinat.empty_mp(ps.r), ps, ps.r + 2)
     return records, {"n": args.n, "modules": len(real.reps),
                      "omega": [format_fraction(w) for w in omega]}, ok
 

@@ -11,12 +11,10 @@ built.  W at a shape is read off the same table: it is held as the int
 roots of the linear factors of W + y - 1/2 (``wk_rational``), so an identity
 between W at two shapes is one between multisets of ints, and it becomes a
 polynomial only as int coefficient lists (``w_polynomials``), which are
-multiplied and compared, never divided.  The scalars are coefficients of
-one expansion at y = infinity, on ints (``omega_k_values``): Omega is that
-of W at the empty shape, read there to Omega_{r+2} by its two uses, the
-unwrapping relations (``seminormal.relations``) and ``verify``'s summary,
-and the tower scalars omega_k^(a) that of W at the shape before step k;
-they are returned as Fractions.
+multiplied and compared, never divided.  Omega is the expansion of W at the
+empty shape at y = infinity, on ints (``omega_k_values``), returned as
+Fractions; a ``verify`` job reads it there once, to Omega_{r+2}, for its
+unwrapping relations (``seminormal.relations``) and its summary.
 
 ``wk_rational``, ``wk_recursive_rational`` and ``omega_k_values`` keep the
 names by which ``perfbench/tracing.py`` patches them to time their layers,
@@ -161,8 +159,8 @@ _param_set = functools.lru_cache(maxsize=1)(ParamSet)
 
 
 # ---------------------------------------------------------------------------
-# the steps out of a shape, W at a shape, one step of its recursion, and the
-# tower scalars
+# the steps out of a shape, W at a shape, one step of its recursion, and its
+# expansion at infinity
 # ---------------------------------------------------------------------------
 
 class Steps(NamedTuple):
@@ -314,11 +312,14 @@ def w_polynomials(ps: ParamSet, form) -> tuple[list[int], list[int]]:
 def omega_k_values(mu, ps: ParamSet, A: int) -> list[Fraction]:
     """The scalars omega_k^{(a)}, a = 0..A, at every position k whose shape
     before step k is mu: the coefficients of y^{-a} in the expansion at
-    infinity of W at mu, on ints.  At the empty shape they are Omega, and
-    Omega so read is u-admissible: with f = W + y - 1/2 there, the closed
-    form gives f(y) f(-y) = (y - (-1)^r/2)(-y - (-1)^r/2) = 1/4 - y^2, and
-    the coefficient of y^(-2a) in f(y) f(-y) - 1/4 + y^2 is -2 omega_{2a+1}
-    - omega_{2a} + sum_{b=0}^{2a} (-1)^b omega_b omega_{2a-b}, which is 0
-    exactly when the admissibility condition holds at a; the coefficient
-    of each odd power is 0 for any sequence."""
+    infinity of W at mu, on ints.  A job reads them at the empty shape
+    alone, where they are Omega; elsewhere they are the scalars of the tower
+    E_k X_k^a E_k = omega_k^(a) E_k, which ``w-partial-fractions`` decides
+    (``seminormal.verify_relations``).  Omega so read is u-admissible: with
+    f = W + y - 1/2 there, the closed form gives f(y) f(-y) =
+    (y - (-1)^r/2)(-y - (-1)^r/2) = 1/4 - y^2, and the coefficient of
+    y^(-2a) in f(y) f(-y) - 1/4 + y^2 is -2 omega_{2a+1} - omega_{2a} +
+    sum_{b=0}^{2a} (-1)^b omega_b omega_{2a-b}, which is 0 exactly when the
+    admissibility condition holds at a; the coefficient of each odd power
+    is 0 for any sequence."""
     return series_at_infinity(*w_polynomials(ps, wk_rational(mu, ps)), A)

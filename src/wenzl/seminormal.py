@@ -28,11 +28,11 @@ entries of its neighbours instead of being multiplied as a matrix.
 ``wcell`` certifies the cellular family's rank on it.  The defining
 relations, less the commutations of distant letters that every built model
 satisfies (``relations``), are written once, as pairs of word sums.  Each
-relation, and each identity of the scalar tower, is checked as one signed
-sum lhs - rhs in that way (``Realization.sum_residuals``), and a block is
-scanned only where the sum is nonzero; at k = 1 the tower is the unwrapping
-relation, and at a = 0, for every k, the contraction-scalar relation at
-i = k, so each of those sums is formed once for both.  The identities
+relation is checked as one signed sum lhs - rhs in that way
+(``verify_relations``, by ``Realization.sum_residuals``), and a block is
+scanned only where the sum is nonzero.  The scalar tower E_k X_k^a E_k =
+omega_k^(a) E_k is no check: the placement of E_k and the partial fractions
+of W decide it (the proof is in ``verify_relations``).  The identities
 between the coefficients are checked on the ints of the step table, once
 per local window, with no polynomial division or rational function
 (``check_identities``): W, its recursion and its partial fractions as
@@ -575,25 +575,24 @@ RELATION_FAMILIES = (
 )
 
 
-def relations(ps: ParamSet, n: int):
+def relations(ps: ParamSet, n: int, omega):
     """The defining relations at n strands as (family, lhs, rhs), each side a
     word sum: Nazarov's affine Wenzl relations in S_i, E_i and X_j, unwrapping
-    E_1 X_1^a E_1 = omega_a E_1 for 0 <= a <= r + 2, Omega read off W at the
-    empty shape, and the cyclotomic relation sum_k c_k X_1^k = 0, c from
-    ``cyclotomic_coeffs``; but no commutation of distant letters.  S_i S_j,
-    S_i E_j and E_i E_j for |i - j| > 1, S_i X_j and E_i X_j for j not in
-    {i, i + 1}, and X_a X_b hold on every model ``build_rep`` builds, at any
-    roots.  ``build_rep`` places an S_k or E_k entry only between tableaux t, s
-    that differ at step k alone, its value read off t_{k-1}, t_k, t_{k+1} and
-    s_k; X_j is diagonal, its value the content of step j, read off t_{j-1}
-    and t_j.  For |i - j| >= 2 neither letter changes a step that the other
-    reads, so (A_i B_j)[t][s] and (B_j A_i)[t][s] are the same product of two
-    entries, through the tableau that takes s's step at i, or at j: a walk,
-    since its neighbours there are t's."""
+    E_1 X_1^a E_1 = omega_a E_1 for 0 <= a <= r + 2, Omega_0 ... Omega_{r+2}
+    the values ``omega`` of W at the empty shape, which the caller expands
+    (``params.omega_k_values``), and the cyclotomic relation sum_k c_k X_1^k
+    = 0, c from ``cyclotomic_coeffs``; but no commutation of distant letters.
+    S_i S_j, S_i E_j and E_i E_j for |i - j| > 1, S_i X_j and E_i X_j for j
+    not in {i, i + 1}, and X_a X_b hold on every model ``build_rep`` builds,
+    at any roots.  ``build_rep`` places an S_k or E_k entry only between
+    tableaux t, s that differ at step k alone, its value read off t_{k-1},
+    t_k, t_{k+1} and s_k; X_j is diagonal, its value the content of step j,
+    read off t_{j-1} and t_j.  For |i - j| >= 2 neither letter changes a step
+    that the other reads, so (A_i B_j)[t][s] and (B_j A_i)[t][s] are the same
+    product of two entries, through the tableau that takes s's step at i, or
+    at j: a walk, since its neighbours there are t's."""
     def w(*words):
         return tuple((Fraction(1), word) for word in words)
-
-    omega = params.omega_k_values(combinat.empty_mp(ps.r), ps, ps.r + 2)
 
     for i in range(1, n):
         s, e, x, x1 = ("S", i), ("E", i), ("X", i, 1), ("X", i + 1, 1)
@@ -621,81 +620,47 @@ def relations(ps: ParamSet, n: int):
                                   enumerate(params.cyclotomic_coeffs(ps.u)) if c), ()
 
 
-def residuals(real: Realization) -> list[dict]:
-    """Exact max |lhs - rhs| over the ``relations`` of each family, one dict
-    per block of ``real``, and "tower-scalars", the identities of the tower
-    E_k X_k^a E_k = omega_k^(a) E_k (``verify_relations``) that are
-    relations: at k = 1 every nonzero row of E_1 starts at the empty shape,
-    where omega_1^(a) is omega_a, so for a <= r + 1 the tower is the
-    unwrapping relation at a; at a = 0, where X_k^0 is no factor and
-    omega_k^(0) is Omega_0 at every shape (``params.wk_rational``), it is the
-    contraction-scalar relation at i = k.  Each of those sums is formed once
-    and recorded under both names, and at i = 1 under all three.  No
-    commutation of distant letters is summed: ``relations`` proves them."""
-    names = RELATION_FAMILIES + ("tower-scalars",)
-    out = [dict.fromkeys(names, Fraction(0)) for _ in real.reps]
+def verify_relations(real: Realization, omega) -> list[dict]:
+    """Exact max |lhs - rhs| over the ``relations`` of each family, with
+    Omega_0 ... Omega_{r+2} the values ``omega``, one dict per block of
+    ``real``; every value is 0 for a genuine model.  Each relation is one
+    signed sum lhs - rhs (``Realization.sum_residuals``).  Unwrapping at
+    a = 0, where X_1^0 is no factor, is the contraction-scalar relation at
+    i = 1, so that sum is formed once and recorded under both names.  No
+    commutation of distant letters is summed: ``relations`` proves them.
+    Self-adjointness for diag(gamma) is no residual of the model:
+    ``check_identities`` certifies it on the coefficients, once per window.
+
+    Nor is the scalar tower E_k X_k^a E_k = omega_k^(a) E_k for k >= 2 and
+    1 <= a <= r + 1, omega_k^(a) the coefficient of y^(-a) at infinity of W
+    at the shape mu before step k (``params.omega_k_values``); at k = 1 it
+    is the unwrapping relation, and at a = 0 the contraction-scalar relation
+    at i = k (``params.wk_rational``).  On every model ``build_rep`` builds,
+    it fails only where ``w-partial-fractions`` fails:
+
+    - ``_class_entries`` places each row of E_k on the class of tableaux that
+      return to mu at step k as one vector e, e_m the e of the step m out of
+      mu (``params.steps_out``) that the partner takes at step k, and E_k is
+      0 on every other row; so E_k = 1 e^T on the class, and X_k is diag(c_m)
+      there, c_m the content of that step.
+    - Hence E_k X_k^a E_k = (sum_m e_m c_m^a) E_k.
+    - ``check_identities`` checks ``w-partial-fractions`` at every mu with
+      |mu| <= n - 2: the exact identity W = y sum_m e_m / (y - c_m), whose
+      coefficient of y^(-a) is sum_m e_m c_m^a, which is omega_k^(a)."""
+    out = [dict.fromkeys(RELATION_FAMILIES, Fraction(0)) for _ in real.reps]
     e = ("E", 1)
-    # the names each left side's sum is recorded under beside its family
-    also = {((1, (e, ("X", 1, a), e)),): ("tower-scalars",) for a in range(1, real.ps.r + 2)}
-    also.update({((1, (("E", i), ("E", i))),): ("tower-scalars",) for i in range(2, real.n)})
-    also[((1, (e, e)),)] = ("unwrapping", "tower-scalars")
-    shared = ((1, (e, ("X", 1, 0), e)),)
+    shared, both = ((1, (e, ("X", 1, 0), e)),), ((1, (e, e)),)
     # built whole: a generator left suspended by a MemoryError is closed as
     # the frames unwind, and a close that runs out of memory too prints to stderr
-    for family, lhs, rhs in tuple(relations(real.ps, real.n)):
+    for family, lhs, rhs in tuple(relations(real.ps, real.n, omega)):
         if lhs == shared:
             continue
         terms = [(c, real.factors(word)) for c, word in lhs]
         terms += [(-c, real.factors(word)) for c, word in rhs]
         for b, value in real.sum_residuals(terms).items():
             res = out[b]
-            for name in (family, *also.get(lhs, ())):
+            for name in (family, "unwrapping") if lhs == both else (family,):
                 res[name] = max(res[name], value)
-    return out
-
-
-def tower_scalars(ps: ParamSet, n: int) -> dict:
-    """omega_k^(a), 0 <= a <= r + 1, keyed by the shape mu before step k,
-    for every mu with |mu| <= n - 2 (every position k < n): the expansion at
-    infinity of the closed form of W at mu, on ints
-    (``params.omega_k_values``)."""
-    return {mu: params.omega_k_values(mu, ps, ps.r + 1)
-            for size in range(n - 1)
-            for mu in combinat.multipartitions(ps.r, size)}
-
-
-def verify_relations(real: Realization) -> list[dict]:
-    """Exact residuals of the defining relations on each block of ``real``,
-    plus the scalar tower E_k X_k^a E_k = omega_k^(a) E_k, 0 <= a <= r + 1,
-    against the scalars of ``tower_scalars`` (``tower-scalars``).  Each is one
-    signed sum lhs - rhs (``Realization.sum_residuals``).  At k = 1, and at
-    a = 0 for every k, the tower is a relation of the table, whose sums
-    ``residuals`` records under both names.  At k >= 2 and a >= 1, the tower's
-    scalar depends only on the shape mu before step k, so its right side is
-    D E_k, D a ``Diagonal``: each omega_k^(a) is cleared to an int once per
-    shape mu, over the lcm of their denominators, and D holds it on the rows
-    where E_k is nonzero, the rows of the tableaux that return at k.  One dict
-    per block; every value is 0 for a genuine model.  Self-adjointness for
-    diag(gamma) is no residual of the model: ``check_identities`` certifies it
-    on the coefficients, once per window."""
-    out = residuals(real)
-    scalars = tower_scalars(real.ps, real.n)
-    tableaux = [t for rep in real.reps for t in rep.basis]
-    for k in range(2, real.n):
-        e = ("E", k)
-        ek = real._letter(e)
-        # each row's shape before step k by index; -1, the 0 after w, off E_k
-        shapes = {}
-        at = [shapes.setdefault(combinat.shape_before(t, k), len(shapes)) if row else -1
-              for t, row in zip(tableaux, ek.rows)]
-        for a in range(1, real.ps.r + 2):
-            ws = [scalars[mu][a] for mu in shapes]
-            q = params.clearing(ws)
-            w = params.cleared(ws, q) + (0,)
-            diag = Diagonal([w[i] for i in at], q)
-            for b, value in real.sum_residuals(
-                    ((1, real.factors((e, ("X", k, a), e))), (-1, [diag, ek]))).items():
-                out[b]["tower-scalars"] = max(out[b]["tower-scalars"], value)
     return out
 
 

@@ -24,8 +24,11 @@ self-adjointness of every entry of a model for diag(gamma)
 (``adjointness_reference``, with ``gammas``) that the window identities
 are checked against, the two-sided relation check (``two_sided_residuals``: each side
 a whole element, compared block by block by ``block_residuals``, with
-``_residual``, ``_rows_scaled``, ``mat_sub`` and ``max_abs``) that
-``Realization.sum_residuals`` is checked against, the word sum formed term
+``_residual``, ``mat_sub`` and ``max_abs``) that
+``Realization.sum_residuals`` is checked against, the relation residuals
+with the Omega a job expands (``job_residuals``), the scalar tower, which
+no job checks since the placement of E_k and the partial fractions of W
+decide it (``tower_scalars``, ``tower_residuals``), the word sum formed term
 by term (``term_by_term_sum``: each word a product of its letters,
 ``mul_fold``, scaled by its coefficient, ``scaled``, and merged into the
 sum by ``mat_add``, ``mat_scale`` and ``_merge_row``) that
@@ -365,8 +368,7 @@ def check_module(S, E, X, ps: ParamSet) -> dict:
     with at least one X: the relation table evaluated on the one-block
     realization of the module.  Every value should be Fraction(0) for a
     genuine module."""
-    res = seminormal.residuals(module_realization(S, E, X, ps))[0]
-    return {family: res[family] for family in RELATION_FAMILIES}
+    return job_residuals(module_realization(S, E, X, ps))[0]
 
 
 def seeded_u(tag: str, r: int, n: int) -> tuple[Fraction, ...]:
@@ -787,36 +789,63 @@ def block_residuals(real: seminormal.Realization, a, b) -> list[Fraction]:
     return [_residual(x[start:end], y[start:end], den) for start, end in real.ranges]
 
 
-def _rows_scaled(ev, scalars) -> seminormal.Evaluated:
-    """ev with row i scaled by scalars[i], a Fraction: the numerators over
-    the lcm q of the denominators scale the rows, and q joins den."""
-    q = params.clearing(scalars)
-    return seminormal.Evaluated([{j: x * f for j, x in row.items()} if f else {}
-                                 for row, f in zip(ev.rows, params.cleared(scalars, q))],
-                                ev.den * q)
-
-
-def two_sided_residuals(real: seminormal.Realization, scalars: dict) -> list[dict]:
+def two_sided_residuals(real: seminormal.Realization) -> list[dict]:
     """The reference for ``seminormal.verify_relations``: each side of each
     relation evaluated on its own (``evaluate_sum``) and compared block by
-    block (``block_residuals``); the tower's right side E_k with each row
-    scaled by its own scalar (``_rows_scaled``)."""
+    block (``block_residuals``)."""
     out = [dict.fromkeys(RELATION_FAMILIES, Fraction(0)) for _ in real.reps]
-    for family, lhs, rhs in seminormal.relations(real.ps, real.n):
+    omega = derived_omega(real.ps, real.ps.r + 2)
+    for family, lhs, rhs in seminormal.relations(real.ps, real.n, omega):
         for res, value in zip(out, block_residuals(real, real.evaluate_sum(lhs),
                                                    real.evaluate_sum(rhs))):
             res[family] = max(res[family], value)
-    for res in out:
-        res["tower-scalars"] = Fraction(0)
+    return out
+
+
+def job_residuals(real: seminormal.Realization) -> list[dict]:
+    """``seminormal.verify_relations`` on ``real`` with Omega_0 ...
+    Omega_{r+2}, as a ``verify`` job expands them."""
+    return seminormal.verify_relations(real, derived_omega(real.ps, real.ps.r + 2))
+
+
+# the scalar tower E_k X_k^a E_k = omega_k^(a) E_k, a reference only: the
+# placement of E_k and ``w-partial-fractions`` decide it, so no job checks it
+# (the proof is in ``seminormal.verify_relations``)
+def tower_scalars(ps: ParamSet, n: int) -> dict:
+    """omega_k^(a), 0 <= a <= r + 1, keyed by the shape mu before step k,
+    for every mu with |mu| <= n - 2 (every position k < n): the expansion at
+    infinity of the closed form of W at mu, on ints
+    (``params.omega_k_values``)."""
+    return {mu: params.omega_k_values(mu, ps, ps.r + 1)
+            for size in range(n - 1)
+            for mu in combinat.multipartitions(ps.r, size)}
+
+
+def tower_residuals(real: seminormal.Realization, scalars: dict) -> list[Fraction]:
+    """Exact max |E_k X_k^a E_k - omega_k^(a) E_k| on each block of ``real``
+    over every k < n and 0 <= a <= r + 1, against the ``tower_scalars``
+    ``scalars``, each identity one signed sum (``Realization.sum_residuals``).
+    The scalar depends only on the shape mu before step k, so the right side
+    is D E_k, D a ``Diagonal``: each omega_k^(a) is cleared to an int once
+    per shape mu, over the lcm of their denominators, and D holds it on the
+    rows where E_k is nonzero, the rows of the tableaux that return at k."""
+    out = [Fraction(0)] * len(real.reps)
+    tableaux = [t for rep in real.reps for t in rep.basis]
     for k in range(1, real.n):
         e = ("E", k)
-        ek = evaluate_word(real, (e,))
-        rows = [scalars[combinat.shape_before(t, k)] for rep in real.reps for t in rep.basis]
+        ek = real._letter(e)
+        # each row's shape before step k by index; -1, the 0 after w, off E_k
+        shapes = {}
+        at = [shapes.setdefault(combinat.shape_before(t, k), len(shapes)) if row else -1
+              for t, row in zip(tableaux, ek.rows)]
         for a in range(real.ps.r + 2):
-            rhs = _rows_scaled(ek, [w[a] for w in rows])
-            for res, value in zip(out, block_residuals(
-                    real, evaluate_word(real, (e, ("X", k, a), e)), rhs)):
-                res["tower-scalars"] = max(res["tower-scalars"], value)
+            ws = [scalars[mu][a] for mu in shapes]
+            q = params.clearing(ws)
+            w = params.cleared(ws, q) + (0,)
+            diag = seminormal.Diagonal([w[i] for i in at], q)
+            for b, value in real.sum_residuals(
+                    ((1, real.factors((e, ("X", k, a), e))), (-1, [diag, ek]))).items():
+                out[b] = max(out[b], value)
     return out
 
 

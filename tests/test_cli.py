@@ -74,8 +74,7 @@ def test_verify_passes(tmp_path):
     rel = [rec for rec in records if rec["kind"] == "relations"]
     assert rel and all(rec["pass"] for rec in rel)
     for rec in rel:
-        assert set(rec["residuals"]) >= {"braid", "skein", "cyclotomic",
-                                         "unwrapping", "tower-scalars"}
+        assert set(rec["residuals"]) == set(seminormal.RELATION_FAMILIES)
         assert set(rec) == {"kind", "shape", "dim", "residuals", "pass", "ps"}
         assert all(v == 0 for v in rec["residuals"].values())
     ident = [rec for rec in records if rec["kind"] == "identities"]
@@ -102,7 +101,7 @@ def test_verify_reports_a_perturbed_entry(tmp_path, monkeypatch):
     assert rc == 1 and not summary_of(records)["pass"]
     ps = ParamSet.default(2, 3)
     real = seminormal.Realization(seminormal.build_all(ps, 3))
-    want = two_sided_residuals(real, seminormal.tower_scalars(ps, 3))
+    want = two_sided_residuals(real)
     rel = [rec for rec in records if rec["kind"] == "relations"]
     assert len(rel) == len(real.reps)
     for rec, rep, res in zip(rel, real.reps, want):
@@ -127,8 +126,8 @@ def test_verify_writes_a_nonzero_residual_as_its_float(tmp_path, monkeypatch):
     # a residual of 1/3 is written as its float, every zero as 0.0
     verify_relations, names = seminormal.verify_relations, []
 
-    def perturbed(real):
-        res = verify_relations(real)
+    def perturbed(real, omega):
+        res = verify_relations(real, omega)
         names.append(next(iter(res[0])))
         res[0] = {**res[0], names[0]: Fraction(1, 3)}
         return res
@@ -445,6 +444,25 @@ def test_omega_example(tmp_path):
     s = summary_of(records)
     assert s["omega"] == ["4", "6", "9", "27/2"]
     assert set(s) == {"kind", "command", "n", "modules", "omega", "pass", "ps"} and s["pass"]
+
+
+def test_verify_expands_omega_once_per_job(tmp_path, monkeypatch):
+    # the unwrapping relations and the summary read one expansion of W at
+    # the empty shape, to Omega_{r+2}, and no other shape's is taken
+    omega_k_values, calls = params.omega_k_values, []
+
+    def counted(mu, ps, A):
+        calls.append((mu, A))
+        return omega_k_values(mu, ps, A)
+
+    monkeypatch.setattr(params, "omega_k_values", counted)
+    for r, n in ((1, 2), (2, 3), (3, 3), (2, 4)):
+        calls.clear()
+        rc, records = run(["verify", "--r", str(r), "--n", str(n)], tmp_path)
+        assert rc == 0 and calls == [(combinat.empty_mp(r), r + 2)], (r, n, calls)
+        ps = ParamSet.default(r, n)
+        want = omega_k_values(combinat.empty_mp(r), ps, r + 2)
+        assert summary_of(records)["omega"] == [params.format_fraction(w) for w in want]
 
 
 def test_config_file_overrides_flags(tmp_path):
@@ -886,18 +904,20 @@ def test_out_naming_a_directory_or_nothing_is_a_usage_error(tmp_path):
 # swap-degenerate-unit, contraction-inverse or swap-contraction-matching:
 # the partial fractions decide the first, the next two hold at any roots,
 # and untwisting, tangle and involution decide the last two.  No residual
-# is of a commutation of distant letters, which every built model satisfies.
+# is of a commutation of distant letters, which every built model satisfies,
+# nor of the scalar tower, which the placement of E_k and the partial
+# fractions decide.
 # Each verify summary names Omega_0 ... Omega_{r+2}.
 GOLDEN_REPORTS = {
     "verify --r 2 --n 3":
-        "5ed8cf6b18bc0faf589fe3a9fdf0a0fd0097f6daf6295cd3bf9ac61f2f43f0f6",
+        "e57dab1b39a1d30476854dd14e2423a14d136c471a131e80b4705a2c093cd5fb",
     "verify --r 3 --n 3 --u 120,-72,24":
-        "c3e1e9dc439ed7194a62c6fc20123862e27a9484f3e21fbdc03c32a30e03c2d9",
+        "528b81b39a8d75ac96f06f1c79a5226a14b408f68b75d3d15a46bfe1f0e310f7",
     # n = 4: the windows out of nonempty shapes, and the relations at i = 2
     "verify --r 1 --n 4":
-        "1c2411e21afb47de25f550566abefeb8841462955c0c79ceb6c3751d8b75e739",
+        "98e44ac80cc67e5501c6c8ca24c96b1440ae6b935805738e0e0029bea6599899",
     "verify --r 2 --n 4":
-        "712bd7b6ca19b97dc45e462a3b48bf8183901c4fd4b3bf610dee22a080775385",
+        "99cf9577356c71c3d5dd0d601dd3abbc06a189c7b8e2465d505498c3d76c1686",
     "gram --shape (3|-)":
         "b31db084f402dccfe972ec55b681087fd469d249cb997f9cb21d29079495c88a",
     "gram --shape (2,1|-)":
@@ -946,9 +966,9 @@ GOLDEN_REPORTS = {
     # fractional roots, whose denominators the int evaluation must carry,
     # as the Fraction-row evaluation wrote them
     "verify --u 128/7,-40/7 --n 3":
-        "44ed5411a30a9d0b691496032a38db43adad7cb34b6b7c811eb750c8a1a7697b",
+        "7d3c7e18c8a0cf2a2bc3c78c2a89b103d1a5376dfc96c7cd97cd87da2581f1fa",
     "verify --u 239/4,-145/4,47/4 --n 3":
-        "a1a756adc39e455366c22c98a1e0ec02612d6bee6b91dab39161bbe8750e8fce",
+        "25b729ba9fd6460d3333ea51d9f7655960ac515b0d979c8dc7feef249c97e237",
     "cellrank --u 61/3,-35/3,13/3 --n 2":
         "5d7e09129fa07a1f7932d57146ab9599e697916d26c512fca33b34029a618b48",
     # Murphy coordinate matrices with denominators, which the elimination
@@ -968,7 +988,7 @@ GOLDEN_REPORTS = {
     # roots over unequal denominators: the contents clear over q = 6, the
     # lcm of 2 and 3, though the contents of one step may need only one
     "verify --u 37/2,-11/3 --n 3":
-        "ed4feeb3d4a26004f089d32c001a12015b14f3522b378da0af4593c987e0f1db",
+        "1b9b198fdf39b2b8a7ef9125ffc0154fca272af5f0ba704d0f06a77852c668f1",
     # the model's build errors, each the first check to fail in build order:
     # opposite contents in a class, a zero step factor out of ((1, 1), ()),
     # found after every model's entries, equal adjacent contents in a swap
@@ -981,7 +1001,7 @@ GOLDEN_REPORTS = {
     # roots where the orthonormal model needs the square root of -5/4, at
     # k = 3 from shape ((1, 1),): the rational model passes
     "verify --u 1/3 --n 4":
-        "7e0450a5659f9218d673067895e994fe2be4c670aa4d1db6aa97e2d33e82cefe",
+        "f662f849a8ac22fa3aee82e5206111d4f9eb5e18bb541404a837eb741a0f40f9",
     # gram's regime error, equal adjacent contents, which must end the job
     # before any closed gamma product meets the zero factor they bring
     "gram --shape (1|1) --u 1,1":

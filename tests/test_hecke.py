@@ -11,7 +11,8 @@ from fractions import Fraction
 import pytest
 
 from support import (FractionHecke, TupleHecke, TupleMurphyBasis, as_fractions, by_monomial,
-                     cell_triples, coordinates, distant_commutations, filled_step_tables,
+                     cell_triples, coordinates, derived_omega, distant_commutations,
+                     filled_step_tables,
                      fraction_inverse,
                      from_monomials, gamma_by_descents, gamma_top, is_semisimple, key_word,
                      multiply, murphy_triangular_report, root_sets, row_symmetrizer_witness,
@@ -586,7 +587,8 @@ def test_relation_table_without_e_holds_in_the_quotient(r, n):
     for ps in (ParamSet.default(r, n), ParamSet.from_u(seeded)):
         H = HeckeAlgebra(ps, n)
         checked = set()
-        for family, lhs, rhs in (*relations(ps, n), *distant_commutations(n)):
+        table = relations(ps, n, derived_omega(ps, r + 2))
+        for family, lhs, rhs in (*table, *distant_commutations(n)):
             lhs, rhs = _without_e(lhs), _without_e(rhs)
             assert H.act_sum(H.one(), lhs) == H.act_sum(H.one(), rhs), (ps.u, family, lhs)
             if lhs or rhs:

@@ -16,8 +16,7 @@ from support import (
 from wenzl import combinat, params, seminormal
 from wenzl.cli import main
 from wenzl.params import ParamSet, format_fraction, parse_fraction
-from wenzl.seminormal import tower_scalars
-from support import addable_removable, root_sets, w_at_shape_reference
+from support import addable_removable, root_sets, tower_scalars, w_at_shape_reference
 
 F = Fraction
 

@@ -55,17 +55,15 @@ def test_command_lines(capsys):
 
 def _identity_section() -> str:
     text = README.read_text()
-    start = text.index("### Identities and the scalar tower")
+    start = text.index("### Identities, and the checks they decide")
     return text[start:text.index("\n## ", start)]
 
 
 def test_identity_section_names_every_check():
-    # every identity that verify counts at (2, 4), every relation family
-    # and the scalar tower are named there, so a renamed check cannot
-    # leave the section behind
+    # every identity that verify counts at (2, 4) and every relation family
+    # are named there, so a renamed check cannot leave the section behind
     section = _identity_section()
-    names = {*check_identities(ParamSet.default(2, 4), 4).counts,
-             *RELATION_FAMILIES, "tower-scalars"}
-    assert len(names) == 13
+    names = {*check_identities(ParamSet.default(2, 4), 4).counts, *RELATION_FAMILIES}
+    assert len(names) == 12
     missing = sorted(name for name in names if f"`{name}`" not in section)
     assert missing == [], missing

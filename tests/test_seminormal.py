@@ -15,19 +15,18 @@ from support import (
     addable_removable, build_all_evaluated, build_all_reference, check_module, class_sums_reference,
     contraction_identities, derived_omega, distant_commutation_residual, e_diag_reference,
     entries, evaluate_word, evaluated, filled_step_tables, fraction_generators,
-    from_dense, gammas, identities_reference, k_neighbors, letter_reference, mat_scale,
-    mat_sub, max_abs,
+    from_dense, gammas, identities_reference, job_residuals, k_neighbors, letter_reference,
+    mat_scale, mat_sub, max_abs,
     module_contraction_free, module_fixtures, module_nonsplit, module_rank_one,
     module_realization, mul_fold, restacked_letter, returns_at, root_sets, seeded_u,
-    term_by_term_sum, two_sided_residuals,
+    term_by_term_sum, tower_residuals, tower_scalars, two_sided_residuals,
 )
 from wenzl import _linalg, combinat, hecke, params, seminormal
 from wenzl.cli import main
 from wenzl.params import ParamSet
 from wenzl.seminormal import (
     RELATION_FAMILIES, Diagonal, Evaluated, Realization, build_all,
-    build_rep, check_identities, relations, residuals, tower_scalars,
-    verify_relations,
+    build_rep, check_identities, relations,
 )
 
 F = Fraction
@@ -91,16 +90,15 @@ def test_generators_are_symmetric():
 def test_relation_suite_2_3():
     ps = ParamSet.default(2, 3)
     real = Realization(build_all(ps, 3))
-    for rep, res in zip(real.reps, verify_relations(real)):
-        assert set(res) == set(RELATION_FAMILIES) | {"tower-scalars"}
+    for rep, res in zip(real.reps, job_residuals(real)):
+        assert set(res) == set(RELATION_FAMILIES)
         for family, value in res.items():
             assert value == 0, (rep.shape, family, value)
 
 
 def _table(res: list[dict]) -> list[dict]:
-    """The relation families of each block's residuals, without the tower
-    at k = 1 that ``residuals`` also records, and without the commutations
-    of distant letters that the reference also checks."""
+    """The relation families of each block's residuals, without the
+    commutations of distant letters that the reference also checks."""
     return [{family: r[family] for family in RELATION_FAMILIES} for r in res]
 
 
@@ -123,7 +121,7 @@ def test_relation_table_equals_the_hand_written_suite(r):
         for ps in (ParamSet.default(r, n), ParamSet.from_u(_seeded_u(r, n))):
             real = Realization(build_all(ps, n))
             want = _reference(real)
-            assert _table(residuals(real)) == _table(want), (ps.u, n)
+            assert _table(job_residuals(real)) == _table(want), (ps.u, n)
             assert not any(res["commutation"] for res in want), (ps.u, n)
 
 
@@ -153,7 +151,7 @@ def _off_model(kind):
 @pytest.mark.parametrize("kind", ["S", "E", "X"])
 def test_relation_table_equals_the_hand_written_suite_off_the_model(kind):
     real, b = _off_model(kind)
-    got, want = residuals(real), _reference(real)
+    got, want = job_residuals(real), _reference(real)
     assert _table(got) == _table(want)
     assert any(got[b].values()) and not any(v for i, res in enumerate(got)
                                             if i != b for v in res.values())
@@ -225,7 +223,8 @@ def _assert_equals_fraction_reference(real):
     # both sides of every relation, and the left side E_k X_k^a E_k of the
     # scalar tower, converted to Fractions, against the Fraction rows
     ref = FractionRealization(real.reps)
-    for family, lhs, rhs in relations(real.ps, real.n):
+    omega = derived_omega(real.ps, real.ps.r + 2)
+    for family, lhs, rhs in relations(real.ps, real.n, omega):
         for side in (lhs, rhs):
             ev = real.evaluate_sum(side)
             assert _int_form(ev), (family, side)
@@ -263,11 +262,11 @@ def _perturbed(real, kind, blocks, rng):
 
 @pytest.mark.parametrize("r,n", [(2, 3), (3, 3), (1, 4)])
 def test_fused_residuals_equal_the_two_sided_reference(r, n):
-    # each relation and tower identity as one accumulation of lhs - rhs
-    # against both sides evaluated whole and compared block by block: the
-    # same exact Fraction per block and family, on the models and with one
-    # S, E or X entry raised by 1 in one block or in several, where only
-    # those blocks may fail
+    # each relation as one accumulation of lhs - rhs against both sides
+    # evaluated whole and compared block by block: the same exact Fraction
+    # per block and family, on the models and with one S, E or X entry
+    # raised by 1 in one block or in several, where only those blocks may
+    # fail
     rng = random.Random(f"fused:{r}:{n}")
     built = 0
     for u in root_sets("fused", r):
@@ -277,9 +276,8 @@ def test_fused_residuals_equal_the_two_sided_reference(r, n):
         except ValueError:
             continue
         built += 1
-        scalars = tower_scalars(ps, n)
-        got = verify_relations(real)
-        assert got == two_sided_residuals(real, scalars), u
+        got = job_residuals(real)
+        assert got == two_sided_residuals(real), u
         assert all(type(v) is Fraction and v == 0 for res in got for v in res.values()), u
         if built > 2:
             continue
@@ -287,8 +285,8 @@ def test_fused_residuals_equal_the_two_sided_reference(r, n):
             for blocks in ([rng.randrange(len(real.reps))],
                            rng.sample(range(len(real.reps)), 3)):
                 bad = _perturbed(real, kind, blocks, rng)
-                got = verify_relations(bad)
-                assert got == two_sided_residuals(bad, scalars), (u, kind, blocks)
+                got = job_residuals(bad)
+                assert got == two_sided_residuals(bad), (u, kind, blocks)
                 failed = {b for b, res in enumerate(got) if any(res.values())}
                 assert failed and failed <= set(blocks), (u, kind, blocks, failed)
     assert built >= 3
@@ -431,18 +429,17 @@ def test_a_letter_is_a_vector_only_where_it_is_diagonal():
 
 
 def test_verify_relations_multiplies_no_diagonal_letter(monkeypatch):
-    # at (2, 3) the relations and the tower make 6 matrix products, the
-    # prefixes of the six terms of three sparse letters (braid, untwisting
-    # and tangle), and 29 sums: 27 relations, less unwrapping at a = 0,
-    # which is the contraction-scalar sum at i = 1, and the tower at k = 2
-    # for 1 <= a <= 3; the tower at k = 1 is read off unwrapping's sums,
-    # and at a = 0 off the contraction-scalar sums.  Earlier versions
-    # formed each power of X_j and each E_k X_k^a as a product too (21),
-    # the tower at k = 1 on its own (44), unwrapping at a = 0 apart (38),
-    # the tower at a = 0 for k >= 2 apart (37) and the seven distant
-    # commutations, which every built model satisfies (36)
+    # at (2, 3) the relations make 6 matrix products, the prefixes of the
+    # six terms of three sparse letters (braid, untwisting and tangle), and
+    # 26 sums: 27 relations, less unwrapping at a = 0, which is the
+    # contraction-scalar sum at i = 1.  Earlier versions formed each power
+    # of X_j and each E_k X_k^a as a product too (21), the scalar tower at
+    # k = 1 on its own (44), unwrapping at a = 0 apart (38), the tower at
+    # a = 0 for k >= 2 apart (37), the seven distant commutations, which
+    # every built model satisfies (36), and the tower at k = 2 for
+    # 1 <= a <= 3, which the partial fractions decide (29)
     ps = ParamSet.default(2, 3)
-    real, scalars = Realization(build_all(ps, 3)), tower_scalars(ps, 3)
+    real = Realization(build_all(ps, 3))
     calls = {"mat_mul": 0, "_accumulate": 0}
     mat_mul, accumulate = _linalg.mat_mul, Realization._accumulate
 
@@ -456,26 +453,21 @@ def test_verify_relations_multiplies_no_diagonal_letter(monkeypatch):
 
     monkeypatch.setattr(_linalg, "mat_mul", counted_mul)
     monkeypatch.setattr(Realization, "_accumulate", counted_accumulate)
-    got = verify_relations(real)
-    assert calls == {"mat_mul": 6, "_accumulate": 29}
-    assert got == two_sided_residuals(real, scalars)
+    got = job_residuals(real)
+    assert calls == {"mat_mul": 6, "_accumulate": 26}
+    assert got == two_sided_residuals(real)
 
 
 def _residuals_one_sum_each(real) -> list:
-    """``residuals`` with one sum per relation: unwrapping at a = 0 formed
-    apart from the contraction-scalar relation at i = 1; the unwrapping
-    relations, and the contraction-scalar relation at every i, the tower
-    at a = 0 and k = i, recorded under the tower too."""
-    out = [dict.fromkeys((*RELATION_FAMILIES, "tower-scalars"), F(0)) for _ in real.reps]
-    e = ("E", 1)
-    towered = {((1, (e, ("X", 1, a), e)),) for a in range(real.ps.r + 2)}
-    towered |= {((1, (("E", i), ("E", i))),) for i in range(1, real.n)}
-    for family, lhs, rhs in seminormal.relations(real.ps, real.n):
+    """``verify_relations`` with one sum per relation: unwrapping at a = 0
+    formed apart from the contraction-scalar relation at i = 1."""
+    out = [dict.fromkeys(RELATION_FAMILIES, F(0)) for _ in real.reps]
+    omega = derived_omega(real.ps, real.ps.r + 2)
+    for family, lhs, rhs in seminormal.relations(real.ps, real.n, omega):
         values = real.sum_residuals([(c, real.factors(word)) for c, word in lhs]
                                     + [(-c, real.factors(word)) for c, word in rhs])
-        for name in (family, "tower-scalars") if lhs in towered else (family,):
-            for b, value in values.items():
-                out[b][name] = max(out[b][name], value)
+        for b, value in values.items():
+            out[b][family] = max(out[b][family], value)
     return out
 
 
@@ -486,12 +478,11 @@ def test_unwrapping_at_zero_shares_the_contraction_sum(r, n, monkeypatch):
     # on the models, with an S, E or X entry raised by 1 on one block, and
     # with E_1 doubled on a block where it is nonzero, which that sum sees,
     # also where unwrapping is left at a = 0 alone; and one
-    # verify_relations makes one sum fewer than it has relations and tower
-    # identities at k >= 2 and a >= 1
+    # verify_relations makes one sum fewer than it has relations
     e = ("E", 1)
 
-    def unwrapping_at_zero_alone(ps, n):
-        return [(family, lhs, rhs) for family, lhs, rhs in relations(ps, n)
+    def unwrapping_at_zero_alone(ps, n, omega):
+        return [(family, lhs, rhs) for family, lhs, rhs in relations(ps, n, omega)
                 if family != "unwrapping" or lhs == ((1, (e, ("X", 1, 0), e)),)]
 
     rng = random.Random(f"shared:{r}:{n}")
@@ -501,10 +492,10 @@ def test_unwrapping_at_zero_shares_the_contraction_sum(r, n, monkeypatch):
             real = Realization(build_all(ps, n))
         except ValueError:
             continue
-        assert residuals(real) == _residuals_one_sum_each(real), u
+        assert job_residuals(real) == _residuals_one_sum_each(real), u
         for kind in "SEX":
             bad = _perturbed(real, kind, [rng.randrange(len(real.reps))], rng)
-            assert residuals(bad) == _residuals_one_sum_each(bad), (u, kind)
+            assert job_residuals(bad) == _residuals_one_sum_each(bad), (u, kind)
         b = next(b for b, rep in enumerate(real.reps) if rep.E[0])
         reps = list(real.reps)
         doubled = [{j: 2 * x for j, x in row.items()}
@@ -513,7 +504,7 @@ def test_unwrapping_at_zero_shares_the_contraction_sum(r, n, monkeypatch):
         bad = Realization(reps)
         for table in (unwrapping_at_zero_alone, relations):
             monkeypatch.setattr(seminormal, "relations", table)
-            got = residuals(bad)
+            got = job_residuals(bad)
             assert got == _residuals_one_sum_each(bad), (u, table)
             assert got[b]["contraction-scalar"] and got[b]["unwrapping"], (u, table)
     calls = []
@@ -524,9 +515,8 @@ def test_unwrapping_at_zero_shares_the_contraction_sum(r, n, monkeypatch):
         return sum_residuals(self, terms)
 
     monkeypatch.setattr(Realization, "sum_residuals", counted)
-    verify_relations(real)
-    sums = len(list(relations(real.ps, n))) + (n - 2) * (r + 1)
-    assert len(calls) == sums - 1
+    job_residuals(real)
+    assert len(calls) == len(list(relations(real.ps, n, derived_omega(real.ps, r + 2)))) - 1
 
 
 @pytest.mark.parametrize("r,n", [(2, 2), (1, 3), (3, 2), (2, 3), (1, 4)])
@@ -741,7 +731,7 @@ def _failed(real) -> set:
     family) of each identity family with a failure."""
     failed = {(None, f.split(":")[0]) for f in check_identities(real.ps, real.n).failures}
     return failed | {(rep.shape, family)
-                     for rep, res in zip(real.reps, verify_relations(real))
+                     for rep, res in zip(real.reps, job_residuals(real))
                      for family, value in res.items() if value}
 
 
@@ -778,10 +768,10 @@ _NAMED_CONDITION = re.compile(
 @pytest.mark.parametrize("r,n,draws", [(1, 3, 60), (1, 4, 60), (2, 3, 60), (3, 3, 25)])
 def test_every_residual_vanishes_at_random_roots(r, n, draws):
     # roots p/q, q in {7, 11, 13} and |p| <= 60: where no named condition
-    # refuses them, every defining relation and the tower are exactly 0,
-    # every identity holds, star-symmetry on the windows included, and
-    # every held generator is self-adjoint for its gamma; and the reference
-    # refuses some of those roots for positivity
+    # refuses them, every defining relation and the reference tower are
+    # exactly 0, every identity holds, star-symmetry on the windows
+    # included, and every held generator is self-adjoint for its gamma; and
+    # the reference refuses some of those roots for positivity
     rng = random.Random(f"random-roots:{r}:{n}")
     passed = beyond = 0
     for _ in range(draws):
@@ -794,6 +784,7 @@ def test_every_residual_vanishes_at_random_roots(r, n, draws):
             continue
         passed += 1
         assert not _failed(real), u
+        assert not any(tower_residuals(real, tower_scalars(ps, n))), u
         assert check_identities(ps, n).ok, u
         assert all(adjointness_reference(rep) == 0 for rep in real.reps), u
         try:
@@ -857,7 +848,7 @@ def test_star_symmetry_off_the_model(kind):
     got = [adjointness_reference(rep) for rep in real.reps]
     assert got[b] and not any(x for i, x in enumerate(got) if i != b)
     assert check_identities(real.ps, real.n).ok
-    res = verify_relations(real)
+    res = job_residuals(real)
     assert all("star-symmetry" not in r for r in res)
     assert any(res[b].values()) and not any(v for i, r in enumerate(res) if i != b
                                             for v in r.values())
@@ -909,7 +900,7 @@ def test_int_evaluation_equals_the_fraction_reference_off_the_model(kind):
     real, b = _off_model(kind)
     _assert_equals_fraction_reference(real)
     scalars = tower_scalars(real.ps, real.n)
-    got = [res["tower-scalars"] for res in verify_relations(real)]
+    got = tower_residuals(real, scalars)
     assert got == _tower_reference(real, scalars)
     assert all(type(x) is Fraction for x in got)
     if kind == "E":  # the changed E_1 breaks the tower on its block only
@@ -925,20 +916,115 @@ def test_tower_rows_over_unequal_denominators():
     assert {w[2].denominator for mu, w in scalars.items()
             if combinat.mp_size(mu) in (0, 2)} == {1, 3}
     real = Realization(build_all(ps, 4))
-    got = [res["tower-scalars"] for res in verify_relations(real)]
+    got = tower_residuals(real, scalars)
     assert got == _tower_reference(real, scalars) == [0] * len(real.reps)
+
+
+def _class_premise_failures(rep) -> list:
+    """Where a model breaks the premise of the proof in
+    ``verify_relations``, read off its held entries and the step table: at
+    each k, the tableaux t that return to mu, the shape before step k, at
+    step k + 1 fall into classes that agree off step k; on each class E_k
+    must be 1 e^T, e_s the e of the step s takes out of mu, with E_k 0 on
+    every other row, and X_k must be the diagonal of the class's contents.
+    Returns ("E", k) and ("X", k) for each letter that breaks it."""
+    ps, out = rep.ps, []
+    for k in range(1, rep.n):
+        classes = {}
+        for i, t in enumerate(rep.basis):
+            if t[k] == combinat.shape_before(t, k):
+                classes.setdefault(t[:k - 1] + t[k:], []).append(i)
+        want_e, want_x = {}, {}
+        for members in classes.values():
+            st = params.steps_out(combinat.shape_before(rep.basis[members[0]], k), ps)
+            steps = [rep.basis[j][k - 1] for j in members]
+            want_e.update({(i, j): st.e[nu] for i in members for j, nu in zip(members, steps)})
+            want_x.update({(i, i): F(st.C[nu], ps.q) for i, nu in zip(members, steps) if st.C[nu]})
+        if {key: F(*v) for key, v in rep.E[k - 1].items()} != want_e:
+            out.append(("E", k))
+        rows = {i for members in classes.values() for i in members}
+        if {key: F(*v) for key, v in rep.X[k - 1].items() if key[0] in rows} != want_x:
+            out.append(("X", k))
+    return out
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_each_return_class_of_e_k_is_one_row_repeated(r):
+    # the premise of the proof that the partial fractions decide the tower:
+    # on every model at n <= 5, over the default and the checking roots,
+    # each return class of E_k is 1 e^T with e from the step table, and X_k
+    # there is diag of the class's contents
+    built = 0
+    for n in range(2, 6):
+        for u in [combinat.default_u(r, n), *root_sets("class-premise", r)]:
+            try:
+                reps = build_all(ParamSet.from_u(u), n)
+            except ValueError:
+                continue
+            built += 1
+            for rep in reps:
+                assert _class_premise_failures(rep) == [], (u, n, rep.shape)
+    assert built >= 24
+
+
+def test_a_class_placed_by_row_breaks_the_premise(monkeypatch):
+    # each row of a class given its own e in every column, e 1^T instead of
+    # 1 e^T: the premise test fails on the models with a class of two steps
+    class_entries = seminormal._class_entries
+
+    def by_row(ps, k, mu):
+        rows = class_entries(ps, k, mu)
+        return [[(row[p][0], s) for _, s in row] for p, row in enumerate(rows)]
+
+    ps = ParamSet.default(2, 3)
+    assert not any(_class_premise_failures(rep) for rep in build_all(ps, 3))
+    monkeypatch.setattr(seminormal, "_class_entries", by_row)
+    failures = [f for rep in build_all(ParamSet(ps.u), 3) for f in _class_premise_failures(rep)]
+    assert failures and {f[0] for f in failures} == {"E"}
+
+
+@pytest.mark.parametrize("r,n", [(2, 3), (1, 4), (3, 3)])
+def test_a_doubled_contraction_coefficient_fails_the_partial_fractions(r, n, monkeypatch):
+    # one e_diag result doubled, at a seeded call of a seeded draw of roots:
+    # in every draw where the reference tower is not 0, the identities that
+    # the job reports fail on w-partial-fractions
+    rng = random.Random(f"doubled-e:{r}:{n}")
+    e_diag, calls = params.e_diag, []
+
+    def doubled(*args):
+        calls.append(None)
+        x = e_diag(*args)
+        return 2 * x if len(calls) == target else x
+
+    monkeypatch.setattr(params, "e_diag", doubled)
+    broken = 0
+    for _ in range(40):
+        k, d = rng.choice((1, 2, 4, 8)), rng.choice((0, F(1, 2), F(1, 3), F(2, 7)))
+        u = tuple(k * x + d for x in combinat.default_u(r, n))
+        # the calls of the unchanged job, then the job with one of them doubled
+        target, calls, ps = 0, [], ParamSet(u)
+        build_all(ps, n)
+        check_identities(ps, n)
+        target, calls, ps = rng.randrange(1, len(calls) + 1), [], ParamSet(u)
+        real = Realization(build_all(ps, n))
+        failures = check_identities(ps, n).failures
+        if any(tower_residuals(real, tower_scalars(ps, n))):
+            broken += 1
+            assert any(f.startswith("w-partial-fractions") for f in failures), (u, target)
+    assert broken >= 8, broken
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_relation_table_covers_every_family(r):
     # a family with no relation in the table would report 0 unchecked
     ps = ParamSet.default(r, 3)
-    assert {family for family, _, _ in relations(ps, 3)} == set(RELATION_FAMILIES)
+    table = relations(ps, 3, derived_omega(ps, r + 2))
+    assert {family for family, _, _ in table} == set(RELATION_FAMILIES)
 
 
 def test_relation_suite_low_precision_still_passes():
     ps = ParamSet.default(2, 2)
-    for res in verify_relations(Realization(build_all(ps, 2))):
+    for res in job_residuals(Realization(build_all(ps, 2))):
         for family, value in res.items():
             assert value == 0
 
@@ -1032,8 +1118,8 @@ _MUTATIONS = {
     "swap-sign": (lambda mp: _flipped_swap_sign(mp, (_EMPTY, _ONE, ((1,), (1,)))),
                   {"star-symmetry"}, set()),
     "contraction": (lambda mp: _scaled_contraction(mp, _EMPTY, _ONE),
-                    {"w-partial-fractions"}, {"tower-scalars"}),
-    "w-content": (lambda mp: _wrong_closed_form(mp, _ONE), {"w-recursion"}, {"tower-scalars"}),
+                    {"w-partial-fractions"}, {"unwrapping"}),
+    "w-content": (lambda mp: _wrong_closed_form(mp, _ONE), {"w-recursion"}, set()),
 }
 
 
@@ -1060,8 +1146,10 @@ def test_one_swap_window_feeds_the_model_and_the_identities(monkeypatch):
 def test_each_mutation_fails_its_check(mutation, monkeypatch):
     # one step factor g scaled, the sign of one swap's p flipped, one e
     # scaled at one step, one boundary content shifted in W's closed form:
-    # each fails the check named for it, and the window identities fail
-    # exactly where some model is not self-adjoint for its gamma
+    # each fails the check named for it, the window identities fail exactly
+    # where some model is not self-adjoint for its gamma, and the scalar
+    # tower, which the job no longer checks, exactly where the partial
+    # fractions do
     mutate, identities, relations_failed = _MUTATIONS[mutation]
     ps = ParamSet.from_u(seeded_u("mutations", 2, 3))
     assert not _failed(Realization(build_all(ps, 3)))
@@ -1070,9 +1158,12 @@ def test_each_mutation_fails_its_check(mutation, monkeypatch):
     reps = build_all(ps, 3)
     failed = _failed_families(check_identities(ps, 3))
     assert identities <= failed, failed
-    res = verify_relations(Realization(reps))
+    real = Realization(reps)
+    res = job_residuals(real)
     assert relations_failed <= {family for r in res for family, v in r.items() if v}
     assert ("star-symmetry" in failed) == any(adjointness_reference(rep) for rep in reps)
+    tower = tower_residuals(real, tower_scalars(ps, 3))
+    assert ("w-partial-fractions" in failed) == any(tower), tower
 
 
 def test_identity_suite_fails_on_wrong_contraction_coefficients(monkeypatch):
@@ -1094,12 +1185,12 @@ def test_untwisting_decides_the_contraction_inverse(n, mu, nu, monkeypatch):
     # models, as the proof in check_identities reads it at (t, t)
     ps = ParamSet.from_u(seeded_u("untwisting", 2, n))
     assert contraction_identities(ps, n).ok
-    assert not any(res["untwisting"] for res in verify_relations(Realization(build_all(ps, n))))
+    assert not any(res["untwisting"] for res in job_residuals(Realization(build_all(ps, n))))
     _scaled_contraction(monkeypatch, mu, nu)
     ps = ParamSet(ps.u)
     t = combinat.t_lambda(mu) + (nu, mu, nu)
     assert f"contraction-inverse: t={t}, k={len(t) - 2}" in contraction_identities(ps, n).failures
-    assert any(res["untwisting"] for res in verify_relations(Realization(build_all(ps, n))))
+    assert any(res["untwisting"] for res in job_residuals(Realization(build_all(ps, n))))
 
 
 def test_tangle_and_involution_decide_the_matching(monkeypatch):
@@ -1116,7 +1207,7 @@ def test_tangle_and_involution_decide_the_matching(monkeypatch):
     assert _failed_families(report) == {"swap-contraction-matching"}
     assert f"swap-contraction-matching: t={(_ONE, x, _ONE)}, u={(((), (1,)), _EMPTY, _ONE)}, k=1" \
         in report.failures
-    failed = {family for res in verify_relations(Realization(build_all(ps, 3)))
+    failed = {family for res in job_residuals(Realization(build_all(ps, 3)))
               for family, value in res.items() if value}
     assert failed & {"tangle", "involution"}, failed
 
@@ -1128,10 +1219,10 @@ def test_identity_suite_fails_on_wrong_closed_form(monkeypatch):
 
 
 def test_verify_fails_on_a_closed_form_wrong_at_one_shape(tmp_path, monkeypatch):
-    # W wrong at one nonempty shape: omega_2^(0) there is no longer Omega_0,
-    # which the tower at a = 0 reads off the contraction-scalar sum, yet
-    # the job still exits 1, its identities record fails, and so does the
-    # tower at a >= 1
+    # W wrong at one nonempty shape, which no relation of the job reads:
+    # every relations record passes, but the scalar tower there fails, and
+    # so the job exits 1 on its identities record, where the partial
+    # fractions that decide the tower fail
     _wrong_closed_form(monkeypatch, _ONE)
     out = tmp_path / "out.jsonl"
     assert main(["verify", "--r", "2", "--n", "3", "--out", str(out)]) == 1
@@ -1140,8 +1231,10 @@ def test_verify_fails_on_a_closed_form_wrong_at_one_shape(tmp_path, monkeypatch)
     assert not identities["pass"]
     assert {f.split(":")[0] for f in identities["failures"]} == {"w-recursion",
                                                                  "w-partial-fractions"}
-    assert any(rec["residuals"]["tower-scalars"] for rec in records if rec["kind"] == "relations")
+    assert all(rec["pass"] for rec in records if rec["kind"] == "relations")
     assert not records[-1]["pass"]
+    ps = ParamSet.default(2, 3)
+    assert any(tower_residuals(Realization(build_all(ps, 3)), tower_scalars(ps, 3)))
 
 
 def test_identity_suite_fails_on_a_content_shifted_by_q(monkeypatch):
@@ -1196,6 +1289,35 @@ def _class_sums_defined(ps, mu) -> bool:
 
 
 _SMALL_ROOTS = (0, F(1, 2), F(-1, 2), 1, -1, F(3, 2), 2, -2, F(5, 2), 3)
+
+
+@pytest.mark.parametrize("r,n", [(1, 3), (1, 4), (2, 3), (2, 4), (3, 3)])
+def test_the_tower_holds_wherever_the_partial_fractions_do(r, n):
+    # the reference tower, at every k and 0 <= a <= r + 1, is 0 on every
+    # block wherever check_identities reports no w-partial-fractions
+    # failure: over support.root_sets, _DEGENERATE and 60 seeded sets of
+    # small roots, wherever every model builds, also where build_all
+    # refuses the roots for a zero step factor
+    rng = random.Random(f"tower:{r}:{n}")
+    small = [tuple(rng.choice(_SMALL_ROOTS) for _ in range(r)) for _ in range(60)]
+    checked, refused = 0, 0
+    for u in root_sets("tower", r) + _DEGENERATE[r] + small:
+        ps = ParamSet.from_u(u)
+        try:
+            real = Realization([build_rep(ps, n, shape)
+                                for shape in combinat.reachable_shapes(r, n)])
+            failures = check_identities(ps, n).failures
+        except ValueError:
+            continue
+        if any(f.startswith("w-partial-fractions") for f in failures):
+            continue
+        checked += 1
+        assert tower_residuals(real, tower_scalars(ps, n)) == [0] * len(real.reps), u
+        try:
+            build_all(ps, n)
+        except ValueError:
+            refused += 1
+    assert checked >= 7 and refused >= ((r, n) == (2, 3)), (checked, refused)
 
 
 def _built(tag: str, r: int):
@@ -1341,7 +1463,8 @@ def test_relation_table_holds_each_signed_sum_once():
     for r in (1, 2, 3):
         for n in range(7):
             seen = set()
-            for family, lhs, rhs in relations(ParamSet.default(r, n), n):
+            ps = ParamSet.default(r, n)
+            for family, lhs, rhs in relations(ps, n, derived_omega(ps, r + 2)):
                 terms = {}
                 for c, word in lhs:
                     terms[word] = terms.get(word, 0) + c
